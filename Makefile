@@ -1,6 +1,6 @@
 # Developer entry points; `make dev` is what CI should run.
 
-.PHONY: dev build lint lint-typed test bench-json bench-baseline bench-smoke bench-scale chaos clean
+.PHONY: dev build lint lint-typed test bench-json bench-baseline bench-smoke bench-scale bench-e2e chaos clean
 
 dev: build lint lint-typed test bench-smoke
 
@@ -69,6 +69,14 @@ bench-scale:
 	dune exec bin/p2pindex_cli.exe -- simulate --nodes 100000 --articles 20000 \
 	  --queries 100000 --shards 4 --domains 4 > _build/scale_d4.txt
 	cmp _build/scale_d1.txt _build/scale_d4.txt
+
+# End-to-end benchmark, e2e lane only: times `simulate` on the four
+# workloads of BENCHMARK.json and checks each run's stdout against its
+# pinned seed-42 digest, so it doubles as a byte-identity guard.  Exits
+# non-zero only when a check fails (`"correct": false` on the last line);
+# timing never fails it.  Results: bench/e2e/out/results.json.
+bench-e2e:
+	bash bench/e2e/run.sh --lane e2e
 
 # Fault-injection suite: the fault/RPC/quorum tests plus seeded smoke
 # runs (deterministic, so CI diffs are meaningful) — the fault sweep,

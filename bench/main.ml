@@ -385,6 +385,10 @@ let parse_args argv =
 let run_experiments grid ~timed ids =
   List.map
     (fun id ->
+      (* Start every experiment from an empty minor heap and a collected
+         major heap, as the micro-benchmarks do, so its GC counts do not
+         depend on how much the experiments before it allocated. *)
+      Gc.full_major ();
       let before = Gc.quick_stat () in
       let minor_before = Gc.minor_words () in
       let t0 = if timed then Some (Monotonic_clock.now ()) else None in

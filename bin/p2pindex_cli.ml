@@ -10,6 +10,20 @@
 
 open Cmdliner
 
+(* Exit statuses: every rejected input exits 2, whether cmdliner rejects
+   it while parsing (its own default would be 124) or a subcommand rejects
+   it while validating. *)
+let usage_error = 2
+
+let exits =
+  [
+    Cmd.Exit.info Cmd.Exit.ok ~doc:"on success.";
+    Cmd.Exit.info 1 ~doc:"on an unknown experiment id or an unreadable input file.";
+    Cmd.Exit.info usage_error
+      ~doc:"on a usage error or an invalid argument value; a message says which.";
+    Cmd.Exit.info Cmd.Exit.internal_error ~doc:"on an unexpected internal error.";
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Shared argument parsers. *)
 
@@ -656,7 +670,7 @@ let simulate_cmd =
                    report is no longer byte-reproducible.")
   in
   Cmd.v
-    (Cmd.info "simulate" ~doc:"Run one Section V simulation")
+    (Cmd.info "simulate" ~exits ~doc:"Run one Section V simulation")
     Term.(
       const run $ scheme $ policy $ nodes_term 500 $ articles_term 10_000 $ queries
       $ seed_term $ substrate $ hops $ churn_rate $ ttl $ republish $ replication
@@ -690,7 +704,7 @@ let experiment_cmd =
   in
   let quick = Arg.(value & flag & info [ "quick" ] ~doc:"Reduced scale.") in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Regenerate one of the paper's tables or figures")
+    (Cmd.info "experiment" ~exits ~doc:"Regenerate one of the paper's tables or figures")
     Term.(const run $ id $ quick)
 
 (* ------------------------------------------------------------------ *)
@@ -712,7 +726,7 @@ let corpus_cmd =
     Arg.(value & opt int 10 & info [ "limit" ] ~docv:"N" ~doc:"Print at most N descriptors.")
   in
   Cmd.v
-    (Cmd.info "corpus" ~doc:"Generate a synthetic DBLP-like corpus as XML descriptors")
+    (Cmd.info "corpus" ~exits ~doc:"Generate a synthetic DBLP-like corpus as XML descriptors")
     Term.(const run $ articles_term 100 $ seed_term $ limit)
 
 (* ------------------------------------------------------------------ *)
@@ -776,7 +790,7 @@ let search_cmd =
          & info [ "scheme" ] ~docv:"SCHEME" ~doc:"Indexing scheme.")
   in
   Cmd.v
-    (Cmd.info "search" ~doc:"Publish a synthetic corpus and search it with field queries")
+    (Cmd.info "search" ~exits ~doc:"Publish a synthetic corpus and search it with field queries")
     Term.(
       const run $ articles_term 1_000 $ nodes_term 50 $ seed_term $ scheme $ author $ title
       $ conf $ year)
@@ -806,7 +820,7 @@ let workload_cmd =
          & info [ "out" ] ~docv:"FILE" ~doc:"Write the trace to FILE instead of stdout.")
   in
   Cmd.v
-    (Cmd.info "workload"
+    (Cmd.info "workload" ~exits
        ~doc:"Generate a replayable query trace with the Section V-C user model")
     Term.(const run $ articles_term 1_000 $ queries $ seed_term $ output)
 
@@ -852,7 +866,7 @@ let chord_cmd =
          & info [ "fail" ] ~docv:"F" ~doc:"Fraction of nodes to fail before measuring.")
   in
   Cmd.v
-    (Cmd.info "chord" ~doc:"Exercise the Chord substrate")
+    (Cmd.info "chord" ~exits ~doc:"Exercise the Chord substrate")
     Term.(const run $ nodes_term 128 $ lookups $ seed_term $ fail_fraction)
 
 (* ------------------------------------------------------------------ *)
@@ -872,23 +886,28 @@ let metrics_cmd =
              ~doc:"Prometheus text file written by simulate --metrics-out.")
   in
   Cmd.v
-    (Cmd.info "metrics" ~doc:"Render an exported metrics snapshot as a table")
+    (Cmd.info "metrics" ~exits ~doc:"Render an exported metrics snapshot as a table")
     Term.(const run $ path)
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   let doc = "Data indexing in peer-to-peer DHT networks (ICDCS 2004), reproduced in OCaml" in
-  let info = Cmd.info "p2pindex" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "p2pindex" ~version:"1.0.0" ~doc ~exits in
+  let cmd =
+    Cmd.group info
+      [
+        simulate_cmd;
+        experiment_cmd;
+        corpus_cmd;
+        search_cmd;
+        workload_cmd;
+        chord_cmd;
+        metrics_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            simulate_cmd;
-            experiment_cmd;
-            corpus_cmd;
-            search_cmd;
-            workload_cmd;
-            chord_cmd;
-            metrics_cmd;
-          ]))
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok () | `Version | `Help) -> Cmd.Exit.ok
+    | Error (`Parse | `Term) -> usage_error
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -61,46 +61,115 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+let field_count f =
+  let count opt = match opt with Some _ -> 1 | None -> 0 in
+  count f.author + count f.title + count f.conf + count f.year
+
+let constraint_count = function
+  | Author_last_prefix _ -> 1
+  | Msd _ -> 5
+  | Fields f -> field_count f
+
 (* ------------------------------------------------------------------ *)
 (* Canonical rendering: exactly the canonical form of the equivalent XPath
    pattern.  Predicates sort by their rendered strings; for article fields
    that is the fixed name order author < conf < size < title < year, with
-   multiple author predicates ordered by their own rendering. *)
+   multiple author predicates ordered by their own rendering.  One
+   predicate renders as a child step, several as a bracketed list.  The
+   string is built in one buffer pass; only a multi-author descriptor
+   renders its author predicates separately, to sort them. *)
 
-let author_pred (a : Article.author) =
-  Printf.sprintf "author[first/%s][last/%s]" a.first a.last
+let add_author b (a : Article.author) =
+  Buffer.add_string b "author[first/";
+  Buffer.add_string b a.first;
+  Buffer.add_string b "][last/";
+  Buffer.add_string b a.last;
+  Buffer.add_char b ']'
 
-let field_preds f =
-  let preds = [] in
-  let preds = match f.year with Some y -> Printf.sprintf "year/%d" y :: preds | None -> preds in
-  let preds =
-    match f.title with Some t -> Printf.sprintf "title/%s" t :: preds | None -> preds
+let author_pred a =
+  let b = Buffer.create 48 in
+  add_author b a;
+  Buffer.contents b
+
+let add_field b name v =
+  Buffer.add_string b name;
+  Buffer.add_char b '/';
+  Buffer.add_string b v
+
+(* Opens predicate [i] of [count]. *)
+let open_pred b ~count i =
+  if count = 1 then Buffer.add_char b '/'
+  else Buffer.add_string b (if i = 0 then "[" else "][")
+
+let add_fields b f =
+  let count = field_count f in
+  let i =
+    match f.author with
+    | Some a ->
+        open_pred b ~count 0;
+        add_author b a;
+        1
+    | None -> 0
   in
-  let preds =
-    match f.conf with Some c -> Printf.sprintf "conf/%s" c :: preds | None -> preds
+  let i =
+    match f.conf with
+    | Some c ->
+        open_pred b ~count i;
+        add_field b "conf" c;
+        i + 1
+    | None -> i
   in
-  match f.author with Some a -> author_pred a :: preds | None -> preds
+  let i =
+    match f.title with
+    | Some t ->
+        open_pred b ~count i;
+        add_field b "title" t;
+        i + 1
+    | None -> i
+  in
+  (match f.year with
+  | Some y ->
+      open_pred b ~count i;
+      add_field b "year" (Int.to_string y)
+  | None -> ());
+  if count > 1 then Buffer.add_char b ']'
 
-let msd_preds (article : Article.t) =
-  let authors = List.sort String.compare (List.map author_pred article.authors) in
-  authors
-  @ [
-      Printf.sprintf "conf/%s" article.conf;
-      Printf.sprintf "size/%d" article.size_bytes;
-      Printf.sprintf "title/%s" article.title;
-      Printf.sprintf "year/%d" article.year;
-    ]
+(* Always five or more predicates, so always bracketed. *)
+let add_msd b (article : Article.t) =
+  (match article.authors with
+  | [] -> Buffer.add_char b '['
+  | [ a ] ->
+      Buffer.add_char b '[';
+      add_author b a;
+      Buffer.add_string b "]["
+  | authors ->
+      List.iter
+        (fun pred ->
+          Buffer.add_char b '[';
+          Buffer.add_string b pred;
+          Buffer.add_char b ']')
+        (List.sort String.compare (List.map author_pred authors));
+      Buffer.add_char b '[');
+  add_field b "conf" article.conf;
+  Buffer.add_string b "][";
+  add_field b "size" (Int.to_string article.size_bytes);
+  Buffer.add_string b "][";
+  add_field b "title" article.title;
+  Buffer.add_string b "][";
+  add_field b "year" (Int.to_string article.year);
+  Buffer.add_char b ']'
 
-let render preds =
-  match preds with
-  | [] -> "/article"
-  | [ only ] -> "/article/" ^ only
-  | many -> "/article[" ^ String.concat "][" many ^ "]"
-
-let to_string = function
-  | Fields f -> render (field_preds f)
-  | Msd article -> render (msd_preds article)
-  | Author_last_prefix p -> "/article/author/last/" ^ p ^ "*"
+let to_string q =
+  let b = Buffer.create 96 in
+  Buffer.add_string b "/article";
+  (match q with
+  | Fields f -> add_fields b f
+  | Msd article -> add_msd b article
+  | Author_last_prefix p ->
+      Buffer.add_string b "/author/last/";
+      Buffer.add_string b p;
+      Buffer.add_char b '*');
+  Buffer.contents b
 
 let pp ppf q = Format.pp_print_string ppf (to_string q)
 
@@ -232,10 +301,3 @@ let generalizations = function
         ]
       in
       List.filter_map Fun.id drops
-
-let constraint_count = function
-  | Author_last_prefix _ -> 1
-  | Msd _ -> 5
-  | Fields f ->
-      let count opt = match opt with Some _ -> 1 | None -> 0 in
-      count f.author + count f.title + count f.conf + count f.year

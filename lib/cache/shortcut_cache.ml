@@ -7,7 +7,9 @@
    stamp lives in a float column and the cached pair in a dummy-backed slot
    column.  The old per-entry cell record mixed an immutable pair with a
    mutable float, so every install boxed the float and allocated a record;
-   the columns pay one [Some pair] box per install and nothing per probe.
+   the columns pay one [Some (target_key, pair)] box per install and
+   nothing per probe.  The slot keeps the target key beside the pair so
+   [find] hands callers the string they compare on without a re-render.
 
    Entries are soft state under churn: each carries an expiry stamped from
    the cache's virtual clock at install time, and expired entries are
@@ -31,7 +33,7 @@ type instruments = {
 type 'q t = {
   lru : (String_pair.t, int) Lru.t;  (** values are arena ids *)
   arena : Stdx.Arena.t;
-  pairs : ('q * 'q) option Stdx.Arena.Slots.t;
+  pairs : (string * ('q * 'q)) option Stdx.Arena.Slots.t;
       (** [None] is the dummy: the query type is abstract here, so no
           ['q] value exists to stand in for vacant slots. *)
   expiry : Stdx.Arena.Float_col.col;
@@ -142,7 +144,7 @@ let find t ~query_key =
 let find_target t ~query_key ~target_key =
   let found =
     match live_find t (query_key, target_key) with
-    | Some (_query, target) -> Some target
+    | Some (_target_key, (_query, target)) -> Some target
     | None -> None
   in
   count_outcome t ~hit:(found <> None);
@@ -159,13 +161,13 @@ let add t ~query_key ~target_key pair =
   match Lru.peek t.lru key with
   | Some id ->
       (* Refresh: new pair and TTL in place, recency via [Lru.add]'s touch. *)
-      Stdx.Arena.Slots.set t.pairs id (Some pair);
+      Stdx.Arena.Slots.set t.pairs id (Some (target_key, pair));
       Stdx.Arena.Float_col.set t.expiry id expires_at;
       Lru.add t.lru key id;
       false
   | None ->
       let id = Stdx.Arena.alloc t.arena in
-      Stdx.Arena.Slots.set t.pairs id (Some pair);
+      Stdx.Arena.Slots.set t.pairs id (Some (target_key, pair));
       Stdx.Arena.Float_col.set t.expiry id expires_at;
       (* May evict the LRU tail, whose hook frees that entry's id. *)
       Lru.add t.lru key id;
@@ -198,5 +200,6 @@ let is_full t =
 let entries t =
   List.filter_map
     (fun (_key, id) ->
-      if expired t id then None else Stdx.Arena.Slots.get t.pairs id)
+      if expired t id then None
+      else Option.map snd (Stdx.Arena.Slots.get t.pairs id))
     (Lru.to_list t.lru)

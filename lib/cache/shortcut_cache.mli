@@ -34,9 +34,10 @@ val create :
     totals are network-wide.
     @raise Invalid_argument when [ttl <= 0]. *)
 
-val find : 'q t -> query_key:string -> ('q * 'q) list
-(** All unexpired shortcuts cached under this query (pairs of query and
-    target descriptor), most recent first.  Hits refresh recency; expired
+val find : 'q t -> query_key:string -> (string * ('q * 'q)) list
+(** All unexpired shortcuts cached under this query, in target-key order:
+    each target key (the string the pair was installed under) with its
+    pair of query and target descriptor.  Hits refresh recency; expired
     entries found along the way are purged. *)
 
 val find_target : 'q t -> query_key:string -> target_key:string -> 'q option

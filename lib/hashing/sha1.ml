@@ -1,11 +1,16 @@
-(* Straightforward RFC 3174 implementation over Int32 words.  The message is
-   padded to a multiple of 64 bytes with 0x80, zeros, and the 64-bit bit
-   length; each block updates the five-word chaining state through 80 rounds
-   in four 20-round groups. *)
+(* RFC 3174 over native ints.  A 32-bit word lives in the low bits of an
+   OCaml int and every sum or shift is masked back to 32 bits, so the
+   rounds run on unboxed registers where [Int32] would box each
+   intermediate.  (Needs 63-bit ints: sums of five words reach 35 bits.)
+   The message is padded to a multiple of 64 bytes with 0x80, zeros, and
+   the 64-bit bit length; each block updates the five-word chaining state
+   through 80 rounds in four 20-round groups. *)
 
 type digest = string
 
-let rotl32 x n = Int32.logor (Int32.shift_left x n) (Int32.shift_right_logical x (32 - n))
+let mask = 0xFFFF_FFFF
+
+let rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land mask
 
 let padded_message s =
   let len = String.length s in
@@ -14,30 +19,26 @@ let padded_message s =
   let b = Bytes.make total '\000' in
   Bytes.blit_string s 0 b 0 len;
   Bytes.set b len '\x80';
-  let bitlen = Int64.of_int (len * 8) in
+  let bitlen = len * 8 in
   for i = 0 to 7 do
-    let shift = (7 - i) * 8 in
-    let byte = Int64.to_int (Int64.logand (Int64.shift_right_logical bitlen shift) 0xFFL) in
-    Bytes.set b (total - 8 + i) (Char.chr byte)
+    Bytes.set b (total - 8 + i) (Char.unsafe_chr ((bitlen lsr ((7 - i) * 8)) land 0xFF))
   done;
   b
 
 let word_at b off =
-  let byte i = Int32.of_int (Char.code (Bytes.get b (off + i))) in
-  Int32.logor
-    (Int32.shift_left (byte 0) 24)
-    (Int32.logor
-       (Int32.shift_left (byte 1) 16)
-       (Int32.logor (Int32.shift_left (byte 2) 8) (byte 3)))
+  (Char.code (Bytes.get b off) lsl 24)
+  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
+  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
+  lor Char.code (Bytes.get b (off + 3))
 
 let digest_string s =
   let msg = padded_message s in
-  let h0 = ref 0x67452301l
-  and h1 = ref 0xEFCDAB89l
-  and h2 = ref 0x98BADCFEl
-  and h3 = ref 0x10325476l
-  and h4 = ref 0xC3D2E1F0l in
-  let w = Array.make 80 0l in
+  let h0 = ref 0x67452301
+  and h1 = ref 0xEFCDAB89
+  and h2 = ref 0x98BADCFE
+  and h3 = ref 0x10325476
+  and h4 = ref 0xC3D2E1F0 in
+  let w = Array.make 80 0 in
   let blocks = Bytes.length msg / 64 in
   for block = 0 to blocks - 1 do
     let base = block * 64 in
@@ -45,41 +46,57 @@ let digest_string s =
       w.(t) <- word_at msg (base + (t * 4))
     done;
     for t = 16 to 79 do
-      w.(t) <-
-        rotl32 (Int32.logxor (Int32.logxor w.(t - 3) w.(t - 8)) (Int32.logxor w.(t - 14) w.(t - 16))) 1
+      w.(t) <- rotl32 (w.(t - 3) lxor w.(t - 8) lxor w.(t - 14) lxor w.(t - 16)) 1
     done;
     let a = ref !h0 and b = ref !h1 and c = ref !h2 and d = ref !h3 and e = ref !h4 in
-    for t = 0 to 79 do
-      let f, k =
-        if t < 20 then
-          (Int32.logor (Int32.logand !b !c) (Int32.logand (Int32.lognot !b) !d), 0x5A827999l)
-        else if t < 40 then (Int32.logxor !b (Int32.logxor !c !d), 0x6ED9EBA1l)
-        else if t < 60 then
-          ( Int32.logor
-              (Int32.logand !b !c)
-              (Int32.logor (Int32.logand !b !d) (Int32.logand !c !d)),
-            0x8F1BBCDCl )
-        else (Int32.logxor !b (Int32.logxor !c !d), 0xCA62C1D6l)
-      in
-      let temp = Int32.add (Int32.add (Int32.add (rotl32 !a 5) f) (Int32.add !e k)) w.(t) in
+    (* One round per group below; [lnot] sets high bits, which the [land]
+       with a 32-bit word clears again. *)
+    for t = 0 to 19 do
+      let f = (!b land !c) lor (lnot !b land !d) in
+      let temp = (rotl32 !a 5 + f + !e + 0x5A827999 + w.(t)) land mask in
       e := !d;
       d := !c;
       c := rotl32 !b 30;
       b := !a;
       a := temp
     done;
-    h0 := Int32.add !h0 !a;
-    h1 := Int32.add !h1 !b;
-    h2 := Int32.add !h2 !c;
-    h3 := Int32.add !h3 !d;
-    h4 := Int32.add !h4 !e
+    for t = 20 to 39 do
+      let f = !b lxor !c lxor !d in
+      let temp = (rotl32 !a 5 + f + !e + 0x6ED9EBA1 + w.(t)) land mask in
+      e := !d;
+      d := !c;
+      c := rotl32 !b 30;
+      b := !a;
+      a := temp
+    done;
+    for t = 40 to 59 do
+      let f = (!b land !c) lor (!b land !d) lor (!c land !d) in
+      let temp = (rotl32 !a 5 + f + !e + 0x8F1BBCDC + w.(t)) land mask in
+      e := !d;
+      d := !c;
+      c := rotl32 !b 30;
+      b := !a;
+      a := temp
+    done;
+    for t = 60 to 79 do
+      let f = !b lxor !c lxor !d in
+      let temp = (rotl32 !a 5 + f + !e + 0xCA62C1D6 + w.(t)) land mask in
+      e := !d;
+      d := !c;
+      c := rotl32 !b 30;
+      b := !a;
+      a := temp
+    done;
+    h0 := (!h0 + !a) land mask;
+    h1 := (!h1 + !b) land mask;
+    h2 := (!h2 + !c) land mask;
+    h3 := (!h3 + !d) land mask;
+    h4 := (!h4 + !e) land mask
   done;
   let out = Bytes.create 20 in
   let store i v =
     for j = 0 to 3 do
-      let shift = (3 - j) * 8 in
-      Bytes.set out ((i * 4) + j)
-        (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v shift) 0xFFl)))
+      Bytes.set out ((i * 4) + j) (Char.unsafe_chr ((v lsr ((3 - j) * 8)) land 0xFF))
     done
   in
   store 0 !h0;

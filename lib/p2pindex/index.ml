@@ -221,7 +221,16 @@ module type S = sig
       the DHT key it is filed under and the child query it maps to. *)
 
   val index_bytes : t -> int
-  (** Storage footprint of all index entries under the wire model. *)
+  (** Storage footprint of all index entries under the wire model, summed
+      from the entries' cached lengths. *)
+
+  val entry_length_mismatches : t -> (string * int) list
+  (** Audit of the render-once invariant: every entry physically held on
+      any replica (dead nodes and expired entries included) whose cached
+      length differs from its rendering's — a mapping's child against
+      its canonical string, a file against its name — as (rendering,
+      cached length) pairs.  Empty when every write, repair and sync
+      carried the right length. *)
 
   val keys_per_node : t -> int array
   (** Distinct keys (index keys and stored files) physically held per
@@ -465,29 +474,43 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   (* ---------------------------------------------------------------- *)
   (* Publication. *)
 
+  (* Write one mapping, rendering its parent and child once each: the
+     parent's string gives the key and, with the child's length (cached
+     in the entry), the install bill.  Returns the key, whether the
+     entry was new, and the bill. *)
+  let write_mapping t ~expires_at ~parent ~child =
+    let parent_string = Q.to_string parent in
+    let key = key_of_string_memo t parent_string in
+    let len = String.length (Q.to_string child) in
+    let added =
+      Rstore.insert_unique ~expires_at ~equal:Q.equal t.mappings ~key ~len child
+    in
+    (key, added, Wire.cache_install_bytes_of_len (String.length parent_string) len)
+
   let insert_mapping t ~parent ~child =
     if not (Q.covers parent child) then
       raise
         (Covering_violation { parent = Q.to_string parent; child = Q.to_string child });
-    let key = key_of t parent in
-    let added =
-      Rstore.insert_unique ~expires_at:(entry_expiry t) ~equal:Q.equal t.mappings
-        ~key child
+    let key, added, bytes =
+      write_mapping t ~expires_at:(entry_expiry t) ~parent ~child
     in
-    if added then
-      charge_live_replicas t ~key
-        ~bytes:(Wire.cache_install_bytes (Q.to_string parent) (Q.to_string child));
+    if added then charge_live_replicas t ~key ~bytes;
     added
 
   let remove_mapping t ~parent ~child =
     let key = key_of t parent in
     Rstore.remove t.mappings ~key (Q.equal child) > 0
 
+  (* A stored file's cached length is its name's: the name is what a
+     file reply carries ({!Wire.file_response_bytes}). *)
+  let file_len (file : file) = String.length file.name
+
   let store_file t ~msd file =
-    let key = key_of t msd in
+    let msd_string = Q.to_string msd in
+    let key = key_of_string_memo t msd_string in
     ignore (Rstore.remove_key t.files key);
-    Rstore.insert ~expires_at:(entry_expiry t) t.files ~key file;
-    charge_live_replicas t ~key ~bytes:(Wire.request_bytes (Q.to_string msd))
+    Rstore.insert ~expires_at:(entry_expiry t) t.files ~key ~len:(file_len file) file;
+    charge_live_replicas t ~key ~bytes:(Wire.request_bytes msd_string)
 
   let publish t ~scheme ~msd file =
     store_file t ~msd file;
@@ -497,28 +520,28 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   let republish t ~scheme ~msd file =
     let expires_at = entry_expiry t in
-    let file_key = key_of t msd in
+    let msd_string = Q.to_string msd in
+    let file_key = key_of_string_memo t msd_string in
     ignore
-      (Rstore.insert_unique ~expires_at ~equal:( = ) t.files ~key:file_key file);
-    charge_live_replicas t ~key:file_key
-      ~bytes:(Wire.request_bytes (Q.to_string msd));
+      (Rstore.insert_unique ~expires_at ~equal:( = ) t.files ~key:file_key
+         ~len:(file_len file) file);
+    charge_live_replicas t ~key:file_key ~bytes:(Wire.request_bytes msd_string);
     List.iter
       (fun { Scheme.parent; child } ->
-        let key = key_of t parent in
-        ignore
-          (Rstore.insert_unique ~expires_at ~equal:Q.equal t.mappings ~key child);
-        charge_live_replicas t ~key
-          ~bytes:(Wire.cache_install_bytes (Q.to_string parent) (Q.to_string child)))
+        let key, _added, bytes = write_mapping t ~expires_at ~parent ~child in
+        charge_live_replicas t ~key ~bytes)
       (Scheme.edges scheme msd)
 
+  (* What shipping one stored entry costs, priced from its cached length
+     (mappings) or its file handle (files). *)
+  let mapping_entry_bytes e = Wire.stored_entry_bytes_of_len (Rstore.entry_len e)
+  let file_entry_bytes e = Wire.file_response_bytes (Rstore.entry_value e)
+
   let repair t =
-    Rstore.repair t.mappings
-      ~on_restore:(fun ~node child ->
-        charge_maintenance t ~dst:node
-          ~bytes:(Wire.stored_entry_bytes (Q.to_string child)))
-    + Rstore.repair t.files
-        ~on_restore:(fun ~node file ->
-          charge_maintenance t ~dst:node ~bytes:(Wire.file_response_bytes file))
+    Rstore.repair t.mappings ~on_restore:(fun ~node e ->
+        charge_maintenance t ~dst:node ~bytes:(mapping_entry_bytes e))
+    + Rstore.repair t.files ~on_restore:(fun ~node e ->
+          charge_maintenance t ~dst:node ~bytes:(file_entry_bytes e))
 
   let file_render (file : file) = Printf.sprintf "%s#%d" file.name file.size_bytes
 
@@ -527,12 +550,11 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     let on_ship ~node ~bytes = charge_maintenance t ~dst:node ~bytes in
     let sm =
       Storage.Anti_entropy.run t.mappings ~render:Q.to_string
-        ~entry_bytes:(fun child -> Wire.stored_entry_bytes (Q.to_string child))
-        ~on_exchange ~on_ship ()
+        ~entry_bytes:mapping_entry_bytes ~on_exchange ~on_ship ()
     in
     let sf =
       Storage.Anti_entropy.run t.files ~render:file_render
-        ~entry_bytes:Wire.file_response_bytes ~on_exchange ~on_ship ()
+        ~entry_bytes:file_entry_bytes ~on_exchange ~on_ship ()
     in
     let s = Storage.Anti_entropy.add sm sf in
     (match t.quorum_instruments with
@@ -630,9 +652,18 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     | None -> ()
     | Some ins -> Obs.Metrics.Histogram.observe_int ins.lookup_retries (attempts - 1)
 
-  (* What the replica answers over the wire, paired with its billed
-     response size. *)
-  type answer = A_file of file | A_children of query list | A_empty
+  (* What the replica answers over the wire; children travel with the
+     reply's billed size, priced from the entries' cached lengths. *)
+  type answer =
+    | A_file of file
+    | A_children of { children : query list; bytes : int }
+    | A_empty
+
+  let children_bytes entries = Wire.response_bytes_of_len ~len:Rstore.entry_len entries
+
+  let children_answer entries ~bytes =
+    (* lint: allow P4 — wire deserialization: the answer materializes its child queries once per answered probe *)
+    A_children { children = List.map Rstore.entry_value entries; bytes }
 
   (* One user-system interaction, failure-tolerant: walk the replica list
      in order, one RPC call per replica.  A dead replica costs the
@@ -653,18 +684,17 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     let handler ~node =
       if not (Dht.Liveness.alive t.liveness node) then Dht.Rpc.No_response
       else
-        match Rstore.lookup_at t.files ~node key with
-        | file :: _ ->
+        match Rstore.entries_at t.files ~node key with
+        | e :: _ ->
+            let file = Rstore.entry_value e in
             Dht.Rpc.Reply
               { bytes = Wire.file_response_bytes file; value = A_file file }
         | [] -> (
-            match Rstore.lookup_at t.mappings ~node key with
+            match Rstore.entries_at t.mappings ~node key with
             | [] -> Dht.Rpc.Reply { bytes = Wire.response_bytes []; value = A_empty }
-            | children ->
-                (* lint: allow P4 — wire serialization: the reply materializes its entry strings once per answered probe *)
-                let entries = List.map Q.to_string children in
-                Dht.Rpc.Reply
-                  { bytes = Wire.response_bytes entries; value = A_children children })
+            | entries ->
+                let bytes = children_bytes entries in
+                Dht.Rpc.Reply { bytes; value = children_answer entries ~bytes })
     in
     (* lint: allow P1 — replica-walk contract: walk_replicas takes the probe as a callback; one closure per lookup step *)
     let probe ~node ~next =
@@ -686,13 +716,12 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
                   ~response_bytes:(Wire.file_response_bytes file)
                   ~outcome:Obs.Trace.Msd_reached ();
               Some (File file)
-          | A_children children ->
+          | A_children { children; bytes } ->
               if observed t then
                 record_step t ~query_string ~dst:responder
                   ~hops:(measured_hops t key)
                   ~result_count:(List.length children)
-                  (* lint: allow P4 — telemetry only: re-deriving the billed response size runs under [observed] *)
-                  ~response_bytes:(Wire.response_bytes (List.map Q.to_string children))
+                  ~response_bytes:bytes
                   ~outcome:
                     (if generalization then Obs.Trace.Generalized
                      else Obs.Trace.Refined)
@@ -750,14 +779,16 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
           (Storage.Version.dots (Rstore.version_at t.files ~node key)
           + Storage.Version.dots (Rstore.version_at t.mappings ~node key))
       in
-      match Rstore.lookup_at t.files ~node key with
-      | file :: _ -> (Wire.file_response_bytes file + version_bytes, A_file file)
+      match Rstore.entries_at t.files ~node key with
+      | e :: _ ->
+          let file = Rstore.entry_value e in
+          (Wire.file_response_bytes file + version_bytes, A_file file)
       | [] -> (
-          match Rstore.lookup_at t.mappings ~node key with
+          match Rstore.entries_at t.mappings ~node key with
           | [] -> (Wire.response_bytes [] + version_bytes, A_empty)
-          | children ->
-              let entries = List.map Q.to_string children in
-              (Wire.response_bytes entries + version_bytes, A_children children))
+          | entries ->
+              let bytes = children_bytes entries in
+              (bytes + version_bytes, children_answer entries ~bytes))
     in
     let handler ~node =
       if not (Dht.Liveness.alive t.liveness node) then Dht.Rpc.No_response
@@ -835,22 +866,14 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         let children, vm, repairs_m =
           Rstore.quorum_read t.mappings ~key ~nodes:responders
         in
-        List.iter
-          (fun (node, gained) ->
-            List.iter
-              (fun file ->
-                charge_maintenance t ~dst:node
-                  ~bytes:(Wire.file_response_bytes file))
-              gained)
-          repairs_f;
-        List.iter
-          (fun (node, gained) ->
-            List.iter
-              (fun child ->
-                charge_maintenance t ~dst:node
-                  ~bytes:(Wire.stored_entry_bytes (Q.to_string child)))
-              gained)
-          repairs_m;
+        let charge_repairs entry_bytes =
+          List.iter (fun (node, gained) ->
+              List.iter
+                (fun e -> charge_maintenance t ~dst:node ~bytes:(entry_bytes e))
+                gained)
+        in
+        charge_repairs file_entry_bytes repairs_f;
+        charge_repairs mapping_entry_bytes repairs_m;
         (match t.quorum_instruments with
         | None -> ()
         | Some qi ->
@@ -963,11 +986,18 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     Rstore.fold t.mappings ~init:() ~f:(fun () key children ->
         List.iter (fun child -> f ~parent_key:key child) children)
 
-  let index_bytes t =
-    Rstore.fold t.mappings ~init:0 ~f:(fun acc _key children ->
-        List.fold_left
-          (fun acc child -> acc + Wire.stored_entry_bytes (Q.to_string child))
-          acc children)
+  let index_bytes t = Rstore.sum_entries t.mappings mapping_entry_bytes
+
+  let entry_length_mismatches t =
+    let audit store render =
+      let found = ref [] in
+      Rstore.iter_held store (fun ~node:_ _key e ->
+          let rendered = render (Rstore.entry_value e) in
+          if String.length rendered <> Rstore.entry_len e then
+            found := (rendered, Rstore.entry_len e) :: !found);
+      List.rev !found
+    in
+    audit t.mappings Q.to_string @ audit t.files (fun (file : file) -> file.name)
 
   let keys_per_node t =
     let index_keys = Rstore.keys_per_node t.mappings in
@@ -982,8 +1012,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let file_count t = Rstore.key_count t.files
 
   let file_bytes t =
-    Rstore.fold t.files ~init:0 ~f:(fun acc _key files ->
-        List.fold_left (fun acc (file : file) -> acc + file.size_bytes) acc files)
+    Rstore.sum_entries t.files (fun e -> (Rstore.entry_value e : file).size_bytes)
 
   let files_per_node t = Rstore.keys_per_node t.files
 end

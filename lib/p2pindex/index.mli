@@ -225,7 +225,16 @@ module type S = sig
       the DHT key it is filed under and the child query it maps to. *)
 
   val index_bytes : t -> int
-  (** Storage footprint of all index entries under the wire model. *)
+  (** Storage footprint of all index entries under the wire model, summed
+      from the entries' cached lengths. *)
+
+  val entry_length_mismatches : t -> (string * int) list
+  (** Audit of the render-once invariant: every entry physically held on
+      any replica (dead nodes and expired entries included) whose cached
+      length differs from its rendering's — a mapping's child against
+      its canonical string, a file against its name — as (rendering,
+      cached length) pairs.  Empty when every write, repair and sync
+      carried the right length. *)
 
   val keys_per_node : t -> int array
   (** Distinct keys (index keys and stored files) physically held per

@@ -21,6 +21,11 @@ val request_bytes : string -> int
 val response_bytes : string list -> int
 (** Size of a response carrying a result set of query strings. *)
 
+val response_bytes_of_len : len:('a -> int) -> 'a list -> int
+(** {!response_bytes} over entries whose string lengths [len] reads
+    off — stored entries carry their rendered length, so a reply is
+    priced without rendering its result set. *)
+
 val file_response_bytes : Storage.Block_store.file -> int
 (** Size of a response carrying a file handle (name + size + header).  The
     file content itself is not counted: the paper measures index traffic,
@@ -29,14 +34,17 @@ val file_response_bytes : Storage.Block_store.file -> int
 val cache_install_bytes : string -> string -> int
 (** Size of the message installing one shortcut (query ; target) pair. *)
 
+val cache_install_bytes_of_len : int -> int -> int
+(** {!cache_install_bytes} from the two strings' lengths. *)
+
 val consult_bytes : string -> int
 (** Size of a local cache-consultation ticket: what a coalesced lookup
     pays to ride an identical in-flight probe's response instead of
     issuing its own — the query string plus a header, no response. *)
 
-val stored_entry_bytes : string -> int
-(** Storage footprint of one index entry: the 20-byte key it is filed under
-    plus its target string. *)
+val stored_entry_bytes_of_len : int -> int
+(** Storage footprint of one index entry, from its target string's
+    length: the 20-byte key it is filed under plus the target string. *)
 
 val version_bytes : int -> int
 (** Wire size of a piggybacked version vector with the given number of

@@ -492,7 +492,7 @@ let ablation_replication scale =
           let store : unit Storage.Replicated_store.t =
             Storage.Replicated_store.create ~resolver ~replication ()
           in
-          List.iter (fun key -> Storage.Replicated_store.insert store ~key ()) keys;
+          List.iter (fun key -> Storage.Replicated_store.insert store ~key ~len:0 ()) keys;
           let g = Stdx.Prng.create ~seed:(Int64.add scale.seed 77L) in
           let victims = int_of_float (failed_fraction *. float_of_int scale.node_count) in
           let order = Array.init scale.node_count (fun i -> i) in

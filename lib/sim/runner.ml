@@ -230,6 +230,46 @@ let publish_prefix ~multicast pindex articles =
    guarantee (engine at concurrency 1 = this runner, byte-for-byte) rests
    on both going through these same functions in the same order. *)
 
+(* ------------------------------------------------------------------ *)
+(* Profile gauges: the phase collector's totals plus GC accounting over
+   the run — deltas since a mark, plus the heap size at export time.
+   Only exported for profiled runs: collection counts and heap size
+   depend on the process's prior heap state, so an unconditional export
+   would break the byte-for-byte snapshot guarantees (churn-0,
+   zero-plan, engine degeneration). *)
+
+type gc_mark = {
+  stat : Gc.stat;
+  minor_words : float;  (* quick_stat's minor_words only advances at minor GCs *)
+}
+
+let gc_mark () = { stat = Gc.quick_stat (); minor_words = Gc.minor_words () }
+
+let export_profile registry phases ~since =
+  let minor_now = Gc.minor_words () in
+  let now = Gc.quick_stat () in
+  let d = Obs.Bench_report.gc_delta ~before:since.stat ~after:now in
+  let set name help v = Obs.Metrics.Gauge.set (Obs.Metrics.gauge registry ~help name) v in
+  set "p2pindex_gc_minor_words" "Minor-heap words allocated during the run"
+    (minor_now -. since.minor_words);
+  set "p2pindex_gc_promoted_words"
+    "Words promoted from the minor to the major heap during the run"
+    d.Obs.Bench_report.promoted_words;
+  set "p2pindex_gc_major_words"
+    "Major-heap words allocated during the run (promotions included)"
+    d.Obs.Bench_report.major_words;
+  set "p2pindex_gc_minor_collections" "Minor collections during the run"
+    (float_of_int d.Obs.Bench_report.minor_collections);
+  set "p2pindex_gc_major_collections" "Major collections during the run"
+    (float_of_int d.Obs.Bench_report.major_collections);
+  set "p2pindex_gc_heap_words" "Major-heap size at report time, words"
+    (float_of_int now.Gc.heap_words);
+  Obs.Phase.to_metrics phases registry
+
+let is_profile_family name =
+  String.starts_with ~prefix:"p2pindex_phase_" name
+  || String.starts_with ~prefix:"p2pindex_gc_" name
+
 module Internal = struct
   type env = {
     cfg : config;  (* post-[events] override *)
@@ -248,9 +288,7 @@ module Internal = struct
     ctx : Walk.ctx;
     tracer : Obs.Trace.t option;
     phases : Obs.Phase.t option;
-    gc_baseline : Gc.stat;  (* quick_stat at setup, for end-of-run deltas *)
-    gc_minor_baseline : float;  (* Gc.minor_words at setup — quick_stat's
-                                   minor_words only advances at minor GCs *)
+    gc_mark : gc_mark;  (* GC counters at setup, for end-of-run deltas *)
     mutable remaining_events : Query_gen.event list;
   }
 
@@ -317,8 +355,7 @@ module Internal = struct
              churn driver schedules the passes)")
 
   let setup ?events ?metrics ?tracer ?phases cfg =
-    let gc_baseline = Gc.quick_stat () in
-    let gc_minor_baseline = Gc.minor_words () in
+    let gc_mark = gc_mark () in
     let cfg =
       match events with
       | Some list -> { cfg with query_count = List.length list }
@@ -572,8 +609,7 @@ module Internal = struct
       ctx;
       tracer;
       phases;
-      gc_baseline;
-      gc_minor_baseline;
+      gc_mark;
       remaining_events = Option.value ~default:[] events;
     }
 
@@ -668,41 +704,13 @@ module Internal = struct
     end;
     if not outcome.found then t.unreachable <- t.unreachable + 1
 
-  (* GC accounting over the run — deltas since [setup]'s baseline, plus
-     the heap size at report time.  Only exported for profiled runs:
-     collection counts and heap size depend on the process's prior heap
-     state, so an unconditional export would break the byte-for-byte
-     snapshot guarantees (churn-0, zero-plan, engine degeneration). *)
-  let export_gc_gauges env =
-    let minor_now = Gc.minor_words () in
-    let now = Gc.quick_stat () in
-    let d = Obs.Bench_report.gc_delta ~before:env.gc_baseline ~after:now in
-    let set name help v =
-      Obs.Metrics.Gauge.set (Obs.Metrics.gauge env.registry ~help name) v
-    in
-    set "p2pindex_gc_minor_words" "Minor-heap words allocated during the run"
-      (minor_now -. env.gc_minor_baseline);
-    set "p2pindex_gc_promoted_words"
-      "Words promoted from the minor to the major heap during the run"
-      d.Obs.Bench_report.promoted_words;
-    set "p2pindex_gc_major_words"
-      "Major-heap words allocated during the run (promotions included)"
-      d.Obs.Bench_report.major_words;
-    set "p2pindex_gc_minor_collections" "Minor collections during the run"
-      (float_of_int d.Obs.Bench_report.minor_collections);
-    set "p2pindex_gc_major_collections" "Major collections during the run"
-      (float_of_int d.Obs.Bench_report.major_collections);
-    set "p2pindex_gc_heap_words" "Major-heap size at report time, words"
-      (float_of_int now.Gc.heap_words)
-
   let make_report env tally =
     (match env.phases with
     | Some p ->
-        export_gc_gauges env;
         (* The report phase's own cost is still accumulating; its gauges
            export as zero here and are readable from the collector after
            the run. *)
-        Obs.Phase.to_metrics p env.registry
+        export_profile env.registry p ~since:env.gc_mark
     | None -> ());
     let snapshot = Obs.Metrics.snapshot env.registry in
     let rpc_count name = Obs.Metrics.counter_total snapshot name in

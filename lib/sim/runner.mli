@@ -301,6 +301,22 @@ val stale_read_rate : report -> float
 (** Fraction of quorum reads that were stale; 0 when the run made no
     quorum reads. *)
 
+(** {1 Profile gauges} *)
+
+type gc_mark
+(** The process's GC counters at one instant. *)
+
+val gc_mark : unit -> gc_mark
+
+val export_profile : Obs.Metrics.t -> Obs.Phase.t -> since:gc_mark -> unit
+(** Set the [p2pindex_phase_*] gauges from the collector's totals and the
+    [p2pindex_gc_*] gauges from the GC activity [since] the mark (and the
+    heap size now).  A profiled run does this once, just before its
+    report snapshots the registry. *)
+
+val is_profile_family : string -> bool
+(** Whether a metric family is one {!export_profile} sets. *)
+
 (** {1 Engine support}
 
     The run decomposed into its phases, so the concurrent {!Engine} can

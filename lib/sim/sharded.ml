@@ -114,6 +114,23 @@ let merge_engine ~concurrency ~coalesce (cfg : Runner.config)
       List.fold_left (fun acc e -> Stdlib.max acc e.Engine.peak_in_flight) 0 reports;
   }
 
+(* Every shard exports the shared phase collector's running totals (and
+   its own GC gauges) into its registry; the snapshot merge would sum
+   them, counting early shards' phases once per later shard.  Drop those
+   families and export the collector once, over the whole run. *)
+let reprofile (base : Runner.report) phases ~since =
+  let registry = Obs.Metrics.create () in
+  Runner.export_profile registry phases ~since;
+  let kept =
+    List.filter
+      (fun (f : Obs.Metrics.family) -> not (Runner.is_profile_family f.name))
+      base.Runner.metrics
+  in
+  {
+    base with
+    Runner.metrics = Obs.Metrics.merge_snapshots [ kept; Obs.Metrics.snapshot registry ];
+  }
+
 let run ?(shards = 1) ?(domains = 1) ?phases ?(concurrency = 1)
     ?(coalesce = false) cfg =
   validate ~shards ~domains cfg;
@@ -132,6 +149,7 @@ let run ?(shards = 1) ?(domains = 1) ?phases ?(concurrency = 1)
     { engine = e; shard_count = 1; domain_count = 1; per_shard = [| e |] }
   end
   else begin
+    let since = Runner.gc_mark () in
     let run_shard s =
       Engine.run ?phases ~concurrency ~coalesce (shard_config cfg ~shards s)
     in
@@ -163,6 +181,11 @@ let run ?(shards = 1) ?(domains = 1) ?phases ?(concurrency = 1)
     in
     let engine =
       merge_engine ~concurrency ~coalesce cfg (Array.to_list per_shard)
+    in
+    let engine =
+      match phases with
+      | Some p -> { engine with Engine.base = reprofile engine.Engine.base p ~since }
+      | None -> engine
     in
     { engine; shard_count = shards; domain_count = workers; per_shard }
   end

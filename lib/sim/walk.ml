@@ -67,8 +67,8 @@ let finished s ~found =
 
 let rec find_cached_hit ~msd = function
   | [] -> None
-  | ((_q, target) as entry) :: rest ->
-      if String.equal (Q.to_string target) msd then Some entry
+  | (target_key, pair) :: rest ->
+      if String.equal target_key msd then Some pair
       else find_cached_hit ~msd rest
 
 let rec first_covering ~target_msd = function

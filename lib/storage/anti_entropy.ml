@@ -88,10 +88,10 @@ let run store ~render ~entry_bytes ?(on_exchange = fun ~peer:_ ~bytes:_ -> ())
                 List.fold_left
                   (fun sum key ->
                     List.fold_left
-                      (fun sum v -> sum + entry_bytes v)
+                      (fun sum e -> sum + entry_bytes e)
                       sum
-                      (Rstore.entry_values store ~node:coordinator key
-                      @ Rstore.entry_values store ~node:peer key))
+                      (Rstore.held_entries store ~node:coordinator key
+                      @ Rstore.held_entries store ~node:peer key))
                   0 keys
               in
               let acc = { acc with full_state_bytes = acc.full_state_bytes + full } in
@@ -113,7 +113,7 @@ let run store ~render ~entry_bytes ?(on_exchange = fun ~peer:_ ~bytes:_ -> ())
                         List.fold_left
                           (fun (bytes, entries) (node, gained) ->
                             let b =
-                              List.fold_left (fun b v -> b + entry_bytes v) 0 gained
+                              List.fold_left (fun b e -> b + entry_bytes e) 0 gained
                             in
                             if b > 0 then on_ship ~node ~bytes:b;
                             (bytes + b, entries + List.length gained))

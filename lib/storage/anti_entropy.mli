@@ -60,14 +60,15 @@ val range_digest :
 val run :
   'v Replicated_store.t ->
   render:('v -> string) ->
-  entry_bytes:('v -> int) ->
+  entry_bytes:('v Replicated_store.entry -> int) ->
   ?on_exchange:(peer:int -> bytes:int -> unit) ->
   ?on_ship:(node:int -> bytes:int -> unit) ->
   unit ->
   stats
 (** One full pass: every key range, every live replica pair.
     [render] is the canonical entry rendering baked into the digests;
-    [entry_bytes] prices one entry for the byte accounting.
+    [entry_bytes] prices one entry for the byte accounting (from its
+    cached {!Replicated_store.entry_len}, so nothing re-renders).
     [on_exchange] fires per digest push-pull (for billing the digest
     messages to the peer), [on_ship] per replica that gained entries
     (for billing the shipped bytes).  Ranges with fewer than two live

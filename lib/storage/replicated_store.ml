@@ -1,6 +1,12 @@
 module Key = Hashing.Key
 
-type 'v entry = { value : 'v; mutable expires_at : float }
+(* [len] is the length of the value's rendering, fixed by the writer when
+   the entry is first written; clones copy it, so traffic is priced from
+   it and never from a re-render. *)
+type 'v entry = { value : 'v; len : int; mutable expires_at : float }
+
+let entry_value e = e.value
+let entry_len e = e.len
 
 (* One replica's view of a key: its live entries, the values removed
    here that other replicas may still hold (tombstones), and the dotted
@@ -105,14 +111,21 @@ let get_state table key =
       Hashtbl.add table key st;
       st
 
+let rec any_expired now = function
+  | [] -> false
+  | e :: rest -> e.expires_at <= now || any_expired now rest
+
 (* Unexpired entries under [key] in [table], pruning expired ones in
-   place so tables do not accumulate dead soft state. *)
+   place so tables do not accumulate dead soft state.  When nothing has
+   expired — always, with infinite TTLs — the held list itself is
+   returned. *)
 let live_entries t table key =
   match Hashtbl.find_opt table key with
   | None -> []
   | Some st ->
-      let kept = List.filter (fun e -> not (expired t e)) st.entries in
-      if List.compare_lengths kept st.entries <> 0 then st.entries <- kept;
+      let now = t.clock () in
+      if any_expired now st.entries then
+        st.entries <- List.filter (fun e -> not (e.expires_at <= now)) st.entries;
       st.entries
 
 let values entries = List.map (fun e -> e.value) entries
@@ -140,7 +153,7 @@ let record_acks t ~acks =
 let write_version t ~coordinator key =
   Version.bump (version_at t ~node:coordinator key) ~actor:coordinator
 
-let insert ?(expires_at = infinity) t ~key v =
+let insert ?(expires_at = infinity) t ~key ~len v =
   Hashtbl.replace t.directory key ();
   let live = live_replica_nodes t key in
   (match live with
@@ -152,13 +165,13 @@ let insert ?(expires_at = infinity) t ~key v =
           let table = t.tables.(node) in
           let existing = live_entries t table key in
           let st = get_state table key in
-          st.entries <- { value = v; expires_at } :: existing;
+          st.entries <- { value = v; len; expires_at } :: existing;
           st.tombs <- List.filter (fun tv -> tv <> v) st.tombs;
           st.version <- Version.merge st.version vv)
         live);
   record_acks t ~acks:(List.length live)
 
-let insert_unique ?(expires_at = infinity) ~equal t ~key v =
+let insert_unique ?(expires_at = infinity) ~equal t ~key ~len v =
   let replicas = replica_nodes t key in
   let known_live =
     List.exists
@@ -179,7 +192,7 @@ let insert_unique ?(expires_at = infinity) ~equal t ~key v =
         let st = get_state table key in
         (match List.find_opt (fun e -> equal e.value v) entries with
         | Some e -> e.expires_at <- expires_at
-        | None -> st.entries <- { value = v; expires_at } :: entries);
+        | None -> st.entries <- { value = v; len; expires_at } :: entries);
         st.tombs <- List.filter (fun tv -> not (equal tv v)) st.tombs;
         st.version <- Version.merge st.version vv)
       live;
@@ -187,18 +200,13 @@ let insert_unique ?(expires_at = infinity) ~equal t ~key v =
     false
   end
   else begin
-    insert ~expires_at t ~key v;
+    insert ~expires_at t ~key ~len v;
     true
   end
 
-let lookup_at t ~node key =
-  if Dht.Liveness.alive t.liveness node then
-    values (live_entries t t.tables.(node) key)
+let entries_at t ~node key =
+  if Dht.Liveness.alive t.liveness node then live_entries t t.tables.(node) key
   else []
-
-let read_at t ~node key =
-  if not (Dht.Liveness.alive t.liveness node) then None
-  else Some (values (live_entries t t.tables.(node) key), version_at t ~node key)
 
 let lookup t key =
   match live_node_id t key with
@@ -342,7 +350,6 @@ let quorum_read t ~key ~nodes =
                   (fun e ->
                     not (List.exists (fun e' -> e'.value = e.value) st.entries))
                   merged.entries
-                |> List.map (fun e -> e.value)
               in
               let target = get_state t.tables.(node) key in
               target.entries <- clone_entries merged.entries;
@@ -376,8 +383,16 @@ let render_state t ~node key ~render =
       ^ "!"
       ^ Version.to_string st.version
 
-let entry_values t ~node key =
-  match state_at t ~node key with Some st -> values st.entries | None -> []
+let held_entries t ~node key =
+  match state_at t ~node key with Some st -> st.entries | None -> []
+
+let iter_held t f =
+  Array.iteri
+    (fun node table ->
+      Stdx.Det_tbl.iter_sorted ~compare:Key.compare
+        (fun key st -> List.iter (f ~node key) st.entries)
+        table)
+    t.tables
 
 let repair ?(on_restore = fun ~node:_ _ -> ()) t =
   let restored = ref 0 in
@@ -418,7 +433,7 @@ let repair ?(on_restore = fun ~node:_ _ -> ()) t =
                   List.iter
                     (fun e ->
                       incr restored;
-                      on_restore ~node e.value)
+                      on_restore ~node e)
                     src.entries
                 end
               end)
@@ -462,6 +477,17 @@ let entries_per_node t =
           n + List.length (List.filter (fun e -> not (expired t e)) st.entries))
         table 0)
     t.tables
+
+let rec sum_list f acc = function [] -> acc | e :: rest -> sum_list f (acc + f e) rest
+
+(* A sum does not depend on bucket order, so no key sorting is needed. *)
+let sum_entries t f =
+  Hashtbl.fold
+    (fun key () acc ->
+      match live_node_id t key with
+      | -1 -> acc
+      | node -> acc + sum_list f 0 (live_entries t t.tables.(node) key))
+    t.directory 0
 
 let fold t ~init ~f =
   Stdx.Det_tbl.fold_sorted ~compare:Key.compare

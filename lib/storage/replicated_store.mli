@@ -28,6 +28,16 @@
 
 type 'v t
 
+type 'v entry
+(** One stored entry: a value and the length of its rendering.  The
+    length is fixed by the writer ({!insert}, {!insert_unique}) when the
+    entry is first written, and every copy — read repair, {!repair},
+    anti-entropy sync — carries it along, so callers price traffic from
+    it instead of re-rendering the value. *)
+
+val entry_value : 'v entry -> 'v
+val entry_len : 'v entry -> int
+
 val create :
   resolver:Dht.Resolver.t ->
   replication:int ->
@@ -79,9 +89,10 @@ val live_node_id : 'v t -> Hashing.Key.t -> int
 (** {!live_node} without the option: the acting primary's index, or
     [-1] when the whole replica set is dead. *)
 
-val insert : ?expires_at:float -> 'v t -> key:Hashing.Key.t -> 'v -> unit
+val insert : ?expires_at:float -> 'v t -> key:Hashing.Key.t -> len:int -> 'v -> unit
 (** Register one more entry under [key] (duplicates allowed; most recent
-    first) on every {e live} replica node.  [expires_at] defaults to
+    first) on every {e live} replica node; [len] is the length of the
+    value's rendering ({!entry_len}).  [expires_at] defaults to
     [infinity] (hard state). *)
 
 val insert_unique :
@@ -89,6 +100,7 @@ val insert_unique :
   equal:('v -> 'v -> bool) ->
   'v t ->
   key:Hashing.Key.t ->
+  len:int ->
   'v ->
   bool
 (** Like {!insert} but a refresh when an [equal] entry is already present
@@ -100,14 +112,11 @@ val lookup : 'v t -> Hashing.Key.t -> 'v list
 (** Unexpired entries from the acting primary (the first live replica);
     [] when the key is unknown there or every replica is down. *)
 
-val lookup_at : 'v t -> node:int -> Hashing.Key.t -> 'v list
+val entries_at : 'v t -> node:int -> Hashing.Key.t -> 'v entry list
 (** One replica's unexpired entries; [] when that node is dead or does
     not hold the key.  The index layer drives its bounded retry loop with
-    this, billing each attempt. *)
-
-val read_at : 'v t -> node:int -> Hashing.Key.t -> ('v list * Version.t) option
-(** Like {!lookup_at} but versioned: the replica's unexpired entries and
-    its version vector for the key; [None] when the node is dead. *)
+    this, billing each attempt from the entries' lengths.  Allocates
+    nothing unless an entry has expired. *)
 
 val version_at : 'v t -> node:int -> Hashing.Key.t -> Version.t
 (** The replica's version vector for the key ({!Version.zero} when it
@@ -122,16 +131,16 @@ val quorum_read :
   'v t ->
   key:Hashing.Key.t ->
   nodes:int list ->
-  'v list * Version.t * (int * 'v list) list
+  'v list * Version.t * (int * 'v entry list) list
 (** Reconcile the listed replicas' states of [key] (dead ones are
     skipped): returns the merged unexpired values, the merged version,
     and — having overwritten every diverged consulted replica with the
-    merged state (read repair) — the per-node list of values each
+    merged state (read repair) — the per-node list of entries each
     repaired replica gained, for traffic billing.  Dominance decides the
     merge; equal-version divergence and concurrent histories take the
     entry union fenced by the merged tombstone set. *)
 
-val sync_key : 'v t -> key:Hashing.Key.t -> nodes:int list -> (int * 'v list) list
+val sync_key : 'v t -> key:Hashing.Key.t -> nodes:int list -> (int * 'v entry list) list
 (** {!quorum_read} for its repair side effect only: converge the listed
     replicas on the key's merged state and report what each gained. *)
 
@@ -167,7 +176,7 @@ val drop_state : 'v t -> int -> unit
     churn; the node rejoins empty and reacquires entries through
     republication and {!repair}. *)
 
-val repair : ?on_restore:(node:int -> 'v -> unit) -> 'v t -> int
+val repair : ?on_restore:(node:int -> 'v entry -> unit) -> 'v t -> int
 (** Full-state re-homing: for every key, copy the entries of the first
     live replica that still holds it onto live replicas that lost them (a
     rejoined node, a node that missed the insert while down) — unless
@@ -196,6 +205,11 @@ val keys_per_node : 'v t -> int array
 val entries_per_node : 'v t -> int array
 (** Unexpired entries physically held by each node. *)
 
+val sum_entries : 'v t -> ('v entry -> int) -> int
+(** [f] summed over the acting primary's unexpired entries of every key
+    (keys with no live holder count nothing) — {!fold} for totals, without
+    sorting the keys. *)
+
 val fold :
   'v t -> init:'acc -> f:('acc -> Hashing.Key.t -> 'v list -> 'acc) -> 'acc
 (** Fold over every key with the acting primary's unexpired entries
@@ -216,6 +230,12 @@ val render_state : 'v t -> node:int -> Hashing.Key.t -> render:('v -> string) ->
     state.  Two replicas render identically iff their states are
     identical, which is what the anti-entropy digests hash. *)
 
-val entry_values : 'v t -> node:int -> Hashing.Key.t -> 'v list
-(** The raw entry values a node physically holds for the key (expiry not
-    consulted) — the volume a full-state exchange would ship. *)
+val held_entries : 'v t -> node:int -> Hashing.Key.t -> 'v entry list
+(** The raw entries a node physically holds for the key (expiry and
+    liveness not consulted) — the volume a full-state exchange would
+    ship. *)
+
+val iter_held : 'v t -> (node:int -> Hashing.Key.t -> 'v entry -> unit) -> unit
+(** Every entry physically held anywhere, dead nodes and expired entries
+    included, in node then key order — for audits of the stored
+    state. *)

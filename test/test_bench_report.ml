@@ -395,6 +395,28 @@ let engine_profiles_walk_per_quantum () =
         (e.Phase.calls >= small_config.Sim.Runner.query_count)
   | None -> Alcotest.fail "engine did not profile the walk phase"
 
+(* A sharded profiled run shares one phase collector across its shards;
+   its gauges must count every session once, not re-add earlier shards'
+   running totals at every later shard's export. *)
+let sharded_profile_exported_once () =
+  let cfg = { small_config with node_count = 200; query_count = 400 } in
+  let r = Sim.Sharded.run ~shards:4 ~phases:(Phase.create ()) cfg in
+  let metrics = r.Sim.Sharded.engine.Sim.Engine.base.Sim.Runner.metrics in
+  let gauge name labels =
+    match List.find_opt (fun (f : Obs.Metrics.family) -> f.name = name) metrics with
+    | None -> Alcotest.failf "%s missing" name
+    | Some f -> (
+        match List.find_opt (fun (s : Obs.Metrics.series) -> s.labels = labels) f.series with
+        | Some { value = Obs.Metrics.Gauge_value v; _ } -> v
+        | Some _ | None -> Alcotest.failf "%s: no gauge series" name)
+  in
+  Alcotest.(check int) "tally calls = sessions" cfg.Sim.Runner.query_count
+    (int_of_float (gauge "p2pindex_phase_calls" [ ("phase", "tally") ]));
+  Alcotest.(check int) "setup once per shard" 4
+    (int_of_float (gauge "p2pindex_phase_calls" [ ("phase", "setup") ]));
+  Alcotest.(check bool) "heap size is one reading" true
+    (gauge "p2pindex_gc_heap_words" [] > 0.0)
+
 let suite =
   [
     ( "obs:bench-report",
@@ -424,5 +446,7 @@ let suite =
       [
         Alcotest.test_case "gauges are opt-in" `Quick runner_gauges_opt_in;
         Alcotest.test_case "engine profiles quanta" `Quick engine_profiles_walk_per_quantum;
+        Alcotest.test_case "sharded profile exported once" `Quick
+          sharded_profile_exported_once;
       ] );
   ]

@@ -524,6 +524,74 @@ let bib_covers_reflexive_transitive =
       Q.covers a a
       && if Q.covers a b && Q.covers b c then Q.covers a c else true)
 
+(* The historical Printf renderer, kept here only as the oracle for the
+   one-pass buffer renderer: predicates rendered one by one, author
+   predicates of a descriptor sorted by their rendering, then joined. *)
+let printf_render q =
+  let author_pred (a : Article.author) =
+    Printf.sprintf "author[first/%s][last/%s]" a.first a.last
+  in
+  let render = function
+    | [] -> "/article"
+    | [ only ] -> "/article/" ^ only
+    | many -> "/article[" ^ String.concat "][" many ^ "]"
+  in
+  match q with
+  | Q.Author_last_prefix p -> "/article/author/last/" ^ p ^ "*"
+  | Q.Fields f ->
+      render
+        (List.filter_map Fun.id
+           [
+             Option.map author_pred f.Q.author;
+             Option.map (Printf.sprintf "conf/%s") f.Q.conf;
+             Option.map (Printf.sprintf "title/%s") f.Q.title;
+             Option.map (Printf.sprintf "year/%d") f.Q.year;
+           ])
+  | Q.Msd (article : Article.t) ->
+      render
+        (List.sort String.compare (List.map author_pred article.authors)
+        @ [
+            Printf.sprintf "conf/%s" article.conf;
+            Printf.sprintf "size/%d" article.size_bytes;
+            Printf.sprintf "title/%s" article.title;
+            Printf.sprintf "year/%d" article.year;
+          ])
+
+(* Field values over a small alphabet that includes the rendering's own
+   punctuation, so one author's first name is often a prefix of
+   another's — the case where sorting rendered predicates differs from
+   sorting names. *)
+let renderer_query_arb =
+  let open QCheck.Gen in
+  let text = string_size ~gen:(oneofl [ 'a'; 'b'; 'Z'; ']'; '['; '/'; ' ' ]) (int_range 0 4) in
+  let author = map2 (fun first last -> { Article.first; last }) text text in
+  let opt g = option g in
+  let fields =
+    map4
+      (fun author title conf year -> Q.Fields { Q.author; title; conf; year })
+      (opt author) (opt text) (opt text)
+      (opt (int_range (-50) 3000))
+  in
+  let msd =
+    map
+      (fun (authors, title, conf, year, size_bytes) ->
+        (* Distinct authors, as [Article.make] requires. *)
+        let authors = List.sort_uniq Article.compare_author authors in
+        Q.msd (Article.make ~id:1 ~authors ~title ~conf ~year ~size_bytes))
+      (tup5 (list_size (int_range 1 4) author) text text (int_range 0 3000)
+         (int_range 0 5_000_000))
+  in
+  let prefix =
+    map
+      (fun p -> Q.author_last_prefix p)
+      (string_size ~gen:(char_range 'a' 'z') (int_range 1 4))
+  in
+  QCheck.make ~print:printf_render (frequency [ (3, fields); (3, msd); (1, prefix) ])
+
+let renderer_matches_printf_oracle =
+  QCheck.Test.make ~name:"one-pass renderer = Printf renderer" ~count:1000
+    renderer_query_arb (fun q -> String.equal (Q.to_string q) (printf_render q))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -550,6 +618,7 @@ let suite =
             generalizations_cover_property;
             bib_compare_total_order;
             bib_covers_reflexive_transitive;
+            renderer_matches_printf_oracle;
           ] );
     ( "bib:schemes",
       [

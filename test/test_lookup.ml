@@ -189,7 +189,11 @@ let wire_bytes_pinned () =
   Alcotest.(check int) "cache install = header + 2 overheads + both keys" 59
     (Wire.cache_install_bytes "ab" "c");
   Alcotest.(check int) "stored entry = fixed cost + key" 24
-    (Wire.stored_entry_bytes "abcd");
+    (Wire.stored_entry_bytes_of_len (String.length "abcd"));
+  Alcotest.(check int) "length-priced response = string-priced response" 61
+    (Wire.response_bytes_of_len ~len:Fun.id [ 2; 3 ]);
+  Alcotest.(check int) "length-priced install = string-priced install" 59
+    (Wire.cache_install_bytes_of_len 2 1);
   Alcotest.(check int) "consult ticket = header + query" 50 (Wire.consult_bytes "ab")
 
 let suite =

@@ -8,4 +8,4 @@ let () =
    @ Test_cache.suite @ Test_bib.suite @ Test_workload.suite @ Test_sim.suite
    @ Test_engine.suite @ Test_obs.suite @ Test_bench_report.suite @ Test_churn.suite
    @ Test_faults.suite @ Test_quorum.suite
-   @ Test_lint.suite)
+   @ Test_lint.suite @ Test_cli.suite)

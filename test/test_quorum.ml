@@ -17,6 +17,13 @@ let resolver n =
 
 let k s = Key.of_string s
 
+(* These stores never price traffic through the index, so entries carry a
+   nominal length. *)
+
+let values entries = List.map Replicated.entry_value entries
+
+let held_values store ~node key = values (Replicated.held_entries store ~node key)
+
 (* ------------------------------------------------------------------ *)
 (* Version vectors: semilattice laws and causal comparison. *)
 
@@ -123,7 +130,7 @@ let range_digest_tracks_state () =
   let store : string Replicated.t =
     Replicated.create ~resolver:r ~replication:3 ()
   in
-  Replicated.insert store ~key:(k "shared") "x";
+  Replicated.insert store ~len:0 ~key:(k "shared") "x";
   let nodes = Dht.Resolver.replicas r (k "shared") 3 in
   let digest_at node =
     Anti_entropy.range_digest store ~node ~keys:[ k "shared" ]
@@ -136,7 +143,7 @@ let range_digest_tracks_state () =
         (Hashing.Sha1.to_hex (digest_at b));
       (* One replica sleeps through a write: digests diverge. *)
       Replicated.fail_node store b;
-      Replicated.insert store ~key:(k "shared") "y";
+      Replicated.insert store ~len:0 ~key:(k "shared") "y";
       Replicated.revive_node store b;
       Alcotest.(check bool) "a lagging replica digests differently" false
         (String.equal (digest_at a) (digest_at b))
@@ -154,7 +161,7 @@ let tombstones_block_resurrection () =
   let store : string Replicated.t =
     Replicated.create ~resolver:r ~replication:3 ()
   in
-  Replicated.insert store ~key:(k "doomed") "entry";
+  Replicated.insert store ~len:0 ~key:(k "doomed") "entry";
   let replicas = Dht.Resolver.replicas r (k "doomed") 3 in
   let sleeper = List.nth replicas 2 in
   Replicated.fail_node store sleeper;
@@ -163,7 +170,7 @@ let tombstones_block_resurrection () =
   Replicated.revive_node store sleeper;
   (* The nap preserved the replica's (now stale) copy. *)
   Alcotest.(check (list string)) "stale copy survives the nap" [ "entry" ]
-    (Replicated.entry_values store ~node:sleeper (k "doomed"));
+    (held_values store ~node:sleeper (k "doomed"));
   Alcotest.(check bool) "the stale copy is visible as availability" true
     (Replicated.mem store (k "doomed"));
   (* The pinned fix: repair must not re-home the tombstoned entry. *)
@@ -177,17 +184,17 @@ let tombstones_block_resurrection () =
         Alcotest.(check (list string))
           (Printf.sprintf "node %d stays clean" node)
           []
-          (Replicated.entry_values store ~node (k "doomed")))
+          (held_values store ~node (k "doomed")))
     replicas;
   (* Anti-entropy converges the other way: the merged (tombstoned)
      state dominates, so the sleeper drops its copy and gains nothing. *)
   let gained = Replicated.sync_key store ~key:(k "doomed") ~nodes:replicas in
   List.iter
-    (fun (_, values) ->
-      Alcotest.(check (list string)) "sync ships no values" [] values)
+    (fun (_, gained) ->
+      Alcotest.(check (list string)) "sync ships no values" [] (values gained))
     gained;
   Alcotest.(check (list string)) "stale copy retired" []
-    (Replicated.entry_values store ~node:sleeper (k "doomed"));
+    (held_values store ~node:sleeper (k "doomed"));
   Alcotest.(check bool) "the remove finally sticks everywhere" false
     (Replicated.mem store (k "doomed"))
 
@@ -202,30 +209,31 @@ let quorum_read_reconciles () =
   Alcotest.(check int) "read quorum recorded" 2 (Replicated.read_quorum store);
   Alcotest.(check int) "write quorum defaults to replication" 3
     (Replicated.write_quorum store);
-  Replicated.insert store ~key:(k "a") "old";
+  Replicated.insert store ~len:0 ~key:(k "a") "old";
   let replicas = Dht.Resolver.replicas r (k "a") 3 in
   let sleeper = List.nth replicas 1 in
   Replicated.fail_node store sleeper;
-  Replicated.insert store ~key:(k "a") "new";
+  Replicated.insert store ~len:0 ~key:(k "a") "new";
   Replicated.revive_node store sleeper;
   Alcotest.(check string) "sleeper causally behind" "dominated"
     (relation
        (Version.compare
           (Replicated.version_at store ~node:sleeper (k "a"))
           (Replicated.live_merged_version store (k "a"))));
-  let values, version, repairs =
+  let merged, version, repairs =
     Replicated.quorum_read store ~key:(k "a") ~nodes:replicas
   in
   Alcotest.(check (list string)) "merged values, most recent first"
     [ "new"; "old" ]
-    values;
+    merged;
   Alcotest.(check string) "merged version is the live upper bound" "eq"
     (relation
        (Version.compare version (Replicated.live_merged_version store (k "a"))));
   (match repairs with
   | [ (node, gained) ] ->
       Alcotest.(check int) "the sleeper was repaired" sleeper node;
-      Alcotest.(check (list string)) "it gained the missed write" [ "new" ] gained
+      Alcotest.(check (list string)) "it gained the missed write" [ "new" ]
+        (values gained)
   | _ -> Alcotest.fail "expected exactly one repaired replica");
   (* After the read repair every replica agrees. *)
   Alcotest.(check string) "sleeper caught up" "eq"
@@ -244,12 +252,12 @@ let write_acknowledgement_counting () =
       ~on_write_acks:(fun ~acks:a ~needed -> acks := (a, needed) :: !acks)
       ()
   in
-  Replicated.insert store ~key:(k "a") "x";
+  Replicated.insert store ~len:0 ~key:(k "a") "x";
   Alcotest.(check (list (pair int int))) "fully acknowledged" [ (3, 2) ] !acks;
   acks := [];
   let replicas = Dht.Resolver.replicas r (k "a") 3 in
   List.iter (Replicated.fail_node store) (List.tl replicas);
-  Replicated.insert store ~key:(k "a") "y";
+  Replicated.insert store ~len:0 ~key:(k "a") "y";
   Alcotest.(check (list (pair int int))) "under-acknowledged write reported"
     [ (1, 2) ] !acks
 
@@ -275,17 +283,18 @@ let anti_entropy_converges () =
     Replicated.create ~resolver:r ~replication:3 ()
   in
   for i = 1 to 30 do
-    Replicated.insert store
+    Replicated.insert store ~len:0
       ~key:(k (Printf.sprintf "key-%d" i))
       (Printf.sprintf "value-%d" i)
   done;
   let key = k "drifted" in
-  Replicated.insert store ~key "old";
+  Replicated.insert store ~len:0 ~key "old";
   let sleeper = List.nth (Dht.Resolver.replicas r key 3) 1 in
   Replicated.fail_node store sleeper;
-  Replicated.insert store ~key "new";
+  Replicated.insert store ~len:0 ~key "new";
   Replicated.revive_node store sleeper;
-  let render s = s and entry_bytes s = 100 + String.length s in
+  let render s = s
+  and entry_bytes e = 100 + String.length (Replicated.entry_value e) in
   let exchanges = ref 0 and shipped_to = ref [] in
   let stats =
     Anti_entropy.run store ~render ~entry_bytes
@@ -303,7 +312,7 @@ let anti_entropy_converges () =
   Alcotest.(check bool) "digests + shipped beat full-state push-pull" true
     (stats.digest_bytes + stats.shipped_bytes < stats.full_state_bytes);
   Alcotest.(check (list string)) "sleeper caught up" [ "new"; "old" ]
-    (Replicated.entry_values store ~node:sleeper key);
+    (held_values store ~node:sleeper key);
   (* Convergence is a fixed point: a second pass matches everywhere and
      ships nothing. *)
   let again = Anti_entropy.run store ~render ~entry_bytes () in
@@ -450,6 +459,129 @@ let quorum_reads_mask_staleness () =
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* ------------------------------------------------------------------ *)
+(* Render once: every entry carries its rendered length from the write
+   that created it through read repair, repair, anti-entropy sync and
+   republish, and replies are billed from those lengths. *)
+
+module Q = Bib.Bib_query
+module Index = Bib.Bib_index
+
+(* [Runner.run]'s session loop, keeping the environment for inspection. *)
+let run_keeping_env (cfg : Sim.Runner.config) =
+  let module I = Sim.Runner.Internal in
+  let env = I.setup cfg in
+  let query_rate =
+    match cfg.churn with Some c -> c.Sim.Runner.query_rate | None -> 1.0
+  in
+  let tally = I.tally_create () in
+  for i = 1 to cfg.query_count do
+    I.advance_churn env ~until:(float_of_int i /. query_rate);
+    ignore (Dht.Rpc.deliver_until (I.rpc env) ~now:!(I.clock_ref env) : int);
+    I.tally_record tally (Sim.Walk.run (I.walk_ctx env) (I.next_event env))
+  done;
+  ignore (Dht.Rpc.flush_deliveries (I.rpc env) : int);
+  (env, I.make_report env tally)
+
+let cached_lengths_survive_maintenance =
+  QCheck.Test.make ~name:"cached entry lengths match renderings after churn"
+    ~count:3 QCheck.(int_range 1 10_000)
+    (fun seed ->
+      let cfg =
+        {
+          Sim.Runner.default_config with
+          node_count = 60;
+          article_count = 300;
+          query_count = 1_500;
+          seed = Int64.of_int seed;
+          churn =
+            Some
+              {
+                Sim.Runner.default_churn with
+                churn_rate = 0.02;
+                replication = 3;
+                republish_period = 5.0;
+              };
+          faults =
+            Some
+              { Sim.Runner.default_faults with loss_rate = 0.05; fault_replication = 3 };
+          quorum =
+            Some
+              { Sim.Runner.read_quorum = 2; write_quorum = 2; anti_entropy_interval = 5.0 };
+        }
+      in
+      let env, r = run_keeping_env cfg in
+      r.Sim.Runner.quorum_read_repairs > 0
+      && r.Sim.Runner.antientropy_rounds > 0
+      && Index.entry_length_mismatches (Sim.Runner.Internal.index env) = [])
+
+(* The runner's churn rarely leaves a replica missing an entry outright
+   (anti-entropy there mostly reconciles versions), so force both copy
+   paths: replicas that slept through publications gain them by
+   anti-entropy sync, and replicas that lost their state regain it by the
+   full-state repair walk. *)
+let maintenance_copies_cached_lengths () =
+  let articles = Bib.Corpus.generate ~seed:17L (Bib.Corpus.default_config ~article_count:120) in
+  let node_count = 20 in
+  let resolver = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:17L ~node_count ()) in
+  let index = Index.create ~replication:3 ~read_quorum:2 ~resolver () in
+  let liveness = Index.liveness index in
+  let first, second = (Array.sub articles 0 60, Array.sub articles 60 60) in
+  Index.publish_corpus index ~kind:Bib.Schemes.Simple first;
+  let sleepers = [ 2; 7; 11 ] in
+  List.iter (fun n -> ignore (Dht.Liveness.fail liveness n : bool)) sleepers;
+  Index.publish_corpus index ~kind:Bib.Schemes.Simple second;
+  List.iter (fun n -> ignore (Dht.Liveness.revive liveness n : bool)) sleepers;
+  Alcotest.(check bool) "anti-entropy shipped the missed entries" true
+    (Index.anti_entropy index > 0);
+  List.iter (Index.drop_node_state index) [ 4; 15 ];
+  Alcotest.(check bool) "repair re-homed the lost entries" true (Index.repair index > 0);
+  Index.republish_corpus index ~kind:Bib.Schemes.Simple articles;
+  Alcotest.(check (list (pair string int))) "every cached length matches its rendering" []
+    (Index.entry_length_mismatches index)
+
+(* Each lookup step on an indexed parent is billed, per consulted
+   replica, exactly [Wire.response_bytes] over the rendered children it
+   returns — plus, on the quorum path, the piggybacked version vectors:
+   the mapping state's single coordinator dot (every write went through
+   the live primary) and no file state under a parent key. *)
+let replies_billed_as_rendered () =
+  let articles = Bib.Corpus.generate ~seed:9L (Bib.Corpus.default_config ~article_count:80) in
+  let scheme = Bib.Schemes.scheme Bib.Schemes.Simple in
+  let parents =
+    Array.to_list articles
+    |> List.concat_map (fun a ->
+           List.map
+             (fun (e : Q.t P2pindex.Scheme.edge) -> e.parent)
+             (P2pindex.Scheme.edges scheme (Q.msd a)))
+    |> List.sort_uniq Q.compare
+  in
+  let check_path ~label ?read_quorum ~replies ~version_bytes () =
+    let node_count = 20 in
+    let resolver =
+      Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:9L ~node_count ())
+    in
+    let network = Dht.Network.create ~node_count () in
+    let index = Index.create ~network ~replication:3 ?read_quorum ~resolver () in
+    Index.publish_corpus index ~kind:Bib.Schemes.Simple articles;
+    List.iter
+      (fun q ->
+        let before = Dht.Network.bytes network Dht.Network.Response in
+        match Index.lookup_step index q with
+        | Index.Children children ->
+            let rendered = P2pindex.Wire.response_bytes (List.map Q.to_string children) in
+            Alcotest.(check int)
+              (Printf.sprintf "%s reply for %s" label (Q.to_string q))
+              (replies * (rendered + version_bytes))
+              (Dht.Network.bytes network Dht.Network.Response - before)
+        | Index.File _ | Index.Not_indexed ->
+            Alcotest.failf "%s: parent %s not indexed" label (Q.to_string q))
+      parents
+  in
+  check_path ~label:"plain" ~replies:1 ~version_bytes:0 ();
+  check_path ~label:"quorum" ~read_quorum:2 ~replies:2
+    ~version_bytes:(P2pindex.Wire.version_bytes 1) ()
+
 let suite =
   [
     ( "quorum:version",
@@ -491,4 +623,12 @@ let suite =
         Alcotest.test_case "raising R masks stale reads monotonically" `Slow
           quorum_reads_mask_staleness;
       ] );
+    ( "quorum:render-once",
+      [
+        Alcotest.test_case "replies billed as their rendered children" `Quick
+          replies_billed_as_rendered;
+        Alcotest.test_case "anti-entropy and repair copy cached lengths" `Quick
+          maintenance_copies_cached_lengths;
+      ]
+      @ qcheck [ cached_lengths_survive_maintenance ] );
   ]

@@ -99,9 +99,11 @@ let block_store_basics () =
 
 module Replicated = Storage.Replicated_store
 
+(* These stores never price traffic, so entries carry a nominal length. *)
+
 let replicated_basics () =
   let store : string Replicated.t = Replicated.create ~resolver:(resolver 10) ~replication:3 () in
-  Replicated.insert store ~key:(k "a") "x";
+  Replicated.insert store ~len:0 ~key:(k "a") "x";
   Alcotest.(check (list string)) "lookup" [ "x" ] (Replicated.lookup store (k "a"));
   Alcotest.(check bool) "available" true (Replicated.available store (k "a"));
   Alcotest.(check int) "one key" 1 (Replicated.key_count store);
@@ -111,7 +113,7 @@ let replicated_basics () =
 let replicated_survives_primary_failure () =
   let r = resolver 10 in
   let store : int Replicated.t = Replicated.create ~resolver:r ~replication:3 () in
-  Replicated.insert store ~key:(k "a") 1;
+  Replicated.insert store ~len:0 ~key:(k "a") 1;
   let primary = Dht.Resolver.responsible r (k "a") in
   Replicated.fail_node store primary;
   Alcotest.(check bool) "primary down" false (Replicated.alive store primary);
@@ -127,15 +129,15 @@ let replicated_survives_primary_failure () =
 let replicated_single_replica_is_fragile () =
   let r = resolver 10 in
   let store : int Replicated.t = Replicated.create ~resolver:r ~replication:1 () in
-  Replicated.insert store ~key:(k "a") 1;
+  Replicated.insert store ~len:0 ~key:(k "a") 1;
   Replicated.fail_node store (Dht.Resolver.responsible r (k "a"));
   Alcotest.(check bool) "gone with one replica" false (Replicated.available store (k "a"))
 
 let replicated_all_replicas_failed () =
   let r = resolver 6 in
   let store : int Replicated.t = Replicated.create ~resolver:r ~replication:3 () in
-  Replicated.insert store ~key:(k "a") 1;
-  Replicated.insert store ~key:(k "b") 2;
+  Replicated.insert store ~len:0 ~key:(k "a") 1;
+  Replicated.insert store ~len:0 ~key:(k "b") 2;
   List.iter (Replicated.fail_node store) (Dht.Resolver.replicas r (k "a") 3);
   Alcotest.(check bool) "key a unavailable" false (Replicated.available store (k "a"));
   Alcotest.(check (list int)) "key a lookup empty" [] (Replicated.lookup store (k "a"));
@@ -153,7 +155,7 @@ let replicated_all_replicas_failed () =
 let replicated_fail_is_idempotent () =
   let r = resolver 6 in
   let store : int Replicated.t = Replicated.create ~resolver:r ~replication:2 () in
-  Replicated.insert store ~key:(k "a") 1;
+  Replicated.insert store ~len:0 ~key:(k "a") 1;
   let primary = Dht.Resolver.responsible r (k "a") in
   Replicated.fail_node store primary;
   (* Failing an already-failed node changes nothing. *)
