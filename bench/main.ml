@@ -148,6 +148,32 @@ let micro_ops () : (string * (unit -> unit)) list =
       }
   in
   let walk_ctx = Sim.Runner.Internal.walk_ctx walk_env in
+  (* Replica reconciliation: a quorum read over two agreeing replicas
+     of one 256-entry key (the read nearly every quorum lookup makes),
+     and one anti-entropy pass over a converged store, where every
+     exchange matches. *)
+  let storage_resolver =
+    Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:3L ~node_count:64 ())
+  in
+  let agree_store : string Storage.Replicated_store.t =
+    Storage.Replicated_store.create ~resolver:storage_resolver ~replication:2 ()
+  in
+  let agree_key = Hashing.Key.of_string "agree" in
+  for i = 1 to 256 do
+    let v = Printf.sprintf "/article/author/last/Author%03d" i in
+    Storage.Replicated_store.insert agree_store ~key:agree_key ~len:(String.length v) v
+  done;
+  let agree_nodes = Storage.Replicated_store.replica_nodes agree_store agree_key in
+  let ae_store : string Storage.Replicated_store.t =
+    Storage.Replicated_store.create ~resolver:storage_resolver ~replication:3 ()
+  in
+  for i = 1 to 256 do
+    let key = Hashing.Key.of_string (Printf.sprintf "range-%d" i) in
+    for j = 1 to 4 do
+      let v = Printf.sprintf "/article/title/Title%03d-%d" i j in
+      Storage.Replicated_store.insert ae_store ~key ~len:(String.length v) v
+    done
+  done;
   [
     ("sha1/256B", fun () -> ignore (Hashing.Sha1.digest_string sha_input));
     ("xpath/parse", fun () -> ignore (Xpath.of_string q1_string));
@@ -229,6 +255,14 @@ let micro_ops () : (string * (unit -> unit)) list =
     ( "sim/session-walk",
       fun () ->
         ignore (Sim.Walk.run walk_ctx (Sim.Runner.Internal.next_event walk_env)) );
+    ( "storage/quorum-read-agree",
+      fun () ->
+        ignore
+          (Storage.Replicated_store.quorum_read agree_store ~key:agree_key ~nodes:agree_nodes) );
+    ( "storage/anti-entropy-pass",
+      fun () ->
+        ignore
+          (Storage.Anti_entropy.run ae_store ~entry_bytes:Storage.Replicated_store.entry_len ()) );
   ]
 
 let run_micro_bechamel () =

@@ -22,11 +22,18 @@ type instruments = {
   failed_lookups : Obs.Metrics.Counter.t;
 }
 
+(* [live] counts the alive nodes and [first_live] caches the minimal
+   live identifier ([None]: not known), so default-origin lookups and
+   the routing bound never fold the node table.  Joins and failures —
+   [insert_node] and [leave], the only writers of [alive] — keep both
+   current. *)
 type t = {
   nodes : (Key.t, node) Hashtbl.t;
   prng : Stdx.Prng.t;
   successor_list_length : int;
   instruments : instruments option;
+  mutable live : int;
+  mutable first_live : Key.t option;
 }
 
 let create ?metrics ?(seed = 1L) ?(successor_list_length = 8) () =
@@ -52,6 +59,8 @@ let create ?metrics ?(seed = 1L) ?(successor_list_length = 8) () =
     prng = Stdx.Prng.create ~seed;
     successor_list_length;
     instruments;
+    live = 0;
+    first_live = None;
   }
 
 let node_of t key =
@@ -67,25 +76,28 @@ let live_keys t =
     (fun (k, n) -> if n.alive then Some k else None)
     (Stdx.Det_tbl.sorted_bindings ~compare:Key.compare t.nodes)
 
-let live_count t =
-  Hashtbl.fold (fun _ n acc -> if n.alive then acc + 1 else acc) t.nodes 0
+let live_count t = t.live
 
-(* The minimal live key — the head [live_keys] would produce, found by a
-   single fold over the table instead of sorting all bindings into a
-   list per call (this sits on the default-origin lookup path). *)
+(* The minimal live key — the head [live_keys] would produce.  On a
+   cache miss one fold over the table finds it; the result stays cached
+   until the node it names fails. *)
 let[@hot] first_live t =
-  let best =
-    (* lint: allow D2 — min accumulator: commutative-associative, bucket order cannot change the result *)
-    Hashtbl.fold
-      (fun k n acc ->
-        if not n.alive then acc
-        else
-          match acc with
-          | Some b when Key.compare b k <= 0 -> acc
-          | Some _ | None -> Some k)
-      t.nodes None
-  in
-  match best with Some k -> k | None -> raise Not_found
+  match t.first_live with
+  | Some k -> k
+  | None -> (
+      let best =
+        (* lint: allow D2 — min accumulator: commutative-associative, bucket order cannot change the result *)
+        Hashtbl.fold
+          (fun k n acc ->
+            if not n.alive then acc
+            else
+              match acc with
+              | Some b when Key.compare b k <= 0 -> acc
+              | Some _ | None -> Some k)
+          t.nodes None
+      in
+      t.first_live <- best;
+      match best with Some k -> k | None -> raise Not_found)
 
 (* Ground truth: the live successor of [key] on the ring. *)
 let responsible_oracle t key =
@@ -165,7 +177,13 @@ let insert_node t key successor =
       successor_list = [];
     }
   in
+  (* Only a dead node's identifier can be rejoined, so the live count
+     always grows. *)
   Hashtbl.replace t.nodes key n;
+  t.live <- t.live + 1;
+  (match t.first_live with
+  | Some b when Key.compare key b < 0 -> t.first_live <- Some key
+  | Some _ | None -> ());
   n
 
 let join_with_key t key =
@@ -190,7 +208,12 @@ let join t =
 
 let leave t key =
   match Hashtbl.find_opt t.nodes key with
-  | Some n when n.alive -> n.alive <- false
+  | Some n when n.alive ->
+      n.alive <- false;
+      t.live <- t.live - 1;
+      (match t.first_live with
+      | Some b when Key.equal b key -> t.first_live <- None
+      | Some _ | None -> ())
   | Some _ | None -> raise Not_found
 
 (* ------------------------------------------------------------------ *)

@@ -46,6 +46,12 @@ val leave : t -> Hashing.Key.t -> unit
     messages, mimicking churn).  @raise Not_found if no such live node. *)
 
 val live_count : t -> int
+(** Live nodes, kept current by joins and failures (no table walk). *)
+
+val first_live : t -> Hashing.Key.t
+(** The minimal live identifier — the head of {!live_keys} and the
+    default origin of {!lookup}; cached until that node fails.
+    @raise Not_found on an empty ring. *)
 
 val live_keys : t -> Hashing.Key.t list
 (** Identifiers of live nodes, in ring order. *)

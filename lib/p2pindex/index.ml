@@ -161,11 +161,12 @@ module type S = sig
 
   val anti_entropy : t -> int
   (** Digest-based divergence repair over both stores
-      ({!Storage.Anti_entropy}): replica pairs exchange per-range SHA-1
-      digests (billed as maintenance) and ship only the diverged keys'
-      entries.  Returns the number of entries shipped; with quorum
-      metrics on, the [p2pindex_antientropy_*] counters record digest
-      vs shipped vs would-be full-state bytes. *)
+      ({!Storage.Anti_entropy}): replica pairs exchange per-range digests
+      (billed as maintenance; the match is decided by comparing the
+      states) and ship only the diverged keys' entries.  Returns the
+      number of entries shipped; with quorum metrics on, the
+      [p2pindex_antientropy_*] counters record digest vs shipped vs
+      would-be full-state bytes. *)
 
   val drop_node_state : t -> int -> unit
   (** Forget every mapping and file a node held — an abrupt, crash-stop
@@ -223,6 +224,9 @@ module type S = sig
   val index_bytes : t -> int
   (** Storage footprint of all index entries under the wire model, summed
       from the entries' cached lengths. *)
+
+  val mapping_totals : t -> int * int
+  (** {!mapping_count} and {!index_bytes} from one walk of the index. *)
 
   val entry_length_mismatches : t -> (string * int) list
   (** Audit of the render-once invariant: every entry physically held on
@@ -466,36 +470,51 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      and everything alive this is the single primary-bound message the
      static index charged. *)
   let charge_live_replicas t ~key ~bytes =
-    List.iter
-      (fun dst ->
-        if Dht.Liveness.alive t.liveness dst then charge_maintenance t ~dst ~bytes)
-      (Rstore.replica_nodes t.mappings key)
+    let replicas = Rstore.replica_buf t.mappings key in
+    for i = 0 to Stdx.Arena.Int_buf.length replicas - 1 do
+      let dst = Stdx.Arena.Int_buf.unsafe_get replicas i in
+      if Dht.Liveness.alive t.liveness dst then charge_maintenance t ~dst ~bytes
+    done
 
   (* ---------------------------------------------------------------- *)
   (* Publication. *)
 
-  (* Write one mapping, rendering its parent and child once each: the
-     parent's string gives the key and, with the child's length (cached
-     in the entry), the install bill.  Returns the key, whether the
-     entry was new, and the bill. *)
-  let write_mapping t ~expires_at ~parent ~child =
-    let parent_string = Q.to_string parent in
+  (* A descriptor's scheme edges share their query values — a child is
+     often the next edge's parent — so publication renders each distinct
+     query value once, memoized by identity over one descriptor. *)
+  let edge_renderer () =
+    let rendered = ref [] in
+    fun q ->
+      match List.assq_opt q !rendered with
+      | Some s -> s
+      | None ->
+          let s = Q.to_string q in
+          rendered := (q, s) :: !rendered;
+          s
+
+  (* Write one mapping from its parent's and child's renderings: the
+     parent's gives the key and, with the child's length (cached in the
+     entry), the install bill.  Returns the key, whether the entry was
+     new, and the bill. *)
+  let write_mapping t ~expires_at ~parent_string ~child_string child =
     let key = key_of_string_memo t parent_string in
-    let len = String.length (Q.to_string child) in
+    let len = String.length child_string in
     let added =
       Rstore.insert_unique ~expires_at ~equal:Q.equal t.mappings ~key ~len child
     in
     (key, added, Wire.cache_install_bytes_of_len (String.length parent_string) len)
 
-  let insert_mapping t ~parent ~child =
+  let install_mapping t ~render ~parent ~child =
     if not (Q.covers parent child) then
-      raise
-        (Covering_violation { parent = Q.to_string parent; child = Q.to_string child });
+      raise (Covering_violation { parent = render parent; child = render child });
     let key, added, bytes =
-      write_mapping t ~expires_at:(entry_expiry t) ~parent ~child
+      write_mapping t ~expires_at:(entry_expiry t) ~parent_string:(render parent)
+        ~child_string:(render child) child
     in
     if added then charge_live_replicas t ~key ~bytes;
     added
+
+  let insert_mapping t ~parent ~child = install_mapping t ~render:Q.to_string ~parent ~child
 
   let remove_mapping t ~parent ~child =
     let key = key_of t parent in
@@ -514,8 +533,9 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   let publish t ~scheme ~msd file =
     store_file t ~msd file;
+    let render = edge_renderer () in
     List.iter
-      (fun { Scheme.parent; child } -> ignore (insert_mapping t ~parent ~child))
+      (fun { Scheme.parent; child } -> ignore (install_mapping t ~render ~parent ~child))
       (Scheme.edges scheme msd)
 
   let republish t ~scheme ~msd file =
@@ -526,9 +546,13 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       (Rstore.insert_unique ~expires_at ~equal:( = ) t.files ~key:file_key
          ~len:(file_len file) file);
     charge_live_replicas t ~key:file_key ~bytes:(Wire.request_bytes msd_string);
+    let render = edge_renderer () in
     List.iter
       (fun { Scheme.parent; child } ->
-        let key, _added, bytes = write_mapping t ~expires_at ~parent ~child in
+        let key, _added, bytes =
+          write_mapping t ~expires_at ~parent_string:(render parent)
+            ~child_string:(render child) child
+        in
         charge_live_replicas t ~key ~bytes)
       (Scheme.edges scheme msd)
 
@@ -543,18 +567,16 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     + Rstore.repair t.files ~on_restore:(fun ~node e ->
           charge_maintenance t ~dst:node ~bytes:(file_entry_bytes e))
 
-  let file_render (file : file) = Printf.sprintf "%s#%d" file.name file.size_bytes
-
   let anti_entropy t =
     let on_exchange ~peer ~bytes = charge_maintenance t ~dst:peer ~bytes in
     let on_ship ~node ~bytes = charge_maintenance t ~dst:node ~bytes in
     let sm =
-      Storage.Anti_entropy.run t.mappings ~render:Q.to_string
-        ~entry_bytes:mapping_entry_bytes ~on_exchange ~on_ship ()
+      Storage.Anti_entropy.run t.mappings ~entry_bytes:mapping_entry_bytes ~on_exchange
+        ~on_ship ()
     in
     let sf =
-      Storage.Anti_entropy.run t.files ~render:file_render
-        ~entry_bytes:file_entry_bytes ~on_exchange ~on_ship ()
+      Storage.Anti_entropy.run t.files ~entry_bytes:file_entry_bytes ~on_exchange
+        ~on_ship ()
     in
     let s = Storage.Anti_entropy.add sm sf in
     (match t.quorum_instruments with
@@ -979,14 +1001,14 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   (* ---------------------------------------------------------------- *)
   (* Introspection. *)
 
-  let mapping_count t = Rstore.entry_count t.mappings
+  let mapping_totals t = Rstore.entry_totals t.mappings mapping_entry_bytes
+  let mapping_count t = fst (mapping_totals t)
+  let index_bytes t = snd (mapping_totals t)
   let index_key_count t = Rstore.key_count t.mappings
 
   let iter_mappings t f =
     Rstore.fold t.mappings ~init:() ~f:(fun () key children ->
         List.iter (fun child -> f ~parent_key:key child) children)
-
-  let index_bytes t = Rstore.sum_entries t.mappings mapping_entry_bytes
 
   let entry_length_mismatches t =
     let audit store render =
@@ -1012,7 +1034,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let file_count t = Rstore.key_count t.files
 
   let file_bytes t =
-    Rstore.sum_entries t.files (fun e -> (Rstore.entry_value e : file).size_bytes)
+    snd (Rstore.entry_totals t.files (fun e -> (Rstore.entry_value e : file).size_bytes))
 
   let files_per_node t = Rstore.keys_per_node t.files
 end

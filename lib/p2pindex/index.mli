@@ -163,11 +163,12 @@ module type S = sig
 
   val anti_entropy : t -> int
   (** Digest-based divergence repair over both stores
-      ({!Storage.Anti_entropy}): replica pairs exchange per-range SHA-1
-      digests (billed as maintenance) and ship only the diverged keys'
-      entries.  Catches what {!repair} cannot — stale copies on replicas
-      that still hold {e something} — and converges removals through the
-      tombstones.  Returns the number of entries shipped; with quorum
+      ({!Storage.Anti_entropy}): replica pairs exchange per-range digests
+      (billed as maintenance; the match is decided by comparing the
+      states) and ship only the diverged keys' entries.  Catches what
+      {!repair} cannot — stale copies on replicas that still hold
+      {e something} — and converges removals through the tombstones.
+      Returns the number of entries shipped; with quorum
       metrics on, the [p2pindex_antientropy_*] counters record digest
       vs shipped vs would-be full-state bytes. *)
 
@@ -227,6 +228,9 @@ module type S = sig
   val index_bytes : t -> int
   (** Storage footprint of all index entries under the wire model, summed
       from the entries' cached lengths. *)
+
+  val mapping_totals : t -> int * int
+  (** {!mapping_count} and {!index_bytes} from one walk of the index. *)
 
   val entry_length_mismatches : t -> (string * int) list
   (** Audit of the render-once invariant: every entry physically held on

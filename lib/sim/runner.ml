@@ -714,6 +714,7 @@ module Internal = struct
     | None -> ());
     let snapshot = Obs.Metrics.snapshot env.registry in
     let rpc_count name = Obs.Metrics.counter_total snapshot name in
+    let index_mappings, index_bytes = Index.mapping_totals env.index in
     {
       config = env.cfg;
       interactions = tally.interactions;
@@ -729,9 +730,9 @@ module Internal = struct
       node_touches = Network.touches env.net;
       cached_keys = Array.map Shortcut.size env.caches;
       regular_keys = Index.entries_per_node env.index;
-      index_bytes = Index.index_bytes env.index;
+      index_bytes;
       article_bytes = Index.file_bytes env.index;
-      index_mappings = Index.mapping_count env.index;
+      index_mappings;
       publish_bytes = env.publish_bytes;
       network_messages = Network.total_messages env.net;
       rpc_calls = rpc_count "p2pindex_rpc_calls_total";

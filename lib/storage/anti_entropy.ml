@@ -36,17 +36,6 @@ let add a b =
     full_state_bytes = a.full_state_bytes + b.full_state_bytes;
   }
 
-let digest bindings = Hashing.Sha1.digest_string (String.concat "\n" bindings)
-
-let range_bindings store ~node ~keys ~render =
-  List.map
-    (fun key ->
-      Key.to_hex key ^ "=" ^ Rstore.render_state store ~node key ~render)
-    keys
-
-let range_digest store ~node ~keys ~render =
-  digest (range_bindings store ~node ~keys ~render)
-
 (* Group the directory's keys by their replica set.  Keys sharing a
    replica list form one range a coordinator/peer pair can summarize
    with a single digest; iterating buckets in replica-list order (and
@@ -65,7 +54,10 @@ let buckets store =
     tbl []
   |> List.rev
 
-let run store ~render ~entry_bytes ?(on_exchange = fun ~peer:_ ~bytes:_ -> ())
+let held_bytes store ~entry_bytes ~node key =
+  List.fold_left (fun sum e -> sum + entry_bytes e) 0 (Rstore.held_entries store ~node key)
+
+let run store ~entry_bytes ?(on_exchange = fun ~peer:_ ~bytes:_ -> ())
     ?(on_ship = fun ~node:_ ~bytes:_ -> ()) () =
   let liveness = Rstore.liveness store in
   List.fold_left
@@ -83,28 +75,25 @@ let run store ~render ~entry_bytes ?(on_exchange = fun ~peer:_ ~bytes:_ -> ())
                 { acc with exchanges = acc.exchanges + 1; digest_bytes = acc.digest_bytes + bytes }
               in
               (* What a digestless full-state push-pull would have moved
-                 on this same divergence: both sides' entire ranges. *)
+                 on this same divergence: both sides' entire ranges, as
+                 held before this exchange prunes them. *)
               let full =
                 List.fold_left
                   (fun sum key ->
-                    List.fold_left
-                      (fun sum e -> sum + entry_bytes e)
-                      sum
-                      (Rstore.held_entries store ~node:coordinator key
-                      @ Rstore.held_entries store ~node:peer key))
+                    sum
+                    + held_bytes store ~entry_bytes ~node:coordinator key
+                    + held_bytes store ~entry_bytes ~node:peer key)
                   0 keys
               in
               let acc = { acc with full_state_bytes = acc.full_state_bytes + full } in
-              let dc = range_digest store ~node:coordinator ~keys ~render in
-              let dp = range_digest store ~node:peer ~keys ~render in
-              if String.equal dc dp then
-                { acc with digest_matches = acc.digest_matches + 1 }
-              else
+              (* The digests agree exactly when every key's states do, so
+                 the per-key comparison decides the match and finds the
+                 diverged keys in one walk. *)
+              let shipped_before = acc.keys_shipped in
+              let acc =
                 List.fold_left
                   (fun acc key ->
-                    let sc = Rstore.render_state store ~node:coordinator key ~render in
-                    let sp = Rstore.render_state store ~node:peer key ~render in
-                    if String.equal sc sp then acc
+                    if Rstore.same_state store ~a:coordinator ~b:peer key then acc
                     else begin
                       let repairs =
                         Rstore.sync_key store ~key ~nodes:[ coordinator; peer ]
@@ -126,6 +115,9 @@ let run store ~render ~entry_bytes ?(on_exchange = fun ~peer:_ ~bytes:_ -> ())
                         shipped_bytes = acc.shipped_bytes + shipped;
                       }
                     end)
-                  acc keys)
+                  acc keys
+              in
+              if acc.keys_shipped > shipped_before then acc
+              else { acc with digest_matches = acc.digest_matches + 1 })
             acc peers)
     zero_stats (buckets store)

@@ -11,10 +11,12 @@
     merged ({!Replicated_store.sync_key} — dominance decides, tombstones
     fence removals, so a deletion can never be resurrected).
 
-    Digests are computed over the canonical
-    {!Replicated_store.render_state} bindings in ascending key order
-    (via [Stdx.Det_tbl]), so two replicas digest equal iff their range
-    states are identical, and the whole pass is deterministic. *)
+    A range's digests agree exactly when its two replicas hold identical
+    states for every key, so the pass decides the match with
+    {!Replicated_store.same_state} per key — in ascending key order (via
+    [Stdx.Det_tbl]), so the whole pass is deterministic — and bills each
+    exchange the two digest messages it stands for.  Nothing is rendered
+    or hashed. *)
 
 type stats = {
   exchanges : int;  (** Digest push-pulls performed (one per live pair). *)
@@ -35,38 +37,14 @@ val zero_stats : stats
 val add : stats -> stats -> stats
 (** Componentwise sum (aggregate over several passes or stores). *)
 
-val digest : string list -> Hashing.Sha1.digest
-(** Digest of a canonical binding list.  Equal lists digest equally;
-    distinct lists digest distinctly (up to SHA-1 collisions) — the
-    property test pins both directions. *)
-
-val range_bindings :
-  'v Replicated_store.t ->
-  node:int ->
-  keys:Hashing.Key.t list ->
-  render:('v -> string) ->
-  string list
-(** One replica's canonical ["keyhex=state"] bindings for a key range,
-    in the given key order. *)
-
-val range_digest :
-  'v Replicated_store.t ->
-  node:int ->
-  keys:Hashing.Key.t list ->
-  render:('v -> string) ->
-  Hashing.Sha1.digest
-(** [digest] of {!range_bindings}. *)
-
 val run :
   'v Replicated_store.t ->
-  render:('v -> string) ->
   entry_bytes:('v Replicated_store.entry -> int) ->
   ?on_exchange:(peer:int -> bytes:int -> unit) ->
   ?on_ship:(node:int -> bytes:int -> unit) ->
   unit ->
   stats
 (** One full pass: every key range, every live replica pair.
-    [render] is the canonical entry rendering baked into the digests;
     [entry_bytes] prices one entry for the byte accounting (from its
     cached {!Replicated_store.entry_len}, so nothing re-renders).
     [on_exchange] fires per digest push-pull (for billing the digest

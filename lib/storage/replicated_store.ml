@@ -2,11 +2,14 @@ module Key = Hashing.Key
 
 (* [len] is the length of the value's rendering, fixed by the writer when
    the entry is first written; clones copy it, so traffic is priced from
-   it and never from a re-render. *)
+   it and never from a re-render.  Equal values render equally, so two
+   entries whose lengths differ never hold equal values: every
+   membership test below compares lengths before values. *)
 type 'v entry = { value : 'v; len : int; mutable expires_at : float }
 
 let entry_value e = e.value
 let entry_len e = e.len
+let entry_expires_at e = e.expires_at
 
 (* One replica's view of a key: its live entries, the values removed
    here that other replicas may still hold (tombstones), and the dotted
@@ -14,12 +17,33 @@ let entry_len e = e.len
    States persist after their last entry expires or is removed — the
    version history is what stops a stale rejoined replica from
    resurrecting a deletion — except when a remove finds the key gone
-   from every replica, which garbage-collects the key outright. *)
+   from every replica, which garbage-collects the key outright.
+
+   [floor] is a lower bound on the entries' expiries ([infinity] when
+   there are none): a probe whose clock is still below it knows nothing
+   has expired without walking the list.  Every assignment of [entries]
+   keeps it a lower bound.  Tombstones and the floor change rarely, so
+   they share one immutable record, and a state with neither — every
+   state under hard state without removes — points at [unfenced]: the
+   floor costs those states no memory. *)
+type 'v fence = { tombs : 'v list; floor : float }
+
+let unfenced = { tombs = []; floor = infinity }
+
+let make_fence ~tombs ~floor =
+  match tombs with
+  | [] when floor = infinity -> unfenced
+  | [] | _ :: _ -> { tombs; floor }
+
 type 'v key_state = {
   mutable entries : 'v entry list;
-  mutable tombs : 'v list;
   mutable version : Version.t;
+  mutable fence : 'v fence;
 }
+
+let set_tombs st tombs = st.fence <- make_fence ~tombs ~floor:st.fence.floor
+let set_floor st floor = st.fence <- make_fence ~tombs:st.fence.tombs ~floor
+let lower_floor st expires_at = if expires_at < st.fence.floor then set_floor st expires_at
 
 type 'v t = {
   resolver : Dht.Resolver.t;
@@ -103,11 +127,13 @@ let expired t entry = entry.expires_at <= t.clock ()
 
 let state_at t ~node key = Hashtbl.find_opt t.tables.(node) key
 
+let empty_state () = { entries = []; version = Version.zero; fence = unfenced }
+
 let get_state table key =
   match Hashtbl.find_opt table key with
   | Some st -> st
   | None ->
-      let st = { entries = []; tombs = []; version = Version.zero } in
+      let st = empty_state () in
       Hashtbl.add table key st;
       st
 
@@ -115,17 +141,27 @@ let rec any_expired now = function
   | [] -> false
   | e :: rest -> e.expires_at <= now || any_expired now rest
 
-(* Unexpired entries under [key] in [table], pruning expired ones in
-   place so tables do not accumulate dead soft state.  When nothing has
-   expired — always, with infinite TTLs — the held list itself is
-   returned. *)
+let rec floor_of acc = function
+  | [] -> acc
+  | e :: rest -> floor_of (if e.expires_at < acc then e.expires_at else acc) rest
+
+(* Drop the state's expired entries in place so tables do not
+   accumulate dead soft state.  Below the floor nothing can have
+   expired — always, with infinite TTLs — and the list is not walked. *)
+let prune now st =
+  if st.fence.floor <= now then begin
+    if any_expired now st.entries then
+      st.entries <- List.filter (fun e -> not (e.expires_at <= now)) st.entries;
+    set_floor st (floor_of infinity st.entries)
+  end
+
+(* Unexpired entries under [key] in [table]; the held list itself when
+   nothing has expired. *)
 let live_entries t table key =
   match Hashtbl.find_opt table key with
   | None -> []
   | Some st ->
-      let now = t.clock () in
-      if any_expired now st.entries then
-        st.entries <- List.filter (fun e -> not (e.expires_at <= now)) st.entries;
+      prune (t.clock ()) st;
       st.entries
 
 let values entries = List.map (fun e -> e.value) entries
@@ -153,56 +189,103 @@ let record_acks t ~acks =
 let write_version t ~coordinator key =
   Version.bump (version_at t ~node:coordinator key) ~actor:coordinator
 
-let insert ?(expires_at = infinity) t ~key ~len v =
-  Hashtbl.replace t.directory key ();
-  let live = live_replica_nodes t key in
+(* [Version.merge cur vv], sharing [vv] when it already covers [cur] —
+   the usual case, since [vv] is a fresh coordinator bump. *)
+let merge_into cur vv =
+  match Version.compare vv cur with
+  | Version.Eq | Version.Dominates -> vv
+  | Version.Dominated | Version.Concurrent -> Version.merge cur vv
+
+(* Values are compared structurally; a value is taken to equal itself,
+   which is the common case since replicas share the written value. *)
+let same_value x y =
+  (* lint: allow D3 — identity implies structural equality for stored values; the structural test follows *)
+  x == y || x = y
+
+(* Does [entries] hold an entry with [e]'s value? *)
+let rec holds_value entries e =
+  match entries with
+  | [] -> false
+  | e' :: rest -> (e'.len = e.len && same_value e'.value e.value) || holds_value rest e
+
+(* Give the first entry [equal] to [v] the new expiry; false when there
+   is none. *)
+let rec refresh_first ~equal ~len ~expires_at v = function
+  | [] -> false
+  | e :: rest ->
+      if e.len = len && equal e.value v then begin
+        e.expires_at <- expires_at;
+        true
+      end
+      else refresh_first ~equal ~len ~expires_at v rest
+
+(* The live replicas' states of [key], primary first, each looked up
+   once (created when absent) and pruned.  Leaves the key's replica set
+   in the scratch buffer. *)
+let live_states t key =
+  let now = t.clock () in
+  let buf = replica_buf t key in
+  let rec collect i acc =
+    if i < 0 then acc
+    else
+      let node = Stdx.Arena.Int_buf.unsafe_get buf i in
+      if Dht.Liveness.alive t.liveness node then begin
+        let st = get_state t.tables.(node) key in
+        prune now st;
+        collect (i - 1) (st :: acc)
+      end
+      else collect (i - 1) acc
+  in
+  collect (Stdx.Arena.Int_buf.length buf - 1) []
+
+(* The write behind {!insert} and {!insert_unique}.  With [equal], live
+   replicas already holding an equal entry refresh its expiry, and when
+   one did the others regain the entry; otherwise every live replica
+   gains a new entry.  Returns whether the entry was genuinely new. *)
+let write t ~equal ~key ~len ~expires_at v =
+  let live = live_states t key in
+  let coordinator = Dht.Liveness.first_live_buf t.liveness t.scratch in
+  let missing =
+    match equal with
+    | None -> live
+    | Some equal ->
+        List.filter
+          (fun st ->
+            if refresh_first ~equal ~len ~expires_at v st.entries then begin
+              lower_floor st expires_at;
+              false
+            end
+            else true)
+          live
+  in
+  let known = List.compare_lengths missing live < 0 in
+  if not known then Hashtbl.replace t.directory key ();
   (match live with
   | [] -> ()
-  | coordinator :: _ ->
-      let vv = write_version t ~coordinator key in
+  | coordinator_state :: _ ->
+      let vv = Version.bump coordinator_state.version ~actor:coordinator in
       List.iter
-        (fun node ->
-          let table = t.tables.(node) in
-          let existing = live_entries t table key in
-          let st = get_state table key in
-          st.entries <- { value = v; len; expires_at } :: existing;
-          st.tombs <- List.filter (fun tv -> tv <> v) st.tombs;
-          st.version <- Version.merge st.version vv)
+        (fun st ->
+          st.entries <- { value = v; len; expires_at } :: st.entries;
+          lower_floor st expires_at)
+        missing;
+      List.iter
+        (fun st ->
+          (match (st.fence.tombs, equal) with
+          | [], _ -> ()
+          | tombs, Some equal when known ->
+              set_tombs st (List.filter (fun tv -> not (equal tv v)) tombs)
+          | tombs, (Some _ | None) -> set_tombs st (List.filter (fun tv -> tv <> v) tombs));
+          st.version <- merge_into st.version vv)
         live);
-  record_acks t ~acks:(List.length live)
+  record_acks t ~acks:(List.length live);
+  not known
+
+let insert ?(expires_at = infinity) t ~key ~len v =
+  ignore (write t ~equal:None ~key ~len ~expires_at v : bool)
 
 let insert_unique ?(expires_at = infinity) ~equal t ~key ~len v =
-  let replicas = replica_nodes t key in
-  let known_live =
-    List.exists
-      (fun node ->
-        Dht.Liveness.alive t.liveness node
-        && List.exists (fun e -> equal e.value v) (live_entries t t.tables.(node) key))
-      replicas
-  in
-  if known_live then begin
-    (* Refresh: existing copies take the new expiry; live replicas that
-       lost the entry get it back. *)
-    let live = live_replica_nodes t key in
-    let vv = write_version t ~coordinator:(List.hd live) key in
-    List.iter
-      (fun node ->
-        let table = t.tables.(node) in
-        let entries = live_entries t table key in
-        let st = get_state table key in
-        (match List.find_opt (fun e -> equal e.value v) entries with
-        | Some e -> e.expires_at <- expires_at
-        | None -> st.entries <- { value = v; len; expires_at } :: entries);
-        st.tombs <- List.filter (fun tv -> not (equal tv v)) st.tombs;
-        st.version <- Version.merge st.version vv)
-      live;
-    record_acks t ~acks:(List.length live);
-    false
-  end
-  else begin
-    insert ~expires_at t ~key ~len v;
-    true
-  end
+  write t ~equal:(Some equal) ~key ~len ~expires_at v
 
 let entries_at t ~node key =
   if Dht.Liveness.alive t.liveness node then live_entries t t.tables.(node) key
@@ -225,6 +308,11 @@ let available = mem
 let remove t ~key pred =
   match live_replica_nodes t key with
   | [] -> 0
+  | live when not (Hashtbl.mem t.directory key) ->
+      (* Nothing registered, so no replica holds a state: the write only
+         counts its acknowledgements. *)
+      record_acks t ~acks:(List.length live);
+      0
   | (coordinator :: _) as live ->
       let vv = write_version t ~coordinator key in
       let removed =
@@ -234,13 +322,14 @@ let remove t ~key pred =
             let entries = live_entries t table key in
             let st = get_state table key in
             let kept, gone = List.partition (fun e -> not (pred e.value)) entries in
-            st.entries <- kept;
+            st.entries <- kept (* a sublist: the floor still bounds it *);
             List.iter
               (fun e ->
-                if not (List.exists (fun tv -> tv = e.value) st.tombs) then
-                  st.tombs <- st.tombs @ [ e.value ])
+                let tombs = st.fence.tombs in
+                if not (List.exists (fun tv -> tv = e.value) tombs) then
+                  set_tombs st (tombs @ [ e.value ]))
               gone;
-            st.version <- Version.merge st.version vv;
+            st.version <- merge_into st.version vv;
             Stdlib.max worst (List.length gone))
           0 live
       in
@@ -289,50 +378,85 @@ let drop_state t node =
    one side's version dominates, its content wins wholesale; otherwise
    (equal versions over diverged content, or genuinely concurrent
    histories) entries are unioned and the union is fenced by the merged
-   tombstone set, so a removal observed on either side sticks. *)
+   tombstone set, so a removal observed on either side sticks.
+
+   A merged state may share its entry records with the states it came
+   from: nothing is written back until a repair, which stores clones.
+   When the two sides agree — the same values in the same order and no
+   tombstones, what nearly every read sees — the union is the first
+   side's entries, found in one pass. *)
 
 let clone_entries entries = List.map (fun e -> { e with value = e.value }) entries
 
+let rec same_values xs ys =
+  match (xs, ys) with
+  | [], [] -> true
+  | x :: xs, y :: ys -> x.len = y.len && same_value x.value y.value && same_values xs ys
+  | [], _ :: _ | _ :: _, [] -> false
+
+let agree a b =
+  match (a.fence.tombs, b.fence.tombs) with
+  | [], [] -> same_values a.entries b.entries
+  | _ :: _, _ | _, _ :: _ -> false
+
+let union a b ~version =
+  let a_tombs = a.fence.tombs in
+  let tombs =
+    a_tombs @ List.filter (fun v -> not (List.exists (fun tv -> tv = v) a_tombs)) b.fence.tombs
+  in
+  let entries = a.entries @ List.filter (fun e -> not (holds_value a.entries e)) b.entries in
+  let entries =
+    match tombs with
+    | [] -> entries
+    | _ :: _ -> List.filter (fun e -> not (List.exists (fun tv -> tv = e.value) tombs)) entries
+  in
+  { entries; version; fence = make_fence ~tombs ~floor:(floor_of infinity entries) }
+
 let merge_states a b =
-  let version = Version.merge a.version b.version in
   match Version.compare a.version b.version with
-  | Version.Dominates -> { entries = clone_entries a.entries; tombs = a.tombs; version }
-  | Version.Dominated -> { entries = clone_entries b.entries; tombs = b.tombs; version }
-  | Version.Eq | Version.Concurrent ->
-      let tombs =
-        a.tombs @ List.filter (fun v -> not (List.exists (fun tv -> tv = v) a.tombs)) b.tombs
-      in
-      let entries =
-        clone_entries a.entries
-        @ List.filter
-            (fun e -> not (List.exists (fun e' -> e'.value = e.value) a.entries))
-            (clone_entries b.entries)
-      in
-      let entries =
-        List.filter (fun e -> not (List.exists (fun tv -> tv = e.value) tombs)) entries
-      in
-      { entries; tombs; version }
+  | Version.Dominates -> a
+  | Version.Dominated -> b
+  | Version.Eq -> if agree a b then a else union a b ~version:a.version
+  | Version.Concurrent ->
+      let version = Version.merge a.version b.version in
+      if agree a b then { a with version } else union a b ~version
 
+let rec same_entries xs ys =
+  match (xs, ys) with
+  | [], [] -> true
+  | x :: xs, y :: ys ->
+      x.len = y.len
+      && x.expires_at = y.expires_at
+      && same_value x.value y.value
+      && same_entries xs ys
+  | [], _ :: _ | _ :: _, [] -> false
+
+(* Structural state equality: entry values and expiries in order,
+   tombstones and versions. *)
 let state_equal a b =
-  Version.equal a.version b.version
-  && List.equal (fun x y -> x.value = y.value && x.expires_at = y.expires_at)
-       a.entries b.entries
-  && a.tombs = b.tombs
+  (* lint: allow D3 — a state is equal to itself; the structural comparison follows *)
+  a == b
+  || Version.equal a.version b.version
+     && same_entries a.entries b.entries
+     && a.fence.tombs = b.fence.tombs
 
-let empty_state () = { entries = []; tombs = []; version = Version.zero }
+(* Overwrite [target] with (clones of) [merged]. *)
+let assign target merged =
+  target.entries <- clone_entries merged.entries;
+  target.version <- merged.version;
+  target.fence <- merged.fence
 
 let quorum_read t ~key ~nodes =
+  let now = t.clock () in
   let states =
     List.filter_map
       (fun node ->
-        if Dht.Liveness.alive t.liveness node then begin
-          ignore (live_entries t t.tables.(node) key : 'v entry list);
-          Some
-            ( node,
-              match state_at t ~node key with
-              | Some st -> st
-              | None -> empty_state () )
-        end
+        if Dht.Liveness.alive t.liveness node then
+          match state_at t ~node key with
+          | Some st ->
+              prune now st;
+              Some (node, st)
+          | None -> Some (node, empty_state ())
         else None)
       nodes
   in
@@ -346,15 +470,9 @@ let quorum_read t ~key ~nodes =
             if state_equal st merged then None
             else begin
               let gained =
-                List.filter
-                  (fun e ->
-                    not (List.exists (fun e' -> e'.value = e.value) st.entries))
-                  merged.entries
+                List.filter (fun e -> not (holds_value st.entries e)) merged.entries
               in
-              let target = get_state t.tables.(node) key in
-              target.entries <- clone_entries merged.entries;
-              target.tombs <- merged.tombs;
-              target.version <- merged.version;
+              assign (get_state t.tables.(node) key) merged;
               Some (node, gained)
             end)
           states
@@ -371,17 +489,22 @@ let sync_key t ~key ~nodes =
 
 let sorted_keys t = Stdx.Det_tbl.sorted_keys ~compare:Key.compare t.directory
 
-let render_state t ~node key ~render =
-  ignore (live_entries t t.tables.(node) key : 'v entry list);
-  match state_at t ~node key with
-  | None -> ""
-  | Some st ->
-      let entry e = Printf.sprintf "%s@%h" (render e.value) e.expires_at in
-      String.concat ";" (List.map entry st.entries)
-      ^ "!"
-      ^ String.concat ";" (List.map render st.tombs)
-      ^ "!"
-      ^ Version.to_string st.version
+let same_state t ~a ~b key =
+  match (state_at t ~node:a key, state_at t ~node:b key) with
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+  | Some x, Some y ->
+      let now = t.clock () in
+      prune now x;
+      prune now y;
+      state_equal x y
+
+type 'v held_state = { held : 'v entry list; tombstones : 'v list; version : Version.t }
+
+let held_state t ~node key =
+  Option.map
+    (fun st -> { held = st.entries; tombstones = st.fence.tombs; version = st.version })
+    (state_at t ~node key)
 
 let held_entries t ~node key =
   match state_at t ~node key with Some st -> st.entries | None -> []
@@ -428,8 +551,8 @@ let repair ?(on_restore = fun ~node:_ _ -> ()) t =
                 if not target_newer then begin
                   let st = get_state t.tables.(node) key in
                   st.entries <- clone_entries src.entries;
-                  st.tombs <- src.tombs;
                   st.version <- Version.merge st.version src.version;
+                  st.fence <- src.fence;
                   List.iter
                     (fun e ->
                       incr restored;
@@ -442,14 +565,6 @@ let repair ?(on_restore = fun ~node:_ _ -> ()) t =
   !restored
 
 let key_count t = Hashtbl.length t.directory
-
-let entry_count t =
-  Hashtbl.fold
-    (fun key () acc ->
-      match live_node t key with
-      | Some node -> acc + List.length (live_entries t t.tables.(node) key)
-      | None -> acc)
-    t.directory 0
 
 let total_replica_entries t =
   Array.fold_left
@@ -478,16 +593,23 @@ let entries_per_node t =
         table 0)
     t.tables
 
-let rec sum_list f acc = function [] -> acc | e :: rest -> sum_list f (acc + f e) rest
+let rec count_and_sum f count sum = function
+  | [] -> (count, sum)
+  | e :: rest -> count_and_sum f (count + 1) (sum + f e) rest
 
-(* A sum does not depend on bucket order, so no key sorting is needed. *)
-let sum_entries t f =
-  Hashtbl.fold
-    (fun key () acc ->
+let entry_totals t f =
+  let count = ref 0 and sum = ref 0 in
+  (* lint: allow D2 — two integer sums: bucket order cannot change them *)
+  Hashtbl.iter
+    (fun key () ->
       match live_node_id t key with
-      | -1 -> acc
-      | node -> acc + sum_list f 0 (live_entries t t.tables.(node) key))
-    t.directory 0
+      | -1 -> ()
+      | node ->
+          let c, s = count_and_sum f 0 0 (live_entries t t.tables.(node) key) in
+          count := !count + c;
+          sum := !sum + s)
+    t.directory;
+  (!count, !sum)
 
 let fold t ~init ~f =
   Stdx.Det_tbl.fold_sorted ~compare:Key.compare

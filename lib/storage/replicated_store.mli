@@ -33,10 +33,21 @@ type 'v entry
     length is fixed by the writer ({!insert}, {!insert_unique}) when the
     entry is first written, and every copy — read repair, {!repair},
     anti-entropy sync — carries it along, so callers price traffic from
-    it instead of re-rendering the value. *)
+    it instead of re-rendering the value.
+
+    {b Store contract.}  Equal values render equally, so writers must
+    give equal values equal lengths — under structural equality and
+    under the [equal] passed to {!insert_unique} alike.  Every
+    membership test (reconciliation, read repair, {!insert_unique}'s
+    refresh scan) skips candidates whose length differs without
+    comparing values.  Values are compared structurally, and a value is
+    taken to equal itself. *)
 
 val entry_value : 'v entry -> 'v
 val entry_len : 'v entry -> int
+
+val entry_expires_at : 'v entry -> float
+(** The virtual time the entry expires at ([infinity] for hard state). *)
 
 val create :
   resolver:Dht.Resolver.t ->
@@ -138,7 +149,9 @@ val quorum_read :
     merged state (read repair) — the per-node list of entries each
     repaired replica gained, for traffic billing.  Dominance decides the
     merge; equal-version divergence and concurrent histories take the
-    entry union fenced by the merged tombstone set. *)
+    entry union fenced by the merged tombstone set.  Replicas that agree
+    (the same values in the same order, no tombstones) reconcile in one
+    pass over their entries. *)
 
 val sync_key : 'v t -> key:Hashing.Key.t -> nodes:int list -> (int * 'v entry list) list
 (** {!quorum_read} for its repair side effect only: converge the listed
@@ -157,7 +170,8 @@ val remove : 'v t -> key:Hashing.Key.t -> ('v -> bool) -> int
     tombstones left behind); returns the maximum number removed on any
     single live replica (the logical count), 0 when every replica is
     down.  When afterwards no replica — dead ones included — holds an
-    entry, the key and its tombstones are collected outright. *)
+    entry, the key and its tombstones are collected outright.  A key
+    that is not registered only has the write acknowledged. *)
 
 val remove_key : 'v t -> Hashing.Key.t -> int
 (** Remove the key everywhere; returns the logical entry count removed. *)
@@ -191,10 +205,6 @@ val key_count : 'v t -> int
 (** Distinct keys registered and not removed (counted once, not per
     replica). *)
 
-val entry_count : 'v t -> int
-(** Logical entries: unexpired entries on the acting primary of each key,
-    summed. *)
-
 val total_replica_entries : 'v t -> int
 (** Unexpired entries across all replicas — the storage cost of
     replication. *)
@@ -205,10 +215,10 @@ val keys_per_node : 'v t -> int array
 val entries_per_node : 'v t -> int array
 (** Unexpired entries physically held by each node. *)
 
-val sum_entries : 'v t -> ('v entry -> int) -> int
-(** [f] summed over the acting primary's unexpired entries of every key
-    (keys with no live holder count nothing) — {!fold} for totals, without
-    sorting the keys. *)
+val entry_totals : 'v t -> ('v entry -> int) -> int * int
+(** Logical entries — the acting primary's unexpired entries of every
+    key, keys with no live holder counting nothing — and [f] summed over
+    them, in one walk of the keys without sorting them. *)
 
 val fold :
   'v t -> init:'acc -> f:('acc -> Hashing.Key.t -> 'v list -> 'acc) -> 'acc
@@ -224,11 +234,21 @@ val fold :
 val sorted_keys : 'v t -> Hashing.Key.t list
 (** Every registered key, in {!Hashing.Key.compare} order. *)
 
-val render_state : 'v t -> node:int -> Hashing.Key.t -> render:('v -> string) -> string
-(** Canonical rendering of one replica's state for a key — entries (with
-    expiries), tombstones and version; [""] when the node holds no
-    state.  Two replicas render identically iff their states are
-    identical, which is what the anti-entropy digests hash. *)
+val same_state : 'v t -> a:int -> b:int -> Hashing.Key.t -> bool
+(** Do nodes [a] and [b] hold identical states for the key — the same
+    entries with the same expiries in the same order, the same
+    tombstones and the same version?  Expired entries are pruned on both
+    sides first.  A node holding no state matches only another such
+    node: an empty state left by a remove still differs from none.
+    This is the comparison anti-entropy digests stand for. *)
+
+type 'v held_state = { held : 'v entry list; tombstones : 'v list; version : Version.t }
+
+val held_state : 'v t -> node:int -> Hashing.Key.t -> 'v held_state option
+(** A node's raw state for the key — entries as held (expired ones
+    included until a probe prunes them), tombstones and version — or
+    [None] when it holds no state.  An oracle view for audits and
+    tests. *)
 
 val held_entries : 'v t -> node:int -> Hashing.Key.t -> 'v entry list
 (** The raw entries a node physically holds for the key (expiry and

@@ -214,6 +214,41 @@ let chord_always_converges_after_bootstrap =
       let ring = Chord.create_network ~seed:(Int64.of_int (n + 1)) ~node_count:n () in
       Chord.is_converged ring)
 
+(* The cached live count and minimal live key must track every join,
+   failure and rejoin: compare them with what the node table itself
+   says.  Ops pick a live (or failed) node by index modulo the count;
+   an empty ring must report no first live node. *)
+let chord_membership_caches_track_table =
+  QCheck.Test.make ~name:"cached live count and first live key match the table"
+    ~count:100
+    QCheck.(pair (int_range 1 1_000) (small_list (pair (int_bound 2) small_nat)))
+    (fun (seed, ops) ->
+      let ring = Chord.create ~seed:(Int64.of_int seed) () in
+      let failed = ref [] in
+      let consistent () =
+        let live = Chord.live_keys ring in
+        Chord.live_count ring = List.length live
+        &&
+        match live with
+        | [] -> (
+            match Chord.first_live ring with _ -> false | exception Not_found -> true)
+        | first :: _ -> Key.equal (Chord.first_live ring) first
+      in
+      List.for_all
+        (fun (op, pick) ->
+          (match (op, Chord.live_keys ring, !failed) with
+          | 1, (_ :: _ as live), _ ->
+              let key = List.nth live (pick mod List.length live) in
+              Chord.leave ring key;
+              failed := key :: !failed
+          | 2, _, (_ :: _ as dead) ->
+              let key = List.nth dead (pick mod List.length dead) in
+              Chord.join_with_key ring key;
+              failed := List.filter (fun k -> not (Key.equal k key)) dead
+          | _ -> ignore (Chord.join ring : Key.t));
+          consistent ())
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Pastry. *)
 
@@ -530,7 +565,8 @@ let suite =
           chord_stabilize_idempotent_on_converged;
         Alcotest.test_case "live keys in ring order" `Quick chord_live_keys_sorted;
       ]
-      @ qcheck [ chord_always_converges_after_bootstrap ] );
+      @ qcheck
+          [ chord_always_converges_after_bootstrap; chord_membership_caches_track_table ] );
     ( "dht:pastry",
       [
         Alcotest.test_case "key nibbles" `Quick key_nibbles;

@@ -1,8 +1,9 @@
 (* The quorum layer's contract: version vectors form a join-semilattice
    (so anti-entropy converges in any exchange order), tombstones keep a
-   remove from being resurrected by repair or anti-entropy, digests
-   agree exactly when the canonical bindings agree, quorum reads
-   reconcile and read-repair divergence, and at the runner level the
+   remove from being resurrected by repair or anti-entropy, the
+   anti-entropy state comparison agrees exactly when the canonical
+   renderings agree, quorum reads reconcile and read-repair divergence
+   exactly as the original quadratic reconcile did, and at the runner level the
    inactive quorum block degenerates byte-for-byte to the historical
    first-live-replica run while raising R monotonically masks stale
    reads under churn. *)
@@ -109,45 +110,275 @@ let version_compare_units () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Digests: equal bindings, equal digest — and nothing else.  Bindings
-   are canonical single-line renders, so the generator stays away from
-   the newline the digest joins on. *)
+(* Generated replica histories.  One key on a three-replica store with a
+   virtual clock: ops fail, revive and wipe replicas, write (plain
+   inserts, unique inserts that refresh, removes) with mixed TTLs,
+   advance the clock and run quorum reads on replica subsets.  Sleeping
+   replicas give dominated and concurrent versions, a wiped replica
+   rewritten by a refresh gives equal versions over diverged content,
+   plain inserts give duplicate values, and refreshes give differing
+   expiries.  Values of one length but different content exercise the
+   length-first membership tests. *)
 
-let binding_arb =
-  QCheck.(
-    small_list
-      (string_gen_of_size (Gen.int_range 1 8) (Gen.char_range 'a' 'z')))
+type op =
+  | Fail of int
+  | Revive of int
+  | Wipe of int
+  | Insert of string * float
+  | Insert_unique of string * float
+  | Remove of string
+  | Advance of float
+  | Read of int list
 
-let digest_equality_property =
-  QCheck.Test.make ~name:"digests agree exactly when the bindings agree"
-    ~count:400
-    QCheck.(pair binding_arb binding_arb)
-    (fun (a, b) ->
-      String.equal (Anti_entropy.digest a) (Anti_entropy.digest b) = (a = b))
+let show_op = function
+  | Fail i -> Printf.sprintf "fail %d" i
+  | Revive i -> Printf.sprintf "revive %d" i
+  | Wipe i -> Printf.sprintf "wipe %d" i
+  | Insert (v, ttl) -> Printf.sprintf "insert %s ttl %g" v ttl
+  | Insert_unique (v, ttl) -> Printf.sprintf "insert_unique %s ttl %g" v ttl
+  | Remove v -> Printf.sprintf "remove %s" v
+  | Advance dt -> Printf.sprintf "advance %g" dt
+  | Read l -> "read [" ^ String.concat ";" (List.map string_of_int l) ^ "]"
 
-let range_digest_tracks_state () =
-  let r = resolver 8 in
+let history_arb =
+  let open QCheck.Gen in
+  let replica = int_bound 2 in
+  let value = map (Array.get [| "a"; "bb"; "cc"; "ddd"; "e" |]) (int_bound 4) in
+  let ttl = map (Array.get [| 1.0; 5.0; 20.0; infinity |]) (int_bound 3) in
+  let op =
+    frequency
+      [
+        (2, map (fun i -> Fail i) replica);
+        (3, map (fun i -> Revive i) replica);
+        (1, map (fun i -> Wipe i) replica);
+        (4, map2 (fun v t -> Insert (v, t)) value ttl);
+        (4, map2 (fun v t -> Insert_unique (v, t)) value ttl);
+        (2, map (fun v -> Remove v) value);
+        (2, map (fun dt -> Advance (float_of_int dt)) (int_range 1 8));
+        (3, map (fun l -> Read (List.sort_uniq Int.compare l)) (list_size (int_range 1 3) replica));
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+    (list_size (int_range 1 40) op)
+
+let history_key = k "history"
+
+(* Replay [ops]; [on_read] judges every read (it performs the read) and
+   [after] the store after every op.  True when every judgement holds. *)
+let replay
+    ?(on_read =
+      fun store ~now:_ ~nodes ->
+        ignore (Replicated.quorum_read store ~key:history_key ~nodes);
+        true) ?(after = fun _ ~now:_ ~replicas:_ -> true) ops =
+  let now = ref 0.0 in
   let store : string Replicated.t =
-    Replicated.create ~resolver:r ~replication:3 ()
+    Replicated.create ~resolver:(resolver 6) ~replication:3 ~clock:(fun () -> !now) ()
   in
-  Replicated.insert store ~len:0 ~key:(k "shared") "x";
-  let nodes = Dht.Resolver.replicas r (k "shared") 3 in
-  let digest_at node =
-    Anti_entropy.range_digest store ~node ~keys:[ k "shared" ]
-      ~render:(fun s -> s)
+  let replicas = Array.of_list (Replicated.replica_nodes store history_key) in
+  let key = history_key in
+  List.for_all
+    (fun op ->
+      let ok =
+        match op with
+        | Fail i -> Replicated.fail_node store replicas.(i); true
+        | Revive i -> Replicated.revive_node store replicas.(i); true
+        | Wipe i -> Replicated.drop_state store replicas.(i); true
+        | Insert (v, ttl) ->
+            Replicated.insert ~expires_at:(!now +. ttl) store ~key ~len:(String.length v) v;
+            true
+        | Insert_unique (v, ttl) ->
+            ignore
+              (Replicated.insert_unique ~expires_at:(!now +. ttl) ~equal:String.equal store
+                 ~key ~len:(String.length v) v
+                : bool);
+            true
+        | Remove v -> ignore (Replicated.remove store ~key (String.equal v) : int); true
+        | Advance dt -> now := !now +. dt; true
+        | Read l -> on_read store ~now:!now ~nodes:(List.map (Array.get replicas) l)
+      in
+      ok && after store ~now:!now ~replicas:(Array.to_list replicas))
+    ops
+
+(* A replica state as the oracles see it: unexpired entries as
+   (value, length, expiry), tombstones, version; no state reads empty,
+   as the store's reconcile treats it. *)
+type ostate = {
+  o_entries : (string * int * float) list;
+  o_tombs : string list;
+  o_version : Version.t;
+}
+
+let observe store ~now ~node =
+  match Replicated.held_state store ~node history_key with
+  | None -> { o_entries = []; o_tombs = []; o_version = Version.zero }
+  | Some h ->
+      {
+        o_entries =
+          List.filter_map
+            (fun e ->
+              let expiry = Replicated.entry_expires_at e in
+              if expiry <= now then None
+              else Some (Replicated.entry_value e, Replicated.entry_len e, expiry))
+            h.Replicated.held;
+        o_tombs = h.Replicated.tombstones;
+        o_version = h.Replicated.version;
+      }
+
+(* The reconcile as it was first written, quadratic list scans and all:
+   dominance, else the union fenced by the merged tombstones. *)
+let oracle_merge a b =
+  let version = Version.merge a.o_version b.o_version in
+  let has entries v = List.exists (fun (v', _, _) -> v' = v) entries in
+  match Version.compare a.o_version b.o_version with
+  | Version.Dominates -> { a with o_version = version }
+  | Version.Dominated -> { b with o_version = version }
+  | Version.Eq | Version.Concurrent ->
+      let tombs =
+        a.o_tombs
+        @ List.filter (fun v -> not (List.exists (fun tv -> tv = v) a.o_tombs)) b.o_tombs
+      in
+      let entries =
+        a.o_entries @ List.filter (fun (v, _, _) -> not (has a.o_entries v)) b.o_entries
+      in
+      {
+        o_entries = List.filter (fun (v, _, _) -> not (List.mem v tombs)) entries;
+        o_tombs = tombs;
+        o_version = version;
+      }
+
+let oracle_equal a b =
+  Version.equal a.o_version b.o_version
+  && List.equal (fun (v, _, x) (v', _, x') -> v = v' && x = x') a.o_entries b.o_entries
+  && a.o_tombs = b.o_tombs
+
+let quorum_read_matches_oracle =
+  QCheck.Test.make ~name:"quorum reads match the quadratic reconcile" ~count:500
+    history_arb
+    (replay ~on_read:(fun store ~now ~nodes ->
+         let before =
+           List.filter_map
+             (fun node ->
+               if Replicated.alive store node then Some (node, observe store ~now ~node)
+               else None)
+             nodes
+         in
+         let values, version, repairs = Replicated.quorum_read store ~key:history_key ~nodes in
+         let repairs =
+           List.map
+             (fun (node, gained) ->
+               ( node,
+                 List.map (fun e -> (Replicated.entry_value e, Replicated.entry_len e)) gained ))
+             repairs
+         in
+         match before with
+         | [] -> values = [] && Version.equal version Version.zero && repairs = []
+         | (_, first) :: rest ->
+             let merged = List.fold_left (fun acc (_, st) -> oracle_merge acc st) first rest in
+             let expected_repairs =
+               List.filter_map
+                 (fun (node, st) ->
+                   if oracle_equal st merged then None
+                   else
+                     Some
+                       ( node,
+                         List.filter_map
+                           (fun (v, len, _) ->
+                             if List.exists (fun (v', _, _) -> v' = v) st.o_entries then None
+                             else Some (v, len))
+                           merged.o_entries ))
+                 before
+             in
+             values = List.map (fun (v, _, _) -> v) merged.o_entries
+             && Version.equal version merged.o_version
+             && repairs = expected_repairs
+             && List.for_all
+                  (fun (node, st) ->
+                    let after = observe store ~now ~node in
+                    if List.mem_assoc node expected_repairs then oracle_equal after merged
+                    else oracle_equal after st)
+                  before))
+
+(* The canonical rendering anti-entropy once hashed: entries with their
+   expiries, tombstones and version; [""] for no state. *)
+let render_state store ~now ~node =
+  match Replicated.held_state store ~node history_key with
+  | None -> ""
+  | Some h ->
+      let live =
+        List.filter (fun e -> not (Replicated.entry_expires_at e <= now)) h.Replicated.held
+      in
+      String.concat ";"
+        (List.map
+           (fun e ->
+             Printf.sprintf "%s@%h" (Replicated.entry_value e) (Replicated.entry_expires_at e))
+           live)
+      ^ "!"
+      ^ String.concat ";" h.Replicated.tombstones
+      ^ "!"
+      ^ Version.to_string h.Replicated.version
+
+let same_state_matches_rendering =
+  QCheck.Test.make ~name:"same_state holds exactly when the renderings agree" ~count:500
+    history_arb
+    (replay ~after:(fun store ~now ~replicas ->
+         List.for_all
+           (fun a ->
+             List.for_all
+               (fun b ->
+                 let rendered_equal =
+                   String.equal (render_state store ~now ~node:a) (render_state store ~now ~node:b)
+                 in
+                 Replicated.same_state store ~a ~b history_key = rendered_equal)
+               replicas)
+           replicas))
+
+(* The expiry floor only lets probes skip the walk: what a live replica
+   serves must equal the naive filter over what it holds. *)
+let live_entries_match_naive_filter =
+  QCheck.Test.make ~name:"expiry floor serves what a naive filter keeps" ~count:500
+    history_arb
+    (replay ~after:(fun store ~now ~replicas ->
+         List.for_all
+           (fun node ->
+             (not (Replicated.alive store node))
+             ||
+             let view e = (Replicated.entry_value e, Replicated.entry_expires_at e) in
+             let naive =
+               List.filter_map
+                 (fun e -> if Replicated.entry_expires_at e <= now then None else Some (view e))
+                 (Replicated.held_entries store ~node history_key)
+             in
+             List.map view (Replicated.entries_at store ~node history_key) = naive)
+           replicas))
+
+let same_state_tracks_state () =
+  let r = resolver 8 in
+  let store : string Replicated.t = Replicated.create ~resolver:r ~replication:3 () in
+  let replicas key =
+    match Dht.Resolver.replicas r (k key) 3 with
+    | [ a; b; c ] -> (a, b, c)
+    | _ -> Alcotest.fail "expected three replicas"
   in
-  (match nodes with
-  | a :: b :: _ ->
-      Alcotest.(check string) "replicas of one write digest equally"
-        (Hashing.Sha1.to_hex (digest_at a))
-        (Hashing.Sha1.to_hex (digest_at b));
-      (* One replica sleeps through a write: digests diverge. *)
-      Replicated.fail_node store b;
-      Replicated.insert store ~len:0 ~key:(k "shared") "y";
-      Replicated.revive_node store b;
-      Alcotest.(check bool) "a lagging replica digests differently" false
-        (String.equal (digest_at a) (digest_at b))
-  | _ -> Alcotest.fail "expected three replicas")
+  let same a b key = Replicated.same_state store ~a ~b (k key) in
+  Replicated.insert store ~len:1 ~key:(k "shared") "x";
+  let a, b, _ = replicas "shared" in
+  Alcotest.(check bool) "replicas of one write match" true (same a b "shared");
+  (* One replica sleeps through a write: the states diverge. *)
+  Replicated.fail_node store b;
+  Replicated.insert store ~len:1 ~key:(k "shared") "y";
+  Replicated.revive_node store b;
+  Alcotest.(check bool) "a lagging replica differs" false (same a b "shared");
+  Alcotest.(check bool) "nodes holding nothing match" true (same a b "absent");
+  (* A remove [c] sleeps through leaves empty, tombstoned states on [a]
+     and [b]; wiping [b] leaves it no state at all. *)
+  Replicated.insert store ~len:1 ~key:(k "removed") "z";
+  let a, b, c = replicas "removed" in
+  Replicated.fail_node store c;
+  ignore (Replicated.remove store ~key:(k "removed") (fun _ -> true) : int);
+  Alcotest.(check bool) "empty states left by one remove match" true (same a b "removed");
+  Replicated.drop_state store b;
+  Alcotest.(check bool) "an empty state differs from no state" false (same a b "removed")
 
 (* ------------------------------------------------------------------ *)
 (* Tombstones: the stale-entry resurrection regression.  A replica that
@@ -293,11 +524,10 @@ let anti_entropy_converges () =
   Replicated.fail_node store sleeper;
   Replicated.insert store ~len:0 ~key "new";
   Replicated.revive_node store sleeper;
-  let render s = s
-  and entry_bytes e = 100 + String.length (Replicated.entry_value e) in
+  let entry_bytes e = 100 + String.length (Replicated.entry_value e) in
   let exchanges = ref 0 and shipped_to = ref [] in
   let stats =
-    Anti_entropy.run store ~render ~entry_bytes
+    Anti_entropy.run store ~entry_bytes
       ~on_exchange:(fun ~peer:_ ~bytes:_ -> incr exchanges)
       ~on_ship:(fun ~node ~bytes:_ -> shipped_to := node :: !shipped_to)
       ()
@@ -315,7 +545,7 @@ let anti_entropy_converges () =
     (held_values store ~node:sleeper key);
   (* Convergence is a fixed point: a second pass matches everywhere and
      ships nothing. *)
-  let again = Anti_entropy.run store ~render ~entry_bytes () in
+  let again = Anti_entropy.run store ~entry_bytes () in
   Alcotest.(check int) "second pass: every digest matches" again.exchanges
     again.digest_matches;
   Alcotest.(check int) "second pass ships nothing" 0 again.entries_shipped;
@@ -596,9 +826,9 @@ let suite =
              version_render_faithful;
            ] );
     ( "quorum:digest",
-      Alcotest.test_case "range digests track replica state" `Quick
-        range_digest_tracks_state
-      :: qcheck [ digest_equality_property ] );
+      Alcotest.test_case "same_state tracks replica state" `Quick
+        same_state_tracks_state
+      :: qcheck [ same_state_matches_rendering ] );
     ( "quorum:store",
       [
         Alcotest.test_case "tombstones block stale-entry resurrection" `Quick
@@ -608,7 +838,8 @@ let suite =
         Alcotest.test_case "write acknowledgements counted against W" `Quick
           write_acknowledgement_counting;
         Alcotest.test_case "quorum bounds validated" `Quick store_quorum_validation;
-      ] );
+      ]
+      @ qcheck [ quorum_read_matches_oracle; live_entries_match_naive_filter ] );
     ( "quorum:anti-entropy",
       [
         Alcotest.test_case "diverged replicas converge below full-state cost"
