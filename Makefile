@@ -27,26 +27,19 @@ lint-typed:
 test:
 	dune runtest
 
-# Reduced-scale structured bench report: a grid-backed table, a
-# workload-only figure, the concurrent engine's coalescing sweep, the
-# routed prefix/multicast trade-off curve, the quorum consistency
-# sweep, and the sharded-engine scale sweep — one harness layer each —
-# plus every micro-bench's allocation profile, written as
-# BENCH_smoke.json (strict mode: byte-reproducible, no wall-clock
-# fields).
+# Reduced-scale structured bench report: every experiment (each paper
+# figure, the ablations and the sweeps) plus every micro-bench's
+# allocation profile, written as BENCH_smoke.json (strict mode:
+# byte-reproducible, no wall-clock fields).
 bench-json:
-	dune exec bench/main.exe -- --quick \
-	  --experiment table1,fig7,concurrency-sweep,prefix-sweep,quorum-sweep,scale-sweep \
-	  --json-out BENCH_smoke.json
+	dune exec bench/main.exe -- --quick --json-out BENCH_smoke.json
 
 # Refresh the committed regression-gate baseline.  Run this (and commit
 # the result) after an intentional perf change or a compiler bump —
 # allocation counts are exact per compiler version, not portable
 # across them.
 bench-baseline:
-	dune exec bench/main.exe -- --quick \
-	  --experiment table1,fig7,concurrency-sweep,prefix-sweep,quorum-sweep,scale-sweep \
-	  --json-out bench/baseline/BENCH_baseline.json
+	dune exec bench/main.exe -- --quick --json-out bench/baseline/BENCH_baseline.json
 
 # Reduced-scale reproduction smoke + regression gate: emit the report,
 # then compare against the committed baseline.  Non-zero exit iff a

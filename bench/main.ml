@@ -372,15 +372,17 @@ let default_options =
     list = false;
   }
 
+let all_ids = List.map (fun (e : Sim.Experiments.t) -> e.id) Sim.Experiments.all
+
 let parse_experiments value =
   let ids = String.split_on_char ',' value in
   let ids = List.filter (fun id -> not (String.equal id "")) ids in
   if ids = [] then die "--experiment: empty id list";
   List.iter
     (fun id ->
-      if not (List.mem id Sim.Experiments.all_experiment_ids) then begin
+      if Option.is_none (Sim.Experiments.find id) then begin
         Printf.eprintf "main.exe: unknown experiment %S; known ids:\n" id;
-        List.iter (Printf.eprintf "  %s\n") Sim.Experiments.all_experiment_ids;
+        List.iter (Printf.eprintf "  %s\n") all_ids;
         exit 2
       end)
     ids;
@@ -426,11 +428,12 @@ let run_experiments grid ~timed ids =
       let before = Gc.quick_stat () in
       let minor_before = Gc.minor_words () in
       let t0 = if timed then Some (Monotonic_clock.now ()) else None in
-      let metrics =
-        match Sim.Experiments.run_experiment grid ~print:true id with
-        | Some ms -> ms
+      let result =
+        match Sim.Experiments.find id with
+        | Some e -> e.run grid
         | None -> die "unknown experiment %S" id
       in
+      Sim.Experiments.print result;
       let wall_ns = Option.map (fun t0 -> Int64.sub (Monotonic_clock.now ()) t0) t0 in
       let minor_after = Gc.minor_words () in
       let after = Gc.quick_stat () in
@@ -442,13 +445,13 @@ let run_experiments grid ~timed ids =
             (Obs.Bench_report.gc_delta ~before ~after) with
             Obs.Bench_report.minor_words = minor_after -. minor_before;
           };
-        exp_metrics = metrics;
+        exp_metrics = result.metrics;
       })
     ids
 
 let () =
   let opts = parse_args Sys.argv in
-  if opts.list then List.iter print_endline Sim.Experiments.all_experiment_ids
+  if opts.list then List.iter print_endline all_ids
   else begin
     let scale =
       if opts.quick then Sim.Experiments.quick_scale else Sim.Experiments.paper_scale
@@ -458,7 +461,7 @@ let () =
       else
         match opts.experiments with
         | Some ids -> ids
-        | None -> Sim.Experiments.all_experiment_ids
+        | None -> all_ids
     in
     let experiments =
       if ids = [] then []

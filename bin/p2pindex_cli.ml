@@ -104,46 +104,17 @@ let simulate_cmd =
       hedge prefix_len multicast read_quorum write_quorum anti_entropy concurrency
       coalesce shards domains trace metrics_out trace_out profile_phases verbose =
     apply_verbosity verbose;
-    (* Scale flags are validated before anything is built: at large scale
-       a bad combination used to fail minutes into setup with an obscure
-       exception from deep inside replica resolution. *)
-    if nodes < 1 then begin
-      Printf.eprintf "simulate: --nodes must be >= 1 (got %d)\n" nodes;
-      exit 2
-    end;
-    if articles < 1 then begin
-      Printf.eprintf "simulate: --articles must be >= 1 (got %d)\n" articles;
-      exit 2
-    end;
-    if queries < 1 then begin
-      Printf.eprintf "simulate: --queries must be >= 1 (got %d)\n" queries;
-      exit 2
-    end;
-    (* Prefix flags are checked before anything is built, in the same
-       up-front style as the engine flags below. *)
-    if (prefix_len <> None || multicast) && scheme <> Bib.Schemes.Prefix then begin
-      prerr_endline
-        "simulate: --prefix-len and --multicast require --scheme prefix";
-      exit 2
-    end;
-    (match prefix_len with
-    | Some l when l < 1 || l > Prefix.Prefix_key.max_bytes ->
-        Printf.eprintf "simulate: --prefix-len must be in [1, %d] (got %d)\n"
-          Prefix.Prefix_key.max_bytes l;
-        exit 2
-    | Some _ | None -> ());
-    (* Engine flags are checked before anything is built, so a bad
-       combination fails fast with a clear message. *)
-    if concurrency < 1 then begin
-      Printf.eprintf "simulate: --concurrency must be >= 1 (got %d)\n" concurrency;
-      exit 2
-    end;
-    if coalesce && concurrency = 1 then begin
-      prerr_endline
-        "simulate: --coalesce requires --concurrency > 1 (coalescing needs \
-         overlapping sessions to merge)";
-      exit 2
-    end;
+    let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("simulate: " ^ m); exit 2) fmt in
+    (* Flag combinations are checked here; every setting of the resulting
+       configuration is checked by Runner.validate below, before anything
+       is built. *)
+    if (prefix_len <> None || multicast) && scheme <> Bib.Schemes.Prefix then
+      fail "--prefix-len and --multicast require --scheme prefix";
+    if concurrency < 1 then fail "--concurrency must be >= 1 (got %d)" concurrency;
+    if coalesce && concurrency = 1 then
+      fail
+        "--coalesce requires --concurrency > 1 (coalescing needs overlapping \
+         sessions to merge)";
     let churn =
       match churn_rate with
       | Some rate ->
@@ -157,10 +128,8 @@ let simulate_cmd =
               replication = Option.value replication ~default:c.replication;
             }
       | None ->
-          if ttl <> None || republish <> None then begin
-            prerr_endline "simulate: --ttl and --republish require --churn-rate";
-            exit 2
-          end;
+          if ttl <> None || republish <> None then
+            fail "--ttl and --republish require --churn-rate";
           None
     in
     let fault_requested =
@@ -182,128 +151,19 @@ let simulate_cmd =
             fault_replication = Option.value replication ~default:f.fault_replication;
           }
     in
-    if replication <> None && churn = None && faults = None then begin
-      prerr_endline
-        "simulate: --replication requires --churn-rate or a fault flag";
-      exit 2
-    end;
-    (match faults with
-    | Some f ->
-        let bad fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 2) fmt in
-        let check_rate name r =
-          if not (r >= 0.0 && r <= 1.0) then
-            bad "simulate: %s must be in [0, 1] (got %g)" name r
-        in
-        check_rate "--loss-rate" f.Sim.Runner.loss_rate;
-        check_rate "--duplicate-rate" f.duplicate_rate;
-        if not (f.latency_mean >= 0.0) then
-          bad "simulate: --latency must be >= 0 (got %g)" f.latency_mean;
-        if not (f.rpc_timeout > 0.0) then
-          bad "simulate: --rpc-timeout must be > 0 (got %g)" f.rpc_timeout;
-        if f.rpc_retries < 0 then
-          bad "simulate: --rpc-retries must be >= 0 (got %d)" f.rpc_retries
-    | None -> ());
-    (* Quorum flags are validated against the replication factor the
-       churn/fault blocks configure, before anything is built. *)
-    let quorum_requested =
-      read_quorum <> None || write_quorum <> None || anti_entropy <> None
-    in
-    let quorum =
-      if not quorum_requested then None
-      else begin
-        let repl =
-          let cr =
-            match churn with Some c -> c.Sim.Runner.replication | None -> 1
-          in
-          let fr =
-            match faults with
-            | Some f -> f.Sim.Runner.fault_replication
-            | None -> 1
-          in
-          Stdlib.max cr fr
-        in
-        let check_quorum name = function
-          | Some q when q < 1 || q > repl ->
-              Printf.eprintf
-                "simulate: %s must be in [1, replication] (got %d, replication \
-                 %d)\n"
-                name q repl;
-              exit 2
-          | Some _ | None -> ()
-        in
-        check_quorum "--read-quorum" read_quorum;
-        check_quorum "--write-quorum" write_quorum;
-        (match anti_entropy with
-        | Some i when not (i >= 0.0) ->
-            Printf.eprintf
-              "simulate: --anti-entropy-interval must be >= 0 (got %g)\n" i;
-            exit 2
-        | Some i when i > 0.0 && churn = None ->
-            prerr_endline
-              "simulate: --anti-entropy-interval requires --churn-rate (the \
-               churn driver schedules the passes)";
-            exit 2
-        | Some _ | None -> ());
-        Some
-          {
-            Sim.Runner.read_quorum = Option.value read_quorum ~default:1;
-            write_quorum = Option.value write_quorum ~default:repl;
-            anti_entropy_interval = Option.value anti_entropy ~default:0.0;
-          }
-      end
-    in
+    if replication <> None && churn = None && faults = None then
+      fail "--replication requires --churn-rate or a fault flag";
     (* Sharding flags.  --shards is the logical partition (it changes the
        modelled network: S isolated slices); --domains is pure scheduling
-       and can never change a byte of the output.  Feasibility is checked
-       here so a million-node run fails in milliseconds, not minutes. *)
-    if shards < 1 then begin
-      Printf.eprintf "simulate: --shards must be >= 1 (got %d)\n" shards;
-      exit 2
-    end;
-    if domains < 1 then begin
-      Printf.eprintf "simulate: --domains must be >= 1 (got %d)\n" domains;
-      exit 2
-    end;
-    let repl =
-      Stdlib.max
-        (match churn with Some c -> c.Sim.Runner.replication | None -> 1)
-        (match faults with Some f -> f.Sim.Runner.fault_replication | None -> 1)
-    in
-    if repl > nodes then begin
-      Printf.eprintf
-        "simulate: replication %d exceeds --nodes %d (every replica needs a \
-         distinct node)\n"
-        repl nodes;
-      exit 2
-    end;
-    if shards > 1 then begin
-      if shards > nodes || shards > articles || shards > queries then begin
-        Printf.eprintf
-          "simulate: --shards %d needs at least that many nodes, articles and \
-           queries (got %d/%d/%d)\n"
-          shards nodes articles queries;
-        exit 2
-      end;
-      if repl > nodes / shards then begin
-        Printf.eprintf
-          "simulate: replication %d does not fit the smallest of %d shards \
-           (%d nodes per shard)\n"
-          repl shards (nodes / shards);
-        exit 2
-      end;
-      if trace <> None || trace_out <> None then begin
-        prerr_endline
-          "simulate: --trace and --trace-out are per-run facilities; not \
-           available with --shards > 1";
-        exit 2
-      end
-    end;
-    if profile_phases && Stdlib.min domains shards > 1 then begin
-      prerr_endline
-        "simulate: --profile-phases needs a single worker domain (GC counters \
-         are per-domain); use --domains 1";
-      exit 2
-    end;
+       and can never change a byte of the output. *)
+    if shards < 1 then fail "--shards must be >= 1 (got %d)" shards;
+    if domains < 1 then fail "--domains must be >= 1 (got %d)" domains;
+    if shards > 1 && (trace <> None || trace_out <> None) then
+      fail "--trace and --trace-out are per-run facilities; not available with --shards > 1";
+    if profile_phases && Stdlib.min domains shards > 1 then
+      fail
+        "--profile-phases needs a single worker domain (GC counters are \
+         per-domain); use --domains 1";
     (* Prefix runs carve a browsing share out of the author-only class so
        the routed scheme actually sees Author_prefix queries; every other
        scheme keeps the untouched BibFinder mix. *)
@@ -332,9 +192,33 @@ let simulate_cmd =
         churn;
         faults;
         prefix;
-        quorum;
       }
     in
+    let config =
+      if read_quorum = None && write_quorum = None && anti_entropy = None then config
+      else
+        let quorum =
+          {
+            Sim.Runner.read_quorum = Option.value read_quorum ~default:1;
+            write_quorum =
+              Option.value write_quorum ~default:(Sim.Runner.effective_replication config);
+            anti_entropy_interval = Option.value anti_entropy ~default:0.0;
+          }
+        in
+        { config with quorum = Some quorum }
+    in
+    (match Sim.Runner.validate config with Ok () -> () | Error msg -> fail "%s" msg);
+    (* Shard feasibility is checked here so a million-node run fails in
+       milliseconds, not minutes. *)
+    if shards > 1 then begin
+      if shards > nodes || shards > articles || shards > queries then
+        fail "--shards %d needs at least that many nodes, articles and queries (got %d/%d/%d)"
+          shards nodes articles queries;
+      let repl = Sim.Runner.effective_replication config in
+      if repl > nodes / shards then
+        fail "replication %d does not fit the smallest of %d shards (%d nodes per shard)" repl
+          shards (nodes / shards)
+    end;
     let events =
       Option.map
         (fun path ->
@@ -686,17 +570,17 @@ let experiment_cmd =
   let run id quick =
     let scale = if quick then Sim.Experiments.quick_scale else Sim.Experiments.paper_scale in
     let grid = Sim.Experiments.Grid.create scale in
+    let run (e : Sim.Experiments.t) = Sim.Experiments.print (e.run grid) in
     match id with
-    | None ->
-        List.iter
-          (fun id -> ignore (Sim.Experiments.print_experiment grid id))
-          Sim.Experiments.all_experiment_ids
-    | Some id ->
-        if not (Sim.Experiments.print_experiment grid id) then begin
-          Printf.eprintf "unknown experiment %S; known ids: %s\n" id
-            (String.concat ", " Sim.Experiments.all_experiment_ids);
-          exit 1
-        end
+    | None -> List.iter run Sim.Experiments.all
+    | Some id -> (
+        match Sim.Experiments.find id with
+        | Some e -> run e
+        | None ->
+            Printf.eprintf "unknown experiment %S; known ids: %s\n" id
+              (String.concat ", "
+                 (List.map (fun (e : Sim.Experiments.t) -> e.id) Sim.Experiments.all));
+            exit 1)
   in
   let id =
     Arg.(value & pos 0 (some string) None

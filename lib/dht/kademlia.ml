@@ -1,21 +1,9 @@
 module Key = Hashing.Key
 
-let xor_distance a b =
-  let ha = Key.to_hex a and hb = Key.to_hex b in
-  let hex_value c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | _ -> invalid_arg "Kademlia.xor_distance: bad hex"
-  in
-  let digits = "0123456789abcdef" in
-  Key.of_hex
-    (String.init (String.length ha) (fun i -> digits.[hex_value ha.[i] lxor hex_value hb.[i]]))
-
 (* Bucket index: position of the highest differing bit (0..159), i.e. the
    distance scale.  None when the keys are equal. *)
 let bucket_index a b =
-  let d = xor_distance a b in
+  let d = Key.xor a b in
   let rec scan nibble =
     if nibble >= 40 then None
     else
@@ -68,7 +56,7 @@ let responsible_oracle t key =
   | first :: rest ->
       List.fold_left
         (fun best candidate ->
-          if Key.compare (xor_distance key candidate) (xor_distance key best) < 0 then
+          if Key.compare_xor ~target:key candidate best < 0 then
             candidate
           else best)
         first rest
@@ -96,7 +84,7 @@ let known_contacts n = Array.to_list n.buckets |> List.concat
 let closest_contacts t n ~target ~count =
   known_contacts n
   |> List.filter (is_alive t)
-  |> List.sort (fun a b -> Key.compare (xor_distance target a) (xor_distance target b))
+  |> List.sort (Key.compare_xor ~target)
   |> List.filteri (fun i _ -> i < count)
 
 exception Lookup_failure of string
@@ -106,9 +94,8 @@ exception Lookup_failure of string
    closest known are all queried.  Every query teaches both sides. *)
 let iterative_lookup t ~from target =
   let querier = node_of t from in
-  let distance c = xor_distance target c in
-  let closer a b = Key.compare (distance a) (distance b) < 0 in
-  let sort_by_distance l = List.sort (fun a b -> Key.compare (distance a) (distance b)) l in
+  let closer a b = Key.compare_xor ~target a b < 0 in
+  let sort_by_distance l = List.sort (Key.compare_xor ~target) l in
   let candidates = ref (sort_by_distance (from :: closest_contacts t querier ~target ~count:t.k)) in
   let queried = Hashtbl.create 32 in
   let contacted = ref 0 in
@@ -236,7 +223,7 @@ let resolver t =
   in
   let xor_closest key r =
     Array.to_list keys
-    |> List.sort (fun a b -> Key.compare (xor_distance key a) (xor_distance key b))
+    |> List.sort (Key.compare_xor ~target:key)
     |> List.filteri (fun i _ -> i < r)
     |> List.map index_of
   in

@@ -35,9 +35,6 @@ val leave : t -> Hashing.Key.t -> unit
 val live_count : t -> int
 val live_keys : t -> Hashing.Key.t list
 
-val xor_distance : Hashing.Key.t -> Hashing.Key.t -> Hashing.Key.t
-(** The metric itself (exposed for tests): bitwise XOR of the keys. *)
-
 val lookup : t -> ?from:Hashing.Key.t -> Hashing.Key.t -> Hashing.Key.t * int
 (** Iterative lookup from [from] (default: first live node): returns the
     XOR-closest node found and the number of nodes contacted (the message

@@ -38,6 +38,21 @@ let short_hex k = String.sub (to_hex k) 0 8
 
 let pp ppf k = Format.pp_print_string ppf (short_hex k)
 
+let xor a b =
+  String.init byte_count (fun i -> Char.chr (Char.code a.[i] lxor Char.code b.[i]))
+
+let compare_xor ~target a b =
+  (* The first byte where the distances differ decides; nothing is built. *)
+  let rec go i =
+    if i = byte_count then 0
+    else
+      let t = Char.code target.[i] in
+      let da = t lxor Char.code a.[i] in
+      let db = t lxor Char.code b.[i] in
+      if da = db then go (i + 1) else Int.compare da db
+  in
+  go 0
+
 let nibble t i =
   if i < 0 || i >= 2 * byte_count then invalid_arg "Key.nibble: index out of range";
   let byte = Char.code t.[i / 2] in

@@ -37,6 +37,14 @@ val nibble : t -> int -> int
     first, [i] in [\[0, 40)] — the digit view prefix-routing DHTs (Pastry)
     work with.  @raise Invalid_argument when [i] is out of range. *)
 
+val xor : t -> t -> t
+(** Bitwise XOR of two keys — the Kademlia distance. *)
+
+val compare_xor : target:t -> t -> t -> int
+(** [compare_xor ~target a b] orders [a] and [b] by XOR distance to
+    [target]: it has the sign of [compare (xor target a) (xor target b)],
+    without building either distance. *)
+
 val pp : Format.formatter -> t -> unit
 
 val succ : t -> t

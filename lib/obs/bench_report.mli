@@ -6,7 +6,7 @@
     accounting (and optionally Bechamel wall-clock estimates), and per
     reproduction experiment a [Gc.quick_stat] delta plus the experiment's
     headline cost metrics (interactions per query, billed bytes, hit
-    ratios — see {!Sim.Experiments.run_experiment}).
+    ratios — see {!Sim.Experiments.result}).
 
     {b Determinism.}  Serialization is canonical: fields in a fixed
     order, floats printed with {!Json.to_string}'s shortest round-trip
@@ -59,7 +59,7 @@ type micro = {
 }
 
 type experiment = {
-  exp_id : string;  (** An id from {!Sim.Experiments.all_experiment_ids}. *)
+  exp_id : string;  (** An id from {!Sim.Experiments.all}. *)
   wall_ns : int64 option;  (** [None] in strict mode. *)
   gc : gc_delta;
   exp_metrics : metric list;

@@ -1,11 +1,12 @@
-(** One entry per table and figure of the paper's evaluation (Section V).
+(** One entry per table and figure of the paper's evaluation (Section V),
+    plus the ablations and sweeps that check its Section IV claims.
 
-    Each [figN_*] function computes the data behind the corresponding paper
-    artifact and returns it in a typed form; the matching [print_*] renders
-    it as text (tables and ASCII bars) alongside the paper's reference
-    values so the two can be eyeballed together.  Simulation results are
-    memoized per (scheme, policy) inside a {!Grid}, because several figures
-    share the same runs. *)
+    An experiment is one value: its id and a [run] that computes the
+    numbers once and lays out, in the same pass, the blocks it prints
+    (tables alongside the paper's reference values, so the two can be
+    eyeballed together) and the headline metrics it reports to the bench
+    harness.  Simulation results are memoized per (scheme, policy) inside
+    a {!Grid}, because several figures share the same runs. *)
 
 type scale = {
   node_count : int;
@@ -32,375 +33,34 @@ module Grid : sig
   val scale : t -> scale
 end
 
-(** {1 Workload model (Figs. 7, 9, 10)} *)
+type block =
+  | Heading of string  (** Printed as ["\n=== <title> ===\n"]. *)
+  | Table of { headers : string list; rows : string list list }
+      (** Printed by {!Stdx.Tabular.print_table}. *)
+  | Text of string  (** Printed as is, then a newline. *)
 
-type mix_row = { structure : string; model : float; observed : float }
-
-val fig7_query_mix : scale -> mix_row list
-(** Observed query-structure frequencies over [query_count] generated
-    queries vs the BibFinder model. *)
-
-type popularity_series = {
-  ranks : int list;
-  article_probability : (int * float) list;  (** model pmf at rank *)
-  observed_frequency : (int * float) list;  (** measured over the workload *)
-  fitted_slope : float;  (** log-log slope of the observed article series *)
-  author_frequency : (int * float) list;
-      (** observed author-query share by author popularity rank — the
-          BibFinder/NetBib author series of Fig. 9 *)
-  author_slope : float;
+type result = {
+  blocks : block list;  (** What the experiment prints, in order. *)
+  metrics : Obs.Bench_report.metric list;
+      (** Its headline numbers, flattened under ["exp/<id>/"] by
+          {!Obs.Bench_report.flatten}.  Costs (interactions, bytes,
+          errors) compare lower-better, success ratios (hit ratio,
+          availability) higher-better, distribution shapes (slopes, gini)
+          are informational. *)
 }
 
-val fig9_popularity : scale -> popularity_series
+type t = { id : string; run : Grid.t -> result }
 
-type ccdf_row = { rank : int; formula : float; model : float }
+val all : t list
+(** Every experiment, in printing order: [fig7], [fig9], [fig10],
+    [storage], [keys], [fig11]-[fig15], [table1], the [ablation-*]
+    experiments, then the [*-sweep]s.  Grid-backed experiments share
+    simulation runs through the memoized {!Grid}; the others ignore it
+    and use only its scale.  Every run is deterministic: the same scale
+    produces the identical result. *)
 
-val fig10_ccdf : scale -> ccdf_row list
-(** The complementary CDF at sample ranks: the paper's closed form
-    [1 − 0.063·i^0.3] against the sampler's actual CCDF. *)
+val find : string -> t option
+(** The experiment with that id, if any. *)
 
-(** {1 Storage (Section V-B and V-f)} *)
-
-type storage_row = {
-  scheme : string;
-  index_bytes : int;
-  overhead_vs_simple : float;  (** fractional increase; 0 for simple *)
-  article_bytes : int;
-  index_to_data_ratio : float;
-  dblp_scaled_bytes : float;
-      (** Index bytes linearly scaled to the full 115,879-article DBLP
-          archive, comparable to the paper's 152 MB figure. *)
-}
-
-val storage_overhead : Grid.t -> storage_row list
-
-type keys_row = { scheme : string; keys_per_node_mean : float; paper_value : float }
-
-val keys_per_node : Grid.t -> keys_row list
-
-(** {1 Simulation figures (11-15) and Table I} *)
-
-type cell = { scheme : string; policy : string; value : float }
-
-val fig11_interactions : Grid.t -> cell list
-(** Mean interactions per query: schemes x {no-cache, single, LRU10/20/30}. *)
-
-type traffic_cell = {
-  scheme : string;
-  policy : string;
-  normal_bytes : float;
-  cache_bytes : float;
-}
-
-val fig12_traffic : Grid.t -> traffic_cell list
-(** Bytes per query, split normal/cache: schemes x all six policies. *)
-
-val fig13_hit_ratio : Grid.t -> cell list
-(** Cache hit ratio: schemes x caching policies (no-cache excluded). *)
-
-val fig13_first_node_share : Grid.t -> cell list
-(** Share of hits occurring at the first node (the paper's 86% / 99.9% /
-    84% observation), multi-cache policy. *)
-
-val fig14_cache_storage : Grid.t -> cell list
-(** Mean cached keys per node: schemes x caching policies. *)
-
-type cache_extremes = {
-  policy : string;
-  scheme : string;
-  max_cached : int;
-  full_share : float;
-  empty_share : float;
-}
-
-val fig14_extremes : Grid.t -> cache_extremes list
-
-type hotspot_series = {
-  policy : string;
-  share_by_rank : (int * float) list;
-  gini : float;  (** Load imbalance: 0 = balanced, 1 = maximally skewed. *)
-}
-
-val fig15_hotspots : Grid.t -> hotspot_series list
-(** Percentage of queries processed by each node, by node rank, for the
-    simple scheme under no-cache, single-cache and LRU30 (log-log series at
-    sample ranks). *)
-
-val table1_errors : Grid.t -> cell list
-(** Queries to non-indexed data: {no-cache, LRU30, single} x schemes. *)
-
-(** {1 Ablations (DESIGN.md Section 5)} *)
-
-type substrate_row = {
-  substrate : string;
-  interactions : float;
-  normal_bytes : float;
-  substrate_overhead_bytes : float;
-      (** Extra routing traffic when hops are charged (0 for the oracle). *)
-}
-
-val ablation_substrate : scale -> substrate_row list
-(** The same workload over every substrate — the static oracle, Chord,
-    Pastry, CAN and Kademlia — with real routing hops charged.  Index-layer
-    metrics must be identical (the paper's layering claim); only the billed
-    routing overhead differs.  Runs at a capped scale (at most 150 nodes,
-    2,000 articles, 5,000 queries): CAN and Kademlia simulate each routing
-    step explicitly. *)
-
-type skew_row = { alpha : float  (** Zipf exponent. *); hit_ratio : float; interactions : float }
-
-val ablation_skew : scale -> skew_row list
-(** Cache efficiency as the popularity skew varies, over a Zipf family:
-    [alpha] is the Zipf exponent, from 0 (uniform popularity — caching
-    pays little) upward (heavier skew — caching pays more). *)
-
-type replication_row = {
-  replication : int;
-  failed_fraction : float;
-  available_keys : float;
-      (** Fraction of index keys with at least one live replica. *)
-  storage_cost : int;  (** Total stored replica entries. *)
-}
-
-val ablation_replication : scale -> replication_row list
-(** Section IV-D's availability claim: store the simple scheme's index keys
-    with 1-3 replicas, fail 10-50% of the nodes, and measure how many keys
-    remain reachable. *)
-
-type churn_row = {
-  churn_rate : float;  (** Failures per node per virtual second. *)
-  churn_replication : int;
-  availability : float;  (** Fraction of sessions that found their target. *)
-  churn_interactions : float;
-  maintenance_per_query : float;
-      (** Republish + repair traffic, bytes per query. *)
-  live_nodes_end : float;  (** Live nodes when the run ended. *)
-}
-
-val churn_rates : float list
-val churn_replications : int list
-
-val ablation_churn : scale -> churn_row list
-(** The churned run mode end-to-end, over churn rate x replication factor:
-    nodes crash (losing their index shard and cache) and rejoin on seeded
-    session lifetimes while the workload runs; TTLs, republication and
-    repair maintain the soft-state index.  Availability degrades with the
-    churn rate and recovers with replication.  Deterministic: the same
-    scale produces the identical table. *)
-
-type fault_sweep_row = {
-  sweep_loss_rate : float;
-  sweep_retries : int;
-  sweep_hedged : bool;
-  lookup_success : float;
-      (** Fraction of RPC exchanges answered within the retry budget. *)
-  fault_availability : float;
-      (** Fraction of sessions that still found their target (replica
-          failover sits above the per-exchange retry budget). *)
-  fault_interactions : float;
-  sweep_timeouts : int;
-  sweep_retries_used : int;
-  sweep_hedges_won : int;
-}
-
-val fault_loss_rates : float list
-val fault_retry_budgets : int list
-
-val fault_sweep : scale -> fault_sweep_row list
-(** Lookup success under seeded message loss, over loss rate x retry
-    budget (hedging rides with the retries), at replication 3 with a
-    fixed duplicate rate and latency.  With no retries, per-exchange
-    success collapses to [(1-loss)^2]; bounded backoff retries plus a
-    hedged second request recover it.  Deterministic: the same scale
-    produces the identical table. *)
-
-type concurrency_row = {
-  row_concurrency : int;
-  row_coalesce : bool;
-  row_coalesced : int;
-      (** Probes that rode another in-flight probe's response. *)
-  row_normal_per_query : float;
-  row_cache_per_query : float;
-      (** Includes the coalesced followers' consultation tickets. *)
-  row_session_latency : float;
-      (** Mean arrival-to-completion virtual seconds (0 at concurrency 1). *)
-  row_peak_in_flight : int;
-}
-
-val concurrency_levels : int list
-
-val concurrency_sweep : scale -> concurrency_row list
-(** The {!Engine} under overlapping sessions: the hot-spot-prone workload
-    with nonzero RPC latency (no loss, generous timeout), at each
-    concurrency level with coalescing off and — above 1 — on.  The load
-    concentration of Fig. 15 makes concurrent sessions aim identical
-    probes at the hot keys, so coalescing strictly reduces normal traffic
-    per query once enough sessions overlap.  Deterministic: the same
-    scale produces the identical table. *)
-
-type scheme_variant_row = {
-  scheme_label : string;
-  interactions : float;
-  non_indexed_errors : int;
-  index_megabytes : float;
-}
-
-val ablation_scheme_variants : scale -> scheme_variant_row list
-(** Complex vs Complex_ac under a workload with author+conference queries:
-    the entry-point index removes those queries' recoverable errors at the
-    cost of extra storage. *)
-
-type deletion_row = {
-  deleted_fraction : float;
-  mappings_before : int;
-  mappings_after : int;
-  dangling_lookups : int;  (** Deleted articles still reachable — must be 0. *)
-  survivors_lost : int;  (** Surviving articles lost — must be 0. *)
-}
-
-val ablation_deletion : scale -> deletion_row list
-(** Section IV-C's read/write semantics: unpublish a fraction of the corpus
-    and check that every index path to the deleted files disappears while
-    the survivors stay fully reachable. *)
-
-type hotspot_replication_row = {
-  key_replicas : int;
-  busiest_share : float;  (** Busiest node's share of all interactions. *)
-  load_gini : float;
-}
-
-val ablation_hotspot_replication : scale -> hotspot_replication_row list
-(** Section V-g's deferred fix: replicate every index key on r nodes with
-    round-robin reads and measure the busiest node's load share and the
-    overall Gini imbalance as r grows. *)
-
-type prefix_sweep_row = {
-  sweep_prefix_len : int;
-  routed_nodes_mean : float;
-      (** Covering nodes contacted per routed prefix query. *)
-  sweep_broadcast_nodes : int;
-      (** The broadcast-and-filter baseline contacts every node. *)
-  direct_bytes_per_query : float;
-  multicast_bytes_per_query : float;
-  broadcast_bytes_per_query : float;
-  install_messages : int;
-      (** Messages the spanning-tree index dissemination used. *)
-  install_bound_slack : int;
-      (** (covering members + tree edges) - messages; non-negative iff the
-          issue's multicast message bound held. *)
-  install_depth : int;
-  sweep_interactions : float;  (** End-to-end walk with the prefix scheme. *)
-  sweep_normal_bytes : float;
-}
-
-val prefix_lens : int list
-
-val prefix_sweep : scale -> prefix_sweep_row list
-(** The routed prefix index vs broadcast-and-filter, per prefix length: a
-    standalone harness prices one seeded probe stream three ways (direct
-    per-node exchanges, spanning-tree multicast, flooding) on a billed
-    network, and a full prefix-scheme {!Runner.run} supplies the
-    end-to-end walk numbers.  Routed queries touch the few arc-covering
-    nodes instead of all of them; multicast trades initiator exchanges
-    for relay bytes.  Deterministic: the same scale produces the
-    identical table. *)
-
-type quorum_sweep_row = {
-  sweep_churn_rate : float;
-  sweep_read_quorum : int;
-  quorum_stale_rate : float;
-      (** Fraction of quorum reads a fully-consistent read would have
-          improved on. *)
-  quorum_availability : float;
-  quorum_sweep_reads : int;
-  quorum_sweep_read_repairs : int;
-      (** Consulted replicas overwritten by read repair. *)
-  quorum_sweep_under_acked : int;
-      (** Writes acknowledged by fewer than W live replicas. *)
-  quorum_maint_per_query : float;
-  quorum_digest_bytes : int;  (** Anti-entropy digest traffic. *)
-  quorum_shipped_bytes : int;  (** Diverged entries actually shipped. *)
-  quorum_full_state_bytes : int;
-      (** What digestless full-state exchanges would have moved. *)
-}
-
-val quorum_read_quorums : int list
-val quorum_churn_rates : float list
-
-val quorum_sweep : scale -> quorum_sweep_row list
-(** Consistency under churn, over read quorum x churn rate, at
-    replication 3 with W = 3 and digest-based anti-entropy in place of
-    the repair walk.  At fixed churn the stale-read rate falls
-    monotonically as R grows, and anti-entropy's digest + shipped bytes
-    stay below the full-state baseline.  Deterministic: the same scale
-    produces the identical table. *)
-
-type scale_sweep_row = {
-  scale_nodes : int;
-  scale_articles : int;
-  scale_queries : int;
-  scale_interactions : float;
-  scale_normal_bytes : float;
-  scale_errors : int;
-  scale_minor_words_per_query : float;
-      (** Minor-heap words allocated per query over the whole run (setup
-          included), from the deterministic phase collector. *)
-  scale_phases : Obs.Phase.entry list;
-      (** Per-stage allocation profile (null clock: elapsed fields are 0). *)
-}
-
-val scale_sweep_shards : int
-
-val scale_sweep : scale -> scale_sweep_row list
-(** Population growth under the sharded engine: each rung of an absolute
-    node/article/query ladder (10^4 and 10^5 everywhere; the 10^6 rung
-    rides the paper scale only) runs through {!Sharded.run} with
-    {!scale_sweep_shards} shards on a single worker, profiled with the
-    null-clock phase collector.  Interactions per query are scale-free
-    and allocation per query stays flat — the arena-backed hot state at
-    population scale.  Deterministic: the same scale produces the
-    identical table, allocation words included. *)
-
-(** {1 Rendering} *)
-
-val print_fig7 : scale -> unit
-val print_fig9 : scale -> unit
-val print_fig10 : scale -> unit
-val print_storage : Grid.t -> unit
-val print_keys : Grid.t -> unit
-val print_fig11 : Grid.t -> unit
-val print_fig12 : Grid.t -> unit
-val print_fig13 : Grid.t -> unit
-val print_fig14 : Grid.t -> unit
-val print_fig15 : Grid.t -> unit
-val print_table1 : Grid.t -> unit
-val print_ablation_substrate : scale -> unit
-val print_ablation_skew : scale -> unit
-val print_ablation_replication : scale -> unit
-val print_ablation_deletion : scale -> unit
-val print_ablation_hotspot : scale -> unit
-val print_ablation_scheme : scale -> unit
-val print_ablation_churn : scale -> unit
-val print_fault_sweep : scale -> unit
-val print_concurrency_sweep : scale -> unit
-val print_prefix_sweep : scale -> unit
-val print_quorum_sweep : scale -> unit
-val print_scale_sweep : scale -> unit
-
-val all_experiment_ids : string list
-(** ["fig7"; "fig9"; ...] in printing order. *)
-
-val run_experiment :
-  Grid.t -> print:bool -> string -> Obs.Bench_report.metric list option
-(** Compute one experiment by id, render its tables when [print], and
-    return its headline numbers as bench-report metrics (flattened under
-    ["exp/<id>/"] by {!Obs.Bench_report.flatten}).  The data is computed
-    once and feeds both outputs; grid-backed experiments additionally
-    share simulation runs through the memoized {!Grid}.  Costs
-    (interactions, bytes, errors) compare lower-better, success ratios
-    (hit ratio, availability) higher-better, distribution shapes (slopes,
-    gini) are informational.  [None] when the id is unknown. *)
-
-val print_experiment : Grid.t -> string -> bool
-(** [run_experiment ~print:true] with the metrics dropped; false when the
-    id is unknown. *)
+val print : result -> unit
+(** Print the result's blocks to stdout. *)

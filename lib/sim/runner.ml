@@ -139,6 +139,82 @@ let quorum_active cfg =
       || q.write_quorum < effective_replication cfg
       || q.anti_entropy_interval > 0.
 
+(* Every setting is checked here, before anything is built, so nothing
+   unchecked reaches the substrate, the RPC channel or the fault plan.
+   A message is formatted only on failure: a valid configuration costs
+   no allocation.  NaN fails every comparison, so [not (x >= 0.)]
+   rejects it too. *)
+exception Invalid_config of string
+
+let reject fmt = Printf.ksprintf (fun msg -> raise (Invalid_config msg)) fmt
+let require_count name v = if v < 1 then reject "%s must be >= 1 (got %d)" name v
+let require_positive name v = if not (v > 0.) then reject "%s must be > 0 (got %g)" name v
+
+let require_rate name v =
+  if not (v >= 0. && v <= 1.) then reject "%s must be in [0, 1] (got %g)" name v
+
+let require_finite name v =
+  if not (Float.is_finite v && v >= 0.) then
+    reject "%s must be finite and >= 0 (got %g)" name v
+
+let require_quorum name v ~replication =
+  if v < 1 || v > replication then
+    reject "%s must be within [1, replication %d] (got %d)" name replication v
+
+let check_config cfg =
+  require_count "node_count" cfg.node_count;
+  require_count "article_count" cfg.article_count;
+  require_count "query_count" cfg.query_count;
+  let replication = effective_replication cfg in
+  (* Caught here rather than deep inside replica resolution, where an
+     oversized factor used to surface as a confusing ring wrap. *)
+  if replication > cfg.node_count then
+    reject "replication %d exceeds node_count %d (every replica needs a distinct node)"
+      replication cfg.node_count;
+  (match cfg.churn with
+  | None -> ()
+  | Some c ->
+      require_finite "churn_rate" c.churn_rate;
+      require_count "replication" c.replication;
+      require_positive "downtime_mean" c.downtime_mean;
+      require_positive "ttl" c.ttl;
+      require_positive "republish_period" c.republish_period;
+      require_positive "repair_period" c.repair_period;
+      require_positive "query_rate" c.query_rate);
+  (match cfg.faults with
+  | None -> ()
+  | Some f ->
+      require_rate "loss_rate" f.loss_rate;
+      require_rate "duplicate_rate" f.duplicate_rate;
+      require_finite "latency_mean" f.latency_mean;
+      if not (Float.is_finite f.rpc_timeout && f.rpc_timeout > 0.) then
+        reject "rpc_timeout must be finite and > 0 (got %g)" f.rpc_timeout;
+      if f.rpc_retries < 0 then reject "rpc_retries must be >= 0 (got %d)" f.rpc_retries;
+      require_count "fault_replication" f.fault_replication);
+  (match cfg.prefix with
+  | None -> ()
+  | Some p ->
+      if cfg.scheme <> Schemes.Prefix then reject "prefix options require the Prefix scheme";
+      if p.prefix_len < 1 || p.prefix_len > Prefix.Prefix_key.max_bytes then
+        reject "prefix_len must be within [1, %d] (got %d)" Prefix.Prefix_key.max_bytes
+          p.prefix_len);
+  match cfg.quorum with
+  | None -> ()
+  | Some q ->
+      require_quorum "read_quorum" q.read_quorum ~replication;
+      require_quorum "write_quorum" q.write_quorum ~replication;
+      if not (q.anti_entropy_interval >= 0.) then
+        reject "anti_entropy_interval must be >= 0 (got %g)" q.anti_entropy_interval;
+      let churn_active = match cfg.churn with Some c -> c.churn_rate > 0. | None -> false in
+      if q.anti_entropy_interval > 0. && not churn_active then
+        reject
+          "anti_entropy_interval %g requires active churn (the churn driver schedules the \
+           passes)"
+          q.anti_entropy_interval
+
+let validate cfg =
+  match check_config cfg with () -> Ok () | exception Invalid_config msg -> Error msg
+
 type report = {
   config : config;
   interactions : Summary.t;
@@ -292,68 +368,6 @@ module Internal = struct
     mutable remaining_events : Query_gen.event list;
   }
 
-  let validate cfg =
-    if cfg.node_count <= 0 || cfg.article_count <= 0 || cfg.query_count <= 0 then
-      invalid_arg "Runner.run: nonsensical configuration";
-    (* Caught here rather than deep inside replica resolution, where an
-       oversized factor used to surface as a confusing ring wrap. *)
-    if effective_replication cfg > cfg.node_count then
-      invalid_arg
-        "Runner.run: replication exceeds node_count (every replica needs a \
-         distinct node)";
-    (match cfg.churn with
-  | None -> ()
-  | Some c ->
-      if
-        c.churn_rate < 0.
-        || Float.is_nan c.churn_rate
-        || c.replication < 1
-        || not (c.downtime_mean > 0.)
-        || not (c.ttl > 0.)
-        || not (c.republish_period > 0.)
-        || not (c.repair_period > 0.)
-        || not (c.query_rate > 0.)
-      then invalid_arg "Runner.run: nonsensical churn configuration");
-  (match cfg.faults with
-  | None -> ()
-  | Some f ->
-      if
-        f.loss_rate < 0. || f.loss_rate > 1.
-        || Float.is_nan f.loss_rate
-        || f.duplicate_rate < 0.
-        || f.duplicate_rate > 1.
-        || Float.is_nan f.duplicate_rate
-        || f.latency_mean < 0.
-        || Float.is_nan f.latency_mean
-        || not (f.rpc_timeout > 0.)
-        || f.rpc_retries < 0
-        || f.fault_replication < 1
-      then invalid_arg "Runner.run: nonsensical fault configuration");
-    (match cfg.prefix with
-    | None -> ()
-    | Some p ->
-        if cfg.scheme <> Schemes.Prefix then
-          invalid_arg "Runner.run: prefix options require the Prefix scheme";
-        if p.prefix_len < 1 || p.prefix_len > Prefix.Prefix_key.max_bytes then
-          invalid_arg "Runner.run: prefix_len must be within [1, 20]");
-    (match cfg.quorum with
-    | None -> ()
-    | Some q ->
-        let replication = effective_replication cfg in
-        if q.read_quorum < 1 || q.read_quorum > replication then
-          invalid_arg "Runner.run: read_quorum must be within [1, replication]";
-        if q.write_quorum < 1 || q.write_quorum > replication then
-          invalid_arg "Runner.run: write_quorum must be within [1, replication]";
-        if q.anti_entropy_interval < 0. || Float.is_nan q.anti_entropy_interval
-        then invalid_arg "Runner.run: anti_entropy_interval must be >= 0";
-        let churn_active =
-          match cfg.churn with Some c -> c.churn_rate > 0. | None -> false
-        in
-        if q.anti_entropy_interval > 0. && not churn_active then
-          invalid_arg
-            "Runner.run: anti_entropy_interval requires active churn (the \
-             churn driver schedules the passes)")
-
   let setup ?events ?metrics ?tracer ?phases cfg =
     let gc_mark = gc_mark () in
     let cfg =
@@ -361,7 +375,7 @@ module Internal = struct
       | Some list -> { cfg with query_count = List.length list }
       | None -> cfg
     in
-    validate cfg;
+    (match validate cfg with Ok () -> () | Error msg -> invalid_arg ("Runner.run: " ^ msg));
   (* A registry per run unless the caller shares one: every layer below
      (network, substrate, index, caches) emits into it. *)
   let registry = match metrics with Some r -> r | None -> Obs.Metrics.create () in

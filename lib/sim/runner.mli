@@ -173,6 +173,12 @@ val effective_replication : config -> int
 (** The replication factor the index is created with: the larger of the
     churn and fault blocks' asks, 1 when neither is present. *)
 
+val validate : config -> (unit, string) result
+(** Check every setting of a configuration before anything is built.
+    [Error msg] names the offending setting and its value, e.g.
+    ["ttl must be > 0 (got 0)"]; {!run} raises [Invalid_argument] with
+    that message prefixed by ["Runner.run: "]. *)
+
 val quorum_active : config -> bool
 (** Whether the quorum block actually changes the run: R above 1, W
     below the effective replication, or anti-entropy on.  When false the

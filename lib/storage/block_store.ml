@@ -1,25 +1,1 @@
 type file = { name : string; size_bytes : int }
-
-type t = file Store.t
-
-let create ~resolver () = Store.create ~resolver ()
-
-let put t ~key file =
-  ignore (Store.remove_key t key);
-  Store.insert t ~key file
-
-let get t key = match Store.lookup t key with [] -> None | file :: _ -> Some file
-
-let mem t key = Store.mem t key
-
-let delete t key = Store.remove_key t key > 0
-
-let node_of t key = Store.node_of t key
-
-let file_count t = Store.key_count t
-
-let total_bytes t =
-  Store.fold t ~init:0 ~f:(fun acc _key files ->
-      List.fold_left (fun acc file -> acc + file.size_bytes) acc files)
-
-let files_per_node t = Store.keys_per_node t

@@ -1,32 +1,9 @@
-(** File payload storage (the "Publication index" top level of Fig. 5).
+(** File payload (the "Publication index" top level of Fig. 5).
 
-    Actual article files never leave their home node; the indexes only carry
-    keys.  The block store models that home: each file is a named blob with a
-    size, placed at the node responsible for the hash of its most specific
-    descriptor.  Sizes drive the paper's storage-overhead comparison
-    (Section V-B: 29.1 GB of articles at an average of 250 KB each). *)
+    Actual article files never leave their home node; the indexes only
+    carry keys, and a lookup's last step returns the file itself.  A file
+    is a named blob with a size; sizes drive the paper's storage-overhead
+    comparison (Section V-B: 29.1 GB of articles at an average of 250 KB
+    each). *)
 
 type file = { name : string; size_bytes : int }
-
-type t
-
-val create : resolver:Dht.Resolver.t -> unit -> t
-
-val put : t -> key:Hashing.Key.t -> file -> unit
-(** Store a file under its descriptor key.  Re-putting replaces. *)
-
-val get : t -> Hashing.Key.t -> file option
-
-val mem : t -> Hashing.Key.t -> bool
-
-val delete : t -> Hashing.Key.t -> bool
-(** Returns whether a file was present. *)
-
-val node_of : t -> Hashing.Key.t -> int
-
-val file_count : t -> int
-
-val total_bytes : t -> int
-(** Sum of stored file sizes. *)
-
-val files_per_node : t -> int array

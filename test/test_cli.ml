@@ -18,8 +18,17 @@ let usage_errors_exit_2 () =
       [ "--queries"; "abc" ];
       [ "--policy"; "lru0" ];
       [ "--seed"; "x" ];
-      (* A validation error, for comparison: same status. *)
+      (* Validation errors, for comparison: same status. *)
       [ "--loss-rate"; "1.5" ];
+      (* Settings only the run's own validator used to catch, as an
+         uncaught exception. *)
+      [ "--churn-rate"; "0"; "--read-quorum"; "1"; "--anti-entropy-interval"; "5" ];
+      [ "--churn-rate"; "0.01"; "--ttl"; "0" ];
+      [ "--churn-rate"; "0.01"; "--republish"; "0" ];
+      [ "--churn-rate"; "nan" ];
+      [ "--churn-rate"; "0.01"; "--replication"; "0" ];
+      [ "--loss-rate"; "0.1"; "--rpc-timeout"; "inf" ];
+      [ "--latency"; "inf" ];
     ]
 
 let help_exits_0 () =

@@ -458,13 +458,13 @@ module Kademlia = Dht.Kademlia
 let kademlia_xor_metric () =
   let a = Key.of_int 0b1100 and b = Key.of_int 0b1010 in
   Alcotest.(check string) "xor" (Key.to_hex (Key.of_int 0b0110))
-    (Key.to_hex (Kademlia.xor_distance a b));
+    (Key.to_hex (Key.xor a b));
   (* Metric laws: identity, symmetry. *)
   Alcotest.(check string) "d(a,a) = 0" (Key.to_hex Key.zero)
-    (Key.to_hex (Kademlia.xor_distance a a));
+    (Key.to_hex (Key.xor a a));
   Alcotest.(check string) "symmetric"
-    (Key.to_hex (Kademlia.xor_distance a b))
-    (Key.to_hex (Kademlia.xor_distance b a))
+    (Key.to_hex (Key.xor a b))
+    (Key.to_hex (Key.xor b a))
 
 let kademlia_network_converged () =
   let net = Kademlia.create_network ~seed:3L ~node_count:60 () in

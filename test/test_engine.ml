@@ -147,10 +147,10 @@ let engine_validates_arguments () =
     (Invalid_argument "Engine.run: coalescing needs concurrency > 1") (fun () ->
       ignore (Engine.run ~coalesce:true small_config));
   Alcotest.check_raises "zero queries rejected"
-    (Invalid_argument "Runner.run: nonsensical configuration") (fun () ->
+    (Invalid_argument "Runner.run: query_count must be >= 1 (got 0)") (fun () ->
       ignore (Runner.run { small_config with query_count = 0 }));
   Alcotest.check_raises "empty event list rejected"
-    (Invalid_argument "Runner.run: nonsensical configuration") (fun () ->
+    (Invalid_argument "Runner.run: query_count must be >= 1 (got 0)") (fun () ->
       ignore (Runner.run ~events:[] small_config))
 
 (* The derived metrics never divide by a zero query count: a report whose
@@ -276,7 +276,7 @@ let sharded_validates_arguments () =
       ignore (Sharded.run ~shards:4 churned));
   Alcotest.check_raises "replication beyond the population rejected up front"
     (Invalid_argument
-       "Runner.run: replication exceeds node_count (every replica needs a \
+       "Runner.run: replication 30 exceeds node_count 20 (every replica needs a \
         distinct node)") (fun () ->
       ignore (Runner.run { churned with node_count = 20 }));
   Alcotest.check_raises "profiling needs one worker"

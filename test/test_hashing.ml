@@ -126,6 +126,47 @@ let key_distance_inverse =
       let ring = 2.0 ** 160.0 in
       Float.abs ((d1 +. d2) -. ring) /. ring < 1e-9)
 
+(* The Kademlia distance as it used to be computed: render both keys to
+   hex, XOR the nibbles, parse the result back.  The reference Key.xor
+   must agree with. *)
+let hex_xor a b =
+  let ha = Key.to_hex a and hb = Key.to_hex b in
+  let hex_value c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | _ -> invalid_arg "hex_xor: bad hex"
+  in
+  let digits = "0123456789abcdef" in
+  Key.of_hex
+    (String.init (String.length ha) (fun i -> digits.[hex_value ha.[i] lxor hex_value hb.[i]]))
+
+(* Keys sharing a prefix of random length with a target, so XOR
+   comparisons are decided deep in the key, or not at all. *)
+let near_keys =
+  QCheck.map
+    (fun ((target, a, b), (n, m)) ->
+      let graft k len =
+        let hk = Key.to_hex k in
+        Key.of_hex (String.sub (Key.to_hex target) 0 len ^ String.sub hk len (40 - len))
+      in
+      (target, graft a n, graft b m))
+    (QCheck.pair
+       (QCheck.triple arbitrary_key arbitrary_key arbitrary_key)
+       (QCheck.pair (QCheck.int_range 0 40) (QCheck.int_range 0 40)))
+
+let key_xor_matches_hex =
+  QCheck.Test.make ~name:"xor equals the hex nibble xor" ~count:500 near_keys
+    (fun (target, a, b) ->
+      Key.equal (Key.xor target a) (hex_xor target a)
+      && Key.equal (Key.xor a b) (hex_xor a b))
+
+let key_compare_xor_sign =
+  QCheck.Test.make ~name:"compare_xor has the sign of comparing xors" ~count:1000 near_keys
+    (fun (target, a, b) ->
+      Int.compare (Key.compare_xor ~target a b) 0
+      = Int.compare (Key.compare (Key.xor target a) (Key.xor target b)) 0)
+
 let key_of_string_spread () =
   (* Hashed keys should spread: among 1000 consecutive strings, the top
      eighth of the ring should hold roughly an eighth of the keys. *)
@@ -162,5 +203,11 @@ let suite =
         Alcotest.test_case "clockwise distance" `Quick key_distance;
         Alcotest.test_case "hashed key spread" `Quick key_of_string_spread;
       ]
-      @ qcheck [ key_interval_oc_trichotomy; key_distance_inverse ] );
+      @ qcheck
+          [
+            key_interval_oc_trichotomy;
+            key_distance_inverse;
+            key_xor_matches_hex;
+            key_compare_xor_sign;
+          ] );
   ]

@@ -209,109 +209,116 @@ let trace_replay_equals_generation () =
   Alcotest.(check int) "same traffic" generated.Runner.response_bytes
     replayed.Runner.response_bytes
 
+let run_experiment grid id =
+  match Experiments.find id with
+  | Some e -> e.Experiments.run grid
+  | None -> Alcotest.failf "unknown experiment %s" id
+
+(* Experiments are read through the metrics they report, by name. *)
+let metric (r : Experiments.result) name =
+  match
+    List.find_opt (fun (x : Obs.Bench_report.metric) -> String.equal x.name name) r.metrics
+  with
+  | Some x -> x.value
+  | None -> Alcotest.failf "no metric %s" name
+
+let metric_names (r : Experiments.result) prefix =
+  List.filter_map
+    (fun (x : Obs.Bench_report.metric) ->
+      if String.starts_with ~prefix x.name then Some x.name else None)
+    r.metrics
+
 let experiments_quick_scale () =
   let scale =
     { Experiments.node_count = 40; article_count = 200; query_count = 1_000; seed = 3L }
   in
   let grid = Experiments.Grid.create scale in
-  (* Every experiment renders without error. *)
+  (* Every experiment runs and prints without error. *)
   List.iter
-    (fun id ->
-      Alcotest.(check bool) (Printf.sprintf "experiment %s prints" id) true
-        (Experiments.print_experiment grid id))
-    Experiments.all_experiment_ids;
-  Alcotest.(check bool) "unknown id rejected" false
-    (Experiments.print_experiment grid "fig99")
+    (fun (e : Experiments.t) ->
+      let r = e.run grid in
+      Experiments.print r;
+      Alcotest.(check bool) (Printf.sprintf "experiment %s reports metrics" e.id) true
+        (r.metrics <> []))
+    Experiments.all;
+  Alcotest.(check bool) "unknown id rejected" true
+    (Option.is_none (Experiments.find "fig99"))
 
 let tiny_scale =
   { Experiments.node_count = 40; article_count = 200; query_count = 1_000; seed = 3L }
 
 let experiments_typed_shapes () =
   let grid = Experiments.Grid.create tiny_scale in
-  (* Every figure's typed output has the expected arity. *)
+  (* Every figure reports one metric per row of its table. *)
+  let count id prefix = List.length (metric_names (run_experiment grid id) prefix) in
   Alcotest.(check int) "fig7: seven structures (author+conf and author-prefix at weight 0)" 7
-    (List.length (Experiments.fig7_query_mix tiny_scale));
-  Alcotest.(check int) "fig11: 3 schemes x 5 policies" 15
-    (List.length (Experiments.fig11_interactions grid));
-  Alcotest.(check int) "fig12: 3 schemes x 6 policies" 18
-    (List.length (Experiments.fig12_traffic grid));
-  Alcotest.(check int) "fig13: 3 schemes x 5 caching policies" 15
-    (List.length (Experiments.fig13_hit_ratio grid));
+    (count "fig7" "mix_observed/");
+  Alcotest.(check int) "fig11: 3 schemes x 5 policies" 15 (count "fig11" "interactions/");
+  Alcotest.(check int) "fig12: 3 schemes x 6 policies" 18 (count "fig12" "normal_bytes/");
+  Alcotest.(check int) "fig13: 3 schemes x 5 caching policies" 15 (count "fig13" "hit_ratio/");
   Alcotest.(check int) "fig13 first-node: one per scheme" 3
-    (List.length (Experiments.fig13_first_node_share grid));
+    (count "fig13" "first_node_share/");
   Alcotest.(check int) "fig14: 3 schemes x 5 caching policies" 15
-    (List.length (Experiments.fig14_cache_storage grid));
-  Alcotest.(check int) "fig15: three policies" 3
-    (List.length (Experiments.fig15_hotspots grid));
-  Alcotest.(check int) "table1: 3 policies x 3 schemes" 9
-    (List.length (Experiments.table1_errors grid));
-  Alcotest.(check int) "storage: three rows" 3
-    (List.length (Experiments.storage_overhead grid))
+    (count "fig14" "cached_keys/");
+  Alcotest.(check int) "fig15: three policies" 3 (count "fig15" "busiest_share/");
+  Alcotest.(check int) "table1: 3 policies x 3 schemes" 9 (count "table1" "errors/");
+  Alcotest.(check int) "storage: three rows" 3 (count "storage" "index_bytes/")
 
 let hotspot_replication_monotone () =
-  let rows = Experiments.ablation_hotspot_replication tiny_scale in
-  Alcotest.(check int) "four replication levels" 4 (List.length rows);
+  let r = run_experiment (Experiments.Grid.create tiny_scale) "ablation-hotspot" in
+  Alcotest.(check int) "four replication levels" 4
+    (List.length (metric_names r "busiest_share/"));
   let rec check_decreasing = function
-    | (a : Experiments.hotspot_replication_row)
-      :: (b : Experiments.hotspot_replication_row)
-      :: rest ->
+    | a :: b :: rest ->
+        let busiest k = metric r (Printf.sprintf "busiest_share/r%d" k) in
+        let gini k = metric r (Printf.sprintf "gini/r%d" k) in
         Alcotest.(check bool)
-          (Printf.sprintf "busiest %.3f >= %.3f as replicas grow" a.busiest_share
-             b.busiest_share)
+          (Printf.sprintf "busiest %.3f >= %.3f as replicas grow" (busiest a) (busiest b))
           true
-          (a.busiest_share >= b.busiest_share -. 1e-9);
-        Alcotest.(check bool) "imbalance falls" true (a.load_gini >= b.load_gini -. 1e-9);
+          (busiest a >= busiest b -. 1e-9);
+        Alcotest.(check bool) "imbalance falls" true (gini a >= gini b -. 1e-9);
         check_decreasing (b :: rest)
     | [ _ ] | [] -> ()
   in
-  check_decreasing rows
+  check_decreasing [ 1; 2; 4; 8 ]
 
 let replication_availability_monotone () =
-  let rows = Experiments.ablation_replication tiny_scale in
+  let r = run_experiment (Experiments.Grid.create tiny_scale) "ablation-replication" in
   (* For a fixed failure fraction, availability grows with replication. *)
   List.iter
     (fun fraction ->
-      let series =
-        List.filter
-          (fun (r : Experiments.replication_row) -> r.failed_fraction = fraction)
-          rows
-        |> List.sort (fun (a : Experiments.replication_row) b ->
-               Int.compare a.replication b.replication)
-      in
+      let available k = metric r (Printf.sprintf "available_keys/r%d/f%s" k fraction) in
       let rec check = function
-        | (a : Experiments.replication_row) :: (b : Experiments.replication_row) :: rest ->
+        | a :: b :: rest ->
             Alcotest.(check bool)
-              (Printf.sprintf "r=%d availability %.2f <= r=%d %.2f" a.replication
-                 a.available_keys b.replication b.available_keys)
+              (Printf.sprintf "r=%d availability %.2f <= r=%d %.2f" a (available a) b
+                 (available b))
               true
-              (a.available_keys <= b.available_keys +. 1e-9);
+              (available a <= available b +. 1e-9);
             check (b :: rest)
         | [ _ ] | [] -> ()
       in
-      check series)
-    [ 0.1; 0.3; 0.5 ]
+      check [ 1; 2; 3 ])
+    [ "0_1"; "0_3"; "0_5" ]
 
 let fig15_caching_relieves_hotspot () =
-  let grid = Experiments.Grid.create tiny_scale in
-  match Experiments.fig15_hotspots grid with
-  | [ no_cache; single; _lru ] ->
-      let busiest s = List.assoc 1 s.Experiments.share_by_rank in
-      Alcotest.(check bool)
-        (Printf.sprintf "single %.3f <= no-cache %.3f" (busiest single) (busiest no_cache))
-        true
-        (busiest single <= busiest no_cache +. 0.01)
-  | _ -> Alcotest.fail "expected three hotspot series"
+  let r = run_experiment (Experiments.Grid.create tiny_scale) "fig15" in
+  let no_cache = metric r "busiest_share/no_cache" in
+  let single = metric r "busiest_share/single" in
+  Alcotest.(check bool)
+    (Printf.sprintf "single %.3f <= no-cache %.3f" single no_cache)
+    true
+    (single <= no_cache +. 0.01)
 
 let scheme_variant_ablation () =
-  match Experiments.ablation_scheme_variants tiny_scale with
-  | [ complex; complex_ac ] ->
-      Alcotest.(check bool) "entry point removes errors" true
-        (complex_ac.Experiments.non_indexed_errors < complex.Experiments.non_indexed_errors);
-      Alcotest.(check bool) "entry point shortens lookups" true
-        (complex_ac.Experiments.interactions <= complex.Experiments.interactions +. 1e-9);
-      Alcotest.(check bool) "entry point costs storage" true
-        (complex_ac.Experiments.index_megabytes > complex.Experiments.index_megabytes)
-  | rows -> Alcotest.failf "expected 2 scheme rows, got %d" (List.length rows)
+  let r = run_experiment (Experiments.Grid.create tiny_scale) "ablation-scheme" in
+  let both name = (metric r (name ^ "/complex"), metric r (name ^ "/complex_ac")) in
+  let complex, complex_ac = both "errors" in
+  Alcotest.(check bool) "entry point removes errors" true (complex_ac < complex);
+  let complex, complex_ac = both "interactions" in
+  Alcotest.(check bool) "entry point shortens lookups" true (complex_ac <= complex +. 1e-9);
+  let complex, complex_ac = both "index_mb" in
+  Alcotest.(check bool) "entry point costs storage" true (complex_ac > complex)
 
 let experiments_grid_memoizes () =
   let scale =
@@ -327,17 +334,15 @@ let storage_ordering () =
   let scale =
     { Experiments.node_count = 40; article_count = 400; query_count = 10; seed = 5L }
   in
-  let grid = Experiments.Grid.create scale in
-  match Experiments.storage_overhead grid with
-  | [ simple; flat; complex ] ->
-      Alcotest.(check string) "rows ordered" "Simple" simple.Experiments.scheme;
-      Alcotest.(check bool) "simple cheapest" true
-        (simple.Experiments.index_bytes < complex.Experiments.index_bytes);
-      Alcotest.(check bool) "flat most expensive" true
-        (complex.Experiments.index_bytes < flat.Experiments.index_bytes);
-      Alcotest.(check bool) "index is a small fraction of data" true
-        (simple.Experiments.index_to_data_ratio < 0.02)
-  | rows -> Alcotest.failf "expected 3 storage rows, got %d" (List.length rows)
+  let r = run_experiment (Experiments.Grid.create scale) "storage" in
+  Alcotest.(check (list string)) "rows ordered"
+    [ "index_bytes/simple"; "index_bytes/flat"; "index_bytes/complex" ]
+    (metric_names r "index_bytes/");
+  let bytes scheme = metric r ("index_bytes/" ^ scheme) in
+  Alcotest.(check bool) "simple cheapest" true (bytes "simple" < bytes "complex");
+  Alcotest.(check bool) "flat most expensive" true (bytes "complex" < bytes "flat");
+  Alcotest.(check bool) "index is a small fraction of data" true
+    (metric r "index_to_data_ratio/simple" < 0.02)
 
 let suite =
   [

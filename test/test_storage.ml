@@ -1,38 +1,41 @@
-(* Multi-entry DHT store and block store tests. *)
+(* The replicated DHT store: its plain multi-entry map at replication 1,
+   then replica failover. *)
 
 module Key = Hashing.Key
-module Store = Storage.Store
-module Block = Storage.Block_store
+module Store = Storage.Replicated_store
 
 let resolver n = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:5L ~node_count:n ())
 
 let k s = Key.of_string s
 
+(* A single-replica store: every key lives on its responsible node only.
+   These stores never price traffic, so entries carry a nominal length. *)
+let store ?(r = resolver 10) () = Store.create ~resolver:r ~replication:1 ()
+let insert s ~key v = Store.insert s ~len:0 ~key v
+
 let multi_entry_registration () =
-  let store : string Store.t = Store.create ~resolver:(resolver 10) () in
-  Store.insert store ~key:(k "a") "one";
-  Store.insert store ~key:(k "a") "two";
-  Store.insert store ~key:(k "b") "three";
+  let store : string Store.t = store () in
+  insert store ~key:(k "a") "one";
+  insert store ~key:(k "a") "two";
+  insert store ~key:(k "b") "three";
   Alcotest.(check (list string)) "multiple entries, most recent first" [ "two"; "one" ]
     (Store.lookup store (k "a"));
   Alcotest.(check (list string)) "other key isolated" [ "three" ] (Store.lookup store (k "b"));
   Alcotest.(check (list string)) "missing key" [] (Store.lookup store (k "zzz"));
   Alcotest.(check int) "key count" 2 (Store.key_count store);
-  Alcotest.(check int) "entry count" 3 (Store.entry_count store)
+  Alcotest.(check int) "entry count" 3 (Store.total_replica_entries store)
 
 let insert_unique_dedups () =
-  let store : string Store.t = Store.create ~resolver:(resolver 10) () in
-  Alcotest.(check bool) "first insert" true
-    (Store.insert_unique ~equal:String.equal store ~key:(k "a") "x");
-  Alcotest.(check bool) "duplicate rejected" false
-    (Store.insert_unique ~equal:String.equal store ~key:(k "a") "x");
-  Alcotest.(check bool) "different value accepted" true
-    (Store.insert_unique ~equal:String.equal store ~key:(k "a") "y");
+  let store : string Store.t = store () in
+  let insert_unique v = Store.insert_unique ~equal:String.equal store ~len:0 ~key:(k "a") v in
+  Alcotest.(check bool) "first insert" true (insert_unique "x");
+  Alcotest.(check bool) "duplicate rejected" false (insert_unique "x");
+  Alcotest.(check bool) "different value accepted" true (insert_unique "y");
   Alcotest.(check int) "two entries" 2 (List.length (Store.lookup store (k "a")))
 
 let remove_entries () =
-  let store : int Store.t = Store.create ~resolver:(resolver 10) () in
-  List.iter (Store.insert store ~key:(k "a")) [ 1; 2; 3; 4 ];
+  let store : int Store.t = store () in
+  List.iter (insert store ~key:(k "a")) [ 1; 2; 3; 4 ];
   Alcotest.(check int) "remove evens" 2
     (Store.remove store ~key:(k "a") (fun v -> v mod 2 = 0));
   Alcotest.(check (list int)) "odds remain" [ 3; 1 ] (Store.lookup store (k "a"));
@@ -42,17 +45,17 @@ let remove_entries () =
     (Store.remove store ~key:(k "a") (fun _ -> true))
 
 let remove_key_wholesale () =
-  let store : int Store.t = Store.create ~resolver:(resolver 10) () in
-  List.iter (Store.insert store ~key:(k "a")) [ 1; 2; 3 ];
+  let store : int Store.t = store () in
+  List.iter (insert store ~key:(k "a")) [ 1; 2; 3 ];
   Alcotest.(check int) "three removed" 3 (Store.remove_key store (k "a"));
   Alcotest.(check int) "idempotent" 0 (Store.remove_key store (k "a"))
 
 let placement_follows_resolver () =
   let r = resolver 10 in
-  let store : unit Store.t = Store.create ~resolver:r () in
+  let store : unit Store.t = store ~r () in
   for i = 1 to 100 do
     let key = k (Printf.sprintf "key-%d" i) in
-    Store.insert store ~key ();
+    insert store ~key ();
     Alcotest.(check int) "node_of matches resolver"
       (Dht.Resolver.responsible r key)
       (Store.node_of store key)
@@ -61,45 +64,23 @@ let placement_follows_resolver () =
   Alcotest.(check int) "keys distributed over nodes" 100 (Array.fold_left ( + ) 0 per_node)
 
 let entries_per_node_counts_all () =
-  let store : int Store.t = Store.create ~resolver:(resolver 4) () in
-  Store.insert store ~key:(k "a") 1;
-  Store.insert store ~key:(k "a") 2;
-  Store.insert store ~key:(k "b") 3;
+  let store : int Store.t = store ~r:(resolver 4) () in
+  insert store ~key:(k "a") 1;
+  insert store ~key:(k "a") 2;
+  insert store ~key:(k "b") 3;
   Alcotest.(check int) "entries sum" 3
     (Array.fold_left ( + ) 0 (Store.entries_per_node store));
   Alcotest.(check int) "keys sum" 2 (Array.fold_left ( + ) 0 (Store.keys_per_node store))
 
 let fold_visits_everything () =
-  let store : int Store.t = Store.create ~resolver:(resolver 7) () in
+  let store : int Store.t = store ~r:(resolver 7) () in
   for i = 1 to 50 do
-    Store.insert store ~key:(k (string_of_int (i mod 10))) i
+    insert store ~key:(k (string_of_int (i mod 10))) i
   done;
   let total = Store.fold store ~init:0 ~f:(fun acc _k entries -> acc + List.length entries) in
   Alcotest.(check int) "fold reaches all entries" 50 total
 
-let file_testable =
-  Alcotest.testable
-    (fun ppf (f : Block.file) -> Format.fprintf ppf "%s (%d B)" f.name f.size_bytes)
-    (fun a b -> String.equal a.Block.name b.Block.name && a.size_bytes = b.size_bytes)
-
-let block_store_basics () =
-  let blocks = Block.create ~resolver:(resolver 10) () in
-  let file = { Block.name = "article-1.pdf"; size_bytes = 250_000 } in
-  Block.put blocks ~key:(k "d1") file;
-  Alcotest.(check bool) "present" true (Block.mem blocks (k "d1"));
-  Alcotest.(check (option file_testable)) "stored file" (Some file) (Block.get blocks (k "d1"));
-  Alcotest.(check int) "total bytes" 250_000 (Block.total_bytes blocks);
-  (* Re-putting replaces, not accumulates. *)
-  Block.put blocks ~key:(k "d1") { file with size_bytes = 100 };
-  Alcotest.(check int) "replaced" 100 (Block.total_bytes blocks);
-  Alcotest.(check int) "one file" 1 (Block.file_count blocks);
-  Alcotest.(check bool) "delete" true (Block.delete blocks (k "d1"));
-  Alcotest.(check bool) "delete is idempotent" false (Block.delete blocks (k "d1"));
-  Alcotest.(check (option file_testable)) "gone" None (Block.get blocks (k "d1"))
-
 module Replicated = Storage.Replicated_store
-
-(* These stores never price traffic, so entries carry a nominal length. *)
 
 let replicated_basics () =
   let store : string Replicated.t = Replicated.create ~resolver:(resolver 10) ~replication:3 () in
@@ -200,8 +181,8 @@ let store_roundtrip_property =
   QCheck.Test.make ~name:"insert then lookup finds every entry" ~count:200
     QCheck.(list (pair (string_of_size (QCheck.Gen.int_range 1 12)) small_int))
     (fun pairs ->
-      let store : int Store.t = Store.create ~resolver:(resolver 16) () in
-      List.iter (fun (name, v) -> Store.insert store ~key:(k name) v) pairs;
+      let store : int Store.t = store ~r:(resolver 16) () in
+      List.iter (fun (name, v) -> insert store ~key:(k name) v) pairs;
       List.for_all (fun (name, v) -> List.mem v (Store.lookup store (k name))) pairs)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
@@ -217,7 +198,6 @@ let suite =
         Alcotest.test_case "placement follows resolver" `Quick placement_follows_resolver;
         Alcotest.test_case "entries vs keys per node" `Quick entries_per_node_counts_all;
         Alcotest.test_case "fold" `Quick fold_visits_everything;
-        Alcotest.test_case "block store" `Quick block_store_basics;
       ]
       @ qcheck [ store_roundtrip_property ] );
     ( "storage:replication",
