@@ -110,11 +110,6 @@ let simulate_cmd =
        is built. *)
     if (prefix_len <> None || multicast) && scheme <> Bib.Schemes.Prefix then
       fail "--prefix-len and --multicast require --scheme prefix";
-    if concurrency < 1 then fail "--concurrency must be >= 1 (got %d)" concurrency;
-    if coalesce && concurrency = 1 then
-      fail
-        "--coalesce requires --concurrency > 1 (coalescing needs overlapping \
-         sessions to merge)";
     let churn =
       match churn_rate with
       | Some rate ->
@@ -153,17 +148,6 @@ let simulate_cmd =
     in
     if replication <> None && churn = None && faults = None then
       fail "--replication requires --churn-rate or a fault flag";
-    (* Sharding flags.  --shards is the logical partition (it changes the
-       modelled network: S isolated slices); --domains is pure scheduling
-       and can never change a byte of the output. *)
-    if shards < 1 then fail "--shards must be >= 1 (got %d)" shards;
-    if domains < 1 then fail "--domains must be >= 1 (got %d)" domains;
-    if shards > 1 && (trace <> None || trace_out <> None) then
-      fail "--trace and --trace-out are per-run facilities; not available with --shards > 1";
-    if profile_phases && Stdlib.min domains shards > 1 then
-      fail
-        "--profile-phases needs a single worker domain (GC counters are \
-         per-domain); use --domains 1";
     (* Prefix runs carve a browsing share out of the author-only class so
        the routed scheme actually sees Author_prefix queries; every other
        scheme keeps the untouched BibFinder mix. *)
@@ -207,18 +191,16 @@ let simulate_cmd =
         in
         { config with quorum = Some quorum }
     in
-    (match Sim.Runner.validate config with Ok () -> () | Error msg -> fail "%s" msg);
-    (* Shard feasibility is checked here so a million-node run fails in
-       milliseconds, not minutes. *)
-    if shards > 1 then begin
-      if shards > nodes || shards > articles || shards > queries then
-        fail "--shards %d needs at least that many nodes, articles and queries (got %d/%d/%d)"
-          shards nodes articles queries;
-      let repl = Sim.Runner.effective_replication config in
-      if repl > nodes / shards then
-        fail "replication %d does not fit the smallest of %d shards (%d nodes per shard)" repl
-          shards (nodes / shards)
-    end;
+    (* Every setting and run option is checked before anything is built,
+       so a million-node run fails in milliseconds, not minutes. *)
+    (match
+       Result.bind (Sim.Runner.validate config) (fun () ->
+           Sim.Sharded.validate ~shards ~domains
+             ~per_run:(trace <> None || trace_out <> None)
+             ~profiled:profile_phases ~concurrency ~coalesce config)
+     with
+    | Ok () -> ()
+    | Error msg -> fail "%s" msg);
     let events =
       Option.map
         (fun path ->
@@ -236,18 +218,10 @@ let simulate_cmd =
       if profile_phases then Some (Obs.Phase.create ~clock:Monotonic_clock.now ())
       else None
     in
-    (* The default path stays Engine.run verbatim (it alone supports trace
-       replay and span collection); sharded runs go through the merge. *)
-    let er, sharded =
-      if shards = 1 then
-        (* With one shard extra domains have nothing to schedule, so this is
-           also the --domains N degenerate case — byte-identical by construction. *)
-        (Sim.Engine.run ?events ?tracer ?phases ~concurrency ~coalesce config, None)
-      else
-        let sr = Sim.Sharded.run ~shards ~domains ?phases ~concurrency ~coalesce config in
-        (sr.Sim.Sharded.engine, Some sr)
+    let r =
+      Sim.Sharded.run ~shards ~domains ?events ?tracer ?phases ~concurrency ~coalesce
+        config
     in
-    let r = er.Sim.Engine.base in
     let open Sim.Runner in
     let substrate_label =
       match substrate with
@@ -277,11 +251,11 @@ let simulate_cmd =
       (Stdx.Tabular.fmt_bytes (float_of_int r.article_bytes));
     (* Absolute per-category accounting: the same numbers land in the
        metrics snapshot and, split over spans, in the trace export. *)
-    Printf.printf "  request bytes           %8d B\n" r.request_bytes;
-    Printf.printf "  response bytes          %8d B\n" r.response_bytes;
-    Printf.printf "  cache-update bytes      %8d B\n" r.cache_bytes;
-    Printf.printf "  maintenance bytes       %8d B\n" r.maintenance_bytes;
-    Printf.printf "  network messages        %8d\n" r.network_messages;
+    Printf.printf "  request bytes           %8d B\n" (request_bytes r);
+    Printf.printf "  response bytes          %8d B\n" (response_bytes r);
+    Printf.printf "  cache-update bytes      %8d B\n" (cache_bytes r);
+    Printf.printf "  maintenance bytes       %8d B\n" (maintenance_bytes r);
+    Printf.printf "  network messages        %8d\n" (network_messages r);
     (* Printed only for prefix-scheme runs, so every other report stays
        byte-identical to the historical output. *)
     (match config.Sim.Runner.prefix with
@@ -311,12 +285,12 @@ let simulate_cmd =
           (if f.hedge then ", hedged" else "");
         Printf.printf "  lookup success          %8.1f %% (%d of %d rpcs answered)\n"
           (lookup_success_rate r *. 100.0)
-          (r.rpc_calls - r.rpc_exhausted)
-          r.rpc_calls;
-        Printf.printf "  rpc timeouts/retries    %8d / %d\n" r.rpc_timeouts r.rpc_retries;
-        Printf.printf "  hedges fired/won        %8d / %d\n" r.rpc_hedges r.rpc_hedges_won;
-        Printf.printf "  messages lost/duped     %8d / %d\n" r.rpc_lost_messages
-          r.rpc_duplicates_suppressed
+          (rpc_calls r - rpc_exhausted r)
+          (rpc_calls r);
+        Printf.printf "  rpc timeouts/retries    %8d / %d\n" (rpc_timeouts r) (rpc_retries r);
+        Printf.printf "  hedges fired/won        %8d / %d\n" (rpc_hedges r) (rpc_hedges_won r);
+        Printf.printf "  messages lost/duped     %8d / %d\n" (rpc_lost_messages r)
+          (rpc_duplicates_suppressed r)
     | Some _ | None -> ());
     (* Printed only when the quorum block actually changes the run, so
        the plain report stays byte-identical to the historical output. *)
@@ -326,37 +300,34 @@ let simulate_cmd =
           q.Sim.Runner.read_quorum q.Sim.Runner.write_quorum
           (Sim.Runner.effective_replication config);
         Printf.printf "  quorum reads            %8d (stale %.2f %%, %d read repairs)\n"
-          r.quorum_reads
+          (quorum_reads r)
           (stale_read_rate r *. 100.0)
-          r.quorum_read_repairs;
+          (quorum_read_repairs r);
         Printf.printf "  quorum writes           %8d (%d under-acknowledged)\n"
-          r.quorum_writes r.quorum_write_failures;
+          (quorum_writes r) (quorum_write_failures r);
         if q.Sim.Runner.anti_entropy_interval > 0.0 then
           Printf.printf
             "  anti-entropy            %8d rounds (digests %d B, shipped %d B; \
              full state %d B)\n"
-            r.antientropy_rounds r.antientropy_digest_bytes
-            r.antientropy_shipped_bytes r.antientropy_full_state_bytes
+            (antientropy_rounds r) (antientropy_digest_bytes r)
+            (antientropy_shipped_bytes r) (antientropy_full_state_bytes r)
     | Some _ | None -> ());
     (* Printed only in concurrent mode, so the sequential report stays
        byte-identical to the historical output. *)
     if concurrency > 1 then begin
-      Printf.printf "  concurrency             %8d (peak in flight %d)\n"
-        er.Sim.Engine.concurrency er.Sim.Engine.peak_in_flight;
+      Printf.printf "  concurrency             %8d (peak in flight %d)\n" concurrency
+        r.peak_in_flight;
       Printf.printf "  session latency         %8.3f s mean\n"
-        (Stdx.Stats.Summary.mean er.Sim.Engine.session_latency);
-      if coalesce then
-        Printf.printf "  coalesced probes        %8d\n" er.Sim.Engine.coalesced
+        (Stdx.Stats.Summary.mean r.session_latency);
+      if coalesce then Printf.printf "  coalesced probes        %8d\n" (coalesced r)
     end;
     (* Printed only in sharded mode, so the unsharded report stays
        byte-identical to the historical output.  The worker count is
        deliberately absent: --domains is scheduling, and the whole report
        must stay byte-identical across it. *)
-    (match sharded with
-    | Some sr ->
-        Printf.printf "  shards                  %8d (isolated slices, merged in shard order)\n"
-          sr.Sim.Sharded.shard_count
-    | None -> ());
+    if shards > 1 then
+      Printf.printf "  shards                  %8d (isolated slices, merged in shard order)\n"
+        shards;
     (match phases with
     | Some p ->
         print_string "\nphase profile (wall clock; p2pindex_phase_* / p2pindex_gc_* \

@@ -15,8 +15,12 @@ type instruments = {
   repairs : Obs.Metrics.Counter.t;
 }
 
+(* The virtual clock only moves forward: to each fired event's time,
+   then to the [until] of the [run_until] call. *)
 type t = {
-  engine : event Engine.t;
+  queue : event Stdx.Event_queue.t;
+  prng : Stdx.Prng.t;
+  mutable now : float;
   liveness : Dht.Liveness.t;
   config : config;
   instruments : instruments option;
@@ -45,26 +49,28 @@ let check_period name period =
 let create ?metrics ~seed ~liveness config =
   check_period "republish_period" config.republish_period;
   check_period "repair_period" config.repair_period;
-  let engine = Engine.create ~dummy:Republish ~seed in
-  let t =
-    { engine; liveness; config; instruments = Option.map (fun r -> make_instruments r liveness) metrics }
-  in
+  let queue = Stdx.Event_queue.create ~dummy:Republish () in
+  let prng = Stdx.Prng.create ~seed in
   (* One lifetime draw per node, in node order, so the whole schedule is a
      pure function of the seed. *)
-  let prng = Engine.prng engine in
   for node = 0 to Dht.Liveness.node_count liveness - 1 do
-    Engine.schedule engine ~at:(Lifetime.sample config.session prng) (Fail node)
+    Stdx.Event_queue.push queue ~time:(Lifetime.sample config.session prng) (Fail node)
   done;
   if config.republish_period < infinity then
-    Engine.schedule engine ~at:config.republish_period Republish;
+    Stdx.Event_queue.push queue ~time:config.republish_period Republish;
   if config.repair_period < infinity then
-    Engine.schedule engine ~at:config.repair_period Repair;
-  t
+    Stdx.Event_queue.push queue ~time:config.repair_period Repair;
+  {
+    queue;
+    prng;
+    now = 0.0;
+    liveness;
+    config;
+    instruments = Option.map (fun r -> make_instruments r liveness) metrics;
+  }
 
-let now t = Engine.now t.engine
-let live_count t = Dht.Liveness.live_count t.liveness
-
-let next_event_time t = Engine.peek_time t.engine
+let schedule_after t ~delay event =
+  Stdx.Event_queue.push t.queue ~time:(t.now +. delay) event
 
 let set_gauge t =
   match t.instruments with
@@ -79,39 +85,31 @@ let count t pick =
   | Some ins -> Obs.Metrics.Counter.incr (pick ins)
 
 let run_until t ~until ~on_fail ~on_join ~on_republish ~on_repair =
-  let prng = Engine.prng t.engine in
-  let rec loop () =
-    match Engine.next_until t.engine ~until with
-    | None -> ()
-    | Some (time, event) ->
-        (match event with
-        | Fail node ->
-            if Dht.Liveness.fail t.liveness node then begin
-              count t (fun i -> i.failures);
-              set_gauge t;
-              on_fail ~time node
-            end;
-            Engine.schedule_after t.engine
-              ~delay:(Lifetime.sample t.config.downtime prng)
-              (Join node)
-        | Join node ->
-            if Dht.Liveness.revive t.liveness node then begin
-              count t (fun i -> i.joins);
-              set_gauge t;
-              on_join ~time node
-            end;
-            Engine.schedule_after t.engine
-              ~delay:(Lifetime.sample t.config.session prng)
-              (Fail node)
-        | Republish ->
-            count t (fun i -> i.republishes);
-            on_republish ~time;
-            Engine.schedule_after t.engine ~delay:t.config.republish_period
-              Republish
-        | Repair ->
-            count t (fun i -> i.repairs);
-            on_repair ~time;
-            Engine.schedule_after t.engine ~delay:t.config.repair_period Repair);
-        loop ()
+  let fire ~time event =
+    if time > t.now then t.now <- time;
+    match event with
+    | Fail node ->
+        if Dht.Liveness.fail t.liveness node then begin
+          count t (fun i -> i.failures);
+          set_gauge t;
+          on_fail ~time node
+        end;
+        schedule_after t ~delay:(Lifetime.sample t.config.downtime t.prng) (Join node)
+    | Join node ->
+        if Dht.Liveness.revive t.liveness node then begin
+          count t (fun i -> i.joins);
+          set_gauge t;
+          on_join ~time node
+        end;
+        schedule_after t ~delay:(Lifetime.sample t.config.session t.prng) (Fail node)
+    | Republish ->
+        count t (fun i -> i.republishes);
+        on_republish ~time;
+        schedule_after t ~delay:t.config.republish_period Republish
+    | Repair ->
+        count t (fun i -> i.repairs);
+        on_repair ~time;
+        schedule_after t ~delay:t.config.repair_period Repair
   in
-  loop ()
+  ignore (Stdx.Event_queue.drain_until t.queue ~until ~f:fire : int);
+  if until > t.now then t.now <- until

@@ -1,4 +1,4 @@
-(** The churn driver: turns an {!Engine} plus session-lifetime
+(** The churn driver: turns a seeded event queue plus session-lifetime
     distributions into a concrete schedule of node failures, rejoins and
     periodic soft-state maintenance.
 
@@ -6,7 +6,8 @@
     [session]) and downtimes (dead, drawn from [downtime]); failures are
     abrupt (crash-stop — the owner of the node's state decides what is
     lost via the [on_fail] callback).  Republish and repair fire globally
-    on fixed periods.  Everything is deterministic from the engine seed:
+    on fixed periods.  Time is purely virtual and only moves forward;
+    everything is deterministic from the seed:
     two drivers with the same seed and config emit identical event
     sequences. *)
 
@@ -39,10 +40,6 @@ val create :
     [p2pindex_churn_{failures,joins,republishes,repairs}_total]
     counters. *)
 
-val now : t -> float
-
-val live_count : t -> int
-
 val run_until :
   t ->
   until:float ->
@@ -57,6 +54,3 @@ val run_until :
     alive again.  A [Fail] schedules the matching [Join] at
     [now + downtime]; a [Join] schedules the next [Fail] at
     [now + session]; periodic events reschedule themselves. *)
-
-val next_event_time : t -> float option
-(** When the next scheduled event fires, if any. *)

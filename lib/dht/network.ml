@@ -14,10 +14,9 @@ let category_index = function
 
 let all_categories = [| Request; Response; Cache_update; Maintenance |]
 
-let category_count = 4
-
-(* Registry instruments, one (messages, bytes) counter pair per category,
-   prefetched so [send] stays two array reads and two increments. *)
+(* The traffic counts live in registry counters, one (messages, bytes)
+   pair per category, prefetched so [send] stays two array reads and two
+   increments. *)
 type instruments = {
   msg_counters : Obs.Metrics.Counter.t array;
   byte_counters : Obs.Metrics.Counter.t array;
@@ -26,11 +25,9 @@ type instruments = {
 
 type t = {
   node_count : int;
-  messages : int array; (* per category *)
-  bytes : int array; (* per category *)
   touch_arena : Stdx.Arena.t; (* dense node-id space *)
   touches : Stdx.Arena.Int_col.col; (* per node *)
-  instruments : instruments option;
+  instruments : instruments;
 }
 
 let make_instruments registry =
@@ -54,21 +51,18 @@ let make_instruments registry =
 
 let create ?metrics ~node_count () =
   if node_count <= 0 then invalid_arg "Network.create: need at least one node";
-  (match metrics with
-  | Some registry ->
-      Obs.Metrics.Gauge.set
-        (Obs.Metrics.gauge registry ~help:"Peers in the simulated network"
-           "p2pindex_network_nodes")
-        (float_of_int node_count)
-  | None -> ());
+  (* Without a shared registry the counters live in a private one. *)
+  let registry = match metrics with Some r -> r | None -> Obs.Metrics.create () in
+  Obs.Metrics.Gauge.set
+    (Obs.Metrics.gauge registry ~help:"Peers in the simulated network"
+       "p2pindex_network_nodes")
+    (float_of_int node_count);
   let touch_arena = Stdx.Arena.of_dense ~checked:false ~count:node_count () in
   {
     node_count;
-    messages = Array.make category_count 0;
-    bytes = Array.make category_count 0;
     touch_arena;
     touches = Stdx.Arena.Int_col.make touch_arena ~default:0;
-    instruments = Option.map make_instruments metrics;
+    instruments = make_instruments registry;
   }
 
 let node_count t = t.node_count
@@ -81,13 +75,8 @@ let send t ~dst ~bytes ~category =
   if bytes < 0 then
     invalid_arg (Printf.sprintf "Network.send: negative byte count %d" bytes);
   let i = category_index category in
-  t.messages.(i) <- t.messages.(i) + 1;
-  t.bytes.(i) <- t.bytes.(i) + bytes;
-  match t.instruments with
-  | None -> ()
-  | Some ins ->
-      Obs.Metrics.Counter.incr ins.msg_counters.(i);
-      Obs.Metrics.Counter.incr ~by:bytes ins.byte_counters.(i)
+  Obs.Metrics.Counter.incr t.instruments.msg_counters.(i);
+  Obs.Metrics.Counter.add t.instruments.byte_counters.(i) bytes
 
 let[@hot] touch t ~node =
   if node < 0 || node >= t.node_count then
@@ -95,29 +84,26 @@ let[@hot] touch t ~node =
       (Printf.sprintf "Network.touch: node %d out of range [0, %d)" node
          t.node_count);
   Stdx.Arena.Int_col.add t.touches node 1;
-  match t.instruments with
-  | None -> ()
-  | Some ins -> Obs.Metrics.Counter.incr ins.touch_counter
+  Obs.Metrics.Counter.incr t.instruments.touch_counter
 
-let messages t category = t.messages.(category_index category)
-let bytes t category = t.bytes.(category_index category)
+let messages t category =
+  Obs.Metrics.Counter.value t.instruments.msg_counters.(category_index category)
 
-let total_messages t = Array.fold_left ( + ) 0 t.messages
-let total_bytes t = Array.fold_left ( + ) 0 t.bytes
+let bytes t category =
+  Obs.Metrics.Counter.value t.instruments.byte_counters.(category_index category)
+
+let sum counters =
+  Array.fold_left (fun acc c -> acc + Obs.Metrics.Counter.value c) 0 counters
+
+let total_messages t = sum t.instruments.msg_counters
+let total_bytes t = sum t.instruments.byte_counters
 
 let touches t = Stdx.Arena.Int_col.to_array t.touches ~len:t.node_count
 
 let reset t =
-  Array.fill t.messages 0 category_count 0;
-  Array.fill t.bytes 0 category_count 0;
   for node = 0 to t.node_count - 1 do
     Stdx.Arena.Int_col.set t.touches node 0
   done;
-  (* Keep the registry in lock-step: its counters mirror this accounting
-     layer, which has just been zeroed (e.g. after corpus publication). *)
-  match t.instruments with
-  | None -> ()
-  | Some ins ->
-      Array.iter Obs.Metrics.Counter.reset ins.msg_counters;
-      Array.iter Obs.Metrics.Counter.reset ins.byte_counters;
-      Obs.Metrics.Counter.reset ins.touch_counter
+  Array.iter Obs.Metrics.Counter.reset t.instruments.msg_counters;
+  Array.iter Obs.Metrics.Counter.reset t.instruments.byte_counters;
+  Obs.Metrics.Counter.reset t.instruments.touch_counter

@@ -17,12 +17,11 @@ val category_label : category -> string
 type t
 
 val create : ?metrics:Obs.Metrics.t -> node_count:int -> unit -> t
-(** A network of [node_count] peers, all counters at zero.  With
-    [metrics], the network doubles as a thin client of the registry:
-    every [send]/[touch] also bumps the
+(** A network of [node_count] peers, all counters at zero.  The traffic
+    counts live in the registry: every [send]/[touch] bumps the
     [p2pindex_network_{messages,bytes,touches}_total] counters (bytes and
-    messages labelled by category), and {!reset} zeroes them in lock-step,
-    so registry totals always equal {!total_messages}/{!total_bytes}. *)
+    messages labelled by category) of [metrics], or of a private registry
+    when none is given, and {!messages}/{!bytes} read them back. *)
 
 val node_count : t -> int
 
@@ -46,4 +45,5 @@ val touches : t -> int array
 (** Per-node access counts (a fresh copy). *)
 
 val reset : t -> unit
-(** Zero every counter (e.g. after warming up the indexes). *)
+(** Zero every counter, the registry's included (e.g. after warming up
+    the indexes). *)

@@ -111,7 +111,8 @@ type t = {
   clock : clock;
   resolver : Resolver.t option;
   charge_route_hops : bool;
-  outbox : Faults.Outbox.t;
+  outbox : (unit -> unit) Stdx.Event_queue.t;
+      (* delayed one-way deliveries, by (arrival time, posting order) *)
   instruments : instruments option;
 }
 
@@ -126,7 +127,7 @@ let create ?network ?metrics ?(plan = Plan.zero) ?(config = default_config)
     clock;
     resolver;
     charge_route_hops;
-    outbox = Faults.Outbox.create ();
+    outbox = Stdx.Event_queue.create ~dummy:ignore ();
     instruments = Option.map make_instruments metrics;
   }
 
@@ -376,15 +377,16 @@ let send_oneway ?(lossy = false) t ~dst ~bytes ~category ~deliver =
       end
       else begin
         let arrival = t.clock.now () +. v.Plan.latency in
-        Faults.Outbox.post t.outbox ~time:arrival run;
-        if v.Plan.duplicated then Faults.Outbox.post t.outbox ~time:arrival run
+        Stdx.Event_queue.push t.outbox ~time:arrival run;
+        if v.Plan.duplicated then Stdx.Event_queue.push t.outbox ~time:arrival run
       end
     end
   end
 
-let deliver_until t ~now = Faults.Outbox.deliver_until t.outbox ~now
-let flush_deliveries t = Faults.Outbox.flush t.outbox
-let pending_deliveries t = Faults.Outbox.pending t.outbox
+let deliver ~time:_ run = run ()
+let deliver_until t ~now = Stdx.Event_queue.drain_until t.outbox ~until:now ~f:deliver
+let flush_deliveries t = Stdx.Event_queue.drain_until t.outbox ~until:infinity ~f:deliver
+let pending_deliveries t = Stdx.Event_queue.length t.outbox
 
 (* ------------------------------------------------------------------ *)
 

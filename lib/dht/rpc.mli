@@ -135,10 +135,12 @@ val send_oneway :
     duplicated copies run [deliver] again. *)
 
 val deliver_until : t -> now:float -> int
-(** Run every delayed one-way delivery due by [now]; returns how many. *)
+(** Run every delayed one-way delivery due by [now], earliest arrival
+    first and ties in posting order; returns how many ran. *)
 
 val flush_deliveries : t -> int
-(** Run every remaining delayed delivery regardless of due time. *)
+(** Run every remaining delayed delivery regardless of due time, in the
+    same order; returns how many ran. *)
 
 val pending_deliveries : t -> int
 

@@ -12,6 +12,10 @@ module Counter = struct
     if by < 0 then invalid_arg "Metrics.Counter.incr: counters are monotone";
     c.value <- c.value + by
 
+  let add c n =
+    if n < 0 then invalid_arg "Metrics.Counter.add: counters are monotone";
+    c.value <- c.value + n
+
   let value c = c.value
 
   let reset c = c.value <- 0
@@ -360,3 +364,12 @@ let counter_total snap name =
       List.fold_left
         (fun acc s -> match s.value with Counter_value n -> acc + n | _ -> acc)
         0 f.series
+
+let counter_value snap ?(labels = []) name =
+  let labels = normalize_labels labels in
+  match List.find_opt (fun f -> String.equal f.name name) snap with
+  | None -> 0
+  | Some f -> (
+      match List.find_opt (fun s -> labels_compare s.labels labels = 0) f.series with
+      | Some { value = Counter_value n; _ } -> n
+      | Some _ | None -> 0)

@@ -22,6 +22,10 @@ module Counter : sig
   (** Add [by] (default 1).  @raise Invalid_argument when [by < 0]:
       counters are monotone. *)
 
+  val add : t -> int -> unit
+  (** [add c n] is [incr ~by:n c] without boxing the optional argument —
+      for per-message hot paths. *)
+
   val value : t -> int
 
   val reset : t -> unit
@@ -136,3 +140,8 @@ val snapshot_quantile : histogram_snapshot -> float -> float
 
 val counter_total : snapshot -> string -> int
 (** Sum of a counter family's series; 0 when the family is absent. *)
+
+val counter_value : snapshot -> ?labels:labels -> string -> int
+(** The value of one counter series, found by family name and label set
+    ([labels] in any order, default none); 0 when the family or the
+    series is absent. *)

@@ -1,15 +1,5 @@
 module Q = Bib.Bib_query
 module Index = Bib.Bib_index
-module Summary = Stdx.Stats.Summary
-
-type report = {
-  base : Runner.report;
-  concurrency : int;
-  coalesce : bool;
-  coalesced : int;
-  session_latency : Summary.t;
-  peak_in_flight : int;
-}
 
 type session = { arrived : float; mutable walk : Walk.state }
 
@@ -21,23 +11,11 @@ type probe_entry = { answer : Index.step; completes_at : float }
 
 let run ?events ?metrics ?tracer ?phases ?(concurrency = 1) ?(coalesce = false)
     cfg =
-  if concurrency < 1 then invalid_arg "Engine.run: concurrency must be >= 1";
-  if coalesce && concurrency = 1 then
-    invalid_arg "Engine.run: coalescing needs concurrency > 1";
   if concurrency = 1 then
-    (* Degeneration: at concurrency 1 the sequential runner IS the engine
-       — the identical code path, so the report and metrics snapshot are
-       byte-for-byte those of {!Runner.run}, and no engine metric
-       families are registered (the churn-0 / zero-plan pattern). *)
-    let base = Runner.run ?events ?metrics ?tracer ?phases cfg in
-    {
-      base;
-      concurrency = 1;
-      coalesce = false;
-      coalesced = 0;
-      session_latency = Summary.create ();
-      peak_in_flight = 1;
-    }
+    (* At concurrency 1 the sequential runner is the engine: sessions run
+       to completion one after another, and no engine metric family is
+       registered. *)
+    Runner.run ?events ?metrics ?tracer ?phases cfg
   else begin
     let env =
       Obs.Phase.span_opt phases "setup" (fun () ->
@@ -73,14 +51,9 @@ let run ?events ?metrics ?tracer ?phases ?(concurrency = 1) ?(coalesce = false)
         "p2pindex_engine_wait_queue"
     in
     let tally = Runner.Internal.tally_create () in
-    let session_latency = Summary.create () in
-    let queue : ev Churn.Event_queue.t =
-      Churn.Event_queue.create ~dummy:(Arrival 0) ()
-    in
+    let queue : ev Stdx.Event_queue.t = Stdx.Event_queue.create ~dummy:(Arrival 0) () in
     let waitq : session Queue.t = Queue.create () in
     let in_flight = ref 0 in
-    let peak = ref 0 in
-    let coalesced = ref 0 in
     let inflight_probes : (string, probe_entry) Hashtbl.t = Hashtbl.create 256 in
     (* Singleflight: identical probes to the same responsible node (the
        node is a function of the query string) are deduplicated while one
@@ -95,7 +68,6 @@ let run ?events ?metrics ?tracer ?phases ?(concurrency = 1) ?(coalesce = false)
       else fun ~rendered:qs q ->
         match Hashtbl.find_opt inflight_probes qs with
         | Some e when e.completes_at > !clock_ref ->
-            incr coalesced;
             Obs.Metrics.Counter.incr coalesced_total;
             Dht.Rpc.send_oneway rpc
               ~dst:(Index.node_of_query index q)
@@ -113,13 +85,12 @@ let run ?events ?metrics ?tracer ?phases ?(concurrency = 1) ?(coalesce = false)
     in
     let[@hot] admit s ~time =
       incr in_flight;
-      if !in_flight > !peak then peak := !in_flight;
       Obs.Metrics.Gauge.set in_flight_gauge (float_of_int !in_flight);
-      Churn.Event_queue.push queue ~time (Resume s)
+      Stdx.Event_queue.push queue ~time (Resume s)
     in
     let[@hot] arrival i ~time =
       if i < cfg.Runner.query_count then
-        Churn.Event_queue.push queue
+        Stdx.Event_queue.push queue
           ~time:(float_of_int (i + 1) /. query_rate)
           (Arrival (i + 1));
       let event = Runner.Internal.next_event env in
@@ -156,7 +127,7 @@ let run ?events ?metrics ?tracer ?phases ?(concurrency = 1) ?(coalesce = false)
       (match stepped with
       | Walk.Running w ->
           s.walk <- w;
-          Churn.Event_queue.push queue ~time:!clock_ref (Resume s)
+          Stdx.Event_queue.push queue ~time:!clock_ref (Resume s)
       | Walk.Finished outcome ->
           (match phases with
           | None ->
@@ -169,7 +140,8 @@ let run ?events ?metrics ?tracer ?phases ?(concurrency = 1) ?(coalesce = false)
               (* lint: allow P1 — profiled branch only: Phase.span takes a thunk; opt-in --profile-phases forfeits the fast path *)
               Obs.Phase.span p "tally" (fun () ->
                   Runner.Internal.tally_record tally outcome));
-          Summary.add session_latency (!clock_ref -. s.arrived);
+          Runner.Internal.tally_latency tally ~latency:(!clock_ref -. s.arrived)
+            ~in_flight:!in_flight;
           decr in_flight;
           Obs.Metrics.Gauge.set in_flight_gauge (float_of_int !in_flight);
           (match Queue.take_opt waitq with
@@ -182,7 +154,7 @@ let run ?events ?metrics ?tracer ?phases ?(concurrency = 1) ?(coalesce = false)
       | None -> ()
       | Some tr -> Obs.Trace.end_trace tr
     in
-    Churn.Event_queue.push queue ~time:(1.0 /. query_rate) (Arrival 1);
+    Stdx.Event_queue.push queue ~time:(1.0 /. query_rate) (Arrival 1);
     (* Popped times never decrease (every push is at or after the popped
        time), so churn and outbox delivery advance monotonically.  The
        clock itself can dip back between quanta — an executing quantum
@@ -204,8 +176,8 @@ let run ?events ?metrics ?tracer ?phases ?(concurrency = 1) ?(coalesce = false)
     let tick = 1.0 /. query_rate in
     let horizon = ref tick in
     let rec drain () =
-      ignore (Churn.Event_queue.drain_until queue ~until:!horizon ~f:handle : int);
-      match Churn.Event_queue.peek_time queue with
+      ignore (Stdx.Event_queue.drain_until queue ~until:!horizon ~f:handle : int);
+      match Stdx.Event_queue.peek_time queue with
       | None -> ()
       | Some next ->
           horizon := Float.max (!horizon +. tick) next;
@@ -213,16 +185,5 @@ let run ?events ?metrics ?tracer ?phases ?(concurrency = 1) ?(coalesce = false)
     in
     drain ();
     ignore (Dht.Rpc.flush_deliveries rpc : int);
-    let base =
-      Obs.Phase.span_opt phases "report" (fun () ->
-          Runner.Internal.make_report env tally)
-    in
-    {
-      base;
-      concurrency;
-      coalesce;
-      coalesced = !coalesced;
-      session_latency;
-      peak_in_flight = !peak;
-    }
+    Obs.Phase.span_opt phases "report" (fun () -> Runner.Internal.make_report env tally)
   end

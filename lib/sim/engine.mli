@@ -4,40 +4,28 @@
 
     The sequential {!Runner} drives each session to completion before the
     next arrives; real deployments overlap them.  This engine schedules
-    sessions as {!Walk.step} quanta on a {!Churn.Event_queue}: arrivals
+    sessions as {!Walk.step} quanta on a {!Stdx.Event_queue}: arrivals
     come at the configured [query_rate], at most [concurrency] sessions
     hold a slot at once (later arrivals wait FIFO), and each quantum's
     RPC latency decides when that session resumes — so sessions genuinely
     interleave in virtual time.
 
-    {b Degeneration guarantee.}  At [concurrency = 1] (coalescing is
-    rejected there) the engine calls {!Runner.run} itself — the identical
-    code path — so the report {e and the metrics snapshot} are
-    byte-for-byte those of a sequential run, and none of the engine's
-    metric families exist.
+    At [concurrency = 1] the engine is a plain call of {!Runner.run}, so
+    it returns the sequential report: an empty [session_latency], a
+    [peak_in_flight] of 1, and none of the engine's metric families.
 
     {b Coalescing.}  With [~coalesce:true], a lookup probe for a query
     string equal to one whose response is still in flight does not hit
     the network again: the follower pays only a small consultation ticket
     ({!P2pindex.Wire.consult_bytes}, billed as cache traffic), inherits
     the leader's answer, and resumes when that response lands.  Counted
-    by [p2pindex_engine_coalesced_total]; the in-flight and wait-queue
-    depths are exported as [p2pindex_engine_in_flight] and
+    by [p2pindex_engine_coalesced_total] (read back by
+    {!Runner.coalesced}); the in-flight and wait-queue depths are
+    exported as [p2pindex_engine_in_flight] and
     [p2pindex_engine_wait_queue].  With a hot-spot workload and enough
     concurrency this strictly reduces normal traffic per query (the
     paper's Fig. 15 load concentration is what makes identical probes
     overlap). *)
-
-type report = {
-  base : Runner.report;  (** Everything the sequential report carries. *)
-  concurrency : int;
-  coalesce : bool;
-  coalesced : int;  (** Probes that rode another probe's response. *)
-  session_latency : Stdx.Stats.Summary.t;
-      (** Arrival-to-completion virtual seconds per session (empty at
-          concurrency 1: sequential sessions occupy no queueing time). *)
-  peak_in_flight : int;  (** High-water mark of concurrently held slots. *)
-}
 
 val run :
   ?events:Workload.Query_gen.event list ->
@@ -47,13 +35,13 @@ val run :
   ?concurrency:int ->
   ?coalesce:bool ->
   Runner.config ->
-  report
+  Runner.report
 (** [run config] with the defaults ([concurrency = 1], [coalesce =
-    false]) is exactly [Runner.run config], wrapped.  [?events],
-    [?metrics], [?tracer] and [?phases] behave as in {!Runner.run}; in
-    concurrent mode the tracer records one trace per scheduling quantum
-    rather than per session, since sessions interleave, and the profiled
-    "walk" phase accumulates per quantum.
-    @raise Invalid_argument on a bad config (as {!Runner.run}), on
-    [concurrency < 1], or on [coalesce] without [concurrency > 1] —
-    coalescing needs overlapping sessions to have anything to merge. *)
+    false]) is [Runner.run config].  [?events], [?metrics], [?tracer] and
+    [?phases] behave as in {!Runner.run}; in concurrent mode the tracer
+    records one trace per scheduling quantum rather than per session,
+    since sessions interleave, and the profiled "walk" phase accumulates
+    per quantum.  [concurrency] and [coalesce] are not checked here:
+    {!Sharded.run} is the checked entry point ({!Sharded.validate}
+    requires [concurrency >= 1], and [concurrency > 1] for coalescing).
+    @raise Invalid_argument on a bad config (as {!Runner.run}). *)

@@ -513,7 +513,7 @@ let ablation_substrate grid =
          let interactions = Runner.interactions_mean r in
          let normal = Runner.normal_traffic_per_query r in
          let routing =
-           float_of_int r.Runner.maintenance_bytes
+           float_of_int (Runner.maintenance_bytes r)
            /. float_of_int (Stdx.Stats.Summary.count r.Runner.interactions)
          in
          let key = slug label in
@@ -843,13 +843,13 @@ let fault_sweep grid =
     let interactions = Runner.interactions_mean r in
     let key = "l" ^ fnum loss_rate ^ "/r" ^ int retries in
     ( [ Printf.sprintf "%g" loss_rate; int retries; yes_no hedged; Tabular.fmt_pct success;
-        Tabular.fmt_pct availability; f3 interactions; int r.Runner.rpc_timeouts;
-        int r.Runner.rpc_retries; int r.Runner.rpc_hedges_won ],
+        Tabular.fmt_pct availability; f3 interactions; int (Runner.rpc_timeouts r);
+        int (Runner.rpc_retries r); int (Runner.rpc_hedges_won r) ],
       [
         m ("rpc_success/" ^ key) higher success;
         m ("availability/" ^ key) higher availability;
         m ("interactions/" ^ key) lower interactions;
-        m ("timeouts/" ^ key) info (float_of_int r.Runner.rpc_timeouts);
+        m ("timeouts/" ^ key) info (float_of_int (Runner.rpc_timeouts r));
       ] )
   in
   tabulate
@@ -881,22 +881,22 @@ let concurrency_sweep grid =
     }
   in
   let row (concurrency, coalesce) =
-    let r = Engine.run ~concurrency ~coalesce base in
-    let normal = Runner.normal_traffic_per_query r.Engine.base in
+    let r = Sharded.run ~concurrency ~coalesce base in
+    let normal = Runner.normal_traffic_per_query r in
     (* Includes the coalesced followers' consultation tickets. *)
-    let cache = Runner.cache_traffic_per_query r.Engine.base in
+    let cache = Runner.cache_traffic_per_query r in
     (* Mean arrival-to-completion virtual seconds (0 at concurrency 1). *)
-    let latency = Stdx.Stats.Summary.mean r.Engine.session_latency in
+    let latency = Stdx.Stats.Summary.mean r.Runner.session_latency in
     let key = "c" ^ int concurrency ^ if coalesce then "/coalesce" else "/plain" in
-    ( [ int concurrency; yes_no coalesce; int r.Engine.coalesced;
+    ( [ int concurrency; yes_no coalesce; int (Runner.coalesced r);
         Printf.sprintf "%.1f" normal; Printf.sprintf "%.1f" cache;
-        Printf.sprintf "%.3f s" latency; int r.Engine.peak_in_flight ],
+        Printf.sprintf "%.3f s" latency; int r.Runner.peak_in_flight ],
       [
         m ("normal_bytes/" ^ key) lower normal;
         m ("cache_bytes/" ^ key) info cache;
-        m ("coalesced/" ^ key) info (float_of_int r.Engine.coalesced);
+        m ("coalesced/" ^ key) info (float_of_int (Runner.coalesced r));
         m ("session_latency/" ^ key) lower latency;
-        m ("peak_in_flight/" ^ key) info (float_of_int r.Engine.peak_in_flight);
+        m ("peak_in_flight/" ^ key) info (float_of_int r.Runner.peak_in_flight);
       ] )
   in
   tabulate ~title:"Concurrency sweep — singleflight coalescing under overlapping sessions"
@@ -1037,19 +1037,19 @@ let quorum_sweep grid =
     let stale = Runner.stale_read_rate r in
     let availability = Runner.availability r in
     let maintenance = Runner.maintenance_traffic_per_query r in
-    let digest = r.Runner.antientropy_digest_bytes in
-    let shipped = r.Runner.antientropy_shipped_bytes in
-    let full_state = r.Runner.antientropy_full_state_bytes in
+    let digest = (Runner.antientropy_digest_bytes r) in
+    let shipped = (Runner.antientropy_shipped_bytes r) in
+    let full_state = (Runner.antientropy_full_state_bytes r) in
     let key = "c" ^ fnum churn_rate ^ "/q" ^ int read_quorum in
     ( [ Printf.sprintf "%g" churn_rate; int read_quorum; Tabular.fmt_pct stale;
-        Tabular.fmt_pct availability; int r.Runner.quorum_reads;
-        int r.Runner.quorum_read_repairs; int r.Runner.quorum_write_failures;
+        Tabular.fmt_pct availability; int (Runner.quorum_reads r);
+        int (Runner.quorum_read_repairs r); int (Runner.quorum_write_failures r);
         f0 maintenance; int digest; int shipped; int full_state ],
       [
         m ("stale_rate/" ^ key) lower stale;
         m ("availability/" ^ key) higher availability;
-        m ("read_repairs/" ^ key) info (float_of_int r.Runner.quorum_read_repairs);
-        m ("under_acked/" ^ key) info (float_of_int r.Runner.quorum_write_failures);
+        m ("read_repairs/" ^ key) info (float_of_int (Runner.quorum_read_repairs r));
+        m ("under_acked/" ^ key) info (float_of_int (Runner.quorum_write_failures r));
         m ("maint_bytes/" ^ key) lower maintenance;
         m ("ae_digest_bytes/" ^ key) lower (float_of_int digest);
         m ("ae_shipped_bytes/" ^ key) lower (float_of_int shipped);
@@ -1100,8 +1100,7 @@ let scale_sweep grid =
         seed = scale.seed;
       }
     in
-    let sr = Sharded.run ~shards:scale_sweep_shards ~domains:1 ~phases cfg in
-    let r = sr.Sharded.engine.Engine.base in
+    let r = Sharded.run ~shards:scale_sweep_shards ~domains:1 ~phases cfg in
     let entries = Obs.Phase.entries phases in
     let minor_of (e : Obs.Phase.entry) = e.Obs.Phase.minor_words in
     let minor = List.fold_left (fun acc e -> acc +. minor_of e) 0.0 entries in

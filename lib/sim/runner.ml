@@ -223,10 +223,8 @@ type report = {
   errors : int;
   error_probes : Summary.t;
   unreachable : int;
-  request_bytes : int;
-  response_bytes : int;
-  cache_bytes : int;
-  maintenance_bytes : int;
+  session_latency : Summary.t;
+  peak_in_flight : int;
   node_touches : int array;
   cached_keys : int array;
   regular_keys : int array;
@@ -234,24 +232,6 @@ type report = {
   article_bytes : int;
   index_mappings : int;
   publish_bytes : int;
-  network_messages : int;
-  rpc_calls : int;
-  rpc_exhausted : int;
-  rpc_timeouts : int;
-  rpc_retries : int;
-  rpc_hedges : int;
-  rpc_hedges_won : int;
-  rpc_duplicates_suppressed : int;
-  rpc_lost_messages : int;
-  quorum_reads : int;
-  quorum_stale_reads : int;
-  quorum_read_repairs : int;
-  quorum_writes : int;
-  quorum_write_failures : int;
-  antientropy_rounds : int;
-  antientropy_digest_bytes : int;
-  antientropy_shipped_bytes : int;
-  antientropy_full_state_bytes : int;
   metrics : Obs.Metrics.snapshot;
 }
 
@@ -301,18 +281,12 @@ let publish_prefix ~multicast pindex articles =
       entries
 
 (* ------------------------------------------------------------------ *)
-(* Everything a run needs, factored out so the concurrent {!Engine} can
-   reuse the exact setup, tallying and report assembly — the degeneration
-   guarantee (engine at concurrency 1 = this runner, byte-for-byte) rests
-   on both going through these same functions in the same order. *)
-
-(* ------------------------------------------------------------------ *)
 (* Profile gauges: the phase collector's totals plus GC accounting over
    the run — deltas since a mark, plus the heap size at export time.
    Only exported for profiled runs: collection counts and heap size
    depend on the process's prior heap state, so an unconditional export
    would break the byte-for-byte snapshot guarantees (churn-0,
-   zero-plan, engine degeneration). *)
+   zero-plan, domain-count invariance). *)
 
 type gc_mark = {
   stat : Gc.stat;
@@ -346,6 +320,8 @@ let is_profile_family name =
   String.starts_with ~prefix:"p2pindex_phase_" name
   || String.starts_with ~prefix:"p2pindex_gc_" name
 
+(* Everything a run needs, factored out so the concurrent {!Engine} runs
+   the exact setup, tallying and report assembly this runner does. *)
 module Internal = struct
   type env = {
     cfg : config;  (* post-[events] override *)
@@ -409,15 +385,7 @@ module Internal = struct
   let clock_ref = ref 0.0 in
   let clock () = !clock_ref in
   let liveness = Dht.Liveness.create ~node_count:cfg.node_count in
-  let replication =
-    let churn_replication =
-      match cfg.churn with Some c -> c.replication | None -> 1
-    in
-    let fault_replication =
-      match cfg.faults with Some f -> f.fault_replication | None -> 1
-    in
-    Stdlib.max churn_replication fault_replication
-  in
+  let replication = effective_replication cfg in
   let ttl =
     match cfg.churn with Some c when churn_active -> c.ttl | Some _ | None -> infinity
   in
@@ -464,17 +432,13 @@ module Internal = struct
      must not reach the index at all: passing either parameter flips it
      onto the quorum read path and registers the consistency metric
      families, and the degeneration guarantee promises neither. *)
+  let quorum = if quorum_active cfg then cfg.quorum else None in
   let index =
-    match cfg.quorum with
-    | Some q when quorum_active cfg ->
-        Index.create ~rpc ~metrics:registry ?tracer
-          ~charge_route_hops:cfg.charge_route_hops ~replication
-          ~read_quorum:q.read_quorum ~write_quorum:q.write_quorum ~liveness
-          ~clock ~ttl ~resolver ()
-    | Some _ | None ->
-        Index.create ~rpc ~metrics:registry ?tracer
-          ~charge_route_hops:cfg.charge_route_hops ~replication ~liveness ~clock
-          ~ttl ~resolver ()
+    Index.create ~rpc ~metrics:registry ?tracer
+      ~charge_route_hops:cfg.charge_route_hops ~replication
+      ?read_quorum:(Option.map (fun q -> q.read_quorum) quorum)
+      ?write_quorum:(Option.map (fun q -> q.write_quorum) quorum)
+      ~liveness ~clock ~ttl ~resolver ()
   in
   let articles =
     Bib.Corpus.generate ~seed:cfg.seed (Bib.Corpus.default_config ~article_count:cfg.article_count)
@@ -693,6 +657,8 @@ module Internal = struct
     mutable hits_first_node : int;
     mutable errors : int;
     mutable unreachable : int;
+    session_latency : Summary.t;
+    mutable peak_in_flight : int;
   }
 
   let tally_create () =
@@ -703,6 +669,8 @@ module Internal = struct
       hits_first_node = 0;
       errors = 0;
       unreachable = 0;
+      session_latency = Summary.create ();
+      peak_in_flight = 1;
     }
 
   let tally_record t (outcome : Walk.outcome) =
@@ -718,6 +686,10 @@ module Internal = struct
     end;
     if not outcome.found then t.unreachable <- t.unreachable + 1
 
+  let tally_latency t ~latency ~in_flight =
+    Summary.add t.session_latency latency;
+    if in_flight > t.peak_in_flight then t.peak_in_flight <- in_flight
+
   let make_report env tally =
     (match env.phases with
     | Some p ->
@@ -726,8 +698,6 @@ module Internal = struct
            the run. *)
         export_profile env.registry p ~since:env.gc_mark
     | None -> ());
-    let snapshot = Obs.Metrics.snapshot env.registry in
-    let rpc_count name = Obs.Metrics.counter_total snapshot name in
     let index_mappings, index_bytes = Index.mapping_totals env.index in
     {
       config = env.cfg;
@@ -737,10 +707,8 @@ module Internal = struct
       errors = tally.errors;
       error_probes = tally.error_probes;
       unreachable = tally.unreachable;
-      request_bytes = Network.bytes env.net Network.Request;
-      response_bytes = Network.bytes env.net Network.Response;
-      cache_bytes = Network.bytes env.net Network.Cache_update;
-      maintenance_bytes = Network.bytes env.net Network.Maintenance;
+      session_latency = tally.session_latency;
+      peak_in_flight = tally.peak_in_flight;
       node_touches = Network.touches env.net;
       cached_keys = Array.map Shortcut.size env.caches;
       regular_keys = Index.entries_per_node env.index;
@@ -748,28 +716,7 @@ module Internal = struct
       article_bytes = Index.file_bytes env.index;
       index_mappings;
       publish_bytes = env.publish_bytes;
-      network_messages = Network.total_messages env.net;
-      rpc_calls = rpc_count "p2pindex_rpc_calls_total";
-      rpc_exhausted = rpc_count "p2pindex_rpc_exhausted_total";
-      rpc_timeouts = rpc_count "p2pindex_rpc_timeouts_total";
-      rpc_retries = rpc_count "p2pindex_rpc_retries_total";
-      rpc_hedges = rpc_count "p2pindex_rpc_hedges_total";
-      rpc_hedges_won = rpc_count "p2pindex_rpc_hedges_won_total";
-      rpc_duplicates_suppressed =
-        rpc_count "p2pindex_rpc_duplicates_suppressed_total";
-      rpc_lost_messages = rpc_count "p2pindex_rpc_lost_messages_total";
-      quorum_reads = rpc_count "p2pindex_quorum_reads_total";
-      quorum_stale_reads = rpc_count "p2pindex_quorum_stale_reads_total";
-      quorum_read_repairs = rpc_count "p2pindex_quorum_read_repairs_total";
-      quorum_writes = rpc_count "p2pindex_quorum_writes_total";
-      quorum_write_failures = rpc_count "p2pindex_quorum_write_failures_total";
-      antientropy_rounds = rpc_count "p2pindex_antientropy_rounds_total";
-      antientropy_digest_bytes = rpc_count "p2pindex_antientropy_digest_bytes_total";
-      antientropy_shipped_bytes =
-        rpc_count "p2pindex_antientropy_shipped_bytes_total";
-      antientropy_full_state_bytes =
-        rpc_count "p2pindex_antientropy_full_state_bytes_total";
-      metrics = snapshot;
+      metrics = Obs.Metrics.snapshot env.registry;
     }
 end
 
@@ -808,6 +755,43 @@ let run ?events ?metrics ?tracer ?phases cfg =
   Obs.Phase.span_opt phases "report" (fun () -> Internal.make_report env tally)
 
 (* ------------------------------------------------------------------ *)
+(* Counts, read from the run's metrics snapshot. *)
+
+let count r name = Obs.Metrics.counter_total r.metrics name
+
+let category_bytes r category =
+  Obs.Metrics.counter_value r.metrics
+    ~labels:[ ("category", Network.category_label category) ]
+    "p2pindex_network_bytes_total"
+
+let request_bytes r = category_bytes r Network.Request
+let response_bytes r = category_bytes r Network.Response
+let cache_bytes r = category_bytes r Network.Cache_update
+let maintenance_bytes r = category_bytes r Network.Maintenance
+let network_messages r = count r "p2pindex_network_messages_total"
+let rpc_calls r = count r "p2pindex_rpc_calls_total"
+let rpc_exhausted r = count r "p2pindex_rpc_exhausted_total"
+let rpc_timeouts r = count r "p2pindex_rpc_timeouts_total"
+let rpc_retries r = count r "p2pindex_rpc_retries_total"
+let rpc_hedges r = count r "p2pindex_rpc_hedges_total"
+let rpc_hedges_won r = count r "p2pindex_rpc_hedges_won_total"
+let rpc_duplicates_suppressed r = count r "p2pindex_rpc_duplicates_suppressed_total"
+let rpc_lost_messages r = count r "p2pindex_rpc_lost_messages_total"
+let quorum_reads r = count r "p2pindex_quorum_reads_total"
+let quorum_stale_reads r = count r "p2pindex_quorum_stale_reads_total"
+let quorum_read_repairs r = count r "p2pindex_quorum_read_repairs_total"
+let quorum_writes r = count r "p2pindex_quorum_writes_total"
+let quorum_write_failures r = count r "p2pindex_quorum_write_failures_total"
+let antientropy_rounds r = count r "p2pindex_antientropy_rounds_total"
+let antientropy_digest_bytes r = count r "p2pindex_antientropy_digest_bytes_total"
+let antientropy_shipped_bytes r = count r "p2pindex_antientropy_shipped_bytes_total"
+
+let antientropy_full_state_bytes r =
+  count r "p2pindex_antientropy_full_state_bytes_total"
+
+let coalesced r = count r "p2pindex_engine_coalesced_total"
+
+(* ------------------------------------------------------------------ *)
 (* Derived metrics.  A report can legitimately carry zero queries (e.g.
    one assembled in tests); every per-query ratio is defined as 0 there
    instead of dividing by zero — [run] itself rejects [query_count = 0]
@@ -826,9 +810,9 @@ let hit_ratio r = per_query r r.hits
 let first_node_hit_share r =
   if r.hits = 0 then 0.0 else float_of_int r.hits_first_node /. float_of_int r.hits
 
-let normal_traffic_per_query r = per_query r (r.request_bytes + r.response_bytes)
+let normal_traffic_per_query r = per_query r (request_bytes r + response_bytes r)
 
-let cache_traffic_per_query r = per_query r r.cache_bytes
+let cache_traffic_per_query r = per_query r (cache_bytes r)
 
 let array_mean a =
   if Array.length a = 0 then 0.0
@@ -856,12 +840,12 @@ let availability r =
   if queries r = 0 then 1.0
   else 1.0 -. (float_of_int r.unreachable /. float_of_int (queries r))
 
-let maintenance_traffic_per_query r = per_query r r.maintenance_bytes
+let maintenance_traffic_per_query r = per_query r (maintenance_bytes r)
 
 let lookup_success_rate r =
-  if r.rpc_calls = 0 then 1.0
-  else 1.0 -. (float_of_int r.rpc_exhausted /. float_of_int r.rpc_calls)
+  let calls = rpc_calls r in
+  if calls = 0 then 1.0 else 1.0 -. (float_of_int (rpc_exhausted r) /. float_of_int calls)
 
 let stale_read_rate r =
-  if r.quorum_reads = 0 then 0.0
-  else float_of_int r.quorum_stale_reads /. float_of_int r.quorum_reads
+  let reads = quorum_reads r in
+  if reads = 0 then 0.0 else float_of_int (quorum_stale_reads r) /. float_of_int reads

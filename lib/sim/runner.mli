@@ -198,10 +198,12 @@ type report = {
   unreachable : int;
       (** Sessions that could not locate their target (0 in a correct
           system — exposed so the tests can assert it). *)
-  request_bytes : int;
-  response_bytes : int;
-  cache_bytes : int;  (** Shortcut-installation traffic (Fig. 12, dark). *)
-  maintenance_bytes : int;
+  session_latency : Stdx.Stats.Summary.t;
+      (** Arrival-to-completion virtual seconds per session; empty for a
+          sequential run, whose sessions never queue. *)
+  peak_in_flight : int;
+      (** High-water mark of concurrently held session slots; 1 for a
+          sequential run. *)
   node_touches : int array;  (** Per-node query accesses (Fig. 15). *)
   cached_keys : int array;  (** Per-node shortcut counts at the end (Fig. 14). *)
   regular_keys : int array;  (** Per-node index+file keys (Section V-f). *)
@@ -209,35 +211,12 @@ type report = {
   article_bytes : int;  (** Stored article payload bytes. *)
   index_mappings : int;
   publish_bytes : int;  (** Maintenance traffic spent building the indexes. *)
-  network_messages : int;  (** Total messages during the query phase. *)
-  rpc_calls : int;  (** Request/response exchanges attempted. *)
-  rpc_exhausted : int;  (** Calls that failed every attempt. *)
-  rpc_timeouts : int;  (** Attempts that timed out (lost or too slow). *)
-  rpc_retries : int;  (** Backed-off re-attempts after a timeout. *)
-  rpc_hedges : int;  (** Hedged second requests fired. *)
-  rpc_hedges_won : int;  (** Hedges that answered before the primary. *)
-  rpc_duplicates_suppressed : int;  (** Duplicate deliveries discarded. *)
-  rpc_lost_messages : int;  (** Messages the fault plan dropped. *)
-  quorum_reads : int;  (** Lookup steps that took the quorum path. *)
-  quorum_stale_reads : int;
-      (** Quorum reads whose merged answer a fully-consistent read would
-          have improved on (oracle comparison against every live
-          replica's version). *)
-  quorum_read_repairs : int;  (** Consulted replicas overwritten by read repair. *)
-  quorum_writes : int;  (** Coordinated writes counted against W. *)
-  quorum_write_failures : int;
-      (** Writes acknowledged by fewer than [write_quorum] live replicas. *)
-  antientropy_rounds : int;  (** Anti-entropy passes run. *)
-  antientropy_digest_bytes : int;  (** Bytes spent on digest messages. *)
-  antientropy_shipped_bytes : int;
-      (** Bytes of diverged entries anti-entropy actually shipped. *)
-  antientropy_full_state_bytes : int;
-      (** Bytes a digestless full-state exchange would have shipped over
-          the same rounds — the baseline the digests are saving against. *)
   metrics : Obs.Metrics.snapshot;
       (** End-of-run snapshot of the run's registry: network traffic,
           lookup-step outcomes, route-hop / interaction / result-set
-          histograms, cache hit/miss/eviction counters, substrate health. *)
+          histograms, cache hit/miss/eviction counters, substrate health.
+          The only store of the run's counts: the accessors below read
+          them from here. *)
 }
 
 val run :
@@ -273,6 +252,79 @@ val run :
     @raise Invalid_argument on a nonsensical configuration — including
     [query_count <= 0] (so an empty [events] list is rejected too): a
     zero-query run has no meaningful per-query metrics. *)
+
+(** {1 Counts}
+
+    Each reads one counter family of the report's {!report.metrics}
+    snapshot (0 when the run never registered it).  Traffic counts cover
+    the query phase: the network counters restart after corpus
+    publication. *)
+
+val request_bytes : report -> int
+val response_bytes : report -> int
+val cache_bytes : report -> int
+(** Shortcut-installation traffic (Fig. 12, dark). *)
+
+val maintenance_bytes : report -> int
+val network_messages : report -> int
+(** Total messages during the query phase. *)
+
+val rpc_calls : report -> int
+(** Request/response exchanges attempted. *)
+
+val rpc_exhausted : report -> int
+(** Calls that failed every attempt. *)
+
+val rpc_timeouts : report -> int
+(** Attempts that timed out (lost or too slow). *)
+
+val rpc_retries : report -> int
+(** Backed-off re-attempts after a timeout. *)
+
+val rpc_hedges : report -> int
+(** Hedged second requests fired. *)
+
+val rpc_hedges_won : report -> int
+(** Hedges that answered before the primary. *)
+
+val rpc_duplicates_suppressed : report -> int
+(** Duplicate deliveries discarded. *)
+
+val rpc_lost_messages : report -> int
+(** Messages the fault plan dropped. *)
+
+val quorum_reads : report -> int
+(** Lookup steps that took the quorum path. *)
+
+val quorum_stale_reads : report -> int
+(** Quorum reads whose merged answer a fully-consistent read would have
+    improved on (oracle comparison against every live replica's version). *)
+
+val quorum_read_repairs : report -> int
+(** Consulted replicas overwritten by read repair. *)
+
+val quorum_writes : report -> int
+(** Coordinated writes counted against W. *)
+
+val quorum_write_failures : report -> int
+(** Writes acknowledged by fewer than [write_quorum] live replicas. *)
+
+val antientropy_rounds : report -> int
+(** Anti-entropy passes run. *)
+
+val antientropy_digest_bytes : report -> int
+(** Bytes spent on digest messages. *)
+
+val antientropy_shipped_bytes : report -> int
+(** Bytes of diverged entries anti-entropy actually shipped. *)
+
+val antientropy_full_state_bytes : report -> int
+(** Bytes a digestless full-state exchange would have shipped over the
+    same rounds — the baseline the digests are saving against. *)
+
+val coalesced : report -> int
+(** Lookup probes that rode another in-flight probe's response (the
+    concurrent engine's coalescing). *)
 
 (** {1 Derived metrics} *)
 
@@ -327,10 +379,8 @@ val is_profile_family : string -> bool
 
     The run decomposed into its phases, so the concurrent {!Engine} can
     reuse the exact setup, per-session tallying and report assembly this
-    runner performs.  The byte-for-byte degeneration guarantee (engine at
-    concurrency 1 = sequential runner) rests on both modes flowing
-    through these same functions in the same order.  Not a stable
-    end-user surface. *)
+    runner performs, and a caller can replay {!run}'s loop step by step.
+    Not a stable end-user surface. *)
 
 module Internal : sig
   type env
@@ -381,6 +431,12 @@ module Internal : sig
 
   val tally_create : unit -> tally
   val tally_record : tally -> Walk.outcome -> unit
+
+  val tally_latency : tally -> latency:float -> in_flight:int -> unit
+  (** Record a concurrent session's arrival-to-completion time and the
+      sessions in flight as it completes, itself included.  Every admitted
+      session completes, so the largest [in_flight] seen is the run's
+      peak. *)
 
   val make_report : env -> tally -> report
   (** Snapshot the registry and assemble the final report — identical to

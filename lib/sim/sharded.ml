@@ -1,12 +1,5 @@
 module Summary = Stdx.Stats.Summary
 
-type report = {
-  engine : Engine.report;
-  shard_count : int;
-  domain_count : int;
-  per_shard : Engine.report array;
-}
-
 (* Shard s's slice of a total: a block partition with the remainder
    spread over the low shards, so sizes differ by at most one. *)
 let[@hot] split total shards s = (total / shards) + if s < total mod shards then 1 else 0
@@ -28,28 +21,42 @@ let shard_config (cfg : Runner.config) ~shards s =
     seed = shard_seed cfg.Runner.seed s;
   }
 
-let validate ~shards ~domains (cfg : Runner.config) =
-  if shards < 1 then invalid_arg "Sharded.run: shards must be >= 1";
-  if domains < 1 then invalid_arg "Sharded.run: domains must be >= 1";
-  if
+let validate ?(shards = 1) ?(domains = 1) ?(per_run = false) ?(profiled = false)
+    ?(concurrency = 1) ?(coalesce = false) (cfg : Runner.config) =
+  let fail fmt = Printf.ksprintf (fun msg -> Error msg) fmt in
+  let replication = Runner.effective_replication cfg in
+  if shards < 1 then fail "shards must be >= 1 (got %d)" shards
+  else if domains < 1 then fail "domains must be >= 1 (got %d)" domains
+  else if concurrency < 1 then fail "concurrency must be >= 1 (got %d)" concurrency
+  else if coalesce && concurrency = 1 then
+    fail "coalescing needs concurrency > 1 (overlapping sessions to merge)"
+  else if
     shards > cfg.Runner.node_count
     || shards > cfg.Runner.article_count
     || shards > cfg.Runner.query_count
   then
-    invalid_arg
-      "Sharded.run: every shard needs at least one node, one article and one \
-       query";
-  if Runner.effective_replication cfg > cfg.Runner.node_count / shards then
-    invalid_arg
-      "Sharded.run: the smallest shard cannot hold the replication factor \
-       (replication needs that many distinct nodes per shard)"
+    fail "shards %d need at least that many nodes, articles and queries (got %d/%d/%d)"
+      shards cfg.Runner.node_count cfg.Runner.article_count cfg.Runner.query_count
+  else if replication > cfg.Runner.node_count / shards then
+    fail "replication %d does not fit the smallest of %d shards (%d nodes per shard)"
+      replication shards (cfg.Runner.node_count / shards)
+  else if per_run && shards > 1 then
+    fail "replayed events, a shared registry and tracing are per-run facilities; \
+          not available with shards > 1"
+  else if profiled && Stdlib.min domains shards > 1 then
+    (* GC word counters are per-domain in OCaml 5: a profile summed over
+       racing domains would depend on the scheduler.  Profiled sharded
+       runs execute on one worker (shards still partition the state). *)
+    fail "profiling needs a single worker domain (GC counters are per-domain)"
+  else Ok ()
 
-(* The merged sequential report: sums for every count and byte field,
-   streaming-summary merges for the distributions, concatenation in shard
-   order for the per-node arrays (shard s's nodes occupy the dense id
-   block [offset_s, offset_s + node_count_s)), and the snapshot merge for
-   the registries.  [config] is the caller's unsharded config, so derived
-   metrics (per-query traffic, availability) read network-wide totals. *)
+(* The merged report: what the registry does not hold merges here —
+   tallies add (summaries merge as streams, the peak takes the max), the
+   per-node arrays concatenate in shard order (shard s's nodes occupy the
+   dense id block [offset_s, offset_s + node_count_s)) and the storage
+   totals add — and every count merges with the snapshots.  [config] is
+   the caller's unsharded config, so derived metrics (per-query traffic,
+   availability) read network-wide totals. *)
 let merge_base (cfg : Runner.config) (reports : Runner.report list) =
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
   let cat f = Array.concat (List.map f reports) in
@@ -64,10 +71,9 @@ let merge_base (cfg : Runner.config) (reports : Runner.report list) =
     errors = sum (fun r -> r.Runner.errors);
     error_probes = summ (fun (r : Runner.report) -> r.Runner.error_probes);
     unreachable = sum (fun r -> r.Runner.unreachable);
-    request_bytes = sum (fun r -> r.Runner.request_bytes);
-    response_bytes = sum (fun r -> r.Runner.response_bytes);
-    cache_bytes = sum (fun r -> r.Runner.cache_bytes);
-    maintenance_bytes = sum (fun r -> r.Runner.maintenance_bytes);
+    session_latency = summ (fun (r : Runner.report) -> r.Runner.session_latency);
+    peak_in_flight =
+      List.fold_left (fun acc r -> Stdlib.max acc r.Runner.peak_in_flight) 0 reports;
     node_touches = cat (fun r -> r.Runner.node_touches);
     cached_keys = cat (fun r -> r.Runner.cached_keys);
     regular_keys = cat (fun r -> r.Runner.regular_keys);
@@ -75,43 +81,9 @@ let merge_base (cfg : Runner.config) (reports : Runner.report list) =
     article_bytes = sum (fun r -> r.Runner.article_bytes);
     index_mappings = sum (fun r -> r.Runner.index_mappings);
     publish_bytes = sum (fun r -> r.Runner.publish_bytes);
-    network_messages = sum (fun r -> r.Runner.network_messages);
-    rpc_calls = sum (fun r -> r.Runner.rpc_calls);
-    rpc_exhausted = sum (fun r -> r.Runner.rpc_exhausted);
-    rpc_timeouts = sum (fun r -> r.Runner.rpc_timeouts);
-    rpc_retries = sum (fun r -> r.Runner.rpc_retries);
-    rpc_hedges = sum (fun r -> r.Runner.rpc_hedges);
-    rpc_hedges_won = sum (fun r -> r.Runner.rpc_hedges_won);
-    rpc_duplicates_suppressed = sum (fun r -> r.Runner.rpc_duplicates_suppressed);
-    rpc_lost_messages = sum (fun r -> r.Runner.rpc_lost_messages);
-    quorum_reads = sum (fun r -> r.Runner.quorum_reads);
-    quorum_stale_reads = sum (fun r -> r.Runner.quorum_stale_reads);
-    quorum_read_repairs = sum (fun r -> r.Runner.quorum_read_repairs);
-    quorum_writes = sum (fun r -> r.Runner.quorum_writes);
-    quorum_write_failures = sum (fun r -> r.Runner.quorum_write_failures);
-    antientropy_rounds = sum (fun r -> r.Runner.antientropy_rounds);
-    antientropy_digest_bytes = sum (fun r -> r.Runner.antientropy_digest_bytes);
-    antientropy_shipped_bytes = sum (fun r -> r.Runner.antientropy_shipped_bytes);
-    antientropy_full_state_bytes =
-      sum (fun r -> r.Runner.antientropy_full_state_bytes);
     metrics =
       Obs.Metrics.merge_snapshots
         (List.map (fun (r : Runner.report) -> r.Runner.metrics) reports);
-  }
-
-let merge_engine ~concurrency ~coalesce (cfg : Runner.config)
-    (reports : Engine.report list) =
-  {
-    Engine.base = merge_base cfg (List.map (fun e -> e.Engine.base) reports);
-    concurrency;
-    coalesce;
-    coalesced = List.fold_left (fun acc e -> acc + e.Engine.coalesced) 0 reports;
-    session_latency =
-      List.fold_left
-        (fun acc e -> Summary.merge acc e.Engine.session_latency)
-        (Summary.create ()) reports;
-    peak_in_flight =
-      List.fold_left (fun acc e -> Stdlib.max acc e.Engine.peak_in_flight) 0 reports;
   }
 
 (* Every shard exports the shared phase collector's running totals (and
@@ -131,25 +103,22 @@ let reprofile (base : Runner.report) phases ~since =
     Runner.metrics = Obs.Metrics.merge_snapshots [ kept; Obs.Metrics.snapshot registry ];
   }
 
-let run ?(shards = 1) ?(domains = 1) ?phases ?(concurrency = 1)
-    ?(coalesce = false) cfg =
-  validate ~shards ~domains cfg;
-  let workers = Stdlib.min domains shards in
-  (match phases with
-  | Some _ when workers > 1 ->
-      (* GC word counters are per-domain in OCaml 5: a profile summed over
-         racing domains would depend on the scheduler.  Profiled sharded
-         runs execute on one worker (shards still partition the state). *)
-      invalid_arg "Sharded.run: profiling requires a single worker domain"
-  | Some _ | None -> ());
-  if shards = 1 then begin
-    (* Degeneration: one shard IS the engine run — same code path, same
-       seed, so report and snapshot are byte-for-byte {!Engine.run}'s. *)
-    let e = Engine.run ?phases ~concurrency ~coalesce cfg in
-    { engine = e; shard_count = 1; domain_count = 1; per_shard = [| e |] }
-  end
+let run ?(shards = 1) ?(domains = 1) ?events ?metrics ?tracer ?phases
+    ?(concurrency = 1) ?(coalesce = false) cfg =
+  let per_run = events <> None || metrics <> None || tracer <> None in
+  (match
+     validate ~shards ~domains ~per_run ~profiled:(phases <> None) ~concurrency
+       ~coalesce cfg
+   with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Sharded.run: " ^ msg));
+  if shards = 1 then
+    (* One shard is the whole population under the caller's seed: the
+       engine run itself. *)
+    Engine.run ?events ?metrics ?tracer ?phases ~concurrency ~coalesce cfg
   else begin
     let since = Runner.gc_mark () in
+    let workers = Stdlib.min domains shards in
     let run_shard s =
       Engine.run ?phases ~concurrency ~coalesce (shard_config cfg ~shards s)
     in
@@ -179,13 +148,6 @@ let run ?(shards = 1) ?(domains = 1) ?phases ?(concurrency = 1)
           results
       end
     in
-    let engine =
-      merge_engine ~concurrency ~coalesce cfg (Array.to_list per_shard)
-    in
-    let engine =
-      match phases with
-      | Some p -> { engine with Engine.base = reprofile engine.Engine.base p ~since }
-      | None -> engine
-    in
-    { engine; shard_count = shards; domain_count = workers; per_shard }
+    let merged = merge_base cfg (Array.to_list per_shard) in
+    match phases with Some p -> reprofile merged p ~since | None -> merged
   end

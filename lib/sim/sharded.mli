@@ -20,14 +20,17 @@
     {ul
     {- [~domains:n] produces byte-identical reports for every [n] — the
        assignment of shards to workers is pure scheduling;}
-    {- [~shards:1] degenerates byte-for-byte to {!Engine.run} (and so,
-       at [concurrency = 1], to {!Runner.run}): the single shard is the
+    {- [~shards:1] is a plain {!Engine.run} call (and so, at
+       [concurrency = 1], a {!Runner.run} call): the single shard is the
        whole population under the original seed.}}
 
-    Merge semantics: counts and byte totals add; interaction/latency
-    summaries merge as streams; per-node arrays concatenate in shard
-    order (shard [s]'s nodes occupy one dense block of the merged id
-    space); metrics registries merge via {!Obs.Metrics.merge_snapshots}.
+    Merge semantics: every count merges through
+    {!Obs.Metrics.merge_snapshots}, the only store of counts; the report
+    record adds what the registry does not hold — the tallies (counts
+    add, interaction/latency summaries merge as streams, the in-flight
+    peak takes the max), the per-node arrays (concatenated in shard
+    order, so shard [s]'s nodes occupy one dense block of the merged id
+    space) and the storage totals (added).
 
     What sharding changes: shards cannot share cache entries, replicas
     or query traffic, so a sharded report is the sum of [S] smaller
@@ -35,31 +38,48 @@
     modelling trade every spatially-decomposed simulation makes.  Scale
     results across shard counts are compared at {e fixed} [shards]. *)
 
-type report = {
-  engine : Engine.report;
-      (** The merged network-wide report ({!Engine.report.base} carries
-          the merged {!Runner.report}).  With one shard, exactly the
-          wrapped {!Engine.run} result. *)
-  shard_count : int;
-  domain_count : int;  (** Workers actually used: [min domains shards]. *)
-  per_shard : Engine.report array;  (** One report per shard, in shard order. *)
-}
+val shard_config : Runner.config -> shards:int -> int -> Runner.config
+(** [shard_config config ~shards s] is shard [s]'s slice of [config]: its
+    block of the nodes, articles and queries, under its mixed seed. *)
+
+val validate :
+  ?shards:int ->
+  ?domains:int ->
+  ?per_run:bool ->
+  ?profiled:bool ->
+  ?concurrency:int ->
+  ?coalesce:bool ->
+  Runner.config ->
+  (unit, string) result
+(** Check a run's options against its configuration, with {!run}'s
+    defaults; [per_run] says whether replayed events, a shared metrics
+    registry or a tracer is passed, [profiled] whether a phase collector
+    is.  [Error msg] names the offending option and value when
+    [shards < 1] or [domains < 1]; when [concurrency < 1], or coalescing
+    is asked for at concurrency 1 (it needs overlapping sessions to
+    merge); when any shard would be empty ([shards] exceeds the node,
+    article or query count); when the smallest shard cannot hold the
+    effective replication factor; when a per-run facility is combined
+    with [shards > 1]; or when profiling runs on more than one worker
+    domain (GC counters are per-domain in OCaml 5).  The configuration
+    itself is {!Runner.validate}'s to check. *)
 
 val run :
   ?shards:int ->
   ?domains:int ->
+  ?events:Workload.Query_gen.event list ->
+  ?metrics:Obs.Metrics.t ->
+  ?tracer:Obs.Trace.t ->
   ?phases:Obs.Phase.t ->
   ?concurrency:int ->
   ?coalesce:bool ->
   Runner.config ->
-  report
+  Runner.report
 (** [run config] with the defaults ([shards = 1], [domains = 1]) is
-    {!Engine.run}, wrapped.  [concurrency] and [coalesce] apply within
-    every shard, as in {!Engine.run}.  [phases] profiles the run
-    (per-stage allocation accounting, summed over shards); it requires a
-    single worker domain because GC counters are per-domain in OCaml 5.
-    @raise Invalid_argument when [shards < 1] or [domains < 1]; when any
-    shard would be empty ([shards] exceeds the node, article or query
-    count); when the smallest shard cannot hold the effective replication
-    factor; when [phases] is combined with more than one worker; or on a
+    {!Engine.run}.  [concurrency] and [coalesce] apply within every
+    shard, as in {!Engine.run}; [events], [metrics] and [tracer] are
+    passed to the single run and need [shards = 1].  [phases] profiles
+    the run (per-stage allocation accounting, summed over shards) and
+    needs a single worker domain.
+    @raise Invalid_argument when {!validate} rejects the options, or on a
     bad config (as {!Runner.run}). *)

@@ -380,14 +380,14 @@ let runner_gauges_opt_in () =
   (* Profiling must not perturb the simulation itself. *)
   let profiled = Sim.Runner.run ~phases:(Phase.create ()) small_config in
   Alcotest.(check int) "same errors" plain.Sim.Runner.errors profiled.Sim.Runner.errors;
-  Alcotest.(check int) "same traffic" plain.Sim.Runner.request_bytes
-    profiled.Sim.Runner.request_bytes
+  Alcotest.(check int) "same traffic" (Sim.Runner.request_bytes plain)
+    (Sim.Runner.request_bytes profiled)
 
 let engine_profiles_walk_per_quantum () =
   let phases = Phase.create () in
   let r = Sim.Engine.run ~phases ~concurrency:4 small_config in
   Alcotest.(check int) "all sessions finish" small_config.Sim.Runner.query_count
-    (Stdx.Stats.Summary.count r.Sim.Engine.base.Sim.Runner.interactions);
+    (Stdx.Stats.Summary.count r.Sim.Runner.interactions);
   match Phase.find phases "walk" with
   | Some e ->
       (* Quanta outnumber sessions: every session takes at least one. *)
@@ -401,7 +401,7 @@ let engine_profiles_walk_per_quantum () =
 let sharded_profile_exported_once () =
   let cfg = { small_config with node_count = 200; query_count = 400 } in
   let r = Sim.Sharded.run ~shards:4 ~phases:(Phase.create ()) cfg in
-  let metrics = r.Sim.Sharded.engine.Sim.Engine.base.Sim.Runner.metrics in
+  let metrics = r.Sim.Runner.metrics in
   let gauge name labels =
     match List.find_opt (fun (f : Obs.Metrics.family) -> f.name = name) metrics with
     | None -> Alcotest.failf "%s missing" name

@@ -1,7 +1,7 @@
 (* Churn subsystem: event-queue ordering, driver determinism, and the
    churn-0 degeneration of the runner to the static simulation. *)
 
-module Q = Churn.Event_queue
+module Q = Stdx.Event_queue
 module Driver = Churn.Driver
 module Lifetime = Churn.Lifetime
 
@@ -154,12 +154,12 @@ let churn_zero_equals_static () =
     Alcotest.(check int) what (f static) (f churned)
   in
   let open Sim.Runner in
-  check_int "request bytes" (fun r -> r.request_bytes);
-  check_int "response bytes" (fun r -> r.response_bytes);
-  check_int "cache bytes" (fun r -> r.cache_bytes);
-  check_int "maintenance bytes" (fun r -> r.maintenance_bytes);
+  check_int "request bytes" request_bytes;
+  check_int "response bytes" response_bytes;
+  check_int "cache bytes" cache_bytes;
+  check_int "maintenance bytes" maintenance_bytes;
   check_int "publish bytes" (fun r -> r.publish_bytes);
-  check_int "network messages" (fun r -> r.network_messages);
+  check_int "network messages" network_messages;
   check_int "hits" (fun r -> r.hits);
   check_int "hits at first node" (fun r -> r.hits_first_node);
   check_int "errors" (fun r -> r.errors);
@@ -207,7 +207,7 @@ let churn_degrades_availability () =
   Alcotest.(check bool) "replication recovers availability" true
     (Sim.Runner.availability replicated > Sim.Runner.availability fragile);
   Alcotest.(check bool) "maintenance traffic billed" true
-    (fragile.Sim.Runner.maintenance_bytes > 0)
+    (Sim.Runner.maintenance_bytes fragile > 0)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 

@@ -29,6 +29,16 @@ let usage_errors_exit_2 () =
       [ "--churn-rate"; "0.01"; "--replication"; "0" ];
       [ "--loss-rate"; "0.1"; "--rpc-timeout"; "inf" ];
       [ "--latency"; "inf" ];
+      (* Run options, checked by Sharded.validate before anything is
+         built. *)
+      [ "--concurrency"; "0" ];
+      [ "--coalesce" ];
+      [ "--shards"; "0" ];
+      [ "--domains"; "0" ];
+      [ "--shards"; "600"; "--nodes"; "500" ];
+      [ "--shards"; "2"; "--trace-out"; "t.jsonl" ];
+      [ "--shards"; "4"; "--domains"; "2"; "--profile-phases" ];
+      [ "--shards"; "4"; "--nodes"; "8"; "--churn-rate"; "0.01"; "--replication"; "3" ];
     ]
 
 let help_exits_0 () =

@@ -5,6 +5,7 @@
 
 module Runner = Sim.Runner
 module Engine = Sim.Engine
+module Sharded = Sim.Sharded
 module Summary = Stdx.Stats.Summary
 
 let small_config =
@@ -35,22 +36,25 @@ let check_summary what a b =
 let check_reports_equal (seq : Runner.report) (eng : Runner.report) =
   let open Runner in
   let check_int what f = Alcotest.(check int) what (f seq) (f eng) in
-  check_int "request bytes" (fun r -> r.request_bytes);
-  check_int "response bytes" (fun r -> r.response_bytes);
-  check_int "cache bytes" (fun r -> r.cache_bytes);
-  check_int "maintenance bytes" (fun r -> r.maintenance_bytes);
+  check_int "request bytes" request_bytes;
+  check_int "response bytes" response_bytes;
+  check_int "cache bytes" cache_bytes;
+  check_int "maintenance bytes" maintenance_bytes;
   check_int "publish bytes" (fun r -> r.publish_bytes);
-  check_int "network messages" (fun r -> r.network_messages);
+  check_int "network messages" network_messages;
   check_int "hits" (fun r -> r.hits);
   check_int "hits at first node" (fun r -> r.hits_first_node);
   check_int "errors" (fun r -> r.errors);
   check_int "unreachable" (fun r -> r.unreachable);
   check_int "index bytes" (fun r -> r.index_bytes);
   check_int "index mappings" (fun r -> r.index_mappings);
-  check_int "rpc calls" (fun r -> r.rpc_calls);
-  check_int "rpc timeouts" (fun r -> r.rpc_timeouts);
+  check_int "rpc calls" rpc_calls;
+  check_int "rpc timeouts" rpc_timeouts;
+  check_int "coalesced" coalesced;
+  check_int "peak in flight" (fun r -> r.peak_in_flight);
   check_summary "interactions" seq.interactions eng.interactions;
   check_summary "error probes" seq.error_probes eng.error_probes;
+  check_summary "session latency" seq.session_latency eng.session_latency;
   Alcotest.(check (array int)) "per-node touches" seq.node_touches eng.node_touches;
   Alcotest.(check (array int)) "per-node cached keys" seq.cached_keys eng.cached_keys;
   Alcotest.(check (array int)) "per-node regular keys" seq.regular_keys eng.regular_keys;
@@ -62,10 +66,11 @@ let check_reports_equal (seq : Runner.report) (eng : Runner.report) =
 let engine_degenerates_static () =
   let seq = Runner.run small_config in
   let eng = Engine.run ~concurrency:1 small_config in
-  Alcotest.(check int) "no coalesced probes" 0 eng.Engine.coalesced;
+  Alcotest.(check int) "no coalesced probes" 0 (Runner.coalesced eng);
   Alcotest.(check int) "no queued latency samples" 0
-    (Summary.count eng.Engine.session_latency);
-  check_reports_equal seq eng.Engine.base
+    (Summary.count eng.Runner.session_latency);
+  Alcotest.(check int) "one session in flight" 1 eng.Runner.peak_in_flight;
+  check_reports_equal seq eng
 
 let engine_degenerates_churned () =
   let config =
@@ -87,7 +92,7 @@ let engine_degenerates_churned () =
   in
   let seq = Runner.run config in
   let eng = Engine.run ~concurrency:1 config in
-  check_reports_equal seq eng.Engine.base
+  check_reports_equal seq eng
 
 (* The coalescing claim (the Fig. 15 hot spots made useful): with enough
    overlapping sessions, identical in-flight probes merge — the counter
@@ -103,15 +108,14 @@ let coalescing_reduces_normal_traffic () =
   in
   let plain = Engine.run ~concurrency:16 config in
   let merged = Engine.run ~concurrency:16 ~coalesce:true config in
-  Alcotest.(check int) "no merges with coalescing off" 0 plain.Engine.coalesced;
-  Alcotest.(check bool) "probes coalesced" true (merged.Engine.coalesced > 0);
+  Alcotest.(check int) "no merges with coalescing off" 0 (Runner.coalesced plain);
+  Alcotest.(check bool) "probes coalesced" true (Runner.coalesced merged > 0);
   Alcotest.(check bool) "sessions actually overlapped" true
-    (plain.Engine.peak_in_flight > 1);
+    (plain.Runner.peak_in_flight > 1);
   Alcotest.(check bool) "normal traffic strictly reduced" true
-    (Runner.normal_traffic_per_query merged.Engine.base
-    < Runner.normal_traffic_per_query plain.Engine.base);
+    (Runner.normal_traffic_per_query merged < Runner.normal_traffic_per_query plain);
   Alcotest.(check bool) "followers billed consultation tickets" true
-    (merged.Engine.base.Runner.cache_bytes > plain.Engine.base.Runner.cache_bytes)
+    (Runner.cache_bytes merged > Runner.cache_bytes plain)
 
 (* Without coalescing the engine only reorders work: whatever the
    concurrency, the billed bytes are those of the sequential run.  (The
@@ -131,21 +135,22 @@ let engine_conserves_bytes =
     QCheck.(int_range 2 32)
     (fun concurrency ->
       let seq = Lazy.force seq in
-      let eng = (Engine.run ~concurrency config).Engine.base in
-      seq.Runner.request_bytes = eng.Runner.request_bytes
-      && seq.Runner.response_bytes = eng.Runner.response_bytes
-      && seq.Runner.cache_bytes = eng.Runner.cache_bytes
-      && seq.Runner.network_messages = eng.Runner.network_messages
-      && Summary.count seq.Runner.interactions
-         = Summary.count eng.Runner.interactions)
+      let eng = Engine.run ~concurrency config in
+      let open Runner in
+      request_bytes seq = request_bytes eng
+      && response_bytes seq = response_bytes eng
+      && cache_bytes seq = cache_bytes eng
+      && network_messages seq = network_messages eng
+      && Summary.count seq.interactions = Summary.count eng.interactions)
 
 let engine_validates_arguments () =
   Alcotest.check_raises "concurrency 0 rejected"
-    (Invalid_argument "Engine.run: concurrency must be >= 1") (fun () ->
-      ignore (Engine.run ~concurrency:0 small_config));
+    (Invalid_argument "Sharded.run: concurrency must be >= 1 (got 0)") (fun () ->
+      ignore (Sharded.run ~concurrency:0 small_config));
   Alcotest.check_raises "coalescing alone rejected"
-    (Invalid_argument "Engine.run: coalescing needs concurrency > 1") (fun () ->
-      ignore (Engine.run ~coalesce:true small_config));
+    (Invalid_argument
+       "Sharded.run: coalescing needs concurrency > 1 (overlapping sessions to merge)")
+    (fun () -> ignore (Sharded.run ~coalesce:true small_config));
   Alcotest.check_raises "zero queries rejected"
     (Invalid_argument "Runner.run: query_count must be >= 1 (got 0)") (fun () ->
       ignore (Runner.run { small_config with query_count = 0 }));
@@ -172,57 +177,50 @@ let derived_metrics_survive_zero_queries () =
 
 (* --- The sharded engine: partition determinism and worker invariance. --- *)
 
-module Sharded = Sim.Sharded
-
-let check_engine_reports_equal (a : Engine.report) (b : Engine.report) =
-  check_reports_equal a.Engine.base b.Engine.base;
-  Alcotest.(check int) "coalesced" a.Engine.coalesced b.Engine.coalesced;
-  Alcotest.(check int) "peak in flight" a.Engine.peak_in_flight b.Engine.peak_in_flight;
-  check_summary "session latency" a.Engine.session_latency b.Engine.session_latency
-
 (* One shard IS the engine run: report and metrics snapshot byte for byte. *)
 let sharded_degenerates () =
-  let sr = Sharded.run small_config in
-  let eng = Engine.run small_config in
-  Alcotest.(check int) "one shard" 1 sr.Sharded.shard_count;
-  Alcotest.(check int) "one worker" 1 sr.Sharded.domain_count;
-  Alcotest.(check int) "per-shard singleton" 1 (Array.length sr.Sharded.per_shard);
-  check_engine_reports_equal sr.Sharded.engine eng
+  check_reports_equal (Sharded.run small_config) (Engine.run small_config)
+
+(* Shard [s] of [shards] run alone, as a plain run of its slice. *)
+let slice ?(config = small_config) ~shards s =
+  Engine.run (Sharded.shard_config config ~shards s)
 
 (* The worker axis is pure scheduling: at fixed shards, every domain
    count produces the identical merged report — per-node arrays and
-   metrics snapshot included. *)
+   metrics snapshot included — and a slice run on another domain is the
+   slice run alone. *)
 let sharded_identical_across_domains () =
   let run domains = Sharded.run ~shards:4 ~domains small_config in
   let d1 = run 1 and d2 = run 2 and d4 = run 4 in
-  Alcotest.(check int) "workers clamped" 2 d2.Sharded.domain_count;
-  check_engine_reports_equal d1.Sharded.engine d2.Sharded.engine;
-  check_engine_reports_equal d1.Sharded.engine d4.Sharded.engine;
-  Array.iteri
-    (fun s e -> check_engine_reports_equal e d2.Sharded.per_shard.(s))
-    d1.Sharded.per_shard
-
-(* The merge is a sum of isolated shards: every additive field of the
-   merged report equals the sum over per-shard reports, and the per-node
-   arrays concatenate in shard order. *)
-let sharded_merge_is_shard_sum () =
-  let sr = Sharded.run ~shards:3 small_config in
-  let merged = sr.Sharded.engine.Engine.base in
-  let shard_sum f =
-    Array.fold_left (fun acc e -> acc + f e.Engine.base) 0 sr.Sharded.per_shard
+  check_reports_equal d1 d2;
+  check_reports_equal d1 d4;
+  let on_domains =
+    Array.map Domain.join
+      (Array.init 2 (fun s -> Domain.spawn (fun () -> slice ~shards:4 s)))
   in
-  Alcotest.(check int) "request bytes" merged.Runner.request_bytes
-    (shard_sum (fun r -> r.Runner.request_bytes));
-  Alcotest.(check int) "network messages" merged.Runner.network_messages
-    (shard_sum (fun r -> r.Runner.network_messages));
+  Array.iteri (fun s r -> check_reports_equal (slice ~shards:4 s) r) on_domains
+
+(* The merge is a sum of isolated shards: every count of the merged
+   report equals the sum over the slices run alone, its snapshot is the
+   merge of theirs, and the per-node arrays concatenate in shard order. *)
+let sharded_merge_is_shard_sum () =
+  let merged = Sharded.run ~shards:3 small_config in
+  let slices = List.init 3 (fun s -> slice ~shards:3 s) in
+  let shard_sum f = List.fold_left (fun acc r -> acc + f r) 0 slices in
+  Alcotest.(check int) "request bytes" (Runner.request_bytes merged)
+    (shard_sum Runner.request_bytes);
+  Alcotest.(check int) "network messages" (Runner.network_messages merged)
+    (shard_sum Runner.network_messages);
   Alcotest.(check int) "errors" merged.Runner.errors
     (shard_sum (fun r -> r.Runner.errors));
+  Alcotest.(check string) "snapshot is the merge of the slices'"
+    (snapshot_string
+       (Obs.Metrics.merge_snapshots (List.map (fun r -> r.Runner.metrics) slices)))
+    (snapshot_string merged.Runner.metrics);
   Alcotest.(check int) "nodes covered" small_config.Runner.node_count
     (Array.length merged.Runner.node_touches);
   Alcotest.(check (array int)) "touches concatenate in shard order"
-    (Array.concat
-       (Array.to_list
-          (Array.map (fun e -> e.Engine.base.Runner.node_touches) sr.Sharded.per_shard)))
+    (Array.concat (List.map (fun r -> r.Runner.node_touches) slices))
     merged.Runner.node_touches;
   Alcotest.(check int) "queries covered" small_config.Runner.query_count
     (Summary.count merged.Runner.interactions)
@@ -241,27 +239,26 @@ let sharded_worker_invariance =
   QCheck.Test.make ~count:6 ~name:"sharded report independent of domains"
     QCheck.(pair (int_range 1 4) (int_range 1 4))
     (fun (shards, domains) ->
-      let base = Sharded.run ~shards ~domains:1 tiny in
-      let par = Sharded.run ~shards ~domains tiny in
-      let b = base.Sharded.engine.Engine.base
-      and p = par.Sharded.engine.Engine.base in
-      b.Runner.request_bytes = p.Runner.request_bytes
-      && b.Runner.response_bytes = p.Runner.response_bytes
-      && b.Runner.errors = p.Runner.errors
-      && b.Runner.node_touches = p.Runner.node_touches
-      && snapshot_string b.Runner.metrics = snapshot_string p.Runner.metrics)
+      let b = Sharded.run ~shards ~domains:1 tiny in
+      let p = Sharded.run ~shards ~domains tiny in
+      let open Runner in
+      request_bytes b = request_bytes p
+      && response_bytes b = response_bytes p
+      && b.errors = p.errors
+      && b.node_touches = p.node_touches
+      && snapshot_string b.metrics = snapshot_string p.metrics)
 
 let sharded_validates_arguments () =
   Alcotest.check_raises "zero shards rejected"
-    (Invalid_argument "Sharded.run: shards must be >= 1") (fun () ->
+    (Invalid_argument "Sharded.run: shards must be >= 1 (got 0)") (fun () ->
       ignore (Sharded.run ~shards:0 small_config));
   Alcotest.check_raises "zero domains rejected"
-    (Invalid_argument "Sharded.run: domains must be >= 1") (fun () ->
+    (Invalid_argument "Sharded.run: domains must be >= 1 (got 0)") (fun () ->
       ignore (Sharded.run ~domains:0 small_config));
   Alcotest.check_raises "empty shard rejected"
     (Invalid_argument
-       "Sharded.run: every shard needs at least one node, one article and one \
-        query") (fun () ->
+       "Sharded.run: shards 1000 need at least that many nodes, articles and queries \
+        (got 50/400/500)") (fun () ->
       ignore (Sharded.run ~shards:1000 small_config));
   let churned =
     {
@@ -271,8 +268,8 @@ let sharded_validates_arguments () =
   in
   Alcotest.check_raises "replication must fit the smallest shard"
     (Invalid_argument
-       "Sharded.run: the smallest shard cannot hold the replication factor \
-        (replication needs that many distinct nodes per shard)") (fun () ->
+       "Sharded.run: replication 30 does not fit the smallest of 4 shards (12 nodes per \
+        shard)") (fun () ->
       ignore (Sharded.run ~shards:4 churned));
   Alcotest.check_raises "replication beyond the population rejected up front"
     (Invalid_argument
@@ -280,11 +277,18 @@ let sharded_validates_arguments () =
         distinct node)") (fun () ->
       ignore (Runner.run { churned with node_count = 20 }));
   Alcotest.check_raises "profiling needs one worker"
-    (Invalid_argument "Sharded.run: profiling requires a single worker domain")
+    (Invalid_argument
+       "Sharded.run: profiling needs a single worker domain (GC counters are per-domain)")
     (fun () ->
       ignore
         (Sharded.run ~shards:4 ~domains:2 ~phases:(Obs.Phase.create ())
-           small_config))
+           small_config));
+  Alcotest.(check bool) "a tracer needs one shard" true
+    (Result.is_error (Sharded.validate ~shards:2 ~per_run:true small_config));
+  Alcotest.(check bool) "a tracer runs unsharded" true
+    (Result.is_ok (Sharded.validate ~per_run:true small_config));
+  Alcotest.(check bool) "profiling runs sharded on one domain" true
+    (Result.is_ok (Sharded.validate ~shards:4 ~profiled:true small_config))
 
 let suite =
   [

@@ -4,7 +4,6 @@
    index, and retries/hedging buy back success under loss. *)
 
 module Plan = Faults.Plan
-module Outbox = Faults.Outbox
 module Rpc = Dht.Rpc
 module Network = Dht.Network
 
@@ -121,27 +120,43 @@ let plan_zero_and_validation () =
     (rejects (fun () -> Plan.spec ~latency:(Plan.Uniform { lo = 0.2; hi = 0.1 }) ()))
 
 (* ------------------------------------------------------------------ *)
-(* Outbox: time order, FIFO ties, flush. *)
+(* Delayed one-way deliveries (the RPC channel's outbox): time order,
+   FIFO ties, counts, flush. *)
 
 let outbox_orders_deliveries () =
-  let box = Outbox.create () in
+  (* A constant 1 s latency: a one-way sent at [now] arrives at
+     [now + 1]; a duplicated copy arrives with it. *)
+  let now = ref 0.0 in
+  let clock = { Rpc.now = (fun () -> !now); advance = (fun dt -> now := !now +. dt) } in
+  let channel spec =
+    Rpc.create ~clock ~plan:(Plan.create ~seed:1L (spec ~latency:(Plan.Constant 1.0))) ()
+  in
+  let rpc = channel (fun ~latency -> Plan.spec ~latency ()) in
   let log = ref [] in
-  let post time tag = Outbox.post box ~time (fun () -> log := tag :: !log) in
-  post 3.0 "c";
-  post 1.0 "a";
-  post 2.0 "b1";
-  post 2.0 "b2";
-  post 9.0 "z";
-  Alcotest.(check int) "pending" 5 (Outbox.pending box);
-  Alcotest.(check int) "due by 2.5" 3 (Outbox.deliver_until box ~now:2.5);
+  let post ?(rpc = rpc) time tag =
+    now := time;
+    Rpc.send_oneway ~lossy:true rpc ~dst:0 ~bytes:1 ~category:Network.Cache_update
+      ~deliver:(fun () -> log := tag :: !log; true)
+  in
+  post 2.0 "c";
+  post 0.0 "a";
+  post 1.0 "b1";
+  post 1.0 "b2";
+  post 8.0 "z";
+  Alcotest.(check int) "pending" 5 (Rpc.pending_deliveries rpc);
+  Alcotest.(check int) "due by 2.5" 3 (Rpc.deliver_until rpc ~now:2.5);
   Alcotest.(check (list string)) "time order, FIFO ties"
     [ "a"; "b1"; "b2" ] (List.rev !log);
-  Alcotest.(check int) "flush delivers the rest" 2 (Outbox.flush box);
+  Alcotest.(check int) "flush delivers the rest" 2 (Rpc.flush_deliveries rpc);
   Alcotest.(check (list string)) "flush order" [ "a"; "b1"; "b2"; "c"; "z" ]
     (List.rev !log);
-  Alcotest.(check bool) "NaN time rejected" true
-    (try Outbox.post box ~time:Float.nan (fun () -> ()); false
-     with Invalid_argument _ -> true)
+  Alcotest.(check int) "nothing pending" 0 (Rpc.pending_deliveries rpc);
+  (* A duplicated one-way posts both copies at one arrival time. *)
+  let duped = channel (fun ~latency -> Plan.spec ~duplicate_rate:1.0 ~latency ()) in
+  post ~rpc:duped 0.0 "d";
+  Alcotest.(check int) "both copies delivered" 2 (Rpc.deliver_until duped ~now:1.0);
+  Alcotest.(check bool) "NaN arrival time rejected" true
+    (try post Float.nan "nan"; false with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* RPC: zero-fault byte identity, retries, hedging, one-ways. *)
@@ -352,16 +367,16 @@ let faults_zero_equals_plain () =
     Alcotest.(check int) what (f plain) (f faulted)
   in
   let open Sim.Runner in
-  check_int "request bytes" (fun r -> r.request_bytes);
-  check_int "response bytes" (fun r -> r.response_bytes);
-  check_int "cache bytes" (fun r -> r.cache_bytes);
-  check_int "maintenance bytes" (fun r -> r.maintenance_bytes);
+  check_int "request bytes" request_bytes;
+  check_int "response bytes" response_bytes;
+  check_int "cache bytes" cache_bytes;
+  check_int "maintenance bytes" maintenance_bytes;
   check_int "publish bytes" (fun r -> r.publish_bytes);
-  check_int "network messages" (fun r -> r.network_messages);
+  check_int "network messages" network_messages;
   check_int "hits" (fun r -> r.hits);
   check_int "errors" (fun r -> r.errors);
   check_int "unreachable" (fun r -> r.unreachable);
-  check_int "rpc calls" (fun r -> r.rpc_calls);
+  check_int "rpc calls" rpc_calls;
   Alcotest.(check (array int)) "per-node touches" plain.node_touches
     faulted.node_touches;
   Alcotest.(check (array int)) "per-node cached keys" plain.cached_keys
@@ -400,16 +415,16 @@ let faults_degrade_and_recover () =
     (Sim.Runner.lookup_success_rate fragile < 0.8);
   Alcotest.(check bool) "retries + hedging recover success" true
     (Sim.Runner.lookup_success_rate hardened > 0.95);
-  Alcotest.(check bool) "timeouts counted" true (hardened.Sim.Runner.rpc_timeouts > 0);
-  Alcotest.(check bool) "retries counted" true (hardened.Sim.Runner.rpc_retries > 0);
-  Alcotest.(check bool) "hedges counted" true (hardened.Sim.Runner.rpc_hedges > 0);
+  Alcotest.(check bool) "timeouts counted" true (Sim.Runner.rpc_timeouts hardened > 0);
+  Alcotest.(check bool) "retries counted" true (Sim.Runner.rpc_retries hardened > 0);
+  Alcotest.(check bool) "hedges counted" true (Sim.Runner.rpc_hedges hardened > 0);
   Alcotest.(check bool) "lost messages counted" true
-    (hardened.Sim.Runner.rpc_lost_messages > 0);
+    (Sim.Runner.rpc_lost_messages hardened > 0);
   (* Seed determinism end to end: the same faulty config replays
      bit-for-bit, metrics snapshot included. *)
   let replay = run ~retries:2 ~hedge:true in
-  Alcotest.(check int) "same rpc timeouts" hardened.Sim.Runner.rpc_timeouts
-    replay.Sim.Runner.rpc_timeouts;
+  Alcotest.(check int) "same rpc timeouts" (Sim.Runner.rpc_timeouts hardened)
+    (Sim.Runner.rpc_timeouts replay);
   Alcotest.(check string) "faulty run replays byte-identically"
     (Obs.Export.render_table hardened.Sim.Runner.metrics)
     (Obs.Export.render_table replay.Sim.Runner.metrics)

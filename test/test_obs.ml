@@ -23,6 +23,12 @@ let counter_basics () =
     (match Metrics.Counter.incr ~by:(-1) c with
     | exception Invalid_argument _ -> true
     | () -> false);
+  Metrics.Counter.add c 3;
+  Alcotest.(check int) "add" 8 (Metrics.Counter.value c);
+  Alcotest.(check bool) "negative add rejected" true
+    (match Metrics.Counter.add c (-1) with
+    | exception Invalid_argument _ -> true
+    | () -> false);
   Metrics.Counter.reset c;
   Alcotest.(check int) "reset" 0 (Metrics.Counter.value c)
 
@@ -36,6 +42,36 @@ let counter_identity () =
   (* Label order is irrelevant: a and b are the same instrument. *)
   Alcotest.(check int) "same series" 2 (Metrics.Counter.value a);
   Alcotest.(check int) "other series untouched" 0 (Metrics.Counter.value other)
+
+(* The labelled snapshot query the report's counts go through. *)
+let counter_value_query () =
+  let registry labelled =
+    let r = Metrics.create () in
+    List.iter
+      (fun (category, n) ->
+        Metrics.Counter.incr ~by:n
+          (Metrics.counter r ~labels:[ ("category", category); ("dir", "in") ] "bytes_total"))
+      labelled;
+    Metrics.Gauge.set (Metrics.gauge r "level") 3.0;
+    Metrics.snapshot r
+  in
+  let a = registry [ ("request", 5); ("response", 7) ]
+  and b = registry [ ("request", 11); ("cache", 2) ] in
+  let value ?(snap = a) labels name = Metrics.counter_value snap ~labels name in
+  Alcotest.(check int) "one series, labels in any order" 7
+    (value [ ("dir", "in"); ("category", "response") ] "bytes_total");
+  Alcotest.(check int) "absent family reads 0" 0 (value [] "missing_total");
+  Alcotest.(check int) "absent label set reads 0" 0
+    (value [ ("category", "maintenance"); ("dir", "in") ] "bytes_total");
+  Alcotest.(check int) "partial label set reads 0" 0
+    (value [ ("category", "request") ] "bytes_total");
+  Alcotest.(check int) "a gauge is not a counter" 0 (value [] "level");
+  let merged = Metrics.merge_snapshots [ a; b ] in
+  List.iter
+    (fun (category, expected) ->
+      Alcotest.(check int) ("merge sums per label: " ^ category) expected
+        (value ~snap:merged [ ("category", category); ("dir", "in") ] "bytes_total"))
+    [ ("request", 16); ("response", 7); ("cache", 2) ]
 
 let kind_mismatch_rejected () =
   let r = Metrics.create () in
@@ -296,20 +332,20 @@ let flat_sim_registry_matches_network () =
   let r = Sim.Runner.run ~metrics:registry ~tracer cfg in
   let total name = Metrics.counter_total r.Sim.Runner.metrics name in
   let network_bytes =
-    r.Sim.Runner.request_bytes + r.Sim.Runner.response_bytes + r.Sim.Runner.cache_bytes
-    + r.Sim.Runner.maintenance_bytes
+    Sim.Runner.request_bytes r + Sim.Runner.response_bytes r + Sim.Runner.cache_bytes r
+    + Sim.Runner.maintenance_bytes r
   in
   Alcotest.(check int) "registry bytes = network bytes" network_bytes
     (total "p2pindex_network_bytes_total");
   Alcotest.(check int) "registry messages = network messages"
-    r.Sim.Runner.network_messages
+    (Sim.Runner.network_messages r)
     (total "p2pindex_network_messages_total");
   (* The trace export carries the same wire-model bytes, split per span. *)
   let spans = List.concat_map (fun t -> t.Trace.spans) (Trace.traces tracer) in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 spans in
-  Alcotest.(check int) "span request bytes" r.Sim.Runner.request_bytes
+  Alcotest.(check int) "span request bytes" (Sim.Runner.request_bytes r)
     (sum (fun s -> s.Trace.request_bytes));
-  Alcotest.(check int) "span response bytes" r.Sim.Runner.response_bytes
+  Alcotest.(check int) "span response bytes" (Sim.Runner.response_bytes r)
     (sum (fun s -> s.Trace.response_bytes));
   Alcotest.(check int) "one trace per query" cfg.Sim.Runner.query_count
     (Trace.trace_count tracer)
@@ -367,6 +403,7 @@ let suite =
         Alcotest.test_case "kind and name validation" `Quick kind_mismatch_rejected;
         Alcotest.test_case "gauge basics" `Quick gauge_basics;
         Alcotest.test_case "histogram observe/quantile" `Quick histogram_observe_and_quantile;
+        Alcotest.test_case "labelled counter query" `Quick counter_value_query;
       ]
       @ qcheck [ hist_monotone_prop; quantile_in_bounds_prop ] );
     ( "obs:trace",

@@ -311,8 +311,8 @@ let scheme_deterministic () =
   let a = run () and b = run () in
   Alcotest.(check (float 0.0)) "same interactions" (Runner.interactions_mean a)
     (Runner.interactions_mean b);
-  Alcotest.(check int) "same response bytes" a.Runner.response_bytes b.Runner.response_bytes;
-  Alcotest.(check int) "same messages" a.Runner.network_messages b.Runner.network_messages
+  Alcotest.(check int) "same response bytes" (Runner.response_bytes a) (Runner.response_bytes b);
+  Alcotest.(check int) "same messages" (Runner.network_messages a) (Runner.network_messages b)
 
 let scheme_under_concurrency () =
   let cfg = { small with prefix = prefix_config ~multicast:true } in
@@ -320,10 +320,10 @@ let scheme_under_concurrency () =
   let engine1 = Sim.Engine.run ~concurrency:1 ~coalesce:false cfg in
   Alcotest.(check (float 0.0)) "engine@1 degenerates to the runner"
     (Runner.interactions_mean sequential)
-    (Runner.interactions_mean engine1.Sim.Engine.base);
+    (Runner.interactions_mean engine1);
   let engine8 = Sim.Engine.run ~concurrency:8 ~coalesce:false cfg in
   Alcotest.(check int) "no unreachable targets at concurrency 8" 0
-    engine8.Sim.Engine.base.Runner.unreachable
+    engine8.Runner.unreachable
 
 let churn_smoke () =
   let r =

@@ -585,19 +585,19 @@ let quorum_inactive_equals_plain () =
   in
   let check_int what f = Alcotest.(check int) what (f plain) (f quorumed) in
   let open Sim.Runner in
-  check_int "request bytes" (fun r -> r.request_bytes);
-  check_int "response bytes" (fun r -> r.response_bytes);
-  check_int "cache bytes" (fun r -> r.cache_bytes);
-  check_int "maintenance bytes" (fun r -> r.maintenance_bytes);
+  check_int "request bytes" request_bytes;
+  check_int "response bytes" response_bytes;
+  check_int "cache bytes" cache_bytes;
+  check_int "maintenance bytes" maintenance_bytes;
   check_int "publish bytes" (fun r -> r.publish_bytes);
-  check_int "network messages" (fun r -> r.network_messages);
+  check_int "network messages" network_messages;
   check_int "hits" (fun r -> r.hits);
   check_int "errors" (fun r -> r.errors);
   check_int "unreachable" (fun r -> r.unreachable);
-  check_int "rpc calls" (fun r -> r.rpc_calls);
-  check_int "quorum reads stay zero" (fun r -> r.quorum_reads);
-  check_int "quorum writes stay zero" (fun r -> r.quorum_writes);
-  check_int "anti-entropy stays off" (fun r -> r.antientropy_rounds);
+  check_int "rpc calls" rpc_calls;
+  check_int "quorum reads stay zero" quorum_reads;
+  check_int "quorum writes stay zero" quorum_writes;
+  check_int "anti-entropy stays off" antientropy_rounds;
   Alcotest.(check (array int)) "per-node touches" plain.node_touches
     quorumed.node_touches;
   Alcotest.(check (array int)) "per-node cached keys" plain.cached_keys
@@ -676,15 +676,16 @@ let quorum_reads_mask_staleness () =
   Alcotest.(check bool) "R=3 masks staleness at least as well" true
     (rate r3 <= rate r2);
   Alcotest.(check bool) "wider quorums read-repair laggards" true
-    (r2.Sim.Runner.quorum_read_repairs > 0);
+    (Sim.Runner.quorum_read_repairs r2 > 0);
   List.iter
     (fun (r : Sim.Runner.report) ->
-      Alcotest.(check bool) "quorum reads counted" true (r.quorum_reads > 0);
-      Alcotest.(check bool) "writes counted against W" true (r.quorum_writes > 0);
-      Alcotest.(check bool) "anti-entropy ran" true (r.antientropy_rounds > 0);
+      let open Sim.Runner in
+      Alcotest.(check bool) "quorum reads counted" true (quorum_reads r > 0);
+      Alcotest.(check bool) "writes counted against W" true (quorum_writes r > 0);
+      Alcotest.(check bool) "anti-entropy ran" true (antientropy_rounds r > 0);
       Alcotest.(check bool) "digests beat full-state push-pull" true
-        (r.antientropy_digest_bytes + r.antientropy_shipped_bytes
-        < r.antientropy_full_state_bytes))
+        (antientropy_digest_bytes r + antientropy_shipped_bytes r
+        < antientropy_full_state_bytes r))
     [ r1; r2; r3 ]
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
@@ -741,8 +742,8 @@ let cached_lengths_survive_maintenance =
         }
       in
       let env, r = run_keeping_env cfg in
-      r.Sim.Runner.quorum_read_repairs > 0
-      && r.Sim.Runner.antientropy_rounds > 0
+      Sim.Runner.quorum_read_repairs r > 0
+      && Sim.Runner.antientropy_rounds r > 0
       && Index.entry_length_mismatches (Sim.Runner.Internal.index env) = [])
 
 (* The runner's churn rarely leaves a replica missing an entry outright

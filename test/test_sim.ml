@@ -39,7 +39,7 @@ let determinism () =
   let b = run ~policy:(Policy.lru 10) () in
   Alcotest.(check (float 0.0)) "same interactions" (Runner.interactions_mean a)
     (Runner.interactions_mean b);
-  Alcotest.(check int) "same traffic" a.Runner.response_bytes b.Runner.response_bytes;
+  Alcotest.(check int) "same traffic" (Runner.response_bytes a) (Runner.response_bytes b);
   Alcotest.(check int) "same errors" a.Runner.errors b.Runner.errors
 
 let flat_needs_fewest_interactions () =
@@ -108,7 +108,7 @@ let lru_respects_capacity () =
 let no_cache_stores_nothing () =
   let r = run () in
   Alcotest.(check int) "no cached keys" 0 (Runner.cached_keys_max r);
-  Alcotest.(check int) "no cache traffic" 0 r.Runner.cache_bytes;
+  Alcotest.(check int) "no cache traffic" 0 (Runner.cache_bytes r);
   Alcotest.(check int) "no hits" 0 r.Runner.hits
 
 let errors_only_author_year () =
@@ -135,10 +135,10 @@ let caching_reduces_errors () =
 
 let traffic_categories_consistent () =
   let r = run ~policy:Policy.single_cache () in
-  Alcotest.(check bool) "requests billed" true (r.Runner.request_bytes > 0);
+  Alcotest.(check bool) "requests billed" true (Runner.request_bytes r > 0);
   Alcotest.(check bool) "responses dominate requests" true
-    (r.Runner.response_bytes > r.Runner.request_bytes);
-  Alcotest.(check bool) "cache traffic present" true (r.Runner.cache_bytes > 0);
+    (Runner.response_bytes r > Runner.request_bytes r);
+  Alcotest.(check bool) "cache traffic present" true (Runner.cache_bytes r > 0);
   Alcotest.(check bool) "publishing was billed" true (r.Runner.publish_bytes > 0)
 
 let touches_cover_all_interactions () =
@@ -177,7 +177,7 @@ let chord_hops_charged_when_asked () =
     Runner.run { small with substrate = Runner.Chord; charge_route_hops = true }
   in
   Alcotest.(check bool) "routing overhead billed as maintenance" true
-    (chord.Runner.maintenance_bytes > 0)
+    (Runner.maintenance_bytes chord > 0)
 
 let regular_keys_count_entries () =
   let r = run () in
@@ -206,8 +206,8 @@ let trace_replay_equals_generation () =
     (Runner.interactions_mean generated) (Runner.interactions_mean replayed);
   Alcotest.(check int) "same hits" generated.Runner.hits replayed.Runner.hits;
   Alcotest.(check int) "same errors" generated.Runner.errors replayed.Runner.errors;
-  Alcotest.(check int) "same traffic" generated.Runner.response_bytes
-    replayed.Runner.response_bytes
+  Alcotest.(check int) "same traffic" (Runner.response_bytes generated)
+    (Runner.response_bytes replayed)
 
 let run_experiment grid id =
   match Experiments.find id with
