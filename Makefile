@@ -78,8 +78,9 @@ bench-e2e:
 
 # Fault-injection suite: the fault/RPC/quorum tests plus seeded smoke
 # runs (deterministic, so CI diffs are meaningful) — the fault sweep,
-# and a quorum-under-faults run combining message loss with churn at
-# R = W = 2 to exercise read repair and under-acknowledged writes.
+# and a quorum-under-faults run combining message loss and hedging with
+# churn at R = W = 2 to exercise read repair, under-acknowledged writes
+# and the hedged quorum walk.
 chaos: build
 	dune exec test/test_main.exe -- test faults
 	dune exec test/test_main.exe -- test dht:rpc
@@ -87,7 +88,8 @@ chaos: build
 	dune exec bench/main.exe -- --quick --experiment fault-sweep
 	dune exec bin/p2pindex_cli.exe -- simulate --nodes 100 --articles 800 \
 	  --queries 6000 --churn-rate 0.01 --replication 3 --loss-rate 0.05 \
-	  --rpc-retries 2 --read-quorum 2 --write-quorum 2 --anti-entropy-interval 25
+	  --rpc-retries 2 --hedge --read-quorum 2 --write-quorum 2 \
+	  --anti-entropy-interval 25
 
 clean:
 	dune clean

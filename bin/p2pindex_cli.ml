@@ -161,6 +161,27 @@ let simulate_cmd =
           Workload.Query_gen.prefix_mix Sim.Runner.default_config.mix )
       else (None, Sim.Runner.default_config.mix)
     in
+    (* A replayed trace sets the query count, so it is read before the
+       configuration is checked; a file that does not replay exits 1. *)
+    let events =
+      Option.map
+        (fun path ->
+          let cannot_read msg =
+            Printf.eprintf "simulate: cannot read %s: %s\n" path msg;
+            exit 1
+          in
+          match
+            let corpus =
+              Bib.Corpus.generate ~seed (Bib.Corpus.default_config ~article_count:articles)
+            in
+            let lines = In_channel.with_open_text path Workload.Trace.load_lines in
+            Workload.Trace.replay ~articles:corpus lines
+          with
+          | [] -> cannot_read "the trace holds no queries"
+          | events -> events
+          | exception (Invalid_argument msg | Sys_error msg) -> cannot_read msg)
+        trace
+    in
     let config =
       {
         Sim.Runner.default_config with
@@ -168,7 +189,7 @@ let simulate_cmd =
         policy;
         node_count = nodes;
         article_count = articles;
-        query_count = queries;
+        query_count = (match events with Some events -> List.length events | None -> queries);
         seed;
         substrate;
         charge_route_hops = hops;
@@ -201,16 +222,6 @@ let simulate_cmd =
      with
     | Ok () -> ()
     | Error msg -> fail "%s" msg);
-    let events =
-      Option.map
-        (fun path ->
-          let corpus =
-            Bib.Corpus.generate ~seed (Bib.Corpus.default_config ~article_count:articles)
-          in
-          let lines = In_channel.with_open_text path Workload.Trace.load_lines in
-          Workload.Trace.replay ~articles:corpus lines)
-        trace
-    in
     let tracer = Option.map (fun _path -> Obs.Trace.create ()) trace_out in
     (* Profiling reads the monotonic clock, so it is strictly opt-in: the
        default run keeps its byte-reproducible report and snapshot. *)

@@ -134,7 +134,6 @@ let create ?network ?metrics ?(plan = Plan.zero) ?(config = default_config)
 let plan t = t.plan
 let settings t = t.config
 let now t = t.clock.now ()
-let fault_free t = Plan.is_zero t.plan
 
 let bump t pick =
   match t.instruments with
@@ -400,22 +399,3 @@ let walk_replicas ~replicas ~probe =
         | None -> go ~attempts rest)
   in
   go ~attempts:0 replicas
-
-let rec walk_buf_go replicas probe n i =
-  if i >= n then
-    (* lint: allow P3 — API boundary: one (answer, attempts) pair per walk, destructured immediately by callers *)
-    (None, i)
-  else begin
-    let node = Stdx.Arena.Int_buf.unsafe_get replicas i in
-    let next =
-      if i + 1 < n then Stdx.Arena.Int_buf.unsafe_get replicas (i + 1) else -1
-    in
-    match probe ~node ~next with
-    | Some _ as answer ->
-        (* lint: allow P3 — API boundary: one (answer, attempts) pair per walk, destructured immediately by callers *)
-        (answer, i + 1)
-    | None -> walk_buf_go replicas probe n (i + 1)
-  end
-
-let[@hot] walk_replicas_buf ~replicas ~probe =
-  walk_buf_go replicas probe (Stdx.Arena.Int_buf.length replicas) 0

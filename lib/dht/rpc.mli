@@ -74,9 +74,6 @@ val plan : t -> Faults.Plan.t
 val settings : t -> config
 val now : t -> float
 
-val fault_free : t -> bool
-(** True when the plan is zero — the byte-identical fast path. *)
-
 val call :
   t ->
   dst:int ->
@@ -152,12 +149,3 @@ val walk_replicas :
     placement order until one yields, returning the answer and the
     number of replicas probed.  [rest] lets a probe know whether later
     replicas remain (e.g. to treat the last one specially). *)
-
-val walk_replicas_buf :
-  replicas:Stdx.Arena.Int_buf.t ->
-  probe:(node:int -> next:int -> 'a option) ->
-  'a option * int
-(** {!walk_replicas} over a resolved replica scratch buffer, probing in
-    buffer order without consuming list cells.  [next] is the replica
-    after [node] in placement order, or [-1] when [node] is the last —
-    the hedging target and the "rest is empty" signal in one int. *)

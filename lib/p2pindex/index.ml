@@ -63,15 +63,17 @@ module type S = sig
       on every published entry.
 
       Passing [read_quorum] or [write_quorum] turns the Dynamo-style
-      quorum machinery on (see [quorum_enabled]): every lookup step
-      consults live replicas until [read_quorum] (default 1) non-empty
-      answers arrive, reconciles them by version vector, read-repairs
-      the diverged consulted replicas, and — with [metrics] — counts
-      reads, stale reads and read repairs under [p2pindex_quorum_*];
-      every write counts its live-replica acknowledgements against
-      [write_quorum] (default [replication]).  Without either parameter
-      nothing quorum-related is registered or billed and lookups take
-      the historical first-live-replica path, byte for byte.
+      quorum machinery on.  It changes two things about a lookup step
+      (see {!lookup_step}): every answer carries, and is billed, its
+      replica's version vectors, and the step waits for [read_quorum]
+      (default 1) non-empty answers, reconciles the consulted replicas
+      by version vector and read-repairs the diverged ones.  With
+      [metrics] it counts reads, stale reads (answers a
+      fully-consistent read would have improved on) and read repairs
+      under [p2pindex_quorum_*]; every write counts its live-replica
+      acknowledgements against [write_quorum] (default [replication]).
+      Without either parameter nothing quorum-related is registered or
+      billed.
 
       With [metrics], every lookup step bumps
       [p2pindex_index_lookup_steps_total] (labelled by outcome), the
@@ -93,11 +95,6 @@ module type S = sig
   val read_quorum : t -> int
   val write_quorum : t -> int
 
-  val quorum_enabled : t -> bool
-  (** Whether a quorum parameter was passed at [create] time — the
-      switch between the quorum read path and the historical
-      first-live-replica path. *)
-
   val liveness : t -> Dht.Liveness.t
   (** The shared alive-set: fail/revive nodes here and every lookup sees
       it.  After an abrupt failure, also call {!drop_node_state}. *)
@@ -113,17 +110,14 @@ module type S = sig
   val node_of_query : t -> query -> int
   (** The primary responsible node, dead or alive. *)
 
-  val live_node_of_query : t -> query -> int option
-  (** The acting responsible node: the first live replica, if any. *)
-
   val node_of_string : t -> string -> int
   (** {!node_of_query} for an already-rendered query string, so hot
       paths that hold the rendering never re-render. *)
 
   val live_node_of_string : t -> string -> int
-  (** {!live_node_of_query} for an already-rendered query string,
-      without the option: the acting responsible node's index, or [-1]
-      when the whole replica set is dead. *)
+  (** The acting responsible node for an already-rendered query
+      string: the first live replica's index, or [-1] when the whole
+      replica set is dead. *)
 
   exception Covering_violation of { parent : string; child : string }
   (** Raised when trying to register a mapping whose parent does not cover
@@ -134,9 +128,6 @@ module type S = sig
   (** Register [(parent ; child)] at the nodes responsible for [h(parent)].
       Returns false when the mapping already existed (its TTL is refreshed).
       @raise Covering_violation if [covers parent child] does not hold. *)
-
-  val remove_mapping : t -> parent:query -> child:query -> bool
-  (** Returns whether the mapping was present. *)
 
   val store_file : t -> msd:query -> file -> unit
   (** Store the file payload at the nodes responsible for its most specific
@@ -182,19 +173,23 @@ module type S = sig
     | Not_indexed  (** No entry anywhere for this query. *)
 
   val lookup_step : t -> query -> step
-  (** One user-system interaction: contact the node responsible for the
-      query and return what it knows.  When that node is dead or answers
-      empty, retry down the replica list (each attempt billed as a
-      request) before giving up — at most [replication] probes. *)
+  (** One user-system interaction: one walk over the query key's replica
+      set.  The walk asks the replicas in placement order, one RPC call
+      each, and stops once R of them answered non-empty: R is
+      [read_quorum] under quorum and 1 otherwise.  A dead replica costs
+      its request; one that answers empty is passed over, since a later
+      replica can still hold the entry; at most [replication] calls are
+      made.  A call may hedge to the next replica; a hedge target that
+      already answered non-empty is not asked again, one that answered
+      empty is.  Without quorum the step is the first non-empty answer
+      as it is; under quorum it is the reconcile of every replica that
+      answered.  With [tracer], the step's one span bills every request
+      the walk sent and every answer it received. *)
 
   val lookup_step_rendered : t -> rendered:string -> query -> step
   (** {!lookup_step} when the caller already rendered the query:
       [rendered] must be [Q.to_string q].  The session walk renders each
       hop once and threads the string here. *)
-
-  val mapping_children : t -> query -> query list
-  (** The children registered under a query, without traffic accounting
-      (inspection only). *)
 
   val search : ?interactions:int ref -> ?max_results:int -> t -> query -> (query * file) list
   (** Automated lookup: recursively explore the index from the query and
@@ -215,7 +210,6 @@ module type S = sig
       with the original query — and keep the files it covers. *)
 
   val mapping_count : t -> int
-  val index_key_count : t -> int
 
   val iter_mappings : t -> (parent_key:Hashing.Key.t -> query -> unit) -> unit
   (** Visit every registered mapping (for audits and invariant checks):
@@ -247,7 +241,6 @@ module type S = sig
 
   val file_count : t -> int
   val file_bytes : t -> int
-  val files_per_node : t -> int array
 end
 
 module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
@@ -298,6 +291,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     files : file Rstore.t;
     key_cache : (string, Key.t) Hashtbl.t;
         (* Hashing a query is hot; memoize canonical-string -> key. *)
+    consulted : Stdx.Arena.Int_buf.t;
+        (* The replicas a quorum lookup step heard from, in answer order. *)
     metrics : Obs.Metrics.t option;
     instruments : instruments option;
     quorum_instruments : quorum_instruments option;
@@ -409,6 +404,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         Rstore.create ~resolver ~replication ?read_quorum ?write_quorum
           ?on_write_acks ~liveness ~clock ();
       key_cache = Hashtbl.create 4096;
+      consulted = Stdx.Arena.Int_buf.create ~capacity:replication ();
       metrics;
       instruments = Option.map make_instruments metrics;
       quorum_instruments;
@@ -420,7 +416,6 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let replication t = Rstore.replication t.mappings
   let read_quorum t = Rstore.read_quorum t.mappings
   let write_quorum t = Rstore.write_quorum t.mappings
-  let quorum_enabled t = t.quorum_enabled
   let liveness t = t.liveness
 
   let metrics t = t.metrics
@@ -439,8 +434,6 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let key_of t q = key_of_string_memo t (Q.to_string q)
 
   let node_of_query t q = Dht.Resolver.responsible t.resolver (key_of t q)
-
-  let live_node_of_query t q = Rstore.live_node t.mappings (key_of t q)
 
   let[@hot] node_of_string t s =
     Dht.Resolver.responsible t.resolver (key_of_string_memo t s)
@@ -635,13 +628,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       try Dht.Resolver.route_hops t.resolver key with _ -> 0
     else 0
 
-  let record_step t ?request_bytes ~query_string ~dst ~hops ~result_count
+  let record_step t ~request_bytes ~query_string ~dst ~hops ~result_count
       ~response_bytes ~outcome () =
-    let request_bytes =
-      match request_bytes with
-      | Some bytes -> bytes
-      | None -> Wire.request_bytes query_string
-    in
     (match t.instruments with
     | None -> ()
     | Some ins ->
@@ -681,275 +669,203 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     | A_children of { children : query list; bytes : int }
     | A_empty
 
-  let children_bytes entries = Wire.response_bytes_of_len ~len:Rstore.entry_len entries
-
-  let children_answer entries ~bytes =
+  let children_answer entries =
+    let bytes = Wire.response_bytes_of_len ~len:Rstore.entry_len entries in
     (* lint: allow P4 — wire deserialization: the answer materializes its child queries once per answered probe *)
     A_children { children = List.map Rstore.entry_value entries; bytes }
 
-  (* One user-system interaction, failure-tolerant: walk the replica list
-     in order, one RPC call per replica.  A dead replica costs the
-     request (timeout) and nothing else; a live replica that knows
-     nothing answers empty and the walk moves on; the first live replica
-     with an entry answers.  Bounded by the replication factor.  Under a
-     fault plan each call additionally retries lost messages with
-     backoff and may hedge to the next replica; with the zero plan and
-     the node alive this is exactly the static single-probe lookup. *)
-  let[@hot] lookup_step_plain t ~generalization ~query_string =
+  (* What one replica holds under [key]: read-only, so a duplicated
+     request may run it twice. *)
+  let answer_at t ~node key =
+    match Rstore.entries_at t.files ~node key with
+    | e :: _ -> A_file (Rstore.entry_value e)
+    | [] -> (
+        match Rstore.entries_at t.mappings ~node key with
+        | [] -> A_empty
+        | entries -> children_answer entries)
+
+  (* Under quorum, every answer carries its replica's version vectors. *)
+  let version_bytes t ~node key =
+    Wire.version_bytes
+      (Storage.Version.dots (Rstore.version_at t.files ~node key)
+      + Storage.Version.dots (Rstore.version_at t.mappings ~node key))
+
+  (* The bytes a replica's answer is billed, on the wire and in the
+     step's span alike: under quorum, its version vectors too. *)
+  let billed_bytes t ~node key answer =
+    let bytes =
+      match answer with
+      | A_file file -> Wire.file_response_bytes file
+      | A_children { bytes; _ } -> bytes
+      | A_empty -> Wire.response_bytes []
+    in
+    if t.quorum_enabled then bytes + version_bytes t ~node key else bytes
+
+  (* ---------------------------------------------------------------- *)
+  (* The quorum side of a lookup step: the replicas it heard from and
+     their reconcile.  None of it runs on an index created without a
+     quorum parameter. *)
+
+  let rec consulted_from buf node i =
+    i < Stdx.Arena.Int_buf.length buf
+    && (Stdx.Arena.Int_buf.unsafe_get buf i = node || consulted_from buf node (i + 1))
+
+  (* Remember a replica that answered, once, in answer order: a hedge
+     target that answered empty may answer again. *)
+  let note_consulted t node =
+    if not (consulted_from t.consulted node 0) then
+      Stdx.Arena.Int_buf.push t.consulted node
+
+  (* Bill read repair: each gained entry shipped to its replica. *)
+  let rec charge_gained t entry_bytes ~node = function
+    | [] -> ()
+    | e :: gained ->
+        charge_maintenance t ~dst:node ~bytes:(entry_bytes e);
+        charge_gained t entry_bytes ~node gained
+
+  let rec charge_repairs t entry_bytes = function
+    | [] -> ()
+    | (node, gained) :: rest ->
+        charge_gained t entry_bytes ~node gained;
+        charge_repairs t entry_bytes rest
+
+  let dominated a b =
+    match Storage.Version.compare a b with
+    | Storage.Version.Dominated -> true
+    | Storage.Version.Eq | Storage.Version.Dominates | Storage.Version.Concurrent ->
+        false
+
+  (* Reconcile the consulted replicas by version vector: dominance
+     decides, diverged replicas are overwritten (read repair, billed as
+     maintenance) and the merged state is the step's answer. *)
+  let reconcile t key =
+    (match t.quorum_instruments with
+    | None -> ()
+    | Some qi -> Obs.Metrics.Counter.incr qi.q_reads);
+    if Stdx.Arena.Int_buf.length t.consulted = 0 then Not_indexed
+    else begin
+      let nodes = Stdx.Arena.Int_buf.to_list t.consulted in
+      let files, vf, repairs_f = Rstore.quorum_read t.files ~key ~nodes in
+      let children, vm, repairs_m = Rstore.quorum_read t.mappings ~key ~nodes in
+      charge_repairs t file_entry_bytes repairs_f;
+      charge_repairs t mapping_entry_bytes repairs_m;
+      (match t.quorum_instruments with
+      | None -> ()
+      | Some qi ->
+          let repaired = List.length repairs_f + List.length repairs_m in
+          if repaired > 0 then Obs.Metrics.Counter.incr ~by:repaired qi.q_read_repairs;
+          (* Stale iff a read of every live replica would have seen a
+             strictly newer history than this quorum did (oracle view,
+             no messaging). *)
+          if
+            dominated vf (Rstore.live_merged_version t.files key)
+            || dominated vm (Rstore.live_merged_version t.mappings key)
+          then Obs.Metrics.Counter.incr qi.q_stale_reads);
+      match files with
+      | file :: _ -> File file
+      | [] -> ( match children with [] -> Not_indexed | cs -> Children cs)
+    end
+
+  let step_results = function
+    | File _ -> 1
+    | Children children -> List.length children
+    | Not_indexed -> 0
+
+  let step_outcome ~generalization = function
+    | File _ -> Obs.Trace.Msd_reached
+    | Children _ -> if generalization then Obs.Trace.Generalized else Obs.Trace.Refined
+    | Not_indexed -> Obs.Trace.Not_found
+
+  (* One user-system interaction, failure-tolerant: one walk over the
+     key's replica set in placement order, one RPC call per replica,
+     until [needed] replicas answered non-empty.  A dead replica costs
+     the request (timeout) and nothing else; a live replica that knows
+     nothing answers empty and the walk moves on, since it may have
+     rejoined after losing the entry.  Under a fault plan each call
+     additionally retries lost messages with backoff and may hedge to
+     the next replica, which holds the same data.  A replica is skipped
+     only when it already answered non-empty — a won hedge — so each
+     replica counts toward [needed] at most once, and a hedge target
+     that answered empty is asked again when its turn comes.  With the
+     zero plan, replication 1 and no quorum this is exactly the static
+     single-probe lookup. *)
+  let[@hot] lookup_step_at t ~generalization ~query_string =
     let key = key_of_string_memo t query_string in
     let replicas = Rstore.replica_buf t.mappings key in
+    let n = Stdx.Arena.Int_buf.length replicas in
     let primary = Stdx.Arena.Int_buf.get replicas 0 in
     let request_bytes = Wire.request_bytes query_string in
+    let quorum = t.quorum_enabled in
+    let needed = if quorum then Rstore.read_quorum t.mappings else 1 in
+    if quorum then Stdx.Arena.Int_buf.clear t.consulted;
     (* The remote side of the call: runs once per delivered request
        copy, so it must be (and is) a read-only probe. *)
     (* lint: allow P1 — RPC handler contract: Rpc.call takes a callback; one handler per lookup step *)
     let handler ~node =
       if not (Dht.Liveness.alive t.liveness node) then Dht.Rpc.No_response
       else
-        match Rstore.entries_at t.files ~node key with
-        | e :: _ ->
-            let file = Rstore.entry_value e in
-            Dht.Rpc.Reply
-              { bytes = Wire.file_response_bytes file; value = A_file file }
-        | [] -> (
-            match Rstore.entries_at t.mappings ~node key with
-            | [] -> Dht.Rpc.Reply { bytes = Wire.response_bytes []; value = A_empty }
-            | entries ->
-                let bytes = children_bytes entries in
-                Dht.Rpc.Reply { bytes; value = children_answer entries ~bytes })
+        let value = answer_at t ~node key in
+        Dht.Rpc.Reply { bytes = billed_bytes t ~node key value; value }
     in
-    (* lint: allow P1 — replica-walk contract: walk_replicas takes the probe as a callback; one closure per lookup step *)
-    let probe ~node ~next =
-      (* Hedge to the next replica in placement order ([next] is [-1] on
-         the last replica): it holds the same data, so its answer is as
-         authoritative as the primary's. *)
-      let hedge_dst = if next >= 0 then Some next else None in
-      match
-        Dht.Rpc.call t.rpc ~dst:node ?hedge_dst ~route_key:key ~request_bytes
-          ~handler ()
-      with
-      | Dht.Rpc.Exhausted -> None
-      | Dht.Rpc.Answered { value; node = responder } -> (
-          match value with
-          | A_file file ->
-              if observed t then
-                record_step t ~query_string ~dst:responder
-                  ~hops:(measured_hops t key) ~result_count:1
-                  ~response_bytes:(Wire.file_response_bytes file)
-                  ~outcome:Obs.Trace.Msd_reached ();
-              Some (File file)
-          | A_children { children; bytes } ->
-              if observed t then
-                record_step t ~query_string ~dst:responder
-                  ~hops:(measured_hops t key)
-                  ~result_count:(List.length children)
-                  ~response_bytes:bytes
-                  ~outcome:
-                    (if generalization then Obs.Trace.Generalized
-                     else Obs.Trace.Refined)
-                  ();
-              Some (Children children)
-          | A_empty ->
-              if next < 0 then begin
-                if observed t then
-                  record_step t ~query_string ~dst:responder
-                    ~hops:(measured_hops t key) ~result_count:0
-                    ~response_bytes:(Wire.response_bytes [])
-                    ~outcome:Obs.Trace.Not_found ();
-                Some Not_indexed
-              end
-              else
-                (* This replica may have rejoined after losing the entry;
-                   a later replica can still hold it. *)
-                None)
-    in
-    match Dht.Rpc.walk_replicas_buf ~replicas ~probe with
-    | Some step, attempts ->
-        observe_retries t ~attempts;
-        step
-    | None, attempts ->
-        (* Every replica dead or unreachable: requests were paid, nobody
-           answered. *)
-        if observed t then
-          record_step t ~query_string ~dst:primary ~hops:(measured_hops t key)
-            ~result_count:0 ~response_bytes:0 ~outcome:Obs.Trace.Not_found ();
-        observe_retries t ~attempts;
-        Not_indexed
-
-  (* Quorum lookup: walk the replica list like the plain path, but keep
-     probing until [read_quorum] live replicas answered non-empty — an
-     empty answer is still consulted (the replica may have rejoined
-     after losing the entry and joins the reconcile) but does not count
-     toward R.  The consulted states are then reconciled by version
-     vector: dominance decides, diverged replicas are overwritten (read
-     repair, billed as maintenance) and the merged state is the answer.
-     Quorum responses carry their replica's version vectors on the wire
-     ({!Wire.version_bytes}); the plain path bills nothing extra. *)
-  let lookup_step_quorum t ~generalization ~query_string =
-    let key = key_of_string_memo t query_string in
-    let replicas = Rstore.replica_nodes t.mappings key in
-    let primary = List.hd replicas in
-    let request_bytes = Wire.request_bytes query_string in
-    let r_needed = Rstore.read_quorum t.mappings in
-    (* One replica's billed answer: its entry state plus the version
-       vectors it carries on the wire.  Shared by the RPC handler and
-       the walk's span accounting, so the step's span carries exactly
-       the bytes the network was charged. *)
-    let probe_state ~node =
-      let version_bytes =
-        Wire.version_bytes
-          (Storage.Version.dots (Rstore.version_at t.files ~node key)
-          + Storage.Version.dots (Rstore.version_at t.mappings ~node key))
-      in
-      match Rstore.entries_at t.files ~node key with
-      | e :: _ ->
-          let file = Rstore.entry_value e in
-          (Wire.file_response_bytes file + version_bytes, A_file file)
-      | [] -> (
-          match Rstore.entries_at t.mappings ~node key with
-          | [] -> (Wire.response_bytes [] + version_bytes, A_empty)
-          | entries ->
-              let bytes = children_bytes entries in
-              (bytes + version_bytes, children_answer entries ~bytes))
-    in
-    let handler ~node =
-      if not (Dht.Liveness.alive t.liveness node) then Dht.Rpc.No_response
+    let i = ref 0 and attempts = ref 0 and found = ref 0 and resp_bytes = ref 0 in
+    (* [last_found] is the latest replica to answer non-empty: the only
+       one the next position can repeat, as a won hedge. *)
+    let first = ref (-1) and first_found = ref (-1) and last_found = ref (-1) in
+    let answer = ref A_empty in
+    while !i < n && !found < needed do
+      let node = Stdx.Arena.Int_buf.unsafe_get replicas !i in
+      incr i;
+      if node <> !last_found then begin
+        let hedge_dst =
+          if !i < n then Some (Stdx.Arena.Int_buf.unsafe_get replicas !i) else None
+        in
+        incr attempts;
+        match
+          Dht.Rpc.call t.rpc ~dst:node ?hedge_dst ~route_key:key ~request_bytes
+            ~handler ()
+        with
+        | Dht.Rpc.Exhausted -> ()
+        | Dht.Rpc.Answered { value; node = responder } -> (
+            resp_bytes := !resp_bytes + billed_bytes t ~node:responder key value;
+            if quorum then note_consulted t responder;
+            if !first < 0 then first := responder;
+            match value with
+            | A_empty -> ()
+            | A_file _ | A_children _ ->
+                incr found;
+                last_found := responder;
+                if !first_found < 0 then begin
+                  first_found := responder;
+                  answer := value
+                end)
+      end
+    done;
+    observe_retries t ~attempts:!attempts;
+    let step =
+      if quorum then reconcile t key
       else
-        let bytes, value = probe_state ~node in
-        Dht.Rpc.Reply { bytes; value }
+        match !answer with
+        | A_file file -> File file
+        | A_children { children; _ } -> Children children
+        | A_empty -> Not_indexed
     in
-    (* Consult replicas in placement order; a hedged answer may arrive
-       from a later replica, which is then skipped when its turn comes.
-       [resp_bytes] accumulates every consulted answer's billed bytes:
-       unlike the plain path's single-exchange steps, a quorum step is
-       one span covering the whole walk (the prefix scheme's
-       covering-set spans set the precedent), so trace byte totals and
-       network totals still agree. *)
-    (* Monomorphic membership: [List.mem] would compare node ids with the
-       polymorphic runtime equality. *)
-    let rec already_consulted node = function
-      | [] -> false
-      | r :: rest -> Int.equal r node || already_consulted node rest
-    in
-    let rec walk responders first_nonempty nonempty attempts resp_bytes =
-      function
-      | [] -> (List.rev responders, first_nonempty, attempts, resp_bytes)
-      | _ when nonempty >= r_needed ->
-          (List.rev responders, first_nonempty, attempts, resp_bytes)
-      | node :: rest ->
-          if already_consulted node responders then
-            walk responders first_nonempty nonempty attempts resp_bytes rest
-          else begin
-            let hedge_dst = match rest with next :: _ -> Some next | [] -> None in
-            match
-              Dht.Rpc.call t.rpc ~dst:node ?hedge_dst ~route_key:key ~request_bytes
-                ~handler ()
-            with
-            | Dht.Rpc.Exhausted ->
-                walk responders first_nonempty nonempty (attempts + 1) resp_bytes
-                  rest
-            | Dht.Rpc.Answered { value; node = responder } ->
-                let resp_bytes =
-                  resp_bytes + fst (probe_state ~node:responder)
-                in
-                let nonempty, first_nonempty =
-                  match value with
-                  | A_empty -> (nonempty, first_nonempty)
-                  | A_file _ | A_children _ ->
-                      ( nonempty + 1,
-                        (match first_nonempty with
-                        | Some _ as fn -> fn
-                        | None -> Some responder) )
-                in
-                walk (responder :: responders) first_nonempty nonempty (attempts + 1)
-                  resp_bytes rest
-          end
-    in
-    let responders, first_nonempty, attempts, resp_bytes =
-      walk [] None 0 0 0 replicas
-    in
-    observe_retries t ~attempts;
-    (match t.quorum_instruments with
-    | None -> ()
-    | Some qi -> Obs.Metrics.Counter.incr qi.q_reads);
-    match responders with
-    | [] ->
-        (* Every replica dead or unreachable: requests were paid, nobody
-           answered. *)
-        if observed t then
-          record_step t ~request_bytes:(attempts * request_bytes) ~query_string
-            ~dst:primary ~hops:(measured_hops t key) ~result_count:0
-            ~response_bytes:0 ~outcome:Obs.Trace.Not_found ();
-        Not_indexed
-    | first :: _ ->
-        let files, vf, repairs_f =
-          Rstore.quorum_read t.files ~key ~nodes:responders
-        in
-        let children, vm, repairs_m =
-          Rstore.quorum_read t.mappings ~key ~nodes:responders
-        in
-        let charge_repairs entry_bytes =
-          List.iter (fun (node, gained) ->
-              List.iter
-                (fun e -> charge_maintenance t ~dst:node ~bytes:(entry_bytes e))
-                gained)
-        in
-        charge_repairs file_entry_bytes repairs_f;
-        charge_repairs mapping_entry_bytes repairs_m;
-        (match t.quorum_instruments with
-        | None -> ()
-        | Some qi ->
-            let repaired = List.length repairs_f + List.length repairs_m in
-            if repaired > 0 then
-              Obs.Metrics.Counter.incr ~by:repaired qi.q_read_repairs;
-            (* Stale iff a read of every live replica would have seen a
-               strictly newer history than this quorum did (oracle view,
-               no messaging). *)
-            let stale =
-              Storage.Version.compare vf (Rstore.live_merged_version t.files key)
-              = Storage.Version.Dominated
-              || Storage.Version.compare vm
-                   (Rstore.live_merged_version t.mappings key)
-                 = Storage.Version.Dominated
-            in
-            if stale then Obs.Metrics.Counter.incr qi.q_stale_reads);
-        let step, result_count, outcome =
-          match files with
-          | file :: _ -> (File file, 1, Obs.Trace.Msd_reached)
-          | [] -> (
-              match children with
-              | [] -> (Not_indexed, 0, Obs.Trace.Not_found)
-              | cs ->
-                  ( Children cs,
-                    List.length cs,
-                    if generalization then Obs.Trace.Generalized
-                    else Obs.Trace.Refined ))
-        in
-        if observed t then
-          record_step t ~request_bytes:(attempts * request_bytes) ~query_string
-            ~dst:(Option.value first_nonempty ~default:first)
-            ~hops:(measured_hops t key) ~result_count ~response_bytes:resp_bytes
-            ~outcome ();
-        step
-
-  (* Not marked [@hot] despite sitting on the walk's probe path: hotness
-     would propagate into the quorum branch, whose reconcile is
-     deliberately list-shaped.  The plain branch carries its own
-     annotation. *)
-  let lookup_step_rendered_at t ~generalization ~rendered =
-    if t.quorum_enabled then
-      lookup_step_quorum t ~generalization ~query_string:rendered
-    else lookup_step_plain t ~generalization ~query_string:rendered
-
-  let lookup_step_at t ~generalization q =
-    lookup_step_rendered_at t ~generalization ~rendered:(Q.to_string q)
+    (* One span for the whole walk (the prefix scheme's covering-set
+       spans set the precedent), so trace byte totals and network totals
+       agree. *)
+    if observed t then begin
+      let dst =
+        if !first_found >= 0 then !first_found else if !first >= 0 then !first else primary
+      in
+      record_step t ~request_bytes:(!attempts * request_bytes) ~query_string ~dst
+        ~hops:(measured_hops t key) ~result_count:(step_results step)
+        ~response_bytes:!resp_bytes ~outcome:(step_outcome ~generalization step) ()
+    end;
+    step
 
   let lookup_step_rendered t ~rendered (_ : Q.t) =
-    lookup_step_rendered_at t ~generalization:false ~rendered
+    lookup_step_at t ~generalization:false ~query_string:rendered
 
-  let lookup_step t q = lookup_step_at t ~generalization:false q
-
-  let mapping_children t q = Rstore.lookup t.mappings (key_of t q)
+  let lookup_step t q = lookup_step_at t ~generalization:false ~query_string:(Q.to_string q)
 
   (* ---------------------------------------------------------------- *)
   (* Automated search: drive the resumable {!Lookup} machines to
@@ -969,7 +885,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let drive interactions t machine =
     let step ~generalization q =
       count interactions;
-      answer_of_step (lookup_step_at t ~generalization q)
+      answer_of_step (lookup_step_at t ~generalization ~query_string:(Q.to_string q))
     in
     (Lookup_m.drive ~step machine).Lookup_m.files
 
@@ -1004,7 +920,6 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let mapping_totals t = Rstore.entry_totals t.mappings mapping_entry_bytes
   let mapping_count t = fst (mapping_totals t)
   let index_bytes t = snd (mapping_totals t)
-  let index_key_count t = Rstore.key_count t.mappings
 
   let iter_mappings t f =
     Rstore.fold t.mappings ~init:() ~f:(fun () key children ->
@@ -1035,6 +950,4 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   let file_bytes t =
     snd (Rstore.entry_totals t.files (fun e -> (Rstore.entry_value e : file).size_bytes))
-
-  let files_per_node t = Rstore.keys_per_node t.files
 end

@@ -63,16 +63,17 @@ module type S = sig
       on every published entry.
 
       Passing [read_quorum] or [write_quorum] turns the Dynamo-style
-      quorum machinery on (see {!quorum_enabled}): every lookup step
-      consults live replicas until [read_quorum] (default 1) non-empty
-      answers arrive, reconciles them by version vector, read-repairs
-      the diverged consulted replicas, and — with [metrics] — counts
-      reads, stale reads (answers a fully-consistent read would have
-      improved on) and read repairs under [p2pindex_quorum_*]; every
-      write counts its live-replica acknowledgements against
-      [write_quorum] (default [replication]).  Without either parameter
-      nothing quorum-related is registered or billed and lookups take
-      the historical first-live-replica path, byte for byte.
+      quorum machinery on.  It changes two things about a lookup step
+      (see {!lookup_step}): every answer carries, and is billed, its
+      replica's version vectors, and the step waits for [read_quorum]
+      (default 1) non-empty answers, reconciles the consulted replicas
+      by version vector and read-repairs the diverged ones.  With
+      [metrics] it counts reads, stale reads (answers a
+      fully-consistent read would have improved on) and read repairs
+      under [p2pindex_quorum_*]; every write counts its live-replica
+      acknowledgements against [write_quorum] (default [replication]).
+      Without either parameter nothing quorum-related is registered or
+      billed.
 
       With [metrics], every lookup step bumps
       [p2pindex_index_lookup_steps_total] (labelled by outcome), the
@@ -94,11 +95,6 @@ module type S = sig
   val read_quorum : t -> int
   val write_quorum : t -> int
 
-  val quorum_enabled : t -> bool
-  (** Whether a quorum parameter was passed at {!create} time — the
-      switch between the quorum read path and the historical
-      first-live-replica path. *)
-
   val liveness : t -> Dht.Liveness.t
   (** The shared alive-set: fail/revive nodes here and every lookup sees
       it.  After an abrupt failure, also call {!drop_node_state}. *)
@@ -115,17 +111,14 @@ module type S = sig
   val node_of_query : t -> query -> int
   (** The primary responsible node, dead or alive. *)
 
-  val live_node_of_query : t -> query -> int option
-  (** The acting responsible node: the first live replica, if any. *)
-
   val node_of_string : t -> string -> int
   (** {!node_of_query} for an already-rendered query string, so hot
       paths that hold the rendering never re-render. *)
 
   val live_node_of_string : t -> string -> int
-  (** {!live_node_of_query} for an already-rendered query string,
-      without the option: the acting responsible node's index, or [-1]
-      when the whole replica set is dead. *)
+  (** The acting responsible node for an already-rendered query
+      string: the first live replica's index, or [-1] when the whole
+      replica set is dead. *)
 
   exception Covering_violation of { parent : string; child : string }
   (** Raised when trying to register a mapping whose parent does not cover
@@ -136,9 +129,6 @@ module type S = sig
   (** Register [(parent ; child)] at the nodes responsible for [h(parent)].
       Returns false when the mapping already existed (its TTL is refreshed).
       @raise Covering_violation if [covers parent child] does not hold. *)
-
-  val remove_mapping : t -> parent:query -> child:query -> bool
-  (** Returns whether the mapping was present. *)
 
   val store_file : t -> msd:query -> file -> unit
   (** Store the file payload at the nodes responsible for its most specific
@@ -186,19 +176,23 @@ module type S = sig
     | Not_indexed  (** No entry anywhere for this query. *)
 
   val lookup_step : t -> query -> step
-  (** One user-system interaction: contact the node responsible for the
-      query and return what it knows.  When that node is dead or answers
-      empty, retry down the replica list (each attempt billed as a
-      request) before giving up — at most [replication] probes. *)
+  (** One user-system interaction: one walk over the query key's replica
+      set.  The walk asks the replicas in placement order, one RPC call
+      each, and stops once R of them answered non-empty: R is
+      [read_quorum] under quorum and 1 otherwise.  A dead replica costs
+      its request; one that answers empty is passed over, since a later
+      replica can still hold the entry; at most [replication] calls are
+      made.  A call may hedge to the next replica; a hedge target that
+      already answered non-empty is not asked again, one that answered
+      empty is.  Without quorum the step is the first non-empty answer
+      as it is; under quorum it is the reconcile of every replica that
+      answered.  With [tracer], the step's one span bills every request
+      the walk sent and every answer it received. *)
 
   val lookup_step_rendered : t -> rendered:string -> query -> step
   (** {!lookup_step} when the caller already rendered the query:
       [rendered] must be [Q.to_string q].  The session walk renders each
       hop once and threads the string here. *)
-
-  val mapping_children : t -> query -> query list
-  (** The children registered under a query, without traffic accounting
-      (inspection only). *)
 
   val search : ?interactions:int ref -> ?max_results:int -> t -> query -> (query * file) list
   (** Automated lookup: recursively explore the index from the query and
@@ -219,7 +213,6 @@ module type S = sig
       with the original query — and keep the files it covers. *)
 
   val mapping_count : t -> int
-  val index_key_count : t -> int
 
   val iter_mappings : t -> (parent_key:Hashing.Key.t -> query -> unit) -> unit
   (** Visit every registered mapping (for audits and invariant checks):
@@ -251,7 +244,6 @@ module type S = sig
 
   val file_count : t -> int
   val file_bytes : t -> int
-  val files_per_node : t -> int array
 end
 
 module Make (Q : Query_sig.QUERY) : S with type query = Q.t

@@ -106,9 +106,8 @@ let[@hot] replica_buf t key =
   Dht.Resolver.replicas_into t.resolver key t.replication t.scratch;
   t.scratch
 
-(* The retry-down-the-replica-list shape is shared with the index layer
-   through Rpc.walk_replicas: probe replicas in placement order, first
-   acceptable one wins. *)
+(* The retry-down-the-replica-list shape, through Rpc.walk_replicas:
+   probe replicas in placement order, first acceptable one wins. *)
 let first_replica t key ~accept =
   fst
     (Dht.Rpc.walk_replicas ~replicas:(replica_nodes t key)

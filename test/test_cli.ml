@@ -1,6 +1,6 @@
 (* The command-line surface: every rejected input exits 2 with a message,
    whether cmdliner rejects it while parsing or a subcommand rejects it
-   while validating. *)
+   while validating; an input file that cannot be read exits 1. *)
 
 (* The CLI binary sits in the build tree beside the test binary. *)
 let cli =
@@ -41,6 +41,30 @@ let usage_errors_exit_2 () =
       [ "--shards"; "4"; "--nodes"; "8"; "--churn-rate"; "0.01"; "--replication"; "3" ];
     ]
 
+(* A replay trace that does not load — a malformed line, or no queries at
+   all — is an unreadable input file: exit 1, with a message naming it. *)
+let unreadable_trace_exits_1 () =
+  List.iter
+    (fun (what, contents) ->
+      let trace = Filename.temp_file "p2pindex_trace" ".tsv" in
+      let stderr = Filename.temp_file "p2pindex_stderr" ".txt" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove trace; Sys.remove stderr)
+        (fun () ->
+          Out_channel.with_open_text trace (fun oc -> output_string oc contents);
+          let status =
+            Sys.command
+              (Filename.quote_command cli
+                 [ "simulate"; "--nodes"; "20"; "--articles"; "50"; "--trace"; trace ]
+                 ~stdout:Filename.null ~stderr)
+          in
+          Alcotest.(check int) (what ^ ": status") 1 status;
+          let message = In_channel.with_open_text stderr In_channel.input_all in
+          let prefix = "simulate: cannot read " ^ trace ^ ": " in
+          Alcotest.(check string) (what ^ ": message") prefix
+            (String.sub message 0 (min (String.length prefix) (String.length message)))))
+    [ ("malformed line", "not a trace line\n"); ("empty file", "") ]
+
 let help_exits_0 () =
   Alcotest.(check int) "simulate --help" 0 (exit_code [ "simulate"; "--help=plain" ])
 
@@ -50,5 +74,6 @@ let suite =
       [
         Alcotest.test_case "usage errors exit 2" `Quick usage_errors_exit_2;
         Alcotest.test_case "help exits 0" `Quick help_exits_0;
+        Alcotest.test_case "unreadable trace exits 1" `Quick unreadable_trace_exits_1;
       ] );
   ]

@@ -341,6 +341,64 @@ let index_duplicate_idempotence () =
     articles
 
 (* ------------------------------------------------------------------ *)
+(* The hedged replica walk: replication 3, hedging on, no retries, and a
+   plan that loses every message to the key's primary, so the first
+   call's hedge to the second replica answers. *)
+
+let hedged_walk ?read_quorum ~indexed () =
+  let node_count = 16 in
+  let resolver =
+    Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:7L ~node_count ())
+  in
+  let author = { Bib.Article.first = "Grace"; last = "Hopper" } in
+  let msd =
+    Bib.Bib_query.msd
+      (Bib.Article.make ~id:1 ~authors:[ author ] ~title:"Compilers" ~conf:"ACM"
+         ~year:1952 ~size_bytes:1000)
+  in
+  let replicas = Dht.Resolver.replicas resolver (Bib.Bib_index.key_of_query msd) 3 in
+  let plan =
+    Plan.create ~seed:4L
+      ~node_overrides:[ (List.hd replicas, Plan.spec ~loss_rate:1.0 ()) ]
+      (Plan.spec ())
+  in
+  let network = Network.create ~node_count () in
+  let metrics = Obs.Metrics.create () in
+  let rpc =
+    Rpc.create ~network ~metrics ~plan
+      ~config:(rpc_config ~retries:0 ~hedge:true ())
+      ()
+  in
+  let index = Bib.Bib_index.create ~rpc ~resolver ~replication:3 ?read_quorum () in
+  if indexed then
+    Bib.Bib_index.store_file index ~msd { Storage.Block_store.name = "a1"; size_bytes = 1000 };
+  let before = Array.copy (Network.touches network) in
+  let step = Bib.Bib_index.lookup_step index msd in
+  let after = Network.touches network in
+  let answered = List.map (fun node -> after.(node) - before.(node)) replicas in
+  let calls =
+    Obs.Metrics.counter_total (Obs.Metrics.snapshot metrics) "p2pindex_rpc_calls_total"
+  in
+  (step, answered, calls)
+
+(* Without quorum the walk stops at the first non-empty answer, so an
+   empty hedge target is asked again when its turn comes. *)
+let hedged_walk_reasks_empty_target () =
+  let step, answered, calls = hedged_walk ~indexed:false () in
+  Alcotest.(check bool) "not indexed" true (step = Bib.Bib_index.Not_indexed);
+  Alcotest.(check (list int)) "answers per replica" [ 0; 2; 1 ] answered;
+  Alcotest.(check int) "one call per replica" 3 calls
+
+(* Under quorum a hedge target that answered non-empty is skipped: it
+   counts toward R once, and R = 2 needs the third replica. *)
+let hedged_quorum_walk_counts_replica_once () =
+  let step, answered, calls = hedged_walk ~read_quorum:2 ~indexed:true () in
+  Alcotest.(check bool) "file found" true
+    (match step with Bib.Bib_index.File _ -> true | _ -> false);
+  Alcotest.(check (list int)) "answers per replica" [ 0; 1; 1 ] answered;
+  Alcotest.(check int) "the won hedge's replica is not called" 2 calls
+
+(* ------------------------------------------------------------------ *)
 (* Runner degeneration and recovery. *)
 
 (* The hard degeneration claim: an inactive fault block (all rates zero,
@@ -474,6 +532,10 @@ let suite =
       [
         Alcotest.test_case "duplicate deliveries are idempotent" `Quick
           index_duplicate_idempotence;
+        Alcotest.test_case "hedged walk asks an empty hedge target again" `Quick
+          hedged_walk_reasks_empty_target;
+        Alcotest.test_case "hedged quorum walk counts a replica once" `Quick
+          hedged_quorum_walk_counts_replica_once;
       ] );
     ( "faults:runner",
       [

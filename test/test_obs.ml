@@ -312,23 +312,36 @@ let cache_counters () =
   Alcotest.(check int) "evictions" 1 (total "p2pindex_cache_evictions_total")
 
 (* ------------------------------------------------------------------ *)
-(* Wiring: a Flat-scheme simulation's registry agrees with the network
-   accounting, byte for byte. *)
+(* Wiring: a simulation's registry agrees with the network accounting,
+   byte for byte: a Flat-scheme run with shortcut caches, and a churned,
+   fault-free run at replication 3 whose lookup steps fail over down the
+   replica list (one span per step, however many replicas it asked). *)
 
-let flat_sim_registry_matches_network () =
+let flat_cached_config =
+  {
+    Sim.Runner.default_config with
+    node_count = 40;
+    article_count = 300;
+    query_count = 500;
+    scheme = Bib.Schemes.Flat;
+    policy = Cache.Policy.lru 30;
+    seed = 11L;
+  }
+
+let churned_failover_config =
+  {
+    Sim.Runner.default_config with
+    node_count = 50;
+    article_count = 400;
+    query_count = 800;
+    scheme = Bib.Schemes.Simple;
+    churn =
+      Some { Sim.Runner.default_churn with churn_rate = 0.01; replication = 3 };
+  }
+
+let sim_registry_matches_network cfg =
   let registry = Metrics.create () in
   let tracer = Trace.create () in
-  let cfg =
-    {
-      Sim.Runner.default_config with
-      node_count = 40;
-      article_count = 300;
-      query_count = 500;
-      scheme = Bib.Schemes.Flat;
-      policy = Cache.Policy.lru 30;
-      seed = 11L;
-    }
-  in
   let r = Sim.Runner.run ~metrics:registry ~tracer cfg in
   let total name = Metrics.counter_total r.Sim.Runner.metrics name in
   let network_bytes =
@@ -349,6 +362,9 @@ let flat_sim_registry_matches_network () =
     (sum (fun s -> s.Trace.response_bytes));
   Alcotest.(check int) "one trace per query" cfg.Sim.Runner.query_count
     (Trace.trace_count tracer)
+
+let flat_sim_registry_matches_network () =
+  List.iter sim_registry_matches_network [ flat_cached_config; churned_failover_config ]
 
 (* ------------------------------------------------------------------ *)
 (* Wiring: the generalization path leaves a recognizable trace. *)
