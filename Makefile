@@ -1,9 +1,10 @@
-# Developer entry points.  `make dev` runs the build, both lints, the tests
-# and the bench gate once each; CI runs the same checks as separate steps.
+# Developer entry points.  `make dev` runs the build, both lints, the tests,
+# the examples and the bench gate once each; CI runs the same checks as
+# separate steps.
 
-.PHONY: dev build lint lint-typed test bench-json bench-baseline bench-smoke bench-scale bench-e2e chaos clean
+.PHONY: dev build lint lint-typed test examples bench-json bench-baseline bench-smoke bench-scale bench-e2e chaos clean
 
-dev: build lint lint-typed test bench-smoke
+dev: build lint lint-typed test examples bench-smoke
 
 build:
 	dune build @all
@@ -27,6 +28,17 @@ lint-typed:
 
 test:
 	dune runtest
+
+# Run all seven examples end to end (stdout discarded); fails on the first
+# one that exits non-zero.
+EXAMPLES = quickstart bibliographic_database adaptive_cache chord_ring \
+  interactive_session substrates music_catalog
+
+examples:
+	dune build $(EXAMPLES:%=examples/%.exe)
+	set -e; for e in $(EXAMPLES); do \
+	  echo "example $$e"; ./_build/default/examples/$$e.exe > /dev/null; \
+	done
 
 # Reduced-scale structured bench report: every experiment (each paper
 # figure, the ablations and the sweeps) plus every micro-bench's

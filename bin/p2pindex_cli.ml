@@ -55,14 +55,24 @@ let policy_arg =
   let print ppf p = Format.pp_print_string ppf (Cache.Policy.label p) in
   Arg.conv (parse, print)
 
+(* Sizes: a count below 1 is a usage error, reported against its flag. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let seed_term =
   Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
 let nodes_term default =
-  Arg.(value & opt int default & info [ "nodes" ] ~docv:"N" ~doc:"Number of peer nodes.")
+  Arg.(value & opt positive_int default
+       & info [ "nodes" ] ~docv:"N" ~doc:"Number of peer nodes.")
 
 let articles_term default =
-  Arg.(value & opt int default & info [ "articles" ] ~docv:"N" ~doc:"Corpus size.")
+  Arg.(value & opt positive_int default & info [ "articles" ] ~docv:"N" ~doc:"Corpus size.")
 
 let verbose_term =
   Arg.(value & flag_all
@@ -679,7 +689,8 @@ let workload_cmd =
           events
   in
   let queries =
-    Arg.(value & opt int 100 & info [ "queries" ] ~docv:"N" ~doc:"Number of queries.")
+    Arg.(value & opt positive_int 100
+         & info [ "queries" ] ~docv:"N" ~doc:"Number of queries.")
   in
   let output =
     Arg.(value & opt (some string) None

@@ -258,12 +258,10 @@ let[@hot] fast_call t ~dst ~route_key ~request_bytes ~handler =
       observe t (fun i -> i.rtt) 0.0;
       Answered { value; node = dst }
 
-(* The full cascade, parameterized over who absorbs the elapsed time:
-   [call] advances the shared clock in place (mid-cascade advancement is
-   observable — soft-state reads during retries see the later time);
-   [call_async] accumulates it into a private counter so an engine can
-   schedule the completion on its own event queue instead. *)
-let run_call t ~advance ~dst ?hedge_dst ?route_key ~request_bytes ~handler () =
+(* The full cascade.  Elapsed time advances the shared clock in place, so
+   mid-cascade advancement is observable: soft-state reads during retries
+   see the later time. *)
+let call t ~dst ?hedge_dst ?route_key ~request_bytes ~handler () =
   bump t (fun i -> i.calls);
   if Plan.is_zero t.plan then fast_call t ~dst ~route_key ~request_bytes ~handler
   else begin
@@ -271,7 +269,7 @@ let run_call t ~advance ~dst ?hedge_dst ?route_key ~request_bytes ~handler () =
     let succeed ~attempts ~elapsed ~node value =
       observe t (fun i -> i.attempts) (float_of_int attempts);
       observe t (fun i -> i.rtt) elapsed;
-      advance elapsed;
+      t.clock.advance elapsed;
       Answered { value; node }
     in
     let rec attempt k =
@@ -318,7 +316,7 @@ let run_call t ~advance ~dst ?hedge_dst ?route_key ~request_bytes ~handler () =
       | Some (elapsed, v, node) -> succeed ~attempts:(k + 1) ~elapsed ~node v
       | None ->
           bump t (fun i -> i.timeouts);
-          advance timeout;
+          t.clock.advance timeout;
           if k < t.config.retries then begin
             bump t (fun i -> i.retries);
             let pause =
@@ -326,7 +324,7 @@ let run_call t ~advance ~dst ?hedge_dst ?route_key ~request_bytes ~handler () =
               *. (t.config.backoff_factor ** float_of_int k)
               *. (1.0 +. (t.config.jitter *. Plan.control_uniform t.plan))
             in
-            if pause > 0.0 then advance pause;
+            if pause > 0.0 then t.clock.advance pause;
             attempt (k + 1)
           end
           else begin
@@ -337,20 +335,6 @@ let run_call t ~advance ~dst ?hedge_dst ?route_key ~request_bytes ~handler () =
     in
     attempt 0
   end
-
-let call t ~dst ?hedge_dst ?route_key ~request_bytes ~handler () =
-  run_call t ~advance:t.clock.advance ~dst ?hedge_dst ?route_key ~request_bytes
-    ~handler ()
-
-let call_async t ~dst ?hedge_dst ?route_key ~request_bytes ~handler ~on_complete
-    () =
-  let elapsed = ref 0.0 in
-  let outcome =
-    run_call t
-      ~advance:(fun dt -> elapsed := !elapsed +. dt)
-      ~dst ?hedge_dst ?route_key ~request_bytes ~handler ()
-  in
-  on_complete ~elapsed:!elapsed outcome
 
 (* ------------------------------------------------------------------ *)
 (* One-way messages. *)

@@ -91,27 +91,9 @@ val call :
     [hedge_dst] is the replica the hedged second request goes to (only
     used when hedging is configured; must itself hold the data).
     Billing is sender-pays: requests and responses are charged to the
-    network even when the plan then loses them. *)
-
-val call_async :
-  t ->
-  dst:int ->
-  ?hedge_dst:int ->
-  ?route_key:Hashing.Key.t ->
-  request_bytes:int ->
-  handler:(node:int -> 'a reply) ->
-  on_complete:(elapsed:float -> 'a outcome -> unit) ->
-  unit ->
-  unit
-(** {!call} for engines that own the clock: the cascade runs to its
-    outcome immediately (billing, metrics and handler invocations are
-    identical to {!call}), but instead of advancing the shared clock the
-    total elapsed time — latencies, timeouts and backoff pauses — is
-    accumulated and handed to [on_complete], so the caller can schedule
-    the completion at [now + elapsed] on its own event queue and overlap
-    other calls meanwhile.  Note the semantic difference from {!call}:
-    handlers and soft-state reads during the cascade see the clock as it
-    was at the call, not mid-cascade time. *)
+    network even when the plan then loses them.  The cascade runs to its
+    outcome synchronously, advancing the clock as it goes, so handlers
+    and soft-state reads during a retry see the later time. *)
 
 val send_oneway :
   ?lossy:bool ->

@@ -192,9 +192,11 @@ module type S = sig
       hop once and threads the string here. *)
 
   val search : ?interactions:int ref -> ?max_results:int -> t -> query -> (query * file) list
-  (** Automated lookup: recursively explore the index from the query and
-      return every reachable file with its descriptor.  Every
-      {!lookup_step} performed increments [interactions]. *)
+  (** Automated lookup: explore the index breadth-first from the query
+      and return every reachable file with its descriptor, in discovery
+      order.  A query reached twice is probed once; the search stops once
+      [max_results] files are found.  Every {!lookup_step} performed
+      increments [interactions]. *)
 
   val search_with_generalization :
     ?interactions:int ref ->
@@ -205,9 +207,12 @@ module type S = sig
     (query * file) list
   (** Like {!search}, but when the query is not indexed, generalize it
       (breadth-first over [Q.generalizations], at most
-      [generalization_budget] probes, default 64) until an indexed query is
-      found, then specialize back down — following only children compatible
-      with the original query — and keep the files it covers. *)
+      [generalization_budget] probes of distinct queries, default 64)
+      until a generalization answers with children or with a file the
+      query covers, then specialize back down — following only children
+      compatible with the original query — and keep the files it covers.
+      A generalization probe answered with children is recorded with the
+      [generalized] outcome label. *)
 
   val mapping_count : t -> int
 
@@ -868,26 +873,39 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let lookup_step t q = lookup_step_at t ~generalization:false ~query_string:(Q.to_string q)
 
   (* ---------------------------------------------------------------- *)
-  (* Automated search: drive the resumable {!Lookup} machines to
-     completion, answering every probe synchronously.  The machines
-     reproduce the historical recursive searches step for step; this
-     module only supplies the probe loop. *)
+  (* Automated search: breadth-first over the query DAG, one
+     {!lookup_step_at} per unvisited query, each counted as one
+     interaction. *)
 
-  module Lookup_m = Lookup.Make (Q)
+  module Query_set = Set.Make (Q)
 
   let count interactions = match interactions with None -> () | Some r -> incr r
 
-  let answer_of_step : step -> Lookup_m.answer = function
-    | File file -> Lookup_m.File file
-    | Children children -> Lookup_m.Children children
-    | Not_indexed -> Lookup_m.Not_indexed
+  let probe t interactions ~generalization q =
+    count interactions;
+    lookup_step_at t ~generalization ~query_string:(Q.to_string q)
 
-  let drive interactions t machine =
-    let step ~generalization q =
-      count interactions;
-      answer_of_step (lookup_step_at t ~generalization ~query_string:(Q.to_string q))
+  (* Expand [start] breadth-first, collecting files in discovery order.
+     [keep] filters children as they are pushed (and files as they are
+     found); a repeated query is skipped without a probe; the search stops
+     once [max_results] files are in hand. *)
+  let bfs ~probe ~keep ~max_results start =
+    let queue = Queue.of_seq (List.to_seq start) in
+    let rec go visited count found =
+      if count >= max_results || Queue.is_empty queue then List.rev found
+      else
+        let q = Queue.pop queue in
+        if Query_set.mem q visited then go visited count found
+        else
+          let visited = Query_set.add q visited in
+          match probe ~generalization:false q with
+          | File file when keep q -> go visited (count + 1) ((q, file) :: found)
+          | File _ | Not_indexed -> go visited count found
+          | Children children ->
+              List.iter (fun child -> if keep child then Queue.push child queue) children;
+              go visited count found
     in
-    (Lookup_m.drive ~step machine).Lookup_m.files
+    go Query_set.empty 0 []
 
   (* Per-query histograms: run the search with a private interaction
      counter, observe it and the result-set size, then credit the caller's
@@ -903,16 +921,44 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         Obs.Metrics.Histogram.observe_int ins.result_set_size (List.length results);
         results
 
-  let search ?interactions ?max_results t q =
+  let search ?interactions ?(max_results = max_int) t q =
     with_query_instruments t interactions (fun interactions ->
-        drive interactions t (Lookup_m.search ?max_results q))
+        bfs ~probe:(probe t interactions) ~keep:(fun _ -> true) ~max_results [ q ])
 
-  let search_with_generalization ?interactions ?max_results ?generalization_budget
-      t q =
+  let search_with_generalization ?interactions ?(max_results = max_int)
+      ?(generalization_budget = 64) t q =
     with_query_instruments t interactions (fun interactions ->
-        drive interactions t
-          (Lookup_m.search_with_generalization ?max_results
-             ?generalization_budget q))
+        let probe = probe t interactions in
+        (* Specialize back down from an indexed generalization, following
+           only children compatible with [q] and keeping the files it
+           covers. *)
+        let specialize children =
+          bfs ~probe ~keep:(Q.compatible q) ~max_results
+            (List.filter (Q.compatible q) children)
+          |> List.filter (fun (msd, _file) -> Q.covers q msd)
+        in
+        match probe ~generalization:false q with
+        | File file -> [ (q, file) ]
+        | Children children -> bfs ~probe ~keep:(fun _ -> true) ~max_results children
+        | Not_indexed ->
+            (* Generalize breadth-first until a generalization answers
+               with children or with a file [q] covers; only unvisited
+               queries spend the budget. *)
+            let queue = Queue.of_seq (List.to_seq (Q.generalizations q)) in
+            let rec generalize visited budget =
+              if budget <= 0 || Queue.is_empty queue then []
+              else
+                let g = Queue.pop queue in
+                if Query_set.mem g visited then generalize visited budget
+                else
+                  match probe ~generalization:true g with
+                  | File file when Q.covers q g -> [ (g, file) ]
+                  | Children children -> specialize children
+                  | File _ | Not_indexed ->
+                      List.iter (fun g' -> Queue.push g' queue) (Q.generalizations g);
+                      generalize (Query_set.add g visited) (budget - 1)
+            in
+            generalize Query_set.empty generalization_budget)
 
   (* ---------------------------------------------------------------- *)
   (* Introspection. *)

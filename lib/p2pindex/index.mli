@@ -195,9 +195,11 @@ module type S = sig
       hop once and threads the string here. *)
 
   val search : ?interactions:int ref -> ?max_results:int -> t -> query -> (query * file) list
-  (** Automated lookup: recursively explore the index from the query and
-      return every reachable file with its descriptor.  Every
-      {!lookup_step} performed increments [interactions]. *)
+  (** Automated lookup: explore the index breadth-first from the query
+      and return every reachable file with its descriptor, in discovery
+      order.  A query reached twice is probed once; the search stops once
+      [max_results] files are found.  Every {!lookup_step} performed
+      increments [interactions]. *)
 
   val search_with_generalization :
     ?interactions:int ref ->
@@ -208,9 +210,12 @@ module type S = sig
     (query * file) list
   (** Like {!search}, but when the query is not indexed, generalize it
       (breadth-first over [Q.generalizations], at most
-      [generalization_budget] probes, default 64) until an indexed query is
-      found, then specialize back down — following only children compatible
-      with the original query — and keep the files it covers. *)
+      [generalization_budget] probes of distinct queries, default 64)
+      until a generalization answers with children or with a file the
+      query covers, then specialize back down — following only children
+      compatible with the original query — and keep the files it covers.
+      A generalization probe answered with children is recorded with the
+      [generalized] outcome label. *)
 
   val mapping_count : t -> int
 

@@ -8,8 +8,6 @@
     every file discovered along the way. *)
 
 module Make (Q : Query_sig.QUERY) (I : Index.S with type query = Q.t) = struct
-  module L = Lookup.Make (Q)
-
   type position = {
     query : Q.t;
     options : Q.t list;  (** More specific queries offered at this step. *)
@@ -23,28 +21,16 @@ module Make (Q : Query_sig.QUERY) (I : Index.S with type query = Q.t) = struct
     mutable discovered : (Q.t * I.file) list;  (** Files seen, latest first. *)
   }
 
-  let answer_of_step : I.step -> L.answer = function
-    | I.File file -> L.File file
-    | I.Children children -> L.Children children
-    | I.Not_indexed -> L.Not_indexed
-
-  (* Each user move is a single-probe {!Lookup} machine driven against
-     the index; the session keeps the cursor the machine returns. *)
+  (* Each user move is one lookup step against the index. *)
   let probe t query =
-    let result =
-      L.drive (L.probe query) ~step:(fun ~generalization:_ q ->
-          answer_of_step (I.lookup_step t.index q))
-    in
-    t.interactions <- t.interactions + result.L.interactions;
-    match result.L.last with
-    | Some (L.File file) ->
-        if
-          not
-            (List.exists (fun (q, _) -> Q.equal q query) t.discovered)
-        then t.discovered <- (query, file) :: t.discovered;
+    t.interactions <- t.interactions + 1;
+    match I.lookup_step t.index query with
+    | I.File file ->
+        if not (List.exists (fun (q, _) -> Q.equal q query) t.discovered) then
+          t.discovered <- (query, file) :: t.discovered;
         { query; options = []; file = Some file }
-    | Some (L.Children children) -> { query; options = children; file = None }
-    | Some L.Not_indexed | None -> { query; options = []; file = None }
+    | I.Children children -> { query; options = children; file = None }
+    | I.Not_indexed -> { query; options = []; file = None }
 
   let start index query =
     (* Each session is one lookup chain: open a trace so the probes below

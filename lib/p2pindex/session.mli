@@ -26,8 +26,8 @@ module Make (Q : Query_sig.QUERY) (I : Index.S with type query = Q.t) : sig
       session has already taken over the collector). *)
 
   val probe : t -> Q.t -> position
-  (** One billed lookup step, recording any file discovered.  Exposed for
-      drivers that manage their own trail. *)
+  (** One {!I.lookup_step}, billed as one interaction, recording any file
+      discovered.  Exposed for drivers that manage their own trail. *)
 
   val current : t -> position
   (** The position the cursor is at (the trail is never empty). *)
@@ -67,6 +67,7 @@ module Make (Q : Query_sig.QUERY) (I : Index.S with type query = Q.t) : sig
   (** The queries visited, session root first. *)
 
   val explore_all : t -> (Q.t * I.file) list
-  (** Expand every remaining option below the current position (switching to
-      the automated mode mid-session); returns the files found. *)
+  (** Expand every remaining option below the current position with
+      {!I.search} (switching to the automated mode mid-session); returns
+      the files found. *)
 end

@@ -225,12 +225,8 @@ let install_shortcuts ctx s outcome =
       installs
   end
 
-let run ctx ?lookup event =
-  let lookup =
-    match lookup with
-    | Some f -> f
-    | None -> Index.lookup_step_rendered ctx.index
-  in
+let run ctx event =
+  let lookup = Index.lookup_step_rendered ctx.index in
   let s0 = start event in
   let rec go s =
     match step ctx ~lookup s with Running s -> go s | Finished outcome -> outcome

@@ -7,13 +7,10 @@
     from the result set the query that leads towards their target, and
     recover from non-indexed queries through generalization.
 
-    Historically this walk was a recursive function private to
-    {!Runner}; it is now a step machine so the concurrent {!Engine} can
-    interleave many sessions on the virtual clock — {!step} advances one
-    session by exactly one interaction quantum (at most one cache-hit
-    exchange plus one index lookup), and {!run} is the sequential driver
-    the {!Runner} uses, step-for-step identical to the historical
-    recursion. *)
+    {!step} advances one session by exactly one interaction quantum (at
+    most one cache-hit exchange plus one index lookup): the unit the
+    concurrent {!Engine} interleaves on the virtual clock.  {!run} is the
+    sequential driver the {!Runner} uses. *)
 
 module Q = Bib.Bib_query
 
@@ -73,10 +70,7 @@ val install_shortcuts : ctx -> state -> outcome -> unit
     policy.  [state] identifies the target (any state of the session —
     the target never changes). *)
 
-val run :
-  ctx ->
-  ?lookup:(rendered:string -> Q.t -> Bib.Bib_index.step) ->
-  Workload.Query_gen.event ->
-  outcome
-(** Drive a session to completion and install its shortcuts — the
+val run : ctx -> Workload.Query_gen.event -> outcome
+(** Drive a session to completion, probing the index with
+    [Bib.Bib_index.lookup_step_rendered], and install its shortcuts — the
     sequential mode. *)

@@ -401,6 +401,40 @@ let publish_and_search_corpus () =
         articles)
     Schemes.all
 
+(* Visit order, the generalization budget and the [max_results] cut on
+   generated queries: the Section V-C workload against a published corpus,
+   pinned to the counts the searches have always produced.  Which three
+   files a capped search keeps depends on the visit order, so the capped
+   run also pins a digest of the file names in discovery order. *)
+let generated_query_search_pinned () =
+  let articles = Corpus.generate ~seed:42L (Corpus.default_config ~article_count:1000) in
+  let resolver = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:42L ~node_count:50 ()) in
+  let index = Index.create ~resolver () in
+  Index.publish_corpus index ~kind:Schemes.Simple articles;
+  let events =
+    Workload.Query_gen.events (Workload.Query_gen.create ~articles ~seed:42L ()) 500
+  in
+  let run search =
+    let interactions = ref 0 in
+    let results =
+      List.concat_map (fun (e : Workload.Query_gen.event) -> search ~interactions e.query) events
+    in
+    let names = List.map (fun (_q, f) -> f.Storage.Block_store.name) results in
+    (!interactions, List.length results, Digest.to_hex (Digest.string (String.concat "," names)))
+  in
+  let interactions, results, _ =
+    run (fun ~interactions q -> Index.search_with_generalization ~interactions index q)
+  in
+  Alcotest.(check (pair int int)) "search_with_generalization: interactions, results"
+    (22_327, 11_024) (interactions, results);
+  let interactions, results, digest =
+    run (fun ~interactions q -> Index.search ~interactions ~max_results:3 index q)
+  in
+  Alcotest.(check (pair int int)) "search ~max_results:3: interactions, results" (11_583, 1_175)
+    (interactions, results);
+  Alcotest.(check string) "search ~max_results:3: files in discovery order"
+    "0fd2c1533b061552270aa22940732c43" digest
+
 let range_search_years () =
   let articles = Corpus.generate ~seed:71L (Corpus.default_config ~article_count:300) in
   let resolver = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:71L ~node_count:20 ()) in
@@ -635,6 +669,7 @@ let suite =
         Alcotest.test_case "helpers" `Quick corpus_helpers;
         Alcotest.test_case "xml roundtrip" `Quick corpus_xml_roundtrip;
         Alcotest.test_case "publish and search end-to-end" `Slow publish_and_search_corpus;
+        Alcotest.test_case "generated-query search pinned" `Quick generated_query_search_pinned;
       ]
       @ qcheck [ publish_unpublish_invariant ] );
   ]

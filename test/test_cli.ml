@@ -12,33 +12,42 @@ let exit_code args =
 
 let usage_errors_exit_2 () =
   List.iter
-    (fun args ->
-      Alcotest.(check int) (String.concat " " args) 2 (exit_code ("simulate" :: args)))
+    (fun args -> Alcotest.(check int) (String.concat " " args) 2 (exit_code args))
     [
-      [ "--queries"; "abc" ];
-      [ "--policy"; "lru0" ];
-      [ "--seed"; "x" ];
+      [ "simulate"; "--queries"; "abc" ];
+      [ "simulate"; "--policy"; "lru0" ];
+      [ "simulate"; "--seed"; "x" ];
       (* Validation errors, for comparison: same status. *)
-      [ "--loss-rate"; "1.5" ];
+      [ "simulate"; "--loss-rate"; "1.5" ];
       (* Settings only the run's own validator used to catch, as an
          uncaught exception. *)
-      [ "--churn-rate"; "0"; "--read-quorum"; "1"; "--anti-entropy-interval"; "5" ];
-      [ "--churn-rate"; "0.01"; "--ttl"; "0" ];
-      [ "--churn-rate"; "0.01"; "--republish"; "0" ];
-      [ "--churn-rate"; "nan" ];
-      [ "--churn-rate"; "0.01"; "--replication"; "0" ];
-      [ "--loss-rate"; "0.1"; "--rpc-timeout"; "inf" ];
-      [ "--latency"; "inf" ];
+      [ "simulate"; "--churn-rate"; "0"; "--read-quorum"; "1"; "--anti-entropy-interval"; "5" ];
+      [ "simulate"; "--churn-rate"; "0.01"; "--ttl"; "0" ];
+      [ "simulate"; "--churn-rate"; "0.01"; "--republish"; "0" ];
+      [ "simulate"; "--churn-rate"; "nan" ];
+      [ "simulate"; "--churn-rate"; "0.01"; "--replication"; "0" ];
+      [ "simulate"; "--loss-rate"; "0.1"; "--rpc-timeout"; "inf" ];
+      [ "simulate"; "--latency"; "inf" ];
       (* Run options, checked by Sharded.validate before anything is
          built. *)
-      [ "--concurrency"; "0" ];
-      [ "--coalesce" ];
-      [ "--shards"; "0" ];
-      [ "--domains"; "0" ];
-      [ "--shards"; "600"; "--nodes"; "500" ];
-      [ "--shards"; "2"; "--trace-out"; "t.jsonl" ];
-      [ "--shards"; "4"; "--domains"; "2"; "--profile-phases" ];
-      [ "--shards"; "4"; "--nodes"; "8"; "--churn-rate"; "0.01"; "--replication"; "3" ];
+      [ "simulate"; "--concurrency"; "0" ];
+      [ "simulate"; "--coalesce" ];
+      [ "simulate"; "--shards"; "0" ];
+      [ "simulate"; "--domains"; "0" ];
+      [ "simulate"; "--shards"; "600"; "--nodes"; "500" ];
+      [ "simulate"; "--shards"; "2"; "--trace-out"; "t.jsonl" ];
+      [ "simulate"; "--shards"; "4"; "--domains"; "2"; "--profile-phases" ];
+      [ "simulate"; "--shards"; "4"; "--nodes"; "8"; "--churn-rate"; "0.01"; "--replication"; "3" ];
+      (* Sizes below 1, rejected by the shared positive-integer flags
+         before the library sees them. *)
+      [ "search"; "--nodes"; "0" ];
+      [ "search"; "--nodes=-3" ];
+      [ "search"; "--articles"; "0" ];
+      [ "corpus"; "--articles=-4" ];
+      [ "workload"; "--articles"; "0" ];
+      [ "workload"; "--queries=-2" ];
+      [ "workload"; "--queries"; "0" ];
+      [ "chord"; "--nodes"; "0" ];
     ]
 
 (* A replay trace that does not load — a malformed line, or no queries at

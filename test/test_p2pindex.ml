@@ -82,12 +82,13 @@ let fig4_scheme =
 
 let file_of doc name = { Storage.Block_store.name; size_bytes = Xml.size_bytes doc }
 
-let make_index ?network () =
+let make_index ?network ?(docs = [ (d1, "x.pdf"); (d2, "y.pdf"); (d3, "z.pdf") ]) () =
   let resolver = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:77L ~node_count:20 ()) in
   let index = Index.create ?network ~resolver () in
-  Index.publish index ~scheme:fig4_scheme ~msd:msd1 (file_of d1 "x.pdf");
-  Index.publish index ~scheme:fig4_scheme ~msd:msd2 (file_of d2 "y.pdf");
-  Index.publish index ~scheme:fig4_scheme ~msd:msd3 (file_of d3 "z.pdf");
+  List.iter
+    (fun (doc, name) ->
+      Index.publish index ~scheme:fig4_scheme ~msd:(Xpath.of_document doc) (file_of doc name))
+    docs;
   index
 
 let q6 = q "/article/author/last/Smith"
@@ -253,6 +254,60 @@ let wire_model_consistency () =
   Alcotest.(check bool) "stored entry accounts key + target" true
     (Wire.stored_entry_bytes_of_len (String.length "abc") = 23)
 
+(* Search bytes come from the wire model alone: on a fault-free network
+   every probe of a search is billed its request plus the response its
+   answer carries, and nothing else. *)
+let search_bytes_match_wire_model () =
+  let network = Dht.Network.create ~node_count:20 () in
+  let index = make_index ~network ~docs:[ (d1, "x.pdf"); (d2, "y.pdf") ] () in
+  Dht.Network.reset network;
+  let interactions = ref 0 in
+  ignore (Index.search ~interactions index q6);
+  let at title = q (Printf.sprintf "/article[author[first/John][last/Smith]][title/%s]" title) in
+  let children qs = Wire.response_bytes (List.map Xpath.to_string qs) in
+  (* The walk: q6 -> q3 -> the two (author, title) queries -> the MSDs. *)
+  let probes =
+    [
+      (q6, children [ q3 ]);
+      (q3, children [ at "TCP"; at "IPv6" ]);
+      (at "TCP", children [ msd1 ]);
+      (at "IPv6", children [ msd2 ]);
+      (msd1, Wire.file_response_bytes (file_of d1 "x.pdf"));
+      (msd2, Wire.file_response_bytes (file_of d2 "y.pdf"));
+    ]
+  in
+  Alcotest.(check int) "one interaction per probe" (List.length probes) !interactions;
+  let expected =
+    List.fold_left
+      (fun sum (query, response) -> sum + Wire.request_bytes (Xpath.to_string query) + response)
+      0 probes
+  in
+  Alcotest.(check int) "request + response bytes = wire model" expected
+    (Dht.Network.bytes network Dht.Network.Request
+    + Dht.Network.bytes network Dht.Network.Response)
+
+(* Wire model: one pinned constant per message kind, so a drive-by edit
+   to the byte model cannot slip through as a silent traffic shift. *)
+
+let wire_bytes_pinned () =
+  Alcotest.(check int) "header" 48 Wire.header_bytes;
+  Alcotest.(check int) "entry overhead" 4 Wire.entry_overhead_bytes;
+  Alcotest.(check int) "request = header + query" 51 (Wire.request_bytes "abc");
+  Alcotest.(check int) "empty response = bare header" 48 (Wire.response_bytes []);
+  Alcotest.(check int) "response = header + per-entry overhead + strings" 61
+    (Wire.response_bytes [ "ab"; "cde" ]);
+  Alcotest.(check int) "file response = header + overhead + name + size field" 65
+    (Wire.file_response_bytes { Storage.Block_store.name = "x.pdf"; size_bytes = 1 });
+  Alcotest.(check int) "cache install = header + 2 overheads + both keys" 59
+    (Wire.cache_install_bytes "ab" "c");
+  Alcotest.(check int) "stored entry = fixed cost + key" 24
+    (Wire.stored_entry_bytes_of_len (String.length "abcd"));
+  Alcotest.(check int) "length-priced response = string-priced response" 61
+    (Wire.response_bytes_of_len ~len:Fun.id [ 2; 3 ]);
+  Alcotest.(check int) "length-priced install = string-priced install" 59
+    (Wire.cache_install_bytes_of_len 2 1);
+  Alcotest.(check int) "consult ticket = header + query" 50 (Wire.consult_bytes "ab")
+
 let key_of_query_deterministic () =
   let k1 = Index.key_of_query q6 in
   let k2 = Index.key_of_query (q "/article/author/last/Smith") in
@@ -369,6 +424,8 @@ let suite =
         Alcotest.test_case "traffic accounting" `Quick traffic_accounting;
         Alcotest.test_case "storage accounting" `Quick storage_accounting;
         Alcotest.test_case "wire model" `Quick wire_model_consistency;
+        Alcotest.test_case "search bytes = wire model" `Quick search_bytes_match_wire_model;
+        Alcotest.test_case "wire bytes pinned" `Quick wire_bytes_pinned;
         Alcotest.test_case "query keys deterministic" `Quick key_of_query_deterministic;
       ] );
     ( "p2pindex:session",
