@@ -173,6 +173,184 @@ let shortcut_secondary_index_consistent =
       in
       total = Shortcut.size c && Shortcut.size c <= capacity)
 
+(* Model-based check of the soft-state cache: every step runs against the
+   real cache (with a finite TTL on a stepped clock) and against a pure
+   model — an association list in recency order, most recent first, each
+   entry carrying its pair and expiry — and every observable must agree:
+   step results, size, entries and the five cache counters. *)
+
+type step =
+  | Add of string * string * int
+  | Find of string
+  | Find_target of string * string
+  | Clear
+  | Advance of float
+
+let show_step = function
+  | Add (q, t, v) -> Printf.sprintf "add %s/%s %d" q t v
+  | Find q -> "find " ^ q
+  | Find_target (q, t) -> Printf.sprintf "find_target %s/%s" q t
+  | Clear -> "clear"
+  | Advance dt -> Printf.sprintf "advance %g" dt
+
+type model_entry = { key : string * string; pair : string * string; expires : float }
+
+type model = {
+  mutable recency : model_entry list;  (** most recent first *)
+  mutable now : float;
+  mutable hits : int;
+  mutable misses : int;
+  mutable installs : int;
+  mutable evictions : int;
+  mutable expirations : int;
+}
+
+let model_remove m key = m.recency <- List.filter (fun e -> e.key <> key) m.recency
+
+(* [Lru.find] semantics plus lazy purge: a present entry is touched, then
+   dropped and counted as an expiration if its TTL ran out. *)
+let model_live_find m key =
+  match List.find_opt (fun e -> e.key = key) m.recency with
+  | None -> None
+  | Some e ->
+      model_remove m key;
+      if e.expires <= m.now then begin
+        m.expirations <- m.expirations + 1;
+        None
+      end
+      else begin
+        m.recency <- e :: m.recency;
+        Some e
+      end
+
+let model_count m ~hit = if hit then m.hits <- m.hits + 1 else m.misses <- m.misses + 1
+
+(* The observable outcome of one step, compared between cache and model. *)
+type outcome =
+  | Added of bool
+  | Found of (string * (string * string)) list
+  | Found_target of string option
+  | Unit
+
+let model_step m ~capacity ~ttl = function
+  | Add (q, t, v) ->
+      let key = (q, t) in
+      (match List.find_opt (fun e -> e.key = key) m.recency with
+      | Some e when e.expires <= m.now ->
+          model_remove m key;
+          m.expirations <- m.expirations + 1
+      | Some _ | None -> ());
+      let fresh = { key; pair = (q, string_of_int v); expires = m.now +. ttl } in
+      if List.exists (fun e -> e.key = key) m.recency then begin
+        model_remove m key;
+        m.recency <- fresh :: m.recency;
+        Added false
+      end
+      else begin
+        if List.length m.recency >= capacity then begin
+          m.recency <- List.filteri (fun i _ -> i < List.length m.recency - 1) m.recency;
+          m.evictions <- m.evictions + 1
+        end;
+        m.recency <- fresh :: m.recency;
+        m.installs <- m.installs + 1;
+        Added true
+      end
+  | Find q ->
+      let targets =
+        List.sort_uniq String.compare
+          (List.filter_map (fun e -> if fst e.key = q then Some (snd e.key) else None) m.recency)
+      in
+      let found =
+        List.filter_map
+          (fun t -> Option.map (fun e -> (t, e.pair)) (model_live_find m (q, t)))
+          targets
+      in
+      model_count m ~hit:(found <> []);
+      Found found
+  | Find_target (q, t) ->
+      let found = Option.map (fun e -> snd e.pair) (model_live_find m (q, t)) in
+      model_count m ~hit:(found <> None);
+      Found_target found
+  | Clear ->
+      m.recency <- [];
+      Unit
+  | Advance dt ->
+      m.now <- m.now +. dt;
+      Unit
+
+let cache_step c clock = function
+  | Add (q, t, v) -> Added (Shortcut.add c ~query_key:q ~target_key:t (q, string_of_int v))
+  | Find q -> Found (Shortcut.find c ~query_key:q)
+  | Find_target (q, t) -> Found_target (Shortcut.find_target c ~query_key:q ~target_key:t)
+  | Clear ->
+      Shortcut.clear c;
+      Unit
+  | Advance dt ->
+      clock := !clock +. dt;
+      Unit
+
+let cache_counters registry =
+  let snap = Obs.Metrics.snapshot registry in
+  List.map
+    (fun name -> Obs.Metrics.counter_total snap ("p2pindex_cache_" ^ name ^ "_total"))
+    [ "hits"; "misses"; "installs"; "evictions"; "expirations" ]
+
+let model_counters m = [ m.hits; m.misses; m.installs; m.evictions; m.expirations ]
+
+let gen_step =
+  let open QCheck.Gen in
+  let query = oneofl [ "a"; "b"; "c" ] and target = oneofl [ "x"; "y"; "z" ] in
+  frequency
+    [
+      (4, map3 (fun q t v -> Add (q, t, v)) query target (int_range 0 3));
+      (3, map (fun q -> Find q) query);
+      (3, map2 (fun q t -> Find_target (q, t)) query target);
+      (1, return Clear);
+      (3, map (fun dt -> Advance dt) (oneofl [ 0.5; 1.0; 2.0 ]));
+    ]
+
+let shortcut_matches_model =
+  QCheck.Test.make ~name:"shortcut cache matches a recency-list model" ~count:500
+    (QCheck.make
+       ~print:(fun (capacity, ttl, steps) ->
+         Printf.sprintf "capacity %d, ttl %g: %s" capacity ttl
+           (String.concat "; " (List.map show_step steps)))
+       QCheck.Gen.(
+         triple (int_range 1 4) (oneofl [ 1.0; 2.5; 4.0 ]) (list_size (int_range 0 40) gen_step)))
+    (fun (capacity, ttl, steps) ->
+      let registry = Obs.Metrics.create () in
+      let clock = ref 0.0 in
+      let c : string Shortcut.t =
+        Shortcut.create ~metrics:registry ~clock:(fun () -> !clock) ~ttl
+          ~capacity:(Some capacity) ()
+      in
+      let m =
+        {
+          recency = [];
+          now = 0.0;
+          hits = 0;
+          misses = 0;
+          installs = 0;
+          evictions = 0;
+          expirations = 0;
+        }
+      in
+      List.for_all
+        (fun step ->
+          let got = cache_step c clock step in
+          let want = model_step m ~capacity ~ttl step in
+          let model_entries =
+            List.filter_map
+              (fun e -> if e.expires <= m.now then None else Some e.pair)
+              m.recency
+          in
+          got = want
+          && Shortcut.size c = List.length m.recency
+          && Shortcut.entries c = model_entries
+          && cache_counters registry = model_counters m
+          || QCheck.Test.fail_reportf "diverged after %s" (show_step step))
+        steps)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -199,5 +377,5 @@ let suite =
         Alcotest.test_case "basics" `Quick shortcut_basics;
         Alcotest.test_case "LRU eviction" `Quick shortcut_lru_eviction;
       ]
-      @ qcheck [ shortcut_secondary_index_consistent ] );
+      @ qcheck [ shortcut_secondary_index_consistent; shortcut_matches_model ] );
   ]

@@ -52,6 +52,38 @@ let queue_pop_until () =
     (Q.pop_until q ~until:5.0);
   Alcotest.(check int) "event kept" 1 (Q.length q)
 
+(* Push a fresh heap payload whose only other reference is a weak one.
+   Kept out of line so no register or stack slot of the caller holds it. *)
+let[@inline never] push_tracked q weak i ~time =
+  let payload = Bytes.make 16 (Char.chr (65 + (i mod 26))) in
+  Weak.set weak i (Some payload);
+  Q.push q ~time payload
+
+let[@inline never] pop_all q =
+  let rec go () = match Q.pop q with Some _ -> go () | None -> () in
+  go ()
+
+let queue_releases_popped () =
+  List.iter
+    (fun n ->
+      let q : Bytes.t Q.t = Q.create ~dummy:Bytes.empty () in
+      let weak = Weak.create n in
+      for i = 0 to n - 1 do
+        push_tracked q weak i ~time:(float_of_int ((i * 7) mod 5))
+      done;
+      Gc.full_major ();
+      Alcotest.(check bool) (Printf.sprintf "%d queued payloads live" n) true
+        (Weak.check weak 0 && Weak.check weak (n - 1));
+      pop_all q;
+      Gc.full_major ();
+      for i = 0 to n - 1 do
+        if Weak.check weak i then
+          Alcotest.failf "payload %d of %d retained after its pop" i n
+      done;
+      Alcotest.(check int) "queue empty" 0 (Q.length (Sys.opaque_identity q)))
+    (* One payload, and enough to grow past the initial 16 slots. *)
+    [ 1; 40 ]
+
 let lifetime_samples_positive () =
   let g = Stdx.Prng.create ~seed:3L in
   List.iter
@@ -217,6 +249,7 @@ let suite =
       [
         Alcotest.test_case "FIFO ties and NaN rejection" `Quick queue_fifo_ties;
         Alcotest.test_case "pop_until horizon" `Quick queue_pop_until;
+        Alcotest.test_case "popped events are not retained" `Quick queue_releases_popped;
       ]
       @ qcheck [ queue_order_property ] );
     ( "churn:driver",
