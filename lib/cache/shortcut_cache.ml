@@ -3,13 +3,10 @@
    [find] is proportional to the number of shortcuts for that query, not the
    cache size.  The LRU eviction hook keeps the secondary index in sync.
 
-   Entry state is arena-backed: the LRU stores a dense arena id, the expiry
-   stamp lives in a float column and the cached pair in a dummy-backed slot
-   column.  The old per-entry cell record mixed an immutable pair with a
-   mutable float, so every install boxed the float and allocated a record;
-   the columns pay one [Some (target_key, pair)] box per install and
-   nothing per probe.  The slot keeps the target key beside the pair so
-   [find] hands callers the string they compare on without a re-render.
+   The LRU's value is the entry itself: the cached pair, stored beside its
+   target key so [find] hands callers the string they compare on without a
+   re-render, and the expiry stamp.  A refresh rewrites both fields in
+   place; a hit returns the stored tuple as it is.
 
    Entries are soft state under churn: each carries an expiry stamped from
    the cache's virtual clock at install time, and expired entries are
@@ -30,13 +27,10 @@ type instruments = {
   expirations : Obs.Metrics.Counter.t;
 }
 
+type 'q entry = { mutable shortcut : string * ('q * 'q); mutable expires_at : float }
+
 type 'q t = {
-  lru : (String_pair.t, int) Lru.t;  (** values are arena ids *)
-  arena : Stdx.Arena.t;
-  pairs : (string * ('q * 'q)) option Stdx.Arena.Slots.t;
-      (** [None] is the dummy: the query type is abstract here, so no
-          ['q] value exists to stand in for vacant slots. *)
-  expiry : Stdx.Arena.Float_col.col;
+  lru : (String_pair.t, 'q entry) Lru.t;
   by_query : (string, (string, unit) Hashtbl.t) Hashtbl.t;
   clock : unit -> float;
   ttl : float;
@@ -65,60 +59,35 @@ let create ?metrics ?(clock = fun () -> 0.0) ?(ttl = infinity) ~capacity () =
   if not (ttl > 0.) then invalid_arg "Shortcut_cache.create: ttl must be > 0";
   let by_query = Hashtbl.create 16 in
   let instruments = Option.map make_instruments metrics in
-  let arena =
-    Stdx.Arena.create ~checked:false
-      ~capacity:(match capacity with Some c -> Stdlib.max 1 c | None -> 16)
-      ()
-  in
-  let pairs = Stdx.Arena.Slots.make arena ~dummy:None in
-  let expiry = Stdx.Arena.Float_col.make arena ~default:infinity in
-  let on_evict pair_key id =
+  let on_evict pair_key _entry =
     unindex by_query pair_key;
-    Stdx.Arena.Slots.clear pairs id;
-    Stdx.Arena.free arena id;
     match instruments with
     | Some ins -> Obs.Metrics.Counter.incr ins.evictions
     | None -> ()
   in
-  {
-    lru = Lru.create ?capacity ~on_evict ();
-    arena;
-    pairs;
-    expiry;
-    by_query;
-    clock;
-    ttl;
-    instruments;
-  }
+  { lru = Lru.create ?capacity ~on_evict (); by_query; clock; ttl; instruments }
 
-let expired t id = Stdx.Arena.Float_col.get t.expiry id <= t.clock ()
-
-(* Return an entry's arena slot to the free list. *)
-let release t id =
-  Stdx.Arena.Slots.clear t.pairs id;
-  Stdx.Arena.free t.arena id
+let expired t entry = entry.expires_at <= t.clock ()
 
 (* [Lru.remove] bypasses the eviction hook, so unindex by hand. *)
-let purge t key id =
+let purge t key =
   ignore (Lru.remove t.lru key : bool);
   unindex t.by_query key;
-  release t id;
   match t.instruments with
   | Some ins -> Obs.Metrics.Counter.incr ins.expirations
   | None -> ()
 
-(* Fetch a pair if cached and fresh, purging it when its TTL ran out.
-   The slot read already yields the option, so a fresh hit allocates
-   nothing. *)
+(* Fetch an entry if cached and fresh, purging it when its TTL ran out.
+   A fresh hit hands back [Lru.find]'s own option. *)
 let live_find t key =
   match Lru.find t.lru key with
   | None -> None
-  | Some id ->
-      if expired t id then begin
-        purge t key id;
+  | Some entry as found ->
+      if expired t entry then begin
+        purge t key;
         None
       end
-      else Stdx.Arena.Slots.get t.pairs id
+      else found
 
 let count_outcome t ~hit =
   match t.instruments with
@@ -134,9 +103,14 @@ let find t ~query_key =
            underneath us), in sorted order so the result list — and any
            simulation decision made over it — is iteration-order free. *)
         let target_keys = Stdx.Det_tbl.sorted_keys ~compare:String.compare targets in
-        List.filter_map
-          (fun target_key -> live_find t (query_key, target_key))
-          target_keys
+        let rec collect = function
+          | [] -> []
+          | target_key :: rest -> (
+              match live_find t (query_key, target_key) with
+              | Some entry -> entry.shortcut :: collect rest
+              | None -> collect rest)
+        in
+        collect target_keys
   in
   count_outcome t ~hit:(found <> []);
   found
@@ -144,7 +118,7 @@ let find t ~query_key =
 let find_target t ~query_key ~target_key =
   let found =
     match live_find t (query_key, target_key) with
-    | Some (_target_key, (_query, target)) -> Some target
+    | Some { shortcut = _target_key, (_query, target); _ } -> Some target
     | None -> None
   in
   count_outcome t ~hit:(found <> None);
@@ -155,22 +129,19 @@ let add t ~query_key ~target_key pair =
   (* An expired leftover is not a refresh: drop it so the install counts
      (and recurses through the eviction path) as fresh. *)
   (match Lru.peek t.lru key with
-  | Some id when expired t id -> purge t key id
+  | Some entry when expired t entry -> purge t key
   | Some _ | None -> ());
   let expires_at = if t.ttl = infinity then infinity else t.clock () +. t.ttl in
   match Lru.peek t.lru key with
-  | Some id ->
+  | Some entry ->
       (* Refresh: new pair and TTL in place, recency via [Lru.add]'s touch. *)
-      Stdx.Arena.Slots.set t.pairs id (Some (target_key, pair));
-      Stdx.Arena.Float_col.set t.expiry id expires_at;
-      Lru.add t.lru key id;
+      entry.shortcut <- (target_key, pair);
+      entry.expires_at <- expires_at;
+      Lru.add t.lru key entry;
       false
   | None ->
-      let id = Stdx.Arena.alloc t.arena in
-      Stdx.Arena.Slots.set t.pairs id (Some (target_key, pair));
-      Stdx.Arena.Float_col.set t.expiry id expires_at;
-      (* May evict the LRU tail, whose hook frees that entry's id. *)
-      Lru.add t.lru key id;
+      (* May evict the LRU tail, whose hook unindexes that entry. *)
+      Lru.add t.lru key { shortcut = (target_key, pair); expires_at };
       let targets =
         match Hashtbl.find_opt t.by_query query_key with
         | Some targets -> targets
@@ -186,7 +157,6 @@ let add t ~query_key ~target_key pair =
       true
 
 let clear t =
-  Lru.fold t.lru ~init:() ~f:(fun () _key id -> release t id);
   Lru.clear t.lru;
   Hashtbl.reset t.by_query
 
@@ -199,7 +169,5 @@ let is_full t =
 
 let entries t =
   List.filter_map
-    (fun (_key, id) ->
-      if expired t id then None
-      else Option.map snd (Stdx.Arena.Slots.get t.pairs id))
+    (fun (_key, entry) -> if expired t entry then None else Some (snd entry.shortcut))
     (Lru.to_list t.lru)

@@ -312,32 +312,20 @@ let resolver t =
       (fun key ->
         let _owner, hops = lookup t key in
         hops);
-    replicas =
-      (fun key r ->
+    replicas_into =
+      (fun key r buf ->
         (* The owner plus its zone neighbours, by id order. *)
         let owner = node_of t (owner_of_point t (point_of_key t key)) in
         let candidates =
           owner.id
           :: List.map (fun m -> m.id) (List.sort (fun a b -> Int.compare a.id b.id) (neighbours t owner))
         in
-        let rec take k = function
-          | [] -> []
-          | x :: rest -> if k = 0 then [] else index_of_id x :: take (k - 1) rest
-        in
-        take (Stdlib.min r count) candidates);
-    replicas_into =
-      (fun key r buf ->
-        let owner = node_of t (owner_of_point t (point_of_key t key)) in
-        let candidates =
-          owner.id
-          :: List.map (fun m -> m.id) (List.sort (fun a b -> Int.compare a.id b.id) (neighbours t owner))
-        in
-        Stdx.Arena.Int_buf.clear buf;
+        Stdx.Int_buf.clear buf;
         let rec take k = function
           | [] -> ()
           | x :: rest ->
               if k > 0 then begin
-                Stdx.Arena.Int_buf.push buf (index_of_id x);
+                Stdx.Int_buf.push buf (index_of_id x);
                 take (k - 1) rest
               end
         in

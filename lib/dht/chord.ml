@@ -369,8 +369,6 @@ let resolver t =
       (fun key ->
         let _owner, hops = lookup t key in
         hops);
-    replicas =
-      (fun key r -> Resolver.ring_replicas ~node_count:count ~primary:(index_of key) r);
     replicas_into =
       (fun key r buf ->
         Resolver.ring_replicas_into ~node_count:count ~primary:(index_of key) r buf);

@@ -234,7 +234,8 @@ let resolver t =
       (fun key ->
         let _owner, contacted = lookup t key in
         contacted);
-    replicas = (fun key r -> xor_closest key (Stdlib.min r count));
     replicas_into =
-      Resolver.into_of_list (fun key r -> xor_closest key (Stdlib.min r count));
+      (fun key r buf ->
+        Stdx.Int_buf.clear buf;
+        List.iter (Stdx.Int_buf.push buf) (xor_closest key (Stdlib.min r count)));
   }

@@ -1,74 +1,42 @@
 (* Packed-bitset liveness: one bit per node plus a live counter.  The
-   bitset is unchecked — [check] below validates once per public call,
-   so the hot [alive] probe costs a shift and a mask, no bounds test
-   inside the Bytes access. *)
+   bitset bounds-checks every access, so an out-of-range node raises
+   [Invalid_argument] from the probe itself. *)
 
-type t = { alive : Stdx.Arena.Bitset.t; mutable live : int }
+type t = { alive : Stdx.Bitset.t; mutable live : int }
 
 let create ~node_count =
   if node_count <= 0 then invalid_arg "Liveness.create: need at least one node";
-  {
-    alive = Stdx.Arena.Bitset.create ~checked:false ~len:node_count ~default:true ();
-    live = node_count;
-  }
+  { alive = Stdx.Bitset.create ~len:node_count ~default:true; live = node_count }
 
-let node_count t = Stdx.Arena.Bitset.length t.alive
+let node_count t = Stdx.Bitset.length t.alive
 
-let check t node =
-  if node < 0 || node >= Stdx.Arena.Bitset.length t.alive then
-    invalid_arg "Liveness: bad node index"
-
-let[@hot] alive t node =
-  check t node;
-  Stdx.Arena.Bitset.get t.alive node
+let[@hot] alive t node = Stdx.Bitset.get t.alive node
 
 let fail t node =
-  check t node;
-  if Stdx.Arena.Bitset.get t.alive node then begin
-    Stdx.Arena.Bitset.set t.alive node false;
+  if Stdx.Bitset.get t.alive node then begin
+    Stdx.Bitset.set t.alive node false;
     t.live <- t.live - 1;
     true
   end
   else false
 
 let revive t node =
-  check t node;
-  if Stdx.Arena.Bitset.get t.alive node then false
+  if Stdx.Bitset.get t.alive node then false
   else begin
-    Stdx.Arena.Bitset.set t.alive node true;
+    Stdx.Bitset.set t.alive node true;
     t.live <- t.live + 1;
     true
   end
 
 let live_count t = t.live
 
-let[@hot] rec scan_array t nodes i stop =
-  if i >= stop then -1
-  else begin
-    let node = Array.unsafe_get nodes i in
-    check t node;
-    if Stdx.Arena.Bitset.get t.alive node then node
-    else scan_array t nodes (i + 1) stop
-  end
-
-let[@hot] first_live_in t nodes ~pos ~len =
-  let stop = pos + len in
-  if pos < 0 || len < 0 || stop > Array.length nodes then
-    invalid_arg "Liveness.first_live_in: bad range";
-  scan_array t nodes pos stop
-
 let[@hot] rec scan_buf t buf i n =
   if i >= n then -1
   else begin
-    let node = Stdx.Arena.Int_buf.unsafe_get buf i in
-    check t node;
-    if Stdx.Arena.Bitset.get t.alive node then node
-    else scan_buf t buf (i + 1) n
+    let node = Stdx.Int_buf.unsafe_get buf i in
+    if Stdx.Bitset.get t.alive node then node else scan_buf t buf (i + 1) n
   end
 
-let[@hot] first_live_buf t buf =
-  scan_buf t buf 0 (Stdx.Arena.Int_buf.length buf)
+let[@hot] first_live_buf t buf = scan_buf t buf 0 (Stdx.Int_buf.length buf)
 
-let first_live t nodes = List.find_opt (fun node -> alive t node) nodes
-
-let all_alive t = t.live = Stdx.Arena.Bitset.length t.alive
+let all_alive t = t.live = Stdx.Bitset.length t.alive

@@ -31,18 +31,10 @@ val revive : t -> int -> bool
 val live_count : t -> int
 (** Number of currently live nodes (O(1)). *)
 
-val first_live_in : t -> int array -> pos:int -> len:int -> int
-(** The first live node among [nodes.(pos) .. nodes.(pos+len-1)], in
-    order, or [-1] when every candidate in the range is dead — the
+val first_live_buf : t -> Stdx.Int_buf.t -> int
+(** The first live node of a resolved replica scratch buffer, in
+    placement order, or [-1] when every candidate is dead — the
     allocation-free primitive behind replica failover.
-    @raise Invalid_argument when the range falls outside [nodes]. *)
-
-val first_live_buf : t -> Stdx.Arena.Int_buf.t -> int
-(** {!first_live_in} over a resolved replica scratch buffer. *)
-
-val first_live : t -> int list -> int option
-(** The first live node of a candidate list (e.g. a replica set), in
-    order; [None] when every candidate is dead.  Thin list wrapper kept
-    for tests and cold paths — hot paths use {!first_live_in}. *)
+    @raise Invalid_argument on an out-of-range node in the buffer. *)
 
 val all_alive : t -> bool

@@ -25,8 +25,7 @@ type instruments = {
 
 type t = {
   node_count : int;
-  touch_arena : Stdx.Arena.t; (* dense node-id space *)
-  touches : Stdx.Arena.Int_col.col; (* per node *)
+  touches : int array; (* per node *)
   instruments : instruments;
 }
 
@@ -57,11 +56,9 @@ let create ?metrics ~node_count () =
     (Obs.Metrics.gauge registry ~help:"Peers in the simulated network"
        "p2pindex_network_nodes")
     (float_of_int node_count);
-  let touch_arena = Stdx.Arena.of_dense ~checked:false ~count:node_count () in
   {
     node_count;
-    touch_arena;
-    touches = Stdx.Arena.Int_col.make touch_arena ~default:0;
+    touches = Array.make node_count 0;
     instruments = make_instruments registry;
   }
 
@@ -83,7 +80,7 @@ let[@hot] touch t ~node =
     invalid_arg
       (Printf.sprintf "Network.touch: node %d out of range [0, %d)" node
          t.node_count);
-  Stdx.Arena.Int_col.add t.touches node 1;
+  t.touches.(node) <- t.touches.(node) + 1;
   Obs.Metrics.Counter.incr t.instruments.touch_counter
 
 let messages t category =
@@ -98,12 +95,10 @@ let sum counters =
 let total_messages t = sum t.instruments.msg_counters
 let total_bytes t = sum t.instruments.byte_counters
 
-let touches t = Stdx.Arena.Int_col.to_array t.touches ~len:t.node_count
+let touches t = Array.copy t.touches
 
 let reset t =
-  for node = 0 to t.node_count - 1 do
-    Stdx.Arena.Int_col.set t.touches node 0
-  done;
+  Array.fill t.touches 0 t.node_count 0;
   Array.iter Obs.Metrics.Counter.reset t.instruments.msg_counters;
   Array.iter Obs.Metrics.Counter.reset t.instruments.byte_counters;
   Obs.Metrics.Counter.reset t.instruments.touch_counter

@@ -359,11 +359,8 @@ let resolver t =
       (fun key ->
         let _owner, hops = lookup t key in
         hops);
-    replicas =
-      (fun key r ->
-        (* The leaf-set neighbourhood of the primary, in ring order. *)
-        Resolver.ring_replicas ~node_count:count ~primary:(index_of key) r);
     replicas_into =
       (fun key r buf ->
+        (* The leaf-set neighbourhood of the primary, in ring order. *)
         Resolver.ring_replicas_into ~node_count:count ~primary:(index_of key) r buf);
   }

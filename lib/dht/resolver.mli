@@ -12,40 +12,29 @@ type t = {
       (** Index of the live node responsible for the key. *)
   route_hops : Hashing.Key.t -> int;
       (** Number of overlay hops a lookup of this key takes. *)
-  replicas : Hashing.Key.t -> int -> int list;
-      (** [replicas key r]: the [r] distinct nodes that hold the key's
-          replicas, primary first — on ring substrates, the responsible node
-          followed by its successors (Chord/DHash-style replica placement).
-          Shorter than [r] when the network is smaller. *)
-  replicas_into : Hashing.Key.t -> int -> Stdx.Arena.Int_buf.t -> unit;
-      (** [replicas_into key r buf]: the same replica set, written into
-          [buf] (cleared first) instead of a fresh list — the hot-path
-          variant; must agree element-for-element with [replicas]. *)
+  replicas_into : Hashing.Key.t -> int -> Stdx.Int_buf.t -> unit;
+      (** [replicas_into key r buf]: the [r] distinct nodes that hold the
+          key's replicas, primary first, written into [buf] (cleared
+          first) — on ring substrates, the responsible node followed by
+          its successors (Chord/DHash-style replica placement).  Shorter
+          than [r] when the network is smaller.  The substrate's one
+          replica-placement function. *)
 }
 
 val responsible : t -> Hashing.Key.t -> int
 val route_hops : t -> Hashing.Key.t -> int
 val node_count : t -> int
+val replicas_into : t -> Hashing.Key.t -> int -> Stdx.Int_buf.t -> unit
+(** Allocation-free replica placement: fills the scratch buffer in
+    placement order. *)
+
 val replicas : t -> Hashing.Key.t -> int -> int list
-
-val replicas_into : t -> Hashing.Key.t -> int -> Stdx.Arena.Int_buf.t -> unit
-(** Allocation-free {!replicas}: fills the scratch buffer in placement
-    order. *)
-
-val ring_replicas : node_count:int -> primary:int -> int -> int list
-(** Helper for substrates whose node indexes are ring-ordered: [primary]
-    and its [r - 1] successors, wrapping. *)
+(** {!replicas_into} into a fresh buffer, as a list — for cold paths
+    and tests. *)
 
 val ring_replicas_into :
-  node_count:int -> primary:int -> int -> Stdx.Arena.Int_buf.t -> unit
-(** {!ring_replicas} into a scratch buffer (cleared first). *)
-
-val into_of_list :
-  (Hashing.Key.t -> int -> int list) ->
-  Hashing.Key.t ->
-  int ->
-  Stdx.Arena.Int_buf.t ->
-  unit
-(** Adapter for substrates whose replica placement is inherently
-    list-shaped (Kademlia XOR-closest, CAN zone neighbours): fill the
-    buffer from the list the substrate computes. *)
+  node_count:int -> primary:int -> int -> Stdx.Int_buf.t -> unit
+(** Placement for substrates whose node indexes are ring-ordered:
+    [primary] and its [r - 1] successors, wrapping, into a scratch
+    buffer (cleared first).
+    @raise Invalid_argument when [r < 1]. *)

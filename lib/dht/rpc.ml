@@ -370,16 +370,3 @@ let deliver ~time:_ run = run ()
 let deliver_until t ~now = Stdx.Event_queue.drain_until t.outbox ~until:now ~f:deliver
 let flush_deliveries t = Stdx.Event_queue.drain_until t.outbox ~until:infinity ~f:deliver
 let pending_deliveries t = Stdx.Event_queue.length t.outbox
-
-(* ------------------------------------------------------------------ *)
-
-let walk_replicas ~replicas ~probe =
-  let rec go ~attempts = function
-    | [] -> (None, attempts)
-    | node :: rest -> (
-        let attempts = attempts + 1 in
-        match probe ~node ~rest with
-        | Some _ as answer -> (answer, attempts)
-        | None -> go ~attempts rest)
-  in
-  go ~attempts:0 replicas

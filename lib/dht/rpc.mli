@@ -122,12 +122,3 @@ val flush_deliveries : t -> int
     same order; returns how many ran. *)
 
 val pending_deliveries : t -> int
-
-val walk_replicas :
-  replicas:int list ->
-  probe:(node:int -> rest:int list -> 'a option) ->
-  'a option * int
-(** The shared retry-down-the-replica-list shape: probe each replica in
-    placement order until one yields, returning the answer and the
-    number of replicas probed.  [rest] lets a probe know whether later
-    replicas remain (e.g. to treat the last one specially). *)

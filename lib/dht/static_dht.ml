@@ -51,8 +51,6 @@ let resolver t =
     Resolver.node_count = count;
     responsible = responsible t;
     route_hops = (fun _ -> 1);
-    replicas =
-      (fun key r -> Resolver.ring_replicas ~node_count:count ~primary:(responsible t key) r);
     replicas_into =
       (fun key r buf ->
         Resolver.ring_replicas_into ~node_count:count ~primary:(responsible t key) r buf);

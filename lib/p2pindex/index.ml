@@ -296,7 +296,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     files : file Rstore.t;
     key_cache : (string, Key.t) Hashtbl.t;
         (* Hashing a query is hot; memoize canonical-string -> key. *)
-    consulted : Stdx.Arena.Int_buf.t;
+    consulted : Stdx.Int_buf.t;
         (* The replicas a quorum lookup step heard from, in answer order. *)
     metrics : Obs.Metrics.t option;
     instruments : instruments option;
@@ -409,7 +409,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         Rstore.create ~resolver ~replication ?read_quorum ?write_quorum
           ?on_write_acks ~liveness ~clock ();
       key_cache = Hashtbl.create 4096;
-      consulted = Stdx.Arena.Int_buf.create ~capacity:replication ();
+      consulted = Stdx.Int_buf.create ~capacity:replication ();
       metrics;
       instruments = Option.map make_instruments metrics;
       quorum_instruments;
@@ -469,8 +469,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      static index charged. *)
   let charge_live_replicas t ~key ~bytes =
     let replicas = Rstore.replica_buf t.mappings key in
-    for i = 0 to Stdx.Arena.Int_buf.length replicas - 1 do
-      let dst = Stdx.Arena.Int_buf.unsafe_get replicas i in
+    for i = 0 to Stdx.Int_buf.length replicas - 1 do
+      let dst = Stdx.Int_buf.unsafe_get replicas i in
       if Dht.Liveness.alive t.liveness dst then charge_maintenance t ~dst ~bytes
     done
 
@@ -712,14 +712,14 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      quorum parameter. *)
 
   let rec consulted_from buf node i =
-    i < Stdx.Arena.Int_buf.length buf
-    && (Stdx.Arena.Int_buf.unsafe_get buf i = node || consulted_from buf node (i + 1))
+    i < Stdx.Int_buf.length buf
+    && (Stdx.Int_buf.unsafe_get buf i = node || consulted_from buf node (i + 1))
 
   (* Remember a replica that answered, once, in answer order: a hedge
      target that answered empty may answer again. *)
   let note_consulted t node =
     if not (consulted_from t.consulted node 0) then
-      Stdx.Arena.Int_buf.push t.consulted node
+      Stdx.Int_buf.push t.consulted node
 
   (* Bill read repair: each gained entry shipped to its replica. *)
   let rec charge_gained t entry_bytes ~node = function
@@ -747,9 +747,9 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     (match t.quorum_instruments with
     | None -> ()
     | Some qi -> Obs.Metrics.Counter.incr qi.q_reads);
-    if Stdx.Arena.Int_buf.length t.consulted = 0 then Not_indexed
+    if Stdx.Int_buf.length t.consulted = 0 then Not_indexed
     else begin
-      let nodes = Stdx.Arena.Int_buf.to_list t.consulted in
+      let nodes = Stdx.Int_buf.to_list t.consulted in
       let files, vf, repairs_f = Rstore.quorum_read t.files ~key ~nodes in
       let children, vm, repairs_m = Rstore.quorum_read t.mappings ~key ~nodes in
       charge_repairs t file_entry_bytes repairs_f;
@@ -797,12 +797,12 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let[@hot] lookup_step_at t ~generalization ~query_string =
     let key = key_of_string_memo t query_string in
     let replicas = Rstore.replica_buf t.mappings key in
-    let n = Stdx.Arena.Int_buf.length replicas in
-    let primary = Stdx.Arena.Int_buf.get replicas 0 in
+    let n = Stdx.Int_buf.length replicas in
+    let primary = Stdx.Int_buf.get replicas 0 in
     let request_bytes = Wire.request_bytes query_string in
     let quorum = t.quorum_enabled in
     let needed = if quorum then Rstore.read_quorum t.mappings else 1 in
-    if quorum then Stdx.Arena.Int_buf.clear t.consulted;
+    if quorum then Stdx.Int_buf.clear t.consulted;
     (* The remote side of the call: runs once per delivered request
        copy, so it must be (and is) a read-only probe. *)
     (* lint: allow P1 — RPC handler contract: Rpc.call takes a callback; one handler per lookup step *)
@@ -818,11 +818,11 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     let first = ref (-1) and first_found = ref (-1) and last_found = ref (-1) in
     let answer = ref A_empty in
     while !i < n && !found < needed do
-      let node = Stdx.Arena.Int_buf.unsafe_get replicas !i in
+      let node = Stdx.Int_buf.unsafe_get replicas !i in
       incr i;
       if node <> !last_found then begin
         let hedge_dst =
-          if !i < n then Some (Stdx.Arena.Int_buf.unsafe_get replicas !i) else None
+          if !i < n then Some (Stdx.Int_buf.unsafe_get replicas !i) else None
         in
         incr attempts;
         match

@@ -592,7 +592,7 @@ let ablation_replication grid =
     done;
     let surviving =
       List.fold_left
-        (fun acc key -> if Storage.Replicated_store.available store key then acc + 1 else acc)
+        (fun acc key -> if Storage.Replicated_store.mem store key then acc + 1 else acc)
         0 keys
     in
     let available = float_of_int surviving /. float_of_int (List.length keys) in
@@ -1140,7 +1140,7 @@ let scale_sweep grid =
     ~note:
       "interactions per query are scale-free (the paper's point: the index, not\n\
        the population, prices a query); allocation per query stays flat, so the\n\
-       arena-backed hot state holds at a million nodes"
+       flat per-node state holds at a million nodes"
     (List.map row ladder)
 
 (* ------------------------------------------------------------------ *)

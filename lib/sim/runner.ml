@@ -466,7 +466,7 @@ module Internal = struct
     (* With caching off no walk ever reads or writes a cache (the policy
        guards every access), so all nodes can share one never-touched
        instance: at million-node scale this avoids node_count empty
-       LRU + arena structures.  Metric families are fetch-or-create, so
+       LRU structures.  Metric families are fetch-or-create, so
        the registry contents are identical either way. *)
     if Policy.caches_enabled cfg.policy then
       Array.init cfg.node_count (fun _ ->

@@ -8,8 +8,8 @@
     nodes, articles and queries (block partition, sizes differing by at
     most one) with its own decorrelated PRNG stream (Weyl seed mixing;
     shard 0 keeps the caller's seed).  Shards share nothing — each is a
-    complete {!Engine} run with its own substrate, index, caches, arenas
-    and metrics registry — which is exactly what makes the parallelism
+    complete {!Engine} run with its own substrate, index, caches and
+    metrics registry — which is exactly what makes the parallelism
     deterministic.
 
     [domains] is the {e worker} axis: how many OCaml domains execute the

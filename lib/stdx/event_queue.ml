@@ -4,15 +4,17 @@
    deterministic.
 
    Layout is struct-of-arrays: times live in a flat float array (unboxed
-   storage), seqs in an int array, events in a dummy-backed slot column.
-   The dummy (supplied at creation) replaces the [Some]-per-push boxing
-   of an ['a option array]; slots past [size] are reset to the dummy on
-   pop so the queue never retains popped events. *)
+   storage), seqs in an int array, events in an ['a array] of the same
+   length.  Event slots past [size] hold the dummy supplied at creation,
+   which replaces the [Some]-per-push boxing of an ['a option array];
+   [pop_root] resets each vacated slot to it, so the queue never retains
+   popped events. *)
 
 type 'a t = {
   mutable times : float array;
   mutable seqs : int array;
-  events : 'a Arena.Slots.t; (* dummy above [size] *)
+  mutable events : 'a array; (* dummy above [size] *)
+  dummy : 'a;
   mutable size : int;
   mutable next_seq : int;
 }
@@ -23,7 +25,8 @@ let create ~dummy () =
   {
     times = Array.make initial_capacity 0.0;
     seqs = Array.make initial_capacity 0;
-    events = Arena.Slots.create ~capacity:initial_capacity ~dummy ();
+    events = Array.make initial_capacity dummy;
+    dummy;
     size = 0;
     next_seq = 0;
   }
@@ -38,13 +41,13 @@ let slot_lt t i j =
 
 let swap t i j =
   let time = t.times.(i) and seq = t.seqs.(i) in
-  let event = Arena.Slots.get t.events i in
+  let event = t.events.(i) in
   t.times.(i) <- t.times.(j);
   t.seqs.(i) <- t.seqs.(j);
-  Arena.Slots.set t.events i (Arena.Slots.get t.events j);
+  t.events.(i) <- t.events.(j);
   t.times.(j) <- time;
   t.seqs.(j) <- seq;
-  Arena.Slots.set t.events j event
+  t.events.(j) <- event
 
 let rec sift_up t i =
   if i > 0 then begin
@@ -69,18 +72,20 @@ let grow t =
   let capacity = 2 * Array.length t.times in
   let times = Array.make capacity 0.0 in
   let seqs = Array.make capacity 0 in
+  let events = Array.make capacity t.dummy in
   Array.blit t.times 0 times 0 t.size;
   Array.blit t.seqs 0 seqs 0 t.size;
+  Array.blit t.events 0 events 0 t.size;
   t.times <- times;
   t.seqs <- seqs;
-  Arena.Slots.ensure t.events (capacity - 1)
+  t.events <- events
 
 let[@hot] push t ~time event =
   if Float.is_nan time then invalid_arg "Event_queue.push: NaN time";
   if t.size = Array.length t.times then grow t;
   t.times.(t.size) <- time;
   t.seqs.(t.size) <- t.next_seq;
-  Arena.Slots.set t.events t.size event;
+  t.events.(t.size) <- event;
   t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
@@ -89,12 +94,12 @@ let peek_time t = if t.size = 0 then None else Some t.times.(0)
 
 (* Remove the root, restore the heap, return the root's payload. *)
 let[@hot] pop_root t =
-  let event = Arena.Slots.get t.events 0 in
+  let event = t.events.(0) in
   t.size <- t.size - 1;
   t.times.(0) <- t.times.(t.size);
   t.seqs.(0) <- t.seqs.(t.size);
-  Arena.Slots.set t.events 0 (Arena.Slots.get t.events t.size);
-  Arena.Slots.clear t.events t.size;
+  t.events.(0) <- t.events.(t.size);
+  t.events.(t.size) <- t.dummy;
   if t.size > 0 then sift_down t 0;
   event
 

@@ -55,7 +55,7 @@ type 'v t = {
   tables : (Key.t, 'v key_state) Hashtbl.t array;
   directory : (Key.t, unit) Hashtbl.t; (* keys registered and not removed *)
   on_write_acks : (acks:int -> needed:int -> unit) option;
-  scratch : Stdx.Arena.Int_buf.t; (* replica-set resolution buffer *)
+  scratch : Stdx.Int_buf.t; (* replica-set resolution buffer *)
 }
 
 let create ~resolver ~replication ?read_quorum ?write_quorum ?on_write_acks
@@ -90,7 +90,7 @@ let create ~resolver ~replication ?read_quorum ?write_quorum ?on_write_acks
     tables = Array.init n (fun _ -> Hashtbl.create 8);
     directory = Hashtbl.create 1024;
     on_write_acks;
-    scratch = Stdx.Arena.Int_buf.create ~capacity:(Stdlib.max 1 replication) ();
+    scratch = Stdx.Int_buf.create ~capacity:(Stdlib.max 1 replication) ();
   }
 
 let replication t = t.replication
@@ -105,13 +105,6 @@ let replica_nodes t key = Dht.Resolver.replicas t.resolver key t.replication
 let[@hot] replica_buf t key =
   Dht.Resolver.replicas_into t.resolver key t.replication t.scratch;
   t.scratch
-
-(* The retry-down-the-replica-list shape, through Rpc.walk_replicas:
-   probe replicas in placement order, first acceptable one wins. *)
-let first_replica t key ~accept =
-  fst
-    (Dht.Rpc.walk_replicas ~replicas:(replica_nodes t key)
-       ~probe:(fun ~node ~rest:_ -> if accept node then Some node else None))
 
 let[@hot] live_node_id t key =
   Dht.Liveness.first_live_buf t.liveness (replica_buf t key)
@@ -227,7 +220,7 @@ let live_states t key =
   let rec collect i acc =
     if i < 0 then acc
     else
-      let node = Stdx.Arena.Int_buf.unsafe_get buf i in
+      let node = Stdx.Int_buf.unsafe_get buf i in
       if Dht.Liveness.alive t.liveness node then begin
         let st = get_state t.tables.(node) key in
         prune now st;
@@ -235,7 +228,7 @@ let live_states t key =
       end
       else collect (i - 1) acc
   in
-  collect (Stdx.Arena.Int_buf.length buf - 1) []
+  collect (Stdx.Int_buf.length buf - 1) []
 
 (* The write behind {!insert} and {!insert_unique}.  With [equal], live
    replicas already holding an equal entry refresh its expiry, and when
@@ -301,8 +294,6 @@ let mem t key =
       Dht.Liveness.alive t.liveness node
       && live_entries t t.tables.(node) key <> [])
     (replica_nodes t key)
-
-let available = mem
 
 let remove t ~key pred =
   match live_replica_nodes t key with
@@ -524,9 +515,11 @@ let repair ?(on_restore = fun ~node:_ _ -> ()) t =
     (fun key () ->
       let replicas = replica_nodes t key in
       let source =
-        first_replica t key ~accept:(fun node ->
+        List.find_opt
+          (fun node ->
             Dht.Liveness.alive t.liveness node
             && live_entries t t.tables.(node) key <> [])
+          replicas
       in
       match source with
       | None -> () (* no live holder: lost until republished *)

@@ -86,7 +86,7 @@ val node_of : 'v t -> Hashing.Key.t -> int
 val replica_nodes : 'v t -> Hashing.Key.t -> int list
 (** The key's full replica set (primary first), dead or alive. *)
 
-val replica_buf : 'v t -> Hashing.Key.t -> Stdx.Arena.Int_buf.t
+val replica_buf : 'v t -> Hashing.Key.t -> Stdx.Int_buf.t
 (** The same replica set, resolved into the store's scratch buffer —
     the allocation-free variant the lookup hot path walks.  The buffer
     is shared per store: it stays valid until the next [replica_buf] /
@@ -158,11 +158,8 @@ val sync_key : 'v t -> key:Hashing.Key.t -> nodes:int list -> (int * 'v entry li
     replicas on the key's merged state and report what each gained. *)
 
 val mem : 'v t -> Hashing.Key.t -> bool
-(** Is some live replica holding an unexpired entry for the key? *)
-
-val available : 'v t -> Hashing.Key.t -> bool
-(** Alias of {!mem} — the availability measure of the Section IV-D
-    ablation. *)
+(** Is some live replica holding an unexpired entry for the key?  The
+    availability measure of the Section IV-D ablation. *)
 
 val remove : 'v t -> key:Hashing.Key.t -> ('v -> bool) -> int
 (** Remove matching entries from every {e live} replica (a write, like

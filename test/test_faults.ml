@@ -279,24 +279,6 @@ let rpc_lossy_oneway () =
   Alcotest.(check int) "lost one-way never applied" 1 !applied;
   Alcotest.(check int) "nothing pending" 0 (Rpc.pending_deliveries dropped)
 
-let walk_replicas_shape () =
-  let probed = ref [] in
-  let result, attempts =
-    Rpc.walk_replicas ~replicas:[ 4; 7; 9 ]
-      ~probe:(fun ~node ~rest ->
-        probed := (node, List.length rest) :: !probed;
-        if node = 7 then Some "hit" else None)
-  in
-  Alcotest.(check (option string)) "second replica answers" (Some "hit") result;
-  Alcotest.(check int) "two probes" 2 attempts;
-  Alcotest.(check (list (pair int int))) "placement order with rest"
-    [ (4, 2); (7, 1) ] (List.rev !probed);
-  let missing, attempts =
-    Rpc.walk_replicas ~replicas:[ 1; 2 ] ~probe:(fun ~node:_ ~rest:_ -> None)
-  in
-  Alcotest.(check (option unit)) "no replica answers" None missing;
-  Alcotest.(check int) "all probed" 2 attempts
-
 (* ------------------------------------------------------------------ *)
 (* Duplicate idempotence at the index: a plan that duplicates every
    message must not change any lookup answer — handlers run twice, the
@@ -526,7 +508,6 @@ let suite =
           rpc_hedge_wins;
         Alcotest.test_case "lossy one-ways: billed, delayed, droppable" `Quick
           rpc_lossy_oneway;
-        Alcotest.test_case "walk_replicas placement order" `Quick walk_replicas_shape;
       ] );
     ( "faults:index",
       [

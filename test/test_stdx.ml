@@ -288,77 +288,37 @@ let fmt_bytes_units () =
   Alcotest.(check string) "kilobytes" "2.00 KB" (Stdx.Tabular.fmt_bytes 2048.0);
   Alcotest.(check string) "megabytes" "1.50 MB" (Stdx.Tabular.fmt_bytes (1.5 *. 1024.0 *. 1024.0))
 
-(* --- Arena: the dense-id allocator behind the per-node hot state. --- *)
-
-module Arena = Stdx.Arena
+(* --- Bitset and Int_buf: node liveness bits and replica scratch. --- *)
 
 let expect_invalid what f =
   Alcotest.(check bool) what true
     (match f () with _ -> false | exception Invalid_argument _ -> true)
 
-let arena_lifo_reuse () =
-  let a = Arena.create ~capacity:2 () in
-  let i0 = Arena.alloc a in
-  let i1 = Arena.alloc a in
-  let i2 = Arena.alloc a in
-  Alcotest.(check (list int)) "dense ids" [ 0; 1; 2 ] [ i0; i1; i2 ];
-  Alcotest.(check int) "live" 3 (Arena.live a);
-  Arena.free a i1;
-  Alcotest.(check bool) "freed id not in use" false (Arena.in_use a i1);
-  Alcotest.(check int) "LIFO: last freed comes back first" i1 (Arena.alloc a);
-  Arena.free a i2;
-  Arena.free a i0;
-  Alcotest.(check int) "free stack order" i0 (Arena.alloc a);
-  Alcotest.(check int) "then the earlier free" i2 (Arena.alloc a);
-  Alcotest.(check int) "fresh id past the recycled ones" 3 (Arena.alloc a);
-  Alcotest.(check int) "live again" 4 (Arena.live a)
+let bitset_bounds_checked () =
+  let b = Stdx.Bitset.create ~len:10 ~default:true in
+  Alcotest.(check int) "length" 10 (Stdx.Bitset.length b);
+  Stdx.Bitset.set b 9 false;
+  Alcotest.(check bool) "cleared bit" false (Stdx.Bitset.get b 9);
+  Alcotest.(check bool) "neighbour untouched" true (Stdx.Bitset.get b 8);
+  Stdx.Bitset.set b 9 true;
+  Alcotest.(check bool) "set again" true (Stdx.Bitset.get b 9);
+  expect_invalid "get past length" (fun () -> Stdx.Bitset.get b 10);
+  expect_invalid "negative get" (fun () -> Stdx.Bitset.get b (-1));
+  expect_invalid "set past length" (fun () -> Stdx.Bitset.set b 10 true);
+  expect_invalid "negative length" (fun () -> Stdx.Bitset.create ~len:(-1) ~default:false)
 
-let arena_columns_grow_in_lockstep () =
-  let a = Arena.create ~capacity:2 () in
-  let ints = Arena.Int_col.make a ~default:7 in
-  let floats = Arena.Float_col.make a ~default:1.5 in
-  let slots = Arena.Slots.make a ~dummy:"" in
-  (* Push well past the initial capacity: every attached column must keep
-     up, and fresh ids must read their defaults. *)
-  let ids = Array.init 40 (fun _ -> Arena.alloc a) in
-  Alcotest.(check bool) "capacity grew" true (Arena.capacity a >= 40);
-  let last = ids.(39) in
-  Alcotest.(check int) "int default" 7 (Arena.Int_col.get ints last);
-  Alcotest.(check (float 0.0)) "float default" 1.5 (Arena.Float_col.get floats last);
-  Alcotest.(check string) "slot dummy" "" (Arena.Slots.get slots last);
-  Arena.Int_col.set ints last 41;
-  Arena.Int_col.add ints last 1;
-  Alcotest.(check int) "set+add" 42 (Arena.Int_col.get ints last);
-  Arena.Slots.set slots last "payload";
-  Arena.Slots.clear slots last;
-  Alcotest.(check string) "clear restores dummy" "" (Arena.Slots.get slots last)
-
-let arena_checked_bounds () =
-  let a = Arena.of_dense ~checked:true ~count:4 () in
-  let col = Arena.Int_col.make a ~default:0 in
-  Alcotest.(check bool) "dense ids in use" true (Arena.in_use a 3);
-  expect_invalid "out-of-range get" (fun () -> Arena.Int_col.get col 100);
-  expect_invalid "out-of-range set" (fun () -> Arena.Int_col.set col 100 1);
-  expect_invalid "out-of-range free" (fun () -> Arena.free a 100);
-  Arena.free a 2;
-  expect_invalid "double free" (fun () -> Arena.free a 2);
-  let b = Arena.Bitset.create ~len:8 ~default:false () in
-  Arena.Bitset.set b 3 true;
-  Alcotest.(check int) "popcount" 1 (Arena.Bitset.count b);
-  expect_invalid "bitset out of range" (fun () -> Arena.Bitset.get b 8)
-
-let arena_int_buf () =
-  let buf = Arena.Int_buf.create ~capacity:2 () in
+let int_buf_growth () =
+  let buf = Stdx.Int_buf.create ~capacity:2 () in
   for i = 0 to 9 do
-    Arena.Int_buf.push buf (i * i)
+    Stdx.Int_buf.push buf (i * i)
   done;
-  Alcotest.(check int) "length" 10 (Arena.Int_buf.length buf);
-  Alcotest.(check int) "get" 81 (Arena.Int_buf.get buf 9);
+  Alcotest.(check int) "length" 10 (Stdx.Int_buf.length buf);
+  Alcotest.(check int) "get" 81 (Stdx.Int_buf.get buf 9);
   Alcotest.(check (list int)) "to_list head" [ 0; 1; 4 ]
-    (List.filteri (fun i _ -> i < 3) (Arena.Int_buf.to_list buf));
-  expect_invalid "get past length" (fun () -> Arena.Int_buf.get buf 10);
-  Arena.Int_buf.clear buf;
-  Alcotest.(check int) "cleared" 0 (Arena.Int_buf.length buf)
+    (List.filteri (fun i _ -> i < 3) (Stdx.Int_buf.to_list buf));
+  expect_invalid "get past length" (fun () -> Stdx.Int_buf.get buf 10);
+  Stdx.Int_buf.clear buf;
+  Alcotest.(check int) "cleared" 0 (Stdx.Int_buf.length buf)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -403,13 +363,6 @@ let suite =
         Alcotest.test_case "arity checked" `Quick table_arity_checked;
         Alcotest.test_case "byte units" `Quick fmt_bytes_units;
       ] );
-    ( "stdx:arena",
-      [
-        Alcotest.test_case "LIFO free-list reuse" `Quick arena_lifo_reuse;
-        Alcotest.test_case "columns grow in lockstep" `Quick
-          arena_columns_grow_in_lockstep;
-        Alcotest.test_case "checked bounds and double free" `Quick
-          arena_checked_bounds;
-        Alcotest.test_case "int buffer" `Quick arena_int_buf;
-      ] );
+    ("stdx:bitset", [ Alcotest.test_case "bounds checked" `Quick bitset_bounds_checked ]);
+    ("stdx:int_buf", [ Alcotest.test_case "int buffer" `Quick int_buf_growth ]);
   ]

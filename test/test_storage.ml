@@ -86,7 +86,7 @@ let replicated_basics () =
   let store : string Replicated.t = Replicated.create ~resolver:(resolver 10) ~replication:3 () in
   Replicated.insert store ~len:0 ~key:(k "a") "x";
   Alcotest.(check (list string)) "lookup" [ "x" ] (Replicated.lookup store (k "a"));
-  Alcotest.(check bool) "available" true (Replicated.available store (k "a"));
+  Alcotest.(check bool) "available" true (Replicated.mem store (k "a"));
   Alcotest.(check int) "one key" 1 (Replicated.key_count store);
   Alcotest.(check int) "three replica entries" 3 (Replicated.total_replica_entries store);
   Alcotest.(check (list string)) "missing key" [] (Replicated.lookup store (k "nope"))
@@ -101,7 +101,7 @@ let replicated_survives_primary_failure () =
   Alcotest.(check (list int)) "served by a replica" [ 1 ] (Replicated.lookup store (k "a"));
   (* Fail every replica: the key becomes unavailable. *)
   List.iter (Replicated.fail_node store) (Dht.Resolver.replicas r (k "a") 3);
-  Alcotest.(check bool) "all replicas down" false (Replicated.available store (k "a"));
+  Alcotest.(check bool) "all replicas down" false (Replicated.mem store (k "a"));
   Alcotest.(check (list int)) "lookup empty" [] (Replicated.lookup store (k "a"));
   (* Revival restores it. *)
   Replicated.revive_node store primary;
@@ -112,7 +112,7 @@ let replicated_single_replica_is_fragile () =
   let store : int Replicated.t = Replicated.create ~resolver:r ~replication:1 () in
   Replicated.insert store ~len:0 ~key:(k "a") 1;
   Replicated.fail_node store (Dht.Resolver.responsible r (k "a"));
-  Alcotest.(check bool) "gone with one replica" false (Replicated.available store (k "a"))
+  Alcotest.(check bool) "gone with one replica" false (Replicated.mem store (k "a"))
 
 let replicated_all_replicas_failed () =
   let r = resolver 6 in
@@ -120,7 +120,7 @@ let replicated_all_replicas_failed () =
   Replicated.insert store ~len:0 ~key:(k "a") 1;
   Replicated.insert store ~len:0 ~key:(k "b") 2;
   List.iter (Replicated.fail_node store) (Dht.Resolver.replicas r (k "a") 3);
-  Alcotest.(check bool) "key a unavailable" false (Replicated.available store (k "a"));
+  Alcotest.(check bool) "key a unavailable" false (Replicated.mem store (k "a"));
   Alcotest.(check (list int)) "key a lookup empty" [] (Replicated.lookup store (k "a"));
   (* Repair cannot re-home a key with no live holder: it stays lost until
      a replica comes back or the publisher republishes. *)
@@ -128,7 +128,7 @@ let replicated_all_replicas_failed () =
   ignore
     (Replicated.repair ~on_restore:(fun ~node:_ _ -> incr restored) store : int);
   Alcotest.(check bool) "still unavailable after repair" false
-    (Replicated.available store (k "a"));
+    (Replicated.mem store (k "a"));
   (* Contents were kept, not dropped: one revival brings the key back. *)
   Replicated.revive_node store (Dht.Resolver.responsible r (k "a"));
   Alcotest.(check (list int)) "revival restores" [ 1 ] (Replicated.lookup store (k "a"))
@@ -150,14 +150,19 @@ let replicated_fail_is_idempotent () =
   Alcotest.(check bool) "one revive suffices" true (Replicated.alive store primary)
 
 let ring_replicas_wrap_around () =
+  (* One buffer for all three cases: each call clears it first. *)
+  let buf = Stdx.Int_buf.create () in
+  let ring ~node_count ~primary r =
+    Dht.Resolver.ring_replicas_into ~node_count ~primary r buf;
+    Stdx.Int_buf.to_list buf
+  in
   (* r = node_count: every node, once, starting at the primary. *)
   Alcotest.(check (list int)) "full ring from 3" [ 3; 4; 0; 1; 2 ]
-    (Dht.Resolver.ring_replicas ~node_count:5 ~primary:3 5);
+    (ring ~node_count:5 ~primary:3 5);
   (* r > node_count: capped, no duplicates from a second lap. *)
   Alcotest.(check (list int)) "capped beyond node count" [ 3; 4; 0; 1; 2 ]
-    (Dht.Resolver.ring_replicas ~node_count:5 ~primary:3 12);
-  Alcotest.(check (list int)) "single node network" [ 0 ]
-    (Dht.Resolver.ring_replicas ~node_count:1 ~primary:0 4)
+    (ring ~node_count:5 ~primary:3 12);
+  Alcotest.(check (list int)) "single node network" [ 0 ] (ring ~node_count:1 ~primary:0 4)
 
 let replicated_validation () =
   Alcotest.check_raises "replication >= 1"
