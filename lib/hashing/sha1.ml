@@ -2,58 +2,85 @@
    OCaml int and every sum or shift is masked back to 32 bits, so the
    rounds run on unboxed registers where [Int32] would box each
    intermediate.  (Needs 63-bit ints: sums of five words reach 35 bits.)
-   The message is padded to a multiple of 64 bytes with 0x80, zeros, and
-   the 64-bit bit length; each block updates the five-word chaining state
-   through 80 rounds in four 20-round groups. *)
+   The message is read in place: blocks that lie inside the string take
+   their words straight from it, and only the one or two final blocks —
+   the string's tail, the 0x80 marker, zeros and the 64-bit bit length —
+   go through the padding-aware byte reader, so no padded copy is built.
+   The message schedule is the RFC's 16-word circular buffer (method 2):
+   word [t] overwrites word [t - 16] in place.  Each block updates the
+   five-word chaining state through 80 rounds in four 20-round groups. *)
 
 type digest = string
 
 let mask = 0xFFFF_FFFF
 
-let rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land mask
+let[@inline] rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land mask
 
-let padded_message s =
+let[@inline] word_at s off =
+  (Char.code (String.unsafe_get s off) lsl 24)
+  lor (Char.code (String.unsafe_get s (off + 1)) lsl 16)
+  lor (Char.code (String.unsafe_get s (off + 2)) lsl 8)
+  lor Char.code (String.unsafe_get s (off + 3))
+
+(* Byte [i] of the padded message, which is [total] bytes long. *)
+let padded_byte s ~total i =
+  let len = String.length s in
+  if i < len then Char.code (String.unsafe_get s i)
+  else if i = len then 0x80
+  else if i >= total - 8 then ((len * 8) lsr ((total - 1 - i) * 8)) land 0xFF
+  else 0
+
+let padded_word s ~total off =
+  if off + 4 <= String.length s then word_at s off
+  else
+  (padded_byte s ~total off lsl 24)
+  lor (padded_byte s ~total (off + 1) lsl 16)
+  lor (padded_byte s ~total (off + 2) lsl 8)
+  lor padded_byte s ~total (off + 3)
+
+(* Schedule word [t] for [t >= 16], written over word [t - 16]. *)
+let[@inline] schedule w t =
+  let x =
+    rotl32
+      (Array.unsafe_get w ((t - 3) land 15)
+      lxor Array.unsafe_get w ((t - 8) land 15)
+      lxor Array.unsafe_get w ((t - 14) land 15)
+      lxor Array.unsafe_get w (t land 15))
+      1
+  in
+  Array.unsafe_set w (t land 15) x;
+  x
+
+let digest_string s =
   let len = String.length s in
   (* Room for the 0x80 marker and the 8-byte length, rounded up to 64. *)
   let total = ((len + 8) / 64 * 64) + 64 in
-  let b = Bytes.make total '\000' in
-  Bytes.blit_string s 0 b 0 len;
-  Bytes.set b len '\x80';
-  let bitlen = len * 8 in
-  for i = 0 to 7 do
-    Bytes.set b (total - 8 + i) (Char.unsafe_chr ((bitlen lsr ((7 - i) * 8)) land 0xFF))
-  done;
-  b
-
-let word_at b off =
-  (Char.code (Bytes.get b off) lsl 24)
-  lor (Char.code (Bytes.get b (off + 1)) lsl 16)
-  lor (Char.code (Bytes.get b (off + 2)) lsl 8)
-  lor Char.code (Bytes.get b (off + 3))
-
-let digest_string s =
-  let msg = padded_message s in
   let h0 = ref 0x67452301
   and h1 = ref 0xEFCDAB89
   and h2 = ref 0x98BADCFE
   and h3 = ref 0x10325476
   and h4 = ref 0xC3D2E1F0 in
-  let w = Array.make 80 0 in
-  let blocks = Bytes.length msg / 64 in
-  for block = 0 to blocks - 1 do
+  let w = Array.make 16 0 in
+  for block = 0 to (total / 64) - 1 do
     let base = block * 64 in
     for t = 0 to 15 do
-      w.(t) <- word_at msg (base + (t * 4))
-    done;
-    for t = 16 to 79 do
-      w.(t) <- rotl32 (w.(t - 3) lxor w.(t - 8) lxor w.(t - 14) lxor w.(t - 16)) 1
+      Array.unsafe_set w t (padded_word s ~total (base + (t * 4)))
     done;
     let a = ref !h0 and b = ref !h1 and c = ref !h2 and d = ref !h3 and e = ref !h4 in
     (* One round per group below; [lnot] sets high bits, which the [land]
        with a 32-bit word clears again. *)
-    for t = 0 to 19 do
+    for t = 0 to 15 do
       let f = (!b land !c) lor (lnot !b land !d) in
-      let temp = (rotl32 !a 5 + f + !e + 0x5A827999 + w.(t)) land mask in
+      let temp = (rotl32 !a 5 + f + !e + 0x5A827999 + Array.unsafe_get w t) land mask in
+      e := !d;
+      d := !c;
+      c := rotl32 !b 30;
+      b := !a;
+      a := temp
+    done;
+    for t = 16 to 19 do
+      let f = (!b land !c) lor (lnot !b land !d) in
+      let temp = (rotl32 !a 5 + f + !e + 0x5A827999 + schedule w t) land mask in
       e := !d;
       d := !c;
       c := rotl32 !b 30;
@@ -62,7 +89,7 @@ let digest_string s =
     done;
     for t = 20 to 39 do
       let f = !b lxor !c lxor !d in
-      let temp = (rotl32 !a 5 + f + !e + 0x6ED9EBA1 + w.(t)) land mask in
+      let temp = (rotl32 !a 5 + f + !e + 0x6ED9EBA1 + schedule w t) land mask in
       e := !d;
       d := !c;
       c := rotl32 !b 30;
@@ -71,7 +98,7 @@ let digest_string s =
     done;
     for t = 40 to 59 do
       let f = (!b land !c) lor (!b land !d) lor (!c land !d) in
-      let temp = (rotl32 !a 5 + f + !e + 0x8F1BBCDC + w.(t)) land mask in
+      let temp = (rotl32 !a 5 + f + !e + 0x8F1BBCDC + schedule w t) land mask in
       e := !d;
       d := !c;
       c := rotl32 !b 30;
@@ -80,7 +107,7 @@ let digest_string s =
     done;
     for t = 60 to 79 do
       let f = !b lxor !c lxor !d in
-      let temp = (rotl32 !a 5 + f + !e + 0xCA62C1D6 + w.(t)) land mask in
+      let temp = (rotl32 !a 5 + f + !e + 0xCA62C1D6 + schedule w t) land mask in
       e := !d;
       d := !c;
       c := rotl32 !b 30;
@@ -96,7 +123,7 @@ let digest_string s =
   let out = Bytes.create 20 in
   let store i v =
     for j = 0 to 3 do
-      Bytes.set out ((i * 4) + j) (Char.unsafe_chr ((v lsr ((3 - j) * 8)) land 0xFF))
+      Bytes.unsafe_set out ((i * 4) + j) (Char.unsafe_chr ((v lsr ((3 - j) * 8)) land 0xFF))
     done
   in
   store 0 !h0;
@@ -104,7 +131,7 @@ let digest_string s =
   store 2 !h2;
   store 3 !h3;
   store 4 !h4;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let hex_digits = "0123456789abcdef"
 
