@@ -311,16 +311,9 @@ let repair_globally t =
   let keys = Array.of_list (live_keys t) in
   let count = Array.length keys in
   if count > 0 then begin
-    let responsible key =
-      (* First live node >= key, wrapping. *)
-      let rec search lo hi = if lo >= hi then lo
-        else
-          let mid = (lo + hi) / 2 in
-          if Key.compare keys.(mid) key >= 0 then search lo mid else search (mid + 1) hi
-      in
-      let i = search 0 count in
-      if i = count then keys.(0) else keys.(i)
-    in
+    let ring = Resolver.ring keys in
+    (* First live node >= key, wrapping. *)
+    let responsible key = keys.(Resolver.ring_successor ring key) in
     Array.iteri
       (fun i key ->
         let n = node_of t key in
@@ -352,16 +345,7 @@ let resolver t =
   let keys = Array.of_list (live_keys t) in
   let count = Array.length keys in
   if count = 0 then invalid_arg "Chord.resolver: empty ring";
-  let index_of key =
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if Key.compare keys.(mid) key >= 0 then search lo mid else search (mid + 1) hi
-    in
-    let i = search 0 count in
-    if i = count then 0 else i
-  in
+  let index_of = Resolver.ring_successor (Resolver.ring keys) in
   {
     Resolver.node_count = count;
     responsible = (fun key -> index_of key);

@@ -32,6 +32,19 @@ val replicas : t -> Hashing.Key.t -> int -> int list
 (** {!replicas_into} into a fresh buffer, as a list — for cold paths
     and tests. *)
 
+type ring
+(** Sorted ring positions with their 56-bit prefixes ({!Hashing.Key.prefix56}),
+    the search structure behind every ring substrate's ownership rule. *)
+
+val ring : Hashing.Key.t array -> ring
+(** [ring positions] over positions sorted ascending by
+    {!Hashing.Key.compare}; the array is shared, not copied. *)
+
+val ring_successor : ring -> Hashing.Key.t -> int
+(** Index of the first position [>=] the key, wrapping to 0 past the
+    last one: the key's clockwise successor.  O(log n); full keys are
+    compared only where two prefixes tie. *)
+
 val ring_replicas_into :
   node_count:int -> primary:int -> int -> Stdx.Int_buf.t -> unit
 (** Placement for substrates whose node indexes are ring-ordered:

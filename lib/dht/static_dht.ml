@@ -1,6 +1,6 @@
 module Key = Hashing.Key
 
-type t = { keys : Key.t array }
+type t = { keys : Key.t array; ring : Resolver.ring }
 
 let of_keys keys =
   if Array.length keys = 0 then invalid_arg "Static_dht.of_keys: no nodes";
@@ -10,7 +10,7 @@ let of_keys keys =
     if Key.equal sorted.(i - 1) sorted.(i) then
       invalid_arg "Static_dht.of_keys: duplicate node identifier"
   done;
-  { keys = sorted }
+  { keys = sorted; ring = Resolver.ring sorted }
 
 let create ?(seed = 1L) ~node_count () =
   if node_count <= 0 then invalid_arg "Static_dht.create: need at least one node";
@@ -32,18 +32,8 @@ let node_key t i =
   if i < 0 || i >= Array.length t.keys then invalid_arg "Static_dht.node_key: bad index";
   t.keys.(i)
 
-let responsible t key =
-  (* First node whose identifier is >= key, wrapping to node 0: binary
-     search over the sorted ring positions. *)
-  let n = Array.length t.keys in
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if Key.compare t.keys.(mid) key >= 0 then search lo mid else search (mid + 1) hi
-  in
-  let i = search 0 n in
-  if i = n then 0 else i
+(* First node whose identifier is >= key, wrapping to node 0. *)
+let responsible t key = Resolver.ring_successor t.ring key
 
 let resolver t =
   let count = node_count t in

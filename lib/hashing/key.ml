@@ -15,6 +15,10 @@ let hash = Hashtbl.hash
 
 let of_string s = Sha1.digest_string s
 
+let prefix56 t =
+  let rec go acc i = if i = 7 then acc else go ((acc lsl 8) lor Char.code t.[i]) (i + 1) in
+  go 0 0
+
 let of_int n =
   if n < 0 then invalid_arg "Key.of_int: negative value";
   let b = Bytes.make byte_count '\000' in

@@ -20,6 +20,11 @@ val hash : t -> int
 val of_string : string -> t
 (** [of_string s] hashes an arbitrary string into the key space (SHA-1). *)
 
+val prefix56 : t -> int
+(** The key's first seven bytes as a non-negative int, most significant
+    first: [compare] on two keys agrees with [Int.compare] on their
+    prefixes whenever the prefixes differ. *)
+
 val of_int : int -> t
 (** [of_int n] is the key with numeric value [n] (for tests).
     @raise Invalid_argument when [n < 0]. *)

@@ -58,6 +58,37 @@ let static_ownership_brute_force () =
       (brute key) (Static.responsible dht key)
   done
 
+(* Ring keys drawn so that prefix ties are common: each key's first
+   seven bytes come from a pool of two, its other thirteen bytes vary
+   only in their last byte, and one of the probes is the top of the
+   ring, past every node, which must wrap to node 0. *)
+let ring_search_case =
+  let open QCheck.Gen in
+  let prefix = string_size ~gen:char (return 7) in
+  let key prefixes =
+    map2
+      (fun p last -> Key.of_hex (Hashing.Sha1.to_hex (p ^ String.make 12 '\x80' ^ String.make 1 last)))
+      (oneofl prefixes) char
+  in
+  pair prefix prefix >>= fun (p1, p2) ->
+  let prefixes = [ p1; p2 ] in
+  pair (list_size (int_range 1 40) (key prefixes)) (list_size (int_range 1 40) (key prefixes))
+
+let ring_successor_matches_linear_scan =
+  QCheck.Test.make ~name:"ring successor matches a linear scan" ~count:300
+    (QCheck.make ring_search_case) (fun (nodes, probes) ->
+      let positions = Array.of_list (List.sort_uniq Key.compare nodes) in
+      let ring = Dht.Resolver.ring positions in
+      let linear key =
+        let n = Array.length positions in
+        let rec scan i = if i = n then 0 else if Key.compare positions.(i) key >= 0 then i else scan (i + 1) in
+        scan 0
+      in
+      let top = Key.of_hex (String.make 40 'f') in
+      List.for_all
+        (fun key -> Dht.Resolver.ring_successor ring key = linear key)
+        ((top :: probes) @ nodes))
+
 let static_node_key_is_own_owner () =
   let dht = Static.create ~seed:3L ~node_count:20 () in
   for i = 0 to 19 do
@@ -545,7 +576,8 @@ let suite =
         Alcotest.test_case "node owns own identifier" `Quick static_node_key_is_own_owner;
         Alcotest.test_case "duplicates rejected" `Quick static_rejects_duplicates;
         Alcotest.test_case "single-node ring" `Quick static_single_node_owns_all;
-      ] );
+      ]
+      @ qcheck [ ring_successor_matches_linear_scan ] );
     ( "dht:chord",
       [
         Alcotest.test_case "bootstrap converged" `Quick chord_network_converged;
