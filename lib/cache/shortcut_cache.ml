@@ -17,8 +17,8 @@ module String_pair = struct
   type t = string * string
 end
 
-(* Hit/miss/eviction counters, shared by every per-node cache built against
-   the same registry (fetch-or-create returns one instrument per name). *)
+(* Hit/miss/eviction counters, fetched from the registry once and shared
+   by every per-node cache of a run. *)
 type instruments = {
   hits : Obs.Metrics.Counter.t;
   misses : Obs.Metrics.Counter.t;
@@ -44,7 +44,7 @@ let unindex by_query (query_key, target_key) =
       Hashtbl.remove targets target_key;
       if Hashtbl.length targets = 0 then Hashtbl.remove by_query query_key
 
-let make_instruments registry =
+let instruments registry =
   let counter name help = Obs.Metrics.counter registry ~help name in
   {
     hits = counter "p2pindex_cache_hits_total" "Shortcut lookups that found an entry";
@@ -55,10 +55,9 @@ let make_instruments registry =
       counter "p2pindex_cache_expirations_total" "Entries dropped because their TTL ran out";
   }
 
-let create ?metrics ?(clock = fun () -> 0.0) ?(ttl = infinity) ~capacity () =
+let create ?instruments ?(clock = fun () -> 0.0) ?(ttl = infinity) ~capacity () =
   if not (ttl > 0.) then invalid_arg "Shortcut_cache.create: ttl must be > 0";
   let by_query = Hashtbl.create 16 in
-  let instruments = Option.map make_instruments metrics in
   let on_evict pair_key _entry =
     unindex by_query pair_key;
     match instruments with

@@ -18,8 +18,17 @@
 
 type 'q t
 
+type instruments
+(** The [p2pindex_cache_{hits,misses,installs,evictions,expirations}_total]
+    counters. *)
+
+val instruments : Obs.Metrics.t -> instruments
+(** Fetch (or create) the cache counters in a registry.  Fetch once and
+    pass the result to every per-node cache: the counters are then
+    network-wide totals. *)
+
 val create :
-  ?metrics:Obs.Metrics.t ->
+  ?instruments:instruments ->
   ?clock:(unit -> float) ->
   ?ttl:float ->
   capacity:int option ->
@@ -28,10 +37,8 @@ val create :
 (** One node's cache.  [capacity = None] is unbounded.  [clock] (default:
     constantly [0.0]) supplies the virtual time entries are judged against;
     [ttl] (default [infinity]) is stamped on every install and refresh.
-    With [metrics], lookups, installs, evictions and TTL expirations bump
-    the [p2pindex_cache_{hits,misses,installs,evictions,expirations}_total]
-    counters; caches created against the same registry share them, so the
-    totals are network-wide.
+    With [instruments], lookups, installs, evictions and TTL expirations
+    bump its counters.
     @raise Invalid_argument when [ttl <= 0]. *)
 
 val find : 'q t -> query_key:string -> (string * ('q * 'q)) list

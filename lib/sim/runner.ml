@@ -463,19 +463,18 @@ module Internal = struct
   let publish_bytes = Network.bytes net Network.Maintenance in
   Network.reset net;
   let caches =
-    (* With caching off no walk ever reads or writes a cache (the policy
-       guards every access), so all nodes can share one never-touched
-       instance: at million-node scale this avoids node_count empty
-       LRU structures.  Metric families are fetch-or-create, so
-       the registry contents are identical either way. *)
-    if Policy.caches_enabled cfg.policy then
-      Array.init cfg.node_count (fun _ ->
-          Shortcut.create ~metrics:registry ~clock ~ttl
-            ~capacity:cfg.policy.Policy.capacity ())
-    else
-      Array.make cfg.node_count
-        (Shortcut.create ~metrics:registry ~clock ~ttl
-           ~capacity:cfg.policy.Policy.capacity ())
+    (* The cache counters are fetched from the registry once and shared
+       by every node's cache.  With caching off no walk ever reads or
+       writes a cache (the policy guards every access), so all nodes can
+       share one never-touched instance: at million-node scale this
+       avoids node_count empty LRU structures, and the registry contents
+       are identical either way. *)
+    let instruments = Shortcut.instruments registry in
+    let create () =
+      Shortcut.create ~instruments ~clock ~ttl ~capacity:cfg.policy.Policy.capacity ()
+    in
+    if Policy.caches_enabled cfg.policy then Array.init cfg.node_count (fun _ -> create ())
+    else Array.make cfg.node_count (create ())
   in
   let driver =
     match cfg.churn with

@@ -321,8 +321,8 @@ let shortcut_matches_model =
       let registry = Obs.Metrics.create () in
       let clock = ref 0.0 in
       let c : string Shortcut.t =
-        Shortcut.create ~metrics:registry ~clock:(fun () -> !clock) ~ttl
-          ~capacity:(Some capacity) ()
+        Shortcut.create ~instruments:(Shortcut.instruments registry)
+          ~clock:(fun () -> !clock) ~ttl ~capacity:(Some capacity) ()
       in
       let m =
         {

@@ -298,7 +298,8 @@ let network_registry_lock_step () =
 let cache_counters () =
   let r = Metrics.create () in
   let cache : int Cache.Shortcut_cache.t =
-    Cache.Shortcut_cache.create ~metrics:r ~capacity:(Some 1) ()
+    Cache.Shortcut_cache.create ~instruments:(Cache.Shortcut_cache.instruments r)
+      ~capacity:(Some 1) ()
   in
   ignore (Cache.Shortcut_cache.add cache ~query_key:"a" ~target_key:"m" (1, 10));
   ignore (Cache.Shortcut_cache.find cache ~query_key:"a");
