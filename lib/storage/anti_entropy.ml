@@ -44,7 +44,7 @@ let buckets store =
   let tbl : (int list, Key.t list) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun key ->
-      let replicas = Rstore.replica_nodes store key in
+      let replicas = Stdx.Int_buf.to_list (Rstore.replica_buf store key) in
       let prev = match Hashtbl.find_opt tbl replicas with Some l -> l | None -> [] in
       Hashtbl.replace tbl replicas (key :: prev))
     (Rstore.sorted_keys store);
