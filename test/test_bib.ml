@@ -626,6 +626,140 @@ let renderer_matches_printf_oracle =
   QCheck.Test.make ~name:"one-pass renderer = Printf renderer" ~count:1000
     renderer_query_arb (fun q -> String.equal (Q.to_string q) (printf_render q))
 
+(* ------------------------------------------------------------------ *)
+(* Grouped publication against the per-edge fold: [publish_corpus] must
+   leave exactly what storing each file and then inserting each of its
+   scheme edges one by one leaves — every replica's states, the traffic
+   bill and the write acknowledgements. *)
+
+module Rstore = Storage.Replicated_store
+
+type publish_case = {
+  kind : Schemes.kind;
+  replication : int;
+  ttl : bool;
+  nodes : int;
+  venues : int;
+  seed : int;
+  first : int;  (** Articles in the first batch, before the repeats. *)
+  repeats : int;  (** First-batch articles published a second time in it. *)
+  second : int;  (** Articles in the second batch; 0 for none. *)
+  failed : int list;  (** Nodes failed between the two batches. *)
+}
+
+let print_publish_case c =
+  Printf.sprintf
+    "{kind=%s; replication=%d; ttl=%b; nodes=%d; venues=%d; seed=%d; first=%d; repeats=%d; \
+     second=%d; failed=[%s]}"
+    (Schemes.label c.kind) c.replication c.ttl c.nodes c.venues c.seed c.first c.repeats
+    c.second
+    (String.concat ";" (List.map string_of_int c.failed))
+
+let publish_case_arb =
+  let open QCheck.Gen in
+  let gen =
+    oneofl Schemes.[ Simple; Flat; Complex; Complex_ac; Prefix ] >>= fun kind ->
+    oneofl [ 1; 3 ] >>= fun replication ->
+    bool >>= fun ttl ->
+    int_range 3 16 >>= fun nodes ->
+    oneofl [ 2; 30 ] >>= fun venues ->
+    int_range 0 10_000 >>= fun seed ->
+    int_range 1 60 >>= fun first ->
+    int_range 0 4 >>= fun repeats ->
+    oneofl [ 0; 0; 15; 40 ] >>= fun second ->
+    list_size (int_range 0 3) (int_range 0 (nodes - 1)) >>= fun failed ->
+    return { kind; replication; ttl; nodes; venues; seed; first; repeats; second; failed }
+  in
+  QCheck.make ~print:print_publish_case gen
+
+let publish_case_corpus c ~seed ~count =
+  let config =
+    { (Corpus.default_config ~article_count:count) with
+      venue_count = c.venues;
+      first_year = 2000;
+      last_year = 2002 }
+  in
+  Corpus.generate ~seed:(Int64.of_int seed) config
+
+(* The reference: one store_file and one insert_mapping per edge, in
+   article and edge order. *)
+let publish_per_edge index ~kind articles =
+  Array.iter
+    (fun article ->
+      Index.store_file index ~msd:(Q.msd article) (Article.file article);
+      List.iter
+        (fun { P2pindex.Scheme.parent; child } ->
+          ignore (Index.insert_mapping index ~parent ~child : bool))
+        (Schemes.edges kind article))
+    articles
+
+(* Every state any replica holds, as lines: node, key, version,
+   tombstones and the entries in order with their lengths and expiries. *)
+let store_lines ~nodes store render =
+  let lines = ref [] in
+  List.iter
+    (fun key ->
+      for node = 0 to nodes - 1 do
+        match Rstore.held_state store ~node key with
+        | None -> ()
+        | Some { Rstore.held; tombstones; version } ->
+            let entry e =
+              Printf.sprintf "%s/%d/%h" (render (Rstore.entry_value e)) (Rstore.entry_len e)
+                (Rstore.entry_expires_at e)
+            in
+            lines :=
+              Printf.sprintf "node %d key %s version %s tombs [%s] entries [%s]" node
+                (Hashing.Key.to_hex key) (Storage.Version.to_string version)
+                (String.concat "; " (List.map render tombstones))
+                (String.concat "; " (List.map entry held))
+              :: !lines
+      done)
+    (Rstore.sorted_keys store);
+  Printf.sprintf "keys %d, replica entries %d" (Rstore.key_count store)
+    (Rstore.total_replica_entries store)
+  :: List.rev !lines
+
+let publish_observation c ~publish =
+  let registry = Obs.Metrics.create () in
+  let network = Dht.Network.create ~metrics:registry ~node_count:c.nodes () in
+  let resolver =
+    Dht.Static_dht.resolver
+      (Dht.Static_dht.create ~seed:(Int64.of_int (c.seed + 1)) ~node_count:c.nodes ())
+  in
+  let index =
+    Index.create ~network ~metrics:registry ~replication:c.replication
+      ~write_quorum:(Stdlib.min 2 c.replication) ~clock:(fun () -> 5.0)
+      ?ttl:(if c.ttl then Some 30.0 else None) ~resolver ()
+  in
+  let first = publish_case_corpus c ~seed:c.seed ~count:c.first in
+  let first = Array.append first (Array.sub first 0 (Stdlib.min c.repeats c.first)) in
+  publish index ~kind:c.kind first;
+  if c.second > 0 then begin
+    List.iter (fun node -> ignore (Dht.Liveness.fail (Index.liveness index) node : bool)) c.failed;
+    publish index ~kind:c.kind (publish_case_corpus c ~seed:(c.seed + 7) ~count:c.second)
+  end;
+  let render_file (f : Storage.Block_store.file) = Printf.sprintf "%s:%d" f.name f.size_bytes in
+  store_lines ~nodes:c.nodes (Index.mapping_store index) Q.to_string
+  @ store_lines ~nodes:c.nodes (Index.file_store index) render_file
+  @ [
+      Printf.sprintf "mappings %d files %d" (Index.mapping_count index) (Index.file_count index);
+      Obs.Prometheus.render (Obs.Metrics.snapshot registry);
+    ]
+
+let grouped_publication_equals_per_edge_fold =
+  QCheck.Test.make ~name:"grouped publication = per-edge fold" ~count:60 publish_case_arb
+    (fun c ->
+      let grouped = publish_observation c ~publish:Index.publish_corpus in
+      let reference = publish_observation c ~publish:publish_per_edge in
+      if List.compare_lengths grouped reference <> 0 then
+        QCheck.Test.fail_reportf "%d lines vs %d" (List.length grouped) (List.length reference)
+      else
+        match
+          List.find_opt (fun (g, r) -> not (String.equal g r)) (List.combine grouped reference)
+        with
+        | None -> true
+        | Some (g, r) -> QCheck.Test.fail_reportf "grouped:   %s\nper-edge:  %s" g r)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -672,4 +806,5 @@ let suite =
         Alcotest.test_case "generated-query search pinned" `Quick generated_query_search_pinned;
       ]
       @ qcheck [ publish_unpublish_invariant ] );
+    ("bib:publish", qcheck [ grouped_publication_equals_per_edge_fold ]);
   ]
