@@ -5,11 +5,7 @@ include P2pindex.Index.Make (Bib_query)
 
 (** Publish a whole corpus under a scheme. *)
 let publish_corpus t ~kind articles =
-  Array.iter
-    (fun article ->
-      publish t ~scheme:(Schemes.scheme kind) ~msd:(Bib_query.msd article)
-        (Article.file article))
-    articles
+  publish_batch t ~scheme:(Schemes.scheme kind) ~msd:Bib_query.msd ~file:Article.file articles
 
 (** Soft-state refresh: every publisher re-sends its entries with fresh
     TTLs, restoring copies lost to churn. *)

@@ -28,6 +28,10 @@ let bump t ~actor =
   in
   go t
 
+let of_writes ~actor n =
+  if actor < 0 then invalid_arg "Version.of_writes: negative actor";
+  if n <= 0 then zero else [ (actor, n) ]
+
 (* Pointwise max: the least upper bound of the two causal histories.
    Commutative, associative and idempotent — the qcheck laws pin this. *)
 let merge a b =

@@ -23,6 +23,11 @@ val bump : t -> actor:int -> t
 (** Record one more write event coordinated by [actor].
     @raise Invalid_argument on a negative actor id. *)
 
+val of_writes : actor:int -> int -> t
+(** The history of [n] write events all coordinated by [actor]: {!bump}
+    applied [n] times to {!zero}.
+    @raise Invalid_argument on a negative actor id. *)
+
 val merge : t -> t -> t
 (** Least upper bound of the two histories. *)
 
