@@ -719,7 +719,21 @@ let store_lines ~nodes store render =
     (Rstore.total_replica_entries store)
   :: List.rev !lines
 
-let publish_observation c ~publish =
+let render_file (f : Storage.Block_store.file) = Printf.sprintf "%s:%d" f.name f.size_bytes
+
+(* Every replica state of both stores, the index's entry counts and the
+   whole metrics snapshot. *)
+let index_lines c index registry =
+  store_lines ~nodes:c.nodes (Index.mapping_store index) Q.to_string
+  @ store_lines ~nodes:c.nodes (Index.file_store index) render_file
+  @ [
+      Printf.sprintf "mappings %d files %d" (Index.mapping_count index) (Index.file_count index);
+      Obs.Prometheus.render (Obs.Metrics.snapshot registry);
+    ]
+
+(* An index over a metered network, quorum-counted writes and a settable
+   clock. *)
+let case_index c ~clock =
   let registry = Obs.Metrics.create () in
   let network = Dht.Network.create ~metrics:registry ~node_count:c.nodes () in
   let resolver =
@@ -728,37 +742,108 @@ let publish_observation c ~publish =
   in
   let index =
     Index.create ~network ~metrics:registry ~replication:c.replication
-      ~write_quorum:(Stdlib.min 2 c.replication) ~clock:(fun () -> 5.0)
+      ~write_quorum:(Stdlib.min 2 c.replication) ~clock
       ?ttl:(if c.ttl then Some 30.0 else None) ~resolver ()
   in
+  (registry, network, index)
+
+let first_batch c =
   let first = publish_case_corpus c ~seed:c.seed ~count:c.first in
-  let first = Array.append first (Array.sub first 0 (Stdlib.min c.repeats c.first)) in
-  publish index ~kind:c.kind first;
+  Array.append first (Array.sub first 0 (Stdlib.min c.repeats c.first))
+
+let second_batch c =
+  if c.second = 0 then [||] else publish_case_corpus c ~seed:(c.seed + 7) ~count:c.second
+
+let publish_observation c ~publish =
+  let registry, _network, index = case_index c ~clock:(fun () -> 5.0) in
+  publish index ~kind:c.kind (first_batch c);
   if c.second > 0 then begin
     List.iter (fun node -> ignore (Dht.Liveness.fail (Index.liveness index) node : bool)) c.failed;
-    publish index ~kind:c.kind (publish_case_corpus c ~seed:(c.seed + 7) ~count:c.second)
+    publish index ~kind:c.kind (second_batch c)
   end;
-  let render_file (f : Storage.Block_store.file) = Printf.sprintf "%s:%d" f.name f.size_bytes in
-  store_lines ~nodes:c.nodes (Index.mapping_store index) Q.to_string
-  @ store_lines ~nodes:c.nodes (Index.file_store index) render_file
-  @ [
-      Printf.sprintf "mappings %d files %d" (Index.mapping_count index) (Index.file_count index);
-      Obs.Prometheus.render (Obs.Metrics.snapshot registry);
-    ]
+  index_lines c index registry
+
+let compare_lines ~label grouped reference =
+  if List.compare_lengths grouped reference <> 0 then
+    QCheck.Test.fail_reportf "%d lines vs %d" (List.length grouped) (List.length reference)
+  else
+    match List.find_opt (fun (g, r) -> not (String.equal g r)) (List.combine grouped reference) with
+    | None -> true
+    | Some (g, r) -> QCheck.Test.fail_reportf "grouped:   %s\n%s:  %s" g label r
 
 let grouped_publication_equals_per_edge_fold =
   QCheck.Test.make ~name:"grouped publication = per-edge fold" ~count:60 publish_case_arb
     (fun c ->
-      let grouped = publish_observation c ~publish:Index.publish_corpus in
-      let reference = publish_observation c ~publish:publish_per_edge in
-      if List.compare_lengths grouped reference <> 0 then
-        QCheck.Test.fail_reportf "%d lines vs %d" (List.length grouped) (List.length reference)
-      else
-        match
-          List.find_opt (fun (g, r) -> not (String.equal g r)) (List.combine grouped reference)
-        with
-        | None -> true
-        | Some (g, r) -> QCheck.Test.fail_reportf "grouped:   %s\nper-edge:  %s" g r)
+      compare_lines ~label:"per-edge"
+        (publish_observation c ~publish:Index.publish_corpus)
+        (publish_observation c ~publish:publish_per_edge))
+
+(* Grouped republish against the per-edge refresh, written here against
+   the raw stores: one [insert_unique] per file and per scheme edge,
+   each billed as maintenance to every live replica of its key.  Between
+   publication and the republish round, nodes fail, one rejoins empty,
+   one rejoins with the state it slept with, a second batch lands while
+   they are down, and the clock steps past the first batch's TTLs. *)
+let republish_per_edge ~expires_at index network ~kind articles =
+  let liveness = Index.liveness index in
+  let bill store key bytes =
+    List.iter
+      (fun dst ->
+        if Dht.Liveness.alive liveness dst then
+          Dht.Network.send network ~dst ~bytes ~category:Dht.Network.Maintenance)
+      (Rstore.replica_nodes store key)
+  in
+  let files = Index.file_store index and mappings = Index.mapping_store index in
+  Array.iter
+    (fun article ->
+      let msd_string = Q.to_string (Q.msd article) in
+      let file = Article.file article in
+      let key = Hashing.Key.of_string msd_string in
+      ignore
+        (Rstore.insert_unique ~expires_at ~equal:( = ) files ~key
+           ~len:(String.length file.Storage.Block_store.name) file
+          : bool);
+      bill files key (P2pindex.Wire.request_bytes msd_string);
+      List.iter
+        (fun { P2pindex.Scheme.parent; child } ->
+          let parent_string = Q.to_string parent and child_string = Q.to_string child in
+          let key = Hashing.Key.of_string parent_string in
+          ignore
+            (Rstore.insert_unique ~expires_at ~equal:Q.equal mappings ~key
+               ~len:(String.length child_string) child
+              : bool);
+          bill mappings key
+            (P2pindex.Wire.cache_install_bytes_of_len (String.length parent_string)
+               (String.length child_string)))
+        (Schemes.edges kind article))
+    articles
+
+let republish_observation c ~republish =
+  let now = ref 5.0 in
+  let registry, network, index = case_index c ~clock:(fun () -> !now) in
+  let liveness = Index.liveness index in
+  let first = first_batch c and second = second_batch c in
+  Index.publish_corpus index ~kind:c.kind first;
+  List.iter (fun node -> ignore (Dht.Liveness.fail liveness node : bool)) c.failed;
+  now := 20.0;
+  Index.publish_corpus index ~kind:c.kind second;
+  List.iteri
+    (fun i node ->
+      if i = 0 then Index.drop_node_state index node;
+      if i < 2 then ignore (Dht.Liveness.revive liveness node : bool))
+    c.failed;
+  now := 40.0;
+  republish index network ~kind:c.kind (Array.append first second);
+  index_lines c index registry
+
+let grouped_republish_equals_per_edge_refresh =
+  QCheck.Test.make ~name:"grouped republish = per-edge refresh" ~count:60 publish_case_arb
+    (fun c ->
+      compare_lines ~label:"per-edge"
+        (republish_observation c ~republish:(fun index _network ~kind articles ->
+             Index.republish_corpus index ~kind articles))
+        (republish_observation c
+           ~republish:(republish_per_edge ~expires_at:(if c.ttl then 40.0 +. 30.0 else infinity))))
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -806,5 +891,7 @@ let suite =
         Alcotest.test_case "generated-query search pinned" `Quick generated_query_search_pinned;
       ]
       @ qcheck [ publish_unpublish_invariant ] );
-    ("bib:publish", qcheck [ grouped_publication_equals_per_edge_fold ]);
+    ( "bib:publish",
+      qcheck
+        [ grouped_publication_equals_per_edge_fold; grouped_republish_equals_per_edge_refresh ] );
   ]
