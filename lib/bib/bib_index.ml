@@ -10,8 +10,4 @@ let publish_corpus t ~kind articles =
 (** Soft-state refresh: every publisher re-sends its entries with fresh
     TTLs, restoring copies lost to churn. *)
 let republish_corpus t ~kind articles =
-  Array.iter
-    (fun article ->
-      republish t ~scheme:(Schemes.scheme kind) ~msd:(Bib_query.msd article)
-        (Article.file article))
-    articles
+  republish_batch t ~scheme:(Schemes.scheme kind) ~msd:Bib_query.msd ~file:Article.file articles

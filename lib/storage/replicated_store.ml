@@ -220,127 +220,90 @@ let rec holds_value entries e =
   | [] -> false
   | e' :: rest -> (e'.len = e.len && same_value e'.value e.value) || holds_value rest e
 
-(* Give the first entry [equal] to [v] the new expiry; false when there
-   is none. *)
-let rec refresh_first ~equal ~len ~expires_at v = function
+(* Give the first entry [equal] to [e]'s value [e]'s expiry; false when
+   there is none. *)
+let rec refresh_first ~equal e = function
   | [] -> false
-  | e :: rest ->
-      if e.len = len && equal e.value v then begin
-        e.expires_at <- expires_at;
+  | e' :: rest ->
+      if e'.len = e.len && equal e'.value e.value then begin
+        e'.expires_at <- e.expires_at;
         true
       end
-      else refresh_first ~equal ~len ~expires_at v rest
-
-(* The live replicas' states of [key], primary first, each looked up
-   once (created when absent) and pruned.  Leaves the key's replica set
-   in the scratch buffer. *)
-let live_states t key =
-  let now = t.clock () in
-  let buf = replica_buf t key in
-  let rec collect i acc =
-    if i < 0 then acc
-    else
-      let node = Stdx.Int_buf.unsafe_get buf i in
-      if Dht.Liveness.alive t.liveness node then begin
-        let st = get_state t.tables.(node) key in
-        prune now st;
-        collect (i - 1) (st :: acc)
-      end
-      else collect (i - 1) acc
-  in
-  collect (Stdx.Int_buf.length buf - 1) []
-
-(* The write behind {!insert} and {!insert_unique}.  With [equal], live
-   replicas already holding an equal entry refresh its expiry, and when
-   one did the others regain the entry; otherwise every live replica
-   gains a new entry.  Returns whether the entry was genuinely new. *)
-let write t ~equal ~key ~len ~expires_at v =
-  let live = live_states t key in
-  let coordinator = Dht.Liveness.first_live_buf t.liveness t.scratch in
-  let missing =
-    match equal with
-    | None -> live
-    | Some equal ->
-        List.filter
-          (fun st ->
-            if refresh_first ~equal ~len ~expires_at v st.entries then begin
-              lower_floor st expires_at;
-              false
-            end
-            else true)
-          live
-  in
-  let known = List.compare_lengths missing live < 0 in
-  if not known then Hashtbl.replace t.directory key ();
-  (match live with
-  | [] -> ()
-  | coordinator_state :: _ ->
-      let vv = Version.bump coordinator_state.version ~actor:coordinator in
-      List.iter
-        (fun st ->
-          st.entries <- { value = v; len; expires_at } :: st.entries;
-          lower_floor st expires_at)
-        missing;
-      List.iter
-        (fun st ->
-          (match (st.fence.tombs, equal) with
-          | [], _ -> ()
-          | tombs, Some equal when known ->
-              set_tombs st (List.filter (fun tv -> not (equal tv v)) tombs)
-          | tombs, (Some _ | None) -> set_tombs st (List.filter (fun tv -> tv <> v) tombs));
-          st.version <- merge_into st.version vv)
-        live);
-  record_acks t ~acks:(List.length live);
-  not known
+      else refresh_first ~equal e rest
 
 let make_entry ~expires_at ~len v = { value = v; len; expires_at }
 
-let registered t key = Hashtbl.mem t.directory key
+(* Merge [entries] into the [held] states value by value, oldest first
+   write first: on each state an entry [equal] to the value takes its
+   expiry, or the state gains a copy.  Returns the entries no state
+   held, newest first. *)
+let rec merge_values ~equal held = function
+  | [] -> []
+  | e :: newer_first_rest ->
+      let fresh = merge_values ~equal held newer_first_rest in
+      let refresh_or_gain known st =
+        let found =
+          match equal with Some equal -> refresh_first ~equal e st.entries | None -> false
+        in
+        if not found then st.entries <- { e with value = e.value } :: st.entries;
+        lower_floor st e.expires_at;
+        found || known
+      in
+      if List.fold_left refresh_or_gain false held then fresh else e :: fresh
 
-(* What a run of [writes] {!insert_unique} calls leaves on a key no
-   replica holds a state for, built in one pass.  Each call resolves
-   the replica set, creates the live replicas' states, refreshes or
-   prepends its value and bumps the coordinator's dot, so the run
-   leaves, on every live replica, the distinct values newest first and
-   the version [{coordinator: writes}] — one vector, shared as the
-   last write's was — plus the directory entry and one acknowledgement
-   record per call. *)
-let insert_fresh t ~key ~writes entries =
-  if registered t key then invalid_arg "Replicated_store.insert_fresh: key already registered";
+(* A write clears the tombstones its values match: under [equal] when
+   one is given, structurally otherwise. *)
+let clear_tombs ~equal st entries =
+  match st.fence.tombs with
+  | [] -> ()
+  | tombs ->
+      let matches tv e = match equal with Some equal -> equal tv e.value | None -> tv = e.value in
+      set_tombs st (List.filter (fun tv -> not (List.exists (matches tv) entries)) tombs)
+
+(* The store's one write.  Each live replica's state is looked up once
+   (created when absent) and pruned.  An empty one — no entries, no
+   tombstones — takes [entries] as they are: the list itself on the
+   first live replica, clones elsewhere, since entries carry mutable
+   expiries.  The other states merge value by value ({!merge_values}).
+   Every live state merges the coordinator's dot, bumped [writes] times
+   past the coordinator's own version. *)
+let insert_entries ~equal t ~key ~writes entries =
+  let now = t.clock () in
   let buf = replica_buf t key in
-  let n = Stdx.Int_buf.length buf in
-  for i = 0 to n - 1 do
+  let coordinator = Dht.Liveness.first_live_buf t.liveness buf in
+  let vv = ref Version.zero and acks = ref 0 and held = ref [] in
+  let fence = make_fence ~tombs:[] ~floor:(floor_of infinity entries) in
+  for i = 0 to Stdx.Int_buf.length buf - 1 do
     let node = Stdx.Int_buf.unsafe_get buf i in
-    if Dht.Liveness.alive t.liveness node && Hashtbl.mem t.tables.(node) key then
-      invalid_arg "Replicated_store.insert_fresh: a replica already holds the key"
+    if Dht.Liveness.alive t.liveness node then begin
+      let st = get_state t.tables.(node) key in
+      prune now st;
+      if node = coordinator then vv := Version.bump_by st.version ~actor:node writes;
+      (match (st.entries, st.fence.tombs) with
+      | [], [] ->
+          st.entries <- (if !acks = 0 then entries else clone_entries entries);
+          if fence.floor < st.fence.floor then st.fence <- fence
+      | _ :: _, _ | [], _ :: _ ->
+          clear_tombs ~equal st entries;
+          held := st :: !held);
+      st.version <- merge_into st.version !vv;
+      incr acks
+    end
   done;
-  Hashtbl.replace t.directory key ();
-  let acks = ref 0 in
-  (match Dht.Liveness.first_live_buf t.liveness buf with
-  | -1 -> ()
-  | coordinator ->
-      let version = Version.of_writes ~actor:coordinator writes in
-      let fence = make_fence ~tombs:[] ~floor:(floor_of infinity entries) in
-      for i = 0 to n - 1 do
-        let node = Stdx.Int_buf.unsafe_get buf i in
-        if Dht.Liveness.alive t.liveness node then begin
-          (* The first live replica takes the list itself, the others
-             copies: entries carry mutable expiries. *)
-          let entries = if !acks = 0 then entries else clone_entries entries in
-          Hashtbl.add t.tables.(node) key { entries; version; fence };
-          incr acks
-        end
-      done);
   for _ = 1 to writes do
     record_acks t ~acks:!acks
   done;
-  buf
+  let fresh = match !held with [] -> entries | held -> merge_values ~equal held entries in
+  (match fresh with [] -> () | _ :: _ -> Hashtbl.replace t.directory key ());
+  (fresh, buf)
 
 let insert ?(expires_at = infinity) t ~key ~len v =
-  ignore (write t ~equal:None ~key ~len ~expires_at v : bool)
+  ignore (insert_entries ~equal:None t ~key ~writes:1 [ make_entry ~expires_at ~len v ] : _ * _)
 
 let insert_unique ?(expires_at = infinity) ~equal t ~key ~len v =
-  write t ~equal:(Some equal) ~key ~len ~expires_at v
+  match insert_entries ~equal:(Some equal) t ~key ~writes:1 [ make_entry ~expires_at ~len v ] with
+  | [], _ -> false
+  | _ :: _, _ -> true
 
 let entries_at t ~node key =
   if Dht.Liveness.alive t.liveness node then live_entries t t.tables.(node) key

@@ -30,16 +30,16 @@ type 'v t
 
 type 'v entry
 (** One stored entry: a value and the length of its rendering.  The
-    length is fixed by the writer ({!insert}, {!insert_unique}) when the
-    entry is first written, and every copy — read repair, {!repair},
+    length is fixed by the writer ({!make_entry}) when the entry is
+    first written, and every copy — read repair, {!repair},
     anti-entropy sync — carries it along, so callers price traffic from
     it instead of re-rendering the value.
 
     {b Store contract.}  Equal values render equally, so writers must
     give equal values equal lengths — under structural equality and
-    under the [equal] passed to {!insert_unique} alike.  Every
-    membership test (reconciliation, read repair, {!insert_unique}'s
-    refresh scan) skips candidates whose length differs without
+    under the [equal] passed to {!insert_entries} alike.  Every
+    membership test (reconciliation, read repair, the writes' refresh
+    scan) skips candidates whose length differs without
     comparing values.  Values are compared structurally, and a value is
     taken to equal itself. *)
 
@@ -100,11 +100,48 @@ val live_node_id : 'v t -> Hashing.Key.t -> int
 (** {!live_node} without the option: the acting primary's index, or
     [-1] when the whole replica set is dead. *)
 
+val make_entry : expires_at:float -> len:int -> 'v -> 'v entry
+(** A new entry, not yet stored: [len] is the length of the value's
+    rendering ({!entry_len}), [expires_at] its expiry ([infinity] for
+    hard state). *)
+
+val insert_entries :
+  equal:('v -> 'v -> bool) option ->
+  'v t ->
+  key:Hashing.Key.t ->
+  writes:int ->
+  'v entry list ->
+  'v entry list * Stdx.Int_buf.t
+(** The store's one write: [insert_entries ~equal t ~key ~writes entries]
+    leaves on [key] exactly what [writes] one-entry writes leave when
+    their distinct values, in first-write order, are [entries] reversed
+    (so [entries] is newest first) and each value's last write carried
+    its entry's expiry.  Without [equal] no value is refreshed, so every
+    write installs its own entry and [writes] is the length of
+    [entries].
+
+    A write reaches the {e live} replicas only.  On each, an entry
+    [equal] to a written value takes that value's expiry; otherwise the
+    replica gains the entry, newest first.  A replica whose state is
+    empty — no entries, no tombstones — takes [entries] as they are:
+    the list itself on the first live replica, copies elsewhere, as
+    entries carry mutable expiries.  Every live replica drops the
+    tombstones a written value matches (under [equal], structurally
+    without it) and takes the version the coordinator (the first live
+    replica) reaches by bumping its own dot [writes] times, so the
+    write dominates every state it lands on.  [on_write_acks] fires
+    [writes] times with the live replica count.
+
+    Returns the entries no live replica held — the ones the write
+    installed anew, newest first; all of them when every live state
+    was empty — and the key's replica set, left in the scratch buffer
+    ({!replica_buf}), so the caller bills the live replicas without
+    resolving the key again. *)
+
 val insert : ?expires_at:float -> 'v t -> key:Hashing.Key.t -> len:int -> 'v -> unit
-(** Register one more entry under [key] (duplicates allowed; most recent
-    first) on every {e live} replica node; [len] is the length of the
-    value's rendering ({!entry_len}).  [expires_at] defaults to
-    [infinity] (hard state). *)
+(** One write of one more entry under [key] (duplicates allowed; most
+    recent first) on every live replica: {!insert_entries} without
+    [equal].  [expires_at] defaults to [infinity] (hard state). *)
 
 val insert_unique :
   ?expires_at:float ->
@@ -114,34 +151,10 @@ val insert_unique :
   len:int ->
   'v ->
   bool
-(** Like {!insert} but a refresh when an [equal] entry is already present
-    on some live replica: the existing copies take the new [expires_at]
-    and live replicas that lost the entry get it back.  Returns whether
-    the entry was genuinely new. *)
-
-val make_entry : expires_at:float -> len:int -> 'v -> 'v entry
-(** A new entry, not yet stored, for {!insert_fresh}: [len] and
-    [expires_at] as for {!insert}. *)
-
-val registered : 'v t -> Hashing.Key.t -> bool
-(** Has the key been written and not collected by a remove?  Writes
-    register every key they leave a state for, so an unregistered key
-    holds no state on any replica. *)
-
-val insert_fresh :
-  'v t -> key:Hashing.Key.t -> writes:int -> 'v entry list -> Stdx.Int_buf.t
-(** [insert_fresh t ~key ~writes entries] leaves on an unregistered key
-    exactly what [writes] {!insert_unique} calls leave when their
-    distinct values, in first-write order, are [entries] reversed (so
-    [entries] is newest first) and all carry the entries' expiries:
-    every live replica holds the entries in that order under the version
-    [{coordinator: writes}], the key is registered, and [on_write_acks]
-    fires [writes] times with the live replica count.  The first live
-    replica stores [entries] itself, the others copies.  Returns the
-    key's replica set, left in the scratch buffer ({!replica_buf}), so
-    the caller bills the live replicas without resolving the key again.
-    @raise Invalid_argument when the key is registered or a live replica
-    holds a state for it. *)
+(** One write of one entry under [equal] ({!insert_entries}): live
+    replicas holding an [equal] entry refresh its expiry, the others
+    gain the entry.  Returns whether the entry was genuinely new — held
+    by no live replica. *)
 
 val lookup : 'v t -> Hashing.Key.t -> 'v list
 (** Unexpired entries from the acting primary (the first live replica);

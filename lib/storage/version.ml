@@ -17,20 +17,18 @@ let rec well_formed = function
 let counter t ~actor =
   match List.assoc_opt actor t with Some n -> n | None -> 0
 
-let bump t ~actor =
+let bump_by t ~actor n =
   if actor < 0 then invalid_arg "Version.bump: negative actor";
   let rec go = function
-    | [] -> [ (actor, 1) ]
-    | (a, n) :: rest ->
-        if a = actor then (a, n + 1) :: rest
-        else if a > actor then (actor, 1) :: (a, n) :: rest
-        else (a, n) :: go rest
+    | [] -> [ (actor, n) ]
+    | (a, c) :: rest ->
+        if a = actor then (a, c + n) :: rest
+        else if a > actor then (actor, n) :: (a, c) :: rest
+        else (a, c) :: go rest
   in
-  go t
+  if n <= 0 then t else go t
 
-let of_writes ~actor n =
-  if actor < 0 then invalid_arg "Version.of_writes: negative actor";
-  if n <= 0 then zero else [ (actor, n) ]
+let bump t ~actor = bump_by t ~actor 1
 
 (* Pointwise max: the least upper bound of the two causal histories.
    Commutative, associative and idempotent — the qcheck laws pin this. *)
@@ -48,24 +46,25 @@ let merge a b =
 type relation = Eq | Dominates | Dominated | Concurrent
 
 (* One pass over the merged actor set, tracking whether each side has a
-   component the other lacks. *)
+   component the other lacks; allocates nothing. *)
 let compare a b =
   let rec go a_ahead b_ahead a b =
     match (a, b) with
-    | [], [] -> (a_ahead, b_ahead)
-    | _ :: _, [] -> (true, b_ahead)
-    | [], _ :: _ -> (a_ahead, true)
+    | [], [] -> (
+        match (a_ahead, b_ahead) with
+        | false, false -> Eq
+        | true, false -> Dominates
+        | false, true -> Dominated
+        | true, true -> Concurrent)
+    | _ :: _, [] -> go true b_ahead [] []
+    | [], _ :: _ -> go a_ahead true [] []
     | (xa, xn) :: xs, (ya, yn) :: ys ->
         if xa = ya then
           go (a_ahead || xn > yn) (b_ahead || yn > xn) xs ys
         else if xa < ya then go true b_ahead xs b
         else go a_ahead true a ys
   in
-  match go false false a b with
-  | false, false -> Eq
-  | true, false -> Dominates
-  | false, true -> Dominated
-  | true, true -> Concurrent
+  go false false a b
 
 let equal a b = compare a b = Eq
 let dots = List.length

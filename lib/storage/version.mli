@@ -23,9 +23,9 @@ val bump : t -> actor:int -> t
 (** Record one more write event coordinated by [actor].
     @raise Invalid_argument on a negative actor id. *)
 
-val of_writes : actor:int -> int -> t
-(** The history of [n] write events all coordinated by [actor]: {!bump}
-    applied [n] times to {!zero}.
+val bump_by : t -> actor:int -> int -> t
+(** [bump_by t ~actor n] records [n] more write events coordinated by
+    [actor]: {!bump} applied [n] times ([t] itself when [n <= 0]).
     @raise Invalid_argument on a negative actor id. *)
 
 val merge : t -> t -> t
