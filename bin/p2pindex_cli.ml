@@ -81,20 +81,33 @@ let verbose_term =
 
 (* Output paths are validated up front — the writers pick their format from
    the suffix, so a typo would silently produce the wrong format at the end
-   of a long run. *)
+   of a long run, and a missing directory would fail only after it.  An
+   empty [allowed] list takes any suffix. *)
 let out_path_arg ~what ~allowed =
   let parse s =
-    if List.exists (Filename.check_suffix s) allowed then Ok s
-    else
+    let dir = Filename.dirname s in
+    if allowed <> [] && not (List.exists (Filename.check_suffix s) allowed) then
       Error
         (`Msg
            (Printf.sprintf "%s file %S must end in %s" what s
               (String.concat " or " allowed)))
+    else if not (Sys.file_exists dir && Sys.is_directory dir) then
+      Error (`Msg (Printf.sprintf "%s file %S: no directory %S" what s dir))
+    else Ok s
   in
   Arg.conv (parse, Format.pp_print_string)
 
 let metrics_path_arg = out_path_arg ~what:"metrics" ~allowed:[ ".prom"; ".txt"; ".json" ]
 let trace_path_arg = out_path_arg ~what:"trace" ~allowed:[ ".jsonl" ]
+
+(* A write that fails even so (permissions, a directory in the way)
+   exits 1 with a message naming the file. *)
+let write_or_exit ~cmd path write =
+  match write () with
+  | () -> ()
+  | exception Sys_error msg ->
+      Printf.eprintf "%s: cannot write %s: %s\n" cmd path msg;
+      exit 1
 
 let apply_verbosity = function
   | [] -> ()
@@ -357,13 +370,13 @@ let simulate_cmd =
     | None -> ());
     (match metrics_out with
     | Some path ->
-        Obs.Export.write_metrics ~path r.metrics;
+        write_or_exit ~cmd:"simulate" path (fun () -> Obs.Export.write_metrics ~path r.metrics);
         Printf.printf "wrote metrics snapshot to %s\n" path
     | None -> ());
     (match (tracer, trace_out) with
     | Some collector, Some path ->
         Obs.Trace.end_trace collector;
-        Obs.Export.write_trace_jsonl ~path collector;
+        write_or_exit ~cmd:"simulate" path (fun () -> Obs.Export.write_trace_jsonl ~path collector);
         Printf.printf "wrote %d traces (%d spans) to %s\n"
           (Obs.Trace.trace_count collector)
           (Obs.Trace.span_count collector)
@@ -681,7 +694,8 @@ let workload_cmd =
     let events = Workload.Query_gen.events gen queries in
     match output with
     | Some path ->
-        Out_channel.with_open_text path (fun out -> Workload.Trace.save out events);
+        write_or_exit ~cmd:"workload" path (fun () ->
+            Out_channel.with_open_text path (fun out -> Workload.Trace.save out events));
         Printf.printf "wrote %d queries to %s\n" queries path
     | None ->
         List.iter
@@ -693,7 +707,7 @@ let workload_cmd =
          & info [ "queries" ] ~docv:"N" ~doc:"Number of queries.")
   in
   let output =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some (out_path_arg ~what:"trace" ~allowed:[])) None
          & info [ "out" ] ~docv:"FILE" ~doc:"Write the trace to FILE instead of stdout.")
   in
   Cmd.v

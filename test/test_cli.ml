@@ -48,7 +48,40 @@ let usage_errors_exit_2 () =
       [ "workload"; "--queries=-2" ];
       [ "workload"; "--queries"; "0" ];
       [ "chord"; "--nodes"; "0" ];
+      (* Output files in a missing directory, rejected before the run
+         rather than after it. *)
+      [ "simulate"; "--metrics-out"; "/nonexistent/x.prom" ];
+      [ "simulate"; "--trace-out"; "/nonexistent/t.jsonl" ];
+      [ "workload"; "--out"; "/nonexistent/t.jsonl" ];
     ]
+
+(* An output file that passes those checks but still cannot be written —
+   here a directory stands where the file would go — exits 1 naming it. *)
+let unwritable_output_exits_1 () =
+  let dir = Filename.temp_dir "p2pindex_out" ".prom" in
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun (cmd, args) ->
+          let stderr = Filename.temp_file "p2pindex_stderr" ".txt" in
+          Fun.protect
+            ~finally:(fun () -> Sys.remove stderr)
+            (fun () ->
+              let status =
+                Sys.command
+                  (Filename.quote_command cli (cmd :: args) ~stdout:Filename.null ~stderr)
+              in
+              Alcotest.(check int) (cmd ^ ": status") 1 status;
+              let message = In_channel.with_open_text stderr In_channel.input_all in
+              let prefix = cmd ^ ": cannot write " ^ dir ^ ": " in
+              Alcotest.(check string) (cmd ^ ": message") prefix
+                (String.sub message 0 (min (String.length prefix) (String.length message)))))
+        [
+          ( "simulate",
+            [ "--nodes"; "20"; "--articles"; "50"; "--queries"; "10"; "--metrics-out"; dir ] );
+          ("workload", [ "--queries"; "3"; "--out"; dir ]);
+        ])
 
 (* A replay trace that does not load — a malformed line, or no queries at
    all — is an unreadable input file: exit 1, with a message naming it. *)
@@ -84,5 +117,6 @@ let suite =
         Alcotest.test_case "usage errors exit 2" `Quick usage_errors_exit_2;
         Alcotest.test_case "help exits 0" `Quick help_exits_0;
         Alcotest.test_case "unreadable trace exits 1" `Quick unreadable_trace_exits_1;
+        Alcotest.test_case "unwritable output exits 1" `Quick unwritable_output_exits_1;
       ] );
   ]
