@@ -211,16 +211,9 @@ let resolver t =
   let keys = Array.of_list (live_keys t) in
   let count = Array.length keys in
   if count = 0 then invalid_arg "Kademlia.resolver: empty network";
-  let index_of key =
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if Key.compare keys.(mid) key >= 0 then search lo mid else search (mid + 1) hi
-    in
-    let i = search 0 count in
-    if i = count then count - 1 else i
-  in
+  (* Only member keys are looked up: their ring successor is
+     themselves. *)
+  let index_of = Resolver.ring_successor (Resolver.ring keys) in
   let xor_closest key r =
     Array.to_list keys
     |> List.sort (Key.compare_xor ~target:key)

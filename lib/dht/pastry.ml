@@ -335,16 +335,10 @@ let resolver t =
   let keys = Array.of_list (live_keys t) in
   let count = Array.length keys in
   if count = 0 then invalid_arg "Pastry.resolver: empty overlay";
+  let ring = Resolver.ring keys in
   let index_of key =
-    (* Numerically closest node, via the sorted ring positions. *)
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if Key.compare keys.(mid) key >= 0 then search lo mid else search (mid + 1) hi
-    in
-    let i = search 0 count in
-    let successor = if i = count then 0 else i in
+    (* Numerically closest node: the ring successor or its predecessor. *)
+    let successor = Resolver.ring_successor ring key in
     let predecessor = (successor + count - 1) mod count in
     let ds = circular_distance key keys.(successor) in
     let dp = circular_distance key keys.(predecessor) in
