@@ -16,10 +16,6 @@ let of_corpus articles =
     articles;
   { authors; titles; venues }
 
-let author_vocabulary t = t.authors
-let title_vocabulary t = t.titles
-let venue_vocabulary t = t.venues
-
 type outcome = Unchanged | Corrected of Bib_query.t | Unfixable
 
 type 'a field_fix = Ok_as_is | Fixed of 'a | Hopeless

@@ -11,10 +11,6 @@ type t
 val of_corpus : Article.t array -> t
 (** Build the vocabularies (author names, titles, venues) of a corpus. *)
 
-val author_vocabulary : t -> Fuzzy.Spell.t
-val title_vocabulary : t -> Fuzzy.Spell.t
-val venue_vocabulary : t -> Fuzzy.Spell.t
-
 type outcome =
   | Unchanged  (** Every field was already a known value. *)
   | Corrected of Bib_query.t  (** Some fields were fixed; here is the query to run. *)

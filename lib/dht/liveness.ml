@@ -38,5 +38,3 @@ let[@hot] rec scan_buf t buf i n =
   end
 
 let[@hot] first_live_buf t buf = scan_buf t buf 0 (Stdx.Int_buf.length buf)
-
-let all_alive t = t.live = Stdx.Bitset.length t.alive

@@ -36,5 +36,3 @@ val first_live_buf : t -> Stdx.Int_buf.t -> int
     placement order, or [-1] when every candidate is dead — the
     allocation-free primitive behind replica failover.
     @raise Invalid_argument on an out-of-range node in the buffer. *)
-
-val all_alive : t -> bool

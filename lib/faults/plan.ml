@@ -50,7 +50,6 @@ type t = {
   node_overrides : (int, spec) Hashtbl.t;
   link_overrides : (int * int, spec) Hashtbl.t;
   mutable next_id : int64;
-  mutable sampled : int;
   control : Stdx.Prng.t;
   zero : bool;
 }
@@ -81,7 +80,6 @@ let create ?(seed = 0L) ?(node_overrides = []) ?(link_overrides = []) base =
     node_overrides = nodes;
     link_overrides = links;
     next_id = 0L;
-    sampled = 0;
     control = Stdx.Prng.create ~seed:(Int64.logxor seed 0x636f6e74726f6cL);
     zero;
   }
@@ -125,7 +123,6 @@ let sample_latency g = function
 let message t ~src ~dst =
   let id = t.next_id in
   t.next_id <- Int64.add id 1L;
-  t.sampled <- t.sampled + 1;
   if t.zero then clean_verdict
   else begin
     let s = resolve t ~src ~dst in
@@ -137,7 +134,5 @@ let message t ~src ~dst =
   end
 
 let hop_survives t ~dst = not (message t ~src:dst ~dst).lost
-
-let messages_sampled t = t.sampled
 
 let control_uniform t = Stdx.Prng.unit_float t.control

@@ -70,9 +70,6 @@ val hop_survives : t -> dst:int -> bool
     verdict and reports whether it was delivered.  Used to fault overlay
     routing without simulating intermediate nodes. *)
 
-val messages_sampled : t -> int
-(** How many verdicts the plan has issued (diagnostics and tests). *)
-
 val control_uniform : t -> float
 (** A uniform draw in [0, 1) from the plan's control stream — for
     decisions owned by the client, e.g. retry jitter.  Deterministic

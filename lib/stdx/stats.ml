@@ -62,8 +62,6 @@ module Histogram = struct
     if hi <= lo then invalid_arg "Histogram.create: empty range";
     { lo; hi; counts = Array.make buckets 0; total = 0 }
 
-  let bucket_count t = Array.length t.counts
-
   let index_of t x =
     let buckets = Array.length t.counts in
     let width = (t.hi -. t.lo) /. float_of_int buckets in

@@ -34,7 +34,6 @@ module Histogram : sig
 
   val create : lo:float -> hi:float -> buckets:int -> t
   val add : t -> float -> unit
-  val bucket_count : t -> int
   val bucket_range : t -> int -> float * float
   val count : t -> int -> int
   val total : t -> int

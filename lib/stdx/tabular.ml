@@ -39,23 +39,6 @@ let bar ~width ~max_value v =
     let cells = int_of_float (Float.round (v /. max_value *. float_of_int width)) in
     String.make (Stdlib.min width (Stdlib.max 0 cells)) '#'
 
-let render_bar_chart ~title ~unit_label entries =
-  let max_value = List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 entries in
-  let label_width =
-    List.fold_left (fun acc (l, _) -> Stdlib.max acc (String.length l)) 0 entries
-  in
-  let buffer = Buffer.create 256 in
-  Buffer.add_string buffer (Printf.sprintf "%s (%s)\n" title unit_label);
-  List.iter
-    (fun (label, v) ->
-      let padded = label ^ String.make (label_width - String.length label) ' ' in
-      Buffer.add_string buffer
-        (Printf.sprintf "  %s %10.2f  %s\n" padded v (bar ~width:40 ~max_value v)))
-    entries;
-  Buffer.contents buffer
-
-let fmt_float ?(decimals = 2) v = Printf.sprintf "%.*f" decimals v
-
 let fmt_bytes v =
   let abs = Float.abs v in
   if abs >= 1024.0 *. 1024.0 *. 1024.0 then

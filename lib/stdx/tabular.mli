@@ -1,4 +1,4 @@
-(** Plain-text tables and bar charts for the benchmark harness output.
+(** Plain-text tables and bars for the benchmark harness output.
 
     The harness reproduces the paper's figures as text: grouped-bar figures
     (Figs. 11-14) become tables plus ASCII bars, and log-log scatter plots
@@ -14,13 +14,6 @@ val bar : width:int -> max_value:float -> float -> string
 (** [bar ~width ~max_value v] is a proportional bar of at most [width] cells,
     e.g. ["#########"].  Negative values render empty; [max_value <= 0]
     renders empty bars. *)
-
-val render_bar_chart :
-  title:string -> unit_label:string -> (string * float) list -> string
-(** A labelled horizontal ASCII bar chart, scaled to the largest value. *)
-
-val fmt_float : ?decimals:int -> float -> string
-(** Fixed-point rendering, default 2 decimals. *)
 
 val fmt_bytes : float -> string
 (** Human-readable byte counts (B, KB, MB, GB with 1024 steps). *)

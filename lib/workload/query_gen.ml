@@ -47,17 +47,6 @@ let bibfinder_mix =
     p_author_prefix = 0.0;
   }
 
-let uniform_mix =
-  {
-    p_author = 0.2;
-    p_title = 0.2;
-    p_year = 0.2;
-    p_author_title = 0.2;
-    p_author_year = 0.2;
-    p_author_conf = 0.0;
-    p_author_prefix = 0.0;
-  }
-
 (* The browsing workload of the prefix scheme: carve a share out of the
    author-only class (those are the users an autocomplete/browse interface
    serves) and leave every other class untouched. *)

@@ -43,10 +43,6 @@ type mix = {
 val bibfinder_mix : mix
 (** The paper's probabilities: 0.60 / 0.20 / 0.10 / 0.05 / 0.05. *)
 
-val uniform_mix : mix
-(** Equal weight on the five log-observed structures (author+conf and
-    author-prefix stay at zero; they exist for the scheme ablations). *)
-
 val prefix_mix : ?share:float -> mix -> mix
 (** [prefix_mix base] moves [share] (default 0.10) of probability mass
     from the author-only class into the author-prefix class, leaving all
