@@ -92,14 +92,14 @@ let micro_ops () : (string * (unit -> unit)) list =
   let prefix_index =
     Prefix.Prefix_index.create ~render:Fun.id ~resolver:prefix_resolver ()
   in
-  Array.iter
-    (fun (a : Bib.Article.t) ->
-      List.iter
-        (fun (x : Bib.Article.author) ->
-          Prefix.Prefix_index.publish prefix_index ~term:x.Bib.Article.last
-            (Bib.Article.author_to_string x))
-        a.Bib.Article.authors)
-    articles;
+  Prefix.Prefix_index.publish prefix_index
+    (List.concat_map
+       (fun (a : Bib.Article.t) ->
+         List.map
+           (fun (x : Bib.Article.author) ->
+             (x.Bib.Article.last, Bib.Article.author_to_string x))
+           a.Bib.Article.authors)
+       (Array.to_list articles));
   (* Telemetry overhead: the registry instruments themselves, one traced
      lookup step against an instrumented index, and a snapshot render. *)
   let registry = Obs.Metrics.create () in

@@ -436,7 +436,8 @@ let simulate_cmd =
   let replication =
     Arg.(value & opt (some int) None
          & info [ "replication" ] ~docv:"R"
-             ~doc:"Replica nodes per index entry (requires $(b,--churn-rate) or a fault \
+             ~doc:"Replica nodes per index entry, for every scheme's index including \
+                   $(b,--scheme prefix)'s range index (requires $(b,--churn-rate) or a fault \
                    flag; default 3 under churn, 1 under faults).")
   in
   let loss_rate =

@@ -1,4 +1,4 @@
-module Key = Hashing.Key
+module Rstore = Storage.Replicated_store
 module Wire = P2pindex.Wire
 
 type instruments = {
@@ -11,296 +11,287 @@ type instruments = {
   mc_messages : Obs.Metrics.Histogram.t;
 }
 
+(* A stored entry carries its term, since terms longer than the key width
+   share a key, and its payload's rendering, fixed at publication: entry
+   equality, result order and traffic compare and measure strings and
+   never render again. *)
+type 'a stored = { term : string; rendered : string; payload : 'a }
+
 type 'a t = {
   resolver : Dht.Resolver.t;
   rpc : Dht.Rpc.t;
   render : 'a -> string;
-  liveness : Dht.Liveness.t option;
-  stores : (string, 'a list) Hashtbl.t array;
+  store : 'a stored Rstore.t;
+  clock : unit -> float;
+  ttl : float;
   obs : instruments option;
 }
-
-let small_buckets =
-  Obs.Metrics.exponential_buckets ~start:1.0 ~factor:2.0 ~count:10
 
 let make_instruments registry =
   let counter name help = Obs.Metrics.counter registry ~help name in
   let histogram name help =
-    Obs.Metrics.histogram registry ~help ~buckets:small_buckets name
+    Obs.Metrics.histogram registry ~help name
+      ~buckets:(Obs.Metrics.exponential_buckets ~start:1.0 ~factor:2.0 ~count:10)
   in
   {
-    queries =
-      counter "p2pindex_prefix_queries_total" "Routed prefix queries issued.";
+    queries = counter "p2pindex_prefix_queries_total" "Routed prefix queries issued.";
     installs =
-      counter "p2pindex_prefix_installs_total"
-        "Index entries installed on covering nodes.";
+      counter "p2pindex_prefix_installs_total" "Index entries installed on covering nodes.";
     covering =
-      histogram "p2pindex_prefix_covering_nodes"
-        "Covering nodes contacted per prefix query.";
-    results =
-      histogram "p2pindex_prefix_results" "Result-set size per prefix query.";
+      histogram "p2pindex_prefix_covering_nodes" "Covering nodes contacted per prefix query.";
+    results = histogram "p2pindex_prefix_results" "Result-set size per prefix query.";
     mc_fanout =
-      histogram "p2pindex_prefix_multicast_fanout"
-        "Members reached per multicast dissemination.";
+      histogram "p2pindex_prefix_multicast_fanout" "Members reached per multicast dissemination.";
     mc_depth =
       histogram "p2pindex_prefix_multicast_depth"
         "Spanning-tree depth in hops per multicast dissemination.";
     mc_messages =
-      histogram "p2pindex_prefix_multicast_messages"
-        "Messages sent per multicast dissemination.";
+      histogram "p2pindex_prefix_multicast_messages" "Messages sent per multicast dissemination.";
   }
 
-let create ?rpc ?metrics ?liveness ~render ~resolver () =
-  let rpc = match rpc with Some r -> r | None -> Dht.Rpc.create () in
+let create ?rpc ?metrics ?(replication = 1) ?read_quorum ?write_quorum ?liveness
+    ?(clock = fun () -> 0.0) ?(ttl = infinity) ~render ~resolver () =
   {
     resolver;
-    rpc;
+    rpc = (match rpc with Some r -> r | None -> Dht.Rpc.create ());
     render;
-    liveness;
-    stores =
-      Array.init (Dht.Resolver.node_count resolver) (fun _ ->
-          Hashtbl.create 16);
+    store = Rstore.create ~resolver ~replication ?read_quorum ?write_quorum ?liveness ~clock ();
+    clock;
+    ttl;
     obs = Option.map make_instruments metrics;
   }
 
-let node_count t = Dht.Resolver.node_count t.resolver
-
-let alive t node =
-  match t.liveness with None -> true | Some l -> Dht.Liveness.alive l node
+let store t = t.store
+let observe t f = match t.obs with None -> () | Some o -> f o
 
 let observe_stats t (s : Multicast.stats) =
-  match t.obs with
-  | None -> ()
-  | Some o ->
+  observe t (fun o ->
       Obs.Metrics.Histogram.observe_int o.mc_fanout s.fanout;
       Obs.Metrics.Histogram.observe_int o.mc_depth s.depth;
-      Obs.Metrics.Histogram.observe_int o.mc_messages s.messages
+      Obs.Metrics.Histogram.observe_int o.mc_messages s.messages)
 
-(* Entries are deduplicated by rendered payload so equality never relies on
-   polymorphic compare over ['a]. *)
-let store_entry t node ~term payload =
-  let tbl = t.stores.(node) in
-  let existing = Option.value ~default:[] (Hashtbl.find_opt tbl term) in
-  let rendered = t.render payload in
-  if List.exists (fun p -> String.equal (t.render p) rendered) existing then
-    false
-  else begin
-    Hashtbl.replace tbl term (payload :: existing);
-    true
-  end
+(* ------------------------------------------------------------------ *)
+(* Writes: every entry is filed under [Prefix_key.encode term]. *)
 
-let install_bytes t ~term payload = Wire.cache_install_bytes term (t.render payload)
+let same_entry a b = String.equal a.rendered b.rendered && String.equal a.term b.term
+let entry_equal = Some same_entry
+let install_bytes v = Wire.cache_install_bytes v.term v.rendered
+let keyed t (term, payload) = (Prefix_key.encode term, { term; rendered = t.render payload; payload })
 
-let count_install t =
-  match t.obs with
-  | None -> ()
-  | Some o -> Obs.Metrics.Counter.incr o.installs
+(* One store write per key, in first-seen order, of the key's distinct
+   entries newest first ({!Rstore.insert_entries}), each billed per live
+   replica as one reliable Maintenance message: publication bills the
+   entries the write installed anew, republication ([refresh]) every
+   entry, as the hashed index's republication does.  [reached] is a node
+   a multicast tree message has already billed (-1 for none). *)
+let write t ~refresh ~reached entries =
+  let expires_at = if t.ttl = infinity then infinity else t.clock () +. t.ttl in
+  let groups = Hashtbl.create 16 and order = ref [] in
+  List.iter
+    (fun (key, v) ->
+      match Hashtbl.find_opt groups key with
+      | None ->
+          Hashtbl.replace groups key (ref 1, ref [ v ]);
+          order := key :: !order
+      | Some (writes, distinct) ->
+          incr writes;
+          if not (List.exists (same_entry v) !distinct) then distinct := v :: !distinct)
+    entries;
+  List.iter
+    (fun key ->
+      let writes, distinct = Hashtbl.find groups key in
+      observe t (fun o -> Obs.Metrics.Counter.incr ~by:!writes o.installs);
+      let entries =
+        List.map (fun v -> Rstore.make_entry ~expires_at ~len:(String.length v.rendered) v) !distinct
+      in
+      let fresh, replicas =
+        Rstore.insert_entries ~equal:entry_equal t.store ~key ~writes:!writes entries
+      in
+      for i = 0 to Stdx.Int_buf.length replicas - 1 do
+        let dst = Stdx.Int_buf.unsafe_get replicas i in
+        if dst <> reached && Rstore.alive t.store dst then
+          List.iter
+            (fun e ->
+              Dht.Rpc.send_oneway t.rpc ~dst ~bytes:(install_bytes (Rstore.entry_value e))
+                ~category:Dht.Network.Maintenance ~deliver:(fun () -> true))
+            (if refresh then entries else fresh)
+      done)
+    (List.rev !order)
 
-let publish t ~term payload =
-  let dst = Dht.Resolver.responsible t.resolver (Prefix_key.encode term) in
-  count_install t;
-  Dht.Rpc.send_oneway t.rpc ~lossy:false ~dst
-    ~bytes:(install_bytes t ~term payload)
-    ~category:Dht.Network.Maintenance
-    ~deliver:(fun () -> store_entry t dst ~term payload)
+let publish t entries = write t ~refresh:false ~reached:(-1) (List.map (keyed t) entries)
+let republish t entries = write t ~refresh:true ~reached:(-1) (List.map (keyed t) entries)
 
 let publish_multicast t entries =
   match entries with
   | [] -> None
   | _ ->
-      let by_node : (int, (string * 'a) list) Hashtbl.t = Hashtbl.create 16 in
+      let by_node = Hashtbl.create 16 in
       List.iter
-        (fun (term, payload) ->
-          let dst =
-            Dht.Resolver.responsible t.resolver (Prefix_key.encode term)
-          in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt by_node dst) in
-          Hashtbl.replace by_node dst ((term, payload) :: prev))
+        (fun entry ->
+          let ((key, _) as e) = keyed t entry in
+          let dst = Rstore.node_of t.store key in
+          Hashtbl.replace by_node dst (e :: Option.value ~default:[] (Hashtbl.find_opt by_node dst)))
         entries;
-      let groups = Stdx.Det_tbl.sorted_bindings by_node in
-      let tree = Multicast.build (List.map fst groups) in
-      let members = Array.of_list (Multicast.members tree) in
-      let n = Array.length members in
-      let payload_of = Hashtbl.create 16 in
-      List.iter
-        (fun (node, batch) -> Hashtbl.replace payload_of node (List.rev batch))
-        groups;
-      let own_bytes node =
-        List.fold_left
-          (fun acc (term, payload) -> acc + install_bytes t ~term payload)
-          0
-          (Option.value ~default:[] (Hashtbl.find_opt payload_of node))
-      in
-      (* A tree message addressed to [node] carries every install destined to
-         [node]'s whole subtree, so price each slot bottom-up. *)
-      let subtree = Array.make n 0 in
-      for i = n - 1 downto 0 do
-        let kids = ref 0 in
-        if (2 * i) + 1 < n then kids := !kids + subtree.((2 * i) + 1);
-        if (2 * i) + 2 < n then kids := !kids + subtree.((2 * i) + 2);
-        subtree.(i) <- own_bytes members.(i) + !kids
-      done;
+      (* Tree slot [i] holds the [i]th node in ascending order. *)
+      let batches = Array.of_list (Stdx.Det_tbl.sorted_bindings by_node) in
+      let tree = Multicast.build (Array.to_list (Array.map fst batches)) in
       let slot_of = Hashtbl.create 16 in
-      Array.iteri (fun i node -> Hashtbl.replace slot_of node i) members;
+      Array.iteri (fun i (node, _) -> Hashtbl.replace slot_of node i) batches;
+      (* A tree message addressed to a node carries every install destined
+         to its whole subtree, so price each slot bottom-up. *)
+      let subtree =
+        Array.map (fun (_, b) -> List.fold_left (fun acc (_, v) -> acc + install_bytes v) 0 b) batches
+      in
+      for i = Array.length batches - 1 downto 1 do
+        subtree.((i - 1) / 2) <- subtree.((i - 1) / 2) + subtree.(i)
+      done;
       let stats =
         Multicast.disseminate ~rpc:t.rpc ~category:Dht.Network.Maintenance
           ~bytes:(fun node -> subtree.(Hashtbl.find slot_of node))
           ~deliver:(fun node ->
-            List.iter
-              (fun (term, payload) ->
-                count_install t;
-                ignore (store_entry t node ~term payload))
-              (Option.value ~default:[] (Hashtbl.find_opt payload_of node)))
+            write t ~refresh:false ~reached:node (List.rev (snd batches.(Hashtbl.find slot_of node))))
           tree
       in
       observe_stats t stats;
       Some stats
 
-let covering_nodes t ~prefix = Range_router.covering_prefix t.resolver prefix
+(* ------------------------------------------------------------------ *)
+(* Reads. *)
 
-let live_covering t ~prefix =
-  List.filter (alive t) (covering_nodes t ~prefix)
-
-let compare_result t (term, p) (term', p') =
-  match String.compare term term' with
-  | 0 -> String.compare (t.render p) (t.render p')
-  | c -> c
-
-let dedup_sorted t rs =
-  let rec go = function
-    | a :: b :: rest when compare_result t a b = 0 -> go (b :: rest)
-    | a :: rest -> a :: go rest
-    | [] -> []
+(* Who answers each covering arc, as [(arc primary, reader)] pairs in
+   ring-walk order: the primary when it is alive, else the first live
+   node of the arc's replica set — the next [replication - 1] nodes of
+   the walk.  An arc whose whole replica set is down has no pair. *)
+let readers t ~lo ~hi =
+  let covering = Range_router.covering_nodes t.resolver ~lo ~hi in
+  let r = Rstore.replication t.store in
+  let walk =
+    Dht.Resolver.replicas t.resolver lo
+      (Stdlib.min (Dht.Resolver.node_count t.resolver) (List.length covering + r - 1))
+    |> Array.of_list
   in
-  go rs
+  let n = Array.length walk in
+  List.concat
+    (List.mapi
+       (fun i arc ->
+         List.init (Stdlib.min r n) (fun j -> walk.((i + j) mod n))
+         |> List.find_opt (Rstore.alive t.store)
+         |> Option.fold ~none:[] ~some:(fun node -> [ (arc, node) ]))
+       covering)
 
-let merge_results t rs = dedup_sorted t (List.sort (compare_result t) rs)
+let compare_entry a b =
+  match String.compare a.term b.term with 0 -> String.compare a.rendered b.rendered | c -> c
 
-(* What one covering node contributes: its bindings whose term extends the
-   prefix, in deterministic term order.  Terms longer than the key width can
-   collide on one arc point, hence the exact re-check here. *)
-let local_results t node ~prefix =
-  Stdx.Det_tbl.fold_sorted
-    (fun term payloads acc ->
-      if Prefix_key.is_prefix prefix term then
-        List.fold_left (fun acc p -> (term, p) :: acc) acc payloads
-      else acc)
-    t.stores.(node) []
-  |> merge_results t
+let merge_results rs = List.sort_uniq compare_entry rs
+
+(* What [node] contributes: its entries in the prefix's key range whose
+   term extends the prefix — terms longer than the key width can collide
+   on one key, hence the exact re-check — and whose key's primary it
+   answers for in [arcs] ([None]: every key). *)
+let local_results t node ~prefix ~lo ~hi ~arcs =
+  Rstore.fold_range t.store ~node ~lo ~hi ~init:[] ~f:(fun acc key entries ->
+      match arcs with
+      | Some arcs when not (List.mem (Rstore.node_of t.store key, node) arcs) -> acc
+      | Some _ | None ->
+          List.fold_left
+            (fun acc e ->
+              let v = Rstore.entry_value e in
+              if Prefix_key.is_prefix prefix v.term then v :: acc else acc)
+            acc entries)
+  |> merge_results
 
 let request_wire prefix = Wire.request_bytes (prefix ^ "*")
+let response_wire rs = Wire.response_bytes_of_len ~len:(fun v -> String.length v.rendered) rs
 
-let response_wire t rs = Wire.response_bytes (List.map (fun (_, p) -> t.render p) rs)
-
-let call_node t ?route_key ~prefix node =
+let call_node t ?route_key ~prefix ~lo ~hi ~arcs node =
   let handler ~node =
-    if alive t node then
-      let rs = local_results t node ~prefix in
-      Dht.Rpc.Reply { bytes = response_wire t rs; value = rs }
+    if Rstore.alive t.store node then
+      let rs = local_results t node ~prefix ~lo ~hi ~arcs in
+      Dht.Rpc.Reply { bytes = response_wire rs; value = rs }
     else Dht.Rpc.No_response
   in
-  match
-    Dht.Rpc.call t.rpc ~dst:node ?route_key
-      ~request_bytes:(request_wire prefix) ~handler ()
-  with
+  match Dht.Rpc.call t.rpc ~dst:node ?route_key ~request_bytes:(request_wire prefix) ~handler () with
   | Dht.Rpc.Answered { value; _ } -> value
   | Dht.Rpc.Exhausted -> []
 
-(* Direct mode: route to the head of the arc, then contact each further
-   covering node with its own request/response exchange. *)
-let query_direct t ~prefix ~lo members =
-  match members with
+(* Direct mode: route to the first reader, then contact each further
+   reader with its own request/response exchange. *)
+let query_direct t ~prefix ~lo ~hi ~arcs = function
   | [] -> []
   | first :: rest ->
-      let acc = call_node t ~route_key:lo ~prefix first in
-      List.fold_left (fun acc node -> call_node t ~prefix node @ acc) acc rest
+      let arcs = Some arcs in
+      List.fold_left
+        (fun acc node -> call_node t ~prefix ~lo ~hi ~arcs node @ acc)
+        (call_node t ~route_key:lo ~prefix ~lo ~hi ~arcs first)
+        rest
+      |> merge_results
 
 (* Multicast mode: one routed call to the tree root, then the query fans down
    the tree edges and the result sets aggregate back up along the same edges.
    Per-member results travel once per level above them, which is the
    bytes-vs-initiator-load trade-off the prefix-sweep experiment plots. *)
-let query_multicast t ~prefix ~lo members =
+let query_multicast t ~prefix ~lo ~hi ~arcs members =
   let tree = Multicast.build members in
   let arr = Array.of_list (Multicast.members tree) in
   let n = Array.length arr in
-  let locals = Array.map (fun node -> local_results t node ~prefix) arr in
-  let subtree = Array.make n [] in
+  let subtree = Array.map (fun node -> local_results t node ~prefix ~lo ~hi ~arcs:(Some arcs)) arr in
   for i = n - 1 downto 0 do
-    let kids = ref [] in
-    if (2 * i) + 1 < n then kids := subtree.((2 * i) + 1);
-    if (2 * i) + 2 < n then kids := subtree.((2 * i) + 2) @ !kids;
-    subtree.(i) <- merge_results t (locals.(i) @ !kids)
+    let kids = if (2 * i) + 1 < n then subtree.((2 * i) + 1) else [] in
+    let kids = if (2 * i) + 2 < n then subtree.((2 * i) + 2) @ kids else kids in
+    subtree.(i) <- merge_results (subtree.(i) @ kids)
   done;
-  let root = arr.(0) in
   let root_reply ~node:_ =
-    if alive t root then
-      Dht.Rpc.Reply { bytes = response_wire t subtree.(0); value = () }
+    if Rstore.alive t.store arr.(0) then
+      Dht.Rpc.Reply { bytes = response_wire subtree.(0); value = () }
     else Dht.Rpc.No_response
   in
   match
-    Dht.Rpc.call t.rpc ~dst:root ~route_key:lo
-      ~request_bytes:(request_wire prefix) ~handler:root_reply ()
+    Dht.Rpc.call t.rpc ~dst:arr.(0) ~route_key:lo ~request_bytes:(request_wire prefix)
+      ~handler:root_reply ()
   with
   | Dht.Rpc.Exhausted -> []
   | Dht.Rpc.Answered _ ->
       (* Downward fan: one query copy per tree edge. *)
       List.iter
         (fun (_parent, child) ->
-          Dht.Rpc.send_oneway t.rpc ~lossy:false ~dst:child
-            ~bytes:(request_wire prefix) ~category:Dht.Network.Request
-            ~deliver:(fun () -> true))
+          Dht.Rpc.send_oneway t.rpc ~lossy:false ~dst:child ~bytes:(request_wire prefix)
+            ~category:Dht.Network.Request ~deliver:(fun () -> true))
         (Multicast.edges tree);
       (* Upward aggregation: each child ships its subtree's merged results
          to its parent. *)
       for i = 1 to n - 1 do
         Dht.Rpc.send_oneway t.rpc ~lossy:false
           ~dst:arr.((i - 1) / 2)
-          ~bytes:(response_wire t subtree.(i))
+          ~bytes:(response_wire subtree.(i))
           ~category:Dht.Network.Response
           ~deliver:(fun () -> true)
       done;
-      observe_stats t
-        { messages = n; depth = Multicast.depth tree; fanout = n };
+      observe_stats t { messages = n; depth = Multicast.depth tree; fanout = n };
       subtree.(0)
 
+let pairs rs = List.map (fun v -> (v.term, v.payload)) rs
+
 let query ?(multicast = false) t ~prefix =
-  (match t.obs with
-  | None -> ()
-  | Some o -> Obs.Metrics.Counter.incr o.queries);
-  let lo, _hi = Prefix_key.range prefix in
-  let members = live_covering t ~prefix in
-  (match t.obs with
-  | None -> ()
-  | Some o ->
-      Obs.Metrics.Histogram.observe_int o.covering (List.length members));
+  observe t (fun o -> Obs.Metrics.Counter.incr o.queries);
+  let lo, hi = Prefix_key.range prefix in
+  let arcs = readers t ~lo ~hi in
+  let members =
+    List.rev (List.fold_left (fun acc (_, m) -> if List.mem m acc then acc else m :: acc) [] arcs)
+  in
+  observe t (fun o -> Obs.Metrics.Histogram.observe_int o.covering (List.length members));
   let results =
     match members with
     | [] -> []
-    | _ ->
-        if multicast then query_multicast t ~prefix ~lo members
-        else merge_results t (query_direct t ~prefix ~lo members)
+    | _ when multicast -> query_multicast t ~prefix ~lo ~hi ~arcs members
+    | _ -> query_direct t ~prefix ~lo ~hi ~arcs members
   in
-  (match t.obs with
-  | None -> ()
-  | Some o ->
-      Obs.Metrics.Histogram.observe_int o.results (List.length results));
-  results
+  observe t (fun o -> Obs.Metrics.Histogram.observe_int o.results (List.length results));
+  ((match members with m :: _ -> m | [] -> Rstore.node_of t.store lo), pairs results)
 
 let query_broadcast t ~prefix =
+  let lo, hi = Prefix_key.range prefix in
   let acc = ref [] in
-  for node = 0 to node_count t - 1 do
-    if alive t node then acc := call_node t ~prefix node @ !acc
+  for node = 0 to Dht.Resolver.node_count t.resolver - 1 do
+    if Rstore.alive t.store node then acc := call_node t ~prefix ~lo ~hi ~arcs:None node @ !acc
   done;
-  merge_results t !acc
-
-let drop_node_state t node = Hashtbl.reset t.stores.(node)
-
-let entries_on t node =
-  Stdx.Det_tbl.fold_sorted
-    (fun _ payloads acc -> acc + List.length payloads)
-    t.stores.(node) 0
-
-let entry_count t =
-  let acc = ref 0 in
-  Array.iteri (fun node _ -> acc := !acc + entries_on t node) t.stores;
-  !acc
+  pairs (merge_results !acc)

@@ -18,59 +18,65 @@
     more relay bytes.  The [prefix-sweep] experiment plots this
     trade-off.
 
-    All traffic is billed on the supplied {!Dht.Rpc.t} (Request/Response
-    for queries, Maintenance for installs), so the scheme participates in
-    fault plans and churn like the hashed schemes.  Every iteration is
-    over sorted views ({!Stdx.Det_tbl}) or arrays: byte-deterministic. *)
+    Entries are regular DHT data (Section IV-D): a
+    {!Storage.Replicated_store} written only through its grouped write
+    holds them, with the hashed schemes' replication and TTLs.  Traffic
+    is billed on the supplied {!Dht.Rpc.t} (Request/Response for
+    queries, Maintenance for installs).  Every iteration is over sorted
+    views or arrays: byte-deterministic. *)
 
 type 'a t
-(** A prefix index storing payloads of type ['a], one logical store per
-    node of the resolver's population. *)
+
+type 'a stored
+(** One stored entry: the term, the payload and its rendering. *)
 
 val create :
   ?rpc:Dht.Rpc.t ->
   ?metrics:Obs.Metrics.t ->
+  ?replication:int ->
+  ?read_quorum:int ->
+  ?write_quorum:int ->
   ?liveness:Dht.Liveness.t ->
+  ?clock:(unit -> float) ->
+  ?ttl:float ->
   render:('a -> string) ->
   resolver:Dht.Resolver.t ->
   unit ->
   'a t
-(** [render] gives each payload its canonical wire string — used for byte
-    accounting {e and} payload identity (no polymorphic compare).  With
-    [metrics], the [p2pindex_prefix_*] counters and histograms are
-    registered.  Without [rpc] a transparent unbilled channel is used. *)
+(** The store is built as {!Storage.Replicated_store.create} builds one;
+    entries written at time [now] expire at [now +. ttl] (default
+    [infinity]).  [render] gives each payload its canonical wire string,
+    computed once per written entry: byte accounting {e and} payload
+    identity (no polymorphic compare).  With [metrics], the
+    [p2pindex_prefix_*] families are registered.  Without [rpc] a
+    transparent unbilled channel is used. *)
 
-val publish : 'a t -> term:string -> 'a -> unit
-(** Install one [(term, payload)] entry on the node responsible for
-    [Prefix_key.encode term], billed as one reliable Maintenance message
-    (only when the entry is fresh — duplicate installs are free no-ops). *)
+val store : 'a t -> 'a stored Storage.Replicated_store.t
+(** For the churn driver, which fails, pauses and drops its nodes. *)
+
+val publish : 'a t -> (string * 'a) list -> unit
+(** File each [(term, payload)] under [Prefix_key.encode term], one store
+    write per key; each entry new to a live replica is billed there as
+    one reliable Maintenance message. *)
+
+val republish : 'a t -> (string * 'a) list -> unit
+(** {!publish} as soft-state refresh: every entry is billed at every live
+    replica, new or not. *)
 
 val publish_multicast : 'a t -> (string * 'a) list -> Multicast.stats option
-(** Install a batch through the spanning tree: entries are grouped by
-    responsible node, a deterministic tree is built over those nodes, and
-    each tree message carries the installs for its whole subtree (priced
-    bottom-up).  Final store state is identical to calling {!publish} per
-    entry; only the message/byte accounting differs.  [None] on an empty
-    batch. *)
+(** {!publish} through a spanning tree over the entries' primaries: each
+    tree message carries, and is priced for, the installs of its whole
+    subtree; replicas past the primary are billed as {!publish} bills
+    them.  [None] on an empty batch. *)
 
-val covering_nodes : 'a t -> prefix:string -> int list
-(** The nodes whose arcs intersect the prefix's key range, in ring-walk
-    order — dead or alive. *)
-
-val query : ?multicast:bool -> 'a t -> prefix:string -> (string * 'a) list
-(** All entries whose term starts with [prefix], merged over the live
-    covering nodes, sorted by [(term, rendered payload)] and
-    deduplicated.  [multicast] (default false) selects the spanning-tree
-    shape described above; both shapes return identical results on a
-    fault-free network. *)
+val query : ?multicast:bool -> 'a t -> prefix:string -> int * (string * 'a) list
+(** The node asked first, and every entry whose term starts with
+    [prefix], sorted by [(term, rendered payload)] and deduplicated.
+    Each covering arc is answered by its primary when alive, else by the
+    first live node of its replica set; an arc with no live replica
+    contributes nothing, and with no reader at all the node named is the
+    arc's primary.  [multicast] (default false) selects the spanning-tree
+    shape; both shapes agree on a fault-free network. *)
 
 val query_broadcast : 'a t -> prefix:string -> (string * 'a) list
-(** The flooding baseline: ask {e every} live node and filter — same
-    result set as {!query}, used by the [prefix-sweep] experiment to
-    price what routing saves. *)
-
-val drop_node_state : 'a t -> int -> unit
-(** Forget everything stored on one node (churn failure hook). *)
-
-val entry_count : 'a t -> int
-val entries_on : 'a t -> int -> int
+(** The flooding baseline: ask {e every} live node and filter. *)

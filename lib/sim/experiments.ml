@@ -961,9 +961,9 @@ let prefix_sweep grid =
       let last = Stdx.Prng.pick prng lasts in
       let prefix = String.sub last 0 (Stdlib.min len (String.length last)) in
       covering :=
-        !covering + List.length (Prefix.Prefix_index.covering_nodes pindex ~prefix);
-      measure direct (fun () -> Prefix.Prefix_index.query pindex ~prefix);
-      measure multicast (fun () -> Prefix.Prefix_index.query ~multicast:true pindex ~prefix);
+        !covering + List.length (Prefix.Range_router.covering_prefix resolver prefix);
+      measure direct (fun () -> snd (Prefix.Prefix_index.query pindex ~prefix));
+      measure multicast (fun () -> snd (Prefix.Prefix_index.query ~multicast:true pindex ~prefix));
       measure broadcast (fun () -> Prefix.Prefix_index.query_broadcast pindex ~prefix)
     done;
     let per x = float_of_int !x /. float_of_int probe_count in

@@ -275,10 +275,7 @@ let publish_prefix ~multicast pindex articles =
     ignore
       (Prefix.Prefix_index.publish_multicast pindex entries
         : Prefix.Multicast.stats option)
-  else
-    List.iter
-      (fun (term, q) -> Prefix.Prefix_index.publish pindex ~term q)
-      entries
+  else Prefix.Prefix_index.publish pindex entries
 
 (* ------------------------------------------------------------------ *)
 (* Profile gauges: the phase collector's totals plus GC accounting over
@@ -452,8 +449,10 @@ module Internal = struct
     | Schemes.Prefix ->
         let pcfg = Option.value ~default:default_prefix cfg.prefix in
         let pindex =
-          Prefix.Prefix_index.create ~rpc ~metrics:registry ~liveness
-            ~render:Q.to_string ~resolver ()
+          Prefix.Prefix_index.create ~rpc ~metrics:registry ~replication
+            ?read_quorum:(Option.map (fun q -> q.read_quorum) quorum)
+            ?write_quorum:(Option.map (fun q -> q.write_quorum) quorum)
+            ~liveness ~clock ~ttl ~render:Q.to_string ~resolver ()
         in
         publish_prefix ~multicast:pcfg.multicast pindex articles;
         Some (pcfg, pindex)
@@ -529,20 +528,13 @@ module Internal = struct
              may undercount request messages on multi-node coverings. *)
           let req0 = Network.bytes net Network.Request
           and resp0 = Network.bytes net Network.Response in
-          let results =
+          let node, results =
             Prefix.Prefix_index.query ~multicast:pcfg.multicast pindex
               ~prefix:p
           in
           (match tracer with
           | None -> ()
           | Some tracer ->
-              let node =
-                match
-                  Prefix.Prefix_index.covering_nodes pindex ~prefix:p
-                with
-                | n :: _ -> n
-                | [] -> 0
-              in
               let outcome =
                 if results = [] then Obs.Trace.Not_found else Obs.Trace.Refined
               in
@@ -610,29 +602,27 @@ module Internal = struct
         Churn.Driver.run_until d ~until
           ~on_fail:(fun ~time node ->
             env.clock_ref := time;
-            (* Crash-stop churn loses the node's index shard; under an
-               active quorum block a failure is a pause instead — the
-               node rejoins with the (by then lagging) state it held.
-               A rejoined-empty replica answers empty and the walk fails
-               over anyway; a lagging one silently serves stale entries,
-               which is exactly the divergence quorum reads and
-               anti-entropy exist to mask and measure. *)
-            if not (quorum_active env.cfg) then
+            (* Crash-stop churn loses the node's share of every index
+               store; under an active quorum block a failure is a pause
+               instead — the node rejoins with the (by then lagging)
+               state it held.  A rejoined-empty replica answers empty and
+               the walk fails over anyway; a lagging one silently serves
+               stale entries, which is exactly the divergence quorum
+               reads and anti-entropy exist to mask and measure. *)
+            if not (quorum_active env.cfg) then begin
               Index.drop_node_state env.index node;
-            Option.iter
-              (fun (_, p) -> Prefix.Prefix_index.drop_node_state p node)
-              env.prefix_index;
+              Option.iter
+                (fun (_, p) ->
+                  Storage.Replicated_store.drop_state (Prefix.Prefix_index.store p) node)
+                env.prefix_index
+            end;
             Shortcut.clear env.caches.(node))
           ~on_join:(fun ~time _node -> env.clock_ref := time)
           ~on_republish:(fun ~time ->
             env.clock_ref := time;
             Index.republish_corpus env.index ~kind:env.cfg.scheme env.articles;
-            (* Refresh entry-by-entry regardless of the multicast setting:
-               soft-state republication bills only the entries a failed
-               node actually lost, which a subtree-priced tree message
-               cannot express. *)
             Option.iter
-              (fun (_, p) -> publish_prefix ~multicast:false p env.articles)
+              (fun (_, p) -> Prefix.Prefix_index.republish p (prefix_entries env.articles))
               env.prefix_index)
           ~on_repair:(fun ~time ->
             env.clock_ref := time;

@@ -138,10 +138,15 @@ type config = {
           [seed + 7_777_777], so a faulty run replays bit-for-bit. *)
   prefix : prefix_config option;
       (** Options for the routed prefix scheme; only legal with
-          [scheme = Prefix] (which without them uses {!default_prefix}).
-          A prefix run publishes the order-preserving range index next to
-          the hashed corpus and answers [Author_prefix] queries by
-          routing to the covering nodes — see [Prefix.Prefix_index]. *)
+          [scheme = Prefix] (which without them uses single-letter
+          prefixes and multicast).  A prefix run publishes the
+          order-preserving range index next to the hashed corpus and
+          answers [Author_prefix] queries by routing to the covering
+          nodes — see [Prefix.Prefix_index].  The range index is a
+          replicated store like the hashed index's: it honours the
+          churn/fault blocks' replication and TTL, republication
+          refreshes it, and a churned failure drops its node's share, or
+          pauses the node under an active quorum block. *)
   quorum : quorum_config option;
       (** [None] (the default) keeps the historical first-live-replica
           reads.  [Some q] runs Dynamo-style quorum consistency over the

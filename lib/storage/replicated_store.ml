@@ -652,3 +652,22 @@ let fold t ~init ~f =
           | [] -> acc
           | entries -> f acc key (values entries)))
     t.directory init
+
+let fold_range t ~node ~lo ~hi ~init ~f =
+  if not (Dht.Liveness.alive t.liveness node) then init
+  else begin
+    let now = t.clock () in
+    let in_range =
+      (* lint: allow D2 — the bindings are sorted by key before use *)
+      Hashtbl.fold
+        (fun key st acc ->
+          if Key.compare lo key <= 0 && Key.compare key hi <= 0 then (key, st) :: acc else acc)
+        t.tables.(node) []
+    in
+    List.fold_left
+      (fun acc (key, st) ->
+        prune now st;
+        match st.entries with [] -> acc | entries -> f acc key entries)
+      init
+      (List.sort (fun (a, _) (b, _) -> Key.compare a b) in_range)
+  end

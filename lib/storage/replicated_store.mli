@@ -260,6 +260,19 @@ val fold :
     (iteration order unspecified); keys with no live holder are
     skipped. *)
 
+val fold_range :
+  'v t ->
+  node:int ->
+  lo:Hashing.Key.t ->
+  hi:Hashing.Key.t ->
+  init:'acc ->
+  f:('acc -> Hashing.Key.t -> 'v entry list -> 'acc) ->
+  'acc
+(** One replica's range scan: fold over the keys in [\[lo, hi\]] that
+    [node] holds unexpired entries for, in {!Hashing.Key.compare} order,
+    whichever replica sets they belong to.  A dead node holds nothing.
+    The routed prefix index answers a covering arc with it. *)
+
 (** {1 Maintenance surface}
 
     What the {!Anti_entropy} pass reads of the per-replica states; not a

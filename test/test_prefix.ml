@@ -9,6 +9,7 @@ module Key = Prefix.Prefix_key
 module Multicast = Prefix.Multicast
 module Router = Prefix.Range_router
 module Pindex = Prefix.Prefix_index
+module Rstore = Storage.Replicated_store
 module Runner = Sim.Runner
 module Schemes = Bib.Schemes
 module Q = Bib.Bib_query
@@ -142,8 +143,12 @@ let render = string_of_int
 let fresh_index ?rpc ?(node_count = 16) () =
   Pindex.create ?rpc ~render ~resolver:(resolver ~node_count ()) ()
 
-let publish_all index entries =
-  List.iter (fun (term, v) -> Pindex.publish index ~term v) entries
+(* One write per entry, in order: the sequential reference. *)
+let publish_all index entries = List.iter (fun e -> Pindex.publish index [ e ]) entries
+
+let query ?multicast index ~prefix = snd (Pindex.query ?multicast index ~prefix)
+
+let entries_per_node index = Rstore.entries_per_node (Pindex.store index)
 
 let brute_force entries ~prefix =
   List.filter (fun (term, _) -> Key.is_prefix prefix term) entries
@@ -184,8 +189,8 @@ let routed_equals_brute_force =
       let index = fresh_index () in
       publish_all index entries;
       let expected = brute_force entries ~prefix in
-      rendered (Pindex.query index ~prefix) = expected
-      && rendered (Pindex.query ~multicast:true index ~prefix) = expected
+      rendered (query index ~prefix) = expected
+      && rendered (query ~multicast:true index ~prefix) = expected
       && rendered (Pindex.query_broadcast index ~prefix) = expected)
 
 let multicast_install_equals_sequential =
@@ -195,6 +200,8 @@ let multicast_install_equals_sequential =
       let node_count = 16 in
       let sequential = fresh_index ~node_count () in
       publish_all sequential entries;
+      let batched = fresh_index ~node_count () in
+      Pindex.publish batched entries;
       let multicast = fresh_index ~node_count () in
       let bound_ok =
         match Pindex.publish_multicast multicast entries with
@@ -204,13 +211,13 @@ let multicast_install_equals_sequential =
         | None -> entries = []
       in
       bound_ok
-      && List.for_all
-        (fun node -> Pindex.entries_on sequential node = Pindex.entries_on multicast node)
-        (List.init node_count (fun i -> i))
+      && entries_per_node sequential = entries_per_node batched
+      && entries_per_node sequential = entries_per_node multicast
       && List.for_all
            (fun prefix ->
-             rendered (Pindex.query sequential ~prefix)
-             = rendered (Pindex.query multicast ~prefix))
+             let expected = rendered (query sequential ~prefix) in
+             rendered (query batched ~prefix) = expected
+             && rendered (query multicast ~prefix) = expected)
            [ ""; "a"; "b"; "ab"; "ba"; "c" ])
 
 let routed_cheaper_than_broadcast () =
@@ -221,12 +228,12 @@ let routed_cheaper_than_broadcast () =
   let articles =
     Bib.Corpus.generate ~seed:5L (Bib.Corpus.default_config ~article_count:300)
   in
-  Array.iteri
-    (fun i (a : Bib.Article.t) ->
-      List.iter
-        (fun (x : Bib.Article.author) -> Pindex.publish index ~term:x.Bib.Article.last i)
-        a.Bib.Article.authors)
-    articles;
+  Pindex.publish index
+    (List.concat
+       (List.mapi
+          (fun i (a : Bib.Article.t) ->
+            List.map (fun (x : Bib.Article.author) -> (x.Bib.Article.last, i)) a.authors)
+          (Array.to_list articles)));
   Dht.Network.reset network;
   let measure f =
     let bytes = Dht.Network.total_bytes network in
@@ -237,10 +244,10 @@ let routed_cheaper_than_broadcast () =
       Dht.Network.total_messages network - messages )
   in
   let prefix = "S" in
-  let covering = List.length (Pindex.covering_nodes index ~prefix) in
+  let covering = List.length (Router.covering_prefix (resolver ~node_count ()) prefix) in
   Alcotest.(check bool) "routed set is a strict subset of the network" true
     (covering > 0 && covering < node_count);
-  let direct, direct_bytes, direct_messages = measure (fun () -> Pindex.query index ~prefix) in
+  let direct, direct_bytes, direct_messages = measure (fun () -> query index ~prefix) in
   let broadcast, broadcast_bytes, broadcast_messages =
     measure (fun () -> Pindex.query_broadcast index ~prefix)
   in
@@ -252,12 +259,39 @@ let routed_cheaper_than_broadcast () =
 let dropped_node_forgets_entries () =
   let index = fresh_index () in
   publish_all index [ ("abc", 1); ("abd", 2); ("b", 3) ];
-  let total = Pindex.entry_count index in
-  Alcotest.(check int) "three entries stored" 3 total;
-  List.iter (fun node -> Pindex.drop_node_state index node) (List.init 16 (fun i -> i));
-  Alcotest.(check int) "all state dropped" 0 (Pindex.entry_count index);
+  let total () = Array.fold_left ( + ) 0 (entries_per_node index) in
+  Alcotest.(check int) "three entries stored" 3 (total ());
+  List.iter (Rstore.drop_state (Pindex.store index)) (List.init 16 Fun.id);
+  Alcotest.(check int) "all state dropped" 0 (total ());
   Alcotest.(check (list (pair string int))) "queries find nothing" []
-    (Pindex.query index ~prefix:"")
+    (query index ~prefix:"")
+
+(* Replication 2: with the primary of a covering arc down, the arc's
+   next replica answers for it, and the query names that replica as the
+   node it asked. *)
+let replica_answers_dead_primary () =
+  let node_count = 16 in
+  let resolver = resolver ~node_count () in
+  let liveness = Dht.Liveness.create ~node_count in
+  let index = Pindex.create ~replication:2 ~liveness ~render ~resolver () in
+  let entries = [ ("abc", 1); ("abd", 2); ("acx", 3); ("b", 4); ("ca", 5) ] in
+  Pindex.publish index entries;
+  let primary = Dht.Resolver.responsible resolver (Key.encode "abc") in
+  let backup = List.nth (Dht.Resolver.replicas resolver (Key.encode "abc") 2) 1 in
+  ignore (Dht.Liveness.fail liveness primary : bool);
+  List.iter
+    (fun prefix ->
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "prefix %S keeps the dead primary's entries" prefix)
+        (brute_force entries ~prefix)
+        (rendered (query index ~prefix));
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "multicast prefix %S too" prefix)
+        (brute_force entries ~prefix)
+        (rendered (query ~multicast:true index ~prefix)))
+    [ "ab"; "a"; "" ];
+  let head, _ = Pindex.query index ~prefix:"abc" in
+  Alcotest.(check int) "the replica is the node asked" backup head
 
 (* ------------------------------------------------------------------ *)
 (* Bib recognition: xpath prefix chains compile to Author_last_prefix. *)
@@ -336,6 +370,86 @@ let churn_smoke () =
   in
   Alcotest.(check bool) "most sessions survive churn" true (Runner.availability r > 0.9)
 
+(* Quorum pauses cover the prefix store too.  A generated churn schedule
+   runs through the runner's own failure rule ([advance_churn]) with an
+   active quorum block and republication off, then every node rejoins:
+   each probed prefix must answer what it answered before the churn, as
+   nothing was written meanwhile and a paused node keeps its state. *)
+let letters = List.init 26 (fun i -> String.make 1 (Char.chr (Char.code 'A' + i)))
+
+let probe env =
+  match (Runner.Internal.walk_ctx env).Sim.Walk.prefix_route with
+  | None -> Alcotest.fail "a prefix run routes prefix queries"
+  | Some route ->
+      List.map
+        (fun p ->
+          match route p with
+          | Bib.Bib_index.Children qs -> List.sort Q.compare qs
+          | _ -> [])
+        letters
+
+let pause_keeps_prefix_answers =
+  QCheck.Test.make ~name:"quorum pause keeps prefix answers across rejoin" ~count:8
+    QCheck.(pair (int_range 1 1_000) (int_range 50 400))
+    (fun (seed, horizon) ->
+      let cfg =
+        {
+          small with
+          seed = Int64.of_int seed;
+          prefix = prefix_config ~multicast:false;
+          churn =
+            Some
+              {
+                Runner.default_churn with
+                churn_rate = 0.01;
+                ttl = 1e9;
+                republish_period = 1e9;
+              };
+          quorum = Some { Runner.read_quorum = 2; write_quorum = 2; anti_entropy_interval = 0. };
+        }
+      in
+      assert (Runner.quorum_active cfg);
+      let env = Runner.Internal.setup cfg in
+      let before = probe env in
+      Runner.Internal.advance_churn env ~until:(float_of_int horizon);
+      let liveness = (Runner.Internal.walk_ctx env).Sim.Walk.liveness in
+      for node = 0 to cfg.node_count - 1 do
+        ignore (Dht.Liveness.revive liveness node : bool)
+      done;
+      List.for_all2 (fun a b -> List.equal Q.equal a b) before (probe env))
+
+(* The span of a routed prefix step names the node the query asked: with
+   the head of the arc down, the first live node of its replica set. *)
+let span_names_live_head () =
+  let cfg =
+    {
+      small with
+      prefix = prefix_config ~multicast:false;
+      faults = Some { Runner.default_faults with fault_replication = 2 };
+    }
+  in
+  let tracer = Obs.Trace.create () in
+  let env = Runner.Internal.setup ~tracer cfg in
+  let ctx = Runner.Internal.walk_ctx env in
+  let resolver =
+    Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:cfg.seed ~node_count:cfg.node_count ())
+  in
+  let prefix = "Ga" in
+  let lo, _ = Key.range prefix in
+  let head = Dht.Resolver.responsible resolver lo in
+  ignore (Dht.Liveness.fail ctx.Sim.Walk.liveness head : bool);
+  let expected =
+    List.find (Dht.Liveness.alive ctx.Sim.Walk.liveness) (Dht.Resolver.replicas resolver lo 2)
+  in
+  (match ctx.Sim.Walk.prefix_route with
+  | Some route -> ignore (route prefix : Bib.Bib_index.step)
+  | None -> Alcotest.fail "a prefix run routes prefix queries");
+  match List.rev (Obs.Trace.traces tracer) with
+  | { Obs.Trace.spans = [ span ]; _ } :: _ ->
+      Alcotest.(check bool) "the dead head is not named" true (span.Obs.Trace.node <> head);
+      Alcotest.(check int) "the live replica asked is named" expected span.Obs.Trace.node
+  | _ -> Alcotest.fail "one span per routed prefix step"
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -360,6 +474,8 @@ let suite =
           routed_cheaper_than_broadcast;
         Alcotest.test_case "dropped node forgets entries" `Quick
           dropped_node_forgets_entries;
+        Alcotest.test_case "replica answers a dead primary" `Quick
+          replica_answers_dead_primary;
         Alcotest.test_case "xpath prefix recognition" `Quick xpath_prefix_recognition;
       ]
       @ qcheck [ routed_equals_brute_force; multicast_install_equals_sequential ] );
@@ -369,5 +485,7 @@ let suite =
         Alcotest.test_case "deterministic" `Quick scheme_deterministic;
         Alcotest.test_case "engine concurrency" `Slow scheme_under_concurrency;
         Alcotest.test_case "churn smoke" `Quick churn_smoke;
-      ] );
+        Alcotest.test_case "span names the live head" `Quick span_names_live_head;
+      ]
+      @ qcheck [ pause_keeps_prefix_answers ] );
   ]
