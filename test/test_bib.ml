@@ -435,50 +435,6 @@ let generated_query_search_pinned () =
   Alcotest.(check string) "search ~max_results:3: files in discovery order"
     "0fd2c1533b061552270aa22940732c43" digest
 
-let range_search_years () =
-  let articles = Corpus.generate ~seed:71L (Corpus.default_config ~article_count:300) in
-  let resolver = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:71L ~node_count:20 ()) in
-  let index = Index.create ~resolver () in
-  Index.publish_corpus index ~kind:Schemes.Simple articles;
-  let first = 1990 and last = 1994 in
-  let interactions = ref 0 in
-  let results = Bib.Range_search.years ~interactions index ~first ~last in
-  let expected =
-    Array.to_list articles
-    |> List.filter (fun (a : Article.t) -> a.year >= first && a.year <= last)
-  in
-  Alcotest.(check int) "every article in the interval found" (List.length expected)
-    (List.length results);
-  List.iter
-    (fun (r : Bib.Range_search.result) ->
-      match r.msd with
-      | Q.Msd a ->
-          Alcotest.(check bool) "within the interval" true
-            (a.Article.year >= first && a.Article.year <= last)
-      | Q.Fields _ | Q.Author_last_prefix _ -> Alcotest.fail "results are descriptors")
-    results;
-  Alcotest.(check bool) "cost is linear in the interval" true (!interactions >= last - first + 1);
-  (* Filtered variants. *)
-  let a0 : Article.t = List.hd expected in
-  let author = List.hd a0.authors in
-  let filtered = Bib.Range_search.years ~author index ~first ~last in
-  Alcotest.(check bool) "author filter keeps the author's article" true
-    (List.exists (fun (r : Bib.Range_search.result) -> Q.equal r.msd (Q.msd a0)) filtered);
-  List.iter
-    (fun (r : Bib.Range_search.result) ->
-      Alcotest.(check bool) "filter respected" true
-        (Q.covers (Q.author_q author) r.msd))
-    filtered;
-  (* before / after decompositions partition the interval. *)
-  let all = Bib.Range_search.years index ~first:1980 ~last:2003 in
-  let before = Bib.Range_search.before index ~year:1990 ~since:1980 in
-  let after = Bib.Range_search.after index ~year:1989 ~until:2003 in
-  Alcotest.(check int) "before + after = all" (List.length all)
-    (List.length before + List.length after);
-  Alcotest.check_raises "empty interval rejected"
-    (Invalid_argument "Range_search.years: empty interval") (fun () ->
-      ignore (Bib.Range_search.years index ~first:2000 ~last:1999))
-
 (* Model-based property over random publish/unpublish sequences: afterwards
    the index must contain exactly the surviving articles, with no dead
    mapping targets left behind. *)
@@ -880,7 +836,6 @@ let suite =
         Alcotest.test_case "chain lengths per scheme" `Quick chain_lengths_by_scheme;
         Alcotest.test_case "unindexed shapes rejected" `Quick chain_rejects_unindexed_shapes;
         Alcotest.test_case "author+conf variant" `Quick author_conf_only_in_complex_ac;
-        Alcotest.test_case "year-range search" `Quick range_search_years;
       ] );
     ( "bib:corpus",
       [
