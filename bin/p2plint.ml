@@ -4,7 +4,8 @@
    frontend and runs the pluggable rule set of Lint.Rules over each file.
    With --typed it additionally loads the .cmt files dune emits under
    _build (run `dune build @check` first) and runs the P-series
-   hot-path rules of Lint.Typed_rules over every [@hot] call-graph scope.
+   hot-path rules of Lint.Typed_rules over every [@hot] call-graph scope,
+   plus the whole-program dead-export rule of Lint.Dead_exports.
    Exit status: 0 clean, 1 violations found, 2 usage or I/O error. *)
 
 let usage =
@@ -152,9 +153,14 @@ let () =
       let typed_files, typed_violations =
         Lint.Typed_engine.run ~rules ~known ~root:!root ~exclude ~cmt_dirs ()
       in
+      let dead_exports =
+        if List.memq Lint.Dead_exports.rule rules then
+          Lint.Dead_exports.run ~known ~root:!root ~exclude ~cmt_dirs ()
+        else []
+      in
       ( Some (List.length typed_files),
-        List.sort Lint.Rule.compare_violation (violations @ typed_violations)
-      )
+        List.sort Lint.Rule.compare_violation
+          (violations @ typed_violations @ dead_exports) )
     end
   in
   let files_scanned = List.length files in

@@ -71,7 +71,3 @@ let file t =
   { Storage.Block_store.name = Printf.sprintf "article-%d.pdf" t.id;
     size_bytes = t.size_bytes }
 
-let pp ppf t =
-  Format.fprintf ppf "%s: %S (%s %d)"
-    (String.concat ", " (List.map author_to_string t.authors))
-    t.title t.conf t.year

@@ -45,5 +45,3 @@ val of_xml : Xmlkit.Xml.t -> t
 
 val file : t -> Storage.Block_store.file
 (** The stored payload: ["article-<id>.pdf"] of [size_bytes]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -35,7 +35,4 @@ val remove : ('k, 'v) t -> 'k -> bool
 val to_list : ('k, 'v) t -> ('k * 'v) list
 (** Entries from most to least recently used. *)
 
-val fold : ('k, 'v) t -> init:'acc -> f:('acc -> 'k -> 'v -> 'acc) -> 'acc
-(** Fold from most to least recently used. *)
-
 val clear : ('k, 'v) t -> unit

@@ -161,8 +161,6 @@ let clear t =
 
 let size t = Lru.length t.lru
 
-let capacity t = Lru.capacity t.lru
-
 let is_full t =
   match Lru.capacity t.lru with None -> false | Some c -> Lru.length t.lru >= c
 

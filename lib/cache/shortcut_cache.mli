@@ -63,8 +63,6 @@ val size : 'q t -> int
 (** Number of cached entries (pairs), counting entries that have expired
     but not yet been purged. *)
 
-val capacity : 'q t -> int option
-
 val is_full : 'q t -> bool
 (** True when a bounded cache is at capacity. *)
 

@@ -22,8 +22,6 @@ let create ?(seed = 1L) ?(dimensions = 2) () =
   if dimensions < 1 then invalid_arg "Can.create: need at least one dimension";
   { dims = dimensions; nodes = []; next_id = 0; prng = Stdx.Prng.create ~seed }
 
-let dimensions t = t.dims
-
 let live_nodes t = List.filter (fun n -> n.alive) t.nodes
 
 let node_count t = List.length (live_nodes t)

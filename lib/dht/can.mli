@@ -21,12 +21,7 @@ val create : ?seed:int64 -> ?dimensions:int -> unit -> t
 val create_network : ?seed:int64 -> ?dimensions:int -> node_count:int -> unit -> t
 (** Bootstrap a network of [node_count] nodes by successive joins. *)
 
-val dimensions : t -> int
 val node_count : t -> int
-
-val join : t -> int
-(** Add a node at a random point: splits the zone containing it; returns
-    the new node's id. *)
 
 val leave : t -> int -> unit
 (** Graceful departure: the zone is taken over by one of its neighbours.

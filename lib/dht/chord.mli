@@ -6,7 +6,7 @@
     notify / fix-fingers maintenance loop, and failure handling through
     successor lists.
 
-    Nodes are driven synchronously: the simulation calls {!stabilize_round}
+    Nodes are driven synchronously: the simulation calls {!stabilize}
     explicitly, so every run is deterministic.  Lookups report their hop
     count, which the substrate-ablation benchmark uses to charge real routing
     costs under the indexing layer. *)
@@ -55,10 +55,6 @@ val first_live : t -> Hashing.Key.t
 
 val live_keys : t -> Hashing.Key.t list
 (** Identifiers of live nodes, in ring order. *)
-
-val stabilize_round : t -> unit
-(** One maintenance round on every live node: stabilize + notify, check
-    predecessor, refresh successor list, and fix every finger. *)
 
 val stabilize : t -> rounds:int -> unit
 (** Run several rounds. *)

@@ -20,11 +20,6 @@ val create_network : ?seed:int64 -> ?k:int -> ?alpha:int -> node_count:int -> un
 (** Bootstrap a network: every node joins through the first and performs
     the self-lookup that populates its buckets. *)
 
-val join : t -> Hashing.Key.t
-(** Add a node with a fresh identifier: it inserts its bootstrap contact,
-    looks its own identifier up (populating buckets along the way), and
-    becomes known to the nodes it contacted. *)
-
 val join_with_key : t -> Hashing.Key.t -> unit
 (** @raise Invalid_argument if the identifier is already present. *)
 

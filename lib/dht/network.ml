@@ -62,8 +62,6 @@ let create ?metrics ~node_count () =
     instruments = make_instruments registry;
   }
 
-let node_count t = t.node_count
-
 let send t ~dst ~bytes ~category =
   if dst < 0 || dst >= t.node_count then
     invalid_arg

@@ -23,8 +23,6 @@ val create : ?metrics:Obs.Metrics.t -> node_count:int -> unit -> t
     messages labelled by category) of [metrics], or of a private registry
     when none is given, and {!messages}/{!bytes} read them back. *)
 
-val node_count : t -> int
-
 val send : t -> dst:int -> bytes:int -> category:category -> unit
 (** Record a message of [bytes] delivered to node [dst].
     @raise Invalid_argument if [dst] is not a valid node index or

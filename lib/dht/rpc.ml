@@ -131,8 +131,6 @@ let create ?network ?metrics ?(plan = Plan.zero) ?(config = default_config)
     instruments = Option.map make_instruments metrics;
   }
 
-let plan t = t.plan
-let settings t = t.config
 let now t = t.clock.now ()
 
 let bump t pick =

@@ -70,8 +70,6 @@ val create :
     @raise Invalid_argument on a non-positive timeout or hedge delay,
     negative retries/backoff/jitter, or a backoff factor below 1. *)
 
-val plan : t -> Faults.Plan.t
-val settings : t -> config
 val now : t -> float
 
 val call :

@@ -17,8 +17,6 @@ val of_keys : Hashing.Key.t array -> t
 (** Build from explicit node identifiers (for tests).  Identifiers must be
     distinct.  @raise Invalid_argument otherwise, or if the array is empty. *)
 
-val node_count : t -> int
-
 val node_key : t -> int -> Hashing.Key.t
 (** Ring identifier of node [i] (indexes are assigned in ring order). *)
 

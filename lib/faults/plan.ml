@@ -88,8 +88,6 @@ let zero = create zero_spec
 
 let is_zero t = t.zero
 
-let seed t = t.seed
-
 type verdict = { lost : bool; duplicated : bool; latency : float }
 
 let clean_verdict = { lost = false; duplicated = false; latency = 0.0 }

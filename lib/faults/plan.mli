@@ -24,12 +24,10 @@ type spec = {
   latency : latency;
 }
 
-val zero_spec : spec
-(** No loss, no duplication, no latency. *)
-
 val spec :
   ?loss_rate:float -> ?duplicate_rate:float -> ?latency:latency -> unit -> spec
-(** Build a spec from {!zero_spec}.
+(** Build a spec; omitted parts default to no loss, no duplication and
+    no latency.
     @raise Invalid_argument when a rate is outside [0, 1] or a latency
     parameter is negative, NaN or an empty interval. *)
 
@@ -55,8 +53,6 @@ val zero : t
 val is_zero : t -> bool
 (** True when no message can ever be lost, delayed or duplicated —
     the condition under which fault-aware layers take their fast path. *)
-
-val seed : t -> int64
 
 type verdict = { lost : bool; duplicated : bool; latency : float }
 

@@ -11,7 +11,6 @@ let zero = String.make byte_count '\000'
 
 let compare = String.compare
 let equal = String.equal
-let hash = Hashtbl.hash
 
 let of_string s = Sha1.digest_string s
 
@@ -39,8 +38,6 @@ let of_hex s =
 let to_hex = Sha1.to_hex
 
 let short_hex k = String.sub (to_hex k) 0 8
-
-let pp ppf k = Format.pp_print_string ppf (short_hex k)
 
 let xor a b =
   String.init byte_count (fun i -> Char.chr (Char.code a.[i] lxor Char.code b.[i]))

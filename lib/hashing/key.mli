@@ -14,8 +14,6 @@ val bits : int
 val zero : t
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
-(** For use in hash tables. *)
 
 val of_string : string -> t
 (** [of_string s] hashes an arbitrary string into the key space (SHA-1). *)
@@ -49,8 +47,6 @@ val compare_xor : target:t -> t -> t -> int
 (** [compare_xor ~target a b] orders [a] and [b] by XOR distance to
     [target]: it has the sign of [compare (xor target a) (xor target b)],
     without building either distance. *)
-
-val pp : Format.formatter -> t -> unit
 
 val succ : t -> t
 (** Next key clockwise (wraps at the top of the ring). *)

@@ -11,8 +11,6 @@ val default_dirs : string list
 (** [["lib"; "bin"; "bench"; "test"]] — the sub-trees a repo-level run
     scans for [.ml] files. *)
 
-val parse_error_code : string
-val parse_error_id : string
 
 val read_file : string -> string
 (** Raw bytes of a file (shared with {!Typed_engine}). *)
@@ -20,27 +18,6 @@ val read_file : string -> string
 val parse : string -> (Parsetree.structure, string) result
 (** Parse one implementation with the compiler frontend; [Error] carries
     a one-line summary of the failure. *)
-
-val lint_file :
-  rules:Rule.t list ->
-  ?known:Rule.t list ->
-  root:string ->
-  rel:string ->
-  unit ->
-  Rule.violation list
-(** Lint one file.  [rel] is the ['/']-separated path under [root]; only
-    rules whose [applies] accepts [rel] run.  Suppressions (see
-    {!Suppress}) are applied before returning; malformed suppressions are
-    returned as [S1] violations.  [known] (default [rules]) is the
-    namespace suppression names resolve against — pass the full registry
-    when running a rule subset so a suppression for an unselected rule is
-    not misreported as unknown. *)
-
-val scan_files : root:string -> dirs:string list -> string list
-(** All [.ml] files under [root]/[dirs], as sorted root-relative paths.
-    Directories that do not exist are skipped, as are [_build] trees and
-    [lint_fixtures] corpora (the latter are linted only when passed as a
-    root of their own). *)
 
 val lint_tree :
   rules:Rule.t list ->
@@ -50,4 +27,7 @@ val lint_tree :
   unit ->
   string list * Rule.violation list
 (** [lint_tree ~rules ~root ~dirs ()] is [(files_scanned, violations)],
-    both sorted.  [known] as in {!lint_file}. *)
+    both sorted.  [known] (default [rules]) is the namespace suppression
+    names resolve against — pass the full registry when running a rule
+    subset so a suppression for an unselected rule is not misreported as
+    unknown. *)

@@ -324,7 +324,7 @@ let o1 =
 (* ------------------------------------------------------------------ *)
 
 let all = [ d1; d2; d3; e1; h1; o1 ]
-let typed = Typed_rules.stubs
+let typed = Typed_rules.stubs @ [ Dead_exports.rule ]
 let everything = all @ typed
 
 let find name = List.find_opt (fun r -> Rule.matches r name) everything

@@ -30,17 +30,13 @@
 
     The typed P-series (P1 hot-closure, P2 polymorphic-compare, P3
     boxed-allocation, P4 list-per-event) lives in {!Typed_rules} and runs
-    over [.cmt] files via {!Typed_engine}; {!typed} exposes its registry
-    stubs so CLI selection and suppression validation share one
-    namespace. *)
+    over [.cmt] files via {!Typed_engine}, and the whole-program X1
+    dead-export rule lives in {!Dead_exports}; {!everything} carries
+    their registry stubs so CLI selection and suppression validation
+    share one namespace. *)
 
 val all : Rule.t list
 (** Every syntactic rule, in code order (D1, D2, D3, E1, H1, O1). *)
-
-val typed : Rule.t list
-(** The typed P-series registry stubs, in code order (P1–P4).  Their
-    [check] functions are no-ops — {!Typed_engine.run} performs the real
-    checks. *)
 
 val everything : Rule.t list
 (** [all @ typed] — the full rule namespace. *)

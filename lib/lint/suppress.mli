@@ -26,8 +26,6 @@ type t = {
   to_line : int;  (** Inclusive. *)
 }
 
-val bad_suppression_code : string
-val bad_suppression_id : string
 
 val of_comments :
   known:Rule.t list -> rel:string -> string -> t list * Rule.violation list

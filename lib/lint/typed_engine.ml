@@ -4,7 +4,7 @@ let default_cmt_dir = "_build/default"
 (* Discovery.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let find_cmts dirs =
+let find_cmts ?(suffixes = [ ".cmt" ]) dirs =
   let rec walk dir acc =
     if not (Sys.file_exists dir && Sys.is_directory dir) then acc
     else
@@ -12,7 +12,7 @@ let find_cmts dirs =
         (fun acc entry ->
           let path = Filename.concat dir entry in
           if Sys.is_directory path then walk path acc
-          else if Filename.check_suffix entry ".cmt" then path :: acc
+          else if List.exists (Filename.check_suffix entry) suffixes then path :: acc
           else acc)
         acc (Sys.readdir dir)
   in

@@ -34,6 +34,18 @@ val run :
     [exclude] drops sources by root-relative path (default: none) —
     the CLI uses it to keep the lint-fixture corpus out of repo runs. *)
 
+val find_cmts : ?suffixes:string list -> string list -> string list
+(** Every file under the directories (recursively) whose name ends in
+    one of [suffixes] (default [[".cmt"]]), in sorted path order. *)
+
+val load_cmt : string -> Cmt_format.cmt_infos option
+(** [None] for an unreadable or foreign-format file. *)
+
+val surviving :
+  known:Rule.t list -> root:string -> rel:string -> Rule.violation list -> Rule.violation list
+(** The violations of one source file that no suppression in it
+    covers. *)
+
 val hot_names_of_cmt : string -> (string list, string) result
 (** The propagated hot-scope names of one [.cmt] file, sorted — the
     surface the fixture tests pin. [Error] when the file cannot be read

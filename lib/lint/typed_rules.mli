@@ -15,28 +15,6 @@
     n-ary closure.  Depth 0 is definition time (runs once — never
     flagged); depth ≥ 1 runs per call, where all four rules apply. *)
 
-val p1 : Rule.t
-(** P1 [hot-closure]: a capturing closure or a partial application at
-    depth ≥ 1.  Non-capturing closures are statically allocated and
-    stay silent; captures of same-file structure-level values and of a
-    [let rec]'s own name do not count (both resolve statically). *)
-
-val p2 : Rule.t
-(** P2 [polymorphic-compare]: [Stdlib.(=)] / [compare] / [min] /
-    [Hashtbl.hash] / [List.mem]-family used at a type the compiler
-    cannot specialize (anything but int/char/bool/unit/float/string/
-    bytes/int32/int64/nativeint — including aliases of those, which the
-    cmt does not expand; use a monomorphic operation to silence). *)
-
-val p3 : Rule.t
-(** P3 [boxed-allocation]: tuple construction, float-typed constructor
-    arguments, and non-flat records with float fields — each boxes per
-    call at depth ≥ 1. *)
-
-val p4 : Rule.t
-(** P4 [list-per-event]: a fully-applied [Stdlib.List.*] call returning
-    a fresh list on every event. *)
-
 val stubs : Rule.t list
 (** [[p1; p2; p3; p4]], each with a no-op [check] — registry entries
     only; the real checks run in {!check_scope}. *)

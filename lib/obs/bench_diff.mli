@@ -2,8 +2,9 @@
     [bin/benchdiff.exe] and the CI regression gate.
 
     Both reports are {!Bench_report.flatten}ed and joined by metric name.
-    Each pair gets a relative threshold (from {!default_threshold}, or a
-    caller-supplied policy) and a verdict:
+    Each pair gets a relative threshold (by default: allocation-per-run and GC
+    word metrics 0.35, GC collection counts 0.5, wall-clock metrics 0.25,
+    everything else 0.005; or a caller-supplied policy) and a verdict:
 
     - {e Regression} — the current value is worse than baseline by more
       than the threshold, in the metric's own direction
@@ -45,12 +46,6 @@ type result = {
   missing : int;
   added : int;
 }
-
-val default_threshold : string -> float
-(** Relative threshold by (flattened) metric name:
-    allocation-per-run and GC word metrics 0.35, GC collection counts
-    0.5, wall-clock metrics 0.25, everything else — the simulation's
-    deterministic cost metrics — 0.005. *)
 
 val compare_reports :
   ?threshold_for:(string -> float) ->

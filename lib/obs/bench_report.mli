@@ -19,15 +19,9 @@
     guarantee is deliberately forfeited (the remaining fields stay
     deterministic).
 
-    Unknown schema versions are rejected on read: bump {!version} when
-    the shape changes, and teach {!of_json} the old form if old baselines
-    must stay readable. *)
-
-val schema : string
-(** ["p2pindex.bench_report"] — the document's self-identification. *)
-
-val version : int
-(** Current schema version (1). *)
+    Unknown schema versions are rejected on read: bump the version (1)
+    when the shape changes, and teach the reader the old form if old
+    baselines must stay readable. *)
 
 type direction =
   | Lower_better  (** Costs: interactions, bytes, allocation, time. *)
@@ -86,8 +80,6 @@ val label_of_path : string -> string
 
 (** {1 Serialization} *)
 
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
 
 val to_string : t -> string
 (** Canonical single-line JSON document plus a trailing newline. *)

@@ -6,8 +6,6 @@
     dedicated [Logs] source, silent by default — {!set_verbosity} turns it
     on, and the CLI's [--verbose] flag maps straight onto it. *)
 
-val src : Logs.src
-
 type verbosity =
   | Quiet  (** No telemetry events (the default). *)
   | Events  (** Milestone events ([Logs.Info]). *)

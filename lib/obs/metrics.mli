@@ -66,9 +66,6 @@ module Histogram : sig
       contains the true quantile.  Returns [nan] when empty. *)
 end
 
-val default_buckets : float array
-(** A general-purpose 1–1000 log-ish ladder. *)
-
 val linear_buckets : start:float -> step:float -> count:int -> float array
 val exponential_buckets : start:float -> factor:float -> count:int -> float array
 
@@ -88,7 +85,7 @@ val gauge : t -> ?help:string -> ?labels:labels -> string -> Gauge.t
 
 val histogram :
   t -> ?help:string -> ?labels:labels -> ?buckets:float array -> string -> Histogram.t
-(** [buckets] (default {!default_buckets}) are the strictly increasing
+(** [buckets] (default: a 1–1000 log-ish ladder) are the strictly increasing
     upper bounds; they are fixed by the first registration of the family
     and ignored afterwards.  @raise Invalid_argument when not strictly
     increasing or empty. *)

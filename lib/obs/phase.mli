@@ -11,24 +11,21 @@
     {b Determinism.}  The clock is injected: the collector never reads
     ambient time itself, so this module stays inside the repo's
     no-ambient-nondeterminism contract (lint rule D1).  The default clock
-    is {!null_clock}, which always returns 0 — a collector without a real
-    clock still produces exact, byte-reproducible allocation accounting
-    (GC word counts are a function of the code executed, not of the
-    scheduler), with every elapsed time equal to zero.  Callers that want
-    real timings (the CLI's [--profile-phases], the bench harness) pass a
-    monotonic nanosecond clock and forfeit byte-reproducibility of the
-    timing fields only. *)
+    always returns 0 — a collector without a real clock still produces
+    exact, byte-reproducible allocation accounting (GC word counts are a
+    function of the code executed, not of the scheduler), with every
+    elapsed time equal to zero.  Callers that want real timings (the
+    CLI's [--profile-phases], the bench harness) pass a monotonic
+    nanosecond clock and forfeit byte-reproducibility of the timing
+    fields only. *)
 
 type clock = unit -> int64
 (** Monotonic nanoseconds.  Only differences are used. *)
 
-val null_clock : clock
-(** Always 0: allocation accounting without timing, fully deterministic. *)
-
 type entry = {
   phase : string;
   calls : int;  (** Spans accumulated into this bucket. *)
-  elapsed_ns : int64;  (** Total clock time (0 under {!null_clock}). *)
+  elapsed_ns : int64;  (** Total clock time (0 under the default clock). *)
   minor_words : float;  (** Words allocated on the minor heap. *)
   promoted_words : float;  (** Words promoted minor → major. *)
   major_words : float;  (** Words allocated on the major heap (incl. promotions). *)
@@ -39,7 +36,7 @@ type entry = {
 type t
 
 val create : ?clock:clock -> unit -> t
-(** A fresh collector; [clock] defaults to {!null_clock}. *)
+(** A fresh collector; [clock] defaults to one that always returns 0. *)
 
 val span : t -> string -> (unit -> 'a) -> 'a
 (** [span t phase f] runs [f ()] and accumulates its elapsed time and GC

@@ -118,12 +118,6 @@ let span_count t = t.finished_spans
 
 let dropped t = t.dropped
 
-let clear t =
-  Queue.clear t.finished;
-  t.current <- None;
-  t.finished_spans <- 0;
-  t.dropped <- 0
-
 (* ------------------------------------------------------------------ *)
 (* JSONL. *)
 

@@ -18,7 +18,6 @@ type outcome =
   | Not_found  (** The step hit a key with no entry anywhere. *)
 
 val outcome_label : outcome -> string
-val outcome_of_label : string -> outcome option
 
 type span = {
   trace_id : int;
@@ -74,8 +73,6 @@ val span_count : t -> int
 
 val dropped : t -> int
 (** Traces evicted by the ring buffer so far. *)
-
-val clear : t -> unit
 
 (** {1 JSONL export / import} *)
 

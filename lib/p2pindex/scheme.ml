@@ -19,8 +19,6 @@ type 'q t = {
 
 let make ~name ~edges = { name; edges }
 
-let name t = t.name
-
 let edges t msd = t.edges msd
 
 (** The edges for a whole collection, deduplicated — shared coarse-level

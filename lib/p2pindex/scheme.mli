@@ -19,8 +19,6 @@ type 'q t = {
 
 val make : name:string -> edges:('q -> 'q edge list) -> 'q t
 
-val name : 'q t -> string
-
 val edges : 'q t -> 'q -> 'q edge list
 (** The mappings to install for one descriptor. *)
 

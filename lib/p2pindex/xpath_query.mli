@@ -6,12 +6,4 @@
     The search prunes less but stays complete.  Applications with structure
     knowledge (like [Bib.Bib_query]) give precise answers. *)
 
-type t = Xpath.t
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-val covers : t -> t -> bool
-val compatible : t -> t -> bool
-val generalizations : t -> t list
+include Query_sig.QUERY with type t = Xpath.t

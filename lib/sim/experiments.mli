@@ -29,8 +29,6 @@ module Grid : sig
 
   val report : t -> scheme:Bib.Schemes.kind -> policy:Cache.Policy.t -> Runner.report
   (** Run (or reuse) the simulation for one cell. *)
-
-  val scale : t -> scale
 end
 
 type block =

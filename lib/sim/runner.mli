@@ -14,9 +14,6 @@
 
 type substrate = Static | Chord | Pastry | Can | Kademlia
 
-val substrate_label : substrate -> string
-(** Lower-case name, as used in metric labels and the CLI. *)
-
 type popularity_model =
   | Fitted_cdf of float
       (** The paper's fitted family: CDF [F(i) = 0.063 i^alpha], clamped and
@@ -87,9 +84,6 @@ type prefix_config = {
       (** Answer prefix queries (and install the range index) through
           the spanning tree instead of per-covering-node exchanges. *)
 }
-
-val default_prefix : prefix_config
-(** Single-letter prefixes, multicast on. *)
 
 type quorum_config = {
   read_quorum : int;
@@ -300,10 +294,6 @@ val rpc_lost_messages : report -> int
 
 val quorum_reads : report -> int
 (** Lookup steps that took the quorum path. *)
-
-val quorum_stale_reads : report -> int
-(** Quorum reads whose merged answer a fully-consistent read would have
-    improved on (oracle comparison against every live replica's version). *)
 
 val quorum_read_repairs : report -> int
 (** Consulted replicas overwritten by read repair. *)

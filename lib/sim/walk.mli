@@ -52,9 +52,6 @@ type state = {
 
 type status = Running of state | Finished of outcome
 
-val max_steps : int
-(** Walks longer than this give up (cycle guard); 32. *)
-
 val start : Workload.Query_gen.event -> state
 
 val step :

@@ -32,7 +32,6 @@ let create ~dummy () =
   }
 
 let length t = t.size
-let is_empty t = t.size = 0
 
 (* Strict (time, seq) heap order between two live slots. *)
 let slot_lt t i j =

@@ -16,7 +16,6 @@ val create : dummy:'a -> unit -> 'a t
     events in a flat array without per-push [option] boxing. *)
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val push : 'a t -> time:float -> 'a -> unit
 (** Schedule an event.  [time] may be in the past relative to previously

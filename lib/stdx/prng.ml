@@ -46,8 +46,6 @@ let unit_float g =
 
 let float g bound = unit_float g *. bound
 
-let bool g = Int64.logand (next_int64 g) 1L = 1L
-
 let pick g a =
   if Array.length a = 0 then invalid_arg "Prng.pick: empty array";
   a.(int g (Array.length a))

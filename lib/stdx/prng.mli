@@ -24,9 +24,6 @@ val split : t -> t
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val bits : t -> int
-(** 62 uniformly random non-negative bits as an OCaml [int]. *)
-
 val int : t -> int -> int
 (** [int g bound] is uniform in [\[0, bound)].  @raise Invalid_argument if
     [bound <= 0]. *)
@@ -40,9 +37,6 @@ val float : t -> float -> float
 
 val unit_float : t -> float
 (** Uniform in [\[0, 1)]. *)
-
-val bool : t -> bool
-(** Fair coin flip. *)
 
 val pick : t -> 'a array -> 'a
 (** Uniformly random element of a non-empty array.

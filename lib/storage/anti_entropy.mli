@@ -32,8 +32,6 @@ type stats = {
           [digest_bytes + shipped_bytes < full_state_bytes]. *)
 }
 
-val zero_stats : stats
-
 val add : stats -> stats -> stats
 (** Componentwise sum (aggregate over several passes or stores). *)
 

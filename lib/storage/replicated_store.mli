@@ -93,11 +93,8 @@ val replica_buf : 'v t -> Hashing.Key.t -> Stdx.Int_buf.t
     [live_node_id] call on this store, so walk it before resolving
     another key. *)
 
-val live_node : 'v t -> Hashing.Key.t -> int option
-(** The acting primary: the first live node of the replica set. *)
-
 val live_node_id : 'v t -> Hashing.Key.t -> int
-(** {!live_node} without the option: the acting primary's index, or
+(** The acting primary — the first live node of the replica set — or
     [-1] when the whole replica set is dead. *)
 
 val make_entry : expires_at:float -> len:int -> 'v -> 'v entry

@@ -5,7 +5,6 @@ type t =
 exception Parse_error of string
 
 let element ?(attrs = []) name children = Element (name, attrs, children)
-let text s = Text s
 let leaf name value = Element (name, [], [ Text value ])
 
 let name = function Element (n, _, _) -> Some n | Text _ -> None
@@ -129,8 +128,6 @@ let to_string ?(indent = false) node =
   in
   render 0 node;
   Buffer.contents buffer
-
-let pp ppf node = Format.pp_print_string ppf (to_string ~indent:true node)
 
 let size_bytes node = String.length (to_string node)
 

@@ -13,8 +13,6 @@ type t =
 val element : ?attrs:(string * string) list -> string -> t list -> t
 (** Convenience constructor. *)
 
-val text : string -> t
-
 val leaf : string -> string -> t
 (** [leaf name value] is [<name>value</name>]. *)
 
@@ -46,8 +44,6 @@ val canonical_compare : t -> t -> int
 
 val to_string : ?indent:bool -> t -> string
 (** Serialize; [indent] pretty-prints with two-space indentation. *)
-
-val pp : Format.formatter -> t -> unit
 
 val size_bytes : t -> int
 (** Length of the compact serialization — the unit of the paper's storage

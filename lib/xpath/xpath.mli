@@ -34,22 +34,6 @@ type node
 type t
 (** A normalized query. *)
 
-val node : ?axis:axis -> test -> node list -> node
-(** Build a pattern node; children are normalized: sorted, deduplicated,
-    and {e minimized} — a sub-pattern subsumed by a sibling (e.g. the
-    redundant [author/last/Smith] next to [author[first/John][last/Smith]])
-    is dropped, so equivalent expressions share one normal form.  [axis]
-    defaults to [Child]. *)
-
-val named : ?axis:axis -> string -> node list -> node
-(** [named n subs] is [node ~axis (Name n) subs]. *)
-
-val value_leaf : string -> node
-(** A leaf value test, e.g. the [John] in [first/John]. *)
-
-val query : node list -> t
-(** A query from its top-level pattern nodes (normalized). *)
-
 val top_nodes : t -> node list
 val node_axis : node -> axis
 val node_test : node -> test

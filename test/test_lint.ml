@@ -318,6 +318,33 @@ let typed_repo_self_lints_clean () =
           (Lint.Report.render_text ~files_scanned:n ~cmts_loaded:n violations)
       end
 
+(* X1 over its own fixture library: interface values no other unit
+   names are reported, nested signatures included; a value its own
+   implementation uses still counts as dead, and the comment form
+   suppresses. *)
+let dead_exports_fixture () =
+  match typed_root () with
+  | None -> Alcotest.skip ()
+  | Some root ->
+      let dir = Filename.concat root "test/lint_fixtures/dead/.lintfx_dead.objs/byte" in
+      if not (Sys.file_exists dir && Sys.is_directory dir) then Alcotest.skip ()
+      else
+        let violations =
+          Lint.Dead_exports.run ~known:Lint.Rules.everything ~root ~cmt_dirs:[ dir ] ()
+        in
+        Alcotest.(check (list string))
+          "exact X1 report"
+          [
+            "test/lint_fixtures/dead/exporter.mli:2 `Lintfx_dead.Exporter.only_here`";
+            "test/lint_fixtures/dead/exporter.mli:3 `Lintfx_dead.Exporter.unused`";
+            "test/lint_fixtures/dead/exporter.mli:9 `Lintfx_dead.Exporter.Inner.deep_unused`";
+          ]
+          (List.map
+             (fun (v : Lint.Rule.violation) ->
+               Printf.sprintf "%s:%d %s" v.file v.line
+                 (List.hd (String.split_on_char ' ' v.message)))
+             violations)
+
 (* ------------------------------------------------------------------ *)
 (* The README's rule table stays in sync with the registered rule set,
    syntactic and typed alike. *)
@@ -366,6 +393,7 @@ let suite =
         Alcotest.test_case "typed reports byte-identical" `Quick typed_reports_are_deterministic;
         Alcotest.test_case "[@hot] propagates through the call graph" `Quick typed_propagation_hot_names;
         Alcotest.test_case "library cmts lint clean" `Quick typed_repo_self_lints_clean;
+        Alcotest.test_case "dead exports over the X1 corpus" `Quick dead_exports_fixture;
       ] );
     ( "lint:docs",
       [ Alcotest.test_case "README rule table matches the rule set" `Quick readme_documents_every_rule ] );
