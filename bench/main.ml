@@ -199,7 +199,7 @@ let micro_ops () : (string * (unit -> unit)) list =
           articles );
     ( "index/republish-corpus-1k",
       fun () ->
-        Bib.Bib_index.republish_corpus republish_index ~kind:Bib.Schemes.Simple articles );
+        Bib.Bib_index.republish republish_index );
     ( "lru/add-find",
       fun () ->
         incr counter;

@@ -4,8 +4,4 @@
 include P2pindex.Index.S with type query = Bib_query.t
 
 val publish_corpus : t -> kind:Schemes.kind -> Article.t array -> unit
-(** Publish a whole corpus under a scheme. *)
-
-val republish_corpus : t -> kind:Schemes.kind -> Article.t array -> unit
-(** Soft-state refresh: every publisher re-sends its entries with fresh
-    TTLs, restoring copies lost to churn. *)
+(** Publish a whole corpus under a scheme; {!republish} refreshes it. *)

@@ -52,6 +52,7 @@ type t = {
   mutable next_id : int64;
   control : Stdx.Prng.t;
   zero : bool;
+  overridden : bool;  (* Some node or link override exists. *)
 }
 
 let create ?(seed = 0L) ?(node_overrides = []) ?(link_overrides = []) base =
@@ -82,6 +83,7 @@ let create ?(seed = 0L) ?(node_overrides = []) ?(link_overrides = []) base =
     next_id = 0L;
     control = Stdx.Prng.create ~seed:(Int64.logxor seed 0x636f6e74726f6cL);
     zero;
+    overridden = Hashtbl.length nodes > 0 || Hashtbl.length links > 0;
   }
 
 let zero = create zero_spec
@@ -92,16 +94,20 @@ type verdict = { lost : bool; duplicated : bool; latency : float }
 
 let clean_verdict = { lost = false; duplicated = false; latency = 0.0 }
 
+(* Without overrides every message takes the base spec: no link tuple,
+   no table probe. *)
 let resolve t ~src ~dst =
-  match Hashtbl.find_opt t.link_overrides (src, dst) with
-  | Some s -> s
-  | None -> (
-      match Hashtbl.find_opt t.node_overrides dst with
-      | Some s -> s
-      | None -> (
-          match Hashtbl.find_opt t.node_overrides src with
-          | Some s -> s
-          | None -> t.base))
+  if not t.overridden then t.base
+  else
+    match Hashtbl.find_opt t.link_overrides (src, dst) with
+    | Some s -> s
+    | None -> (
+        match Hashtbl.find_opt t.node_overrides dst with
+        | Some s -> s
+        | None -> (
+            match Hashtbl.find_opt t.node_overrides src with
+            | Some s -> s
+            | None -> t.base))
 
 (* One PRNG per message, keyed by (seed, message id): the verdict is a
    pure function of the pair, so sampling one message never perturbs

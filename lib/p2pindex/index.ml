@@ -11,7 +11,7 @@
     the substrate's replication: every entry is written to [replication]
     replica nodes, lookups retry down the replica list when the responsible
     node is dead or has lost the mapping, and under churn the entries are
-    soft state — TTL-stamped, refreshed by {!republish_batch} and re-homed by
+    soft state — TTL-stamped, refreshed by {!republish} and re-homed by
     {!repair}.  With the defaults (replication 1, everything alive,
     infinite TTL) the index behaves exactly as the static version did.
 
@@ -60,6 +60,26 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     ae_full_state_bytes : Obs.Metrics.Counter.t;
   }
 
+  (* One published document, as republication replays it (see
+     {!republish}). *)
+  type planned = {
+    file_key : Key.t;
+    file : file;
+    request_bytes : int;  (** The file write's billed request. *)
+    edges : int array;  (** Per scheme edge, in edge order: plan group, child length. *)
+    children : Q.t array;  (** Per scheme edge: the child the group keeps. *)
+  }
+
+  type plan = {
+    mutable docs : planned array;  (** In publication order. *)
+    mutable doc_count : int;
+    mutable group_keys : Key.t array;  (** Per plan group: the parent's key. *)
+    mutable parent_lens : int array;  (** Per plan group: the parent's rendered length. *)
+    mutable group_count : int;
+    mutable key_groups : (Key.t, int) Hashtbl.t option;
+        (** Parent key -> plan group, once a second batch publishes. *)
+  }
+
   type t = {
     resolver : Dht.Resolver.t;
     rpc : Dht.Rpc.t;
@@ -71,6 +91,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     files : file Rstore.t;
     key_cache : (string, Key.t) Hashtbl.t;
         (* Hashing a query is hot; memoize canonical-string -> key. *)
+    plan : plan option;  (* Under a finite TTL only. *)
     consulted : Stdx.Int_buf.t;
         (* The replicas a quorum lookup step heard from, in answer order. *)
     metrics : Obs.Metrics.t option;
@@ -184,6 +205,18 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         Rstore.create ~resolver ~replication ?read_quorum ?write_quorum
           ?on_write_acks ~liveness ~clock ();
       key_cache = Hashtbl.create 4096;
+      plan =
+        (if ttl = infinity then None
+         else
+           Some
+             {
+               docs = [||];
+               doc_count = 0;
+               group_keys = Array.make 64 Key.zero;
+               parent_lens = Array.make 64 0;
+               group_count = 0;
+               key_groups = None;
+             });
       consulted = Stdx.Int_buf.create ~capacity:replication ();
       metrics;
       instruments = Option.map make_instruments metrics;
@@ -292,43 +325,33 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   (* Publication hashes its strings directly: the key memo is left to
      the query strings lookups see. *)
-  let store_file t ~msd file =
-    let msd_string = Q.to_string msd in
-    let key = Key.of_string msd_string in
+  let write_file t ~key ~request_bytes file =
     ignore (Rstore.remove_key t.files key);
     Rstore.insert ~expires_at:(entry_expiry t) t.files ~key ~len:(file_len file) file;
-    charge_live_replicas t ~key ~bytes:(Wire.request_bytes msd_string)
+    charge_live_replicas t ~key ~bytes:request_bytes
 
-  (* Republication looks its keys up in the memo, as lookups do: every
-     round renders the same strings again. *)
-  let refresh_file t ~msd file =
+  let store_file t ~msd file =
     let msd_string = Q.to_string msd in
-    let key = key_of_string_memo t msd_string in
-    ignore
-      (Rstore.insert_unique ~expires_at:(entry_expiry t) ~equal:( = ) t.files ~key
-         ~len:(file_len file) file);
-    charge_live_replicas t ~key ~bytes:(Wire.request_bytes msd_string)
+    write_file t ~key:(Key.of_string msd_string) ~request_bytes:(Wire.request_bytes msd_string)
+      file
 
-  (* Publication and republication share one batch: every scheme edge of
-     the documents is staged under its rendered parent, then each parent
-     key takes one store write ({!Rstore.insert_entries}).  Each distinct
-     parent is hashed once; its children are deduplicated by cached
-     length and [Q.equal], as a run of one-entry writes would refresh
-     them, so the write leaves what the per-edge sequence would have
-     left, on any key.  Publication bills each new child once per live
-     replica; republication ([refresh]) bills every staged edge, new or
-     not, and skips the covering check publication already made.
+  (* Publication stages every scheme edge of a batch of documents under
+     its rendered parent, then each parent key takes one store write
+     ({!Rstore.insert_entries}).  Each distinct parent is hashed once;
+     its children are deduplicated by cached length and [Q.equal], as a
+     run of one-entry writes would refresh them, so the write leaves
+     what the per-edge sequence would have left, on any key, and bills
+     each new child once per live replica.
 
      The staged groups are columns indexed by group id, in first-seen
      order, behind an open-addressing table over the parent strings.  A
      group keeps only what its write needs: the key, the parent (for its
      length), the edge count and the distinct children as store entries,
-     newest first — an empty replica's list itself — and, under
-     republication, every edge's child length.  Children are compared by
-     a list scan; a group past [dedupe_threshold] children also keeps the
-     hashes of their renderings, so that a child whose hash is new is
-     known new without a scan.  Everything but the entries is dropped
-     once the batch is written. *)
+     newest first — an empty replica's list itself.  Children are
+     compared by a list scan; a group past [dedupe_threshold] children
+     also keeps the hashes of their renderings, so that a child whose
+     hash is new is known new without a scan.  Everything but the
+     entries is dropped once the batch is written. *)
 
   (* Open addressing over non-negative ints: a slot holds [v + 1] and 0
      marks it free; a table is a power of two, kept at most half full,
@@ -366,46 +389,97 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   let dedupe_threshold = 16
 
+  (* Arrays that double when full; [fill] pads the new half. *)
+  let extend a fill =
+    let a' = Array.make (2 * Array.length a) fill in
+    Array.blit a 0 a' 0 (Array.length a);
+    a'
+
   type batch = {
     mutable ids : int array;  (** Slots over [parents]' hashes: group id + 1. *)
     mutable parents : string array;
     mutable keys : Key.t array;
     mutable writes : int array;  (** Edges staged. *)
     mutable children : Q.t Rstore.entry list array;
-    mutable edge_lens : int list array;
-        (** Every staged edge's child length; empty unless [refresh]. *)
     mutable hashes : hashes option array;
+    mutable plan_groups : int array;  (** The group's id in the plan; unused without one. *)
     mutable groups : int;
-    refresh : bool;  (** Republication. *)
     expires_at : float;  (** Every entry of a batch is stamped alike. *)
   }
 
-  let create_batch t ~refresh ~capacity =
+  let create_batch t ~capacity =
     {
       ids = Slots.create capacity;
       parents = Array.make capacity "";
       keys = Array.make capacity Key.zero;
       writes = Array.make capacity 0;
       children = Array.make capacity [];
-      edge_lens = (if refresh then Array.make capacity [] else [||]);
       hashes = Array.make capacity None;
+      plan_groups = (match t.plan with Some _ -> Array.make capacity 0 | None -> [||]);
       groups = 0;
-      refresh;
       expires_at = entry_expiry t;
     }
 
-  let grow_columns b =
-    let extend a fill =
-      let a' = Array.make (2 * Array.length a) fill in
-      Array.blit a 0 a' 0 (Array.length a);
-      a'
-    in
+  let grow_columns t b =
     b.parents <- extend b.parents "";
     b.keys <- extend b.keys Key.zero;
     b.writes <- extend b.writes 0;
     b.children <- extend b.children [];
-    if b.refresh then b.edge_lens <- extend b.edge_lens [];
-    b.hashes <- extend b.hashes None
+    b.hashes <- extend b.hashes None;
+    match t.plan with Some _ -> b.plan_groups <- extend b.plan_groups 0 | None -> ()
+
+  (* ---------------------------------------------------------------- *)
+  (* The publication plan: what soft-state refresh replays.  Under a
+     finite TTL, publication records each document it writes — its file
+     write, and per scheme edge the parent's group and the child as it
+     was staged — so a republish round rewrites them without rendering,
+     hashing or staging anything again.  A group is one parent key with
+     its rendered length; a child is the value the group's dedupe kept,
+     the one the store holds, so a round finds repeated children by
+     identity. *)
+
+  let plan_group (p : plan) ~key ~parent_len =
+    let g = p.group_count in
+    if g = Array.length p.group_keys then begin
+      p.group_keys <- extend p.group_keys Key.zero;
+      p.parent_lens <- extend p.parent_lens 0
+    end;
+    p.group_keys.(g) <- key;
+    p.parent_lens.(g) <- parent_len;
+    p.group_count <- g + 1;
+    g
+
+  (* The plan group of a parent key first staged by this batch.  A
+     batch's parents are distinct, so the first batch to publish only
+     appends; later ones look their keys up in a table built when the
+     second batch starts. *)
+  let plan_group_of (p : plan) ~fresh ~key ~parent_len =
+    if fresh then plan_group p ~key ~parent_len
+    else begin
+      let table =
+        match p.key_groups with
+        | Some table -> table
+        | None ->
+            let table = Hashtbl.create (2 * p.group_count) in
+            for g = 0 to p.group_count - 1 do
+              Hashtbl.replace table p.group_keys.(g) g
+            done;
+            p.key_groups <- Some table;
+            table
+      in
+      match Hashtbl.find_opt table key with
+      | Some g -> g
+      | None ->
+          let g = plan_group p ~key ~parent_len in
+          Hashtbl.replace table key g;
+          g
+    end
+
+  let plan_doc (p : plan) doc =
+    if p.doc_count = Array.length p.docs then
+      p.docs <- (if p.doc_count = 0 then Array.make 64 doc else extend p.docs doc);
+    p.docs.(p.doc_count) <- doc;
+    p.doc_count <- p.doc_count + 1
 
   (* The slot of [ids] holding the group of parent [s], or the free slot
      its group would go to. *)
@@ -419,15 +493,22 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     find_parent ids parents s (Hashtbl.hash s land Slots.mask ids)
 
   (* The id of [parent_string]'s group, created (and its key hashed) on
-     first sight. *)
-  let group_of t b parent_string =
+     first sight.  [fresh]: the plan held no group when the batch
+     started. *)
+  let group_of t b ~fresh parent_string =
     let i = parent_slot b.ids b.parents parent_string in
     match b.ids.(i) with
     | 0 ->
         let g = b.groups in
-        if g = Array.length b.parents then grow_columns b;
+        if g = Array.length b.parents then grow_columns t b;
+        let key = Key.of_string parent_string in
         b.parents.(g) <- parent_string;
-        b.keys.(g) <- (if b.refresh then key_of_string_memo t else Key.of_string) parent_string;
+        b.keys.(g) <- key;
+        (match t.plan with
+        | Some p ->
+            b.plan_groups.(g) <-
+              plan_group_of p ~fresh ~key ~parent_len:(String.length parent_string)
+        | None -> ());
         b.ids.(i) <- g + 1;
         b.groups <- g + 1;
         if 2 * b.groups > Array.length b.ids then begin
@@ -440,11 +521,13 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         g
     | x -> x - 1
 
-  let rec holds_child child len = function
-    | [] -> false
-    | e :: rest ->
-        (Rstore.entry_len e = len && Q.equal (Rstore.entry_value e) child)
-        || holds_child child len rest
+  (* The staged entries from the one holding [child] on; [] when none
+     does. *)
+  let rec find_child child len = function
+    | [] -> []
+    | e :: rest as entries ->
+        if Rstore.entry_len e = len && Q.equal (Rstore.entry_value e) child then entries
+        else find_child child len rest
 
   let child_hash (s : string) = Hashtbl.hash s
 
@@ -453,33 +536,58 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     List.iter (fun e -> add_hash hs (child_hash (Q.to_string (Rstore.entry_value e)))) children;
     hs
 
+  (* Stage one edge's child under group [g]; returns the value the group
+     keeps for it — an equal child staged earlier, or [child]. *)
   let stage_child b g ~child_string child =
     let len = String.length child_string in
     b.writes.(g) <- b.writes.(g) + 1;
-    if b.refresh then b.edge_lens.(g) <- len :: b.edge_lens.(g);
     let children = b.children.(g) in
     let staged =
       match b.hashes.(g) with
-      | None -> holds_child child len children
-      | Some hs -> Slots.mem hs.table (child_hash child_string) && holds_child child len children
+      | None -> find_child child len children
+      | Some hs ->
+          if Slots.mem hs.table (child_hash child_string) then find_child child len children
+          else []
     in
-    if not staged then begin
-      let children = Rstore.make_entry ~expires_at:b.expires_at ~len child :: children in
-      b.children.(g) <- children;
-      match b.hashes.(g) with
-      | Some hs -> add_hash hs (child_hash child_string)
-      | None ->
-          if List.compare_length_with children dedupe_threshold > 0 then
-            b.hashes.(g) <- Some (hash_children children)
-    end
+    match staged with
+    | e :: _ -> Rstore.entry_value e
+    | [] ->
+        let children = Rstore.make_entry ~expires_at:b.expires_at ~len child :: children in
+        b.children.(g) <- children;
+        (match b.hashes.(g) with
+        | Some hs -> add_hash hs (child_hash child_string)
+        | None ->
+            if List.compare_length_with children dedupe_threshold > 0 then
+              b.hashes.(g) <- Some (hash_children children));
+        child
 
-  let stage_edges t b ~scheme msd =
+  (* Stage a document's edges; under a plan, also record them, with its
+     file write, once every edge is staged. *)
+  let stage_doc t b ~fresh ~scheme ~msd ~key ~request_bytes file =
     let render = edge_renderer () in
-    List.iter
-      (fun { Scheme.parent; child } ->
-        if not b.refresh then check_covers ~render parent child;
-        stage_child b (group_of t b (render parent)) ~child_string:(render child) child)
-      (Scheme.edges scheme msd)
+    let edges = Scheme.edges scheme msd in
+    match t.plan with
+    | None ->
+        List.iter
+          (fun { Scheme.parent; child } ->
+            check_covers ~render parent child;
+            let g = group_of t b ~fresh (render parent) in
+            ignore (stage_child b g ~child_string:(render child) child : Q.t))
+          edges
+    | Some p ->
+        let n = List.length edges in
+        let planned = Array.make (2 * n) 0 in
+        let children = match edges with [] -> [||] | e :: _ -> Array.make n e.child in
+        List.iteri
+          (fun i { Scheme.parent; child } ->
+            check_covers ~render parent child;
+            let g = group_of t b ~fresh (render parent) in
+            let child_string = render child in
+            planned.(2 * i) <- b.plan_groups.(g);
+            planned.((2 * i) + 1) <- String.length child_string;
+            children.(i) <- stage_child b g ~child_string child)
+          edges;
+        plan_doc p { file_key = key; file; request_bytes; edges = planned; children }
 
   let rec charge_installs t ~dst ~parent_len ~len = function
     | [] -> ()
@@ -502,48 +610,144 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       for i = 0 to Stdx.Int_buf.length replicas - 1 do
         let dst = Stdx.Int_buf.unsafe_get replicas i in
         if Dht.Liveness.alive t.liveness dst then
-          if b.refresh then charge_installs t ~dst ~parent_len ~len:Fun.id b.edge_lens.(g)
-          else charge_installs t ~dst ~parent_len ~len:Rstore.entry_len fresh
+          charge_installs t ~dst ~parent_len ~len:Rstore.entry_len fresh
       done
     done
 
-  let write_batch t ~refresh ~scheme ~msd ~file docs =
+  let publish_batch t ~scheme ~msd ~file docs =
     (* Room for four groups a document, about what the bibliographic
        schemes stage, so the columns seldom grow. *)
-    let b = create_batch t ~refresh ~capacity:(Stdlib.max 16 (4 * Array.length docs)) in
+    let b = create_batch t ~capacity:(Stdlib.max 16 (4 * Array.length docs)) in
+    let fresh = match t.plan with Some p -> p.group_count = 0 | None -> true in
     let stage doc =
-      let msd = msd doc in
-      (if refresh then refresh_file else store_file) t ~msd (file doc);
-      stage_edges t b ~scheme msd
+      let msd = msd doc and file = file doc in
+      let msd_string = Q.to_string msd in
+      let key = Key.of_string msd_string and request_bytes = Wire.request_bytes msd_string in
+      write_file t ~key ~request_bytes file;
+      stage_doc t b ~fresh ~scheme ~msd ~key ~request_bytes file
     in
     (* A covering violation stops the batch where the per-edge sequence
-       would have stopped: after the edges before it were written. *)
+       would have stopped: after the edges before it were written.  The
+       document it stopped in stays out of the plan. *)
     match Array.iter stage docs with
     | () -> flush t b
     | exception (Covering_violation _ as e) ->
         flush t b;
         raise e
 
-  let publish_batch t = write_batch t ~refresh:false
-
-  (* A republished entry is almost always a refresh, so what a batch
-     stages is garbage once written.  Batches of eight documents let most
-     of it die in the minor heap; one batch of a whole corpus outgrows
-     the minor heap and promotes everything staged, growing the major
-     heap of every churned run (EXPERIMENTS.md, "Grouped
-     republication"). *)
-  let republish_docs = 8
-
-  let republish_batch t ~scheme ~msd ~file docs =
-    let n = Array.length docs in
-    for c = 0 to (n - 1) / republish_docs do
-      let lo = c * republish_docs in
-      write_batch t ~refresh:true ~scheme ~msd ~file
-        (Array.sub docs lo (Stdlib.min republish_docs (n - lo)))
-    done
-
   let publish t ~scheme ~msd file =
     publish_batch t ~scheme ~msd:(fun () -> msd) ~file:(fun () -> file) [| () |]
+
+  (* ---------------------------------------------------------------- *)
+  (* Republication: the plan replayed in publication order, eight
+     documents a batch.  A batch refreshes its documents' files, then
+     regroups their edges by plan group, in first-seen order, and makes
+     one write per group with fresh entries — deduplicated by identity
+     first, as the plan's children are the values the store holds, and
+     by length and [Q.equal] for a child an earlier publication batch
+     staged apart — billing every edge at every live replica.  A
+     republished entry is almost always a refresh, so what a batch
+     builds is garbage once written: batches of eight documents let it
+     die in the minor heap (EXPERIMENTS.md, "Grouped republication"). *)
+
+  let republish_docs = 8
+
+  (* A round's regrouping columns, indexed by batch group; [edge_lens]
+     holds each group's edges' child lengths, newest first. *)
+  type round = {
+    slots : int array;  (** Plan group id -> its batch group + 1; 0 when not staged. *)
+    mutable gids : int array;  (** Batch group -> its plan group. *)
+    mutable round_writes : int array;
+    mutable round_children : Q.t Rstore.entry list array;
+    mutable edge_lens : int list array;
+    mutable round_groups : int;
+  }
+
+  let create_round (p : plan) =
+    let capacity = 64 in
+    {
+      slots = Array.make p.group_count 0;
+      gids = Array.make capacity 0;
+      round_writes = Array.make capacity 0;
+      round_children = Array.make capacity [];
+      edge_lens = Array.make capacity [];
+      round_groups = 0;
+    }
+
+  let round_group r gid =
+    match r.slots.(gid) with
+    | 0 ->
+        let g = r.round_groups in
+        if g = Array.length r.gids then begin
+          r.gids <- extend r.gids 0;
+          r.round_writes <- extend r.round_writes 0;
+          r.round_children <- extend r.round_children [];
+          r.edge_lens <- extend r.edge_lens []
+        end;
+        r.gids.(g) <- gid;
+        r.slots.(gid) <- g + 1;
+        r.round_groups <- g + 1;
+        g
+    | s -> s - 1
+
+  let rec holds_planned child len = function
+    | [] -> false
+    | e :: rest ->
+        (* lint: allow D3 — the plan's children are the staged values themselves; the structural test follows *)
+        Rstore.entry_value e == child
+        || (Rstore.entry_len e = len && Q.equal (Rstore.entry_value e) child)
+        || holds_planned child len rest
+
+  let replay_batch t (p : plan) r ~lo ~hi =
+    let expires_at = entry_expiry t in
+    for d = lo to hi - 1 do
+      let doc = p.docs.(d) in
+      ignore
+        (Rstore.insert_unique ~expires_at ~equal:( = ) t.files ~key:doc.file_key
+           ~len:(file_len doc.file) doc.file
+          : bool);
+      charge_live_replicas t ~key:doc.file_key ~bytes:doc.request_bytes
+    done;
+    for d = lo to hi - 1 do
+      let doc = p.docs.(d) in
+      for i = 0 to Array.length doc.children - 1 do
+        let g = round_group r doc.edges.(2 * i) and len = doc.edges.((2 * i) + 1) in
+        let child = doc.children.(i) in
+        r.round_writes.(g) <- r.round_writes.(g) + 1;
+        r.edge_lens.(g) <- len :: r.edge_lens.(g);
+        if not (holds_planned child len r.round_children.(g)) then
+          r.round_children.(g) <- Rstore.make_entry ~expires_at ~len child :: r.round_children.(g)
+      done
+    done;
+    for g = 0 to r.round_groups - 1 do
+      let gid = r.gids.(g) in
+      let _fresh, replicas =
+        Rstore.insert_entries ~equal:mapping_equal t.mappings ~key:p.group_keys.(gid)
+          ~writes:r.round_writes.(g) r.round_children.(g)
+      in
+      let parent_len = p.parent_lens.(gid) in
+      for i = 0 to Stdx.Int_buf.length replicas - 1 do
+        let dst = Stdx.Int_buf.unsafe_get replicas i in
+        if Dht.Liveness.alive t.liveness dst then
+          charge_installs t ~dst ~parent_len ~len:Fun.id r.edge_lens.(g)
+      done;
+      r.slots.(gid) <- 0;
+      r.round_writes.(g) <- 0;
+      r.round_children.(g) <- [];
+      r.edge_lens.(g) <- []
+    done;
+    r.round_groups <- 0
+
+  let republish t =
+    match t.plan with
+    | None -> ()
+    | Some p ->
+        let r = create_round p in
+        let n = p.doc_count in
+        for c = 0 to (n - 1) / republish_docs do
+          let lo = c * republish_docs in
+          replay_batch t p r ~lo ~hi:(Stdlib.min n (lo + republish_docs))
+        done
 
   (* What shipping one stored entry costs, priced from its cached length
      (mappings) or its file handle (files). *)
@@ -590,8 +794,26 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     let key = key_of t q in
     (not (Rstore.mem t.files key)) && Rstore.lookup t.mappings key = []
 
+  (* An unpublished document leaves the plan, so no round brings it
+     back. *)
+  let unplan t key =
+    match t.plan with
+    | None -> ()
+    | Some p ->
+        let kept = ref 0 in
+        for d = 0 to p.doc_count - 1 do
+          let doc = p.docs.(d) in
+          if not (Key.equal doc.file_key key) then begin
+            p.docs.(!kept) <- doc;
+            incr kept
+          end
+        done;
+        p.doc_count <- !kept
+
   let unpublish t ~scheme ~msd =
-    ignore (Rstore.remove_key t.files (key_of t msd));
+    let key = key_of t msd in
+    ignore (Rstore.remove_key t.files key);
+    unplan t key;
     let edges = Scheme.edges scheme msd in
     (* Remove edges whose child leads nowhere; repeat until a fixpoint so
        chains collapse bottom-up ("recursively delete the references"). *)

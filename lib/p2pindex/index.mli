@@ -11,7 +11,7 @@
     the substrate's replication: every entry is written to [replication]
     replica nodes, lookups retry down the replica list when the responsible
     node is dead or has lost the mapping, and under churn the entries are
-    soft state — TTL-stamped, refreshed by [republish_batch] and re-homed by
+    soft state — TTL-stamped, refreshed by [republish] and re-homed by
     [repair].  With the defaults (replication 1, everything alive,
     infinite TTL) the index behaves exactly as the static version did.
 

@@ -130,17 +130,26 @@ module type S = sig
       @raise Covering_violation on an edge whose parent does not cover its
       child, after the edges before it were installed. *)
 
-  val republish_batch :
-    t -> scheme:query Scheme.t -> msd:('a -> query) -> file:('a -> file) -> 'a array -> unit
-  (** Soft-state refresh of every document of the array, in order: each
-      one's file is refreshed in place and every index entry {!publish}
-      would install is re-sent, stamped with a fresh TTL, with one store
-      write per distinct parent key of every eight documents.  Replicas
-      that lost an entry get it back.  Each file and each scheme edge is
-      billed as maintenance to every live replica, whether or not the
-      replica already held it.  The result is exactly that of one
-      [insert_unique] per file and per edge, document by document, each
-      billed that way. *)
+  val republish : t -> unit
+  (** Soft-state refresh: every document published so far is re-sent,
+      stamped with a fresh TTL, in publication order — a document
+      published twice is re-sent twice — with one store write per
+      distinct parent key of every eight documents.  Each file is
+      refreshed in place and every index entry its publication
+      installed is re-sent; replicas that lost an entry get it back.
+      Each file and each scheme edge is billed as maintenance to every
+      live replica, whether or not the replica already held it.  The
+      result is exactly that of one [insert_unique] per file and per
+      edge, document by document, each billed that way.
+
+      A round replays the publication plan: under a finite [ttl],
+      publication records each document's file key, request size and,
+      per scheme edge, the parent key, the child and its rendered
+      length, so a round renders, hashes and derives nothing.
+      {!unpublish} takes a document out of the plan, and a document
+      whose publication raised {!Covering_violation} never enters it.
+      Under an infinite [ttl] nothing expires, publication records
+      nothing and [republish] does nothing. *)
 
   val repair : t -> int
   (** Full-state repair pass over both stores: re-home entries onto live

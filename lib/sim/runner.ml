@@ -620,7 +620,7 @@ module Internal = struct
           ~on_join:(fun ~time _node -> env.clock_ref := time)
           ~on_republish:(fun ~time ->
             env.clock_ref := time;
-            Index.republish_corpus env.index ~kind:env.cfg.scheme env.articles;
+            Index.republish env.index;
             Option.iter
               (fun (_, p) -> Prefix.Prefix_index.republish p (prefix_entries env.articles))
               env.prefix_index)

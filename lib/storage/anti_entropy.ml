@@ -14,17 +14,6 @@ type stats = {
   full_state_bytes : int;
 }
 
-let zero_stats =
-  {
-    exchanges = 0;
-    digest_matches = 0;
-    digest_bytes = 0;
-    keys_shipped = 0;
-    entries_shipped = 0;
-    shipped_bytes = 0;
-    full_state_bytes = 0;
-  }
-
 let add a b =
   {
     exchanges = a.exchanges + b.exchanges;
@@ -36,88 +25,182 @@ let add a b =
     full_state_bytes = a.full_state_bytes + b.full_state_bytes;
   }
 
-(* Group the directory's keys by their replica set.  Keys sharing a
-   replica list form one range a coordinator/peer pair can summarize
-   with a single digest; iterating buckets in replica-list order (and
-   keys in key order inside each) keeps the whole pass deterministic. *)
+(* The directory's keys grouped by their replica set.  Keys sharing a
+   replica set form one range a coordinator/peer pair can summarize
+   with a single digest.  Each key's replicas are resolved once into
+   [replicas], [width] slots a key padded with -1, and the key indices
+   are ordered by replica set (lexicographically, a shorter set before
+   its extensions), then by key: ranges in replica-set order, keys in
+   key order inside each, so the whole pass is deterministic.  A
+   counting pass orders the keys by primary replica; each primary's run
+   — a few keys, usually one range — is then sorted on its own. *)
+type buckets = {
+  keys : Key.t array;
+  width : int;
+  replicas : int array;
+  order : int array;  (** Key indices, range by range. *)
+}
+
+(* Sort [order]'s slots [lo, hi) by [compare]: insertion sort for the
+   short runs a primary usually has, [Array.sort] beyond. *)
+let sort_run compare order lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let x = order.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && compare order.(!j) x > 0 do
+        order.(!j + 1) <- order.(!j);
+        decr j
+      done;
+      order.(!j + 1) <- x
+    done
+  else begin
+    let run = Array.sub order lo (hi - lo) in
+    Array.sort compare run;
+    Array.blit run 0 order lo (hi - lo)
+  end
+
 let buckets store =
-  let tbl : (int list, Key.t list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun key ->
-      let replicas = Stdx.Int_buf.to_list (Rstore.replica_buf store key) in
-      let prev = match Hashtbl.find_opt tbl replicas with Some l -> l | None -> [] in
-      Hashtbl.replace tbl replicas (key :: prev))
-    (Rstore.sorted_keys store);
-  Stdx.Det_tbl.fold_sorted
-    ~compare:(List.compare Int.compare)
-    (fun replicas keys acc -> (replicas, List.rev keys) :: acc)
-    tbl []
-  |> List.rev
+  let keys = Rstore.key_array store and width = Rstore.replication store in
+  let n = Array.length keys in
+  let replicas = Array.make (n * width) (-1) in
+  Array.iteri
+    (fun i key ->
+      let buf = Rstore.replica_buf store key in
+      for j = 0 to Stdx.Int_buf.length buf - 1 do
+        replicas.((i * width) + j) <- Stdx.Int_buf.unsafe_get buf j
+      done)
+    keys;
+  (* [next.(p)]: the first slot of primary [p]'s run, advanced as the
+     run fills; [ends.(p)]: one past its last. *)
+  let nodes = Dht.Liveness.node_count (Rstore.liveness store) in
+  let ends = Array.make nodes 0 in
+  for i = 0 to n - 1 do
+    let p = replicas.(i * width) in
+    ends.(p) <- ends.(p) + 1
+  done;
+  for p = 1 to nodes - 1 do
+    ends.(p) <- ends.(p) + ends.(p - 1)
+  done;
+  let next = Array.init nodes (fun p -> if p = 0 then 0 else ends.(p - 1)) in
+  let order = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let p = replicas.(i * width) in
+    order.(next.(p)) <- i;
+    next.(p) <- next.(p) + 1
+  done;
+  let rec compare_sets i j k =
+    if k = width then 0
+    else
+      match Int.compare replicas.((i * width) + k) replicas.((j * width) + k) with
+      | 0 -> compare_sets i j (k + 1)
+      | c -> c
+  in
+  let compare i j = match compare_sets i j 1 with 0 -> Key.compare keys.(i) keys.(j) | c -> c in
+  for p = 0 to nodes - 1 do
+    sort_run compare order (if p = 0 then 0 else ends.(p - 1)) ends.(p)
+  done;
+  { keys; width; replicas; order }
 
-let held_bytes store ~entry_bytes ~node key =
-  List.fold_left (fun sum e -> sum + entry_bytes e) 0 (Rstore.held_entries store ~node key)
+let rec entries_bytes entry_bytes sum = function
+  | [] -> sum
+  | e :: rest -> entries_bytes entry_bytes (sum + entry_bytes e) rest
 
+let held_bytes entry_bytes = function
+  | None -> 0
+  | Some st -> entries_bytes entry_bytes 0 (Rstore.state_entries st)
+
+(* One pass, range by range and, inside a range, key by key: each live
+   replica's state of a key is looked up once, and every peer's
+   comparison with the coordinator follows right after both sides'
+   states are priced for the full-state counterfactual.  A sync touches
+   only its own key, so this order leaves the same states and counts
+   the same bytes as exchanging peer by peer over the whole range. *)
 let run store ~entry_bytes ?(on_exchange = fun ~peer:_ ~bytes:_ -> ())
     ?(on_ship = fun ~node:_ ~bytes:_ -> ()) () =
   let liveness = Rstore.liveness store in
-  List.fold_left
-    (fun acc (replicas, keys) ->
-      match List.filter (Dht.Liveness.alive liveness) replicas with
-      | [] | [ _ ] -> acc (* nobody to exchange with *)
-      | coordinator :: peers ->
-          List.fold_left
-            (fun acc peer ->
-              (* Push-pull digest exchange: the coordinator sends its
-                 range digest, the peer answers with its own. *)
-              let bytes = 2 * digest_message_bytes in
-              on_exchange ~peer ~bytes;
-              let acc =
-                { acc with exchanges = acc.exchanges + 1; digest_bytes = acc.digest_bytes + bytes }
-              in
-              (* What a digestless full-state push-pull would have moved
-                 on this same divergence: both sides' entire ranges, as
-                 held before this exchange prunes them. *)
-              let full =
-                List.fold_left
-                  (fun sum key ->
-                    sum
-                    + held_bytes store ~entry_bytes ~node:coordinator key
-                    + held_bytes store ~entry_bytes ~node:peer key)
-                  0 keys
-              in
-              let acc = { acc with full_state_bytes = acc.full_state_bytes + full } in
-              (* The digests agree exactly when every key's states do, so
-                 the per-key comparison decides the match and finds the
-                 diverged keys in one walk. *)
-              let shipped_before = acc.keys_shipped in
-              let acc =
-                List.fold_left
-                  (fun acc key ->
-                    if Rstore.same_state store ~a:coordinator ~b:peer key then acc
-                    else begin
-                      let repairs =
-                        Rstore.sync_key store ~key ~nodes:[ coordinator; peer ]
-                      in
-                      let shipped, entries =
-                        List.fold_left
-                          (fun (bytes, entries) (node, gained) ->
-                            let b =
-                              List.fold_left (fun b e -> b + entry_bytes e) 0 gained
-                            in
-                            if b > 0 then on_ship ~node ~bytes:b;
-                            (bytes + b, entries + List.length gained))
-                          (0, 0) repairs
-                      in
-                      {
-                        acc with
-                        keys_shipped = acc.keys_shipped + 1;
-                        entries_shipped = acc.entries_shipped + entries;
-                        shipped_bytes = acc.shipped_bytes + shipped;
-                      }
-                    end)
-                  acc keys
-              in
-              if acc.keys_shipped > shipped_before then acc
-              else { acc with digest_matches = acc.digest_matches + 1 })
-            acc peers)
-    zero_stats (buckets store)
+  let { keys; width; replicas; order } = buckets store in
+  let live = Array.make width 0 and states = Array.make width None in
+  (* [matched.(p)]: no key of the range diverged between the coordinator
+     and live replica [p]. *)
+  let matched = Array.make width true in
+  let exchanges = ref 0 and digest_matches = ref 0 and digest_bytes = ref 0 in
+  let keys_shipped = ref 0 and entries_shipped = ref 0 and shipped_bytes = ref 0 in
+  let full_state_bytes = ref 0 in
+  let same_set i j =
+    let rec go k =
+      k = width || (replicas.((i * width) + k) = replicas.((j * width) + k) && go (k + 1))
+    in
+    go 0
+  in
+  let ship (node, gained) =
+    let bytes = entries_bytes entry_bytes 0 gained in
+    if bytes > 0 then on_ship ~node ~bytes;
+    shipped_bytes := !shipped_bytes + bytes;
+    entries_shipped := !entries_shipped + List.length gained
+  in
+  let n = Array.length order and lo = ref 0 in
+  while !lo < n do
+    let first = order.(!lo) in
+    let hi = ref (!lo + 1) in
+    while !hi < n && same_set first order.(!hi) do
+      incr hi
+    done;
+    let nlive = ref 0 in
+    for k = 0 to width - 1 do
+      let node = replicas.((first * width) + k) in
+      if node >= 0 && Dht.Liveness.alive liveness node then begin
+        live.(!nlive) <- node;
+        incr nlive
+      end
+    done;
+    (* A lone survivor has nobody to exchange with. *)
+    if !nlive >= 2 then begin
+      let coordinator = live.(0) in
+      for p = 1 to !nlive - 1 do
+        (* Push-pull digest exchange: the coordinator sends its range
+           digest, the peer answers with its own. *)
+        let bytes = 2 * digest_message_bytes in
+        on_exchange ~peer:live.(p) ~bytes;
+        incr exchanges;
+        digest_bytes := !digest_bytes + bytes;
+        matched.(p) <- true
+      done;
+      for x = !lo to !hi - 1 do
+        let key = keys.(order.(x)) in
+        for p = 0 to !nlive - 1 do
+          states.(p) <- Rstore.find_state store ~node:live.(p) key
+        done;
+        for p = 1 to !nlive - 1 do
+          (* What a digestless full-state push-pull would have moved:
+             both sides' states as held before this comparison prunes
+             them. *)
+          full_state_bytes :=
+            !full_state_bytes + held_bytes entry_bytes states.(0)
+            + held_bytes entry_bytes states.(p);
+          (* The digests agree exactly when every key's states do, so
+             the per-key comparison decides the match and finds the
+             diverged keys in one walk. *)
+          if not (Rstore.same_states store states.(0) states.(p)) then begin
+            List.iter ship (Rstore.sync_key store ~key ~nodes:[ coordinator; live.(p) ]);
+            incr keys_shipped;
+            matched.(p) <- false;
+            states.(0) <- Rstore.find_state store ~node:coordinator key
+          end
+        done
+      done;
+      for p = 1 to !nlive - 1 do
+        if matched.(p) then incr digest_matches
+      done
+    end;
+    lo := !hi
+  done;
+  {
+    exchanges = !exchanges;
+    digest_matches = !digest_matches;
+    digest_bytes = !digest_bytes;
+    keys_shipped = !keys_shipped;
+    entries_shipped = !entries_shipped;
+    shipped_bytes = !shipped_bytes;
+    full_state_bytes = !full_state_bytes;
+  }

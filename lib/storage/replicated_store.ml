@@ -221,11 +221,13 @@ let rec holds_value entries e =
   | e' :: rest -> (e'.len = e.len && same_value e'.value e.value) || holds_value rest e
 
 (* Give the first entry [equal] to [e]'s value [e]'s expiry; false when
-   there is none. *)
+   there is none.  A refresh usually carries the very value the replica
+   holds, so identity is tried before [equal]. *)
 let rec refresh_first ~equal e = function
   | [] -> false
   | e' :: rest ->
-      if e'.len = e.len && equal e'.value e.value then begin
+      (* lint: allow D3 — identity implies [equal] for stored values; [equal] decides otherwise *)
+      if e'.len = e.len && (e'.value == e.value || equal e'.value e.value) then begin
         e'.expires_at <- e.expires_at;
         true
       end
@@ -509,8 +511,24 @@ let sync_key t ~key ~nodes =
 
 let sorted_keys t = Stdx.Det_tbl.sorted_keys ~compare:Key.compare t.directory
 
-let same_state t ~a ~b key =
-  match (state_at t ~node:a key, state_at t ~node:b key) with
+let key_array t =
+  let keys = Array.make (Hashtbl.length t.directory) Key.zero in
+  let i = ref 0 in
+  (* lint: allow D2 — fills an array its callers sort; no order escapes *)
+  Hashtbl.iter
+    (fun key () ->
+      keys.(!i) <- key;
+      incr i)
+    t.directory;
+  keys
+
+type 'v state = 'v key_state
+
+let find_state t ~node key = state_at t ~node key
+let state_entries st = st.entries
+
+let same_states t a b =
+  match (a, b) with
   | None, None -> true
   | Some _, None | None, Some _ -> false
   | Some x, Some y ->
@@ -518,6 +536,8 @@ let same_state t ~a ~b key =
       prune now x;
       prune now y;
       state_equal x y
+
+let same_state t ~a ~b key = same_states t (state_at t ~node:a key) (state_at t ~node:b key)
 
 type 'v held_state = { held : 'v entry list; tombstones : 'v list; version : Version.t }
 

@@ -278,6 +278,25 @@ val fold_range :
 val sorted_keys : 'v t -> Hashing.Key.t list
 (** Every registered key, in {!Hashing.Key.compare} order. *)
 
+val key_array : 'v t -> Hashing.Key.t array
+(** Every registered key, in no particular order: for callers that sort
+    the keys their own way. *)
+
+type 'v state
+(** One replica's state of one key. *)
+
+val find_state : 'v t -> node:int -> Hashing.Key.t -> 'v state option
+(** A node's state for the key, dead or alive, or [None] when it holds
+    none.  A write, sync or repair of that key on that node may replace
+    the state: look it up again afterwards. *)
+
+val state_entries : 'v state -> 'v entry list
+(** The entries the state physically holds, expired ones included until
+    a probe prunes them: the volume a full-state exchange would ship. *)
+
+val same_states : 'v t -> 'v state option -> 'v state option -> bool
+(** {!same_state} on two states already looked up. *)
+
 val same_state : 'v t -> a:int -> b:int -> Hashing.Key.t -> bool
 (** Do nodes [a] and [b] hold identical states for the key — the same
     entries with the same expiries in the same order, the same

@@ -438,6 +438,24 @@ let generated_query_search_pinned () =
 (* Model-based property over random publish/unpublish sequences: afterwards
    the index must contain exactly the surviving articles, with no dead
    mapping targets left behind. *)
+(* Republication replays what publication recorded, less what was
+   unpublished since: a round after [unpublish] brings nothing back. *)
+let republish_skips_unpublished () =
+  let articles = Corpus.generate ~seed:61L (Corpus.default_config ~article_count:30) in
+  let resolver = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:61L ~node_count:10 ()) in
+  let index = Index.create ~ttl:1000.0 ~resolver () in
+  Index.publish_corpus index ~kind:Schemes.Simple articles;
+  let gone = articles.(3) in
+  Index.unpublish index ~scheme:(Schemes.scheme Schemes.Simple) ~msd:(Q.msd gone);
+  let files = Index.file_count index and mappings = Index.mapping_count index in
+  Index.republish index;
+  Alcotest.(check int) "files" files (Index.file_count index);
+  Alcotest.(check int) "mappings" mappings (Index.mapping_count index);
+  Alcotest.(check bool) "unpublished descriptor stays unindexed" true
+    (match Index.lookup_step index (Q.msd gone) with
+    | Index.Not_indexed -> true
+    | Index.File _ | Index.Children _ -> false)
+
 let publish_unpublish_invariant =
   QCheck.Test.make ~name:"publish/unpublish keeps the index clean" ~count:25
     QCheck.(pair (int_range 5 40) (list_of_size (QCheck.Gen.int_range 0 25) (int_range 0 39)))
@@ -582,6 +600,99 @@ let renderer_matches_printf_oracle =
   QCheck.Test.make ~name:"one-pass renderer = Printf renderer" ~count:1000
     renderer_query_arb (fun q -> String.equal (Q.to_string q) (printf_render q))
 
+(* The one-buffer renderer the exact-length one replaced, kept here as
+   its oracle: one [Buffer] per rendering, author predicates of a
+   multi-author descriptor rendered apart and sorted. *)
+let buffer_render q =
+  let add_author b (a : Article.author) =
+    Buffer.add_string b "author[first/";
+    Buffer.add_string b a.first;
+    Buffer.add_string b "][last/";
+    Buffer.add_string b a.last;
+    Buffer.add_char b ']'
+  in
+  let author_pred a =
+    let b = Buffer.create 48 in
+    add_author b a;
+    Buffer.contents b
+  in
+  let add_field b name v =
+    Buffer.add_string b name;
+    Buffer.add_char b '/';
+    Buffer.add_string b v
+  in
+  let b = Buffer.create 96 in
+  Buffer.add_string b "/article";
+  (match q with
+  | Q.Fields f ->
+      let count = Q.constraint_count q in
+      let open_pred i =
+        if count = 1 then Buffer.add_char b '/'
+        else Buffer.add_string b (if i = 0 then "[" else "][")
+      in
+      let i =
+        match f.Q.author with
+        | Some a ->
+            open_pred 0;
+            add_author b a;
+            1
+        | None -> 0
+      in
+      let i =
+        match f.Q.conf with
+        | Some c ->
+            open_pred i;
+            add_field b "conf" c;
+            i + 1
+        | None -> i
+      in
+      let i =
+        match f.Q.title with
+        | Some t ->
+            open_pred i;
+            add_field b "title" t;
+            i + 1
+        | None -> i
+      in
+      (match f.Q.year with
+      | Some y ->
+          open_pred i;
+          add_field b "year" (Int.to_string y)
+      | None -> ());
+      if count > 1 then Buffer.add_char b ']'
+  | Q.Msd (article : Article.t) ->
+      (match article.authors with
+      | [] -> Buffer.add_char b '['
+      | [ a ] ->
+          Buffer.add_char b '[';
+          add_author b a;
+          Buffer.add_string b "]["
+      | authors ->
+          List.iter
+            (fun pred ->
+              Buffer.add_char b '[';
+              Buffer.add_string b pred;
+              Buffer.add_char b ']')
+            (List.sort String.compare (List.map author_pred authors));
+          Buffer.add_char b '[');
+      add_field b "conf" article.conf;
+      Buffer.add_string b "][";
+      add_field b "size" (Int.to_string article.size_bytes);
+      Buffer.add_string b "][";
+      add_field b "title" article.title;
+      Buffer.add_string b "][";
+      add_field b "year" (Int.to_string article.year);
+      Buffer.add_char b ']'
+  | Q.Author_last_prefix p ->
+      Buffer.add_string b "/author/last/";
+      Buffer.add_string b p;
+      Buffer.add_char b '*');
+  Buffer.contents b
+
+let renderer_matches_buffer_oracle =
+  QCheck.Test.make ~name:"exact-length renderer = Buffer renderer" ~count:1000
+    renderer_query_arb (fun q -> String.equal (Q.to_string q) (buffer_render q))
+
 (* ------------------------------------------------------------------ *)
 (* Grouped publication against the per-edge fold: [publish_corpus] must
    leave exactly what storing each file and then inserting each of its
@@ -598,7 +709,9 @@ type publish_case = {
   venues : int;
   seed : int;
   first : int;  (** Articles in the first batch, before the repeats. *)
-  repeats : int;  (** First-batch articles published a second time in it. *)
+  repeats : int;
+      (** First-batch articles published a second time in it, and once
+          more at the end of the second batch. *)
   second : int;  (** Articles in the second batch; 0 for none. *)
   failed : int list;  (** Nodes failed between the two batches. *)
 }
@@ -707,8 +820,16 @@ let first_batch c =
   let first = publish_case_corpus c ~seed:c.seed ~count:c.first in
   Array.append first (Array.sub first 0 (Stdlib.min c.repeats c.first))
 
+(* Its repeats are first-batch documents, whose scheme edges derive
+   query values equal to, but not the same as, the ones the first batch
+   staged. *)
 let second_batch c =
-  if c.second = 0 then [||] else publish_case_corpus c ~seed:(c.seed + 7) ~count:c.second
+  if c.second = 0 then [||]
+  else
+    let first = publish_case_corpus c ~seed:c.seed ~count:c.first in
+    Array.append
+      (publish_case_corpus c ~seed:(c.seed + 7) ~count:c.second)
+      (Array.sub first 0 (Stdlib.min c.repeats c.first))
 
 let publish_observation c ~publish =
   let registry, _network, index = case_index c ~clock:(fun () -> 5.0) in
@@ -734,12 +855,15 @@ let grouped_publication_equals_per_edge_fold =
         (publish_observation c ~publish:Index.publish_corpus)
         (publish_observation c ~publish:publish_per_edge))
 
-(* Grouped republish against the per-edge refresh, written here against
+(* Republication against the per-edge refresh, written here against
    the raw stores: one [insert_unique] per file and per scheme edge,
    each billed as maintenance to every live replica of its key.  Between
-   publication and the republish round, nodes fail, one rejoins empty,
-   one rejoins with the state it slept with, a second batch lands while
-   they are down, and the clock steps past the first batch's TTLs. *)
+   publication and the first round, nodes fail, one rejoins empty, one
+   rejoins with the state it slept with, and a second batch lands while
+   they are down; between later rounds more nodes fail, rejoin empty or
+   rejoin as they were, and the clock steps past the TTLs of whatever a
+   dead replica missed.  Under an infinite TTL publication records no
+   plan and a round does nothing. *)
 let republish_per_edge ~expires_at index network ~kind articles =
   let liveness = Index.liveness index in
   let bill store key bytes =
@@ -774,7 +898,35 @@ let republish_per_edge ~expires_at index network ~kind articles =
         (Schemes.edges kind article))
     articles
 
-let republish_observation c ~republish =
+(* What happens before one round: nodes that fail, nodes that rejoin
+   empty and nodes that rejoin with the state they slept with. *)
+type churn = { down : int list; up_empty : int list; up : int list }
+
+(* Rounds after the first, each with the churn before it. *)
+let later_rounds_arb c =
+  let open QCheck.Gen in
+  let nodes = list_size (int_range 0 2) (int_range 0 (c.nodes - 1)) in
+  let churn = map3 (fun down up_empty up -> { down; up_empty; up }) nodes nodes nodes in
+  list_size (int_range 2 3) churn
+
+let print_churn r =
+  let nodes l = String.concat ";" (List.map string_of_int l) in
+  Printf.sprintf "{down=[%s]; up_empty=[%s]; up=[%s]}" (nodes r.down) (nodes r.up_empty)
+    (nodes r.up)
+
+let republish_case_arb =
+  let gen =
+    QCheck.Gen.(
+      QCheck.gen publish_case_arb >>= fun c ->
+      later_rounds_arb c >>= fun rounds -> return (c, rounds))
+  in
+  QCheck.make
+    ~print:(fun (c, rounds) ->
+      print_publish_case c ^ " then " ^ String.concat " " (List.map print_churn rounds))
+    gen
+
+(* Every replica state, entry count and metric after every round. *)
+let republish_observation (c, rounds) ~republish =
   let now = ref 5.0 in
   let registry, network, index = case_index c ~clock:(fun () -> !now) in
   let liveness = Index.liveness index in
@@ -789,17 +941,36 @@ let republish_observation c ~republish =
       if i < 2 then ignore (Dht.Liveness.revive liveness node : bool))
     c.failed;
   now := 40.0;
-  republish index network ~kind:c.kind (Array.append first second);
-  index_lines c index registry
+  let published = Array.append first second in
+  republish ~now:!now index network ~kind:c.kind published;
+  let after_first = index_lines c index registry in
+  List.fold_left
+    (fun lines { down; up_empty; up } ->
+      List.iter
+        (fun node ->
+          if not (Dht.Liveness.alive liveness node) then begin
+            Index.drop_node_state index node;
+            ignore (Dht.Liveness.revive liveness node : bool)
+          end)
+        up_empty;
+      List.iter (fun node -> ignore (Dht.Liveness.revive liveness node : bool)) up;
+      List.iter (fun node -> ignore (Dht.Liveness.fail liveness node : bool)) down;
+      (* 25 s a round against a 30 s TTL: what a replica missed for
+         two rounds has expired. *)
+      now := !now +. 25.0;
+      republish ~now:!now index network ~kind:c.kind published;
+      lines @ index_lines c index registry)
+    after_first rounds
 
 let grouped_republish_equals_per_edge_refresh =
-  QCheck.Test.make ~name:"grouped republish = per-edge refresh" ~count:60 publish_case_arb
-    (fun c ->
+  QCheck.Test.make ~name:"grouped republish = per-edge refresh" ~count:60
+    republish_case_arb (fun ((c, _) as case) ->
       compare_lines ~label:"per-edge"
-        (republish_observation c ~republish:(fun index _network ~kind articles ->
-             Index.republish_corpus index ~kind articles))
-        (republish_observation c
-           ~republish:(republish_per_edge ~expires_at:(if c.ttl then 40.0 +. 30.0 else infinity))))
+        (republish_observation case ~republish:(fun ~now:_ index _network ~kind:_ _articles ->
+             Index.republish index))
+        (republish_observation case ~republish:(fun ~now index network ~kind articles ->
+             if c.ttl then
+               republish_per_edge ~expires_at:(now +. 30.0) index network ~kind articles)))
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -828,6 +999,7 @@ let suite =
             bib_compare_total_order;
             bib_covers_reflexive_transitive;
             renderer_matches_printf_oracle;
+            renderer_matches_buffer_oracle;
           ] );
     ( "bib:schemes",
       [
@@ -844,6 +1016,8 @@ let suite =
         Alcotest.test_case "xml roundtrip" `Quick corpus_xml_roundtrip;
         Alcotest.test_case "publish and search end-to-end" `Slow publish_and_search_corpus;
         Alcotest.test_case "generated-query search pinned" `Quick generated_query_search_pinned;
+        Alcotest.test_case "republish skips unpublished documents" `Quick
+          republish_skips_unpublished;
       ]
       @ qcheck [ publish_unpublish_invariant ] );
     ( "bib:publish",

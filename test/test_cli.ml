@@ -110,6 +110,42 @@ let unreadable_trace_exits_1 () =
 let help_exits_0 () =
   Alcotest.(check int) "simulate --help" 0 (exit_code [ "simulate"; "--help=plain" ])
 
+(* The soft-state path end to end, through the CLI: churn with
+   crash-stop failures paused by the quorum block, five republish rounds
+   replaying the publication plan, eight anti-entropy rounds shipping
+   entries, entries expiring, lossy RPC with retries.  The run's stdout
+   and its metrics snapshot are pinned by SHA-1. *)
+let soft_state_golden () =
+  let args =
+    [ "simulate"; "--nodes"; "120"; "--articles"; "300"; "--queries"; "2000";
+      "--substrate"; "chord"; "--churn-rate"; "0.02"; "--replication"; "3";
+      "--republish"; "8"; "--ttl"; "20"; "--read-quorum"; "2"; "--write-quorum"; "2";
+      "--anti-entropy-interval"; "5"; "--loss-rate"; "0.05"; "--latency"; "0.01";
+      "--rpc-retries"; "2"; "--seed"; "7" ]
+  in
+  let stdout = Filename.temp_file "p2pindex_golden" ".txt" in
+  let metrics = Filename.temp_file "p2pindex_golden" ".json" in
+  let sha1_of path =
+    Hashing.Sha1.to_hex
+      (Hashing.Sha1.digest_string (In_channel.with_open_bin path In_channel.input_all))
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove stdout; Sys.remove metrics)
+    (fun () ->
+      (* The snapshot's run prints where it wrote it, so stdout comes from
+         a run of its own. *)
+      Alcotest.(check int) "status" 0
+        (Sys.command (Filename.quote_command cli args ~stdout ~stderr:Filename.null));
+      Alcotest.(check int) "status with --metrics-out" 0
+        (Sys.command
+           (Filename.quote_command cli
+              (args @ [ "--metrics-out"; metrics ])
+              ~stdout:Filename.null ~stderr:Filename.null));
+      Alcotest.(check string) "stdout SHA-1" "4e5cbc4d6b7434397de34d9e2449eee96fa08b53"
+        (sha1_of stdout);
+      Alcotest.(check string) "metrics snapshot SHA-1" "e78bd1854100aa18bd0c3c0a10ae89edb3ef1eaf"
+        (sha1_of metrics))
+
 let suite =
   [
     ( "cli:exit",
@@ -119,4 +155,5 @@ let suite =
         Alcotest.test_case "unreadable trace exits 1" `Quick unreadable_trace_exits_1;
         Alcotest.test_case "unwritable output exits 1" `Quick unwritable_output_exits_1;
       ] );
+    ("cli:golden", [ Alcotest.test_case "soft-state run" `Quick soft_state_golden ]);
   ]

@@ -554,6 +554,200 @@ let anti_entropy_converges () =
   Alcotest.(check int) "stats add componentwise"
     (stats.exchanges + again.exchanges) sum.exchanges
 
+(* The pass as it was first written, peer by peer over each range:
+   ranges from a table keyed by replica list, and per peer the
+   full-state fold over the whole range before any comparison.  The
+   one-pass run must agree with it on every count and every state. *)
+let peer_major_run store ~entry_bytes ~on_exchange ~on_ship =
+  let liveness = Replicated.liveness store in
+  let tbl : (int list, Key.t list) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun key ->
+      let replicas = Stdx.Int_buf.to_list (Replicated.replica_buf store key) in
+      let prev = match Hashtbl.find_opt tbl replicas with Some l -> l | None -> [] in
+      Hashtbl.replace tbl replicas (key :: prev))
+    (Replicated.sorted_keys store);
+  let buckets =
+    Stdx.Det_tbl.fold_sorted ~compare:(List.compare Int.compare)
+      (fun replicas keys acc -> (replicas, List.rev keys) :: acc)
+      tbl []
+    |> List.rev
+  in
+  let held_bytes ~node key =
+    List.fold_left (fun sum e -> sum + entry_bytes e) 0 (Replicated.held_entries store ~node key)
+  in
+  List.fold_left
+    (fun (acc : Anti_entropy.stats) (replicas, keys) ->
+      match List.filter (Dht.Liveness.alive liveness) replicas with
+      | [] | [ _ ] -> acc
+      | coordinator :: peers ->
+          List.fold_left
+            (fun (acc : Anti_entropy.stats) peer ->
+              let bytes = 2 * (48 + 20) in
+              on_exchange ~peer ~bytes;
+              let full =
+                List.fold_left
+                  (fun sum key ->
+                    sum + held_bytes ~node:coordinator key + held_bytes ~node:peer key)
+                  0 keys
+              in
+              let acc =
+                {
+                  acc with
+                  exchanges = acc.exchanges + 1;
+                  digest_bytes = acc.digest_bytes + bytes;
+                  full_state_bytes = acc.full_state_bytes + full;
+                }
+              in
+              let shipped_before = acc.keys_shipped in
+              let acc =
+                List.fold_left
+                  (fun (acc : Anti_entropy.stats) key ->
+                    if Replicated.same_state store ~a:coordinator ~b:peer key then acc
+                    else
+                      List.fold_left
+                        (fun (acc : Anti_entropy.stats) (node, gained) ->
+                          let b = List.fold_left (fun b e -> b + entry_bytes e) 0 gained in
+                          if b > 0 then on_ship ~node ~bytes:b;
+                          {
+                            acc with
+                            entries_shipped = acc.entries_shipped + List.length gained;
+                            shipped_bytes = acc.shipped_bytes + b;
+                          })
+                        { acc with keys_shipped = acc.keys_shipped + 1 }
+                        (Replicated.sync_key store ~key ~nodes:[ coordinator; peer ]))
+                  acc keys
+              in
+              if acc.keys_shipped > shipped_before then acc
+              else { acc with digest_matches = acc.digest_matches + 1 })
+            acc peers)
+    {
+      Anti_entropy.exchanges = 0;
+      digest_matches = 0;
+      digest_bytes = 0;
+      keys_shipped = 0;
+      entries_shipped = 0;
+      shipped_bytes = 0;
+      full_state_bytes = 0;
+    }
+    buckets
+
+type store_op =
+  | S_fail of int
+  | S_revive of int
+  | S_wipe of int
+  | S_insert of int * string * float  (** key, value, ttl *)
+  | S_insert_unique of int * string * float
+  | S_remove of int * string
+  | S_advance of float
+
+let show_store_op = function
+  | S_fail n -> Printf.sprintf "fail %d" n
+  | S_revive n -> Printf.sprintf "revive %d" n
+  | S_wipe n -> Printf.sprintf "wipe %d" n
+  | S_insert (k, v, ttl) -> Printf.sprintf "insert k%d %s ttl %g" k v ttl
+  | S_insert_unique (k, v, ttl) -> Printf.sprintf "insert_unique k%d %s ttl %g" k v ttl
+  | S_remove (k, v) -> Printf.sprintf "remove k%d %s" k v
+  | S_advance dt -> Printf.sprintf "advance %g" dt
+
+(* A store history over several keys: node count, replication, ops. *)
+let divergent_store_arb =
+  let open QCheck.Gen in
+  let gen =
+    int_range 4 9 >>= fun nodes ->
+    oneofl [ 2; 3 ] >>= fun replication ->
+    let node = int_bound (nodes - 1) and key = int_bound 11 in
+    let value = oneofl [ "a"; "bb"; "cc"; "ddd"; "e" ] in
+    let ttl = oneofl [ 2.0; 6.0; 30.0; infinity ] in
+    let op =
+      frequency
+        [
+          (2, map (fun n -> S_fail n) node);
+          (2, map (fun n -> S_revive n) node);
+          (1, map (fun n -> S_wipe n) node);
+          (5, map3 (fun k v t -> S_insert (k, v, t)) key value ttl);
+          (5, map3 (fun k v t -> S_insert_unique (k, v, t)) key value ttl);
+          (2, map2 (fun k v -> S_remove (k, v)) key value);
+          (2, map (fun dt -> S_advance (float_of_int dt)) (int_range 1 5));
+        ]
+    in
+    list_size (int_range 1 80) op >>= fun ops -> return (nodes, replication, ops)
+  in
+  QCheck.make
+    ~print:(fun (nodes, replication, ops) ->
+      Printf.sprintf "nodes %d replication %d: %s" nodes replication
+        (String.concat "; " (List.map show_store_op ops)))
+    gen
+
+let build_divergent_store (nodes, replication, ops) =
+  let now = ref 0.0 in
+  let store : string Replicated.t =
+    Replicated.create ~resolver:(resolver nodes) ~replication ~clock:(fun () -> !now) ()
+  in
+  let key i = k (Printf.sprintf "key-%d" i) in
+  List.iter
+    (function
+      | S_fail n -> Replicated.fail_node store n
+      | S_revive n -> Replicated.revive_node store n
+      | S_wipe n -> Replicated.drop_state store n
+      | S_insert (i, v, ttl) ->
+          Replicated.insert ~expires_at:(!now +. ttl) store ~key:(key i) ~len:(String.length v) v
+      | S_insert_unique (i, v, ttl) ->
+          ignore
+            (Replicated.insert_unique ~expires_at:(!now +. ttl) ~equal:String.equal store
+               ~key:(key i) ~len:(String.length v) v
+              : bool)
+      | S_remove (i, v) -> ignore (Replicated.remove store ~key:(key i) (String.equal v) : int)
+      | S_advance dt -> now := !now +. dt)
+    ops;
+  (* Entries expire between the writes and the pass. *)
+  now := !now +. 3.0;
+  (store, List.init 12 key)
+
+(* Every state every node holds for the history's keys. *)
+let store_states store ~nodes keys =
+  List.concat_map
+    (fun key ->
+      List.init nodes (fun node ->
+          match Replicated.held_state store ~node key with
+          | None -> "-"
+          | Some h ->
+              Printf.sprintf "%s | %s | %s"
+                (String.concat ";"
+                   (List.map
+                      (fun e ->
+                        Printf.sprintf "%s/%d@%h" (Replicated.entry_value e)
+                          (Replicated.entry_len e) (Replicated.entry_expires_at e))
+                      h.Replicated.held))
+                (String.concat ";" h.Replicated.tombstones)
+                (Version.to_string h.Replicated.version)))
+    keys
+
+let one_pass_equals_peer_major =
+  QCheck.Test.make ~name:"one-pass anti-entropy = peer-major oracle" ~count:300
+    divergent_store_arb (fun ((nodes, _, _) as history) ->
+      let entry_bytes e = 10 + Replicated.entry_len e in
+      let observe run =
+        let store, keys = build_divergent_store history in
+        let calls = ref [] in
+        let on_exchange ~peer ~bytes = calls := Printf.sprintf "x %d %d" peer bytes :: !calls in
+        let on_ship ~node ~bytes = calls := Printf.sprintf "s %d %d" node bytes :: !calls in
+        (* Two passes: the first converges, the second finds a fixed
+           point. *)
+        let first = run store ~entry_bytes ~on_exchange ~on_ship in
+        let second = run store ~entry_bytes ~on_exchange ~on_ship in
+        ((first, second), List.sort String.compare !calls, store_states store ~nodes keys)
+      in
+      let one_pass store ~entry_bytes ~on_exchange ~on_ship =
+        Anti_entropy.run store ~entry_bytes ~on_exchange ~on_ship ()
+      in
+      let stats, calls, states = observe one_pass in
+      let stats', calls', states' = observe peer_major_run in
+      if stats <> stats' then QCheck.Test.fail_report "stats differ"
+      else if calls <> calls' then QCheck.Test.fail_report "billing differs"
+      else if states <> states' then QCheck.Test.fail_report "replica states differ"
+      else true)
+
 (* ------------------------------------------------------------------ *)
 (* Runner: the degeneration equality and the R-sweep monotonicity the
    issue pins. *)
@@ -750,12 +944,14 @@ let cached_lengths_survive_maintenance =
    (anti-entropy there mostly reconciles versions), so force both copy
    paths: replicas that slept through publications gain them by
    anti-entropy sync, and replicas that lost their state regain it by the
-   full-state repair walk. *)
+   full-state repair walk.  The TTL is finite, so publication records
+   the plan the closing republish round replays; the clock never moves,
+   so nothing expires. *)
 let maintenance_copies_cached_lengths () =
   let articles = Bib.Corpus.generate ~seed:17L (Bib.Corpus.default_config ~article_count:120) in
   let node_count = 20 in
   let resolver = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:17L ~node_count ()) in
-  let index = Index.create ~replication:3 ~read_quorum:2 ~resolver () in
+  let index = Index.create ~replication:3 ~read_quorum:2 ~ttl:1000.0 ~resolver () in
   let liveness = Index.liveness index in
   let first, second = (Array.sub articles 0 60, Array.sub articles 60 60) in
   Index.publish_corpus index ~kind:Bib.Schemes.Simple first;
@@ -767,7 +963,7 @@ let maintenance_copies_cached_lengths () =
     (Index.anti_entropy index > 0);
   List.iter (Index.drop_node_state index) [ 4; 15 ];
   Alcotest.(check bool) "repair re-homed the lost entries" true (Index.repair index > 0);
-  Index.republish_corpus index ~kind:Bib.Schemes.Simple articles;
+  Index.republish index;
   Alcotest.(check (list (pair string int))) "every cached length matches its rendering" []
     (Index.entry_length_mismatches index)
 
@@ -845,7 +1041,8 @@ let suite =
       [
         Alcotest.test_case "diverged replicas converge below full-state cost"
           `Quick anti_entropy_converges;
-      ] );
+      ]
+      @ qcheck [ one_pass_equals_peer_major ] );
     ( "quorum:runner",
       [
         Alcotest.test_case "inactive quorum = plain run, byte for byte" `Quick
