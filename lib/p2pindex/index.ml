@@ -66,8 +66,10 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     file_key : Key.t;
     file : file;
     request_bytes : int;  (** The file write's billed request. *)
-    edges : int array;  (** Per scheme edge, in edge order: plan group, child length. *)
-    children : Q.t array;  (** Per scheme edge: the child the group keeps. *)
+    groups : int array;  (** Per scheme edge, in edge order: the parent's plan group. *)
+    children : Q.t Rstore.entry array;
+        (** Per scheme edge: the entry publication staged for its child —
+            read for its value and length only. *)
   }
 
   type plan = {
@@ -402,12 +404,21 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     mutable writes : int array;  (** Edges staged. *)
     mutable children : Q.t Rstore.entry list array;
     mutable hashes : hashes option array;
-    mutable plan_groups : int array;  (** The group's id in the plan; unused without one. *)
+    fresh : bool;
+        (** The plan held no group when the batch started: its groups
+            will be the plan's own, numbered alike. *)
+    mutable plan_groups : int array;
+        (** The group's id in the plan; used only under a plan, and a
+            batch that is not fresh. *)
+    docs_end : int;  (** The plan's document count once the batch is recorded. *)
     mutable groups : int;
     expires_at : float;  (** Every entry of a batch is stamped alike. *)
   }
 
-  let create_batch t ~capacity =
+  let create_batch t ~docs ~capacity =
+    let fresh, docs_end =
+      match t.plan with Some p -> (p.group_count = 0, p.doc_count + docs) | None -> (true, 0)
+    in
     {
       ids = Slots.create capacity;
       parents = Array.make capacity "";
@@ -415,18 +426,20 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       writes = Array.make capacity 0;
       children = Array.make capacity [];
       hashes = Array.make capacity None;
-      plan_groups = (match t.plan with Some _ -> Array.make capacity 0 | None -> [||]);
+      fresh;
+      plan_groups = (if fresh then [||] else Array.make capacity 0);
+      docs_end;
       groups = 0;
       expires_at = entry_expiry t;
     }
 
-  let grow_columns t b =
+  let grow_columns b =
     b.parents <- extend b.parents "";
     b.keys <- extend b.keys Key.zero;
     b.writes <- extend b.writes 0;
     b.children <- extend b.children [];
     b.hashes <- extend b.hashes None;
-    match t.plan with Some _ -> b.plan_groups <- extend b.plan_groups 0 | None -> ()
+    if not b.fresh then b.plan_groups <- extend b.plan_groups 0
 
   (* ---------------------------------------------------------------- *)
   (* The publication plan: what soft-state refresh replays.  Under a
@@ -434,9 +447,9 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      write, and per scheme edge the parent's group and the child as it
      was staged — so a republish round rewrites them without rendering,
      hashing or staging anything again.  A group is one parent key with
-     its rendered length; a child is the value the group's dedupe kept,
-     the one the store holds, so a round finds repeated children by
-     identity. *)
+     its rendered length; a child is the entry the group's dedupe kept,
+     whose value is the one the store holds, so a round finds repeated
+     children by identity. *)
 
   let plan_group (p : plan) ~key ~parent_len =
     let g = p.group_count in
@@ -449,37 +462,51 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     p.group_count <- g + 1;
     g
 
-  (* The plan group of a parent key first staged by this batch.  A
-     batch's parents are distinct, so the first batch to publish only
-     appends; later ones look their keys up in a table built when the
-     second batch starts. *)
-  let plan_group_of (p : plan) ~fresh ~key ~parent_len =
-    if fresh then plan_group p ~key ~parent_len
-    else begin
-      let table =
-        match p.key_groups with
-        | Some table -> table
-        | None ->
-            let table = Hashtbl.create (2 * p.group_count) in
-            for g = 0 to p.group_count - 1 do
-              Hashtbl.replace table p.group_keys.(g) g
-            done;
-            p.key_groups <- Some table;
-            table
-      in
-      match Hashtbl.find_opt table key with
-      | Some g -> g
+  (* The plan group of a parent key first staged by a batch that is not
+     the first to publish: later batches look their keys up in a table
+     built when the second batch starts.  The first batch's groups are
+     its own, adopted when it is written ({!adopt_groups}). *)
+  let plan_group_of (p : plan) ~key ~parent_len =
+    let table =
+      match p.key_groups with
+      | Some table -> table
       | None ->
-          let g = plan_group p ~key ~parent_len in
-          Hashtbl.replace table key g;
-          g
-    end
+          let table = Hashtbl.create (2 * p.group_count) in
+          for g = 0 to p.group_count - 1 do
+            Hashtbl.replace table p.group_keys.(g) g
+          done;
+          p.key_groups <- Some table;
+          table
+    in
+    match Hashtbl.find_opt table key with
+    | Some g -> g
+    | None ->
+        let g = plan_group p ~key ~parent_len in
+        Hashtbl.replace table key g;
+        g
 
-  let plan_doc (p : plan) doc =
-    if p.doc_count = Array.length p.docs then
-      p.docs <- (if p.doc_count = 0 then Array.make 64 doc else extend p.docs doc);
-    p.docs.(p.doc_count) <- doc;
-    p.doc_count <- p.doc_count + 1
+  (* The document column's filler.  A large array made with a young
+     filler forces a minor collection, so the filler is made once, with
+     the functor. *)
+  let no_doc =
+    {
+      file_key = Key.zero;
+      file = { Storage.Block_store.name = ""; size_bytes = 0 };
+      request_bytes = 0;
+      groups = [||];
+      children = [||];
+    }
+
+  (* The document column grows once a batch, to the batch's end. *)
+  let plan_doc (p : plan) ~docs_end doc =
+    let d = p.doc_count in
+    if d = Array.length p.docs then begin
+      let docs = Array.make (Stdlib.max docs_end (d + 1)) no_doc in
+      Array.blit p.docs 0 docs 0 d;
+      p.docs <- docs
+    end;
+    p.docs.(d) <- doc;
+    p.doc_count <- d + 1
 
   (* The slot of [ids] holding the group of parent [s], or the free slot
      its group would go to. *)
@@ -493,22 +520,20 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     find_parent ids parents s (Hashtbl.hash s land Slots.mask ids)
 
   (* The id of [parent_string]'s group, created (and its key hashed) on
-     first sight.  [fresh]: the plan held no group when the batch
-     started. *)
-  let group_of t b ~fresh parent_string =
+     first sight. *)
+  let group_of t b parent_string =
     let i = parent_slot b.ids b.parents parent_string in
     match b.ids.(i) with
     | 0 ->
         let g = b.groups in
-        if g = Array.length b.parents then grow_columns t b;
+        if g = Array.length b.parents then grow_columns b;
         let key = Key.of_string parent_string in
         b.parents.(g) <- parent_string;
         b.keys.(g) <- key;
         (match t.plan with
-        | Some p ->
-            b.plan_groups.(g) <-
-              plan_group_of p ~fresh ~key ~parent_len:(String.length parent_string)
-        | None -> ());
+        | Some p when not b.fresh ->
+            b.plan_groups.(g) <- plan_group_of p ~key ~parent_len:(String.length parent_string)
+        | Some _ | None -> ());
         b.ids.(i) <- g + 1;
         b.groups <- g + 1;
         if 2 * b.groups > Array.length b.ids then begin
@@ -536,8 +561,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     List.iter (fun e -> add_hash hs (child_hash (Q.to_string (Rstore.entry_value e)))) children;
     hs
 
-  (* Stage one edge's child under group [g]; returns the value the group
-     keeps for it — an equal child staged earlier, or [child]. *)
+  (* Stage one edge's child under group [g]; returns the entry the group
+     keeps for it — an equal child's, staged earlier, or a new one. *)
   let stage_child b g ~child_string child =
     let len = String.length child_string in
     b.writes.(g) <- b.writes.(g) + 1;
@@ -550,20 +575,21 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
           else []
     in
     match staged with
-    | e :: _ -> Rstore.entry_value e
+    | e :: _ -> e
     | [] ->
-        let children = Rstore.make_entry ~expires_at:b.expires_at ~len child :: children in
+        let e = Rstore.make_entry ~expires_at:b.expires_at ~len child in
+        let children = e :: children in
         b.children.(g) <- children;
         (match b.hashes.(g) with
         | Some hs -> add_hash hs (child_hash child_string)
         | None ->
             if List.compare_length_with children dedupe_threshold > 0 then
               b.hashes.(g) <- Some (hash_children children));
-        child
+        e
 
   (* Stage a document's edges; under a plan, also record them, with its
      file write, once every edge is staged. *)
-  let stage_doc t b ~fresh ~scheme ~msd ~key ~request_bytes file =
+  let stage_doc t b ~scheme ~msd ~key ~request_bytes file =
     let render = edge_renderer () in
     let edges = Scheme.edges scheme msd in
     match t.plan with
@@ -571,23 +597,22 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         List.iter
           (fun { Scheme.parent; child } ->
             check_covers ~render parent child;
-            let g = group_of t b ~fresh (render parent) in
-            ignore (stage_child b g ~child_string:(render child) child : Q.t))
+            let g = group_of t b (render parent) in
+            ignore (stage_child b g ~child_string:(render child) child : Q.t Rstore.entry))
           edges
     | Some p ->
         let n = List.length edges in
-        let planned = Array.make (2 * n) 0 in
-        let children = match edges with [] -> [||] | e :: _ -> Array.make n e.child in
+        let groups = Array.make n 0 and children = ref [||] in
         List.iteri
           (fun i { Scheme.parent; child } ->
             check_covers ~render parent child;
-            let g = group_of t b ~fresh (render parent) in
-            let child_string = render child in
-            planned.(2 * i) <- b.plan_groups.(g);
-            planned.((2 * i) + 1) <- String.length child_string;
-            children.(i) <- stage_child b g ~child_string child)
+            let g = group_of t b (render parent) in
+            let e = stage_child b g ~child_string:(render child) child in
+            if i = 0 then children := Array.make n e else !children.(i) <- e;
+            groups.(i) <- (if b.fresh then g else b.plan_groups.(g)))
           edges;
-        plan_doc p { file_key = key; file; request_bytes; edges = planned; children }
+        plan_doc p ~docs_end:b.docs_end
+          { file_key = key; file; request_bytes; groups; children = !children }
 
   let rec charge_installs t ~dst ~parent_len ~len = function
     | [] -> ()
@@ -614,24 +639,42 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       done
     done
 
+  (* The first batch to publish hands the plan its key column, rather
+     than the plan copying each key as its group is created: the batch
+     already holds every key, and copying young keys into the plan's
+     old arrays would fill the minor heap's remembered set. *)
+  let adopt_groups t b =
+    match t.plan with
+    | Some p when b.fresh ->
+        p.group_keys <- b.keys;
+        p.parent_lens <-
+          Array.init (Array.length b.keys) (fun g ->
+              if g < b.groups then String.length b.parents.(g) else 0);
+        p.group_count <- b.groups
+    | Some _ | None -> ()
+
   let publish_batch t ~scheme ~msd ~file docs =
     (* Room for four groups a document, about what the bibliographic
        schemes stage, so the columns seldom grow. *)
-    let b = create_batch t ~capacity:(Stdlib.max 16 (4 * Array.length docs)) in
-    let fresh = match t.plan with Some p -> p.group_count = 0 | None -> true in
+    let b =
+      create_batch t ~docs:(Array.length docs) ~capacity:(Stdlib.max 16 (4 * Array.length docs))
+    in
     let stage doc =
       let msd = msd doc and file = file doc in
       let msd_string = Q.to_string msd in
       let key = Key.of_string msd_string and request_bytes = Wire.request_bytes msd_string in
       write_file t ~key ~request_bytes file;
-      stage_doc t b ~fresh ~scheme ~msd ~key ~request_bytes file
+      stage_doc t b ~scheme ~msd ~key ~request_bytes file
     in
     (* A covering violation stops the batch where the per-edge sequence
        would have stopped: after the edges before it were written.  The
        document it stopped in stays out of the plan. *)
     match Array.iter stage docs with
-    | () -> flush t b
+    | () ->
+        adopt_groups t b;
+        flush t b
     | exception (Covering_violation _ as e) ->
+        adopt_groups t b;
         flush t b;
         raise e
 
@@ -710,9 +753,9 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     done;
     for d = lo to hi - 1 do
       let doc = p.docs.(d) in
-      for i = 0 to Array.length doc.children - 1 do
-        let g = round_group r doc.edges.(2 * i) and len = doc.edges.((2 * i) + 1) in
-        let child = doc.children.(i) in
+      for i = 0 to Array.length doc.groups - 1 do
+        let g = round_group r doc.groups.(i) in
+        let child = Rstore.entry_value doc.children.(i) and len = Rstore.entry_len doc.children.(i) in
         r.round_writes.(g) <- r.round_writes.(g) + 1;
         r.edge_lens.(g) <- len :: r.edge_lens.(g);
         if not (holds_planned child len r.round_children.(g)) then

@@ -71,19 +71,17 @@ let buckets store =
         replicas.((i * width) + j) <- Stdx.Int_buf.unsafe_get buf j
       done)
     keys;
-  (* [next.(p)]: the first slot of primary [p]'s run, advanced as the
-     run fills; [ends.(p)]: one past its last. *)
+  (* Primary [p]'s run is [order]'s slots [starts.(p), starts.(p + 1)). *)
   let nodes = Dht.Liveness.node_count (Rstore.liveness store) in
-  let ends = Array.make nodes 0 in
+  let starts = Array.make (nodes + 1) 0 in
   for i = 0 to n - 1 do
     let p = replicas.(i * width) in
-    ends.(p) <- ends.(p) + 1
+    starts.(p + 1) <- starts.(p + 1) + 1
   done;
-  for p = 1 to nodes - 1 do
-    ends.(p) <- ends.(p) + ends.(p - 1)
+  for p = 1 to nodes do
+    starts.(p) <- starts.(p) + starts.(p - 1)
   done;
-  let next = Array.init nodes (fun p -> if p = 0 then 0 else ends.(p - 1)) in
-  let order = Array.make n 0 in
+  let next = Array.sub starts 0 nodes and order = Array.make n 0 in
   for i = 0 to n - 1 do
     let p = replicas.(i * width) in
     order.(next.(p)) <- i;
@@ -98,7 +96,7 @@ let buckets store =
   in
   let compare i j = match compare_sets i j 1 with 0 -> Key.compare keys.(i) keys.(j) | c -> c in
   for p = 0 to nodes - 1 do
-    sort_run compare order (if p = 0 then 0 else ends.(p - 1)) ends.(p)
+    sort_run compare order starts.(p) starts.(p + 1)
   done;
   { keys; width; replicas; order }
 

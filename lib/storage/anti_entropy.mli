@@ -13,10 +13,13 @@
 
     A range's digests agree exactly when its two replicas hold identical
     states for every key, so the pass decides the match with
-    {!Replicated_store.same_state} per key — in ascending key order (via
-    [Stdx.Det_tbl]), so the whole pass is deterministic — and bills each
-    exchange the two digest messages it stands for.  Nothing is rendered
-    or hashed. *)
+    {!Replicated_store.same_states} per key — ranges in replica-set
+    order, keys in ascending key order inside each, so the whole pass is
+    deterministic — and bills each exchange the two digest messages it
+    stands for.  Nothing is rendered or hashed.  The pass walks each
+    range key by key, looking each live replica's state up once per
+    key; a sync touches only its own key, so this leaves the same
+    states and counts as exchanging peer by peer. *)
 
 type stats = {
   exchanges : int;  (** Digest push-pulls performed (one per live pair). *)
