@@ -639,10 +639,9 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       done
     done
 
-  (* The first batch to publish hands the plan its key column, rather
-     than the plan copying each key as its group is created: the batch
-     already holds every key, and copying young keys into the plan's
-     old arrays would fill the minor heap's remembered set. *)
+  (* The first batch to publish hands the plan its key column: its
+     groups are the plan's, numbered alike, so nothing is copied group
+     by group. *)
   let adopt_groups t b =
     match t.plan with
     | Some p when b.fresh ->

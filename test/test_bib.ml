@@ -456,6 +456,41 @@ let republish_skips_unpublished () =
     | Index.Not_indexed -> true
     | Index.File _ | Index.Children _ -> false)
 
+(* A republish round replays what publication derived: it asks the
+   scheme for no edges and renders no query. *)
+module Counted_query = struct
+  include Q
+
+  let renders = ref 0
+
+  let to_string q =
+    incr renders;
+    Q.to_string q
+end
+
+module Counted_index = P2pindex.Index.Make (Counted_query)
+
+let republish_derives_nothing () =
+  let articles = Corpus.generate ~seed:62L (Corpus.default_config ~article_count:40) in
+  let resolver = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:62L ~node_count:10 ()) in
+  let derived = ref 0 in
+  let scheme =
+    P2pindex.Scheme.make ~name:"counted" ~edges:(fun q ->
+        incr derived;
+        P2pindex.Scheme.edges (Schemes.scheme Schemes.Simple) q)
+  in
+  let index = Counted_index.create ~replication:3 ~ttl:30.0 ~resolver () in
+  Counted_index.publish_batch index ~scheme ~msd:Q.msd ~file:Article.file articles;
+  Alcotest.(check bool) "publication derived and rendered" true
+    (!derived > 0 && !Counted_query.renders > 0);
+  let before = Counted_index.mapping_count index in
+  derived := 0;
+  Counted_query.renders := 0;
+  Counted_index.republish index;
+  Alcotest.(check int) "edges derived" 0 !derived;
+  Alcotest.(check int) "queries rendered" 0 !Counted_query.renders;
+  Alcotest.(check int) "mappings" before (Counted_index.mapping_count index)
+
 let publish_unpublish_invariant =
   QCheck.Test.make ~name:"publish/unpublish keeps the index clean" ~count:25
     QCheck.(pair (int_range 5 40) (list_of_size (QCheck.Gen.int_range 0 25) (int_range 0 39)))
@@ -1018,6 +1053,8 @@ let suite =
         Alcotest.test_case "generated-query search pinned" `Quick generated_query_search_pinned;
         Alcotest.test_case "republish skips unpublished documents" `Quick
           republish_skips_unpublished;
+        Alcotest.test_case "republish derives and renders nothing" `Quick
+          republish_derives_nothing;
       ]
       @ qcheck [ publish_unpublish_invariant ] );
     ( "bib:publish",
