@@ -78,8 +78,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     mutable group_keys : Key.t array;  (** Per plan group: the parent's key. *)
     mutable parent_lens : int array;  (** Per plan group: the parent's rendered length. *)
     mutable group_count : int;
-    mutable key_groups : (Key.t, int) Hashtbl.t option;
-        (** Parent key -> plan group, once a second batch publishes. *)
+    key_groups : (Key.t, int) Hashtbl.t;  (** Parent key -> plan group. *)
   }
 
   type t = {
@@ -93,7 +92,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     files : file Rstore.t;
     key_cache : (string, Key.t) Hashtbl.t;
         (* Hashing a query is hot; memoize canonical-string -> key. *)
-    plan : plan option;  (* Under a finite TTL only. *)
+    plan : plan option;  (* Only when republish rounds will run. *)
     consulted : Stdx.Int_buf.t;
         (* The replicas a quorum lookup step heard from, in answer order. *)
     metrics : Obs.Metrics.t option;
@@ -167,7 +166,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   let create ?network ?rpc ?metrics ?tracer ?(charge_route_hops = false)
       ?(replication = 1) ?read_quorum ?write_quorum ?liveness
-      ?(clock = fun () -> 0.0) ?(ttl = infinity) ~resolver () =
+      ?(clock = fun () -> 0.0) ?(ttl = infinity) ?(republished = ttl < infinity) ~resolver () =
     if not (ttl > 0.) then invalid_arg "Index.create: ttl must be > 0";
     let liveness =
       match liveness with
@@ -208,8 +207,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
           ?on_write_acks ~liveness ~clock ();
       key_cache = Hashtbl.create 4096;
       plan =
-        (if ttl = infinity then None
-         else
+        (if republished then
            Some
              {
                docs = [||];
@@ -217,8 +215,9 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
                group_keys = Array.make 64 Key.zero;
                parent_lens = Array.make 64 0;
                group_count = 0;
-               key_groups = None;
-             });
+               key_groups = Hashtbl.create 64;
+             }
+         else None);
       consulted = Stdx.Int_buf.create ~capacity:replication ();
       metrics;
       instruments = Option.map make_instruments metrics;
@@ -404,21 +403,12 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     mutable writes : int array;  (** Edges staged. *)
     mutable children : Q.t Rstore.entry list array;
     mutable hashes : hashes option array;
-    fresh : bool;
-        (** The plan held no group when the batch started: its groups
-            will be the plan's own, numbered alike. *)
-    mutable plan_groups : int array;
-        (** The group's id in the plan; used only under a plan, and a
-            batch that is not fresh. *)
-    docs_end : int;  (** The plan's document count once the batch is recorded. *)
+    mutable plan_groups : int array;  (** The group's id in the plan, under a plan. *)
     mutable groups : int;
     expires_at : float;  (** Every entry of a batch is stamped alike. *)
   }
 
-  let create_batch t ~docs ~capacity =
-    let fresh, docs_end =
-      match t.plan with Some p -> (p.group_count = 0, p.doc_count + docs) | None -> (true, 0)
-    in
+  let create_batch t ~capacity =
     {
       ids = Slots.create capacity;
       parents = Array.make capacity "";
@@ -426,9 +416,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       writes = Array.make capacity 0;
       children = Array.make capacity [];
       hashes = Array.make capacity None;
-      fresh;
-      plan_groups = (if fresh then [||] else Array.make capacity 0);
-      docs_end;
+      plan_groups = Array.make capacity 0;
       groups = 0;
       expires_at = entry_expiry t;
     }
@@ -439,11 +427,12 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     b.writes <- extend b.writes 0;
     b.children <- extend b.children [];
     b.hashes <- extend b.hashes None;
-    if not b.fresh then b.plan_groups <- extend b.plan_groups 0
+    b.plan_groups <- extend b.plan_groups 0
 
   (* ---------------------------------------------------------------- *)
-  (* The publication plan: what soft-state refresh replays.  Under a
-     finite TTL, publication records each document it writes — its file
+  (* The publication plan: what soft-state refresh replays.  On an
+     index created [~republished] (by default, under a finite TTL),
+     publication records each document it writes — its file
      write, and per scheme edge the parent's group and the child as it
      was staged — so a republish round rewrites them without rendering,
      hashing or staging anything again.  A group is one parent key with
@@ -451,38 +440,20 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      whose value is the one the store holds, so a round finds repeated
      children by identity. *)
 
+  (* The plan group of a parent key, created on first sight. *)
   let plan_group (p : plan) ~key ~parent_len =
-    let g = p.group_count in
-    if g = Array.length p.group_keys then begin
-      p.group_keys <- extend p.group_keys Key.zero;
-      p.parent_lens <- extend p.parent_lens 0
-    end;
-    p.group_keys.(g) <- key;
-    p.parent_lens.(g) <- parent_len;
-    p.group_count <- g + 1;
-    g
-
-  (* The plan group of a parent key first staged by a batch that is not
-     the first to publish: later batches look their keys up in a table
-     built when the second batch starts.  The first batch's groups are
-     its own, adopted when it is written ({!adopt_groups}). *)
-  let plan_group_of (p : plan) ~key ~parent_len =
-    let table =
-      match p.key_groups with
-      | Some table -> table
-      | None ->
-          let table = Hashtbl.create (2 * p.group_count) in
-          for g = 0 to p.group_count - 1 do
-            Hashtbl.replace table p.group_keys.(g) g
-          done;
-          p.key_groups <- Some table;
-          table
-    in
-    match Hashtbl.find_opt table key with
+    match Hashtbl.find_opt p.key_groups key with
     | Some g -> g
     | None ->
-        let g = plan_group p ~key ~parent_len in
-        Hashtbl.replace table key g;
+        let g = p.group_count in
+        if g = Array.length p.group_keys then begin
+          p.group_keys <- extend p.group_keys Key.zero;
+          p.parent_lens <- extend p.parent_lens 0
+        end;
+        p.group_keys.(g) <- key;
+        p.parent_lens.(g) <- parent_len;
+        p.group_count <- g + 1;
+        Hashtbl.replace p.key_groups key g;
         g
 
   (* The document column's filler.  A large array made with a young
@@ -497,16 +468,19 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       children = [||];
     }
 
-  (* The document column grows once a batch, to the batch's end. *)
-  let plan_doc (p : plan) ~docs_end doc =
+  (* The document column grows at most once a batch, to room for [docs]
+     more, and at least doubles. *)
+  let reserve_docs (p : plan) docs =
     let d = p.doc_count in
-    if d = Array.length p.docs then begin
-      let docs = Array.make (Stdlib.max docs_end (d + 1)) no_doc in
-      Array.blit p.docs 0 docs 0 d;
-      p.docs <- docs
-    end;
-    p.docs.(d) <- doc;
-    p.doc_count <- d + 1
+    if d + docs > Array.length p.docs then begin
+      let grown = Array.make (Stdlib.max (d + docs) (2 * d)) no_doc in
+      Array.blit p.docs 0 grown 0 d;
+      p.docs <- grown
+    end
+
+  let plan_doc (p : plan) doc =
+    p.docs.(p.doc_count) <- doc;
+    p.doc_count <- p.doc_count + 1
 
   (* The slot of [ids] holding the group of parent [s], or the free slot
      its group would go to. *)
@@ -531,9 +505,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         b.parents.(g) <- parent_string;
         b.keys.(g) <- key;
         (match t.plan with
-        | Some p when not b.fresh ->
-            b.plan_groups.(g) <- plan_group_of p ~key ~parent_len:(String.length parent_string)
-        | Some _ | None -> ());
+        | Some p -> b.plan_groups.(g) <- plan_group p ~key ~parent_len:(String.length parent_string)
+        | None -> ());
         b.ids.(i) <- g + 1;
         b.groups <- g + 1;
         if 2 * b.groups > Array.length b.ids then begin
@@ -609,10 +582,9 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
             let g = group_of t b (render parent) in
             let e = stage_child b g ~child_string:(render child) child in
             if i = 0 then children := Array.make n e else !children.(i) <- e;
-            groups.(i) <- (if b.fresh then g else b.plan_groups.(g)))
+            groups.(i) <- b.plan_groups.(g))
           edges;
-        plan_doc p ~docs_end:b.docs_end
-          { file_key = key; file; request_bytes; groups; children = !children }
+        plan_doc p { file_key = key; file; request_bytes; groups; children = !children }
 
   let rec charge_installs t ~dst ~parent_len ~len = function
     | [] -> ()
@@ -639,25 +611,11 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       done
     done
 
-  (* The first batch to publish hands the plan its key column: its
-     groups are the plan's, numbered alike, so nothing is copied group
-     by group. *)
-  let adopt_groups t b =
-    match t.plan with
-    | Some p when b.fresh ->
-        p.group_keys <- b.keys;
-        p.parent_lens <-
-          Array.init (Array.length b.keys) (fun g ->
-              if g < b.groups then String.length b.parents.(g) else 0);
-        p.group_count <- b.groups
-    | Some _ | None -> ()
-
   let publish_batch t ~scheme ~msd ~file docs =
     (* Room for four groups a document, about what the bibliographic
        schemes stage, so the columns seldom grow. *)
-    let b =
-      create_batch t ~docs:(Array.length docs) ~capacity:(Stdlib.max 16 (4 * Array.length docs))
-    in
+    let b = create_batch t ~capacity:(Stdlib.max 16 (4 * Array.length docs)) in
+    Option.iter (fun p -> reserve_docs p (Array.length docs)) t.plan;
     let stage doc =
       let msd = msd doc and file = file doc in
       let msd_string = Q.to_string msd in
@@ -669,11 +627,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
        would have stopped: after the edges before it were written.  The
        document it stopped in stays out of the plan. *)
     match Array.iter stage docs with
-    | () ->
-        adopt_groups t b;
-        flush t b
+    | () -> flush t b
     | exception (Covering_violation _ as e) ->
-        adopt_groups t b;
         flush t b;
         raise e
 
@@ -782,7 +737,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   let republish t =
     match t.plan with
-    | None -> ()
+    | None -> invalid_arg "Index.republish: the index records no publication plan"
     | Some p ->
         let r = create_round p in
         let n = p.doc_count in

@@ -20,6 +20,7 @@ module type S = sig
     ?liveness:Dht.Liveness.t ->
     ?clock:(unit -> float) ->
     ?ttl:float ->
+    ?republished:bool ->
     resolver:Dht.Resolver.t ->
     unit ->
     t
@@ -40,7 +41,11 @@ module type S = sig
       (default: a private all-alive set) is the shared alive-set a churn
       driver flips; [clock] (default: constantly [0.0]) supplies virtual
       time; [ttl] (default [infinity]) is the soft-state lifetime stamped
-      on every published entry.
+      on every published entry.  [republished] (default: [ttl] is finite)
+      says {!republish} rounds will run: publication then records the
+      plan they replay.  Hard state under churn — an infinite [ttl] whose
+      rounds restore the replicas that lost their entries — passes it
+      explicitly.
 
       Passing [read_quorum] or [write_quorum] turns the Dynamo-style
       quorum machinery on.  It changes two things about a lookup step
@@ -142,14 +147,15 @@ module type S = sig
       result is exactly that of one [insert_unique] per file and per
       edge, document by document, each billed that way.
 
-      A round replays the publication plan: under a finite [ttl],
-      publication records each document's file key, request size and,
-      per scheme edge, the parent key, the child and its rendered
-      length, so a round renders, hashes and derives nothing.
-      {!unpublish} takes a document out of the plan, and a document
-      whose publication raised {!Covering_violation} never enters it.
-      Under an infinite [ttl] nothing expires, publication records
-      nothing and [republish] does nothing. *)
+      A round replays the publication plan: on an index created
+      [~republished], publication records each document's file key,
+      request size and, per scheme edge, the parent key, the child and
+      its rendered length, so a round renders, hashes and derives
+      nothing.  {!unpublish} takes a document out of the plan, and a
+      document whose publication raised {!Covering_violation} never
+      enters it.
+      @raise Invalid_argument on an index created without
+      [republished]. *)
 
   val repair : t -> int
   (** Full-state repair pass over both stores: re-home entries onto live

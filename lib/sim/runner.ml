@@ -386,6 +386,14 @@ module Internal = struct
   let ttl =
     match cfg.churn with Some c when churn_active -> c.ttl | Some _ | None -> infinity
   in
+  (* Publication records what the republish rounds replay whenever they
+     will run — under an infinite TTL too, where they restore replicas
+     that rejoined empty. *)
+  let republished =
+    match cfg.churn with
+    | Some c when churn_active -> c.republish_period < infinity
+    | Some _ | None -> false
+  in
   (* The RPC channel every lookup goes through.  Without an active fault
      block this is a zero-plan channel — the byte-identical fast path —
      and its metric families stay unregistered so snapshots match the
@@ -435,7 +443,7 @@ module Internal = struct
       ~charge_route_hops:cfg.charge_route_hops ~replication
       ?read_quorum:(Option.map (fun q -> q.read_quorum) quorum)
       ?write_quorum:(Option.map (fun q -> q.write_quorum) quorum)
-      ~liveness ~clock ~ttl ~resolver ()
+      ~liveness ~clock ~ttl ~republished ~resolver ()
   in
   let articles =
     Bib.Corpus.generate ~seed:cfg.seed (Bib.Corpus.default_config ~article_count:cfg.article_count)

@@ -456,6 +456,16 @@ let republish_skips_unpublished () =
     | Index.Not_indexed -> true
     | Index.File _ | Index.Children _ -> false)
 
+(* An index that records no plan has nothing to replay, and says so. *)
+let republish_needs_a_plan () =
+  let articles = Corpus.generate ~seed:63L (Corpus.default_config ~article_count:10) in
+  let resolver = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:63L ~node_count:10 ()) in
+  let index = Index.create ~resolver () in
+  Index.publish_corpus index ~kind:Schemes.Simple articles;
+  Alcotest.check_raises "no plan"
+    (Invalid_argument "Index.republish: the index records no publication plan") (fun () ->
+      Index.republish index)
+
 (* A republish round replays what publication derived: it asks the
    scheme for no edges and renders no query. *)
 module Counted_query = struct
@@ -837,7 +847,7 @@ let index_lines c index registry =
 
 (* An index over a metered network, quorum-counted writes and a settable
    clock. *)
-let case_index c ~clock =
+let case_index ?republished c ~clock =
   let registry = Obs.Metrics.create () in
   let network = Dht.Network.create ~metrics:registry ~node_count:c.nodes () in
   let resolver =
@@ -847,7 +857,7 @@ let case_index c ~clock =
   let index =
     Index.create ~network ~metrics:registry ~replication:c.replication
       ~write_quorum:(Stdlib.min 2 c.replication) ~clock
-      ?ttl:(if c.ttl then Some 30.0 else None) ~resolver ()
+      ?ttl:(if c.ttl then Some 30.0 else None) ?republished ~resolver ()
   in
   (registry, network, index)
 
@@ -897,8 +907,8 @@ let grouped_publication_equals_per_edge_fold =
    rejoins with the state it slept with, and a second batch lands while
    they are down; between later rounds more nodes fail, rejoin empty or
    rejoin as they were, and the clock steps past the TTLs of whatever a
-   dead replica missed.  Under an infinite TTL publication records no
-   plan and a round does nothing. *)
+   dead replica missed.  Under an infinite TTL the index is created
+   [~republished], hard state whose rounds restore what replicas lost. *)
 let republish_per_edge ~expires_at index network ~kind articles =
   let liveness = Index.liveness index in
   let bill store key bytes =
@@ -963,7 +973,7 @@ let republish_case_arb =
 (* Every replica state, entry count and metric after every round. *)
 let republish_observation (c, rounds) ~republish =
   let now = ref 5.0 in
-  let registry, network, index = case_index c ~clock:(fun () -> !now) in
+  let registry, network, index = case_index ~republished:true c ~clock:(fun () -> !now) in
   let liveness = Index.liveness index in
   let first = first_batch c and second = second_batch c in
   Index.publish_corpus index ~kind:c.kind first;
@@ -1004,8 +1014,9 @@ let grouped_republish_equals_per_edge_refresh =
         (republish_observation case ~republish:(fun ~now:_ index _network ~kind:_ _articles ->
              Index.republish index))
         (republish_observation case ~republish:(fun ~now index network ~kind articles ->
-             if c.ttl then
-               republish_per_edge ~expires_at:(now +. 30.0) index network ~kind articles)))
+             republish_per_edge
+               ~expires_at:(if c.ttl then now +. 30.0 else infinity)
+               index network ~kind articles)))
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -1055,6 +1066,7 @@ let suite =
           republish_skips_unpublished;
         Alcotest.test_case "republish derives and renders nothing" `Quick
           republish_derives_nothing;
+        Alcotest.test_case "republish needs a plan" `Quick republish_needs_a_plan;
       ]
       @ qcheck [ publish_unpublish_invariant ] );
     ( "bib:publish",

@@ -241,6 +241,33 @@ let churn_degrades_availability () =
   Alcotest.(check bool) "maintenance traffic billed" true
     (Sim.Runner.maintenance_bytes fragile > 0)
 
+(* Hard state under churn: entries never expire, and republish rounds
+   give nodes that rejoined empty their entries back. *)
+let hard_state_republish_restores () =
+  let run ~republish_period =
+    Sim.Runner.run
+      {
+        Sim.Runner.default_config with
+        node_count = 50;
+        article_count = 500;
+        query_count = 1_000;
+        churn =
+          Some
+            {
+              Sim.Runner.default_churn with
+              churn_rate = 0.02;
+              replication = 1;
+              ttl = infinity;
+              republish_period;
+              repair_period = infinity;
+              query_rate = 20.0;
+            };
+      }
+  in
+  let republished = run ~republish_period:10.0 and unrefreshed = run ~republish_period:infinity in
+  Alcotest.(check bool) "republication restores availability" true
+    (Sim.Runner.availability republished > Sim.Runner.availability unrefreshed)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -265,5 +292,7 @@ let suite =
           churn_zero_equals_static;
         Alcotest.test_case "availability degrades and recovers" `Quick
           churn_degrades_availability;
+        Alcotest.test_case "hard state republish restores entries" `Quick
+          hard_state_republish_restores;
       ] );
   ]

@@ -944,14 +944,14 @@ let cached_lengths_survive_maintenance =
    (anti-entropy there mostly reconciles versions), so force both copy
    paths: replicas that slept through publications gain them by
    anti-entropy sync, and replicas that lost their state regain it by the
-   full-state repair walk.  The TTL is finite, so publication records
-   the plan the closing republish round replays; the clock never moves,
-   so nothing expires. *)
+   full-state repair walk.  The index is hard state created
+   [~republished], so publication records the plan the closing
+   republish round replays. *)
 let maintenance_copies_cached_lengths () =
   let articles = Bib.Corpus.generate ~seed:17L (Bib.Corpus.default_config ~article_count:120) in
   let node_count = 20 in
   let resolver = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:17L ~node_count ()) in
-  let index = Index.create ~replication:3 ~read_quorum:2 ~ttl:1000.0 ~resolver () in
+  let index = Index.create ~replication:3 ~read_quorum:2 ~republished:true ~resolver () in
   let liveness = Index.liveness index in
   let first, second = (Array.sub articles 0 60, Array.sub articles 60 60) in
   Index.publish_corpus index ~kind:Bib.Schemes.Simple first;
