@@ -29,36 +29,15 @@ let add a b =
    replica set form one range a coordinator/peer pair can summarize
    with a single digest.  Each key's replicas are resolved once into
    [replicas], [width] slots a key padded with -1, and the key indices
-   are ordered by replica set (lexicographically, a shorter set before
+   are sorted by replica set (lexicographically, a shorter set before
    its extensions), then by key: ranges in replica-set order, keys in
-   key order inside each, so the whole pass is deterministic.  A
-   counting pass orders the keys by primary replica; each primary's run
-   — a few keys, usually one range — is then sorted on its own. *)
+   key order inside each, so the whole pass is deterministic. *)
 type buckets = {
   keys : Key.t array;
   width : int;
   replicas : int array;
   order : int array;  (** Key indices, range by range. *)
 }
-
-(* Sort [order]'s slots [lo, hi) by [compare]: insertion sort for the
-   short runs a primary usually has, [Array.sort] beyond. *)
-let sort_run compare order lo hi =
-  if hi - lo <= 16 then
-    for i = lo + 1 to hi - 1 do
-      let x = order.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && compare order.(!j) x > 0 do
-        order.(!j + 1) <- order.(!j);
-        decr j
-      done;
-      order.(!j + 1) <- x
-    done
-  else begin
-    let run = Array.sub order lo (hi - lo) in
-    Array.sort compare run;
-    Array.blit run 0 order lo (hi - lo)
-  end
 
 let buckets store =
   let keys = Rstore.key_array store and width = Rstore.replication store in
@@ -71,33 +50,15 @@ let buckets store =
         replicas.((i * width) + j) <- Stdx.Int_buf.unsafe_get buf j
       done)
     keys;
-  (* Primary [p]'s run is [order]'s slots [starts.(p), starts.(p + 1)). *)
-  let nodes = Dht.Liveness.node_count (Rstore.liveness store) in
-  let starts = Array.make (nodes + 1) 0 in
-  for i = 0 to n - 1 do
-    let p = replicas.(i * width) in
-    starts.(p + 1) <- starts.(p + 1) + 1
-  done;
-  for p = 1 to nodes do
-    starts.(p) <- starts.(p) + starts.(p - 1)
-  done;
-  let next = Array.sub starts 0 nodes and order = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let p = replicas.(i * width) in
-    order.(next.(p)) <- i;
-    next.(p) <- next.(p) + 1
-  done;
   let rec compare_sets i j k =
-    if k = width then 0
+    if k = width then Key.compare keys.(i) keys.(j)
     else
       match Int.compare replicas.((i * width) + k) replicas.((j * width) + k) with
       | 0 -> compare_sets i j (k + 1)
       | c -> c
   in
-  let compare i j = match compare_sets i j 1 with 0 -> Key.compare keys.(i) keys.(j) | c -> c in
-  for p = 0 to nodes - 1 do
-    sort_run compare order starts.(p) starts.(p + 1)
-  done;
+  let order = Array.init n Fun.id in
+  Array.sort (fun i j -> compare_sets i j 0) order;
   { keys; width; replicas; order }
 
 let rec entries_bytes entry_bytes sum = function
