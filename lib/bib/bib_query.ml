@@ -75,136 +75,109 @@ let constraint_count = function
    pattern.  Predicates sort by their rendered strings; for article fields
    that is the fixed name order author < conf < size < title < year, with
    multiple author predicates ordered by their own rendering.  One
-   predicate renders as a child step, several as a bracketed list.  A
-   rendering's length is computed first, then the string is written into
-   bytes of exactly that length; only a multi-author descriptor renders
-   its author predicates separately, to sort them.  Nothing is shared
-   between renders, so domains may render at once. *)
+   predicate renders as a child step, several as a bracketed list.  The
+   string is built in one pass, in a buffer each domain keeps for its own
+   renders; only a multi-author descriptor renders its author predicates
+   apart, to sort them. *)
 
-(* Decimal digits of [n], with its sign. *)
-let int_len n =
-  let rec digits n = if n > -10 && n < 10 then 1 else 1 + digits (n / 10) in
-  if n < 0 then 1 + digits n else digits n
+let buffer = Domain.DLS.new_key (fun () -> Buffer.create 128)
 
-(* Each [put_*] writes at [pos] and returns the position after. *)
-let put_string b pos s =
-  Bytes.blit_string s 0 b pos (String.length s);
-  pos + String.length s
+let add_author b (a : Article.author) =
+  Buffer.add_string b "author[first/";
+  Buffer.add_string b a.first;
+  Buffer.add_string b "][last/";
+  Buffer.add_string b a.last;
+  Buffer.add_char b ']'
 
-let put_char b pos c =
-  Bytes.set b pos c;
-  pos + 1
-
-let put_int b pos n =
-  let len = int_len n in
-  if n < 0 then Bytes.set b pos '-';
-  let rec go i n =
-    Bytes.set b i (Char.chr (Char.code '0' + abs (n mod 10)));
-    if n / 10 <> 0 then go (i - 1) (n / 10)
-  in
-  go (pos + len - 1) n;
-  pos + len
-
-(* author[first/F][last/L] *)
-let author_len (a : Article.author) = 21 + String.length a.first + String.length a.last
-
-let put_author b pos (a : Article.author) =
-  let pos = put_string b pos "author[first/" in
-  let pos = put_string b pos a.first in
-  let pos = put_string b pos "][last/" in
-  let pos = put_string b pos a.last in
-  put_char b pos ']'
-
-let author_pred a =
-  let b = Bytes.create (author_len a) in
-  ignore (put_author b 0 a : int);
-  Bytes.unsafe_to_string b
-
-let put_field b pos name v = put_string b (put_char b (put_string b pos name) '/') v
-
-(* One predicate opens with '/'; several are bracketed, "[" before the
-   first, "][" between, "]" after the last. *)
-let fields_len f =
-  let count = field_count f in
-  let pred opt len = match opt with Some v -> len v | None -> 0 in
-  pred f.author author_len
-  + pred f.conf (fun c -> 5 + String.length c)
-  + pred f.title (fun t -> 6 + String.length t)
-  + pred f.year (fun y -> 5 + int_len y)
-  + if count > 1 then 2 * count else count
+let add_field b name v =
+  Buffer.add_string b name;
+  Buffer.add_char b '/';
+  Buffer.add_string b v
 
 (* Opens predicate [i] of [count]. *)
-let open_pred b pos ~count i =
-  if count = 1 then put_char b pos '/' else put_string b pos (if i = 0 then "[" else "][")
+let open_pred b ~count i =
+  if count = 1 then Buffer.add_char b '/'
+  else Buffer.add_string b (if i = 0 then "[" else "][")
 
-let put_fields b pos f =
+let add_fields b f =
   let count = field_count f in
-  let pos, i =
+  let i =
     match f.author with
-    | Some a -> (put_author b (open_pred b pos ~count 0) a, 1)
-    | None -> (pos, 0)
+    | Some a ->
+        open_pred b ~count 0;
+        add_author b a;
+        1
+    | None -> 0
   in
-  let pos, i =
+  let i =
     match f.conf with
-    | Some c -> (put_field b (open_pred b pos ~count i) "conf" c, i + 1)
-    | None -> (pos, i)
+    | Some c ->
+        open_pred b ~count i;
+        add_field b "conf" c;
+        i + 1
+    | None -> i
   in
-  let pos, i =
+  let i =
     match f.title with
-    | Some t -> (put_field b (open_pred b pos ~count i) "title" t, i + 1)
-    | None -> (pos, i)
+    | Some t ->
+        open_pred b ~count i;
+        add_field b "title" t;
+        i + 1
+    | None -> i
   in
-  let pos =
-    match f.year with
-    | Some y -> put_int b (put_string b (open_pred b pos ~count i) "year/") y
-    | None -> pos
-  in
-  if count > 1 then put_char b pos ']' else pos
+  (match f.year with
+  | Some y ->
+      open_pred b ~count i;
+      add_field b "year" (Int.to_string y)
+  | None -> ());
+  if count > 1 then Buffer.add_char b ']'
 
-(* Always five or more predicates, so always bracketed: "[A]" per
-   author, then [conf/C][size/S][title/T][year/Y]. *)
-let msd_len (article : Article.t) =
-  List.fold_left (fun n a -> n + author_len a + 2) 0 article.authors
-  + 29 + String.length article.conf + int_len article.size_bytes
-  + String.length article.title + int_len article.year
-
-let put_msd b pos (article : Article.t) =
-  let pos =
-    match article.authors with
-    | [] -> put_char b pos '['
-    | [ a ] -> put_string b (put_author b (put_char b pos '[') a) "]["
-    | authors ->
-        let pos =
-          List.fold_left
-            (fun pos pred -> put_char b (put_string b (put_char b pos '[') pred) ']')
-            pos
-            (List.sort String.compare (List.map author_pred authors))
-        in
-        put_char b pos '['
-  in
-  let pos = put_string b (put_field b pos "conf" article.conf) "][size/" in
-  let pos = put_string b (put_int b pos article.size_bytes) "][" in
-  let pos = put_string b (put_field b pos "title" article.title) "][year/" in
-  put_char b (put_int b pos article.year) ']'
+(* Always five or more predicates, so always bracketed.  Several author
+   predicates are each rendered past the end of the buffer, read back
+   and cut off again, then written in sorted order. *)
+let add_msd b (article : Article.t) =
+  (match article.authors with
+  | [] -> Buffer.add_char b '['
+  | [ a ] ->
+      Buffer.add_char b '[';
+      add_author b a;
+      Buffer.add_string b "]["
+  | authors ->
+      let start = Buffer.length b in
+      let author_pred a =
+        add_author b a;
+        let pred = Buffer.sub b start (Buffer.length b - start) in
+        Buffer.truncate b start;
+        pred
+      in
+      List.iter
+        (fun pred ->
+          Buffer.add_char b '[';
+          Buffer.add_string b pred;
+          Buffer.add_char b ']')
+        (List.sort String.compare (List.map author_pred authors));
+      Buffer.add_char b '[');
+  add_field b "conf" article.conf;
+  Buffer.add_string b "][";
+  add_field b "size" (Int.to_string article.size_bytes);
+  Buffer.add_string b "][";
+  add_field b "title" article.title;
+  Buffer.add_string b "][";
+  add_field b "year" (Int.to_string article.year);
+  Buffer.add_char b ']'
 
 let to_string q =
-  let len =
-    8
-    +
-    match q with
-    | Fields f -> fields_len f
-    | Msd article -> msd_len article
-    | Author_last_prefix p -> 14 + String.length p
-  in
-  let b = Bytes.create len in
-  let pos = put_string b 0 "/article" in
-  ignore
-    (match q with
-     | Fields f -> put_fields b pos f
-     | Msd article -> put_msd b pos article
-     | Author_last_prefix p -> put_char b (put_string b (put_string b pos "/author/last/") p) '*'
-      : int);
-  Bytes.unsafe_to_string b
+  let b = Domain.DLS.get buffer in
+  Buffer.clear b;
+  Buffer.add_string b "/article";
+  (match q with
+  | Fields f -> add_fields b f
+  | Msd article -> add_msd b article
+  | Author_last_prefix p ->
+      Buffer.add_string b "/author/last/";
+      Buffer.add_string b p;
+      Buffer.add_char b '*');
+  Buffer.contents b
 
 let pp ppf q = Format.pp_print_string ppf (to_string q)
 

@@ -645,9 +645,10 @@ let renderer_matches_printf_oracle =
   QCheck.Test.make ~name:"one-pass renderer = Printf renderer" ~count:1000
     renderer_query_arb (fun q -> String.equal (Q.to_string q) (printf_render q))
 
-(* The one-buffer renderer the exact-length one replaced, kept here as
-   its oracle: one [Buffer] per rendering, author predicates of a
-   multi-author descriptor rendered apart and sorted. *)
+(* The renderer with a fresh [Buffer] per rendering, kept here as the
+   oracle of the one that reuses a buffer per domain: author predicates
+   of a multi-author descriptor rendered in buffers of their own and
+   sorted. *)
 let buffer_render q =
   let add_author b (a : Article.author) =
     Buffer.add_string b "author[first/";
@@ -735,7 +736,7 @@ let buffer_render q =
   Buffer.contents b
 
 let renderer_matches_buffer_oracle =
-  QCheck.Test.make ~name:"exact-length renderer = Buffer renderer" ~count:1000
+  QCheck.Test.make ~name:"reused-buffer renderer = fresh-buffer renderer" ~count:1000
     renderer_query_arb (fun q -> String.equal (Q.to_string q) (buffer_render q))
 
 (* ------------------------------------------------------------------ *)
