@@ -78,7 +78,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     mutable group_keys : Key.t array;  (** Per plan group: the parent's key. *)
     mutable parent_lens : int array;  (** Per plan group: the parent's rendered length. *)
     mutable group_count : int;
-    key_groups : (Key.t, int) Hashtbl.t;  (** Parent key -> plan group. *)
+    mutable key_ids : int array;
+        (** Slots over [group_keys] (see {!find_name}). *)
   }
 
   type t = {
@@ -215,7 +216,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
                group_keys = Array.make 64 Key.zero;
                parent_lens = Array.make 64 0;
                group_count = 0;
-               key_groups = Hashtbl.create 64;
+               key_ids = Array.make 128 0;
              }
          else None);
       consulted = Stdx.Int_buf.create ~capacity:replication ();
@@ -380,6 +381,35 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       bigger
   end
 
+  (* A table of names is [Slots] over ids: a slot holding [v + 1] stands
+     for [names.(v)], a column of parent strings (a batch) or parent
+     keys (the plan).  [find_name] returns the slot holding [s]'s id, or
+     the free slot its id would go to. *)
+  let rec find_name equal ids names s i =
+    match ids.(i) with
+    | 0 -> i
+    | x when equal names.(x - 1) s -> i
+    | _ -> find_name equal ids names s ((i + 1) land Slots.mask ids)
+
+  let parent_slot ids parents s =
+    find_name String.equal ids parents s (Hashtbl.hash s land Slots.mask ids)
+
+  let key_slot ids keys k = find_name Key.equal ids keys k (Key.prefix56 k land Slots.mask ids)
+
+  (* Puts id [n - 1], the newest of [n] names, in free slot [slot];
+     returns [ids], or a table twice its size once it is more than half
+     full. *)
+  let add_name name_slot ids names ~slot n =
+    ids.(slot) <- n;
+    if 2 * n > Array.length ids then begin
+      let ids = Array.make (2 * Array.length ids) 0 in
+      for v = 0 to n - 1 do
+        ids.(name_slot ids names names.(v)) <- v + 1
+      done;
+      ids
+    end
+    else ids
+
   (* The rendering hashes of one group's children. *)
   type hashes = { mutable table : int array; mutable size : int }
 
@@ -442,9 +472,9 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   (* The plan group of a parent key, created on first sight. *)
   let plan_group (p : plan) ~key ~parent_len =
-    match Hashtbl.find_opt p.key_groups key with
-    | Some g -> g
-    | None ->
+    let i = key_slot p.key_ids p.group_keys key in
+    match p.key_ids.(i) with
+    | 0 ->
         let g = p.group_count in
         if g = Array.length p.group_keys then begin
           p.group_keys <- extend p.group_keys Key.zero;
@@ -453,8 +483,9 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         p.group_keys.(g) <- key;
         p.parent_lens.(g) <- parent_len;
         p.group_count <- g + 1;
-        Hashtbl.replace p.key_groups key g;
+        p.key_ids <- add_name key_slot p.key_ids p.group_keys ~slot:i p.group_count;
         g
+    | x -> x - 1
 
   (* The document column's filler.  A large array made with a young
      filler forces a minor collection, so the filler is made once, with
@@ -482,17 +513,6 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     p.docs.(p.doc_count) <- doc;
     p.doc_count <- p.doc_count + 1
 
-  (* The slot of [ids] holding the group of parent [s], or the free slot
-     its group would go to. *)
-  let rec find_parent ids parents s i =
-    match ids.(i) with
-    | 0 -> i
-    | x when String.equal parents.(x - 1) s -> i
-    | _ -> find_parent ids parents s ((i + 1) land Slots.mask ids)
-
-  let parent_slot ids parents s =
-    find_parent ids parents s (Hashtbl.hash s land Slots.mask ids)
-
   (* The id of [parent_string]'s group, created (and its key hashed) on
      first sight. *)
   let group_of t b parent_string =
@@ -507,15 +527,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         (match t.plan with
         | Some p -> b.plan_groups.(g) <- plan_group p ~key ~parent_len:(String.length parent_string)
         | None -> ());
-        b.ids.(i) <- g + 1;
         b.groups <- g + 1;
-        if 2 * b.groups > Array.length b.ids then begin
-          let ids = Array.make (2 * Array.length b.ids) 0 in
-          for g = 0 to b.groups - 1 do
-            ids.(parent_slot ids b.parents b.parents.(g)) <- g + 1
-          done;
-          b.ids <- ids
-        end;
+        b.ids <- add_name parent_slot b.ids b.parents ~slot:i b.groups;
         g
     | x -> x - 1
 
