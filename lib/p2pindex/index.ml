@@ -433,7 +433,9 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     mutable writes : int array;  (** Edges staged. *)
     mutable children : Q.t Rstore.entry list array;
     mutable hashes : hashes option array;
-    mutable plan_groups : int array;  (** The group's id in the plan, under a plan. *)
+    mutable plan_groups : int array;
+        (** The group's id in the plan; empty without a plan, and
+            [extend] keeps it so. *)
     mutable groups : int;
     expires_at : float;  (** Every entry of a batch is stamped alike. *)
   }
@@ -446,7 +448,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       writes = Array.make capacity 0;
       children = Array.make capacity [];
       hashes = Array.make capacity None;
-      plan_groups = Array.make capacity 0;
+      plan_groups = (match t.plan with Some _ -> Array.make capacity 0 | None -> [||]);
       groups = 0;
       expires_at = entry_expiry t;
     }
