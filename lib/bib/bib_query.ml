@@ -94,6 +94,20 @@ let add_field b name v =
   Buffer.add_char b '/';
   Buffer.add_string b v
 
+(* [n] in decimal, as [Int.to_string] writes it, with no string made. *)
+let rec add_digits b n =
+  if n / 10 <> 0 then add_digits b (n / 10);
+  Buffer.add_char b (Char.chr (Char.code '0' + abs (n mod 10)))
+
+let add_int b n =
+  if n < 0 then Buffer.add_char b '-';
+  add_digits b n
+
+let add_int_field b name n =
+  Buffer.add_string b name;
+  Buffer.add_char b '/';
+  add_int b n
+
 (* Opens predicate [i] of [count]. *)
 let open_pred b ~count i =
   if count = 1 then Buffer.add_char b '/'
@@ -128,7 +142,7 @@ let add_fields b f =
   (match f.year with
   | Some y ->
       open_pred b ~count i;
-      add_field b "year" (Int.to_string y)
+      add_int_field b "year" y
   | None -> ());
   if count > 1 then Buffer.add_char b ']'
 
@@ -159,11 +173,11 @@ let add_msd b (article : Article.t) =
       Buffer.add_char b '[');
   add_field b "conf" article.conf;
   Buffer.add_string b "][";
-  add_field b "size" (Int.to_string article.size_bytes);
+  add_int_field b "size" article.size_bytes;
   Buffer.add_string b "][";
   add_field b "title" article.title;
   Buffer.add_string b "][";
-  add_field b "year" (Int.to_string article.year);
+  add_int_field b "year" article.year;
   Buffer.add_char b ']'
 
 let to_string q =
