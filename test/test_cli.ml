@@ -110,19 +110,8 @@ let unreadable_trace_exits_1 () =
 let help_exits_0 () =
   Alcotest.(check int) "simulate --help" 0 (exit_code [ "simulate"; "--help=plain" ])
 
-(* The soft-state path end to end, through the CLI: churn with
-   crash-stop failures paused by the quorum block, five republish rounds
-   replaying the publication plan, eight anti-entropy rounds shipping
-   entries, entries expiring, lossy RPC with retries.  The run's stdout
-   and its metrics snapshot are pinned by SHA-1. *)
-let soft_state_golden () =
-  let args =
-    [ "simulate"; "--nodes"; "120"; "--articles"; "300"; "--queries"; "2000";
-      "--substrate"; "chord"; "--churn-rate"; "0.02"; "--replication"; "3";
-      "--republish"; "8"; "--ttl"; "20"; "--read-quorum"; "2"; "--write-quorum"; "2";
-      "--anti-entropy-interval"; "5"; "--loss-rate"; "0.05"; "--latency"; "0.01";
-      "--rpc-retries"; "2"; "--seed"; "7" ]
-  in
+(* A [simulate] run's stdout and its metrics snapshot, pinned by SHA-1. *)
+let golden args ~stdout_sha1 ~metrics_sha1 () =
   let stdout = Filename.temp_file "p2pindex_golden" ".txt" in
   let metrics = Filename.temp_file "p2pindex_golden" ".json" in
   let sha1_of path =
@@ -141,10 +130,32 @@ let soft_state_golden () =
            (Filename.quote_command cli
               (args @ [ "--metrics-out"; metrics ])
               ~stdout:Filename.null ~stderr:Filename.null));
-      Alcotest.(check string) "stdout SHA-1" "4e5cbc4d6b7434397de34d9e2449eee96fa08b53"
-        (sha1_of stdout);
-      Alcotest.(check string) "metrics snapshot SHA-1" "e78bd1854100aa18bd0c3c0a10ae89edb3ef1eaf"
-        (sha1_of metrics))
+      Alcotest.(check string) "stdout SHA-1" stdout_sha1 (sha1_of stdout);
+      Alcotest.(check string) "metrics snapshot SHA-1" metrics_sha1 (sha1_of metrics))
+
+(* The soft-state path end to end, through the CLI: churn with
+   crash-stop failures paused by the quorum block, five republish rounds
+   replaying the publication plan, eight anti-entropy rounds shipping
+   entries, entries expiring, lossy RPC with retries. *)
+let soft_state_golden =
+  golden
+    [ "simulate"; "--nodes"; "120"; "--articles"; "300"; "--queries"; "2000";
+      "--substrate"; "chord"; "--churn-rate"; "0.02"; "--replication"; "3";
+      "--republish"; "8"; "--ttl"; "20"; "--read-quorum"; "2"; "--write-quorum"; "2";
+      "--anti-entropy-interval"; "5"; "--loss-rate"; "0.05"; "--latency"; "0.01";
+      "--rpc-retries"; "2"; "--seed"; "7" ]
+    ~stdout_sha1:"4e5cbc4d6b7434397de34d9e2449eee96fa08b53"
+    ~metrics_sha1:"e78bd1854100aa18bd0c3c0a10ae89edb3ef1eaf"
+
+(* Hard state under churn: nothing expires, and republish rounds give
+   nodes that rejoined empty their entries back. *)
+let hard_state_golden =
+  golden
+    [ "simulate"; "--nodes"; "100"; "--articles"; "500"; "--queries"; "2000";
+      "--churn-rate"; "0.02"; "--ttl"; "inf"; "--republish"; "10"; "--replication"; "2";
+      "--seed"; "3" ]
+    ~stdout_sha1:"f6ca3504fe0c70cce159d5c1a70fcb7b3b0d9237"
+    ~metrics_sha1:"a5e3161732ed3ff4f8502b90ad227d3dc347eea2"
 
 let suite =
   [
@@ -155,5 +166,9 @@ let suite =
         Alcotest.test_case "unreadable trace exits 1" `Quick unreadable_trace_exits_1;
         Alcotest.test_case "unwritable output exits 1" `Quick unwritable_output_exits_1;
       ] );
-    ("cli:golden", [ Alcotest.test_case "soft-state run" `Quick soft_state_golden ]);
+    ( "cli:golden",
+      [
+        Alcotest.test_case "soft-state run" `Quick soft_state_golden;
+        Alcotest.test_case "hard-state run" `Quick hard_state_golden;
+      ] );
   ]
