@@ -49,7 +49,8 @@ type t = {
   base : spec;
   node_overrides : (int, spec) Hashtbl.t;
   link_overrides : (int * int, spec) Hashtbl.t;
-  mutable next_id : int64;
+  mutable next_id : int;
+  draws : Stdx.Prng.t;  (* re-seeded per message; see [message] *)
   control : Stdx.Prng.t;
   zero : bool;
   overridden : bool;  (* Some node or link override exists. *)
@@ -80,7 +81,8 @@ let create ?(seed = 0L) ?(node_overrides = []) ?(link_overrides = []) base =
     base;
     node_overrides = nodes;
     link_overrides = links;
-    next_id = 0L;
+    next_id = 0;
+    draws = Stdx.Prng.create ~seed;
     control = Stdx.Prng.create ~seed:(Int64.logxor seed 0x636f6e74726f6cL);
     zero;
     overridden = Hashtbl.length nodes > 0 || Hashtbl.length links > 0;
@@ -109,12 +111,16 @@ let resolve t ~src ~dst =
             | Some s -> s
             | None -> t.base))
 
-(* One PRNG per message, keyed by (seed, message id): the verdict is a
-   pure function of the pair, so sampling one message never perturbs
-   another and the whole stream replays from the seed. *)
+(* One PRNG stream per message, keyed by (seed, message id): the verdict
+   is a pure function of the pair, so sampling one message never
+   perturbs another and the whole stream replays from the seed.  The
+   plan's own generator is re-seeded in place for each message, so a
+   verdict allocates no generator.  A plan belongs to one run, and a run
+   to one domain; the shared {!zero} plan never draws. *)
 let message_prng t id =
-  Stdx.Prng.create
-    ~seed:(Int64.logxor t.seed (Int64.mul id 0x9e3779b97f4a7c15L))
+  Stdx.Prng.reseed t.draws
+    ~seed:(Int64.logxor t.seed (Int64.mul (Int64.of_int id) 0x9e3779b97f4a7c15L));
+  t.draws
 
 let sample_latency g = function
   | No_latency -> 0.0
@@ -125,10 +131,10 @@ let sample_latency g = function
       else -.mean *. log (1.0 -. Stdx.Prng.unit_float g)
 
 let message t ~src ~dst =
-  let id = t.next_id in
-  t.next_id <- Int64.add id 1L;
   if t.zero then clean_verdict
   else begin
+    let id = t.next_id in
+    t.next_id <- id + 1;
     let s = resolve t ~src ~dst in
     let g = message_prng t id in
     let lost = Stdx.Prng.unit_float g < s.loss_rate in

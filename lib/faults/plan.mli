@@ -59,7 +59,9 @@ type verdict = { lost : bool; duplicated : bool; latency : float }
 val message : t -> src:int -> dst:int -> verdict
 (** The verdict for the next message from [src] to [dst].  Consumes one
     sequence number; the verdict depends only on (seed, sequence number,
-    resolved spec), never on earlier verdicts. *)
+    resolved spec), never on earlier verdicts.  A zero plan answers
+    without consuming one: its verdicts are all clean, and it is never
+    written, so the shared {!zero} is safe on every domain. *)
 
 val hop_survives : t -> dst:int -> bool
 (** One substrate forwarding hop towards [dst]: samples a fresh message

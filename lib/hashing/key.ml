@@ -117,5 +117,11 @@ let to_float t =
   String.iter (fun c -> acc := (!acc *. 256.0) +. float_of_int (Char.code c)) t;
   !acc
 
+(* Byte by byte, one [Prng.int g 256] draw each, into a buffer filled in
+   place: no closure per key. *)
 let random g =
-  String.init byte_count (fun _ -> Char.chr (Stdx.Prng.int g 256))
+  let b = Bytes.create byte_count in
+  for i = 0 to byte_count - 1 do
+    Bytes.unsafe_set b i (Char.unsafe_chr (Stdx.Prng.int g 256))
+  done;
+  Bytes.unsafe_to_string b

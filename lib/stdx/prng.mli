@@ -12,6 +12,11 @@ val create : seed:int64 -> t
 (** [create ~seed] returns a fresh generator.  Two generators created with the
     same seed produce identical streams. *)
 
+val reseed : t -> seed:int64 -> unit
+(** [reseed g ~seed] restarts [g] in place: its future output is that of
+    [create ~seed].  Allocates nothing, so a caller that needs a fresh
+    stream per item (one per message, say) can keep one generator. *)
+
 val copy : t -> t
 (** [copy g] returns an independent generator whose future output equals the
     future output of [g] at the time of the copy. *)
