@@ -168,3 +168,30 @@ let entries t =
   List.filter_map
     (fun (_key, entry) -> if expired t entry then None else Some (snd entry.shortcut))
     (Lru.to_list t.lru)
+
+(* Every node's cache, built at the node's first install.  Until then the
+   node's slot holds the cache [create] returned first, shared by every
+   such node and never written: a lookup there misses (and counts as a
+   miss) exactly as on an empty cache of the node's own.  At
+   million-node scale most nodes never receive an install. *)
+type 'q per_node = { caches : 'q t array; owned : Stdx.Bitset.t; create : unit -> 'q t }
+
+let per_node ~node_count create =
+  {
+    caches = Array.make node_count (create ());
+    owned = Stdx.Bitset.create ~len:node_count ~default:false;
+    create;
+  }
+
+let find_at p node ~query_key = find p.caches.(node) ~query_key
+
+let add_at p node ~query_key ~target_key pair =
+  if not (Stdx.Bitset.get p.owned node) then begin
+    p.caches.(node) <- p.create ();
+    Stdx.Bitset.set p.owned node true
+  end;
+  add p.caches.(node) ~query_key ~target_key pair
+
+let clear_at p node = if Stdx.Bitset.get p.owned node then clear p.caches.(node)
+
+let sizes p = Array.map size p.caches

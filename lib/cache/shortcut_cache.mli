@@ -68,3 +68,30 @@ val is_full : 'q t -> bool
 
 val entries : 'q t -> ('q * 'q) list
 (** All unexpired cached pairs, most recent first. *)
+
+(** {1 One cache per node} *)
+
+type 'q per_node
+(** A cache for every node of a network, each built at the node's first
+    install.  Until then a node shares one cache that nothing writes, so
+    it behaves as a node with an empty cache of its own, and costs one
+    array slot. *)
+
+val per_node : node_count:int -> (unit -> 'q t) -> 'q per_node
+(** [per_node ~node_count create] builds node caches with [create]: one
+    call now, for the shared stand-in, and one at each node's first
+    install. *)
+
+val find_at : 'q per_node -> int -> query_key:string -> (string * ('q * 'q)) list
+(** {!find} on the node's cache. *)
+
+val add_at :
+  'q per_node -> int -> query_key:string -> target_key:string -> 'q * 'q -> bool
+(** {!add} on the node's cache, building the cache first if the node has
+    none yet. *)
+
+val clear_at : 'q per_node -> int -> unit
+(** {!clear} on the node's cache; a no-op for a node that has none. *)
+
+val sizes : 'q per_node -> int array
+(** {!size} of every node's cache, by node. *)

@@ -330,7 +330,7 @@ module Internal = struct
     index : Index.t;
     articles : Article.t array;
     publish_bytes : int;
-    caches : Q.t Shortcut.t array;
+    caches : Q.t Shortcut.per_node;
     driver : (churn_config * Churn.Driver.t) option;
     prefix_index : (prefix_config * Q.t Prefix.Prefix_index.t) option;
     gen : Query_gen.t;
@@ -471,17 +471,11 @@ module Internal = struct
   Network.reset net;
   let caches =
     (* The cache counters are fetched from the registry once and shared
-       by every node's cache.  With caching off no walk ever reads or
-       writes a cache (the policy guards every access), so all nodes can
-       share one never-touched instance: at million-node scale this
-       avoids node_count empty LRU structures, and the registry contents
-       are identical either way. *)
+       by every node's cache; a node's own cache is built at its first
+       install. *)
     let instruments = Shortcut.instruments registry in
-    let create () =
-      Shortcut.create ~instruments ~clock ~ttl ~capacity:cfg.policy.Policy.capacity ()
-    in
-    if Policy.caches_enabled cfg.policy then Array.init cfg.node_count (fun _ -> create ())
-    else Array.make cfg.node_count (create ())
+    Shortcut.per_node ~node_count:cfg.node_count (fun () ->
+        Shortcut.create ~instruments ~clock ~ttl ~capacity:cfg.policy.Policy.capacity ())
   in
   let driver =
     match cfg.churn with
@@ -624,7 +618,7 @@ module Internal = struct
                   Storage.Replicated_store.drop_state (Prefix.Prefix_index.store p) node)
                 env.prefix_index
             end;
-            Shortcut.clear env.caches.(node))
+            Shortcut.clear_at env.caches node)
           ~on_join:(fun ~time _node -> env.clock_ref := time)
           ~on_republish:(fun ~time ->
             env.clock_ref := time;
@@ -707,7 +701,7 @@ module Internal = struct
       session_latency = tally.session_latency;
       peak_in_flight = tally.peak_in_flight;
       node_touches = Network.touches env.net;
-      cached_keys = Array.map Shortcut.size env.caches;
+      cached_keys = Shortcut.sizes env.caches;
       regular_keys = Index.entries_per_node env.index;
       index_bytes;
       article_bytes = Index.file_bytes env.index;

@@ -9,7 +9,7 @@ type ctx = {
   policy : Policy.t;
   rpc : Dht.Rpc.t;
   index : Index.t;
-  caches : Q.t Shortcut.t array;
+  caches : Q.t Shortcut.per_node;
   liveness : Dht.Liveness.t;
   tracer : Obs.Trace.t option;
   prefix_route : (string -> Index.step) option;
@@ -145,7 +145,7 @@ let[@hot] step ctx ~lookup s =
        any requester (Section IV-C) — and index mappings otherwise. *)
     let cached_entries =
       if answered && Policy.caches_enabled ctx.policy && not is_msd_step then
-        Shortcut.find ctx.caches.(node) ~query_key:query_string
+        Shortcut.find_at ctx.caches node ~query_key:query_string
       else []
     in
     let cached_hit = find_cached_hit ~msd:s.msd_string cached_entries in
@@ -219,7 +219,7 @@ let install_shortcuts ctx s outcome =
             ~category:Network.Cache_update
             ~deliver:(fun () ->
               Dht.Liveness.alive ctx.liveness node
-              && Shortcut.add ctx.caches.(node) ~query_key
+              && Shortcut.add_at ctx.caches node ~query_key
                    ~target_key:s.msd_string (q, s.target_msd))
         end)
       installs

@@ -18,7 +18,7 @@ type ctx = {
   policy : Cache.Policy.t;
   rpc : Dht.Rpc.t;
   index : Bib.Bib_index.t;
-  caches : Q.t Cache.Shortcut_cache.t array;
+  caches : Q.t Cache.Shortcut_cache.per_node;
   liveness : Dht.Liveness.t;
   tracer : Obs.Trace.t option;
   prefix_route : (string -> Bib.Bib_index.step) option;

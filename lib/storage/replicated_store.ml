@@ -53,6 +53,8 @@ type 'v t = {
   liveness : Dht.Liveness.t;
   clock : unit -> float;
   tables : (Key.t, 'v key_state) Hashtbl.t array;
+  vacant : (Key.t, 'v key_state) Hashtbl.t; (* stands in for every tableless node *)
+  owned : Stdx.Bitset.t; (* nodes whose [tables] slot is their own table *)
   directory : (Key.t, unit) Hashtbl.t; (* keys registered and not removed *)
   on_write_acks : (acks:int -> needed:int -> unit) option;
   scratch : Stdx.Int_buf.t; (* replica-set resolution buffer *)
@@ -77,6 +79,11 @@ let create ~resolver ~replication ?read_quorum ?write_quorum ?on_write_acks
         l
     | None -> Dht.Liveness.create ~node_count:n
   in
+  (* A node's table is built at its first write ([own_table]); until
+     then its slot holds [vacant], one empty table per store that reads
+     see as empty and nothing ever writes.  At million-node scale most
+     nodes are never written at all. *)
+  let vacant = Hashtbl.create 1 in
   {
     resolver;
     replication;
@@ -84,10 +91,9 @@ let create ~resolver ~replication ?read_quorum ?write_quorum ?on_write_acks
     write_quorum;
     liveness;
     clock;
-    (* Small initial tables: at million-node scale most replicas hold a
-       handful of keys, and 64-bucket tables per node would dominate the
-       heap before a single entry lands. *)
-    tables = Array.init n (fun _ -> Hashtbl.create 8);
+    tables = Array.make n vacant;
+    vacant;
+    owned = Stdx.Bitset.create ~len:n ~default:false;
     directory = Hashtbl.create 1024;
     on_write_acks;
     scratch = Stdx.Int_buf.create ~capacity:(Stdlib.max 1 replication) ();
@@ -136,6 +142,16 @@ let fold_in buf f init =
 let expired t entry = entry.expires_at <= t.clock ()
 
 let state_at t ~node key = Hashtbl.find_opt t.tables.(node) key
+
+(* The node's table for a write, built on the first one.  Small initial
+   tables: most replicas hold a handful of keys, and 64-bucket tables
+   per node would dominate the heap before a single entry lands. *)
+let own_table t node =
+  if not (Stdx.Bitset.get t.owned node) then begin
+    t.tables.(node) <- Hashtbl.create 8;
+    Stdx.Bitset.set t.owned node true
+  end;
+  t.tables.(node)
 
 let empty_state () = { entries = []; version = Version.zero; fence = unfenced }
 
@@ -278,7 +294,7 @@ let insert_entries ~equal t ~key ~writes entries =
   for i = 0 to Stdx.Int_buf.length buf - 1 do
     let node = Stdx.Int_buf.unsafe_get buf i in
     if Dht.Liveness.alive t.liveness node then begin
-      let st = get_state t.tables.(node) key in
+      let st = get_state (own_table t node) key in
       prune now st;
       if node = coordinator then vv := Version.bump_by st.version ~actor:node writes;
       (match (st.entries, st.fence.tombs) with
@@ -340,9 +356,8 @@ let remove t ~key pred =
           (fun worst node ->
             if not (Dht.Liveness.alive t.liveness node) then worst
             else begin
-              let table = t.tables.(node) in
-              let entries = live_entries t table key in
-              let st = get_state table key in
+              let entries = live_entries t t.tables.(node) key in
+              let st = get_state (own_table t node) key in
               let kept, gone = List.partition (fun e -> not (pred e.value)) entries in
               st.entries <- kept (* a sublist: the floor still bounds it *);
               List.iter
@@ -369,7 +384,8 @@ let remove t ~key pred =
          outright — exactly the pre-quorum final state. *)
       if not held_anywhere then begin
         for i = 0 to Stdx.Int_buf.length replicas - 1 do
-          Hashtbl.remove t.tables.(Stdx.Int_buf.unsafe_get replicas i) key
+          let node = Stdx.Int_buf.unsafe_get replicas i in
+          if Stdx.Bitset.get t.owned node then Hashtbl.remove t.tables.(node) key
         done;
         Hashtbl.remove t.directory key
       end;
@@ -393,9 +409,14 @@ let alive t node =
   check_node t node;
   Dht.Liveness.alive t.liveness node
 
+(* The node goes back to the stand-in: an emptied table and a table not
+   yet built are the same state. *)
 let drop_state t node =
   check_node t node;
-  Hashtbl.reset t.tables.(node)
+  if Stdx.Bitset.get t.owned node then begin
+    t.tables.(node) <- t.vacant;
+    Stdx.Bitset.set t.owned node false
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Reconciliation: the least upper bound of two replica states.  When
@@ -494,7 +515,7 @@ let quorum_read t ~key ~nodes =
               let gained =
                 List.filter (fun e -> not (holds_value st.entries e)) merged.entries
               in
-              assign (get_state t.tables.(node) key) merged;
+              assign (get_state (own_table t node) key) merged;
               Some (node, gained)
             end)
           states
@@ -588,7 +609,7 @@ let repair ?(on_restore = fun ~node:_ _ -> ()) t =
                 | Some st -> Version.compare st.version src.version = Version.Dominates
               in
               if not target_newer then begin
-                let st = get_state t.tables.(node) key in
+                let st = get_state (own_table t node) key in
                 st.entries <- clone_entries src.entries;
                 st.version <- Version.merge st.version src.version;
                 st.fence <- src.fence;
