@@ -103,6 +103,31 @@ let reprofile (base : Runner.report) phases ~since =
     Runner.metrics = Obs.Metrics.merge_snapshots [ kept; Obs.Metrics.snapshot registry ];
   }
 
+(* Run [work w] for every worker [w] in [0, workers), worker 0 on the
+   calling domain and the others on spawned domains, and return the
+   results in worker order.  The caller works instead of idling in
+   [Domain.join]: N workers occupy N domains, not N + 1, and every
+   stop-the-world minor collection waits on one domain fewer.  Every
+   spawned domain is joined before any exception — a spawn failure, or
+   one raised by any worker, the caller's included — propagates; the
+   first in worker order is re-raised. *)
+let run_workers workers work =
+  let outcome f =
+    match f () with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  let spawned = ref [] in
+  let own =
+    outcome (fun () ->
+        for w = 1 to workers - 1 do
+          spawned := Domain.spawn (fun () -> work w) :: !spawned
+        done;
+        work 0)
+  in
+  let others = List.rev_map (fun d -> outcome (fun () -> Domain.join d)) !spawned in
+  List.map
+    (function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+    (own :: others)
+
 let run ?(shards = 1) ?(domains = 1) ?events ?metrics ?tracer ?phases
     ?(concurrency = 1) ?(coalesce = false) cfg =
   let per_run = events <> None || metrics <> None || tracer <> None in
@@ -130,19 +155,15 @@ let run ?(shards = 1) ?(domains = 1) ?events ?metrics ?tracer ?phases
            and the merge below reads slots in shard order, so any worker
            count produces identical output. *)
         let results = Array.make shards None in
-        let worker w () =
+        let worker w =
           let rec go s acc =
             if s >= shards then acc else go (s + workers) ((s, run_shard s) :: acc)
           in
           go w []
         in
-        let joined =
-          Array.map Domain.join
-            (Array.init workers (fun w -> Domain.spawn (worker w)))
-        in
-        Array.iter
+        List.iter
           (List.iter (fun (s, r) -> results.(s) <- Some r))
-          joined;
+          (run_workers workers worker);
         Array.map
           (function Some r -> r | None -> assert false (* stride covers all *))
           results

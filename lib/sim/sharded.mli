@@ -13,7 +13,9 @@
     deterministic.
 
     [domains] is the {e worker} axis: how many OCaml domains execute the
-    shards (clamped to the shard count).  Because shards are isolated and
+    shards (clamped to the shard count).  The calling domain is one of
+    them: [N] workers spawn [N - 1] domains, and the caller runs worker
+    0's shards itself rather than waiting idle.  Because shards are isolated and
     the merge folds their results in shard order 0, 1, ..., S-1, the
     worker count can never influence a byte of the output:
 
