@@ -1,5 +1,6 @@
 (** A packed bitset over [Bytes]: one bit per index, every access
-    bounds-checked.  Node liveness is its only client. *)
+    bounds-checked.  Node liveness, and the per-node tables and caches
+    built on first write, use it. *)
 
 type t
 

@@ -153,6 +153,29 @@ let shortcut_lru_eviction () =
   Alcotest.(check int) "b evicted and unindexed" 0 (List.length (Shortcut.find c ~query_key:"b"));
   Alcotest.(check int) "a survived" 1 (List.length (Shortcut.find c ~query_key:"a"))
 
+(* Per-node caches: a node's cache is built at its first install, and
+   nodes without one all read the shared stand-in, which no install or
+   clear reaches. *)
+let shortcut_per_node () =
+  let built = ref 0 in
+  let caches : int Shortcut.per_node =
+    Shortcut.per_node ~node_count:4 (fun () ->
+        incr built;
+        Shortcut.create ~capacity:(Some 2) ())
+  in
+  Alcotest.(check int) "only the stand-in built" 1 !built;
+  Alcotest.(check bool) "install on node 2" true
+    (Shortcut.add_at caches 2 ~query_key:"q" ~target_key:"t" (1, 2));
+  Alcotest.(check bool) "refresh on node 2" false
+    (Shortcut.add_at caches 2 ~query_key:"q" ~target_key:"t" (1, 2));
+  Alcotest.(check int) "node 2's cache built once" 2 !built;
+  Alcotest.(check int) "node 2 hits" 1 (List.length (Shortcut.find_at caches 2 ~query_key:"q"));
+  Alcotest.(check int) "node 1 misses" 0 (List.length (Shortcut.find_at caches 1 ~query_key:"q"));
+  Shortcut.clear_at caches 1;
+  Alcotest.(check (array int)) "sizes" [| 0; 0; 1; 0 |] (Shortcut.sizes caches);
+  Shortcut.clear_at caches 2;
+  Alcotest.(check (array int)) "cleared" [| 0; 0; 0; 0 |] (Shortcut.sizes caches)
+
 let shortcut_secondary_index_consistent =
   QCheck.Test.make ~name:"shortcut secondary index stays consistent" ~count:200
     QCheck.(pair (int_range 1 4) (small_list (pair (int_range 0 5) (int_range 0 5))))
@@ -376,6 +399,7 @@ let suite =
       [
         Alcotest.test_case "basics" `Quick shortcut_basics;
         Alcotest.test_case "LRU eviction" `Quick shortcut_lru_eviction;
+        Alcotest.test_case "per-node caches on first install" `Quick shortcut_per_node;
       ]
       @ qcheck [ shortcut_secondary_index_consistent; shortcut_matches_model ] );
   ]

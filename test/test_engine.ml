@@ -200,6 +200,44 @@ let sharded_identical_across_domains () =
   in
   Array.iteri (fun s r -> check_reports_equal (slice ~shards:4 s) r) on_domains
 
+(* With [domains] workers the calling domain runs worker 0's stride:
+   at 4 shards, 2 domains give the caller two shards and 3 domains an
+   uneven stride (the caller works shards 0 and 3).  Two configs: LRU
+   caches on, so nodes build their caches at first install on every
+   domain, and churn at replication 3 over many more nodes than keys,
+   so crashes and repair rounds reach nodes that have no table yet. *)
+let sharded_domains_invariant_with_state () =
+  let churned =
+    {
+      small_config with
+      node_count = 400;
+      article_count = 40;
+      query_count = 400;
+      churn =
+        Some
+          {
+            Runner.default_churn with
+            churn_rate = 0.05;
+            replication = 3;
+            query_rate = 10.0;
+            republish_period = 4.0;
+            repair_period = 2.0;
+          };
+    }
+  in
+  List.iter
+    (fun cfg ->
+      let run domains = Sharded.run ~shards:4 ~domains cfg in
+      let d1 = run 1 in
+      List.iter
+        (fun domains ->
+          let d = run domains in
+          check_reports_equal d1 d;
+          Alcotest.(check string) "metrics snapshot" (snapshot_string d1.Runner.metrics)
+            (snapshot_string d.Runner.metrics))
+        [ 2; 3 ])
+    [ small_config; churned ]
+
 (* The merge is a sum of isolated shards: every count of the merged
    report equals the sum over the slices run alone, its snapshot is the
    merge of theirs, and the per-node arrays concatenate in shard order. *)
@@ -316,6 +354,8 @@ let suite =
         Alcotest.test_case "one shard = engine run" `Quick sharded_degenerates;
         Alcotest.test_case "byte-identical across domains" `Quick
           sharded_identical_across_domains;
+        Alcotest.test_case "calling-domain worker, caches and churn" `Quick
+          sharded_domains_invariant_with_state;
         Alcotest.test_case "merge is the shard sum" `Quick sharded_merge_is_shard_sum;
         QCheck_alcotest.to_alcotest sharded_worker_invariance;
         Alcotest.test_case "argument validation" `Quick sharded_validates_arguments;

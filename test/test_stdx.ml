@@ -98,6 +98,139 @@ let prng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "shuffle is a permutation" (Array.init 50 (fun i -> i)) sorted
 
+(* The oracle: SplitMix64 as the generator first shipped it, its state a
+   boxed [int64] in a mutable field.  The unboxed generator must replay
+   it draw for draw. *)
+module Boxed_prng = struct
+  type t = { mutable state : int64 }
+
+  let create ~seed = { state = seed }
+  let copy g = { state = g.state }
+
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let next_int64 g =
+    g.state <- Int64.add g.state 0x9E3779B97F4A7C15L;
+    mix g.state
+
+  let split g = create ~seed:(next_int64 g)
+  let bits g = Int64.to_int (Int64.shift_right_logical (next_int64 g) 2)
+
+  let int g bound =
+    let rec draw () =
+      let r = bits g in
+      let v = r mod bound in
+      if r - v > max_int - bound + 1 then draw () else v
+    in
+    draw ()
+
+  let int_in_range g ~lo ~hi = lo + int g (hi - lo + 1)
+  let unit_float g = Int64.to_float (Int64.shift_right_logical (next_int64 g) 11) *. 0x1p-53
+  let float g bound = unit_float g *. bound
+
+  let shuffle g a =
+    for i = Array.length a - 1 downto 1 do
+      let j = int g (i + 1) in
+      let tmp = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- tmp
+    done
+end
+
+type prng_op =
+  | Next_int64
+  | Int of int
+  | Int_in_range of int * int
+  | Unit_float
+  | Float of float
+  | Split
+  | Copy
+  | Shuffle of int
+
+let show_prng_op = function
+  | Next_int64 -> "next_int64"
+  | Int b -> Printf.sprintf "int %d" b
+  | Int_in_range (lo, hi) -> Printf.sprintf "int_in_range %d %d" lo hi
+  | Unit_float -> "unit_float"
+  | Float b -> Printf.sprintf "float %h" b
+  | Split -> "split"
+  | Copy -> "copy"
+  | Shuffle n -> Printf.sprintf "shuffle %d" n
+
+(* Bounds 1 and 256 (the key bytes), non-powers of two, and bounds near
+   [max_int], where the rejection loop redraws often. *)
+let prng_bound =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 1; 2; 3; 256; 1000; 7919; 1_000_003 ];
+        int_range 1 100_000;
+        oneofl [ max_int; max_int - 1; (max_int / 2) + 1; (max_int / 3) * 2; max_int / 2 ];
+        map (fun d -> max_int - d) (int_range 0 1_000_000);
+      ])
+
+let prng_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return Next_int64);
+        (6, map (fun b -> Int b) prng_bound);
+        (2, map2 (fun lo span -> Int_in_range (lo, lo + span)) (int_range (-1000) 1000) (int_range 0 5000));
+        (3, return Unit_float);
+        (2, map (fun b -> Float b) (float_range 0.0 1e6));
+        (1, return Split);
+        (1, return Copy);
+        (1, map (fun n -> Shuffle n) (int_range 0 40));
+      ])
+
+(* Every operation on both generators side by side; a split or a copy
+   compares the new generator's next draws, then the parents go on. *)
+let prng_matches_oracle =
+  QCheck.Test.make ~name:"Prng replays the boxed SplitMix64 oracle" ~count:300
+    QCheck.(
+      pair int64
+        (make ~print:(QCheck.Print.list show_prng_op) (Gen.list_size (Gen.int_range 1 60) prng_op_gen)))
+    (fun (seed, ops) ->
+      let g = Stdx.Prng.create ~seed and o = Boxed_prng.create ~seed in
+      let same_next g o = Int64.equal (Stdx.Prng.next_int64 g) (Boxed_prng.next_int64 o) in
+      let same_children g o = same_next g o && same_next g o && Stdx.Prng.int g 1000 = Boxed_prng.int o 1000 in
+      List.for_all
+        (fun op ->
+          match op with
+          | Next_int64 -> same_next g o
+          | Int b -> Stdx.Prng.int g b = Boxed_prng.int o b
+          | Int_in_range (lo, hi) ->
+              Stdx.Prng.int_in_range g ~lo ~hi = Boxed_prng.int_in_range o ~lo ~hi
+          | Unit_float -> Float.equal (Stdx.Prng.unit_float g) (Boxed_prng.unit_float o)
+          | Float b -> Float.equal (Stdx.Prng.float g b) (Boxed_prng.float o b)
+          | Split -> same_children (Stdx.Prng.split g) (Boxed_prng.split o)
+          | Copy -> same_children (Stdx.Prng.copy g) (Boxed_prng.copy o) && same_next g o
+          | Shuffle n ->
+              let a = Array.init n Fun.id and b = Array.init n Fun.id in
+              Stdx.Prng.shuffle g a;
+              Boxed_prng.shuffle o b;
+              a = b)
+        ops
+      && same_next g o)
+
+(* Re-seeding in place restarts the stream exactly as a fresh generator. *)
+let prng_reseed_is_create =
+  QCheck.Test.make ~name:"Prng.reseed = Prng.create" ~count:200
+    QCheck.(triple int64 int64 (int_range 0 20))
+    (fun (first, seed, burn) ->
+      let g = Stdx.Prng.create ~seed:first in
+      for _ = 1 to burn do
+        ignore (Stdx.Prng.next_int64 g : int64)
+      done;
+      Stdx.Prng.reseed g ~seed;
+      let fresh = Stdx.Prng.create ~seed in
+      List.for_all
+        (fun _ -> Int64.equal (Stdx.Prng.next_int64 g) (Stdx.Prng.next_int64 fresh))
+        [ 1; 2; 3; 4 ])
+
 let prng_argument_validation () =
   let g = Stdx.Prng.create ~seed:1L in
   Alcotest.check_raises "empty range" (Invalid_argument "Prng.int_in_range: empty range")
@@ -335,7 +468,14 @@ let suite =
         Alcotest.test_case "shuffle permutes" `Quick prng_shuffle_permutes;
         Alcotest.test_case "argument validation" `Quick prng_argument_validation;
       ]
-      @ qcheck [ prng_int_bounds; prng_int_in_range; prng_unit_float_range ] );
+      @ qcheck
+          [
+            prng_int_bounds;
+            prng_int_in_range;
+            prng_unit_float_range;
+            prng_matches_oracle;
+            prng_reseed_is_create;
+          ] );
     ( "stdx:power_law",
       [
         Alcotest.test_case "paper pmf head" `Quick power_law_paper_pmf;

@@ -149,6 +149,44 @@ let replicated_fail_is_idempotent () =
   Replicated.revive_node store primary;
   Alcotest.(check bool) "one revive suffices" true (Replicated.alive store primary)
 
+(* A node's table is built at its first write; until then it reads as
+   empty.  Dropping, repairing and read-repairing nodes that have no
+   table — never written, or dropped back to none — write only those
+   nodes: every node outside the key's replica set stays empty. *)
+let replicated_tables_on_first_write () =
+  let r = resolver 50 in
+  let store : int Replicated.t = Replicated.create ~resolver:r ~replication:3 () in
+  let key = k "a" in
+  let replicas = Dht.Resolver.replicas r key 3 in
+  let outsider = List.find (fun n -> not (List.mem n replicas)) (List.init 50 Fun.id) in
+  let only_replicas_hold what expected =
+    Array.iteri
+      (fun node n ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: node %d" what node)
+          (if List.mem node replicas then expected node else 0)
+          n)
+      (Replicated.entries_per_node store)
+  in
+  Replicated.drop_state store outsider;
+  Replicated.fail_node store outsider;
+  Replicated.revive_node store outsider;
+  only_replicas_hold "nothing written" (fun _ -> 0);
+  Replicated.insert store ~len:0 ~key 1;
+  only_replicas_hold "written" (fun _ -> 1);
+  let dropped = List.nth replicas 1 in
+  Replicated.drop_state store dropped;
+  Replicated.drop_state store dropped;
+  only_replicas_hold "dropped" (fun node -> if node = dropped then 0 else 1);
+  Alcotest.(check int) "repair restores the dropped replica" 1 (Replicated.repair store);
+  only_replicas_hold "repaired" (fun _ -> 1);
+  Replicated.drop_state store dropped;
+  let values, _version, repairs = Replicated.quorum_read store ~key ~nodes:replicas in
+  Alcotest.(check (list int)) "quorum read" [ 1 ] values;
+  Alcotest.(check (list int)) "read repair reaches the dropped replica" [ dropped ]
+    (List.map fst repairs);
+  only_replicas_hold "read-repaired" (fun _ -> 1)
+
 let ring_replicas_wrap_around () =
   (* One buffer for all three cases: each call clears it first. *)
   let buf = Stdx.Int_buf.create () in
@@ -214,6 +252,8 @@ let suite =
           replicated_single_replica_is_fragile;
         Alcotest.test_case "all replicas failed" `Quick replicated_all_replicas_failed;
         Alcotest.test_case "fail_node idempotent" `Quick replicated_fail_is_idempotent;
+        Alcotest.test_case "tables built on first write" `Quick
+          replicated_tables_on_first_write;
         Alcotest.test_case "ring_replicas wrap-around" `Quick ring_replicas_wrap_around;
         Alcotest.test_case "validation" `Quick replicated_validation;
         Alcotest.test_case "resolver replica sets" `Quick resolver_replicas_distinct;
