@@ -184,6 +184,21 @@ let micro_ops () : (string * (unit -> unit)) list =
       Storage.Replicated_store.insert ae_store ~key ~len:(String.length v) v
     done
   done;
+  (* Per-node set-up at 10k nodes: the substrate's identifiers, an empty
+     store, and a whole run's set-up (substrate, store, caches, corpus
+     publication) — what every shard of a scale run pays before its
+     first session. *)
+  let resolver_10k =
+    Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:3L ~node_count:10_000 ())
+  in
+  let setup_10k =
+    {
+      Sim.Runner.default_config with
+      node_count = 10_000;
+      article_count = 500;
+      policy = Cache.Policy.lru 30;
+    }
+  in
   [
     ("sha1/256B", fun () -> ignore (Hashing.Sha1.digest_string sha_input));
     ("xpath/parse", fun () -> ignore (Xpath.of_string q1_string));
@@ -273,6 +288,15 @@ let micro_ops () : (string * (unit -> unit)) list =
       fun () ->
         ignore
           (Storage.Anti_entropy.run ae_store ~entry_bytes:Storage.Replicated_store.entry_len ()) );
+    ("prng/int", fun () -> ignore (Stdx.Prng.int prng 1000));
+    ( "dht/static-create-10k",
+      fun () -> ignore (Dht.Static_dht.create ~seed:3L ~node_count:10_000 ()) );
+    ( "storage/create-10k",
+      fun () ->
+        ignore
+          (Storage.Replicated_store.create ~resolver:resolver_10k ~replication:3 ()
+            : string Storage.Replicated_store.t) );
+    ("sim/setup-10k-nodes", fun () -> ignore (Sim.Runner.Internal.setup setup_10k));
   ]
 
 let run_micro_bechamel () =
@@ -306,12 +330,42 @@ let run_micro_bechamel () =
    time-quota sampler would not. *)
 let micro_runs = 1_000
 
-(* Whole-corpus publication and republication take milliseconds a run
-   where the other micros take nanoseconds; ten runs give their exact
-   per-run counts. *)
+(* Whole-corpus publication and republication, and the 10k-node
+   set-ups, take milliseconds a run where the other micros take
+   nanoseconds; ten runs give their exact per-run counts. *)
 let micro_runs_of = function
-  | "index/publish-corpus-1k" | "index/republish-corpus-1k" -> 10
+  | "index/publish-corpus-1k" | "index/republish-corpus-1k" | "dht/static-create-10k"
+  | "storage/create-10k" | "sim/setup-10k-nodes" ->
+      10
   | _ -> micro_runs
+
+(* Absolute ceilings on minor words per run, on top of the baseline
+   comparison: per-node set-up must cost what a run touches, not what
+   the population size would buy, and a PRNG draw nothing. *)
+let micro_ceilings =
+  [
+    ("prng/int", 0.0);
+    ("dht/static-create-10k", 200_000.0);
+    ("storage/create-10k", 1_000.0);
+    ("sim/setup-10k-nodes", 1_000_000.0);
+  ]
+
+let check_ceilings (micros : Obs.Bench_report.micro list) =
+  let over =
+    List.filter_map
+      (fun (m : Obs.Bench_report.micro) ->
+        match List.assoc_opt m.Obs.Bench_report.micro_name micro_ceilings with
+        | Some ceiling when m.Obs.Bench_report.minor_words_per_run > ceiling ->
+            Some (m.Obs.Bench_report.micro_name, m.Obs.Bench_report.minor_words_per_run, ceiling)
+        | Some _ | None -> None)
+      micros
+  in
+  List.iter
+    (fun (name, words, ceiling) ->
+      Printf.eprintf "main.exe: %s allocates %.1f minor words per run (ceiling %.0f)\n" name
+        words ceiling)
+    over;
+  over = []
 
 let measure_micro ~timed () =
   let measure (name, fn) =
@@ -522,5 +576,6 @@ let () =
         Obs.Bench_report.write ~path report;
         Printf.printf "\nwrote %s (%d micro, %d experiments%s)\n" path
           (List.length micro) (List.length experiments)
-          (if opts.timings then ", timed — not byte-reproducible" else "")
+          (if opts.timings then ", timed — not byte-reproducible" else "");
+        if not (check_ceilings micro) then exit 1
   end
