@@ -103,14 +103,9 @@ let reprofile (base : Runner.report) phases ~since =
     Runner.metrics = Obs.Metrics.merge_snapshots [ kept; Obs.Metrics.snapshot registry ];
   }
 
-(* Run [work w] for every worker [w] in [0, workers), worker 0 on the
-   calling domain and the others on spawned domains, and return the
-   results in worker order.  The caller works instead of idling in
-   [Domain.join]: N workers occupy N domains, not N + 1, and every
-   stop-the-world minor collection waits on one domain fewer.  Every
-   spawned domain is joined before any exception — a spawn failure, or
-   one raised by any worker, the caller's included — propagates; the
-   first in worker order is re-raised. *)
+(* The caller works instead of idling in [Domain.join]: N workers
+   occupy N domains, not N + 1, and every stop-the-world minor
+   collection waits on one domain fewer. *)
 let run_workers workers work =
   let outcome f =
     match f () with v -> Ok v | exception e -> Error (e, Printexc.get_raw_backtrace ())

@@ -66,6 +66,13 @@ val validate :
     domain (GC counters are per-domain in OCaml 5).  The configuration
     itself is {!Runner.validate}'s to check. *)
 
+val run_workers : int -> (int -> 'a) -> 'a list
+(** [run_workers n work] is [[work 0; ...; work (n - 1)]], worker 0 run
+    on the calling domain and each other worker on a domain of its own.
+    Every spawned domain is joined before an exception propagates —
+    one raised by any worker, the caller's included, or by a failed
+    spawn — and the first exception in worker order is re-raised. *)
+
 val run :
   ?shards:int ->
   ?domains:int ->

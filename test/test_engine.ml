@@ -238,6 +238,36 @@ let sharded_domains_invariant_with_state () =
         [ 2; 3 ])
     [ small_config; churned ]
 
+(* An exception from any worker, the calling domain's included,
+   propagates only after every spawned worker has finished; the first
+   in worker order wins. *)
+let run_workers_joins_before_raising () =
+  Alcotest.(check (list int)) "results in worker order" [ 0; 10; 20 ]
+    (Sharded.run_workers 3 (fun w -> 10 * w));
+  let failed = Atomic.make false and finished = Atomic.make 0 in
+  let work w =
+    if w = 0 then begin
+      Atomic.set failed true;
+      failwith "worker 0"
+    end
+    else begin
+      (* Still working when worker 0 raises. *)
+      while not (Atomic.get failed) do
+        Domain.cpu_relax ()
+      done;
+      for _ = 1 to 100_000 do
+        Domain.cpu_relax ()
+      done;
+      Atomic.incr finished;
+      if w = 2 then failwith "worker 2" else w
+    end
+  in
+  Alcotest.check_raises "worker 0's exception" (Failure "worker 0") (fun () ->
+      ignore (Sharded.run_workers 3 work));
+  Alcotest.(check int) "every spawned worker finished first" 2 (Atomic.get finished);
+  Alcotest.check_raises "a spawned worker's exception" (Failure "worker 2") (fun () ->
+      ignore (Sharded.run_workers 3 (fun w -> if w = 2 then failwith "worker 2" else w)))
+
 (* The merge is a sum of isolated shards: every count of the merged
    report equals the sum over the slices run alone, its snapshot is the
    merge of theirs, and the per-node arrays concatenate in shard order. *)
@@ -356,6 +386,8 @@ let suite =
           sharded_identical_across_domains;
         Alcotest.test_case "calling-domain worker, caches and churn" `Quick
           sharded_domains_invariant_with_state;
+        Alcotest.test_case "workers joined before an exception" `Quick
+          run_workers_joins_before_raising;
         Alcotest.test_case "merge is the shard sum" `Quick sharded_merge_is_shard_sum;
         QCheck_alcotest.to_alcotest sharded_worker_invariance;
         Alcotest.test_case "argument validation" `Quick sharded_validates_arguments;
