@@ -350,22 +350,18 @@ let micro_ceilings =
     ("sim/setup-10k-nodes", 1_000_000.0);
   ]
 
-let check_ceilings (micros : Obs.Bench_report.micro list) =
-  let over =
-    List.filter_map
-      (fun (m : Obs.Bench_report.micro) ->
-        match List.assoc_opt m.Obs.Bench_report.micro_name micro_ceilings with
-        | Some ceiling when m.Obs.Bench_report.minor_words_per_run > ceiling ->
-            Some (m.Obs.Bench_report.micro_name, m.Obs.Bench_report.minor_words_per_run, ceiling)
-        | Some _ | None -> None)
-      micros
-  in
-  List.iter
-    (fun (name, words, ceiling) ->
-      Printf.eprintf "main.exe: %s allocates %.1f minor words per run (ceiling %.0f)\n" name
-        words ceiling)
-    over;
-  over = []
+let within_ceilings (micros : Obs.Bench_report.micro list) =
+  List.fold_left
+    (fun ok (m : Obs.Bench_report.micro) ->
+      let name = m.Obs.Bench_report.micro_name
+      and words = m.Obs.Bench_report.minor_words_per_run in
+      match List.assoc_opt name micro_ceilings with
+      | Some ceiling when words > ceiling ->
+          Printf.eprintf "main.exe: %s allocates %.1f minor words per run (ceiling %.0f)\n"
+            name words ceiling;
+          false
+      | Some _ | None -> ok)
+    true micros
 
 let measure_micro ~timed () =
   let measure (name, fn) =
@@ -577,5 +573,5 @@ let () =
         Printf.printf "\nwrote %s (%d micro, %d experiments%s)\n" path
           (List.length micro) (List.length experiments)
           (if opts.timings then ", timed — not byte-reproducible" else "");
-        if not (check_ceilings micro) then exit 1
+        if not (within_ceilings micro) then exit 1
   end

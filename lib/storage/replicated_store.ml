@@ -79,7 +79,7 @@ let create ~resolver ~replication ?read_quorum ?write_quorum ?on_write_acks
         l
     | None -> Dht.Liveness.create ~node_count:n
   in
-  (* A node's table is built at its first write ([own_table]); until
+  (* A node's table is built at its first write ([get_state]); until
      then its slot holds [vacant], one empty table per store that reads
      see as empty and nothing ever writes.  At million-node scale most
      nodes are never written at all. *)
@@ -143,19 +143,19 @@ let expired t entry = entry.expires_at <= t.clock ()
 
 let state_at t ~node key = Hashtbl.find_opt t.tables.(node) key
 
-(* The node's table for a write, built on the first one.  Small initial
-   tables: most replicas hold a handful of keys, and 64-bucket tables
-   per node would dominate the heap before a single entry lands. *)
-let own_table t node =
+let empty_state () = { entries = []; version = Version.zero; fence = unfenced }
+
+(* The node's state for [key], for a write: created when absent, in the
+   node's own table, which is built at the node's first write.  Small
+   initial tables: most replicas hold a handful of keys, and 64-bucket
+   tables per node would dominate the heap before a single entry
+   lands. *)
+let get_state t ~node key =
   if not (Stdx.Bitset.get t.owned node) then begin
     t.tables.(node) <- Hashtbl.create 8;
     Stdx.Bitset.set t.owned node true
   end;
-  t.tables.(node)
-
-let empty_state () = { entries = []; version = Version.zero; fence = unfenced }
-
-let get_state table key =
+  let table = t.tables.(node) in
   match Hashtbl.find_opt table key with
   | Some st -> st
   | None ->
@@ -294,7 +294,7 @@ let insert_entries ~equal t ~key ~writes entries =
   for i = 0 to Stdx.Int_buf.length buf - 1 do
     let node = Stdx.Int_buf.unsafe_get buf i in
     if Dht.Liveness.alive t.liveness node then begin
-      let st = get_state (own_table t node) key in
+      let st = get_state t ~node key in
       prune now st;
       if node = coordinator then vv := Version.bump_by st.version ~actor:node writes;
       (match (st.entries, st.fence.tombs) with
@@ -357,7 +357,7 @@ let remove t ~key pred =
             if not (Dht.Liveness.alive t.liveness node) then worst
             else begin
               let entries = live_entries t t.tables.(node) key in
-              let st = get_state (own_table t node) key in
+              let st = get_state t ~node key in
               let kept, gone = List.partition (fun e -> not (pred e.value)) entries in
               st.entries <- kept (* a sublist: the floor still bounds it *);
               List.iter
@@ -515,7 +515,7 @@ let quorum_read t ~key ~nodes =
               let gained =
                 List.filter (fun e -> not (holds_value st.entries e)) merged.entries
               in
-              assign (get_state (own_table t node) key) merged;
+              assign (get_state t ~node key) merged;
               Some (node, gained)
             end)
           states
@@ -609,7 +609,7 @@ let repair ?(on_restore = fun ~node:_ _ -> ()) t =
                 | Some st -> Version.compare st.version src.version = Version.Dominates
               in
               if not target_newer then begin
-                let st = get_state (own_table t node) key in
+                let st = get_state t ~node key in
                 st.entries <- clone_entries src.entries;
                 st.version <- Version.merge st.version src.version;
                 st.fence <- src.fence;
