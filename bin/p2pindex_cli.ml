@@ -55,14 +55,18 @@ let policy_arg =
   let print ppf p = Format.pp_print_string ppf (Cache.Policy.label p) in
   Arg.conv (parse, print)
 
-(* Sizes: a count below 1 is a usage error, reported against its flag. *)
-let positive_int =
+(* Sizes and counts: a value below the least meaningful one is a usage
+   error, reported against its flag. *)
+let int_at_least least what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some n when n >= least -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected a %s integer, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1 "positive"
+let non_negative_int = int_at_least 0 "non-negative"
 
 let seed_term =
   Arg.(value & opt int64 42L & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
@@ -613,7 +617,8 @@ let corpus_cmd =
     if count > limit then Printf.printf "<!-- ... %d more articles -->\n" (count - limit)
   in
   let limit =
-    Arg.(value & opt int 10 & info [ "limit" ] ~docv:"N" ~doc:"Print at most N descriptors.")
+    Arg.(value & opt non_negative_int 10
+         & info [ "limit" ] ~docv:"N" ~doc:"Print at most N descriptors.")
   in
   Cmd.v
     (Cmd.info "corpus" ~exits ~doc:"Generate a synthetic DBLP-like corpus as XML descriptors")
@@ -721,13 +726,22 @@ let workload_cmd =
 
 let chord_cmd =
   let run nodes lookups seed fail_fraction =
+    (* Failing every [step]-th node, [step >= 2], spares one of any two. *)
+    if fail_fraction > 0.0 && nodes = 1 then begin
+      Printf.eprintf "chord: --fail %g would fail the only node, leaving none to look up from\n"
+        fail_fraction;
+      exit usage_error
+    end;
     let ring = Dht.Chord.create_network ~seed ~node_count:nodes () in
     Printf.printf "ring of %d nodes, converged: %b\n" (Dht.Chord.live_count ring)
       (Dht.Chord.is_converged ring);
     if fail_fraction > 0.0 then begin
-      (* Spread failures around the ring: a run of consecutive failures
-         longer than the successor list legitimately defeats repair. *)
-      let step = Stdlib.max 2 (int_of_float (1.0 /. fail_fraction)) in
+      (* Spread failures around the ring, every [step]-th node from the
+         first: a run of consecutive failures longer than the successor list
+         legitimately defeats repair.  A step past the ring fails one node. *)
+      let step =
+        Stdlib.max 2 (int_of_float (Float.min (1.0 /. fail_fraction) (float_of_int (nodes + 1))))
+      in
       let victims =
         List.filteri (fun i _ -> i mod step = 0) (Dht.Chord.live_keys ring)
       in
@@ -751,11 +765,21 @@ let chord_cmd =
       !correct lookups
   in
   let lookups =
-    Arg.(value & opt int 1_000 & info [ "lookups" ] ~docv:"N" ~doc:"Number of random lookups.")
+    Arg.(value & opt positive_int 1_000
+         & info [ "lookups" ] ~docv:"N" ~doc:"Number of random lookups.")
+  in
+  let fraction =
+    let parse s =
+      match float_of_string_opt s with
+      | Some f when f >= 0.0 && f < 1.0 -> Ok f
+      | Some _ | None -> Error (`Msg (Printf.sprintf "expected a fraction in [0, 1), got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_float)
   in
   let fail_fraction =
-    Arg.(value & opt float 0.0
-         & info [ "fail" ] ~docv:"F" ~doc:"Fraction of nodes to fail before measuring.")
+    Arg.(value & opt fraction 0.0
+         & info [ "fail" ] ~docv:"F"
+             ~doc:"Fraction of nodes to fail before measuring, within [0, 1).")
   in
   Cmd.v
     (Cmd.info "chord" ~exits ~doc:"Exercise the Chord substrate")

@@ -88,23 +88,18 @@ let edges = function
 
 (* Section IV-C's substring generalization: add alphabetic entry points
    mapping each last-name initial to the author queries it covers, on top of
-   any base scheme.  [prefix_length] letters of the last name form the
-   index key (1 = one index per initial). *)
-let author_prefix_edges ?(prefix_length = 1) (a : Article.t) =
+   any base scheme: one index per initial. *)
+let author_prefix_edges (a : Article.t) =
   List.filter_map
     (fun (x : Article.author) ->
-      if String.length x.last >= prefix_length then
-        Some
-          (edge
-             (Q.author_last_prefix (String.sub x.last 0 prefix_length))
-             (Q.author_q x))
-      else None)
+      if x.last = "" then None
+      else Some (edge (Q.author_last_prefix (String.sub x.last 0 1)) (Q.author_q x)))
     a.authors
 
-let with_author_prefix ?prefix_length kind =
+let with_author_prefix kind =
   let edges_of_msd = function
     | Q.Msd article ->
-        edges kind article @ author_prefix_edges ?prefix_length article
+        edges kind article @ author_prefix_edges article
     | Q.Fields _ | Q.Author_last_prefix _ ->
         invalid_arg "Schemes.with_author_prefix: only descriptors can be published"
   in

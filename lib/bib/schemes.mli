@@ -36,11 +36,10 @@ val of_label : string -> kind option
 
 val scheme : kind -> Bib_query.t P2pindex.Scheme.t
 
-val with_author_prefix : ?prefix_length:int -> kind -> Bib_query.t P2pindex.Scheme.t
+val with_author_prefix : kind -> Bib_query.t P2pindex.Scheme.t
 (** The base scheme augmented with alphabetic entry points: an index per
-    last-name prefix of [prefix_length] letters (default 1) mapping to the
-    author queries it covers — Section IV-C's "all the files of an author
-    that start with the letter A". *)
+    last-name initial mapping to the author queries it covers — Section
+    IV-C's "all the files of an author that start with the letter A". *)
 
 val edges : kind -> Article.t -> Bib_query.t P2pindex.Scheme.edge list
 (** The entries this scheme installs for one article. *)

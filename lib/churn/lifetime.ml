@@ -1,31 +1,15 @@
-type t =
-  | Exponential of { mean : float }
-  | Pareto of { alpha : float; xmin : float }
+type t = { mean : float }
 
 let exponential ~mean =
   if not (mean > 0.) then invalid_arg "Lifetime.exponential: mean must be > 0";
-  Exponential { mean }
+  { mean }
 
-let pareto ?(alpha = 1.5) ~mean () =
-  if not (mean > 0.) then invalid_arg "Lifetime.pareto: mean must be > 0";
-  if not (alpha > 1.) then
-    invalid_arg "Lifetime.pareto: alpha must be > 1 for a finite mean";
-  Pareto { alpha; xmin = mean *. (alpha -. 1.) /. alpha }
+let mean t = t.mean
 
-let mean = function
-  | Exponential { mean } -> mean
-  | Pareto { alpha; xmin } -> xmin *. alpha /. (alpha -. 1.)
-
-(* [Prng.float] yields u in [0, 1); both inversions below need the open
+(* [Prng.float] yields u in [0, 1); the inversion below needs the open
    side at u = 1 instead, so use 1 - u which lies in (0, 1]. *)
 let sample t prng =
   let u = 1.0 -. Stdx.Prng.float prng 1.0 in
-  match t with
-  | Exponential { mean } -> -.mean *. log u
-  | Pareto { alpha; xmin } -> xmin *. (u ** (-1. /. alpha))
+  -.t.mean *. log u
 
-let label = function
-  | Exponential { mean } -> Printf.sprintf "exp(mean=%g)" mean
-  | Pareto { alpha; xmin } ->
-      Printf.sprintf "pareto(alpha=%g,mean=%g)" alpha
-        (xmin *. alpha /. (alpha -. 1.))
+let label t = Printf.sprintf "exp(mean=%g)" t.mean

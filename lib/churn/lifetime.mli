@@ -1,23 +1,14 @@
 (** Session-lifetime distributions for the churn engine.
 
-    Measurement studies of deployed peer-to-peer networks disagree on the
-    shape of session lifetimes — early work fit exponentials, later work
-    heavy tails — so the engine supports both: memoryless
-    {!exponential} sessions and Pareto sessions whose long tail keeps a
-    stable core of nodes alive while the rest flicker. *)
+    Sessions and downtimes are memoryless: exponential with a given
+    mean, the shape early measurement studies of deployed peer-to-peer
+    networks fit. *)
 
-type t =
-  | Exponential of { mean : float }
-  | Pareto of { alpha : float; xmin : float }
+type t
+(** An exponential distribution. *)
 
 val exponential : mean:float -> t
 (** @raise Invalid_argument when [mean <= 0]. *)
-
-val pareto : ?alpha:float -> mean:float -> unit -> t
-(** Pareto with shape [alpha] (default 1.5) and scale chosen so the
-    distribution's mean is [mean]: [xmin = mean *. (alpha -. 1.) /. alpha].
-    @raise Invalid_argument when [mean <= 0] or [alpha <= 1] (the mean
-    diverges at [alpha <= 1]). *)
 
 val mean : t -> float
 
@@ -26,4 +17,4 @@ val sample : t -> Stdx.Prng.t -> float
     strictly positive and finite. *)
 
 val label : t -> string
-(** ["exp(mean=30)"] / ["pareto(alpha=1.5,mean=30)"] — for reports. *)
+(** ["exp(mean=30)"] — for reports. *)

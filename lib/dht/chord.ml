@@ -30,15 +30,15 @@ type instruments = {
 type t = {
   nodes : (Key.t, node) Hashtbl.t;
   prng : Stdx.Prng.t;
-  successor_list_length : int;
   instruments : instruments option;
   mutable live : int;
   mutable first_live : Key.t option;
 }
 
-let create ?metrics ?(seed = 1L) ?(successor_list_length = 8) () =
-  if successor_list_length < 1 then
-    invalid_arg "Chord.create: successor list must hold at least one entry";
+(* Entries in each node's successor list, for failure recovery. *)
+let successor_list_length = 8
+
+let create ?metrics ?(seed = 1L) () =
   let instruments =
     Option.map
       (fun registry ->
@@ -57,7 +57,6 @@ let create ?metrics ?(seed = 1L) ?(successor_list_length = 8) () =
   {
     nodes = Hashtbl.create 64;
     prng = Stdx.Prng.create ~seed;
-    successor_list_length;
     instruments;
     live = 0;
     first_live = None;
@@ -248,7 +247,7 @@ let refresh_successor_list t n =
     | [] -> []
     | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
   in
-  n.successor_list <- take t.successor_list_length (List.filter (is_alive t) list)
+  n.successor_list <- take successor_list_length (List.filter (is_alive t) list)
 
 let fix_fingers t n =
   for i = 0 to Key.bits - 1 do
@@ -323,16 +322,16 @@ let repair_globally t =
           if k = 0 then List.rev acc
           else successors (keys.((j + 1) mod count) :: acc) ((j + 1) mod count) (k - 1)
         in
-        n.successor_list <- successors [] i (Stdlib.min t.successor_list_length (count - 1));
+        n.successor_list <- successors [] i (Stdlib.min successor_list_length (count - 1));
         for b = 0 to Key.bits - 1 do
           n.fingers.(b) <- responsible (Key.add_pow2 key b)
         done)
       keys
   end
 
-let create_network ?metrics ?seed ?successor_list_length ~node_count () =
+let create_network ?metrics ?seed ~node_count () =
   if node_count <= 0 then invalid_arg "Chord.create_network: need at least one node";
-  let t = create ?metrics ?seed ?successor_list_length () in
+  let t = create ?metrics ?seed () in
   for _ = 1 to node_count do
     ignore (join t)
   done;

@@ -13,20 +13,14 @@
 
 type t
 
-val create : ?metrics:Obs.Metrics.t -> ?seed:int64 -> ?successor_list_length:int -> unit -> t
-(** An empty ring.  [successor_list_length] (default 8) bounds the
-    per-node successor list used for failure recovery.  With [metrics],
+val create : ?metrics:Obs.Metrics.t -> ?seed:int64 -> unit -> t
+(** An empty ring.  Each node keeps a successor list of 8 entries for
+    failure recovery.  With [metrics],
     maintenance rounds and abandoned lookups are counted in the registry
     ([p2pindex_chord_stabilization_rounds_total],
     [p2pindex_chord_failed_lookups_total]). *)
 
-val create_network :
-  ?metrics:Obs.Metrics.t ->
-  ?seed:int64 ->
-  ?successor_list_length:int ->
-  node_count:int ->
-  unit ->
-  t
+val create_network : ?metrics:Obs.Metrics.t -> ?seed:int64 -> node_count:int -> unit -> t
 (** [create_network ~node_count ()] bootstraps a ring of [node_count] nodes
     with fully correct routing state (joins followed by stabilization until
     convergence). *)

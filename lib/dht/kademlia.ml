@@ -26,13 +26,13 @@ type node = {
 type t = {
   nodes : (Key.t, node) Hashtbl.t;
   prng : Stdx.Prng.t;
-  k : int;
-  alpha : int;
 }
 
-let create ?(seed = 1L) ?(k = 8) ?(alpha = 3) () =
-  if k < 1 || alpha < 1 then invalid_arg "Kademlia.create: k and alpha must be positive";
-  { nodes = Hashtbl.create 64; prng = Stdx.Prng.create ~seed; k; alpha }
+(* Bucket capacity and lookup parallelism. *)
+let k = 8
+let alpha = 3
+
+let create ?(seed = 1L) () = { nodes = Hashtbl.create 64; prng = Stdx.Prng.create ~seed }
 
 let node_of t key =
   match Hashtbl.find_opt t.nodes key with
@@ -73,10 +73,10 @@ let observe t n contact =
         if List.length without < List.length n.buckets.(i) then
           (* Known contact: move to most-recently-seen. *)
           n.buckets.(i) <- without @ [ contact ]
-        else if List.length without < t.k then n.buckets.(i) <- without @ [ contact ]
+        else if List.length without < k then n.buckets.(i) <- without @ [ contact ]
         else begin
           let live = List.filter (is_alive t) without in
-          if List.length live < t.k then n.buckets.(i) <- live @ [ contact ]
+          if List.length live < k then n.buckets.(i) <- live @ [ contact ]
         end
 
 let known_contacts n = Array.to_list n.buckets |> List.concat
@@ -96,14 +96,14 @@ let iterative_lookup t ~from target =
   let querier = node_of t from in
   let closer a b = Key.compare_xor ~target a b < 0 in
   let sort_by_distance l = List.sort (Key.compare_xor ~target) l in
-  let candidates = ref (sort_by_distance (from :: closest_contacts t querier ~target ~count:t.k)) in
+  let candidates = ref (sort_by_distance (from :: closest_contacts t querier ~target ~count:k)) in
   let queried = Hashtbl.create 32 in
   let contacted = ref 0 in
   let limit = (4 * live_count t) + 32 in
   let rec round () =
     let unqueried =
       List.filter (fun c -> (not (Hashtbl.mem queried c)) && is_alive t c) !candidates
-      |> List.filteri (fun i _ -> i < t.alpha)
+      |> List.filteri (fun i _ -> i < alpha)
     in
     match unqueried with
     | [] -> ()
@@ -117,7 +117,7 @@ let iterative_lookup t ~from target =
             (* The peer learns about the querier; the querier learns the
                peer's closest contacts. *)
             observe t peer from;
-            let learned = closest_contacts t peer ~target ~count:t.k in
+            let learned = closest_contacts t peer ~target ~count:k in
             List.iter (observe t querier) (c :: learned);
             let merged =
               List.sort_uniq Key.compare (learned @ !candidates) |> sort_by_distance
@@ -127,7 +127,7 @@ let iterative_lookup t ~from target =
         (* Continue while one of the k closest known candidates is still
            un-queried. *)
         let k_closest =
-          List.filter (is_alive t) !candidates |> List.filteri (fun i _ -> i < t.k)
+          List.filter (is_alive t) !candidates |> List.filteri (fun i _ -> i < k)
         in
         if List.exists (fun c -> not (Hashtbl.mem queried c)) k_closest then round ()
   in
@@ -180,9 +180,9 @@ let leave t key =
 let refresh t =
   List.iter (fun key -> ignore (iterative_lookup t ~from:key key)) (live_keys t)
 
-let create_network ?seed ?k ?alpha ~node_count () =
+let create_network ?seed ~node_count () =
   if node_count <= 0 then invalid_arg "Kademlia.create_network: need at least one node";
-  let t = create ?seed ?k ?alpha () in
+  let t = create ?seed () in
   for _ = 1 to node_count do
     ignore (join t)
   done;

@@ -12,11 +12,11 @@
 
 type t
 
-val create : ?seed:int64 -> ?k:int -> ?alpha:int -> unit -> t
-(** An empty network.  [k] (default 8) is the bucket capacity, [alpha]
-    (default 3) the lookup parallelism. *)
+val create : ?seed:int64 -> unit -> t
+(** An empty network: buckets hold 8 contacts, and a lookup queries 3
+    peers per round. *)
 
-val create_network : ?seed:int64 -> ?k:int -> ?alpha:int -> node_count:int -> unit -> t
+val create_network : ?seed:int64 -> node_count:int -> unit -> t
 (** Bootstrap a network: every node joins through the first and performs
     the self-lookup that populates its buckets. *)
 

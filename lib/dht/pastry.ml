@@ -37,12 +37,12 @@ type node = {
 type t = {
   nodes : (Key.t, node) Hashtbl.t;
   prng : Stdx.Prng.t;
-  leaf_set_radius : int;
 }
 
-let create ?(seed = 1L) ?(leaf_set_radius = 8) () =
-  if leaf_set_radius < 1 then invalid_arg "Pastry.create: leaf set radius must be positive";
-  { nodes = Hashtbl.create 64; prng = Stdx.Prng.create ~seed; leaf_set_radius }
+(* Leaf neighbours kept on each side of a node. *)
+let leaf_set_radius = 8
+
+let create ?(seed = 1L) () = { nodes = Hashtbl.create 64; prng = Stdx.Prng.create ~seed }
 
 let node_of t key =
   match Hashtbl.find_opt t.nodes key with
@@ -191,8 +191,8 @@ let set_leaves t n candidates =
       (fun a b -> Key.compare (Key.distance_cw a n.id) (Key.distance_cw b n.id))
       others
   in
-  n.leaf_right <- take t.leaf_set_radius by_cw_distance;
-  n.leaf_left <- take t.leaf_set_radius by_ccw_distance
+  n.leaf_right <- take leaf_set_radius by_cw_distance;
+  n.leaf_left <- take leaf_set_radius by_ccw_distance
 
 let fill_table_from t n candidates =
   List.iter
@@ -229,9 +229,9 @@ let rebuild_globally t =
       fill_table_from t n keys)
     keys
 
-let create_network ?seed ?leaf_set_radius ~node_count () =
+let create_network ?seed ~node_count () =
   if node_count <= 0 then invalid_arg "Pastry.create_network: need at least one node";
-  let t = create ?seed ?leaf_set_radius () in
+  let t = create ?seed () in
   for _ = 1 to node_count do
     let rec fresh () =
       let k = Key.random t.prng in

@@ -15,12 +15,10 @@
 
 type t
 
-val create : ?seed:int64 -> ?leaf_set_radius:int -> unit -> t
-(** An empty overlay.  [leaf_set_radius] (default 8) is the number of leaf
-    neighbours kept on each side. *)
+val create : ?seed:int64 -> unit -> t
+(** An empty overlay.  Each node keeps 8 leaf neighbours on each side. *)
 
-val create_network :
-  ?seed:int64 -> ?leaf_set_radius:int -> node_count:int -> unit -> t
+val create_network : ?seed:int64 -> node_count:int -> unit -> t
 (** Bootstrap a network with fully correct routing state. *)
 
 val join : t -> Hashing.Key.t

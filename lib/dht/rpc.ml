@@ -4,43 +4,20 @@ module Plan = Faults.Plan
    so it sits outside the node index space. *)
 let client = -1
 
-type config = {
-  timeout : float;
-  retries : int;
-  backoff : float;
-  backoff_factor : float;
-  jitter : float;
-  hedge : bool;
-  hedge_delay : float;
-}
+type config = { timeout : float; retries : int; hedge : bool }
 
-let default_config =
-  {
-    timeout = 0.5;
-    retries = 2;
-    backoff = 0.05;
-    backoff_factor = 2.0;
-    jitter = 0.5;
-    hedge = false;
-    hedge_delay = 0.25;
-  }
+let default_config = { timeout = 0.5; retries = 2; hedge = false }
+
+(* Retry pauses: 0.05 s before the first retry, doubling per further
+   retry, each scaled by a uniform factor in [1, 1.5]. *)
+let backoff = 0.05
+let backoff_factor = 2.0
+let jitter = 0.5
 
 let validate_config c =
-  let pos name v =
-    if not (Float.is_finite v && v > 0.0) then
-      invalid_arg (Printf.sprintf "Rpc.create: %s must be finite and > 0" name)
-  in
-  let non_neg name v =
-    if not (Float.is_finite v && v >= 0.0) then
-      invalid_arg (Printf.sprintf "Rpc.create: %s must be finite and >= 0" name)
-  in
-  pos "timeout" c.timeout;
-  pos "hedge_delay" c.hedge_delay;
-  non_neg "backoff" c.backoff;
-  non_neg "jitter" c.jitter;
-  if c.retries < 0 then invalid_arg "Rpc.create: retries must be >= 0";
-  if not (Float.is_finite c.backoff_factor && c.backoff_factor >= 1.0) then
-    invalid_arg "Rpc.create: backoff_factor must be >= 1"
+  if not (Float.is_finite c.timeout && c.timeout > 0.0) then
+    invalid_arg "Rpc.create: timeout must be finite and > 0";
+  if c.retries < 0 then invalid_arg "Rpc.create: retries must be >= 0"
 
 type clock = { now : unit -> float; advance : float -> unit }
 
@@ -275,8 +252,11 @@ let call t ~dst ?hedge_dst ?route_key ~request_bytes ~handler () =
       let completion =
         match (k, t.config.hedge, hedge_dst) with
         | 0, true, Some hdst -> (
+            (* The hedge fires once the first attempt has run half the
+               timeout. *)
+            let hedge_delay = timeout /. 2.0 in
             match primary with
-            | Some (rtt, v) when rtt <= t.config.hedge_delay && rtt <= timeout ->
+            | Some (rtt, v) when rtt <= hedge_delay ->
                 (* Answered before the hedge would have fired. *)
                 Some (rtt, v, dst)
             | _ ->
@@ -291,8 +271,8 @@ let call t ~dst ?hedge_dst ?route_key ~request_bytes ~handler () =
                 in
                 let hc =
                   match hedge with
-                  | Some (rtt, v) when t.config.hedge_delay +. rtt <= timeout ->
-                      Some (t.config.hedge_delay +. rtt, v, hdst)
+                  | Some (rtt, v) when hedge_delay +. rtt <= timeout ->
+                      Some (hedge_delay +. rtt, v, hdst)
                   | _ -> None
                 in
                 let won c =
@@ -318,11 +298,11 @@ let call t ~dst ?hedge_dst ?route_key ~request_bytes ~handler () =
           if k < t.config.retries then begin
             bump t (fun i -> i.retries);
             let pause =
-              t.config.backoff
-              *. (t.config.backoff_factor ** float_of_int k)
-              *. (1.0 +. (t.config.jitter *. Plan.control_uniform t.plan))
+              backoff
+              *. (backoff_factor ** float_of_int k)
+              *. (1.0 +. (jitter *. Plan.control_uniform t.plan))
             in
-            if pause > 0.0 then t.clock.advance pause;
+            t.clock.advance pause;
             attempt (k + 1)
           end
           else begin

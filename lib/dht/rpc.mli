@@ -16,20 +16,16 @@
 
 type config = {
   timeout : float;  (** Virtual seconds an attempt waits for its reply. *)
-  retries : int;  (** Extra attempts after the first one times out. *)
-  backoff : float;  (** Base pause before the first retry. *)
-  backoff_factor : float;  (** Multiplier applied per further retry. *)
-  jitter : float;
-      (** Relative jitter: each pause is scaled by a uniform factor in
-          [1, 1 + jitter]. *)
-  hedge : bool;  (** Fire a second request when the first runs long. *)
-  hedge_delay : float;
-      (** How long the first attempt may run before the hedge fires. *)
+  retries : int;
+      (** Extra attempts after the first one times out.  The pause before
+          retry [k] (from 0) is [0.05 *. 2 ** k *. (1 +. 0.5 *. u)] with
+          [u] uniform in [0, 1), drawn from the plan's control stream. *)
+  hedge : bool;
+      (** Fire a second request when the first has run [timeout /. 2]. *)
 }
 
 val default_config : config
-(** timeout 0.5, retries 2, backoff 0.05 doubling, jitter 0.5, hedging
-    off with a 0.25 hedge delay. *)
+(** timeout 0.5, retries 2, hedging off. *)
 
 type clock = { now : unit -> float; advance : float -> unit }
 (** The virtual clock RPCs spend time on.  [advance] is called with the
@@ -67,8 +63,8 @@ val create :
     lets each forwarding hop drop the request.  With [metrics], the
     [p2pindex_rpc_*] counter/histogram families are registered; leave it
     unset on fault-free runs to keep snapshots unchanged.
-    @raise Invalid_argument on a non-positive timeout or hedge delay,
-    negative retries/backoff/jitter, or a backoff factor below 1. *)
+    @raise Invalid_argument on a non-positive or non-finite timeout or
+    negative retries. *)
 
 val now : t -> float
 

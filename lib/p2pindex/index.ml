@@ -165,8 +165,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
           "p2pindex_antientropy_full_state_bytes_total";
     }
 
-  let create ?network ?rpc ?metrics ?tracer ?(charge_route_hops = false)
-      ?(replication = 1) ?read_quorum ?write_quorum ?liveness
+  let create ?rpc ?metrics ?tracer ?(replication = 1) ?read_quorum ?write_quorum ?liveness
       ?(clock = fun () -> 0.0) ?(ttl = infinity) ?(republished = ttl < infinity) ~resolver () =
     if not (ttl > 0.) then invalid_arg "Index.create: ttl must be > 0";
     let liveness =
@@ -174,14 +173,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       | Some l -> l
       | None -> Dht.Liveness.create ~node_count:(Dht.Resolver.node_count resolver)
     in
-    let rpc =
-      match rpc with
-      | Some r -> r
-      | None ->
-          (* A private zero-plan channel: transparent accounting, no
-             registered metric families, byte-identical to direct sends. *)
-          Dht.Rpc.create ?network ~resolver ~charge_route_hops ()
-    in
+    (* By default a private zero-plan channel that bills nothing. *)
+    let rpc = match rpc with Some r -> r | None -> Dht.Rpc.create () in
     let quorum_enabled = read_quorum <> None || write_quorum <> None in
     let quorum_instruments =
       if quorum_enabled then Option.map make_quorum_instruments metrics else None

@@ -16,8 +16,8 @@
     infinite TTL) the index behaves exactly as the static version did.
 
     The module is a functor over the query language; all traffic flows
-    through an optional {!Dht.Network.t} so simulations and examples get
-    byte-accurate accounting for free. *)
+    through a {!Dht.Rpc} channel, whose optional {!Dht.Network.t} gives
+    simulations and examples byte-accurate accounting for free. *)
 
 module Key = Hashing.Key
 

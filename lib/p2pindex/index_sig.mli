@@ -9,11 +9,9 @@ module type S = sig
   type t
 
   val create :
-    ?network:Dht.Network.t ->
     ?rpc:Dht.Rpc.t ->
     ?metrics:Obs.Metrics.t ->
     ?tracer:Obs.Trace.t ->
-    ?charge_route_hops:bool ->
     ?replication:int ->
     ?read_quorum:int ->
     ?write_quorum:int ->
@@ -25,16 +23,14 @@ module type S = sig
     unit ->
     t
   (** [create ~resolver ()] builds an empty index over the given substrate.
-      When [network] is set, every lookup and publication is charged to it;
-      [charge_route_hops] (default false) additionally bills substrate
-      routing hops as maintenance traffic.
 
-      All messaging flows through an {!Dht.Rpc} channel: [rpc] supplies a
-      fault-injecting one (deadlines, retries, hedging — its plan decides
-      which messages are lost or delayed); by default a private zero-plan
-      channel over [network] is built, which degenerates byte-for-byte to
-      direct accounting.  A custom [rpc] should be created over the same
-      network, resolver and hop-charging flag.
+      All messaging flows through an {!Dht.Rpc} channel: every lookup and
+      publication is billed to the channel's network, route hops too when
+      the channel charges them, and a fault-injecting channel's plan
+      decides which messages are lost or delayed (deadlines, retries,
+      hedging).  By default the index builds a private zero-plan channel
+      with no network, which bills nothing.  A custom [rpc] should be
+      created over the same resolver.
 
       [replication] (default 1) is the number of replica nodes every entry
       is written to (the primary and its ring successors); [liveness]

@@ -9,17 +9,16 @@ type ev = Arrival of int | Resume of session
    starts before [completes_at] can ride it. *)
 type probe_entry = { answer : Index.step; completes_at : float }
 
-let run ?events ?metrics ?tracer ?phases ?(concurrency = 1) ?(coalesce = false)
-    cfg =
+let run ?events ?tracer ?phases ?(concurrency = 1) ?(coalesce = false) cfg =
   if concurrency = 1 then
     (* At concurrency 1 the sequential runner is the engine: sessions run
        to completion one after another, and no engine metric family is
        registered. *)
-    Runner.run ?events ?metrics ?tracer ?phases cfg
+    Runner.run ?events ?tracer ?phases cfg
   else begin
     let env =
       Obs.Phase.span_opt phases "setup" (fun () ->
-          Runner.Internal.setup ?events ?metrics ?tracer ?phases cfg)
+          Runner.Internal.setup ?events ?tracer ?phases cfg)
     in
     let cfg = Runner.Internal.config env in
     let registry = Runner.Internal.registry env in

@@ -29,7 +29,6 @@
 
 val run :
   ?events:Workload.Query_gen.event list ->
-  ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Trace.t ->
   ?phases:Obs.Phase.t ->
   ?concurrency:int ->
@@ -37,8 +36,8 @@ val run :
   Runner.config ->
   Runner.report
 (** [run config] with the defaults ([concurrency = 1], [coalesce =
-    false]) is [Runner.run config].  [?events], [?metrics], [?tracer] and
-    [?phases] behave as in {!Runner.run}; in concurrent mode the tracer
+    false]) is [Runner.run config].  [?events], [?tracer] and [?phases]
+    behave as in {!Runner.run}; in concurrent mode the tracer
     records one trace per scheduling quantum rather than per session,
     since sessions interleave, and the profiled "walk" phase accumulates
     per quantum.  [concurrency] and [coalesce] are not checked here:

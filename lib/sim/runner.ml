@@ -17,12 +17,10 @@ let substrate_label = function
   | Can -> "can"
   | Kademlia -> "kademlia"
 
-type popularity_model = Fitted_cdf of float | Zipf of float
+type popularity_model = Fitted_cdf | Zipf of float
 
 type churn_config = {
   churn_rate : float;
-  heavy_tailed : bool;
-  downtime_mean : float;
   replication : int;
   ttl : float;
   republish_period : float;
@@ -33,8 +31,6 @@ type churn_config = {
 let default_churn =
   {
     churn_rate = 0.002;
-    heavy_tailed = false;
-    downtime_mean = 30.0;
     replication = 3;
     ttl = 300.0;
     republish_period = 100.0;
@@ -101,7 +97,7 @@ let default_config =
     substrate = Static;
     charge_route_hops = false;
     mix = Query_gen.bibfinder_mix;
-    popularity = Fitted_cdf Stdx.Power_law.paper_alpha;
+    popularity = Fitted_cdf;
     churn = None;
     faults = None;
     prefix = None;
@@ -176,7 +172,6 @@ let check_config cfg =
   | Some c ->
       require_finite "churn_rate" c.churn_rate;
       require_count "replication" c.replication;
-      require_positive "downtime_mean" c.downtime_mean;
       require_positive "ttl" c.ttl;
       require_positive "republish_period" c.republish_period;
       require_positive "repair_period" c.repair_period;
@@ -325,23 +320,18 @@ module Internal = struct
     registry : Obs.Metrics.t;
     net : Network.t;
     clock_ref : float ref;
-    liveness : Dht.Liveness.t;
-    rpc : Dht.Rpc.t;
-    index : Index.t;
     articles : Article.t array;
     publish_bytes : int;
-    caches : Q.t Shortcut.per_node;
     driver : (churn_config * Churn.Driver.t) option;
     prefix_index : (prefix_config * Q.t Prefix.Prefix_index.t) option;
     gen : Query_gen.t;
     ctx : Walk.ctx;
-    tracer : Obs.Trace.t option;
     phases : Obs.Phase.t option;
     gc_mark : gc_mark;  (* GC counters at setup, for end-of-run deltas *)
     mutable remaining_events : Query_gen.event list;
   }
 
-  let setup ?events ?metrics ?tracer ?phases cfg =
+  let setup ?events ?tracer ?phases cfg =
     let gc_mark = gc_mark () in
     let cfg =
       match events with
@@ -349,9 +339,9 @@ module Internal = struct
       | None -> cfg
     in
     (match validate cfg with Ok () -> () | Error msg -> invalid_arg ("Runner.run: " ^ msg));
-  (* A registry per run unless the caller shares one: every layer below
-     (network, substrate, index, caches) emits into it. *)
-  let registry = match metrics with Some r -> r | None -> Obs.Metrics.create () in
+  (* A registry per run: every layer below (network, substrate, index,
+     caches) emits into it. *)
+  let registry = Obs.Metrics.create () in
   Obs.Metrics.Gauge.set
     (Obs.Metrics.gauge registry ~help:"Run configuration (labels carry the setup)"
        ~labels:
@@ -417,13 +407,7 @@ module Internal = struct
     match cfg.faults with
     | None -> Dht.Rpc.default_config
     | Some f ->
-        {
-          Dht.Rpc.default_config with
-          timeout = f.rpc_timeout;
-          retries = f.rpc_retries;
-          hedge = f.hedge;
-          hedge_delay = f.rpc_timeout /. 2.0;
-        }
+        { Dht.Rpc.timeout = f.rpc_timeout; retries = f.rpc_retries; hedge = f.hedge }
   in
   let rpc =
     Dht.Rpc.create ~network:net
@@ -440,7 +424,7 @@ module Internal = struct
   let quorum = if quorum_active cfg then cfg.quorum else None in
   let index =
     Index.create ~rpc ~metrics:registry ?tracer
-      ~charge_route_hops:cfg.charge_route_hops ~replication
+      ~replication
       ?read_quorum:(Option.map (fun q -> q.read_quorum) quorum)
       ?write_quorum:(Option.map (fun q -> q.write_quorum) quorum)
       ~liveness ~clock ~ttl ~republished ~resolver ()
@@ -480,11 +464,6 @@ module Internal = struct
   let driver =
     match cfg.churn with
     | Some c when churn_active ->
-        let session_mean = 1.0 /. c.churn_rate in
-        let session =
-          if c.heavy_tailed then Churn.Lifetime.pareto ~mean:session_mean ()
-          else Churn.Lifetime.exponential ~mean:session_mean
-        in
         (* With anti-entropy on, its passes replace the full-state repair
            walk on the driver's repair schedule, at the requested
            interval. *)
@@ -498,8 +477,9 @@ module Internal = struct
             Churn.Driver.create ~metrics:registry
               ~seed:(Int64.add cfg.seed 9_999_991L) ~liveness
               {
-                Churn.Driver.session;
-                downtime = Churn.Lifetime.exponential ~mean:c.downtime_mean;
+                Churn.Driver.session = Churn.Lifetime.exponential ~mean:(1.0 /. c.churn_rate);
+                (* A failed node stays away 30 s on average. *)
+                downtime = Churn.Lifetime.exponential ~mean:30.0;
                 republish_period = c.republish_period;
                 repair_period;
               } )
@@ -507,7 +487,7 @@ module Internal = struct
   in
     let popularity =
       match cfg.popularity with
-      | Fitted_cdf alpha -> Stdx.Power_law.fitted_cdf ~alpha ~n:cfg.article_count ()
+      | Fitted_cdf -> Stdx.Power_law.fitted_cdf ~n:cfg.article_count
       | Zipf s -> Stdx.Power_law.zipf ~s ~n:cfg.article_count
     in
     let gen =
@@ -555,11 +535,8 @@ module Internal = struct
     let ctx =
       {
         Walk.policy = cfg.policy;
-        rpc;
         index;
         caches;
-        liveness;
-        tracer;
         prefix_route;
       }
     in
@@ -568,17 +545,12 @@ module Internal = struct
       registry;
       net;
       clock_ref;
-      liveness;
-      rpc;
-      index;
       articles;
       publish_bytes;
-      caches;
       driver;
       prefix_index;
       gen;
       ctx;
-      tracer;
       phases;
       gc_mark;
       remaining_events = Option.value ~default:[] events;
@@ -586,11 +558,11 @@ module Internal = struct
 
   let config env = env.cfg
   let registry env = env.registry
-  let rpc env = env.rpc
-  let index env = env.index
+  let rpc env = Index.rpc env.ctx.Walk.index
+  let index env = env.ctx.Walk.index
   let clock_ref env = env.clock_ref
   let walk_ctx env = env.ctx
-  let tracer env = env.tracer
+  let tracer env = Index.tracer env.ctx.Walk.index
 
   (* Advance virtual time to [until], firing every churn event due before
      it.  Abrupt failures lose the node's index shard and its shortcut
@@ -612,17 +584,17 @@ module Internal = struct
                stale entries, which is exactly the divergence quorum
                reads and anti-entropy exist to mask and measure. *)
             if not (quorum_active env.cfg) then begin
-              Index.drop_node_state env.index node;
+              Index.drop_node_state (index env) node;
               Option.iter
                 (fun (_, p) ->
                   Storage.Replicated_store.drop_state (Prefix.Prefix_index.store p) node)
                 env.prefix_index
             end;
-            Shortcut.clear_at env.caches node)
+            Shortcut.clear_at env.ctx.Walk.caches node)
           ~on_join:(fun ~time _node -> env.clock_ref := time)
           ~on_republish:(fun ~time ->
             env.clock_ref := time;
-            Index.republish env.index;
+            Index.republish (index env);
             Option.iter
               (fun (_, p) -> Prefix.Prefix_index.republish p (prefix_entries env.articles))
               env.prefix_index)
@@ -630,8 +602,8 @@ module Internal = struct
             env.clock_ref := time;
             match env.cfg.quorum with
             | Some q when q.anti_entropy_interval > 0. ->
-                ignore (Index.anti_entropy env.index : int)
-            | Some _ | None -> ignore (Index.repair env.index : int));
+                ignore (Index.anti_entropy (index env) : int)
+            | Some _ | None -> ignore (Index.repair (index env) : int));
         env.clock_ref := until
 
   let next_event env =
@@ -689,7 +661,8 @@ module Internal = struct
            the run. *)
         export_profile env.registry p ~since:env.gc_mark
     | None -> ());
-    let index_mappings, index_bytes = Index.mapping_totals env.index in
+    let index = index env in
+    let index_mappings, index_bytes = Index.mapping_totals index in
     {
       config = env.cfg;
       interactions = tally.interactions;
@@ -701,20 +674,19 @@ module Internal = struct
       session_latency = tally.session_latency;
       peak_in_flight = tally.peak_in_flight;
       node_touches = Network.touches env.net;
-      cached_keys = Shortcut.sizes env.caches;
-      regular_keys = Index.entries_per_node env.index;
+      cached_keys = Shortcut.sizes env.ctx.Walk.caches;
+      regular_keys = Index.entries_per_node index;
       index_bytes;
-      article_bytes = Index.file_bytes env.index;
+      article_bytes = Index.file_bytes index;
       index_mappings;
       publish_bytes = env.publish_bytes;
       metrics = Obs.Metrics.snapshot env.registry;
     }
 end
 
-let run ?events ?metrics ?tracer ?phases cfg =
+let run ?events ?tracer ?phases cfg =
   let env =
-    Obs.Phase.span_opt phases "setup" (fun () ->
-        Internal.setup ?events ?metrics ?tracer ?phases cfg)
+    Obs.Phase.span_opt phases "setup" (fun () -> Internal.setup ?events ?tracer ?phases cfg)
   in
   let cfg = Internal.config env in
   let tally = Internal.tally_create () in
@@ -728,21 +700,20 @@ let run ?events ?metrics ?tracer ?phases cfg =
           (* Delayed fire-and-forget messages (cache installs under latency)
              land once the clock has passed their arrival time.  A no-op on the
              zero plan, whose outbox stays empty. *)
-          ignore
-            (Dht.Rpc.deliver_until env.Internal.rpc ~now:!(env.Internal.clock_ref)
-              : int);
+          ignore (Dht.Rpc.deliver_until (Internal.rpc env) ~now:!(env.Internal.clock_ref) : int);
           let event = Internal.next_event env in
+          let tracer = Internal.tracer env in
           Option.iter
             (fun tr ->
               Obs.Trace.begin_trace tr ~root:(Q.to_string event.Query_gen.query))
-            env.Internal.tracer;
+            tracer;
           let outcome = Walk.run env.Internal.ctx event in
-          Option.iter Obs.Trace.end_trace env.Internal.tracer;
+          Option.iter Obs.Trace.end_trace tracer;
           outcome)
     in
     Obs.Phase.span_opt phases "tally" (fun () -> Internal.tally_record tally outcome)
   done;
-  ignore (Dht.Rpc.flush_deliveries env.Internal.rpc : int);
+  ignore (Dht.Rpc.flush_deliveries (Internal.rpc env) : int);
   Obs.Phase.span_opt phases "report" (fun () -> Internal.make_report env tally)
 
 (* ------------------------------------------------------------------ *)

@@ -15,22 +15,19 @@
 type substrate = Static | Chord | Pastry | Can | Kademlia
 
 type popularity_model =
-  | Fitted_cdf of float
-      (** The paper's fitted family: CDF [F(i) = 0.063 i^alpha], clamped and
-          normalized over the catalog; the paper's exponent is 0.3. *)
+  | Fitted_cdf
+      (** The paper's fitted model: CDF [F(i) = 0.063 i^0.3], clamped and
+          normalized over the catalog. *)
   | Zipf of float  (** Classic Zipf with the given exponent (ablations). *)
 
 type churn_config = {
   churn_rate : float;
       (** Mean failures per node per virtual second; a node's session
-          length is drawn with mean [1 / churn_rate].  0 degenerates to
-          the static run: no events, the clock never advances, TTLs never
-          bite (byte-for-byte identical at replication 1). *)
-  heavy_tailed : bool;
-      (** Draw sessions from a Pareto (alpha 1.5) instead of an
-          exponential — a stable core of long-lived nodes plus a flickering
-          fringe, as measurement studies observed. *)
-  downtime_mean : float;  (** Mean seconds a failed node stays away. *)
+          length is exponential with mean [1 / churn_rate], and a failed
+          node stays away for an exponential 30 s on average.  0
+          degenerates to the static run: no events, the clock never
+          advances, TTLs never bite (byte-for-byte identical at
+          replication 1). *)
   replication : int;  (** Replica nodes per index entry (Section IV-D). *)
   ttl : float;  (** Soft-state lifetime, seconds; [infinity] = hard state. *)
   republish_period : float;
@@ -44,9 +41,8 @@ type churn_config = {
 }
 
 val default_churn : churn_config
-(** Moderate churn: rate 0.002/s (mean session ~8 min), exponential
-    sessions, 30 s downtimes, replication 3, TTL 300 s, republish every
-    100 s, repair every 25 s, 50 queries/s. *)
+(** Moderate churn: rate 0.002/s (mean session ~8 min), replication 3,
+    TTL 300 s, republish every 100 s, repair every 25 s, 50 queries/s. *)
 
 type fault_config = {
   loss_rate : float;
@@ -220,7 +216,6 @@ type report = {
 
 val run :
   ?events:Workload.Query_gen.event list ->
-  ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Trace.t ->
   ?phases:Obs.Phase.t ->
   config ->
@@ -231,8 +226,7 @@ val run :
     belong to the corpus the config generates (same [article_count] and
     [seed]).
 
-    Every run emits into a metrics registry — a fresh one per run, or
-    [metrics] when given (e.g. to aggregate across runs); the final
+    Every run emits into a fresh metrics registry of its own; the final
     snapshot is returned in the report.  With [tracer], each user session
     becomes one trace whose spans (including cache-shortcut hits) carry
     the same wire-model byte counts charged to the network.
@@ -385,7 +379,6 @@ module Internal : sig
 
   val setup :
     ?events:Workload.Query_gen.event list ->
-    ?metrics:Obs.Metrics.t ->
     ?tracer:Obs.Trace.t ->
     ?phases:Obs.Phase.t ->
     config ->
@@ -402,14 +395,19 @@ module Internal : sig
 
   val registry : env -> Obs.Metrics.t
   val rpc : env -> Dht.Rpc.t
+  (** The index's channel, {!Bib.Bib_index.rpc}. *)
+
   val index : env -> Bib.Bib_index.t
+  (** The walk context's index. *)
 
   val clock_ref : env -> float ref
   (** The virtual clock every layer reads; the RPC channel advances it
       in place as calls consume latency. *)
 
   val walk_ctx : env -> Walk.ctx
+
   val tracer : env -> Obs.Trace.t option
+  (** The index's tracer, {!Bib.Bib_index.tracer}. *)
 
   val advance_churn : env -> until:float -> unit
   (** Fire every churn event due by [until] and land the clock there; a

@@ -41,8 +41,7 @@ let validate ?(shards = 1) ?(domains = 1) ?(per_run = false) ?(profiled = false)
     fail "replication %d does not fit the smallest of %d shards (%d nodes per shard)"
       replication shards (cfg.Runner.node_count / shards)
   else if per_run && shards > 1 then
-    fail "replayed events, a shared registry and tracing are per-run facilities; \
-          not available with shards > 1"
+    fail "replayed events and tracing are per-run facilities; not available with shards > 1"
   else if profiled && Stdlib.min domains shards > 1 then
     (* GC word counters are per-domain in OCaml 5: a profile summed over
        racing domains would depend on the scheduler.  Profiled sharded
@@ -123,9 +122,9 @@ let run_workers workers work =
     (function Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
     (own :: others)
 
-let run ?(shards = 1) ?(domains = 1) ?events ?metrics ?tracer ?phases
-    ?(concurrency = 1) ?(coalesce = false) cfg =
-  let per_run = events <> None || metrics <> None || tracer <> None in
+let run ?(shards = 1) ?(domains = 1) ?events ?tracer ?phases ?(concurrency = 1)
+    ?(coalesce = false) cfg =
+  let per_run = events <> None || tracer <> None in
   (match
      validate ~shards ~domains ~per_run ~profiled:(phases <> None) ~concurrency
        ~coalesce cfg
@@ -135,7 +134,7 @@ let run ?(shards = 1) ?(domains = 1) ?events ?metrics ?tracer ?phases
   if shards = 1 then
     (* One shard is the whole population under the caller's seed: the
        engine run itself. *)
-    Engine.run ?events ?metrics ?tracer ?phases ~concurrency ~coalesce cfg
+    Engine.run ?events ?tracer ?phases ~concurrency ~coalesce cfg
   else begin
     let since = Runner.gc_mark () in
     let workers = Stdlib.min domains shards in

@@ -54,8 +54,8 @@ val validate :
   Runner.config ->
   (unit, string) result
 (** Check a run's options against its configuration, with {!run}'s
-    defaults; [per_run] says whether replayed events, a shared metrics
-    registry or a tracer is passed, [profiled] whether a phase collector
+    defaults; [per_run] says whether replayed events or a tracer is
+    passed, [profiled] whether a phase collector
     is.  [Error msg] names the offending option and value when
     [shards < 1] or [domains < 1]; when [concurrency < 1], or coalescing
     is asked for at concurrency 1 (it needs overlapping sessions to
@@ -77,7 +77,6 @@ val run :
   ?shards:int ->
   ?domains:int ->
   ?events:Workload.Query_gen.event list ->
-  ?metrics:Obs.Metrics.t ->
   ?tracer:Obs.Trace.t ->
   ?phases:Obs.Phase.t ->
   ?concurrency:int ->
@@ -86,8 +85,8 @@ val run :
   Runner.report
 (** [run config] with the defaults ([shards = 1], [domains = 1]) is
     {!Engine.run}.  [concurrency] and [coalesce] apply within every
-    shard, as in {!Engine.run}; [events], [metrics] and [tracer] are
-    passed to the single run and need [shards = 1].  [phases] profiles
+    shard, as in {!Engine.run}; [events] and [tracer] are passed to the
+    single run and need [shards = 1].  [phases] profiles
     the run (per-stage allocation accounting, summed over shards) and
     needs a single worker domain.
     @raise Invalid_argument when {!validate} rejects the options, or on a

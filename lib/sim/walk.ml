@@ -7,11 +7,8 @@ module Network = Dht.Network
 
 type ctx = {
   policy : Policy.t;
-  rpc : Dht.Rpc.t;
   index : Index.t;
   caches : Q.t Shortcut.per_node;
-  liveness : Dht.Liveness.t;
-  tracer : Obs.Trace.t option;
   prefix_route : (string -> Index.step) option;
 }
 
@@ -100,14 +97,14 @@ let charge_hit_interaction ctx ~node ~query_string ~msd_string =
   let request_bytes = P2pindex.Wire.request_bytes query_string in
   let response_bytes = P2pindex.Wire.response_bytes [ msd_string ] in
   match
-    Dht.Rpc.call ctx.rpc ~dst:node ~request_bytes
+    Dht.Rpc.call (Index.rpc ctx.index) ~dst:node ~request_bytes
       (* lint: allow P1 — RPC handler contract: Rpc.call takes a callback; one closure per charged cache hit *)
       ~handler:(fun ~node:_ -> Dht.Rpc.Reply { bytes = response_bytes; value = () })
       ()
   with
   | Dht.Rpc.Exhausted -> false
   | Dht.Rpc.Answered _ ->
-      (match ctx.tracer with
+      (match Index.tracer ctx.index with
       | None -> ()
       | Some tracer ->
           Obs.Trace.span tracer ~query:query_string ~node ~cache_hit:true
@@ -212,13 +209,13 @@ let install_shortcuts ctx s outcome =
            install itself is fire-and-forget soft state: under a fault
            plan it may be silently lost or arrive late, and the node is
            re-checked at delivery time. *)
-        if Dht.Liveness.alive ctx.liveness node then begin
+        if Dht.Liveness.alive (Index.liveness ctx.index) node then begin
           let query_key = Q.to_string q in
-          Dht.Rpc.send_oneway ~lossy:true ctx.rpc ~dst:node
+          Dht.Rpc.send_oneway ~lossy:true (Index.rpc ctx.index) ~dst:node
             ~bytes:(P2pindex.Wire.cache_install_bytes query_key s.msd_string)
             ~category:Network.Cache_update
             ~deliver:(fun () ->
-              Dht.Liveness.alive ctx.liveness node
+              Dht.Liveness.alive (Index.liveness ctx.index) node
               && Shortcut.add_at ctx.caches node ~query_key
                    ~target_key:s.msd_string (q, s.target_msd))
         end)

@@ -16,11 +16,10 @@ module Q = Bib.Bib_query
 
 type ctx = {
   policy : Cache.Policy.t;
-  rpc : Dht.Rpc.t;
   index : Bib.Bib_index.t;
+      (** Also the walk's RPC channel, alive-set and tracer
+          ({!Bib.Bib_index.rpc}, [liveness], [tracer]). *)
   caches : Q.t Cache.Shortcut_cache.per_node;
-  liveness : Dht.Liveness.t;
-  tracer : Obs.Trace.t option;
   prefix_route : (string -> Bib.Bib_index.step) option;
       (** When set (the routed prefix scheme), answers
           [Author_last_prefix] probes through the range-routed prefix

@@ -18,12 +18,12 @@ let of_cdf_raw raw =
   let cdf = Array.map (fun v -> v /. total) raw in
   { n; cdf }
 
-let fitted_cdf ?(c = paper_c) ?(alpha = paper_alpha) ~n () =
+let fitted_cdf ~n =
   if n <= 0 then invalid_arg "Power_law.fitted_cdf: n must be positive";
   let raw =
     Array.init n (fun i ->
         let rank = float_of_int (i + 1) in
-        Float.min 1.0 (c *. (rank ** alpha)))
+        Float.min 1.0 (paper_c *. (rank ** paper_alpha)))
   in
   (* The fitted CDF is monotone by construction; clamping at 1 keeps the tail
      flat, meaning ranks past the clamp point have probability 0, exactly as

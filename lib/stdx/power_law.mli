@@ -15,10 +15,10 @@ val paper_c : float
 val paper_alpha : float
 (** The paper's fitted CDF exponent, 0.3. *)
 
-val fitted_cdf : ?c:float -> ?alpha:float -> n:int -> unit -> t
-(** [fitted_cdf ~n ()] is the paper's popularity model over ranks [1..n]:
-    CDF F(i) = min(1, c·i^alpha), with the top rank drawn with probability
-    F(1) = c.  Defaults are the paper's fitted parameters. *)
+val fitted_cdf : n:int -> t
+(** [fitted_cdf ~n] is the paper's popularity model over ranks [1..n]:
+    CDF F(i) = min(1, c·i^alpha) with the fitted {!paper_c} and
+    {!paper_alpha}, so the top rank is drawn with probability F(1) = c. *)
 
 val zipf : s:float -> n:int -> t
 (** [zipf ~s ~n] is a classic Zipf distribution: P(i) proportional to i^(-s)

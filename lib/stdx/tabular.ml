@@ -47,4 +47,4 @@ let fmt_bytes v =
   else if abs >= 1024.0 then Printf.sprintf "%.2f KB" (v /. 1024.0)
   else Printf.sprintf "%.0f B" v
 
-let fmt_pct ?(decimals = 1) v = Printf.sprintf "%.*f%%" decimals (v *. 100.0)
+let fmt_pct v = Printf.sprintf "%.1f%%" (v *. 100.0)

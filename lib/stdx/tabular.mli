@@ -18,5 +18,5 @@ val bar : width:int -> max_value:float -> float -> string
 val fmt_bytes : float -> string
 (** Human-readable byte counts (B, KB, MB, GB with 1024 steps). *)
 
-val fmt_pct : ?decimals:int -> float -> string
+val fmt_pct : float -> string
 (** [fmt_pct 0.37] is ["37.0%"] (fraction in, percent out). *)

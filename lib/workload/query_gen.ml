@@ -47,12 +47,14 @@ let bibfinder_mix =
     p_author_prefix = 0.0;
   }
 
-(* The browsing workload of the prefix scheme: carve a share out of the
-   author-only class (those are the users an autocomplete/browse interface
-   serves) and leave every other class untouched. *)
-let prefix_mix ?(share = 0.10) base =
-  if share < 0.0 || share > base.p_author then
-    invalid_arg "Query_gen.prefix_mix: share must be within [0, p_author]";
+(* The browsing workload of the prefix scheme: carve a tenth of the
+   probability mass out of the author-only class (those are the users an
+   autocomplete/browse interface serves) and leave every other class
+   untouched. *)
+let prefix_mix base =
+  let share = 0.10 in
+  if share > base.p_author then
+    invalid_arg "Query_gen.prefix_mix: the author-only class is below the prefix share";
   {
     base with
     p_author = base.p_author -. share;
@@ -69,7 +71,7 @@ type t = {
   prng : Stdx.Prng.t;
 }
 
-let paper_popularity ~article_count = Stdx.Power_law.fitted_cdf ~n:article_count ()
+let paper_popularity ~article_count = Stdx.Power_law.fitted_cdf ~n:article_count
 
 let create ?(mix = bibfinder_mix) ?popularity ?(prefix_len = 1) ~articles ~seed
     () =

@@ -43,11 +43,11 @@ type mix = {
 val bibfinder_mix : mix
 (** The paper's probabilities: 0.60 / 0.20 / 0.10 / 0.05 / 0.05. *)
 
-val prefix_mix : ?share:float -> mix -> mix
-(** [prefix_mix base] moves [share] (default 0.10) of probability mass
-    from the author-only class into the author-prefix class, leaving all
-    other classes untouched — the browsing workload of prefix-scheme
-    runs.  @raise Invalid_argument unless [0 <= share <= base.p_author]. *)
+val prefix_mix : mix -> mix
+(** [prefix_mix base] moves 0.10 of probability mass from the
+    author-only class into the author-prefix class, leaving all other
+    classes untouched — the browsing workload of prefix-scheme runs.
+    @raise Invalid_argument when [base.p_author < 0.10]. *)
 
 type event = {
   target : Bib.Article.t;  (** The article the user is after. *)

@@ -856,7 +856,7 @@ let case_index ?republished c ~clock =
       (Dht.Static_dht.create ~seed:(Int64.of_int (c.seed + 1)) ~node_count:c.nodes ())
   in
   let index =
-    Index.create ~network ~metrics:registry ~replication:c.replication
+    Index.create ~rpc:(Dht.Rpc.create ~network ()) ~metrics:registry ~replication:c.replication
       ~write_quorum:(Stdlib.min 2 c.replication) ~clock
       ?ttl:(if c.ttl then Some 30.0 else None) ?republished ~resolver ()
   in

@@ -86,26 +86,18 @@ let queue_releases_popped () =
 
 let lifetime_samples_positive () =
   let g = Stdx.Prng.create ~seed:3L in
-  List.iter
-    (fun dist ->
-      let sum = ref 0.0 in
-      let n = 20_000 in
-      for _ = 1 to n do
-        let x = Lifetime.sample dist g in
-        if not (x > 0.0 && Float.is_finite x) then
-          Alcotest.failf "bad sample %g from %s" x (Lifetime.label dist);
-        sum := !sum +. x
-      done;
-      (* The Pareto tail (alpha 1.5) converges slowly; only the
-         exponential gets a tight empirical-mean check. *)
-      match dist with
-      | Lifetime.Exponential _ ->
-          let empirical = !sum /. float_of_int n in
-          if Float.abs (empirical -. Lifetime.mean dist) > 0.1 *. Lifetime.mean dist then
-            Alcotest.failf "empirical mean %g too far from %g" empirical
-              (Lifetime.mean dist)
-      | Lifetime.Pareto _ -> ())
-    [ Lifetime.exponential ~mean:30.0; Lifetime.pareto ~mean:30.0 () ]
+  let dist = Lifetime.exponential ~mean:30.0 in
+  let sum = ref 0.0 in
+  let n = 20_000 in
+  for _ = 1 to n do
+    let x = Lifetime.sample dist g in
+    if not (x > 0.0 && Float.is_finite x) then
+      Alcotest.failf "bad sample %g from %s" x (Lifetime.label dist);
+    sum := !sum +. x
+  done;
+  let empirical = !sum /. float_of_int n in
+  if Float.abs (empirical -. Lifetime.mean dist) > 0.1 *. Lifetime.mean dist then
+    Alcotest.failf "empirical mean %g too far from %g" empirical (Lifetime.mean dist)
 
 (* Record a driver's full event schedule over a horizon. *)
 let driver_schedule ~seed =
@@ -222,8 +214,7 @@ let churn_degrades_availability () =
         churn =
           Some
             {
-              Sim.Runner.default_churn with
-              churn_rate = rate;
+              Sim.Runner.churn_rate = rate;
               replication;
               ttl = 60.0;
               republish_period = 20.0;
@@ -254,8 +245,7 @@ let hard_state_republish_restores () =
         churn =
           Some
             {
-              Sim.Runner.default_churn with
-              churn_rate = 0.02;
+              Sim.Runner.churn_rate = 0.02;
               replication = 1;
               ttl = infinity;
               republish_period;

@@ -48,6 +48,14 @@ let usage_errors_exit_2 () =
       [ "workload"; "--queries=-2" ];
       [ "workload"; "--queries"; "0" ];
       [ "chord"; "--nodes"; "0" ];
+      (* Counts and fractions out of range: no lookups, negative ones, a
+         failure share outside [0, 1) or one that fails every node, and a
+         negative print limit. *)
+      [ "chord"; "--lookups"; "0" ];
+      [ "chord"; "--lookups=-5" ];
+      [ "chord"; "--fail"; "1.5" ];
+      [ "chord"; "--nodes"; "1"; "--fail"; "0.5" ];
+      [ "corpus"; "--articles"; "3"; "--limit=-1" ];
       (* Output files in a missing directory, rejected before the run
          rather than after it. *)
       [ "simulate"; "--metrics-out"; "/nonexistent/x.prom" ];
@@ -110,27 +118,34 @@ let unreadable_trace_exits_1 () =
 let help_exits_0 () =
   Alcotest.(check int) "simulate --help" 0 (exit_code [ "simulate"; "--help=plain" ])
 
-(* A [simulate] run's stdout and its metrics snapshot, pinned by SHA-1. *)
-let golden args ~stdout_sha1 ~metrics_sha1 () =
+let sha1_of path =
+  Hashing.Sha1.to_hex
+    (Hashing.Sha1.digest_string (In_channel.with_open_bin path In_channel.input_all))
+
+(* A command's stdout, pinned by SHA-1. *)
+let check_stdout args ~stdout_sha1 =
   let stdout = Filename.temp_file "p2pindex_golden" ".txt" in
-  let metrics = Filename.temp_file "p2pindex_golden" ".json" in
-  let sha1_of path =
-    Hashing.Sha1.to_hex
-      (Hashing.Sha1.digest_string (In_channel.with_open_bin path In_channel.input_all))
-  in
   Fun.protect
-    ~finally:(fun () -> Sys.remove stdout; Sys.remove metrics)
+    ~finally:(fun () -> Sys.remove stdout)
     (fun () ->
-      (* The snapshot's run prints where it wrote it, so stdout comes from
-         a run of its own. *)
       Alcotest.(check int) "status" 0
         (Sys.command (Filename.quote_command cli args ~stdout ~stderr:Filename.null));
+      Alcotest.(check string) "stdout SHA-1" stdout_sha1 (sha1_of stdout))
+
+(* A [simulate] run's stdout and its metrics snapshot, pinned by SHA-1. *)
+let golden args ~stdout_sha1 ~metrics_sha1 () =
+  (* The snapshot's run prints where it wrote it, so stdout comes from a
+     run of its own. *)
+  check_stdout args ~stdout_sha1;
+  let metrics = Filename.temp_file "p2pindex_golden" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove metrics)
+    (fun () ->
       Alcotest.(check int) "status with --metrics-out" 0
         (Sys.command
            (Filename.quote_command cli
               (args @ [ "--metrics-out"; metrics ])
               ~stdout:Filename.null ~stderr:Filename.null));
-      Alcotest.(check string) "stdout SHA-1" stdout_sha1 (sha1_of stdout);
       Alcotest.(check string) "metrics snapshot SHA-1" metrics_sha1 (sha1_of metrics))
 
 (* The soft-state path end to end, through the CLI: churn with
@@ -157,6 +172,18 @@ let hard_state_golden =
     ~stdout_sha1:"f6ca3504fe0c70cce159d5c1a70fcb7b3b0d9237"
     ~metrics_sha1:"a5e3161732ed3ff4f8502b90ad227d3dc347eea2"
 
+(* Two experiments whose tables rest on fixed settings: the fault sweep
+   on the RPC layer's retries and hedge delay, the churn ablation on its
+   session and downtime draws.  (A change to the backoff jitter shows in
+   the soft-state run above, not in the sweep.) *)
+let fault_sweep_golden () =
+  check_stdout [ "experiment"; "--quick"; "fault-sweep" ]
+    ~stdout_sha1:"bebc9923fd8708104f5d7ca9532066bc6d747a98"
+
+let ablation_churn_golden () =
+  check_stdout [ "experiment"; "--quick"; "ablation-churn" ]
+    ~stdout_sha1:"f4f05e1f30ff568bca9a4f683af6cbb7fa1e3423"
+
 let suite =
   [
     ( "cli:exit",
@@ -170,5 +197,7 @@ let suite =
       [
         Alcotest.test_case "soft-state run" `Quick soft_state_golden;
         Alcotest.test_case "hard-state run" `Quick hard_state_golden;
+        Alcotest.test_case "fault-sweep experiment" `Quick fault_sweep_golden;
+        Alcotest.test_case "ablation-churn experiment" `Quick ablation_churn_golden;
       ] );
   ]

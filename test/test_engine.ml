@@ -80,8 +80,7 @@ let engine_degenerates_churned () =
       churn =
         Some
           {
-            Runner.default_churn with
-            churn_rate = 0.004;
+            Runner.churn_rate = 0.004;
             replication = 2;
             ttl = 60.0;
             republish_period = 20.0;

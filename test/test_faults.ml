@@ -205,7 +205,7 @@ let rpc_zero_fault_byte_identity () =
   Alcotest.(check (float 0.0)) "clock untouched" 0.0 (Rpc.now rpc)
 
 let rpc_config ?(timeout = 0.5) ?(retries = 2) ?(hedge = false) () =
-  { Rpc.default_config with timeout; retries; hedge; hedge_delay = 0.25 }
+  { Rpc.timeout; retries; hedge }
 
 let rpc_retries_then_exhausts () =
   let metrics = Obs.Metrics.create () in
@@ -253,6 +253,31 @@ let rpc_hedge_wins () =
   let total name = Obs.Metrics.counter_total (Obs.Metrics.snapshot metrics) name in
   Alcotest.(check int) "hedge fired" 1 (total "p2pindex_rpc_hedges_total");
   Alcotest.(check int) "hedge won" 1 (total "p2pindex_rpc_hedges_won_total")
+
+(* The hedge fires at half the timeout, whatever the timeout: at 2 s it
+   waits 1 s.  A 0.8 s round trip answers first; a 1.2 s one lets the
+   hedge fire, and the primary still wins, since the hedge's answer would
+   land at 1 + 1.2 s, past the deadline. *)
+let rpc_hedge_delay_is_half_the_timeout () =
+  List.iter
+    (fun (latency, hedges) ->
+      let metrics = Obs.Metrics.create () in
+      let plan = Plan.create ~seed:4L (Plan.spec ~latency:(Plan.Constant latency) ()) in
+      let rpc =
+        Rpc.create ~metrics ~plan ~config:(rpc_config ~timeout:2.0 ~retries:0 ~hedge:true ()) ()
+      in
+      let label what = Printf.sprintf "%s at %g s per direction" what latency in
+      (match
+         Rpc.call rpc ~dst:0 ~hedge_dst:1 ~request_bytes:10
+           ~handler:(fun ~node -> Rpc.Reply { bytes = 10; value = node })
+           ()
+       with
+      | Rpc.Answered { node; _ } -> Alcotest.(check int) (label "primary answered") 0 node
+      | Rpc.Exhausted -> Alcotest.fail (label "the primary should have answered"));
+      let total name = Obs.Metrics.counter_total (Obs.Metrics.snapshot metrics) name in
+      Alcotest.(check int) (label "hedges") hedges (total "p2pindex_rpc_hedges_total");
+      Alcotest.(check int) (label "hedges won") 0 (total "p2pindex_rpc_hedges_won_total"))
+    [ (0.4, 0); (0.6, 1) ]
 
 let rpc_lossy_oneway () =
   let net = Network.create ~node_count:4 () in
@@ -506,6 +531,8 @@ let suite =
           rpc_retries_then_exhausts;
         Alcotest.test_case "hedged request wins over a dead primary" `Quick
           rpc_hedge_wins;
+        Alcotest.test_case "hedge fires at half a 2 s timeout" `Quick
+          rpc_hedge_delay_is_half_the_timeout;
         Alcotest.test_case "lossy one-ways: billed, delayed, droppable" `Quick
           rpc_lossy_oneway;
       ] );

@@ -341,9 +341,8 @@ let churned_failover_config =
   }
 
 let sim_registry_matches_network cfg =
-  let registry = Metrics.create () in
   let tracer = Trace.create () in
-  let r = Sim.Runner.run ~metrics:registry ~tracer cfg in
+  let r = Sim.Runner.run ~tracer cfg in
   let total name = Metrics.counter_total r.Sim.Runner.metrics name in
   let network_bytes =
     Sim.Runner.request_bytes r + Sim.Runner.response_bytes r + Sim.Runner.cache_bytes r

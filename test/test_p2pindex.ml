@@ -84,7 +84,8 @@ let file_of doc name = { Storage.Block_store.name; size_bytes = Xml.size_bytes d
 
 let make_index ?network ?(docs = [ (d1, "x.pdf"); (d2, "y.pdf"); (d3, "z.pdf") ]) () =
   let resolver = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:77L ~node_count:20 ()) in
-  let index = Index.create ?network ~resolver () in
+  let rpc = Option.map (fun network -> Dht.Rpc.create ~network ()) network in
+  let index = Index.create ?rpc ~resolver () in
   List.iter
     (fun (doc, name) ->
       Index.publish index ~scheme:fig4_scheme ~msd:(Xpath.of_document doc) (file_of doc name))

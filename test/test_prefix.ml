@@ -412,7 +412,7 @@ let pause_keeps_prefix_answers =
       let env = Runner.Internal.setup cfg in
       let before = probe env in
       Runner.Internal.advance_churn env ~until:(float_of_int horizon);
-      let liveness = (Runner.Internal.walk_ctx env).Sim.Walk.liveness in
+      let liveness = Bib.Bib_index.liveness (Runner.Internal.index env) in
       for node = 0 to cfg.node_count - 1 do
         ignore (Dht.Liveness.revive liveness node : bool)
       done;
@@ -431,15 +431,16 @@ let span_names_live_head () =
   let tracer = Obs.Trace.create () in
   let env = Runner.Internal.setup ~tracer cfg in
   let ctx = Runner.Internal.walk_ctx env in
+  let liveness = Bib.Bib_index.liveness ctx.Sim.Walk.index in
   let resolver =
     Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:cfg.seed ~node_count:cfg.node_count ())
   in
   let prefix = "Ga" in
   let lo, _ = Key.range prefix in
   let head = Dht.Resolver.responsible resolver lo in
-  ignore (Dht.Liveness.fail ctx.Sim.Walk.liveness head : bool);
+  ignore (Dht.Liveness.fail liveness head : bool);
   let expected =
-    List.find (Dht.Liveness.alive ctx.Sim.Walk.liveness) (Dht.Resolver.replicas resolver lo 2)
+    List.find (Dht.Liveness.alive liveness) (Dht.Resolver.replicas resolver lo 2)
   in
   (match ctx.Sim.Walk.prefix_route with
   | Some route -> ignore (route prefix : Bib.Bib_index.step)

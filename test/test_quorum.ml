@@ -989,7 +989,9 @@ let replies_billed_as_rendered () =
       Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:9L ~node_count ())
     in
     let network = Dht.Network.create ~node_count () in
-    let index = Index.create ~network ~replication:3 ?read_quorum ~resolver () in
+    let index =
+      Index.create ~rpc:(Dht.Rpc.create ~network ()) ~replication:3 ?read_quorum ~resolver ()
+    in
     Index.publish_corpus index ~kind:Bib.Schemes.Simple articles;
     List.iter
       (fun q ->

@@ -195,8 +195,7 @@ let trace_replay_equals_generation () =
   let gen =
     Workload.Query_gen.create ~articles
       ~popularity:
-        (Stdx.Power_law.fitted_cdf ~alpha:Stdx.Power_law.paper_alpha
-           ~n:small.article_count ())
+        (Stdx.Power_law.fitted_cdf ~n:small.article_count)
       ~seed:(Int64.add small.seed 1_000_003L) ()
   in
   let events = Workload.Query_gen.events gen small.query_count in

@@ -246,7 +246,7 @@ let prng_argument_validation () =
 let power_law_validation () =
   Alcotest.check_raises "fitted n > 0"
     (Invalid_argument "Power_law.fitted_cdf: n must be positive") (fun () ->
-      ignore (Stdx.Power_law.fitted_cdf ~n:0 ()));
+      ignore (Stdx.Power_law.fitted_cdf ~n:0));
   Alcotest.check_raises "zipf n > 0" (Invalid_argument "Power_law.zipf: n must be positive")
     (fun () -> ignore (Stdx.Power_law.zipf ~s:1.0 ~n:(-1)));
   let t = Stdx.Power_law.zipf ~s:1.0 ~n:10 in
@@ -259,7 +259,7 @@ let power_law_validation () =
 let power_law_paper_pmf () =
   (* The paper's fitted model: the top-ranked article has CDF c = 0.063, so
      its probability is close to 0.063 after normalization. *)
-  let t = Stdx.Power_law.fitted_cdf ~n:10_000 () in
+  let t = Stdx.Power_law.fitted_cdf ~n:10_000 in
   let p1 = Stdx.Power_law.probability t 1 in
   Alcotest.(check bool) "p(1) near 0.063" true (Float.abs (p1 -. 0.063) < 0.002)
 
@@ -267,11 +267,11 @@ let power_law_cdf_monotone =
   QCheck.Test.make ~name:"Power_law cdf monotone" ~count:200
     QCheck.(pair (int_range 1 9_999) (int_range 1 100))
     (fun (i, step) ->
-      let t = Stdx.Power_law.fitted_cdf ~n:10_000 () in
+      let t = Stdx.Power_law.fitted_cdf ~n:10_000 in
       Stdx.Power_law.cdf t i <= Stdx.Power_law.cdf t (i + step) +. 1e-12)
 
 let power_law_pmf_sums_to_one () =
-  let t = Stdx.Power_law.fitted_cdf ~n:1_000 () in
+  let t = Stdx.Power_law.fitted_cdf ~n:1_000 in
   let total = ref 0.0 in
   for i = 1 to 1_000 do
     total := !total +. Stdx.Power_law.probability t i
@@ -287,7 +287,7 @@ let power_law_sample_in_support =
       v >= 1 && v <= 100)
 
 let power_law_sample_skewed () =
-  let t = Stdx.Power_law.fitted_cdf ~n:10_000 () in
+  let t = Stdx.Power_law.fitted_cdf ~n:10_000 in
   let g = Stdx.Prng.create ~seed:123L in
   let top = ref 0 in
   let draws = 50_000 in
@@ -302,7 +302,7 @@ let power_law_sample_skewed () =
 
 let power_law_ccdf_matches_paper () =
   (* F̄(i) = 1 - 0.063 i^0.3, checked at a few ranks before the clamp. *)
-  let t = Stdx.Power_law.fitted_cdf ~n:10_000 () in
+  let t = Stdx.Power_law.fitted_cdf ~n:10_000 in
   List.iter
     (fun i ->
       let expected = 1.0 -. (0.063 *. (float_of_int i ** 0.3)) in

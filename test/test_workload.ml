@@ -126,7 +126,7 @@ let rejects_empty_corpus () =
 
 let rejects_oversized_popularity () =
   let articles = corpus 10 in
-  let popularity = Stdx.Power_law.fitted_cdf ~n:100 () in
+  let popularity = Stdx.Power_law.fitted_cdf ~n:100 in
   Alcotest.check_raises "support too large"
     (Invalid_argument "Query_gen.create: popularity support exceeds the corpus") (fun () ->
       ignore (Query_gen.create ~popularity ~articles ~seed:1L ()))
