@@ -69,8 +69,15 @@ let create ?metrics ~seed ~liveness config =
     instruments = Option.map (fun r -> make_instruments r liveness) metrics;
   }
 
+(* A positive delay the clock cannot add would fire the event at the
+   same instant again — for a periodic one, forever. *)
 let schedule_after t ~delay event =
-  Stdx.Event_queue.push t.queue ~time:(t.now +. delay) event
+  let time = t.now +. delay in
+  if delay > 0. && not (time > t.now) then
+    invalid_arg
+      (Printf.sprintf "Churn.Driver: a delay of %g does not advance the clock past %g" delay
+         t.now);
+  Stdx.Event_queue.push t.queue ~time event
 
 let set_gauge t =
   match t.instruments with

@@ -53,4 +53,6 @@ val run_until :
     marked dead (drop its state there); [on_join node] after it is marked
     alive again.  A [Fail] schedules the matching [Join] at
     [now + downtime]; a [Join] schedules the next [Fail] at
-    [now + session]; periodic events reschedule themselves. *)
+    [now + session]; periodic events reschedule themselves.
+    @raise Invalid_argument when a positive delay (a period or a drawn
+    lifetime) is too small for the clock to advance by it. *)

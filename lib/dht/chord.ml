@@ -196,12 +196,12 @@ let join_with_key t key =
       let succ, _hops = find_successor t ~from:bootstrap key in
       ignore (insert_node t key succ)
 
+let rec fresh_key t =
+  let k = Key.random t.prng in
+  if Hashtbl.mem t.nodes k then fresh_key t else k
+
 let join t =
-  let rec fresh () =
-    let k = Key.random t.prng in
-    if Hashtbl.mem t.nodes k then fresh () else k
-  in
-  let key = fresh () in
+  let key = fresh_key t in
   join_with_key t key;
   key
 
@@ -302,9 +302,9 @@ let is_converged t =
         keys
 
 (* ------------------------------------------------------------------ *)
-(* Bootstrap a converged network quickly: join every node, then install the
-   oracle routing state directly (equivalent to running stabilization to
-   convergence, in O(n log n) instead of many protocol rounds). *)
+(* Install the oracle routing state directly (equivalent to running
+   stabilization to convergence, in O(n log n) instead of many protocol
+   rounds). *)
 
 let repair_globally t =
   let keys = Array.of_list (live_keys t) in
@@ -329,11 +329,19 @@ let repair_globally t =
       keys
   end
 
+let routing_state t key =
+  let n = node_of t key in
+  (n.successor, n.predecessor, n.successor_list, Array.to_list n.fingers)
+
 let create_network ?metrics ?seed ~node_count () =
   if node_count <= 0 then invalid_arg "Chord.create_network: need at least one node";
   let t = create ?metrics ?seed () in
+  (* No routed joins: [repair_globally] overwrites every successor,
+     predecessor, successor list and finger a join would set, so each
+     node is inserted bare, under the identifier [join] would draw. *)
   for _ = 1 to node_count do
-    ignore (join t)
+    let key = fresh_key t in
+    ignore (insert_node t key key : node)
   done;
   repair_globally t;
   t

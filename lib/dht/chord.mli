@@ -22,8 +22,9 @@ val create : ?metrics:Obs.Metrics.t -> ?seed:int64 -> unit -> t
 
 val create_network : ?metrics:Obs.Metrics.t -> ?seed:int64 -> node_count:int -> unit -> t
 (** [create_network ~node_count ()] bootstraps a ring of [node_count] nodes
-    with fully correct routing state (joins followed by stabilization until
-    convergence). *)
+    with fully correct routing state: the state stabilization converges
+    to, installed directly.  It draws the same identifiers, in the same
+    order, as [node_count] calls to {!join} on an empty ring. *)
 
 val join : t -> Hashing.Key.t
 (** Add one node with a fresh pseudo-random identifier, bootstrapping through
@@ -66,6 +67,15 @@ val responsible_oracle : t -> Hashing.Key.t -> Hashing.Key.t
 val is_converged : t -> bool
 (** True when every live node's successor pointer and every finger entry
     match the oracle — i.e. stabilization has fully repaired the ring. *)
+
+val repair_globally : t -> unit
+(** Install on every live node the routing state stabilization converges
+    to — successor, predecessor, successor list and fingers — directly. *)
+
+val routing_state :
+  t -> Hashing.Key.t -> Hashing.Key.t * Hashing.Key.t option * Hashing.Key.t list * Hashing.Key.t list
+(** A node's successor, predecessor, successor list and fingers, for
+    tests.  @raise Invalid_argument on an identifier never joined. *)
 
 val resolver : t -> Resolver.t
 (** Resolver view over live nodes: node indexes are positions in ring order

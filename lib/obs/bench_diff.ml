@@ -28,9 +28,11 @@ let contains s sub =
    counts additionally wobble with heap-state phase, so they get more.
    The simulation's cost metrics are pure functions of the seed and must
    not move at all — the tight band is only float-formatting slack. *)
+let is_collection_count name =
+  contains name "/gc/minor_collections" || contains name "/gc/major_collections"
+
 let default_threshold name =
-  if contains name "/gc/minor_collections" || contains name "/gc/major_collections"
-  then 0.5
+  if is_collection_count name then 0.5
   else if contains name "/gc/" || contains name "_words_per_run" then 0.35
   else if contains name "wall_ns" || contains name "time_ns" then 0.25
   else 0.005
@@ -40,6 +42,14 @@ let default_threshold name =
 let eps = 1e-9
 
 let relative ~baseline ~current = (current -. baseline) /. Float.max (Float.abs baseline) eps
+
+(* A collection count also gets one collection of absolute slack on top
+   of its band: where a run's heap sits at a collection's edge, one more
+   or one fewer is phase, not cost — a relative band alone would read
+   0 -> 1 as unbounded. *)
+let band name ~threshold ~baseline =
+  if is_collection_count name then threshold +. (1.0 /. Float.max (Float.abs baseline) eps)
+  else threshold
 
 let compare_reports ?(threshold_for = default_threshold) ~(baseline : Bench_report.t)
     (current : Bench_report.t) =
@@ -94,9 +104,10 @@ let compare_reports ?(threshold_for = default_threshold) ~(baseline : Bench_repo
                       | Bench_report.Lower_better | Bench_report.Informational ->
                           change
                     in
+                    let band = band b.name ~threshold ~baseline:b.value in
                     let verdict =
-                      if worse > threshold then Regression
-                      else if worse < -.threshold then Improvement
+                      if worse > band then Regression
+                      else if worse < -.band then Improvement
                       else Within
                     in
                     (verdict, Some worse)

@@ -22,7 +22,9 @@
     The relative delta is computed against [max |baseline| eps], so a
     zero baseline (e.g. an error count of 0) makes any worsening an
     unbounded relative change — deliberately: those metrics regress the
-    moment they move at all. *)
+    moment they move at all.  GC collection counts are the exception:
+    on top of their threshold they get an absolute slack of one
+    collection, so 0 -> 1 is within and 0 -> 2 regresses. *)
 
 type verdict = Regression | Improvement | Within | Missing | Added
 

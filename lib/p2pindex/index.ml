@@ -66,7 +66,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     file_key : Key.t;
     file : file;
     request_bytes : int;  (** The file write's billed request. *)
-    groups : int array;  (** Per scheme edge, in edge order: the parent's plan group. *)
+    keys : Key.t array;  (** Per scheme edge, in edge order: the parent's key. *)
+    parent_lens : int array;  (** Per scheme edge: the parent's rendered length. *)
     children : Q.t Rstore.entry array;
         (** Per scheme edge: the entry publication staged for its child —
             read for its value and length only. *)
@@ -75,11 +76,6 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   type plan = {
     mutable docs : planned array;  (** In publication order. *)
     mutable doc_count : int;
-    mutable group_keys : Key.t array;  (** Per plan group: the parent's key. *)
-    mutable parent_lens : int array;  (** Per plan group: the parent's rendered length. *)
-    mutable group_count : int;
-    mutable key_ids : int array;
-        (** Slots over [group_keys] (see {!find_name}). *)
   }
 
   type t = {
@@ -200,18 +196,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         Rstore.create ~resolver ~replication ?read_quorum ?write_quorum
           ?on_write_acks ~liveness ~clock ();
       key_cache = Hashtbl.create 4096;
-      plan =
-        (if republished then
-           Some
-             {
-               docs = [||];
-               doc_count = 0;
-               group_keys = Array.make 64 Key.zero;
-               parent_lens = Array.make 64 0;
-               group_count = 0;
-               key_ids = Array.make 128 0;
-             }
-         else None);
+      plan = (if republished then Some { docs = [||]; doc_count = 0 } else None);
       consulted = Stdx.Int_buf.create ~capacity:replication ();
       metrics;
       instruments = Option.map make_instruments metrics;
@@ -267,15 +252,16 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     Dht.Rpc.send_oneway t.rpc ~dst ~bytes ~category:Dht.Network.Maintenance
       ~deliver:(fun () -> true)
 
-  (* One maintenance message per live replica of [key] — with replication 1
-     and everything alive this is the single primary-bound message the
-     static index charged. *)
-  let charge_live_replicas t ~key ~bytes =
-    let replicas = Rstore.replica_buf t.mappings key in
+  (* One maintenance message per live node of a replica set, here of
+     [key]'s — with replication 1 and everything alive this is the
+     single primary-bound message the static index charged. *)
+  let charge_live t replicas ~bytes =
     for i = 0 to Stdx.Int_buf.length replicas - 1 do
       let dst = Stdx.Int_buf.unsafe_get replicas i in
       if Dht.Liveness.alive t.liveness dst then charge_maintenance t ~dst ~bytes
     done
+
+  let charge_live_replicas t ~key ~bytes = charge_live t (Rstore.replica_buf t.mappings key) ~bytes
 
   (* ---------------------------------------------------------------- *)
   (* Publication. *)
@@ -374,34 +360,16 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       bigger
   end
 
-  (* A table of names is [Slots] over ids: a slot holding [v + 1] stands
-     for [names.(v)], a column of parent strings (a batch) or parent
-     keys (the plan).  [find_name] returns the slot holding [s]'s id, or
-     the free slot its id would go to. *)
-  let rec find_name equal ids names s i =
+  (* A batch's parents are [Slots] over group ids: a slot holding
+     [g + 1] stands for [parents.(g)].  [parent_slot] returns the slot
+     holding [s]'s id, or the free slot its id would go to. *)
+  let rec find_parent ids parents s i =
     match ids.(i) with
     | 0 -> i
-    | x when equal names.(x - 1) s -> i
-    | _ -> find_name equal ids names s ((i + 1) land Slots.mask ids)
+    | x when String.equal parents.(x - 1) s -> i
+    | _ -> find_parent ids parents s ((i + 1) land Slots.mask ids)
 
-  let parent_slot ids parents s =
-    find_name String.equal ids parents s (Hashtbl.hash s land Slots.mask ids)
-
-  let key_slot ids keys k = find_name Key.equal ids keys k (Key.prefix56 k land Slots.mask ids)
-
-  (* Puts id [n - 1], the newest of [n] names, in free slot [slot];
-     returns [ids], or a table twice its size once it is more than half
-     full. *)
-  let add_name name_slot ids names ~slot n =
-    ids.(slot) <- n;
-    if 2 * n > Array.length ids then begin
-      let ids = Array.make (2 * Array.length ids) 0 in
-      for v = 0 to n - 1 do
-        ids.(name_slot ids names names.(v)) <- v + 1
-      done;
-      ids
-    end
-    else ids
+  let parent_slot ids parents s = find_parent ids parents s (Hashtbl.hash s land Slots.mask ids)
 
   (* The rendering hashes of one group's children. *)
   type hashes = { mutable table : int array; mutable size : int }
@@ -426,9 +394,6 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     mutable writes : int array;  (** Edges staged. *)
     mutable children : Q.t Rstore.entry list array;
     mutable hashes : hashes option array;
-    mutable plan_groups : int array;
-        (** The group's id in the plan; empty without a plan, and
-            [extend] keeps it so. *)
     mutable groups : int;
     expires_at : float;  (** Every entry of a batch is stamped alike. *)
   }
@@ -441,7 +406,6 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       writes = Array.make capacity 0;
       children = Array.make capacity [];
       hashes = Array.make capacity None;
-      plan_groups = (match t.plan with Some _ -> Array.make capacity 0 | None -> [||]);
       groups = 0;
       expires_at = entry_expiry t;
     }
@@ -451,36 +415,16 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     b.keys <- extend b.keys Key.zero;
     b.writes <- extend b.writes 0;
     b.children <- extend b.children [];
-    b.hashes <- extend b.hashes None;
-    b.plan_groups <- extend b.plan_groups 0
+    b.hashes <- extend b.hashes None
 
   (* ---------------------------------------------------------------- *)
   (* The publication plan: what soft-state refresh replays.  On an
      index created [~republished] (by default, under a finite TTL),
-     publication records each document it writes — its file
-     write, and per scheme edge the parent's group and the child as it
-     was staged — so a republish round rewrites them without rendering,
-     hashing or staging anything again.  A group is one parent key with
-     its rendered length; a child is the entry the group's dedupe kept,
-     whose value is the one the store holds, so a round finds repeated
-     children by identity. *)
-
-  (* The plan group of a parent key, created on first sight. *)
-  let plan_group (p : plan) ~key ~parent_len =
-    let i = key_slot p.key_ids p.group_keys key in
-    match p.key_ids.(i) with
-    | 0 ->
-        let g = p.group_count in
-        if g = Array.length p.group_keys then begin
-          p.group_keys <- extend p.group_keys Key.zero;
-          p.parent_lens <- extend p.parent_lens 0
-        end;
-        p.group_keys.(g) <- key;
-        p.parent_lens.(g) <- parent_len;
-        p.group_count <- g + 1;
-        p.key_ids <- add_name key_slot p.key_ids p.group_keys ~slot:i p.group_count;
-        g
-    | x -> x - 1
+     publication records each document it writes — its file write, and
+     per scheme edge the parent's key (the one the batch hashed, shared
+     with it), the parent's rendered length and the child as it was
+     staged — so a republish round rewrites them without rendering,
+     hashing or staging anything again. *)
 
   (* The document column's filler.  A large array made with a young
      filler forces a minor collection, so the filler is made once, with
@@ -490,7 +434,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       file_key = Key.zero;
       file = { Storage.Block_store.name = ""; size_bytes = 0 };
       request_bytes = 0;
-      groups = [||];
+      keys = [||];
+      parent_lens = [||];
       children = [||];
     }
 
@@ -510,20 +455,24 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   (* The id of [parent_string]'s group, created (and its key hashed) on
      first sight. *)
-  let group_of t b parent_string =
+  let group_of b parent_string =
     let i = parent_slot b.ids b.parents parent_string in
     match b.ids.(i) with
     | 0 ->
         let g = b.groups in
         if g = Array.length b.parents then grow_columns b;
-        let key = Key.of_string parent_string in
         b.parents.(g) <- parent_string;
-        b.keys.(g) <- key;
-        (match t.plan with
-        | Some p -> b.plan_groups.(g) <- plan_group p ~key ~parent_len:(String.length parent_string)
-        | None -> ());
+        b.keys.(g) <- Key.of_string parent_string;
         b.groups <- g + 1;
-        b.ids <- add_name parent_slot b.ids b.parents ~slot:i b.groups;
+        b.ids.(i) <- b.groups;
+        (* Kept at most half full: past that, a table twice the size. *)
+        if 2 * b.groups > Array.length b.ids then begin
+          let ids = Array.make (2 * Array.length b.ids) 0 in
+          for v = 0 to g do
+            ids.(parent_slot ids b.parents b.parents.(v)) <- v + 1
+          done;
+          b.ids <- ids
+        end;
         g
     | x -> x - 1
 
@@ -578,27 +527,32 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         List.iter
           (fun { Scheme.parent; child } ->
             check_covers ~render parent child;
-            let g = group_of t b (render parent) in
+            let g = group_of b (render parent) in
             ignore (stage_child b g ~child_string:(render child) child : Q.t Rstore.entry))
           edges
     | Some p ->
         let n = List.length edges in
-        let groups = Array.make n 0 and children = ref [||] in
+        let keys = Array.make n Key.zero and parent_lens = Array.make n 0 in
+        let children = ref [||] in
         List.iteri
           (fun i { Scheme.parent; child } ->
             check_covers ~render parent child;
-            let g = group_of t b (render parent) in
+            let parent_string = render parent in
+            let g = group_of b parent_string in
             let e = stage_child b g ~child_string:(render child) child in
             if i = 0 then children := Array.make n e else !children.(i) <- e;
-            groups.(i) <- b.plan_groups.(g))
+            keys.(i) <- b.keys.(g);
+            parent_lens.(i) <- String.length parent_string)
           edges;
-        plan_doc p { file_key = key; file; request_bytes; groups; children = !children }
+        plan_doc p
+          { file_key = key; file; request_bytes; keys; parent_lens; children = !children }
 
-  let rec charge_installs t ~dst ~parent_len ~len = function
+  let rec charge_installs t ~dst ~parent_len = function
     | [] -> ()
-    | x :: rest ->
-        charge_maintenance t ~dst ~bytes:(Wire.cache_install_bytes_of_len parent_len (len x));
-        charge_installs t ~dst ~parent_len ~len rest
+    | e :: rest ->
+        charge_maintenance t ~dst
+          ~bytes:(Wire.cache_install_bytes_of_len parent_len (Rstore.entry_len e));
+        charge_installs t ~dst ~parent_len rest
 
   (* Built once, not per write. *)
   let mapping_equal = Some Q.equal
@@ -615,7 +569,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       for i = 0 to Stdx.Int_buf.length replicas - 1 do
         let dst = Stdx.Int_buf.unsafe_get replicas i in
         if Dht.Liveness.alive t.liveness dst then
-          charge_installs t ~dst ~parent_len ~len:Rstore.entry_len fresh
+          charge_installs t ~dst ~parent_len fresh
       done
     done
 
@@ -644,114 +598,36 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     publish_batch t ~scheme ~msd:(fun () -> msd) ~file:(fun () -> file) [| () |]
 
   (* ---------------------------------------------------------------- *)
-  (* Republication: the plan replayed in publication order, eight
-     documents a batch.  A batch refreshes its documents' files, then
-     regroups their edges by plan group, in first-seen order, and makes
-     one write per group with fresh entries — deduplicated by identity
-     first, as the plan's children are the values the store holds, and
-     by length and [Q.equal] for a child an earlier publication batch
-     staged apart — billing every edge at every live replica.  A
-     republished entry is almost always a refresh, so what a batch
-     builds is garbage once written: batches of eight documents let it
-     die in the minor heap (EXPERIMENTS.md, "Grouped republication"). *)
-
-  let republish_docs = 8
-
-  (* A round's regrouping columns, indexed by batch group; [edge_lens]
-     holds each group's edges' child lengths, newest first. *)
-  type round = {
-    slots : int array;  (** Plan group id -> its batch group + 1; 0 when not staged. *)
-    mutable gids : int array;  (** Batch group -> its plan group. *)
-    mutable round_writes : int array;
-    mutable round_children : Q.t Rstore.entry list array;
-    mutable edge_lens : int list array;
-    mutable round_groups : int;
-  }
-
-  let create_round (p : plan) =
-    let capacity = 64 in
-    {
-      slots = Array.make p.group_count 0;
-      gids = Array.make capacity 0;
-      round_writes = Array.make capacity 0;
-      round_children = Array.make capacity [];
-      edge_lens = Array.make capacity [];
-      round_groups = 0;
-    }
-
-  let round_group r gid =
-    match r.slots.(gid) with
-    | 0 ->
-        let g = r.round_groups in
-        if g = Array.length r.gids then begin
-          r.gids <- extend r.gids 0;
-          r.round_writes <- extend r.round_writes 0;
-          r.round_children <- extend r.round_children [];
-          r.edge_lens <- extend r.edge_lens []
-        end;
-        r.gids.(g) <- gid;
-        r.slots.(gid) <- g + 1;
-        r.round_groups <- g + 1;
-        g
-    | s -> s - 1
-
-  let rec holds_planned child len = function
-    | [] -> false
-    | e :: rest ->
-        (* lint: allow D3 — the plan's children are the staged values themselves; the structural test follows *)
-        Rstore.entry_value e == child
-        || (Rstore.entry_len e = len && Q.equal (Rstore.entry_value e) child)
-        || holds_planned child len rest
-
-  let replay_batch t (p : plan) r ~lo ~hi =
-    let expires_at = entry_expiry t in
-    for d = lo to hi - 1 do
-      let doc = p.docs.(d) in
-      ignore
-        (Rstore.insert_unique ~expires_at ~equal:( = ) t.files ~key:doc.file_key
-           ~len:(file_len doc.file) doc.file
-          : bool);
-      charge_live_replicas t ~key:doc.file_key ~bytes:doc.request_bytes
-    done;
-    for d = lo to hi - 1 do
-      let doc = p.docs.(d) in
-      for i = 0 to Array.length doc.groups - 1 do
-        let g = round_group r doc.groups.(i) in
-        let child = Rstore.entry_value doc.children.(i) and len = Rstore.entry_len doc.children.(i) in
-        r.round_writes.(g) <- r.round_writes.(g) + 1;
-        r.edge_lens.(g) <- len :: r.edge_lens.(g);
-        if not (holds_planned child len r.round_children.(g)) then
-          r.round_children.(g) <- Rstore.make_entry ~expires_at ~len child :: r.round_children.(g)
-      done
-    done;
-    for g = 0 to r.round_groups - 1 do
-      let gid = r.gids.(g) in
-      let _fresh, replicas =
-        Rstore.insert_entries ~equal:mapping_equal t.mappings ~key:p.group_keys.(gid)
-          ~writes:r.round_writes.(g) r.round_children.(g)
-      in
-      let parent_len = p.parent_lens.(gid) in
-      for i = 0 to Stdx.Int_buf.length replicas - 1 do
-        let dst = Stdx.Int_buf.unsafe_get replicas i in
-        if Dht.Liveness.alive t.liveness dst then
-          charge_installs t ~dst ~parent_len ~len:Fun.id r.edge_lens.(g)
-      done;
-      r.slots.(gid) <- 0;
-      r.round_writes.(g) <- 0;
-      r.round_children.(g) <- [];
-      r.edge_lens.(g) <- []
-    done;
-    r.round_groups <- 0
+  (* Republication: the plan replayed in publication order, document by
+     document.  Each file is refreshed in place, then each scheme edge
+     makes one write of a fresh entry for its planned child, billed at
+     every live replica of the replica set the write resolved, whether
+     or not the replica held the entry.  Regrouping a few documents'
+     edges by parent key would save few writes: within a handful of
+     documents nearly every parent is distinct (DESIGN.md §13,
+     "Soft-state rounds from the publication plan"). *)
 
   let republish t =
     match t.plan with
     | None -> invalid_arg "Index.republish: the index records no publication plan"
     | Some p ->
-        let r = create_round p in
-        let n = p.doc_count in
-        for c = 0 to (n - 1) / republish_docs do
-          let lo = c * republish_docs in
-          replay_batch t p r ~lo ~hi:(Stdlib.min n (lo + republish_docs))
+        let expires_at = entry_expiry t in
+        for d = 0 to p.doc_count - 1 do
+          let doc = p.docs.(d) in
+          ignore
+            (Rstore.insert_unique ~expires_at ~equal:( = ) t.files ~key:doc.file_key
+               ~len:(file_len doc.file) doc.file
+              : bool);
+          charge_live_replicas t ~key:doc.file_key ~bytes:doc.request_bytes;
+          for i = 0 to Array.length doc.keys - 1 do
+            let child = doc.children.(i) in
+            let len = Rstore.entry_len child in
+            let _fresh, replicas =
+              Rstore.insert_entries ~equal:mapping_equal t.mappings ~key:doc.keys.(i) ~writes:1
+                [ Rstore.make_entry ~expires_at ~len (Rstore.entry_value child) ]
+            in
+            charge_live t replicas ~bytes:(Wire.cache_install_bytes_of_len doc.parent_lens.(i) len)
+          done
         done
 
   (* What shipping one stored entry costs, priced from its cached length

@@ -134,20 +134,20 @@ module type S = sig
   val republish : t -> unit
   (** Soft-state refresh: every document published so far is re-sent,
       stamped with a fresh TTL, in publication order — a document
-      published twice is re-sent twice — with one store write per
-      distinct parent key of every eight documents.  Each file is
-      refreshed in place and every index entry its publication
-      installed is re-sent; replicas that lost an entry get it back.
-      Each file and each scheme edge is billed as maintenance to every
-      live replica, whether or not the replica already held it.  The
-      result is exactly that of one [insert_unique] per file and per
-      edge, document by document, each billed that way.
+      published twice is re-sent twice.  Each file is refreshed in
+      place, then every index entry its publication installed is
+      re-sent, one store write per scheme edge; replicas that lost an
+      entry get it back.  Each file and each scheme edge is billed as
+      maintenance to every live replica, whether or not the replica
+      already held it.  The result is exactly that of one
+      [insert_unique] per file and per edge, document by document, each
+      billed that way.
 
       A round replays the publication plan: on an index created
       [~republished], publication records each document's file key,
-      request size and, per scheme edge, the parent key, the child and
-      its rendered length, so a round renders, hashes and derives
-      nothing.  {!unpublish} takes a document out of the plan, and a
+      request size and, per scheme edge, the parent key and rendered
+      length, and the child with its rendered length, so a round
+      renders, hashes and derives nothing.  {!unpublish} takes a document out of the plan, and a
       document whose publication raised {!Covering_violation} never
       enters it.
       @raise Invalid_argument on an index created without

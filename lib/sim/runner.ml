@@ -153,6 +153,18 @@ let require_finite name v =
   if not (Float.is_finite v && v >= 0.) then
     reject "%s must be finite and >= 0 (got %g)" name v
 
+(* A maintenance period the clock cannot add at the run's horizon would
+   reschedule its event at the same instant forever; the churn driver
+   refuses such a delay, a drawn session's included. *)
+let require_tick cfg name p =
+  match cfg.churn with
+  | Some c when Float.is_finite p ->
+      let horizon = float_of_int cfg.query_count /. c.query_rate in
+      if horizon +. p = horizon then
+        reject "%s %g is too small for the clock to advance by it at the horizon %g s" name p
+          horizon
+  | Some _ | None -> ()
+
 let require_quorum name v ~replication =
   if v < 1 || v > replication then
     reject "%s must be within [1, replication %d] (got %d)" name replication v
@@ -175,7 +187,10 @@ let check_config cfg =
       require_positive "ttl" c.ttl;
       require_positive "republish_period" c.republish_period;
       require_positive "repair_period" c.repair_period;
-      require_positive "query_rate" c.query_rate);
+      require_positive "query_rate" c.query_rate;
+      if c.churn_rate > 0. then require_tick cfg "session mean 1/churn_rate" (1. /. c.churn_rate);
+      require_tick cfg "republish_period" c.republish_period;
+      require_tick cfg "repair_period" c.repair_period);
   (match cfg.faults with
   | None -> ()
   | Some f ->
@@ -200,6 +215,8 @@ let check_config cfg =
       require_quorum "write_quorum" q.write_quorum ~replication;
       if not (q.anti_entropy_interval >= 0.) then
         reject "anti_entropy_interval must be >= 0 (got %g)" q.anti_entropy_interval;
+      if q.anti_entropy_interval > 0. then
+        require_tick cfg "anti_entropy_interval" q.anti_entropy_interval;
       let churn_active = match cfg.churn with Some c -> c.churn_rate > 0. | None -> false in
       if q.anti_entropy_interval > 0. && not churn_active then
         reject

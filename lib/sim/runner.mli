@@ -172,7 +172,10 @@ val validate : config -> (unit, string) result
 (** Check every setting of a configuration before anything is built.
     [Error msg] names the offending setting and its value, e.g.
     ["ttl must be > 0 (got 0)"]; {!run} raises [Invalid_argument] with
-    that message prefixed by ["Runner.run: "]. *)
+    that message prefixed by ["Runner.run: "].  Under churn, a
+    maintenance period or session mean too small for the clock to
+    advance by it at the horizon [query_count / query_rate] is an
+    error too: its events would never let the clock move on. *)
 
 val quorum_active : config -> bool
 (** Whether the quorum block actually changes the run: R above 1, W

@@ -284,6 +284,29 @@ let zero_baseline_regresses () =
         ((find_row result "exp/table1/errors/simple/no_cache").Diff.verdict
         = Diff.Regression)
 
+(* Collection counts move by one with heap-state phase: one collection of
+   slack sits on top of their band, so 0 -> 1 stays within while 0 -> 2
+   still regresses. *)
+let collection_count_slack () =
+  let with_major n (r : Report.t) =
+    {
+      r with
+      Report.experiments =
+        List.map
+          (fun (e : Report.experiment) ->
+            { e with Report.gc = { e.Report.gc with Report.major_collections = n } })
+          r.Report.experiments;
+    }
+  in
+  let baseline = with_major 0 (sample_report ()) in
+  let verdict n =
+    match Diff.compare_reports ~baseline (with_major n baseline) with
+    | Error msg -> Alcotest.failf "diff failed: %s" msg
+    | Ok result -> (find_row result "exp/table1/gc/major_collections").Diff.verdict
+  in
+  Alcotest.(check bool) "0 -> 1 is within" true (verdict 1 = Diff.Within);
+  Alcotest.(check bool) "0 -> 2 is a regression" true (verdict 2 = Diff.Regression)
+
 let threshold_override () =
   let baseline = sample_report () in
   let current =
@@ -435,6 +458,7 @@ let suite =
         Alcotest.test_case "scale mismatch rejected" `Quick scale_mismatch;
         Alcotest.test_case "zero baseline" `Quick zero_baseline_regresses;
         Alcotest.test_case "threshold override" `Quick threshold_override;
+        Alcotest.test_case "collection counts get one of slack" `Quick collection_count_slack;
       ] );
     ( "obs:phase",
       [

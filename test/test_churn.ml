@@ -135,6 +135,27 @@ let driver_deterministic () =
          time)
        0.0 a)
 
+(* A rejoin 1e-300 s after a failure near 1 s cannot move the clock:
+   the driver refuses to schedule it rather than fire it in place. *)
+let driver_rejects_stalled_clock () =
+  let liveness = Dht.Liveness.create ~node_count:1 in
+  let cfg =
+    {
+      Driver.session = Lifetime.exponential ~mean:1.0;
+      downtime = Lifetime.exponential ~mean:1e-300;
+      republish_period = infinity;
+      repair_period = infinity;
+    }
+  in
+  let d = Driver.create ~seed:3L ~liveness cfg in
+  let ignore_node ~time:_ _ = () and ignore_tick ~time:_ = () in
+  match
+    Driver.run_until d ~until:100.0 ~on_fail:ignore_node ~on_join:ignore_node
+      ~on_republish:ignore_tick ~on_repair:ignore_tick
+  with
+  | () -> Alcotest.fail "a delay the clock cannot add was scheduled"
+  | exception Invalid_argument _ -> ()
+
 let driver_alternates_per_node () =
   (* Each node strictly alternates fail/join, starting with a fail. *)
   let events = driver_schedule ~seed:7L in
@@ -275,6 +296,7 @@ let suite =
         Alcotest.test_case "identical seeds, identical schedules" `Quick
           driver_deterministic;
         Alcotest.test_case "fail/join alternation" `Quick driver_alternates_per_node;
+        Alcotest.test_case "stalled clock rejected" `Quick driver_rejects_stalled_clock;
       ] );
     ( "churn:runner",
       [

@@ -26,6 +26,16 @@ let usage_errors_exit_2 () =
       [ "simulate"; "--churn-rate"; "0.01"; "--republish"; "0" ];
       [ "simulate"; "--churn-rate"; "nan" ];
       [ "simulate"; "--churn-rate"; "0.01"; "--replication"; "0" ];
+      (* Maintenance periods too small for the clock to advance by at
+         the run's horizon: their events would reschedule forever. *)
+      [
+        "simulate"; "--nodes"; "20"; "--articles"; "50"; "--queries"; "20"; "--churn-rate"; "0.1";
+        "--republish"; "1e-300";
+      ];
+      [
+        "simulate"; "--nodes"; "20"; "--articles"; "50"; "--queries"; "20"; "--churn-rate"; "0.1";
+        "--replication"; "2"; "--read-quorum"; "2"; "--anti-entropy-interval"; "1e-300";
+      ];
       [ "simulate"; "--loss-rate"; "0.1"; "--rpc-timeout"; "inf" ];
       [ "simulate"; "--latency"; "inf" ];
       (* Run options, checked by Sharded.validate before anything is

@@ -157,6 +157,32 @@ let chord_lookup_from_every_node () =
         (Key.to_hex expected) (Key.to_hex owner))
     (Chord.live_keys ring)
 
+(* [create_network] inserts its nodes without routing their joins; the
+   ring it builds is the one routed joins and a global repair would. *)
+let chord_bootstrap_equals_joins_then_repair () =
+  List.iter
+    (fun (seed, node_count) ->
+      let built = Chord.create_network ~seed ~node_count () in
+      let joined = Chord.create ~seed () in
+      for _ = 1 to node_count do
+        ignore (Chord.join joined : Key.t)
+      done;
+      Chord.repair_globally joined;
+      let render ring =
+        List.map
+          (fun key ->
+            let successor, predecessor, successors, fingers = Chord.routing_state ring key in
+            String.concat " "
+              (List.map Key.to_hex
+                 ((key :: successor :: Option.to_list predecessor) @ successors @ fingers)))
+          (Chord.live_keys ring)
+      in
+      let label = Printf.sprintf "seed %Ld, %d nodes" seed node_count in
+      Alcotest.(check (list string)) (label ^ ": node states") (render joined) (render built);
+      Alcotest.(check string) (label ^ ": next draw")
+        (Key.to_hex (Chord.join joined)) (Key.to_hex (Chord.join built)))
+    [ (1L, 1); (2L, 2); (3L, 9); (11L, 64); (42L, 150) ]
+
 let chord_incremental_join_converges () =
   let ring = Chord.create ~seed:17L () in
   (* Join 24 nodes one at a time, stabilizing a little between joins, as a
@@ -581,6 +607,8 @@ let suite =
     ( "dht:chord",
       [
         Alcotest.test_case "bootstrap converged" `Quick chord_network_converged;
+        Alcotest.test_case "bootstrap = joins then repair" `Quick
+          chord_bootstrap_equals_joins_then_repair;
         Alcotest.test_case "lookup matches oracle" `Quick chord_lookup_matches_oracle;
         Alcotest.test_case "hops are logarithmic" `Quick chord_lookup_hops_logarithmic;
         Alcotest.test_case "lookup from every node" `Quick chord_lookup_from_every_node;
