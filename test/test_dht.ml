@@ -234,6 +234,16 @@ let chord_failure_recovery () =
       (Key.to_hex owner)
   done
 
+(* Failing a node leaves fingers pointing at it until stabilization
+   repairs them; its predecessor's live successor is already right, so
+   only a check of the fingers sees the damage. *)
+let chord_failures_unconverge_until_stabilized () =
+  let ring = Chord.create_network ~seed:29L ~node_count:50 () in
+  List.iter (Chord.leave ring) (List.filteri (fun i _ -> i mod 5 = 0) (Chord.live_keys ring));
+  Alcotest.(check bool) "stale fingers before stabilize" false (Chord.is_converged ring);
+  Chord.stabilize ring ~rounds:6;
+  Alcotest.(check bool) "converged after stabilize" true (Chord.is_converged ring)
+
 let chord_leave_unknown_raises () =
   let ring = Chord.create_network ~seed:2L ~node_count:3 () in
   Alcotest.check_raises "unknown node" Not_found (fun () ->
@@ -271,40 +281,166 @@ let chord_always_converges_after_bootstrap =
       let ring = Chord.create_network ~seed:(Int64.of_int (n + 1)) ~node_count:n () in
       Chord.is_converged ring)
 
-(* The cached live count and minimal live key must track every join,
-   failure and rejoin: compare them with what the node table itself
-   says.  Ops pick a live (or failed) node by index modulo the count;
-   an empty ring must report no first live node. *)
-let chord_membership_caches_track_table =
-  QCheck.Test.make ~name:"cached live count and first live key match the table"
-    ~count:100
+(* Membership under generated join / fail / rejoin schedules, for each
+   substrate with a node table (Chord, Pastry, Kademlia).  The test keeps
+   its own model of the live set and, after every operation, checks the
+   substrate's live count, its live keys (sorted, exactly the model), its
+   minimal live key, and its ownership (the oracle, the resolver's
+   primary and [Resolver.replicas] for r = 1..4) against brute-force
+   folds over the model.  Ops pick a live (or failed) node by index
+   modulo the count. *)
+type membership = {
+  join : unit -> Key.t;  (** join under a fresh identifier *)
+  rejoin : Key.t -> unit;
+  leave : Key.t -> unit;
+  live_count : unit -> int;
+  live_keys : unit -> Key.t list;
+  first_live : (unit -> Key.t) option;
+  oracle : Key.t -> Key.t;
+  resolver : unit -> Dht.Resolver.t;
+}
+
+(* Brute-force owners, primary first, over the sorted live keys. *)
+let ring_successors live key r =
+  let n = Array.length live in
+  let rec first i = if i = n then 0 else if Key.compare live.(i) key >= 0 then i else first (i + 1) in
+  let p = first 0 in
+  List.init (Stdlib.min r n) (fun i -> live.((p + i) mod n))
+
+(* Numerically closest, exactly (no float rounding), ties to the
+   smaller identifier; then that node's ring successors. *)
+let numeric_closest live key r =
+  let dist k =
+    let cw = Key.distance_cw key k and ccw = Key.distance_cw k key in
+    if Key.compare cw ccw <= 0 then cw else ccw
+  in
+  let best = ref 0 in
+  Array.iteri
+    (fun i k ->
+      let c = Key.compare (dist k) (dist live.(!best)) in
+      if c < 0 || (c = 0 && Key.compare k live.(!best) < 0) then best := i)
+    live;
+  let n = Array.length live in
+  List.init (Stdlib.min r n) (fun i -> live.((!best + i) mod n))
+
+let xor_order live key r =
+  let by_distance = List.sort (fun a b -> Key.compare (Key.xor key a) (Key.xor key b)) (Array.to_list live) in
+  List.filteri (fun i _ -> i < r) by_distance
+
+(* Node identifiers for Kademlia: random, or sharing a 15-byte prefix
+   with one of two fixed ones, so the XOR order is decided deep in the
+   key as well as near its top. *)
+let clustered_key g =
+  match Stdx.Prng.int g 3 with
+  | 0 -> Key.random g
+  | c ->
+      let base = Key.to_hex (Key.of_string (string_of_int c)) in
+      Key.of_hex (String.sub base 0 30 ^ String.sub (Key.to_hex (Key.random g)) 30 10)
+
+let membership_matches_model ~name ~count ~owners ~fresh make =
+  QCheck.Test.make ~name ~count
     QCheck.(pair (int_range 1 1_000) (small_list (pair (int_bound 2) small_nat)))
     (fun (seed, ops) ->
-      let ring = Chord.create ~seed:(Int64.of_int seed) () in
-      let failed = ref [] in
+      let g = Stdx.Prng.create ~seed:(Int64.of_int (seed + 7)) in
+      let m = make (Int64.of_int seed) g in
+      let live = ref [] and failed = ref [] in
+      let probes live =
+        List.init 4 (fun _ -> fresh g) @ match live with [] -> [] | k :: _ -> [ k ]
+      in
       let consistent () =
-        let live = Chord.live_keys ring in
-        Chord.live_count ring = List.length live
+        let model = List.sort Key.compare !live in
+        let keys = m.live_keys () in
+        m.live_count () = List.length model
+        && List.equal Key.equal keys model
+        && (match (model, m.first_live) with
+           | [], Some first -> ( match first () with _ -> false | exception Not_found -> true)
+           | k :: _, Some first -> Key.equal (first ()) k
+           | _, None -> true)
         &&
-        match live with
-        | [] -> (
-            match Chord.first_live ring with _ -> false | exception Not_found -> true)
-        | first :: _ -> Key.equal (Chord.first_live ring) first
+        match model with
+        | [] -> ( match m.oracle (fresh g) with _ -> false | exception Not_found -> true)
+        | _ :: _ ->
+            let sorted = Array.of_list model in
+            let resolver = m.resolver () in
+            Dht.Resolver.node_count resolver = Array.length sorted
+            && List.for_all
+                 (fun key ->
+                   let expected r = owners sorted key r in
+                   Key.equal (m.oracle key) (List.hd (expected 1))
+                   && Key.equal sorted.(Dht.Resolver.responsible resolver key) (List.hd (expected 1))
+                   && List.for_all
+                        (fun r ->
+                          List.equal Key.equal
+                            (List.map (Array.get sorted) (Dht.Resolver.replicas resolver key r))
+                            (expected r))
+                        [ 1; 2; 3; 4 ])
+                 (probes !live @ [ sorted.(Array.length sorted - 1) ])
       in
       List.for_all
         (fun (op, pick) ->
-          (match (op, Chord.live_keys ring, !failed) with
-          | 1, (_ :: _ as live), _ ->
-              let key = List.nth live (pick mod List.length live) in
-              Chord.leave ring key;
+          (match (op, !live, !failed) with
+          | 1, (_ :: _ as alive), _ ->
+              let key = List.nth alive (pick mod List.length alive) in
+              m.leave key;
+              live := List.filter (fun k -> not (Key.equal k key)) alive;
               failed := key :: !failed
           | 2, _, (_ :: _ as dead) ->
               let key = List.nth dead (pick mod List.length dead) in
-              Chord.join_with_key ring key;
+              m.rejoin key;
+              live := key :: !live;
               failed := List.filter (fun k -> not (Key.equal k key)) dead
-          | _ -> ignore (Chord.join ring : Key.t));
+          | _ -> live := m.join () :: !live);
           consistent ())
         ops)
+
+let chord_membership_caches_track_table =
+  membership_matches_model ~name:"cached live count and first live key match the table"
+    ~count:100 ~owners:ring_successors ~fresh:Key.random (fun seed _ ->
+      let ring = Chord.create ~seed () in
+      {
+        join = (fun () -> Chord.join ring);
+        rejoin = Chord.join_with_key ring;
+        leave = Chord.leave ring;
+        live_count = (fun () -> Chord.live_count ring);
+        live_keys = (fun () -> Chord.live_keys ring);
+        first_live = Some (fun () -> Chord.first_live ring);
+        oracle = Chord.responsible_oracle ring;
+        resolver = (fun () -> Chord.resolver ring);
+      })
+
+let pastry_membership_tracks_table =
+  membership_matches_model ~name:"cached live count and first live key match the table"
+    ~count:50 ~owners:numeric_closest ~fresh:Key.random (fun seed _ ->
+      let net = Pastry.create ~seed () in
+      {
+        join = (fun () -> Pastry.join net);
+        rejoin = Pastry.join_with_key net;
+        leave = Pastry.leave net;
+        live_count = (fun () -> Pastry.live_count net);
+        live_keys = (fun () -> Pastry.live_keys net);
+        first_live = None;
+        oracle = Pastry.responsible_oracle net;
+        resolver = (fun () -> Pastry.resolver net);
+      })
+
+let kademlia_membership_tracks_table =
+  membership_matches_model ~name:"cached live count and first live key match the table"
+    ~count:50 ~owners:xor_order ~fresh:clustered_key (fun seed g ->
+      let net = Dht.Kademlia.create ~seed () in
+      {
+        join =
+          (fun () ->
+            let key = clustered_key g in
+            Dht.Kademlia.join_with_key net key;
+            key);
+        rejoin = Dht.Kademlia.join_with_key net;
+        leave = Dht.Kademlia.leave net;
+        live_count = (fun () -> Dht.Kademlia.live_count net);
+        live_keys = (fun () -> Dht.Kademlia.live_keys net);
+        first_live = None;
+        oracle = Dht.Kademlia.responsible_oracle net;
+        resolver = (fun () -> Dht.Kademlia.resolver net);
+      })
 
 (* ------------------------------------------------------------------ *)
 (* Pastry. *)
@@ -617,6 +753,8 @@ let suite =
         Alcotest.test_case "explicit keys" `Quick chord_join_explicit_key;
         Alcotest.test_case "duplicate join rejected" `Quick chord_duplicate_join_rejected;
         Alcotest.test_case "failure recovery" `Slow chord_failure_recovery;
+        Alcotest.test_case "failures unconverge until stabilized" `Quick
+          chord_failures_unconverge_until_stabilized;
         Alcotest.test_case "leave unknown raises" `Quick chord_leave_unknown_raises;
         Alcotest.test_case "single-node ring" `Quick chord_single_node_ring;
         Alcotest.test_case "resolver agrees with static" `Quick
@@ -641,7 +779,7 @@ let suite =
         Alcotest.test_case "resolver numerically closest" `Quick
           pastry_resolver_numerically_closest;
       ]
-      @ qcheck [ pastry_always_converges_after_bootstrap ] );
+      @ qcheck [ pastry_always_converges_after_bootstrap; pastry_membership_tracks_table ] );
     ( "dht:can",
       [
         Alcotest.test_case "zones tile after joins" `Quick can_well_formed_after_joins;
@@ -661,5 +799,6 @@ let suite =
         Alcotest.test_case "churn recovery" `Slow kademlia_churn_recovery;
         Alcotest.test_case "duplicate join rejected" `Quick kademlia_duplicate_join_rejected;
         Alcotest.test_case "resolver XOR replicas" `Quick kademlia_resolver_replicas_xor_closest;
-      ] );
+      ]
+      @ qcheck [ kademlia_membership_tracks_table ] );
   ]
