@@ -194,6 +194,18 @@ let ablation_churn_golden () =
   check_stdout [ "experiment"; "--quick"; "ablation-churn" ]
     ~stdout_sha1:"f4f05e1f30ff568bca9a4f683af6cbb7fa1e3423"
 
+(* Ownership on all five substrates (the substrate ablation charges
+   each one's real routing under the index) and Chord's convergence
+   verdicts before and after failures, with the lookups checked against
+   the oracle. *)
+let ablation_substrate_golden () =
+  check_stdout [ "experiment"; "--quick"; "ablation-substrate" ]
+    ~stdout_sha1:"9edcafc7256283dbf5ed4500c036b0ef7a8f0072"
+
+let chord_golden () =
+  check_stdout [ "chord"; "--nodes"; "300"; "--lookups"; "500"; "--fail"; "0.1" ]
+    ~stdout_sha1:"622e8fe9960d58cb75290251065cc153f7d43c5a"
+
 let suite =
   [
     ( "cli:exit",
@@ -209,5 +221,7 @@ let suite =
         Alcotest.test_case "hard-state run" `Quick hard_state_golden;
         Alcotest.test_case "fault-sweep experiment" `Quick fault_sweep_golden;
         Alcotest.test_case "ablation-churn experiment" `Quick ablation_churn_golden;
+        Alcotest.test_case "ablation-substrate experiment" `Quick ablation_substrate_golden;
+        Alcotest.test_case "chord ring with failures" `Quick chord_golden;
       ] );
   ]
