@@ -9,7 +9,6 @@ module Key = Hashing.Key
 
 type node = {
   id : Key.t;
-  mutable alive : bool;
   mutable successor : Key.t;
   mutable predecessor : Key.t option;
   fingers : Key.t array;
@@ -22,18 +21,7 @@ type instruments = {
   failed_lookups : Obs.Metrics.Counter.t;
 }
 
-(* [live] counts the alive nodes and [first_live] caches the minimal
-   live identifier ([None]: not known), so default-origin lookups and
-   the routing bound never fold the node table.  Joins and failures —
-   [insert_node] and [leave], the only writers of [alive] — keep both
-   current. *)
-type t = {
-  nodes : (Key.t, node) Hashtbl.t;
-  prng : Stdx.Prng.t;
-  instruments : instruments option;
-  mutable live : int;
-  mutable first_live : Key.t option;
-}
+type t = { members : node Members.t; instruments : instruments option }
 
 (* Entries in each node's successor list, for failure recovery. *)
 let successor_list_length = 8
@@ -54,61 +42,16 @@ let create ?metrics ?(seed = 1L) () =
         })
       metrics
   in
-  {
-    nodes = Hashtbl.create 64;
-    prng = Stdx.Prng.create ~seed;
-    instruments;
-    live = 0;
-    first_live = None;
-  }
+  { members = Members.create ~seed (); instruments }
 
-let node_of t key =
-  match Hashtbl.find_opt t.nodes key with
-  | Some n -> n
-  | None -> invalid_arg "Chord: dangling node reference"
-
-let is_alive t key =
-  match Hashtbl.find_opt t.nodes key with Some n -> n.alive | None -> false
-
-let live_keys t =
-  List.filter_map
-    (fun (k, n) -> if n.alive then Some k else None)
-    (Stdx.Det_tbl.sorted_bindings ~compare:Key.compare t.nodes)
-
-let live_count t = t.live
-
-(* The minimal live key — the head [live_keys] would produce.  On a
-   cache miss one fold over the table finds it; the result stays cached
-   until the node it names fails. *)
-let[@hot] first_live t =
-  match t.first_live with
-  | Some k -> k
-  | None -> (
-      let best =
-        (* lint: allow D2 — min accumulator: commutative-associative, bucket order cannot change the result *)
-        Hashtbl.fold
-          (fun k n acc ->
-            if not n.alive then acc
-            else
-              match acc with
-              | Some b when Key.compare b k <= 0 -> acc
-              | Some _ | None -> Some k)
-          t.nodes None
-      in
-      t.first_live <- best;
-      match best with Some k -> k | None -> raise Not_found)
+let node_of t key = Members.find t.members key
+let is_alive t key = Members.is_alive t.members key
+let live_keys t = Members.live_keys t.members
+let live_count t = Members.live_count t.members
+let first_live t = Members.first_live t.members
 
 (* Ground truth: the live successor of [key] on the ring. *)
-let responsible_oracle t key =
-  let keys = live_keys t in
-  match keys with
-  | [] -> raise Not_found
-  | first :: _ ->
-      let rec walk = function
-        | [] -> first (* wrap around *)
-        | k :: rest -> if Key.compare k key >= 0 then k else walk rest
-      in
-      walk keys
+let responsible_oracle t key = Members.owner t.members Resolver.ring_successor key
 
 (* The first live entry of a node's successor chain; the node itself when
    everything it knows about is dead (a partition stabilization must fix). *)
@@ -166,54 +109,29 @@ let lookup t ?from key =
 (* Membership. *)
 
 let insert_node t key successor =
-  let n =
+  Members.add t.members key
     {
       id = key;
-      alive = true;
       successor;
       predecessor = None;
       fingers = Array.make Key.bits successor;
       successor_list = [];
     }
-  in
-  (* Only a dead node's identifier can be rejoined, so the live count
-     always grows. *)
-  Hashtbl.replace t.nodes key n;
-  t.live <- t.live + 1;
-  (match t.first_live with
-  | Some b when Key.compare key b < 0 -> t.first_live <- Some key
-  | Some _ | None -> ());
-  n
 
 let join_with_key t key =
   if is_alive t key then invalid_arg "Chord.join_with_key: identifier already joined";
-  match live_keys t with
-  | [] ->
-      (* First node: its own successor. *)
-      let n = insert_node t key key in
-      n.fingers.(0) <- key
-  | bootstrap :: _ ->
-      let succ, _hops = find_successor t ~from:bootstrap key in
-      ignore (insert_node t key succ)
-
-let rec fresh_key t =
-  let k = Key.random t.prng in
-  if Hashtbl.mem t.nodes k then fresh_key t else k
+  (* The first node is its own successor. *)
+  let successor =
+    if live_count t = 0 then key else fst (find_successor t ~from:(first_live t) key)
+  in
+  insert_node t key successor
 
 let join t =
-  let key = fresh_key t in
+  let key = Members.fresh_key t.members in
   join_with_key t key;
   key
 
-let leave t key =
-  match Hashtbl.find_opt t.nodes key with
-  | Some n when n.alive ->
-      n.alive <- false;
-      t.live <- t.live - 1;
-      (match t.first_live with
-      | Some b when Key.equal b key -> t.first_live <- None
-      | Some _ | None -> ())
-  | Some _ | None -> raise Not_found
+let leave t key = Members.fail t.members key
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance. *)
@@ -261,17 +179,14 @@ let stabilize_round t =
   (match t.instruments with
   | Some ins -> Obs.Metrics.Counter.incr ins.stabilization_rounds
   | None -> ());
-  let keys = live_keys t in
   List.iter
     (fun key ->
       let n = node_of t key in
-      if n.alive then begin
-        check_predecessor t n;
-        stabilize_node t n;
-        refresh_successor_list t n;
-        fix_fingers t n
-      end)
-    keys
+      check_predecessor t n;
+      stabilize_node t n;
+      refresh_successor_list t n;
+      fix_fingers t n)
+    (live_keys t)
 
 let stabilize t ~rounds =
   for _ = 1 to rounds do
@@ -279,55 +194,47 @@ let stabilize t ~rounds =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Convergence check against the oracle. *)
+(* The routing state stabilization converges to, read off the live
+   ring: the successor of the node at position [i], and the owner of
+   finger [b]'s target.  [repair_globally] installs it and
+   [is_converged] compares against it. *)
+
+let ideal_successor ring i = Resolver.ring_key ring ((i + 1) mod Resolver.ring_length ring)
+
+let ideal_finger ring key b =
+  Resolver.ring_key ring (Resolver.ring_successor ring (Key.add_pow2 key b))
 
 let is_converged t =
-  let keys = live_keys t in
-  match keys with
-  | [] -> true
-  | _ :: _ ->
-      List.for_all
-        (fun key ->
-          let n = node_of t key in
-          let expected_succ = responsible_oracle t (Key.succ n.id) in
-          Key.equal (live_successor t n) expected_succ
-          && Array.length n.fingers = Key.bits
-          &&
-          let finger_ok i f =
-            let target = Key.add_pow2 n.id i in
-            Key.equal f (responsible_oracle t target)
-          in
-          let rec all i = i >= Key.bits || (finger_ok i n.fingers.(i) && all (i + 1)) in
-          all 0)
-        keys
+  let ring = Members.ring t.members in
+  let rec fingers_ok n b =
+    b >= Key.bits || (Key.equal n.fingers.(b) (ideal_finger ring n.id b) && fingers_ok n (b + 1))
+  in
+  let rec nodes_ok i =
+    i >= Resolver.ring_length ring
+    ||
+    let n = node_of t (Resolver.ring_key ring i) in
+    Key.equal (live_successor t n) (ideal_successor ring i) && fingers_ok n 0 && nodes_ok (i + 1)
+  in
+  nodes_ok 0
 
-(* ------------------------------------------------------------------ *)
-(* Install the oracle routing state directly (equivalent to running
+(* Installing the converged state directly is equivalent to running
    stabilization to convergence, in O(n log n) instead of many protocol
-   rounds). *)
-
+   rounds. *)
 let repair_globally t =
-  let keys = Array.of_list (live_keys t) in
-  let count = Array.length keys in
-  if count > 0 then begin
-    let ring = Resolver.ring keys in
-    (* First live node >= key, wrapping. *)
-    let responsible key = keys.(Resolver.ring_successor ring key) in
-    Array.iteri
-      (fun i key ->
-        let n = node_of t key in
-        n.successor <- keys.((i + 1) mod count);
-        n.predecessor <- Some keys.((i + count - 1) mod count);
-        let rec successors acc j k =
-          if k = 0 then List.rev acc
-          else successors (keys.((j + 1) mod count) :: acc) ((j + 1) mod count) (k - 1)
-        in
-        n.successor_list <- successors [] i (Stdlib.min successor_list_length (count - 1));
-        for b = 0 to Key.bits - 1 do
-          n.fingers.(b) <- responsible (Key.add_pow2 key b)
-        done)
-      keys
-  end
+  let ring = Members.ring t.members in
+  let count = Resolver.ring_length ring in
+  for i = 0 to count - 1 do
+    let key = Resolver.ring_key ring i in
+    let n = node_of t key in
+    n.successor <- ideal_successor ring i;
+    n.predecessor <- Some (Resolver.ring_key ring ((i + count - 1) mod count));
+    n.successor_list <-
+      List.init (Stdlib.min successor_list_length (count - 1)) (fun j ->
+          Resolver.ring_key ring ((i + 1 + j) mod count));
+    for b = 0 to Key.bits - 1 do
+      n.fingers.(b) <- ideal_finger ring key b
+    done
+  done
 
 let routing_state t key =
   let n = node_of t key in
@@ -340,8 +247,8 @@ let create_network ?metrics ?seed ~node_count () =
      predecessor, successor list and finger a join would set, so each
      node is inserted bare, under the identifier [join] would draw. *)
   for _ = 1 to node_count do
-    let key = fresh_key t in
-    ignore (insert_node t key key : node)
+    let key = Members.fresh_key t.members in
+    insert_node t key key
   done;
   repair_globally t;
   t
@@ -349,18 +256,5 @@ let create_network ?metrics ?seed ~node_count () =
 (* ------------------------------------------------------------------ *)
 
 let resolver t =
-  let keys = Array.of_list (live_keys t) in
-  let count = Array.length keys in
-  if count = 0 then invalid_arg "Chord.resolver: empty ring";
-  let index_of = Resolver.ring_successor (Resolver.ring keys) in
-  {
-    Resolver.node_count = count;
-    responsible = (fun key -> index_of key);
-    route_hops =
-      (fun key ->
-        let _owner, hops = lookup t key in
-        hops);
-    replicas_into =
-      (fun key r buf ->
-        Resolver.ring_replicas_into ~node_count:count ~primary:(index_of key) r buf);
-  }
+  Resolver.of_ring (Members.ring t.members) ~owner:Resolver.ring_successor
+    ~route_hops:(fun key -> snd (lookup t key)) ()

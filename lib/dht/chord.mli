@@ -45,8 +45,7 @@ val live_count : t -> int
 
 val first_live : t -> Hashing.Key.t
 (** The minimal live identifier — the head of {!live_keys} and the
-    default origin of {!lookup}; cached until that node fails.
-    @raise Not_found on an empty ring. *)
+    default origin of {!lookup}.  @raise Not_found on an empty ring. *)
 
 val live_keys : t -> Hashing.Key.t list
 (** Identifiers of live nodes, in ring order. *)
@@ -65,8 +64,10 @@ val responsible_oracle : t -> Hashing.Key.t -> Hashing.Key.t
     compare {!lookup} against this. *)
 
 val is_converged : t -> bool
-(** True when every live node's successor pointer and every finger entry
-    match the oracle — i.e. stabilization has fully repaired the ring. *)
+(** True when every live node's live successor and every finger entry
+    match the state {!repair_globally} installs — the oracle's owners of
+    [id + 1] and [id + 2^i] — i.e. stabilization has fully repaired the
+    ring.  O(n · bits · log n). *)
 
 val repair_globally : t -> unit
 (** Install on every live node the routing state stabilization converges

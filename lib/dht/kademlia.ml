@@ -3,63 +3,28 @@ module Key = Hashing.Key
 (* Bucket index: position of the highest differing bit (0..159), i.e. the
    distance scale.  None when the keys are equal. *)
 let bucket_index a b =
-  let d = Key.xor a b in
-  let rec scan nibble =
-    if nibble >= 40 then None
-    else
-      let v = Key.nibble d nibble in
-      if v = 0 then scan (nibble + 1)
-      else
-        let bit_in_nibble =
-          if v >= 8 then 3 else if v >= 4 then 2 else if v >= 2 then 1 else 0
-        in
-        Some ((4 * (39 - nibble)) + bit_in_nibble)
-  in
-  scan 0
+  let shared = Key.common_prefix_bits a b in
+  if shared = Key.bits then None else Some (Key.bits - 1 - shared)
 
 type node = {
   id : Key.t;
-  mutable alive : bool;
   buckets : Key.t list array; (* per distance scale; most recently seen last *)
 }
 
-type t = {
-  nodes : (Key.t, node) Hashtbl.t;
-  prng : Stdx.Prng.t;
-}
+type t = node Members.t
 
 (* Bucket capacity and lookup parallelism. *)
 let k = 8
 let alpha = 3
 
-let create ?(seed = 1L) () = { nodes = Hashtbl.create 64; prng = Stdx.Prng.create ~seed }
+let create ?(seed = 1L) () = Members.create ~seed ()
 
-let node_of t key =
-  match Hashtbl.find_opt t.nodes key with
-  | Some n -> n
-  | None -> invalid_arg "Kademlia: dangling node reference"
+let node_of = Members.find
+let is_alive = Members.is_alive
+let live_keys = Members.live_keys
+let live_count = Members.live_count
 
-let is_alive t key =
-  match Hashtbl.find_opt t.nodes key with Some n -> n.alive | None -> false
-
-let live_keys t =
-  List.filter_map
-    (fun (k, n) -> if n.alive then Some k else None)
-    (Stdx.Det_tbl.sorted_bindings ~compare:Key.compare t.nodes)
-
-let live_count t =
-  Hashtbl.fold (fun _ n acc -> if n.alive then acc + 1 else acc) t.nodes 0
-
-let responsible_oracle t key =
-  match live_keys t with
-  | [] -> raise Not_found
-  | first :: rest ->
-      List.fold_left
-        (fun best candidate ->
-          if Key.compare_xor ~target:key candidate best < 0 then
-            candidate
-          else best)
-        first rest
+let responsible_oracle t key = Members.owner t Resolver.ring_xor_closest key
 
 (* Bucket update on hearing from [contact]: refresh recency, or append when
    there is room; a full bucket first evicts dead contacts, then keeps its
@@ -139,43 +104,28 @@ let iterative_lookup t ~from target =
       (best, !contacted)
 
 let lookup t ?from key =
-  let from =
-    match from with
-    | Some f -> f
-    | None -> ( match live_keys t with [] -> raise Not_found | k :: _ -> k)
-  in
+  let from = match from with Some f -> f | None -> Members.first_live t in
   if not (is_alive t from) then invalid_arg "Kademlia.lookup: start node is not alive";
   iterative_lookup t ~from key
 
 (* ------------------------------------------------------------------ *)
 
-let blank id = { id; alive = true; buckets = Array.make Key.bits [] }
+let blank id = { id; buckets = Array.make Key.bits [] }
 
 let join_with_key t key =
   if is_alive t key then invalid_arg "Kademlia.join_with_key: identifier already joined";
-  match live_keys t with
-  | [] -> Hashtbl.replace t.nodes key (blank key)
-  | bootstrap :: _ ->
-      let n = blank key in
-      Hashtbl.replace t.nodes key n;
-      observe t n bootstrap;
-      (* The self-lookup populates the joiner's buckets and announces it to
-         the nodes along the path. *)
-      ignore (iterative_lookup t ~from:key key)
+  if live_count t = 0 then Members.add t key (blank key)
+  else begin
+    let bootstrap = Members.first_live t in
+    let n = blank key in
+    Members.add t key n;
+    observe t n bootstrap;
+    (* The self-lookup populates the joiner's buckets and announces it to
+       the nodes along the path. *)
+    ignore (iterative_lookup t ~from:key key)
+  end
 
-let join t =
-  let rec fresh () =
-    let k = Key.random t.prng in
-    if Hashtbl.mem t.nodes k then fresh () else k
-  in
-  let key = fresh () in
-  join_with_key t key;
-  key
-
-let leave t key =
-  match Hashtbl.find_opt t.nodes key with
-  | Some n when n.alive -> n.alive <- false
-  | Some _ | None -> raise Not_found
+let leave = Members.fail
 
 let refresh t =
   List.iter (fun key -> ignore (iterative_lookup t ~from:key key)) (live_keys t)
@@ -184,7 +134,7 @@ let create_network ?seed ~node_count () =
   if node_count <= 0 then invalid_arg "Kademlia.create_network: need at least one node";
   let t = create ?seed () in
   for _ = 1 to node_count do
-    ignore (join t)
+    join_with_key t (Members.fresh_key t)
   done;
   refresh t;
   t
@@ -193,8 +143,8 @@ let is_converged t =
   match live_keys t with
   | [] -> true
   | keys ->
-      (* Sample: every node looks up a handful of random keys plus every
-         node identifier; all must land on the oracle owner. *)
+      (* Sample: every node looks up the same 10 random keys; all must
+         land on the oracle owner. *)
       let g = Stdx.Prng.create ~seed:3141L in
       let sample = List.init 10 (fun _ -> Key.random g) in
       List.for_all
@@ -208,27 +158,7 @@ let is_converged t =
         keys
 
 let resolver t =
-  let keys = Array.of_list (live_keys t) in
-  let count = Array.length keys in
-  if count = 0 then invalid_arg "Kademlia.resolver: empty network";
-  (* Only member keys are looked up: their ring successor is
-     themselves. *)
-  let index_of = Resolver.ring_successor (Resolver.ring keys) in
-  let xor_closest key r =
-    Array.to_list keys
-    |> List.sort (Key.compare_xor ~target:key)
-    |> List.filteri (fun i _ -> i < r)
-    |> List.map index_of
-  in
-  {
-    Resolver.node_count = count;
-    responsible = (fun key -> index_of (responsible_oracle t key));
-    route_hops =
-      (fun key ->
-        let _owner, contacted = lookup t key in
-        contacted);
-    replicas_into =
-      (fun key r buf ->
-        Stdx.Int_buf.clear buf;
-        List.iter (Stdx.Int_buf.push buf) (xor_closest key (Stdlib.min r count)));
-  }
+  Resolver.of_ring (Members.ring t) ~owner:Resolver.ring_xor_closest
+    ~replicas_into:Resolver.ring_xor_replicas_into
+    ~route_hops:(fun key -> snd (lookup t key))
+    ()

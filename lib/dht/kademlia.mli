@@ -43,7 +43,8 @@ val refresh : t -> unit
     repopulating buckets (used after churn). *)
 
 val is_converged : t -> bool
-(** Lookups from every node find the oracle owner for a sample of keys. *)
+(** Lookups from every node find the oracle owner of each of 10 random
+    keys (the same 10 on every call). *)
 
 val resolver : t -> Resolver.t
 (** Resolver view over live nodes (indexes in sorted-key order);

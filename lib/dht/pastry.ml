@@ -28,51 +28,34 @@ let circular_distance a b =
 
 type node = {
   id : Key.t;
-  mutable alive : bool;
   mutable leaf_left : Key.t list; (* counter-clockwise, nearest first *)
   mutable leaf_right : Key.t list; (* clockwise, nearest first *)
   table : Key.t option array array; (* digits x radix *)
 }
 
-type t = {
-  nodes : (Key.t, node) Hashtbl.t;
-  prng : Stdx.Prng.t;
-}
+type t = node Members.t
 
 (* Leaf neighbours kept on each side of a node. *)
 let leaf_set_radius = 8
 
-let create ?(seed = 1L) () = { nodes = Hashtbl.create 64; prng = Stdx.Prng.create ~seed }
+let create ?(seed = 1L) () = Members.create ~seed ()
 
-let node_of t key =
-  match Hashtbl.find_opt t.nodes key with
-  | Some n -> n
-  | None -> invalid_arg "Pastry: dangling node reference"
+let node_of = Members.find
+let is_alive = Members.is_alive
+let live_keys = Members.live_keys
+let live_count = Members.live_count
 
-let is_alive t key =
-  match Hashtbl.find_opt t.nodes key with Some n -> n.alive | None -> false
+(* Numerically closest live node: the ring successor or its
+   predecessor, ties to the smaller identifier. *)
+let owner_index ring key =
+  let count = Resolver.ring_length ring in
+  let successor = Resolver.ring_successor ring key in
+  let predecessor = (successor + count - 1) mod count in
+  let s = Resolver.ring_key ring successor and p = Resolver.ring_key ring predecessor in
+  let ds = circular_distance key s and dp = circular_distance key p in
+  if dp < ds || (dp = ds && Key.compare p s < 0) then predecessor else successor
 
-let live_keys t =
-  List.filter_map
-    (fun (k, n) -> if n.alive then Some k else None)
-    (Stdx.Det_tbl.sorted_bindings ~compare:Key.compare t.nodes)
-
-let live_count t =
-  Hashtbl.fold (fun _ n acc -> if n.alive then acc + 1 else acc) t.nodes 0
-
-let responsible_oracle t key =
-  match live_keys t with
-  | [] -> raise Not_found
-  | keys ->
-      let best = ref (List.hd keys) in
-      List.iter
-        (fun candidate ->
-          let d = circular_distance key candidate in
-          let best_d = circular_distance key !best in
-          if d < best_d || (d = best_d && Key.compare candidate !best < 0) then
-            best := candidate)
-        keys;
-      !best
+let responsible_oracle t key = Members.owner t owner_index key
 
 (* ------------------------------------------------------------------ *)
 (* Per-node views. *)
@@ -151,11 +134,7 @@ let route t ~from key =
   step from 0
 
 let lookup t ?from key =
-  let from =
-    match from with
-    | Some f -> f
-    | None -> ( match live_keys t with [] -> raise Not_found | k :: _ -> k)
-  in
+  let from = match from with Some f -> f | None -> Members.first_live t in
   if not (is_alive t from) then invalid_arg "Pastry.lookup: start node is not alive";
   route t ~from key
 
@@ -165,7 +144,6 @@ let lookup t ?from key =
 let blank_node id =
   {
     id;
-    alive = true;
     leaf_left = [];
     leaf_right = [];
     table = Array.make_matrix digits radix None;
@@ -233,67 +211,46 @@ let create_network ?seed ~node_count () =
   if node_count <= 0 then invalid_arg "Pastry.create_network: need at least one node";
   let t = create ?seed () in
   for _ = 1 to node_count do
-    let rec fresh () =
-      let k = Key.random t.prng in
-      if Hashtbl.mem t.nodes k then fresh () else k
-    in
-    Hashtbl.replace t.nodes (fresh ()) (blank_node Key.zero)
+    let key = Members.fresh_key t in
+    Members.add t key (blank_node key)
   done;
-  (* The blank nodes above carry the wrong ids; rebuild them properly. *)
-  let keys = Stdx.Det_tbl.sorted_keys ~compare:Key.compare t.nodes in
-  Hashtbl.reset t.nodes;
-  List.iter (fun k -> Hashtbl.replace t.nodes k (blank_node k)) keys;
   rebuild_globally t;
   t
 
 let join_with_key t key =
   if is_alive t key then invalid_arg "Pastry.join_with_key: identifier already joined";
-  match live_keys t with
-  | [] -> Hashtbl.replace t.nodes key (blank_node key)
-  | bootstrap :: _ ->
-      (* Route the join towards the new identifier; harvest state from the
-         nodes along the path (rows from each hop, leaves from the target),
-         then announce to the new leaf set (Pastry join, Section 2.4). *)
-      let path = ref [] in
-      let owner, _hops =
-        (* Reuse [route] but record hops by instrumenting known steps: the
-           simple way is to route and then collect the path again greedily;
-           for state harvesting the target's view suffices in practice. *)
-        route t ~from:bootstrap key
-      in
-      path := [ bootstrap; owner ];
-      let n = blank_node key in
-      Hashtbl.replace t.nodes key n;
-      let owner_node = node_of t owner in
-      set_leaves t n (owner :: (owner_node.leaf_left @ owner_node.leaf_right));
-      List.iter
-        (fun hop ->
-          let hop_node = node_of t hop in
-          fill_table_from t n (hop :: known_nodes t hop_node))
-        !path;
-      (* Announce: every node in the new node's neighbourhood refreshes its
-         leaf set and table with the newcomer. *)
-      List.iter
-        (fun neighbour ->
-          let m = node_of t neighbour in
-          set_leaves t m (key :: (m.leaf_left @ m.leaf_right));
-          fill_table_from t m [ key ])
-        (n.leaf_left @ n.leaf_right);
-      fill_table_from t owner_node [ key ]
+  if live_count t = 0 then Members.add t key (blank_node key)
+  else begin
+    (* Route the join towards the new identifier; harvest routing rows
+       from the bootstrap node and the owner the route reaches, leaves
+       from the owner, then announce to the new leaf set (Pastry join,
+       Section 2.4). *)
+    let bootstrap = Members.first_live t in
+    let owner, _hops = route t ~from:bootstrap key in
+    let n = blank_node key in
+    Members.add t key n;
+    let owner_node = node_of t owner in
+    set_leaves t n (owner :: (owner_node.leaf_left @ owner_node.leaf_right));
+    List.iter
+      (fun hop -> fill_table_from t n (hop :: known_nodes t (node_of t hop)))
+      [ bootstrap; owner ];
+    (* Announce: every node in the new node's neighbourhood refreshes its
+       leaf set and table with the newcomer. *)
+    List.iter
+      (fun neighbour ->
+        let m = node_of t neighbour in
+        set_leaves t m (key :: (m.leaf_left @ m.leaf_right));
+        fill_table_from t m [ key ])
+      (n.leaf_left @ n.leaf_right);
+    fill_table_from t owner_node [ key ]
+  end
 
 let join t =
-  let rec fresh () =
-    let k = Key.random t.prng in
-    if Hashtbl.mem t.nodes k then fresh () else k
-  in
-  let key = fresh () in
+  let key = Members.fresh_key t in
   join_with_key t key;
   key
 
-let leave t key =
-  match Hashtbl.find_opt t.nodes key with
-  | Some n when n.alive -> n.alive <- false
-  | Some _ | None -> raise Not_found
+let leave = Members.fail
 
 let repair t =
   let keys = live_keys t in
@@ -332,29 +289,4 @@ let is_converged t =
         keys
 
 let resolver t =
-  let keys = Array.of_list (live_keys t) in
-  let count = Array.length keys in
-  if count = 0 then invalid_arg "Pastry.resolver: empty overlay";
-  let ring = Resolver.ring keys in
-  let index_of key =
-    (* Numerically closest node: the ring successor or its predecessor. *)
-    let successor = Resolver.ring_successor ring key in
-    let predecessor = (successor + count - 1) mod count in
-    let ds = circular_distance key keys.(successor) in
-    let dp = circular_distance key keys.(predecessor) in
-    if dp < ds || (dp = ds && Key.compare keys.(predecessor) keys.(successor) < 0) then
-      predecessor
-    else successor
-  in
-  {
-    Resolver.node_count = count;
-    responsible = index_of;
-    route_hops =
-      (fun key ->
-        let _owner, hops = lookup t key in
-        hops);
-    replicas_into =
-      (fun key r buf ->
-        (* The leaf-set neighbourhood of the primary, in ring order. *)
-        Resolver.ring_replicas_into ~node_count:count ~primary:(index_of key) r buf);
-  }
+  Resolver.of_ring (Members.ring t) ~owner:owner_index ~route_hops:(fun key -> snd (lookup t key)) ()

@@ -46,13 +46,15 @@ val lookup : t -> ?from:Hashing.Key.t -> Hashing.Key.t -> Hashing.Key.t * int
     @raise Not_found on an empty overlay. *)
 
 val responsible_oracle : t -> Hashing.Key.t -> Hashing.Key.t
-(** Ground truth: the live node numerically closest to the key (ties to the
-    counter-clockwise side). *)
+(** Ground truth: the live node numerically closest to the key — the
+    nearer of its ring successor and predecessor, ties to the smaller
+    identifier (the clockwise side at the wrap). *)
 
 val is_converged : t -> bool
-(** All lookups from all nodes agree with the oracle and leaf sets are
-    correct. *)
+(** Routes from every live node to every live identifier land on that
+    identifier. *)
 
 val resolver : t -> Resolver.t
-(** Resolver view: node indexes are ring-order positions among live nodes;
-    [route_hops] measures real Pastry routes. *)
+(** Resolver view: node indexes are ring-order positions among live nodes,
+    ownership is {!responsible_oracle}'s rule; [route_hops] measures real
+    Pastry routes. *)

@@ -40,10 +40,43 @@ val ring : Hashing.Key.t array -> ring
 (** [ring positions] over positions sorted ascending by
     {!Hashing.Key.compare}; the array is shared, not copied. *)
 
+val ring_length : ring -> int
+
+val ring_key : ring -> int -> Hashing.Key.t
+(** The position at an index, [0] being the smallest. *)
+
 val ring_successor : ring -> Hashing.Key.t -> int
 (** Index of the first position [>=] the key, wrapping to 0 past the
     last one: the key's clockwise successor.  O(log n); full keys are
     compared only where two prefixes tie. *)
+
+val ring_xor_closest : ring -> Hashing.Key.t -> int
+(** Index of the position XOR-closest to the key (Kademlia's owner),
+    found by descending the sorted positions bit by bit: the positions
+    sharing a prefix with the key are contiguous.  O(log^2 n) bit
+    reads, no allocation.
+    @raise Invalid_argument on an empty ring. *)
+
+val ring_xor_replicas_into : ring -> Hashing.Key.t -> int -> Stdx.Int_buf.t -> unit
+(** [ring_xor_replicas_into ring key r buf]: the indexes of the [r]
+    positions XOR-closest to the key, closest first, into [buf] (cleared
+    first) — the same descent, continued into the nearest subtrees it
+    passed.  Shorter than [r] when the ring is smaller; empty when
+    [r < 1]. *)
+
+val of_ring :
+  ring ->
+  owner:(ring -> Hashing.Key.t -> int) ->
+  ?replicas_into:(ring -> Hashing.Key.t -> int -> Stdx.Int_buf.t -> unit) ->
+  route_hops:(Hashing.Key.t -> int) ->
+  unit ->
+  t
+(** A resolver over a ring of node identifiers: node indexes are ring
+    positions, [owner] is the ownership rule and [route_hops] the hops a
+    lookup takes.  Replicas go to the owner and its ring successors (a
+    successor list or leaf-set neighbourhood, {!ring_replicas_into})
+    unless [replicas_into] places them.
+    @raise Invalid_argument on an empty ring. *)
 
 val ring_replicas_into :
   node_count:int -> primary:int -> int -> Stdx.Int_buf.t -> unit

@@ -26,8 +26,6 @@ let create ?(seed = 1L) ~node_count () =
   in
   of_keys (Array.init node_count (fun _ -> fresh ()))
 
-let node_count t = Array.length t.keys
-
 let node_key t i =
   if i < 0 || i >= Array.length t.keys then invalid_arg "Static_dht.node_key: bad index";
   t.keys.(i)
@@ -35,13 +33,4 @@ let node_key t i =
 (* First node whose identifier is >= key, wrapping to node 0. *)
 let responsible t key = Resolver.ring_successor t.ring key
 
-let resolver t =
-  let count = node_count t in
-  {
-    Resolver.node_count = count;
-    responsible = responsible t;
-    route_hops = (fun _ -> 1);
-    replicas_into =
-      (fun key r buf ->
-        Resolver.ring_replicas_into ~node_count:count ~primary:(responsible t key) r buf);
-  }
+let resolver t = Resolver.of_ring t.ring ~owner:Resolver.ring_successor ~route_hops:(fun _ -> 1) ()

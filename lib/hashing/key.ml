@@ -14,9 +14,11 @@ let equal = String.equal
 
 let of_string s = Sha1.digest_string s
 
-let prefix56 t =
-  let rec go acc i = if i = 7 then acc else go ((acc lsl 8) lor Char.code t.[i]) (i + 1) in
-  go 0 0
+(* Helpers below take the key as an argument rather than closing over
+   it, so the functions that search rings allocate nothing. *)
+let rec prefix_from t acc i = if i = 7 then acc else prefix_from t ((acc lsl 8) lor Char.code t.[i]) (i + 1)
+
+let prefix56 t = prefix_from t 0 0
 
 let of_int n =
   if n < 0 then invalid_arg "Key.of_int: negative value";
@@ -41,6 +43,18 @@ let short_hex k = String.sub (to_hex k) 0 8
 
 let xor a b =
   String.init byte_count (fun i -> Char.chr (Char.code a.[i] lxor Char.code b.[i]))
+
+let bit t i = (Char.code t.[i lsr 3] lsr (7 - (i land 7))) land 1
+
+let rec leading_zeros x k = if x land 0x80 <> 0 then k else leading_zeros (x lsl 1) (k + 1)
+
+let rec common_prefix_from a b i =
+  if i = byte_count then bits
+  else
+    let x = Char.code a.[i] lxor Char.code b.[i] in
+    if x = 0 then common_prefix_from a b (i + 1) else (8 * i) + leading_zeros x 0
+
+let common_prefix_bits a b = common_prefix_from a b 0
 
 let compare_xor ~target a b =
   (* The first byte where the distances differ decides; nothing is built. *)
@@ -91,14 +105,20 @@ let one = of_int 1
 
 let succ t = add t one
 
-let pow2 i =
-  if i < 0 || i >= bits then invalid_arg "Key.add_pow2: exponent out of range";
-  let b = Bytes.make byte_count '\000' in
-  let byte = byte_count - 1 - (i / 8) in
-  Bytes.set b byte (Char.chr (1 lsl (i mod 8)));
-  Bytes.to_string b
+(* 2^i lands in one byte; its carry runs towards the top byte and is
+   dropped past it.  One copy of the key is the only allocation. *)
+let rec carry b pos v =
+  if pos >= 0 then begin
+    let sum = Char.code (Bytes.get b pos) + v in
+    Bytes.set b pos (Char.unsafe_chr (sum land 0xFF));
+    if sum > 0xFF then carry b (pos - 1) 1
+  end
 
-let add_pow2 t i = add t (pow2 i)
+let add_pow2 t i =
+  if i < 0 || i >= bits then invalid_arg "Key.add_pow2: exponent out of range";
+  let b = Bytes.of_string t in
+  carry b (byte_count - 1 - (i / 8)) (1 lsl (i mod 8));
+  Bytes.unsafe_to_string b
 
 let in_interval_oo k ~lo ~hi =
   if equal lo hi then not (equal k lo)

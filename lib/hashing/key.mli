@@ -43,6 +43,14 @@ val nibble : t -> int -> int
 val xor : t -> t -> t
 (** Bitwise XOR of two keys — the Kademlia distance. *)
 
+val bit : t -> int -> int
+(** [bit k i] is the i-th bit of the key, most significant first, [i] in
+    [\[0, bits)]: 0 or 1. *)
+
+val common_prefix_bits : t -> t -> int
+(** The number of leading bits two keys share: [bits] when they are
+    equal, else the index of their first differing bit. *)
+
 val compare_xor : target:t -> t -> t -> int
 (** [compare_xor ~target a b] orders [a] and [b] by XOR distance to
     [target]: it has the sign of [compare (xor target a) (xor target b)],

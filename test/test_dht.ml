@@ -89,6 +89,30 @@ let ring_successor_matches_linear_scan =
         (fun key -> Dht.Resolver.ring_successor ring key = linear key)
         ((top :: probes) @ nodes))
 
+(* The XOR descent against a sort by XOR distance, over the same
+   prefix-tied rings: the closest position and the first r of the XOR
+   order, r = 1..5. *)
+let ring_xor_descent_matches_sort =
+  QCheck.Test.make ~name:"XOR descent matches a sort" ~count:300
+    (QCheck.make ring_search_case) (fun (nodes, probes) ->
+      let positions = Array.of_list (List.sort_uniq Key.compare nodes) in
+      let ring = Dht.Resolver.ring positions in
+      let buf = Stdx.Int_buf.create () in
+      List.for_all
+        (fun key ->
+          let by_xor =
+            List.sort
+              (fun i j -> Key.compare (Key.xor key positions.(i)) (Key.xor key positions.(j)))
+              (List.init (Array.length positions) Fun.id)
+          in
+          Dht.Resolver.ring_xor_closest ring key = List.hd by_xor
+          && List.for_all
+               (fun r ->
+                 Dht.Resolver.ring_xor_replicas_into ring key r buf;
+                 Stdx.Int_buf.to_list buf = List.filteri (fun i _ -> i < r) by_xor)
+               [ 1; 2; 3; 4; 5 ])
+        (probes @ nodes))
+
 let static_node_key_is_own_owner () =
   let dht = Static.create ~seed:3L ~node_count:20 () in
   for i = 0 to 19 do
@@ -800,5 +824,5 @@ let suite =
         Alcotest.test_case "duplicate join rejected" `Quick kademlia_duplicate_join_rejected;
         Alcotest.test_case "resolver XOR replicas" `Quick kademlia_resolver_replicas_xor_closest;
       ]
-      @ qcheck [ kademlia_membership_tracks_table ] );
+      @ qcheck [ ring_xor_descent_matches_sort; kademlia_membership_tracks_table ] );
   ]
