@@ -184,6 +184,22 @@ let micro_ops () : (string * (unit -> unit)) list =
       Storage.Replicated_store.insert ae_store ~key ~len:(String.length v) v
     done
   done;
+  (* Ownership on 500-node rings, over a fixed cycle of keys so only the
+     lookup allocates: Chord's ring successor, Kademlia's XOR descent and
+     its three closest replicas, and one whole Chord convergence check. *)
+  let chord_500 = Dht.Chord.create_network ~seed:7L ~node_count:500 () in
+  let chord_500_resolver = Dht.Chord.resolver chord_500 in
+  let kademlia_500_resolver =
+    Dht.Kademlia.resolver (Dht.Kademlia.create_network ~seed:7L ~node_count:500 ())
+  in
+  let owner_prng = Stdx.Prng.create ~seed:13L in
+  let owner_keys = Array.init 1024 (fun _ -> Hashing.Key.random owner_prng) in
+  let owner_tick = ref 0 in
+  let owner_key () =
+    incr owner_tick;
+    owner_keys.(!owner_tick land 1023)
+  in
+  let replica_buf = Stdx.Int_buf.create () in
   (* Per-node set-up at 10k nodes: the substrate's identifiers, an empty
      store, and a whole run's set-up (substrate, store, caches, corpus
      publication) — what every shard of a scale run pays before its
@@ -289,6 +305,13 @@ let micro_ops () : (string * (unit -> unit)) list =
         ignore
           (Storage.Anti_entropy.run ae_store ~entry_bytes:Storage.Replicated_store.entry_len ()) );
     ("prng/int", fun () -> ignore (Stdx.Prng.int prng 1000));
+    ( "dht/chord-responsible-500",
+      fun () -> ignore (Dht.Resolver.responsible chord_500_resolver (owner_key ())) );
+    ( "dht/kademlia-responsible-500",
+      fun () -> ignore (Dht.Resolver.responsible kademlia_500_resolver (owner_key ())) );
+    ( "dht/kademlia-replicas3-500",
+      fun () -> Dht.Resolver.replicas_into kademlia_500_resolver (owner_key ()) 3 replica_buf );
+    ("dht/chord-converged-500", fun () -> ignore (Dht.Chord.is_converged chord_500));
     ( "dht/static-create-10k",
       fun () -> ignore (Dht.Static_dht.create ~seed:3L ~node_count:10_000 ()) );
     ( "storage/create-10k",
@@ -335,16 +358,22 @@ let micro_runs = 1_000
    nanoseconds; ten runs give their exact per-run counts. *)
 let micro_runs_of = function
   | "index/publish-corpus-1k" | "index/republish-corpus-1k" | "dht/static-create-10k"
-  | "storage/create-10k" | "sim/setup-10k-nodes" ->
+  | "storage/create-10k" | "sim/setup-10k-nodes" | "dht/chord-converged-500" ->
       10
   | _ -> micro_runs
 
 (* Absolute ceilings on minor words per run, on top of the baseline
    comparison: per-node set-up must cost what a run touches, not what
-   the population size would buy, and a PRNG draw nothing. *)
+   the population size would buy, a PRNG draw nothing, an ownership
+   lookup a search of the live ring, not a pass over every node, and a
+   convergence check one finger target per finger. *)
 let micro_ceilings =
   [
     ("prng/int", 0.0);
+    ("dht/chord-responsible-500", 50.0);
+    ("dht/kademlia-responsible-500", 50.0);
+    ("dht/kademlia-replicas3-500", 50.0);
+    ("dht/chord-converged-500", 1_000_000.0);
     ("dht/static-create-10k", 200_000.0);
     ("storage/create-10k", 1_000.0);
     ("sim/setup-10k-nodes", 1_000_000.0);
