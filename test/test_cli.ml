@@ -182,6 +182,17 @@ let hard_state_golden =
     ~stdout_sha1:"f6ca3504fe0c70cce159d5c1a70fcb7b3b0d9237"
     ~metrics_sha1:"a5e3161732ed3ff4f8502b90ad227d3dc347eea2"
 
+(* CAN under churn at replication 3: ownership, charged routing hops
+   and replica placement (the owner, then its zone neighbours in id
+   order) over the zone partition. *)
+let can_churn_golden =
+  golden
+    [ "simulate"; "--nodes"; "120"; "--articles"; "500"; "--queries"; "1500";
+      "--substrate"; "can"; "--charge-hops"; "--churn-rate"; "0.01"; "--replication"; "3";
+      "--seed"; "5" ]
+    ~stdout_sha1:"43bc1af140cd7f172a4fad3c58b6dd73d7e94a53"
+    ~metrics_sha1:"c62aeb9144afa418afd4d9a58bb0b1dc0b527a4a"
+
 (* Two experiments whose tables rest on fixed settings: the fault sweep
    on the RPC layer's retries and hedge delay, the churn ablation on its
    session and downtime draws.  (A change to the backoff jitter shows in
@@ -219,6 +230,7 @@ let suite =
       [
         Alcotest.test_case "soft-state run" `Quick soft_state_golden;
         Alcotest.test_case "hard-state run" `Quick hard_state_golden;
+        Alcotest.test_case "CAN run with churn and replicas" `Quick can_churn_golden;
         Alcotest.test_case "fault-sweep experiment" `Quick fault_sweep_golden;
         Alcotest.test_case "ablation-churn experiment" `Quick ablation_churn_golden;
         Alcotest.test_case "ablation-substrate experiment" `Quick ablation_substrate_golden;
