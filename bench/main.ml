@@ -184,14 +184,20 @@ let micro_ops () : (string * (unit -> unit)) list =
       Storage.Replicated_store.insert ae_store ~key ~len:(String.length v) v
     done
   done;
-  (* Ownership on 500-node rings, over a fixed cycle of keys so only the
-     lookup allocates: Chord's ring successor, Kademlia's XOR descent and
-     its three closest replicas, and one whole Chord convergence check. *)
+  (* Ownership on 500-node overlays, over a fixed cycle of keys so only
+     the lookup allocates: Chord's ring successor, Pastry's numerically
+     closest node, Kademlia's XOR descent, CAN's partition-tree descent,
+     the three closest replicas on Kademlia and CAN, and one whole Chord
+     convergence check. *)
   let chord_500 = Dht.Chord.create_network ~seed:7L ~node_count:500 () in
   let chord_500_resolver = Dht.Chord.resolver chord_500 in
+  let pastry_500_resolver =
+    Dht.Pastry.resolver (Dht.Pastry.create_network ~seed:7L ~node_count:500 ())
+  in
   let kademlia_500_resolver =
     Dht.Kademlia.resolver (Dht.Kademlia.create_network ~seed:7L ~node_count:500 ())
   in
+  let can_500_resolver = Dht.Can.resolver (Dht.Can.create_network ~seed:7L ~node_count:500 ()) in
   let owner_prng = Stdx.Prng.create ~seed:13L in
   let owner_keys = Array.init 1024 (fun _ -> Hashing.Key.random owner_prng) in
   let owner_tick = ref 0 in
@@ -311,6 +317,12 @@ let micro_ops () : (string * (unit -> unit)) list =
       fun () -> ignore (Dht.Resolver.responsible kademlia_500_resolver (owner_key ())) );
     ( "dht/kademlia-replicas3-500",
       fun () -> Dht.Resolver.replicas_into kademlia_500_resolver (owner_key ()) 3 replica_buf );
+    ( "dht/pastry-responsible-500",
+      fun () -> ignore (Dht.Resolver.responsible pastry_500_resolver (owner_key ())) );
+    ( "dht/can-responsible-500",
+      fun () -> ignore (Dht.Resolver.responsible can_500_resolver (owner_key ())) );
+    ( "dht/can-replicas3-500",
+      fun () -> Dht.Resolver.replicas_into can_500_resolver (owner_key ()) 3 replica_buf );
     ("dht/chord-converged-500", fun () -> ignore (Dht.Chord.is_converged chord_500));
     ( "dht/static-create-10k",
       fun () -> ignore (Dht.Static_dht.create ~seed:3L ~node_count:10_000 ()) );
@@ -365,14 +377,20 @@ let micro_runs_of = function
 (* Absolute ceilings on minor words per run, on top of the baseline
    comparison: per-node set-up must cost what a run touches, not what
    the population size would buy, a PRNG draw nothing, an ownership
-   lookup a search of the live ring, not a pass over every node, and a
-   convergence check one finger target per finger. *)
+   lookup a search of the live ring or a descent of CAN's partition
+   tree, not a pass over every node, a Chord lookup its key and result
+   and nothing per hop, and a convergence check one finger target per
+   finger. *)
 let micro_ceilings =
   [
     ("prng/int", 0.0);
+    ("chord/lookup-256", 10.0);
     ("dht/chord-responsible-500", 50.0);
+    ("dht/pastry-responsible-500", 50.0);
     ("dht/kademlia-responsible-500", 50.0);
     ("dht/kademlia-replicas3-500", 50.0);
+    ("dht/can-responsible-500", 50.0);
+    ("dht/can-replicas3-500", 50.0);
     ("dht/chord-converged-500", 1_000_000.0);
     ("dht/static-create-10k", 200_000.0);
     ("storage/create-10k", 1_000.0);

@@ -1,54 +1,66 @@
 module Key = Hashing.Key
 
-(* The coordinate space is the d-torus [0,1)^d.  Every node owns one or
-   more rectangular zones (several only after takeovers that could not be
-   merged back into a rectangle, as in the CAN paper's departure handling).
-   Zones always tile the space exactly: joins split the containing zone at
-   its midpoint along its largest dimension, departures hand zones to a
-   neighbour and re-coalesce rectangles when possible. *)
+(* The coordinate space is the d-torus [0,1)^d, kept as CAN's binary
+   partition tree: an internal cell halves its box at one dimension's
+   midpoint, a leaf is a zone and its owner.  A node owns several leaves
+   only after taking over a zone that was not its sibling (the CAN
+   paper's departure handling). *)
 
 type zone = { lo : float array; hi : float array }
 
-type node = { id : int; mutable alive : bool; mutable zones : zone list }
+type cell = {
+  zone : zone;
+  mutable owner : int; (* a leaf's owner; stale once the cell is split *)
+  mutable split : split option;
+}
+
+(* [lower] covers [zone.lo.(dim), mid) of the parent, [upper] the rest. *)
+and split = { dim : int; mid : float; lower : cell; upper : cell }
 
 type t = {
   dims : int;
-  mutable nodes : node list; (* all ever created; dead ones keep no zones *)
+  root : cell;
+  mutable owned : cell list array; (* id -> its leaves; [] once departed *)
   mutable next_id : int;
+  mutable live : int;
+  scratch : Stdx.Int_buf.t; (* neighbour ids, reused by every walk *)
   prng : Stdx.Prng.t;
 }
 
 let create ?(seed = 1L) ?(dimensions = 2) () =
   if dimensions < 1 then invalid_arg "Can.create: need at least one dimension";
-  { dims = dimensions; nodes = []; next_id = 0; prng = Stdx.Prng.create ~seed }
+  let whole = { lo = Array.make dimensions 0.0; hi = Array.make dimensions 1.0 } in
+  {
+    dims = dimensions;
+    root = { zone = whole; owner = -1; split = None };
+    owned = Array.make 16 [];
+    next_id = 0;
+    live = 0;
+    scratch = Stdx.Int_buf.create ();
+    prng = Stdx.Prng.create ~seed;
+  }
 
-let live_nodes t = List.filter (fun n -> n.alive) t.nodes
+let node_count t = t.live
 
-let node_count t = List.length (live_nodes t)
+let is_alive t id = id >= 0 && id < t.next_id && t.owned.(id) <> []
 
-let node_of t id =
-  match List.find_opt (fun n -> n.id = id) t.nodes with
-  | Some n -> n
-  | None -> raise Not_found
+let live_ids t = List.filter (is_alive t) (List.init t.next_id Fun.id)
 
 (* ------------------------------------------------------------------ *)
 (* Geometry. *)
-
-let zone_volume t z =
-  let v = ref 1.0 in
-  for d = 0 to t.dims - 1 do
-    v := !v *. (z.hi.(d) -. z.lo.(d))
-  done;
-  !v
 
 let zone_contains t z p =
   let rec check d = d >= t.dims || (p.(d) >= z.lo.(d) && p.(d) < z.hi.(d) && check (d + 1)) in
   check 0
 
-let intervals_overlap lo1 hi1 lo2 hi2 = Float.max lo1 lo2 < Float.min hi1 hi2
+(* In dimension [d], do the intervals of zones [a] and [b] overlap, or
+   abut (across the torus's wrap too)? *)
+let overlap a b d = a.lo.(d) < b.hi.(d) && b.lo.(d) < a.hi.(d)
 
-let intervals_abut lo1 hi1 lo2 hi2 =
-  hi1 = lo2 || hi2 = lo1 || (hi1 = 1.0 && lo2 = 0.0) || (hi2 = 1.0 && lo1 = 0.0)
+let abut a b d =
+  a.hi.(d) = b.lo.(d) || b.hi.(d) = a.lo.(d)
+  || (a.hi.(d) = 1.0 && b.lo.(d) = 0.0)
+  || (b.hi.(d) = 1.0 && a.lo.(d) = 0.0)
 
 (* Two zones are neighbours when they abut in exactly one dimension and
    overlap in all others (the CAN adjacency rule, on the torus). *)
@@ -56,24 +68,22 @@ let zones_adjacent t a b =
   let abut_dims = ref 0 in
   let overlap_dims = ref 0 in
   for d = 0 to t.dims - 1 do
-    if intervals_overlap a.lo.(d) a.hi.(d) b.lo.(d) b.hi.(d) then incr overlap_dims
-    else if intervals_abut a.lo.(d) a.hi.(d) b.lo.(d) b.hi.(d) then incr abut_dims
+    if overlap a b d then incr overlap_dims else if abut a b d then incr abut_dims
   done;
   !abut_dims = 1 && !overlap_dims = t.dims - 1
 
-let nodes_adjacent t a b =
-  a.id <> b.id
-  && List.exists (fun za -> List.exists (fun zb -> zones_adjacent t za zb) b.zones) a.zones
+(* A cell can hold a leaf adjacent to [b] only if it overlaps or abuts
+   [b] in every dimension from [d] on. *)
+let rec zones_touch t a b d =
+  d >= t.dims || ((overlap a b d || abut a b d) && zones_touch t a b (d + 1))
 
-let neighbours t n = List.filter (fun m -> nodes_adjacent t n m) (live_nodes t)
-
-let torus_axis_distance a b =
+let[@inline] torus_axis_distance a b =
   let d = Float.abs (a -. b) in
   Float.min d (1.0 -. d)
 
 (* Distance from a point to a zone, per dimension 0 when inside the
    interval, otherwise the torus distance to the nearest edge. *)
-let zone_distance t z p =
+let[@inline] zone_distance t z p =
   let acc = ref 0.0 in
   for d = 0 to t.dims - 1 do
     let axis =
@@ -85,8 +95,17 @@ let zone_distance t z p =
   done;
   sqrt !acc
 
-let node_distance t n p =
-  List.fold_left (fun best z -> Float.min best (zone_distance t z p)) infinity n.zones
+let node_distance t id p =
+  List.fold_left (fun best c -> Float.min best (zone_distance t c.zone p)) infinity t.owned.(id)
+
+let zone_volume t z =
+  let v = ref 1.0 in
+  for d = 0 to t.dims - 1 do
+    v := !v *. (z.hi.(d) -. z.lo.(d))
+  done;
+  !v
+
+let node_volume t id = List.fold_left (fun acc c -> acc +. zone_volume t c.zone) 0.0 t.owned.(id)
 
 (* ------------------------------------------------------------------ *)
 (* Key-to-point mapping: carve the 160-bit digest into d chunks of 8 hex
@@ -100,120 +119,121 @@ let point_of_key t key =
       done;
       !acc /. (16.0 ** 8.0))
 
+(* ------------------------------------------------------------------ *)
+(* Tree walks. *)
+
+let rec leaf_at c p =
+  match c.split with
+  | None -> c
+  | Some s -> leaf_at (if p.(s.dim) < s.mid then s.lower else s.upper) p
+
 let owner_of_point t p =
-  match
-    List.find_opt (fun n -> List.exists (fun z -> zone_contains t z p) n.zones) (live_nodes t)
-  with
-  | Some n -> n.id
-  | None -> raise Not_found
+  if t.live = 0 then raise Not_found;
+  (leaf_at t.root p).owner
+
+(* Push into [t.scratch] the owner of every leaf under [c] adjacent to
+   [z], [self] excepted: a node's neighbours, unordered, one that
+   touches several of its zones more than once. *)
+let rec push_adjacent t self z c =
+  if zones_touch t c.zone z 0 then
+    match c.split with
+    | Some s ->
+        push_adjacent t self z s.lower;
+        push_adjacent t self z s.upper
+    | None ->
+        if c.owner <> self && zones_adjacent t c.zone z then Stdx.Int_buf.push t.scratch c.owner
+
+(* The largest id in [t.scratch] below [before]; -1 when none is. *)
+let rec largest_below t before i best =
+  if i = Stdx.Int_buf.length t.scratch then best
+  else
+    let x = Stdx.Int_buf.unsafe_get t.scratch i in
+    largest_below t before (i + 1) (if x < before && x > best then x else best)
+
+let rec ascending t before acc =
+  let m = largest_below t before 0 (-1) in
+  if m < 0 then acc else ascending t m (m :: acc)
+
+let neighbours t id =
+  if not (is_alive t id) then raise Not_found;
+  Stdx.Int_buf.clear t.scratch;
+  List.iter (fun c -> push_adjacent t id c.zone t.root) t.owned.(id);
+  ascending t max_int []
 
 (* ------------------------------------------------------------------ *)
 (* Membership. *)
 
-let whole_space t =
-  { lo = Array.make t.dims 0.0; hi = Array.make t.dims 1.0 }
-
-let split_zone t z p =
-  (* Split along the widest dimension; the half containing [p] goes to the
-     joiner. *)
+(* Halve the leaf containing a random point along its widest dimension
+   (the lower index on ties); the half containing the point goes to
+   [joiner]. *)
+let split_leaf t joiner =
+  let p = Array.init t.dims (fun _ -> Stdx.Prng.unit_float t.prng) in
+  let leaf = leaf_at t.root p in
+  let z = leaf.zone in
   let widest = ref 0 in
   for d = 1 to t.dims - 1 do
     if z.hi.(d) -. z.lo.(d) > z.hi.(!widest) -. z.lo.(!widest) then widest := d
   done;
-  let d = !widest in
-  let mid = (z.lo.(d) +. z.hi.(d)) /. 2.0 in
-  let lower = { lo = Array.copy z.lo; hi = Array.copy z.hi } in
-  let upper = { lo = Array.copy z.lo; hi = Array.copy z.hi } in
-  lower.hi.(d) <- mid;
-  upper.lo.(d) <- mid;
-  if p.(d) < mid then (upper, lower) else (lower, upper)
-
-let random_point t = Array.init t.dims (fun _ -> Stdx.Prng.unit_float t.prng)
+  let dim = !widest in
+  let mid = (z.lo.(dim) +. z.hi.(dim)) /. 2.0 in
+  let half lo_at hi_at =
+    let lo = Array.copy z.lo and hi = Array.copy z.hi in
+    lo.(dim) <- lo_at;
+    hi.(dim) <- hi_at;
+    { zone = { lo; hi }; owner = leaf.owner; split = None }
+  in
+  let lower = half z.lo.(dim) mid and upper = half mid z.hi.(dim) in
+  leaf.split <- Some { dim; mid; lower; upper };
+  let give, keep = if p.(dim) < mid then (lower, upper) else (upper, lower) in
+  give.owner <- joiner;
+  t.owned.(joiner) <- [ give ];
+  (* The split leaf is the only one of the owner's cells now split. *)
+  t.owned.(keep.owner) <- keep :: List.filter (fun c -> Option.is_none c.split) t.owned.(keep.owner)
 
 let join t =
   let id = t.next_id in
-  t.next_id <- t.next_id + 1;
-  let joiner = { id; alive = true; zones = [] } in
-  (match live_nodes t with
-  | [] -> joiner.zones <- [ whole_space t ]
-  | _ :: _ ->
-      let p = random_point t in
-      let owner = node_of t (owner_of_point t p) in
-      let containing = List.find (fun z -> zone_contains t z p) owner.zones in
-      let keep, give = split_zone t containing p in
-      owner.zones <-
-        (* lint: allow phys-equal — removes the exact zone record just split *)
-        keep :: List.filter (fun z -> not (z == containing)) owner.zones;
-      joiner.zones <- [ give ]);
-  t.nodes <- joiner :: t.nodes;
+  if id = Array.length t.owned then t.owned <- Array.append t.owned (Array.make id []);
+  t.next_id <- id + 1;
+  if t.live > 0 then split_leaf t id
+  else begin
+    t.root.owner <- id;
+    t.owned.(id) <- [ t.root ]
+  end;
+  t.live <- t.live + 1;
   id
 
-(* Merge two zones into a rectangle when they abut in one dimension with
-   identical cross-sections. *)
-let try_merge t a b =
-  let differing = ref [] in
-  for d = 0 to t.dims - 1 do
-    if not (a.lo.(d) = b.lo.(d) && a.hi.(d) = b.hi.(d)) then differing := d :: !differing
-  done;
-  match !differing with
-  | [ d ] when a.hi.(d) = b.lo.(d) ->
-      let merged = { lo = Array.copy a.lo; hi = Array.copy a.hi } in
-      merged.hi.(d) <- b.hi.(d);
-      Some merged
-  | [ d ] when b.hi.(d) = a.lo.(d) ->
-      let merged = { lo = Array.copy b.lo; hi = Array.copy b.hi } in
-      merged.hi.(d) <- a.hi.(d);
-      Some merged
-  | _ -> None
+(* Collapse, bottom up, every split whose two halves are leaves of one
+   owner. *)
+let rec collapse c =
+  Option.iter (fun s -> collapse s.lower; collapse s.upper) c.split;
+  match c.split with
+  | Some { lower = { split = None; owner = a; _ }; upper = { split = None; owner = b; _ }; _ }
+    when a = b ->
+      c.owner <- a;
+      c.split <- None
+  | Some _ | None -> ()
 
-let rec coalesce t zones =
-  let rec find_pair before = function
-    | [] -> None
-    | z :: rest -> (
-        match
-          List.fold_left
-            (fun acc other ->
-              match acc with
-              | Some _ -> acc
-              | None -> (
-                  match try_merge t z other with
-                  | Some merged -> Some (merged, other)
-                  | None -> None))
-            None rest
-        with
-        | Some (merged, other) ->
-            (* lint: allow phys-equal — drops the exact zone record consumed by the merge *)
-            Some (merged :: List.rev_append before (List.filter (fun x -> not (x == other)) rest))
-        | None -> find_pair (z :: before) rest)
-  in
-  match find_pair [] zones with Some zones' -> coalesce t zones' | None -> zones
+let rec leaves_of c id acc =
+  match c.split with
+  | Some s -> leaves_of s.lower id (leaves_of s.upper id acc)
+  | None -> if c.owner = id then c :: acc else acc
 
 let leave t id =
-  let n = node_of t id in
-  if not n.alive then raise Not_found;
-  (match live_nodes t with
-  | [] | [ _ ] -> invalid_arg "Can.leave: cannot remove the last node"
-  | _ :: _ :: _ -> ());
-  (* Takeover: the neighbour with the smallest total volume inherits the
-     zones, then coalesces what it can. *)
-  let candidates = neighbours t n in
+  if not (is_alive t id) then raise Not_found;
+  if t.live = 1 then invalid_arg "Can.leave: cannot remove the last node";
+  (* Takeover: the neighbour with the smallest total volume, ties to the
+     lower id, inherits the zones. *)
   let heir =
-    List.fold_left
-      (fun best m ->
-        match best with
-        | None -> Some m
-        | Some b ->
-            let vm = List.fold_left (fun acc z -> acc +. zone_volume t z) 0.0 m.zones in
-            let vb = List.fold_left (fun acc z -> acc +. zone_volume t z) 0.0 b.zones in
-            if vm < vb || (vm = vb && m.id < b.id) then Some m else best)
-      None candidates
+    match neighbours t id with
+    | [] -> invalid_arg "Can.leave: node has no neighbour"
+    | m :: rest ->
+        List.fold_left (fun b m -> if node_volume t m < node_volume t b then m else b) m rest
   in
-  match heir with
-  | None -> invalid_arg "Can.leave: node has no neighbour"
-  | Some heir ->
-      heir.zones <- coalesce t (n.zones @ heir.zones);
-      n.zones <- [];
-      n.alive <- false
+  List.iter (fun c -> c.owner <- heir) t.owned.(id);
+  t.owned.(id) <- [];
+  collapse t.root;
+  t.owned.(heir) <- leaves_of t.root heir [];
+  t.live <- t.live - 1
 
 let create_network ?seed ?dimensions ~node_count () =
   if node_count <= 0 then invalid_arg "Can.create_network: need at least one node";
@@ -226,106 +246,83 @@ let create_network ?seed ?dimensions ~node_count () =
 (* ------------------------------------------------------------------ *)
 (* Routing: greedy forwarding towards the target point through neighbours;
    the zone-to-point distance strictly decreases, so it terminates at the
-   owner. *)
+   owner.  Ties go to the higher id. *)
 
 exception Routing_failure of string
 
-let route t ~from p =
-  let limit = (4 * node_count t) + 16 in
-  let rec step current hops =
-    if hops > limit then raise (Routing_failure "CAN route did not converge");
-    let n = node_of t current in
-    if List.exists (fun z -> zone_contains t z p) n.zones then (current, hops + 1)
-    else
-      let next =
-        List.fold_left
-          (fun best m ->
-            match best with
-            | None -> Some m
-            | Some b -> if node_distance t m p < node_distance t b p then Some m else best)
-          None (neighbours t n)
-      in
-      match next with
-      | Some m -> step m.id (hops + 1)
-      | None -> raise (Routing_failure "CAN node has no neighbours")
-  in
-  step from 0
+let rec route t target p limit current hops =
+  if hops > limit then raise (Routing_failure "CAN route did not converge");
+  if current = target then (current, hops + 1)
+  else
+    match neighbours t current with
+    | [] -> raise (Routing_failure "CAN node has no neighbours")
+    | m :: rest ->
+        let nearer b m = if node_distance t m p <= node_distance t b p then m else b in
+        route t target p limit (List.fold_left nearer m rest) (hops + 1)
+
+(* The newest live node: the highest live id. *)
+let rec newest_live t id =
+  if id < 0 then raise Not_found else if is_alive t id then id else newest_live t (id - 1)
 
 let lookup t ?from key =
-  let from =
-    match from with
-    | Some id -> id
-    | None -> (
-        match live_nodes t with [] -> raise Not_found | n :: _ -> n.id)
-  in
-  let n = node_of t from in
-  if not n.alive then invalid_arg "Can.lookup: start node is not alive";
-  route t ~from (point_of_key t key)
+  let from = match from with Some id -> id | None -> newest_live t (t.next_id - 1) in
+  if not (is_alive t from) then invalid_arg "Can.lookup: start node is not alive";
+  let p = point_of_key t key in
+  route t (owner_of_point t p) p ((4 * t.live) + 16) from 0
 
 (* ------------------------------------------------------------------ *)
 
 let is_well_formed t =
-  let live = live_nodes t in
-  let total_volume =
-    List.fold_left
-      (fun acc n -> List.fold_left (fun acc z -> acc +. zone_volume t z) acc n.zones)
-      0.0 live
-  in
-  let volume_ok = Float.abs (total_volume -. 1.0) < 1e-9 in
-  (* Sampled points each have exactly one owner. *)
+  let live = live_ids t in
+  let volume = List.fold_left (fun acc id -> acc +. node_volume t id) 0.0 live in
+  (* Sampled points each lie in exactly one zone, the one the tree
+     descends to. *)
   let g = Stdx.Prng.create ~seed:424242L in
-  let sampling_ok =
-    List.for_all
-      (fun _ ->
-        let p = Array.init t.dims (fun _ -> Stdx.Prng.unit_float g) in
-        let owners =
-          List.filter
-            (fun n -> List.exists (fun z -> zone_contains t z p) n.zones)
-            live
-        in
-        List.length owners = 1)
-      (List.init 100 Fun.id)
+  let sample_ok _ =
+    let p = Array.init t.dims (fun _ -> Stdx.Prng.unit_float g) in
+    let holder id c = if zone_contains t c.zone p then Some id else None in
+    List.concat_map (fun id -> List.filter_map (holder id) t.owned.(id)) live
+    = [ owner_of_point t p ]
   in
-  volume_ok && sampling_ok
+  (* The walk finds what a pairwise scan of the zones finds, and the
+     relation is symmetric. *)
+  let adjacent a b =
+    let touching za = List.exists (fun zb -> zones_adjacent t za.zone zb.zone) t.owned.(b) in
+    a <> b && List.exists touching t.owned.(a)
+  in
+  let neighbours_ok id =
+    let found = neighbours t id in
+    found = List.filter (adjacent id) live
+    && List.for_all (fun m -> List.mem id (neighbours t m)) found
+  in
+  Float.abs (volume -. 1.0) < 1e-9
+  && List.for_all sample_ok (List.init 100 Fun.id)
+  && List.for_all neighbours_ok live
+
+(* Node ids may be sparse after departures: map them onto dense indexes. *)
+let rec index_of_id ids id lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if ids.(mid) >= id then index_of_id ids id lo mid else index_of_id ids id (mid + 1) hi
 
 let resolver t =
-  let live = live_nodes t in
-  let count = List.length live in
+  let ids = Array.of_list (live_ids t) in
+  let count = Array.length ids in
   if count = 0 then invalid_arg "Can.resolver: empty overlay";
-  (* Node ids may be sparse after departures: map them onto dense indexes. *)
-  let ids = Array.of_list (List.sort Int.compare (List.map (fun n -> n.id) live)) in
-  let index_of_id id =
-    let rec search lo hi =
-      if lo >= hi then lo
-      else
-        let mid = (lo + hi) / 2 in
-        if ids.(mid) >= id then search lo mid else search (mid + 1) hi
-    in
-    search 0 count
-  in
+  let index id = index_of_id ids id 0 count in
   {
     Resolver.node_count = count;
-    responsible = (fun key -> index_of_id (owner_of_point t (point_of_key t key)));
-    route_hops =
-      (fun key ->
-        let _owner, hops = lookup t key in
-        hops);
+    responsible = (fun key -> index (owner_of_point t (point_of_key t key)));
+    route_hops = (fun key -> snd (lookup t key));
     replicas_into =
       (fun key r buf ->
-        (* The owner plus its zone neighbours, by id order. *)
-        let owner = node_of t (owner_of_point t (point_of_key t key)) in
-        let candidates =
-          owner.id
-          :: List.map (fun m -> m.id) (List.sort (fun a b -> Int.compare a.id b.id) (neighbours t owner))
-        in
+        (* The owner, then its zone neighbours by id order. *)
         Stdx.Int_buf.clear buf;
-        let rec take k = function
-          | [] -> ()
-          | x :: rest ->
-              if k > 0 then begin
-                Stdx.Int_buf.push buf (index_of_id x);
-                take (k - 1) rest
-              end
-        in
-        take (Stdlib.min r count) candidates);
+        if r > 0 then begin
+          let owner = owner_of_point t (point_of_key t key) in
+          Stdx.Int_buf.push buf (index owner);
+          let push i m = if i < r - 1 then Stdx.Int_buf.push buf (index m) in
+          List.iteri push (neighbours t owner)
+        end);
   }

@@ -8,9 +8,13 @@
     greedily forwards towards the target point through zone neighbours,
     giving O(d·n^(1/d)) hops.
 
-    Departures hand the zone to a neighbour (the paper's takeover), so the
-    space always stays fully covered; the merged node then owns both
-    regions. *)
+    The zones are the leaves of a binary partition tree: ownership is a
+    descent, and a node's neighbours are found by a walk that skips every
+    cell that cannot touch its zones.  Departures hand the zone to a
+    neighbour (the paper's takeover), so the space always stays fully
+    covered; the heir then owns both regions, as one zone when they were
+    the two halves of one cell.  A [t] keeps one scratch buffer for its
+    walks: use it from one domain at a time. *)
 
 type t
 
@@ -23,6 +27,10 @@ val create_network : ?seed:int64 -> ?dimensions:int -> node_count:int -> unit ->
 
 val node_count : t -> int
 
+val join : t -> int
+(** A new node, identified by the next unused id: it takes the half of
+    the zone containing a random point that contains that point. *)
+
 val leave : t -> int -> unit
 (** Graceful departure: the zone is taken over by one of its neighbours.
     @raise Not_found if no such live node.
@@ -34,15 +42,24 @@ val point_of_key : t -> Hashing.Key.t -> float array
 val owner_of_point : t -> float array -> int
 (** The node whose zone contains the point (exact, from global knowledge). *)
 
+val neighbours : t -> int -> int list
+(** A live node's zone neighbours, ascending by id.
+    @raise Not_found if no such live node. *)
+
 val lookup : t -> ?from:int -> Hashing.Key.t -> int * int
-(** Greedy neighbour routing from [from] (default: node 0's successor
-    in id order) to the key's owner; returns (owner, hops). *)
+(** Greedy neighbour routing from [from] (default: the newest live
+    node, the highest live id) to the key's owner; returns (owner, hops).
+    Each hop goes to the neighbour nearest the key's point, ties to the
+    higher id. *)
 
 val is_well_formed : t -> bool
 (** Structural invariants: zones tile the space exactly (volumes sum to 1,
-    no overlaps among sampled points) and the neighbour relation is
-    symmetric and complete. *)
+    every sampled point lies in one zone, the one the tree descends to),
+    the live nodes own exactly the tree's leaves, and the neighbour
+    relation is symmetric and equals a pairwise scan of the zones. *)
 
 val resolver : t -> Resolver.t
-(** Resolver view; node indexes are CAN node ids.  [replicas] uses the
-    zone's neighbours (CAN's natural replica set). *)
+(** Resolver view over the nodes live when it is built.  Node indexes
+    are the dense positions of their ids in ascending order: the CAN ids
+    themselves until a node has departed.  [replicas] are the owner, then
+    its zone neighbours in ascending id (CAN's natural replica set). *)

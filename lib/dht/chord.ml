@@ -55,24 +55,23 @@ let responsible_oracle t key = Members.owner t.members Resolver.ring_successor k
 
 (* The first live entry of a node's successor chain; the node itself when
    everything it knows about is dead (a partition stabilization must fix). *)
-let live_successor t n =
-  let candidates = n.successor :: n.successor_list in
-  let rec pick = function
-    | [] -> n.id
-    | k :: rest -> if is_alive t k && not (Key.equal k n.id) then k else pick rest
-  in
-  if is_alive t n.successor then n.successor else pick candidates
+let rec first_live_of t n = function
+  | [] -> n.id
+  | k :: rest -> if is_alive t k && not (Key.equal k n.id) then k else first_live_of t n rest
 
-let closest_preceding_node t n key =
-  (* Scan fingers from the most distant down, keeping only live nodes
-     strictly inside (n, key). *)
-  let rec scan i =
-    if i < 0 then n.id
-    else
-      let f = n.fingers.(i) in
-      if is_alive t f && Key.in_interval_oo f ~lo:n.id ~hi:key then f else scan (i - 1)
-  in
-  scan (Key.bits - 1)
+let live_successor t n =
+  if is_alive t n.successor then n.successor else first_live_of t n n.successor_list
+
+(* Fingers from the most distant down: the first live one strictly
+   inside (n, key), else [n] itself. *)
+let rec closest_preceding_from t n key i =
+  if i < 0 then n.id
+  else
+    let f = n.fingers.(i) in
+    if is_alive t f && Key.in_interval_oo f ~lo:n.id ~hi:key then f
+    else closest_preceding_from t n key (i - 1)
+
+let closest_preceding_node t n key = closest_preceding_from t n key (Key.bits - 1)
 
 exception Routing_failure of string
 
@@ -81,24 +80,20 @@ let count_failed_lookup t =
   | Some ins -> Obs.Metrics.Counter.incr ins.failed_lookups
   | None -> ()
 
-let find_successor t ~from key =
-  let limit = (2 * live_count t) + Key.bits in
-  let rec route current hops =
-    if hops > limit then begin
-      count_failed_lookup t;
-      raise (Routing_failure "routing did not converge")
-    end;
-    let n = node_of t current in
-    let succ = live_successor t n in
-    if Key.in_interval_oc key ~lo:n.id ~hi:succ then (succ, hops + 1)
-    else
-      let next = closest_preceding_node t n key in
-      if Key.equal next n.id then
-        (* No finger improves on the successor: forward to it. *)
-        route succ (hops + 1)
-      else route next (hops + 1)
-  in
-  route from 0
+let rec route t key limit current hops =
+  if hops > limit then begin
+    count_failed_lookup t;
+    raise (Routing_failure "routing did not converge")
+  end;
+  let n = node_of t current in
+  let succ = live_successor t n in
+  if Key.in_interval_oc key ~lo:n.id ~hi:succ then (succ, hops + 1)
+  else
+    let next = closest_preceding_node t n key in
+    (* No finger improves on the successor: forward to it. *)
+    route t key limit (if Key.equal next n.id then succ else next) (hops + 1)
+
+let find_successor t ~from key = route t key ((2 * live_count t) + Key.bits) from 0
 
 let lookup t ?from key =
   let from = match from with Some f -> f | None -> first_live t in

@@ -20,11 +20,12 @@ let shared_prefix_length a b =
   in
   walk 0
 
-(* Numeric circular distance: min(clockwise, counter-clockwise). *)
+(* Numeric circular distance, exact: min(clockwise, counter-clockwise),
+   the clockwise one when it is below half the ring (its top bit
+   clear).  Compare two with [Key.compare]. *)
 let circular_distance a b =
-  let cw = Key.to_float (Key.distance_cw a b) in
-  let ccw = Key.to_float (Key.distance_cw b a) in
-  Float.min cw ccw
+  let cw = Key.distance_cw a b in
+  if Key.bit cw 0 = 0 then cw else Key.distance_cw b a
 
 type node = {
   id : Key.t;
@@ -52,8 +53,8 @@ let owner_index ring key =
   let successor = Resolver.ring_successor ring key in
   let predecessor = (successor + count - 1) mod count in
   let s = Resolver.ring_key ring successor and p = Resolver.ring_key ring predecessor in
-  let ds = circular_distance key s and dp = circular_distance key p in
-  if dp < ds || (dp = ds && Key.compare p s < 0) then predecessor else successor
+  let c = Key.compare (circular_distance key p) (circular_distance key s) in
+  if c < 0 || (c = 0 && Key.compare p s < 0) then predecessor else successor
 
 let responsible_oracle t key = Members.owner t owner_index key
 
@@ -75,9 +76,8 @@ let closest_to key candidates =
       match best with
       | None -> Some candidate
       | Some b ->
-          let d = circular_distance key candidate and bd = circular_distance key b in
-          if d < bd || (d = bd && Key.compare candidate b < 0) then Some candidate
-          else best)
+          let c = Key.compare (circular_distance key candidate) (circular_distance key b) in
+          if c < 0 || (c = 0 && Key.compare candidate b < 0) then Some candidate else best)
     None candidates
 
 (* Is [key] within this node's leaf-set span — the arc from the farthest
@@ -120,7 +120,7 @@ let route t ~from key =
              key without shortening the prefix. *)
           let better candidate =
             shared_prefix_length candidate key >= l
-            && circular_distance key candidate < circular_distance key current
+            && Key.compare (circular_distance key candidate) (circular_distance key current) < 0
           in
           (match List.find_opt better (known_nodes t n) with
           | Some candidate -> step candidate (hops + 1)

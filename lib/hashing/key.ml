@@ -85,21 +85,16 @@ let add t u =
   Bytes.to_string out
 
 let sub t u =
-  (* Byte-wise subtraction modulo 2^160. *)
+  (* Byte-wise subtraction modulo 2^160: a byte's difference lies in
+     [-256, 255], so its low byte is the digit and its sign the borrow. *)
   let out = Bytes.create byte_count in
   let borrow = ref 0 in
   for i = byte_count - 1 downto 0 do
     let diff = Char.code t.[i] - Char.code u.[i] - !borrow in
-    if diff < 0 then begin
-      Bytes.set out i (Char.chr (diff + 256));
-      borrow := 1
-    end
-    else begin
-      Bytes.set out i (Char.chr diff);
-      borrow := 0
-    end
+    Bytes.unsafe_set out i (Char.unsafe_chr (diff land 0xFF));
+    borrow := (diff lsr 8) land 1
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let one = of_int 1
 
@@ -131,11 +126,6 @@ let in_interval_oc k ~lo ~hi =
   else compare lo k < 0 || compare k hi <= 0
 
 let distance_cw a b = sub b a
-
-let to_float t =
-  let acc = ref 0.0 in
-  String.iter (fun c -> acc := (!acc *. 256.0) +. float_of_int (Char.code c)) t;
-  !acc
 
 (* Byte by byte, one [Prng.int g 256] draw each, into a buffer filled in
    place: no closure per key. *)

@@ -77,8 +77,5 @@ val distance_cw : t -> t -> t
 (** [distance_cw a b] is the clockwise distance from [a] to [b]
     (i.e. [b - a mod 2^160]). *)
 
-val to_float : t -> float
-(** Approximate numeric value, for load-spread diagnostics. *)
-
 val random : Stdx.Prng.t -> t
 (** A uniformly random key. *)

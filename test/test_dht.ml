@@ -43,9 +43,7 @@ let static_ownership_brute_force () =
     (* The owner is the node minimizing the clockwise distance from the key. *)
     let best = ref 0 in
     for i = 1 to 49 do
-      if
-        Key.to_float (Key.distance_cw key keys.(i))
-        < Key.to_float (Key.distance_cw key keys.(!best))
+      if Key.compare (Key.distance_cw key keys.(i)) (Key.distance_cw key keys.(!best)) < 0
       then best := i
     done;
     !best
@@ -638,16 +636,63 @@ let can_last_node_protected () =
   Alcotest.check_raises "cannot empty the space"
     (Invalid_argument "Can.leave: cannot remove the last node") (fun () -> Can.leave net 0)
 
+(* Interleaved join / leave schedules over one to four dimensions.
+   After each schedule: [is_well_formed] (the tree's owner against a
+   scan of every leaf at sampled points, the walked neighbours against
+   a pairwise scan of the zones), symmetric neighbours, greedy routing
+   from every live node to the owner, and replica placement as the
+   owner then its neighbours ascending, truncated at r = 1..5.  A leave
+   picks a live node by index; the last node always joins instead. *)
+let can_schedule =
+  let open QCheck.Gen in
+  triple (int_range 1 4) (int_range 1 30) (list_size (int_range 0 60) (pair bool nat))
+
 let can_always_well_formed =
-  QCheck.Test.make ~name:"CAN joins and leaves keep the tiling" ~count:20
-    (QCheck.pair (QCheck.int_range 2 40) (QCheck.int_range 0 10))
-    (fun (joins, leaves) ->
-      let net = Can.create_network ~seed:(Int64.of_int (joins + 1)) ~node_count:joins () in
-      let leaves = Stdlib.min leaves (joins - 1) in
-      for id = 0 to leaves - 1 do
-        Can.leave net id
-      done;
-      Can.is_well_formed net)
+  QCheck.Test.make ~name:"CAN joins and leaves keep the tiling" ~count:40
+    (QCheck.make
+       ~print:QCheck.Print.(triple int int (list (pair bool int)))
+       can_schedule)
+    (fun (dims, initial, schedule) ->
+      let net =
+        Can.create_network ~seed:(Int64.of_int ((10 * initial) + dims)) ~dimensions:dims
+          ~node_count:initial ()
+      in
+      let live = ref (List.init initial Fun.id) in
+      List.iter
+        (fun (joins, pick) ->
+          match !live with
+          | [ _ ] -> live := !live @ [ Can.join net ]
+          | _ when joins -> live := !live @ [ Can.join net ]
+          | _ ->
+              let id = List.nth !live (pick mod List.length !live) in
+              Can.leave net id;
+              live := List.filter (fun x -> x <> id) !live)
+        schedule;
+      let live = !live in
+      let ids = Array.of_list live in
+      let index id =
+        let rec find i = if ids.(i) = id then i else find (i + 1) in
+        find 0
+      in
+      let resolver = Can.resolver net in
+      let rec take k = function [] -> [] | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest in
+      let g = Stdx.Prng.create ~seed:(Int64.of_int (List.length schedule)) in
+      Can.node_count net = List.length live
+      && Can.is_well_formed net
+      && List.for_all
+           (fun id -> List.for_all (fun m -> List.mem id (Can.neighbours net m)) (Can.neighbours net id))
+           live
+      && List.for_all
+           (fun _ ->
+             let key = Key.random g in
+             let owner = Can.owner_of_point net (Can.point_of_key net key) in
+             List.for_all (fun from -> fst (Can.lookup net ~from key) = owner) live
+             && List.for_all
+                  (fun r ->
+                    Dht.Resolver.replicas resolver key r
+                    = List.map index (take r (owner :: Can.neighbours net owner)))
+                  [ 1; 2; 3; 4; 5 ])
+           (List.init 20 Fun.id))
 
 let pastry_always_converges_after_bootstrap =
   QCheck.Test.make ~name:"pastry create_network always converged" ~count:15

@@ -201,10 +201,8 @@ let key_distance_inverse =
     (QCheck.pair arbitrary_key arbitrary_key)
     (fun (a, b) ->
       QCheck.assume (not (Key.equal a b));
-      let d1 = Key.to_float (Key.distance_cw a b) in
-      let d2 = Key.to_float (Key.distance_cw b a) in
-      let ring = 2.0 ** 160.0 in
-      Float.abs ((d1 +. d2) -. ring) /. ring < 1e-9)
+      (* 0 - (a - b) = b - a, mod 2^160. *)
+      Key.equal (Key.distance_cw (Key.distance_cw b a) Key.zero) (Key.distance_cw a b))
 
 (* The Kademlia distance as it used to be computed: render both keys to
    hex, XOR the nibbles, parse the result back.  The reference Key.xor
