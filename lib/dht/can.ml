@@ -115,7 +115,7 @@ let point_of_key t key =
   Array.init t.dims (fun d ->
       let acc = ref 0.0 in
       for i = 0 to 7 do
-        acc := (!acc *. 16.0) +. float_of_int (Key.nibble key ((d * 8) + i mod 40))
+        acc := (!acc *. 16.0) +. float_of_int (Key.nibble key (((d * 8) + i) mod 40))
       done;
       !acc /. (16.0 ** 8.0))
 

@@ -28,8 +28,8 @@ val create_network : ?seed:int64 -> ?dimensions:int -> node_count:int -> unit ->
 val node_count : t -> int
 
 val join : t -> int
-(** A new node, identified by the next unused id: it takes the half of
-    the zone containing a random point that contains that point. *)
+(** Add a node under the next unused id, returned: it halves the zone
+    that contains a random point and takes the half holding the point. *)
 
 val leave : t -> int -> unit
 (** Graceful departure: the zone is taken over by one of its neighbours.

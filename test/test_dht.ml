@@ -629,7 +629,11 @@ let can_point_of_key_deterministic () =
   Array.iter
     (fun x -> Alcotest.(check bool) "in [0,1)" true (x >= 0.0 && x < 1.0))
     p;
-  Alcotest.(check bool) "deterministic" true (Can.point_of_key net key = p)
+  Alcotest.(check bool) "deterministic" true (Can.point_of_key net key = p);
+  (* Past five dimensions the 40 digits wrap: the sixth coordinate
+     reads the first one's digits. *)
+  let p6 = Can.point_of_key (Can.create ~dimensions:6 ()) key in
+  Alcotest.(check (float 0.0)) "sixth coordinate wraps" p6.(0) p6.(5)
 
 let can_last_node_protected () =
   let net = Can.create_network ~seed:23L ~node_count:1 () in
