@@ -493,7 +493,7 @@ let table1 grid =
 
 let ablation_substrate grid =
   (* The point of this ablation is metric equality across substrates, not
-     scale; capping it keeps CAN's O(n)-per-hop simulation affordable. *)
+     scale; the cap fixes the printed table, which is pinned by digest. *)
   let base = config_of_scale (capped (Grid.scale grid)) in
   tabulate ~title:"Ablation — substrate independence (simple scheme, single-cache)"
     ~headers:[ "substrate"; "interactions"; "normal B/query"; "routing B/query" ]
