@@ -32,6 +32,10 @@ let of_int n =
   fill (byte_count - 1) n;
   Bytes.to_string b
 
+let of_bytes s =
+  if String.length s <> byte_count then invalid_arg "Key.of_bytes: wrong length";
+  s
+
 let of_hex s =
   let d = Sha1.of_hex s in
   if String.length d <> byte_count then invalid_arg "Key.of_hex: wrong length";
@@ -82,7 +86,7 @@ let add t u =
     Bytes.set out i (Char.chr (sum land 0xFF));
     carry := sum lsr 8
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let sub t u =
   (* Byte-wise subtraction modulo 2^160: a byte's difference lies in

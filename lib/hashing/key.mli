@@ -27,6 +27,10 @@ val of_int : int -> t
 (** [of_int n] is the key with numeric value [n] (for tests).
     @raise Invalid_argument when [n < 0]. *)
 
+val of_bytes : string -> t
+(** [of_bytes s] is the key whose 20 big-endian bytes are [s].
+    @raise Invalid_argument unless [String.length s = 20]. *)
+
 val of_hex : string -> t
 (** Parse a 40-character hex key.  @raise Invalid_argument on bad input. *)
 

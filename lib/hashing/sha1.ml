@@ -1,4 +1,9 @@
-(* RFC 3174 over native ints.  A 32-bit word lives in the low bits of an
+(* Two paths compute the same function.  [digest_string] is bound once,
+   when this module is initialised: to the C kernel in sha1_stubs.c
+   (SHA1RNDS4 and friends) when cpuid reports the SHA extensions, and to
+   [reference_digest] below otherwise.
+
+   The reference is RFC 3174 over native ints.  A 32-bit word lives in the low bits of an
    OCaml int and every sum or shift is masked back to 32 bits, so the
    rounds run on unboxed registers where [Int32] would box each
    intermediate.  (Needs 63-bit ints: sums of five words reach 35 bits.)
@@ -7,8 +12,10 @@
    the string's tail, the 0x80 marker, zeros and the 64-bit bit length —
    go through the padding-aware byte reader, so no padded copy is built.
    The message schedule is the RFC's 16-word circular buffer (method 2):
-   word [t] overwrites word [t - 16] in place.  Each block updates the
-   five-word chaining state through 80 rounds in four 20-round groups. *)
+   word [t] overwrites word [t - 16] in place; each domain keeps its own
+   buffer, so the 20-byte result is the only allocation.  Each block
+   updates the five-word chaining state through 80 rounds in four
+   20-round groups. *)
 
 type digest = string
 
@@ -51,7 +58,15 @@ let[@inline] schedule w t =
   Array.unsafe_set w (t land 15) x;
   x
 
-let digest_string s =
+let schedule_buffer = Domain.DLS.new_key (fun () -> Array.make 16 0)
+
+(* Word [v] big-endian at word offset [i] of [out]. *)
+let store out i v =
+  for j = 0 to 3 do
+    Bytes.unsafe_set out ((i * 4) + j) (Char.unsafe_chr ((v lsr ((3 - j) * 8)) land 0xFF))
+  done
+
+let reference_digest s =
   let len = String.length s in
   (* Room for the 0x80 marker and the 8-byte length, rounded up to 64. *)
   let total = ((len + 8) / 64 * 64) + 64 in
@@ -60,7 +75,7 @@ let digest_string s =
   and h2 = ref 0x98BADCFE
   and h3 = ref 0x10325476
   and h4 = ref 0xC3D2E1F0 in
-  let w = Array.make 16 0 in
+  let w = Domain.DLS.get schedule_buffer in
   for block = 0 to (total / 64) - 1 do
     let base = block * 64 in
     for t = 0 to 15 do
@@ -121,17 +136,19 @@ let digest_string s =
     h4 := (!h4 + !e) land mask
   done;
   let out = Bytes.create 20 in
-  let store i v =
-    for j = 0 to 3 do
-      Bytes.unsafe_set out ((i * 4) + j) (Char.unsafe_chr ((v lsr ((3 - j) * 8)) land 0xFF))
-    done
-  in
-  store 0 !h0;
-  store 1 !h1;
-  store 2 !h2;
-  store 3 !h3;
-  store 4 !h4;
+  store out 0 !h0;
+  store out 1 !h1;
+  store out 2 !h2;
+  store out 3 !h3;
+  store out 4 !h4;
   Bytes.unsafe_to_string out
+
+external available : unit -> bool = "p2pindex_sha1_available" [@@noalloc]
+external kernel_digest : string -> digest = "p2pindex_sha1_digest"
+
+let hardware = available ()
+
+let digest_string = if hardware then kernel_digest else reference_digest
 
 let hex_digits = "0123456789abcdef"
 

@@ -87,8 +87,6 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     quorum_enabled : bool;
     mappings : Q.t Rstore.t;
     files : file Rstore.t;
-    key_cache : (string, Key.t) Hashtbl.t;
-        (* Hashing a query is hot; memoize canonical-string -> key. *)
     plan : plan option;  (* Only when republish rounds will run. *)
     consulted : Stdx.Int_buf.t;
         (* The replicas a quorum lookup step heard from, in answer order. *)
@@ -195,7 +193,6 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       files =
         Rstore.create ~resolver ~replication ?read_quorum ?write_quorum
           ?on_write_acks ~liveness ~clock ();
-      key_cache = Hashtbl.create 4096;
       plan = (if republished then Some { docs = [||]; doc_count = 0 } else None);
       consulted = Stdx.Int_buf.create ~capacity:replication ();
       metrics;
@@ -214,25 +211,13 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let metrics t = t.metrics
   let tracer t = t.tracer
 
-  let key_of_string_memo t s =
-    match Hashtbl.find_opt t.key_cache s with
-    | Some key -> key
-    | None ->
-        let key = Key.of_string s in
-        Hashtbl.add t.key_cache s key;
-        key
-
   let key_of_query q = Key.of_string (Q.to_string q)
 
-  let key_of t q = key_of_string_memo t (Q.to_string q)
+  let node_of_query t q = Dht.Resolver.responsible t.resolver (key_of_query q)
 
-  let node_of_query t q = Dht.Resolver.responsible t.resolver (key_of t q)
+  let[@hot] node_of_string t s = Dht.Resolver.responsible t.resolver (Key.of_string s)
 
-  let[@hot] node_of_string t s =
-    Dht.Resolver.responsible t.resolver (key_of_string_memo t s)
-
-  let[@hot] live_node_of_string t s =
-    Rstore.live_node_id t.mappings (key_of_string_memo t s)
+  let[@hot] live_node_of_string t s = Rstore.live_node_id t.mappings (Key.of_string s)
 
   (* Expiry stamped on entries written now; infinity when soft state is
      off, so the static path never compares clocks. *)
@@ -286,7 +271,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let insert_mapping t ~parent ~child =
     check_covers ~render:Q.to_string parent child;
     let parent_string = Q.to_string parent in
-    let key = key_of_string_memo t parent_string in
+    let key = Key.of_string parent_string in
     let len = String.length (Q.to_string child) in
     let added =
       Rstore.insert_unique ~expires_at:(entry_expiry t) ~equal:Q.equal t.mappings ~key ~len child
@@ -297,15 +282,13 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     added
 
   let remove_mapping t ~parent ~child =
-    let key = key_of t parent in
+    let key = key_of_query parent in
     Rstore.remove t.mappings ~key (Q.equal child) > 0
 
   (* A stored file's cached length is its name's: the name is what a
      file reply carries ({!Wire.file_response_bytes}). *)
   let file_len (file : file) = String.length file.name
 
-  (* Publication hashes its strings directly: the key memo is left to
-     the query strings lookups see. *)
   let write_file t ~key ~request_bytes file =
     ignore (Rstore.remove_key t.files key);
     Rstore.insert ~expires_at:(entry_expiry t) t.files ~key ~len:(file_len file) file;
@@ -672,7 +655,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   (* A query is dead when nothing is reachable from it anymore: no file
      stored under its key and no index children left. *)
   let is_dead t q =
-    let key = key_of t q in
+    let key = key_of_query q in
     (not (Rstore.mem t.files key)) && Rstore.lookup t.mappings key = []
 
   (* An unpublished document leaves the plan, so no round brings it
@@ -692,7 +675,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         p.doc_count <- !kept
 
   let unpublish t ~scheme ~msd =
-    let key = key_of t msd in
+    let key = key_of_query msd in
     ignore (Rstore.remove_key t.files key);
     unplan t key;
     let edges = Scheme.edges scheme msd in
@@ -889,7 +872,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      zero plan, replication 1 and no quorum this is exactly the static
      single-probe lookup. *)
   let[@hot] lookup_step_at t ~generalization ~query_string =
-    let key = key_of_string_memo t query_string in
+    let key = Key.of_string query_string in
     let replicas = Rstore.replica_buf t.mappings key in
     let n = Stdx.Int_buf.length replicas in
     let primary = Stdx.Int_buf.get replicas 0 in

@@ -4,9 +4,13 @@
 module Sha1 = Hashing.Sha1
 module Key = Hashing.Key
 
+(* The RFC vectors hold on both paths: [digest_string] and the OCaml
+   reference it falls back to. *)
 let sha1_vectors () =
   let check input expected =
-    Alcotest.(check string) input expected (Sha1.to_hex (Sha1.digest_string input))
+    Alcotest.(check string) input expected (Sha1.to_hex (Sha1.digest_string input));
+    Alcotest.(check string) ("reference " ^ input) expected
+      (Sha1.to_hex (Sha1.reference_digest input))
   in
   check "" "da39a3ee5e6b4b0d3255bfef95601890afd80709";
   check "abc" "a9993e364706816aba3e25717850c26c9cd0d89d";
@@ -19,7 +23,27 @@ let sha1_million_a () =
   (* FIPS 180-1 vector: one million repetitions of "a". *)
   let input = String.make 1_000_000 'a' in
   Alcotest.(check string) "million a" "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
-    (Sha1.to_hex (Sha1.digest_string input))
+    (Sha1.to_hex (Sha1.digest_string input));
+  Alcotest.(check string) "reference million a" "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
+    (Sha1.to_hex (Sha1.reference_digest input))
+
+(* Leads the test's name, so a test log says which path ran. *)
+let path = if Sha1.hardware then "SHA-ext kernel" else "OCaml reference"
+
+(* Every length from 0 to 300 crosses the padding edges (55/56 bytes: one
+   or two tail blocks; 63/64, 119/120: whole blocks read in place). *)
+let sha1_paths_agree () =
+  for len = 0 to 300 do
+    let s = String.init len (fun i -> Char.unsafe_chr (((i * 37) + 11) land 0xFF)) in
+    Alcotest.(check string) (Printf.sprintf "length %d" len)
+      (Sha1.to_hex (Sha1.reference_digest s))
+      (Sha1.to_hex (Sha1.digest_string s))
+  done
+
+let sha1_paths_agree_qcheck =
+  QCheck.Test.make ~name:"digest_string equals reference_digest" ~count:500
+    QCheck.(string_of_size Gen.(0 -- 400))
+    (fun s -> String.equal (Sha1.digest_string s) (Sha1.reference_digest s))
 
 let sha1_block_boundaries () =
   (* Lengths around the 64-byte block and 55/56-byte padding boundaries must
@@ -125,6 +149,17 @@ let key_of_int_roundtrip () =
   Alcotest.(check string) "key 0x1234"
     "0000000000000000000000000000000000001234"
     (Key.to_hex (Key.of_int 0x1234))
+
+let key_of_bytes () =
+  let s = "\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f\x10\x11\xfe\xff" in
+  Alcotest.(check string) "big-endian bytes" "000102030405060708090a0b0c0d0e0f1011feff"
+    (Key.to_hex (Key.of_bytes s));
+  List.iter
+    (fun len ->
+      Alcotest.check_raises (Printf.sprintf "length %d" len)
+        (Invalid_argument "Key.of_bytes: wrong length") (fun () ->
+          ignore (Key.of_bytes (String.make len 'k'))))
+    [ 0; 19; 21 ]
 
 let key_succ_wraps () =
   let top = Key.of_hex "ffffffffffffffffffffffffffffffffffffffff" in
@@ -279,11 +314,14 @@ let suite =
         Alcotest.test_case "million 'a'" `Slow sha1_million_a;
         Alcotest.test_case "block boundary lengths" `Quick sha1_block_boundaries;
         Alcotest.test_case "pinned digests, lengths 0-130" `Quick sha1_pinned_lengths;
+        Alcotest.test_case (path ^ " matches reference, lengths 0-300") `Quick
+          sha1_paths_agree;
       ]
-      @ qcheck [ sha1_hex_roundtrip ] );
+      @ qcheck [ sha1_hex_roundtrip; sha1_paths_agree_qcheck ] );
     ( "hashing:key",
       [
         Alcotest.test_case "of_int/to_hex" `Quick key_of_int_roundtrip;
+        Alcotest.test_case "of_bytes" `Quick key_of_bytes;
         Alcotest.test_case "succ wraps" `Quick key_succ_wraps;
         Alcotest.test_case "add_pow2" `Quick key_add_pow2;
         Alcotest.test_case "add_pow2 bounds" `Quick key_add_pow2_bounds;
