@@ -63,12 +63,13 @@ let live_successor t n =
   if is_alive t n.successor then n.successor else first_live_of t n n.successor_list
 
 (* Fingers from the most distant down: the first live one strictly
-   inside (n, key), else [n] itself. *)
+   inside (n, key), else [n] itself.  The interval test is the cheaper,
+   so only fingers inside it pay the membership lookup. *)
 let rec closest_preceding_from t n key i =
   if i < 0 then n.id
   else
     let f = n.fingers.(i) in
-    if is_alive t f && Key.in_interval_oo f ~lo:n.id ~hi:key then f
+    if Key.in_interval_oo f ~lo:n.id ~hi:key && is_alive t f then f
     else closest_preceding_from t n key (i - 1)
 
 let closest_preceding_node t n key = closest_preceding_from t n key (Key.bits - 1)
