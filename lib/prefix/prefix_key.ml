@@ -1,21 +1,14 @@
 let max_bytes = Hashing.Key.bits / 8
 
-let hex_of_padded s ~pad =
-  let buf = Buffer.create (2 * max_bytes) in
-  let n = Stdlib.min (String.length s) max_bytes in
-  for i = 0 to n - 1 do
-    Buffer.add_string buf (Printf.sprintf "%02x" (Char.code s.[i]))
-  done;
-  for _ = n to max_bytes - 1 do
-    Buffer.add_string buf (Printf.sprintf "%02x" (Char.code pad))
-  done;
-  Buffer.contents buf
+(* The term's first [max_bytes] bytes, then [pad] up to [max_bytes]. *)
+let padded s ~pad =
+  let b = Bytes.make max_bytes pad in
+  Bytes.blit_string s 0 b 0 (Stdlib.min (String.length s) max_bytes);
+  Hashing.Key.of_bytes (Bytes.unsafe_to_string b)
 
-let encode s = Hashing.Key.of_hex (hex_of_padded s ~pad:'\x00')
+let encode s = padded s ~pad:'\x00'
 
-let range p =
-  ( Hashing.Key.of_hex (hex_of_padded p ~pad:'\x00'),
-    Hashing.Key.of_hex (hex_of_padded p ~pad:'\xff') )
+let range p = (padded p ~pad:'\x00', padded p ~pad:'\xff')
 
 let in_range p ~key =
   let lo, hi = range p in

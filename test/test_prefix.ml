@@ -59,6 +59,25 @@ let prefix_lands_in_range =
       let term = p ^ rest in
       Key.in_range p ~key:(Key.encode term))
 
+(* The keys as the hex route built them: each byte rendered "%02x",
+   padded with [pad]'s digits, parsed back with [Key.of_hex]. *)
+let hex_route s ~pad =
+  let n = Stdlib.min (String.length s) Key.max_bytes in
+  let byte i = if i < n then s.[i] else pad in
+  Hashing.Key.of_hex
+    (String.concat "" (List.init Key.max_bytes (fun i -> Printf.sprintf "%02x" (Char.code (byte i)))))
+
+let any_bytes =
+  let gen = QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 40)) in
+  QCheck.make ~print:String.escaped gen
+
+let bytes_route_matches_hex_route =
+  QCheck.Test.make ~name:"encode and range equal the hex route" ~count:500 any_bytes (fun s ->
+      let lo, hi = Key.range s in
+      Hashing.Key.equal (Key.encode s) (hex_route s ~pad:'\x00')
+      && Hashing.Key.equal lo (hex_route s ~pad:'\x00')
+      && Hashing.Key.equal hi (hex_route s ~pad:'\xff'))
+
 (* ------------------------------------------------------------------ *)
 (* Range_router: responsible nodes of matching terms are covered. *)
 
@@ -457,7 +476,7 @@ let suite =
   [
     ( "prefix:key",
       [ Alcotest.test_case "key basics" `Quick key_basics ]
-      @ qcheck [ encode_order_preserving; prefix_lands_in_range ] );
+      @ qcheck [ encode_order_preserving; prefix_lands_in_range; bytes_route_matches_hex_route ] );
     ( "prefix:router",
       [
         Alcotest.test_case "covering contains responsible" `Quick
