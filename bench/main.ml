@@ -223,6 +223,7 @@ let micro_ops () : (string * (unit -> unit)) list =
   in
   [
     ("sha1/256B", fun () -> ignore (Hashing.Sha1.digest_string sha_input));
+    ("sha1/reference-256B", fun () -> ignore (Hashing.Sha1.reference_digest sha_input));
     ("xpath/parse", fun () -> ignore (Xpath.of_string q1_string));
     ("xpath/covers", fun () -> ignore (Xpath.covers q_general q_specific));
     ("chord/lookup-256", fun () -> ignore (Dht.Chord.lookup ring (Hashing.Key.random prng)));
@@ -379,10 +380,12 @@ let micro_runs_of = function
    the population size would buy, a PRNG draw nothing, an ownership
    lookup a search of the live ring or a descent of CAN's partition
    tree, not a pass over every node, a Chord lookup its key and result
-   and nothing per hop, and a convergence check one finger target per
-   finger. *)
+   and nothing per hop, a convergence check one finger target per
+   finger, and a SHA-1 digest on either path its 20-byte result. *)
 let micro_ceilings =
   [
+    ("sha1/256B", 4.0);
+    ("sha1/reference-256B", 4.0);
     ("prng/int", 0.0);
     ("chord/lookup-256", 10.0);
     ("dht/chord-responsible-500", 50.0);
