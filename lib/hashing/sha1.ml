@@ -3,10 +3,11 @@
    (SHA1RNDS4 and friends) when cpuid reports the SHA extensions, and to
    [reference_digest] below otherwise.
 
-   The reference is RFC 3174 over native ints.  A 32-bit word lives in the low bits of an
-   OCaml int and every sum or shift is masked back to 32 bits, so the
-   rounds run on unboxed registers where [Int32] would box each
-   intermediate.  (Needs 63-bit ints: sums of five words reach 35 bits.)
+   The reference is RFC 3174 over native ints.  A 32-bit word lives in
+   the low bits of an OCaml int and every sum or shift is masked back to
+   32 bits, so the rounds run on unboxed registers where [Int32] would box
+   each intermediate.  (Needs 63-bit ints: sums of five words reach 35
+   bits.)
    The message is read in place: blocks that lie inside the string take
    their words straight from it, and only the one or two final blocks —
    the string's tail, the 0x80 marker, zeros and the 64-bit bit length —
