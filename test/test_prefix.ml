@@ -59,13 +59,13 @@ let prefix_lands_in_range =
       let term = p ^ rest in
       Key.in_range p ~key:(Key.encode term))
 
-(* The keys as the hex route built them: each byte rendered "%02x",
-   padded with [pad]'s digits, parsed back with [Key.of_hex]. *)
+(* An oracle by another route: each byte rendered "%02x", padded with
+   [pad]'s digits, parsed with [Key.of_hex]. *)
 let hex_route s ~pad =
   let n = Stdlib.min (String.length s) Key.max_bytes in
   let byte i = if i < n then s.[i] else pad in
-  Hashing.Key.of_hex
-    (String.concat "" (List.init Key.max_bytes (fun i -> Printf.sprintf "%02x" (Char.code (byte i)))))
+  let hex i = Printf.sprintf "%02x" (Char.code (byte i)) in
+  Hashing.Key.of_hex (String.concat "" (List.init Key.max_bytes hex))
 
 let any_bytes =
   let gen = QCheck.Gen.(string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 40)) in
