@@ -193,6 +193,25 @@ let can_churn_golden =
     ~stdout_sha1:"43bc1af140cd7f172a4fad3c58b6dd73d7e94a53"
     ~metrics_sha1:"c62aeb9144afa418afd4d9a58bb0b1dc0b527a4a"
 
+(* Pastry and Kademlia under churn at replication 3 with lossy RPC:
+   ownership, replica placement and each lookup's charged routing hops
+   (Pastry's leaf-set and table routes, Kademlia's contact count). *)
+let substrate_churn_golden substrate =
+  golden
+    [ "simulate"; "--nodes"; "100"; "--articles"; "400"; "--queries"; "1000";
+      "--substrate"; substrate; "--charge-hops"; "--churn-rate"; "0.01"; "--replication"; "3";
+      "--loss-rate"; "0.05"; "--seed"; "5" ]
+
+let pastry_churn_golden =
+  substrate_churn_golden "pastry"
+    ~stdout_sha1:"570fa2a73a47ae6975e4185432786a907903b05e"
+    ~metrics_sha1:"25248af48f111ad8a68ef120ac9f26a1d24c296d"
+
+let kademlia_churn_golden =
+  substrate_churn_golden "kademlia"
+    ~stdout_sha1:"a34d74a37b14c519dd8874d6ec042e210a86a485"
+    ~metrics_sha1:"44fd24ad5dbb8b2a62c89b3c8c8344d5a82927d2"
+
 (* Two experiments whose tables rest on fixed settings: the fault sweep
    on the RPC layer's retries and hedge delay, the churn ablation on its
    session and downtime draws.  (A change to the backoff jitter shows in
@@ -231,6 +250,9 @@ let suite =
         Alcotest.test_case "soft-state run" `Quick soft_state_golden;
         Alcotest.test_case "hard-state run" `Quick hard_state_golden;
         Alcotest.test_case "CAN run with churn and replicas" `Quick can_churn_golden;
+        Alcotest.test_case "Pastry run with churn, replicas and loss" `Quick pastry_churn_golden;
+        Alcotest.test_case "Kademlia run with churn, replicas and loss" `Quick
+          kademlia_churn_golden;
         Alcotest.test_case "fault-sweep experiment" `Quick fault_sweep_golden;
         Alcotest.test_case "ablation-churn experiment" `Quick ablation_churn_golden;
         Alcotest.test_case "ablation-substrate experiment" `Quick ablation_substrate_golden;

@@ -569,6 +569,58 @@ let pastry_resolver_numerically_closest () =
       (Key.to_hex owner)
   done
 
+(* Lookups from every live node to each of [keys], one "owner hops" line
+   apiece (or the exception a lookup raised), appended to [out]. *)
+let record_lookups out ~live_keys ~lookup keys =
+  List.iter
+    (fun from ->
+      List.iter
+        (fun key ->
+          match lookup ~from key with
+          | owner, hops -> Printf.bprintf out "%s %d\n" (Key.to_hex owner) hops
+          | exception e -> Printf.bprintf out "%s\n" (Printexc.to_string e))
+        keys)
+    (live_keys ())
+
+let digest out = Hashing.Sha1.to_hex (Hashing.Sha1.digest_string (Buffer.contents out))
+
+(* Routes and their hop counts through a fixed schedule: routed joins
+   (leaf sets built from the owner's leaves, a partial pool), failures
+   left unrepaired, one repair round, more churn and two rounds.  Pinned
+   by digest, so a change to leaf-set construction, the leaf-range test,
+   delivery or the table fallback shows. *)
+let pastry_schedule_pinned () =
+  let net = Pastry.create_network ~seed:41L ~node_count:40 () in
+  let g = Stdx.Prng.create ~seed:43L in
+  let keys = List.init 12 (fun _ -> Key.random g) in
+  let out = Buffer.create 65_536 in
+  let record () =
+    record_lookups out ~live_keys:(fun () -> Pastry.live_keys net)
+      ~lookup:(fun ~from key -> Pastry.lookup net ~from key)
+      (keys @ Pastry.live_keys net)
+  in
+  let leave_every k =
+    List.iteri (fun i key -> if i mod k = 0 then Pastry.leave net key) (Pastry.live_keys net)
+  in
+  record ();
+  for _ = 1 to 8 do
+    ignore (Pastry.join net)
+  done;
+  record ();
+  leave_every 4;
+  record ();
+  Pastry.repair net;
+  record ();
+  for _ = 1 to 4 do
+    ignore (Pastry.join net)
+  done;
+  leave_every 9;
+  Pastry.repair net;
+  Pastry.repair net;
+  record ();
+  Alcotest.(check int) "live nodes" 35 (Pastry.live_count net);
+  Alcotest.(check string) "lookup digest" "7b63c3f9bf8cc30f95090e51853d1db8bb33a8d6" (digest out)
+
 (* ------------------------------------------------------------------ *)
 (* CAN. *)
 
@@ -771,6 +823,41 @@ let kademlia_churn_recovery () =
   Alcotest.(check int) "45 nodes remain" 45 (Kademlia.live_count net);
   Alcotest.(check bool) "converged after churn" true (Kademlia.is_converged net)
 
+(* Lookups and their contact counts through a fixed schedule: joins,
+   failures whose contacts linger in buckets, a refresh, more churn and
+   another refresh.  Lookups teach both sides, so each recorded round
+   also shapes the next.  Pinned by digest. *)
+let kademlia_schedule_pinned () =
+  let net = Kademlia.create_network ~seed:41L ~node_count:30 () in
+  let g = Stdx.Prng.create ~seed:43L in
+  let keys = List.init 10 (fun _ -> Key.random g) in
+  let out = Buffer.create 65_536 in
+  let record () =
+    record_lookups out ~live_keys:(fun () -> Kademlia.live_keys net)
+      ~lookup:(fun ~from key -> Kademlia.lookup net ~from key)
+      keys
+  in
+  let leave_every k =
+    List.iteri (fun i key -> if i mod k = 0 then Kademlia.leave net key) (Kademlia.live_keys net)
+  in
+  record ();
+  for _ = 1 to 6 do
+    Kademlia.join_with_key net (Key.random g)
+  done;
+  record ();
+  leave_every 4;
+  record ();
+  Kademlia.refresh net;
+  record ();
+  for _ = 1 to 4 do
+    Kademlia.join_with_key net (Key.random g)
+  done;
+  leave_every 7;
+  Kademlia.refresh net;
+  record ();
+  Alcotest.(check int) "live nodes" 26 (Kademlia.live_count net);
+  Alcotest.(check string) "lookup digest" "292ae9bf8fcbc4ff93fa909b699f92fd4013b42e" (digest out)
+
 let kademlia_duplicate_join_rejected () =
   let net = Kademlia.create ~seed:1L () in
   Kademlia.join_with_key net (Key.of_int 5);
@@ -851,6 +938,7 @@ let suite =
         Alcotest.test_case "duplicate join rejected" `Quick pastry_duplicate_join_rejected;
         Alcotest.test_case "resolver numerically closest" `Quick
           pastry_resolver_numerically_closest;
+        Alcotest.test_case "churn schedule routes pinned" `Quick pastry_schedule_pinned;
       ]
       @ qcheck [ pastry_always_converges_after_bootstrap; pastry_membership_tracks_table ] );
     ( "dht:can",
@@ -872,6 +960,7 @@ let suite =
         Alcotest.test_case "churn recovery" `Slow kademlia_churn_recovery;
         Alcotest.test_case "duplicate join rejected" `Quick kademlia_duplicate_join_rejected;
         Alcotest.test_case "resolver XOR replicas" `Quick kademlia_resolver_replicas_xor_closest;
+        Alcotest.test_case "churn schedule lookups pinned" `Quick kademlia_schedule_pinned;
       ]
       @ qcheck [ ring_xor_descent_matches_sort; kademlia_membership_tracks_table ] );
   ]
