@@ -1,11 +1,7 @@
 module Key = Hashing.Key
 
-(* Bucket index: position of the highest differing bit (0..159), i.e. the
-   distance scale.  None when the keys are equal. *)
-let bucket_index a b =
-  let shared = Key.common_prefix_bits a b in
-  if shared = Key.bits then None else Some (Key.bits - 1 - shared)
-
+(* Bucket [j] holds the contacts whose XOR with [id] tops out at bit [j]
+   (0 least significant), i.e. that first differ from it at bit [159 - j]. *)
 type node = {
   id : Key.t;
   buckets : Key.t list array; (* per distance scale; most recently seen last *)
@@ -26,53 +22,73 @@ let live_count = Members.live_count
 
 let responsible_oracle t key = Members.owner t Resolver.ring_xor_closest key
 
-(* Bucket update on hearing from [contact]: refresh recency, or append when
-   there is room; a full bucket first evicts dead contacts, then keeps its
-   old (live) entries and drops the newcomer — Kademlia's stability rule. *)
+(* Bucket update on hearing from [contact]: move it to most-recently-seen,
+   or append it when there is room (a bucket never holds more than [k], so
+   a known contact always fits); a full bucket first evicts dead contacts,
+   then keeps its old (live) entries and drops the newcomer — Kademlia's
+   stability rule. *)
 let observe t n contact =
-  if not (Key.equal n.id contact) then
-    match bucket_index n.id contact with
-    | None -> ()
-    | Some i ->
-        let without = List.filter (fun c -> not (Key.equal c contact)) n.buckets.(i) in
-        if List.length without < List.length n.buckets.(i) then
-          (* Known contact: move to most-recently-seen. *)
-          n.buckets.(i) <- without @ [ contact ]
-        else if List.length without < k then n.buckets.(i) <- without @ [ contact ]
-        else begin
-          let live = List.filter (is_alive t) without in
-          if List.length live < k then n.buckets.(i) <- live @ [ contact ]
-        end
+  let shared = Key.common_prefix_bits n.id contact in
+  if shared < Key.bits then begin
+    let i = Key.bits - 1 - shared in
+    let without = List.filter (fun c -> not (Key.equal c contact)) n.buckets.(i) in
+    if List.length without < k then n.buckets.(i) <- without @ [ contact ]
+    else
+      let live = List.filter (is_alive t) without in
+      if List.length live < k then n.buckets.(i) <- live @ [ contact ]
+  end
 
-let known_contacts n = Array.to_list n.buckets |> List.concat
-
+(* Each bucket's XOR distances to [target] fill one aligned interval.  The
+   intervals ascend along the bits where [n.id] and [target] differ, most
+   significant first, then along the bits where they agree, least
+   significant first: the buckets are visited in that order, each sorted,
+   until [count] live contacts are found. *)
 let closest_contacts t n ~target ~count =
-  known_contacts n
-  |> List.filter (is_alive t)
-  |> List.sort (Key.compare_xor ~target)
-  |> List.filteri (fun i _ -> i < count)
+  let alive = is_alive t and by_distance = Key.compare_xor ~target in
+  let rec visit acc found s =
+    if found >= count || s = 2 * Key.bits then List.filteri (fun i _ -> i < count) (List.rev acc)
+    else
+      let i = if s < Key.bits then s else (2 * Key.bits) - 1 - s in
+      match n.buckets.(Key.bits - 1 - i) with
+      | _ :: _ as bucket when Bool.equal (Key.bit n.id i <> Key.bit target i) (s < Key.bits) ->
+          let live = List.filter alive bucket in
+          visit (List.rev_append (List.sort by_distance live) acc) (found + List.length live) (s + 1)
+      | _ -> visit acc found (s + 1)
+  in
+  visit [] 0 0
 
 exception Lookup_failure of string
 
+(* The first [count] live candidates not yet queried, nearest first. *)
+let rec unqueried t queried count = function
+  | c :: rest when count > 0 ->
+      if is_alive t c && not (Hashtbl.mem queried c) then c :: unqueried t queried (count - 1) rest
+      else unqueried t queried count rest
+  | _ -> []
+
+(* Is one of the first [count] live candidates not yet queried? *)
+let rec pending t queried count = function
+  | c :: rest when count > 0 ->
+      if is_alive t c then (not (Hashtbl.mem queried c)) || pending t queried (count - 1) rest
+      else pending t queried count rest
+  | _ -> false
+
 (* Iterative lookup driven by [from]: repeatedly query the alpha closest
    un-queried candidates, learning closer contacts from each, until the k
-   closest known are all queried.  Every query teaches both sides. *)
+   closest known are all queried.  Every query teaches both sides.  One
+   [sort_uniq] by XOR distance per merge also drops duplicates: the
+   distance is zero only between equal keys. *)
 let iterative_lookup t ~from target =
   let querier = node_of t from in
-  let closer a b = Key.compare_xor ~target a b < 0 in
-  let sort_by_distance l = List.sort (Key.compare_xor ~target) l in
-  let candidates = ref (sort_by_distance (from :: closest_contacts t querier ~target ~count:k)) in
+  let by_distance = Key.compare_xor ~target in
+  let candidates = ref (List.sort by_distance (from :: closest_contacts t querier ~target ~count:k)) in
   let queried = Hashtbl.create 32 in
   let contacted = ref 0 in
   let limit = (4 * live_count t) + 32 in
   let rec round () =
-    let unqueried =
-      List.filter (fun c -> (not (Hashtbl.mem queried c)) && is_alive t c) !candidates
-      |> List.filteri (fun i _ -> i < alpha)
-    in
-    match unqueried with
+    match unqueried t queried alpha !candidates with
     | [] -> ()
-    | _ :: _ ->
+    | _ :: _ as batch ->
         List.iter
           (fun c ->
             if !contacted > limit then raise (Lookup_failure "lookup did not converge");
@@ -84,24 +100,16 @@ let iterative_lookup t ~from target =
             observe t peer from;
             let learned = closest_contacts t peer ~target ~count:k in
             List.iter (observe t querier) (c :: learned);
-            let merged =
-              List.sort_uniq Key.compare (learned @ !candidates) |> sort_by_distance
-            in
-            candidates := merged)
-          unqueried;
+            candidates := List.sort_uniq by_distance (learned @ !candidates))
+          batch;
         (* Continue while one of the k closest known candidates is still
            un-queried. *)
-        let k_closest =
-          List.filter (is_alive t) !candidates |> List.filteri (fun i _ -> i < k)
-        in
-        if List.exists (fun c -> not (Hashtbl.mem queried c)) k_closest then round ()
+        if pending t queried k !candidates then round ()
   in
   round ();
-  match List.filter (is_alive t) !candidates with
-  | [] -> raise (Lookup_failure "no live candidates")
-  | best :: rest ->
-      let best = List.fold_left (fun b c -> if closer c b then c else b) best rest in
-      (best, !contacted)
+  match List.find_opt (is_alive t) !candidates with
+  | None -> raise (Lookup_failure "no live candidates")
+  | Some best -> (best, !contacted)
 
 let lookup t ?from key =
   let from = match from with Some f -> f | None -> Members.first_live t in

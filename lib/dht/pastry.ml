@@ -14,11 +14,7 @@ let radix = 16
 
 let key_digit = Key.nibble
 
-let shared_prefix_length a b =
-  let rec walk i = if i >= digits then digits
-    else if key_digit a i = key_digit b i then walk (i + 1) else i
-  in
-  walk 0
+let shared_prefix_length a b = Key.common_prefix_bits a b / 4
 
 (* Numeric circular distance, exact: min(clockwise, counter-clockwise),
    the clockwise one when it is below half the ring (its top bit
@@ -63,38 +59,40 @@ let responsible_oracle t key = Members.owner t owner_index key
 
 let known_nodes t n =
   let table_entries =
-    Array.to_list n.table
-    |> List.concat_map (fun row -> Array.to_list row |> List.filter_map Fun.id)
+    Array.fold_right (Array.fold_right (fun e acc -> match e with Some k -> k :: acc | None -> acc)) n.table []
   in
   List.filter (is_alive t) (n.leaf_left @ n.leaf_right @ table_entries)
 
-let leaf_candidates t n = List.filter (is_alive t) (n.leaf_left @ n.leaf_right)
+(* The numerically closest to [key] of the node itself and its live
+   leaves, ties to the smaller identifier. *)
+let nearest_leaf t n key =
+  let pick best c =
+    if not (is_alive t c) then best
+    else
+      let d = Key.compare (circular_distance key c) (circular_distance key best) in
+      if d < 0 || (d = 0 && Key.compare c best < 0) then c else best
+  in
+  List.fold_left pick (List.fold_left pick n.id n.leaf_left) n.leaf_right
 
-let closest_to key candidates =
-  List.fold_left
-    (fun best candidate ->
-      match best with
-      | None -> Some candidate
-      | Some b ->
-          let c = Key.compare (circular_distance key candidate) (circular_distance key b) in
-          if c < 0 || (c = 0 && Key.compare candidate b < 0) then Some candidate else best)
-    None candidates
+(* The last live leaf of a side, nearest first; [far] when none is. *)
+let rec farthest_live t far = function
+  | [] -> far
+  | k :: rest -> farthest_live t (if is_alive t k then k else far) rest
 
 (* Is [key] within this node's leaf-set span — the arc from the farthest
    left leaf through the node itself to the farthest right leaf?  With a
    partial or overlapping leaf set (small networks) the span is the whole
-   ring. *)
+   ring.  Leaves never hold the node itself, so [n.id] marks an empty
+   side. *)
 let in_leaf_range t n key =
-  let left = List.filter (is_alive t) n.leaf_left in
-  let right = List.filter (is_alive t) n.leaf_right in
-  match (List.rev left, List.rev right) with
-  | [], _ | _, [] -> true
-  | far_left :: _, far_right :: _ ->
-      (* Overlapping leaf sets mean the node knows every peer. *)
-      List.exists (fun k -> List.exists (Key.equal k) right) left
-      || Key.equal key far_left
-      || Key.in_interval_oc key ~lo:far_left ~hi:n.id
-      || Key.in_interval_oc key ~lo:n.id ~hi:far_right
+  let far_left = farthest_live t n.id n.leaf_left in
+  let far_right = farthest_live t n.id n.leaf_right in
+  Key.equal far_left n.id || Key.equal far_right n.id
+  (* Overlapping leaf sets mean the node knows every peer. *)
+  || List.exists (fun k -> is_alive t k && List.exists (Key.equal k) n.leaf_right) n.leaf_left
+  || Key.equal key far_left
+  || Key.in_interval_oc key ~lo:far_left ~hi:n.id
+  || Key.in_interval_oc key ~lo:n.id ~hi:far_right
 
 exception Routing_failure of string
 
@@ -105,10 +103,10 @@ let route t ~from key =
     let n = node_of t current in
     if Key.equal current key then (current, hops + 1)
     else if in_leaf_range t n key then begin
-      (* Deliver to the numerically closest node among self and leaves. *)
-      match closest_to key (current :: leaf_candidates t n) with
-      | Some best when not (Key.equal best current) -> step_deliver best current hops
-      | Some _ | None -> (current, hops + 1)
+      (* Deliver to the numerically closest node among self and leaves;
+         the receiving node re-checks with its own (wider) leaf set. *)
+      let best = nearest_leaf t n key in
+      if Key.equal best current then (current, hops + 1) else step best (hops + 1)
     end
     else begin
       let l = shared_prefix_length current key in
@@ -126,10 +124,6 @@ let route t ~from key =
           | Some candidate -> step candidate (hops + 1)
           | None -> (current, hops + 1))
     end
-  and step_deliver best current hops =
-    (* One more hop into the leaf set; the receiving node re-checks with its
-       own (wider) leaf set. *)
-    if Key.equal best current then (current, hops + 1) else step best (hops + 1)
   in
   step from 0
 
@@ -149,28 +143,21 @@ let blank_node id =
     table = Array.make_matrix digits radix None;
   }
 
-let rec take k = function
-  | [] -> []
-  | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
+(* Clockwise order from [self] (which neither key is): the keys above it
+   ascending, then the keys below it ascending. *)
+let compare_cw self a b =
+  let above = Key.compare a self > 0 in
+  if Bool.equal above (Key.compare b self > 0) then Key.compare a b else if above then -1 else 1
 
-(* Rebuild one node's leaf set from a candidate pool (always includes the
-   global live set when called from [repair]). *)
+(* Rebuild one node's leaf set from a candidate pool.  Over distinct
+   keys the counter-clockwise order is the clockwise one reversed. *)
 let set_leaves t n candidates =
-  let others =
-    List.sort_uniq Key.compare (List.filter (fun k -> is_alive t k && not (Key.equal k n.id)) candidates)
+  let clockwise =
+    List.sort_uniq (compare_cw n.id)
+      (List.filter (fun k -> is_alive t k && not (Key.equal k n.id)) candidates)
   in
-  let by_cw_distance =
-    List.sort
-      (fun a b -> Key.compare (Key.distance_cw n.id a) (Key.distance_cw n.id b))
-      others
-  in
-  let by_ccw_distance =
-    List.sort
-      (fun a b -> Key.compare (Key.distance_cw a n.id) (Key.distance_cw b n.id))
-      others
-  in
-  n.leaf_right <- take leaf_set_radius by_cw_distance;
-  n.leaf_left <- take leaf_set_radius by_ccw_distance
+  n.leaf_right <- List.filteri (fun i _ -> i < leaf_set_radius) clockwise;
+  n.leaf_left <- List.filteri (fun i _ -> i < leaf_set_radius) (List.rev clockwise)
 
 let fill_table_from t n candidates =
   List.iter
@@ -197,15 +184,11 @@ let purge_dead t n =
         row)
     n.table
 
-let rebuild_globally t =
-  let keys = live_keys t in
-  List.iter
-    (fun key ->
-      let n = node_of t key in
-      set_leaves t n keys;
-      Array.iteri (fun r row -> Array.iteri (fun c _ -> n.table.(r).(c) <- None) row) n.table;
-      fill_table_from t n keys)
-    keys
+(* The nearest ring neighbours of position [i] in direction [dir] (1
+   clockwise, -1 counter-clockwise): [set_leaves] over every live key. *)
+let ring_leaves ring i dir =
+  let m = Resolver.ring_length ring in
+  List.init (min leaf_set_radius (m - 1)) (fun j -> Resolver.ring_key ring ((i + (dir * (j + 1)) + m) mod m))
 
 let create_network ?seed ~node_count () =
   if node_count <= 0 then invalid_arg "Pastry.create_network: need at least one node";
@@ -214,7 +197,14 @@ let create_network ?seed ~node_count () =
     let key = Members.fresh_key t in
     Members.add t key (blank_node key)
   done;
-  rebuild_globally t;
+  let ring = Members.ring t and keys = live_keys t in
+  List.iteri
+    (fun i key ->
+      let n = node_of t key in
+      n.leaf_right <- ring_leaves ring i 1;
+      n.leaf_left <- ring_leaves ring i (-1);
+      fill_table_from t n keys)
+    keys;
   t
 
 let join_with_key t key =

@@ -60,17 +60,15 @@ let rec common_prefix_from a b i =
 
 let common_prefix_bits a b = common_prefix_from a b 0
 
-let compare_xor ~target a b =
-  (* The first byte where the distances differ decides; nothing is built. *)
-  let rec go i =
-    if i = byte_count then 0
-    else
-      let t = Char.code target.[i] in
-      let da = t lxor Char.code a.[i] in
-      let db = t lxor Char.code b.[i] in
-      if da = db then go (i + 1) else Int.compare da db
-  in
-  go 0
+(* The first byte where the distances differ decides; nothing is built. *)
+let rec compare_xor_from target a b i =
+  if i = byte_count then 0
+  else
+    let t = Char.code target.[i] in
+    let da = t lxor Char.code a.[i] and db = t lxor Char.code b.[i] in
+    if da = db then compare_xor_from target a b (i + 1) else Int.compare da db
+
+let compare_xor ~target a b = compare_xor_from target a b 0
 
 let nibble t i =
   if i < 0 || i >= 2 * byte_count then invalid_arg "Key.nibble: index out of range";
