@@ -687,6 +687,26 @@ let can_point_of_key_deterministic () =
   let p6 = Can.point_of_key (Can.create ~dimensions:6 ()) key in
   Alcotest.(check (float 0.0)) "sixth coordinate wraps" p6.(0) p6.(5)
 
+(* Greedy routing's tie rule, on a 1-d CAN of five zones (seed 1): node
+   0 holds [0, 1/4), 4 [1/4, 1/2), 2 [1/2, 3/4), 1 [3/4, 7/8) and 3
+   [7/8, 1).  From node 0, the point 11/16 in node 2's zone lies 3/16
+   from both of 0's neighbours: 4 across 1/2, and 3 across 7/8 the other
+   way round the torus.  The hop goes to the higher id, 4, which is one
+   hop from the owner; through 3 the route would take two. *)
+let can_greedy_tie_takes_higher_id () =
+  let net = Can.create_network ~seed:1L ~dimensions:1 ~node_count:5 () in
+  List.iter
+    (fun (x, owner) ->
+      Alcotest.(check int) (Printf.sprintf "owner of %g" x) owner (Can.owner_of_point net [| x |]))
+    [ (0.0, 0); (0.249, 0); (0.25, 4); (0.499, 4); (0.5, 2); (0.749, 2); (0.75, 1); (0.874, 1);
+      (0.875, 3); (0.999, 3) ];
+  Alcotest.(check (list int)) "neighbours of 0" [ 3; 4 ] (Can.neighbours net 0);
+  let key = Key.of_hex ("b0000000" ^ String.make 32 '0') in
+  Alcotest.(check (float 0.0)) "the key's point" 0.6875 (Can.point_of_key net key).(0);
+  let via m = 1 + snd (Can.lookup net ~from:m key) in
+  Alcotest.(check (pair int int)) "hops through 4 and through 3" (3, 4) (via 4, via 3);
+  Alcotest.(check (pair int int)) "from 0: owner 2, through 4" (2, 3) (Can.lookup net ~from:0 key)
+
 let can_last_node_protected () =
   let net = Can.create_network ~seed:23L ~node_count:1 () in
   Alcotest.check_raises "cannot empty the space"
@@ -949,6 +969,7 @@ let suite =
         Alcotest.test_case "departures keep the tiling" `Quick can_departures_keep_tiling;
         Alcotest.test_case "point mapping deterministic" `Quick can_point_of_key_deterministic;
         Alcotest.test_case "last node protected" `Quick can_last_node_protected;
+        Alcotest.test_case "greedy tie goes to the higher id" `Quick can_greedy_tie_takes_higher_id;
       ]
       @ qcheck [ can_always_well_formed ] );
     ( "dht:kademlia",
