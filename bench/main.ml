@@ -67,6 +67,7 @@ let micro_ops () : (string * (unit -> unit)) list =
   let prng = Stdx.Prng.create ~seed:9L in
   let pastry = Dht.Pastry.create_network ~seed:7L ~node_count:256 () in
   let can = Dht.Can.create_network ~seed:7L ~node_count:256 () in
+  let kademlia = Dht.Kademlia.create_network ~seed:7L ~node_count:256 () in
   let vocabulary =
     Fuzzy.Spell.of_list
       (List.map Bib.Article.author_to_string
@@ -229,6 +230,8 @@ let micro_ops () : (string * (unit -> unit)) list =
     ("chord/lookup-256", fun () -> ignore (Dht.Chord.lookup ring (Hashing.Key.random prng)));
     ("pastry/lookup-256", fun () -> ignore (Dht.Pastry.lookup pastry (Hashing.Key.random prng)));
     ("can/lookup-256", fun () -> ignore (Dht.Can.lookup can (Hashing.Key.random prng)));
+    ( "kademlia/lookup-256",
+      fun () -> ignore (Dht.Kademlia.lookup kademlia (Hashing.Key.random prng)) );
     ("fuzzy/suggest", fun () -> ignore (Fuzzy.Spell.suggest vocabulary "Jhn Smth"));
     ("index/lookup_step", fun () -> ignore (Bib.Bib_index.lookup_step index sample_query));
     ( "index/publish-corpus-1k",
@@ -325,6 +328,8 @@ let micro_ops () : (string * (unit -> unit)) list =
     ( "dht/can-replicas3-500",
       fun () -> Dht.Resolver.replicas_into can_500_resolver (owner_key ()) 3 replica_buf );
     ("dht/chord-converged-500", fun () -> ignore (Dht.Chord.is_converged chord_500));
+    ( "dht/pastry-create-500",
+      fun () -> ignore (Dht.Pastry.create_network ~seed:7L ~node_count:500 ()) );
     ( "dht/static-create-10k",
       fun () -> ignore (Dht.Static_dht.create ~seed:3L ~node_count:10_000 ()) );
     ( "storage/create-10k",
@@ -371,7 +376,8 @@ let micro_runs = 1_000
    nanoseconds; ten runs give their exact per-run counts. *)
 let micro_runs_of = function
   | "index/publish-corpus-1k" | "index/republish-corpus-1k" | "dht/static-create-10k"
-  | "storage/create-10k" | "sim/setup-10k-nodes" | "dht/chord-converged-500" ->
+  | "storage/create-10k" | "sim/setup-10k-nodes" | "dht/chord-converged-500"
+  | "dht/pastry-create-500" ->
       10
   | _ -> micro_runs
 
@@ -380,7 +386,9 @@ let micro_runs_of = function
    the population size would buy, a PRNG draw nothing, an ownership
    lookup a search of the live ring or a descent of CAN's partition
    tree, not a pass over every node, a Chord lookup its key and result
-   and nothing per hop, a convergence check one finger target per
+   and nothing per hop, Pastry and Kademlia lookups no copy of a node's
+   whole state per hop, a Pastry network its tables and not a sort of
+   every live key per node, a convergence check one finger target per
    finger, and a SHA-1 digest on either path its 20-byte result. *)
 let micro_ceilings =
   [
@@ -388,6 +396,8 @@ let micro_ceilings =
     ("sha1/reference-256B", 4.0);
     ("prng/int", 0.0);
     ("chord/lookup-256", 10.0);
+    ("pastry/lookup-256", 1_000.0);
+    ("kademlia/lookup-256", 20_000.0);
     ("dht/chord-responsible-500", 50.0);
     ("dht/pastry-responsible-500", 50.0);
     ("dht/kademlia-responsible-500", 50.0);
@@ -395,6 +405,7 @@ let micro_ceilings =
     ("dht/can-responsible-500", 50.0);
     ("dht/can-replicas3-500", 50.0);
     ("dht/chord-converged-500", 1_000_000.0);
+    ("dht/pastry-create-500", 1_000_000.0);
     ("dht/static-create-10k", 200_000.0);
     ("storage/create-10k", 1_000.0);
     ("sim/setup-10k-nodes", 1_000_000.0);
