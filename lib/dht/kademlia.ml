@@ -42,7 +42,8 @@ let observe t n contact =
    intervals ascend along the bits where [n.id] and [target] differ, most
    significant first, then along the bits where they agree, least
    significant first: the buckets are visited in that order, each sorted,
-   until [count] live contacts are found. *)
+   until [count] live contacts are found.  Empty ones, most, are skipped:
+   [List.filter] and [List.sort] build closures even for []. *)
 let closest_contacts t n ~target ~count =
   let alive = is_alive t and by_distance = Key.compare_xor ~target in
   let rec visit acc found s =
