@@ -627,24 +627,32 @@ let corpus_cmd =
 (* ------------------------------------------------------------------ *)
 (* search *)
 
+(* An author is "First Last": the first name up to the first space, the
+   last name after it, neither empty. *)
+let author_arg =
+  let parse s =
+    match String.index_opt s ' ' with
+    | Some i when i > 0 && i < String.length s - 1 ->
+        Ok
+          {
+            Bib.Article.first = String.sub s 0 i;
+            last = String.sub s (i + 1) (String.length s - i - 1);
+          }
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected \"First Last\", got %S" s))
+  in
+  let print ppf a = Format.pp_print_string ppf (Bib.Article.author_to_string a) in
+  Arg.conv (parse, print)
+
 let search_cmd =
   let run articles nodes seed scheme author title conf year =
+    if author = None && title = None && conf = None && year = None then begin
+      prerr_endline "search: give at least one of --author, --title, --conf and --year";
+      exit usage_error
+    end;
     let corpus = Bib.Corpus.generate ~seed (Bib.Corpus.default_config ~article_count:articles) in
     let resolver = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed ~node_count:nodes ()) in
     let index = Bib.Bib_index.create ~resolver () in
     Bib.Bib_index.publish_corpus index ~kind:scheme corpus;
-    let author =
-      Option.map
-        (fun s ->
-          match String.index_opt s ' ' with
-          | Some i ->
-              {
-                Bib.Article.first = String.sub s 0 i;
-                last = String.sub s (i + 1) (String.length s - i - 1);
-              }
-          | None -> { Bib.Article.first = ""; last = s })
-        author
-    in
     let query = Bib.Bib_query.fields ?author ?title ?conf ?year () in
     Printf.printf "query: %s\n" (Bib.Bib_query.to_string query);
     let interactions = ref 0 in
@@ -668,7 +676,7 @@ let search_cmd =
       results
   in
   let author =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some author_arg) None
          & info [ "author" ] ~docv:"\"First Last\"" ~doc:"Author constraint.")
   in
   let title =

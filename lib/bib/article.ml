@@ -41,32 +41,6 @@ let to_xml t =
         Xml.leaf "size" (string_of_int t.size_bytes);
       ])
 
-let of_xml doc =
-  let field name =
-    match Xml.find_child doc name with
-    | Some child -> Xml.text_content child
-    | None -> invalid_arg (Printf.sprintf "Article.of_xml: missing <%s>" name)
-  in
-  if Xml.name doc <> Some "article" then invalid_arg "Article.of_xml: not an <article>";
-  let authors =
-    List.map
-      (fun author_node ->
-        let part name =
-          match Xml.find_child author_node name with
-          | Some child -> Xml.text_content child
-          | None -> invalid_arg (Printf.sprintf "Article.of_xml: author missing <%s>" name)
-        in
-        { first = part "first"; last = part "last" })
-      (Xml.find_children doc "author")
-  in
-  let int_field name =
-    match int_of_string_opt (field name) with
-    | Some v -> v
-    | None -> invalid_arg (Printf.sprintf "Article.of_xml: <%s> is not a number" name)
-  in
-  make ~id:0 ~authors ~title:(field "title") ~conf:(field "conf") ~year:(int_field "year")
-    ~size_bytes:(int_field "size")
-
 let file t =
   { Storage.Block_store.name = Printf.sprintf "article-%d.pdf" t.id;
     size_bytes = t.size_bytes }

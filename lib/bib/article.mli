@@ -39,9 +39,5 @@ val to_xml : t -> Xmlkit.Xml.t
 (** The article's descriptor, in the Fig. 1 format (one [author] element per
     author). *)
 
-val of_xml : Xmlkit.Xml.t -> t
-(** Parse a descriptor back (with [id = 0]; identity is not part of the
-    descriptor).  @raise Invalid_argument on a non-article document. *)
-
 val file : t -> Storage.Block_store.file
 (** The stored payload: ["article-<id>.pdf"] of [size_bytes]. *)

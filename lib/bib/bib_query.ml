@@ -65,11 +65,6 @@ let field_count f =
   let count opt = match opt with Some _ -> 1 | None -> 0 in
   count f.author + count f.title + count f.conf + count f.year
 
-let constraint_count = function
-  | Author_last_prefix _ -> 1
-  | Msd _ -> 5
-  | Fields f -> field_count f
-
 (* ------------------------------------------------------------------ *)
 (* Canonical rendering: exactly the canonical form of the equivalent XPath
    pattern.  Predicates sort by their rendered strings; for article fields

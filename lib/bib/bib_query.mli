@@ -52,6 +52,7 @@ val to_string : t -> string
 (* lint: allow X1 — Index.Make takes this module as its query argument *)
 val pp : Format.formatter -> t -> unit
 val covers : t -> t -> bool
+(* lint: allow X1 — reached through the Query_sig functor argument (search pruning) *)
 val compatible : t -> t -> bool
 val generalizations : t -> t list
 (** For a [Fields] query: drop one constraint, least selective first (year,
@@ -64,6 +65,7 @@ val matches_article : t -> Article.t -> bool
 (** Does the article's descriptor match the query?  Equivalent to
     [covers q (msd article)]. *)
 
+(* lint: allow X1 — oracle: the XPath form the field-query semantics are checked against *)
 val to_xpath : t -> Xpath.t
 (** The equivalent XPath pattern.  [Xpath.to_string (to_xpath q)] equals
     [to_string q]. *)
@@ -76,6 +78,3 @@ val of_xpath_author_prefix : Xpath.t -> t option
     [of_xpath_author_prefix (to_xpath (author_last_prefix p))] is
     [Some (author_last_prefix p)]. *)
 
-val constraint_count : t -> int
-(** Number of constrained fields ([Msd] counts as 5: all fields plus
-    size; a prefix counts as 1). *)

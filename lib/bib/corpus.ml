@@ -1,5 +1,3 @@
-module Xml = Xmlkit.Xml
-
 type config = {
   article_count : int;
   author_pool : int;
@@ -134,44 +132,6 @@ let generate ~seed config =
         ~year:(Stdx.Prng.int_in_range g ~lo:config.first_year ~hi:config.last_year)
         ~size_bytes:(Stdx.Prng.int_in_range g ~lo:100_000 ~hi:450_000))
 
-let fig1_articles () =
-  [
-    Article.make ~id:1
-      ~authors:[ { Article.first = "John"; last = "Smith" } ]
-      ~title:"TCP" ~conf:"SIGCOMM" ~year:1989 ~size_bytes:315635;
-    Article.make ~id:2
-      ~authors:[ { Article.first = "John"; last = "Smith" } ]
-      ~title:"IPv6" ~conf:"INFOCOM" ~year:1996 ~size_bytes:312352;
-    Article.make ~id:3
-      ~authors:[ { Article.first = "Alan"; last = "Doe" } ]
-      ~title:"Wavelets" ~conf:"INFOCOM" ~year:1996 ~size_bytes:259827;
-  ]
-
-let to_xml articles =
-  Xml.element "bibliography" (Array.to_list (Array.map Article.to_xml articles))
-
-let of_xml doc =
-  match Xml.name doc with
-  | Some "bibliography" ->
-      let entries = Xml.find_children doc "article" in
-      if entries = [] then invalid_arg "Corpus.of_xml: empty bibliography";
-      Array.of_list
-        (List.mapi (fun i entry -> { (Article.of_xml entry) with Article.id = i + 1 }) entries)
-  | Some "article" -> [| { (Article.of_xml doc) with Article.id = 1 } |]
-  | Some _ | None -> invalid_arg "Corpus.of_xml: expected <bibliography> or <article>"
-
-let save_xml out articles =
-  output_string out (Xml.to_string ~indent:true (to_xml articles))
-
-let load_xml input = of_xml (Xml.of_string (In_channel.input_all input))
-
 let distinct_authors articles =
   let all = Array.to_list articles |> List.concat_map (fun (a : Article.t) -> a.authors) in
   List.sort_uniq Article.compare_author all
-
-let articles_by_author articles author =
-  Array.to_list articles
-  |> List.filter (fun (a : Article.t) -> List.exists (Article.author_equal author) a.authors)
-
-let articles_by_year articles year =
-  Array.to_list articles |> List.filter (fun (a : Article.t) -> a.year = year)

@@ -29,27 +29,5 @@ val generate : seed:int64 -> config -> Article.t array
     ids 1..count (the popularity ranks).
     @raise Invalid_argument on nonsensical configurations. *)
 
-val fig1_articles : unit -> Article.t list
-(** The paper's three running-example descriptors d1, d2, d3 (Fig. 1). *)
-
-val to_xml : Article.t array -> Xmlkit.Xml.t
-(** The whole corpus as one [<bibliography>] document of Fig. 1-style
-    [<article>] descriptors. *)
-
-val of_xml : Xmlkit.Xml.t -> Article.t array
-(** Parse a [<bibliography>] document back; articles are assigned ranks in
-    document order.  Accepts a bare [<article>] as a one-element corpus.
-    @raise Invalid_argument on other documents. *)
-
-val save_xml : out_channel -> Article.t array -> unit
-
-val load_xml : in_channel -> Article.t array
-(** @raise Xmlkit.Xml.Parse_error or [Invalid_argument] on bad content.
-    This is the hook for real DBLP-style data: any file of Fig. 1-shaped
-    descriptors loads as a corpus. *)
-
 val distinct_authors : Article.t array -> Article.author list
 (** All authors appearing in the corpus, deduplicated. *)
-
-val articles_by_author : Article.t array -> Article.author -> Article.t list
-val articles_by_year : Article.t array -> int -> Article.t list

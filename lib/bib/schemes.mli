@@ -36,13 +36,11 @@ val of_label : string -> kind option
 
 val scheme : kind -> Bib_query.t P2pindex.Scheme.t
 
+(* lint: allow X1 — test-only; ROADMAP item 17 deletes it with the tests it alone serves *)
 val with_author_prefix : kind -> Bib_query.t P2pindex.Scheme.t
 (** The base scheme augmented with alphabetic entry points: an index per
     last-name initial mapping to the author queries it covers — Section
     IV-C's "all the files of an author that start with the letter A". *)
-
-val edges : kind -> Article.t -> Bib_query.t P2pindex.Scheme.edge list
-(** The entries this scheme installs for one article. *)
 
 val chain_to : kind -> Article.t -> Bib_query.t -> Bib_query.t list
 (** [chain_to kind article q] is the index path a user starting at [q]

@@ -25,9 +25,7 @@ let create ?capacity ?(on_evict = fun _ _ -> ()) () =
   | Some _ | None -> ());
   { capacity; on_evict; table = Hashtbl.create 16; head = None; tail = None }
 
-let capacity t = t.capacity
 let length t = Hashtbl.length t.table
-let is_empty t = length t = 0
 
 let unlink t entry =
   (match entry.prev with
@@ -62,8 +60,6 @@ let find t k =
 
 let peek t k =
   match Hashtbl.find_opt t.table k with None -> None | Some entry -> Some entry.value
-
-let mem t k = Hashtbl.mem t.table k
 
 let evict_lru t =
   match t.tail with

@@ -12,18 +12,13 @@ val create : ?capacity:int -> ?on_evict:('k -> 'v -> unit) -> unit -> ('k, 'v) t
     (not for {!remove} or overwrites).
     @raise Invalid_argument when [capacity <= 0]. *)
 
-val capacity : ('k, 'v) t -> int option
 val length : ('k, 'v) t -> int
-val is_empty : ('k, 'v) t -> bool
 
 val find : ('k, 'v) t -> 'k -> 'v option
 (** Lookup; a hit refreshes the entry's recency. *)
 
 val peek : ('k, 'v) t -> 'k -> 'v option
 (** Lookup without touching recency. *)
-
-val mem : ('k, 'v) t -> 'k -> bool
-(** Membership without touching recency. *)
 
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or overwrite; either way the entry becomes most recent.  May

@@ -114,15 +114,6 @@ let find t ~query_key =
   count_outcome t ~hit:(found <> []);
   found
 
-let find_target t ~query_key ~target_key =
-  let found =
-    match live_find t (query_key, target_key) with
-    | Some { shortcut = _target_key, (_query, target); _ } -> Some target
-    | None -> None
-  in
-  count_outcome t ~hit:(found <> None);
-  found
-
 let add t ~query_key ~target_key pair =
   let key = (query_key, target_key) in
   (* An expired leftover is not a refresh: drop it so the install counts
@@ -160,9 +151,6 @@ let clear t =
   Hashtbl.reset t.by_query
 
 let size t = Lru.length t.lru
-
-let is_full t =
-  match Lru.capacity t.lru with None -> false | Some c -> Lru.length t.lru >= c
 
 let entries t =
   List.filter_map

@@ -10,11 +10,6 @@ type t
 val exponential : mean:float -> t
 (** @raise Invalid_argument when [mean <= 0]. *)
 
-val mean : t -> float
-
 val sample : t -> Stdx.Prng.t -> float
 (** Draw a lifetime by inversion from the PRNG's next float.  Always
     strictly positive and finite. *)
-
-val label : t -> string
-(** ["exp(mean=30)"] — for reports. *)

@@ -18,6 +18,7 @@
 
 type t
 
+(* lint: allow X1 — substrate dynamics; only tests drive it until ROADMAP item 3 *)
 val create : ?seed:int64 -> ?dimensions:int -> unit -> t
 (** An empty overlay over [\[0,1)^dimensions] (default 2).
     @raise Invalid_argument when [dimensions < 1]. *)
@@ -25,23 +26,29 @@ val create : ?seed:int64 -> ?dimensions:int -> unit -> t
 val create_network : ?seed:int64 -> ?dimensions:int -> node_count:int -> unit -> t
 (** Bootstrap a network of [node_count] nodes by successive joins. *)
 
+(* lint: allow X1 — substrate dynamics oracle for joins and leaves; ROADMAP item 3 *)
 val node_count : t -> int
 
+(* lint: allow X1 — substrate dynamics; only tests drive it until ROADMAP item 3 *)
 val join : t -> int
 (** Add a node under the next unused id, returned: it halves the zone
     that contains a random point and takes the half holding the point. *)
 
+(* lint: allow X1 — substrate dynamics; only tests drive it until ROADMAP item 3 *)
 val leave : t -> int -> unit
 (** Graceful departure: the zone is taken over by one of its neighbours.
     @raise Not_found if no such live node.
     @raise Invalid_argument when removing the last node. *)
 
+(* lint: allow X1 — substrate dynamics oracle for joins and leaves; ROADMAP item 3 *)
 val point_of_key : t -> Hashing.Key.t -> float array
 (** The deterministic point a key hashes to. *)
 
+(* lint: allow X1 — substrate dynamics oracle for joins and leaves; ROADMAP item 3 *)
 val owner_of_point : t -> float array -> int
 (** The node whose zone contains the point (exact, from global knowledge). *)
 
+(* lint: allow X1 — substrate dynamics oracle for joins and leaves; ROADMAP item 3 *)
 val neighbours : t -> int -> int list
 (** A live node's zone neighbours, ascending by id.
     @raise Not_found if no such live node. *)
@@ -52,6 +59,7 @@ val lookup : t -> ?from:int -> Hashing.Key.t -> int * int
     Each hop goes to the neighbour nearest the key's point, ties to the
     higher id. *)
 
+(* lint: allow X1 — substrate dynamics oracle for joins and leaves; ROADMAP item 3 *)
 val is_well_formed : t -> bool
 (** Structural invariants: zones tile the space exactly (volumes sum to 1,
     every sampled point lies in one zone, the one the tree descends to),

@@ -32,6 +32,7 @@ val join : t -> Hashing.Key.t
     immediately linked to its successor; background stabilization completes
     its fingers. *)
 
+(* lint: allow X1 — substrate dynamics; only tests drive it until ROADMAP item 3 *)
 val join_with_key : t -> Hashing.Key.t -> unit
 (** Add a node with an explicit identifier (for tests).
     @raise Invalid_argument if the identifier is already present. *)
@@ -43,6 +44,7 @@ val leave : t -> Hashing.Key.t -> unit
 val live_count : t -> int
 (** Live nodes, kept current by joins and failures (no table walk). *)
 
+(* lint: allow X1 — substrate dynamics oracle for joins and leaves; ROADMAP item 3 *)
 val first_live : t -> Hashing.Key.t
 (** The minimal live identifier — the head of {!live_keys} and the
     default origin of {!lookup}.  @raise Not_found on an empty ring. *)
@@ -69,10 +71,12 @@ val is_converged : t -> bool
     [id + 1] and [id + 2^i] — i.e. stabilization has fully repaired the
     ring.  O(n · bits · log n). *)
 
+(* lint: allow X1 — substrate dynamics; only tests drive it until ROADMAP item 3 *)
 val repair_globally : t -> unit
 (** Install on every live node the routing state stabilization converges
     to — successor, predecessor, successor list and fingers — directly. *)
 
+(* lint: allow X1 — substrate dynamics oracle for joins and leaves; ROADMAP item 3 *)
 val routing_state :
   t -> Hashing.Key.t -> Hashing.Key.t * Hashing.Key.t option * Hashing.Key.t list * Hashing.Key.t list
 (** A node's successor, predecessor, successor list and fingers, for

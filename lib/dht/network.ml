@@ -90,7 +90,6 @@ let bytes t category =
 let sum counters =
   Array.fold_left (fun acc c -> acc + Obs.Metrics.Counter.value c) 0 counters
 
-let total_messages t = sum t.instruments.msg_counters
 let total_bytes t = sum t.instruments.byte_counters
 
 let touches t = Array.copy t.touches

@@ -33,10 +33,10 @@ val touch : t -> node:int -> unit
 (** Record that the current query accessed node [node] (one count per
     interaction) — the Fig. 15 hot-spot measure. *)
 
+(* lint: allow X1 — test view: message counts per category; reports read bytes *)
 val messages : t -> category -> int
 val bytes : t -> category -> int
 
-val total_messages : t -> int
 val total_bytes : t -> int
 
 val touches : t -> int array

@@ -15,41 +15,50 @@
 
 type t
 
+(* lint: allow X1 — substrate dynamics; only tests drive it until ROADMAP item 3 *)
 val create : ?seed:int64 -> unit -> t
 (** An empty overlay.  Each node keeps 8 leaf neighbours on each side. *)
 
 val create_network : ?seed:int64 -> node_count:int -> unit -> t
 (** Bootstrap a network with fully correct routing state. *)
 
+(* lint: allow X1 — substrate dynamics; only tests drive it until ROADMAP item 3 *)
 val join : t -> Hashing.Key.t
 (** Add one node with a fresh identifier, routing its join request through
     the overlay and initializing its state from the nodes encountered, as
     in the Pastry join protocol; returns the identifier. *)
 
+(* lint: allow X1 — substrate dynamics; only tests drive it until ROADMAP item 3 *)
 val join_with_key : t -> Hashing.Key.t -> unit
 (** Join with an explicit identifier (for tests).
     @raise Invalid_argument if already present. *)
 
+(* lint: allow X1 — substrate dynamics; only tests drive it until ROADMAP item 3 *)
 val leave : t -> Hashing.Key.t -> unit
 (** Abrupt failure.  @raise Not_found if no such live node. *)
 
+(* lint: allow X1 — substrate dynamics; only tests drive it until ROADMAP item 3 *)
 val repair : t -> unit
 (** One repair round on every node: purge dead entries, refill leaf sets
     from neighbours' leaf sets, and patch routing-table holes from
     reachable nodes.  Run a few times after failures. *)
 
+(* lint: allow X1 — substrate dynamics oracle for joins and leaves; ROADMAP item 3 *)
 val live_count : t -> int
+(* lint: allow X1 — substrate dynamics oracle for joins and leaves; ROADMAP item 3 *)
 val live_keys : t -> Hashing.Key.t list
 
 val lookup : t -> ?from:Hashing.Key.t -> Hashing.Key.t -> Hashing.Key.t * int
 (** Route to the node responsible for the key; returns (owner, hops).
     @raise Not_found on an empty overlay. *)
 
+(* lint: allow X1 — substrate dynamics oracle for joins and leaves; ROADMAP item 3 *)
 val responsible_oracle : t -> Hashing.Key.t -> Hashing.Key.t
 (** Ground truth: the live node numerically closest to the key — the
     nearer of its ring successor and predecessor, ties to the smaller
     identifier (the clockwise side at the wrap). *)
 
+(* lint: allow X1 — substrate dynamics oracle for joins and leaves; ROADMAP item 3 *)
 val is_converged : t -> bool
 (** Routes from every live node to every live identifier land on that
     identifier. *)

@@ -78,6 +78,7 @@ val of_ring :
     unless [replicas_into] places them.
     @raise Invalid_argument on an empty ring. *)
 
+(* lint: allow X1 — test view: the ring placement rule, checked at its wrap-around edge *)
 val ring_replicas_into :
   node_count:int -> primary:int -> int -> Stdx.Int_buf.t -> unit
 (** Placement for substrates whose node indexes are ring-ordered:

@@ -13,13 +13,16 @@ val create : ?seed:int64 -> node_count:int -> unit -> t
 (** [create ~node_count ()] places [node_count] nodes at pseudo-random ring
     positions derived from [seed] (default 1). *)
 
+(* lint: allow X1 — test view: a ring from chosen identifiers, for ownership checks *)
 val of_keys : Hashing.Key.t array -> t
 (** Build from explicit node identifiers (for tests).  Identifiers must be
     distinct.  @raise Invalid_argument otherwise, or if the array is empty. *)
 
+(* lint: allow X1 — test view: a node's ring identifier, for ownership checks *)
 val node_key : t -> int -> Hashing.Key.t
 (** Ring identifier of node [i] (indexes are assigned in ring order). *)
 
+(* lint: allow X1 — oracle: first-node-clockwise ownership, checked against the resolvers *)
 val responsible : t -> Hashing.Key.t -> int
 (** Index of the node owning the key: the first node clockwise from it. *)
 

@@ -37,7 +37,6 @@ let of_list values =
   List.iter (add t) values;
   t
 
-let size t = Hashtbl.length t.values
 
 let mem t value = Hashtbl.mem t.values (String.lowercase_ascii value)
 

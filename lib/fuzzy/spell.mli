@@ -21,12 +21,10 @@ val add : t -> string -> unit
 
 val of_list : string list -> t
 
-val size : t -> int
-(** Number of distinct known values. *)
-
 val mem : t -> string -> bool
 (** Case-insensitive exact membership. *)
 
+(* lint: allow X1 — test view: the distance suggest ranks by, checked against the metric laws *)
 val edit_distance : string -> string -> int
 (** Damerau-Levenshtein distance (insert, delete, substitute, and adjacent
     transposition — the classic typo operations), case-sensitive. *)

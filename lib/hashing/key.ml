@@ -75,17 +75,6 @@ let nibble t i =
   let byte = Char.code t.[i / 2] in
   if i mod 2 = 0 then byte lsr 4 else byte land 0xF
 
-let add t u =
-  (* Byte-wise addition modulo 2^160 (the final carry is discarded). *)
-  let out = Bytes.create byte_count in
-  let carry = ref 0 in
-  for i = byte_count - 1 downto 0 do
-    let sum = Char.code t.[i] + Char.code u.[i] + !carry in
-    Bytes.set out i (Char.chr (sum land 0xFF));
-    carry := sum lsr 8
-  done;
-  Bytes.unsafe_to_string out
-
 let sub t u =
   (* Byte-wise subtraction modulo 2^160: a byte's difference lies in
      [-256, 255], so its low byte is the digit and its sign the borrow. *)
@@ -98,9 +87,6 @@ let sub t u =
   done;
   Bytes.unsafe_to_string out
 
-let one = of_int 1
-
-let succ t = add t one
 
 (* 2^i lands in one byte; its carry runs towards the top byte and is
    dropped past it.  One copy of the key is the only allocation. *)

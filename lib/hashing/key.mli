@@ -23,6 +23,7 @@ val prefix56 : t -> int
     first: [compare] on two keys agrees with [Int.compare] on their
     prefixes whenever the prefixes differ. *)
 
+(* lint: allow X1 — test view: small numeric keys for the ring-arithmetic checks *)
 val of_int : int -> t
 (** [of_int n] is the key with numeric value [n] (for tests).
     @raise Invalid_argument when [n < 0]. *)
@@ -31,9 +32,11 @@ val of_bytes : string -> t
 (** [of_bytes s] is the key whose 20 big-endian bytes are [s].
     @raise Invalid_argument unless [String.length s = 20]. *)
 
+(* lint: allow X1 — test view: keys written in hex in the ring-arithmetic checks *)
 val of_hex : string -> t
 (** Parse a 40-character hex key.  @raise Invalid_argument on bad input. *)
 
+(* lint: allow X1 — test view: keys printed in full for pinned checks *)
 val to_hex : t -> string
 
 val short_hex : t -> string
@@ -44,6 +47,7 @@ val nibble : t -> int -> int
     first, [i] in [\[0, 40)] — the digit view prefix-routing DHTs (Pastry)
     work with.  @raise Invalid_argument when [i] is out of range. *)
 
+(* lint: allow X1 — oracle: the plain XOR distance that compare_xor is checked against *)
 val xor : t -> t -> t
 (** Bitwise XOR of two keys — the Kademlia distance. *)
 
@@ -59,9 +63,6 @@ val compare_xor : target:t -> t -> t -> int
 (** [compare_xor ~target a b] orders [a] and [b] by XOR distance to
     [target]: it has the sign of [compare (xor target a) (xor target b)],
     without building either distance. *)
-
-val succ : t -> t
-(** Next key clockwise (wraps at the top of the ring). *)
 
 val add_pow2 : t -> int -> t
 (** [add_pow2 k i] is [k + 2^i mod 2^160]; [i] must be in [\[0, bits)].

@@ -31,6 +31,7 @@ val reference_digest : string -> digest
     message in place and keeps its 16-word schedule in a buffer per
     domain. *)
 
+(* lint: allow X1 — test view: names in the test log which SHA-1 kernel this CPU runs *)
 val hardware : bool
 (** [true] when {!digest_string} runs on the SHA-extension kernel. *)
 

@@ -1,6 +1,6 @@
 let rule =
   Rule.v ~code:"X1" ~id:"dead-export"
-    ~summary:"an .mli value that no other compilation unit references"
+    ~summary:"an .mli value no other unit references (a test counts only for test/ code)"
     (fun _ -> [])
 
 let scanned_dirs = [ "lib"; "bin"; "bench"; "test"; "examples" ]
@@ -9,6 +9,15 @@ let in_scope rel =
   match String.split_on_char '/' rel with
   | top :: _ :: _ -> List.mem top scanned_dirs
   | [ _ ] | [] -> false
+
+(* A source is on the test side when the scanned directory nearest to it
+   on its path is [test/]: [test/test_bib.ml] and the fixture's
+   [test/lint_fixtures/dead/user.ml] are, while the fixture's
+   [test/lint_fixtures/dead/lib/api.mli] stands for library code. *)
+let on_test_side rel =
+  List.fold_left
+    (fun side part -> if List.mem part scanned_dirs then String.equal part "test" else side)
+    false (String.split_on_char '/' rel)
 
 (* A declaration's identity: the unit and number of its uid. *)
 let uid_key (uid : Shape.Uid.t) =
@@ -30,14 +39,15 @@ let rec declared ~prefix acc (sg : Typedtree.signature) =
     acc sg.sig_items
 
 (* The uids of every value an implementation names that another unit
-   declared. *)
-let add_references used ~unit (str : Typedtree.structure) =
+   declared, each mapped to whether some user is off the test side. *)
+let add_references used ~unit ~test (str : Typedtree.structure) =
   let expr (it : Tast_iterator.iterator) (e : Typedtree.expression) =
     (match e.exp_desc with
     | Texp_ident (_, _, vd) -> (
         match uid_key vd.val_uid with
         | Some ((comp_unit, _) as key) when not (String.equal comp_unit unit) ->
-            Hashtbl.replace used key ()
+            if not test then Hashtbl.replace used key true
+            else if not (Hashtbl.mem used key) then Hashtbl.replace used key false
         | Some _ | None -> ())
     | _ -> ());
     Tast_iterator.default_iterator.expr it e
@@ -70,7 +80,7 @@ let run ~known ~root ?(exclude = fun _ -> false) ~cmt_dirs () =
       | Some info -> (
           match (info.cmt_sourcefile, info.cmt_annots) with
           | Some rel, Cmt_format.Implementation str when wanted rel ->
-              add_references used ~unit:info.cmt_modname str
+              add_references used ~unit:info.cmt_modname ~test:(on_test_side rel) str
           | Some rel, Cmt_format.Interface sg
             when Filename.check_suffix rel ".mli" && wanted rel && not (Hashtbl.mem seen rel) ->
               Hashtbl.replace seen rel ();
@@ -79,17 +89,20 @@ let run ~known ~root ?(exclude = fun _ -> false) ~cmt_dirs () =
     (Typed_engine.find_cmts ~suffixes:[ ".cmt"; ".cmti" ] cmt_dirs);
   List.concat_map
     (fun (rel, modname, sg) ->
+      let test_side = on_test_side rel in
       declared ~prefix:"" [] sg
       |> List.filter_map (fun (name, loc, uid) ->
-             match uid_key uid with
-             | Some key when not (Hashtbl.mem used key) ->
-                 Some
-                   (Rule.violation ~rule ~file:rel ~loc
-                      (Printf.sprintf
-                         "`%s.%s` is exported but no other compilation unit uses it; \
-                          drop it from the interface"
-                         (unit_name modname) name))
-             | Some _ | None -> None)
+             let dead why =
+               Some
+                 (Rule.violation ~rule ~file:rel ~loc
+                    (Printf.sprintf "`%s.%s` is exported but %s; drop it from the interface"
+                       (unit_name modname) name why))
+             in
+             match Option.map (Hashtbl.find_opt used) (uid_key uid) with
+             | Some None -> dead "no other compilation unit uses it"
+             (* Tests count as users only of what the test side declares. *)
+             | Some (Some false) when not test_side -> dead "only tests use it"
+             | Some (Some _) | None -> None)
       |> List.rev
       |> Typed_engine.surviving ~known ~root ~rel)
     !interfaces

@@ -5,6 +5,11 @@
     [lib/], [bin/], [bench/], [test/] or [examples/] declares — nested
     [module M : sig ... end] signatures included — must be referenced by
     some implementation {e outside} its own unit, else it is reported.
+    A test counts as a user only of what the test side declares: a
+    library value that only units under [test/] name is reported as
+    used by tests alone.  A source's side is the scanned directory
+    nearest to it on its path, so a fixture tree mirroring the layout
+    ([test/lint_fixtures/dead/lib/]) has a library side of its own.
     A reference is matched by the declaration's compiler uid, which every
     use in another unit carries, so module aliases, [open]s and library
     wrappers all resolve to the right declaration.  Uses only inside the

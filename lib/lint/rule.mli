@@ -3,7 +3,7 @@
     A rule is a named check over one source file: it sees the file's raw
     text, its parsed AST (when parsing succeeded) and its path relative to
     the lint root, and returns violations.  Rules are plain values, so the
-    engine's rule set is pluggable — [Rules.all] is the default registry,
+    engine's rule set is pluggable — [Rules.everything] is the default registry,
     and callers can filter or extend it. *)
 
 type violation = {

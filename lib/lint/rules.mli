@@ -35,11 +35,9 @@
     their registry stubs so CLI selection and suppression validation
     share one namespace. *)
 
-val all : Rule.t list
-(** Every syntactic rule, in code order (D1, D2, D3, E1, H1, O1). *)
-
 val everything : Rule.t list
-(** [all @ typed] — the full rule namespace. *)
+(** The full rule namespace: every syntactic rule, in code order (D1, D2,
+    D3, E1, H1, O1), then the typed stubs. *)
 
 val find : string -> Rule.t option
 (** Look up a rule by code or id, case-insensitive, across

@@ -46,6 +46,7 @@ val surviving :
 (** The violations of one source file that no suppression in it
     covers. *)
 
+(* lint: allow X1 — test view: the [@hot] scopes after propagation, pinned by the lint tests *)
 val hot_names_of_cmt : string -> (string list, string) result
 (** The propagated hot-scope names of one [.cmt] file, sorted — the
     surface the fixture tests pin. [Error] when the file cannot be read

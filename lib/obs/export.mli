@@ -4,18 +4,16 @@
     File writers pick the format from the path: a [.json] suffix selects
     the JSON document form, anything else the Prometheus text form. *)
 
-val snapshot_to_json : Metrics.snapshot -> Json.t
-(** [{ "families": [ { name; kind; help; series: [ { labels; ... } ] } ] }].
-    Counter series carry ["value"]; gauges ["value"]; histograms
-    ["count"], ["sum"] and ["buckets"] ([{"le"; "count"}], cumulative,
-    with the overflow bucket's bound rendered as the string ["+Inf"]). *)
-
 val render_table : Metrics.snapshot -> string
 (** An aligned {!Stdx.Tabular} table: one row per series; histograms
     summarized as count / sum / estimated p50, p90, p99. *)
 
 val write_metrics : path:string -> Metrics.snapshot -> unit
-(** Prometheus text, or a JSON document when [path] ends in [.json]. *)
+(** Prometheus text, or a JSON document when [path] ends in [.json]:
+    [{ "families": [ { name; kind; help; series: [ { labels; ... } ] } ] }],
+    where counter series carry ["value"]; gauges ["value"]; histograms
+    ["count"], ["sum"] and ["buckets"] ([{"le"; "count"}], cumulative,
+    with the overflow bucket's bound rendered as the string ["+Inf"]). *)
 
 val read_metrics : path:string -> (Metrics.snapshot, string) result
 (** Read back a Prometheus text file written by {!write_metrics} (the JSON

@@ -26,7 +26,6 @@ module Gauge = struct
 
   let make () = { value = 0.0 }
   let set g v = g.value <- v
-  let add g v = g.value <- g.value +. v
   let value g = g.value
 end
 
@@ -36,8 +35,6 @@ module Histogram = struct
     counts : int array;  (* per bucket; length bounds + 1, last = overflow *)
     mutable sum : float;
     mutable total : int;
-    mutable min_obs : float;
-    mutable max_obs : float;
   }
 
   let make bounds =
@@ -55,8 +52,6 @@ module Histogram = struct
       counts = Array.make (Array.length bounds + 1) 0;
       sum = 0.0;
       total = 0;
-      min_obs = infinity;
-      max_obs = neg_infinity;
     }
 
   let bucket_of h v =
@@ -69,9 +64,7 @@ module Histogram = struct
     let i = bucket_of h v in
     h.counts.(i) <- h.counts.(i) + 1;
     h.sum <- h.sum +. v;
-    h.total <- h.total + 1;
-    if v < h.min_obs then h.min_obs <- v;
-    if v > h.max_obs then h.max_obs <- v
+    h.total <- h.total + 1
 
   let observe_int h n = observe h (float_of_int n)
 
@@ -89,39 +82,6 @@ module Histogram = struct
            h.bounds)
     in
     finite @ [ (infinity, h.total) ]
-
-  (* The bucket holding the q-th observation, with rank interpolation
-     inside it.  [lower]/[upper] fall back to the observed extremes at the
-     edges, so the estimate always lies inside the covering bucket. *)
-  let quantile h q =
-    if h.total = 0 then nan
-    else begin
-      let q = Float.min 1.0 (Float.max 0.0 q) in
-      let target = q *. float_of_int h.total in
-      let n = Array.length h.bounds in
-      let rec locate i before =
-        if i > n then (n, before)
-        else
-          let here = before + h.counts.(i) in
-          if float_of_int here >= target && h.counts.(i) > 0 then (i, before)
-          else if i = n then (i, before)
-          else locate (i + 1) here
-      in
-      let i, before = locate 0 0 in
-      let lower =
-        if i = 0 then h.min_obs
-        else Float.max h.min_obs h.bounds.(i - 1)
-      in
-      let upper = if i = n then h.max_obs else Float.min h.max_obs h.bounds.(i) in
-      if h.counts.(i) = 0 then Float.min lower upper
-      else begin
-        let frac =
-          let r = (target -. float_of_int before) /. float_of_int h.counts.(i) in
-          Float.min 1.0 (Float.max 0.0 r)
-        in
-        lower +. (frac *. (upper -. lower))
-      end
-    end
 end
 
 let default_buckets = [| 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000. |]

@@ -38,8 +38,6 @@ module Gauge : sig
   type t
 
   val set : t -> float -> unit
-  val add : t -> float -> unit
-  val value : t -> float
 end
 
 module Histogram : sig
@@ -47,23 +45,6 @@ module Histogram : sig
 
   val observe : t -> float -> unit
   val observe_int : t -> int -> unit
-
-  val count : t -> int
-  (** Total number of observations. *)
-
-  val sum : t -> float
-
-  val cumulative : t -> (float * int) list
-  (** [(upper_bound, cumulative_count)] per bucket, in increasing bound
-      order, ending with the [infinity] bucket whose count equals
-      {!count}.  Cumulative counts are non-decreasing by construction. *)
-
-  val quantile : t -> float -> float
-  (** [quantile h q] (with [q] in [\[0,1\]]) estimates the [q]-quantile by
-      linear interpolation inside the bucket holding the [q]-th
-      observation.  The estimate is clamped to the bucket's bounds and to
-      the observed min/max, so it always lies within the bucket that
-      contains the true quantile.  Returns [nan] when empty. *)
 end
 
 val linear_buckets : start:float -> step:float -> count:int -> float array
@@ -98,7 +79,10 @@ val kind_label : kind -> string
 (** ["counter"], ["gauge"], ["histogram"] — the Prometheus TYPE names. *)
 
 type histogram_snapshot = {
-  buckets : (float * int) list;  (** As {!Histogram.cumulative}. *)
+  buckets : (float * int) list;
+      (** [(upper_bound, cumulative_count)] per bucket, in increasing bound
+          order, ending with the [infinity] bucket whose count equals
+          [count]. *)
   sum : float;
   count : int;
 }

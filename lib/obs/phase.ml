@@ -96,9 +96,6 @@ let entries t =
 
 let find t phase = Option.map (entry_of_cell phase) (Hashtbl.find_opt t.cells phase)
 
-let total_elapsed_ns t =
-  List.fold_left (fun acc e -> Int64.add acc e.elapsed_ns) 0L (entries t)
-
 let to_metrics t registry =
   List.iter
     (fun e ->

@@ -64,6 +64,7 @@ val span :
 (** Append a span to the open trace; with no open trace, the span becomes
     a finished single-span trace of its own. *)
 
+(* lint: allow X1 — test view: the finished traces, in order *)
 val traces : t -> trace list
 (** Finished traces, oldest first (the open trace is not included). *)
 
@@ -71,23 +72,29 @@ val trace_count : t -> int
 val span_count : t -> int
 (** Spans across finished traces. *)
 
+(* lint: allow X1 — test view: how many traces the ring buffer evicted *)
 val dropped : t -> int
 (** Traces evicted by the ring buffer so far. *)
 
 (** {1 JSONL export / import} *)
 
+(* lint: allow X1 — test view: one span's JSON form *)
 val span_to_json : span -> Json.t
+(* lint: allow X1 — test-only; ROADMAP item 17 deletes it with the tests it alone serves *)
 val span_of_json : Json.t -> (span, string) result
 
+(* lint: allow X1 — test view: the JSONL text the exporter writes, without files *)
 val to_jsonl : t -> string
 (** Every span of every finished trace, one JSON object per line. *)
 
 val output_jsonl : t -> out_channel -> unit
 
+(* lint: allow X1 — test-only; ROADMAP item 17 deletes it with the tests it alone serves *)
 val spans_of_jsonl : string -> (span list, string) result
 (** Parse JSONL content (blank lines are skipped); fails on the first
     malformed line. *)
 
+(* lint: allow X1 — test-only; ROADMAP item 17 deletes it with the tests it alone serves *)
 val traces_of_spans : span list -> trace list
 (** Regroup spans by trace id (order of first appearance); each trace's
     spans are sorted by [seq] and its root is its first span's query. *)

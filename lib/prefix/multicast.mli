@@ -21,12 +21,15 @@ val build : int list -> tree
     implicit heap.  The first member becomes the root.
     @raise Invalid_argument on an empty list. *)
 
+(* lint: allow X1 — test view: tree shape, checked against the exactly-once message bound *)
 val root : tree -> int
+(* lint: allow X1 — test view: tree shape, checked against the exactly-once message bound *)
 val member_count : tree -> int
 
 val members : tree -> int list
 (** Members in heap-slot (delivery) order, root first. *)
 
+(* lint: allow X1 — test view: tree shape, checked against the exactly-once message bound *)
 val edge_count : tree -> int
 (** [member_count - 1]. *)
 

@@ -30,6 +30,7 @@ val range : string -> Hashing.Key.t * Hashing.Key.t
     the encodings of strings that start with [p]: [p] padded with [0x00]
     and with [0xff].  [range ""] spans the whole space. *)
 
+(* lint: allow X1 — oracle: the range membership routed prefix queries must agree with *)
 val in_range : string -> key:Hashing.Key.t -> bool
 (** [in_range p ~key]: does [key] fall inside [range p] (inclusive)? *)
 

@@ -27,6 +27,7 @@ module Grid : sig
 
   val create : scale -> t
 
+  (* lint: allow X1 — test view: one memoized grid cell, checked by the grid tests *)
   val report : t -> scheme:Bib.Schemes.kind -> policy:Cache.Policy.t -> Runner.report
   (** Run (or reuse) the simulation for one cell. *)
 end

@@ -40,6 +40,7 @@
     modelling trade every spatially-decomposed simulation makes.  Scale
     results across shard counts are compared at {e fixed} [shards]. *)
 
+(* lint: allow X1 — test view: one shard's config, run alone in the partition checks *)
 val shard_config : Runner.config -> shards:int -> int -> Runner.config
 (** [shard_config config ~shards s] is shard [s]'s slice of [config]: its
     block of the nodes, articles and queries, under its mixed seed. *)
@@ -66,6 +67,7 @@ val validate :
     domain (GC counters are per-domain in OCaml 5).  The configuration
     itself is {!Runner.validate}'s to check. *)
 
+(* lint: allow X1 — test view: the worker pool, checked to join every domain before re-raising *)
 val run_workers : int -> (int -> 'a) -> 'a list
 (** [run_workers n work] is [[work 0; ...; work (n - 1)]], worker 0 run
     on the calling domain and each other worker on a domain of its own.

@@ -30,6 +30,7 @@ val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event; among equal times, the one
     pushed first.  [None] when empty. *)
 
+(* lint: allow X1 — test-only; ROADMAP item 17 deletes it with the tests it alone serves *)
 val pop_until : 'a t -> until:float -> (float * 'a) option
 (** {!pop}, but only when the earliest event's time is [<= until]. *)
 

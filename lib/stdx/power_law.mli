@@ -30,6 +30,7 @@ val sample : t -> Prng.t -> int
 val probability : t -> int -> float
 (** [probability t i] is P(rank = i).  0 outside [1..n]. *)
 
+(* lint: allow X1 — test view: the distribution the sampler inverts, checked monotone *)
 val cdf : t -> int -> float
 (** [cdf t i] is P(rank <= i). *)
 

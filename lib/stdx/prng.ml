@@ -65,11 +65,6 @@ let pick g a =
   if Array.length a = 0 then invalid_arg "Prng.pick: empty array";
   a.(int g (Array.length a))
 
-let pick_list g l =
-  match l with
-  | [] -> invalid_arg "Prng.pick_list: empty list"
-  | _ :: _ -> List.nth l (int g (List.length l))
-
 let shuffle g a =
   for i = Array.length a - 1 downto 1 do
     let j = int g (i + 1) in

@@ -1,5 +1,5 @@
-(** Streaming descriptive statistics and histograms used by the simulation
-    harness to aggregate per-query metrics. *)
+(** Streaming descriptive statistics used by the simulation harness to
+    aggregate per-query metrics. *)
 
 module Summary : sig
   type t
@@ -9,34 +9,14 @@ module Summary : sig
   val add : t -> float -> unit
   val add_int : t -> int -> unit
   val count : t -> int
-  val total : t -> float
   val mean : t -> float
   (** Mean of the observations; 0 when empty. *)
-
-  val variance : t -> float
-  (** Population variance (Welford's algorithm); 0 when empty. *)
-
-  val stddev : t -> float
-  val min : t -> float
-  (** Smallest observation; [infinity] when empty. *)
 
   val max : t -> float
   (** Largest observation; [neg_infinity] when empty. *)
 
   val merge : t -> t -> t
   (** [merge a b] is a fresh summary describing the union of both streams. *)
-end
-
-module Histogram : sig
-  type t
-  (** Fixed-width bucket counts over [\[lo, hi)], with outliers clamped into
-      the first and last buckets. *)
-
-  val create : lo:float -> hi:float -> buckets:int -> t
-  val add : t -> float -> unit
-  val bucket_range : t -> int -> float * float
-  val count : t -> int -> int
-  val total : t -> int
 end
 
 val percentile : float array -> float -> float

@@ -46,6 +46,7 @@ type 'v entry
 val entry_value : 'v entry -> 'v
 val entry_len : 'v entry -> int
 
+(* lint: allow X1 — test view: an entry's soft-state deadline *)
 val entry_expires_at : 'v entry -> float
 (** The virtual time the entry expires at ([infinity] for hard state). *)
 
@@ -211,6 +212,7 @@ val fail_node : 'v t -> int -> unit
 (** Mark a node as failed: its replicas stop answering but its contents
     are kept, as a paused process would (the static ablation's model). *)
 
+(* lint: allow X1 — test view: brings a replica back in the quorum model checks *)
 val revive_node : 'v t -> int -> unit
 
 val alive : 'v t -> int -> bool
@@ -275,6 +277,7 @@ val fold_range :
     What the {!Anti_entropy} pass reads of the per-replica states; not a
     general-purpose API. *)
 
+(* lint: allow X1 — test view: every stored key, in order *)
 val sorted_keys : 'v t -> Hashing.Key.t list
 (** Every registered key, in {!Hashing.Key.compare} order. *)
 
@@ -297,6 +300,7 @@ val state_entries : 'v state -> 'v entry list
 val same_states : 'v t -> 'v state option -> 'v state option -> bool
 (** {!same_state} on two states already looked up. *)
 
+(* lint: allow X1 — oracle: replica agreement, which the anti-entropy checks assert *)
 val same_state : 'v t -> a:int -> b:int -> Hashing.Key.t -> bool
 (** Do nodes [a] and [b] hold identical states for the key — the same
     entries with the same expiries in the same order, the same
@@ -307,12 +311,14 @@ val same_state : 'v t -> a:int -> b:int -> Hashing.Key.t -> bool
 
 type 'v held_state = { held : 'v entry list; tombstones : 'v list; version : Version.t }
 
+(* lint: allow X1 — test view: one replica's state for a key *)
 val held_state : 'v t -> node:int -> Hashing.Key.t -> 'v held_state option
 (** A node's raw state for the key — entries as held (expired ones
     included until a probe prunes them), tombstones and version — or
     [None] when it holds no state.  An oracle view for audits and
     tests. *)
 
+(* lint: allow X1 — test view: one replica's entries for a key *)
 val held_entries : 'v t -> node:int -> Hashing.Key.t -> 'v entry list
 (** The raw entries a node physically holds for the key (expiry and
     liveness not consulted) — the volume a full-state exchange would

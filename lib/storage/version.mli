@@ -12,10 +12,12 @@ type t
 val zero : t
 (** The empty history: no writes observed. *)
 
+(* lint: allow X1 — oracle: the invariant every merged vector keeps *)
 val well_formed : t -> bool
 (** Internal invariant — sorted strictly by actor, all counters
     positive.  Exposed for the property tests. *)
 
+(* lint: allow X1 — test view: one actor's dot *)
 val counter : t -> actor:int -> int
 (** The actor's component, [0] when absent. *)
 
@@ -44,9 +46,11 @@ val dots : t -> int
 (** Number of actors with a nonzero component (the vector's wire
     size driver). *)
 
+(* lint: allow X1 — oracle: the causal order that merge is checked against *)
 val dominates_or_eq : t -> t -> bool
 (** [compare a b] is [Eq] or [Dominates] — "a is at least as new". *)
 
+(* lint: allow X1 — test view: a vector in readable form, for equality checks *)
 val to_string : t -> string
 (** Canonical rendering ["{actor:count,...}"]; equal vectors render
     identically, which the anti-entropy digests rely on. *)

@@ -304,25 +304,7 @@ let covers general specific =
   List.for_all top_has_target general
 
 (* ------------------------------------------------------------------ *)
-(* Size measures and generalization. *)
-
-let rec node_prefix_terms n acc =
-  let acc =
-    match n.test with Prefix p -> p :: acc | Name _ | Wildcard -> acc
-  in
-  List.fold_left (fun acc c -> node_prefix_terms c acc) acc n.children
-
-let prefix_terms q =
-  List.rev (List.fold_left (fun acc n -> node_prefix_terms n acc) [] q)
-
-let rec count_node n = 1 + List.fold_left (fun acc c -> acc + count_node c) 0 n.children
-
-let node_count q = List.fold_left (fun acc n -> acc + count_node n) 0 q
-
-let rec node_depth n =
-  1 + List.fold_left (fun acc c -> Stdlib.max acc (node_depth c)) 0 n.children
-
-let depth q = List.fold_left (fun acc n -> Stdlib.max acc (node_depth n)) 0 q
+(* Generalization. *)
 
 (* All ways of deleting exactly one leaf node from a node's subtree; each
    result is the subtree with that leaf removed, or None when the deleted

@@ -53,6 +53,7 @@ exception Parse_error of string
 val of_string : string -> t
 (** Parse and normalize.  @raise Parse_error on malformed input. *)
 
+(* lint: allow X1 — oracle: the embedding semantics that covers is checked against *)
 val matches : t -> Xmlkit.Xml.t -> bool
 (** [matches q doc]: does [doc] match [q]? *)
 
@@ -71,17 +72,6 @@ val covers : t -> t -> bool
     On prefix tests the relation is asymmetric by design: [Smi*] covers
     [Smith*] (the {e shorter} pattern is the more general one), while
     [Smith*] does not cover [Smi*]. *)
-
-val prefix_terms : t -> string list
-(** Every [Prefix] test string in the query, in canonical (normalized
-    rendering) order — what the routed prefix scheme compiles into range
-    queries.  Empty when the query has no [p*] step. *)
-
-val node_count : t -> int
-(** Number of pattern nodes (a size measure for storage accounting). *)
-
-val depth : t -> int
-(** Height of the deepest pattern branch. *)
 
 val generalizations : t -> t list
 (** Immediate generalizations: all queries obtained by deleting one leaf

@@ -92,12 +92,12 @@ let lifetime_samples_positive () =
   for _ = 1 to n do
     let x = Lifetime.sample dist g in
     if not (x > 0.0 && Float.is_finite x) then
-      Alcotest.failf "bad sample %g from %s" x (Lifetime.label dist);
+      Alcotest.failf "bad sample %g" x;
     sum := !sum +. x
   done;
   let empirical = !sum /. float_of_int n in
-  if Float.abs (empirical -. Lifetime.mean dist) > 0.1 *. Lifetime.mean dist then
-    Alcotest.failf "empirical mean %g too far from %g" empirical (Lifetime.mean dist)
+  if Float.abs (empirical -. 30.0) > 3.0 then
+    Alcotest.failf "empirical mean %g too far from 30" empirical
 
 (* Record a driver's full event schedule over a horizon. *)
 let driver_schedule ~seed =

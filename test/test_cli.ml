@@ -53,6 +53,10 @@ let usage_errors_exit_2 () =
       [ "search"; "--nodes"; "0" ];
       [ "search"; "--nodes=-3" ];
       [ "search"; "--articles"; "0" ];
+      (* A search needs a field, and an author needs both names. *)
+      [ "search" ];
+      [ "search"; "--author"; "Lopez" ];
+      [ "search"; "--author"; "Lopez "; "--year"; "1999" ];
       [ "corpus"; "--articles=-4" ];
       [ "workload"; "--articles"; "0" ];
       [ "workload"; "--queries=-2" ];
@@ -236,6 +240,61 @@ let chord_golden () =
   check_stdout [ "chord"; "--nodes"; "300"; "--lookups"; "500"; "--fail"; "0.1" ]
     ~stdout_sha1:"622e8fe9960d58cb75290251065cc153f7d43c5a"
 
+(* The one program path through [Article.to_xml] and the XML printer:
+   three generated descriptors, indented, pinned as text. *)
+let corpus_golden () =
+  let stdout = Filename.temp_file "p2pindex_golden" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove stdout)
+    (fun () ->
+      Alcotest.(check int) "status" 0
+        (Sys.command
+           (Filename.quote_command cli [ "corpus"; "--articles"; "3"; "--limit"; "3" ] ~stdout
+              ~stderr:Filename.null));
+      Alcotest.(check string) "stdout"
+        "<article>\n\
+           \  <author>\n\
+           \    <first>Hans</first>\n\
+           \    <last>Horak</last>\n\
+           \  </author>\n\
+           \  <author>\n\
+           \    <first>Carl</first>\n\
+           \    <last>Marino</last>\n\
+           \  </author>\n\
+           \  <title>Implementation Clustering</title>\n\
+           \  <conf>ICDCS</conf>\n\
+           \  <year>1986</year>\n\
+           \  <size>183661</size>\n\
+           </article>\n\
+           \n\
+           <article>\n\
+           \  <author>\n\
+           \    <first>Yann</first>\n\
+           \    <last>Guerrero</last>\n\
+           \  </author>\n\
+           \  <author>\n\
+           \    <first>Vera</first>\n\
+           \    <last>Baum</last>\n\
+           \  </author>\n\
+           \  <title>Bandwidth Semantic Throughput Mobility Probabilistic</title>\n\
+           \  <conf>EuroSys</conf>\n\
+           \  <year>2001</year>\n\
+           \  <size>434827</size>\n\
+           </article>\n\
+           \n\
+           <article>\n\
+           \  <author>\n\
+           \    <first>Vera</first>\n\
+           \    <last>Baum</last>\n\
+           \  </author>\n\
+           \  <title>Approach Lightweight</title>\n\
+           \  <conf>WWW</conf>\n\
+           \  <year>1999</year>\n\
+           \  <size>380900</size>\n\
+           </article>\n\
+           \n"
+        (In_channel.with_open_bin stdout In_channel.input_all))
+
 let suite =
   [
     ( "cli:exit",
@@ -257,5 +316,6 @@ let suite =
         Alcotest.test_case "ablation-churn experiment" `Quick ablation_churn_golden;
         Alcotest.test_case "ablation-substrate experiment" `Quick ablation_substrate_golden;
         Alcotest.test_case "chord ring with failures" `Quick chord_golden;
+        Alcotest.test_case "corpus descriptors" `Quick corpus_golden;
       ] );
   ]

@@ -31,7 +31,7 @@ let repo_root () =
   search (Sys.getcwd ())
 
 let lint root dirs =
-  Lint.Engine.lint_tree ~rules:Lint.Rules.all ~known:Lint.Rules.everything ~root
+  Lint.Engine.lint_tree ~rules:Lint.Rules.everything ~known:Lint.Rules.everything ~root
     ~dirs ()
 
 (* ------------------------------------------------------------------ *)
@@ -318,32 +318,70 @@ let typed_repo_self_lints_clean () =
           (Lint.Report.render_text ~files_scanned:n ~cmts_loaded:n violations)
       end
 
-(* X1 over its own fixture library: interface values no other unit
+(* X1 over its own fixture libraries: interface values no other unit
    names are reported, nested signatures included; a value its own
    implementation uses still counts as dead, and the comment form
-   suppresses. *)
+   suppresses.  A test unit keeps a test-side declaration alive but not a
+   library-side one: [Api.test_view], which only the test-side [User]
+   names, is reported. *)
 let dead_exports_fixture () =
   match typed_root () with
   | None -> Alcotest.skip ()
   | Some root ->
-      let dir = Filename.concat root "test/lint_fixtures/dead/.lintfx_dead.objs/byte" in
-      if not (Sys.file_exists dir && Sys.is_directory dir) then Alcotest.skip ()
+      let fixture = Filename.concat root "test/lint_fixtures/dead" in
+      let dirs =
+        [
+          Filename.concat fixture ".lintfx_dead.objs/byte";
+          Filename.concat fixture "lib/.lintfx_dead_lib.objs/byte";
+        ]
+      in
+      if not (List.for_all (fun dir -> Sys.file_exists dir && Sys.is_directory dir) dirs)
+      then Alcotest.skip ()
       else
         let violations =
-          Lint.Dead_exports.run ~known:Lint.Rules.everything ~root ~cmt_dirs:[ dir ] ()
+          Lint.Dead_exports.run ~known:Lint.Rules.everything ~root ~cmt_dirs:dirs ()
         in
         Alcotest.(check (list string))
           "exact X1 report"
           [
-            "test/lint_fixtures/dead/exporter.mli:2 `Lintfx_dead.Exporter.only_here`";
-            "test/lint_fixtures/dead/exporter.mli:3 `Lintfx_dead.Exporter.unused`";
-            "test/lint_fixtures/dead/exporter.mli:9 `Lintfx_dead.Exporter.Inner.deep_unused`";
+            "test/lint_fixtures/dead/exporter.mli:2 `Lintfx_dead.Exporter.only_here` \
+             is exported but no other compilation unit uses it";
+            "test/lint_fixtures/dead/exporter.mli:3 `Lintfx_dead.Exporter.unused` \
+             is exported but no other compilation unit uses it";
+            "test/lint_fixtures/dead/exporter.mli:9 `Lintfx_dead.Exporter.Inner.deep_unused` \
+             is exported but no other compilation unit uses it";
+            "test/lint_fixtures/dead/lib/api.mli:2 `Lintfx_dead_lib.Api.test_view` \
+             is exported but only tests use it";
           ]
           (List.map
              (fun (v : Lint.Rule.violation) ->
                Printf.sprintf "%s:%d %s" v.file v.line
-                 (List.hd (String.split_on_char ' ' v.message)))
+                 (List.hd (String.split_on_char ';' v.message)))
              violations)
+
+(* The X1 invariant over the whole repository: every export of lib/,
+   bin/, bench/, examples/ and test/ has a user outside its own unit — a
+   user outside test/ unless it is declared there — or a justified
+   suppression.  The fixture corpora are left out, as in the CLI run. *)
+let repo_exports_all_used () =
+  match typed_root () with
+  | None -> Alcotest.skip ()
+  | Some root ->
+      let dirs =
+        List.map (Filename.concat root) [ "lib"; "bin"; "bench"; "examples"; "test" ]
+      in
+      if not (List.for_all Sys.file_exists dirs) then Alcotest.skip ()
+      else
+        let exclude rel =
+          List.mem "lint_fixtures" (String.split_on_char '/' rel)
+        in
+        let violations =
+          Lint.Dead_exports.run ~known:Lint.Rules.everything ~root ~exclude ~cmt_dirs:dirs ()
+        in
+        Alcotest.(check string)
+          (Printf.sprintf "X1 over the cmts at %s" root)
+          "p2plint: clean (0 files scanned)\n"
+          (Lint.Report.render_text ~files_scanned:0 violations)
 
 (* ------------------------------------------------------------------ *)
 (* The README's rule table stays in sync with the registered rule set,
@@ -394,6 +432,7 @@ let suite =
         Alcotest.test_case "[@hot] propagates through the call graph" `Quick typed_propagation_hot_names;
         Alcotest.test_case "library cmts lint clean" `Quick typed_repo_self_lints_clean;
         Alcotest.test_case "dead exports over the X1 corpus" `Quick dead_exports_fixture;
+        Alcotest.test_case "repository exports all have users" `Quick repo_exports_all_used;
       ] );
     ( "lint:docs",
       [ Alcotest.test_case "README rule table matches the rule set" `Quick readme_documents_every_rule ] );

@@ -85,12 +85,25 @@ let kind_mismatch_rejected () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* The exported view of a registry's single-series family. *)
+let series_value r name =
+  match List.find (fun (f : Metrics.family) -> String.equal f.name name) (Metrics.snapshot r) with
+  | { series = [ { value; _ } ]; _ } -> value
+  | _ -> Alcotest.failf "%s: expected one series" name
+
+let histogram_snapshot r name =
+  match series_value r name with
+  | Metrics.Histogram_value hs -> hs
+  | _ -> Alcotest.failf "%s: not a histogram" name
+
 let gauge_basics () =
   let r = Metrics.create () in
   let g = Metrics.gauge r "test_gauge" in
   Metrics.Gauge.set g 2.5;
-  Metrics.Gauge.add g 1.5;
-  Alcotest.(check (float 1e-9)) "value" 4.0 (Metrics.Gauge.value g)
+  Metrics.Gauge.set g 4.0;
+  match series_value r "test_gauge" with
+  | Metrics.Gauge_value v -> Alcotest.(check (float 1e-9)) "last set wins" 4.0 v
+  | _ -> Alcotest.fail "not a gauge"
 
 (* ------------------------------------------------------------------ *)
 (* Histograms. *)
@@ -101,16 +114,20 @@ let histogram_observe_and_quantile () =
     Metrics.histogram r ~buckets:[| 1.0; 10.0; 100.0 |] "test_histogram"
   in
   List.iter (Metrics.Histogram.observe h) [ 0.5; 3.0; 4.0; 7.0; 40.0 ];
-  Alcotest.(check int) "count" 5 (Metrics.Histogram.count h);
-  Alcotest.(check (float 1e-9)) "sum" 54.5 (Metrics.Histogram.sum h);
-  (match Metrics.Histogram.cumulative h with
+  let hs = histogram_snapshot r "test_histogram" in
+  Alcotest.(check int) "count" 5 hs.count;
+  Alcotest.(check (float 1e-9)) "sum" 54.5 hs.sum;
+  (match hs.buckets with
   | [ (1.0, 1); (10.0, 4); (100.0, 5); (bound, 5) ] ->
       Alcotest.(check bool) "overflow bound" true (bound = infinity)
   | other ->
       Alcotest.failf "unexpected buckets: %d entries" (List.length other));
-  let p50 = Metrics.Histogram.quantile h 0.5 in
-  (* The median observation (4.0) lives in the (1, 10] bucket. *)
-  Alcotest.(check bool) "p50 within bucket" true (p50 >= 1.0 && p50 <= 10.0)
+  (* The median observation (4.0) lives in the (1, 10] bucket, whose upper
+     bound is the estimate. *)
+  Alcotest.(check (float 0.0)) "p50 = covering bucket's bound" 10.0
+    (Metrics.snapshot_quantile hs 0.5);
+  Alcotest.(check bool) "empty is nan" true
+    (Float.is_nan (Metrics.snapshot_quantile { hs with count = 0 } 0.5))
 
 let hist_monotone_prop =
   QCheck.Test.make ~name:"histogram cumulative counts are monotone" ~count:200
@@ -119,28 +136,35 @@ let hist_monotone_prop =
       let r = Metrics.create () in
       let h = Metrics.histogram r "prop_histogram" in
       List.iter (Metrics.Histogram.observe h) samples;
-      let cum = Metrics.Histogram.cumulative h in
-      let counts = List.map snd cum in
+      let hs = histogram_snapshot r "prop_histogram" in
+      let counts = List.map snd hs.buckets in
       let rec monotone = function
         | a :: (b :: _ as rest) -> a <= b && monotone rest
         | [ _ ] | [] -> true
       in
       monotone counts
-      && List.length samples = Metrics.Histogram.count h
-      && snd (List.nth cum (List.length cum - 1)) = List.length samples)
+      && List.length samples = hs.count
+      && snd (List.nth hs.buckets (List.length hs.buckets - 1)) = List.length samples)
 
-let quantile_in_bounds_prop =
-  QCheck.Test.make ~name:"histogram quantile stays within observed range" ~count:200
+(* The estimate is the first finite bound whose cumulative count reaches
+   the q-th observation (the last finite bound for the overflow bucket). *)
+let quantile_bucket_prop =
+  QCheck.Test.make ~name:"quantile = covering bound" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 50) (float_range 0.0 2000.0))
               (float_range 0.0 1.0))
     (fun (samples, q) ->
       let r = Metrics.create () in
       let h = Metrics.histogram r "prop_quantile" in
       List.iter (Metrics.Histogram.observe h) samples;
-      let lo = List.fold_left Float.min infinity samples in
-      let hi = List.fold_left Float.max neg_infinity samples in
-      let est = Metrics.Histogram.quantile h q in
-      est >= lo && est <= hi)
+      let hs = histogram_snapshot r "prop_quantile" in
+      let target = q *. float_of_int (List.length samples) in
+      let finite = List.filter (fun (b, _) -> Float.is_finite b) hs.buckets in
+      let expected =
+        match List.find_opt (fun (_, cum) -> float_of_int cum >= target) finite with
+        | Some (bound, _) -> bound
+        | None -> fst (List.nth finite (List.length finite - 1))
+      in
+      Metrics.snapshot_quantile hs q = expected)
 
 (* ------------------------------------------------------------------ *)
 (* Traces. *)
@@ -288,7 +312,9 @@ let network_registry_lock_step () =
   let snapshot = Metrics.snapshot r in
   Alcotest.(check int) "bytes mirrored" (Dht.Network.total_bytes net)
     (Metrics.counter_total snapshot "p2pindex_network_bytes_total");
-  Alcotest.(check int) "messages mirrored" (Dht.Network.total_messages net)
+  Alcotest.(check int) "messages mirrored"
+    (List.fold_left (fun n c -> n + Dht.Network.messages net c) 0
+       Dht.Network.[ Request; Response; Cache_update; Maintenance ])
     (Metrics.counter_total snapshot "p2pindex_network_messages_total");
   Dht.Network.reset net;
   let snapshot = Metrics.snapshot r in
@@ -421,7 +447,7 @@ let suite =
         Alcotest.test_case "histogram observe/quantile" `Quick histogram_observe_and_quantile;
         Alcotest.test_case "labelled counter query" `Quick counter_value_query;
       ]
-      @ qcheck [ hist_monotone_prop; quantile_in_bounds_prop ] );
+      @ qcheck [ hist_monotone_prop; quantile_bucket_prop ] );
     ( "obs:trace",
       [
         Alcotest.test_case "span ordering" `Quick trace_span_ordering;

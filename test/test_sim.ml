@@ -145,7 +145,9 @@ let touches_cover_all_interactions () =
   let r = run () in
   let total_touches = Array.fold_left ( + ) 0 r.Runner.node_touches in
   let total_interactions =
-    int_of_float (Stdx.Stats.Summary.total r.Runner.interactions)
+    let s = r.Runner.interactions in
+    int_of_float
+      (Float.round (Stdx.Stats.Summary.mean s *. float_of_int (Stdx.Stats.Summary.count s)))
   in
   Alcotest.(check int) "one touch per interaction" total_interactions total_touches
 

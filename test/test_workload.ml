@@ -84,8 +84,16 @@ let structure_matches_query_shape () =
       | Query_gen.Author_conf -> 2
       | Query_gen.Author_prefix -> 1
     in
-    Alcotest.(check int) "constraint count matches structure" expected_fields
-      (Q.constraint_count event.query)
+    let constraint_count =
+      match event.query with
+      | Q.Fields f ->
+          List.length
+            (List.filter Fun.id
+               [ f.author <> None; f.title <> None; f.conf <> None; f.year <> None ])
+      | Q.Author_last_prefix _ -> 1
+      | Q.Msd _ -> 5
+    in
+    Alcotest.(check int) "constraint count matches structure" expected_fields constraint_count
   done
 
 let generation_deterministic () =
