@@ -22,20 +22,22 @@ let of_label s =
 
 let edge parent child = { P2pindex.Scheme.parent; child }
 
-let simple_edges (a : Article.t) =
-  let m = Q.msd a in
+(* Each scheme's edges take the published descriptor [m] itself, so the
+   index's renderer, which memoizes by identity, renders it once, and
+   build the title query once for every author. *)
+let simple_edges m (a : Article.t) =
+  let title = Q.title_q a.title in
   let author_side =
     List.concat_map
       (fun x ->
         let at = Q.author_title x a.title in
-        [ edge (Q.author_q x) at; edge (Q.title_q a.title) at; edge at m ])
+        [ edge (Q.author_q x) at; edge title at; edge at m ])
       a.authors
   in
   let cy = Q.conf_year a.conf a.year in
   author_side @ [ edge (Q.conf_q a.conf) cy; edge (Q.year_q a.year) cy; edge cy m ]
 
-let flat_edges (a : Article.t) =
-  let m = Q.msd a in
+let flat_edges m (a : Article.t) =
   let author_side =
     List.concat_map
       (fun x -> [ edge (Q.author_q x) m; edge (Q.author_title x a.title) m ])
@@ -49,13 +51,13 @@ let flat_edges (a : Article.t) =
       edge (Q.conf_year a.conf a.year) m;
     ]
 
-let complex_edges ?(author_conf_index = false) (a : Article.t) =
-  let m = Q.msd a in
+let complex_edges ?(author_conf_index = false) m (a : Article.t) =
+  let title = Q.title_q a.title in
   let author_side =
     List.concat_map
       (fun x ->
         let at = Q.author_title x a.title in
-        [ edge (Q.author_q x) at; edge (Q.title_q a.title) at; edge at m ])
+        [ edge (Q.author_q x) at; edge title at; edge at m ])
       a.authors
   in
   let cy = Q.conf_year a.conf a.year in
@@ -98,8 +100,7 @@ let author_prefix_edges (a : Article.t) =
 
 let with_author_prefix kind =
   let edges_of_msd = function
-    | Q.Msd article ->
-        edges kind article @ author_prefix_edges article
+    | Q.Msd article as m -> edges kind m article @ author_prefix_edges article
     | Q.Fields _ | Q.Author_last_prefix _ ->
         invalid_arg "Schemes.with_author_prefix: only descriptors can be published"
   in
@@ -107,7 +108,7 @@ let with_author_prefix kind =
 
 let scheme kind =
   let edges_of_msd = function
-    | Q.Msd article -> edges kind article
+    | Q.Msd article as m -> edges kind m article
     | Q.Fields _ | Q.Author_last_prefix _ ->
         invalid_arg "Schemes.scheme: only descriptors can be published"
   in

@@ -1,21 +1,25 @@
-(* Entries live in an LRU keyed by the (query, target) string pair, with a
-   secondary index from query string to the set of its cached pairs so that
-   [find] is proportional to the number of shortcuts for that query, not the
-   cache size.  The LRU eviction hook keeps the secondary index in sync.
+(* One table from query string to that query's group of entries, and one
+   recency list through every entry of the cache.  The entries are the
+   nodes of both lists at once:
+     - a group is a doubly-linked chain in ascending target-key order, so
+       [find] walks it in place, in the order its result is specified in;
+     - the recency list runs from [head] (most recent) to [tail] (least
+       recent), so a hit moves its node to the front and a full cache
+       evicts the tail, each by relinking, with no allocation and no hash.
+   Both lists end in [Nil].  A node with no newer neighbour is the head,
+   so a touch needs no identity test.  Invariants: a node is in the table
+   through its group exactly when it is in the recency list, [size]
+   counts them, and a group in the table is never empty.
 
-   The LRU's value is the entry itself: the cached pair, stored beside its
-   target key so [find] hands callers the string they compare on without a
-   re-render, and the expiry stamp.  A refresh rewrites both fields in
-   place; a hit returns the stored tuple as it is.
+   A node stores its cached pair beside its target key, so [find] hands
+   callers the string they compare on without a re-render, and its expiry
+   stamp.  A refresh rewrites both in place; a hit returns the stored
+   tuple as it is.
 
    Entries are soft state under churn: each carries an expiry stamped from
    the cache's virtual clock at install time, and expired entries are
    purged lazily on access.  With the default infinite TTL nothing ever
    expires and the cache behaves exactly as the static version did. *)
-
-module String_pair = struct
-  type t = string * string
-end
 
 (* Hit/miss/eviction counters, fetched from the registry once and shared
    by every per-node cache of a run. *)
@@ -27,22 +31,30 @@ type instruments = {
   expirations : Obs.Metrics.Counter.t;
 }
 
-type 'q entry = { mutable shortcut : string * ('q * 'q); mutable expires_at : float }
+type 'q node =
+  | Nil
+  | Node of {
+      mutable shortcut : string * ('q * 'q);  (** Target key and pair. *)
+      mutable expires_at : float;
+      group : 'q group;
+      mutable lower : 'q node;  (** Previous target of the group. *)
+      mutable higher : 'q node;  (** Next target of the group. *)
+      mutable newer : 'q node;  (** Towards [head]. *)
+      mutable older : 'q node;  (** Towards [tail]. *)
+    }
+
+and 'q group = { query_key : string; mutable lowest : 'q node }
 
 type 'q t = {
-  lru : (String_pair.t, 'q entry) Lru.t;
-  by_query : (string, (string, unit) Hashtbl.t) Hashtbl.t;
+  groups : (string, 'q group) Hashtbl.t;
+  mutable head : 'q node;
+  mutable tail : 'q node;
+  mutable size : int;
+  capacity : int option;
   clock : unit -> float;
   ttl : float;
   instruments : instruments option;
 }
-
-let unindex by_query (query_key, target_key) =
-  match Hashtbl.find_opt by_query query_key with
-  | None -> ()
-  | Some targets ->
-      Hashtbl.remove targets target_key;
-      if Hashtbl.length targets = 0 then Hashtbl.remove by_query query_key
 
 let instruments registry =
   let counter name help = Obs.Metrics.counter registry ~help name in
@@ -57,105 +69,189 @@ let instruments registry =
 
 let create ?instruments ?(clock = fun () -> 0.0) ?(ttl = infinity) ~capacity () =
   if not (ttl > 0.) then invalid_arg "Shortcut_cache.create: ttl must be > 0";
-  let by_query = Hashtbl.create 16 in
-  let on_evict pair_key _entry =
-    unindex by_query pair_key;
-    match instruments with
-    | Some ins -> Obs.Metrics.Counter.incr ins.evictions
-    | None -> ()
-  in
-  { lru = Lru.create ?capacity ~on_evict (); by_query; clock; ttl; instruments }
+  (match capacity with
+  | Some c when c <= 0 -> invalid_arg "Shortcut_cache.create: capacity must be positive"
+  | Some _ | None -> ());
+  {
+    groups = Hashtbl.create 16;
+    head = Nil;
+    tail = Nil;
+    size = 0;
+    capacity;
+    clock;
+    ttl;
+    instruments;
+  }
 
-let expired t entry = entry.expires_at <= t.clock ()
+let count t pick =
+  match t.instruments with Some ins -> Obs.Metrics.Counter.incr (pick ins) | None -> ()
 
-(* [Lru.remove] bypasses the eviction hook, so unindex by hand. *)
-let purge t key =
-  ignore (Lru.remove t.lru key : bool);
-  unindex t.by_query key;
-  match t.instruments with
-  | Some ins -> Obs.Metrics.Counter.incr ins.expirations
-  | None -> ()
+let hits ins = ins.hits
+let misses ins = ins.misses
+let evictions ins = ins.evictions
+let installs ins = ins.installs
+let expirations ins = ins.expirations
 
-(* Fetch an entry if cached and fresh, purging it when its TTL ran out.
-   A fresh hit hands back [Lru.find]'s own option. *)
-let live_find t key =
-  match Lru.find t.lru key with
-  | None -> None
-  | Some entry as found ->
-      if expired t entry then begin
-        purge t key;
-        None
+let push_front t = function
+  | Nil -> ()
+  | Node r as n ->
+      r.newer <- Nil;
+      r.older <- t.head;
+      (match t.head with Node h -> h.newer <- n | Nil -> t.tail <- n);
+      t.head <- n
+
+let unlink t = function
+  | Nil -> ()
+  | Node r ->
+      (match r.newer with Node p -> p.older <- r.older | Nil -> t.head <- r.older);
+      (match r.older with Node o -> o.newer <- r.newer | Nil -> t.tail <- r.newer);
+      r.newer <- Nil;
+      r.older <- Nil
+
+let touch t = function
+  | Nil -> ()
+  | Node r as n -> (
+      match r.newer with
+      | Nil -> () (* already the head *)
+      | Node _ ->
+          unlink t n;
+          push_front t n)
+
+(* Drop a node from its group and from the recency list; a group left
+   empty leaves the table. *)
+let remove t = function
+  | Nil -> ()
+  | Node r as n ->
+      unlink t n;
+      let g = r.group in
+      (match r.lower with Node l -> l.higher <- r.higher | Nil -> g.lowest <- r.higher);
+      (match r.higher with Node h -> h.lower <- r.lower | Nil -> ());
+      (match g.lowest with Nil -> Hashtbl.remove t.groups g.query_key | Node _ -> ());
+      t.size <- t.size - 1
+
+let expired t = function Node r -> r.expires_at <= t.clock () | Nil -> false
+
+let purge t n =
+  remove t n;
+  count t expirations
+
+(* A group's live shortcuts from [n] on, in ascending target order, each
+   touched in that order; expired ones are purged.  A node's successor is
+   read before the node can be purged. *)
+let rec collect_group t = function
+  | Nil -> []
+  | Node r as n ->
+      let higher = r.higher in
+      if expired t n then begin
+        purge t n;
+        collect_group t higher
       end
-      else found
-
-let count_outcome t ~hit =
-  match t.instruments with
-  | None -> ()
-  | Some ins -> Obs.Metrics.Counter.incr (if hit then ins.hits else ins.misses)
+      else begin
+        touch t n;
+        let shortcut = r.shortcut in
+        shortcut :: collect_group t higher
+      end
 
 let find t ~query_key =
-  let found =
-    match Hashtbl.find_opt t.by_query query_key with
-    | None -> []
-    | Some targets ->
-        (* Collect first (purging while iterating would mutate [targets]
-           underneath us), in sorted order so the result list — and any
-           simulation decision made over it — is iteration-order free. *)
-        let target_keys = Stdx.Det_tbl.sorted_keys ~compare:String.compare targets in
-        let rec collect = function
-          | [] -> []
-          | target_key :: rest -> (
-              match live_find t (query_key, target_key) with
-              | Some entry -> entry.shortcut :: collect rest
-              | None -> collect rest)
-        in
-        collect target_keys
-  in
-  count_outcome t ~hit:(found <> []);
-  found
+  match Hashtbl.find_opt t.groups query_key with
+  | None ->
+      count t misses;
+      []
+  | Some g ->
+      let found = collect_group t g.lowest in
+      count t (match found with [] -> misses | _ :: _ -> hits);
+      found
+
+let rec find_target target_key = function
+  | Nil -> Nil
+  | Node r as n ->
+      let c = String.compare (fst r.shortcut) target_key in
+      if c = 0 then n else if c > 0 then Nil else find_target target_key r.higher
+
+(* Link [n] into its group between [lower] and the first node from
+   [higher] on whose target key is not below [target_key]. *)
+let rec insert_sorted g target_key n ~lower higher =
+  match (n, higher) with
+  | _, Node h when String.compare (fst h.shortcut) target_key < 0 ->
+      insert_sorted g target_key n ~lower:higher h.higher
+  | Nil, _ -> ()
+  | Node r, _ ->
+      r.lower <- lower;
+      r.higher <- higher;
+      (match lower with Node l -> l.higher <- n | Nil -> g.lowest <- n);
+      (match higher with Node h -> h.lower <- n | Nil -> ())
 
 let add t ~query_key ~target_key pair =
-  let key = (query_key, target_key) in
+  let group = Hashtbl.find_opt t.groups query_key in
+  let cached = match group with Some g -> find_target target_key g.lowest | None -> Nil in
   (* An expired leftover is not a refresh: drop it so the install counts
-     (and recurses through the eviction path) as fresh. *)
-  (match Lru.peek t.lru key with
-  | Some entry when expired t entry -> purge t key
-  | Some _ | None -> ());
+     (and goes through the eviction path) as fresh. *)
+  let cached =
+    if expired t cached then begin
+      purge t cached;
+      Nil
+    end
+    else cached
+  in
   let expires_at = if t.ttl = infinity then infinity else t.clock () +. t.ttl in
-  match Lru.peek t.lru key with
-  | Some entry ->
-      (* Refresh: new pair and TTL in place, recency via [Lru.add]'s touch. *)
-      entry.shortcut <- (target_key, pair);
-      entry.expires_at <- expires_at;
-      Lru.add t.lru key entry;
+  match cached with
+  | Node r ->
+      (* Refresh: new pair and TTL in place, and the node to the front. *)
+      r.shortcut <- (target_key, pair);
+      r.expires_at <- expires_at;
+      touch t cached;
       false
-  | None ->
-      (* May evict the LRU tail, whose hook unindexes that entry. *)
-      Lru.add t.lru key { shortcut = (target_key, pair); expires_at };
-      let targets =
-        match Hashtbl.find_opt t.by_query query_key with
-        | Some targets -> targets
+  | Nil ->
+      (match t.capacity with
+      | Some c when t.size >= c ->
+          remove t t.tail;
+          count t evictions
+      | Some _ | None -> ());
+      (* The purge or the eviction may have emptied the query's group and
+         dropped it from the table. *)
+      let g =
+        match group with
+        | Some ({ lowest = Node _; _ } as g) -> g
+        | Some ({ lowest = Nil; _ } as g) ->
+            Hashtbl.replace t.groups query_key g;
+            g
         | None ->
-            let targets = Hashtbl.create 4 in
-            Hashtbl.replace t.by_query query_key targets;
-            targets
+            let g = { query_key; lowest = Nil } in
+            Hashtbl.replace t.groups query_key g;
+            g
       in
-      Hashtbl.replace targets target_key ();
-      (match t.instruments with
-      | Some ins -> Obs.Metrics.Counter.incr ins.installs
-      | None -> ());
+      let n =
+        Node
+          {
+            shortcut = (target_key, pair);
+            expires_at;
+            group = g;
+            lower = Nil;
+            higher = Nil;
+            newer = Nil;
+            older = Nil;
+          }
+      in
+      insert_sorted g target_key n ~lower:Nil g.lowest;
+      push_front t n;
+      t.size <- t.size + 1;
+      count t installs;
       true
 
 let clear t =
-  Lru.clear t.lru;
-  Hashtbl.reset t.by_query
+  Hashtbl.reset t.groups;
+  t.head <- Nil;
+  t.tail <- Nil;
+  t.size <- 0
 
-let size t = Lru.length t.lru
+let size t = t.size
 
 let entries t =
-  List.filter_map
-    (fun (_key, entry) -> if expired t entry then None else Some (snd entry.shortcut))
-    (Lru.to_list t.lru)
+  let rec collect = function
+    | Nil -> []
+    | Node r as n -> if expired t n then collect r.older else snd r.shortcut :: collect r.older
+  in
+  collect t.head
 
 (* Every node's cache, built at the node's first install.  Until then the
    node's slot holds the cache [create] returned first, shared by every

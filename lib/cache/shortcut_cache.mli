@@ -39,16 +39,14 @@ val create :
     [ttl] (default [infinity]) is stamped on every install and refresh.
     With [instruments], lookups, installs, evictions and TTL expirations
     bump its counters.
-    @raise Invalid_argument when [ttl <= 0]. *)
+    @raise Invalid_argument when [ttl <= 0] or [capacity <= 0]. *)
 
-(* lint: allow X1 — test view: one node's cache, as find_at reads it *)
 val find : 'q t -> query_key:string -> (string * ('q * 'q)) list
 (** All unexpired shortcuts cached under this query, in target-key order:
     each target key (the string the pair was installed under) with its
     pair of query and target descriptor.  Hits refresh recency; expired
     entries found along the way are purged. *)
 
-(* lint: allow X1 — test view: one node's cache, as add_at writes it *)
 val add : 'q t -> query_key:string -> target_key:string -> 'q * 'q -> bool
 (** Install a shortcut with a fresh TTL; returns false when the pair was
     already cached and unexpired (its recency and TTL are refreshed). *)

@@ -61,8 +61,10 @@ let lint_file ~rules ?known ~root ~rel () =
   let kept =
     List.filter (fun v -> not (Suppress.covers ~rules:known sups v)) raw
   in
-  List.sort Rule.compare_violation
-    (parse_violations @ comment_errs @ attr_errs @ kept)
+  let bad_suppressions =
+    if List.memq Suppress.rule rules then comment_errs @ attr_errs else []
+  in
+  List.sort Rule.compare_violation (parse_violations @ bad_suppressions @ kept)
 
 (* ------------------------------------------------------------------ *)
 (* Tree walking. *)

@@ -30,4 +30,5 @@ val lint_tree :
     both sorted.  [known] (default [rules]) is the namespace suppression
     names resolve against — pass the full registry when running a rule
     subset so a suppression for an unselected rule is not misreported as
-    unknown. *)
+    unknown.  Malformed suppressions are reported only when [rules]
+    holds {!Suppress.rule} (S1). *)

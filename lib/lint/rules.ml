@@ -323,7 +323,7 @@ let o1 =
 
 (* ------------------------------------------------------------------ *)
 
-let all = [ d1; d2; d3; e1; h1; o1 ]
+let all = [ d1; d2; d3; e1; h1; o1; Suppress.rule ]
 let typed = Typed_rules.stubs @ [ Dead_exports.rule ]
 let everything = all @ typed
 

@@ -28,6 +28,9 @@
       suffix).  Not applied under [test/], where registry tests exercise
       arbitrary names.
 
+    - [S1 bad-suppression] — suppressions naming unknown rules or lacking
+      a justification; see {!Suppress}.
+
     The typed P-series (P1 hot-closure, P2 polymorphic-compare, P3
     boxed-allocation, P4 list-per-event) lives in {!Typed_rules} and runs
     over [.cmt] files via {!Typed_engine}, and the whole-program X1
@@ -37,7 +40,7 @@
 
 val everything : Rule.t list
 (** The full rule namespace: every syntactic rule, in code order (D1, D2,
-    D3, E1, H1, O1), then the typed stubs. *)
+    D3, E1, H1, O1, S1), then the typed stubs. *)
 
 val find : string -> Rule.t option
 (** Look up a rule by code or id, case-insensitive, across

@@ -3,6 +3,12 @@ type t = { rule_name : string; from_line : int; to_line : int }
 let bad_suppression_code = "S1"
 let bad_suppression_id = "bad-suppression"
 
+(* The engines report malformed suppressions while they collect them;
+   the rule's own check is a no-op. *)
+let rule =
+  Rule.v ~code:bad_suppression_code ~id:bad_suppression_id
+    ~summary:"suppressions naming unknown rules or lacking a justification" (fun _ -> [])
+
 let bad ~rel ~line ~col message =
   {
     Rule.code = bad_suppression_code;

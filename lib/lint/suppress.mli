@@ -20,6 +20,12 @@
     The [missing-mli] (H1) rule is file-scoped, so any of its suppressions
     anywhere in the file applies. *)
 
+val rule : Rule.t
+(** The registry entry for S1, so it can be listed, selected and disabled
+    by name.  Its check is a no-op: {!of_comments} and {!of_ast} report
+    malformed suppressions as they collect them, and the syntactic engine
+    keeps those reports only when S1 is among the rules run. *)
+
 type t = {
   rule_name : string;  (** As written; matched via {!Rule.matches}. *)
   from_line : int;

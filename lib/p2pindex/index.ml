@@ -90,6 +90,10 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     plan : plan option;  (* Only when republish rounds will run. *)
     consulted : Stdx.Int_buf.t;
         (* The replicas a quorum lookup step heard from, in answer order. *)
+    mutable last_rendered : string;
+    mutable last_key : Key.t;
+        (* The last rendered query hashed, and its key (see
+           {!key_of_rendered}). *)
     metrics : Obs.Metrics.t option;
     instruments : instruments option;
     quorum_instruments : quorum_instruments option;
@@ -195,6 +199,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
           ?on_write_acks ~liveness ~clock ();
       plan = (if republished then Some { docs = [||]; doc_count = 0 } else None);
       consulted = Stdx.Int_buf.create ~capacity:replication ();
+      last_rendered = "";
+      last_key = Key.of_string "";
       metrics;
       instruments = Option.map make_instruments metrics;
       quorum_instruments;
@@ -215,9 +221,22 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   let node_of_query t q = Dht.Resolver.responsible t.resolver (key_of_query q)
 
-  let[@hot] node_of_string t s = Dht.Resolver.responsible t.resolver (Key.of_string s)
+  (* A session step renders its query once and hands that one string to
+     the liveness probe and then to the lookup step, so the index keeps
+     the last string it hashed beside its key: the step computes one
+     digest.  Any other string is hashed and kept in its place. *)
+  let[@hot] key_of_rendered t s =
+    if String.equal s t.last_rendered then t.last_key
+    else begin
+      let key = Key.of_string s in
+      t.last_rendered <- s;
+      t.last_key <- key;
+      key
+    end
 
-  let[@hot] live_node_of_string t s = Rstore.live_node_id t.mappings (Key.of_string s)
+  let[@hot] node_of_string t s = Dht.Resolver.responsible t.resolver (key_of_rendered t s)
+
+  let[@hot] live_node_of_string t s = Rstore.live_node_id t.mappings (key_of_rendered t s)
 
   (* Expiry stamped on entries written now; infinity when soft state is
      off, so the static path never compares clocks. *)
@@ -252,10 +271,12 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   (* Publication. *)
 
   (* A descriptor's scheme edges share their query values — a child is
-     often the next edge's parent — so publication renders each distinct
-     query value once, memoized by identity over one descriptor. *)
-  let edge_renderer () =
-    let rendered = ref [] in
+     often the next edge's parent, and the descriptor itself is the last
+     child of several — so publication renders each distinct query value
+     once, memoized by identity over one descriptor.  The memo starts
+     with the descriptor, rendered already for its file write. *)
+  let edge_renderer ~msd ~msd_string =
+    let rendered = ref [ (msd, msd_string) ] in
     fun q ->
       match List.assq_opt q !rendered with
       | Some s -> s
@@ -502,8 +523,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   (* Stage a document's edges; under a plan, also record them, with its
      file write, once every edge is staged. *)
-  let stage_doc t b ~scheme ~msd ~key ~request_bytes file =
-    let render = edge_renderer () in
+  let stage_doc t b ~scheme ~msd ~msd_string ~key ~request_bytes file =
+    let render = edge_renderer ~msd ~msd_string in
     let edges = Scheme.edges scheme msd in
     match t.plan with
     | None ->
@@ -566,7 +587,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       let msd_string = Q.to_string msd in
       let key = Key.of_string msd_string and request_bytes = Wire.request_bytes msd_string in
       write_file t ~key ~request_bytes file;
-      stage_doc t b ~scheme ~msd ~key ~request_bytes file
+      stage_doc t b ~scheme ~msd ~msd_string ~key ~request_bytes file
     in
     (* A covering violation stops the batch where the per-edge sequence
        would have stopped: after the edges before it were written.  The
@@ -872,7 +893,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      zero plan, replication 1 and no quorum this is exactly the static
      single-probe lookup. *)
   let[@hot] lookup_step_at t ~generalization ~query_string =
-    let key = Key.of_string query_string in
+    let key = key_of_rendered t query_string in
     let replicas = Rstore.replica_buf t.mappings key in
     let n = Stdx.Int_buf.length replicas in
     let primary = Stdx.Int_buf.get replicas 0 in

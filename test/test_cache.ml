@@ -1,97 +1,129 @@
-(* LRU, caching policies and per-node shortcut tables. *)
+(* The shortcut cache's recency list, caching policies and per-node
+   shortcut tables. *)
 
-module Lru = Cache.Lru
 module Policy = Cache.Policy
 module Shortcut = Cache.Shortcut_cache
 
-(* Membership without touching recency. *)
-let mem l k = Option.is_some (Lru.peek l k)
+(* The recency list on its own: one target per query makes a node cache a
+   plain LRU map from the query to the pair's second half.  [mem] reads
+   [entries], which does not touch recency. *)
+let lru_put c k v = ignore (Shortcut.add c ~query_key:(string_of_int k) ~target_key:"t" (k, v))
+
+let lru_get c k =
+  match Shortcut.find c ~query_key:(string_of_int k) with
+  | [ (_, (_, v)) ] -> Some v
+  | _ -> None
+
+let lru_list c = Shortcut.entries c
+let mem c k = List.mem_assoc k (lru_list c)
+let lru ?capacity () : int Shortcut.t = Shortcut.create ~capacity ()
 
 let lru_basic () =
-  let l : (string, int) Lru.t = Lru.create () in
-  Lru.add l "a" 1;
-  Lru.add l "b" 2;
-  Alcotest.(check (option int)) "find a" (Some 1) (Lru.find l "a");
-  Alcotest.(check (option int)) "find missing" None (Lru.find l "zzz");
-  Alcotest.(check int) "length" 2 (Lru.length l);
-  for i = 1 to 100 do
-    Lru.add l (string_of_int i) i
+  let c = lru () in
+  lru_put c 1 10;
+  lru_put c 2 20;
+  Alcotest.(check (option int)) "find 1" (Some 10) (lru_get c 1);
+  Alcotest.(check (option int)) "find missing" None (lru_get c 99);
+  Alcotest.(check int) "size" 2 (Shortcut.size c);
+  for i = 3 to 102 do
+    lru_put c i i
   done;
-  Alcotest.(check int) "unbounded" 102 (Lru.length l)
+  Alcotest.(check int) "unbounded" 102 (Shortcut.size c)
 
 let lru_eviction_order () =
-  let l : (int, int) Lru.t = Lru.create ~capacity:3 () in
-  Lru.add l 1 10;
-  Lru.add l 2 20;
-  Lru.add l 3 30;
+  let c = lru ~capacity:3 () in
+  lru_put c 1 10;
+  lru_put c 2 20;
+  lru_put c 3 30;
   (* Touch 1 so that 2 becomes least recently used. *)
-  ignore (Lru.find l 1);
-  Lru.add l 4 40;
-  Alcotest.(check bool) "2 evicted" false (mem l 2);
-  Alcotest.(check bool) "1 survived (recently used)" true (mem l 1);
-  Alcotest.(check bool) "3 survived" true (mem l 3);
-  Alcotest.(check bool) "4 inserted" true (mem l 4);
-  Alcotest.(check int) "at capacity" 3 (Lru.length l)
+  ignore (lru_get c 1);
+  lru_put c 4 40;
+  Alcotest.(check bool) "2 evicted" false (mem c 2);
+  Alcotest.(check bool) "1 survived (recently used)" true (mem c 1);
+  Alcotest.(check bool) "3 survived" true (mem c 3);
+  Alcotest.(check bool) "4 inserted" true (mem c 4);
+  Alcotest.(check int) "at capacity" 3 (Shortcut.size c)
 
+(* [entries] and [size] are the cache's peeks. *)
 let lru_peek_does_not_touch () =
-  let l : (int, int) Lru.t = Lru.create ~capacity:2 () in
-  Lru.add l 1 10;
-  Lru.add l 2 20;
-  ignore (Lru.peek l 1);
+  let c = lru ~capacity:2 () in
+  lru_put c 1 10;
+  lru_put c 2 20;
+  ignore (Shortcut.entries c);
+  ignore (Shortcut.size c);
   (* 1 is still least recently used, so it gets evicted. *)
-  Lru.add l 3 30;
-  Alcotest.(check bool) "peek did not refresh" false (mem l 1)
+  lru_put c 3 30;
+  Alcotest.(check bool) "peek did not refresh" false (mem c 1)
 
 let lru_overwrite_refreshes () =
-  let l : (int, int) Lru.t = Lru.create ~capacity:2 () in
-  Lru.add l 1 10;
-  Lru.add l 2 20;
-  Lru.add l 1 11;
-  Lru.add l 3 30;
-  Alcotest.(check (option int)) "overwritten value" (Some 11) (Lru.peek l 1);
-  Alcotest.(check bool) "2 evicted instead" false (mem l 2)
+  let c = lru ~capacity:2 () in
+  lru_put c 1 10;
+  lru_put c 2 20;
+  lru_put c 1 11;
+  lru_put c 3 30;
+  Alcotest.(check (list (pair int int))) "overwritten pair, 2 evicted instead"
+    [ (3, 30); (1, 11) ] (lru_list c)
 
-let lru_on_evict_hook () =
-  let evicted = ref [] in
-  let l : (int, int) Lru.t =
-    Lru.create ~capacity:2 ~on_evict:(fun k v -> evicted := (k, v) :: !evicted) ()
+(* The evictions counter counts capacity evictions only: not expiries,
+   refreshes or a crash. *)
+let lru_evictions_counted () =
+  let registry = Obs.Metrics.create () in
+  let clock = ref 0.0 in
+  let c : int Shortcut.t =
+    Shortcut.create ~instruments:(Shortcut.instruments registry)
+      ~clock:(fun () -> !clock) ~ttl:5.0 ~capacity:(Some 2) ()
   in
-  Lru.add l 1 10;
-  Lru.add l 2 20;
-  Lru.add l 3 30;
-  Alcotest.(check (list (pair int int))) "hook fired for capacity eviction" [ (1, 10) ]
-    !evicted;
-  ignore (Lru.remove l 2);
-  Alcotest.(check int) "hook not fired for remove" 1 (List.length !evicted)
+  let evictions () =
+    Obs.Metrics.counter_total (Obs.Metrics.snapshot registry) "p2pindex_cache_evictions_total"
+  in
+  lru_put c 1 10;
+  lru_put c 2 20;
+  lru_put c 3 30;
+  Alcotest.(check int) "counted for a capacity eviction" 1 (evictions ());
+  Alcotest.(check (list (pair int int))) "1 went" [ (3, 30); (2, 20) ] (lru_list c);
+  lru_put c 3 31;
+  clock := 10.0;
+  ignore (lru_get c 2);
+  Shortcut.clear c;
+  Alcotest.(check int) "not for a refresh, an expiry or a clear" 1 (evictions ())
 
-let lru_remove_and_clear () =
-  let l : (int, int) Lru.t = Lru.create () in
-  Lru.add l 1 10;
-  Alcotest.(check bool) "remove existing" true (Lru.remove l 1);
-  Alcotest.(check bool) "remove missing" false (Lru.remove l 1);
-  Lru.add l 2 20;
-  Lru.clear l;
-  Alcotest.(check int) "cleared" 0 (Lru.length l)
+let lru_expiry_and_clear () =
+  let clock = ref 0.0 in
+  let c : int Shortcut.t =
+    Shortcut.create ~clock:(fun () -> !clock) ~ttl:5.0 ~capacity:None ()
+  in
+  lru_put c 1 10;
+  clock := 3.0;
+  lru_put c 2 20;
+  clock := 6.0;
+  Alcotest.(check (option int)) "expired entry gone" None (lru_get c 1);
+  Alcotest.(check int) "and purged" 1 (Shortcut.size c);
+  Alcotest.(check (option int)) "fresh entry stays" (Some 20) (lru_get c 2);
+  Shortcut.clear c;
+  Alcotest.(check int) "cleared" 0 (Shortcut.size c);
+  Alcotest.(check (list (pair int int))) "nothing left" [] (lru_list c)
 
-let lru_to_list_mru_order () =
-  let l : (int, int) Lru.t = Lru.create () in
-  Lru.add l 1 10;
-  Lru.add l 2 20;
-  Lru.add l 3 30;
-  ignore (Lru.find l 1);
+let lru_entries_mru_order () =
+  let c = lru () in
+  lru_put c 1 10;
+  lru_put c 2 20;
+  lru_put c 3 30;
+  ignore (lru_get c 1);
   Alcotest.(check (list (pair int int))) "MRU first" [ (1, 10); (3, 30); (2, 20) ]
-    (Lru.to_list l)
+    (lru_list c)
 
 let lru_zero_capacity_rejected () =
-  Alcotest.check_raises "capacity 0" (Invalid_argument "Lru.create: capacity must be positive")
-    (fun () -> ignore (Lru.create ~capacity:0 () : (int, int) Lru.t))
+  Alcotest.check_raises "capacity 0"
+    (Invalid_argument "Shortcut_cache.create: capacity must be positive") (fun () ->
+      ignore (lru ~capacity:0 ()))
 
-(* Model-based property: the LRU behaves like a naive list-based model. *)
+(* Model-based property: with one target per query the cache behaves like
+   a naive list-based LRU. *)
 let lru_matches_model =
   QCheck.Test.make ~name:"LRU matches reference model" ~count:300
     QCheck.(pair (int_range 1 5) (small_list (pair (int_range 0 9) bool)))
     (fun (capacity, ops) ->
-      let l : (int, int) Lru.t = Lru.create ~capacity () in
+      let c = lru ~capacity () in
       (* Model: association list, most recent first. *)
       let model = ref [] in
       let model_add k v =
@@ -109,13 +141,13 @@ let lru_matches_model =
       List.for_all
         (fun (k, is_add) ->
           if is_add then begin
-            Lru.add l k k;
+            lru_put c k k;
             model_add k k;
             true
           end
-          else Lru.find l k = model_find k)
+          else lru_get c k = model_find k)
         ops
-      && Lru.to_list l = !model)
+      && lru_list c = !model)
 
 let policy_labels () =
   Alcotest.(check string) "no cache" "No Cache" (Policy.label Policy.no_cache);
@@ -154,6 +186,43 @@ let shortcut_lru_eviction () =
   Alcotest.(check int) "capacity respected" 2 (Shortcut.size c);
   Alcotest.(check int) "b evicted and unindexed" 0 (List.length (Shortcut.find c ~query_key:"b"));
   Alcotest.(check int) "a survived" 1 (List.length (Shortcut.find c ~query_key:"a"))
+
+(* A find returns the query's targets in ascending key order and touches
+   them in that order, so the highest target ends up most recent; an
+   install lands in its group's sorted place whatever order it came in. *)
+let shortcut_find_touches_in_target_order () =
+  let c : string Shortcut.t = Shortcut.create ~capacity:None () in
+  List.iter
+    (fun t -> ignore (Shortcut.add c ~query_key:"q" ~target_key:t ("q", t)))
+    [ "t3"; "t1"; "t5"; "t0"; "t4"; "t2" ];
+  ignore (Shortcut.add c ~query_key:"other" ~target_key:"t9" ("other", "t9"));
+  Alcotest.(check (list string)) "ascending targets"
+    [ "t0"; "t1"; "t2"; "t3"; "t4"; "t5" ]
+    (List.map fst (Shortcut.find c ~query_key:"q"));
+  Alcotest.(check (list string)) "touched in target order"
+    [ "t5"; "t4"; "t3"; "t2"; "t1"; "t0"; "t9" ]
+    (List.map snd (Shortcut.entries c))
+
+(* Evicting a query's only entry drops the query; an install under the
+   same query then starts it afresh, and a purged leftover likewise. *)
+let shortcut_evicts_last_of_query () =
+  let clock = ref 0.0 in
+  let c : string Shortcut.t =
+    Shortcut.create ~clock:(fun () -> !clock) ~ttl:5.0 ~capacity:(Some 1) ()
+  in
+  ignore (Shortcut.add c ~query_key:"a" ~target_key:"x" ("a", "x"));
+  ignore (Shortcut.add c ~query_key:"b" ~target_key:"y" ("b", "y"));
+  Alcotest.(check int) "a's last entry evicted" 0 (List.length (Shortcut.find c ~query_key:"a"));
+  Alcotest.(check bool) "same query, new target, after its group's eviction" true
+    (Shortcut.add c ~query_key:"b" ~target_key:"z" ("b", "z"));
+  Alcotest.(check (list string)) "only the new target" [ "z" ]
+    (List.map fst (Shortcut.find c ~query_key:"b"));
+  clock := 6.0;
+  Alcotest.(check bool) "expired leftover reinstalled fresh" true
+    (Shortcut.add c ~query_key:"b" ~target_key:"z" ("b", "z"));
+  Alcotest.(check (list (pair string string))) "one live entry" [ ("b", "z") ]
+    (Shortcut.entries c);
+  Alcotest.(check int) "size" 1 (Shortcut.size c)
 
 (* Per-node caches: a node's cache is built at its first install, and
    nodes without one all read the shared stand-in, which no install or
@@ -230,8 +299,8 @@ type model = {
 
 let model_remove m key = m.recency <- List.filter (fun e -> e.key <> key) m.recency
 
-(* [Lru.find] semantics plus lazy purge: a present entry is touched, then
-   dropped and counted as an expiration if its TTL ran out. *)
+(* A find's touch plus lazy purge: a present entry moves to the front, or
+   is dropped and counted as an expiration if its TTL ran out. *)
 let model_live_find m key =
   match List.find_opt (fun e -> e.key = key) m.recency with
   | None -> None
@@ -262,6 +331,9 @@ let model_step m ~capacity ~ttl = function
           model_remove m key;
           m.expirations <- m.expirations + 1
       | Some _ | None -> ());
+      let full =
+        match capacity with Some c -> List.length m.recency >= c | None -> false
+      in
       let fresh = { key; pair = (q, string_of_int v); expires = m.now +. ttl } in
       if List.exists (fun e -> e.key = key) m.recency then begin
         model_remove m key;
@@ -269,7 +341,7 @@ let model_step m ~capacity ~ttl = function
         Added false
       end
       else begin
-        if List.length m.recency >= capacity then begin
+        if full then begin
           m.recency <- List.filteri (fun i _ -> i < List.length m.recency - 1) m.recency;
           m.evictions <- m.evictions + 1
         end;
@@ -314,9 +386,11 @@ let cache_counters registry =
 
 let model_counters m = [ m.hits; m.misses; m.installs; m.evictions; m.expirations ]
 
+(* Up to six targets a query, drawn in any order, so installs arrive out
+   of sorted order and a find touches several entries. *)
 let gen_step =
   let open QCheck.Gen in
-  let query = oneofl [ "a"; "b"; "c" ] and target = oneofl [ "x"; "y"; "z" ] in
+  let query = oneofl [ "a"; "b"; "c" ] and target = oneofl [ "u"; "z"; "w"; "x"; "v"; "y" ] in
   frequency
     [
       (4, map3 (fun q t v -> Add (q, t, v)) query target (int_range 0 3));
@@ -329,16 +403,21 @@ let shortcut_matches_model =
   QCheck.Test.make ~name:"shortcut cache matches a recency-list model" ~count:500
     (QCheck.make
        ~print:(fun (capacity, ttl, steps) ->
-         Printf.sprintf "capacity %d, ttl %g: %s" capacity ttl
+         Printf.sprintf "capacity %s, ttl %g: %s"
+           (match capacity with Some c -> string_of_int c | None -> "unbounded")
+           ttl
            (String.concat "; " (List.map show_step steps)))
        QCheck.Gen.(
-         triple (int_range 1 4) (oneofl [ 1.0; 2.5; 4.0 ]) (list_size (int_range 0 40) gen_step)))
+         triple
+           (frequency [ (4, map Option.some (int_range 1 8)); (1, return None) ])
+           (oneofl [ 1.0; 2.5; 4.0 ])
+           (list_size (int_range 0 60) gen_step)))
     (fun (capacity, ttl, steps) ->
       let registry = Obs.Metrics.create () in
       let clock = ref 0.0 in
       let c : string Shortcut.t =
         Shortcut.create ~instruments:(Shortcut.instruments registry)
-          ~clock:(fun () -> !clock) ~ttl ~capacity:(Some capacity) ()
+          ~clock:(fun () -> !clock) ~ttl ~capacity ()
       in
       let m =
         {
@@ -377,9 +456,9 @@ let suite =
         Alcotest.test_case "eviction order" `Quick lru_eviction_order;
         Alcotest.test_case "peek does not touch" `Quick lru_peek_does_not_touch;
         Alcotest.test_case "overwrite refreshes" `Quick lru_overwrite_refreshes;
-        Alcotest.test_case "on_evict hook" `Quick lru_on_evict_hook;
-        Alcotest.test_case "remove and clear" `Quick lru_remove_and_clear;
-        Alcotest.test_case "to_list order" `Quick lru_to_list_mru_order;
+        Alcotest.test_case "evictions counted" `Quick lru_evictions_counted;
+        Alcotest.test_case "expiry and clear" `Quick lru_expiry_and_clear;
+        Alcotest.test_case "entries order" `Quick lru_entries_mru_order;
         Alcotest.test_case "zero capacity rejected" `Quick lru_zero_capacity_rejected;
       ]
       @ qcheck [ lru_matches_model ] );
@@ -392,6 +471,9 @@ let suite =
       [
         Alcotest.test_case "basics" `Quick shortcut_basics;
         Alcotest.test_case "LRU eviction" `Quick shortcut_lru_eviction;
+        Alcotest.test_case "find touches in target order" `Quick
+          shortcut_find_touches_in_target_order;
+        Alcotest.test_case "evicting a query's last entry" `Quick shortcut_evicts_last_of_query;
         Alcotest.test_case "per-node caches on first install" `Quick shortcut_per_node;
       ]
       @ qcheck [ shortcut_secondary_index_consistent; shortcut_matches_model ] );

@@ -103,6 +103,32 @@ let fixtures_cover_every_rule () =
         (fun code -> Alcotest.(check bool) (code ^ " fires") true (hit code))
         [ "D1"; "D2"; "D3"; "E1"; "H1"; "O1"; "S1" ]
 
+(* S1 is a registered rule: it resolves by code and id, a run selecting
+   only S1 reports the corpus's malformed suppression and nothing else,
+   and a run without it reports no S1 at all. *)
+let s1_selected_by_name () =
+  let s1 = Lint.Rules.find "S1" in
+  Alcotest.(check (option string)) "S1 resolves" (Some "bad-suppression")
+    (Option.map (fun (r : Lint.Rule.t) -> r.id) s1);
+  Alcotest.(check (option string)) "bad-suppression resolves" (Some "S1")
+    (Option.map (fun (r : Lint.Rule.t) -> r.code) (Lint.Rules.find "bad-suppression"));
+  match (fixture_root (), s1) with
+  | None, _ | _, None -> Alcotest.skip ()
+  | Some root, Some s1 ->
+      let run rules =
+        snd (Lint.Engine.lint_tree ~rules ~known:Lint.Rules.everything ~root ~dirs:[ "lib"; "bin" ] ())
+      in
+      let located (v : Lint.Rule.violation) = Printf.sprintf "%s:%d %s" v.file v.line v.code in
+      Alcotest.(check (list string)) "only S1 selected" [ "bin/s1_bad.ml:2 S1" ]
+        (List.map located (run [ s1 ]));
+      Alcotest.(check bool) "S1 disabled" false
+        (List.exists
+           (fun (v : Lint.Rule.violation) -> String.equal v.code "S1")
+           (run
+              (List.filter
+                 (fun (r : Lint.Rule.t) -> not (String.equal r.code "S1"))
+                 Lint.Rules.everything)))
+
 (* ------------------------------------------------------------------ *)
 (* Determinism: two full runs render byte-identical reports. *)
 
@@ -418,6 +444,7 @@ let suite =
         Alcotest.test_case "exact report over the corpus" `Quick fixtures_exact_report;
         Alcotest.test_case "negatives stay silent" `Quick fixtures_negatives_are_clean;
         Alcotest.test_case "every rule has a firing positive" `Quick fixtures_cover_every_rule;
+        Alcotest.test_case "S1 selected by name" `Quick s1_selected_by_name;
       ] );
     ( "lint:determinism",
       [ Alcotest.test_case "byte-identical re-renders" `Quick reports_are_deterministic ] );
