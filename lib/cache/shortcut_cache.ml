@@ -168,18 +168,12 @@ let rec find_target target_key = function
       let c = String.compare (fst r.shortcut) target_key in
       if c = 0 then n else if c > 0 then Nil else find_target target_key r.higher
 
-(* Link [n] into its group between [lower] and the first node from
-   [higher] on whose target key is not below [target_key]. *)
-let rec insert_sorted g target_key n ~lower higher =
-  match (n, higher) with
-  | _, Node h when String.compare (fst h.shortcut) target_key < 0 ->
-      insert_sorted g target_key n ~lower:higher h.higher
-  | Nil, _ -> ()
-  | Node r, _ ->
-      r.lower <- lower;
-      r.higher <- higher;
-      (match lower with Node l -> l.higher <- n | Nil -> g.lowest <- n);
-      (match higher with Node h -> h.lower <- n | Nil -> ())
+(* The last node from [n] on whose target key is below [target_key], or
+   [lower] when there is none. *)
+let rec last_below target_key ~lower = function
+  | Node r as n when String.compare (fst r.shortcut) target_key < 0 ->
+      last_below target_key ~lower:n r.higher
+  | Node _ | Nil -> lower
 
 let add t ~query_key ~target_key pair =
   let group = Hashtbl.find_opt t.groups query_key in
@@ -209,30 +203,17 @@ let add t ~query_key ~target_key pair =
       | Some _ | None -> ());
       (* The purge or the eviction may have emptied the query's group and
          dropped it from the table. *)
-      let g =
-        match group with
-        | Some ({ lowest = Node _; _ } as g) -> g
-        | Some ({ lowest = Nil; _ } as g) ->
-            Hashtbl.replace t.groups query_key g;
-            g
-        | None ->
-            let g = { query_key; lowest = Nil } in
-            Hashtbl.replace t.groups query_key g;
-            g
-      in
+      let g = match group with Some g -> g | None -> { query_key; lowest = Nil } in
+      (match g.lowest with Nil -> Hashtbl.replace t.groups query_key g | Node _ -> ());
+      let lower = last_below target_key ~lower:Nil g.lowest in
+      let higher = match lower with Node l -> l.higher | Nil -> g.lowest in
       let n =
         Node
-          {
-            shortcut = (target_key, pair);
-            expires_at;
-            group = g;
-            lower = Nil;
-            higher = Nil;
-            newer = Nil;
-            older = Nil;
-          }
+          { shortcut = (target_key, pair); expires_at; group = g; lower; higher;
+            newer = Nil; older = Nil }
       in
-      insert_sorted g target_key n ~lower:Nil g.lowest;
+      (match lower with Node l -> l.higher <- n | Nil -> g.lowest <- n);
+      (match higher with Node h -> h.lower <- n | Nil -> ());
       push_front t n;
       t.size <- t.size + 1;
       count t installs;

@@ -247,6 +247,8 @@ let shortcut_per_node () =
   Shortcut.clear_at caches 2;
   Alcotest.(check (array int)) "cleared" [| 0; 0; 0; 0 |] (Shortcut.sizes caches)
 
+(* The query table, the index from a query to its group of entries, agrees
+   with the recency list that eviction walks. *)
 let shortcut_secondary_index_consistent =
   QCheck.Test.make ~name:"shortcut secondary index stays consistent" ~count:200
     QCheck.(pair (int_range 1 4) (small_list (pair (int_range 0 5) (int_range 0 5))))

@@ -116,7 +116,9 @@ let s1_selected_by_name () =
   | None, _ | _, None -> Alcotest.skip ()
   | Some root, Some s1 ->
       let run rules =
-        snd (Lint.Engine.lint_tree ~rules ~known:Lint.Rules.everything ~root ~dirs:[ "lib"; "bin" ] ())
+        snd
+          (Lint.Engine.lint_tree ~rules ~known:Lint.Rules.everything ~root
+             ~dirs:[ "lib"; "bin" ] ())
       in
       let located (v : Lint.Rule.violation) = Printf.sprintf "%s:%d %s" v.file v.line v.code in
       Alcotest.(check (list string)) "only S1 selected" [ "bin/s1_bad.ml:2 S1" ]
