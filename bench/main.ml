@@ -82,10 +82,13 @@ let micro_ops () : (string * (unit -> unit)) list =
   (* Shortcut caches at the paper's LRU-30: one query holding 30 cached
      targets, and a full cache taking a fresh pair per run (700 distinct
      pairs cycle, so each install evicts the recency tail). *)
-  let hot_cache : int Cache.Shortcut_cache.t = Cache.Shortcut_cache.create ~capacity:(Some 30) () in
+  let hot_query = "/article/author/last/Smith" in
+  let hot_cache : int Cache.Shortcut_cache.t =
+    Cache.Shortcut_cache.create ~capacity:(Some 30) ()
+  in
   for t = 0 to 29 do
     ignore
-      (Cache.Shortcut_cache.add hot_cache ~query_key:"/article/author/last/Smith"
+      (Cache.Shortcut_cache.add hot_cache ~query_key:hot_query
          ~target_key:(Printf.sprintf "/article/title/T%02d" t) (0, t)
         : bool)
   done;
@@ -257,7 +260,7 @@ let micro_ops () : (string * (unit -> unit)) list =
         Bib.Bib_index.republish republish_index );
     ( "cache/find-hot-query",
       fun () ->
-        ignore (Cache.Shortcut_cache.find hot_cache ~query_key:"/article/author/last/Smith") );
+        ignore (Cache.Shortcut_cache.find hot_cache ~query_key:hot_query) );
     ( "cache/add-evict",
       fun () ->
         incr counter;

@@ -22,9 +22,9 @@ let of_label s =
 
 let edge parent child = { P2pindex.Scheme.parent; child }
 
-(* Each scheme's edges take the published descriptor [m] itself, so the
-   index's renderer, which memoizes by identity, renders it once, and
-   build the title query once for every author. *)
+(* Each scheme's edge builder takes the published descriptor [m] itself,
+   so the index's renderer, which memoizes by identity, renders it once;
+   the title query is built once for all the authors. *)
 let simple_edges m (a : Article.t) =
   let title = Q.title_q a.title in
   let author_side =
