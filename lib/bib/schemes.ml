@@ -88,24 +88,6 @@ let edges = function
      order-preserving [Prefix.Prefix_index] and are routed by key range. *)
   | Prefix -> simple_edges
 
-(* Section IV-C's substring generalization: add alphabetic entry points
-   mapping each last-name initial to the author queries it covers, on top of
-   any base scheme: one index per initial. *)
-let author_prefix_edges (a : Article.t) =
-  List.filter_map
-    (fun (x : Article.author) ->
-      if x.last = "" then None
-      else Some (edge (Q.author_last_prefix (String.sub x.last 0 1)) (Q.author_q x)))
-    a.authors
-
-let with_author_prefix kind =
-  let edges_of_msd = function
-    | Q.Msd article as m -> edges kind m article @ author_prefix_edges article
-    | Q.Fields _ | Q.Author_last_prefix _ ->
-        invalid_arg "Schemes.with_author_prefix: only descriptors can be published"
-  in
-  P2pindex.Scheme.make ~name:(label kind ^ "+prefix") ~edges:edges_of_msd
-
 let scheme kind =
   let edges_of_msd = function
     | Q.Msd article as m -> edges kind m article

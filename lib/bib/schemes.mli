@@ -20,8 +20,9 @@
     - {e Prefix}: the routed prefix/range scheme.  Its hashed chains are
       identical to Simple; what changes is how [p*] entry points are
       answered — via the order-preserving [Prefix.Prefix_index] routed to
-      the covering key range instead of hashed entry-point edges (compare
-      {!with_author_prefix}, which hashes them).
+      the covering key range instead of hashed entry-point edges.  It
+      serves Section IV-C's alphabetic browsing ("the files of an author
+      that start with the letter A").
 
     Multi-author articles install the author-side entries once per author. *)
 
@@ -35,12 +36,6 @@ val of_label : string -> kind option
 (** Case-insensitive; [None] for unknown labels. *)
 
 val scheme : kind -> Bib_query.t P2pindex.Scheme.t
-
-(* lint: allow X1 — test-only; ROADMAP item 17 deletes it with the tests it alone serves *)
-val with_author_prefix : kind -> Bib_query.t P2pindex.Scheme.t
-(** The base scheme augmented with alphabetic entry points: an index per
-    last-name initial mapping to the author queries it covers — Section
-    IV-C's "all the files of an author that start with the letter A". *)
 
 val chain_to : kind -> Article.t -> Bib_query.t -> Bib_query.t list
 (** [chain_to kind article q] is the index path a user starting at [q]

@@ -67,6 +67,34 @@ let rec unit_name modname =
   | None -> modname
   | Some i -> String.sub modname 0 i ^ "." ^ unit_name (String.sub modname (i + 2) (n - i - 2))
 
+(* The findings of one interface that its X1 suppressions leave, plus one
+   finding per X1 suppression that covers none: the value it excused has
+   since gained a user, or it excuses nothing at all.  Interface
+   suppressions take the comment form. *)
+let surviving ~known ~root ~rel raw =
+  let sups =
+    fst (Suppress.of_comments ~known ~rel (Engine.read_file (Filename.concat root rel)))
+    |> List.filter (fun (s : Suppress.t) -> Rule.matches rule s.rule_name)
+  in
+  let covers sups v = Suppress.covers ~rules:[ rule ] sups v in
+  let stale =
+    List.filter_map
+      (fun (s : Suppress.t) ->
+        if List.exists (covers [ s ]) raw then None
+        else
+          Some
+            {
+              Rule.code = rule.code;
+              rule_id = rule.id;
+              file = rel;
+              line = s.from_line;
+              col = 0;
+              message = "this X1 suppression covers no finding; drop it";
+            })
+      sups
+  in
+  List.filter (fun v -> not (covers sups v)) raw @ stale
+
 let run ~known ~root ?(exclude = fun _ -> false) ~cmt_dirs () =
   let used = Hashtbl.create 4096 and seen = Hashtbl.create 256 in
   let interfaces = ref [] in
@@ -104,6 +132,6 @@ let run ~known ~root ?(exclude = fun _ -> false) ~cmt_dirs () =
              | Some (Some false) when not test_side -> dead "only tests use it"
              | Some (Some _) | None -> None)
       |> List.rev
-      |> Typed_engine.surviving ~known ~root ~rel)
+      |> surviving ~known ~root ~rel)
     !interfaces
   |> List.sort Rule.compare_violation

@@ -18,7 +18,9 @@
 
     Values reached without a name (through a functor argument or a
     first-class module) look unused; they take the comment suppression
-    form on the line above the [val]. *)
+    form on the line above the [val].  An X1 suppression that covers no
+    finding is stale and is itself reported at its line, so a value
+    that gains a user loses its suppression. *)
 
 val rule : Rule.t
 (** The registry entry (a no-op per-file check: the real check is
@@ -31,7 +33,8 @@ val run :
   cmt_dirs:string list ->
   unit ->
   Rule.violation list
-(** The surviving X1 violations over every interface found under
-    [cmt_dirs] whose source exists under [root], in
+(** The surviving X1 violations, stale suppressions included, over
+    every interface found under [cmt_dirs] whose source exists under
+    [root], in
     {!Rule.compare_violation} order.  [exclude] drops sources by
     root-relative path, on both the declaring and the referencing side. *)

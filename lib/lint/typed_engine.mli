@@ -41,11 +41,6 @@ val find_cmts : ?suffixes:string list -> string list -> string list
 val load_cmt : string -> Cmt_format.cmt_infos option
 (** [None] for an unreadable or foreign-format file. *)
 
-val surviving :
-  known:Rule.t list -> root:string -> rel:string -> Rule.violation list -> Rule.violation list
-(** The violations of one source file that no suppression in it
-    covers. *)
-
 (* lint: allow X1 — test view: the [@hot] scopes after propagation, pinned by the lint tests *)
 val hot_names_of_cmt : string -> (string list, string) result
 (** The propagated hot-scope names of one [.cmt] file, sorted — the

@@ -80,15 +80,9 @@ val label_of_path : string -> string
 
 (** {1 Serialization} *)
 
-
-(* lint: allow X1 — test view: the report text, for byte-identity checks without files *)
-val to_string : t -> string
-(** Canonical single-line JSON document plus a trailing newline. *)
-
-(* lint: allow X1 — oracle: parses what to_string writes, so the report format round-trips *)
-val of_string : string -> (t, string) result
-
 val write : path:string -> t -> unit
+(** The canonical single-line JSON document plus a trailing newline. *)
+
 val read : path:string -> (t, string) result
 
 (** {1 The flat metric view}

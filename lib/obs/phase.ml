@@ -94,8 +94,6 @@ let entries t =
     (fun (phase, c) -> entry_of_cell phase c)
     (Stdx.Det_tbl.sorted_bindings ~compare:String.compare t.cells)
 
-let find t phase = Option.map (entry_of_cell phase) (Hashtbl.find_opt t.cells phase)
-
 let to_metrics t registry =
   List.iter
     (fun e ->

@@ -52,9 +52,6 @@ val span_opt : t option -> string -> (unit -> 'a) -> 'a
 val entries : t -> entry list
 (** Accumulated buckets, sorted by phase name — deterministic. *)
 
-(* lint: allow X1 — test view: one bucket's totals *)
-val find : t -> string -> entry option
-
 val to_metrics : t -> Metrics.t -> unit
 (** Export every bucket into a registry as gauges labelled
     [("phase", name)]: [p2pindex_phase_elapsed_ns],

@@ -6,8 +6,8 @@
     measured), whether a cache shortcut answered, the result-set size, the
     request/response bytes under the wire model, and the interaction's
     {!outcome}.  A collector keeps finished traces in a ring buffer
-    (bounded collectors drop the oldest trace) and exports them as JSONL —
-    one span object per line — which this module can also read back. *)
+    (bounded collectors drop the oldest trace) and exports them as JSONL,
+    one span object per line. *)
 
 type outcome =
   | Msd_reached  (** The step returned a file: a most specific descriptor. *)
@@ -72,29 +72,7 @@ val trace_count : t -> int
 val span_count : t -> int
 (** Spans across finished traces. *)
 
-(* lint: allow X1 — test view: how many traces the ring buffer evicted *)
-val dropped : t -> int
-(** Traces evicted by the ring buffer so far. *)
-
-(** {1 JSONL export / import} *)
-
-(* lint: allow X1 — test view: one span's JSON form *)
-val span_to_json : span -> Json.t
-(* lint: allow X1 — test-only; ROADMAP item 17 deletes it with the tests it alone serves *)
-val span_of_json : Json.t -> (span, string) result
-
-(* lint: allow X1 — test view: the JSONL text the exporter writes, without files *)
-val to_jsonl : t -> string
-(** Every span of every finished trace, one JSON object per line. *)
+(** {1 JSONL export} *)
 
 val output_jsonl : t -> out_channel -> unit
-
-(* lint: allow X1 — test-only; ROADMAP item 17 deletes it with the tests it alone serves *)
-val spans_of_jsonl : string -> (span list, string) result
-(** Parse JSONL content (blank lines are skipped); fails on the first
-    malformed line. *)
-
-(* lint: allow X1 — test-only; ROADMAP item 17 deletes it with the tests it alone serves *)
-val traces_of_spans : span list -> trace list
-(** Regroup spans by trace id (order of first appearance); each trace's
-    spans are sorted by [seq] and its root is its first span's query. *)
+(** Every span of every finished trace, one JSON object per line. *)

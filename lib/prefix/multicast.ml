@@ -15,10 +15,7 @@ let build members =
   in
   { members = Array.of_list uniq }
 
-let member_count t = Array.length t.members
 let members t = Array.to_list t.members
-let root t = t.members.(0)
-let edge_count t = Array.length t.members - 1
 
 let edges t =
   let n = Array.length t.members in
@@ -45,7 +42,7 @@ type stats = { messages : int; depth : int; fanout : int }
 let disseminate ~rpc ~category ~bytes ~deliver t =
   let n = Array.length t.members in
   (* Initiator hands the payload to the root, then each tree edge forwards
-     it one level down: exactly one message per member, n = 1 + edge_count. *)
+     it one level down: exactly one message per member, 1 + the edge count. *)
   Dht.Rpc.send_oneway rpc ~lossy:false ~dst:t.members.(0)
     ~bytes:(bytes t.members.(0)) ~category ~deliver:(fun () ->
       deliver t.members.(0);

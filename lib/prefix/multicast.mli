@@ -5,7 +5,7 @@
     root, the children of slot [i] are slots [2i+1] and [2i+2].  The
     initiator sends one message to the root and every tree edge forwards
     one message down, so disseminating to [n] members costs exactly [n]
-    messages — [1 + edge_count], within the O(n) optimal bound of the
+    messages — one plus one per edge, within the O(n) optimal bound of the
     Darmstadt construction — and reaches everyone in [O(log n)] levels.
 
     Determinism (lint rule D2): the tree is a pure function of the member
@@ -21,20 +21,12 @@ val build : int list -> tree
     implicit heap.  The first member becomes the root.
     @raise Invalid_argument on an empty list. *)
 
-(* lint: allow X1 — test view: tree shape, checked against the exactly-once message bound *)
-val root : tree -> int
-(* lint: allow X1 — test view: tree shape, checked against the exactly-once message bound *)
-val member_count : tree -> int
-
 val members : tree -> int list
 (** Members in heap-slot (delivery) order, root first. *)
 
-(* lint: allow X1 — test view: tree shape, checked against the exactly-once message bound *)
-val edge_count : tree -> int
-(** [member_count - 1]. *)
-
 val edges : tree -> (int * int) list
-(** [(parent, child)] pairs in child-slot order — deterministic. *)
+(** [(parent, child)] pairs in child-slot order — deterministic: one
+    fewer than the members. *)
 
 val depth : tree -> int
 (** Hops from the initiator to the deepest member: the root is 1 hop,
@@ -56,4 +48,4 @@ val disseminate :
     edge.  [bytes node] prices the message {e addressed to} [node] (so
     per-subtree aggregation can be modelled by the caller); [deliver
     node] applies the payload at [node].  Messages are billed on [rpc]'s
-    network under [category].  Always [messages = member_count]. *)
+    network under [category].  Always [messages] = the member count. *)

@@ -69,14 +69,14 @@ let run ?events ?tracer ?phases ?(concurrency = 1) ?(coalesce = false) cfg =
         | Some e when e.completes_at > !clock_ref ->
             Obs.Metrics.Counter.incr coalesced_total;
             Dht.Rpc.send_oneway rpc
-              ~dst:(Index.node_of_query index q)
+              ~dst:(Index.node_of_string index qs)
               ~bytes:(P2pindex.Wire.consult_bytes qs)
               ~category:Dht.Network.Cache_update
               ~deliver:(fun () -> true);
             clock_ref := e.completes_at;
             e.answer
         | Some _ | None ->
-            let answer = Index.lookup_step index q in
+            let answer = Index.lookup_step_rendered index ~rendered:qs q in
             Hashtbl.replace inflight_probes qs
               (* lint: allow P3 — coalescing window bookkeeping: one entry per distinct in-flight probe, not per event *)
               { answer; completes_at = !clock_ref };

@@ -922,18 +922,8 @@ let prefix_sweep grid =
      every draw is seeded, so the same scale prints the same table. *)
   let scale = Grid.scale grid in
   let probe_count = Stdlib.min scale.query_count 1_000 in
-  let articles = Array.to_list (corpus scale) in
-  let authors = List.concat_map (fun (a : Bib.Article.t) -> a.authors) articles in
-  let lasts =
-    List.map (fun (x : Bib.Article.author) -> x.Bib.Article.last) authors
-    |> List.sort_uniq String.compare
-    |> Array.of_list
-  in
-  let entries =
-    List.map (fun (x : Bib.Article.author) -> (x.last, Bib.Bib_query.author_q x)) authors
-    |> List.sort_uniq (fun (t1, q1) (t2, q2) ->
-           match String.compare t1 t2 with 0 -> Bib.Bib_query.compare q1 q2 | c -> c)
-  in
+  let entries = Runner.prefix_entries (corpus scale) in
+  let lasts = List.map fst entries |> List.sort_uniq String.compare |> Array.of_list in
   let resolver = static_resolver scale in
   let row len =
     let network = Dht.Network.create ~node_count:scale.node_count () in

@@ -249,6 +249,12 @@ val run :
     [query_count <= 0] (so an empty [events] list is rejected too): a
     zero-query run has no meaningful per-query metrics. *)
 
+val prefix_entries : Bib.Article.t array -> (string * Bib.Bib_query.t) list
+(** What the routed prefix scheme publishes into its
+    {!Prefix.Prefix_index}: one [(last name, author query)] entry per
+    distinct author, sorted by last name, then by query, so publication
+    order is independent of corpus order. *)
+
 (** {1 Counts}
 
     Each reads one counter family of the report's {!report.metrics}

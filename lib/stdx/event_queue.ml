@@ -111,9 +111,6 @@ let[@hot] pop t =
     Some (time, event)
   end
 
-let[@hot] pop_until t ~until =
-  if t.size = 0 || t.times.(0) > until then None else pop t
-
 let[@hot] drain_until t ~until ~f =
   let drained = ref 0 in
   while t.size > 0 && t.times.(0) <= until do

@@ -30,10 +30,6 @@ val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event; among equal times, the one
     pushed first.  [None] when empty. *)
 
-(* lint: allow X1 — test-only; ROADMAP item 17 deletes it with the tests it alone serves *)
-val pop_until : 'a t -> until:float -> (float * 'a) option
-(** {!pop}, but only when the earliest event's time is [<= until]. *)
-
 val drain_until : 'a t -> until:float -> f:(time:float -> 'a -> unit) -> int
 (** Pop every event with time [<= until] in queue order, calling [f] on
     each without allocating the per-event pair {!pop} returns; yields

@@ -22,8 +22,6 @@ let create ~seed =
   reseed g ~seed;
   g
 
-let copy = Bytes.copy
-
 let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
@@ -33,10 +31,6 @@ let[@inline] next_int64 g =
   let s = Int64.add (state g) golden_gamma in
   set_state g s;
   mix s
-
-let split g =
-  let seed = next_int64 g in
-  create ~seed
 
 let[@inline] bits g = Int64.to_int (Int64.shift_right_logical (next_int64 g) 2)
 

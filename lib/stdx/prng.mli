@@ -17,17 +17,6 @@ val reseed : t -> seed:int64 -> unit
     [create ~seed].  Allocates nothing, so a caller that needs a fresh
     stream per item (one per message, say) can keep one generator. *)
 
-(* lint: allow X1 — test-only; ROADMAP item 17 deletes it with the tests it alone serves *)
-val copy : t -> t
-(** [copy g] returns an independent generator whose future output equals the
-    future output of [g] at the time of the copy. *)
-
-(* lint: allow X1 — test-only; ROADMAP item 17 deletes it with the tests it alone serves *)
-val split : t -> t
-(** [split g] derives a new generator from [g], advancing [g].  The two
-    resulting streams are statistically independent; use it to give each
-    subsystem its own stream without sharing state. *)
-
 (* lint: allow X1 — test view: the raw SplitMix64 stream, checked against the reference *)
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)

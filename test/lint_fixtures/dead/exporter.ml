@@ -7,3 +7,4 @@ module Inner = struct
   let deep_used = 5
   let deep_unused = 6
 end
+let stale = 7

@@ -8,3 +8,6 @@ module Inner : sig
   val deep_used : int
   val deep_unused : int
 end
+
+(* lint: allow X1 — once unused; User names it now, so this is stale *)
+val stale : int

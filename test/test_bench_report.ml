@@ -58,26 +58,41 @@ let sample_report ?(label = "sample") ?(timed = false) () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Schema round-trip and determinism. *)
+(* Schema round-trip and determinism, through the report file the bench
+   driver writes and reads. *)
+
+let with_temp f =
+  let path = Filename.temp_file "bench_report" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let text_of t =
+  with_temp (fun path ->
+      Report.write ~path t;
+      In_channel.with_open_bin path In_channel.input_all)
+
+let parse text =
+  with_temp (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Report.read ~path)
 
 let roundtrip () =
   List.iter
     (fun timed ->
       let t = sample_report ~timed () in
-      let text = Report.to_string t in
-      match Report.of_string text with
+      let text = text_of t in
+      match parse text with
       | Error msg -> Alcotest.failf "parse failed: %s" msg
       | Ok back ->
           (* The canonical byte form is the equality we care about: if the
              re-serialization matches, every field survived. *)
           Alcotest.(check string)
             (Printf.sprintf "canonical bytes (timed=%b)" timed)
-            text (Report.to_string back))
+            text (text_of back))
     [ false; true ]
 
 let serialization_deterministic () =
-  let a = Report.to_string (sample_report ()) in
-  let b = Report.to_string (sample_report ()) in
+  let a = text_of (sample_report ()) in
+  let b = text_of (sample_report ()) in
   Alcotest.(check string) "equal values, equal bytes" a b;
   (* Strict mode keeps every wall-clock field null. *)
   let contains hay needle =
@@ -90,7 +105,7 @@ let serialization_deterministic () =
 
 let schema_guard () =
   let reject label text =
-    match Report.of_string text with
+    match parse text with
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "%s accepted" label
   in
@@ -133,14 +148,9 @@ let flatten_view () =
 (* benchdiff verdicts, driven through real fixture files. *)
 
 let with_fixture report f =
-  let path = Filename.temp_file "bench_report" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Report.write ~path report;
-      match Report.read ~path with
-      | Error msg -> Alcotest.failf "fixture unreadable: %s" msg
-      | Ok loaded -> f loaded)
+  match parse (text_of report) with
+  | Error msg -> Alcotest.failf "fixture unreadable: %s" msg
+  | Ok loaded -> f loaded
 
 let scale_metric current_of report =
   (* Build a variant of [report] with table1's metric values rewritten. *)
@@ -333,27 +343,27 @@ let phase_accounting () =
   (* Small enough to land on the minor heap (< 256 words). *)
   ignore (Phase.span p "walk" (fun () -> Sys.opaque_identity (Array.make 100 0)));
   Phase.span p "setup" (fun () -> ());
-  (match Phase.find p "walk" with
-  | None -> Alcotest.fail "walk bucket missing"
-  | Some e ->
+  (* Sorted deterministically by phase name. *)
+  match Phase.entries p with
+  | [ setup; e ] ->
+      Alcotest.(check (list string)) "entry order" [ "setup"; "walk" ]
+        [ setup.Phase.phase; e.Phase.phase ];
       Alcotest.(check int) "walk calls" 2 e.Phase.calls;
       (* Each span reads the fake clock twice, 10 ns apart. *)
       Alcotest.(check int64) "walk elapsed" 20L e.Phase.elapsed_ns;
-      Alcotest.(check bool) "allocation attributed" true (e.Phase.minor_words > 0.0));
-  Alcotest.(check int) "buckets" 2 (List.length (Phase.entries p));
-  (* Sorted deterministically by phase name. *)
-  Alcotest.(check (list string)) "entry order" [ "setup"; "walk" ]
-    (List.map (fun (e : Phase.entry) -> e.Phase.phase) (Phase.entries p))
+      Alcotest.(check bool) "allocation attributed" true (e.Phase.minor_words > 0.0)
+  | entries -> Alcotest.failf "expected two buckets, got %d" (List.length entries)
 
 let phase_records_on_raise () =
   let p = Phase.create ~clock:(fake_clock ()) () in
   Alcotest.check_raises "span re-raises" (Failure "boom") (fun () ->
       Phase.span p "walk" (fun () -> failwith "boom"));
-  match Phase.find p "walk" with
-  | Some e ->
+  match Phase.entries p with
+  | [ e ] ->
+      Alcotest.(check string) "bucket" "walk" e.Phase.phase;
       Alcotest.(check int) "raise still recorded" 1 e.Phase.calls;
       Alcotest.(check int64) "elapsed recorded" 10L e.Phase.elapsed_ns
-  | None -> Alcotest.fail "walk bucket missing after raise"
+  | _ -> Alcotest.fail "walk bucket missing after raise"
 
 let span_opt_none_is_free () =
   Alcotest.(check int) "plain call" 7 (Phase.span_opt None "walk" (fun () -> 7))
@@ -410,7 +420,7 @@ let engine_profiles_walk_per_quantum () =
   let r = Sim.Engine.run ~phases ~concurrency:4 small_config in
   Alcotest.(check int) "all sessions finish" small_config.Sim.Runner.query_count
     (Stdx.Stats.Summary.count r.Sim.Runner.interactions);
-  match Phase.find phases "walk" with
+  match List.find_opt (fun (e : Phase.entry) -> e.phase = "walk") (Phase.entries phases) with
   | Some e ->
       (* Quanta outnumber sessions: every session takes at least one. *)
       Alcotest.(check bool) "at least one quantum per session" true

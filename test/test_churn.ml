@@ -42,15 +42,34 @@ let queue_fifo_ties () =
   Alcotest.check_raises "NaN rejected" (Invalid_argument "Event_queue.push: NaN time")
     (fun () -> Q.push q ~time:Float.nan "bad")
 
-let queue_pop_until () =
-  let q : int Q.t = Q.create ~dummy:0 () in
-  Q.push q ~time:2.0 1;
-  Q.push q ~time:7.0 2;
-  Alcotest.(check (option (pair (float 0.0) int))) "within horizon" (Some (2.0, 1))
-    (Q.pop_until q ~until:5.0);
-  Alcotest.(check (option (pair (float 0.0) int))) "beyond horizon" None
-    (Q.pop_until q ~until:5.0);
-  Alcotest.(check int) "event kept" 1 (Q.length q)
+(* One quantum of the engine's tick loop: everything due by the horizon
+   drains in (time, push order), including what the callback schedules
+   inside the horizon; later events, pushed before or during the drain,
+   stay queued. *)
+let queue_drain_until () =
+  let q : string Q.t = Q.create ~dummy:"" () in
+  Q.push q ~time:7.0 "late";
+  Q.push q ~time:2.0 "a";
+  Q.push q ~time:5.0 "at horizon";
+  Q.push q ~time:2.0 "b";
+  let seen = ref [] in
+  let drained =
+    Q.drain_until q ~until:5.0 ~f:(fun ~time event ->
+        seen := (time, event) :: !seen;
+        if String.equal event "a" then begin
+          Q.push q ~time:3.0 "pushed in horizon";
+          Q.push q ~time:6.0 "pushed past horizon"
+        end)
+  in
+  Alcotest.(check (list (pair (float 0.0) string)))
+    "due events in (time, push order)"
+    [ (2.0, "a"); (2.0, "b"); (3.0, "pushed in horizon"); (5.0, "at horizon") ]
+    (List.rev !seen);
+  Alcotest.(check int) "drained count" 4 drained;
+  Alcotest.(check (list (pair (float 0.0) string)))
+    "later events kept"
+    [ (6.0, "pushed past horizon"); (7.0, "late") ]
+    (drain q)
 
 (* Push a fresh heap payload whose only other reference is a weak one.
    Kept out of line so no register or stack slot of the caller holds it. *)
@@ -286,7 +305,7 @@ let suite =
     ( "churn:event-queue",
       [
         Alcotest.test_case "FIFO ties and NaN rejection" `Quick queue_fifo_ties;
-        Alcotest.test_case "pop_until horizon" `Quick queue_pop_until;
+        Alcotest.test_case "drain_until horizon" `Quick queue_drain_until;
         Alcotest.test_case "popped events are not retained" `Quick queue_releases_popped;
       ]
       @ qcheck [ queue_order_property ] );

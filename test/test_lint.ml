@@ -351,7 +351,8 @@ let typed_repo_self_lints_clean () =
    implementation uses still counts as dead, and the comment form
    suppresses.  A test unit keeps a test-side declaration alive but not a
    library-side one: [Api.test_view], which only the test-side [User]
-   names, is reported. *)
+   names, is reported.  A suppression over a value that has a user
+   ([Exporter.stale]) is reported as stale. *)
 let dead_exports_fixture () =
   match typed_root () with
   | None -> Alcotest.skip ()
@@ -378,6 +379,7 @@ let dead_exports_fixture () =
              is exported but no other compilation unit uses it";
             "test/lint_fixtures/dead/exporter.mli:9 `Lintfx_dead.Exporter.Inner.deep_unused` \
              is exported but no other compilation unit uses it";
+            "test/lint_fixtures/dead/exporter.mli:12 this X1 suppression covers no finding";
             "test/lint_fixtures/dead/lib/api.mli:2 `Lintfx_dead_lib.Api.test_view` \
              is exported but only tests use it";
           ]

@@ -8,29 +8,6 @@ let prng_deterministic () =
     Alcotest.(check int64) "same stream" (Stdx.Prng.next_int64 a) (Stdx.Prng.next_int64 b)
   done
 
-let prng_copy_independent () =
-  let a = Stdx.Prng.create ~seed:7L in
-  let _ = Stdx.Prng.next_int64 a in
-  let b = Stdx.Prng.copy a in
-  let va = Stdx.Prng.next_int64 a in
-  let vb = Stdx.Prng.next_int64 b in
-  Alcotest.(check int64) "copy continues the stream" va vb;
-  (* Advancing the copy further must not disturb the original. *)
-  let _ = Stdx.Prng.next_int64 b in
-  let _ = Stdx.Prng.next_int64 b in
-  let va2 = Stdx.Prng.next_int64 a in
-  let a' = Stdx.Prng.create ~seed:7L in
-  let _ = Stdx.Prng.next_int64 a' in
-  let _ = Stdx.Prng.next_int64 a' in
-  Alcotest.(check int64) "original unaffected by copy" (Stdx.Prng.next_int64 a') va2
-
-let prng_split_differs () =
-  let a = Stdx.Prng.create ~seed:1L in
-  let b = Stdx.Prng.split a in
-  let va = Stdx.Prng.next_int64 a in
-  let vb = Stdx.Prng.next_int64 b in
-  Alcotest.(check bool) "split streams differ" true (not (Int64.equal va vb))
-
 let prng_int_bounds =
   QCheck.Test.make ~name:"Prng.int stays in bounds" ~count:500
     QCheck.(pair small_int (int_range 1 1000))
@@ -105,7 +82,6 @@ module Boxed_prng = struct
   type t = { mutable state : int64 }
 
   let create ~seed = { state = seed }
-  let copy g = { state = g.state }
 
   let mix z =
     let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -116,7 +92,6 @@ module Boxed_prng = struct
     g.state <- Int64.add g.state 0x9E3779B97F4A7C15L;
     mix g.state
 
-  let split g = create ~seed:(next_int64 g)
   let bits g = Int64.to_int (Int64.shift_right_logical (next_int64 g) 2)
 
   let int g bound =
@@ -146,8 +121,6 @@ type prng_op =
   | Int_in_range of int * int
   | Unit_float
   | Float of float
-  | Split
-  | Copy
   | Shuffle of int
 
 let show_prng_op = function
@@ -156,8 +129,6 @@ let show_prng_op = function
   | Int_in_range (lo, hi) -> Printf.sprintf "int_in_range %d %d" lo hi
   | Unit_float -> "unit_float"
   | Float b -> Printf.sprintf "float %h" b
-  | Split -> "split"
-  | Copy -> "copy"
   | Shuffle n -> Printf.sprintf "shuffle %d" n
 
 (* Bounds 1 and 256 (the key bytes), non-powers of two, and bounds near
@@ -181,13 +152,10 @@ let prng_op_gen =
         (2, map2 (fun lo span -> Int_in_range (lo, lo + span)) (int_range (-1000) 1000) (int_range 0 5000));
         (3, return Unit_float);
         (2, map (fun b -> Float b) (float_range 0.0 1e6));
-        (1, return Split);
-        (1, return Copy);
         (1, map (fun n -> Shuffle n) (int_range 0 40));
       ])
 
-(* Every operation on both generators side by side; a split or a copy
-   compares the new generator's next draws, then the parents go on. *)
+(* Every operation on both generators side by side. *)
 let prng_matches_oracle =
   QCheck.Test.make ~name:"Prng replays the boxed SplitMix64 oracle" ~count:300
     QCheck.(
@@ -196,7 +164,6 @@ let prng_matches_oracle =
     (fun (seed, ops) ->
       let g = Stdx.Prng.create ~seed and o = Boxed_prng.create ~seed in
       let same_next g o = Int64.equal (Stdx.Prng.next_int64 g) (Boxed_prng.next_int64 o) in
-      let same_children g o = same_next g o && same_next g o && Stdx.Prng.int g 1000 = Boxed_prng.int o 1000 in
       List.for_all
         (fun op ->
           match op with
@@ -206,8 +173,6 @@ let prng_matches_oracle =
               Stdx.Prng.int_in_range g ~lo ~hi = Boxed_prng.int_in_range o ~lo ~hi
           | Unit_float -> Float.equal (Stdx.Prng.unit_float g) (Boxed_prng.unit_float o)
           | Float b -> Float.equal (Stdx.Prng.float g b) (Boxed_prng.float o b)
-          | Split -> same_children (Stdx.Prng.split g) (Boxed_prng.split o)
-          | Copy -> same_children (Stdx.Prng.copy g) (Boxed_prng.copy o) && same_next g o
           | Shuffle n ->
               let a = Array.init n Fun.id and b = Array.init n Fun.id in
               Stdx.Prng.shuffle g a;
@@ -446,8 +411,6 @@ let suite =
     ( "stdx:prng",
       [
         Alcotest.test_case "deterministic streams" `Quick prng_deterministic;
-        Alcotest.test_case "copy is independent" `Quick prng_copy_independent;
-        Alcotest.test_case "split differs" `Quick prng_split_differs;
         Alcotest.test_case "int rejects zero bound" `Quick prng_int_rejects_zero;
         Alcotest.test_case "near-uniform buckets" `Quick prng_uniformity;
         Alcotest.test_case "weighted choice frequencies" `Quick prng_choose_weighted;
