@@ -1,11 +1,13 @@
 type event = Fail of int | Join of int | Republish | Repair
 
-type config = {
-  session : Lifetime.t;
-  downtime : Lifetime.t;
-  republish_period : float;
-  repair_period : float;
-}
+type config = { session_mean : float; republish_period : float; repair_period : float }
+
+(* A failed node stays away 30 s on average. *)
+let downtime_mean = 30.0
+
+(* Exponential by inversion.  [Prng.float] yields u in [0, 1); the log
+   needs the open side at u = 1 instead, so use 1 - u, in (0, 1]. *)
+let draw prng ~mean = -.mean *. log (1.0 -. Stdx.Prng.float prng 1.0)
 
 type instruments = {
   live_nodes : Obs.Metrics.Gauge.t;
@@ -47,6 +49,8 @@ let check_period name period =
     invalid_arg (Printf.sprintf "Churn.Driver: %s must be > 0 (or infinity)" name)
 
 let create ?metrics ~seed ~liveness config =
+  if not (config.session_mean > 0.) then
+    invalid_arg "Churn.Driver: session_mean must be > 0";
   check_period "republish_period" config.republish_period;
   check_period "repair_period" config.repair_period;
   let queue = Stdx.Event_queue.create ~dummy:Republish () in
@@ -54,7 +58,7 @@ let create ?metrics ~seed ~liveness config =
   (* One lifetime draw per node, in node order, so the whole schedule is a
      pure function of the seed. *)
   for node = 0 to Dht.Liveness.node_count liveness - 1 do
-    Stdx.Event_queue.push queue ~time:(Lifetime.sample config.session prng) (Fail node)
+    Stdx.Event_queue.push queue ~time:(draw prng ~mean:config.session_mean) (Fail node)
   done;
   if config.republish_period < infinity then
     Stdx.Event_queue.push queue ~time:config.republish_period Republish;
@@ -101,14 +105,14 @@ let run_until t ~until ~on_fail ~on_join ~on_republish ~on_repair =
           set_gauge t;
           on_fail ~time node
         end;
-        schedule_after t ~delay:(Lifetime.sample t.config.downtime t.prng) (Join node)
+        schedule_after t ~delay:(draw t.prng ~mean:downtime_mean) (Join node)
     | Join node ->
         if Dht.Liveness.revive t.liveness node then begin
           count t (fun i -> i.joins);
           set_gauge t;
           on_join ~time node
         end;
-        schedule_after t ~delay:(Lifetime.sample t.config.session t.prng) (Fail node)
+        schedule_after t ~delay:(draw t.prng ~mean:t.config.session_mean) (Fail node)
     | Republish ->
         count t (fun i -> i.republishes);
         on_republish ~time;

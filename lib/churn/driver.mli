@@ -2,8 +2,11 @@
     distributions into a concrete schedule of node failures, rejoins and
     periodic soft-state maintenance.
 
-    Each node alternates between sessions (alive, drawn from
-    [session]) and downtimes (dead, drawn from [downtime]); failures are
+    Each node alternates between sessions (alive) and downtimes (dead).
+    Both are memoryless, the shape early measurement studies of deployed
+    peer-to-peer networks fit: exponential, sessions with mean
+    [session_mean] and downtimes with mean 30 s, each drawn by inversion
+    from the driver's PRNG.  Failures are
     abrupt (crash-stop — the owner of the node's state decides what is
     lost via the [on_fail] callback).  Republish and repair fire globally
     on fixed periods.  Time is purely virtual and only moves forward;
@@ -18,8 +21,7 @@ type event =
   | Repair  (** Anti-entropy pass over replica sets. *)
 
 type config = {
-  session : Lifetime.t;  (** Alive-time distribution. *)
-  downtime : Lifetime.t;  (** Dead-time distribution. *)
+  session_mean : float;  (** Mean alive time. *)
   republish_period : float;  (** [infinity]: never republish. *)
   repair_period : float;  (** [infinity]: never repair. *)
 }
@@ -38,7 +40,9 @@ val create :
     change.  With [metrics], maintains the
     [p2pindex_churn_live_nodes] gauge and
     [p2pindex_churn_{failures,joins,republishes,repairs}_total]
-    counters. *)
+    counters.
+    @raise Invalid_argument when [session_mean] or a period is not
+    positive. *)
 
 val run_until :
   t ->

@@ -317,11 +317,16 @@ let call t ~dst ?hedge_dst ?route_key ~request_bytes ~handler () =
 (* ------------------------------------------------------------------ *)
 (* One-way messages. *)
 
-let send_oneway ?(lossy = false) t ~dst ~bytes ~category ~deliver =
+let send t ~dst ~bytes ~category =
   bump t (fun i -> i.oneway);
-  if Plan.is_zero t.plan || not lossy then begin
-    (* Reliable (or fault-free) delivery is immediate; keep the
-       historical bill-only-when-the-delivery-had-effect accounting. *)
+  bill t ~dst ~bytes ~category ~copies:1
+
+let send_lossy t ~dst ~bytes ~deliver =
+  bump t (fun i -> i.oneway);
+  let category = Network.Cache_update in
+  if Plan.is_zero t.plan then begin
+    (* Fault-free delivery is immediate; keep the historical
+       bill-only-when-the-delivery-had-effect accounting. *)
     if deliver () then bill t ~dst ~bytes ~category ~copies:1
   end
   else begin

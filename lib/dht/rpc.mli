@@ -90,23 +90,18 @@ val call :
     outcome synchronously, advancing the clock as it goes, so handlers
     and soft-state reads during a retry see the later time. *)
 
-val send_oneway :
-  ?lossy:bool ->
-  t ->
-  dst:int ->
-  bytes:int ->
-  category:Network.category ->
-  deliver:(unit -> bool) ->
-  unit
-(** Fire-and-forget message carrying [deliver], which applies the
-    message's effect and reports whether it changed anything.  Reliable
-    sends ([lossy] false, the default — publication and maintenance
-    traffic) deliver immediately; on the zero plan the message is billed
-    only when [deliver] returns true, preserving the historical
-    bill-only-when-fresh accounting.  Lossy sends (cache updates, per
-    the soft-state design) are billed at send time, may be silently
-    dropped, and arrive through the outbox after the plan's latency —
-    duplicated copies run [deliver] again. *)
+val send : t -> dst:int -> bytes:int -> category:Network.category -> unit
+(** A reliable fire-and-forget message (publication, maintenance,
+    multicast and coalesced-probe traffic): counted as a one-way and
+    billed under [category].  The sender applies its effect itself. *)
+
+val send_lossy : t -> dst:int -> bytes:int -> deliver:(unit -> bool) -> unit
+(** A fire-and-forget cache update carrying [deliver], which applies the
+    message's effect and reports whether it changed anything.  On the
+    zero plan it is delivered at once and billed only when [deliver]
+    returns true.  Under a fault plan it is billed at send time, as soft
+    state may be silently dropped, and arrives through the outbox after
+    the plan's latency; a duplicated copy runs [deliver] again. *)
 
 val deliver_until : t -> now:float -> int
 (** Run every delayed one-way delivery due by [now], earliest arrival

@@ -1,7 +1,6 @@
 type latency =
   | No_latency
   | Constant of float
-  | Uniform of { lo : float; hi : float }
   | Exponential of { mean : float }
 
 type spec = {
@@ -24,9 +23,6 @@ let validate_spec s =
   | Constant c ->
       if not (Float.is_finite c && c >= 0.0) then
         invalid_arg "Plan.spec: constant latency must be finite and >= 0"
-  | Uniform { lo; hi } ->
-      if not (Float.is_finite lo && Float.is_finite hi && 0.0 <= lo && lo <= hi)
-      then invalid_arg "Plan.spec: uniform latency needs 0 <= lo <= hi"
   | Exponential { mean } ->
       if not (Float.is_finite mean && mean >= 0.0) then
         invalid_arg "Plan.spec: exponential latency mean must be finite and >= 0"
@@ -40,9 +36,8 @@ let spec_is_zero s =
   s.loss_rate = 0.0 && s.duplicate_rate = 0.0
   &&
   match s.latency with
-  | No_latency | Constant 0.0 -> true
-  | Uniform { lo = 0.0; hi = 0.0 } | Exponential { mean = 0.0 } -> true
-  | Constant _ | Uniform _ | Exponential _ -> false
+  | No_latency | Constant 0.0 | Exponential { mean = 0.0 } -> true
+  | Constant _ | Exponential _ -> false
 
 type t = {
   seed : int64;
@@ -125,7 +120,6 @@ let message_prng t id =
 let sample_latency g = function
   | No_latency -> 0.0
   | Constant c -> c
-  | Uniform { lo; hi } -> lo +. Stdx.Prng.float g (hi -. lo)
   | Exponential { mean } ->
       if mean = 0.0 then 0.0
       else -.mean *. log (1.0 -. Stdx.Prng.unit_float g)

@@ -15,7 +15,6 @@
 type latency =
   | No_latency  (** Instant delivery — the static model. *)
   | Constant of float
-  | Uniform of { lo : float; hi : float }
   | Exponential of { mean : float }
 
 type spec = {
@@ -29,7 +28,7 @@ val spec :
 (** Build a spec; omitted parts default to no loss, no duplication and
     no latency.
     @raise Invalid_argument when a rate is outside [0, 1] or a latency
-    parameter is negative, NaN or an empty interval. *)
+    parameter is negative or not finite. *)
 
 type t
 

@@ -73,14 +73,12 @@ let edit_distance a b =
 
 let default_max_distance s = 1 + (String.length s / 4)
 
-let suggest ?max_distance ?(limit = 5) t input =
+let suggest ?(limit = 5) t input =
   let key = String.lowercase_ascii input in
   match Hashtbl.find_opt t.values key with
   | Some original -> [ (original, 0) ]
   | None ->
-      let max_distance =
-        match max_distance with Some d -> d | None -> default_max_distance key
-      in
+      let max_distance = default_max_distance key in
       (* Count shared trigrams per candidate. *)
       let shared = Hashtbl.create 64 in
       List.iter

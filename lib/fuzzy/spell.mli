@@ -29,9 +29,9 @@ val edit_distance : string -> string -> int
 (** Damerau-Levenshtein distance (insert, delete, substitute, and adjacent
     transposition — the classic typo operations), case-sensitive. *)
 
-val suggest : ?max_distance:int -> ?limit:int -> t -> string -> (string * int) list
-(** [suggest t misspelled] returns known values within [max_distance]
-    (default: 1 + length / 4, so longer strings tolerate more typos) with
+val suggest : ?limit:int -> t -> string -> (string * int) list
+(** [suggest t misspelled] returns known values within distance
+    1 + length / 4 of it (longer strings tolerate more typos) with
     their distances, closest first, at most [limit] (default 5) of them.
     An exact (case-insensitive) match is returned alone with distance 0. *)
 

@@ -85,6 +85,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     clock : unit -> float;
     ttl : float;
     quorum_enabled : bool;
+    read_quorum : int;
+    write_quorum : int;
     mappings : Q.t Rstore.t;
     files : file Rstore.t;
     plan : plan option;  (* Only when republish rounds will run. *)
@@ -174,16 +176,25 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     (* By default a private zero-plan channel that bills nothing. *)
     let rpc = match rpc with Some r -> r | None -> Dht.Rpc.create () in
     let quorum_enabled = read_quorum <> None || write_quorum <> None in
+    let read_quorum = Option.value ~default:1 read_quorum in
+    let write_quorum = Option.value ~default:replication write_quorum in
     let quorum_instruments =
       if quorum_enabled then Option.map make_quorum_instruments metrics else None
     in
     let on_write_acks =
       Option.map
-        (fun qi ~acks ~needed ->
+        (fun qi ~acks ->
           Obs.Metrics.Counter.incr qi.q_writes;
-          if acks < needed then Obs.Metrics.Counter.incr qi.q_write_failures)
+          if acks < write_quorum then Obs.Metrics.Counter.incr qi.q_write_failures)
         quorum_instruments
     in
+    (* The stores reject a replication below 1 first. *)
+    let mappings = Rstore.create ~resolver ~replication ?on_write_acks ~liveness ~clock () in
+    let files = Rstore.create ~resolver ~replication ?on_write_acks ~liveness ~clock () in
+    if read_quorum < 1 || read_quorum > replication then
+      invalid_arg "Index.create: read_quorum outside [1, replication]";
+    if write_quorum < 1 || write_quorum > replication then
+      invalid_arg "Index.create: write_quorum outside [1, replication]";
     {
       resolver;
       rpc;
@@ -191,12 +202,10 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       clock;
       ttl;
       quorum_enabled;
-      mappings =
-        Rstore.create ~resolver ~replication ?read_quorum ?write_quorum
-          ?on_write_acks ~liveness ~clock ();
-      files =
-        Rstore.create ~resolver ~replication ?read_quorum ?write_quorum
-          ?on_write_acks ~liveness ~clock ();
+      read_quorum;
+      write_quorum;
+      mappings;
+      files;
       plan = (if republished then Some { docs = [||]; doc_count = 0 } else None);
       consulted = Stdx.Int_buf.create ~capacity:replication ();
       last_rendered = "";
@@ -210,8 +219,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let resolver t = t.resolver
   let rpc t = t.rpc
   let replication t = Rstore.replication t.mappings
-  let read_quorum t = Rstore.read_quorum t.mappings
-  let write_quorum t = Rstore.write_quorum t.mappings
+  let read_quorum t = t.read_quorum
+  let write_quorum t = t.write_quorum
   let liveness t = t.liveness
 
   let metrics t = t.metrics
@@ -253,8 +262,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      faulty period loses. *)
 
   let charge_maintenance t ~dst ~bytes =
-    Dht.Rpc.send_oneway t.rpc ~dst ~bytes ~category:Dht.Network.Maintenance
-      ~deliver:(fun () -> true)
+    Dht.Rpc.send t.rpc ~dst ~bytes ~category:Dht.Network.Maintenance
 
   (* One maintenance message per live node of a replica set, here of
      [key]'s — with replication 1 and everything alive this is the
@@ -725,11 +733,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     (match t.instruments with Some _ -> true | None -> false)
     || match t.tracer with Some _ -> true | None -> false
 
-  let measured_hops t key =
-    if observed t then
-      (* lint: allow catch-all-handler — hop telemetry is best-effort; a routing failure here must not fail the lookup *)
-      try Dht.Resolver.route_hops t.resolver key with _ -> 0
-    else 0
+  let measured_hops t key = if observed t then Dht.Resolver.route_hops t.resolver key else 0
 
   let record_step t ~request_bytes ~query_string ~dst ~hops ~result_count
       ~response_bytes ~outcome () =
@@ -899,7 +903,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     let primary = Stdx.Int_buf.get replicas 0 in
     let request_bytes = Wire.request_bytes query_string in
     let quorum = t.quorum_enabled in
-    let needed = if quorum then Rstore.read_quorum t.mappings else 1 in
+    let needed = if quorum then t.read_quorum else 1 in
     if quorum then Stdx.Int_buf.clear t.consulted;
     (* The remote side of the call: runs once per delivered request
        copy, so it must be (and is) a read-only probe. *)
@@ -985,25 +989,24 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   (* Expand [start] breadth-first, collecting files in discovery order.
      [keep] filters children as they are pushed (and files as they are
-     found); a repeated query is skipped without a probe; the search stops
-     once [max_results] files are in hand. *)
-  let bfs ~probe ~keep ~max_results start =
+     found); a repeated query is skipped without a probe. *)
+  let bfs ~probe ~keep start =
     let queue = Queue.of_seq (List.to_seq start) in
-    let rec go visited count found =
-      if count >= max_results || Queue.is_empty queue then List.rev found
+    let rec go visited found =
+      if Queue.is_empty queue then List.rev found
       else
         let q = Queue.pop queue in
-        if Query_set.mem q visited then go visited count found
+        if Query_set.mem q visited then go visited found
         else
           let visited = Query_set.add q visited in
           match probe ~generalization:false q with
-          | File file when keep q -> go visited (count + 1) ((q, file) :: found)
-          | File _ | Not_indexed -> go visited count found
+          | File file when keep q -> go visited ((q, file) :: found)
+          | File _ | Not_indexed -> go visited found
           | Children children ->
               List.iter (fun child -> if keep child then Queue.push child queue) children;
-              go visited count found
+              go visited found
     in
-    go Query_set.empty 0 []
+    go Query_set.empty []
 
   (* Per-query histograms: run the search with a private interaction
      counter, observe it and the result-set size, then credit the caller's
@@ -1019,25 +1022,27 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         Obs.Metrics.Histogram.observe_int ins.result_set_size (List.length results);
         results
 
-  let search ?interactions ?(max_results = max_int) t q =
+  let search ?interactions t q =
     with_query_instruments t interactions (fun interactions ->
-        bfs ~probe:(probe t interactions) ~keep:(fun _ -> true) ~max_results [ q ])
+        bfs ~probe:(probe t interactions) ~keep:(fun _ -> true) [ q ])
 
-  let search_with_generalization ?interactions ?(max_results = max_int)
-      ?(generalization_budget = 64) t q =
+  (* Probes of distinct generalizations one search may spend before it
+     gives up on an unindexed query. *)
+  let generalization_budget = 64
+
+  let search_with_generalization ?interactions t q =
     with_query_instruments t interactions (fun interactions ->
         let probe = probe t interactions in
         (* Specialize back down from an indexed generalization, following
            only children compatible with [q] and keeping the files it
            covers. *)
         let specialize children =
-          bfs ~probe ~keep:(Q.compatible q) ~max_results
-            (List.filter (Q.compatible q) children)
+          bfs ~probe ~keep:(Q.compatible q) (List.filter (Q.compatible q) children)
           |> List.filter (fun (msd, _file) -> Q.covers q msd)
         in
         match probe ~generalization:false q with
         | File file -> [ (q, file) ]
-        | Children children -> bfs ~probe ~keep:(fun _ -> true) ~max_results children
+        | Children children -> bfs ~probe ~keep:(fun _ -> true) children
         | Not_indexed ->
             (* Generalize breadth-first until a generalization answers
                with children or with a file [q] covers; only unvisited

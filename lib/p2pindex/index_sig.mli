@@ -63,8 +63,9 @@ module type S = sig
       beyond the first), and every search observes its interaction count
       and result-set size.  With [tracer], every lookup step appends an
       {!Obs.Trace.span} to the open trace.
-      @raise Invalid_argument when [replication < 1] or [liveness] covers
-      a different node count than the resolver. *)
+      @raise Invalid_argument when [replication < 1], a quorum falls
+      outside [1, replication], or [liveness] covers a different node
+      count than the resolver. *)
 
   val resolver : t -> Dht.Resolver.t
 
@@ -203,23 +204,16 @@ module type S = sig
       [rendered] must be [Q.to_string q].  The session walk renders each
       hop once and threads the string here. *)
 
-  val search : ?interactions:int ref -> ?max_results:int -> t -> query -> (query * file) list
+  val search : ?interactions:int ref -> t -> query -> (query * file) list
   (** Automated lookup: explore the index breadth-first from the query
       and return every reachable file with its descriptor, in discovery
-      order.  A query reached twice is probed once; the search stops once
-      [max_results] files are found.  Every {!lookup_step} performed
-      increments [interactions]. *)
+      order.  A query reached twice is probed once.  Every
+      {!lookup_step} performed increments [interactions]. *)
 
-  val search_with_generalization :
-    ?interactions:int ref ->
-    ?max_results:int ->
-    ?generalization_budget:int ->
-    t ->
-    query ->
-    (query * file) list
+  val search_with_generalization : ?interactions:int ref -> t -> query -> (query * file) list
   (** Like {!search}, but when the query is not indexed, generalize it
-      (breadth-first over [Q.generalizations], at most
-      [generalization_budget] probes of distinct queries, default 64)
+      (breadth-first over [Q.generalizations], at most 64 probes of
+      distinct queries)
       until a generalization answers with children or with a file the
       query covers, then specialize back down — following only children
       compatible with the original query — and keep the files it covers.

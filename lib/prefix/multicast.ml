@@ -39,20 +39,13 @@ let depth t = level (Array.length t.members - 1)
 
 type stats = { messages : int; depth : int; fanout : int }
 
-let disseminate ~rpc ~category ~bytes ~deliver t =
-  let n = Array.length t.members in
+let disseminate ~rpc ~bytes ~deliver t =
   (* Initiator hands the payload to the root, then each tree edge forwards
      it one level down: exactly one message per member, 1 + the edge count. *)
-  Dht.Rpc.send_oneway rpc ~lossy:false ~dst:t.members.(0)
-    ~bytes:(bytes t.members.(0)) ~category ~deliver:(fun () ->
-      deliver t.members.(0);
-      true);
-  for i = 1 to n - 1 do
-    let node = t.members.(i) in
-    Dht.Rpc.send_oneway rpc ~lossy:false ~dst:node ~bytes:(bytes node)
-      ~category
-      ~deliver:(fun () ->
-        deliver node;
-        true)
-  done;
+  Array.iter
+    (fun node ->
+      deliver node;
+      Dht.Rpc.send rpc ~dst:node ~bytes:(bytes node) ~category:Dht.Network.Maintenance)
+    t.members;
+  let n = Array.length t.members in
   { messages = n; depth = depth t; fanout = n }

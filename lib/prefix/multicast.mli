@@ -38,7 +38,6 @@ type stats = { messages : int; depth : int; fanout : int }
 
 val disseminate :
   rpc:Dht.Rpc.t ->
-  category:Dht.Network.category ->
   bytes:(int -> int) ->
   deliver:(int -> unit) ->
   tree ->
@@ -47,5 +46,6 @@ val disseminate :
     one-way sends: the initiator→root message plus one message per tree
     edge.  [bytes node] prices the message {e addressed to} [node] (so
     per-subtree aggregation can be modelled by the caller); [deliver
-    node] applies the payload at [node].  Messages are billed on [rpc]'s
-    network under [category].  Always [messages] = the member count. *)
+    node] applies the payload at [node], before its message is billed.
+    Messages are billed on [rpc]'s network as maintenance traffic.
+    Always [messages] = the member count. *)

@@ -49,13 +49,13 @@ let make_instruments registry =
       histogram "p2pindex_prefix_multicast_messages" "Messages sent per multicast dissemination.";
   }
 
-let create ?rpc ?metrics ?(replication = 1) ?read_quorum ?write_quorum ?liveness
-    ?(clock = fun () -> 0.0) ?(ttl = infinity) ~render ~resolver () =
+let create ?rpc ?metrics ?(replication = 1) ?liveness ?(clock = fun () -> 0.0)
+    ?(ttl = infinity) ~render ~resolver () =
   {
     resolver;
     rpc = (match rpc with Some r -> r | None -> Dht.Rpc.create ());
     render;
-    store = Rstore.create ~resolver ~replication ?read_quorum ?write_quorum ?liveness ~clock ();
+    store = Rstore.create ~resolver ~replication ?liveness ~clock ();
     clock;
     ttl;
     obs = Option.map make_instruments metrics;
@@ -112,8 +112,8 @@ let write t ~refresh ~reached entries =
         if dst <> reached && Rstore.alive t.store dst then
           List.iter
             (fun e ->
-              Dht.Rpc.send_oneway t.rpc ~dst ~bytes:(install_bytes (Rstore.entry_value e))
-                ~category:Dht.Network.Maintenance ~deliver:(fun () -> true))
+              Dht.Rpc.send t.rpc ~dst ~bytes:(install_bytes (Rstore.entry_value e))
+                ~category:Dht.Network.Maintenance)
             (if refresh then entries else fresh)
       done)
     (List.rev !order)
@@ -146,7 +146,7 @@ let publish_multicast t entries =
         subtree.((i - 1) / 2) <- subtree.((i - 1) / 2) + subtree.(i)
       done;
       let stats =
-        Multicast.disseminate ~rpc:t.rpc ~category:Dht.Network.Maintenance
+        Multicast.disseminate ~rpc:t.rpc
           ~bytes:(fun node -> subtree.(Hashtbl.find slot_of node))
           ~deliver:(fun node ->
             write t ~refresh:false ~reached:node (List.rev (snd batches.(Hashtbl.find slot_of node))))
@@ -254,17 +254,14 @@ let query_multicast t ~prefix ~lo ~hi ~arcs members =
       (* Downward fan: one query copy per tree edge. *)
       List.iter
         (fun (_parent, child) ->
-          Dht.Rpc.send_oneway t.rpc ~lossy:false ~dst:child ~bytes:(request_wire prefix)
-            ~category:Dht.Network.Request ~deliver:(fun () -> true))
+          Dht.Rpc.send t.rpc ~dst:child ~bytes:(request_wire prefix)
+            ~category:Dht.Network.Request)
         (Multicast.edges tree);
       (* Upward aggregation: each child ships its subtree's merged results
          to its parent. *)
       for i = 1 to n - 1 do
-        Dht.Rpc.send_oneway t.rpc ~lossy:false
-          ~dst:arr.((i - 1) / 2)
-          ~bytes:(response_wire subtree.(i))
+        Dht.Rpc.send t.rpc ~dst:arr.((i - 1) / 2) ~bytes:(response_wire subtree.(i))
           ~category:Dht.Network.Response
-          ~deliver:(fun () -> true)
       done;
       observe_stats t { messages = n; depth = Multicast.depth tree; fanout = n };
       subtree.(0)

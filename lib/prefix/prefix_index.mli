@@ -34,8 +34,6 @@ val create :
   ?rpc:Dht.Rpc.t ->
   ?metrics:Obs.Metrics.t ->
   ?replication:int ->
-  ?read_quorum:int ->
-  ?write_quorum:int ->
   ?liveness:Dht.Liveness.t ->
   ?clock:(unit -> float) ->
   ?ttl:float ->

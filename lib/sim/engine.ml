@@ -68,11 +68,10 @@ let run ?events ?tracer ?phases ?(concurrency = 1) ?(coalesce = false) cfg =
         match Hashtbl.find_opt inflight_probes qs with
         | Some e when e.completes_at > !clock_ref ->
             Obs.Metrics.Counter.incr coalesced_total;
-            Dht.Rpc.send_oneway rpc
+            Dht.Rpc.send rpc
               ~dst:(Index.node_of_string index qs)
               ~bytes:(P2pindex.Wire.consult_bytes qs)
-              ~category:Dht.Network.Cache_update
-              ~deliver:(fun () -> true);
+              ~category:Dht.Network.Cache_update;
             clock_ref := e.completes_at;
             e.answer
         | Some _ | None ->

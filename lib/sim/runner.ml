@@ -281,8 +281,7 @@ let prefix_entries articles =
   |> List.sort_uniq (fun (t1, q1) (t2, q2) ->
          match String.compare t1 t2 with 0 -> Q.compare q1 q2 | c -> c)
 
-let publish_prefix ~multicast pindex articles =
-  let entries = prefix_entries articles in
+let publish_prefix ~multicast pindex entries =
   if multicast then
     ignore
       (Prefix.Prefix_index.publish_multicast pindex entries
@@ -337,10 +336,10 @@ module Internal = struct
     registry : Obs.Metrics.t;
     net : Network.t;
     clock_ref : float ref;
-    articles : Article.t array;
     publish_bytes : int;
     driver : (churn_config * Churn.Driver.t) option;
-    prefix_index : (prefix_config * Q.t Prefix.Prefix_index.t) option;
+    prefix_index : (prefix_config * Q.t Prefix.Prefix_index.t * (string * Q.t) list) option;
+        (* With the entries publication filed, which republish rounds refresh. *)
     gen : Query_gen.t;
     ctx : Walk.ctx;
     phases : Obs.Phase.t option;
@@ -458,13 +457,12 @@ module Internal = struct
     | Schemes.Prefix ->
         let pcfg = Option.value ~default:default_prefix cfg.prefix in
         let pindex =
-          Prefix.Prefix_index.create ~rpc ~metrics:registry ~replication
-            ?read_quorum:(Option.map (fun q -> q.read_quorum) quorum)
-            ?write_quorum:(Option.map (fun q -> q.write_quorum) quorum)
-            ~liveness ~clock ~ttl ~render:Q.to_string ~resolver ()
+          Prefix.Prefix_index.create ~rpc ~metrics:registry ~replication ~liveness ~clock ~ttl
+            ~render:Q.to_string ~resolver ()
         in
-        publish_prefix ~multicast:pcfg.multicast pindex articles;
-        Some (pcfg, pindex)
+        let entries = prefix_entries articles in
+        publish_prefix ~multicast:pcfg.multicast pindex entries;
+        Some (pcfg, pindex, entries)
     | Schemes.Simple | Schemes.Flat | Schemes.Complex | Schemes.Complex_ac ->
         None
   in
@@ -494,9 +492,7 @@ module Internal = struct
             Churn.Driver.create ~metrics:registry
               ~seed:(Int64.add cfg.seed 9_999_991L) ~liveness
               {
-                Churn.Driver.session = Churn.Lifetime.exponential ~mean:(1.0 /. c.churn_rate);
-                (* A failed node stays away 30 s on average. *)
-                downtime = Churn.Lifetime.exponential ~mean:30.0;
+                Churn.Driver.session_mean = 1.0 /. c.churn_rate;
                 republish_period = c.republish_period;
                 repair_period;
               } )
@@ -511,14 +507,14 @@ module Internal = struct
       Query_gen.create ~mix:cfg.mix ~popularity
         ~prefix_len:
           (match prefix_index with
-          | Some (pcfg, _) -> pcfg.prefix_len
+          | Some (pcfg, _, _) -> pcfg.prefix_len
           | None -> 1)
         ~articles
         ~seed:(Int64.add cfg.seed 1_000_003L) ()
     in
     let prefix_route =
       Option.map
-        (fun (pcfg, pindex) p ->
+        (fun (pcfg, pindex, _) p ->
           (* The routed exchange bills the network inside the prefix index
              (possibly several messages when the covering set or the
              multicast tree has more than one node).  One span carries the
@@ -562,7 +558,6 @@ module Internal = struct
       registry;
       net;
       clock_ref;
-      articles;
       publish_bytes;
       driver;
       prefix_index;
@@ -603,7 +598,7 @@ module Internal = struct
             if not (quorum_active env.cfg) then begin
               Index.drop_node_state (index env) node;
               Option.iter
-                (fun (_, p) ->
+                (fun (_, p, _) ->
                   Storage.Replicated_store.drop_state (Prefix.Prefix_index.store p) node)
                 env.prefix_index
             end;
@@ -613,7 +608,7 @@ module Internal = struct
             env.clock_ref := time;
             Index.republish (index env);
             Option.iter
-              (fun (_, p) -> Prefix.Prefix_index.republish p (prefix_entries env.articles))
+              (fun (_, p, entries) -> Prefix.Prefix_index.republish p entries)
               env.prefix_index)
           ~on_repair:(fun ~time ->
             env.clock_ref := time;

@@ -3,7 +3,6 @@ module Index = Bib.Bib_index
 module Query_gen = Workload.Query_gen
 module Policy = Cache.Policy
 module Shortcut = Cache.Shortcut_cache
-module Network = Dht.Network
 
 type ctx = {
   policy : Policy.t;
@@ -211,9 +210,8 @@ let install_shortcuts ctx s outcome =
            re-checked at delivery time. *)
         if Dht.Liveness.alive (Index.liveness ctx.index) node then begin
           let query_key = Q.to_string q in
-          Dht.Rpc.send_oneway ~lossy:true (Index.rpc ctx.index) ~dst:node
+          Dht.Rpc.send_lossy (Index.rpc ctx.index) ~dst:node
             ~bytes:(P2pindex.Wire.cache_install_bytes query_key s.msd_string)
-            ~category:Network.Cache_update
             ~deliver:(fun () ->
               Dht.Liveness.alive (Index.liveness ctx.index) node
               && Shortcut.add_at ctx.caches node ~query_key

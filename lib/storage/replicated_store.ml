@@ -48,28 +48,19 @@ let lower_floor st expires_at = if expires_at < st.fence.floor then set_floor st
 type 'v t = {
   resolver : Dht.Resolver.t;
   replication : int;
-  read_quorum : int;
-  write_quorum : int;
   liveness : Dht.Liveness.t;
   clock : unit -> float;
   tables : (Key.t, 'v key_state) Hashtbl.t array;
   vacant : (Key.t, 'v key_state) Hashtbl.t; (* stands in for every tableless node *)
   owned : Stdx.Bitset.t; (* nodes whose [tables] slot is their own table *)
   directory : (Key.t, unit) Hashtbl.t; (* keys registered and not removed *)
-  on_write_acks : (acks:int -> needed:int -> unit) option;
+  on_write_acks : (acks:int -> unit) option;
   scratch : Stdx.Int_buf.t; (* replica-set resolution buffer *)
 }
 
-let create ~resolver ~replication ?read_quorum ?write_quorum ?on_write_acks
-    ?liveness ?(clock = fun () -> 0.0) () =
+let create ~resolver ~replication ?on_write_acks ?liveness ?(clock = fun () -> 0.0) () =
   if replication < 1 then
     invalid_arg "Replicated_store.create: need at least one replica";
-  let read_quorum = Option.value ~default:1 read_quorum in
-  let write_quorum = Option.value ~default:replication write_quorum in
-  if read_quorum < 1 || read_quorum > replication then
-    invalid_arg "Replicated_store.create: read_quorum outside [1, replication]";
-  if write_quorum < 1 || write_quorum > replication then
-    invalid_arg "Replicated_store.create: write_quorum outside [1, replication]";
   let n = Dht.Resolver.node_count resolver in
   let liveness =
     match liveness with
@@ -87,8 +78,6 @@ let create ~resolver ~replication ?read_quorum ?write_quorum ?on_write_acks
   {
     resolver;
     replication;
-    read_quorum;
-    write_quorum;
     liveness;
     clock;
     tables = Array.make n vacant;
@@ -100,8 +89,6 @@ let create ~resolver ~replication ?read_quorum ?write_quorum ?on_write_acks
   }
 
 let replication t = t.replication
-let read_quorum t = t.read_quorum
-let write_quorum t = t.write_quorum
 let liveness t = t.liveness
 
 let node_of t key = Dht.Resolver.responsible t.resolver key
@@ -208,7 +195,7 @@ let live_merged_version t key =
 let record_acks t ~acks =
   match t.on_write_acks with
   | None -> ()
-  | Some f -> f ~acks ~needed:t.write_quorum
+  | Some f -> f ~acks
 
 (* The version a write carries: the coordinator (first live replica)
    bumps its own dot past everything it has seen, so the write dominates

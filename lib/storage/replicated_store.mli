@@ -53,9 +53,7 @@ val entry_expires_at : 'v entry -> float
 val create :
   resolver:Dht.Resolver.t ->
   replication:int ->
-  ?read_quorum:int ->
-  ?write_quorum:int ->
-  ?on_write_acks:(acks:int -> needed:int -> unit) ->
+  ?on_write_acks:(acks:int -> unit) ->
   ?liveness:Dht.Liveness.t ->
   ?clock:(unit -> float) ->
   unit ->
@@ -65,20 +63,15 @@ val create :
     built over it sees the change.  [clock] (default: constantly [0.0])
     supplies the virtual time used to judge entry expiry.
 
-    [read_quorum] (default 1) and [write_quorum] (default [replication])
-    are the R/W of the Dynamo-style N/R/W model; the store records them
-    and counts write acknowledgements, while the read-side quorum walk
-    lives in the index layer (which owns the RPC billing).
     [on_write_acks] fires once per coordinated write with the number of
-    live replicas that took the write and the configured [write_quorum],
-    so the caller can count under-acknowledged writes.
-    @raise Invalid_argument when [replication < 1], a quorum falls
-    outside [1, replication], or [liveness] covers a different node
-    count than the resolver. *)
+    live replicas that took the write, so the caller can count writes
+    acknowledged by fewer than its write quorum.  The quorums themselves,
+    and the read-side quorum walk, live in the index layer (which owns
+    the RPC billing).
+    @raise Invalid_argument when [replication < 1] or [liveness] covers
+    a different node count than the resolver. *)
 
 val replication : 'v t -> int
-val read_quorum : 'v t -> int
-val write_quorum : 'v t -> int
 val liveness : 'v t -> Dht.Liveness.t
 
 val node_of : 'v t -> Hashing.Key.t -> int

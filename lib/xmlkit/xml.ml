@@ -1,19 +1,19 @@
 type t =
-  | Element of string * (string * string) list * t list
+  | Element of string * t list
   | Text of string
 
-let element ?(attrs = []) name children = Element (name, attrs, children)
-let leaf name value = Element (name, [], [ Text value ])
+let element name children = Element (name, children)
+let leaf name value = Element (name, [ Text value ])
 
-let children = function Element (_, _, c) -> c | Text _ -> []
+let children = function Element (_, c) -> c | Text _ -> []
 
 let rec text_content = function
   | Text s -> s
-  | Element (_, _, c) -> String.concat "" (List.map text_content c)
+  | Element (_, c) -> String.concat "" (List.map text_content c)
 
 let find_children node wanted =
   List.filter
-    (function Element (n, _, _) -> String.equal n wanted | Text _ -> false)
+    (function Element (n, _) -> String.equal n wanted | Text _ -> false)
     (children node)
 
 let find_child node wanted =
@@ -35,11 +35,6 @@ let escape s =
 
 let to_string ?(indent = false) node =
   let buffer = Buffer.create 256 in
-  let add_attrs attrs =
-    List.iter
-      (fun (k, v) -> Buffer.add_string buffer (Printf.sprintf " %s=\"%s\"" k (escape v)))
-      attrs
-  in
   let rec render depth node =
     let pad () = if indent then Buffer.add_string buffer (String.make (2 * depth) ' ') in
     match node with
@@ -47,30 +42,27 @@ let to_string ?(indent = false) node =
         pad ();
         Buffer.add_string buffer (escape s);
         if indent then Buffer.add_char buffer '\n'
-    | Element (n, attrs, []) ->
+    | Element (n, []) ->
         pad ();
         Buffer.add_char buffer '<';
         Buffer.add_string buffer n;
-        add_attrs attrs;
         Buffer.add_string buffer "/>";
         if indent then Buffer.add_char buffer '\n'
-    | Element (n, attrs, [ Text s ]) ->
+    | Element (n, [ Text s ]) ->
         (* Compact form for leaves: <year>1989</year>. *)
         pad ();
         Buffer.add_char buffer '<';
         Buffer.add_string buffer n;
-        add_attrs attrs;
         Buffer.add_char buffer '>';
         Buffer.add_string buffer (escape s);
         Buffer.add_string buffer "</";
         Buffer.add_string buffer n;
         Buffer.add_char buffer '>';
         if indent then Buffer.add_char buffer '\n'
-    | Element (n, attrs, c) ->
+    | Element (n, c) ->
         pad ();
         Buffer.add_char buffer '<';
         Buffer.add_string buffer n;
-        add_attrs attrs;
         Buffer.add_char buffer '>';
         if indent then Buffer.add_char buffer '\n';
         List.iter (render (depth + 1)) c;

@@ -5,11 +5,10 @@
     the element tree and its printer. *)
 
 type t =
-  | Element of string * (string * string) list * t list
-      (** [Element (name, attributes, children)]. *)
+  | Element of string * t list  (** [Element (name, children)]. *)
   | Text of string  (** Character data. *)
 
-val element : ?attrs:(string * string) list -> string -> t list -> t
+val element : string -> t list -> t
 (** Convenience constructor. *)
 
 val leaf : string -> string -> t

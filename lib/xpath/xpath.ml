@@ -251,9 +251,9 @@ let of_string input =
 let test_matches_doc test (dnode : Xml.t) =
   match (test, dnode) with
   | Wildcard, _ -> true
-  | Name n, Xml.Element (n', _, _) -> String.equal n n'
+  | Name n, Xml.Element (n', _) -> String.equal n n'
   | Name n, Xml.Text s -> String.equal n s
-  | Prefix p, Xml.Element (n', _, _) -> is_prefix p n'
+  | Prefix p, Xml.Element (n', _) -> is_prefix p n'
   | Prefix p, Xml.Text s -> is_prefix p s
 
 let rec doc_node_matches dnode pnode =
@@ -283,7 +283,7 @@ let matches q doc =
 let rec pattern_of_doc (dnode : Xml.t) =
   match dnode with
   | Xml.Text s -> value_leaf s
-  | Xml.Element (n, _, children) -> named n (List.map pattern_of_doc children)
+  | Xml.Element (n, children) -> named n (List.map pattern_of_doc children)
 
 let of_document doc = query [ pattern_of_doc doc ]
 

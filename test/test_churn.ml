@@ -3,7 +3,6 @@
 
 module Q = Stdx.Event_queue
 module Driver = Churn.Driver
-module Lifetime = Churn.Lifetime
 
 let drain q =
   let rec go acc =
@@ -103,18 +102,22 @@ let queue_releases_popped () =
     (* One payload, and enough to grow past the initial 16 slots. *)
     [ 1; 40 ]
 
+(* Every node's first failure ends its first session, one exponential
+   draw: the first [on_fail] times are a sample of the session lifetime. *)
 let lifetime_samples_positive () =
-  let g = Stdx.Prng.create ~seed:3L in
-  let dist = Lifetime.exponential ~mean:30.0 in
-  let sum = ref 0.0 in
-  let n = 20_000 in
-  for _ = 1 to n do
-    let x = Lifetime.sample dist g in
-    if not (x > 0.0 && Float.is_finite x) then
-      Alcotest.failf "bad sample %g" x;
-    sum := !sum +. x
-  done;
-  let empirical = !sum /. float_of_int n in
+  let n = 2_000 in
+  let liveness = Dht.Liveness.create ~node_count:n in
+  let cfg = { Driver.session_mean = 30.0; republish_period = infinity; repair_period = infinity } in
+  let d = Driver.create ~seed:3L ~liveness cfg in
+  let first_fail = Array.make n nan in
+  let ignore_node ~time:_ _ = () and ignore_tick ~time:_ = () in
+  Driver.run_until d ~until:2_000.0
+    ~on_fail:(fun ~time node -> if Float.is_nan first_fail.(node) then first_fail.(node) <- time)
+    ~on_join:ignore_node ~on_republish:ignore_tick ~on_repair:ignore_tick;
+  Array.iter
+    (fun x -> if not (x > 0.0 && Float.is_finite x) then Alcotest.failf "bad sample %g" x)
+    first_fail;
+  let empirical = Array.fold_left ( +. ) 0.0 first_fail /. float_of_int n in
   if Float.abs (empirical -. 30.0) > 3.0 then
     Alcotest.failf "empirical mean %g too far from 30" empirical
 
@@ -122,12 +125,7 @@ let lifetime_samples_positive () =
 let driver_schedule ~seed =
   let liveness = Dht.Liveness.create ~node_count:20 in
   let cfg =
-    {
-      Driver.session = Lifetime.exponential ~mean:40.0;
-      downtime = Lifetime.exponential ~mean:10.0;
-      republish_period = 25.0;
-      repair_period = 60.0;
-    }
+    { Driver.session_mean = 40.0; republish_period = 25.0; repair_period = 60.0 }
   in
   let d = Driver.create ~seed ~liveness cfg in
   let events = ref [] in
@@ -154,17 +152,12 @@ let driver_deterministic () =
          time)
        0.0 a)
 
-(* A rejoin 1e-300 s after a failure near 1 s cannot move the clock:
+(* A failure 1e-300 s after a rejoin near 30 s cannot move the clock:
    the driver refuses to schedule it rather than fire it in place. *)
 let driver_rejects_stalled_clock () =
   let liveness = Dht.Liveness.create ~node_count:1 in
   let cfg =
-    {
-      Driver.session = Lifetime.exponential ~mean:1.0;
-      downtime = Lifetime.exponential ~mean:1e-300;
-      republish_period = infinity;
-      repair_period = infinity;
-    }
+    { Driver.session_mean = 1e-300; republish_period = infinity; repair_period = infinity }
   in
   let d = Driver.create ~seed:3L ~liveness cfg in
   let ignore_node ~time:_ _ = () and ignore_tick ~time:_ = () in

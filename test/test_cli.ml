@@ -197,6 +197,15 @@ let can_churn_golden =
     ~stdout_sha1:"43bc1af140cd7f172a4fad3c58b6dd73d7e94a53"
     ~metrics_sha1:"c62aeb9144afa418afd4d9a58bb0b1dc0b527a4a"
 
+(* The routed prefix scheme under churn: six republish rounds refresh
+   the range index's entries as well as the hashed index's. *)
+let prefix_churn_golden =
+  golden
+    [ "simulate"; "--nodes"; "60"; "--articles"; "300"; "--queries"; "1500";
+      "--scheme"; "prefix"; "--churn-rate"; "0.02"; "--replication"; "2"; "--republish"; "5" ]
+    ~stdout_sha1:"e6399cc19f817f1e8c5f2b8387c2527932ecc709"
+    ~metrics_sha1:"72ffa1a92901b3aeed00027b55c39b9a0663955d"
+
 (* Pastry and Kademlia under churn at replication 3 with lossy RPC:
    ownership, replica placement and each lookup's charged routing hops
    (Pastry's leaf-set and table routes, Kademlia's contact count). *)
@@ -309,6 +318,7 @@ let suite =
         Alcotest.test_case "soft-state run" `Quick soft_state_golden;
         Alcotest.test_case "hard-state run" `Quick hard_state_golden;
         Alcotest.test_case "CAN run with churn and replicas" `Quick can_churn_golden;
+        Alcotest.test_case "prefix run with churn and republish" `Quick prefix_churn_golden;
         Alcotest.test_case "Pastry run with churn, replicas and loss" `Quick pastry_churn_golden;
         Alcotest.test_case "Kademlia run with churn, replicas and loss" `Quick
           kademlia_churn_golden;

@@ -904,6 +904,31 @@ let kademlia_resolver_replicas_xor_closest () =
     | [] -> Alcotest.fail "no replicas"
   done
 
+(* Every substrate as [simulate] builds it, converged and never changed
+   afterwards, routes any key: the index measures and bills these hop
+   counts with no guard. *)
+let route_hops_total () =
+  let resolvers ~seed ~node_count =
+    [
+      ("static", Static.resolver (Static.create ~seed ~node_count ()));
+      ("chord", Chord.resolver (Chord.create_network ~seed ~node_count ()));
+      ("pastry", Pastry.resolver (Pastry.create_network ~seed ~node_count ()));
+      ("can", Can.resolver (Can.create_network ~seed ~node_count ()));
+      ("kademlia", Kademlia.resolver (Kademlia.create_network ~seed ~node_count ()));
+    ]
+  in
+  List.iter
+    (fun node_count ->
+      List.iter
+        (fun (name, resolver) ->
+          let g = Stdx.Prng.create ~seed:31L in
+          for _ = 1 to 500 do
+            let hops = Dht.Resolver.route_hops resolver (Key.random g) in
+            if hops < 0 then Alcotest.failf "%s at %d nodes: %d hops" name node_count hops
+          done)
+        (resolvers ~seed:13L ~node_count))
+    [ 1; 2; 16; 200 ]
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -912,6 +937,7 @@ let suite =
       [
         Alcotest.test_case "traffic accounting" `Quick network_accounting;
         Alcotest.test_case "bad destination rejected" `Quick network_bad_destination;
+        Alcotest.test_case "route hops on every substrate" `Quick route_hops_total;
       ] );
     ( "dht:static",
       [

@@ -64,11 +64,6 @@ let plan_latency_distributions () =
     (fun (v : Plan.verdict) ->
       Alcotest.(check (float 0.0)) "constant latency" 0.125 v.latency)
     (stream (Plan.Constant 0.125));
-  List.iter
-    (fun (v : Plan.verdict) ->
-      if v.latency < 0.01 || v.latency >= 0.02 then
-        Alcotest.failf "uniform latency %g outside [0.01, 0.02)" v.latency)
-    (stream (Plan.Uniform { lo = 0.01; hi = 0.02 }));
   let exp_stream = stream (Plan.Exponential { mean = 0.05 }) in
   List.iter
     (fun (v : Plan.verdict) ->
@@ -116,8 +111,8 @@ let plan_zero_and_validation () =
     (rejects (fun () -> Plan.spec ~loss_rate:1.5 ()));
   Alcotest.(check bool) "negative duplicate rate rejected" true
     (rejects (fun () -> Plan.spec ~duplicate_rate:(-0.1) ()));
-  Alcotest.(check bool) "empty uniform interval rejected" true
-    (rejects (fun () -> Plan.spec ~latency:(Plan.Uniform { lo = 0.2; hi = 0.1 }) ()))
+  Alcotest.(check bool) "negative exponential mean rejected" true
+    (rejects (fun () -> Plan.spec ~latency:(Plan.Exponential { mean = -0.1 }) ()))
 
 (* ------------------------------------------------------------------ *)
 (* Delayed one-way deliveries (the RPC channel's outbox): time order,
@@ -135,7 +130,7 @@ let outbox_orders_deliveries () =
   let log = ref [] in
   let post ?(rpc = rpc) time tag =
     now := time;
-    Rpc.send_oneway ~lossy:true rpc ~dst:0 ~bytes:1 ~category:Network.Cache_update
+    Rpc.send_lossy rpc ~dst:0 ~bytes:1
       ~deliver:(fun () -> log := tag :: !log; true)
   in
   post 2.0 "c";
@@ -286,7 +281,7 @@ let rpc_lossy_oneway () =
   in
   let rpc = Rpc.create ~network:net ~plan () in
   let applied = ref 0 in
-  Rpc.send_oneway ~lossy:true rpc ~dst:2 ~bytes:30 ~category:Network.Cache_update
+  Rpc.send_lossy rpc ~dst:2 ~bytes:30
     ~deliver:(fun () -> incr applied; true);
   Alcotest.(check int) "billed at send time" 30
     (Network.bytes net Network.Cache_update);
@@ -297,7 +292,7 @@ let rpc_lossy_oneway () =
   Alcotest.(check int) "applied on arrival" 1 !applied;
   (* Total loss: billed, never applied. *)
   let dropped = Rpc.create ~network:net ~plan:(Plan.create ~seed:2L (Plan.spec ~loss_rate:1.0 ())) () in
-  Rpc.send_oneway ~lossy:true dropped ~dst:2 ~bytes:30 ~category:Network.Cache_update
+  Rpc.send_lossy dropped ~dst:2 ~bytes:30
     ~deliver:(fun () -> incr applied; true);
   Alcotest.(check int) "lost one-way still billed" 60
     (Network.bytes net Network.Cache_update);

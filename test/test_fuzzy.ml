@@ -68,8 +68,10 @@ let correct_picks_unique_best () =
 let suggest_respects_limits () =
   let vocabulary = Spell.of_list [ "aaa1"; "aaa2"; "aaa3"; "aaa4"; "aaa5"; "aaa6" ] in
   Alcotest.(check int) "limit" 3 (List.length (Spell.suggest ~limit:3 vocabulary "aaa9"));
-  Alcotest.(check int) "max distance 0 finds nothing" 0
-    (List.length (Spell.suggest ~max_distance:0 vocabulary "aaa9"))
+  (* "aaa9" tolerates 1 + 4 / 4 = 2 edits; "a999" is 2 away, "9999" 3. *)
+  let vocabulary = Spell.of_list [ "a999"; "9999" ] in
+  Alcotest.(check (list (pair string int))) "length-scaled distance bound" [ ("a999", 2) ]
+    (Spell.suggest vocabulary "aaa9")
 
 let suggestions_find_all_close_values =
   (* Any vocabulary word deformed by one substitution must be recovered. *)

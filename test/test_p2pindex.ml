@@ -135,11 +135,6 @@ let search_counts_interactions () =
   ignore (Index.search ~interactions index q6);
   Alcotest.(check int) "interaction count along q6" 6 !interactions
 
-let search_respects_max_results () =
-  let index = make_index () in
-  let results = Index.search ~max_results:1 index q6 in
-  Alcotest.(check int) "stops at one" 1 (List.length results)
-
 let generalization_recovers_q2 () =
   (* q2 = John Smith at INFOCOM is a valid query for d2 but appears in no
      index (Section IV-B's example): generalization must still find d2, and
@@ -157,10 +152,13 @@ let generalization_of_indexed_query_is_plain_search () =
 
 let generalization_budget_respected () =
   let index = make_index () in
-  (* A hopeless query with a budget of zero probes finds nothing. *)
-  let impossible = q "/article[conf/NOSUCH][year/1234]" in
-  Alcotest.(check int) "no results under zero budget" 0
-    (List.length (Index.search_with_generalization ~generalization_budget:0 index impossible))
+  (* A hopeless query with five leaves has more distinct generalizations
+     than the budget: it finds nothing after its own probe and 64 more. *)
+  let impossible = q "/article[author[first/A][last/B]][title/C][conf/D][year/E]" in
+  let interactions = ref 0 in
+  Alcotest.(check int) "no results" 0
+    (List.length (Index.search_with_generalization ~interactions index impossible));
+  Alcotest.(check int) "one probe plus the budget" 65 !interactions
 
 let covering_violation_rejected () =
   let index = make_index () in
@@ -406,7 +404,6 @@ let suite =
         Alcotest.test_case "lookup_step cases" `Quick lookup_step_cases;
         Alcotest.test_case "search follows Fig. 3 paths" `Quick search_follows_fig3_paths;
         Alcotest.test_case "search counts interactions" `Quick search_counts_interactions;
-        Alcotest.test_case "search max_results" `Quick search_respects_max_results;
         Alcotest.test_case "generalization recovers q2" `Quick generalization_recovers_q2;
         Alcotest.test_case "generalization on indexed query" `Quick
           generalization_of_indexed_query_is_plain_search;

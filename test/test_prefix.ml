@@ -139,7 +139,7 @@ let dissemination_exactly_once () =
   let rpc = Dht.Rpc.create ~network () in
   let delivered = ref [] in
   let stats =
-    Multicast.disseminate ~rpc ~category:Dht.Network.Maintenance
+    Multicast.disseminate ~rpc
       ~bytes:(fun _ -> 32)
       ~deliver:(fun node -> delivered := node :: !delivered)
       tree

@@ -430,16 +430,12 @@ let tombstones_block_resurrection () =
     (Replicated.mem store (k "doomed"))
 
 (* ------------------------------------------------------------------ *)
-(* Quorum reads, write acknowledgements, store validation. *)
+(* Quorum reads; write acknowledgements and quorum validation are the
+   index's, below. *)
 
 let quorum_read_reconciles () =
   let r = resolver 10 in
-  let store : string Replicated.t =
-    Replicated.create ~resolver:r ~replication:3 ~read_quorum:2 ()
-  in
-  Alcotest.(check int) "read quorum recorded" 2 (Replicated.read_quorum store);
-  Alcotest.(check int) "write quorum defaults to replication" 3
-    (Replicated.write_quorum store);
+  let store : string Replicated.t = Replicated.create ~resolver:r ~replication:3 () in
   Replicated.insert store ~len:0 ~key:(k "a") "old";
   let replicas = Dht.Resolver.replicas r (k "a") 3 in
   let sleeper = List.nth replicas 1 in
@@ -474,35 +470,6 @@ let quorum_read_reconciles () =
           (Replicated.live_merged_version store (k "a"))));
   let _, _, again = Replicated.quorum_read store ~key:(k "a") ~nodes:replicas in
   Alcotest.(check int) "second read repairs nothing" 0 (List.length again)
-
-let write_acknowledgement_counting () =
-  let r = resolver 10 in
-  let acks = ref [] in
-  let store : string Replicated.t =
-    Replicated.create ~resolver:r ~replication:3 ~write_quorum:2
-      ~on_write_acks:(fun ~acks:a ~needed -> acks := (a, needed) :: !acks)
-      ()
-  in
-  Replicated.insert store ~len:0 ~key:(k "a") "x";
-  Alcotest.(check (list (pair int int))) "fully acknowledged" [ (3, 2) ] !acks;
-  acks := [];
-  let replicas = Dht.Resolver.replicas r (k "a") 3 in
-  List.iter (Replicated.fail_node store) (List.tl replicas);
-  Replicated.insert store ~len:0 ~key:(k "a") "y";
-  Alcotest.(check (list (pair int int))) "under-acknowledged write reported"
-    [ (1, 2) ] !acks
-
-let store_quorum_validation () =
-  let rejects f =
-    try ignore (f () : string Replicated.t); false
-    with Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "read quorum above replication rejected" true
-    (rejects (fun () ->
-         Replicated.create ~resolver:(resolver 6) ~replication:3 ~read_quorum:4 ()));
-  Alcotest.(check bool) "zero write quorum rejected" true
-    (rejects (fun () ->
-         Replicated.create ~resolver:(resolver 6) ~replication:3 ~write_quorum:0 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Anti-entropy pass: diverged replicas converge, the digest scheme
@@ -892,6 +859,43 @@ let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 module Q = Bib.Bib_query
 module Index = Bib.Bib_index
 
+(* The index owns R and W: it records them, rejects values outside
+   [1, replication], and counts each write its live replicas
+   acknowledged fewer than W times. *)
+let index_quorum_validation () =
+  let r = resolver 6 in
+  let index = Index.create ~replication:3 ~read_quorum:2 ~resolver:r () in
+  Alcotest.(check int) "read quorum recorded" 2 (Index.read_quorum index);
+  Alcotest.(check int) "write quorum defaults to replication" 3 (Index.write_quorum index);
+  let rejects f =
+    try ignore (f () : Index.t); false with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "read quorum above replication rejected" true
+    (rejects (fun () -> Index.create ~replication:3 ~read_quorum:4 ~resolver:r ()));
+  Alcotest.(check bool) "zero write quorum rejected" true
+    (rejects (fun () -> Index.create ~replication:3 ~write_quorum:0 ~resolver:r ()))
+
+let write_acknowledgement_counting () =
+  let r = resolver 10 in
+  let metrics = Obs.Metrics.create () in
+  let index = Index.create ~metrics ~replication:3 ~write_quorum:2 ~resolver:r () in
+  Alcotest.(check int) "write quorum recorded" 2 (Index.write_quorum index);
+  let counts () =
+    let snap = Obs.Metrics.snapshot metrics in
+    ( Obs.Metrics.counter_total snap "p2pindex_quorum_writes_total",
+      Obs.Metrics.counter_total snap "p2pindex_quorum_write_failures_total" )
+  in
+  let a = (Bib.Corpus.generate ~seed:4L (Bib.Corpus.default_config ~article_count:2)).(0) in
+  let msd = Q.msd a in
+  (* Storing a file is two coordinated writes: the remove of any older
+     copy, then the insert. *)
+  Index.store_file index ~msd (Bib.Article.file a);
+  Alcotest.(check (pair int int)) "fully acknowledged" (2, 0) (counts ());
+  let replicas = Dht.Resolver.replicas r (Index.key_of_query msd) 3 in
+  List.iter (fun n -> ignore (Dht.Liveness.fail (Index.liveness index) n : bool)) (List.tl replicas);
+  Index.store_file index ~msd (Bib.Article.file a);
+  Alcotest.(check (pair int int)) "under-acknowledged writes counted" (4, 2) (counts ())
+
 (* [Runner.run]'s session loop, keeping the environment for inspection. *)
 let run_keeping_env (cfg : Sim.Runner.config) =
   let module I = Sim.Runner.Internal in
@@ -1036,7 +1040,7 @@ let suite =
           quorum_read_reconciles;
         Alcotest.test_case "write acknowledgements counted against W" `Quick
           write_acknowledgement_counting;
-        Alcotest.test_case "quorum bounds validated" `Quick store_quorum_validation;
+        Alcotest.test_case "quorum bounds validated" `Quick index_quorum_validation;
       ]
       @ qcheck [ quorum_read_matches_oracle; live_entries_match_naive_filter ] );
     ( "quorum:anti-entropy",

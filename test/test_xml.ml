@@ -20,7 +20,7 @@ let d1_text =
 let fig1_fields () =
   let doc = d1 () in
   Alcotest.(check bool) "root name" true
-    (match doc with Xml.Element ("article", _, _) -> true | _ -> false);
+    (match doc with Xml.Element ("article", _) -> true | _ -> false);
   Alcotest.(check int) "five fields" 5 (List.length (Xml.children doc));
   match Xml.find_child doc "author" with
   | None -> Alcotest.fail "author element missing"
@@ -47,19 +47,10 @@ let indented_print () =
      </article>\n"
     (Xml.to_string ~indent:true (d1 ()))
 
-let print_attributes () =
-  let doc =
-    Xml.element "a" ~attrs:[ ("x", "1"); ("y", "two words") ] [ Xml.element "b" [] ]
-  in
-  Alcotest.(check string) "attributes in order" "<a x=\"1\" y=\"two words\"><b/></a>"
-    (Xml.to_string doc)
-
 let print_entities () =
   Alcotest.(check string) "all five predefined entities"
     "<t>a &lt;b&gt; &amp; &quot;c&quot; &apos;d&apos;</t>"
-    (Xml.to_string (Xml.leaf "t" "a <b> & \"c\" 'd'"));
-  Alcotest.(check string) "attribute values escaped too" "<t k=\"&lt;&amp;&quot;\"/>"
-    (Xml.to_string (Xml.element "t" ~attrs:[ ("k", "<&\"") ] []))
+    (Xml.to_string (Xml.leaf "t" "a <b> & \"c\" 'd'"))
 
 let escaping () =
   let doc = Xml.leaf "t" "x < y & z > \"w\"" in
@@ -127,7 +118,6 @@ let suite =
         Alcotest.test_case "d1 descriptor fields" `Quick fig1_fields;
         Alcotest.test_case "compact print" `Quick compact_print;
         Alcotest.test_case "indented print" `Quick indented_print;
-        Alcotest.test_case "attributes" `Quick print_attributes;
         Alcotest.test_case "entities" `Quick print_entities;
         Alcotest.test_case "escaping" `Quick escaping;
         Alcotest.test_case "self-closing elements" `Quick print_self_closing;
