@@ -176,13 +176,24 @@ let micro_ops () : (string * (unit -> unit)) list =
       }
   in
   let walk_ctx = Sim.Runner.Internal.walk_ctx walk_env in
-  (* Replica reconciliation: a quorum read over two agreeing replicas
-     of one 256-entry key (the read nearly every quorum lookup makes),
-     and one anti-entropy pass over a converged store, where every
-     exchange matches. *)
+  (* Replica writes and reconciliation: one refresh write of a value
+     every replica of a key already holds, at replication 3 (what a
+     republish round makes of nearly every planned key), a quorum read
+     over two agreeing replicas of one 256-entry key (the read nearly
+     every quorum lookup makes), and one anti-entropy pass over a
+     converged store, where every exchange matches. *)
   let storage_resolver =
     Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:3L ~node_count:64 ())
   in
+  let insert_store : string Storage.Replicated_store.t =
+    Storage.Replicated_store.create ~resolver:storage_resolver ~replication:3 ()
+  in
+  let insert_key = Hashing.Key.of_string "insert" and insert_value = "/article/author/last/Insert" in
+  let insert_refresh () =
+    Storage.Replicated_store.insert_unique ~equal:String.equal insert_store ~key:insert_key
+      ~len:(String.length insert_value) insert_value
+  in
+  ignore (insert_refresh () : bool);
   let agree_store : string Storage.Replicated_store.t =
     Storage.Replicated_store.create ~resolver:storage_resolver ~replication:2 ()
   in
@@ -329,6 +340,7 @@ let micro_ops () : (string * (unit -> unit)) list =
     ( "sim/session-walk",
       fun () ->
         ignore (Sim.Walk.run walk_ctx (Sim.Runner.Internal.next_event walk_env)) );
+    ("storage/insert-r3", fun () -> ignore (insert_refresh () : bool));
     ( "storage/quorum-read-agree",
       fun () ->
         ignore
@@ -414,8 +426,13 @@ let micro_runs_of = function
    every live key per node, a convergence check one finger target per
    finger, a SHA-1 digest on either path its 20-byte result, a shortcut
    find its result list (three words a target) and no sort or hash per
-   target, and an install into a full cache its node, pair, group and
-   table bucket, with the eviction relinking the tail in place. *)
+   target, an install into a full cache its node, pair, group and
+   table bucket, with the eviction relinking the tail in place, a
+   Kademlia lookup no bucket copy per contact heard from, a refresh
+   write at replication 3 its entry, its write and the coordinator's
+   new version and no table probe per replica, and an agreeing quorum
+   read and a converged anti-entropy pass no more than the node-major
+   store's. *)
 let micro_ceilings =
   [
     ("sha1/256B", 4.0);
@@ -423,7 +440,7 @@ let micro_ceilings =
     ("prng/int", 0.0);
     ("chord/lookup-256", 10.0);
     ("pastry/lookup-256", 1_000.0);
-    ("kademlia/lookup-256", 20_000.0);
+    ("kademlia/lookup-256", 5_510.0);
     ("dht/chord-responsible-500", 50.0);
     ("dht/pastry-responsible-500", 50.0);
     ("dht/kademlia-responsible-500", 50.0);
@@ -434,6 +451,9 @@ let micro_ceilings =
     ("dht/pastry-create-500", 1_000_000.0);
     ("dht/static-create-10k", 200_000.0);
     ("storage/create-10k", 1_000.0);
+    ("storage/insert-r3", 38.0);
+    ("storage/quorum-read-agree", 805.0);
+    ("storage/anti-entropy-pass", 6_061.0);
     ("sim/setup-10k-nodes", 1_000_000.0);
     ("cache/find-hot-query", 96.0);
     ("cache/add-evict", 24.0);

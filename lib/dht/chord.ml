@@ -13,6 +13,9 @@ type node = {
   mutable predecessor : Key.t option;
   fingers : Key.t array;
   mutable successor_list : Key.t list;
+  mutable ordered : bool;
+      (* Every finger [i] is the node itself or at least [2^i] clockwise
+         from it, as a finger that names its target's successor is. *)
 }
 
 (* Substrate health counters, prefetched from the registry at creation. *)
@@ -21,7 +24,10 @@ type instruments = {
   failed_lookups : Obs.Metrics.Counter.t;
 }
 
-type t = { members : node Members.t; instruments : instruments option }
+(* [version] moves whenever a join, failure or maintenance round may
+   have changed a node's routing state or liveness: a route measured at
+   one version is the route at any other reading of the same version. *)
+type t = { members : node Members.t; instruments : instruments option; mutable version : int }
 
 (* Entries in each node's successor list, for failure recovery. *)
 let successor_list_length = 8
@@ -42,7 +48,9 @@ let create ?metrics ?(seed = 1L) () =
         })
       metrics
   in
-  { members = Members.create ~seed (); instruments }
+  { members = Members.create ~seed (); instruments; version = 0 }
+
+let changed t = t.version <- t.version + 1
 
 let node_of t key = Members.find t.members key
 let is_alive t key = Members.is_alive t.members key
@@ -72,7 +80,23 @@ let rec closest_preceding_from t n key i =
     if Key.in_interval_oo f ~lo:n.id ~hi:key && is_alive t f then f
     else closest_preceding_from t n key (i - 1)
 
-let closest_preceding_node t n key = closest_preceding_from t n key (Key.bits - 1)
+let rec fingers_ordered n i =
+  i >= Key.bits
+  ||
+  let f = n.fingers.(i) in
+  (Key.equal f n.id || Key.distance_cw_bits n.id f > i) && fingers_ordered n (i + 1)
+
+(* On an ordered node, a finger [i] with [2^i] at or past the key's
+   distance [d] lies at or past the key, or is the node itself: neither
+   is strictly inside (n, key).  So the scan starts at the highest [i]
+   with [2^i <= d], and finds what the scan from the top would.  A key
+   equal to the node's id asks for the whole ring minus the node. *)
+let closest_preceding_node t n key =
+  let start =
+    if n.ordered && not (Key.equal key n.id) then Key.distance_cw_bits n.id key - 1
+    else Key.bits - 1
+  in
+  closest_preceding_from t n key start
 
 exception Routing_failure of string
 
@@ -105,14 +129,19 @@ let lookup t ?from key =
 (* Membership. *)
 
 let insert_node t key successor =
-  Members.add t.members key
+  let n =
     {
       id = key;
       successor;
       predecessor = None;
       fingers = Array.make Key.bits successor;
       successor_list = [];
+      ordered = false;
     }
+  in
+  n.ordered <- fingers_ordered n 0;
+  Members.add t.members key n;
+  changed t
 
 let join_with_key t key =
   if is_alive t key then invalid_arg "Chord.join_with_key: identifier already joined";
@@ -127,7 +156,9 @@ let join t =
   join_with_key t key;
   key
 
-let leave t key = Members.fail t.members key
+let leave t key =
+  Members.fail t.members key;
+  changed t
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance. *)
@@ -169,9 +200,11 @@ let fix_fingers t n =
     match find_successor t ~from:n.id target with
     | owner, _hops -> n.fingers.(i) <- owner
     | exception Routing_failure _ -> ()
-  done
+  done;
+  n.ordered <- fingers_ordered n 0
 
 let stabilize_round t =
+  changed t;
   (match t.instruments with
   | Some ins -> Obs.Metrics.Counter.incr ins.stabilization_rounds
   | None -> ());
@@ -229,8 +262,12 @@ let repair_globally t =
           Resolver.ring_key ring ((i + 1 + j) mod count));
     for b = 0 to Key.bits - 1 do
       n.fingers.(b) <- ideal_finger ring key b
-    done
-  done
+    done;
+    (* Walking clockwise from [key + 2^b], the first live node is past
+       that target or is [key] itself: ideal fingers are ordered. *)
+    n.ordered <- true
+  done;
+  changed t
 
 let routing_state t key =
   let n = node_of t key in
@@ -251,6 +288,21 @@ let create_network ?metrics ?seed ~node_count () =
 
 (* ------------------------------------------------------------------ *)
 
+(* A key's route from the first live node is fixed while the overlay is:
+   it is measured once per key and version.  A failed route is not
+   kept, so every failure is counted. *)
 let resolver t =
-  Resolver.of_ring (Members.ring t.members) ~owner:Resolver.ring_successor
-    ~route_hops:(fun key -> snd (lookup t key)) ()
+  let hops = Key.Table.create 1024 and measured_at = ref t.version in
+  let route_hops key =
+    if !measured_at <> t.version then begin
+      Key.Table.reset hops;
+      measured_at := t.version
+    end;
+    match Key.Table.find hops key with
+    | h -> h
+    | exception Not_found ->
+        let h = snd (lookup t key) in
+        Key.Table.add hops key h;
+        h
+  in
+  Resolver.of_ring (Members.ring t.members) ~owner:Resolver.ring_successor ~route_hops ()

@@ -84,4 +84,8 @@ val routing_state :
 
 val resolver : t -> Resolver.t
 (** Resolver view over live nodes: node indexes are positions in ring order
-    (as in {!live_keys}); [route_hops] is the measured lookup hop count. *)
+    (as in {!live_keys}); [route_hops] is the hop count of a lookup from
+    {!first_live}, measured once per key while the ring's routing state
+    and liveness stay unchanged (a join, failure, stabilization round or
+    global repair measures again).  A route that fails to converge is
+    counted and raised each time, never kept. *)

@@ -26,16 +26,35 @@ let responsible_oracle t key = Members.owner t Resolver.ring_xor_closest key
    or append it when there is room (a bucket never holds more than [k], so
    a known contact always fits); a full bucket first evicts dead contacts,
    then keeps its old (live) entries and drops the newcomer — Kademlia's
-   stability rule. *)
+   stability rule.  One pass decides, and the bucket is rebuilt only when
+   it changes. *)
+let rec last_is contact = function
+  | [] -> false
+  | [ c ] -> Key.equal c contact
+  | _ :: rest -> last_is contact rest
+
+(* The bucket's length, or -1 when it holds [contact]. *)
+let rec length_without contact len = function
+  | [] -> len
+  | c :: rest -> if Key.equal c contact then -1 else length_without contact (len + 1) rest
+
+let rec move_last contact = function
+  | [] -> [ contact ]
+  | c :: rest -> if Key.equal c contact then move_last contact rest else c :: move_last contact rest
+
+let rec live_then t contact = function
+  | [] -> [ contact ]
+  | c :: rest -> if is_alive t c then c :: live_then t contact rest else live_then t contact rest
+
 let observe t n contact =
   let shared = Key.common_prefix_bits n.id contact in
   if shared < Key.bits then begin
     let i = Key.bits - 1 - shared in
-    let without = List.filter (fun c -> not (Key.equal c contact)) n.buckets.(i) in
-    if List.length without < k then n.buckets.(i) <- without @ [ contact ]
-    else
-      let live = List.filter (is_alive t) without in
-      if List.length live < k then n.buckets.(i) <- live @ [ contact ]
+    let bucket = n.buckets.(i) in
+    if not (last_is contact bucket) then begin
+      if length_without contact 0 bucket < k then n.buckets.(i) <- move_last contact bucket
+      else if not (List.for_all (is_alive t) bucket) then n.buckets.(i) <- live_then t contact bucket
+    end
   end
 
 (* Each bucket's XOR distances to [target] fill one aligned interval.  The
@@ -74,11 +93,22 @@ let rec pending t queried count = function
       else pending t queried count rest
   | _ -> false
 
+(* Two lists sorted by XOR distance, merged, each key once: the distance
+   is zero only between equal keys. *)
+let rec merge_closest by_distance xs ys =
+  match (xs, ys) with
+  | [], l | l, [] -> l
+  | x :: xs', y :: ys' ->
+      let c = by_distance x y in
+      if c < 0 then x :: merge_closest by_distance xs' ys
+      else if c > 0 then y :: merge_closest by_distance xs ys'
+      else x :: merge_closest by_distance xs' ys'
+
 (* Iterative lookup driven by [from]: repeatedly query the alpha closest
    un-queried candidates, learning closer contacts from each, until the k
-   closest known are all queried.  Every query teaches both sides.  One
-   [sort_uniq] by XOR distance per merge also drops duplicates: the
-   distance is zero only between equal keys. *)
+   closest known are all queried.  Every query teaches both sides.  The
+   learned contacts come sorted by distance, so each is merged into the
+   sorted candidates. *)
 let iterative_lookup t ~from target =
   let querier = node_of t from in
   let by_distance = Key.compare_xor ~target in
@@ -101,7 +131,7 @@ let iterative_lookup t ~from target =
             observe t peer from;
             let learned = closest_contacts t peer ~target ~count:k in
             List.iter (observe t querier) (c :: learned);
-            candidates := List.sort_uniq by_distance (learned @ !candidates))
+            candidates := merge_closest by_distance learned !candidates)
           batch;
         (* Continue while one of the k closest known candidates is still
            un-queried. *)

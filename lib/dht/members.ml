@@ -5,7 +5,7 @@ type 'a entry = { node : 'a; mutable alive : bool }
 (* [ring] holds the live keys as of the last read; [stale] says a join or
    failure has changed them since. *)
 type 'a t = {
-  table : (Key.t, 'a entry) Hashtbl.t;
+  table : 'a entry Key.Table.t;
   prng : Stdx.Prng.t;
   mutable live : int;
   mutable ring : Resolver.ring;
@@ -14,7 +14,7 @@ type 'a t = {
 
 let create ~seed () =
   {
-    table = Hashtbl.create 64;
+    table = Key.Table.create 64;
     prng = Stdx.Prng.create ~seed;
     live = 0;
     ring = Resolver.ring [||];
@@ -23,19 +23,19 @@ let create ~seed () =
 
 let rec fresh_key t =
   let k = Key.random t.prng in
-  if Hashtbl.mem t.table k then fresh_key t else k
+  if Key.Table.mem t.table k then fresh_key t else k
 
 let is_alive t key =
-  match Hashtbl.find t.table key with e -> e.alive | exception Not_found -> false
+  match Key.Table.find t.table key with e -> e.alive | exception Not_found -> false
 
 let add t key node =
   if is_alive t key then invalid_arg "Members.add: identifier already live";
-  Hashtbl.replace t.table key { node; alive = true };
+  Key.Table.replace t.table key { node; alive = true };
   t.live <- t.live + 1;
   t.stale <- true
 
 let fail t key =
-  match Hashtbl.find t.table key with
+  match Key.Table.find t.table key with
   | e when e.alive ->
       e.alive <- false;
       t.live <- t.live - 1;
@@ -43,7 +43,7 @@ let fail t key =
   | _ | (exception Not_found) -> raise Not_found
 
 let find t key =
-  match Hashtbl.find t.table key with
+  match Key.Table.find t.table key with
   | e -> e.node
   | exception Not_found -> invalid_arg "Members.find: identifier never added"
 
@@ -54,7 +54,7 @@ let ring t =
     let keys = Array.make t.live Key.zero in
     let next = ref 0 in
     (* lint: allow D2 — the collected keys are sorted before use, so bucket order cannot reach the result *)
-    Hashtbl.iter
+    Key.Table.iter
       (fun k e ->
         if e.alive then begin
           keys.(!next) <- k;

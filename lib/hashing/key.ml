@@ -115,6 +115,43 @@ let in_interval_oc k ~lo ~hi =
 
 let distance_cw a b = sub b a
 
+let rec byte_bits x n = if x = 0 then n else byte_bits (x lsr 1) (n + 1)
+
+(* [b - a] byte by byte from the least significant end, as [sub] does,
+   remembering the most significant nonzero byte seen: nothing is
+   built. *)
+let rec distance_bits_from a b i borrow top top_byte =
+  if i < 0 then if top < 0 then 0 else (8 * (byte_count - 1 - top)) + byte_bits top_byte 0
+  else
+    let diff = Char.code b.[i] - Char.code a.[i] - borrow in
+    let d = diff land 0xFF and borrow = (diff lsr 8) land 1 in
+    if d <> 0 then distance_bits_from a b (i - 1) borrow i d
+    else distance_bits_from a b (i - 1) borrow top top_byte
+
+let distance_cw_bits a b = distance_bits_from a b (byte_count - 1) 0 (-1) 0
+
+(* The compiler's own loads, which [Int64.to_int] and [Int32.to_int]
+   consume unboxed; a key is 20 bytes, so the reads stay in bounds.  The
+   machine's byte order only permutes the hash. *)
+external get64 : string -> int -> int64 = "%caml_string_get64u"
+external get32 : string -> int -> int32 = "%caml_string_get32u"
+
+(* The key's three words folded and mixed, so that the low bits a table
+   indexes by depend on every byte: digests are uniform already, but
+   prefix-encoded keys share their leading bytes and end in zeros. *)
+module Table = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+
+  let hash k =
+    let h = Int64.to_int (get64 k 0) * 0x1E3779B97F4A7C15 in
+    let h = (h lxor Int64.to_int (get64 k 8)) * 0x1E3779B97F4A7C15 in
+    let h = h lxor Int32.to_int (get32 k 16) in
+    let h = (h lxor (h lsr 31)) * 0x1CE4E5B9 in
+    h lxor (h lsr 29)
+end)
+
 (* Byte by byte, one [Prng.int g 256] draw each, into a buffer filled in
    place: no closure per key. *)
 let random g =

@@ -82,5 +82,15 @@ val distance_cw : t -> t -> t
 (** [distance_cw a b] is the clockwise distance from [a] to [b]
     (i.e. [b - a mod 2^160]). *)
 
+val distance_cw_bits : t -> t -> int
+(** [distance_cw_bits a b] is the bit length of [distance_cw a b]: 0
+    when [a = b], else the [i + 1] with [2^i <= distance_cw a b < 2^(i+1)].
+    Allocates nothing. *)
+
 val random : Stdx.Prng.t -> t
 (** A uniformly random key. *)
+
+module Table : Hashtbl.S with type key = t
+(** The one key-indexed hash table: hashed on the key's own words, so a
+    probe reads no more than the key and never calls the polymorphic
+    hash or compare. *)

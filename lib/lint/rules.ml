@@ -79,7 +79,8 @@ let d1 =
                    :: !acc)))
 
 (* ------------------------------------------------------------------ *)
-(* D2: order-sensitive Hashtbl.fold / Hashtbl.iter. *)
+(* D2: order-sensitive Hashtbl.fold / Hashtbl.iter, and the same on
+   [Hashing.Key.Table], the key-indexed instance. *)
 
 (* Operators whose reductions are associative and commutative, so the
    bucket order cannot leak into the result.  Integer arithmetic only:
@@ -137,13 +138,13 @@ let d2 =
              | None -> ()
              | Some path -> (
                  match last_two path with
-                 | Some ("Hashtbl", "iter") ->
+                 | Some (("Hashtbl" | "Table"), "iter") ->
                      acc :=
                        viol ~code:"D2" ~id:"unordered-iteration" ~rel ~loc:e.pexp_loc
                          "Hashtbl.iter visits bindings in nondeterministic bucket \
                           order; use Stdx.Det_tbl.iter_sorted"
                        :: !acc
-                 | Some ("Hashtbl", "fold") ->
+                 | Some (("Hashtbl" | "Table"), "fold") ->
                      let passes =
                        match
                          List.find_opt
@@ -159,7 +160,7 @@ let d2 =
                            ~loc:e.pexp_loc
                            "Hashtbl.fold visits bindings in nondeterministic \
                             bucket order and this accumulator is order-sensitive; \
-                            use Stdx.Det_tbl.fold_sorted (or sorted_keys / \
+                            use Stdx.Det_tbl.fold_sorted (or \
                             sorted_bindings)"
                          :: !acc
                  | _ -> ()))

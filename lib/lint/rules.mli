@@ -8,8 +8,8 @@
       [Unix.gettimeofday] and [*self_init*] anywhere but [lib/stdx/prng.ml];
       all randomness and time must flow through seeded [Stdx.Prng] values
       and virtual clocks.
-    - [D2 unordered-iteration] — [Hashtbl.fold]/[Hashtbl.iter] whose
-      callback is order-sensitive.  A fold auto-passes only when its body is
+    - [D2 unordered-iteration] — [Hashtbl.fold]/[Hashtbl.iter] (and the
+      same on [Hashing.Key.Table]) whose callback is order-sensitive.  A fold auto-passes only when its body is
       a conservative commutative reduction over the accumulator:
       combinations of [+], [*], [land]/[lor]/[lxor], [&&]/[||], [max]/[min]
       (integer operators only — float addition is not associative, so [+.]

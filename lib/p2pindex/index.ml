@@ -60,22 +60,34 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     ae_full_state_bytes : Obs.Metrics.Counter.t;
   }
 
-  (* One published document, as republication replays it (see
-     {!republish}). *)
+  (* One parent key of the plan, as a republish round writes it: its
+     distinct planned children, by first planned write, newest first —
+     read for their values and lengths only — and each one's planned
+     edge count, in the same order ([||] when every count is one). *)
+  type group = {
+    key : Key.t;
+    parent_len : int;  (** The parent's rendered length. *)
+    mutable children : Q.t Rstore.entry array;
+    mutable counts : int array;
+  }
+
+  (* One published document: its file write, and what derives its
+     edges again when the plan is rebuilt. *)
   type planned = {
     file_key : Key.t;
     file : file;
     request_bytes : int;  (** The file write's billed request. *)
-    keys : Key.t array;  (** Per scheme edge, in edge order: the parent's key. *)
-    parent_lens : int array;  (** Per scheme edge: the parent's rendered length. *)
-    children : Q.t Rstore.entry array;
-        (** Per scheme edge: the entry publication staged for its child —
-            read for its value and length only. *)
+    msd : Q.t;
+    scheme : Q.t Scheme.t;
   }
 
   type plan = {
     mutable docs : planned array;  (** In publication order. *)
     mutable doc_count : int;
+    mutable groups : group array;  (** In first-planned order. *)
+    mutable group_count : int;
+    mutable by_key : group Key.Table.t option;
+        (** The groups by key, made when a batch meets a planned key. *)
   }
 
   type t = {
@@ -206,7 +218,17 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       write_quorum;
       mappings;
       files;
-      plan = (if republished then Some { docs = [||]; doc_count = 0 } else None);
+      plan =
+        (if republished then
+           Some
+             {
+               docs = [||];
+               doc_count = 0;
+               groups = [||];
+               group_count = 0;
+               by_key = None;
+             }
+         else None);
       consulted = Stdx.Int_buf.create ~capacity:replication ();
       last_rendered = "";
       last_key = Key.of_string "";
@@ -245,7 +267,15 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   let[@hot] node_of_string t s = Dht.Resolver.responsible t.resolver (key_of_rendered t s)
 
-  let[@hot] live_node_of_string t s = Rstore.live_node_id t.mappings (key_of_rendered t s)
+  (* The key's replica set, from whichever store registered it: the two
+     stores share their resolver, and a registered key's set is read off
+     its slot without resolving it again. *)
+  let[@hot] replicas_of t key =
+    if Rstore.registered t.files key then Rstore.replica_buf t.files key
+    else Rstore.replica_buf t.mappings key
+
+  let[@hot] live_node_of_string t s =
+    Dht.Liveness.first_live_buf t.liveness (replicas_of t (key_of_rendered t s))
 
   (* Expiry stamped on entries written now; infinity when soft state is
      off, so the static path never compares clocks. *)
@@ -273,7 +303,6 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       if Dht.Liveness.alive t.liveness dst then charge_maintenance t ~dst ~bytes
     done
 
-  let charge_live_replicas t ~key ~bytes = charge_live t (Rstore.replica_buf t.mappings key) ~bytes
 
   (* ---------------------------------------------------------------- *)
   (* Publication. *)
@@ -306,7 +335,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       Rstore.insert_unique ~expires_at:(entry_expiry t) ~equal:Q.equal t.mappings ~key ~len child
     in
     if added then
-      charge_live_replicas t ~key
+      charge_live t (Rstore.replica_buf t.mappings key)
         ~bytes:(Wire.cache_install_bytes_of_len (String.length parent_string) len);
     added
 
@@ -321,7 +350,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let write_file t ~key ~request_bytes file =
     ignore (Rstore.remove_key t.files key);
     Rstore.insert ~expires_at:(entry_expiry t) t.files ~key ~len:(file_len file) file;
-    charge_live_replicas t ~key ~bytes:request_bytes
+    charge_live t (Rstore.replica_buf t.files key) ~bytes:request_bytes
 
   let store_file t ~msd file =
     let msd_string = Q.to_string msd in
@@ -405,8 +434,15 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     mutable keys : Key.t array;
     mutable writes : int array;  (** Edges staged. *)
     mutable children : Q.t Rstore.entry list array;
+    mutable sizes : int array;  (** Distinct children staged. *)
+    mutable planned : int array array;
+        (** Planned edges per child, by child from the oldest: under a
+            plan, the edges of every document staged whole. *)
     mutable hashes : hashes option array;
     mutable groups : int;
+    staged_groups : Stdx.Int_buf.t;
+    staged_ordinals : Stdx.Int_buf.t;
+        (** The document being staged: each edge's group and child. *)
     expires_at : float;  (** Every entry of a batch is stamped alike. *)
   }
 
@@ -417,8 +453,12 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       keys = Array.make capacity Key.zero;
       writes = Array.make capacity 0;
       children = Array.make capacity [];
+      sizes = Array.make capacity 0;
+      planned = Array.make capacity [||];
       hashes = Array.make capacity None;
       groups = 0;
+      staged_groups = Stdx.Int_buf.create ();
+      staged_ordinals = Stdx.Int_buf.create ();
       expires_at = entry_expiry t;
     }
 
@@ -427,43 +467,32 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     b.keys <- extend b.keys Key.zero;
     b.writes <- extend b.writes 0;
     b.children <- extend b.children [];
+    b.sizes <- extend b.sizes 0;
+    b.planned <- extend b.planned [||];
     b.hashes <- extend b.hashes None
 
   (* ---------------------------------------------------------------- *)
   (* The publication plan: what soft-state refresh replays.  On an
      index created [~republished] (by default, under a finite TTL),
-     publication records each document it writes — its file write, and
-     per scheme edge the parent's key (the one the batch hashed, shared
-     with it), the parent's rendered length and the child as it was
-     staged — so a republish round rewrites them without rendering,
-     hashing or staging anything again. *)
+     publication records each document — its file write, its descriptor
+     and its scheme — and each parent key's group: its key (the one the
+     batch hashed, shared with it), its rendered length, and its
+     distinct children as they were staged, with their edge counts — so
+     a republish round rewrites them without rendering, hashing or
+     staging anything again. *)
 
-  (* The document column's filler.  A large array made with a young
-     filler forces a minor collection, so the filler is made once, with
-     the functor. *)
-  let no_doc =
-    {
-      file_key = Key.zero;
-      file = { Storage.Block_store.name = ""; size_bytes = 0 };
-      request_bytes = 0;
-      keys = [||];
-      parent_lens = [||];
-      children = [||];
-    }
-
-  (* The document column grows at most once a batch, to room for [docs]
-     more, and at least doubles. *)
-  let reserve_docs (p : plan) docs =
+  (* Record [doc], with room made for the [more] documents of its batch
+   after it: the document column grows at most once a batch, and at
+   least doubles. *)
+  let plan_doc (p : plan) ~more doc =
     let d = p.doc_count in
-    if d + docs > Array.length p.docs then begin
-      let grown = Array.make (Stdlib.max (d + docs) (2 * d)) no_doc in
+    if d = Array.length p.docs then begin
+      let grown = Array.make (Stdlib.max (d + 1 + more) (2 * d)) doc in
       Array.blit p.docs 0 grown 0 d;
       p.docs <- grown
-    end
-
-  let plan_doc (p : plan) doc =
-    p.docs.(p.doc_count) <- doc;
-    p.doc_count <- p.doc_count + 1
+    end;
+    p.docs.(d) <- doc;
+    p.doc_count <- d + 1
 
   (* The id of [parent_string]'s group, created (and its key hashed) on
      first sight. *)
@@ -488,13 +517,13 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         g
     | x -> x - 1
 
-  (* The staged entries from the one holding [child] on; [] when none
-     does. *)
-  let rec find_child child len = function
-    | [] -> []
-    | e :: rest as entries ->
-        if Rstore.entry_len e = len && Q.equal (Rstore.entry_value e) child then entries
-        else find_child child len rest
+  let same_child child len e = Rstore.entry_len e = len && Q.equal (Rstore.entry_value e) child
+
+  (* The position of the staged child equal to [child], from the newest,
+     or -1. *)
+  let rec find_child child len i = function
+    | [] -> -1
+    | e :: rest -> if same_child child len e then i else find_child child len (i + 1) rest
 
   let child_hash (s : string) = Hashtbl.hash s
 
@@ -503,61 +532,151 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     List.iter (fun e -> add_hash hs (child_hash (Q.to_string (Rstore.entry_value e)))) children;
     hs
 
-  (* Stage one edge's child under group [g]; returns the entry the group
-     keeps for it — an equal child's, staged earlier, or a new one. *)
+  (* Stage one edge's child under group [g]; returns the child's place
+     among the group's children, from the oldest — an equal child's,
+     staged earlier, or a new one's. *)
   let stage_child b g ~child_string child =
     let len = String.length child_string in
     b.writes.(g) <- b.writes.(g) + 1;
     let children = b.children.(g) in
-    let staged =
+    let position =
       match b.hashes.(g) with
-      | None -> find_child child len children
+      | None -> find_child child len 0 children
       | Some hs ->
-          if Slots.mem hs.table (child_hash child_string) then find_child child len children
-          else []
+          if Slots.mem hs.table (child_hash child_string) then find_child child len 0 children
+          else -1
     in
-    match staged with
-    | e :: _ -> e
-    | [] ->
-        let e = Rstore.make_entry ~expires_at:b.expires_at ~len child in
-        let children = e :: children in
-        b.children.(g) <- children;
-        (match b.hashes.(g) with
-        | Some hs -> add_hash hs (child_hash child_string)
-        | None ->
-            if List.compare_length_with children dedupe_threshold > 0 then
-              b.hashes.(g) <- Some (hash_children children));
-        e
+    let size = b.sizes.(g) in
+    if position >= 0 then size - 1 - position
+    else begin
+      let children = Rstore.make_entry ~expires_at:b.expires_at ~len child :: children in
+      b.children.(g) <- children;
+      b.sizes.(g) <- size + 1;
+      (match b.hashes.(g) with
+      | Some hs -> add_hash hs (child_hash child_string)
+      | None ->
+          if List.compare_length_with children dedupe_threshold > 0 then
+            b.hashes.(g) <- Some (hash_children children));
+      size
+    end
 
-  (* Stage a document's edges; under a plan, also record them, with its
-     file write, once every edge is staged. *)
-  let stage_doc t b ~scheme ~msd ~msd_string ~key ~request_bytes file =
+  (* One more planned edge of group [g]'s child [ordinal]. *)
+  let plan_edge b g ordinal =
+    let counts = b.planned.(g) in
+    let counts =
+      if ordinal < Array.length counts then counts
+      else begin
+        let grown = Array.make (Stdlib.max 4 (2 * b.sizes.(g))) 0 in
+        Array.blit counts 0 grown 0 (Array.length counts);
+        b.planned.(g) <- grown;
+        grown
+      end
+    in
+    counts.(ordinal) <- counts.(ordinal) + 1
+
+  (* Stage a document's edges.  [planned]: once every edge is staged,
+     count each one towards its child's planned edges. *)
+  let stage_edges b ~scheme ~msd ~msd_string ~planned =
     let render = edge_renderer ~msd ~msd_string in
-    let edges = Scheme.edges scheme msd in
-    match t.plan with
-    | None ->
-        List.iter
-          (fun { Scheme.parent; child } ->
-            check_covers ~render parent child;
-            let g = group_of b (render parent) in
-            ignore (stage_child b g ~child_string:(render child) child : Q.t Rstore.entry))
-          edges
-    | Some p ->
-        let n = List.length edges in
-        let keys = Array.make n Key.zero and parent_lens = Array.make n 0 in
-        let children = ref [||] in
+    Stdx.Int_buf.clear b.staged_groups;
+    Stdx.Int_buf.clear b.staged_ordinals;
+    List.iter
+      (fun { Scheme.parent; child } ->
+        check_covers ~render parent child;
+        let g = group_of b (render parent) in
+        let ordinal = stage_child b g ~child_string:(render child) child in
+        if planned then begin
+          Stdx.Int_buf.push b.staged_groups g;
+          Stdx.Int_buf.push b.staged_ordinals ordinal
+        end)
+      (Scheme.edges scheme msd);
+    for i = 0 to Stdx.Int_buf.length b.staged_groups - 1 do
+      plan_edge b
+        (Stdx.Int_buf.unsafe_get b.staged_groups i)
+        (Stdx.Int_buf.unsafe_get b.staged_ordinals i)
+    done
+
+  let count grp j = if Array.length grp.counts = 0 then 1 else grp.counts.(j)
+
+  let add_group (p : plan) grp =
+    if p.group_count = Array.length p.groups then begin
+      let grown = Array.make (Stdlib.max 64 (2 * p.group_count)) grp in
+      Array.blit p.groups 0 grown 0 p.group_count;
+      p.groups <- grown
+    end;
+    p.groups.(p.group_count) <- grp;
+    p.group_count <- p.group_count + 1;
+    Option.iter (fun by_key -> Key.Table.add by_key grp.key grp) p.by_key
+
+  (* The plan's group for [key], if any: the first batch of a plan meets
+     no planned key and needs no table. *)
+  let planned_group (p : plan) key =
+    let by_key =
+      match p.by_key with
+      | Some by_key -> by_key
+      | None ->
+          let by_key = Key.Table.create (2 * p.group_count) in
+          for i = 0 to p.group_count - 1 do
+            Key.Table.add by_key p.groups.(i).key p.groups.(i)
+          done;
+          p.by_key <- Some by_key;
+          by_key
+    in
+    Key.Table.find_opt by_key key
+
+  (* Group [g]'s planned children join the plan group of its key.  A key
+     new to the plan takes them as they are.  Otherwise they join oldest
+     first: a child the group planned before keeps its place and adds its
+     count; a new one is the group's newest.  [known]: the plan may hold
+     the key already. *)
+  let plan_staged (p : plan) b g ~known =
+    let counts = b.planned.(g) and size = b.sizes.(g) in
+    let planned ordinal = if ordinal < Array.length counts then counts.(ordinal) else 0 in
+    let n = ref 0 and ones = ref true in
+    for ordinal = 0 to size - 1 do
+      let c = planned ordinal in
+      if c > 0 then incr n;
+      if c > 1 then ones := false
+    done;
+    let key = b.keys.(g) in
+    match (b.children.(g), if known && !n > 0 then planned_group p key else None) with
+    | [], _ -> ()
+    | _ :: _, _ when !n = 0 -> ()
+    | (first :: _ as staged), None ->
+        (* The planned children and their counts, newest first. *)
+        let children = Array.make !n first in
+        let child_counts = if !ones then [||] else Array.make !n 0 in
+        let j = ref 0 in
         List.iteri
-          (fun i { Scheme.parent; child } ->
-            check_covers ~render parent child;
-            let parent_string = render parent in
-            let g = group_of b parent_string in
-            let e = stage_child b g ~child_string:(render child) child in
-            if i = 0 then children := Array.make n e else !children.(i) <- e;
-            keys.(i) <- b.keys.(g);
-            parent_lens.(i) <- String.length parent_string)
-          edges;
-        plan_doc p
-          { file_key = key; file; request_bytes; keys; parent_lens; children = !children }
+          (fun position e ->
+            let c = planned (size - 1 - position) in
+            if c > 0 then begin
+              children.(!j) <- e;
+              if not !ones then child_counts.(!j) <- c;
+              incr j
+            end)
+          staged;
+        add_group p
+          { key; parent_len = String.length b.parents.(g); children; counts = child_counts }
+    | (_ :: _ as staged), Some grp ->
+        grp.counts <- Array.init (Array.length grp.children) (count grp);
+        List.iteri
+          (fun ordinal entry ->
+            let c = planned ordinal in
+            if c > 0 then begin
+              let value = Rstore.entry_value entry and len = Rstore.entry_len entry in
+              let rec index j =
+                if j = Array.length grp.children then -1
+                else if same_child value len grp.children.(j) then j
+                else index (j + 1)
+              in
+              match index 0 with
+              | -1 ->
+                  grp.children <- Array.append [| entry |] grp.children;
+                  grp.counts <- Array.append [| c |] grp.counts
+              | j -> grp.counts.(j) <- grp.counts.(j) + c
+            end)
+          (List.rev staged)
 
   let rec charge_installs t ~dst ~parent_len = function
     | [] -> ()
@@ -570,8 +689,10 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let mapping_equal = Some Q.equal
 
   (* One write per staged key, in first-seen order, billed at every live
-     replica of the replica set the write resolved. *)
+     replica of the replica set the write resolved; under a plan, the
+     key's planned children then join the plan. *)
   let flush t b =
+    let known = match t.plan with Some p -> p.group_count > 0 | None -> false in
     for g = 0 to b.groups - 1 do
       let fresh, replicas =
         Rstore.insert_entries ~equal:mapping_equal t.mappings ~key:b.keys.(g)
@@ -582,25 +703,29 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         let dst = Stdx.Int_buf.unsafe_get replicas i in
         if Dht.Liveness.alive t.liveness dst then
           charge_installs t ~dst ~parent_len fresh
-      done
+      done;
+      Option.iter (fun p -> plan_staged p b g ~known) t.plan
     done
 
   let publish_batch t ~scheme ~msd ~file docs =
     (* Room for four groups a document, about what the bibliographic
        schemes stage, so the columns seldom grow. *)
     let b = create_batch t ~capacity:(Stdlib.max 16 (4 * Array.length docs)) in
-    Option.iter (fun p -> reserve_docs p (Array.length docs)) t.plan;
-    let stage doc =
+    let stage i doc =
       let msd = msd doc and file = file doc in
       let msd_string = Q.to_string msd in
       let key = Key.of_string msd_string and request_bytes = Wire.request_bytes msd_string in
       write_file t ~key ~request_bytes file;
-      stage_doc t b ~scheme ~msd ~msd_string ~key ~request_bytes file
+      stage_edges b ~scheme ~msd ~msd_string ~planned:(Option.is_some t.plan);
+      Option.iter
+        (fun p ->
+          plan_doc p ~more:(Array.length docs - 1 - i) { file_key = key; file; request_bytes; msd; scheme })
+        t.plan
     in
     (* A covering violation stops the batch where the per-edge sequence
        would have stopped: after the edges before it were written.  The
        document it stopped in stays out of the plan. *)
-    match Array.iter stage docs with
+    match Array.iteri stage docs with
     | () -> flush t b
     | exception (Covering_violation _ as e) ->
         flush t b;
@@ -610,14 +735,24 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     publish_batch t ~scheme ~msd:(fun () -> msd) ~file:(fun () -> file) [| () |]
 
   (* ---------------------------------------------------------------- *)
-  (* Republication: the plan replayed in publication order, document by
-     document.  Each file is refreshed in place, then each scheme edge
-     makes one write of a fresh entry for its planned child, billed at
-     every live replica of the replica set the write resolved, whether
-     or not the replica held the entry.  Regrouping a few documents'
-     edges by parent key would save few writes: within a handful of
-     documents nearly every parent is distinct (DESIGN.md §13,
-     "Soft-state rounds from the publication plan"). *)
+  (* Republication: the plan replayed.  Each file is refreshed in place,
+     document by document, then each planned parent key takes one write
+     of fresh entries for its planned children, carrying the key's
+     planned edge count, and every planned edge is billed at every live
+     replica of the replica set the write resolved, whether or not the
+     replica held the entry.  That is the per-edge round it stands for
+     (DESIGN.md §13, "Soft-state rounds from the publication plan"). *)
+
+  (* Every planned edge of a group, billed to [dst]: each child's bytes
+     once per edge writing it. *)
+  let charge_planned t ~dst grp =
+    Array.iteri
+      (fun j e ->
+        let bytes = Wire.cache_install_bytes_of_len grp.parent_len (Rstore.entry_len e) in
+        for _ = 1 to count grp j do
+          charge_maintenance t ~dst ~bytes
+        done)
+      grp.children
 
   let republish t =
     match t.plan with
@@ -630,16 +765,30 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
             (Rstore.insert_unique ~expires_at ~equal:( = ) t.files ~key:doc.file_key
                ~len:(file_len doc.file) doc.file
               : bool);
-          charge_live_replicas t ~key:doc.file_key ~bytes:doc.request_bytes;
-          for i = 0 to Array.length doc.keys - 1 do
-            let child = doc.children.(i) in
-            let len = Rstore.entry_len child in
-            let _fresh, replicas =
-              Rstore.insert_entries ~equal:mapping_equal t.mappings ~key:doc.keys.(i) ~writes:1
-                [ Rstore.make_entry ~expires_at ~len (Rstore.entry_value child) ]
-            in
-            charge_live t replicas ~bytes:(Wire.cache_install_bytes_of_len doc.parent_lens.(i) len)
-          done
+          charge_live t (Rstore.replica_buf t.files doc.file_key) ~bytes:doc.request_bytes
+        done;
+        for g = 0 to p.group_count - 1 do
+          let grp = p.groups.(g) in
+          let entries =
+            Array.fold_right
+              (fun e entries ->
+                Rstore.make_entry ~expires_at ~len:(Rstore.entry_len e) (Rstore.entry_value e)
+                :: entries)
+              grp.children []
+          in
+          match entries with
+          | [] -> ()
+          | _ :: _ ->
+              let writes = ref 0 in
+              Array.iteri (fun j _ -> writes := !writes + count grp j) grp.children;
+              let _fresh, replicas =
+                Rstore.insert_entries ~equal:mapping_equal t.mappings ~key:grp.key ~writes:!writes
+                  entries
+              in
+              for i = 0 to Stdx.Int_buf.length replicas - 1 do
+                let dst = Stdx.Int_buf.unsafe_get replicas i in
+                if Dht.Liveness.alive t.liveness dst then charge_planned t ~dst grp
+              done
         done
 
   (* What shipping one stored entry costs, priced from its cached length
@@ -687,8 +836,25 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     let key = key_of_query q in
     (not (Rstore.mem t.files key)) && Rstore.lookup t.mappings key = []
 
+  (* The plan's groups, derived again from its documents: each
+     document's edges staged in publication order, as publication staged
+     them. *)
+  let replan t (p : plan) =
+    p.groups <- [||];
+    p.group_count <- 0;
+    p.by_key <- None;
+    let b = create_batch t ~capacity:(Stdlib.max 16 (4 * p.doc_count)) in
+    for d = 0 to p.doc_count - 1 do
+      let { msd; scheme; _ } = p.docs.(d) in
+      stage_edges b ~scheme ~msd ~msd_string:(Q.to_string msd) ~planned:true
+    done;
+    for g = 0 to b.groups - 1 do
+      plan_staged p b g ~known:false
+    done
+
   (* An unpublished document leaves the plan, so no round brings it
-     back. *)
+     back; the groups are derived again from the documents left, so
+     each child keeps the place of its first remaining write. *)
   let unplan t key =
     match t.plan with
     | None -> ()
@@ -701,7 +867,10 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
             incr kept
           end
         done;
-        p.doc_count <- !kept
+        if !kept < p.doc_count then begin
+          p.doc_count <- !kept;
+          replan t p
+        end
 
   let unpublish t ~scheme ~msd =
     let key = key_of_query msd in
@@ -898,7 +1067,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      single-probe lookup. *)
   let[@hot] lookup_step_at t ~generalization ~query_string =
     let key = key_of_rendered t query_string in
-    let replicas = Rstore.replica_buf t.mappings key in
+    let replicas = replicas_of t key in
     let n = Stdx.Int_buf.length replicas in
     let primary = Stdx.Int_buf.get replicas 0 in
     let request_bytes = Wire.request_bytes query_string in

@@ -145,12 +145,15 @@ module type S = sig
       billed that way.
 
       A round replays the publication plan: on an index created
-      [~republished], publication records each document's file key,
-      request size and, per scheme edge, the parent key and rendered
-      length, and the child with its rendered length, so a round
-      renders, hashes and derives nothing.  {!unpublish} takes a document out of the plan, and a
-      document whose publication raised {!Covering_violation} never
-      enters it.
+      [~republished], publication records each document's file write,
+      descriptor and scheme, and per parent key its rendered length and
+      its distinct children, each with the number of scheme edges that
+      write it.  A round writes each planned key once, with its
+      children and its edge count, and bills every edge, so it renders,
+      hashes and derives nothing.  {!unpublish} takes a document out of
+      the plan (the groups are derived again from the documents left),
+      and a document whose publication raised {!Covering_violation}
+      never enters it.
       @raise Invalid_argument on an index created without
       [republished]. *)
 

@@ -6,11 +6,6 @@ let sorted_bindings ?(compare = Stdlib.compare) tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let sorted_keys ?(compare = Stdlib.compare) tbl =
-  (* lint: allow unordered-iteration — keys are sorted (and deduplicated) below *)
-  Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
-  |> List.sort_uniq compare
-
 let fold_sorted ?compare f tbl init =
   List.fold_left (fun acc (k, v) -> f k v acc) init (sorted_bindings ?compare tbl)
 

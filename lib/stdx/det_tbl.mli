@@ -16,9 +16,6 @@
     The linter's D2 rule ([unordered-iteration], see [lib/lint]) flags
     order-sensitive [Hashtbl.fold]/[iter] call sites and points them here. *)
 
-val sorted_keys : ?compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-(** The table's keys in ascending order. *)
-
 val sorted_bindings :
   ?compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
 (** The table's bindings, sorted by key in ascending order. *)

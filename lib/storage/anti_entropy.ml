@@ -25,34 +25,35 @@ let add a b =
     full_state_bytes = a.full_state_bytes + b.full_state_bytes;
   }
 
-(* The directory's keys grouped by their replica set.  Keys sharing a
+(* The registered keys grouped by their replica set.  Keys sharing a
    replica set form one range a coordinator/peer pair can summarize
-   with a single digest.  Each key's replicas are resolved once into
-   [replicas], [width] slots a key padded with -1, and the key indices
-   are ordered by replica set (lexicographically, a shorter set before
-   its extensions), then by key: ranges in replica-set order, keys in
-   key order inside each, so the whole pass is deterministic.  A
-   counting pass orders the keys by primary replica, and each primary's
-   run — a few keys — is then sorted on its own: less than half the
-   time of one comparison sort over every key. *)
-type buckets = {
+   with a single digest.  Each key's slot carries its replica set,
+   copied into [replicas], [width] slots a key padded with -1, and the
+   key indices are ordered by replica set (lexicographically, a shorter
+   set before its extensions), then by key: ranges in replica-set
+   order, keys in key order inside each, so the whole pass is
+   deterministic.  A counting pass orders the keys by primary replica,
+   and each primary's run — a few keys — is then sorted on its own:
+   less than half the time of one comparison sort over every key. *)
+type 'v buckets = {
   keys : Key.t array;
+  slots : 'v Rstore.slot array;
   width : int;
   replicas : int array;
   order : int array;  (** Key indices, range by range. *)
 }
 
 let buckets store =
-  let keys = Rstore.key_array store and width = Rstore.replication store in
-  let n = Array.length keys in
+  let slots = Rstore.slots store and keys = Rstore.slot_keys store in
+  let width = Rstore.replication store in
+  let n = Array.length slots in
   let replicas = Array.make (n * width) (-1) in
   Array.iteri
-    (fun i key ->
-      let buf = Rstore.replica_buf store key in
-      for j = 0 to Stdx.Int_buf.length buf - 1 do
-        replicas.((i * width) + j) <- Stdx.Int_buf.unsafe_get buf j
+    (fun i slot ->
+      for j = 0 to Rstore.slot_width slot - 1 do
+        replicas.((i * width) + j) <- Rstore.slot_node slot j
       done)
-    keys;
+    slots;
   (* Primary [p]'s run is [order]'s slots [starts.(p), starts.(p + 1)). *)
   let nodes = Dht.Liveness.node_count (Rstore.liveness store) in
   let starts = Array.make (nodes + 1) 0 in
@@ -85,7 +86,7 @@ let buckets store =
       Array.blit run 0 order lo len
     end
   done;
-  { keys; width; replicas; order }
+  { keys; slots; width; replicas; order }
 
 let rec entries_bytes entry_bytes sum = function
   | [] -> sum
@@ -96,7 +97,7 @@ let held_bytes entry_bytes = function
   | Some st -> entries_bytes entry_bytes 0 (Rstore.state_entries st)
 
 (* One pass, range by range and, inside a range, key by key: each live
-   replica's state of a key is looked up once, and every peer's
+   replica's state of a key is read from its slot once, and every peer's
    comparison with the coordinator follows right after both sides'
    states are priced for the full-state counterfactual.  A sync touches
    only its own key, so this order leaves the same states and counts
@@ -104,7 +105,9 @@ let held_bytes entry_bytes = function
 let run store ~entry_bytes ?(on_exchange = fun ~peer:_ ~bytes:_ -> ())
     ?(on_ship = fun ~node:_ ~bytes:_ -> ()) () =
   let liveness = Rstore.liveness store in
-  let { keys; width; replicas; order } = buckets store in
+  let { keys; slots; width; replicas; order } = buckets store in
+  (* [live.(p)]: the position of the range's [p]th live replica in its
+     replica set. *)
   let live = Array.make width 0 and states = Array.make width None in
   (* [matched.(p)]: no key of the range diverged between the coordinator
      and live replica [p]. *)
@@ -135,26 +138,26 @@ let run store ~entry_bytes ?(on_exchange = fun ~peer:_ ~bytes:_ -> ())
     for k = 0 to width - 1 do
       let node = replicas.((first * width) + k) in
       if node >= 0 && Dht.Liveness.alive liveness node then begin
-        live.(!nlive) <- node;
+        live.(!nlive) <- k;
         incr nlive
       end
     done;
     (* A lone survivor has nobody to exchange with. *)
     if !nlive >= 2 then begin
-      let coordinator = live.(0) in
+      let coordinator = replicas.((first * width) + live.(0)) in
       for p = 1 to !nlive - 1 do
         (* Push-pull digest exchange: the coordinator sends its range
            digest, the peer answers with its own. *)
         let bytes = 2 * digest_message_bytes in
-        on_exchange ~peer:live.(p) ~bytes;
+        on_exchange ~peer:replicas.((first * width) + live.(p)) ~bytes;
         incr exchanges;
         digest_bytes := !digest_bytes + bytes;
         matched.(p) <- true
       done;
       for x = !lo to !hi - 1 do
-        let key = keys.(order.(x)) in
+        let key = keys.(order.(x)) and slot = slots.(order.(x)) in
         for p = 0 to !nlive - 1 do
-          states.(p) <- Rstore.find_state store ~node:live.(p) key
+          states.(p) <- Rstore.slot_state store slot live.(p)
         done;
         for p = 1 to !nlive - 1 do
           (* What a digestless full-state push-pull would have moved:
@@ -167,10 +170,12 @@ let run store ~entry_bytes ?(on_exchange = fun ~peer:_ ~bytes:_ -> ())
              the per-key comparison decides the match and finds the
              diverged keys in one walk. *)
           if not (Rstore.same_states store states.(0) states.(p)) then begin
-            List.iter ship (Rstore.sync_key store ~key ~nodes:[ coordinator; live.(p) ]);
+            List.iter ship
+              (Rstore.sync_key store ~key
+                 ~nodes:[ coordinator; replicas.((first * width) + live.(p)) ]);
             incr keys_shipped;
             matched.(p) <- false;
-            states.(0) <- Rstore.find_state store ~node:coordinator key
+            states.(0) <- Rstore.slot_state store slot live.(0)
           end
         done
       done;

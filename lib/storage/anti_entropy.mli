@@ -4,7 +4,7 @@
     lost {e entirely}; a replica that slept through a refresh or a
     remove keeps serving its stale copy.  This pass reconciles such
     divergence the way DHT deployments do, without shipping full state:
-    the directory's keys are grouped into ranges by replica set, the
+    the registered keys are grouped into ranges by replica set, the
     first live replica of each range (the coordinator) exchanges a
     single SHA-1 digest of its range with every other live replica, and
     only when the digests disagree are the diverged keys compared and

@@ -35,28 +35,52 @@ let make_fence ~tombs ~floor =
   | [] when floor = infinity -> unfenced
   | [] | _ :: _ -> { tombs; floor }
 
-type 'v key_state = {
+(* A state lives in a cell.  A key's slot is its cells, one per
+   replica, in placement order.  A cell holds a state only while [epoch]
+   is its node's epoch: dropping a node's state bumps the node's epoch,
+   so every cell written before reads as no state, and the next write
+   there starts afresh. *)
+type 'v cell = {
+  node : int;  (* -1 on the store's [absent] stand-in and merged states *)
+  mutable epoch : int;
   mutable entries : 'v entry list;
   mutable version : Version.t;
   mutable fence : 'v fence;
 }
 
+type 'v slot = 'v cell array
+
 let set_tombs st tombs = st.fence <- make_fence ~tombs ~floor:st.fence.floor
 let set_floor st floor = st.fence <- make_fence ~tombs:st.fence.tombs ~floor
 let lower_floor st expires_at = if expires_at < st.fence.floor then set_floor st expires_at
 
+(* A slot per registered key: registration is the slot's presence.  A
+   slot's replica set is resolved once, when the slot is made; that is
+   exact because a store's resolver is fixed for the store's life.
+
+   [memo_key] and [memo] are the last key looked up and its slot ([||]
+   for none): a lookup step reads one key many times.  [sorted_keys]
+   and [sorted] hold every key and its slot in key order while [stale]
+   is false; a slot made or removed sets it, and the next ordered read
+   sorts again. *)
 type 'v t = {
   resolver : Dht.Resolver.t;
   replication : int;
   liveness : Dht.Liveness.t;
   clock : unit -> float;
-  tables : (Key.t, 'v key_state) Hashtbl.t array;
-  vacant : (Key.t, 'v key_state) Hashtbl.t; (* stands in for every tableless node *)
-  owned : Stdx.Bitset.t; (* nodes whose [tables] slot is their own table *)
-  directory : (Key.t, unit) Hashtbl.t; (* keys registered and not removed *)
+  slots : 'v slot Key.Table.t;
+  epochs : int array;
+  absent : 'v cell;  (* no state: read-only *)
+  mutable memo_key : Key.t;
+  mutable memo : 'v slot;
+  mutable sorted_keys : Key.t array;
+  mutable sorted : 'v slot array;
+  mutable stale : bool;
   on_write_acks : (acks:int -> unit) option;
   scratch : Stdx.Int_buf.t; (* replica-set resolution buffer *)
 }
+
+let blank node = { node; epoch = -1; entries = []; version = Version.zero; fence = unfenced }
 
 let create ~resolver ~replication ?on_write_acks ?liveness ?(clock = fun () -> 0.0) () =
   if replication < 1 then
@@ -70,20 +94,19 @@ let create ~resolver ~replication ?on_write_acks ?liveness ?(clock = fun () -> 0
         l
     | None -> Dht.Liveness.create ~node_count:n
   in
-  (* A node's table is built at its first write ([get_state]); until
-     then its slot holds [vacant], one empty table per store that reads
-     see as empty and nothing ever writes.  At million-node scale most
-     nodes are never written at all. *)
-  let vacant = Hashtbl.create 1 in
   {
     resolver;
     replication;
     liveness;
     clock;
-    tables = Array.make n vacant;
-    vacant;
-    owned = Stdx.Bitset.create ~len:n ~default:false;
-    directory = Hashtbl.create 1024;
+    slots = Key.Table.create 1024;
+    epochs = Array.make n 0;
+    absent = blank (-1);
+    memo_key = Key.zero;
+    memo = [||];
+    sorted_keys = [||];
+    sorted = [||];
+    stale = false;
     on_write_acks;
     scratch = Stdx.Int_buf.create ~capacity:(Stdlib.max 1 replication) ();
   }
@@ -95,60 +118,107 @@ let node_of t key = Dht.Resolver.responsible t.resolver key
 
 let replica_nodes t key = Dht.Resolver.replicas t.resolver key t.replication
 
-let[@hot] replica_buf t key =
+let is_cell c = c.node >= 0
+
+(* A registered key's slot has a cell per replica; [||] stands for no
+   slot. *)
+let is_slot slot = Array.length slot > 0
+
+(* The key's slot, or [||]: one probe, none when the key is the last
+   one looked up. *)
+let[@hot] find t key =
+  if Key.equal key t.memo_key then t.memo
+  else begin
+    let slot = match Key.Table.find t.slots key with s -> s | exception Not_found -> [||] in
+    t.memo_key <- key;
+    t.memo <- slot;
+    slot
+  end
+
+let width = Array.length
+let cell_at = Array.unsafe_get
+
+let fill_replicas slot buf =
+  Stdx.Int_buf.clear buf;
+  for i = 0 to width slot - 1 do
+    Stdx.Int_buf.push buf (cell_at slot i).node
+  done
+
+let make_slot t key =
   Dht.Resolver.replicas_into t.resolver key t.replication t.scratch;
+  let buf = t.scratch in
+  let slot = Array.make (Stdx.Int_buf.length buf) t.absent in
+  for i = 0 to Array.length slot - 1 do
+    slot.(i) <- blank (Stdx.Int_buf.unsafe_get buf i)
+  done;
+  Key.Table.add t.slots key slot;
+  t.memo_key <- key;
+  t.memo <- slot;
+  t.stale <- true;
+  slot
+
+let registered t key = is_slot (find t key)
+
+let find_or_make t key =
+  let slot = find t key in
+  if is_slot slot then slot else make_slot t key
+
+let remove_slot t key =
+  Key.Table.remove t.slots key;
+  t.memo_key <- key;
+  t.memo <- [||];
+  t.stale <- true
+
+let[@hot] replica_buf t key =
+  let slot = find t key in
+  if is_slot slot then fill_replicas slot t.scratch
+  else Dht.Resolver.replicas_into t.resolver key t.replication t.scratch;
   t.scratch
 
-let[@hot] live_node_id t key =
-  Dht.Liveness.first_live_buf t.liveness (replica_buf t key)
+let alive_cell t c = Dht.Liveness.alive t.liveness c.node
 
-let live_node t key =
-  match live_node_id t key with -1 -> None | node -> Some node
+(* The slot walks below take their state as arguments, so that no
+   closure is built per call. *)
 
-(* Walks over a replica set resolved into the scratch buffer, in
-   placement order.  [f] must not resolve another key on this store:
-   that would overwrite the buffer under the walk. *)
+(* The first live replica's cell of a slot from [i] on, or [absent]. *)
+let rec first_live_from t slot i =
+  if i = width slot then t.absent
+  else
+    let c = cell_at slot i in
+    if alive_cell t c then c else first_live_from t slot (i + 1)
 
-(* The first node satisfying [f], or -1. *)
-let find_in buf f =
-  let rec go i =
-    if i = Stdx.Int_buf.length buf then -1
-    else
-      let node = Stdx.Int_buf.unsafe_get buf i in
-      if f node then node else go (i + 1)
-  in
-  go 0
+let first_live_cell t slot = first_live_from t slot 0
 
-let fold_in buf f init =
-  let acc = ref init in
-  for i = 0 to Stdx.Int_buf.length buf - 1 do
-    acc := f !acc (Stdx.Int_buf.unsafe_get buf i)
-  done;
-  !acc
+let present t c = is_cell c && c.epoch = Array.unsafe_get t.epochs c.node
+
+(* The node's cell in the slot, or [absent] when the node is not one of
+   the slot's replicas. *)
+let rec cell_from t slot node i =
+  if i = width slot then t.absent
+  else
+    let c = cell_at slot i in
+    if c.node = node then c else cell_from t slot node (i + 1)
+
+let cell_of t slot node = cell_from t slot node 0
+
+(* The state a cell holds: the cell itself, or [absent], which reads as
+   no entries at version zero. *)
+let held t c = if present t c then c else t.absent
+
+(* The node's state of the key. *)
+let state_at t ~node key = held t (cell_of t (find t key) node)
+
+(* A cell about to be written: one that holds no state starts empty. *)
+let claim t c =
+  let epoch = t.epochs.(c.node) in
+  if c.epoch <> epoch then begin
+    c.epoch <- epoch;
+    c.entries <- [];
+    c.version <- Version.zero;
+    c.fence <- unfenced
+  end
 
 let expired t entry = entry.expires_at <= t.clock ()
-
-let state_at t ~node key = Hashtbl.find_opt t.tables.(node) key
-
-let empty_state () = { entries = []; version = Version.zero; fence = unfenced }
-
-(* The node's state for [key], for a write: created when absent, in the
-   node's own table, which is built at the node's first write.  Small
-   initial tables: most replicas hold a handful of keys, and 64-bucket
-   tables per node would dominate the heap before a single entry
-   lands. *)
-let get_state t ~node key =
-  if not (Stdx.Bitset.get t.owned node) then begin
-    t.tables.(node) <- Hashtbl.create 8;
-    Stdx.Bitset.set t.owned node true
-  end;
-  let table = t.tables.(node) in
-  match Hashtbl.find_opt table key with
-  | Some st -> st
-  | None ->
-      let st = empty_state () in
-      Hashtbl.add table key st;
-      st
 
 let rec any_expired now = function
   | [] -> false
@@ -158,9 +228,10 @@ let rec floor_of acc = function
   | [] -> acc
   | e :: rest -> floor_of (if e.expires_at < acc then e.expires_at else acc) rest
 
-(* Drop the state's expired entries in place so tables do not
+(* Drop the state's expired entries in place so cells do not
    accumulate dead soft state.  Below the floor nothing can have
-   expired — always, with infinite TTLs — and the list is not walked. *)
+   expired — always, with infinite TTLs — and the list is not walked;
+   [absent]'s floor is infinite. *)
 let prune now st =
   if st.fence.floor <= now then begin
     if any_expired now st.entries then
@@ -168,41 +239,35 @@ let prune now st =
     set_floor st (floor_of infinity st.entries)
   end
 
-(* Unexpired entries under [key] in [table]; the held list itself when
-   nothing has expired. *)
-let live_entries t table key =
-  match Hashtbl.find_opt table key with
-  | None -> []
-  | Some st ->
-      prune (t.clock ()) st;
-      st.entries
+(* A held cell's unexpired entries; the held list itself when nothing
+   has expired. *)
+let live_entries t c =
+  if present t c then begin
+    prune (t.clock ()) c;
+    c.entries
+  end
+  else []
 
 let values entries = List.map (fun e -> e.value) entries
 
 let clone_entries entries = List.map (fun e -> { e with value = e.value }) entries
 
-let version_at t ~node key =
-  match state_at t ~node key with Some st -> st.version | None -> Version.zero
+let version_at t ~node key = (state_at t ~node key).version
 
 let live_merged_version t key =
-  fold_in (replica_buf t key)
-    (fun acc node ->
-      if Dht.Liveness.alive t.liveness node then
-        Version.merge acc (version_at t ~node key)
-      else acc)
-    Version.zero
+  let slot = find t key in
+  let v = ref Version.zero in
+  if is_slot slot then
+    for i = 0 to width slot - 1 do
+      let c = cell_at slot i in
+      if alive_cell t c && present t c then v := Version.merge !v c.version
+    done;
+  !v
 
 let record_acks t ~acks =
   match t.on_write_acks with
   | None -> ()
   | Some f -> f ~acks
-
-(* The version a write carries: the coordinator (first live replica)
-   bumps its own dot past everything it has seen, so the write dominates
-   every state it lands on — and is concurrent with states holding
-   events the coordinator missed. *)
-let write_version t ~coordinator key =
-  Version.bump (version_at t ~node:coordinator key) ~actor:coordinator
 
 (* [Version.merge cur vv], sharing [vv] when it already covers [cur] —
    the usual case, since [vv] is a fresh coordinator bump. *)
@@ -265,25 +330,27 @@ let clear_tombs ~equal st entries =
       let matches tv e = match equal with Some equal -> equal tv e.value | None -> tv = e.value in
       set_tombs st (List.filter (fun tv -> not (List.exists (matches tv) entries)) tombs)
 
-(* The store's one write.  Each live replica's state is looked up once
-   (created when absent) and pruned.  An empty one — no entries, no
-   tombstones — takes [entries] as they are: the list itself on the
-   first live replica, clones elsewhere, since entries carry mutable
-   expiries.  The other states merge value by value ({!merge_values}).
-   Every live state merges the coordinator's dot, bumped [writes] times
-   past the coordinator's own version. *)
+(* The store's one write: one probe finds (or makes) the key's slot,
+   whose cells are its replicas.  Each live replica's cell is claimed
+   and pruned.  An empty state — no entries, no tombstones — takes
+   [entries] as they are: the list itself on the first live replica,
+   clones elsewhere, since entries carry mutable expiries.  The other
+   states merge value by value ({!merge_values}).  Every live state
+   merges the coordinator's dot, bumped [writes] times past the
+   coordinator's own version. *)
 let insert_entries ~equal t ~key ~writes entries =
+  if entries = [] then invalid_arg "Replicated_store.insert_entries: no entries";
   let now = t.clock () in
-  let buf = replica_buf t key in
-  let coordinator = Dht.Liveness.first_live_buf t.liveness buf in
+  let slot = find_or_make t key in
+  let coordinator = (first_live_cell t slot).node in
   let vv = ref Version.zero and acks = ref 0 and held = ref [] in
   let fence = make_fence ~tombs:[] ~floor:(floor_of infinity entries) in
-  for i = 0 to Stdx.Int_buf.length buf - 1 do
-    let node = Stdx.Int_buf.unsafe_get buf i in
-    if Dht.Liveness.alive t.liveness node then begin
-      let st = get_state t ~node key in
+  for i = 0 to width slot - 1 do
+    let st = cell_at slot i in
+    if alive_cell t st then begin
+      claim t st;
       prune now st;
-      if node = coordinator then vv := Version.bump_by st.version ~actor:node writes;
+      if st.node = coordinator then vv := Version.bump_by st.version ~actor:st.node writes;
       (match (st.entries, st.fence.tombs) with
       | [], [] ->
           st.entries <- (if !acks = 0 then entries else clone_entries entries);
@@ -299,8 +366,8 @@ let insert_entries ~equal t ~key ~writes entries =
     record_acks t ~acks:!acks
   done;
   let fresh = match !held with [] -> entries | held -> merge_values ~equal held entries in
-  (match fresh with [] -> () | _ :: _ -> Hashtbl.replace t.directory key ());
-  (fresh, buf)
+  fill_replicas slot t.scratch;
+  (fresh, t.scratch)
 
 let insert ?(expires_at = infinity) t ~key ~len v =
   ignore (insert_entries ~equal:None t ~key ~writes:1 [ make_entry ~expires_at ~len v ] : _ * _)
@@ -311,77 +378,78 @@ let insert_unique ?(expires_at = infinity) ~equal t ~key ~len v =
   | _ :: _, _ -> true
 
 let entries_at t ~node key =
-  if Dht.Liveness.alive t.liveness node then live_entries t t.tables.(node) key
-  else []
+  if Dht.Liveness.alive t.liveness node then live_entries t (cell_of t (find t key) node) else []
 
 let lookup t key =
-  match live_node_id t key with
-  | -1 -> []
-  | node -> values (live_entries t t.tables.(node) key)
+  let slot = find t key in
+  if is_slot slot then values (live_entries t (first_live_cell t slot)) else []
 
-let mem t key =
-  find_in (replica_buf t key) (fun node ->
-      Dht.Liveness.alive t.liveness node && live_entries t t.tables.(node) key <> [])
-  >= 0
+let rec held_live_from t slot i =
+  i < width slot
+  &&
+  let c = cell_at slot i in
+  (alive_cell t c && live_entries t c <> []) || held_live_from t slot (i + 1)
+
+let mem t key = held_live_from t (find t key) 0
+
+let live_count t slot =
+  let n = ref 0 in
+  for i = 0 to width slot - 1 do
+    if alive_cell t (cell_at slot i) then incr n
+  done;
+  !n
 
 let remove t ~key pred =
-  let replicas = replica_buf t key in
-  let acks =
-    fold_in replicas (fun n node -> if Dht.Liveness.alive t.liveness node then n + 1 else n) 0
-  in
-  match Dht.Liveness.first_live_buf t.liveness replicas with
-  | -1 -> 0
-  | _ when not (Hashtbl.mem t.directory key) ->
-      (* Nothing registered, so no replica holds a state: the write only
-         counts its acknowledgements. *)
-      record_acks t ~acks;
-      0
-  | coordinator ->
-      let vv = write_version t ~coordinator key in
-      let removed =
-        fold_in replicas
-          (fun worst node ->
-            if not (Dht.Liveness.alive t.liveness node) then worst
-            else begin
-              let entries = live_entries t t.tables.(node) key in
-              let st = get_state t ~node key in
-              let kept, gone = List.partition (fun e -> not (pred e.value)) entries in
-              st.entries <- kept (* a sublist: the floor still bounds it *);
-              List.iter
-                (fun e ->
-                  let tombs = st.fence.tombs in
-                  if not (List.exists (fun tv -> tv = e.value) tombs) then
-                    set_tombs st (tombs @ [ e.value ]))
-                gone;
-              st.version <- merge_into st.version vv;
-              Stdlib.max worst (List.length gone)
-            end)
-          0
-      in
-      record_acks t ~acks;
-      let held_anywhere =
-        find_in replicas (fun node ->
-            match state_at t ~node key with
-            | Some st -> st.entries <> []
-            | None -> false)
-        >= 0
-      in
-      (* Nothing left on any replica, dead ones included: the tombstones
-         have no stale copy to fence off, so the key can be collected
-         outright — exactly the pre-quorum final state. *)
-      if not held_anywhere then begin
-        for i = 0 to Stdx.Int_buf.length replicas - 1 do
-          let node = Stdx.Int_buf.unsafe_get replicas i in
-          if Stdx.Bitset.get t.owned node then Hashtbl.remove t.tables.(node) key
+  let slot = find t key in
+  if not (is_slot slot) then begin
+    (* Nothing registered, so no replica holds a state: the write only
+       counts its acknowledgements, if a replica is up to take it. *)
+    let replicas = replica_buf t key in
+    let acks = ref 0 in
+    for i = 0 to Stdx.Int_buf.length replicas - 1 do
+      if Dht.Liveness.alive t.liveness (Stdx.Int_buf.unsafe_get replicas i) then incr acks
+    done;
+    if !acks > 0 then record_acks t ~acks:!acks;
+    0
+  end
+  else
+    match first_live_cell t slot with
+    | c when not (is_cell c) -> 0
+    | coordinator ->
+        let vv = Version.bump (held t coordinator).version ~actor:coordinator.node in
+        let removed = ref 0 and held_anywhere = ref false in
+        for i = 0 to width slot - 1 do
+          let st = cell_at slot i in
+          if alive_cell t st then begin
+            let entries = live_entries t st in
+            claim t st;
+            let kept, gone = List.partition (fun e -> not (pred e.value)) entries in
+            st.entries <- kept (* a sublist: the floor still bounds it *);
+            List.iter
+              (fun e ->
+                let tombs = st.fence.tombs in
+                if not (List.exists (fun tv -> tv = e.value) tombs) then
+                  set_tombs st (tombs @ [ e.value ]))
+              gone;
+            st.version <- merge_into st.version vv;
+            removed := Stdlib.max !removed (List.length gone)
+          end
         done;
-        Hashtbl.remove t.directory key
-      end;
-      removed
+        record_acks t ~acks:(live_count t slot);
+        for i = 0 to width slot - 1 do
+          let st = cell_at slot i in
+          if present t st && st.entries <> [] then held_anywhere := true
+        done;
+        (* Nothing left on any replica, dead ones included: the tombstones
+           have no stale copy to fence off, so the key can be collected
+           outright — exactly the pre-quorum final state. *)
+        if not !held_anywhere then remove_slot t key;
+        !removed
 
 let remove_key t key = remove t ~key (fun _ -> true)
 
 let check_node t node =
-  if node < 0 || node >= Array.length t.tables then
+  if node < 0 || node >= Array.length t.epochs then
     invalid_arg "Replicated_store: bad node index"
 
 let fail_node t node =
@@ -396,14 +464,10 @@ let alive t node =
   check_node t node;
   Dht.Liveness.alive t.liveness node
 
-(* The node goes back to the stand-in: an emptied table and a table not
-   yet built are the same state. *)
+(* A new epoch: every cell the node wrote before reads as no state. *)
 let drop_state t node =
   check_node t node;
-  if Stdx.Bitset.get t.owned node then begin
-    t.tables.(node) <- t.vacant;
-    Stdx.Bitset.set t.owned node false
-  end
+  t.epochs.(node) <- t.epochs.(node) + 1
 
 (* ------------------------------------------------------------------ *)
 (* Reconciliation: the least upper bound of two replica states.  When
@@ -416,7 +480,8 @@ let drop_state t node =
    from: nothing is written back until a repair, which stores clones.
    When the two sides agree — the same values in the same order and no
    tombstones, what nearly every read sees — the union is the first
-   side's entries, found in one pass. *)
+   side's entries, found in one pass.  A merged state built here is a
+   cell of no node, read only. *)
 
 let rec same_values xs ys =
   match (xs, ys) with
@@ -440,7 +505,12 @@ let union a b ~version =
     | [] -> entries
     | _ :: _ -> List.filter (fun e -> not (List.exists (fun tv -> tv = e.value) tombs)) entries
   in
-  { entries; version; fence = make_fence ~tombs ~floor:(floor_of infinity entries) }
+  {
+    (blank (-1)) with
+    entries;
+    version;
+    fence = make_fence ~tombs ~floor:(floor_of infinity entries);
+  }
 
 let merge_states a b =
   match Version.compare a.version b.version with
@@ -470,40 +540,43 @@ let state_equal a b =
      && same_entries a.entries b.entries
      && a.fence.tombs = b.fence.tombs
 
-(* Overwrite [target] with (clones of) [merged]. *)
-let assign target merged =
+(* Overwrite [target]'s state with (clones of) [merged]. *)
+let assign t target merged =
+  claim t target;
   target.entries <- clone_entries merged.entries;
   target.version <- merged.version;
   target.fence <- merged.fence
 
+(* The listed live nodes' cells of the key ([absent] for every node when
+   the key has no slot), each read as the state it holds.  A node
+   outside the key's replica set holds no state and takes none. *)
 let quorum_read t ~key ~nodes =
   let now = t.clock () in
+  let slot = find t key in
   let states =
     List.filter_map
       (fun node ->
-        if Dht.Liveness.alive t.liveness node then
-          match state_at t ~node key with
-          | Some st ->
-              prune now st;
-              Some (node, st)
-          | None -> Some (node, empty_state ())
+        let c = cell_of t slot node in
+        if Dht.Liveness.alive t.liveness node && (is_cell c || not (is_slot slot)) then begin
+          if present t c then prune now c;
+          Some c
+        end
         else None)
       nodes
   in
   match states with
   | [] -> ([], Version.zero, [])
-  | (_, first) :: rest ->
-      let merged = List.fold_left (fun acc (_, st) -> merge_states acc st) first rest in
+  | first :: rest ->
+      let merged = List.fold_left (fun acc c -> merge_states acc (held t c)) (held t first) rest in
       let repairs =
         List.filter_map
-          (fun (node, st) ->
+          (fun c ->
+            let st = held t c in
             if state_equal st merged then None
             else begin
-              let gained =
-                List.filter (fun e -> not (holds_value st.entries e)) merged.entries
-              in
-              assign (get_state t ~node key) merged;
-              Some (node, gained)
+              let gained = List.filter (fun e -> not (holds_value st.entries e)) merged.entries in
+              assign t c merged;
+              Some (c.node, gained)
             end)
           states
       in
@@ -514,25 +587,49 @@ let sync_key t ~key ~nodes =
   repairs
 
 (* ------------------------------------------------------------------ *)
-(* Maintenance surface: what the {!Anti_entropy} pass (and the repair
-   walk below) need to see of the per-replica states. *)
+(* Ordered walks: every slot, in key order. *)
 
-let sorted_keys t = Stdx.Det_tbl.sorted_keys ~compare:Key.compare t.directory
+let sort t =
+  if t.stale then begin
+    let n = Key.Table.length t.slots in
+    let keys = Array.make n Key.zero in
+    let i = ref 0 in
+    (* lint: allow D2 — fills an array sorted on the next line; no order escapes *)
+    Key.Table.iter
+      (fun key _ ->
+        keys.(!i) <- key;
+        incr i)
+      t.slots;
+    Array.sort Key.compare keys;
+    t.sorted_keys <- keys;
+    t.sorted <- Array.map (Key.Table.find t.slots) keys;
+    t.stale <- false
+  end
 
-let key_array t =
-  let keys = Array.make (Hashtbl.length t.directory) Key.zero in
-  let i = ref 0 in
-  (* lint: allow D2 — fills an array its callers sort; no order escapes *)
-  Hashtbl.iter
-    (fun key () ->
-      keys.(!i) <- key;
-      incr i)
-    t.directory;
-  keys
+let sorted_slots t =
+  sort t;
+  t.sorted
 
-type 'v state = 'v key_state
+let slot_keys t =
+  sort t;
+  t.sorted_keys
 
-let find_state t ~node key = state_at t ~node key
+let sorted_keys t = Array.to_list (slot_keys t)
+
+(* ------------------------------------------------------------------ *)
+(* Maintenance surface: what the {!Anti_entropy} pass needs to see of
+   the slots. *)
+
+type 'v state = 'v cell
+
+let slots = sorted_slots
+let slot_width = width
+let slot_node slot i = (cell_at slot i).node
+
+let slot_state t slot i =
+  let c = cell_at slot i in
+  if present t c then Some c else None
+
 let state_entries st = st.entries
 
 let same_states t a b =
@@ -545,73 +642,77 @@ let same_states t a b =
       prune now y;
       state_equal x y
 
-let same_state t ~a ~b key = same_states t (state_at t ~node:a key) (state_at t ~node:b key)
+let held_at t ~node key =
+  let c = state_at t ~node key in
+  if is_cell c then Some c else None
+
+let same_state t ~a ~b key = same_states t (held_at t ~node:a key) (held_at t ~node:b key)
 
 type 'v held_state = { held : 'v entry list; tombstones : 'v list; version : Version.t }
 
 let held_state t ~node key =
   Option.map
     (fun st -> { held = st.entries; tombstones = st.fence.tombs; version = st.version })
-    (state_at t ~node key)
+    (held_at t ~node key)
 
-let held_entries t ~node key =
-  match state_at t ~node key with Some st -> st.entries | None -> []
+let held_entries t ~node key = (state_at t ~node key).entries
 
+(* Node then key order: the held cells, gathered in key order, sorted
+   stably by node. *)
 let iter_held t f =
+  let held = ref [] in
   Array.iteri
-    (fun node table ->
-      Stdx.Det_tbl.iter_sorted ~compare:Key.compare
-        (fun key st -> List.iter (f ~node key) st.entries)
-        table)
-    t.tables
+    (fun k slot ->
+      for i = 0 to width slot - 1 do
+        let c = cell_at slot i in
+        if present t c then held := (t.sorted_keys.(k), c) :: !held
+      done)
+    (sorted_slots t);
+  List.iter
+    (fun (key, c) -> List.iter (f ~node:c.node key) c.entries)
+    (List.stable_sort (fun (_, a) (_, b) -> Int.compare a.node b.node) (List.rev !held))
 
 let repair ?(on_restore = fun ~node:_ _ -> ()) t =
   let restored = ref 0 in
   (* Repair order decides which replica serves as the copy source under
-     partial failure; walk the directory in key order so runs agree. *)
-  Stdx.Det_tbl.iter_sorted ~compare:Key.compare
-    (fun key () ->
-      let replicas = replica_buf t key in
-      let source =
-        find_in replicas (fun node ->
-            Dht.Liveness.alive t.liveness node && live_entries t t.tables.(node) key <> [])
+     partial failure; walk the slots in key order so runs agree. *)
+  Array.iter
+    (fun slot ->
+      let rec source i =
+        if i = width slot then t.absent
+        else
+          let c = cell_at slot i in
+          if alive_cell t c && live_entries t c <> [] then c else source (i + 1)
       in
-      match source with
-      | -1 -> () (* no live holder: lost until republished *)
-      | source ->
-          let src = Hashtbl.find t.tables.(source) key in
-          for i = 0 to Stdx.Int_buf.length replicas - 1 do
-            let node = Stdx.Int_buf.unsafe_get replicas i in
-            if
-              node <> source
-              && Dht.Liveness.alive t.liveness node
-              && live_entries t t.tables.(node) key = []
-            then begin
+      match source 0 with
+      | src when not (is_cell src) -> () (* no live holder: lost until republished *)
+      | src ->
+          for i = 0 to width slot - 1 do
+            let st = cell_at slot i in
+            if st.node <> src.node && alive_cell t st && live_entries t st = [] then begin
               (* An empty state whose version dominates the source's is
                  a tombstone for writes the source slept through;
                  restoring from it would resurrect the deletion. *)
               let target_newer =
-                match state_at t ~node key with
-                | None -> false
-                | Some st -> Version.compare st.version src.version = Version.Dominates
+                present t st && Version.compare st.version src.version = Version.Dominates
               in
               if not target_newer then begin
-                let st = get_state t ~node key in
+                claim t st;
                 st.entries <- clone_entries src.entries;
                 st.version <- Version.merge st.version src.version;
                 st.fence <- src.fence;
                 List.iter
                   (fun e ->
                     incr restored;
-                    on_restore ~node e)
+                    on_restore ~node:st.node e)
                   src.entries
               end
             end
           done)
-    t.directory;
+    (sorted_slots t);
   !restored
 
-let key_count t = Hashtbl.length t.directory
+let key_count t = Key.Table.length t.slots
 
 (* Unexpired entries in a state, counted without building a list; below
    the floor, without reading the entries. *)
@@ -619,24 +720,31 @@ let unexpired_count t st =
   if st.fence.floor > t.clock () then List.length st.entries
   else List.fold_left (fun n e -> if expired t e then n else n + 1) 0 st.entries
 
+(* [f] on every held cell, for walks whose results are sums. *)
+let iter_cells t f =
+  (* lint: allow D2 — every caller sums into integers: bucket order cannot change them *)
+  Key.Table.iter
+    (fun _ slot ->
+      for i = 0 to width slot - 1 do
+        let c = cell_at slot i in
+        if present t c then f c
+      done)
+    t.slots
+
 let total_replica_entries t =
-  Array.fold_left
-    (fun acc table -> Hashtbl.fold (fun _key st n -> n + unexpired_count t st) table acc)
-    0 t.tables
+  let n = ref 0 in
+  iter_cells t (fun c -> n := !n + unexpired_count t c);
+  !n
 
 let keys_per_node t =
-  Array.map
-    (fun table ->
-      Hashtbl.fold
-        (fun _key st n ->
-          if unexpired_count t st > 0 then n + 1 else n)
-        table 0)
-    t.tables
+  let counts = Array.make (Array.length t.epochs) 0 in
+  iter_cells t (fun c -> if unexpired_count t c > 0 then counts.(c.node) <- counts.(c.node) + 1);
+  counts
 
 let entries_per_node t =
-  Array.map
-    (fun table -> Hashtbl.fold (fun _key st n -> n + unexpired_count t st) table 0)
-    t.tables
+  let counts = Array.make (Array.length t.epochs) 0 in
+  iter_cells t (fun c -> counts.(c.node) <- counts.(c.node) + unexpired_count t c);
+  counts
 
 let rec add_entries f count sum = function
   | [] -> ()
@@ -645,57 +753,55 @@ let rec add_entries f count sum = function
       sum := !sum + f e;
       add_entries f count sum rest
 
-(* Each node's table is walked in place, counting the keys it is the
-   acting primary of: no directory walk and no table lookup per key.
-   Every state belongs to a registered key, so this visits exactly the
-   keys a walk of the directory would count. *)
+(* Each slot's acting primary — its first live replica — counts its
+   held entries: one walk of the slots, no lookup per key. *)
 let entry_totals t f =
   let now = t.clock () in
-  let count = ref 0 and sum = ref 0 and node = ref 0 in
-  (* One callback for every table, and empty tables are skipped: a store
-     of a million mostly empty nodes builds no closure per node. *)
-  let visit key st =
-    if live_node_id t key = !node then begin
-      prune now st;
-      add_entries f count sum st.entries
-    end
-  in
-  Array.iteri
-    (fun i table ->
-      if Hashtbl.length table > 0 then begin
-        node := i;
-        (* lint: allow D2 — two integer sums: bucket order cannot change them *)
-        Hashtbl.iter visit table
+  let count = ref 0 and sum = ref 0 in
+  (* lint: allow D2 — two integer sums: bucket order cannot change them *)
+  Key.Table.iter
+    (fun _ slot ->
+      let c = first_live_cell t slot in
+      if present t c then begin
+        prune now c;
+        add_entries f count sum c.entries
       end)
-    t.tables;
+    t.slots;
   (!count, !sum)
 
 let fold t ~init ~f =
-  Stdx.Det_tbl.fold_sorted ~compare:Key.compare
-    (fun key () acc ->
-      match live_node t key with
-      | None -> acc
-      | Some node -> (
-          match live_entries t t.tables.(node) key with
-          | [] -> acc
-          | entries -> f acc key (values entries)))
-    t.directory init
+  let slots = sorted_slots t in
+  let acc = ref init in
+  Array.iteri
+    (fun k slot ->
+      match live_entries t (first_live_cell t slot) with
+      | [] -> ()
+      | entries -> acc := f !acc t.sorted_keys.(k) (values entries))
+    slots;
+  !acc
+
+(* The first index whose key is at least [lo]. *)
+let rec first_at_least keys lo a b =
+  if a >= b then a
+  else
+    let mid = (a + b) / 2 in
+    if Key.compare keys.(mid) lo < 0 then first_at_least keys lo (mid + 1) b
+    else first_at_least keys lo a mid
 
 let fold_range t ~node ~lo ~hi ~init ~f =
   if not (Dht.Liveness.alive t.liveness node) then init
   else begin
-    let now = t.clock () in
-    let in_range =
-      (* lint: allow D2 — the bindings are sorted by key before use *)
-      Hashtbl.fold
-        (fun key st acc ->
-          if Key.compare lo key <= 0 && Key.compare key hi <= 0 then (key, st) :: acc else acc)
-        t.tables.(node) []
+    let slots = sorted_slots t and keys = t.sorted_keys in
+    let n = Array.length keys in
+    let rec go acc i =
+      if i = n || Key.compare keys.(i) hi > 0 then acc
+      else
+        let acc =
+          match live_entries t (cell_of t slots.(i) node) with
+          | [] -> acc
+          | entries -> f acc keys.(i) entries
+        in
+        go acc (i + 1)
     in
-    List.fold_left
-      (fun acc (key, st) ->
-        prune now st;
-        match st.entries with [] -> acc | entries -> f acc key entries)
-      init
-      (List.sort (fun (a, _) (b, _) -> Key.compare a b) in_range)
+    go init (first_at_least keys lo 0 n)
   end

@@ -24,7 +24,19 @@
     {!Anti_entropy} pass can resurrect a deletion from a stale copy.
     With every replica alive the version machinery is invisible: entry
     lists, traffic and the final table shapes are exactly the
-    pre-quorum ones. *)
+    pre-quorum ones.
+
+    The store is key-major: one table from key to the key's slot, which
+    holds the key's replica set and each replica's state.  A key is
+    registered while it has a slot.  {b Invariant:} a slot's replica set
+    is resolved once, when the key is first written, and is then read
+    off the slot.  That is exact because a store's resolver is fixed for
+    the store's life: the Chord, Pastry, Kademlia and static resolvers
+    close over an immutable snapshot of the ring, and CAN's closes over
+    its live partition tree, which no store outlives a membership change
+    of.  A new overlay state needs a new store.  Dropping a node's state
+    ({!drop_state}) is O(1): each node has an epoch, and a state written
+    under an older epoch reads as absent. *)
 
 type 'v t
 
@@ -80,16 +92,16 @@ val node_of : 'v t -> Hashing.Key.t -> int
 val replica_nodes : 'v t -> Hashing.Key.t -> int list
 (** The key's full replica set (primary first), dead or alive. *)
 
-val replica_buf : 'v t -> Hashing.Key.t -> Stdx.Int_buf.t
-(** The same replica set, resolved into the store's scratch buffer —
-    the allocation-free variant the lookup hot path walks.  The buffer
-    is shared per store: it stays valid until the next [replica_buf] /
-    [live_node_id] call on this store, so walk it before resolving
-    another key. *)
+val registered : 'v t -> Hashing.Key.t -> bool
+(** Is the key registered — written and not collected by {!remove}? *)
 
-val live_node_id : 'v t -> Hashing.Key.t -> int
-(** The acting primary — the first live node of the replica set — or
-    [-1] when the whole replica set is dead. *)
+val replica_buf : 'v t -> Hashing.Key.t -> Stdx.Int_buf.t
+(** The same replica set in the store's scratch buffer — the
+    allocation-free variant the lookup hot path walks: read off the
+    key's slot when the key is registered, resolved otherwise.  The
+    buffer is shared per store: it stays valid until the next
+    [replica_buf] or write on this store, so walk it before reading
+    another key's set. *)
 
 val make_entry : expires_at:float -> len:int -> 'v -> 'v entry
 (** A new entry, not yet stored: [len] is the length of the value's
@@ -127,7 +139,8 @@ val insert_entries :
     installed anew, newest first; all of them when every live state
     was empty — and the key's replica set, left in the scratch buffer
     ({!replica_buf}), so the caller bills the live replicas without
-    resolving the key again. *)
+    resolving the key again.  The write registers the key.
+    @raise Invalid_argument when [entries] is empty. *)
 
 val insert : ?expires_at:float -> 'v t -> key:Hashing.Key.t -> len:int -> 'v -> unit
 (** One write of one more entry under [key] (duplicates allowed; most
@@ -179,7 +192,9 @@ val quorum_read :
     merge; equal-version divergence and concurrent histories take the
     entry union fenced by the merged tombstone set.  Replicas that agree
     (the same values in the same order, no tombstones) reconcile in one
-    pass over their entries. *)
+    pass over their entries.  [nodes] are distinct replicas of the key;
+    a node outside the key's replica set holds no state and is
+    skipped. *)
 
 val sync_key : 'v t -> key:Hashing.Key.t -> nodes:int list -> (int * 'v entry list) list
 (** {!quorum_read} for its repair side effect only: converge the listed
@@ -274,17 +289,30 @@ val fold_range :
 val sorted_keys : 'v t -> Hashing.Key.t list
 (** Every registered key, in {!Hashing.Key.compare} order. *)
 
-val key_array : 'v t -> Hashing.Key.t array
-(** Every registered key, in no particular order: for callers that sort
-    the keys their own way. *)
+type 'v slot
+(** A registered key with its replica set and each replica's state. *)
+
+val slots : 'v t -> 'v slot array
+(** Every registered key's slot, in {!Hashing.Key.compare} order.  The
+    array is the store's own, shared until a key is registered or
+    collected: read it, do not write it. *)
+
+val slot_keys : 'v t -> Hashing.Key.t array
+(** The keys of {!slots}, index for index; shared the same way. *)
+
+val slot_width : 'v slot -> int
+(** The size of the key's replica set. *)
+
+val slot_node : 'v slot -> int -> int
+(** [slot_node slot i]: the key's [i]th replica, in placement order. *)
 
 type 'v state
 (** One replica's state of one key. *)
 
-val find_state : 'v t -> node:int -> Hashing.Key.t -> 'v state option
-(** A node's state for the key, dead or alive, or [None] when it holds
-    none.  A write, sync or repair of that key on that node may replace
-    the state: look it up again afterwards. *)
+val slot_state : 'v t -> 'v slot -> int -> 'v state option
+(** The [i]th replica's state of the slot's key, dead or alive, or
+    [None] when it holds none.  A write, sync or repair of that key may
+    replace it: look it up again afterwards. *)
 
 val state_entries : 'v state -> 'v entry list
 (** The entries the state physically holds, expired ones included until

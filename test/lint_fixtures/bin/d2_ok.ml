@@ -4,4 +4,4 @@ let size tbl = Hashtbl.fold (fun _ _ acc -> acc + 1) tbl 0
 
 let total tbl = Hashtbl.fold (fun _ n acc -> acc + n) tbl 0
 
-let keys tbl = Stdx.Det_tbl.sorted_keys ~compare:String.compare tbl
+let bindings tbl = Stdx.Det_tbl.sorted_bindings ~compare:String.compare tbl

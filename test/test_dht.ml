@@ -931,6 +931,77 @@ let route_hops_total () =
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* Chord's finger scan starts below the key: a reference lookup that
+   scans every finger from the top, over the routing state the ring
+   exposes, must route exactly as the ring does — on converged rings,
+   after failures, and on rings joined without repair or stabilized
+   part way, whose fingers may name nodes short of their targets. *)
+let chord_reference_lookup ring ~from key =
+  let live = Chord.live_keys ring in
+  let alive k = List.exists (Key.equal k) live in
+  let limit = (2 * List.length live) + Key.bits in
+  let rec route current hops =
+    if hops > limit then None
+    else
+      let successor, _, successors, fingers = Chord.routing_state ring current in
+      let successor =
+        if alive successor then successor
+        else
+          Option.value ~default:current
+            (List.find_opt (fun k -> alive k && not (Key.equal k current)) successors)
+      in
+      if Key.in_interval_oc key ~lo:current ~hi:successor then Some (successor, hops + 1)
+      else
+        let fingers = Array.of_list fingers in
+        let rec scan i =
+          if i < 0 then current
+          else if Key.in_interval_oo fingers.(i) ~lo:current ~hi:key && alive fingers.(i) then
+            fingers.(i)
+          else scan (i - 1)
+        in
+        let next = scan (Key.bits - 1) in
+        route (if Key.equal next current then successor else next) (hops + 1)
+  in
+  route from 0
+
+let chord_finger_scan_matches_full_scan =
+  QCheck.Test.make ~name:"finger scan from below the key = full scan" ~count:40
+    QCheck.(quad (int_range 1 40) (int_range 0 8) (int_range 0 3) (int_range 0 5))
+    (fun (count, joins, rounds, failures) ->
+      let seed = Int64.of_int ((count * 97) + (joins * 13) + (rounds * 7) + failures) in
+      let ring = Chord.create_network ~seed ~node_count:count () in
+      for _ = 1 to joins do
+        ignore (Chord.join ring : Key.t)
+      done;
+      Chord.stabilize ring ~rounds;
+      List.iteri
+        (fun i k -> if i < failures && Chord.live_count ring > 1 then Chord.leave ring k)
+        (List.rev (Chord.live_keys ring));
+      let live = Chord.live_keys ring in
+      let g = Stdx.Prng.create ~seed in
+      (* Random keys, the nodes' own identifiers, and the points either
+         side of them, which wrap the ring from its first and last
+         nodes. *)
+      let keys =
+        List.init 10 (fun _ -> Key.random g)
+        @ List.concat_map
+            (fun k ->
+              [ k; Key.add_pow2 k 0; Key.distance_cw (Key.of_int 1) k ])
+            live
+        @ [ Key.zero ]
+      in
+      List.for_all
+        (fun from ->
+          List.for_all
+            (fun key ->
+              (* A route the reference abandons, the ring abandons too,
+                 raising its own failure: such keys are not asked. *)
+              match chord_reference_lookup ring ~from key with
+              | None -> true
+              | Some expected -> Chord.lookup ring ~from key = expected)
+            keys)
+        live)
+
 let suite =
   [
     ( "dht:network",
@@ -972,7 +1043,11 @@ let suite =
         Alcotest.test_case "live keys in ring order" `Quick chord_live_keys_sorted;
       ]
       @ qcheck
-          [ chord_always_converges_after_bootstrap; chord_membership_caches_track_table ] );
+          [
+            chord_always_converges_after_bootstrap;
+            chord_membership_caches_track_table;
+            chord_finger_scan_matches_full_scan;
+          ] );
     ( "dht:pastry",
       [
         Alcotest.test_case "key nibbles" `Quick key_nibbles;

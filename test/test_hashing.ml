@@ -290,6 +290,18 @@ let key_compare_xor_sign =
       Int.compare (Key.compare_xor ~target a b) 0
       = Int.compare (Key.compare (Key.xor target a) (Key.xor target b)) 0)
 
+(* The bit length of a distance, read off its bits one by one. *)
+let key_distance_bits =
+  let keys =
+    QCheck.oneof
+      [ arbitrary_key; QCheck.map Key.of_int QCheck.small_nat; QCheck.always Key.zero ]
+  in
+  QCheck.Test.make ~name:"distance_cw_bits is the distance's bit length" ~count:1000
+    (QCheck.pair keys keys) (fun (a, b) ->
+      let d = Key.distance_cw a b in
+      let rec top i = if i = Key.bits then 0 else if Key.bit d i = 1 then Key.bits - i else top (i + 1) in
+      Key.distance_cw_bits a b = top 0)
+
 let key_of_string_spread () =
   (* Hashed keys should spread: among 1000 consecutive strings, the top
      eighth of the ring should hold roughly an eighth of the keys. *)
@@ -334,6 +346,7 @@ let suite =
           [
             key_interval_oc_trichotomy;
             key_distance_inverse;
+            key_distance_bits;
             key_xor_matches_hex;
             key_compare_xor_sign;
           ] );

@@ -47,7 +47,7 @@ let expected_fixture_report =
    nondeterminism; thread a seeded Stdx.Prng (or a virtual clock) instead\n\
    bin/d2_bad.ml:2:15: D2 unordered-iteration: Hashtbl.fold visits bindings in \
    nondeterministic bucket order and this accumulator is order-sensitive; use \
-   Stdx.Det_tbl.fold_sorted (or sorted_keys / sorted_bindings)\n\
+   Stdx.Det_tbl.fold_sorted (or sorted_bindings)\n\
    bin/d2_bad.ml:4:15: D2 unordered-iteration: Hashtbl.iter visits bindings in \
    nondeterministic bucket order; use Stdx.Det_tbl.iter_sorted\n\
    bin/d3_bad.ml:2:17: D3 phys-equal: physical equality (==) depends on value \
