@@ -2,7 +2,7 @@
 # the examples and the bench gate once each; CI runs the same checks as
 # separate steps.
 
-.PHONY: dev build lint lint-typed test examples bench-json bench-baseline bench-smoke bench-scale bench-e2e chaos clean
+.PHONY: dev build lint lint-typed test examples bench-json bench-baseline bench-smoke bench-scale bench-e2e chaos profile clean
 
 dev: build lint lint-typed test examples bench-smoke
 
@@ -107,6 +107,19 @@ chaos: build
 	  --queries 6000 --churn-rate 0.01 --replication 3 --loss-rate 0.05 \
 	  --rpc-retries 2 --hedge --read-quorum 2 --write-quorum 2 \
 	  --anti-entropy-interval 25
+
+# Sampling profile of one CLI run: the preloaded sampler
+# (bench/sampler/sampler.c) records where the process is every 50 us of
+# wall time, and the symbolizer prints the symbols with the most
+# samples, e.g.
+#   make profile ARGS='simulate --nodes 500 --articles 10000 --queries 1'
+PROFILE_SAMPLES = _build/profile-samples.txt
+
+profile:
+	dune build bin/p2pindex_cli.exe bench/sampler/sampler.so
+	P2P_SAMPLES=$(PROFILE_SAMPLES) LD_PRELOAD=$(CURDIR)/_build/default/bench/sampler/sampler.so \
+	  ./_build/default/bin/p2pindex_cli.exe $(ARGS) > /dev/null
+	sh bench/sampler/symbolize.sh _build/default/bin/p2pindex_cli.exe $(PROFILE_SAMPLES)
 
 clean:
 	dune clean

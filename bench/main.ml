@@ -141,6 +141,16 @@ let micro_ops () : (string * (unit -> unit)) list =
   for node = 0 to 4 do
     ignore (Dht.Liveness.fail (Bib.Bib_index.liveness republish_index) (node * 20) : bool)
   done;
+  (* The report's totals over a 10k-article corpus published on 500
+     nodes, the paper-scale run's index: every replica state counted
+     once per report. *)
+  let report_index =
+    Bib.Bib_index.create
+      ~resolver:(Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:3L ~node_count:500 ()))
+      ()
+  in
+  Bib.Bib_index.publish_corpus report_index ~kind:Bib.Schemes.Simple
+    (Bib.Corpus.generate ~seed:3L (Bib.Corpus.default_config ~article_count:10_000));
   (* Churn engine: a steady-state push/pop against a primed event queue —
      the operation the discrete-event driver performs per scheduled event. *)
   let queue : int Stdx.Event_queue.t = Stdx.Event_queue.create ~dummy:0 () in
@@ -269,6 +279,11 @@ let micro_ops () : (string * (unit -> unit)) list =
     ( "index/republish-corpus-1k",
       fun () ->
         Bib.Bib_index.republish republish_index );
+    ( "index/report-totals-10k",
+      fun () ->
+        ignore (Bib.Bib_index.mapping_totals report_index);
+        ignore (Bib.Bib_index.entries_per_node report_index);
+        ignore (Bib.Bib_index.file_bytes report_index) );
     ( "cache/find-hot-query",
       fun () ->
         ignore (Cache.Shortcut_cache.find hot_cache ~query_key:hot_query) );
@@ -363,6 +378,8 @@ let micro_ops () : (string * (unit -> unit)) list =
     ( "dht/can-replicas3-500",
       fun () -> Dht.Resolver.replicas_into can_500_resolver (owner_key ()) 3 replica_buf );
     ("dht/chord-converged-500", fun () -> ignore (Dht.Chord.is_converged chord_500));
+    ( "dht/chord-create-500",
+      fun () -> ignore (Dht.Chord.create_network ~seed:7L ~node_count:500 ()) );
     ( "dht/pastry-create-500",
       fun () -> ignore (Dht.Pastry.create_network ~seed:7L ~node_count:500 ()) );
     ( "dht/static-create-10k",
@@ -410,9 +427,9 @@ let micro_runs = 1_000
    set-ups, take milliseconds a run where the other micros take
    nanoseconds; ten runs give their exact per-run counts. *)
 let micro_runs_of = function
-  | "index/publish-corpus-1k" | "index/republish-corpus-1k" | "dht/static-create-10k"
-  | "storage/create-10k" | "sim/setup-10k-nodes" | "dht/chord-converged-500"
-  | "dht/pastry-create-500" ->
+  | "index/publish-corpus-1k" | "index/republish-corpus-1k" | "index/report-totals-10k"
+  | "dht/static-create-10k" | "storage/create-10k" | "sim/setup-10k-nodes"
+  | "dht/chord-converged-500" | "dht/chord-create-500" | "dht/pastry-create-500" ->
       10
   | _ -> micro_runs
 
@@ -448,9 +465,12 @@ let micro_ceilings =
     ("dht/can-responsible-500", 50.0);
     ("dht/can-replicas3-500", 50.0);
     ("dht/chord-converged-500", 1_000_000.0);
+    ("dht/chord-create-500", 140_000.0);
     ("dht/pastry-create-500", 1_000_000.0);
-    ("dht/static-create-10k", 200_000.0);
+    ("dht/static-create-10k", 110_600.0);
     ("storage/create-10k", 1_000.0);
+    ("index/publish-corpus-1k", 531_700.0);
+    ("index/report-totals-10k", 29.0);
     ("storage/insert-r3", 38.0);
     ("storage/quorum-read-agree", 805.0);
     ("storage/anti-entropy-pass", 6_061.0);

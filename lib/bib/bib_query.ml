@@ -61,6 +61,12 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* What [compare] reads: a descriptor is its article's id. *)
+let hash = function
+  | Fields f -> Hashtbl.hash f
+  | Msd a -> Hashtbl.hash a.Article.id
+  | Author_last_prefix p -> Hashtbl.hash p
+
 let field_count f =
   let count opt = match opt with Some _ -> 1 | None -> 0 in
   count f.author + count f.title + count f.conf + count f.year

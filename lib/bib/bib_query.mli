@@ -48,6 +48,8 @@ val author_last_prefix : string -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+(* lint: allow X1 — Index.Make takes this module as its query argument *)
+val hash : t -> int
 val to_string : t -> string
 (* lint: allow X1 — Index.Make takes this module as its query argument *)
 val pp : Format.formatter -> t -> unit

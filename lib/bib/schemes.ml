@@ -20,46 +20,44 @@ let of_label s =
   | "prefix" -> Some Prefix
   | _ -> None
 
-let edge parent child = { P2pindex.Scheme.parent; child }
-
-(* Each scheme's edge builder takes the published descriptor [m] itself,
-   so the index's renderer, which memoizes by identity, renders it once;
-   the title query is built once for all the authors. *)
-let simple_edges m (a : Article.t) =
+(* Each scheme calls [f parent child] on its mappings in order, building
+   no list.  It passes the published descriptor [m] itself, so the
+   index's renderer, which memoizes by identity, renders it once; the
+   title query is built once for all the authors. *)
+let simple_edges m (a : Article.t) f =
   let title = Q.title_q a.title in
-  let author_side =
-    List.concat_map
-      (fun x ->
-        let at = Q.author_title x a.title in
-        [ edge (Q.author_q x) at; edge title at; edge at m ])
-      a.authors
-  in
+  List.iter
+    (fun x ->
+      let at = Q.author_title x a.title in
+      f (Q.author_q x) at;
+      f title at;
+      f at m)
+    a.authors;
   let cy = Q.conf_year a.conf a.year in
-  author_side @ [ edge (Q.conf_q a.conf) cy; edge (Q.year_q a.year) cy; edge cy m ]
+  f (Q.conf_q a.conf) cy;
+  f (Q.year_q a.year) cy;
+  f cy m
 
-let flat_edges m (a : Article.t) =
-  let author_side =
-    List.concat_map
-      (fun x -> [ edge (Q.author_q x) m; edge (Q.author_title x a.title) m ])
-      a.authors
-  in
-  author_side
-  @ [
-      edge (Q.title_q a.title) m;
-      edge (Q.conf_q a.conf) m;
-      edge (Q.year_q a.year) m;
-      edge (Q.conf_year a.conf a.year) m;
-    ]
+let flat_edges m (a : Article.t) f =
+  List.iter
+    (fun x ->
+      f (Q.author_q x) m;
+      f (Q.author_title x a.title) m)
+    a.authors;
+  f (Q.title_q a.title) m;
+  f (Q.conf_q a.conf) m;
+  f (Q.year_q a.year) m;
+  f (Q.conf_year a.conf a.year) m
 
-let complex_edges ?(author_conf_index = false) m (a : Article.t) =
+let complex_edges ?(author_conf_index = false) m (a : Article.t) f =
   let title = Q.title_q a.title in
-  let author_side =
-    List.concat_map
-      (fun x ->
-        let at = Q.author_title x a.title in
-        [ edge (Q.author_q x) at; edge title at; edge at m ])
-      a.authors
-  in
+  List.iter
+    (fun x ->
+      let at = Q.author_title x a.title in
+      f (Q.author_q x) at;
+      f title at;
+      f at m)
+    a.authors;
   let cy = Q.conf_year a.conf a.year in
   (* The conference branch is split one level deeper: (conf, year) resolves
      to (conf, year, author) entries — the paper's "returns a list of
@@ -67,16 +65,15 @@ let complex_edges ?(author_conf_index = false) m (a : Article.t) =
      Entries exist for every author so that any covering entry a user
      follows leads to the file.  The optional (author, conference)
      entry-point index (the Complex_ac variant) also feeds that level. *)
-  let conf_side =
-    [ edge (Q.conf_q a.conf) cy; edge (Q.year_q a.year) cy ]
-    @ List.concat_map
-        (fun x ->
-          let cya = Q.conf_year_author a.conf a.year x in
-          let base = [ edge cy cya; edge cya m ] in
-          if author_conf_index then edge (Q.author_conf x a.conf) cya :: base else base)
-        a.authors
-  in
-  author_side @ conf_side
+  f (Q.conf_q a.conf) cy;
+  f (Q.year_q a.year) cy;
+  List.iter
+    (fun x ->
+      let cya = Q.conf_year_author a.conf a.year x in
+      if author_conf_index then f (Q.author_conf x a.conf) cya;
+      f cy cya;
+      f cya m)
+    a.authors
 
 let edges = function
   | Simple -> simple_edges
@@ -89,12 +86,13 @@ let edges = function
   | Prefix -> simple_edges
 
 let scheme kind =
-  let edges_of_msd = function
-    | Q.Msd article as m -> edges kind m article
+  let iter msd f =
+    match msd with
+    | Q.Msd article as m -> edges kind m article f
     | Q.Fields _ | Q.Author_last_prefix _ ->
         invalid_arg "Schemes.scheme: only descriptors can be published"
   in
-  P2pindex.Scheme.make ~name:(label kind) ~edges:edges_of_msd
+  P2pindex.Scheme.of_iter ~name:(label kind) ~iter
 
 (* ------------------------------------------------------------------ *)
 

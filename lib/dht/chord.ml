@@ -260,8 +260,12 @@ let repair_globally t =
     n.successor_list <-
       List.init (Stdlib.min successor_list_length (count - 1)) (fun j ->
           Resolver.ring_key ring ((i + 1 + j) mod count));
+    (* A target [key + 2^b] at or before the successor is owned by it:
+       only the fingers from the bit length of that distance up take a
+       search of the ring. *)
+    let near = Key.distance_cw_bits key n.successor in
     for b = 0 to Key.bits - 1 do
-      n.fingers.(b) <- ideal_finger ring key b
+      n.fingers.(b) <- (if b < near then n.successor else ideal_finger ring key b)
     done;
     (* Walking clockwise from [key + 2^b], the first live node is past
        that target or is [key] itself: ideal fingers are ordered. *)

@@ -5,7 +5,7 @@ type t = { keys : Key.t array; ring : Resolver.ring }
 let of_keys keys =
   if Array.length keys = 0 then invalid_arg "Static_dht.of_keys: no nodes";
   let sorted = Array.copy keys in
-  Array.sort Key.compare sorted;
+  Array.stable_sort Key.compare sorted;
   for i = 1 to Array.length sorted - 1 do
     if Key.equal sorted.(i - 1) sorted.(i) then
       invalid_arg "Static_dht.of_keys: duplicate node identifier"
@@ -15,12 +15,12 @@ let of_keys keys =
 let create ?(seed = 1L) ~node_count () =
   if node_count <= 0 then invalid_arg "Static_dht.create: need at least one node";
   let g = Stdx.Prng.create ~seed in
-  let table = Hashtbl.create node_count in
+  let table = Key.Table.create node_count in
   let rec fresh () =
     let k = Key.random g in
-    if Hashtbl.mem table k then fresh ()
+    if Key.Table.mem table k then fresh ()
     else begin
-      Hashtbl.add table k ();
+      Key.Table.add table k ();
       k
     end
   in

@@ -139,17 +139,18 @@ external get32 : string -> int -> int32 = "%caml_string_get32u"
 (* The key's three words folded and mixed, so that the low bits a table
    indexes by depend on every byte: digests are uniform already, but
    prefix-encoded keys share their leading bytes and end in zeros. *)
+let hash k =
+  let h = Int64.to_int (get64 k 0) * 0x1E3779B97F4A7C15 in
+  let h = (h lxor Int64.to_int (get64 k 8)) * 0x1E3779B97F4A7C15 in
+  let h = h lxor Int32.to_int (get32 k 16) in
+  let h = (h lxor (h lsr 31)) * 0x1CE4E5B9 in
+  h lxor (h lsr 29)
+
 module Table = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = equal
-
-  let hash k =
-    let h = Int64.to_int (get64 k 0) * 0x1E3779B97F4A7C15 in
-    let h = (h lxor Int64.to_int (get64 k 8)) * 0x1E3779B97F4A7C15 in
-    let h = h lxor Int32.to_int (get32 k 16) in
-    let h = (h lxor (h lsr 31)) * 0x1CE4E5B9 in
-    h lxor (h lsr 29)
+  let hash = hash
 end)
 
 (* Byte by byte, one [Prng.int g 256] draw each, into a buffer filled in

@@ -90,6 +90,9 @@ val distance_cw_bits : t -> t -> int
 val random : Stdx.Prng.t -> t
 (** A uniformly random key. *)
 
+val hash : t -> int
+(** The key's words folded and mixed: every bit depends on every byte. *)
+
 module Table : Hashtbl.S with type key = t
 (** The one key-indexed hash table: hashed on the key's own words, so a
     probe reads no more than the key and never calls the polymorphic

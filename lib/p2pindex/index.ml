@@ -61,14 +61,15 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   }
 
   (* One parent key of the plan, as a republish round writes it: its
-     distinct planned children, by first planned write, newest first —
+     distinct planned children, by first planned write, oldest first —
      read for their values and lengths only — and each one's planned
-     edge count, in the same order ([||] when every count is one). *)
+     edge count, in the same order ([||] while every count is one). *)
   type group = {
     key : Key.t;
     parent_len : int;  (** The parent's rendered length. *)
-    mutable children : Q.t Rstore.entry array;
+    mutable children : Q.t Rstore.entry array;  (** The first [size] are the children. *)
     mutable counts : int array;
+    mutable size : int;
   }
 
   (* One published document: its file write, and what derives its
@@ -81,13 +82,65 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     scheme : Q.t Scheme.t;
   }
 
+  (* Open addressing over tagged values: slot [i] holds
+     [(tag lsl 32) lor (v + 1)], 0 marking it free, with a tag below
+     2^30 and a value below 2^32 - 1.  The slots are a power of two,
+     kept at most half full.  Equal tags may stand for different items,
+     so the caller compares the candidates a probe meets.
+
+     A tag stands for a child of a group: the group plus the child's
+     [Q.hash], modulo 2^30.  Equal children hash alike, so two equal
+     children whose tags match are in the same group: the comparison
+     never needs to read the group. *)
+  module Tags = struct
+    type t = { mutable slots : int array; mutable count : int }
+
+    (* A power of two at least [2n], and at least 16. *)
+    let room n =
+      let rec pow2 k = if k >= 2 * n then k else pow2 (2 * k) in
+      pow2 16
+
+    let create n = { slots = Array.make (room n) 0; count = 0 }
+    let mask t = Array.length t.slots - 1
+
+    let tag ~group ~hash = (group + hash) land 0x3FFF_FFFF
+
+    let start t tag = (tag * 0x9E3779B1) land mask t
+    let next t i = (i + 1) land mask t
+
+    (* The first slot from [i] tagged [tag], or the first free one. *)
+    let rec find t tag i =
+      let x = t.slots.(i) in
+      if x = 0 || x lsr 32 = tag then i else find t tag (next t i)
+
+    (* Slot [i]'s value, -1 when it is free. *)
+    let value t i = (t.slots.(i) land 0xFFFF_FFFF) - 1
+
+    let rec free_from t i = if t.slots.(i) = 0 then i else free_from t (next t i)
+
+    let rec add t tag v =
+      t.slots.(free_from t (start t tag)) <- (tag lsl 32) lor (v + 1);
+      t.count <- t.count + 1;
+      if 2 * t.count > Array.length t.slots then grow t
+
+    and grow t =
+      let old = t.slots in
+      t.slots <- Array.make (2 * Array.length old) 0;
+      t.count <- 0;
+      Array.iter (fun x -> if x <> 0 then add t (x lsr 32) ((x land 0xFFFF_FFFF) - 1)) old
+  end
+
+  (* What a batch meeting planned keys finds them by: each group's
+     number, by key, and each planned child's place in its group, by
+     (group number, its [Q.hash]). *)
+  type lookup = { by_key : int Key.Table.t; places : Tags.t }
+
   type plan = {
     mutable docs : planned array;  (** In publication order. *)
     mutable doc_count : int;
     mutable groups : group array;  (** In first-planned order. *)
     mutable group_count : int;
-    mutable by_key : group Key.Table.t option;
-        (** The groups by key, made when a batch meets a planned key. *)
+    mutable lookup : lookup option;  (** Made when a batch meets a planned key. *)
   }
 
   type t = {
@@ -226,7 +279,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
                doc_count = 0;
                groups = [||];
                group_count = 0;
-               by_key = None;
+               lookup = None;
              }
          else None);
       consulted = Stdx.Int_buf.create ~capacity:replication ();
@@ -307,21 +360,6 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   (* ---------------------------------------------------------------- *)
   (* Publication. *)
 
-  (* A descriptor's scheme edges share their query values — a child is
-     often the next edge's parent, and the descriptor itself is the last
-     child of several — so publication renders each distinct query value
-     once, memoized by identity over one descriptor.  The memo starts
-     with the descriptor, rendered already for its file write. *)
-  let edge_renderer ~msd ~msd_string =
-    let rendered = ref [ (msd, msd_string) ] in
-    fun q ->
-      match List.assq_opt q !rendered with
-      | Some s -> s
-      | None ->
-          let s = Q.to_string q in
-          rendered := (q, s) :: !rendered;
-          s
-
   let check_covers ~render parent child =
     if not (Q.covers parent child) then
       raise (Covering_violation { parent = render parent; child = render child })
@@ -366,99 +404,86 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      each new child once per live replica.
 
      The staged groups are columns indexed by group id, in first-seen
-     order, behind an open-addressing table over the parent strings.  A
-     group keeps only what its write needs: the key, the parent (for its
-     length), the edge count and the distinct children as store entries,
-     newest first — an empty replica's list itself.  Children are
-     compared by a list scan; a group past [dedupe_threshold] children
-     also keeps the hashes of their renderings, so that a child whose
-     hash is new is known new without a scan.  Everything but the
-     entries is dropped once the batch is written. *)
+     order, found by a [Tags] table from the hash of the parent's
+     rendering to the group id; [String.equal] decides between parents
+     whose hashes match.  A group keeps only what its write needs: the
+     key, the parent (for its length), the edge count, the distinct
+     children as store entries, newest first — an empty replica's list
+     itself — and their number and lengths' sum, which the write states
+     instead of walking the list.  The children of every group are
+     numbered batch-wide, in staging order, and found by one [Tags]
+     index from (group, the child's [Q.hash]) to the child's number;
+     the cached length and [Q.equal] decide between children whose tags
+     match.  Everything but the entries is dropped once the batch is
+     written. *)
 
-  (* Open addressing over non-negative ints: a slot holds [v + 1] and 0
-     marks it free; a table is a power of two, kept at most half full,
-     and a value's first slot is its low bits. *)
-  module Slots = struct
-    let create n =
-      let rec pow2 k = if k >= 2 * n then k else pow2 (2 * k) in
-      Array.make (pow2 16) 0
-
-    let mask slots = Array.length slots - 1
-
-    (* The slot holding [v], or the free slot it would go to. *)
-    let rec find slots v i =
-      match slots.(i) with
-      | 0 -> i
-      | x when x = v + 1 -> i
-      | _ -> find slots v ((i + 1) land mask slots)
-
-    let mem slots v = slots.(find slots v (v land mask slots)) <> 0
-    let add slots v = slots.(find slots v (v land mask slots)) <- v + 1
-
-    let grow slots =
-      let bigger = Array.make (2 * Array.length slots) 0 in
-      Array.iter (fun x -> if x <> 0 then add bigger (x - 1)) slots;
-      bigger
-  end
-
-  (* A batch's parents are [Slots] over group ids: a slot holding
-     [g + 1] stands for [parents.(g)].  [parent_slot] returns the slot
-     holding [s]'s id, or the free slot its id would go to. *)
-  let rec find_parent ids parents s i =
-    match ids.(i) with
-    | 0 -> i
-    | x when String.equal parents.(x - 1) s -> i
-    | _ -> find_parent ids parents s ((i + 1) land Slots.mask ids)
-
-  let parent_slot ids parents s = find_parent ids parents s (Hashtbl.hash s land Slots.mask ids)
-
-  (* The rendering hashes of one group's children. *)
-  type hashes = { mutable table : int array; mutable size : int }
-
-  let add_hash hs h =
-    if 2 * (hs.size + 1) > Array.length hs.table then hs.table <- Slots.grow hs.table;
-    Slots.add hs.table h;
-    hs.size <- hs.size + 1
-
-  let dedupe_threshold = 16
-
-  (* Arrays that double when full; [fill] pads the new half. *)
-  let extend a fill =
-    let a' = Array.make (2 * Array.length a) fill in
+  (* [a] in an array of [room], [fill] padding it. *)
+  let resize a room fill =
+    let a' = Array.make room fill in
     Array.blit a 0 a' 0 (Array.length a);
     a'
 
+  (* Arrays that double when full. *)
+  let extend a fill = resize a (2 * Array.length a) fill
+
+  (* One query value of the document being staged, memoized by
+     identity: a descriptor's edges share their query values — a child
+     is often the next edge's parent, and the descriptor itself is the
+     last child of several — so each distinct value is rendered once,
+     its parent group looked up once and its [Q.hash] taken once
+     ([group] and [hash] are -1 until then). *)
+  type rendered = { query : Q.t; string : string; mutable group : int; mutable hash : int }
+
   type batch = {
-    mutable ids : int array;  (** Slots over [parents]' hashes: group id + 1. *)
+    ids : Tags.t;  (** The hash of each group's parent to its id. *)
     mutable parents : string array;
     mutable keys : Key.t array;
     mutable writes : int array;  (** Edges staged. *)
     mutable children : Q.t Rstore.entry list array;
     mutable sizes : int array;  (** Distinct children staged. *)
-    mutable planned : int array array;
-        (** Planned edges per child, by child from the oldest: under a
-            plan, the edges of every document staged whole. *)
-    mutable hashes : hashes option array;
+    mutable lens : int array;  (** Their lengths' sum. *)
+    mutable newest : int array;
+        (** Under a plan: each group's newest child's number, -1 for none. *)
     mutable groups : int;
-    staged_groups : Stdx.Int_buf.t;
-    staged_ordinals : Stdx.Int_buf.t;
-        (** The document being staged: each edge's group and child. *)
+    places : Tags.t;  (** (group, child hash) to child number. *)
+    mutable entries : Q.t Rstore.entry array;  (** By child number. *)
+    mutable previous : int array;
+        (** Under a plan, by child number: the number of the child staged
+            before it in its group, -1 for none. *)
+    mutable planned : int array;
+        (** By child number: its planned edges — under a plan, the edges
+            of every document staged whole. *)
+    mutable child_count : int;
+    mutable memo : rendered list;  (** The document being staged's values. *)
+    staged : Stdx.Int_buf.t;  (** The document being staged: each edge's child. *)
+    order : Stdx.Int_buf.t;  (** A group's children's numbers, newest first. *)
+    planning : bool;
     expires_at : float;  (** Every entry of a batch is stamped alike. *)
   }
 
-  let create_batch t ~capacity =
+  (* Room for [capacity] groups, and for the children three groups
+     of the bibliographic schemes stage in four documents' edges: the
+     tables and columns seldom grow. *)
+  let create_batch t ~capacity ~planning =
     {
-      ids = Slots.create capacity;
+      ids = Tags.create (3 * capacity / 4);
       parents = Array.make capacity "";
       keys = Array.make capacity Key.zero;
       writes = Array.make capacity 0;
       children = Array.make capacity [];
       sizes = Array.make capacity 0;
-      planned = Array.make capacity [||];
-      hashes = Array.make capacity None;
+      lens = Array.make capacity 0;
+      newest = (if planning then Array.make capacity (-1) else [||]);
       groups = 0;
-      staged_groups = Stdx.Int_buf.create ();
-      staged_ordinals = Stdx.Int_buf.create ();
+      places = Tags.create (3 * capacity / 2);
+      entries = [||];
+      previous = [||];
+      planned = [||];
+      child_count = 0;
+      memo = [];
+      staged = Stdx.Int_buf.create ();
+      order = Stdx.Int_buf.create ();
+      planning;
       expires_at = entry_expiry t;
     }
 
@@ -468,8 +493,115 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     b.writes <- extend b.writes 0;
     b.children <- extend b.children [];
     b.sizes <- extend b.sizes 0;
-    b.planned <- extend b.planned [||];
-    b.hashes <- extend b.hashes None
+    b.lens <- extend b.lens 0;
+    if b.planning then b.newest <- extend b.newest (-1)
+
+  (* The id of the group whose parent is [s], hashed [h], or -1. *)
+  let rec staged_group b h s i =
+    let i = Tags.find b.ids h i in
+    match Tags.value b.ids i with
+    | -1 -> -1
+    | g when String.equal b.parents.(g) s -> g
+    | _ -> staged_group b h s (Tags.next b.ids i)
+
+  (* The id of [parent_string]'s group, created (and its key hashed) on
+     first sight. *)
+  let group_of b parent_string =
+    let h = Hashtbl.hash parent_string in
+    match staged_group b h parent_string (Tags.start b.ids h) with
+    | -1 ->
+        let g = b.groups in
+        if g = Array.length b.parents then grow_columns b;
+        b.parents.(g) <- parent_string;
+        b.keys.(g) <- Key.of_string parent_string;
+        b.groups <- g + 1;
+        Tags.add b.ids h g;
+        g
+    | g -> g
+
+  let rec memoized q = function
+    | [] -> raise Not_found
+    (* lint: allow D3 — the memo is by identity: a document's edges share their query values *)
+    | r :: rest -> if r.query == q then r else memoized q rest
+
+  (* [q]'s rendering in the document being staged. *)
+  let rendering b q =
+    match memoized q b.memo with
+    | r -> r
+    | exception Not_found ->
+        let r = { query = q; string = Q.to_string q; group = -1; hash = -1 } in
+        b.memo <- r :: b.memo;
+        r
+
+  let parent_group b r =
+    if r.group < 0 then r.group <- group_of b r.string;
+    r.group
+
+  let query_hash q = Q.hash q land 0x3FFF_FFFF
+
+  let child_hash r =
+    if r.hash < 0 then r.hash <- query_hash r.query;
+    r.hash
+
+  let same_child child len e = Rstore.entry_len e = len && Q.equal (Rstore.entry_value e) child
+
+  (* The number of the staged child keyed [k] equal to [child], or -1. *)
+  let rec staged_child b k child len i =
+    let i = Tags.find b.places k i in
+    match Tags.value b.places i with
+    | -1 -> -1
+    | n when same_child child len b.entries.(n) -> n
+    | _ -> staged_child b k child len (Tags.next b.places i)
+
+
+  (* Stage one edge's child under group [g]; returns the child's number:
+     an equal child's, staged earlier, or a new one's. *)
+  let stage_child b g r =
+    b.writes.(g) <- b.writes.(g) + 1;
+    let hash = child_hash r and len = String.length r.string in
+    let k = Tags.tag ~group:g ~hash in
+    match staged_child b k r.query len (Tags.start b.places k) with
+    | -1 ->
+        let n = b.child_count in
+        let entry = Rstore.make_entry ~expires_at:b.expires_at ~len r.query in
+        if n = Array.length b.entries then begin
+          let room = Stdlib.max (2 * Array.length b.parents) (2 * n) in
+          b.entries <- resize b.entries room entry;
+          if b.planning then begin
+            b.previous <- resize b.previous room 0;
+            b.planned <- resize b.planned room 0
+          end
+        end;
+        b.entries.(n) <- entry;
+        if b.planning then begin
+          b.previous.(n) <- b.newest.(g);
+          b.newest.(g) <- n
+        end;
+        b.child_count <- n + 1;
+        Tags.add b.places k n;
+        b.children.(g) <- entry :: b.children.(g);
+        b.sizes.(g) <- b.sizes.(g) + 1;
+        b.lens.(g) <- b.lens.(g) + len;
+        n
+    | n -> n
+
+  (* Stage a document's edges; under a plan, once every edge is staged,
+     count each one towards its child's planned edges. *)
+  let stage_edges b ~scheme ~msd ~msd_string =
+    b.memo <- [ { query = msd; string = msd_string; group = -1; hash = -1 } ];
+    Stdx.Int_buf.clear b.staged;
+    Scheme.iter_edges scheme msd (fun parent child ->
+        if not (Q.covers parent child) then
+          raise
+            (Covering_violation
+               { parent = (rendering b parent).string; child = (rendering b child).string });
+        let g = parent_group b (rendering b parent) in
+        let n = stage_child b g (rendering b child) in
+        if b.planning then Stdx.Int_buf.push b.staged n);
+    for i = 0 to Stdx.Int_buf.length b.staged - 1 do
+      let n = Stdx.Int_buf.unsafe_get b.staged i in
+      b.planned.(n) <- b.planned.(n) + 1
+    done
 
   (* ---------------------------------------------------------------- *)
   (* The publication plan: what soft-state refresh replays.  On an
@@ -482,8 +614,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      staging anything again. *)
 
   (* Record [doc], with room made for the [more] documents of its batch
-   after it: the document column grows at most once a batch, and at
-   least doubles. *)
+     after it: the document column grows at most once a batch, and at
+     least doubles. *)
   let plan_doc (p : plan) ~more doc =
     let d = p.doc_count in
     if d = Array.length p.docs then begin
@@ -494,189 +626,123 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     p.docs.(d) <- doc;
     p.doc_count <- d + 1
 
-  (* The id of [parent_string]'s group, created (and its key hashed) on
-     first sight. *)
-  let group_of b parent_string =
-    let i = parent_slot b.ids b.parents parent_string in
-    match b.ids.(i) with
-    | 0 ->
-        let g = b.groups in
-        if g = Array.length b.parents then grow_columns b;
-        b.parents.(g) <- parent_string;
-        b.keys.(g) <- Key.of_string parent_string;
-        b.groups <- g + 1;
-        b.ids.(i) <- b.groups;
-        (* Kept at most half full: past that, a table twice the size. *)
-        if 2 * b.groups > Array.length b.ids then begin
-          let ids = Array.make (2 * Array.length b.ids) 0 in
-          for v = 0 to g do
-            ids.(parent_slot ids b.parents b.parents.(v)) <- v + 1
-          done;
-          b.ids <- ids
-        end;
-        g
-    | x -> x - 1
+  let count (grp : group) j = if Array.length grp.counts = 0 then 1 else grp.counts.(j)
 
-  let same_child child len e = Rstore.entry_len e = len && Q.equal (Rstore.entry_value e) child
+  (* Planned child [j] of group number [number] joins the lookup's
+     places. *)
+  let add_place (lookup : lookup) number (grp : group) j =
+    let hash = query_hash (Rstore.entry_value grp.children.(j)) in
+    Tags.add lookup.places (Tags.tag ~group:number ~hash) j
 
-  (* The position of the staged child equal to [child], from the newest,
-     or -1. *)
-  let rec find_child child len i = function
-    | [] -> -1
-    | e :: rest -> if same_child child len e then i else find_child child len (i + 1) rest
+  (* The plan's lookup, made on first use: the first batch of a plan
+     meets no planned key and needs none. *)
+  let plan_lookup (p : plan) =
+    match p.lookup with
+    | Some lookup -> lookup
+    | None ->
+        let children = ref 0 in
+        for i = 0 to p.group_count - 1 do
+          children := !children + p.groups.(i).size
+        done;
+        let lookup =
+          { by_key = Key.Table.create (2 * p.group_count); places = Tags.create !children }
+        in
+        for i = 0 to p.group_count - 1 do
+          let grp = p.groups.(i) in
+          Key.Table.add lookup.by_key grp.key i;
+          for j = 0 to grp.size - 1 do
+            add_place lookup i grp j
+          done
+        done;
+        p.lookup <- Some lookup;
+        lookup
 
-  let child_hash (s : string) = Hashtbl.hash s
+  (* [grp]'s counts, spelt out if they were all ones. *)
+  let explicit_counts (grp : group) =
+    if Array.length grp.counts = 0 then grp.counts <- Array.make (Array.length grp.children) 1
 
-  let hash_children children =
-    let hs = { table = Slots.create (2 * dedupe_threshold); size = 0 } in
-    List.iter (fun e -> add_hash hs (child_hash (Q.to_string (Rstore.entry_value e)))) children;
-    hs
-
-  (* Stage one edge's child under group [g]; returns the child's place
-     among the group's children, from the oldest — an equal child's,
-     staged earlier, or a new one's. *)
-  let stage_child b g ~child_string child =
-    let len = String.length child_string in
-    b.writes.(g) <- b.writes.(g) + 1;
-    let children = b.children.(g) in
-    let position =
-      match b.hashes.(g) with
-      | None -> find_child child len 0 children
-      | Some hs ->
-          if Slots.mem hs.table (child_hash child_string) then find_child child len 0 children
-          else -1
-    in
-    let size = b.sizes.(g) in
-    if position >= 0 then size - 1 - position
-    else begin
-      let children = Rstore.make_entry ~expires_at:b.expires_at ~len child :: children in
-      b.children.(g) <- children;
-      b.sizes.(g) <- size + 1;
-      (match b.hashes.(g) with
-      | Some hs -> add_hash hs (child_hash child_string)
-      | None ->
-          if List.compare_length_with children dedupe_threshold > 0 then
-            b.hashes.(g) <- Some (hash_children children));
-      size
-    end
-
-  (* One more planned edge of group [g]'s child [ordinal]. *)
-  let plan_edge b g ordinal =
-    let counts = b.planned.(g) in
-    let counts =
-      if ordinal < Array.length counts then counts
-      else begin
-        let grown = Array.make (Stdlib.max 4 (2 * b.sizes.(g))) 0 in
-        Array.blit counts 0 grown 0 (Array.length counts);
-        b.planned.(g) <- grown;
-        grown
-      end
-    in
-    counts.(ordinal) <- counts.(ordinal) + 1
-
-  (* Stage a document's edges.  [planned]: once every edge is staged,
-     count each one towards its child's planned edges. *)
-  let stage_edges b ~scheme ~msd ~msd_string ~planned =
-    let render = edge_renderer ~msd ~msd_string in
-    Stdx.Int_buf.clear b.staged_groups;
-    Stdx.Int_buf.clear b.staged_ordinals;
-    List.iter
-      (fun { Scheme.parent; child } ->
-        check_covers ~render parent child;
-        let g = group_of b (render parent) in
-        let ordinal = stage_child b g ~child_string:(render child) child in
-        if planned then begin
-          Stdx.Int_buf.push b.staged_groups g;
-          Stdx.Int_buf.push b.staged_ordinals ordinal
-        end)
-      (Scheme.edges scheme msd);
-    for i = 0 to Stdx.Int_buf.length b.staged_groups - 1 do
-      plan_edge b
-        (Stdx.Int_buf.unsafe_get b.staged_groups i)
-        (Stdx.Int_buf.unsafe_get b.staged_ordinals i)
-    done
-
-  let count grp j = if Array.length grp.counts = 0 then 1 else grp.counts.(j)
-
-  let add_group (p : plan) grp =
-    if p.group_count = Array.length p.groups then begin
-      let grown = Array.make (Stdlib.max 64 (2 * p.group_count)) grp in
-      Array.blit p.groups 0 grown 0 p.group_count;
-      p.groups <- grown
+  (* Append a child with [c] planned edges to [grp]. *)
+  let plan_child (grp : group) e c =
+    let j = grp.size in
+    if j = Array.length grp.children then begin
+      let room = Stdlib.max 4 (2 * j) in
+      grp.children <- resize grp.children room e;
+      if Array.length grp.counts > 0 then grp.counts <- resize grp.counts room 1
     end;
+    grp.children.(j) <- e;
+    if c <> 1 then explicit_counts grp;
+    if Array.length grp.counts > 0 then grp.counts.(j) <- c;
+    grp.size <- j + 1
+
+  (* The place of [grp]'s planned child keyed [k] equal to [e]'s value,
+     or -1. *)
+  let rec planned_child places (grp : group) k e i =
+    let i = Tags.find places k i in
+    match Tags.value places i with
+    | -1 -> -1
+    | j when same_child (Rstore.entry_value e) (Rstore.entry_len e) grp.children.(j) -> j
+    | _ -> planned_child places grp k e (Tags.next places i)
+
+  (* A new plan group for batch group [g], with room for its [n]
+     planned children. *)
+  let add_group (p : plan) b g ~n =
+    let grp =
+      {
+        key = b.keys.(g);
+        parent_len = String.length b.parents.(g);
+        children = Array.make n b.entries.(b.newest.(g));
+        counts = [||];
+        size = 0;
+      }
+    in
+    if p.group_count = Array.length p.groups then
+      p.groups <- resize p.groups (Stdlib.max 64 (2 * p.group_count)) grp;
     p.groups.(p.group_count) <- grp;
     p.group_count <- p.group_count + 1;
-    Option.iter (fun by_key -> Key.Table.add by_key grp.key grp) p.by_key
+    Option.iter (fun lookup -> Key.Table.add lookup.by_key grp.key (p.group_count - 1)) p.lookup;
+    p.group_count - 1
 
-  (* The plan's group for [key], if any: the first batch of a plan meets
-     no planned key and needs no table. *)
-  let planned_group (p : plan) key =
-    let by_key =
-      match p.by_key with
-      | Some by_key -> by_key
-      | None ->
-          let by_key = Key.Table.create (2 * p.group_count) in
-          for i = 0 to p.group_count - 1 do
-            Key.Table.add by_key p.groups.(i).key p.groups.(i)
-          done;
-          p.by_key <- Some by_key;
-          by_key
-    in
-    Key.Table.find_opt by_key key
-
-  (* Group [g]'s planned children join the plan group of its key.  A key
-     new to the plan takes them as they are.  Otherwise they join oldest
-     first: a child the group planned before keeps its place and adds its
-     count; a new one is the group's newest.  [known]: the plan may hold
+  (* Group [g]'s planned children, oldest first, join the plan group of
+     its key: a key new to the plan takes them as they are; otherwise a
+     child the group planned before keeps its place and adds its count,
+     and a new one is the group's newest.  [known]: the plan may hold
      the key already. *)
   let plan_staged (p : plan) b g ~known =
-    let counts = b.planned.(g) and size = b.sizes.(g) in
-    let planned ordinal = if ordinal < Array.length counts then counts.(ordinal) else 0 in
-    let n = ref 0 and ones = ref true in
-    for ordinal = 0 to size - 1 do
-      let c = planned ordinal in
-      if c > 0 then incr n;
-      if c > 1 then ones := false
+    let order = b.order in
+    Stdx.Int_buf.clear order;
+    let n = ref 0 and child = ref b.newest.(g) in
+    while !child >= 0 do
+      Stdx.Int_buf.push order !child;
+      if b.planned.(!child) > 0 then incr n;
+      child := b.previous.(!child)
     done;
-    let key = b.keys.(g) in
-    match (b.children.(g), if known && !n > 0 then planned_group p key else None) with
-    | [], _ -> ()
-    | _ :: _, _ when !n = 0 -> ()
-    | (first :: _ as staged), None ->
-        (* The planned children and their counts, newest first. *)
-        let children = Array.make !n first in
-        let child_counts = if !ones then [||] else Array.make !n 0 in
-        let j = ref 0 in
-        List.iteri
-          (fun position e ->
-            let c = planned (size - 1 - position) in
-            if c > 0 then begin
-              children.(!j) <- e;
-              if not !ones then child_counts.(!j) <- c;
-              incr j
-            end)
-          staged;
-        add_group p
-          { key; parent_len = String.length b.parents.(g); children; counts = child_counts }
-    | (_ :: _ as staged), Some grp ->
-        grp.counts <- Array.init (Array.length grp.children) (count grp);
-        List.iteri
-          (fun ordinal entry ->
-            let c = planned ordinal in
-            if c > 0 then begin
-              let value = Rstore.entry_value entry and len = Rstore.entry_len entry in
-              let rec index j =
-                if j = Array.length grp.children then -1
-                else if same_child value len grp.children.(j) then j
-                else index (j + 1)
-              in
-              match index 0 with
+    if !n > 0 then begin
+      let number =
+        if known then
+          Option.value ~default:(-1) (Key.Table.find_opt (plan_lookup p).by_key b.keys.(g))
+        else -1
+      in
+      let number = if number >= 0 then number else add_group p b g ~n:!n in
+      let grp = p.groups.(number) in
+      for i = Stdx.Int_buf.length order - 1 downto 0 do
+        let child = Stdx.Int_buf.unsafe_get order i in
+        let c = b.planned.(child) in
+        if c > 0 then begin
+          let e = b.entries.(child) in
+          match p.lookup with
+          | None -> plan_child grp e c
+          | Some lookup -> (
+              let k = Tags.tag ~group:number ~hash:(query_hash (Rstore.entry_value e)) in
+              match planned_child lookup.places grp k e (Tags.start lookup.places k) with
               | -1 ->
-                  grp.children <- Array.append [| entry |] grp.children;
-                  grp.counts <- Array.append [| c |] grp.counts
-              | j -> grp.counts.(j) <- grp.counts.(j) + c
-            end)
-          (List.rev staged)
+                  plan_child grp e c;
+                  Tags.add lookup.places k (grp.size - 1)
+              | j ->
+                  explicit_counts grp;
+                  grp.counts.(j) <- grp.counts.(j) + c)
+        end
+      done
+    end
 
   let rec charge_installs t ~dst ~parent_len = function
     | [] -> ()
@@ -693,10 +759,12 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      key's planned children then join the plan. *)
   let flush t b =
     let known = match t.plan with Some p -> p.group_count > 0 | None -> false in
+    Rstore.reserve t.mappings b.groups;
     for g = 0 to b.groups - 1 do
       let fresh, replicas =
         Rstore.insert_entries ~equal:mapping_equal t.mappings ~key:b.keys.(g)
-          ~writes:b.writes.(g) b.children.(g)
+          ~writes:b.writes.(g) ~floor:b.expires_at ~count:b.sizes.(g) ~lens:b.lens.(g)
+          b.children.(g)
       in
       let parent_len = String.length b.parents.(g) in
       for i = 0 to Stdx.Int_buf.length replicas - 1 do
@@ -710,13 +778,17 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let publish_batch t ~scheme ~msd ~file docs =
     (* Room for four groups a document, about what the bibliographic
        schemes stage, so the columns seldom grow. *)
-    let b = create_batch t ~capacity:(Stdlib.max 16 (4 * Array.length docs)) in
+    let b =
+      create_batch t ~capacity:(Stdlib.max 16 (4 * Array.length docs))
+        ~planning:(Option.is_some t.plan)
+    in
+    Rstore.reserve t.files (Array.length docs);
     let stage i doc =
       let msd = msd doc and file = file doc in
       let msd_string = Q.to_string msd in
       let key = Key.of_string msd_string and request_bytes = Wire.request_bytes msd_string in
       write_file t ~key ~request_bytes file;
-      stage_edges b ~scheme ~msd ~msd_string ~planned:(Option.is_some t.plan);
+      stage_edges b ~scheme ~msd ~msd_string;
       Option.iter
         (fun p ->
           plan_doc p ~more:(Array.length docs - 1 - i) { file_key = key; file; request_bytes; msd; scheme })
@@ -744,15 +816,14 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      (DESIGN.md §13, "Soft-state rounds from the publication plan"). *)
 
   (* Every planned edge of a group, billed to [dst]: each child's bytes
-     once per edge writing it. *)
+     once per edge writing it, newest child first. *)
   let charge_planned t ~dst grp =
-    Array.iteri
-      (fun j e ->
-        let bytes = Wire.cache_install_bytes_of_len grp.parent_len (Rstore.entry_len e) in
-        for _ = 1 to count grp j do
-          charge_maintenance t ~dst ~bytes
-        done)
-      grp.children
+    for j = grp.size - 1 downto 0 do
+      let bytes = Wire.cache_install_bytes_of_len grp.parent_len (Rstore.entry_len grp.children.(j)) in
+      for _ = 1 to count grp j do
+        charge_maintenance t ~dst ~bytes
+      done
+    done
 
   let republish t =
     match t.plan with
@@ -769,21 +840,20 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         done;
         for g = 0 to p.group_count - 1 do
           let grp = p.groups.(g) in
-          let entries =
-            Array.fold_right
-              (fun e entries ->
-                Rstore.make_entry ~expires_at ~len:(Rstore.entry_len e) (Rstore.entry_value e)
-                :: entries)
-              grp.children []
-          in
-          match entries with
+          let entries = ref [] and writes = ref 0 and lens = ref 0 in
+          for j = 0 to grp.size - 1 do
+            let e = grp.children.(j) in
+            let len = Rstore.entry_len e in
+            entries := Rstore.make_entry ~expires_at ~len (Rstore.entry_value e) :: !entries;
+            writes := !writes + count grp j;
+            lens := !lens + len
+          done;
+          match !entries with
           | [] -> ()
-          | _ :: _ ->
-              let writes = ref 0 in
-              Array.iteri (fun j _ -> writes := !writes + count grp j) grp.children;
+          | entries ->
               let _fresh, replicas =
                 Rstore.insert_entries ~equal:mapping_equal t.mappings ~key:grp.key ~writes:!writes
-                  entries
+                  ~floor:expires_at ~count:grp.size ~lens:!lens entries
               in
               for i = 0 to Stdx.Int_buf.length replicas - 1 do
                 let dst = Stdx.Int_buf.unsafe_get replicas i in
@@ -842,11 +912,11 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let replan t (p : plan) =
     p.groups <- [||];
     p.group_count <- 0;
-    p.by_key <- None;
-    let b = create_batch t ~capacity:(Stdlib.max 16 (4 * p.doc_count)) in
+    p.lookup <- None;
+    let b = create_batch t ~capacity:(Stdlib.max 16 (4 * p.doc_count)) ~planning:true in
     for d = 0 to p.doc_count - 1 do
       let { msd; scheme; _ } = p.docs.(d) in
-      stage_edges b ~scheme ~msd ~msd_string:(Q.to_string msd) ~planned:true
+      stage_edges b ~scheme ~msd ~msd_string:(Q.to_string msd)
     done;
     for g = 0 to b.groups - 1 do
       plan_staged p b g ~known:false
@@ -945,20 +1015,22 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     | A_children of { children : query list; bytes : int }
     | A_empty
 
-  let children_answer entries =
-    let bytes = Wire.response_bytes_of_len ~len:Rstore.entry_len entries in
+  let children_answer st =
+    let bytes =
+      Wire.response_bytes_of_totals ~count:(Rstore.state_count st) ~lens:(Rstore.state_lens st)
+    in
     (* lint: allow P4 — wire deserialization: the answer materializes its child queries once per answered probe *)
-    A_children { children = List.map Rstore.entry_value entries; bytes }
+    A_children { children = List.map Rstore.entry_value (Rstore.state_entries st); bytes }
 
   (* What one replica holds under [key]: read-only, so a duplicated
-     request may run it twice. *)
+     request may run it twice.  A reply is priced from the state's kept
+     totals. *)
   let answer_at t ~node key =
     match Rstore.entries_at t.files ~node key with
     | e :: _ -> A_file (Rstore.entry_value e)
     | [] -> (
-        match Rstore.entries_at t.mappings ~node key with
-        | [] -> A_empty
-        | entries -> children_answer entries)
+        let st = Rstore.live_state t.mappings ~node key in
+        match Rstore.state_entries st with [] -> A_empty | _ :: _ -> children_answer st)
 
   (* Under quorum, every answer carries its replica's version vectors. *)
   let version_bytes t ~node key =
@@ -1235,7 +1307,9 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   (* ---------------------------------------------------------------- *)
   (* Introspection. *)
 
-  let mapping_totals t = Rstore.entry_totals t.mappings mapping_entry_bytes
+  let mapping_totals t =
+    let count, lens = Rstore.len_totals t.mappings in
+    (count, Wire.stored_bytes_of_totals ~count ~lens)
   let mapping_count t = fst (mapping_totals t)
   let index_bytes t = snd (mapping_totals t)
 

@@ -16,6 +16,10 @@ module type QUERY = sig
   (** Total order consistent with {!equal} (canonical forms compare equal
       iff equivalent). *)
 
+  val hash : t -> int
+  (** Consistent with {!equal}: equal queries hash alike.  Publication
+      finds a staged child by it. *)
+
   val to_string : t -> string
   (** Canonical rendering: injective on normalized queries.  [to_string q]
       is the string hashed into the DHT key space ([k = h(q)]) and its

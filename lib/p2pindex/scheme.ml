@@ -12,14 +12,21 @@ type 'q edge = { parent : 'q; child : 'q }
 
 type 'q t = {
   name : string;
-  edges : 'q -> 'q edge list;
-      (** All mappings for one descriptor, given its most specific query.
-          Every returned edge must satisfy [covers parent child]. *)
+  iter : 'q -> ('q -> 'q -> unit) -> unit;
+      (** Every mapping for one descriptor, given its most specific query,
+          in order.  Every mapping must satisfy [covers parent child]. *)
 }
 
-let make ~name ~edges = { name; edges }
+let make ~name ~edges =
+  { name; iter = (fun msd f -> List.iter (fun { parent; child } -> f parent child) (edges msd)) }
 
-let edges t msd = t.edges msd
+let of_iter ~name ~iter = { name; iter }
+let iter_edges t msd f = t.iter msd f
+
+let edges t msd =
+  let acc = ref [] in
+  t.iter msd (fun parent child -> acc := { parent; child } :: !acc);
+  List.rev !acc
 
 (** The edges for a whole collection, deduplicated — shared coarse-level
     entries like [(q6 ; q3)] appear once even when many files induce them. *)

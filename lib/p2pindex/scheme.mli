@@ -12,15 +12,24 @@ type 'q edge = { parent : 'q; child : 'q }
 
 type 'q t = {
   name : string;
-  edges : 'q -> 'q edge list;
-      (** All mappings for one descriptor, given its most specific query.
-          Every returned edge must satisfy [covers parent child]. *)
+  iter : 'q -> ('q -> 'q -> unit) -> unit;
+      (** [iter msd f] calls [f parent child] on every mapping for one
+          descriptor, given its most specific query, in order.  Every
+          mapping must satisfy [covers parent child]. *)
 }
 
 val make : name:string -> edges:('q -> 'q edge list) -> 'q t
+(** A scheme from the list of its mappings. *)
+
+val of_iter : name:string -> iter:('q -> ('q -> 'q -> unit) -> unit) -> 'q t
+(** A scheme that calls back with its mappings, building no list:
+    publication stages them as they come. *)
 
 val edges : 'q t -> 'q -> 'q edge list
-(** The mappings to install for one descriptor. *)
+(** The mappings to install for one descriptor, in [iter]'s order. *)
+
+val iter_edges : 'q t -> 'q -> ('q -> 'q -> unit) -> unit
+(** [iter_edges t msd f]: [t.iter msd f]. *)
 
 val collection_edges : compare_query:('q -> 'q -> int) -> 'q t -> 'q list -> 'q edge list
 (** The edges for a whole collection, deduplicated — shared coarse-level

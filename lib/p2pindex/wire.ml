@@ -13,6 +13,8 @@ let response_bytes_of_len ~len entries = framed_sum len header_bytes entries
 
 let response_bytes entries = response_bytes_of_len ~len:String.length entries
 
+let response_bytes_of_totals ~count ~lens = header_bytes + (count * entry_overhead_bytes) + lens
+
 let file_response_bytes (file : Storage.Block_store.file) =
   header_bytes + entry_overhead_bytes + String.length file.name + 8
 
@@ -25,6 +27,7 @@ let cache_install_bytes query target =
 let consult_bytes q = header_bytes + String.length q
 
 let stored_entry_bytes_of_len target_len = 20 + target_len
+let stored_bytes_of_totals ~count ~lens = (20 * count) + lens
 
 (* A piggybacked version vector: a dot count plus (actor, counter)
    pairs.  Billed only on quorum-path responses. *)

@@ -28,6 +28,10 @@ val response_bytes_of_len : len:('a -> int) -> 'a list -> int
     off — stored entries carry their rendered length, so a reply is
     priced without rendering its result set. *)
 
+val response_bytes_of_totals : count:int -> lens:int -> int
+(** {!response_bytes} over [count] strings whose lengths sum to
+    [lens]. *)
+
 val file_response_bytes : Storage.Block_store.file -> int
 (** Size of a response carrying a file handle (name + size + header).  The
     file content itself is not counted: the paper measures index traffic,
@@ -47,6 +51,10 @@ val consult_bytes : string -> int
 val stored_entry_bytes_of_len : int -> int
 (** Storage footprint of one index entry, from its target string's
     length: the 20-byte key it is filed under plus the target string. *)
+
+val stored_bytes_of_totals : count:int -> lens:int -> int
+(** {!stored_entry_bytes_of_len} summed over [count] entries whose
+    target lengths sum to [lens]. *)
 
 val version_bytes : int -> int
 (** Wire size of a piggybacked version vector with the given number of

@@ -10,6 +10,7 @@ type t = Xpath.t
 
 let equal = Xpath.equal
 let compare = Xpath.compare
+let hash q = Hashtbl.hash (Xpath.to_string q)
 let to_string = Xpath.to_string
 let pp = Xpath.pp
 let covers = Xpath.covers

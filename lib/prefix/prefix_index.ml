@@ -101,11 +101,19 @@ let write t ~refresh ~reached entries =
     (fun key ->
       let writes, distinct = Hashtbl.find groups key in
       observe t (fun o -> Obs.Metrics.Counter.incr ~by:!writes o.installs);
+      let count = ref 0 and lens = ref 0 in
       let entries =
-        List.map (fun v -> Rstore.make_entry ~expires_at ~len:(String.length v.rendered) v) !distinct
+        List.map
+          (fun v ->
+            let len = String.length v.rendered in
+            incr count;
+            lens := !lens + len;
+            Rstore.make_entry ~expires_at ~len v)
+          !distinct
       in
       let fresh, replicas =
-        Rstore.insert_entries ~equal:entry_equal t.store ~key ~writes:!writes entries
+        Rstore.insert_entries ~equal:entry_equal t.store ~key ~writes:!writes ~floor:expires_at
+          ~count:!count ~lens:!lens entries
       in
       for i = 0 to Stdx.Int_buf.length replicas - 1 do
         let dst = Stdx.Int_buf.unsafe_get replicas i in

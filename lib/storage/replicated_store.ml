@@ -39,16 +39,35 @@ let make_fence ~tombs ~floor =
    replica, in placement order.  A cell holds a state only while [epoch]
    is its node's epoch: dropping a node's state bumps the node's epoch,
    so every cell written before reads as no state, and the next write
-   there starts afresh. *)
+   there starts afresh.
+
+   [tally] holds the length of [entries] and the sum of its entries'
+   [len]s ({!count} and {!lens}: 31 bits each are room for more than any
+   state holds), kept beside the list at every assignment of it, so that
+   the report's totals and a reply's price read one field instead of
+   walking the list. *)
 type 'v cell = {
   node : int;  (* -1 on the store's [absent] stand-in and merged states *)
   mutable epoch : int;
   mutable entries : 'v entry list;
+  mutable tally : int;
   mutable version : Version.t;
   mutable fence : 'v fence;
 }
 
 type 'v slot = 'v cell array
+
+let count st = st.tally land 0x7FFF_FFFF
+let lens st = st.tally lsr 31
+
+let set_entries st entries ~count ~lens =
+  st.entries <- entries;
+  st.tally <- (lens lsl 31) lor count
+
+let rec len_sum acc = function [] -> acc | e :: rest -> len_sum (acc + e.len) rest
+
+(* For lists whose totals nobody has at hand. *)
+let set_counted st entries = set_entries st entries ~count:(List.length entries) ~lens:(len_sum 0 entries)
 
 let set_tombs st tombs = st.fence <- make_fence ~tombs ~floor:st.fence.floor
 let set_floor st floor = st.fence <- make_fence ~tombs:st.fence.tombs ~floor
@@ -58,17 +77,38 @@ let lower_floor st expires_at = if expires_at < st.fence.floor then set_floor st
    slot's replica set is resolved once, when the slot is made; that is
    exact because a store's resolver is fixed for the store's life.
 
+   [made] holds the first [made_count] slots made, in the order they
+   were made, and [keys] their keys.  The
+   walks whose results are sums read [made] in that order, which is the
+   order its memory was allocated in.  A collected slot stays there,
+   its cells at the epoch [collected], which no node reaches, until half
+   of [made] is collected and it is compacted.
+
+   [places] finds a key's slot by open addressing: place [i] is 0 when
+   free, -1 when its key was collected, and otherwise
+   [(tag lsl 32) lor (n + 1)] for the key of [made]'s [n]th slot, its
+   tag being 30 bits of the key's hash, so that a probe reads the key
+   only when the tags match.  The places are a power of two, kept at
+   most half taken ([live] keys and [vacated] places).
+
    [memo_key] and [memo] are the last key looked up and its slot ([||]
    for none): a lookup step reads one key many times.  [sorted_keys]
    and [sorted] hold every key and its slot in key order while [stale]
    is false; a slot made or removed sets it, and the next ordered read
-   sorts again. *)
+   sorts again.
+
+   [fresh] shares the version a write leaves on a state whose only dot,
+   if any, is its coordinator's: a state at version [[(node, c)]] (or
+   zero) whose node coordinates [w] more writes ends at
+   [[(node, c + w)]], the same immutable list for every key.  It is a direct-mapped cache of
+   [fresh_slots] such lists, one place per (node, small [w]), so its
+   size does not grow with the node count; [fresh_nodes] holds each
+   place's node, -1 while it is empty, so a hit reads no list. *)
 type 'v t = {
   resolver : Dht.Resolver.t;
   replication : int;
   liveness : Dht.Liveness.t;
   clock : unit -> float;
-  slots : 'v slot Key.Table.t;
   epochs : int array;
   absent : 'v cell;  (* no state: read-only *)
   mutable memo_key : Key.t;
@@ -76,11 +116,26 @@ type 'v t = {
   mutable sorted_keys : Key.t array;
   mutable sorted : 'v slot array;
   mutable stale : bool;
+  mutable made : 'v slot array;
+  mutable keys : Key.t array;
+  mutable made_count : int;
+  mutable collected_count : int;
+  mutable places : int array;
+  mutable live : int;
+  mutable vacated : int;
   on_write_acks : (acks:int -> unit) option;
   scratch : Stdx.Int_buf.t; (* replica-set resolution buffer *)
+  fresh : Version.t array;
+  fresh_nodes : int array;
 }
 
-let blank node = { node; epoch = -1; entries = []; version = Version.zero; fence = unfenced }
+(* Versions whose one dot counts up to this many writes are shared
+   ([t.fresh]). *)
+let fresh_writes = 4
+let fresh_slots = 2048
+
+let blank node =
+  { node; epoch = -1; entries = []; tally = 0; version = Version.zero; fence = unfenced }
 
 let create ~resolver ~replication ?on_write_acks ?liveness ?(clock = fun () -> 0.0) () =
   if replication < 1 then
@@ -99,7 +154,6 @@ let create ~resolver ~replication ?on_write_acks ?liveness ?(clock = fun () -> 0
     replication;
     liveness;
     clock;
-    slots = Key.Table.create 1024;
     epochs = Array.make n 0;
     absent = blank (-1);
     memo_key = Key.zero;
@@ -107,8 +161,17 @@ let create ~resolver ~replication ?on_write_acks ?liveness ?(clock = fun () -> 0
     sorted_keys = [||];
     sorted = [||];
     stale = false;
+    made = [||];
+    keys = [||];
+    made_count = 0;
+    collected_count = 0;
+    places = Array.make 1024 0;
+    live = 0;
+    vacated = 0;
     on_write_acks;
     scratch = Stdx.Int_buf.create ~capacity:(Stdlib.max 1 replication) ();
+    fresh = Array.make fresh_slots Version.zero;
+    fresh_nodes = Array.make fresh_slots (-1);
   }
 
 let replication t = t.replication
@@ -124,12 +187,49 @@ let is_cell c = c.node >= 0
    slot. *)
 let is_slot slot = Array.length slot > 0
 
+(* An epoch below every node's. *)
+let collected = -2
+let tag_of h = h land 0x3FFF_FFFF
+let start t h = (h lsr 31) land (Array.length t.places - 1)
+let next t i = (i + 1) land (Array.length t.places - 1)
+let number_at v = (v land 0xFFFF_FFFF) - 1
+
+(* The place holding [key], tagged [tag], from [i]; -1 when there is
+   none. *)
+let rec place_of t key tag i =
+  let v = t.places.(i) in
+  if v = 0 then -1
+  else if v > 0 && v lsr 32 = tag && Key.equal t.keys.(number_at v) key then i
+  else place_of t key tag (next t i)
+
+let rec vacant t i = if t.places.(i) <= 0 then i else vacant t (next t i)
+
+(* Place [made]'s [n]th slot, whose key hashes to [h]. *)
+let add_place t h n =
+  let i = vacant t (start t h) in
+  if t.places.(i) < 0 then t.vacated <- t.vacated - 1;
+  t.places.(i) <- (tag_of h lsl 32) lor (n + 1);
+  t.live <- t.live + 1
+
+(* Places for every slot of [made] not collected: twice [room] or more. *)
+let replace t ~room =
+  let rec size k = if k >= 2 * room then k else size (2 * k) in
+  t.places <- Array.make (size 1024) 0;
+  t.live <- 0;
+  t.vacated <- 0;
+  for n = 0 to t.made_count - 1 do
+    if (Array.unsafe_get t.made.(n) 0).epoch <> collected then
+      add_place t (Key.hash t.keys.(n)) n
+  done
+
 (* The key's slot, or [||]: one probe, none when the key is the last
    one looked up. *)
 let[@hot] find t key =
   if Key.equal key t.memo_key then t.memo
   else begin
-    let slot = match Key.Table.find t.slots key with s -> s | exception Not_found -> [||] in
+    let h = Key.hash key in
+    let i = place_of t key (tag_of h) (start t h) in
+    let slot = if i < 0 then [||] else t.made.(number_at t.places.(i)) in
     t.memo_key <- key;
     t.memo <- slot;
     slot
@@ -144,6 +244,22 @@ let fill_replicas slot buf =
     Stdx.Int_buf.push buf (cell_at slot i).node
   done
 
+(* Room in [made] and [keys] for [room] slots.  [made] is padded with
+   the static [[||]]: a young fill would cost a minor collection, since
+   [Array.make] moves it to the major heap first. *)
+let grow_made t ~room =
+  let n = t.made_count in
+  let made = Array.make room [||] and keys = Array.make room Key.zero in
+  Array.blit t.made 0 made 0 n;
+  Array.blit t.keys 0 keys 0 n;
+  t.made <- made;
+  t.keys <- keys
+
+let reserve t n =
+  let room = t.made_count + n in
+  if room > Array.length t.made then grow_made t ~room;
+  if 2 * (t.live + t.vacated + n) > Array.length t.places then replace t ~room:(t.live + n)
+
 let make_slot t key =
   Dht.Resolver.replicas_into t.resolver key t.replication t.scratch;
   let buf = t.scratch in
@@ -151,7 +267,13 @@ let make_slot t key =
   for i = 0 to Array.length slot - 1 do
     slot.(i) <- blank (Stdx.Int_buf.unsafe_get buf i)
   done;
-  Key.Table.add t.slots key slot;
+  let n = t.made_count in
+  if n = Array.length t.made then grow_made t ~room:(Stdlib.max 1024 (2 * n));
+  t.made.(n) <- slot;
+  t.keys.(n) <- key;
+  t.made_count <- n + 1;
+  if 2 * (t.live + t.vacated + 1) > Array.length t.places then replace t ~room:(t.live + 1)
+  else add_place t (Key.hash key) n;
   t.memo_key <- key;
   t.memo <- slot;
   t.stale <- true;
@@ -163,8 +285,32 @@ let find_or_make t key =
   let slot = find t key in
   if is_slot slot then slot else make_slot t key
 
+(* Collect the key's slot: its place is vacated and its cells are
+   marked; once half of [made] is collected, [made] and [keys] are
+   compacted and every place is made again. *)
 let remove_slot t key =
-  Key.Table.remove t.slots key;
+  let h = Key.hash key in
+  let i = place_of t key (tag_of h) (start t h) in
+  Array.iter (fun c -> c.epoch <- collected) t.made.(number_at t.places.(i));
+  t.places.(i) <- -1;
+  t.live <- t.live - 1;
+  t.vacated <- t.vacated + 1;
+  t.collected_count <- t.collected_count + 1;
+  if 2 * t.collected_count > t.made_count then begin
+    let kept = ref 0 in
+    for n = 0 to t.made_count - 1 do
+      let slot = t.made.(n) in
+      if (cell_at slot 0).epoch <> collected then begin
+        t.made.(!kept) <- slot;
+        t.keys.(!kept) <- t.keys.(n);
+        incr kept
+      end
+    done;
+    if !kept = 0 then t.made <- [||] else Array.fill t.made !kept (t.made_count - !kept) t.made.(0);
+    t.made_count <- !kept;
+    t.collected_count <- 0;
+    replace t ~room:t.live
+  end;
   t.memo_key <- key;
   t.memo <- [||];
   t.stale <- true
@@ -213,7 +359,7 @@ let claim t c =
   let epoch = t.epochs.(c.node) in
   if c.epoch <> epoch then begin
     c.epoch <- epoch;
-    c.entries <- [];
+    set_entries c [] ~count:0 ~lens:0;
     c.version <- Version.zero;
     c.fence <- unfenced
   end
@@ -235,7 +381,7 @@ let rec floor_of acc = function
 let prune now st =
   if st.fence.floor <= now then begin
     if any_expired now st.entries then
-      st.entries <- List.filter (fun e -> not (e.expires_at <= now)) st.entries;
+      set_counted st (List.filter (fun e -> not (e.expires_at <= now)) st.entries);
     set_floor st (floor_of infinity st.entries)
   end
 
@@ -315,7 +461,9 @@ let rec merge_values ~equal held = function
         let found =
           match equal with Some equal -> refresh_first ~equal e st.entries | None -> false
         in
-        if not found then st.entries <- { e with value = e.value } :: st.entries;
+        if not found then
+          set_entries st ({ e with value = e.value } :: st.entries) ~count:(count st + 1)
+            ~lens:(lens st + e.len);
         lower_floor st e.expires_at;
         found || known
       in
@@ -330,30 +478,51 @@ let clear_tombs ~equal st entries =
       let matches tv e = match equal with Some equal -> equal tv e.value | None -> tv = e.value in
       set_tombs st (List.filter (fun tv -> not (List.exists (matches tv) entries)) tombs)
 
+(* [Version.bump_by v ~actor writes], taken from [t.fresh] when [v] is
+   zero or [actor]'s dot alone and the count it ends at is small: the
+   place of [(actor, c)] holds [[(a, c)]] for the node [a] it records.
+   Republish rounds bump such versions again, so they stay shared. *)
+let bump t v ~actor writes =
+  let base = Version.counter v ~actor in
+  let total = base + writes in
+  if writes < 1 || total > fresh_writes || Version.dots v <> Bool.to_int (base > 0) then
+    Version.bump_by v ~actor writes
+  else begin
+    let i = ((actor * fresh_writes) + total - 1) land (fresh_slots - 1) in
+    if t.fresh_nodes.(i) = actor then t.fresh.(i)
+    else begin
+      let v = Version.bump_by Version.zero ~actor total in
+      t.fresh.(i) <- v;
+      t.fresh_nodes.(i) <- actor;
+      v
+    end
+  end
+
 (* The store's one write: one probe finds (or makes) the key's slot,
    whose cells are its replicas.  Each live replica's cell is claimed
    and pruned.  An empty state — no entries, no tombstones — takes
-   [entries] as they are: the list itself on the first live replica,
-   clones elsewhere, since entries carry mutable expiries.  The other
-   states merge value by value ({!merge_values}).  Every live state
-   merges the coordinator's dot, bumped [writes] times past the
-   coordinator's own version. *)
-let insert_entries ~equal t ~key ~writes entries =
+   [entries] as they are, with the caller's [count], [lens] and
+   [floor]: the list itself on the first live replica, clones
+   elsewhere, since entries carry mutable expiries.  The other states
+   merge value by value ({!merge_values}).  Every live state merges the
+   coordinator's dot, bumped [writes] times past the coordinator's own
+   version. *)
+let insert_entries ~equal t ~key ~writes ~floor ~count ~lens entries =
   if entries = [] then invalid_arg "Replicated_store.insert_entries: no entries";
   let now = t.clock () in
   let slot = find_or_make t key in
   let coordinator = (first_live_cell t slot).node in
   let vv = ref Version.zero and acks = ref 0 and held = ref [] in
-  let fence = make_fence ~tombs:[] ~floor:(floor_of infinity entries) in
+  let fence = make_fence ~tombs:[] ~floor in
   for i = 0 to width slot - 1 do
     let st = cell_at slot i in
     if alive_cell t st then begin
       claim t st;
       prune now st;
-      if st.node = coordinator then vv := Version.bump_by st.version ~actor:st.node writes;
+      if st.node = coordinator then vv := bump t st.version ~actor:st.node writes;
       (match (st.entries, st.fence.tombs) with
       | [], [] ->
-          st.entries <- (if !acks = 0 then entries else clone_entries entries);
+          set_entries st (if !acks = 0 then entries else clone_entries entries) ~count ~lens;
           if fence.floor < st.fence.floor then st.fence <- fence
       | _ :: _, _ | [], _ :: _ ->
           clear_tombs ~equal st entries;
@@ -369,16 +538,27 @@ let insert_entries ~equal t ~key ~writes entries =
   fill_replicas slot t.scratch;
   (fresh, t.scratch)
 
+let insert_one ~equal ~expires_at t ~key ~len v =
+  insert_entries ~equal t ~key ~writes:1 ~floor:expires_at ~count:1 ~lens:len
+    [ make_entry ~expires_at ~len v ]
+
 let insert ?(expires_at = infinity) t ~key ~len v =
-  ignore (insert_entries ~equal:None t ~key ~writes:1 [ make_entry ~expires_at ~len v ] : _ * _)
+  ignore (insert_one ~equal:None ~expires_at t ~key ~len v : _ * _)
 
 let insert_unique ?(expires_at = infinity) ~equal t ~key ~len v =
-  match insert_entries ~equal:(Some equal) t ~key ~writes:1 [ make_entry ~expires_at ~len v ] with
+  match insert_one ~equal:(Some equal) ~expires_at t ~key ~len v with
   | [], _ -> false
   | _ :: _, _ -> true
 
-let entries_at t ~node key =
-  if Dht.Liveness.alive t.liveness node then live_entries t (cell_of t (find t key) node) else []
+let live_state t ~node key =
+  if Dht.Liveness.alive t.liveness node then begin
+    let c = cell_of t (find t key) node in
+    if present t c then prune (t.clock ()) c;
+    held t c
+  end
+  else t.absent
+
+let entries_at t ~node key = (live_state t ~node key).entries
 
 let lookup t key =
   let slot = find t key in
@@ -424,7 +604,12 @@ let remove t ~key pred =
             let entries = live_entries t st in
             claim t st;
             let kept, gone = List.partition (fun e -> not (pred e.value)) entries in
-            st.entries <- kept (* a sublist: the floor still bounds it *);
+            (* A sublist: the floor still bounds it. *)
+            (match gone with
+            | [] -> ()
+            | _ :: _ ->
+                set_entries st kept ~count:(count st - List.length gone)
+                  ~lens:(lens st - len_sum 0 gone));
             List.iter
               (fun e ->
                 let tombs = st.fence.tombs in
@@ -508,6 +693,7 @@ let union a b ~version =
   {
     (blank (-1)) with
     entries;
+    tally = (len_sum 0 entries lsl 31) lor List.length entries;
     version;
     fence = make_fence ~tombs ~floor:(floor_of infinity entries);
   }
@@ -544,6 +730,7 @@ let state_equal a b =
 let assign t target merged =
   claim t target;
   target.entries <- clone_entries merged.entries;
+  target.tally <- merged.tally;
   target.version <- merged.version;
   target.fence <- merged.fence
 
@@ -591,18 +778,17 @@ let sync_key t ~key ~nodes =
 
 let sort t =
   if t.stale then begin
-    let n = Key.Table.length t.slots in
-    let keys = Array.make n Key.zero in
+    let numbers = Array.make t.live 0 and keys = t.keys in
     let i = ref 0 in
-    (* lint: allow D2 — fills an array sorted on the next line; no order escapes *)
-    Key.Table.iter
-      (fun key _ ->
-        keys.(!i) <- key;
-        incr i)
-      t.slots;
-    Array.sort Key.compare keys;
-    t.sorted_keys <- keys;
-    t.sorted <- Array.map (Key.Table.find t.slots) keys;
+    for n = 0 to t.made_count - 1 do
+      if (cell_at t.made.(n) 0).epoch <> collected then begin
+        numbers.(!i) <- n;
+        incr i
+      end
+    done;
+    Array.sort (fun a b -> Key.compare keys.(a) keys.(b)) numbers;
+    t.sorted_keys <- Array.map (Array.get keys) numbers;
+    t.sorted <- Array.map (Array.get t.made) numbers;
     t.stale <- false
   end
 
@@ -631,6 +817,8 @@ let slot_state t slot i =
   if present t c then Some c else None
 
 let state_entries st = st.entries
+let state_count = count
+let state_lens = lens
 
 let same_states t a b =
   match (a, b) with
@@ -699,6 +887,7 @@ let repair ?(on_restore = fun ~node:_ _ -> ()) t =
               if not target_newer then begin
                 claim t st;
                 st.entries <- clone_entries src.entries;
+                st.tally <- src.tally;
                 st.version <- Version.merge st.version src.version;
                 st.fence <- src.fence;
                 List.iter
@@ -712,24 +901,23 @@ let repair ?(on_restore = fun ~node:_ _ -> ()) t =
     (sorted_slots t);
   !restored
 
-let key_count t = Key.Table.length t.slots
+let key_count t = t.live
 
 (* Unexpired entries in a state, counted without building a list; below
-   the floor, without reading the entries. *)
+   the floor, the kept count, without reading the entries. *)
 let unexpired_count t st =
-  if st.fence.floor > t.clock () then List.length st.entries
+  if st.fence.floor > t.clock () then count st
   else List.fold_left (fun n e -> if expired t e then n else n + 1) 0 st.entries
 
 (* [f] on every held cell, for walks whose results are sums. *)
 let iter_cells t f =
-  (* lint: allow D2 — every caller sums into integers: bucket order cannot change them *)
-  Key.Table.iter
-    (fun _ slot ->
-      for i = 0 to width slot - 1 do
-        let c = cell_at slot i in
-        if present t c then f c
-      done)
-    t.slots
+  for k = 0 to t.made_count - 1 do
+    let slot = t.made.(k) in
+    for i = 0 to width slot - 1 do
+      let c = cell_at slot i in
+      if present t c then f c
+    done
+  done
 
 let total_replica_entries t =
   let n = ref 0 in
@@ -746,28 +934,27 @@ let entries_per_node t =
   iter_cells t (fun c -> counts.(c.node) <- counts.(c.node) + unexpired_count t c);
   counts
 
-let rec add_entries f count sum = function
-  | [] -> ()
-  | e :: rest ->
-      incr count;
-      sum := !sum + f e;
-      add_entries f count sum rest
+let rec add_entries f sum = function [] -> sum | e :: rest -> add_entries f (sum + f e) rest
 
 (* Each slot's acting primary — its first live replica — counts its
-   held entries: one walk of the slots, no lookup per key. *)
-let entry_totals t f =
+   held entries: one walk of the slots, no lookup per key, and with
+   [f = None] no walk of an entry list either: the kept totals are the
+   sums. *)
+let totals t f =
   let now = t.clock () in
-  let count = ref 0 and sum = ref 0 in
-  (* lint: allow D2 — two integer sums: bucket order cannot change them *)
-  Key.Table.iter
-    (fun _ slot ->
-      let c = first_live_cell t slot in
-      if present t c then begin
-        prune now c;
-        add_entries f count sum c.entries
-      end)
-    t.slots;
-  (!count, !sum)
+  let entries = ref 0 and sum = ref 0 in
+  for k = 0 to t.made_count - 1 do
+    let c = first_live_cell t t.made.(k) in
+    if present t c then begin
+      prune now c;
+      entries := !entries + count c;
+      sum := match f with None -> !sum + lens c | Some f -> add_entries f !sum c.entries
+    end
+  done;
+  (!entries, !sum)
+
+let entry_totals t f = totals t (Some f)
+let len_totals t = totals t None
 
 let fold t ~init ~f =
   let slots = sorted_slots t in

@@ -108,20 +108,32 @@ val make_entry : expires_at:float -> len:int -> 'v -> 'v entry
     rendering ({!entry_len}), [expires_at] its expiry ([infinity] for
     hard state). *)
 
+val reserve : 'v t -> int -> unit
+(** [reserve t n]: room for [n] more keys, made at once, so that
+    registering them grows nothing. *)
+
 val insert_entries :
   equal:('v -> 'v -> bool) option ->
   'v t ->
   key:Hashing.Key.t ->
   writes:int ->
+  floor:float ->
+  count:int ->
+  lens:int ->
   'v entry list ->
   'v entry list * Stdx.Int_buf.t
-(** The store's one write: [insert_entries ~equal t ~key ~writes entries]
-    leaves on [key] exactly what [writes] one-entry writes leave when
-    their distinct values, in first-write order, are [entries] reversed
-    (so [entries] is newest first) and each value's last write carried
-    its entry's expiry.  Without [equal] no value is refreshed, so every
-    write installs its own entry and [writes] is the length of
-    [entries].
+(** The store's one write: [insert_entries ~equal t ~key ~writes ~floor
+    ~count ~lens entries] leaves on [key] exactly what [writes]
+    one-entry writes leave when their distinct values, in first-write
+    order, are [entries] reversed (so [entries] is newest first) and
+    each value's last write carried its entry's expiry.  Without [equal]
+    no value is refreshed, so every write installs its own entry and
+    [writes] is the length of [entries].
+
+    The caller states what it knows of [entries], so the store does not
+    walk them: [count] is their number, [lens] the sum of their
+    {!entry_len}s and [floor] a lower bound on their expiries (a batch
+    stamped alike passes its one expiry).
 
     A write reaches the {e live} replicas only.  On each, an entry
     [equal] to a written value takes that value's expiry; otherwise the
@@ -166,9 +178,7 @@ val lookup : 'v t -> Hashing.Key.t -> 'v list
 
 val entries_at : 'v t -> node:int -> Hashing.Key.t -> 'v entry list
 (** One replica's unexpired entries; [] when that node is dead or does
-    not hold the key.  The index layer drives its bounded retry loop with
-    this, billing each attempt from the entries' lengths.  Allocates
-    nothing unless an entry has expired. *)
+    not hold the key.  Allocates nothing unless an entry has expired. *)
 
 val version_at : 'v t -> node:int -> Hashing.Key.t -> Version.t
 (** The replica's version vector for the key ({!Version.zero} when it
@@ -261,6 +271,11 @@ val entry_totals : 'v t -> ('v entry -> int) -> int * int
     key, keys with no live holder counting nothing — and [f] summed over
     them, in one walk of the replicas' states without sorting them. *)
 
+val len_totals : 'v t -> int * int
+(** {!entry_totals} with {!entry_len} summed, read off each state's kept
+    totals ({!state_count}, {!state_lens}): no entry list is walked
+    unless an entry may have expired. *)
+
 val fold :
   'v t -> init:'acc -> f:('acc -> Hashing.Key.t -> 'v list -> 'acc) -> 'acc
 (** Fold over every key with the acting primary's unexpired entries
@@ -317,6 +332,19 @@ val slot_state : 'v t -> 'v slot -> int -> 'v state option
 val state_entries : 'v state -> 'v entry list
 (** The entries the state physically holds, expired ones included until
     a probe prunes them: the volume a full-state exchange would ship. *)
+
+val state_count : 'v state -> int
+(** The length of {!state_entries}, kept beside the list. *)
+
+val state_lens : 'v state -> int
+(** The sum of {!state_entries}' {!entry_len}s, kept beside the list. *)
+
+val live_state : 'v t -> node:int -> Hashing.Key.t -> 'v state
+(** One replica's state of the key with its expired entries pruned: what
+    {!entries_at} reads, with its kept totals.  A dead node, or one that
+    holds no state, reads as a state with no entries.  The index layer
+    drives its bounded retry loop with this, pricing each reply from the
+    kept totals.  Allocates nothing unless an entry has expired. *)
 
 val same_states : 'v t -> 'v state option -> 'v state option -> bool
 (** {!same_state} on two states already looked up. *)

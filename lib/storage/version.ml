@@ -14,8 +14,12 @@ let rec well_formed = function
   | (a, n) :: ((a', _) :: _ as rest) ->
       a >= 0 && n > 0 && a < a' && well_formed rest
 
-let counter t ~actor =
-  match List.assoc_opt actor t with Some n -> n | None -> 0
+(* Sorted by actor: the walk stops at the first actor past [actor], and
+   allocates nothing. *)
+let rec counter t ~actor =
+  match t with
+  | [] -> 0
+  | (a, n) :: rest -> if a = actor then n else if a > actor then 0 else counter rest ~actor
 
 let bump_by t ~actor n =
   if actor < 0 then invalid_arg "Version.bump: negative actor";

@@ -17,7 +17,6 @@ val well_formed : t -> bool
 (** Internal invariant — sorted strictly by actor, all counters
     positive.  Exposed for the property tests. *)
 
-(* lint: allow X1 — test view: one actor's dot *)
 val counter : t -> actor:int -> int
 (** The actor's component, [0] when absent. *)
 

@@ -1026,6 +1026,34 @@ let grouped_republish_equals_per_edge_refresh =
                ~expires_at:(if c.ttl then now +. 30.0 else infinity)
                index network ~kind articles)))
 
+(* Under a plan, a batch's children join the keys earlier batches
+   planned: publishing the documents one at a time must leave what one
+   batch of them leaves, and so must the republish round replaying the
+   plan either way built. *)
+let publish_one_by_one index ~kind articles =
+  let scheme = Schemes.scheme kind in
+  Array.iter
+    (fun article -> Index.publish index ~scheme ~msd:(Q.msd article) (Article.file article))
+    articles
+
+let planned_observation c ~publish =
+  let now = ref 5.0 in
+  let registry, _network, index = case_index ~republished:true c ~clock:(fun () -> !now) in
+  publish index ~kind:c.kind (first_batch c);
+  List.iter (fun node -> ignore (Dht.Liveness.fail (Index.liveness index) node : bool)) c.failed;
+  publish index ~kind:c.kind (second_batch c);
+  let published = index_lines c index registry in
+  now := 20.0;
+  Index.republish index;
+  published @ index_lines c index registry
+
+let single_publishes_equal_one_batch =
+  QCheck.Test.make ~name:"single publishes under a plan = one batch" ~count:60 publish_case_arb
+    (fun c ->
+      compare_lines ~label:"one batch"
+        (planned_observation c ~publish:publish_one_by_one)
+        (planned_observation c ~publish:Index.publish_corpus))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -1079,5 +1107,9 @@ let suite =
       @ qcheck [ publish_unpublish_invariant ] );
     ( "bib:publish",
       qcheck
-        [ grouped_publication_equals_per_edge_fold; grouped_republish_equals_per_edge_refresh ] );
+        [
+          grouped_publication_equals_per_edge_fold;
+          grouped_republish_equals_per_edge_refresh;
+          single_publishes_equal_one_batch;
+        ] );
   ]
