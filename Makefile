@@ -113,12 +113,14 @@ chaos: build
 # wall time, and the symbolizer prints the symbols with the most
 # samples, e.g.
 #   make profile ARGS='simulate --nodes 500 --articles 10000 --queries 1'
+# The run's stdout is kept in $(PROFILE_STDOUT).
 PROFILE_SAMPLES = _build/profile-samples.txt
+PROFILE_STDOUT = _build/profile-stdout.txt
 
 profile:
 	dune build bin/p2pindex_cli.exe bench/sampler/sampler.so
 	P2P_SAMPLES=$(PROFILE_SAMPLES) LD_PRELOAD=$(CURDIR)/_build/default/bench/sampler/sampler.so \
-	  ./_build/default/bin/p2pindex_cli.exe $(ARGS) > /dev/null
+	  ./_build/default/bin/p2pindex_cli.exe $(ARGS) > $(PROFILE_STDOUT)
 	sh bench/sampler/symbolize.sh _build/default/bin/p2pindex_cli.exe $(PROFILE_SAMPLES)
 
 clean:

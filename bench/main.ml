@@ -23,11 +23,11 @@
    per experiment the GC delta plus its headline metrics.  Without
    [--timings] every wall-clock field is null and the file is
    byte-for-byte reproducible for the same binary and arguments — the
-   form the CI regression gate compares with [benchdiff].  Micro
-   allocation figures come from fixed-iteration loops (one warm call,
-   then a fixed run count between two [Gc.quick_stat] readings), not from
-   Bechamel's adaptive sampler, precisely so the counts cannot wobble
-   with machine speed. *)
+   form the CI regression gate compares with [benchdiff].  Every run
+   measures the micro-benchmarks one way: fixed-iteration loops (one
+   warm call, then a fixed run count between two [Gc.quick_stat]
+   readings), so the counts cannot wobble with machine speed; with
+   [--timings] the same loops are timed on the monotonic clock. *)
 
 let usage_lines =
   [
@@ -52,9 +52,8 @@ let die fmt =
     fmt
 
 (* ------------------------------------------------------------------ *)
-(* Micro-benchmarks: named thunks.  The same list feeds the Bechamel
-   sampler (timing estimates, adaptive iteration counts) and the
-   fixed-iteration allocation accounting behind [--json-out]. *)
+(* Micro-benchmarks: named thunks, measured by the fixed-iteration
+   accounting below. *)
 
 let micro_ops () : (string * (unit -> unit)) list =
   let sha_input = String.init 256 (fun i -> Char.chr (i mod 256)) in
@@ -392,35 +391,11 @@ let micro_ops () : (string * (unit -> unit)) list =
     ("sim/setup-10k-nodes", fun () -> ignore (Sim.Runner.Internal.setup setup_10k));
   ]
 
-let run_micro_bechamel () =
-  let open Bechamel in
-  print_string "\n=== Micro-benchmarks (Bechamel, monotonic clock) ===\n";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
-  List.iter
-    (fun (name, fn) ->
-      let test = Test.make ~name (Staged.stage fn) in
-      let results = Benchmark.all cfg instances test in
-      let analyzed = Analyze.all ols (List.hd instances) results in
-      Stdx.Det_tbl.iter_sorted ~compare:String.compare
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (value :: _) -> Printf.printf "  %-24s %12.1f ns/op\n" name value
-          | Some [] | None -> Printf.printf "  %-24s (no estimate)\n" name)
-        analyzed)
-    (micro_ops ());
-  print_newline ()
-
-(* Fixed-iteration accounting for the JSON report: one warm call, then
-   [runs] calls between two [Gc.quick_stat] readings, averaged per run.
-   Identical process execution gives identical allocation counts, so the
-   strict-mode report stays byte-reproducible where Bechamel's
-   time-quota sampler would not. *)
+(* Fixed-iteration accounting: one warm call, then [runs] calls
+   between two [Gc.quick_stat] readings, averaged per run.  Identical
+   process execution gives identical allocation counts, so the
+   strict-mode report stays byte-reproducible, as a time-quota sampler's
+   adaptive run counts would not. *)
 let micro_runs = 1_000
 
 (* Whole-corpus publication and republication, and the 10k-node
@@ -529,20 +504,25 @@ let measure_micro ~timed () =
   in
   List.map measure (micro_ops ())
 
-let print_micro_alloc (micros : Obs.Bench_report.micro list) =
-  print_string "\n=== Micro-benchmarks (fixed-iteration allocation) ===\n";
+(* The micro table; with [--timings], an ns/run column too. *)
+let print_micro_alloc ~timed (micros : Obs.Bench_report.micro list) =
+  print_string "\n=== Micro-benchmarks (fixed iterations) ===\n";
+  let f = Printf.sprintf "%.1f" in
   Stdx.Tabular.print_table
-    ~headers:[ "benchmark"; "runs"; "minor w/run"; "promoted w/run"; "major w/run" ]
+    ~headers:
+      ([ "benchmark"; "runs"; "minor w/run"; "promoted w/run"; "major w/run" ]
+      @ if timed then [ "ns/run" ] else [])
     ~rows:
       (List.map
          (fun (m : Obs.Bench_report.micro) ->
            [
              m.Obs.Bench_report.micro_name;
              string_of_int m.Obs.Bench_report.runs;
-             Printf.sprintf "%.1f" m.Obs.Bench_report.minor_words_per_run;
-             Printf.sprintf "%.1f" m.Obs.Bench_report.promoted_words_per_run;
-             Printf.sprintf "%.1f" m.Obs.Bench_report.major_words_per_run;
-           ])
+             f m.Obs.Bench_report.minor_words_per_run;
+             f m.Obs.Bench_report.promoted_words_per_run;
+             f m.Obs.Bench_report.major_words_per_run;
+           ]
+           @ Option.to_list (Option.map f m.Obs.Bench_report.time_ns_per_run))
          micros)
 
 (* ------------------------------------------------------------------ *)
@@ -675,14 +655,10 @@ let () =
       (not opts.skip_micro)
       && (opts.micro_only || opts.json_out <> None || opts.experiments = None)
     in
-    match opts.json_out with
-    | None -> if want_micro then run_micro_bechamel ()
-    | Some path ->
-        (* The JSON half replaces the Bechamel sampler: fixed-iteration
-           loops keep the report reproducible, and skipping the adaptive
-           timing pass keeps --json-out runs fast enough for CI. *)
-        let micro = if want_micro then measure_micro ~timed:opts.timings () else [] in
-        if micro <> [] then print_micro_alloc micro;
+    let micro = if want_micro then measure_micro ~timed:opts.timings () else [] in
+    if micro <> [] then print_micro_alloc ~timed:opts.timings micro;
+    Option.iter
+      (fun path ->
         let report =
           {
             Obs.Bench_report.label = Obs.Bench_report.label_of_path path;
@@ -699,8 +675,9 @@ let () =
           }
         in
         Obs.Bench_report.write ~path report;
-        Printf.printf "\nwrote %s (%d micro, %d experiments%s)\n" path
-          (List.length micro) (List.length experiments)
-          (if opts.timings then ", timed — not byte-reproducible" else "");
-        if not (within_ceilings micro) then exit 1
+        Printf.printf "\nwrote %s (%d micro, %d experiments%s)\n" path (List.length micro)
+          (List.length experiments)
+          (if opts.timings then ", timed — not byte-reproducible" else ""))
+      opts.json_out;
+    if not (within_ceilings micro) then exit 1
   end

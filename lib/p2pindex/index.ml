@@ -67,10 +67,13 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   type group = {
     key : Key.t;
     parent_len : int;  (** The parent's rendered length. *)
-    mutable children : Q.t Rstore.entry array;  (** The first [size] are the children. *)
-    mutable counts : int array;
-    mutable size : int;
+    children : Q.t Rstore.entry array;
+    counts : int array;
   }
+
+  (* What pads the plan's group array: an old value, so the array's
+     allocation forces no minor collection. *)
+  let no_group = { key = Key.zero; parent_len = 0; children = [||]; counts = [||] }
 
   (* One published document: its file write, and what derives its
      edges again when the plan is rebuilt. *)
@@ -130,17 +133,14 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       Array.iter (fun x -> if x <> 0 then add t (x lsr 32) ((x land 0xFFFF_FFFF) - 1)) old
   end
 
-  (* What a batch meeting planned keys finds them by: each group's
-     number, by key, and each planned child's place in its group, by
-     (group number, its [Q.hash]). *)
-  type lookup = { by_key : int Key.Table.t; places : Tags.t }
-
   type plan = {
     mutable docs : planned array;  (** In publication order. *)
     mutable doc_count : int;
     mutable groups : group array;  (** In first-planned order. *)
     mutable group_count : int;
-    mutable lookup : lookup option;  (** Made when a batch meets a planned key. *)
+    mutable stale : bool;
+        (** A later batch or an unpublish changed [docs] since the
+            groups were derived. *)
   }
 
   type t = {
@@ -279,7 +279,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
                doc_count = 0;
                groups = [||];
                group_count = 0;
-               lookup = None;
+               stale = false;
              }
          else None);
       consulted = Stdx.Int_buf.create ~capacity:replication ();
@@ -443,21 +443,20 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     mutable sizes : int array;  (** Distinct children staged. *)
     mutable lens : int array;  (** Their lengths' sum. *)
     mutable newest : int array;
-        (** Under a plan: each group's newest child's number, -1 for none. *)
+        (** When planning: each group's newest child's number, -1 for none. *)
     mutable groups : int;
     places : Tags.t;  (** (group, child hash) to child number. *)
     mutable entries : Q.t Rstore.entry array;  (** By child number. *)
     mutable previous : int array;
-        (** Under a plan, by child number: the number of the child staged
+        (** When planning, by child number: the number of the child staged
             before it in its group, -1 for none. *)
     mutable planned : int array;
-        (** By child number: its planned edges — under a plan, the edges
+        (** By child number: its planned edges — when planning, the edges
             of every document staged whole. *)
     mutable child_count : int;
     mutable memo : rendered list;  (** The document being staged's values. *)
     staged : Stdx.Int_buf.t;  (** The document being staged: each edge's child. *)
-    order : Stdx.Int_buf.t;  (** A group's children's numbers, newest first. *)
-    planning : bool;
+    planning : bool;  (** The batch derives the plan's groups. *)
     expires_at : float;  (** Every entry of a batch is stamped alike. *)
   }
 
@@ -482,7 +481,6 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       child_count = 0;
       memo = [];
       staged = Stdx.Int_buf.create ();
-      order = Stdx.Int_buf.create ();
       planning;
       expires_at = entry_expiry t;
     }
@@ -585,7 +583,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         n
     | n -> n
 
-  (* Stage a document's edges; under a plan, once every edge is staged,
+  (* Stage a document's edges; when planning, once every edge is staged,
      count each one towards its child's planned edges. *)
   let stage_edges b ~scheme ~msd ~msd_string =
     b.memo <- [ { query = msd; string = msd_string; group = -1; hash = -1 } ];
@@ -611,7 +609,11 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      batch hashed, shared with it), its rendered length, and its
      distinct children as they were staged, with their edge counts — so
      a republish round rewrites them without rendering, hashing or
-     staging anything again. *)
+     staging anything again.  The groups have one derivation: the batch
+     of every recorded document, staged in publication order.  The
+     batch that starts a plan is that batch; a later batch or an
+     unpublish marks the groups stale, and the next round derives them
+     again from the documents. *)
 
   (* Record [doc], with room made for the [more] documents of its batch
      after it: the document column grows at most once a batch, and at
@@ -628,121 +630,45 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   let count (grp : group) j = if Array.length grp.counts = 0 then 1 else grp.counts.(j)
 
-  (* Planned child [j] of group number [number] joins the lookup's
-     places. *)
-  let add_place (lookup : lookup) number (grp : group) j =
-    let hash = query_hash (Rstore.entry_value grp.children.(j)) in
-    Tags.add lookup.places (Tags.tag ~group:number ~hash) j
-
-  (* The plan's lookup, made on first use: the first batch of a plan
-     meets no planned key and needs none. *)
-  let plan_lookup (p : plan) =
-    match p.lookup with
-    | Some lookup -> lookup
-    | None ->
-        let children = ref 0 in
-        for i = 0 to p.group_count - 1 do
-          children := !children + p.groups.(i).size
-        done;
-        let lookup =
-          { by_key = Key.Table.create (2 * p.group_count); places = Tags.create !children }
-        in
-        for i = 0 to p.group_count - 1 do
-          let grp = p.groups.(i) in
-          Key.Table.add lookup.by_key grp.key i;
-          for j = 0 to grp.size - 1 do
-            add_place lookup i grp j
-          done
-        done;
-        p.lookup <- Some lookup;
-        lookup
-
-  (* [grp]'s counts, spelt out if they were all ones. *)
-  let explicit_counts (grp : group) =
-    if Array.length grp.counts = 0 then grp.counts <- Array.make (Array.length grp.children) 1
-
-  (* Append a child with [c] planned edges to [grp]. *)
-  let plan_child (grp : group) e c =
-    let j = grp.size in
-    if j = Array.length grp.children then begin
-      let room = Stdlib.max 4 (2 * j) in
-      grp.children <- resize grp.children room e;
-      if Array.length grp.counts > 0 then grp.counts <- resize grp.counts room 1
-    end;
-    grp.children.(j) <- e;
-    if c <> 1 then explicit_counts grp;
-    if Array.length grp.counts > 0 then grp.counts.(j) <- c;
-    grp.size <- j + 1
-
-  (* The place of [grp]'s planned child keyed [k] equal to [e]'s value,
-     or -1. *)
-  let rec planned_child places (grp : group) k e i =
-    let i = Tags.find places k i in
-    match Tags.value places i with
-    | -1 -> -1
-    | j when same_child (Rstore.entry_value e) (Rstore.entry_len e) grp.children.(j) -> j
-    | _ -> planned_child places grp k e (Tags.next places i)
-
-  (* A new plan group for batch group [g], with room for its [n]
-     planned children. *)
-  let add_group (p : plan) b g ~n =
-    let grp =
-      {
-        key = b.keys.(g);
-        parent_len = String.length b.parents.(g);
-        children = Array.make n b.entries.(b.newest.(g));
-        counts = [||];
-        size = 0;
-      }
-    in
-    if p.group_count = Array.length p.groups then
-      p.groups <- resize p.groups (Stdlib.max 64 (2 * p.group_count)) grp;
-    p.groups.(p.group_count) <- grp;
-    p.group_count <- p.group_count + 1;
-    Option.iter (fun lookup -> Key.Table.add lookup.by_key grp.key (p.group_count - 1)) p.lookup;
-    p.group_count - 1
-
-  (* Group [g]'s planned children, oldest first, join the plan group of
-     its key: a key new to the plan takes them as they are; otherwise a
-     child the group planned before keeps its place and adds its count,
-     and a new one is the group's newest.  [known]: the plan may hold
-     the key already. *)
-  let plan_staged (p : plan) b g ~known =
-    let order = b.order in
-    Stdx.Int_buf.clear order;
-    let n = ref 0 and child = ref b.newest.(g) in
+  (* Group [g]'s planned children, oldest first, join the plan as a new
+     group, if it has any.  They are linked newest first, so one walk
+     counts them and a second fills the group from its end. *)
+  let plan_staged (p : plan) b g =
+    let n = ref 0 and ones = ref true and child = ref b.newest.(g) in
     while !child >= 0 do
-      Stdx.Int_buf.push order !child;
-      if b.planned.(!child) > 0 then incr n;
+      let c = b.planned.(!child) in
+      if c > 0 then incr n;
+      if c > 1 then ones := false;
       child := b.previous.(!child)
     done;
     if !n > 0 then begin
-      let number =
-        if known then
-          Option.value ~default:(-1) (Key.Table.find_opt (plan_lookup p).by_key b.keys.(g))
-        else -1
-      in
-      let number = if number >= 0 then number else add_group p b g ~n:!n in
-      let grp = p.groups.(number) in
-      for i = Stdx.Int_buf.length order - 1 downto 0 do
-        let child = Stdx.Int_buf.unsafe_get order i in
-        let c = b.planned.(child) in
+      let children = Array.make !n b.entries.(b.newest.(g))
+      and counts = if !ones then [||] else Array.make !n 1 in
+      let j = ref !n in
+      child := b.newest.(g);
+      while !child >= 0 do
+        let c = b.planned.(!child) in
         if c > 0 then begin
-          let e = b.entries.(child) in
-          match p.lookup with
-          | None -> plan_child grp e c
-          | Some lookup -> (
-              let k = Tags.tag ~group:number ~hash:(query_hash (Rstore.entry_value e)) in
-              match planned_child lookup.places grp k e (Tags.start lookup.places k) with
-              | -1 ->
-                  plan_child grp e c;
-                  Tags.add lookup.places k (grp.size - 1)
-              | j ->
-                  explicit_counts grp;
-                  grp.counts.(j) <- grp.counts.(j) + c)
-        end
-      done
+          decr j;
+          children.(!j) <- b.entries.(!child);
+          if not !ones then counts.(!j) <- c
+        end;
+        child := b.previous.(!child)
+      done;
+      p.groups.(p.group_count) <-
+        { key = b.keys.(g); parent_len = String.length b.parents.(g); children; counts };
+      p.group_count <- p.group_count + 1
     end
+
+  (* The plan's groups, derived from [b], the batch of every recorded
+     document: at most one a staged key, in first-staged order. *)
+  let derive (p : plan) b =
+    p.groups <- Array.make b.groups no_group;
+    p.group_count <- 0;
+    for g = 0 to b.groups - 1 do
+      plan_staged p b g
+    done;
+    p.stale <- false
 
   let rec charge_installs t ~dst ~parent_len = function
     | [] -> ()
@@ -755,10 +681,10 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let mapping_equal = Some Q.equal
 
   (* One write per staged key, in first-seen order, billed at every live
-     replica of the replica set the write resolved; under a plan, the
-     key's planned children then join the plan. *)
+     replica of the replica set the write resolved; then, under a plan,
+     the batch that starts it derives its groups, and any other batch
+     leaves them stale. *)
   let flush t b =
-    let known = match t.plan with Some p -> p.group_count > 0 | None -> false in
     Rstore.reserve t.mappings b.groups;
     for g = 0 to b.groups - 1 do
       let fresh, replicas =
@@ -771,16 +697,16 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         let dst = Stdx.Int_buf.unsafe_get replicas i in
         if Dht.Liveness.alive t.liveness dst then
           charge_installs t ~dst ~parent_len fresh
-      done;
-      Option.iter (fun p -> plan_staged p b g ~known) t.plan
-    done
+      done
+    done;
+    Option.iter (fun p -> if b.planning then derive p b else p.stale <- true) t.plan
 
   let publish_batch t ~scheme ~msd ~file docs =
     (* Room for four groups a document, about what the bibliographic
        schemes stage, so the columns seldom grow. *)
     let b =
       create_batch t ~capacity:(Stdlib.max 16 (4 * Array.length docs))
-        ~planning:(Option.is_some t.plan)
+        ~planning:(match t.plan with Some p -> p.doc_count = 0 | None -> false)
     in
     Rstore.reserve t.files (Array.length docs);
     let stage i doc =
@@ -817,18 +743,30 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   (* Every planned edge of a group, billed to [dst]: each child's bytes
      once per edge writing it, newest child first. *)
-  let charge_planned t ~dst grp =
-    for j = grp.size - 1 downto 0 do
+  let charge_planned t ~dst (grp : group) =
+    for j = Array.length grp.children - 1 downto 0 do
       let bytes = Wire.cache_install_bytes_of_len grp.parent_len (Rstore.entry_len grp.children.(j)) in
       for _ = 1 to count grp j do
         charge_maintenance t ~dst ~bytes
       done
     done
 
+  (* Stale groups derived again from the plan's documents: each
+     document's edges staged in publication order, as publication
+     staged them. *)
+  let replan t (p : plan) =
+    let b = create_batch t ~capacity:(Stdlib.max 16 (4 * p.doc_count)) ~planning:true in
+    for d = 0 to p.doc_count - 1 do
+      let { msd; scheme; _ } = p.docs.(d) in
+      stage_edges b ~scheme ~msd ~msd_string:(Q.to_string msd)
+    done;
+    derive p b
+
   let republish t =
     match t.plan with
     | None -> invalid_arg "Index.republish: the index records no publication plan"
     | Some p ->
+        if p.stale then replan t p;
         let expires_at = entry_expiry t in
         for d = 0 to p.doc_count - 1 do
           let doc = p.docs.(d) in
@@ -841,7 +779,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         for g = 0 to p.group_count - 1 do
           let grp = p.groups.(g) in
           let entries = ref [] and writes = ref 0 and lens = ref 0 in
-          for j = 0 to grp.size - 1 do
+          for j = 0 to Array.length grp.children - 1 do
             let e = grp.children.(j) in
             let len = Rstore.entry_len e in
             entries := Rstore.make_entry ~expires_at ~len (Rstore.entry_value e) :: !entries;
@@ -853,7 +791,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
           | entries ->
               let _fresh, replicas =
                 Rstore.insert_entries ~equal:mapping_equal t.mappings ~key:grp.key ~writes:!writes
-                  ~floor:expires_at ~count:grp.size ~lens:!lens entries
+                  ~floor:expires_at ~count:(Array.length grp.children) ~lens:!lens entries
               in
               for i = 0 to Stdx.Int_buf.length replicas - 1 do
                 let dst = Stdx.Int_buf.unsafe_get replicas i in
@@ -906,25 +844,10 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     let key = key_of_query q in
     (not (Rstore.mem t.files key)) && Rstore.lookup t.mappings key = []
 
-  (* The plan's groups, derived again from its documents: each
-     document's edges staged in publication order, as publication staged
-     them. *)
-  let replan t (p : plan) =
-    p.groups <- [||];
-    p.group_count <- 0;
-    p.lookup <- None;
-    let b = create_batch t ~capacity:(Stdlib.max 16 (4 * p.doc_count)) ~planning:true in
-    for d = 0 to p.doc_count - 1 do
-      let { msd; scheme; _ } = p.docs.(d) in
-      stage_edges b ~scheme ~msd ~msd_string:(Q.to_string msd)
-    done;
-    for g = 0 to b.groups - 1 do
-      plan_staged p b g ~known:false
-    done
-
   (* An unpublished document leaves the plan, so no round brings it
-     back; the groups are derived again from the documents left, so
-     each child keeps the place of its first remaining write. *)
+     back; the groups, derived again from the documents left at the
+     next round, give each child the place of its first remaining
+     write. *)
   let unplan t key =
     match t.plan with
     | None -> ()
@@ -939,7 +862,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         done;
         if !kept < p.doc_count then begin
           p.doc_count <- !kept;
-          replan t p
+          p.stale <- true
         end
 
   let unpublish t ~scheme ~msd =

@@ -148,12 +148,15 @@ module type S = sig
       [~republished], publication records each document's file write,
       descriptor and scheme, and per parent key its rendered length and
       its distinct children, each with the number of scheme edges that
-      write it.  A round writes each planned key once, with its
-      children and its edge count, and bills every edge, so it renders,
-      hashes and derives nothing.  {!unpublish} takes a document out of
-      the plan (the groups are derived again from the documents left),
-      and a document whose publication raised {!Covering_violation}
-      never enters it.
+      write it.  The batch that starts the plan derives those groups; a
+      later batch or an {!unpublish} leaves them stale, and the next
+      round derives them once from the recorded documents.  A round
+      writes each planned key once, with its children and its edge
+      count, and bills every edge, so after a single batch it renders,
+      hashes and derives nothing; the first round after a later batch
+      or an unpublish stages every recorded document's edges once.  A
+      document whose publication raised {!Covering_violation} never
+      enters the plan.
       @raise Invalid_argument on an index created without
       [republished]. *)
 
@@ -181,7 +184,9 @@ module type S = sig
 
   val unpublish : t -> scheme:query Scheme.t -> msd:query -> unit
   (** Delete the file and clean up: mappings whose child no longer leads
-      anywhere are removed, recursively (Section IV-C). *)
+      anywhere are removed, recursively (Section IV-C).  Under a plan
+      the document leaves it, and the plan's groups are stale until the
+      next {!republish} round derives them again. *)
 
   type step =
     | File of file  (** The query was a most specific descriptor. *)

@@ -470,7 +470,9 @@ let republish_needs_a_plan () =
       Index.republish index)
 
 (* A republish round replays what publication derived: it asks the
-   scheme for no edges and renders no query. *)
+   scheme for no edges and renders no query.  A later batch leaves the
+   plan's groups stale: the round after it derives every recorded
+   document's edges once, and the round after that nothing again. *)
 module Counted_query = struct
   include Q
 
@@ -485,6 +487,7 @@ module Counted_index = P2pindex.Index.Make (Counted_query)
 
 let republish_derives_nothing () =
   let articles = Corpus.generate ~seed:62L (Corpus.default_config ~article_count:40) in
+  let first = Array.sub articles 0 25 and second = Array.sub articles 25 15 in
   let resolver = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:62L ~node_count:10 ()) in
   let derived = ref 0 in
   let scheme =
@@ -493,16 +496,23 @@ let republish_derives_nothing () =
         P2pindex.Scheme.edges (Schemes.scheme Schemes.Simple) q)
   in
   let index = Counted_index.create ~replication:3 ~ttl:30.0 ~resolver () in
-  Counted_index.publish_batch index ~scheme ~msd:Q.msd ~file:Article.file articles;
+  let round ~label ~derivations =
+    let before = Counted_index.mapping_count index in
+    derived := 0;
+    Counted_query.renders := 0;
+    Counted_index.republish index;
+    Alcotest.(check int) (label ^ ": edges derived") derivations !derived;
+    if derivations = 0 then
+      Alcotest.(check int) (label ^ ": queries rendered") 0 !Counted_query.renders;
+    Alcotest.(check int) (label ^ ": mappings") before (Counted_index.mapping_count index)
+  in
+  Counted_index.publish_batch index ~scheme ~msd:Q.msd ~file:Article.file first;
   Alcotest.(check bool) "publication derived and rendered" true
     (!derived > 0 && !Counted_query.renders > 0);
-  let before = Counted_index.mapping_count index in
-  derived := 0;
-  Counted_query.renders := 0;
-  Counted_index.republish index;
-  Alcotest.(check int) "edges derived" 0 !derived;
-  Alcotest.(check int) "queries rendered" 0 !Counted_query.renders;
-  Alcotest.(check int) "mappings" before (Counted_index.mapping_count index)
+  round ~label:"after one batch" ~derivations:0;
+  Counted_index.publish_batch index ~scheme ~msd:Q.msd ~file:Article.file second;
+  round ~label:"after a later batch" ~derivations:(Array.length articles);
+  round ~label:"next round" ~derivations:0
 
 let publish_unpublish_invariant =
   QCheck.Test.make ~name:"publish/unpublish keeps the index clean" ~count:25
@@ -1026,10 +1036,11 @@ let grouped_republish_equals_per_edge_refresh =
                ~expires_at:(if c.ttl then now +. 30.0 else infinity)
                index network ~kind articles)))
 
-(* Under a plan, a batch's children join the keys earlier batches
-   planned: publishing the documents one at a time must leave what one
-   batch of them leaves, and so must the republish round replaying the
-   plan either way built. *)
+(* Under a plan, a later batch leaves the plan's groups stale and the
+   next round derives them again from every recorded document:
+   publishing the documents one at a time must leave what one batch of
+   them leaves, and so must the rounds replaying the plan either way
+   built — one between the batches, and one after an unpublish. *)
 let publish_one_by_one index ~kind articles =
   let scheme = Schemes.scheme kind in
   Array.iter
@@ -1039,13 +1050,18 @@ let publish_one_by_one index ~kind articles =
 let planned_observation c ~publish =
   let now = ref 5.0 in
   let registry, _network, index = case_index ~republished:true c ~clock:(fun () -> !now) in
-  publish index ~kind:c.kind (first_batch c);
+  let first = first_batch c in
+  publish index ~kind:c.kind first;
+  now := 10.0;
+  Index.republish index;
+  let round = index_lines c index registry in
   List.iter (fun node -> ignore (Dht.Liveness.fail (Index.liveness index) node : bool)) c.failed;
   publish index ~kind:c.kind (second_batch c);
   let published = index_lines c index registry in
   now := 20.0;
+  Index.unpublish index ~scheme:(Schemes.scheme c.kind) ~msd:(Q.msd first.(0));
   Index.republish index;
-  published @ index_lines c index registry
+  round @ published @ index_lines c index registry
 
 let single_publishes_equal_one_batch =
   QCheck.Test.make ~name:"single publishes under a plan = one batch" ~count:60 publish_case_arb
