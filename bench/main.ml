@@ -362,7 +362,7 @@ let micro_ops () : (string * (unit -> unit)) list =
     ( "storage/anti-entropy-pass",
       fun () ->
         ignore
-          (Storage.Anti_entropy.run ae_store ~entry_bytes:Storage.Replicated_store.entry_len ()) );
+          (Storage.Anti_entropy.run ae_store ~entry_overhead:0 ()) );
     ("prng/int", fun () -> ignore (Stdx.Prng.int prng 1000));
     ( "dht/chord-responsible-500",
       fun () -> ignore (Dht.Resolver.responsible chord_500_resolver (owner_key ())) );
@@ -422,16 +422,17 @@ let micro_runs_of = function
    table bucket, with the eviction relinking the tail in place, a
    Kademlia lookup no bucket copy per contact heard from, a refresh
    write at replication 3 its entry, its write and the coordinator's
-   new version and no table probe per replica, and an agreeing quorum
-   read and a converged anti-entropy pass no more than the node-major
-   store's. *)
+   new version and no table probe per replica, an agreeing quorum read
+   no more than the node-major store's, a converged anti-entropy pass
+   nothing per key or per state, and a republish round its written
+   entries and no copy per replica that already holds them. *)
 let micro_ceilings =
   [
     ("sha1/256B", 4.0);
     ("sha1/reference-256B", 4.0);
     ("prng/int", 0.0);
     ("chord/lookup-256", 10.0);
-    ("pastry/lookup-256", 1_000.0);
+    ("pastry/lookup-256", 347.0);
     ("kademlia/lookup-256", 5_510.0);
     ("dht/chord-responsible-500", 50.0);
     ("dht/pastry-responsible-500", 50.0);
@@ -445,10 +446,11 @@ let micro_ceilings =
     ("dht/static-create-10k", 110_600.0);
     ("storage/create-10k", 1_000.0);
     ("index/publish-corpus-1k", 531_700.0);
+    ("index/republish-corpus-1k", 166_600.0);
     ("index/report-totals-10k", 29.0);
-    ("storage/insert-r3", 38.0);
+    ("storage/insert-r3", 32.0);
     ("storage/quorum-read-agree", 805.0);
-    ("storage/anti-entropy-pass", 6_061.0);
+    ("storage/anti-entropy-pass", 28.0);
     ("sim/setup-10k-nodes", 1_000_000.0);
     ("cache/find-hot-query", 96.0);
     ("cache/add-evict", 24.0);

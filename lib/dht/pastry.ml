@@ -18,7 +18,8 @@ let shared_prefix_length a b = Key.common_prefix_bits a b / 4
 
 (* Numeric circular distance, exact: min(clockwise, counter-clockwise),
    the clockwise one when it is below half the ring (its top bit
-   clear).  Compare two with [Key.compare]. *)
+   clear).  Compare two with [Key.compare]; routing compares them with
+   [Key.compare_circular], which builds neither. *)
 let circular_distance a b =
   let cw = Key.distance_cw a b in
   if Key.bit cw 0 = 0 then cw else Key.distance_cw b a
@@ -63,16 +64,22 @@ let known_nodes t n =
   in
   List.filter (is_alive t) (n.leaf_left @ n.leaf_right @ table_entries)
 
+(* The numerically closest to [key] of [best] and the live [leaves],
+   ties to the smaller identifier. *)
+let rec nearest_from t key best = function
+  | [] -> best
+  | c :: rest ->
+      let best =
+        if not (is_alive t c) then best
+        else
+          let d = Key.compare_circular ~target:key c best in
+          if d < 0 || (d = 0 && Key.compare c best < 0) then c else best
+      in
+      nearest_from t key best rest
+
 (* The numerically closest to [key] of the node itself and its live
    leaves, ties to the smaller identifier. *)
-let nearest_leaf t n key =
-  let pick best c =
-    if not (is_alive t c) then best
-    else
-      let d = Key.compare (circular_distance key c) (circular_distance key best) in
-      if d < 0 || (d = 0 && Key.compare c best < 0) then c else best
-  in
-  List.fold_left pick (List.fold_left pick n.id n.leaf_left) n.leaf_right
+let nearest_leaf t n key = nearest_from t key (nearest_from t key n.id n.leaf_left) n.leaf_right
 
 (* The last live leaf of a side, nearest first; [far] when none is. *)
 let rec farthest_live t far = function
@@ -118,7 +125,7 @@ let route t ~from key =
              key without shortening the prefix. *)
           let better candidate =
             shared_prefix_length candidate key >= l
-            && Key.compare (circular_distance key candidate) (circular_distance key current) < 0
+            && Key.compare_circular ~target:key candidate current < 0
           in
           (match List.find_opt better (known_nodes t n) with
           | Some candidate -> step candidate (hops + 1)

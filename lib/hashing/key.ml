@@ -115,6 +115,40 @@ let in_interval_oc k ~lo ~hi =
 
 let distance_cw a b = sub b a
 
+(* The circular distance from [target] to [a] is [a - target] when that
+   is below half the ring (its top bit clear), else [target - a].  One
+   pass from the least significant byte forms the four differences
+   [a - target], [target - a], [b - target] and [target - b] byte by
+   byte, borrowing as [sub] does, and remembers how each pairing of an
+   [a] side with a [b] side compares at its most significant differing
+   byte so far; the top bytes then pick the pairing that decides.
+   Nothing is built. *)
+let compare_circular ~target a b =
+  let a_up = ref 0 and a_down = ref 0 and b_up = ref 0 and b_down = ref 0 in
+  let up_up = ref 0 and up_down = ref 0 and down_up = ref 0 and down_down = ref 0 in
+  let a_top = ref 0 and b_top = ref 0 in
+  for i = byte_count - 1 downto 0 do
+    let t = Char.code target.[i] and x = Char.code a.[i] and y = Char.code b.[i] in
+    let au = x - t - !a_up and ad = t - x - !a_down in
+    let bu = y - t - !b_up and bd = t - y - !b_down in
+    a_up := (au lsr 8) land 1;
+    a_down := (ad lsr 8) land 1;
+    b_up := (bu lsr 8) land 1;
+    b_down := (bd lsr 8) land 1;
+    let au = au land 0xFF and ad = ad land 0xFF and bu = bu land 0xFF and bd = bd land 0xFF in
+    if au <> bu then up_up := Int.compare au bu;
+    if au <> bd then up_down := Int.compare au bd;
+    if ad <> bu then down_up := Int.compare ad bu;
+    if ad <> bd then down_down := Int.compare ad bd;
+    a_top := au;
+    b_top := bu
+  done;
+  match (!a_top < 0x80, !b_top < 0x80) with
+  | true, true -> !up_up
+  | true, false -> !up_down
+  | false, true -> !down_up
+  | false, false -> !down_down
+
 let rec byte_bits x n = if x = 0 then n else byte_bits (x lsr 1) (n + 1)
 
 (* [b - a] byte by byte from the least significant end, as [sub] does,

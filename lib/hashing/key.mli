@@ -82,6 +82,12 @@ val distance_cw : t -> t -> t
 (** [distance_cw a b] is the clockwise distance from [a] to [b]
     (i.e. [b - a mod 2^160]). *)
 
+val compare_circular : target:t -> t -> t -> int
+(** [compare_circular ~target a b] orders [a] and [b] by numeric
+    circular distance to [target] — the smaller of the clockwise and
+    counter-clockwise distances: it has the sign of comparing those two
+    distances as keys, without building either. *)
+
 val distance_cw_bits : t -> t -> int
 (** [distance_cw_bits a b] is the bit length of [distance_cw a b]: 0
     when [a = b], else the [i + 1] with [2^i <= distance_cw a b < 2^(i+1)].

@@ -15,14 +15,17 @@ let response_bytes entries = response_bytes_of_len ~len:String.length entries
 
 let response_bytes_of_totals ~count ~lens = header_bytes + (count * entry_overhead_bytes) + lens
 
-let file_response_bytes (file : Storage.Block_store.file) =
-  header_bytes + entry_overhead_bytes + String.length file.name + 8
+let file_response_bytes_of_len name_len = header_bytes + entry_overhead_bytes + name_len + 8
+let file_response_bytes (file : Storage.Block_store.file) = file_response_bytes_of_len (String.length file.name)
 
 let cache_install_bytes_of_len query_len target_len =
   header_bytes + (2 * entry_overhead_bytes) + query_len + target_len
 
 let cache_install_bytes query target =
   cache_install_bytes_of_len (String.length query) (String.length target)
+
+let cache_installs_bytes_of_totals ~query_len ~count ~lens =
+  (count * cache_install_bytes_of_len query_len 0) + lens
 
 let consult_bytes q = header_bytes + String.length q
 

@@ -37,11 +37,18 @@ val file_response_bytes : Storage.Block_store.file -> int
     file content itself is not counted: the paper measures index traffic,
     not download traffic. *)
 
+val file_response_bytes_of_len : int -> int
+(** {!file_response_bytes} of a file whose name is [len] bytes long. *)
+
 val cache_install_bytes : string -> string -> int
 (** Size of the message installing one shortcut (query ; target) pair. *)
 
 val cache_install_bytes_of_len : int -> int -> int
 (** {!cache_install_bytes} from the two strings' lengths. *)
+
+val cache_installs_bytes_of_totals : query_len:int -> count:int -> lens:int -> int
+(** {!cache_install_bytes_of_len} summed over [count] installs under one
+    query [query_len] long whose targets' lengths sum to [lens]. *)
 
 val consult_bytes : string -> int
 (** Size of a local cache-consultation ticket: what a coalesced lookup

@@ -16,10 +16,16 @@
     {!Replicated_store.same_states} per key — ranges in replica-set
     order, keys in ascending key order inside each, so the whole pass is
     deterministic — and bills each exchange the two digest messages it
-    stands for.  Nothing is rendered or hashed.  The pass walks each
-    range key by key, looking each live replica's state up once per
-    key; a sync touches only its own key, so this leaves the same
-    states and counts as exchanging peer by peer. *)
+    stands for.  Nothing is rendered or hashed.  The range order is the
+    store's own ({!Replicated_store.ranges}), derived again only after a
+    key is registered or collected, so a round sorts nothing.  The pass
+    walks each range key by key, looking each live replica's state up
+    once per key; a sync touches only its own key, so this leaves the
+    same states and counts as exchanging peer by peer.  States that
+    share a version or a list compare by identity, and the full-state
+    counterfactual is priced from each state's kept totals, so a quiet
+    pass walks no entry list it does not compare and allocates nothing
+    per key. *)
 
 type stats = {
   exchanges : int;  (** Digest push-pulls performed (one per live pair). *)
@@ -40,14 +46,17 @@ val add : stats -> stats -> stats
 
 val run :
   'v Replicated_store.t ->
-  entry_bytes:('v Replicated_store.entry -> int) ->
+  entry_overhead:int ->
   ?on_exchange:(peer:int -> bytes:int -> unit) ->
   ?on_ship:(node:int -> bytes:int -> unit) ->
   unit ->
   stats
-(** One full pass: every key range, every live replica pair.
-    [entry_bytes] prices one entry for the byte accounting (from its
-    cached {!Replicated_store.entry_len}, so nothing re-renders).
+(** One full pass: every key range, every live replica pair.  An entry
+    is priced [entry_overhead] plus its {!Replicated_store.entry_len},
+    so nothing re-renders: shipped entries one by one, and the
+    full-state counterfactual as [entry_overhead] times a state's
+    {!Replicated_store.state_count} plus its
+    {!Replicated_store.state_lens}.
     [on_exchange] fires per digest push-pull (for billing the digest
     messages to the peer), [on_ship] per replica that gained entries
     (for billing the shipped bytes).  Ranges with fewer than two live

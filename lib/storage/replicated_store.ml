@@ -57,6 +57,19 @@ type 'v cell = {
 
 type 'v slot = 'v cell array
 
+(* Every slot in range order ({!derive_ranges}), its key, and the
+   index in [slots] where each range starts: a range ends where the
+   next one starts, the last one at the end. *)
+type 'v ranges = { slots : 'v slot array; keys : Key.t array; starts : int array }
+
+(* The slots in key order, and their keys, as of [sorted_at] changes
+   of the slot set; the ranges as of [ranged_at]. *)
+type 'v sorted = { by_key : 'v slot array; keys_in_order : Key.t array; sorted_at : int }
+type 'v ranged = { ranges : 'v ranges; ranged_at : int }
+
+let no_sorted = { by_key = [||]; keys_in_order = [||]; sorted_at = 0 }
+let no_ranged = { ranges = { slots = [||]; keys = [||]; starts = [||] }; ranged_at = 0 }
+
 let count st = st.tally land 0x7FFF_FFFF
 let lens st = st.tally lsr 31
 
@@ -92,10 +105,13 @@ let lower_floor st expires_at = if expires_at < st.fence.floor then set_floor st
    most half taken ([live] keys and [vacated] places).
 
    [memo_key] and [memo] are the last key looked up and its slot ([||]
-   for none): a lookup step reads one key many times.  [sorted_keys]
-   and [sorted] hold every key and its slot in key order while [stale]
-   is false; a slot made or removed sets it, and the next ordered read
-   sorts again.
+   for none): a lookup step reads one key many times.  [changes] counts
+   the slots made and collected.  Two orders of the slots are kept,
+   each stamped with the count it was derived at and derived again at
+   its first read after a change: [sorted], every slot and its key in
+   key order, and [ranged], in range order ({!derive_ranges}).  A
+   slot's replica set never changes, so neither order does between
+   changes.
 
    [fresh] shares the version a write leaves on a state whose only dot,
    if any, is its coordinator's: a state at version [[(node, c)]] (or
@@ -113,9 +129,9 @@ type 'v t = {
   absent : 'v cell;  (* no state: read-only *)
   mutable memo_key : Key.t;
   mutable memo : 'v slot;
-  mutable sorted_keys : Key.t array;
-  mutable sorted : 'v slot array;
-  mutable stale : bool;
+  mutable changes : int;
+  mutable sorted : 'v sorted;
+  mutable ranged : 'v ranged;
   mutable made : 'v slot array;
   mutable keys : Key.t array;
   mutable made_count : int;
@@ -158,9 +174,9 @@ let create ~resolver ~replication ?on_write_acks ?liveness ?(clock = fun () -> 0
     absent = blank (-1);
     memo_key = Key.zero;
     memo = [||];
-    sorted_keys = [||];
-    sorted = [||];
-    stale = false;
+    changes = 0;
+    sorted = no_sorted;
+    ranged = no_ranged;
     made = [||];
     keys = [||];
     made_count = 0;
@@ -276,7 +292,7 @@ let make_slot t key =
   else add_place t (Key.hash key) n;
   t.memo_key <- key;
   t.memo <- slot;
-  t.stale <- true;
+  t.changes <- t.changes + 1;
   slot
 
 let registered t key = is_slot (find t key)
@@ -313,7 +329,7 @@ let remove_slot t key =
   end;
   t.memo_key <- key;
   t.memo <- [||];
-  t.stale <- true
+  t.changes <- t.changes + 1
 
 let[@hot] replica_buf t key =
   let slot = find t key in
@@ -377,13 +393,14 @@ let rec floor_of acc = function
 (* Drop the state's expired entries in place so cells do not
    accumulate dead soft state.  Below the floor nothing can have
    expired — always, with infinite TTLs — and the list is not walked;
-   [absent]'s floor is infinite. *)
-let prune now st =
-  if st.fence.floor <= now then begin
-    if any_expired now st.entries then
-      set_counted st (List.filter (fun e -> not (e.expires_at <= now)) st.entries);
-    set_floor st (floor_of infinity st.entries)
-  end
+   [absent]'s floor is infinite.  The test is all a probe usually
+   runs, so it stays small enough to inline. *)
+let refloor now st =
+  if any_expired now st.entries then
+    set_counted st (List.filter (fun e -> not (e.expires_at <= now)) st.entries);
+  set_floor st (floor_of infinity st.entries)
+
+let prune now st = if st.fence.floor <= now then refloor now st
 
 (* A held cell's unexpired entries; the held list itself when nothing
    has expired. *)
@@ -453,10 +470,10 @@ let make_entry ~expires_at ~len v = { value = v; len; expires_at }
    write first: on each state an entry [equal] to the value takes its
    expiry, or the state gains a copy.  Returns the entries no state
    held, newest first. *)
-let rec merge_values ~equal held = function
+let rec merge_each ~equal held = function
   | [] -> []
   | e :: newer_first_rest ->
-      let fresh = merge_values ~equal held newer_first_rest in
+      let fresh = merge_each ~equal held newer_first_rest in
       let refresh_or_gain known st =
         let found =
           match equal with Some equal -> refresh_first ~equal e st.entries | None -> false
@@ -468,6 +485,50 @@ let rec merge_values ~equal held = function
         found || known
       in
       if List.fold_left refresh_or_gain false held then fresh else e :: fresh
+
+(* Does [held] hold exactly [entries]: the same values, physically, with
+   the same lengths, in the same order? *)
+let rec holds_exactly held entries =
+  match (held, entries) with
+  | [], [] -> true
+  | h :: held, e :: entries ->
+      (* lint: allow D3 — identity is the test: a republished value is the one the replica holds *)
+      h.len = e.len && h.value == e.value && holds_exactly held entries
+  | [], _ :: _ | _ :: _, [] -> false
+
+let rec all_hold_exactly held entries =
+  match held with
+  | [] -> true
+  | st :: rest -> holds_exactly st.entries entries && all_hold_exactly rest entries
+
+(* Each held entry takes the expiry of the written entry at its place;
+   returns the written entry that expires first, [earliest] so far. *)
+let rec refresh_in_step held entries earliest =
+  match (held, entries) with
+  | h :: held, e :: entries ->
+      h.expires_at <- e.expires_at;
+      refresh_in_step held entries (if e.expires_at < earliest.expires_at then e else earliest)
+  | [], _ | _, [] -> earliest
+
+let rec refresh_states held entries first =
+  match held with
+  | [] -> ()
+  | st :: rest ->
+      lower_floor st (refresh_in_step st.entries entries first).expires_at;
+      refresh_states rest entries first
+
+(* [merge_each], in one walk when every held state holds exactly
+   [entries] — a republish round over replicas that missed nothing.
+   Written values are distinct under [equal], so a state holding
+   exactly them holds no two [equal] values, and each value's refresh
+   finds the entry at its own place: the walk leaves what [merge_each]
+   leaves, and every value was held. *)
+let merge_values ~equal held entries =
+  match (equal, entries) with
+  | Some _, first :: _ when all_hold_exactly held entries ->
+      refresh_states held entries first;
+      []
+  | (Some _ | None), _ -> merge_each ~equal held entries
 
 (* A write clears the tombstones its values match: under [equal] when
    one is given, structurally otherwise. *)
@@ -506,12 +567,12 @@ let bump t v ~actor writes =
    elsewhere, since entries carry mutable expiries.  The other states
    merge value by value ({!merge_values}).  Every live state merges the
    coordinator's dot, bumped [writes] times past the coordinator's own
-   version. *)
+   version: the coordinator is the first live replica, the first the
+   walk reaches. *)
 let insert_entries ~equal t ~key ~writes ~floor ~count ~lens entries =
   if entries = [] then invalid_arg "Replicated_store.insert_entries: no entries";
   let now = t.clock () in
   let slot = find_or_make t key in
-  let coordinator = (first_live_cell t slot).node in
   let vv = ref Version.zero and acks = ref 0 and held = ref [] in
   let fence = make_fence ~tombs:[] ~floor in
   for i = 0 to width slot - 1 do
@@ -519,7 +580,7 @@ let insert_entries ~equal t ~key ~writes ~floor ~count ~lens entries =
     if alive_cell t st then begin
       claim t st;
       prune now st;
-      if st.node = coordinator then vv := bump t st.version ~actor:st.node writes;
+      if !acks = 0 then vv := bump t st.version ~actor:st.node writes;
       (match (st.entries, st.fence.tombs) with
       | [], [] ->
           set_entries st (if !acks = 0 then entries else clone_entries entries) ~count ~lens;
@@ -708,6 +769,9 @@ let merge_states a b =
       if agree a b then { a with version } else union a b ~version
 
 let rec same_entries xs ys =
+  (* lint: allow D3 — a list is equal to itself; the walk follows *)
+  xs == ys
+  ||
   match (xs, ys) with
   | [], [] -> true
   | x :: xs, y :: ys ->
@@ -718,13 +782,17 @@ let rec same_entries xs ys =
   | [], _ :: _ | _ :: _, [] -> false
 
 (* Structural state equality: entry values and expiries in order,
-   tombstones and versions. *)
+   tombstones and versions.  Identity decides first wherever states
+   share a list: the empty tombstone list, a shared version. *)
 let state_equal a b =
   (* lint: allow D3 — a state is equal to itself; the structural comparison follows *)
   a == b
   || Version.equal a.version b.version
      && same_entries a.entries b.entries
-     && a.fence.tombs = b.fence.tombs
+     &&
+     let ta = a.fence.tombs and tb = b.fence.tombs in
+     (* lint: allow D3 — a tombstone list is equal to itself; the structural comparison follows *)
+     ta == tb || ta = tb
 
 (* Overwrite [target]'s state with (clones of) [merged]. *)
 let assign t target merged =
@@ -776,8 +844,8 @@ let sync_key t ~key ~nodes =
 (* ------------------------------------------------------------------ *)
 (* Ordered walks: every slot, in key order. *)
 
-let sort t =
-  if t.stale then begin
+let sorted t =
+  if t.sorted.sorted_at <> t.changes then begin
     let numbers = Array.make t.live 0 and keys = t.keys in
     let i = ref 0 in
     for n = 0 to t.made_count - 1 do
@@ -787,20 +855,83 @@ let sort t =
       end
     done;
     Array.sort (fun a b -> Key.compare keys.(a) keys.(b)) numbers;
-    t.sorted_keys <- Array.map (Array.get keys) numbers;
-    t.sorted <- Array.map (Array.get t.made) numbers;
-    t.stale <- false
-  end
-
-let sorted_slots t =
-  sort t;
+    t.sorted <-
+      {
+        by_key = Array.map (Array.get t.made) numbers;
+        keys_in_order = Array.map (Array.get keys) numbers;
+        sorted_at = t.changes;
+      }
+  end;
   t.sorted
 
-let slot_keys t =
-  sort t;
-  t.sorted_keys
+let sorted_keys t = Array.to_list (sorted t).keys_in_order
 
-let sorted_keys t = Array.to_list (slot_keys t)
+(* ------------------------------------------------------------------ *)
+(* Ranges: every slot by replica set — primary, then the rest of the
+   set node by node, a shorter set before its extensions — then by key.
+   Keys sharing a replica set are one range an anti-entropy exchange
+   summarizes with one digest.  The order is derived from the slots in
+   the order they were made: one counting pass on the primary, then
+   each primary's run, a few slots, sorted on its own, so no sort of
+   every key is needed.  One more pass marks where each range starts. *)
+
+(* Slots [a] and [b]'s replica sets compared from place [k] on. *)
+let rec compare_sets a b k =
+  if k = width a then if k = width b then 0 else -1
+  else if k = width b then 1
+  else
+    match Int.compare (cell_at a k).node (cell_at b k).node with
+    | 0 -> compare_sets a b (k + 1)
+    | c -> c
+
+let derive_ranges t =
+  let nodes = Array.length t.epochs in
+  let kept n = (cell_at t.made.(n) 0).epoch <> collected in
+  let primary n = (cell_at t.made.(n) 0).node in
+  (* Primary [p]'s run is [order]'s places [starts.(p), starts.(p + 1)). *)
+  let starts = Array.make (nodes + 1) 0 in
+  for n = 0 to t.made_count - 1 do
+    if kept n then starts.(primary n + 1) <- starts.(primary n + 1) + 1
+  done;
+  for p = 1 to nodes do
+    starts.(p) <- starts.(p) + starts.(p - 1)
+  done;
+  let next = Array.sub starts 0 nodes and order = Array.make t.live 0 in
+  for n = 0 to t.made_count - 1 do
+    if kept n then begin
+      let p = primary n in
+      order.(next.(p)) <- n;
+      next.(p) <- next.(p) + 1
+    end
+  done;
+  let compare a b =
+    match compare_sets t.made.(a) t.made.(b) 1 with
+    | 0 -> Key.compare t.keys.(a) t.keys.(b)
+    | c -> c
+  in
+  for p = 0 to nodes - 1 do
+    let lo = starts.(p) and len = starts.(p + 1) - starts.(p) in
+    if len > 1 then begin
+      let run = Array.sub order lo len in
+      Array.sort compare run;
+      Array.blit run 0 order lo len
+    end
+  done;
+  let slots = Array.map (Array.get t.made) order in
+  let starts = Array.make t.live 0 and ranges = ref 0 in
+  for i = 0 to t.live - 1 do
+    if i = 0 || compare_sets slots.(i - 1) slots.(i) 0 <> 0 then begin
+      starts.(!ranges) <- i;
+      incr ranges
+    end
+  done;
+  let starts = Array.sub starts 0 !ranges in
+  t.ranged <-
+    { ranges = { slots; keys = Array.map (Array.get t.keys) order; starts }; ranged_at = t.changes }
+
+let ranges t =
+  if t.ranged.ranged_at <> t.changes then derive_ranges t;
+  t.ranged.ranges
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance surface: what the {!Anti_entropy} pass needs to see of
@@ -808,33 +939,29 @@ let sorted_keys t = Array.to_list (slot_keys t)
 
 type 'v state = 'v cell
 
-let slots = sorted_slots
 let slot_width = width
 let slot_node slot i = (cell_at slot i).node
-
-let slot_state t slot i =
-  let c = cell_at slot i in
-  if present t c then Some c else None
-
+let slot_state t slot i = held t (cell_at slot i)
 let state_entries st = st.entries
 let state_count = count
 let state_lens = lens
 
+(* [absent] stands for no state: it matches only itself. *)
 let same_states t a b =
-  match (a, b) with
-  | None, None -> true
-  | Some _, None | None, Some _ -> false
-  | Some x, Some y ->
+  match (is_cell a, is_cell b) with
+  | false, false -> true
+  | true, false | false, true -> false
+  | true, true ->
       let now = t.clock () in
-      prune now x;
-      prune now y;
-      state_equal x y
+      prune now a;
+      prune now b;
+      state_equal a b
+
+let same_state t ~a ~b key = same_states t (state_at t ~node:a key) (state_at t ~node:b key)
 
 let held_at t ~node key =
   let c = state_at t ~node key in
   if is_cell c then Some c else None
-
-let same_state t ~a ~b key = same_states t (held_at t ~node:a key) (held_at t ~node:b key)
 
 type 'v held_state = { held : 'v entry list; tombstones : 'v list; version : Version.t }
 
@@ -848,14 +975,14 @@ let held_entries t ~node key = (state_at t ~node key).entries
 (* Node then key order: the held cells, gathered in key order, sorted
    stably by node. *)
 let iter_held t f =
-  let held = ref [] in
+  let held = ref [] and { by_key; keys_in_order; _ } = sorted t in
   Array.iteri
     (fun k slot ->
       for i = 0 to width slot - 1 do
         let c = cell_at slot i in
-        if present t c then held := (t.sorted_keys.(k), c) :: !held
+        if present t c then held := (keys_in_order.(k), c) :: !held
       done)
-    (sorted_slots t);
+    by_key;
   List.iter
     (fun (key, c) -> List.iter (f ~node:c.node key) c.entries)
     (List.stable_sort (fun (_, a) (_, b) -> Int.compare a.node b.node) (List.rev !held))
@@ -898,7 +1025,7 @@ let repair ?(on_restore = fun ~node:_ _ -> ()) t =
               end
             end
           done)
-    (sorted_slots t);
+    (sorted t).by_key;
   !restored
 
 let key_count t = t.live
@@ -957,14 +1084,14 @@ let entry_totals t f = totals t (Some f)
 let len_totals t = totals t None
 
 let fold t ~init ~f =
-  let slots = sorted_slots t in
+  let { by_key; keys_in_order; _ } = sorted t in
   let acc = ref init in
   Array.iteri
     (fun k slot ->
       match live_entries t (first_live_cell t slot) with
       | [] -> ()
-      | entries -> acc := f !acc t.sorted_keys.(k) (values entries))
-    slots;
+      | entries -> acc := f !acc keys_in_order.(k) (values entries))
+    by_key;
   !acc
 
 (* The first index whose key is at least [lo]. *)
@@ -978,7 +1105,7 @@ let rec first_at_least keys lo a b =
 let fold_range t ~node ~lo ~hi ~init ~f =
   if not (Dht.Liveness.alive t.liveness node) then init
   else begin
-    let slots = sorted_slots t and keys = t.sorted_keys in
+    let { by_key = slots; keys_in_order = keys; _ } = sorted t in
     let n = Array.length keys in
     let rec go acc i =
       if i = n || Key.compare keys.(i) hi > 0 then acc

@@ -133,7 +133,8 @@ val insert_entries :
     The caller states what it knows of [entries], so the store does not
     walk them: [count] is their number, [lens] the sum of their
     {!entry_len}s and [floor] a lower bound on their expiries (a batch
-    stamped alike passes its one expiry).
+    stamped alike passes its one expiry).  Their values are distinct
+    (under [equal] when it is given).
 
     A write reaches the {e live} replicas only.  On each, an entry
     [equal] to a written value takes that value's expiry; otherwise the
@@ -146,6 +147,18 @@ val insert_entries :
     replica) reaches by bumping its own dot [writes] times, so the
     write dominates every state it lands on.  [on_write_acks] fires
     [writes] times with the live replica count.
+
+    {b Invariant:} a state whose key is written only with an [equal]
+    that agrees with structural equality never holds two [equal]
+    values: such a write refreshes a value the state holds instead of
+    adding it, and reconciliation takes unions without duplicates.  A
+    write leans on it where every live state that is not empty holds
+    exactly [entries] — the same values, physically, with the same
+    lengths, in the same order, what a republish round finds on
+    replicas that missed nothing.  Such a state holds no two [equal]
+    values, since [entries] are distinct, so each value's refresh
+    lands on the entry at its own place: the write refreshes them all
+    in one walk, with nothing fresh.
 
     Returns the entries no live replica held — the ones the write
     installed anew, newest first; all of them when every live state
@@ -307,13 +320,23 @@ val sorted_keys : 'v t -> Hashing.Key.t list
 type 'v slot
 (** A registered key with its replica set and each replica's state. *)
 
-val slots : 'v t -> 'v slot array
-(** Every registered key's slot, in {!Hashing.Key.compare} order.  The
-    array is the store's own, shared until a key is registered or
-    collected: read it, do not write it. *)
+type 'v ranges = {
+  slots : 'v slot array;
+      (** Every registered key's slot, by replica set — the primary,
+          then the rest of the set node by node, a shorter set before
+          its extensions — then by {!Hashing.Key.compare}. *)
+  keys : Hashing.Key.t array;  (** The slots' keys, index for index. *)
+  starts : int array;
+      (** Where each range — the slots of one replica set — starts in
+          [slots], in order; a range ends where the next one starts,
+          the last one at the end of [slots]. *)
+}
 
-val slot_keys : 'v t -> Hashing.Key.t array
-(** The keys of {!slots}, index for index; shared the same way. *)
+val ranges : 'v t -> 'v ranges
+(** The registered keys in range order.  The order is kept, and
+    derived again only at the first read after a key is registered or
+    collected: a slot's replica set never changes.  The arrays are the
+    store's own, shared until then: read them, do not write them. *)
 
 val slot_width : 'v slot -> int
 (** The size of the key's replica set. *)
@@ -324,10 +347,12 @@ val slot_node : 'v slot -> int -> int
 type 'v state
 (** One replica's state of one key. *)
 
-val slot_state : 'v t -> 'v slot -> int -> 'v state option
-(** The [i]th replica's state of the slot's key, dead or alive, or
-    [None] when it holds none.  A write, sync or repair of that key may
-    replace it: look it up again afterwards. *)
+val slot_state : 'v t -> 'v slot -> int -> 'v state
+(** The [i]th replica's state of the slot's key, dead or alive.  A
+    replica that holds none reads as a shared stand-in with no entries
+    at version zero, which {!same_states} tells apart from an empty
+    state; nothing is allocated.  A write, sync or repair of that key
+    may replace the state: look it up again afterwards. *)
 
 val state_entries : 'v state -> 'v entry list
 (** The entries the state physically holds, expired ones included until
@@ -346,8 +371,10 @@ val live_state : 'v t -> node:int -> Hashing.Key.t -> 'v state
     drives its bounded retry loop with this, pricing each reply from the
     kept totals.  Allocates nothing unless an entry has expired. *)
 
-val same_states : 'v t -> 'v state option -> 'v state option -> bool
-(** {!same_state} on two states already looked up. *)
+val same_states : 'v t -> 'v state -> 'v state -> bool
+(** {!same_state} on two states already looked up ({!slot_state}).
+    Where the two states share a list or a version, identity decides
+    without walking it. *)
 
 (* lint: allow X1 — oracle: replica agreement, which the anti-entropy checks assert *)
 val same_state : 'v t -> a:int -> b:int -> Hashing.Key.t -> bool

@@ -2,7 +2,9 @@
    association list from actor (node id) to a strictly positive event
    counter.  The sorted-list normal form makes structural equality,
    merge and comparison deterministic — two vectors describing the same
-   causal history are the same OCaml value. *)
+   causal history are the same OCaml value.  The walks below are typed
+   at [t], so their comparisons are on integers and not the polymorphic
+   compare. *)
 
 type t = (int * int) list
 
@@ -16,7 +18,7 @@ let rec well_formed = function
 
 (* Sorted by actor: the walk stops at the first actor past [actor], and
    allocates nothing. *)
-let rec counter t ~actor =
+let rec counter (t : t) ~actor =
   match t with
   | [] -> 0
   | (a, n) :: rest -> if a = actor then n else if a > actor then 0 else counter rest ~actor
@@ -37,11 +39,11 @@ let bump t ~actor = bump_by t ~actor 1
 (* Pointwise max: the least upper bound of the two causal histories.
    Commutative, associative and idempotent — the qcheck laws pin this. *)
 let merge a b =
-  let rec go a b =
+  let rec go (a : t) (b : t) =
     match (a, b) with
     | [], rest | rest, [] -> rest
     | (xa, xn) :: xs, (ya, yn) :: ys ->
-        if xa = ya then (xa, Stdlib.max xn yn) :: go xs ys
+        if xa = ya then (xa, Int.max xn yn) :: go xs ys
         else if xa < ya then (xa, xn) :: go xs b
         else (ya, yn) :: go a ys
   in
@@ -52,7 +54,7 @@ type relation = Eq | Dominates | Dominated | Concurrent
 (* One pass over the merged actor set, tracking whether each side has a
    component the other lacks; allocates nothing. *)
 let compare a b =
-  let rec go a_ahead b_ahead a b =
+  let rec go a_ahead b_ahead (a : t) (b : t) =
     match (a, b) with
     | [], [] -> (
         match (a_ahead, b_ahead) with
@@ -70,7 +72,11 @@ let compare a b =
   in
   go false false a b
 
-let equal a b = compare a b = Eq
+(* Replicas share the versions writes leave, so identity usually
+   decides. *)
+let equal a b =
+  (* lint: allow D3 — a vector is equal to itself; the comparison follows *)
+  a == b || compare a b = Eq
 let dots = List.length
 let dominates_or_eq a b = match compare a b with Eq | Dominates -> true | _ -> false
 

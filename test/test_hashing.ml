@@ -290,6 +290,36 @@ let key_compare_xor_sign =
       Int.compare (Key.compare_xor ~target a b) 0
       = Int.compare (Key.compare (Key.xor target a) (Key.xor target b)) 0)
 
+(* Circular distance built as a key: the clockwise distance when its
+   top bit is clear, the counter-clockwise one otherwise. *)
+let circular target k =
+  let cw = Key.distance_cw target k in
+  if Key.bit cw 0 = 0 then cw else Key.distance_cw k target
+
+(* Near keys, their mirror images across the target (equal distances on
+   both sides) and the target itself, so ties and both sides occur. *)
+let circular_keys =
+  QCheck.map
+    (fun ((target, a, b), (mirror_a, mirror_b)) ->
+      let mirror k = Key.distance_cw (Key.distance_cw target k) target in
+      let pick mirrored k = if mirrored then mirror k else k in
+      (target, pick mirror_a a, pick mirror_b b))
+    (QCheck.pair near_keys (QCheck.pair QCheck.bool QCheck.bool))
+
+let key_compare_circular_sign =
+  QCheck.Test.make ~name:"compare_circular has the sign of comparing circular distances"
+    ~count:2000
+    (QCheck.oneof
+       [
+         circular_keys;
+         QCheck.map (fun (t, a) -> (t, a, t)) (QCheck.pair arbitrary_key arbitrary_key);
+         QCheck.map (fun (t, a) -> (t, a, Key.distance_cw (Key.distance_cw t a) t))
+           (QCheck.pair arbitrary_key arbitrary_key);
+       ])
+    (fun (target, a, b) ->
+      Int.compare (Key.compare_circular ~target a b) 0
+      = Int.compare (Key.compare (circular target a) (circular target b)) 0)
+
 (* The bit length of a distance, read off its bits one by one. *)
 let key_distance_bits =
   let keys =
@@ -349,5 +379,6 @@ let suite =
             key_distance_bits;
             key_xor_matches_hex;
             key_compare_xor_sign;
+            key_compare_circular_sign;
           ] );
   ]

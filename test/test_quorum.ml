@@ -491,10 +491,9 @@ let anti_entropy_converges () =
   Replicated.fail_node store sleeper;
   Replicated.insert store ~len:0 ~key "new";
   Replicated.revive_node store sleeper;
-  let entry_bytes e = 100 + String.length (Replicated.entry_value e) in
   let exchanges = ref 0 and shipped_to = ref [] in
   let stats =
-    Anti_entropy.run store ~entry_bytes
+    Anti_entropy.run store ~entry_overhead:100
       ~on_exchange:(fun ~peer:_ ~bytes:_ -> incr exchanges)
       ~on_ship:(fun ~node ~bytes:_ -> shipped_to := node :: !shipped_to)
       ()
@@ -512,7 +511,7 @@ let anti_entropy_converges () =
     (held_values store ~node:sleeper key);
   (* Convergence is a fixed point: a second pass matches everywhere and
      ships nothing. *)
-  let again = Anti_entropy.run store ~entry_bytes () in
+  let again = Anti_entropy.run store ~entry_overhead:100 () in
   Alcotest.(check int) "second pass: every digest matches" again.exchanges
     again.digest_matches;
   Alcotest.(check int) "second pass ships nothing" 0 again.entries_shipped;
@@ -693,7 +692,6 @@ let store_states store ~nodes keys =
 let one_pass_equals_peer_major =
   QCheck.Test.make ~name:"one-pass anti-entropy = peer-major oracle" ~count:300
     divergent_store_arb (fun ((nodes, _, _) as history) ->
-      let entry_bytes e = 10 + Replicated.entry_len e in
       let observe run =
         let store, keys = build_divergent_store history in
         let calls = ref [] in
@@ -701,15 +699,20 @@ let one_pass_equals_peer_major =
         let on_ship ~node ~bytes = calls := Printf.sprintf "s %d %d" node bytes :: !calls in
         (* Two passes: the first converges, the second finds a fixed
            point. *)
-        let first = run store ~entry_bytes ~on_exchange ~on_ship in
-        let second = run store ~entry_bytes ~on_exchange ~on_ship in
+        let first = run store ~on_exchange ~on_ship in
+        let second = run store ~on_exchange ~on_ship in
         ((first, second), List.sort String.compare !calls, store_states store ~nodes keys)
       in
-      let one_pass store ~entry_bytes ~on_exchange ~on_ship =
-        Anti_entropy.run store ~entry_bytes ~on_exchange ~on_ship ()
+      let one_pass store ~on_exchange ~on_ship =
+        Anti_entropy.run store ~entry_overhead:10 ~on_exchange ~on_ship ()
+      in
+      (* The oracle prices every entry it holds or ships, one by one. *)
+      let peer_major store ~on_exchange ~on_ship =
+        peer_major_run store ~entry_bytes:(fun e -> 10 + Replicated.entry_len e) ~on_exchange
+          ~on_ship
       in
       let stats, calls, states = observe one_pass in
-      let stats', calls', states' = observe peer_major_run in
+      let stats', calls', states' = observe peer_major in
       if stats <> stats' then QCheck.Test.fail_report "stats differ"
       else if calls <> calls' then QCheck.Test.fail_report "billing differs"
       else if states <> states' then QCheck.Test.fail_report "replica states differ"

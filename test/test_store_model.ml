@@ -7,7 +7,8 @@
    quorum reads merge by version and repair what diverged, repair
    re-homes lost keys, and anti-entropy compares replica-set ranges key
    by key.  After every step each observable of the store must match the
-   model's. *)
+   model's, and no state of a key written only under refresh may hold
+   a value twice. *)
 
 module Key = Hashing.Key
 module Version = Storage.Version
@@ -28,6 +29,9 @@ type model = {
   nodes : (Key.t * state) list array;
   mutable registered : Key.t list;
   mutable acks : int;  (** Acknowledgements recorded, summed. *)
+  mutable unrefreshed : Key.t list;
+      (** Keys written without refresh since they were last collected:
+          their states may hold a value twice. *)
 }
 
 let model ~resolver ~replication ~nodes =
@@ -38,6 +42,7 @@ let model ~resolver ~replication ~nodes =
     nodes = Array.make nodes [];
     registered = [];
     acks = 0;
+    unrefreshed = [];
   }
 
 let replicas m key = Dht.Resolver.replicas m.resolver key m.replication
@@ -91,6 +96,8 @@ let model_insert m ~key ~writes ~refresh values =
   in
   let fresh = if !held = [] then values else List.rev fresh in
   if fresh <> [] then register m key;
+  if not (refresh || List.exists (Key.equal key) m.unrefreshed) then
+    m.unrefreshed <- key :: m.unrefreshed;
   fresh
 
 let model_remove m ~key pred =
@@ -123,7 +130,8 @@ let model_remove m ~key pred =
         List.iter
           (fun node -> m.nodes.(node) <- List.filter (fun (k, _) -> not (Key.equal k key)) m.nodes.(node))
           nodes;
-        m.registered <- List.filter (fun k -> not (Key.equal k key)) m.registered
+        m.registered <- List.filter (fun k -> not (Key.equal k key)) m.registered;
+        m.unrefreshed <- List.filter (fun k -> not (Key.equal k key)) m.unrefreshed
       end;
       removed
 
@@ -211,13 +219,19 @@ let model_repair m =
 
 let bytes values = List.fold_left (fun n v -> n + String.length v) 0 values
 
+(* Anti-entropy prices an entry this much on top of its length. *)
+let entry_overhead = 7
+let priced values = List.fold_left (fun n v -> n + entry_overhead + String.length v) 0 values
+
+(* Every registered key with its replica set, by set, then by key. *)
+let model_ranges m =
+  List.stable_sort
+    (fun (a, _) (b, _) -> List.compare Int.compare a b)
+    (List.map (fun key -> (replicas m key, key)) (sorted_registered m))
+
 let model_anti_entropy m =
   let digest = 2 * (48 + 20) in
-  let ranges =
-    List.stable_sort
-      (fun (a, _) (b, _) -> List.compare Int.compare a b)
-      (List.map (fun key -> (replicas m key, key)) (sorted_registered m))
-  in
+  let ranges = model_ranges m in
   let rec split = function
     | [] -> []
     | (set, key) :: rest ->
@@ -246,7 +260,7 @@ let model_anti_entropy m =
               List.iter
                 (fun peer ->
                   let a = state_of m coordinator key and b = state_of m peer key in
-                  let held = function Some st -> bytes st.entries | None -> 0 in
+                  let held = function Some st -> priced st.entries | None -> 0 in
                   let full = held a + held b in
                   let agree =
                     match (a, b) with
@@ -271,7 +285,7 @@ let model_anti_entropy m =
                         !s.entries_shipped
                         + List.fold_left (fun n (_, g) -> n + List.length g) 0 shipped;
                       shipped_bytes =
-                        !s.shipped_bytes + List.fold_left (fun n (_, g) -> n + bytes g) 0 shipped;
+                        !s.shipped_bytes + List.fold_left (fun n (_, g) -> n + priced g) 0 shipped;
                     })
                 peers)
             keys;
@@ -301,9 +315,15 @@ type op =
   | Sync of { key : int; a : int; b : int }
   | Repair
   | Anti_entropy
+  | Republish of { key : int; extra : int }
+      (** A refresh of every value the key's acting primary holds, as
+          the store holds them: what a republish round writes. *)
 
 let keys = Array.init 6 (fun i -> Key.of_string (Printf.sprintf "model-key-%d" i))
-let values = [| "a"; "bb"; "ccc"; "dddd"; "eeeee" |]
+
+(* Two values of one length, so that a write can meet a replica whose
+   entries match its own length by length but not value by value. *)
+let values = [| "a"; "bb"; "ccc"; "dddd"; "eeeee"; "ff" |]
 
 let show_op = function
   | Insert { key; values; refresh; extra } ->
@@ -319,6 +339,7 @@ let show_op = function
   | Sync { key; a; b } -> Printf.sprintf "sync k%d %d %d" key a b
   | Repair -> "repair"
   | Anti_entropy -> "anti-entropy"
+  | Republish { key; extra } -> Printf.sprintf "republish k%d+%d" key extra
 
 let gen_op ~nodes =
   let open QCheck.Gen in
@@ -344,6 +365,7 @@ let gen_op ~nodes =
       (1, map3 (fun key a b -> Sync { key; a; b }) key (int_bound 2) (int_bound 2));
       (1, return Repair);
       (1, return Anti_entropy);
+      (2, map2 (fun key extra -> Republish { key; extra }) key (int_bound 2));
     ]
 
 type case = { replication : int; nodes : int; ops : op list }
@@ -369,6 +391,7 @@ let check what pp expected actual =
 
 let pp_list pp l = "[" ^ String.concat ";" (List.map pp l) ^ "]"
 let pp_ints = pp_list string_of_int
+let pp_sets = pp_list pp_ints
 let pp_strings = pp_list Fun.id
 let pp_repairs = pp_list (fun (n, g) -> Printf.sprintf "%d:%s" n (pp_strings g))
 
@@ -387,6 +410,17 @@ let observe m (store : string Store.t) ~acks =
   check "acknowledgements" string_of_int m.acks !acks;
   check "key_count" string_of_int (List.length m.registered) (Store.key_count store);
   check "sorted_keys" (pp_list Key.short_hex) (sorted_registered m) (Store.sorted_keys store);
+  (* The kept range order is the order the key set has now. *)
+  let ranges = model_ranges m and kept = Store.ranges store in
+  let set_of slot = List.init (Store.slot_width slot) (Store.slot_node slot) in
+  check "range keys" (pp_list Key.short_hex) (List.map snd ranges) (Array.to_list kept.Store.keys);
+  check "range sets" pp_sets (List.map fst ranges) (Array.to_list (Array.map set_of kept.Store.slots));
+  check "range starts" pp_ints
+    (List.concat
+       (List.mapi
+          (fun i (set, _) -> if i = 0 || fst (List.nth ranges (i - 1)) <> set then [ i ] else [])
+          ranges))
+    (Array.to_list kept.Store.starts);
   let per_node f = Array.to_list (Array.map f m.nodes) in
   check "keys_per_node" pp_ints
     (per_node (fun states -> List.length (List.filter (fun (_, st) -> st.entries <> []) states)))
@@ -408,21 +442,37 @@ let observe m (store : string Store.t) ~acks =
     (Store.entry_totals store Store.entry_len);
   check "len_totals" (fun (c, s) -> Printf.sprintf "%d/%d" c s) totals (Store.len_totals store);
   (* Every state's kept count and length sum describe its entries. *)
-  let slot_keys = Store.slot_keys store in
   Array.iteri
     (fun k slot ->
       for i = 0 to Store.slot_width slot - 1 do
-        match Store.slot_state store slot i with
-        | None -> ()
-        | Some st ->
-            let held = Store.state_entries st in
-            let at = Printf.sprintf "kept totals %s at %d" (Key.short_hex slot_keys.(k)) (Store.slot_node slot i) in
-            check at
-              (fun (c, s) -> Printf.sprintf "%d/%d" c s)
-              (List.length held, List.fold_left (fun n e -> n + Store.entry_len e) 0 held)
-              (Store.state_count st, Store.state_lens st)
+        let st = Store.slot_state store slot i in
+        let held = Store.state_entries st in
+        let at = Printf.sprintf "kept totals %s at %d" (Key.short_hex kept.Store.keys.(k)) (Store.slot_node slot i) in
+        check at
+          (fun (c, s) -> Printf.sprintf "%d/%d" c s)
+          (List.length held, List.fold_left (fun n e -> n + Store.entry_len e) 0 held)
+          (Store.state_count st, Store.state_lens st)
       done)
-    (Store.slots store);
+    kept.Store.slots;
+  (* A key written only under refresh holds no value twice on any
+     replica, dead or alive: the write's one-walk refresh relies on
+     it. *)
+  Array.iter
+    (fun key ->
+      if not (List.exists (Key.equal key) m.unrefreshed) then
+        Array.iteri
+          (fun node _ ->
+            match Store.held_state store ~node key with
+            | None -> ()
+            | Some h ->
+                let held = List.map Store.entry_value h.Store.held in
+                check
+                  (Printf.sprintf "distinct values %s at %d" (Key.short_hex key) node)
+                  pp_strings
+                  (List.sort_uniq String.compare held)
+                  (List.sort String.compare held))
+          m.nodes)
+    keys;
   Array.iter
     (fun key ->
       let name what = Printf.sprintf "%s %s" what (Key.short_hex key) in
@@ -498,7 +548,31 @@ let step m store op =
       check "repair count" string_of_int (List.length expected) count
   | Anti_entropy ->
       check "anti-entropy" pp_stats (model_anti_entropy m)
-        (Anti_entropy.run store ~entry_bytes:Store.entry_len ())
+        (Anti_entropy.run store ~entry_overhead ())
+  | Republish { key; extra } -> (
+      let key = key_of key in
+      match first_live m (replicas m key) with
+      | None -> ()
+      | Some node -> (
+          (* Each distinct value once, newest first, as the store holds
+             it: the write carries the very values the replica has. *)
+          let held =
+            List.fold_left
+              (fun acc v -> if List.mem v acc then acc else v :: acc)
+              []
+              (List.map Store.entry_value (Store.entries_at store ~node key))
+          in
+          match List.rev held with
+          | [] -> ()
+          | values ->
+              let writes = List.length values + extra in
+              let fresh, _ =
+                Store.insert_entries ~equal:(Some String.equal) store ~key ~writes ~floor:infinity
+                  ~count:(List.length values) ~lens:(bytes values) (entries values)
+              in
+              check "republish fresh" pp_strings
+                (model_insert m ~key ~writes ~refresh:true values)
+                (List.map Store.entry_value fresh)))
 
 let resolver_of c = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:23L ~node_count:c.nodes ())
 
@@ -552,6 +626,51 @@ let foreign_dot_schedule () =
       Revive third;
       Sync { key = 0; a = 0; b = 1 };
       write [ "ccc" ];
+    ]
+  in
+  match run_case { c with ops } with Ok () -> () | Error msg -> Alcotest.fail msg
+
+(* A republish write meets one replica that holds exactly what it
+   writes and one whose entry has the written length but another value:
+   the first is refreshed in one walk, the second gains the value. *)
+let republish_meets_a_lookalike () =
+  let c = { replication = 2; nodes = 8; ops = [] } in
+  let replicas =
+    Store.replica_nodes (Store.create ~resolver:(resolver_of c) ~replication:2 ()) keys.(0)
+  in
+  let first = List.nth replicas 0 and second = List.nth replicas 1 in
+  let write value = Insert { key = 0; values = [ value ]; refresh = true; extra = 0 } in
+  let ops =
+    [
+      Fail second;
+      write "bb";
+      Revive second;
+      Fail first;
+      write "ff";
+      Revive first;
+      Republish { key = 0; extra = 0 };
+      Anti_entropy;
+    ]
+  in
+  match run_case { c with ops } with Ok () -> () | Error msg -> Alcotest.fail msg
+
+(* Anti-entropy passes around keys being made and collected: each pass
+   must range the keys there are at that moment. *)
+let anti_entropy_follows_the_key_set () =
+  let c = { replication = 2; nodes = 8; ops = [] } in
+  let write key value = Insert { key; values = [ value ]; refresh = true; extra = 0 } in
+  let ops =
+    [
+      write 0 "a";
+      Anti_entropy;
+      write 1 "bb";
+      write 2 "ccc";
+      Anti_entropy;
+      Remove { key = 0; value = None };
+      Anti_entropy;
+      write 0 "dddd";
+      Remove { key = 1; value = None };
+      Anti_entropy;
     ]
   in
   match run_case { c with ops } with Ok () -> () | Error msg -> Alcotest.fail msg
@@ -611,16 +730,14 @@ let kept_totals_after_expiry =
         Array.iter
           (fun slot ->
             for i = 0 to Store.slot_width slot - 1 do
-              match Store.slot_state store slot i with
-              | None -> ()
-              | Some st ->
-                  let held = Store.state_entries st in
-                  check "kept totals"
-                    (fun (c, s) -> Printf.sprintf "%d/%d" c s)
-                    (List.length held, List.fold_left (fun n e -> n + Store.entry_len e) 0 held)
-                    (Store.state_count st, Store.state_lens st)
+              let st = Store.slot_state store slot i in
+              let held = Store.state_entries st in
+              check "kept totals"
+                (fun (c, s) -> Printf.sprintf "%d/%d" c s)
+                (List.length held, List.fold_left (fun n e -> n + Store.entry_len e) 0 held)
+                (Store.state_count st, Store.state_lens st)
             done)
-          (Store.slots store)
+          (Store.ranges store).Store.slots
       in
       List.iteri
         (fun i op ->
@@ -644,7 +761,7 @@ let kept_totals_after_expiry =
                   (fun (c, s) -> Printf.sprintf "%d/%d" c s)
                   (Store.entry_totals store Store.entry_len)
                   (Store.len_totals store)
-            | Exchange -> ignore (Anti_entropy.run store ~entry_bytes:Store.entry_len ()));
+            | Exchange -> ignore (Anti_entropy.run store ~entry_overhead ()));
             kept_totals_hold ()
           with Diverged msg ->
             QCheck.Test.fail_reportf "after step %d (%s): %s" i (show_expiry_op op) msg)
@@ -658,6 +775,10 @@ let suite =
         QCheck_alcotest.to_alcotest lockstep;
         Alcotest.test_case "a coordinator's foreign dots reach every replica" `Quick
           foreign_dot_schedule;
+        Alcotest.test_case "a republish write meets a lookalike replica" `Quick
+          republish_meets_a_lookalike;
+        Alcotest.test_case "anti-entropy follows the key set" `Quick
+          anti_entropy_follows_the_key_set;
         QCheck_alcotest.to_alcotest kept_totals_after_expiry;
       ] );
   ]
