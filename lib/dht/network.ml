@@ -62,26 +62,15 @@ let create ?metrics ~node_count () =
     instruments = make_instruments registry;
   }
 
-let bad_send t ~dst ~messages ~bytes =
+let send t ~dst ~bytes ~category =
   if dst < 0 || dst >= t.node_count then
     invalid_arg
       (Printf.sprintf "Network.send: node %d out of range [0, %d)" dst
          t.node_count);
   if bytes < 0 then
     invalid_arg (Printf.sprintf "Network.send: negative byte count %d" bytes);
-  invalid_arg (Printf.sprintf "Network.send: negative message count %d" messages)
-
-let send t ~dst ~bytes ~category =
-  if dst < 0 || dst >= t.node_count || bytes < 0 then bad_send t ~dst ~messages:1 ~bytes;
   let i = category_index category in
   Obs.Metrics.Counter.incr t.instruments.msg_counters.(i);
-  Obs.Metrics.Counter.add t.instruments.byte_counters.(i) bytes
-
-let send_many t ~dst ~messages ~bytes ~category =
-  if dst < 0 || dst >= t.node_count || bytes < 0 || messages < 0 then
-    bad_send t ~dst ~messages ~bytes;
-  let i = category_index category in
-  Obs.Metrics.Counter.add t.instruments.msg_counters.(i) messages;
   Obs.Metrics.Counter.add t.instruments.byte_counters.(i) bytes
 
 let[@hot] touch t ~node =

@@ -29,12 +29,6 @@ val send : t -> dst:int -> bytes:int -> category:category -> unit
     [bytes] is negative (a negative count would silently corrupt the
     traffic totals). *)
 
-val send_many : t -> dst:int -> messages:int -> bytes:int -> category:category -> unit
-(** Record [messages] messages to node [dst] carrying [bytes] in all:
-    the totals that many {!send}s leave.
-    @raise Invalid_argument as {!send} does, and when [messages] is
-    negative. *)
-
 val touch : t -> node:int -> unit
 (** Record that the current query accessed node [node] (one count per
     interaction) — the Fig. 15 hot-spot measure. *)

@@ -16,14 +16,6 @@ let key_digit = Key.nibble
 
 let shared_prefix_length a b = Key.common_prefix_bits a b / 4
 
-(* Numeric circular distance, exact: min(clockwise, counter-clockwise),
-   the clockwise one when it is below half the ring (its top bit
-   clear).  Compare two with [Key.compare]; routing compares them with
-   [Key.compare_circular], which builds neither. *)
-let circular_distance a b =
-  let cw = Key.distance_cw a b in
-  if Key.bit cw 0 = 0 then cw else Key.distance_cw b a
-
 type node = {
   id : Key.t;
   mutable leaf_left : Key.t list; (* counter-clockwise, nearest first *)
@@ -50,7 +42,7 @@ let owner_index ring key =
   let successor = Resolver.ring_successor ring key in
   let predecessor = (successor + count - 1) mod count in
   let s = Resolver.ring_key ring successor and p = Resolver.ring_key ring predecessor in
-  let c = Key.compare (circular_distance key p) (circular_distance key s) in
+  let c = Key.compare_circular ~target:key p s in
   if c < 0 || (c = 0 && Key.compare p s < 0) then predecessor else successor
 
 let responsible_oracle t key = Members.owner t owner_index key

@@ -321,14 +321,6 @@ let send t ~dst ~bytes ~category =
   bump t (fun i -> i.oneway);
   bill t ~dst ~bytes ~category ~copies:1
 
-let send_many t ~dst ~messages ~bytes ~category =
-  (match t.instruments with
-  | None -> ()
-  | Some ins -> Obs.Metrics.Counter.add ins.oneway messages);
-  match t.network with
-  | None -> ()
-  | Some net -> Network.send_many net ~dst ~messages ~bytes ~category
-
 let send_lossy t ~dst ~bytes ~deliver =
   bump t (fun i -> i.oneway);
   let category = Network.Cache_update in

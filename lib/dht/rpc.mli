@@ -95,11 +95,6 @@ val send : t -> dst:int -> bytes:int -> category:Network.category -> unit
     multicast and coalesced-probe traffic): counted as a one-way and
     billed under [category].  The sender applies its effect itself. *)
 
-val send_many : t -> dst:int -> messages:int -> bytes:int -> category:Network.category -> unit
-(** [messages] reliable messages to [dst] carrying [bytes] in all,
-    counted and billed as that many {!send}s: one call for a batch whose
-    totals the sender already has. *)
-
 val send_lossy : t -> dst:int -> bytes:int -> deliver:(unit -> bool) -> unit
 (** A fire-and-forget cache update carrying [deliver], which applies the
     message's effect and reports whether it changed anything.  On the

@@ -78,6 +78,7 @@ val in_interval_oc : t -> lo:t -> hi:t -> bool
 (** Clockwise half-open interval (lo, hi]: the interval Chord uses for
     successor responsibility.  When [lo = hi] it is the whole ring. *)
 
+(* lint: allow X1 — oracle: the clockwise distance that compare_circular and distance_cw_bits are checked against *)
 val distance_cw : t -> t -> t
 (** [distance_cw a b] is the clockwise distance from [a] to [b]
     (i.e. [b - a mod 2^160]). *)

@@ -738,10 +738,18 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      of fresh entries for its planned children, carrying the key's
      planned edge count, and every planned edge is billed at every live
      replica of the replica set the write resolved, whether or not the
-     replica held the entry: one message per edge, each carrying its
-     child's install, billed as one batch per replica.  That is the
-     per-edge round it stands for (DESIGN.md §13, "Soft-state rounds
-     from the publication plan"). *)
+     replica held the entry.  That is the per-edge round it stands for
+     (DESIGN.md §13, "Soft-state rounds from the publication plan"). *)
+
+  (* Every planned edge of a group, billed to [dst]: each child's bytes
+     once per edge writing it, newest child first. *)
+  let charge_planned t ~dst (grp : group) =
+    for j = Array.length grp.children - 1 downto 0 do
+      let bytes = Wire.cache_install_bytes_of_len grp.parent_len (Rstore.entry_len grp.children.(j)) in
+      for _ = 1 to count grp j do
+        charge_maintenance t ~dst ~bytes
+      done
+    done
 
   (* Stale groups derived again from the plan's documents: each
      document's edges staged in publication order, as publication
@@ -770,14 +778,13 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         done;
         for g = 0 to p.group_count - 1 do
           let grp = p.groups.(g) in
-          let entries = ref [] and writes = ref 0 and lens = ref 0 and edge_lens = ref 0 in
+          let entries = ref [] and writes = ref 0 and lens = ref 0 in
           for j = 0 to Array.length grp.children - 1 do
             let e = grp.children.(j) in
-            let len = Rstore.entry_len e and edges = count grp j in
+            let len = Rstore.entry_len e in
             entries := Rstore.make_entry ~expires_at ~len (Rstore.entry_value e) :: !entries;
-            writes := !writes + edges;
-            lens := !lens + len;
-            edge_lens := !edge_lens + (edges * len)
+            writes := !writes + count grp j;
+            lens := !lens + len
           done;
           match !entries with
           | [] -> ()
@@ -786,15 +793,9 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
                 Rstore.insert_entries ~equal:mapping_equal t.mappings ~key:grp.key ~writes:!writes
                   ~floor:expires_at ~count:(Array.length grp.children) ~lens:!lens entries
               in
-              let bytes =
-                Wire.cache_installs_bytes_of_totals ~query_len:grp.parent_len ~count:!writes
-                  ~lens:!edge_lens
-              in
               for i = 0 to Stdx.Int_buf.length replicas - 1 do
                 let dst = Stdx.Int_buf.unsafe_get replicas i in
-                if Dht.Liveness.alive t.liveness dst then
-                  Dht.Rpc.send_many t.rpc ~dst ~messages:!writes ~bytes
-                    ~category:Dht.Network.Maintenance
+                if Dht.Liveness.alive t.liveness dst then charge_planned t ~dst grp
               done
         done
 

@@ -24,9 +24,6 @@ let cache_install_bytes_of_len query_len target_len =
 let cache_install_bytes query target =
   cache_install_bytes_of_len (String.length query) (String.length target)
 
-let cache_installs_bytes_of_totals ~query_len ~count ~lens =
-  (count * cache_install_bytes_of_len query_len 0) + lens
-
 let consult_bytes q = header_bytes + String.length q
 
 let stored_entry_bytes_of_len target_len = 20 + target_len

@@ -46,10 +46,6 @@ val cache_install_bytes : string -> string -> int
 val cache_install_bytes_of_len : int -> int -> int
 (** {!cache_install_bytes} from the two strings' lengths. *)
 
-val cache_installs_bytes_of_totals : query_len:int -> count:int -> lens:int -> int
-(** {!cache_install_bytes_of_len} summed over [count] installs under one
-    query [query_len] long whose targets' lengths sum to [lens]. *)
-
 val consult_bytes : string -> int
 (** Size of a local cache-consultation ticket: what a coalesced lookup
     pays to ride an identical in-flight probe's response instead of

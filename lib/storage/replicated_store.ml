@@ -393,14 +393,13 @@ let rec floor_of acc = function
 (* Drop the state's expired entries in place so cells do not
    accumulate dead soft state.  Below the floor nothing can have
    expired — always, with infinite TTLs — and the list is not walked;
-   [absent]'s floor is infinite.  The test is all a probe usually
-   runs, so it stays small enough to inline. *)
-let refloor now st =
-  if any_expired now st.entries then
-    set_counted st (List.filter (fun e -> not (e.expires_at <= now)) st.entries);
-  set_floor st (floor_of infinity st.entries)
-
-let prune now st = if st.fence.floor <= now then refloor now st
+   [absent]'s floor is infinite. *)
+let prune now st =
+  if st.fence.floor <= now then begin
+    if any_expired now st.entries then
+      set_counted st (List.filter (fun e -> not (e.expires_at <= now)) st.entries);
+    set_floor st (floor_of infinity st.entries)
+  end
 
 (* A held cell's unexpired entries; the held list itself when nothing
    has expired. *)

@@ -26,22 +26,6 @@ let network_accounting () =
   Alcotest.(check int) "reset clears bytes" 0 (Network.total_bytes net);
   Alcotest.(check (array int)) "reset clears touches" [| 0; 0; 0; 0 |] (Network.touches net)
 
-(* A batch leaves the totals its messages sent one by one leave, and is
-   checked as they are. *)
-let network_batch () =
-  let one_by_one = Network.create ~node_count:3 () and batched = Network.create ~node_count:3 () in
-  List.iter (fun bytes -> Network.send one_by_one ~dst:2 ~bytes ~category:Network.Maintenance) [ 60; 61; 65 ];
-  Network.send_many batched ~dst:2 ~messages:3 ~bytes:(60 + 61 + 65) ~category:Network.Maintenance;
-  Alcotest.(check (pair int int)) "messages and bytes"
-    (Network.messages one_by_one Network.Maintenance, Network.bytes one_by_one Network.Maintenance)
-    (Network.messages batched Network.Maintenance, Network.bytes batched Network.Maintenance);
-  Alcotest.check_raises "destination checked"
-    (Invalid_argument "Network.send: node 3 out of range [0, 3)") (fun () ->
-      Network.send_many batched ~dst:3 ~messages:1 ~bytes:1 ~category:Network.Request);
-  Alcotest.check_raises "negative message count rejected"
-    (Invalid_argument "Network.send: negative message count -1") (fun () ->
-      Network.send_many batched ~dst:0 ~messages:(-1) ~bytes:1 ~category:Network.Request)
-
 let network_bad_destination () =
   let net = Network.create ~node_count:2 () in
   Alcotest.check_raises "destination checked"
@@ -1024,7 +1008,6 @@ let suite =
       [
         Alcotest.test_case "traffic accounting" `Quick network_accounting;
         Alcotest.test_case "bad destination rejected" `Quick network_bad_destination;
-        Alcotest.test_case "a batch = its messages one by one" `Quick network_batch;
         Alcotest.test_case "route hops on every substrate" `Quick route_hops_total;
       ] );
     ( "dht:static",

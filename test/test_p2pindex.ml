@@ -305,9 +305,6 @@ let wire_bytes_pinned () =
     (Wire.response_bytes_of_len ~len:Fun.id [ 2; 3 ]);
   Alcotest.(check int) "length-priced install = string-priced install" 59
     (Wire.cache_install_bytes_of_len 2 1);
-  Alcotest.(check int) "installs priced from totals = installs priced one by one"
-    (Wire.cache_install_bytes "ab" "c" + (2 * Wire.cache_install_bytes "ab" "defg"))
-    (Wire.cache_installs_bytes_of_totals ~query_len:2 ~count:3 ~lens:(1 + (2 * 4)));
   Alcotest.(check int) "file response priced from its name's length" 65
     (Wire.file_response_bytes_of_len (String.length "x.pdf"));
   Alcotest.(check int) "consult ticket = header + query" 50 (Wire.consult_bytes "ab")
