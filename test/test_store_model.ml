@@ -6,9 +6,15 @@
    removes leave tombstones and collect a key nothing holds any more,
    quorum reads merge by version and repair what diverged, repair
    re-homes lost keys, and anti-entropy compares replica-set ranges key
-   by key.  After every step each observable of the store must match the
-   model's, and no state of a key written only under refresh may hold
-   a value twice. *)
+   by key.  Writes carry a time to live on a shared virtual clock: the
+   model keeps every replica's deadline for every entry by the write
+   contract — a refresh gives the first entry equal to a written value
+   the write's deadline, a gained entry carries it, and whatever a read
+   repair, a repair or a sync brings in keeps the deadline it had.
+   After every step each observable of the store must match the
+   model's, every live replica must serve the model's unexpired values
+   with their deadlines, and no state of a key written only under
+   refresh may hold a value twice. *)
 
 module Key = Hashing.Key
 module Version = Storage.Version
@@ -19,8 +25,13 @@ module Anti_entropy = Storage.Anti_entropy
 (* The model. *)
 
 (* One node's state of one key: values newest first (a value's length is
-   its rendering's), the values removed here, and the version. *)
-type state = { mutable entries : string list; mutable tombs : string list; mutable version : Version.t }
+   its rendering's) with their deadlines, the values removed here, and
+   the version. *)
+type state = {
+  mutable entries : (string * float) list;
+  mutable tombs : string list;
+  mutable version : Version.t;
+}
 
 type model = {
   resolver : Dht.Resolver.t;
@@ -32,6 +43,7 @@ type model = {
   mutable unrefreshed : Key.t list;
       (** Keys written without refresh since they were last collected:
           their states may hold a value twice. *)
+  mutable now : float;  (** The virtual clock the store reads. *)
 }
 
 let model ~resolver ~replication ~nodes =
@@ -43,6 +55,7 @@ let model ~resolver ~replication ~nodes =
     registered = [];
     acks = 0;
     unrefreshed = [];
+    now = 0.0;
   }
 
 let replicas m key = Dht.Resolver.replicas m.resolver key m.replication
@@ -62,8 +75,27 @@ let first_live m nodes = List.find_opt (fun n -> m.alive.(n)) nodes
 let version_of m node key = match state_of m node key with Some st -> st.version | None -> Version.zero
 
 let record m ~acks ~writes = m.acks <- m.acks + (acks * writes)
+let values_of entries = List.map fst entries
+let holds_value v entries = List.exists (fun (x, _) -> String.equal x v) entries
 
-let model_insert m ~key ~writes ~refresh values =
+(* Every probe of a live replica drops its expired entries, and each
+   observation below probes every live replica of every key: the model
+   drops them there too, so each step starts from pruned live states.
+   A dead replica keeps what it held until it is back. *)
+let prune m =
+  Array.iteri
+    (fun node states ->
+      if m.alive.(node) then
+        List.iter (fun (_, st) -> st.entries <- List.filter (fun (_, x) -> x > m.now) st.entries) states)
+    m.nodes
+
+(* The first entry holding [v] takes the deadline [x]. *)
+let rec refresh_first v x = function
+  | [] -> []
+  | (w, _) :: rest when String.equal w v -> (w, x) :: rest
+  | e :: rest -> e :: refresh_first v x rest
+
+let model_insert m ~key ~writes ~refresh ~expires_at values =
   let nodes = replicas m key in
   let live = List.filter (fun n -> m.alive.(n)) nodes in
   let vv =
@@ -76,7 +108,7 @@ let model_insert m ~key ~writes ~refresh values =
     (fun node ->
       let st = get_state m node key in
       (match (st.entries, st.tombs) with
-      | [], [] -> st.entries <- values
+      | [], [] -> st.entries <- List.map (fun v -> (v, expires_at)) values
       | _ ->
           st.tombs <- List.filter (fun tv -> not (List.mem tv values)) st.tombs;
           held := st :: !held);
@@ -85,12 +117,17 @@ let model_insert m ~key ~writes ~refresh values =
   record m ~acks:(List.length live) ~writes;
   (* Oldest value first, as the writes that stand for the call. *)
   (* Without refresh every write installs its own entry. *)
-  let holds st v = refresh && List.mem v st.entries in
+  let holds st v = refresh && holds_value v st.entries in
   let fresh =
     List.filter
       (fun v ->
         let known = List.exists (fun st -> holds st v) !held in
-        List.iter (fun st -> if not (holds st v) then st.entries <- v :: st.entries) !held;
+        List.iter
+          (fun st ->
+            st.entries <-
+              (if holds st v then refresh_first v expires_at st.entries
+               else (v, expires_at) :: st.entries))
+          !held;
         not known)
       (List.rev values)
   in
@@ -116,8 +153,9 @@ let model_remove m ~key pred =
             if not m.alive.(node) then worst
             else begin
               let st = get_state m node key in
-              let kept, gone = List.partition (fun v -> not (pred v)) st.entries in
+              let kept, gone = List.partition (fun (v, _) -> not (pred v)) st.entries in
               st.entries <- kept;
+              let gone = values_of gone in
               List.iter (fun v -> if not (List.mem v st.tombs) then st.tombs <- st.tombs @ [ v ]) gone;
               st.version <- Version.merge st.version vv;
               max worst (List.length gone)
@@ -136,7 +174,7 @@ let model_remove m ~key pred =
       removed
 
 (* A state as a value: merging and comparing never mutate. *)
-type view = { v_entries : string list; v_tombs : string list; v_version : Version.t }
+type view = { v_entries : (string * float) list; v_tombs : string list; v_version : Version.t }
 
 let view = function
   | Some st -> { v_entries = st.entries; v_tombs = st.tombs; v_version = st.version }
@@ -144,10 +182,16 @@ let view = function
 
 let union a b ~version =
   let tombs = a.v_tombs @ List.filter (fun v -> not (List.mem v a.v_tombs)) b.v_tombs in
-  let entries = a.v_entries @ List.filter (fun v -> not (List.mem v a.v_entries)) b.v_entries in
-  { v_entries = List.filter (fun v -> not (List.mem v tombs)) entries; v_tombs = tombs; v_version = version }
+  let entries = a.v_entries @ List.filter (fun (v, _) -> not (holds_value v a.v_entries)) b.v_entries in
+  {
+    v_entries = List.filter (fun (v, _) -> not (List.mem v tombs)) entries;
+    v_tombs = tombs;
+    v_version = version;
+  }
 
-let agree a b = a.v_tombs = [] && b.v_tombs = [] && a.v_entries = b.v_entries
+(* Agreement is on values alone; the merge keeps the first side's
+   deadlines. *)
+let agree a b = a.v_tombs = [] && b.v_tombs = [] && values_of a.v_entries = values_of b.v_entries
 
 let merge a b =
   match Version.compare a.v_version b.v_version with
@@ -174,7 +218,10 @@ let model_quorum_read m ~key ~nodes =
           (fun (node, st) ->
             if same st merged then None
             else begin
-              let gained = List.filter (fun v -> not (List.mem v st.v_entries)) merged.v_entries in
+              let gained =
+                values_of
+                  (List.filter (fun (v, _) -> not (holds_value v st.v_entries)) merged.v_entries)
+              in
               let target = get_state m node key in
               target.entries <- merged.v_entries;
               target.tombs <- merged.v_tombs;
@@ -183,7 +230,7 @@ let model_quorum_read m ~key ~nodes =
             end)
           states
       in
-      (merged.v_entries, merged.v_version, repairs)
+      (values_of merged.v_entries, merged.v_version, repairs)
 
 let sorted_registered m = List.sort Key.compare m.registered
 
@@ -210,7 +257,7 @@ let model_repair m =
                   st.entries <- src.v_entries;
                   st.version <- Version.merge st.version src.v_version;
                   st.tombs <- src.v_tombs;
-                  List.iter (fun v -> restored := (node, v) :: !restored) src.v_entries
+                  List.iter (fun (v, _) -> restored := (node, v) :: !restored) src.v_entries
                 end
               end)
             nodes)
@@ -222,6 +269,7 @@ let bytes values = List.fold_left (fun n v -> n + String.length v) 0 values
 (* Anti-entropy prices an entry this much on top of its length. *)
 let entry_overhead = 7
 let priced values = List.fold_left (fun n v -> n + entry_overhead + String.length v) 0 values
+let priced_entries entries = priced (values_of entries)
 
 (* Every registered key with its replica set, by set, then by key. *)
 let model_ranges m =
@@ -260,7 +308,7 @@ let model_anti_entropy m =
               List.iter
                 (fun peer ->
                   let a = state_of m coordinator key and b = state_of m peer key in
-                  let held = function Some st -> priced st.entries | None -> 0 in
+                  let held = function Some st -> priced_entries st.entries | None -> 0 in
                   let full = held a + held b in
                   let agree =
                     match (a, b) with
@@ -306,7 +354,7 @@ let model_anti_entropy m =
 (* Schedules. *)
 
 type op =
-  | Insert of { key : int; values : string list; refresh : bool; extra : int }
+  | Insert of { key : int; values : string list; refresh : bool; extra : int; ttl : float }
   | Remove of { key : int; value : string option }
   | Fail of int
   | Revive of int
@@ -315,9 +363,10 @@ type op =
   | Sync of { key : int; a : int; b : int }
   | Repair
   | Anti_entropy
-  | Republish of { key : int; extra : int }
+  | Republish of { key : int; extra : int; ttl : float }
       (** A refresh of every value the key's acting primary holds, as
           the store holds them: what a republish round writes. *)
+  | Advance of float  (** The clock moves on. *)
 
 let keys = Array.init 6 (fun i -> Key.of_string (Printf.sprintf "model-key-%d" i))
 
@@ -326,10 +375,10 @@ let keys = Array.init 6 (fun i -> Key.of_string (Printf.sprintf "model-key-%d" i
 let values = [| "a"; "bb"; "ccc"; "dddd"; "eeeee"; "ff" |]
 
 let show_op = function
-  | Insert { key; values; refresh; extra } ->
-      Printf.sprintf "insert k%d [%s]%s+%d" key (String.concat ";" values)
+  | Insert { key; values; refresh; extra; ttl } ->
+      Printf.sprintf "insert k%d [%s]%s+%d ttl %g" key (String.concat ";" values)
         (if refresh then " refresh" else "")
-        extra
+        extra ttl
   | Remove { key; value } -> Printf.sprintf "remove k%d %s" key (Option.value value ~default:"*")
   | Fail n -> Printf.sprintf "fail %d" n
   | Revive n -> Printf.sprintf "revive %d" n
@@ -339,20 +388,24 @@ let show_op = function
   | Sync { key; a; b } -> Printf.sprintf "sync k%d %d %d" key a b
   | Repair -> "repair"
   | Anti_entropy -> "anti-entropy"
-  | Republish { key; extra } -> Printf.sprintf "republish k%d+%d" key extra
+  | Republish { key; extra; ttl } -> Printf.sprintf "republish k%d+%d ttl %g" key extra ttl
+  | Advance dt -> Printf.sprintf "advance %g" dt
 
 let gen_op ~nodes =
   let open QCheck.Gen in
   let key = int_bound (Array.length keys - 1) and node = int_bound (nodes - 1) in
   let value = map (Array.get values) (int_bound (Array.length values - 1)) in
+  (* Deadlines both sides of the clock's steps, and hard state. *)
+  let ttl = oneofl [ 5.0; 15.0; infinity ] in
   frequency
     [
       ( 6,
-        map
-          (fun (key, vs, refresh, extra) ->
+        map2
+          (fun (key, vs, refresh, extra) ttl ->
             let values = List.sort_uniq compare vs in
-            Insert { key; values; refresh; extra = (if refresh then extra else 0) })
-          (quad key (list_size (int_range 1 3) value) bool (int_bound 2)) );
+            Insert { key; values; refresh; extra = (if refresh then extra else 0); ttl })
+          (quad key (list_size (int_range 1 3) value) bool (int_bound 2))
+          ttl );
       (2, map2 (fun key value -> Remove { key; value }) key (opt value));
       (2, map (fun n -> Fail n) node);
       (2, map (fun n -> Revive n) node);
@@ -365,7 +418,8 @@ let gen_op ~nodes =
       (1, map3 (fun key a b -> Sync { key; a; b }) key (int_bound 2) (int_bound 2));
       (1, return Repair);
       (1, return Anti_entropy);
-      (2, map2 (fun key extra -> Republish { key; extra }) key (int_bound 2));
+      (2, map3 (fun key extra ttl -> Republish { key; extra; ttl }) key (int_bound 2) ttl);
+      (2, map (fun dt -> Advance dt) (oneofl [ 4.0; 10.0 ]));
     ]
 
 type case = { replication : int; nodes : int; ops : op list }
@@ -406,7 +460,10 @@ let pp_stats (s : Anti_entropy.stats) =
   Printf.sprintf "%d/%d/%d/%d/%d/%d/%d" s.exchanges s.digest_matches s.digest_bytes s.keys_shipped
     s.entries_shipped s.shipped_bytes s.full_state_bytes
 
+let pp_deadlines = pp_list (fun (v, x) -> Printf.sprintf "%s@%g" v x)
+
 let observe m (store : string Store.t) ~acks =
+  prune m;
   check "acknowledgements" string_of_int m.acks !acks;
   check "key_count" string_of_int (List.length m.registered) (Store.key_count store);
   check "sorted_keys" (pp_list Key.short_hex) (sorted_registered m) (Store.sorted_keys store);
@@ -421,12 +478,14 @@ let observe m (store : string Store.t) ~acks =
           (fun i (set, _) -> if i = 0 || fst (List.nth ranges (i - 1)) <> set then [ i ] else [])
           ranges))
     (Array.to_list kept.Store.starts);
+  (* Dead replicas count what they hold unexpired. *)
   let per_node f = Array.to_list (Array.map f m.nodes) in
+  let unexpired st = List.filter (fun (_, x) -> x > m.now) st.entries in
   check "keys_per_node" pp_ints
-    (per_node (fun states -> List.length (List.filter (fun (_, st) -> st.entries <> []) states)))
+    (per_node (fun states -> List.length (List.filter (fun (_, st) -> unexpired st <> []) states)))
     (Array.to_list (Store.keys_per_node store));
   check "entries_per_node" pp_ints
-    (per_node (fun states -> List.fold_left (fun n (_, st) -> n + List.length st.entries) 0 states))
+    (per_node (fun states -> List.fold_left (fun n (_, st) -> n + List.length (unexpired st)) 0 states))
     (Array.to_list (Store.entries_per_node store));
   let totals =
     List.fold_left
@@ -434,7 +493,7 @@ let observe m (store : string Store.t) ~acks =
         match first_live m (replicas m key) with
         | None -> (count, sum)
         | Some node ->
-            let entries = (view (state_of m node key)).v_entries in
+            let entries = values_of (view (state_of m node key)).v_entries in
             (count + List.length entries, sum + bytes entries))
       (0, 0) m.registered
   in
@@ -479,35 +538,38 @@ let observe m (store : string Store.t) ~acks =
       let lookup =
         match first_live m (replicas m key) with
         | None -> []
-        | Some node -> (view (state_of m node key)).v_entries
+        | Some node -> values_of (view (state_of m node key)).v_entries
       in
       check (name "lookup") pp_strings lookup (Store.lookup store key);
       Array.iteri
         (fun node _ ->
           let at what = Printf.sprintf "%s at %d" (name what) node in
           let expected = if m.alive.(node) then (view (state_of m node key)).v_entries else [] in
-          check (at "entries_at") pp_strings expected
-            (List.map Store.entry_value (Store.entries_at store ~node key));
+          check (at "entries_at") pp_deadlines expected
+            (List.map
+               (fun e -> (Store.entry_value e, Store.entry_expires_at e))
+               (Store.entries_at store ~node key));
           check_version (at "version_at") (version_of m node key) (Store.version_at store ~node key))
         m.nodes)
     keys
 
-let entries vs = List.map (fun v -> Store.make_entry ~expires_at:infinity ~len:(String.length v) v) vs
+let entries ~expires_at vs = List.map (fun v -> Store.make_entry ~expires_at ~len:(String.length v) v) vs
 
 let step m store op =
   let key_of i = keys.(i) in
   let position key i = List.nth_opt (replicas m key) i in
   match op with
-  | Insert { key; values; refresh; extra } ->
+  | Insert { key; values; refresh; extra; ttl } ->
       let key = key_of key in
       let writes = List.length values + extra in
       let equal = if refresh then Some String.equal else None in
+      let expires_at = m.now +. ttl in
       let fresh, _ =
-        Store.insert_entries ~equal store ~key ~writes ~floor:infinity ~count:(List.length values)
-          ~lens:(bytes values) (entries values)
+        Store.insert_entries ~equal store ~key ~writes ~floor:expires_at ~count:(List.length values)
+          ~lens:(bytes values) (entries ~expires_at values)
       in
       check "insert fresh" pp_strings
-        (model_insert m ~key ~writes ~refresh values)
+        (model_insert m ~key ~writes ~refresh ~expires_at values)
         (List.map Store.entry_value fresh)
   | Remove { key; value } ->
       let key = key_of key in
@@ -549,7 +611,8 @@ let step m store op =
   | Anti_entropy ->
       check "anti-entropy" pp_stats (model_anti_entropy m)
         (Anti_entropy.run store ~entry_overhead ())
-  | Republish { key; extra } -> (
+  | Advance dt -> m.now <- m.now +. dt
+  | Republish { key; extra; ttl } -> (
       let key = key_of key in
       match first_live m (replicas m key) with
       | None -> ()
@@ -566,12 +629,13 @@ let step m store op =
           | [] -> ()
           | values ->
               let writes = List.length values + extra in
+              let expires_at = m.now +. ttl in
               let fresh, _ =
-                Store.insert_entries ~equal:(Some String.equal) store ~key ~writes ~floor:infinity
-                  ~count:(List.length values) ~lens:(bytes values) (entries values)
+                Store.insert_entries ~equal:(Some String.equal) store ~key ~writes ~floor:expires_at
+                  ~count:(List.length values) ~lens:(bytes values) (entries ~expires_at values)
               in
               check "republish fresh" pp_strings
-                (model_insert m ~key ~writes ~refresh:true values)
+                (model_insert m ~key ~writes ~refresh:true ~expires_at values)
                 (List.map Store.entry_value fresh)))
 
 let resolver_of c = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:23L ~node_count:c.nodes ())
@@ -579,12 +643,12 @@ let resolver_of c = Dht.Static_dht.resolver (Dht.Static_dht.create ~seed:23L ~no
 let run_case c =
   let resolver = resolver_of c in
   let acks = ref 0 in
+  let m = model ~resolver ~replication:c.replication ~nodes:c.nodes in
   let store : string Store.t =
     Store.create ~resolver ~replication:c.replication
       ~on_write_acks:(fun ~acks:n -> acks := !acks + n)
-      ()
+      ~clock:(fun () -> m.now) ()
   in
-  let m = model ~resolver ~replication:c.replication ~nodes:c.nodes in
   let rec go i = function
     | [] -> Ok ()
     | op :: ops -> (
@@ -615,7 +679,7 @@ let foreign_dot_schedule () =
     Store.replica_nodes (Store.create ~resolver:(resolver_of c) ~replication:3 ()) keys.(0)
   in
   let first = List.nth replicas 0 and third = List.nth replicas 2 in
-  let write values = Insert { key = 0; values; refresh = false; extra = 0 } in
+  let write values = Insert { key = 0; values; refresh = false; extra = 0; ttl = infinity } in
   let ops =
     [
       write [ "a" ];
@@ -639,7 +703,7 @@ let republish_meets_a_lookalike () =
     Store.replica_nodes (Store.create ~resolver:(resolver_of c) ~replication:2 ()) keys.(0)
   in
   let first = List.nth replicas 0 and second = List.nth replicas 1 in
-  let write value = Insert { key = 0; values = [ value ]; refresh = true; extra = 0 } in
+  let write value = Insert { key = 0; values = [ value ]; refresh = true; extra = 0; ttl = infinity } in
   let ops =
     [
       Fail second;
@@ -648,7 +712,7 @@ let republish_meets_a_lookalike () =
       Fail first;
       write "ff";
       Revive first;
-      Republish { key = 0; extra = 0 };
+      Republish { key = 0; extra = 0; ttl = infinity };
       Anti_entropy;
     ]
   in
@@ -658,7 +722,7 @@ let republish_meets_a_lookalike () =
    must range the keys there are at that moment. *)
 let anti_entropy_follows_the_key_set () =
   let c = { replication = 2; nodes = 8; ops = [] } in
-  let write key value = Insert { key; values = [ value ]; refresh = true; extra = 0 } in
+  let write key value = Insert { key; values = [ value ]; refresh = true; extra = 0; ttl = infinity } in
   let ops =
     [
       write 0 "a";
@@ -677,9 +741,8 @@ let anti_entropy_follows_the_key_set () =
 
 (* Expiry prunes states in place: every state's kept count and length
    sum must still describe its entries after reads, totals and
-   anti-entropy meet expired soft state.  The model above writes hard
-   state only, so this schedule, with a clock and TTL'd writes, checks
-   what pruning leaves. *)
+   anti-entropy meet expired soft state, on states that only some of
+   the model's probes reach. *)
 type expiry_op =
   | Write of { key : int; values : string list; ttl : float; refresh : bool }
   | Advance of float
