@@ -61,25 +61,31 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   }
 
   (* One parent key of the plan, as a republish round writes it: its
-     distinct planned children, by first planned write, oldest first —
-     read for their values and lengths only — and each one's planned
-     edge count, in the same order ([||] while every count is one). *)
+     distinct planned children newest first — the entry list
+     publication wrote, when it planned every child it wrote — with
+     their number, their lengths' sum and their planned edges, and each
+     one's planned edge count, in the same order ([||] while every
+     count is one). *)
   type group = {
     key : Key.t;
     parent_len : int;  (** The parent's rendered length. *)
-    children : Q.t Rstore.entry array;
+    entries : Q.t Rstore.entry list;
+    size : int;
+    lens : int;
+    writes : int;
     counts : int array;
   }
 
   (* What pads the plan's group array: an old value, so the array's
      allocation forces no minor collection. *)
-  let no_group = { key = Key.zero; parent_len = 0; children = [||]; counts = [||] }
+  let no_group =
+    { key = Key.zero; parent_len = 0; entries = []; size = 0; lens = 0; writes = 0; counts = [||] }
 
   (* One published document: its file write, and what derives its
      edges again when the plan is rebuilt. *)
   type planned = {
     file_key : Key.t;
-    file : file;
+    file : file Rstore.entry list;  (** The list the file write wrote. *)
     request_bytes : int;  (** The file write's billed request. *)
     msd : Q.t;
     scheme : Q.t Scheme.t;
@@ -385,15 +391,25 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      file reply carries ({!Wire.file_response_bytes}). *)
   let file_len (file : file) = String.length file.name
 
+  (* Write [file] under [key], in place of any file there; returns the
+     entry list written. *)
   let write_file t ~key ~request_bytes file =
     ignore (Rstore.remove_key t.files key);
-    Rstore.insert ~expires_at:(entry_expiry t) t.files ~key ~len:(file_len file) file;
-    charge_live t (Rstore.replica_buf t.files key) ~bytes:request_bytes
+    let len = file_len file in
+    let written = [ Rstore.make_entry ~len file ] in
+    ignore
+      (Rstore.insert_entries ~equal:None t.files ~key ~writes:1 ~expires_at:(entry_expiry t)
+         ~count:1 ~lens:len written
+        : _ list);
+    charge_live t (Rstore.replica_buf t.files key) ~bytes:request_bytes;
+    written
 
   let store_file t ~msd file =
     let msd_string = Q.to_string msd in
-    write_file t ~key:(Key.of_string msd_string) ~request_bytes:(Wire.request_bytes msd_string)
-      file
+    ignore
+      (write_file t ~key:(Key.of_string msd_string) ~request_bytes:(Wire.request_bytes msd_string)
+         file
+        : _ list)
 
   (* Publication stages every scheme edge of a batch of documents under
      its rendered parent, then each parent key takes one store write
@@ -457,7 +473,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     mutable memo : rendered list;  (** The document being staged's values. *)
     staged : Stdx.Int_buf.t;  (** The document being staged: each edge's child. *)
     planning : bool;  (** The batch derives the plan's groups. *)
-    expires_at : float;  (** Every entry of a batch is stamped alike. *)
+    expires_at : float;  (** The deadline every write of the batch gives. *)
   }
 
   (* Room for [capacity] groups, and for the children three groups
@@ -561,7 +577,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     match staged_child b k r.query len (Tags.start b.places k) with
     | -1 ->
         let n = b.child_count in
-        let entry = Rstore.make_entry ~expires_at:b.expires_at ~len r.query in
+        let entry = Rstore.make_entry ~len r.query in
         if n = Array.length b.entries then begin
           let room = Stdlib.max (2 * Array.length b.parents) (2 * n) in
           b.entries <- resize b.entries room entry;
@@ -607,9 +623,9 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      publication records each document — its file write, its descriptor
      and its scheme — and each parent key's group: its key (the one the
      batch hashed, shared with it), its rendered length, and its
-     distinct children as they were staged, with their edge counts — so
-     a republish round rewrites them without rendering, hashing or
-     staging anything again.  The groups have one derivation: the batch
+     distinct children as publication wrote them, with their edge
+     counts — so a republish round rewrites them without rendering,
+     hashing, staging or building anything again.  The groups have one derivation: the batch
      of every recorded document, staged in publication order.  The
      batch that starts a plan is that batch; a later batch or an
      unpublish marks the groups stale, and the next round derives them
@@ -630,33 +646,46 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   let count (grp : group) j = if Array.length grp.counts = 0 then 1 else grp.counts.(j)
 
-  (* Group [g]'s planned children, oldest first, join the plan as a new
-     group, if it has any.  They are linked newest first, so one walk
-     counts them and a second fills the group from its end. *)
+  (* Group [g]'s planned children join the plan as a new group, if it
+     has any.  They are linked newest first: one walk counts them, and a
+     second fills their counts and, when publication wrote children the
+     plan leaves out, lists them. *)
   let plan_staged (p : plan) b g =
-    let n = ref 0 and ones = ref true and child = ref b.newest.(g) in
+    let n = ref 0 and ones = ref true and writes = ref 0 and lens = ref 0 in
+    let child = ref b.newest.(g) in
     while !child >= 0 do
       let c = b.planned.(!child) in
-      if c > 0 then incr n;
+      if c > 0 then begin
+        incr n;
+        writes := !writes + c;
+        lens := !lens + Rstore.entry_len b.entries.(!child)
+      end;
       if c > 1 then ones := false;
       child := b.previous.(!child)
     done;
     if !n > 0 then begin
-      let children = Array.make !n b.entries.(b.newest.(g))
-      and counts = if !ones then [||] else Array.make !n 1 in
-      let j = ref !n in
-      child := b.newest.(g);
+      let whole = !n = b.sizes.(g) in
+      let counts = if !ones then [||] else Array.make !n 1 and planned = ref [] and j = ref 0 in
+      child := if !ones && whole then -1 else b.newest.(g);
       while !child >= 0 do
         let c = b.planned.(!child) in
         if c > 0 then begin
-          decr j;
-          children.(!j) <- b.entries.(!child);
-          if not !ones then counts.(!j) <- c
+          if not !ones then counts.(!j) <- c;
+          if not whole then planned := b.entries.(!child) :: !planned;
+          incr j
         end;
         child := b.previous.(!child)
       done;
       p.groups.(p.group_count) <-
-        { key = b.keys.(g); parent_len = String.length b.parents.(g); children; counts };
+        {
+          key = b.keys.(g);
+          parent_len = String.length b.parents.(g);
+          entries = (if whole then b.children.(g) else List.rev !planned);
+          size = !n;
+          lens = !lens;
+          writes = !writes;
+          counts;
+        };
       p.group_count <- p.group_count + 1
     end
 
@@ -679,6 +708,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   (* Built once, not per write. *)
   let mapping_equal = Some Q.equal
+  let file_equal = Some ( = )
+  let written_len = List.fold_left (fun n e -> n + Rstore.entry_len e) 0
 
   (* One write per staged key, in first-seen order, billed at every live
      replica of the replica set the write resolved; then, under a plan,
@@ -687,11 +718,12 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   let flush t b =
     Rstore.reserve t.mappings b.groups;
     for g = 0 to b.groups - 1 do
-      let fresh, replicas =
+      let fresh =
         Rstore.insert_entries ~equal:mapping_equal t.mappings ~key:b.keys.(g)
-          ~writes:b.writes.(g) ~floor:b.expires_at ~count:b.sizes.(g) ~lens:b.lens.(g)
+          ~writes:b.writes.(g) ~expires_at:b.expires_at ~count:b.sizes.(g) ~lens:b.lens.(g)
           b.children.(g)
       in
+      let replicas = Rstore.replica_buf t.mappings b.keys.(g) in
       let parent_len = String.length b.parents.(g) in
       for i = 0 to Stdx.Int_buf.length replicas - 1 do
         let dst = Stdx.Int_buf.unsafe_get replicas i in
@@ -713,7 +745,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
       let msd = msd doc and file = file doc in
       let msd_string = Q.to_string msd in
       let key = Key.of_string msd_string and request_bytes = Wire.request_bytes msd_string in
-      write_file t ~key ~request_bytes file;
+      let file = write_file t ~key ~request_bytes file in
       stage_edges b ~scheme ~msd ~msd_string;
       Option.iter
         (fun p ->
@@ -735,21 +767,24 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   (* ---------------------------------------------------------------- *)
   (* Republication: the plan replayed.  Each file is refreshed in place,
      document by document, then each planned parent key takes one write
-     of fresh entries for its planned children, carrying the key's
-     planned edge count, and every planned edge is billed at every live
-     replica of the replica set the write resolved, whether or not the
-     replica held the entry.  That is the per-edge round it stands for
-     (DESIGN.md §13, "Soft-state rounds from the publication plan"). *)
+     of its planned children's entries, the list publication wrote,
+     carrying the key's planned edge count, and every planned edge is
+     billed at every live replica of the replica set the write
+     resolved, whether or not the replica held the entry.  That is the
+     per-edge round it stands for (DESIGN.md §13, "Soft-state rounds
+     from the publication plan"). *)
 
-  (* Every planned edge of a group, billed to [dst]: each child's bytes
-     once per edge writing it, newest child first. *)
-  let charge_planned t ~dst (grp : group) =
-    for j = Array.length grp.children - 1 downto 0 do
-      let bytes = Wire.cache_install_bytes_of_len grp.parent_len (Rstore.entry_len grp.children.(j)) in
-      for _ = 1 to count grp j do
-        charge_maintenance t ~dst ~bytes
-      done
-    done
+  (* Every planned edge of a group from its [j]th child on, billed to
+     [dst]: each child's bytes once per edge writing it, newest child
+     first. *)
+  let rec charge_planned t ~dst (grp : group) j = function
+    | [] -> ()
+    | e :: rest ->
+        let bytes = Wire.cache_install_bytes_of_len grp.parent_len (Rstore.entry_len e) in
+        for _ = 1 to count grp j do
+          charge_maintenance t ~dst ~bytes
+        done;
+        charge_planned t ~dst grp (j + 1) rest
 
   (* Stale groups derived again from the plan's documents: each
      document's edges staged in publication order, as publication
@@ -771,32 +806,22 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         for d = 0 to p.doc_count - 1 do
           let doc = p.docs.(d) in
           ignore
-            (Rstore.insert_unique ~expires_at ~equal:( = ) t.files ~key:doc.file_key
-               ~len:(file_len doc.file) doc.file
-              : bool);
+            (Rstore.insert_entries ~equal:file_equal t.files ~key:doc.file_key ~writes:1 ~expires_at
+               ~count:1 ~lens:(written_len doc.file) doc.file
+              : _ list);
           charge_live t (Rstore.replica_buf t.files doc.file_key) ~bytes:doc.request_bytes
         done;
         for g = 0 to p.group_count - 1 do
           let grp = p.groups.(g) in
-          let entries = ref [] and writes = ref 0 and lens = ref 0 in
-          for j = 0 to Array.length grp.children - 1 do
-            let e = grp.children.(j) in
-            let len = Rstore.entry_len e in
-            entries := Rstore.make_entry ~expires_at ~len (Rstore.entry_value e) :: !entries;
-            writes := !writes + count grp j;
-            lens := !lens + len
-          done;
-          match !entries with
-          | [] -> ()
-          | entries ->
-              let _fresh, replicas =
-                Rstore.insert_entries ~equal:mapping_equal t.mappings ~key:grp.key ~writes:!writes
-                  ~floor:expires_at ~count:(Array.length grp.children) ~lens:!lens entries
-              in
-              for i = 0 to Stdx.Int_buf.length replicas - 1 do
-                let dst = Stdx.Int_buf.unsafe_get replicas i in
-                if Dht.Liveness.alive t.liveness dst then charge_planned t ~dst grp
-              done
+          ignore
+            (Rstore.insert_entries ~equal:mapping_equal t.mappings ~key:grp.key ~writes:grp.writes
+               ~expires_at ~count:grp.size ~lens:grp.lens grp.entries
+              : _ list);
+          let replicas = Rstore.replica_buf t.mappings grp.key in
+          for i = 0 to Stdx.Int_buf.length replicas - 1 do
+            let dst = Stdx.Int_buf.unsafe_get replicas i in
+            if Dht.Liveness.alive t.liveness dst then charge_planned t ~dst grp 0 grp.entries
+          done
         done
 
   (* What shipping one stored entry costs, priced from its cached length

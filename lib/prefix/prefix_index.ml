@@ -108,13 +108,14 @@ let write t ~refresh ~reached entries =
             let len = String.length v.rendered in
             incr count;
             lens := !lens + len;
-            Rstore.make_entry ~expires_at ~len v)
+            Rstore.make_entry ~len v)
           !distinct
       in
-      let fresh, replicas =
-        Rstore.insert_entries ~equal:entry_equal t.store ~key ~writes:!writes ~floor:expires_at
+      let fresh =
+        Rstore.insert_entries ~equal:entry_equal t.store ~key ~writes:!writes ~expires_at
           ~count:!count ~lens:!lens entries
       in
+      let replicas = Rstore.replica_buf t.store key in
       for i = 0 to Stdx.Int_buf.length replicas - 1 do
         let dst = Stdx.Int_buf.unsafe_get replicas i in
         if dst <> reached && Rstore.alive t.store dst then

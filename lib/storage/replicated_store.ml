@@ -1,15 +1,19 @@
 module Key = Hashing.Key
 
 (* [len] is the length of the value's rendering, fixed by the writer when
-   the entry is first written; clones copy it, so traffic is priced from
-   it and never from a re-render.  Equal values render equally, so two
-   entries whose lengths differ never hold equal values: every
-   membership test below compares lengths before values. *)
-type 'v entry = { value : 'v; len : int; mutable expires_at : float }
+   the entry is first written; every rebuilt entry keeps it, so traffic
+   is priced from it and never from a re-render.  Equal values render
+   equally, so two entries whose lengths differ never hold equal values:
+   every membership test below compares lengths before values.
+
+   Entries are immutable, so every replica that takes a written list
+   shares it.  [expires_at] is the entry's own deadline: [neg_infinity]
+   on an entry a writer made, a time on one the store rebuilt.  A state
+   holding the entry may extend it by its lease (see [cell]). *)
+type 'v entry = { value : 'v; len : int; expires_at : float }
 
 let entry_value e = e.value
 let entry_len e = e.len
-let entry_expires_at e = e.expires_at
 
 (* One replica's view of a key: its live entries, the values removed
    here that other replicas may still hold (tombstones), and the dotted
@@ -45,12 +49,22 @@ let make_fence ~tombs ~floor =
    [len]s ({!count} and {!lens}: 31 bits each are room for more than any
    state holds), kept beside the list at every assignment of it, so that
    the report's totals and a reply's price read one field instead of
-   walking the list. *)
+   walking the list.
+
+   [lease] is the deadline the state's last whole-list refresh set
+   ([neg_infinity] for none): an entry expires at the later of its own
+   deadline and the lease.  A state takes a lease only with a written
+   list it holds whole, so a lease extends no entry its refresh did not
+   write; whatever joins the list later either carries a deadline of its
+   own no earlier than the lease, or comes in with the lease folded into
+   it ({!fold_lease}).  The lease is also a lower bound on the entries'
+   expiries, beside the fence's floor. *)
 type 'v cell = {
   node : int;  (* -1 on the store's [absent] stand-in and merged states *)
   mutable epoch : int;
   mutable entries : 'v entry list;
   mutable tally : int;
+  mutable lease : float;
   mutable version : Version.t;
   mutable fence : 'v fence;
 }
@@ -116,10 +130,12 @@ let lower_floor st expires_at = if expires_at < st.fence.floor then set_floor st
    [fresh] shares the version a write leaves on a state whose only dot,
    if any, is its coordinator's: a state at version [[(node, c)]] (or
    zero) whose node coordinates [w] more writes ends at
-   [[(node, c + w)]], the same immutable list for every key.  It is a direct-mapped cache of
-   [fresh_slots] such lists, one place per (node, small [w]), so its
-   size does not grow with the node count; [fresh_nodes] holds each
-   place's node, -1 while it is empty, so a hit reads no list. *)
+   [[(node, c + w)]], the same immutable list for every key.  It is a
+   direct-mapped cache of [fresh_slots] such lists, placed by node and
+   count, so its size does not grow with the node count; [fresh_nodes]
+   and [fresh_counts] hold each place's dot, -1 while it is empty, so a
+   hit reads no list.  Keys a node coordinates alike — written as often
+   by publication and by every round since — share one. *)
 type 'v t = {
   resolver : Dht.Resolver.t;
   replication : int;
@@ -143,15 +159,21 @@ type 'v t = {
   scratch : Stdx.Int_buf.t; (* replica-set resolution buffer *)
   fresh : Version.t array;
   fresh_nodes : int array;
+  fresh_counts : int array;
 }
 
-(* Versions whose one dot counts up to this many writes are shared
-   ([t.fresh]). *)
-let fresh_writes = 4
 let fresh_slots = 2048
 
 let blank node =
-  { node; epoch = -1; entries = []; tally = 0; version = Version.zero; fence = unfenced }
+  {
+    node;
+    epoch = -1;
+    entries = [];
+    tally = 0;
+    lease = neg_infinity;
+    version = Version.zero;
+    fence = unfenced;
+  }
 
 let create ~resolver ~replication ?on_write_acks ?liveness ?(clock = fun () -> 0.0) () =
   if replication < 1 then
@@ -188,6 +210,7 @@ let create ~resolver ~replication ?on_write_acks ?liveness ?(clock = fun () -> 0
     scratch = Stdx.Int_buf.create ~capacity:(Stdlib.max 1 replication) ();
     fresh = Array.make fresh_slots Version.zero;
     fresh_nodes = Array.make fresh_slots (-1);
+    fresh_counts = Array.make fresh_slots (-1);
   }
 
 let replication t = t.replication
@@ -376,11 +399,27 @@ let claim t c =
   if c.epoch <> epoch then begin
     c.epoch <- epoch;
     set_entries c [] ~count:0 ~lens:0;
+    c.lease <- neg_infinity;
     c.version <- Version.zero;
     c.fence <- unfenced
   end
 
-let expired t entry = entry.expires_at <= t.clock ()
+(* Does the state keep every entry past [now]?  Past the lease, an
+   entry expires by its own deadline. *)
+let none_expire now st = now < st.fence.floor || now < st.lease
+
+(* The entry's expiry in [st]. *)
+let expiry st e = if e.expires_at < st.lease then st.lease else e.expires_at
+
+(* [st]'s entries with its lease folded into their own deadlines. *)
+let folded st =
+  let lease = st.lease in
+  if lease = neg_infinity then st.entries
+  else List.map (fun e -> if e.expires_at < lease then { e with expires_at = lease } else e) st.entries
+
+let fold_lease st =
+  st.entries <- folded st;
+  st.lease <- neg_infinity
 
 let rec any_expired now = function
   | [] -> false
@@ -391,11 +430,12 @@ let rec floor_of acc = function
   | e :: rest -> floor_of (if e.expires_at < acc then e.expires_at else acc) rest
 
 (* Drop the state's expired entries in place so cells do not
-   accumulate dead soft state.  Below the floor nothing can have
-   expired — always, with infinite TTLs — and the list is not walked;
-   [absent]'s floor is infinite. *)
+   accumulate dead soft state.  Below the floor or the lease nothing can
+   have expired — always, with infinite TTLs — and the list is not
+   walked; [absent]'s floor is infinite.  Past both, an entry's own
+   deadline decides. *)
 let prune now st =
-  if st.fence.floor <= now then begin
+  if not (none_expire now st) then begin
     if any_expired now st.entries then
       set_counted st (List.filter (fun e -> not (e.expires_at <= now)) st.entries);
     set_floor st (floor_of infinity st.entries)
@@ -411,8 +451,6 @@ let live_entries t c =
   else []
 
 let values entries = List.map (fun e -> e.value) entries
-
-let clone_entries entries = List.map (fun e -> { e with value = e.value }) entries
 
 let version_at t ~node key = (state_at t ~node key).version
 
@@ -450,44 +488,14 @@ let rec holds_value entries e =
   | [] -> false
   | e' :: rest -> (e'.len = e.len && same_value e'.value e.value) || holds_value rest e
 
-(* Give the first entry [equal] to [e]'s value [e]'s expiry; false when
-   there is none.  A refresh usually carries the very value the replica
-   holds, so identity is tried before [equal]. *)
-let rec refresh_first ~equal e = function
-  | [] -> false
-  | e' :: rest ->
-      (* lint: allow D3 — identity implies [equal] for stored values; [equal] decides otherwise *)
-      if e'.len = e.len && (e'.value == e.value || equal e'.value e.value) then begin
-        e'.expires_at <- e.expires_at;
-        true
-      end
-      else refresh_first ~equal e rest
-
-let make_entry ~expires_at ~len v = { value = v; len; expires_at }
-
-(* Merge [entries] into the [held] states value by value, oldest first
-   write first: on each state an entry [equal] to the value takes its
-   expiry, or the state gains a copy.  Returns the entries no state
-   held, newest first. *)
-let rec merge_each ~equal held = function
-  | [] -> []
-  | e :: newer_first_rest ->
-      let fresh = merge_each ~equal held newer_first_rest in
-      let refresh_or_gain known st =
-        let found =
-          match equal with Some equal -> refresh_first ~equal e st.entries | None -> false
-        in
-        if not found then
-          set_entries st ({ e with value = e.value } :: st.entries) ~count:(count st + 1)
-            ~lens:(lens st + e.len);
-        lower_floor st e.expires_at;
-        found || known
-      in
-      if List.fold_left refresh_or_gain false held then fresh else e :: fresh
+let make_entry ~len v = { value = v; len; expires_at = neg_infinity }
 
 (* Does [held] hold exactly [entries]: the same values, physically, with
    the same lengths, in the same order? *)
 let rec holds_exactly held entries =
+  (* lint: allow D3 — a list holds itself exactly; the walk follows *)
+  held == entries
+  ||
   match (held, entries) with
   | [], [] -> true
   | h :: held, e :: entries ->
@@ -495,39 +503,66 @@ let rec holds_exactly held entries =
       h.len = e.len && h.value == e.value && holds_exactly held entries
   | [], _ :: _ | _ :: _, [] -> false
 
-let rec all_hold_exactly held entries =
-  match held with
-  | [] -> true
-  | st :: rest -> holds_exactly st.entries entries && all_hold_exactly rest entries
+(* Is [h] equal to a written entry no earlier held entry claimed?  If
+   so, that entry joins [claimed].  Written values are distinct, so at
+   most one is equal to [h]. *)
+let rec claims equal h claimed = function
+  | [] -> false
+  | w :: written ->
+      (* lint: allow D3 — identity implies [equal] for stored values; [equal] decides otherwise *)
+      if w.len = h.len && (w.value == h.value || equal w.value h.value) then
+        (* Claimed entries are written ones: membership is identity. *)
+        (not (List.memq w !claimed))
+        && begin
+             claimed := w :: !claimed;
+             true
+           end
+      else claims equal h claimed written
 
-(* Each held entry takes the expiry of the written entry at its place;
-   returns the written entry that expires first, [earliest] so far. *)
-let rec refresh_in_step held entries earliest =
-  match (held, entries) with
-  | h :: held, e :: entries ->
-      h.expires_at <- e.expires_at;
-      refresh_in_step held entries (if e.expires_at < earliest.expires_at then e else earliest)
-  | [], _ | _, [] -> earliest
+(* [held] with each entry a written value claims rebuilt to expire at
+   [expires_at]: a value claims the first held entry equal to it, the
+   one its own write would refresh.  The tail after the last claimed
+   entry is shared. *)
+let rec refresh_claimed equal ~expires_at written claimed = function
+  | [] -> []
+  | h :: rest as held ->
+      let claimed_here = claims equal h claimed written in
+      let rest' = refresh_claimed equal ~expires_at written claimed rest in
+      if claimed_here then { h with expires_at } :: rest'
+      (* lint: allow D3 — an unchanged tail is shared *)
+      else if rest' == rest then held
+      else h :: rest'
 
-let rec refresh_states held entries first =
-  match held with
-  | [] -> ()
-  | st :: rest ->
-      lower_floor st (refresh_in_step st.entries entries first).expires_at;
-      refresh_states rest entries first
+(* The per-value merge of [entries] into [st]: each value refreshes the
+   first entry [equal] to it, or the state gains it, newest first, both
+   at the write's deadline.  A lease later than that deadline is folded
+   in first, so it extends nothing the write sets.  Without [equal]
+   nothing is refreshed.  Returns the written entries the state
+   gained. *)
+let merge_values ~equal ~expires_at st entries =
+  if expires_at < st.lease then fold_lease st;
+  let claimed = ref [] in
+  let held =
+    match equal with
+    | Some equal -> refresh_claimed equal ~expires_at entries claimed st.entries
+    | None -> st.entries
+  in
+  let gained = List.filter (fun e -> not (List.memq e !claimed)) entries in
+  let n = ref (count st) and sum = ref (lens st) in
+  let stamped =
+    List.fold_right
+      (fun e acc ->
+        incr n;
+        sum := !sum + e.len;
+        { e with expires_at } :: acc)
+      gained held
+  in
+  set_entries st stamped ~count:!n ~lens:!sum;
+  lower_floor st expires_at;
+  gained
 
-(* [merge_each], in one walk when every held state holds exactly
-   [entries] — a republish round over replicas that missed nothing.
-   Written values are distinct under [equal], so a state holding
-   exactly them holds no two [equal] values, and each value's refresh
-   finds the entry at its own place: the walk leaves what [merge_each]
-   leaves, and every value was held. *)
-let merge_values ~equal held entries =
-  match (equal, entries) with
-  | Some _, first :: _ when all_hold_exactly held entries ->
-      refresh_states held entries first;
-      []
-  | (Some _ | None), _ -> merge_each ~equal held entries
+(* The entries of [xs] that [ys] holds, physically. *)
+let common xs ys = match ys with [] -> [] | _ :: _ -> List.filter (fun e -> List.memq e ys) xs
 
 (* A write clears the tombstones its values match: under [equal] when
    one is given, structurally otherwise. *)
@@ -539,41 +574,44 @@ let clear_tombs ~equal st entries =
       set_tombs st (List.filter (fun tv -> not (List.exists (matches tv) entries)) tombs)
 
 (* [Version.bump_by v ~actor writes], taken from [t.fresh] when [v] is
-   zero or [actor]'s dot alone and the count it ends at is small: the
-   place of [(actor, c)] holds [[(a, c)]] for the node [a] it records.
-   Republish rounds bump such versions again, so they stay shared. *)
+   zero or [actor]'s dot alone: the place of [(actor, c)] holds
+   [[(actor, c)]] while it records that dot.  Republish rounds bump
+   such versions again, so they stay shared. *)
 let bump t v ~actor writes =
   let base = Version.counter v ~actor in
   let total = base + writes in
-  if writes < 1 || total > fresh_writes || Version.dots v <> Bool.to_int (base > 0) then
-    Version.bump_by v ~actor writes
+  if writes < 1 || Version.dots v <> Bool.to_int (base > 0) then Version.bump_by v ~actor writes
   else begin
-    let i = ((actor * fresh_writes) + total - 1) land (fresh_slots - 1) in
-    if t.fresh_nodes.(i) = actor then t.fresh.(i)
+    let i = ((actor * 0x9E3779B1) + total) land (fresh_slots - 1) in
+    if t.fresh_nodes.(i) = actor && t.fresh_counts.(i) = total then t.fresh.(i)
     else begin
       let v = Version.bump_by Version.zero ~actor total in
       t.fresh.(i) <- v;
       t.fresh_nodes.(i) <- actor;
+      t.fresh_counts.(i) <- total;
       v
     end
   end
 
 (* The store's one write: one probe finds (or makes) the key's slot,
    whose cells are its replicas.  Each live replica's cell is claimed
-   and pruned.  An empty state — no entries, no tombstones — takes
-   [entries] as they are, with the caller's [count], [lens] and
-   [floor]: the list itself on the first live replica, clones
-   elsewhere, since entries carry mutable expiries.  The other states
-   merge value by value ({!merge_values}).  Every live state merges the
-   coordinator's dot, bumped [writes] times past the coordinator's own
-   version: the coordinator is the first live replica, the first the
-   walk reaches. *)
-let insert_entries ~equal t ~key ~writes ~floor ~count ~lens entries =
+   and pruned.  An empty state — no entries, no tombstones — takes the
+   written list itself, with the caller's [count] and [lens], and the
+   write's deadline as its lease.  A state holding exactly the written
+   values adopts the list and the lease the same way: written values
+   are distinct, so each one's refresh would land on the entry at its
+   own place.  The other states merge value by value
+   ({!merge_values}).  Every live state merges the coordinator's dot,
+   bumped [writes] times past the coordinator's own version: the
+   coordinator is the first live replica, the first the walk
+   reaches. *)
+let insert_entries ~equal t ~key ~writes ~expires_at ~count ~lens entries =
   if entries = [] then invalid_arg "Replicated_store.insert_entries: no entries";
   let now = t.clock () in
   let slot = find_or_make t key in
-  let vv = ref Version.zero and acks = ref 0 and held = ref [] in
-  let fence = make_fence ~tombs:[] ~floor in
+  let vv = ref Version.zero and acks = ref 0 in
+  (* [fresh]: the written entries every merged state gained so far. *)
+  let fresh = ref entries and merged = ref false and fence = ref unfenced in
   for i = 0 to width slot - 1 do
     let st = cell_at slot i in
     if alive_cell t st then begin
@@ -582,11 +620,24 @@ let insert_entries ~equal t ~key ~writes ~floor ~count ~lens entries =
       if !acks = 0 then vv := bump t st.version ~actor:st.node writes;
       (match (st.entries, st.fence.tombs) with
       | [], [] ->
-          set_entries st (if !acks = 0 then entries else clone_entries entries) ~count ~lens;
-          if fence.floor < st.fence.floor then st.fence <- fence
+          set_entries st entries ~count ~lens;
+          st.lease <- expires_at;
+          (* One fence a write, shared by the states it fills. *)
+          if !fence.floor > expires_at then fence := make_fence ~tombs:[] ~floor:expires_at;
+          if !fence.floor < st.fence.floor then st.fence <- !fence
       | _ :: _, _ | [], _ :: _ ->
           clear_tombs ~equal st entries;
-          held := st :: !held);
+          let gained =
+            if Option.is_some equal && holds_exactly st.entries entries then begin
+              st.entries <- entries;
+              st.lease <- expires_at;
+              lower_floor st expires_at;
+              []
+            end
+            else merge_values ~equal ~expires_at st entries
+          in
+          fresh := if !merged then common !fresh gained else gained;
+          merged := true);
       st.version <- merge_into st.version !vv;
       incr acks
     end
@@ -594,21 +645,18 @@ let insert_entries ~equal t ~key ~writes ~floor ~count ~lens entries =
   for _ = 1 to writes do
     record_acks t ~acks:!acks
   done;
-  let fresh = match !held with [] -> entries | held -> merge_values ~equal held entries in
-  fill_replicas slot t.scratch;
-  (fresh, t.scratch)
+  !fresh
 
 let insert_one ~equal ~expires_at t ~key ~len v =
-  insert_entries ~equal t ~key ~writes:1 ~floor:expires_at ~count:1 ~lens:len
-    [ make_entry ~expires_at ~len v ]
+  insert_entries ~equal t ~key ~writes:1 ~expires_at ~count:1 ~lens:len [ make_entry ~len v ]
 
 let insert ?(expires_at = infinity) t ~key ~len v =
-  ignore (insert_one ~equal:None ~expires_at t ~key ~len v : _ * _)
+  ignore (insert_one ~equal:None ~expires_at t ~key ~len v : _ list)
 
 let insert_unique ?(expires_at = infinity) ~equal t ~key ~len v =
   match insert_one ~equal:(Some equal) ~expires_at t ~key ~len v with
-  | [], _ -> false
-  | _ :: _, _ -> true
+  | [] -> false
+  | _ :: _ -> true
 
 let live_state t ~node key =
   if Dht.Liveness.alive t.liveness node then begin
@@ -721,9 +769,10 @@ let drop_state t node =
    histories) entries are unioned and the union is fenced by the merged
    tombstone set, so a removal observed on either side sticks.
 
-   A merged state may share its entry records with the states it came
-   from: nothing is written back until a repair, which stores clones.
-   When the two sides agree — the same values in the same order and no
+   A merged state shares its entries with the states it came from, and
+   a repair stores them shared: a side that wins wholesale brings its
+   lease along, and a union folds each side's lease into that side's
+   entries.  When the two sides agree — the same values in the same order and no
    tombstones, what nearly every read sees — the union is the first
    side's entries, found in one pass.  A merged state built here is a
    cell of no node, read only. *)
@@ -744,7 +793,8 @@ let union a b ~version =
   let tombs =
     a_tombs @ List.filter (fun v -> not (List.exists (fun tv -> tv = v) a_tombs)) b.fence.tombs
   in
-  let entries = a.entries @ List.filter (fun e -> not (holds_value a.entries e)) b.entries in
+  let a_entries = folded a in
+  let entries = a_entries @ List.filter (fun e -> not (holds_value a_entries e)) (folded b) in
   let entries =
     match tombs with
     | [] -> entries
@@ -767,18 +817,24 @@ let merge_states a b =
       let version = Version.merge a.version b.version in
       if agree a b then { a with version } else union a b ~version
 
-let rec same_entries xs ys =
-  (* lint: allow D3 — a list is equal to itself; the walk follows *)
-  xs == ys
-  ||
+(* Does [x] expire in [a] when [y] does in [b]?  ({!expiry}, compared
+   without building a float.) *)
+let same_expiry a x b y =
+  if x.expires_at < a.lease then
+    if y.expires_at < b.lease then a.lease = b.lease else a.lease = y.expires_at
+  else if y.expires_at < b.lease then x.expires_at = b.lease
+  else x.expires_at = y.expires_at
+
+let rec same_from a b xs ys =
   match (xs, ys) with
   | [], [] -> true
   | x :: xs, y :: ys ->
-      x.len = y.len
-      && x.expires_at = y.expires_at
-      && same_value x.value y.value
-      && same_entries xs ys
+      x.len = y.len && same_expiry a x b y && same_value x.value y.value && same_from a b xs ys
   | [], _ :: _ | _ :: _, [] -> false
+
+let same_entries a b =
+  (* lint: allow D3 — a list under one lease is equal to itself; the walk follows *)
+  (a.entries == b.entries && a.lease = b.lease) || same_from a b a.entries b.entries
 
 (* Structural state equality: entry values and expiries in order,
    tombstones and versions.  Identity decides first wherever states
@@ -787,17 +843,18 @@ let state_equal a b =
   (* lint: allow D3 — a state is equal to itself; the structural comparison follows *)
   a == b
   || Version.equal a.version b.version
-     && same_entries a.entries b.entries
+     && same_entries a b
      &&
      let ta = a.fence.tombs and tb = b.fence.tombs in
      (* lint: allow D3 — a tombstone list is equal to itself; the structural comparison follows *)
      ta == tb || ta = tb
 
-(* Overwrite [target]'s state with (clones of) [merged]. *)
+(* Overwrite [target]'s state with [merged]'s, sharing its list. *)
 let assign t target merged =
   claim t target;
-  target.entries <- clone_entries merged.entries;
+  target.entries <- merged.entries;
   target.tally <- merged.tally;
+  target.lease <- merged.lease;
   target.version <- merged.version;
   target.fence <- merged.fence
 
@@ -970,6 +1027,7 @@ let held_state t ~node key =
     (held_at t ~node key)
 
 let held_entries t ~node key = (state_at t ~node key).entries
+let entry_expires_at t ~node key e = expiry (state_at t ~node key) e
 
 (* Node then key order: the held cells, gathered in key order, sorted
    stably by node. *)
@@ -1012,8 +1070,9 @@ let repair ?(on_restore = fun ~node:_ _ -> ()) t =
               in
               if not target_newer then begin
                 claim t st;
-                st.entries <- clone_entries src.entries;
+                st.entries <- src.entries;
                 st.tally <- src.tally;
+                st.lease <- src.lease;
                 st.version <- Version.merge st.version src.version;
                 st.fence <- src.fence;
                 List.iter
@@ -1030,10 +1089,12 @@ let repair ?(on_restore = fun ~node:_ _ -> ()) t =
 let key_count t = t.live
 
 (* Unexpired entries in a state, counted without building a list; below
-   the floor, the kept count, without reading the entries. *)
+   the floor or the lease, the kept count, without reading the
+   entries. *)
 let unexpired_count t st =
-  if st.fence.floor > t.clock () then count st
-  else List.fold_left (fun n e -> if expired t e then n else n + 1) 0 st.entries
+  let now = t.clock () in
+  if none_expire now st then count st
+  else List.fold_left (fun n e -> if e.expires_at <= now then n else n + 1) 0 st.entries
 
 (* [f] on every held cell, for walks whose results are sums. *)
 let iter_cells t f =

@@ -43,9 +43,15 @@ type 'v t
 type 'v entry
 (** One stored entry: a value and the length of its rendering.  The
     length is fixed by the writer ({!make_entry}) when the entry is
-    first written, and every copy — read repair, {!repair},
-    anti-entropy sync — carries it along, so callers price traffic from
-    it instead of re-rendering the value.
+    first written and stays with the value wherever it is stored, so
+    callers price traffic from it instead of re-rendering the value.
+
+    Entries are immutable: a write shares its list with every replica
+    it fills, and read repair, {!repair} and anti-entropy sync share
+    the lists they copy.  An entry expires at a deadline that belongs
+    to the replica state holding it ({!entry_expires_at}): a write gives
+    the states it refreshes whole a lease, and each entry it refreshes
+    or adds on its own a deadline.
 
     {b Store contract.}  Equal values render equally, so writers must
     give equal values equal lengths — under structural equality and
@@ -57,10 +63,6 @@ type 'v entry
 
 val entry_value : 'v entry -> 'v
 val entry_len : 'v entry -> int
-
-(* lint: allow X1 — test view: an entry's soft-state deadline *)
-val entry_expires_at : 'v entry -> float
-(** The virtual time the entry expires at ([infinity] for hard state). *)
 
 val create :
   resolver:Dht.Resolver.t ->
@@ -103,10 +105,10 @@ val replica_buf : 'v t -> Hashing.Key.t -> Stdx.Int_buf.t
     [replica_buf] or write on this store, so walk it before reading
     another key's set. *)
 
-val make_entry : expires_at:float -> len:int -> 'v -> 'v entry
+val make_entry : len:int -> 'v -> 'v entry
 (** A new entry, not yet stored: [len] is the length of the value's
-    rendering ({!entry_len}), [expires_at] its expiry ([infinity] for
-    hard state). *)
+    rendering ({!entry_len}).  The write that stores it gives its
+    deadline. *)
 
 val reserve : 'v t -> int -> unit
 (** [reserve t n]: room for [n] more keys, made at once, so that
@@ -117,54 +119,58 @@ val insert_entries :
   'v t ->
   key:Hashing.Key.t ->
   writes:int ->
-  floor:float ->
+  expires_at:float ->
   count:int ->
   lens:int ->
   'v entry list ->
-  'v entry list * Stdx.Int_buf.t
-(** The store's one write: [insert_entries ~equal t ~key ~writes ~floor
-    ~count ~lens entries] leaves on [key] exactly what [writes]
-    one-entry writes leave when their distinct values, in first-write
-    order, are [entries] reversed (so [entries] is newest first) and
-    each value's last write carried its entry's expiry.  Without [equal]
-    no value is refreshed, so every write installs its own entry and
-    [writes] is the length of [entries].
+  'v entry list
+(** The store's one write: [insert_entries ~equal t ~key ~writes
+    ~expires_at ~count ~lens entries] leaves on [key] exactly what
+    [writes] one-entry writes leave when their distinct values, in
+    first-write order, are [entries] reversed (so [entries] is newest
+    first) and each write carried the deadline [expires_at]
+    ([infinity] for hard state).  Without [equal] no value is
+    refreshed, so every write installs its own entry and [writes] is
+    the length of [entries].
 
     The caller states what it knows of [entries], so the store does not
-    walk them: [count] is their number, [lens] the sum of their
-    {!entry_len}s and [floor] a lower bound on their expiries (a batch
-    stamped alike passes its one expiry).  Their values are distinct
-    (under [equal] when it is given).
+    walk them: [count] is their number and [lens] the sum of their
+    {!entry_len}s.  Their values are distinct (under [equal] when it is
+    given).  Pass the same boxed [expires_at] to every write of a round:
+    the states keep it, and no write boxes another.
 
-    A write reaches the {e live} replicas only.  On each, an entry
-    [equal] to a written value takes that value's expiry; otherwise the
-    replica gains the entry, newest first.  A replica whose state is
-    empty — no entries, no tombstones — takes [entries] as they are:
-    the list itself on the first live replica, copies elsewhere, as
-    entries carry mutable expiries.  Every live replica drops the
-    tombstones a written value matches (under [equal], structurally
-    without it) and takes the version the coordinator (the first live
-    replica) reaches by bumping its own dot [writes] times, so the
-    write dominates every state it lands on.  [on_write_acks] fires
-    [writes] times with the live replica count.
+    A write reaches the {e live} replicas only.  Every live replica
+    drops the tombstones a written value matches (under [equal],
+    structurally without it) and takes the version the coordinator (the
+    first live replica) reaches by bumping its own dot [writes] times,
+    so the write dominates every state it lands on.  [on_write_acks]
+    fires [writes] times with the live replica count.  Its entries
+    reach each live replica one of three ways:
+    - a replica whose state is empty — no entries, no tombstones —
+      takes the list [entries] itself, with [expires_at] as its lease;
+    - under [equal], a replica whose entries are exactly [entries]'
+      values — the same length, each value physically the written one
+      with the written length, in order; what a republish round finds
+      on replicas that missed nothing — adopts the list and the lease
+      the same way.  Its entries are distinct, so each value's refresh
+      would land on the entry at its own place; adopting allocates
+      nothing;
+    - any other replica merges value by value: the first entry [equal]
+      to a written value takes [expires_at], and a value it does not
+      hold is added, newest first, expiring then.  Its other entries
+      keep their deadlines.
 
     {b Invariant:} a state whose key is written only with an [equal]
     that agrees with structural equality never holds two [equal]
     values: such a write refreshes a value the state holds instead of
-    adding it, and reconciliation takes unions without duplicates.  A
-    write leans on it where every live state that is not empty holds
-    exactly [entries] — the same values, physically, with the same
-    lengths, in the same order, what a republish round finds on
-    replicas that missed nothing.  Such a state holds no two [equal]
-    values, since [entries] are distinct, so each value's refresh
-    lands on the entry at its own place: the write refreshes them all
-    in one walk, with nothing fresh.
+    adding it, and reconciliation takes unions without duplicates.
 
     Returns the entries no live replica held — the ones the write
     installed anew, newest first; all of them when every live state
-    was empty — and the key's replica set, left in the scratch buffer
-    ({!replica_buf}), so the caller bills the live replicas without
-    resolving the key again.  The write registers the key.
+    was empty.  The write registers the key, and leaves it the last one
+    looked up: {!replica_buf} reads its replica set off its slot, so
+    the caller bills the live replicas without resolving the key
+    again.
     @raise Invalid_argument when [entries] is empty. *)
 
 val insert : ?expires_at:float -> 'v t -> key:Hashing.Key.t -> len:int -> 'v -> unit
@@ -210,7 +216,8 @@ val quorum_read :
 (** Reconcile the listed replicas' states of [key] (dead ones are
     skipped): returns the merged unexpired values, the merged version,
     and — having overwritten every diverged consulted replica with the
-    merged state (read repair) — the per-node list of entries each
+    merged state (read repair), whose entries keep the deadlines they
+    had where they came from — the per-node list of entries each
     repaired replica gained, for traffic billing.  Dominance decides the
     merge; equal-version divergence and concurrent histories take the
     entry union fenced by the merged tombstone set.  Replicas that agree
@@ -399,6 +406,12 @@ val held_entries : 'v t -> node:int -> Hashing.Key.t -> 'v entry list
 (** The raw entries a node physically holds for the key (expiry and
     liveness not consulted) — the volume a full-state exchange would
     ship. *)
+
+(* lint: allow X1 — test view: an entry's soft-state deadline on one replica *)
+val entry_expires_at : 'v t -> node:int -> Hashing.Key.t -> 'v entry -> float
+(** The virtual time an entry of the node's state of the key expires at
+    there ([infinity] for hard state): the later of the entry's own
+    deadline and the state's lease. *)
 
 val iter_held : 'v t -> (node:int -> Hashing.Key.t -> 'v entry -> unit) -> unit
 (** Every entry physically held anywhere, dead nodes and expired entries

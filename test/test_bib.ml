@@ -837,7 +837,7 @@ let store_lines ~nodes store render =
         | Some { Rstore.held; tombstones; version } ->
             let entry e =
               Printf.sprintf "%s/%d/%h" (render (Rstore.entry_value e)) (Rstore.entry_len e)
-                (Rstore.entry_expires_at e)
+                (Rstore.entry_expires_at store ~node key e)
             in
             lines :=
               Printf.sprintf "node %d key %s version %s tombs [%s] entries [%s]" node

@@ -217,7 +217,7 @@ let observe store ~now ~node =
         o_entries =
           List.filter_map
             (fun e ->
-              let expiry = Replicated.entry_expires_at e in
+              let expiry = Replicated.entry_expires_at store ~node history_key e in
               if expiry <= now then None
               else Some (Replicated.entry_value e, Replicated.entry_len e, expiry))
             h.Replicated.held;
@@ -302,17 +302,15 @@ let quorum_read_matches_oracle =
 (* The canonical rendering anti-entropy once hashed: entries with their
    expiries, tombstones and version; [""] for no state. *)
 let render_state store ~now ~node =
+  let expires_at = Replicated.entry_expires_at store ~node history_key in
   match Replicated.held_state store ~node history_key with
   | None -> ""
   | Some h ->
       let live =
-        List.filter (fun e -> not (Replicated.entry_expires_at e <= now)) h.Replicated.held
+        List.filter (fun e -> not (expires_at e <= now)) h.Replicated.held
       in
       String.concat ";"
-        (List.map
-           (fun e ->
-             Printf.sprintf "%s@%h" (Replicated.entry_value e) (Replicated.entry_expires_at e))
-           live)
+        (List.map (fun e -> Printf.sprintf "%s@%h" (Replicated.entry_value e) (expires_at e)) live)
       ^ "!"
       ^ String.concat ";" h.Replicated.tombstones
       ^ "!"
@@ -343,10 +341,11 @@ let live_entries_match_naive_filter =
            (fun node ->
              (not (Replicated.alive store node))
              ||
-             let view e = (Replicated.entry_value e, Replicated.entry_expires_at e) in
+             let expires_at = Replicated.entry_expires_at store ~node history_key in
+             let view e = (Replicated.entry_value e, expires_at e) in
              let naive =
                List.filter_map
-                 (fun e -> if Replicated.entry_expires_at e <= now then None else Some (view e))
+                 (fun e -> if expires_at e <= now then None else Some (view e))
                  (Replicated.held_entries store ~node history_key)
              in
              List.map view (Replicated.entries_at store ~node history_key) = naive)
@@ -683,7 +682,8 @@ let store_states store ~nodes keys =
                    (List.map
                       (fun e ->
                         Printf.sprintf "%s/%d@%h" (Replicated.entry_value e)
-                          (Replicated.entry_len e) (Replicated.entry_expires_at e))
+                          (Replicated.entry_len e)
+                          (Replicated.entry_expires_at store ~node key e))
                       h.Replicated.held))
                 (String.concat ";" h.Replicated.tombstones)
                 (Version.to_string h.Replicated.version)))

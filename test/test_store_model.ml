@@ -547,13 +547,13 @@ let observe m (store : string Store.t) ~acks =
           let expected = if m.alive.(node) then (view (state_of m node key)).v_entries else [] in
           check (at "entries_at") pp_deadlines expected
             (List.map
-               (fun e -> (Store.entry_value e, Store.entry_expires_at e))
+               (fun e -> (Store.entry_value e, Store.entry_expires_at store ~node key e))
                (Store.entries_at store ~node key));
           check_version (at "version_at") (version_of m node key) (Store.version_at store ~node key))
         m.nodes)
     keys
 
-let entries ~expires_at vs = List.map (fun v -> Store.make_entry ~expires_at ~len:(String.length v) v) vs
+let entries vs = List.map (fun v -> Store.make_entry ~len:(String.length v) v) vs
 
 let step m store op =
   let key_of i = keys.(i) in
@@ -564,9 +564,9 @@ let step m store op =
       let writes = List.length values + extra in
       let equal = if refresh then Some String.equal else None in
       let expires_at = m.now +. ttl in
-      let fresh, _ =
-        Store.insert_entries ~equal store ~key ~writes ~floor:expires_at ~count:(List.length values)
-          ~lens:(bytes values) (entries ~expires_at values)
+      let fresh =
+        Store.insert_entries ~equal store ~key ~writes ~expires_at ~count:(List.length values)
+          ~lens:(bytes values) (entries values)
       in
       check "insert fresh" pp_strings
         (model_insert m ~key ~writes ~refresh ~expires_at values)
@@ -630,9 +630,9 @@ let step m store op =
           | values ->
               let writes = List.length values + extra in
               let expires_at = m.now +. ttl in
-              let fresh, _ =
-                Store.insert_entries ~equal:(Some String.equal) store ~key ~writes ~floor:expires_at
-                  ~count:(List.length values) ~lens:(bytes values) (entries ~expires_at values)
+              let fresh =
+                Store.insert_entries ~equal:(Some String.equal) store ~key ~writes ~expires_at
+                  ~count:(List.length values) ~lens:(bytes values) (entries values)
               in
               check "republish fresh" pp_strings
                 (model_insert m ~key ~writes ~refresh:true ~expires_at values)
@@ -717,6 +717,58 @@ let republish_meets_a_lookalike () =
     ]
   in
   match run_case { c with ops } with Ok () -> () | Error msg -> Alcotest.fail msg
+
+(* Concurrent histories meet in a sync: each side's entries keep the
+   deadline their own write gave them, whatever the other side's
+   lease.  Generated schedules seldom line this up, so it is spelt
+   out. *)
+let sync_keeps_each_sides_deadlines () =
+  let c = { replication = 2; nodes = 8; ops = [] } in
+  let replicas =
+    Store.replica_nodes (Store.create ~resolver:(resolver_of c) ~replication:2 ()) keys.(0)
+  in
+  let first = List.nth replicas 0 and second = List.nth replicas 1 in
+  let write value ttl = Insert { key = 0; values = [ value ]; refresh = true; extra = 0; ttl } in
+  let ops =
+    [
+      Fail second;
+      write "a" 15.0;
+      Revive second;
+      Fail first;
+      Advance 4.0;
+      write "bb" 5.0;
+      Revive first;
+      Sync { key = 0; a = 0; b = 1 };
+      Advance 4.0;
+      Quorum_read { key = 0; positions = [ 0; 1 ] };
+      Advance 4.0;
+    ]
+  in
+  match run_case { c with ops } with Ok () -> () | Error msg -> Alcotest.fail msg
+
+(* A write shares its list: after one write at replication 3 with
+   every replica alive, the three replicas hold one list, physically,
+   and a refresh of the same values keeps it. *)
+let one_list_per_write () =
+  let c = { replication = 3; nodes = 8; ops = [] } in
+  let store : string Store.t = Store.create ~resolver:(resolver_of c) ~replication:3 () in
+  let key = keys.(0) and values = [ "bb"; "a" ] in
+  let write () =
+    ignore
+      (Store.insert_entries ~equal:(Some String.equal) store ~key ~writes:2 ~expires_at:infinity
+         ~count:2 ~lens:(bytes values) (entries values)
+        : _ list)
+  in
+  write ();
+  let held () = List.map (fun node -> Store.held_entries store ~node key) (Store.replica_nodes store key) in
+  let shared = function
+    (* lint: allow D3 — the test is that the replicas share one list physically *)
+    | first :: rest -> List.for_all (fun l -> l == first) rest && List.length first = 2
+    | [] -> false
+  in
+  Alcotest.(check bool) "one list after the write" true (shared (held ()));
+  write ();
+  Alcotest.(check bool) "one list after a refresh" true (shared (held ()))
 
 (* Anti-entropy passes around keys being made and collected: each pass
    must range the keys there are at that moment. *)
@@ -812,11 +864,8 @@ let kept_totals_after_expiry =
                 ignore
                   (Store.insert_entries
                      ~equal:(if refresh then Some String.equal else None)
-                     store ~key:keys.(key) ~writes:(List.length values) ~floor:expires_at
-                     ~count:(List.length values) ~lens:(bytes values)
-                     (List.map
-                        (fun v -> Store.make_entry ~expires_at ~len:(String.length v) v)
-                        values))
+                     store ~key:keys.(key) ~writes:(List.length values) ~expires_at
+                     ~count:(List.length values) ~lens:(bytes values) (entries values))
             | Advance dt -> now := !now +. dt
             | Read key -> ignore (Store.lookup store keys.(key))
             | Totals ->
@@ -843,5 +892,7 @@ let suite =
         Alcotest.test_case "anti-entropy follows the key set" `Quick
           anti_entropy_follows_the_key_set;
         QCheck_alcotest.to_alcotest kept_totals_after_expiry;
+        Alcotest.test_case "a write shares one list among its replicas" `Quick one_list_per_write;
+        Alcotest.test_case "a sync keeps each side's deadlines" `Quick sync_keeps_each_sides_deadlines;
       ] );
   ]
