@@ -412,9 +412,9 @@ let micro_runs_of = function
    comparison: per-node set-up must cost what a run touches, not what
    the population size would buy, a PRNG draw nothing, an ownership
    lookup a search of the live ring or a descent of CAN's partition
-   tree, not a pass over every node, a Chord lookup its key and result
-   and nothing per hop, Pastry and Kademlia lookups no copy of a node's
-   whole state per hop, a Pastry network its tables and not a sort of
+   tree, not a pass over every node, a Chord or Pastry lookup its key
+   and result and nothing per hop, a Kademlia lookup no copy of a
+   node's whole state per hop, a Pastry network its tables and not a sort of
    every live key per node, a convergence check one finger target per
    finger, a SHA-1 digest on either path its 20-byte result, a shortcut
    find its result list (three words a target) and no sort or hash per
@@ -432,7 +432,7 @@ let micro_ceilings =
     ("sha1/reference-256B", 4.0);
     ("prng/int", 0.0);
     ("chord/lookup-256", 10.0);
-    ("pastry/lookup-256", 347.0);
+    ("pastry/lookup-256", 7.0);
     ("kademlia/lookup-256", 5_510.0);
     ("dht/chord-responsible-500", 50.0);
     ("dht/pastry-responsible-500", 50.0);

@@ -78,6 +78,13 @@ let rec farthest_live t far = function
   | [] -> far
   | k :: rest -> farthest_live t (if is_alive t k then k else far) rest
 
+let rec holds k = function [] -> false | x :: rest -> Key.equal x k || holds k rest
+
+(* Does a live leaf of [left] sit on the [right] side too? *)
+let rec overlap t right = function
+  | [] -> false
+  | k :: left -> (is_alive t k && holds k right) || overlap t right left
+
 (* Is [key] within this node's leaf-set span — the arc from the farthest
    left leaf through the node itself to the farthest right leaf?  With a
    partial or overlapping leaf set (small networks) the span is the whole
@@ -88,43 +95,70 @@ let in_leaf_range t n key =
   let far_right = farthest_live t n.id n.leaf_right in
   Key.equal far_left n.id || Key.equal far_right n.id
   (* Overlapping leaf sets mean the node knows every peer. *)
-  || List.exists (fun k -> is_alive t k && List.exists (Key.equal k) n.leaf_right) n.leaf_left
+  || overlap t n.leaf_right n.leaf_left
   || Key.equal key far_left
   || Key.in_interval_oc key ~lo:far_left ~hi:n.id
   || Key.in_interval_oc key ~lo:n.id ~hi:far_right
 
+(* Is the live node [c] closer to [key] than [current], without
+   shortening the [l] digits [current] shares with [key]? *)
+let better t key ~l ~current c =
+  is_alive t c
+  && shared_prefix_length c key >= l
+  && Key.compare_circular ~target:key c current < 0
+
+(* The first better node of a leaf side; [current] when none is. *)
+let rec better_leaf t key ~l ~current = function
+  | [] -> current
+  | c :: rest -> if better t key ~l ~current c then c else better_leaf t key ~l ~current rest
+
+(* The first better node of the routing table from row [r], digit [d]
+   on, row by row; [current] when none is. *)
+let rec better_entry t key ~l ~current table r d =
+  if r = digits then current
+  else if d = radix then better_entry t key ~l ~current table (r + 1) 0
+  else
+    match table.(r).(d) with
+    | Some c when better t key ~l ~current c -> c
+    | Some _ | None -> better_entry t key ~l ~current table r (d + 1)
+
+(* The first better node the node knows, in {!known_nodes}' order: its
+   left leaves, its right leaves, then its routing table; [current]
+   (never better than itself) when none is. *)
+let better_known t n key ~l ~current =
+  let c = better_leaf t key ~l ~current n.leaf_left in
+  if not (Key.equal c current) then c
+  else
+    let c = better_leaf t key ~l ~current n.leaf_right in
+    if not (Key.equal c current) then c else better_entry t key ~l ~current n.table 0 0
+
 exception Routing_failure of string
 
-let route t ~from key =
-  let limit = (2 * digits) + 8 in
-  let rec step current hops =
-    if hops > limit then raise (Routing_failure "Pastry route did not converge");
-    let n = node_of t current in
-    if Key.equal current key then (current, hops + 1)
-    else if in_leaf_range t n key then begin
-      (* Deliver to the numerically closest node among self and leaves;
-         the receiving node re-checks with its own (wider) leaf set. *)
-      let best = nearest_leaf t n key in
-      if Key.equal best current then (current, hops + 1) else step best (hops + 1)
-    end
-    else begin
-      let l = shared_prefix_length current key in
-      let next_digit = key_digit key l in
-      match n.table.(l).(next_digit) with
-      | Some candidate when is_alive t candidate -> step candidate (hops + 1)
-      | Some _ | None ->
-          (* Rare case: no table entry; take any known node closer to the
-             key without shortening the prefix. *)
-          let better candidate =
-            shared_prefix_length candidate key >= l
-            && Key.compare_circular ~target:key candidate current < 0
-          in
-          (match List.find_opt better (known_nodes t n) with
-          | Some candidate -> step candidate (hops + 1)
-          | None -> (current, hops + 1))
-    end
-  in
-  step from 0
+let route_limit = (2 * digits) + 8
+
+let rec step t key current hops =
+  if hops > route_limit then raise (Routing_failure "Pastry route did not converge");
+  let n = node_of t current in
+  if Key.equal current key then (current, hops + 1)
+  else if in_leaf_range t n key then begin
+    (* Deliver to the numerically closest node among self and leaves;
+       the receiving node re-checks with its own (wider) leaf set. *)
+    let best = nearest_leaf t n key in
+    if Key.equal best current then (current, hops + 1) else step t key best (hops + 1)
+  end
+  else begin
+    let l = shared_prefix_length current key in
+    match n.table.(l).(key_digit key l) with
+    | Some candidate when is_alive t candidate -> step t key candidate (hops + 1)
+    | Some _ | None ->
+        (* Rare case: no table entry; take any known node closer to the
+           key without shortening the prefix. *)
+        let candidate = better_known t n key ~l ~current in
+        if Key.equal candidate current then (current, hops + 1)
+        else step t key candidate (hops + 1)
+  end
+
+let route t ~from key = step t key from 0
 
 let lookup t ?from key =
   let from = match from with Some f -> f | None -> Members.first_live t in
