@@ -93,20 +93,22 @@ bench-scale:
 bench-e2e:
 	bash bench/e2e/run.sh --lane e2e
 
-# Fault-injection suite: the fault/RPC/quorum tests plus seeded smoke
-# runs (deterministic, so CI diffs are meaningful) — the fault sweep,
-# and a quorum-under-faults run combining message loss and hedging with
-# churn at R = W = 2 to exercise read repair, under-acknowledged writes
-# and the hedged quorum walk.
+# Fault-injection suite: the fault/RPC/quorum tests and the store's
+# lockstep model plus seeded smoke runs (deterministic, so CI diffs are
+# meaningful) — the fault sweep, and a quorum-under-faults run combining
+# message loss and hedging with churn at R = W = 2 and a republish
+# round every 20 s to exercise read repair, under-acknowledged writes,
+# the hedged quorum walk and soft-state refresh.
 chaos: build
 	dune exec test/test_main.exe -- test faults
 	dune exec test/test_main.exe -- test dht:rpc
 	dune exec test/test_main.exe -- test quorum
+	dune exec test/test_main.exe -- test storage:model
 	dune exec bench/main.exe -- --quick --experiment fault-sweep
 	dune exec bin/p2pindex_cli.exe -- simulate --nodes 100 --articles 800 \
 	  --queries 6000 --churn-rate 0.01 --replication 3 --loss-rate 0.05 \
 	  --rpc-retries 2 --hedge --read-quorum 2 --write-quorum 2 \
-	  --anti-entropy-interval 25
+	  --anti-entropy-interval 25 --republish 20
 
 # Sampling profile of one CLI run: the preloaded sampler
 # (bench/sampler/sampler.c) records where the process is every 50 us of
