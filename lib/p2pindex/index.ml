@@ -61,11 +61,10 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
   }
 
   (* One parent key of the plan, as a republish round writes it: its
-     distinct planned children newest first — the entry list
-     publication wrote, when it planned every child it wrote — with
-     their number, their lengths' sum and their planned edges, and each
-     one's planned edge count, in the same order ([||] while every
-     count is one). *)
+     distinct planned children newest first — the list publication
+     wrote, when it planned every child it wrote — their number, lengths'
+     sum and planned edges, and each one's planned edge count, in the
+     same order ([||] while every count is one). *)
   type group = {
     key : Key.t;
     parent_len : int;  (** The parent's rendered length. *)
@@ -395,11 +394,10 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      entry list written. *)
   let write_file t ~key ~request_bytes file =
     ignore (Rstore.remove_key t.files key);
-    let len = file_len file in
+    let len = file_len file and expires_at = entry_expiry t in
     let written = [ Rstore.make_entry ~len file ] in
     ignore
-      (Rstore.insert_entries ~equal:None t.files ~key ~writes:1 ~expires_at:(entry_expiry t)
-         ~count:1 ~lens:len written
+      (Rstore.insert_entries ~equal:None t.files ~key ~writes:1 ~expires_at ~count:1 ~lens:len written
         : _ list);
     charge_live t (Rstore.replica_buf t.files key) ~bytes:request_bytes;
     written
@@ -625,11 +623,11 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      batch hashed, shared with it), its rendered length, and its
      distinct children as publication wrote them, with their edge
      counts — so a republish round rewrites them without rendering,
-     hashing, staging or building anything again.  The groups have one derivation: the batch
-     of every recorded document, staged in publication order.  The
-     batch that starts a plan is that batch; a later batch or an
-     unpublish marks the groups stale, and the next round derives them
-     again from the documents. *)
+     hashing, staging or building anything.  The groups have one
+     derivation: the batch of every recorded document, staged in
+     publication order.  The batch that starts a plan is that batch; a
+     later batch or an unpublish marks the groups stale, and the next
+     round derives them again from the documents. *)
 
   (* Record [doc], with room made for the [more] documents of its batch
      after it: the document column grows at most once a batch, and at
@@ -644,15 +642,12 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     p.docs.(d) <- doc;
     p.doc_count <- d + 1
 
-  let count (grp : group) j = if Array.length grp.counts = 0 then 1 else grp.counts.(j)
-
   (* Group [g]'s planned children join the plan as a new group, if it
      has any.  They are linked newest first: one walk counts them, and a
      second fills their counts and, when publication wrote children the
      plan leaves out, lists them. *)
   let plan_staged (p : plan) b g =
-    let n = ref 0 and ones = ref true and writes = ref 0 and lens = ref 0 in
-    let child = ref b.newest.(g) in
+    let n = ref 0 and writes = ref 0 and lens = ref 0 and child = ref b.newest.(g) in
     while !child >= 0 do
       let c = b.planned.(!child) in
       if c > 0 then begin
@@ -660,32 +655,25 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
         writes := !writes + c;
         lens := !lens + Rstore.entry_len b.entries.(!child)
       end;
-      if c > 1 then ones := false;
       child := b.previous.(!child)
     done;
     if !n > 0 then begin
-      let whole = !n = b.sizes.(g) in
-      let counts = if !ones then [||] else Array.make !n 1 and planned = ref [] and j = ref 0 in
-      child := if !ones && whole then -1 else b.newest.(g);
+      let whole = !n = b.sizes.(g) and ones = !writes = !n in
+      let counts = if ones then [||] else Array.make !n 1 and planned = ref [] and j = ref 0 in
+      child := if ones && whole then -1 else b.newest.(g);
       while !child >= 0 do
         let c = b.planned.(!child) in
         if c > 0 then begin
-          if not !ones then counts.(!j) <- c;
+          if not ones then counts.(!j) <- c;
           if not whole then planned := b.entries.(!child) :: !planned;
           incr j
         end;
         child := b.previous.(!child)
       done;
+      let entries = if whole then b.children.(g) else List.rev !planned in
       p.groups.(p.group_count) <-
-        {
-          key = b.keys.(g);
-          parent_len = String.length b.parents.(g);
-          entries = (if whole then b.children.(g) else List.rev !planned);
-          size = !n;
-          lens = !lens;
-          writes = !writes;
-          counts;
-        };
+        { key = b.keys.(g); parent_len = String.length b.parents.(g); entries; size = !n;
+          lens = !lens; writes = !writes; counts };
       p.group_count <- p.group_count + 1
     end
 
@@ -699,12 +687,25 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
     done;
     p.stale <- false
 
-  let rec charge_installs t ~dst ~parent_len = function
+  let rec charge_from t ~dst ~parent_len counts j = function
     | [] -> ()
     | e :: rest ->
-        charge_maintenance t ~dst
-          ~bytes:(Wire.cache_install_bytes_of_len parent_len (Rstore.entry_len e));
-        charge_installs t ~dst ~parent_len rest
+        let bytes = Wire.cache_install_bytes_of_len parent_len (Rstore.entry_len e) in
+        for _ = 1 to if Array.length counts = 0 then 1 else counts.(j) do
+          charge_maintenance t ~dst ~bytes
+        done;
+        charge_from t ~dst ~parent_len counts (j + 1) rest
+
+  (* The edges writing [entries] under [key], the mapping key written
+     last, billed at every live replica of its replica set, newest child
+     first: each child's bytes once per edge, [counts.(j)] edges for the
+     [j]th ([||]: one each). *)
+  let charge_edges t key ~parent_len counts entries =
+    let replicas = Rstore.replica_buf t.mappings key in
+    for i = 0 to Stdx.Int_buf.length replicas - 1 do
+      let dst = Stdx.Int_buf.unsafe_get replicas i in
+      if Dht.Liveness.alive t.liveness dst then charge_from t ~dst ~parent_len counts 0 entries
+    done
 
   (* Built once, not per write. *)
   let mapping_equal = Some Q.equal
@@ -723,13 +724,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
           ~writes:b.writes.(g) ~expires_at:b.expires_at ~count:b.sizes.(g) ~lens:b.lens.(g)
           b.children.(g)
       in
-      let replicas = Rstore.replica_buf t.mappings b.keys.(g) in
-      let parent_len = String.length b.parents.(g) in
-      for i = 0 to Stdx.Int_buf.length replicas - 1 do
-        let dst = Stdx.Int_buf.unsafe_get replicas i in
-        if Dht.Liveness.alive t.liveness dst then
-          charge_installs t ~dst ~parent_len fresh
-      done
+      charge_edges t b.keys.(g) ~parent_len:(String.length b.parents.(g)) [||] fresh
     done;
     Option.iter (fun p -> if b.planning then derive p b else p.stale <- true) t.plan
 
@@ -774,18 +769,6 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
      per-edge round it stands for (DESIGN.md §13, "Soft-state rounds
      from the publication plan"). *)
 
-  (* Every planned edge of a group from its [j]th child on, billed to
-     [dst]: each child's bytes once per edge writing it, newest child
-     first. *)
-  let rec charge_planned t ~dst (grp : group) j = function
-    | [] -> ()
-    | e :: rest ->
-        let bytes = Wire.cache_install_bytes_of_len grp.parent_len (Rstore.entry_len e) in
-        for _ = 1 to count grp j do
-          charge_maintenance t ~dst ~bytes
-        done;
-        charge_planned t ~dst grp (j + 1) rest
-
   (* Stale groups derived again from the plan's documents: each
      document's edges staged in publication order, as publication
      staged them. *)
@@ -817,11 +800,7 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
             (Rstore.insert_entries ~equal:mapping_equal t.mappings ~key:grp.key ~writes:grp.writes
                ~expires_at ~count:grp.size ~lens:grp.lens grp.entries
               : _ list);
-          let replicas = Rstore.replica_buf t.mappings grp.key in
-          for i = 0 to Stdx.Int_buf.length replicas - 1 do
-            let dst = Stdx.Int_buf.unsafe_get replicas i in
-            if Dht.Liveness.alive t.liveness dst then charge_planned t ~dst grp 0 grp.entries
-          done
+          charge_edges t grp.key ~parent_len:grp.parent_len grp.counts grp.entries
         done
 
   (* What shipping one stored entry costs, priced from its cached length

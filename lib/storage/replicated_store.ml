@@ -5,11 +5,8 @@ module Key = Hashing.Key
    is priced from it and never from a re-render.  Equal values render
    equally, so two entries whose lengths differ never hold equal values:
    every membership test below compares lengths before values.
-
-   Entries are immutable, so every replica that takes a written list
-   shares it.  [expires_at] is the entry's own deadline: [neg_infinity]
-   on an entry a writer made, a time on one the store rebuilt.  A state
-   holding the entry may extend it by its lease (see [cell]). *)
+   [expires_at] is the entry's own deadline: [neg_infinity] on an entry
+   a writer made, which a state's lease covers (see [cell]). *)
 type 'v entry = { value : 'v; len : int; expires_at : float }
 
 let entry_value e = e.value
@@ -53,12 +50,11 @@ let make_fence ~tombs ~floor =
 
    [lease] is the deadline the state's last whole-list refresh set
    ([neg_infinity] for none): an entry expires at the later of its own
-   deadline and the lease.  A state takes a lease only with a written
-   list it holds whole, so a lease extends no entry its refresh did not
-   write; whatever joins the list later either carries a deadline of its
-   own no earlier than the lease, or comes in with the lease folded into
-   it ({!fold_lease}).  The lease is also a lower bound on the entries'
-   expiries, beside the fence's floor. *)
+   deadline and the lease, which is thus a lower bound like the floor.
+   A state takes a lease only with the written list it then holds, and
+   whatever joins the list later carries a deadline no earlier than the
+   lease or has the lease folded in ({!folded}), so a lease extends no
+   entry its refresh did not write. *)
 type 'v cell = {
   node : int;  (* -1 on the store's [absent] stand-in and merged states *)
   mutable epoch : int;
@@ -130,12 +126,11 @@ let lower_floor st expires_at = if expires_at < st.fence.floor then set_floor st
    [fresh] shares the version a write leaves on a state whose only dot,
    if any, is its coordinator's: a state at version [[(node, c)]] (or
    zero) whose node coordinates [w] more writes ends at
-   [[(node, c + w)]], the same immutable list for every key.  It is a
-   direct-mapped cache of [fresh_slots] such lists, placed by node and
-   count, so its size does not grow with the node count; [fresh_nodes]
-   and [fresh_counts] hold each place's dot, -1 while it is empty, so a
-   hit reads no list.  Keys a node coordinates alike — written as often
-   by publication and by every round since — share one. *)
+   [[(node, c + w)]], the same immutable list for every key that node
+   coordinates as often.  It is a direct-mapped cache of [fresh_slots]
+   such lists, placed by node and count, so its size does not grow with
+   the node count; [fresh_nodes] holds each place's node, -1 while it
+   is empty. *)
 type 'v t = {
   resolver : Dht.Resolver.t;
   replication : int;
@@ -159,21 +154,13 @@ type 'v t = {
   scratch : Stdx.Int_buf.t; (* replica-set resolution buffer *)
   fresh : Version.t array;
   fresh_nodes : int array;
-  fresh_counts : int array;
 }
 
 let fresh_slots = 2048
 
 let blank node =
-  {
-    node;
-    epoch = -1;
-    entries = [];
-    tally = 0;
-    lease = neg_infinity;
-    version = Version.zero;
-    fence = unfenced;
-  }
+  { node; epoch = -1; entries = []; tally = 0; lease = neg_infinity; version = Version.zero;
+    fence = unfenced }
 
 let create ~resolver ~replication ?on_write_acks ?liveness ?(clock = fun () -> 0.0) () =
   if replication < 1 then
@@ -210,7 +197,6 @@ let create ~resolver ~replication ?on_write_acks ?liveness ?(clock = fun () -> 0
     scratch = Stdx.Int_buf.create ~capacity:(Stdlib.max 1 replication) ();
     fresh = Array.make fresh_slots Version.zero;
     fresh_nodes = Array.make fresh_slots (-1);
-    fresh_counts = Array.make fresh_slots (-1);
   }
 
 let replication t = t.replication
@@ -404,8 +390,7 @@ let claim t c =
     c.fence <- unfenced
   end
 
-(* Does the state keep every entry past [now]?  Past the lease, an
-   entry expires by its own deadline. *)
+(* Does the state keep every entry past [now]? *)
 let none_expire now st = now < st.fence.floor || now < st.lease
 
 (* The entry's expiry in [st]. *)
@@ -416,10 +401,6 @@ let folded st =
   let lease = st.lease in
   if lease = neg_infinity then st.entries
   else List.map (fun e -> if e.expires_at < lease then { e with expires_at = lease } else e) st.entries
-
-let fold_lease st =
-  st.entries <- folded st;
-  st.lease <- neg_infinity
 
 let rec any_expired now = function
   | [] -> false
@@ -432,8 +413,8 @@ let rec floor_of acc = function
 (* Drop the state's expired entries in place so cells do not
    accumulate dead soft state.  Below the floor or the lease nothing can
    have expired — always, with infinite TTLs — and the list is not
-   walked; [absent]'s floor is infinite.  Past both, an entry's own
-   deadline decides. *)
+   walked; [absent]'s floor is infinite.  Past both, own deadlines
+   decide. *)
 let prune now st =
   if not (none_expire now st) then begin
     if any_expired now st.entries then
@@ -503,66 +484,42 @@ let rec holds_exactly held entries =
       h.len = e.len && h.value == e.value && holds_exactly held entries
   | [], _ :: _ | _ :: _, [] -> false
 
-(* Is [h] equal to a written entry no earlier held entry claimed?  If
-   so, that entry joins [claimed].  Written values are distinct, so at
-   most one is equal to [h]. *)
-let rec claims equal h claimed = function
-  | [] -> false
-  | w :: written ->
+(* [held] with its first entry [equal] to [e]'s value rebuilt to expire
+   at [expires_at], sharing the tail after it. *)
+let rec refresh_first equal ~expires_at e = function
+  | [] -> raise Not_found
+  | h :: rest ->
       (* lint: allow D3 — identity implies [equal] for stored values; [equal] decides otherwise *)
-      if w.len = h.len && (w.value == h.value || equal w.value h.value) then
-        (* Claimed entries are written ones: membership is identity. *)
-        (not (List.memq w !claimed))
-        && begin
-             claimed := w :: !claimed;
-             true
-           end
-      else claims equal h claimed written
+      if h.len = e.len && (h.value == e.value || equal h.value e.value) then
+        { h with expires_at } :: rest
+      else h :: refresh_first equal ~expires_at e rest
 
-(* [held] with each entry a written value claims rebuilt to expire at
-   [expires_at]: a value claims the first held entry equal to it, the
-   one its own write would refresh.  The tail after the last claimed
-   entry is shared. *)
-let rec refresh_claimed equal ~expires_at written claimed = function
-  | [] -> []
-  | h :: rest as held ->
-      let claimed_here = claims equal h claimed written in
-      let rest' = refresh_claimed equal ~expires_at written claimed rest in
-      if claimed_here then { h with expires_at } :: rest'
-      (* lint: allow D3 — an unchanged tail is shared *)
-      else if rest' == rest then held
-      else h :: rest'
-
-(* The per-value merge of [entries] into [st]: each value refreshes the
-   first entry [equal] to it, or the state gains it, newest first, both
-   at the write's deadline.  A lease later than that deadline is folded
-   in first, so it extends nothing the write sets.  Without [equal]
-   nothing is refreshed.  Returns the written entries the state
-   gained. *)
+(* The per-value merge of [entries] into [st], oldest value first: each
+   refreshes the first entry [equal] to it, or the state gains it,
+   newest first, both at the write's deadline.  A lease later than that
+   deadline is folded in first, so it extends nothing the write sets.
+   Returns the written entries the state gained, newest first. *)
 let merge_values ~equal ~expires_at st entries =
-  if expires_at < st.lease then fold_lease st;
-  let claimed = ref [] in
-  let held =
+  if expires_at < st.lease then begin
+    st.entries <- folded st;
+    st.lease <- neg_infinity
+  end;
+  let gain gained e =
     match equal with
-    | Some equal -> refresh_claimed equal ~expires_at entries claimed st.entries
-    | None -> st.entries
+    | None -> e :: gained
+    | Some equal -> (
+        match refresh_first equal ~expires_at e st.entries with
+        | held ->
+            st.entries <- held;
+            gained
+        | exception Not_found -> e :: gained)
   in
-  let gained = List.filter (fun e -> not (List.memq e !claimed)) entries in
-  let n = ref (count st) and sum = ref (lens st) in
-  let stamped =
-    List.fold_right
-      (fun e acc ->
-        incr n;
-        sum := !sum + e.len;
-        { e with expires_at } :: acc)
-      gained held
-  in
-  set_entries st stamped ~count:!n ~lens:!sum;
+  let gained = List.fold_left gain [] (List.rev entries) in
+  set_entries st
+    (List.fold_right (fun e held -> { e with expires_at } :: held) gained st.entries)
+    ~count:(count st + List.length gained) ~lens:(lens st + len_sum 0 gained);
   lower_floor st expires_at;
   gained
-
-(* The entries of [xs] that [ys] holds, physically. *)
-let common xs ys = match ys with [] -> [] | _ :: _ -> List.filter (fun e -> List.memq e ys) xs
 
 (* A write clears the tombstones its values match: under [equal] when
    one is given, structurally otherwise. *)
@@ -583,12 +540,11 @@ let bump t v ~actor writes =
   if writes < 1 || Version.dots v <> Bool.to_int (base > 0) then Version.bump_by v ~actor writes
   else begin
     let i = ((actor * 0x9E3779B1) + total) land (fresh_slots - 1) in
-    if t.fresh_nodes.(i) = actor && t.fresh_counts.(i) = total then t.fresh.(i)
+    if t.fresh_nodes.(i) = actor && Version.counter t.fresh.(i) ~actor = total then t.fresh.(i)
     else begin
       let v = Version.bump_by Version.zero ~actor total in
       t.fresh.(i) <- v;
       t.fresh_nodes.(i) <- actor;
-      t.fresh_counts.(i) <- total;
       v
     end
   end
@@ -596,22 +552,21 @@ let bump t v ~actor writes =
 (* The store's one write: one probe finds (or makes) the key's slot,
    whose cells are its replicas.  Each live replica's cell is claimed
    and pruned.  An empty state — no entries, no tombstones — takes the
-   written list itself, with the caller's [count] and [lens], and the
-   write's deadline as its lease.  A state holding exactly the written
-   values adopts the list and the lease the same way: written values
-   are distinct, so each one's refresh would land on the entry at its
-   own place.  The other states merge value by value
-   ({!merge_values}).  Every live state merges the coordinator's dot,
-   bumped [writes] times past the coordinator's own version: the
-   coordinator is the first live replica, the first the walk
-   reaches. *)
+   written list itself and the write's deadline as its lease; so does
+   a state holding exactly the written values, which are distinct, so
+   each one's refresh would land on the entry at its own place.  The
+   other states merge value by value ({!merge_values}).  Every live
+   state merges the coordinator's dot, bumped [writes] times past the
+   coordinator's own version: the coordinator is the first live
+   replica, the first the walk reaches. *)
 let insert_entries ~equal t ~key ~writes ~expires_at ~count ~lens entries =
   if entries = [] then invalid_arg "Replicated_store.insert_entries: no entries";
   let now = t.clock () in
   let slot = find_or_make t key in
   let vv = ref Version.zero and acks = ref 0 in
-  (* [fresh]: the written entries every merged state gained so far. *)
-  let fresh = ref entries and merged = ref false and fence = ref unfenced in
+  (* [fresh]: the written entries every merged state gained (the very
+     ones: membership is identity). *)
+  let fresh = ref entries and fence = ref unfenced in
   for i = 0 to width slot - 1 do
     let st = cell_at slot i in
     if alive_cell t st then begin
@@ -636,8 +591,8 @@ let insert_entries ~equal t ~key ~writes ~expires_at ~count ~lens entries =
             end
             else merge_values ~equal ~expires_at st entries
           in
-          fresh := if !merged then common !fresh gained else gained;
-          merged := true);
+          fresh :=
+            match gained with [] -> [] | _ :: _ -> List.filter (fun e -> List.memq e gained) !fresh);
       st.version <- merge_into st.version !vv;
       incr acks
     end
@@ -771,8 +726,8 @@ let drop_state t node =
 
    A merged state shares its entries with the states it came from, and
    a repair stores them shared: a side that wins wholesale brings its
-   lease along, and a union folds each side's lease into that side's
-   entries.  When the two sides agree — the same values in the same order and no
+   lease along, a union folds each side's lease into its entries.  When
+   the two sides agree — the same values in the same order and no
    tombstones, what nearly every read sees — the union is the first
    side's entries, found in one pass.  A merged state built here is a
    cell of no node, read only. *)
@@ -817,24 +772,17 @@ let merge_states a b =
       let version = Version.merge a.version b.version in
       if agree a b then { a with version } else union a b ~version
 
-(* Does [x] expire in [a] when [y] does in [b]?  ({!expiry}, compared
-   without building a float.) *)
-let same_expiry a x b y =
-  if x.expires_at < a.lease then
-    if y.expires_at < b.lease then a.lease = b.lease else a.lease = y.expires_at
-  else if y.expires_at < b.lease then x.expires_at = b.lease
-  else x.expires_at = y.expires_at
-
-let rec same_from a b xs ys =
+(* [a]'s entries [xs] against [b]'s [ys]: values and expiries. *)
+let rec same_entries a b xs ys =
+  (* lint: allow D3 — a list under one lease is equal to itself; the walk follows *)
+  (xs == ys && a.lease = b.lease)
+  ||
   match (xs, ys) with
   | [], [] -> true
   | x :: xs, y :: ys ->
-      x.len = y.len && same_expiry a x b y && same_value x.value y.value && same_from a b xs ys
+      x.len = y.len && expiry a x = expiry b y && same_value x.value y.value
+      && same_entries a b xs ys
   | [], _ :: _ | _ :: _, [] -> false
-
-let same_entries a b =
-  (* lint: allow D3 — a list under one lease is equal to itself; the walk follows *)
-  (a.entries == b.entries && a.lease = b.lease) || same_from a b a.entries b.entries
 
 (* Structural state equality: entry values and expiries in order,
    tombstones and versions.  Identity decides first wherever states
@@ -843,7 +791,7 @@ let state_equal a b =
   (* lint: allow D3 — a state is equal to itself; the structural comparison follows *)
   a == b
   || Version.equal a.version b.version
-     && same_entries a b
+     && same_entries a b a.entries b.entries
      &&
      let ta = a.fence.tombs and tb = b.fence.tombs in
      (* lint: allow D3 — a tombstone list is equal to itself; the structural comparison follows *)
@@ -1026,7 +974,6 @@ let held_state t ~node key =
     (fun st -> { held = st.entries; tombstones = st.fence.tombs; version = st.version })
     (held_at t ~node key)
 
-let held_entries t ~node key = (state_at t ~node key).entries
 let entry_expires_at t ~node key e = expiry (state_at t ~node key) e
 
 (* Node then key order: the held cells, gathered in key order, sorted
@@ -1069,12 +1016,9 @@ let repair ?(on_restore = fun ~node:_ _ -> ()) t =
                 present t st && Version.compare st.version src.version = Version.Dominates
               in
               if not target_newer then begin
-                claim t st;
-                st.entries <- src.entries;
-                st.tally <- src.tally;
-                st.lease <- src.lease;
-                st.version <- Version.merge st.version src.version;
-                st.fence <- src.fence;
+                let version = Version.merge (held t st).version src.version in
+                assign t st src;
+                st.version <- version;
                 List.iter
                   (fun e ->
                     incr restored;

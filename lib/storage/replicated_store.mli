@@ -8,9 +8,9 @@
     reads from live replicas, so index paths survive node failures without
     any change to the index layer.
 
-    Under churn the store is {e soft state}: every entry carries an expiry
+    Under churn the store is {e soft state}: every stored entry expires
     (virtual time, from the [clock] passed at creation), publishers refresh
-    entries by re-inserting them, an abrupt failure drops a node's contents
+    entries by writing them again, an abrupt failure drops a node's contents
     ({!drop_state}), and a {!repair} pass re-homes entries onto live
     replicas that lost them.  With the defaults — a private all-alive
     liveness set, a constant clock and infinite TTLs — the store behaves
@@ -46,12 +46,10 @@ type 'v entry
     first written and stays with the value wherever it is stored, so
     callers price traffic from it instead of re-rendering the value.
 
-    Entries are immutable: a write shares its list with every replica
-    it fills, and read repair, {!repair} and anti-entropy sync share
-    the lists they copy.  An entry expires at a deadline that belongs
-    to the replica state holding it ({!entry_expires_at}): a write gives
-    the states it refreshes whole a lease, and each entry it refreshes
-    or adds on its own a deadline.
+    Entries are immutable and shared: by the replicas a write fills and
+    by read repair, {!repair} and anti-entropy sync.  A state's lease,
+    set by a write that refreshed its whole list, extends the entries
+    it holds ({!entry_expires_at}).
 
     {b Store contract.}  Equal values render equally, so writers must
     give equal values equal lengths — under structural equality and
@@ -107,8 +105,7 @@ val replica_buf : 'v t -> Hashing.Key.t -> Stdx.Int_buf.t
 
 val make_entry : len:int -> 'v -> 'v entry
 (** A new entry, not yet stored: [len] is the length of the value's
-    rendering ({!entry_len}).  The write that stores it gives its
-    deadline. *)
+    rendering ({!entry_len}); the write storing it sets its deadline. *)
 
 val reserve : 'v t -> int -> unit
 (** [reserve t n]: room for [n] more keys, made at once, so that
@@ -128,49 +125,35 @@ val insert_entries :
     ~expires_at ~count ~lens entries] leaves on [key] exactly what
     [writes] one-entry writes leave when their distinct values, in
     first-write order, are [entries] reversed (so [entries] is newest
-    first) and each write carried the deadline [expires_at]
-    ([infinity] for hard state).  Without [equal] no value is
-    refreshed, so every write installs its own entry and [writes] is
-    the length of [entries].
+    first) and each carried the deadline [expires_at] ([infinity] for
+    hard state; a round passes its one boxed deadline to all its
+    writes).  Without [equal] no value is refreshed, so every write
+    installs its own entry and [writes] is the length of [entries].
+    [count] is the number of [entries] and [lens] the sum of their
+    {!entry_len}s, so the store does not walk them.  Their values are
+    distinct (under [equal] when it is given).
 
-    The caller states what it knows of [entries], so the store does not
-    walk them: [count] is their number and [lens] the sum of their
-    {!entry_len}s.  Their values are distinct (under [equal] when it is
-    given).  Pass the same boxed [expires_at] to every write of a round:
-    the states keep it, and no write boxes another.
-
-    A write reaches the {e live} replicas only.  Every live replica
-    drops the tombstones a written value matches (under [equal],
-    structurally without it) and takes the version the coordinator (the
-    first live replica) reaches by bumping its own dot [writes] times,
-    so the write dominates every state it lands on.  [on_write_acks]
-    fires [writes] times with the live replica count.  Its entries
-    reach each live replica one of three ways:
-    - a replica whose state is empty — no entries, no tombstones —
-      takes the list [entries] itself, with [expires_at] as its lease;
-    - under [equal], a replica whose entries are exactly [entries]'
-      values — the same length, each value physically the written one
-      with the written length, in order; what a republish round finds
-      on replicas that missed nothing — adopts the list and the lease
-      the same way.  Its entries are distinct, so each value's refresh
-      would land on the entry at its own place; adopting allocates
-      nothing;
-    - any other replica merges value by value: the first entry [equal]
-      to a written value takes [expires_at], and a value it does not
-      hold is added, newest first, expiring then.  Its other entries
-      keep their deadlines.
-
-    {b Invariant:} a state whose key is written only with an [equal]
-    that agrees with structural equality never holds two [equal]
-    values: such a write refreshes a value the state holds instead of
-    adding it, and reconciliation takes unions without duplicates.
+    A write reaches the {e live} replicas only.  Each drops the
+    tombstones a written value matches (under [equal], structurally
+    without it) and takes the version the coordinator (the first live
+    replica) reaches by bumping its own dot [writes] times, so the write
+    dominates every state it lands on; [on_write_acks] fires [writes]
+    times with the live replica count.  A replica whose state is empty
+    (no entries, no tombstones) takes the list [entries] itself, with
+    [expires_at] as its lease, and so, under [equal], does one holding
+    exactly [entries]' values: the same length, each value physically
+    the written one with the written length, in order — what a
+    republish round finds on replicas that missed nothing.  Neither
+    allocates.  Any other replica merges value by value: its first
+    entry [equal] to a written value takes [expires_at], a value it
+    lacks is added, newest first, and its other entries keep their
+    deadlines.  A state whose key is written only under an [equal] that
+    agrees with structural equality never holds two [equal] values.
 
     Returns the entries no live replica held — the ones the write
     installed anew, newest first; all of them when every live state
-    was empty.  The write registers the key, and leaves it the last one
-    looked up: {!replica_buf} reads its replica set off its slot, so
-    the caller bills the live replicas without resolving the key
-    again.
+    was empty.  The write registers the key and leaves it the last one
+    looked up, so {!replica_buf} reads its replica set off its slot.
     @raise Invalid_argument when [entries] is empty. *)
 
 val insert : ?expires_at:float -> 'v t -> key:Hashing.Key.t -> len:int -> 'v -> unit
@@ -216,15 +199,14 @@ val quorum_read :
 (** Reconcile the listed replicas' states of [key] (dead ones are
     skipped): returns the merged unexpired values, the merged version,
     and — having overwritten every diverged consulted replica with the
-    merged state (read repair), whose entries keep the deadlines they
-    had where they came from — the per-node list of entries each
-    repaired replica gained, for traffic billing.  Dominance decides the
-    merge; equal-version divergence and concurrent histories take the
-    entry union fenced by the merged tombstone set.  Replicas that agree
-    (the same values in the same order, no tombstones) reconcile in one
-    pass over their entries.  [nodes] are distinct replicas of the key;
-    a node outside the key's replica set holds no state and is
-    skipped. *)
+    merged state (read repair; entries keep their deadlines) — the
+    per-node list of entries each repaired replica gained, for traffic
+    billing.  Dominance decides the merge; equal-version divergence and
+    concurrent histories take the entry union fenced by the merged
+    tombstone set.  Replicas that agree (the same values in the same
+    order, no tombstones) reconcile in one pass over their entries.
+    [nodes] are distinct replicas of the key; a node outside the key's
+    replica set holds no state and is skipped. *)
 
 val sync_key : 'v t -> key:Hashing.Key.t -> nodes:int list -> (int * 'v entry list) list
 (** {!quorum_read} for its repair side effect only: converge the listed
@@ -400,12 +382,6 @@ val held_state : 'v t -> node:int -> Hashing.Key.t -> 'v held_state option
     included until a probe prunes them), tombstones and version — or
     [None] when it holds no state.  An oracle view for audits and
     tests. *)
-
-(* lint: allow X1 — test view: one replica's entries for a key *)
-val held_entries : 'v t -> node:int -> Hashing.Key.t -> 'v entry list
-(** The raw entries a node physically holds for the key (expiry and
-    liveness not consulted) — the volume a full-state exchange would
-    ship. *)
 
 (* lint: allow X1 — test view: an entry's soft-state deadline on one replica *)
 val entry_expires_at : 'v t -> node:int -> Hashing.Key.t -> 'v entry -> float

@@ -23,7 +23,12 @@ let k s = Key.of_string s
 
 let values entries = List.map Replicated.entry_value entries
 
-let held_values store ~node key = values (Replicated.held_entries store ~node key)
+(* The raw entries a node physically holds for the key, expired ones
+   and dead nodes' included. *)
+let held_entries store ~node key =
+  match Replicated.held_state store ~node key with Some h -> h.Replicated.held | None -> []
+
+let held_values store ~node key = values (held_entries store ~node key)
 
 (* ------------------------------------------------------------------ *)
 (* Version vectors: semilattice laws and causal comparison. *)
@@ -346,7 +351,7 @@ let live_entries_match_naive_filter =
              let naive =
                List.filter_map
                  (fun e -> if expires_at e <= now then None else Some (view e))
-                 (Replicated.held_entries store ~node history_key)
+                 (held_entries store ~node history_key)
              in
              List.map view (Replicated.entries_at store ~node history_key) = naive)
            replicas))
@@ -539,7 +544,7 @@ let peer_major_run store ~entry_bytes ~on_exchange ~on_ship =
     |> List.rev
   in
   let held_bytes ~node key =
-    List.fold_left (fun sum e -> sum + entry_bytes e) 0 (Replicated.held_entries store ~node key)
+    List.fold_left (fun sum e -> sum + entry_bytes e) 0 (held_entries store ~node key)
   in
   List.fold_left
     (fun (acc : Anti_entropy.stats) (replicas, keys) ->

@@ -760,7 +760,11 @@ let one_list_per_write () =
         : _ list)
   in
   write ();
-  let held () = List.map (fun node -> Store.held_entries store ~node key) (Store.replica_nodes store key) in
+  let held () =
+    List.map
+      (fun node -> match Store.held_state store ~node key with Some h -> h.Store.held | None -> [])
+      (Store.replica_nodes store key)
+  in
   let shared = function
     (* lint: allow D3 — the test is that the replicas share one list physically *)
     | first :: rest -> List.for_all (fun l -> l == first) rest && List.length first = 2
