@@ -131,7 +131,10 @@ val insert_entries :
     installs its own entry and [writes] is the length of [entries].
     [count] is the number of [entries] and [lens] the sum of their
     {!entry_len}s, so the store does not walk them.  Their values are
-    distinct (under [equal] when it is given).
+    distinct (under [equal] when it is given), and the entries are
+    {!make_entry}'s: a list an earlier write was given may be written
+    again, as a republish round does, but not entries read back from
+    the store, which may carry deadlines of their own.
 
     A write reaches the {e live} replicas only.  Each drops the
     tombstones a written value matches (under [equal], structurally
