@@ -404,10 +404,8 @@ module Make (Q : Query_sig.QUERY) : S with type query = Q.t = struct
 
   let store_file t ~msd file =
     let msd_string = Q.to_string msd in
-    ignore
-      (write_file t ~key:(Key.of_string msd_string) ~request_bytes:(Wire.request_bytes msd_string)
-         file
-        : _ list)
+    let key = Key.of_string msd_string and request_bytes = Wire.request_bytes msd_string in
+    ignore (write_file t ~key ~request_bytes file : _ list)
 
   (* Publication stages every scheme edge of a batch of documents under
      its rendered parent, then each parent key takes one store write

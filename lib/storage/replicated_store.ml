@@ -263,12 +263,6 @@ let[@hot] find t key =
 let width = Array.length
 let cell_at = Array.unsafe_get
 
-let fill_replicas slot buf =
-  Stdx.Int_buf.clear buf;
-  for i = 0 to width slot - 1 do
-    Stdx.Int_buf.push buf (cell_at slot i).node
-  done
-
 (* Room in [made] and [keys] for [room] slots.  [made] is padded with
    the static [[||]]: a young fill would cost a minor collection, since
    [Array.make] moves it to the major heap first. *)
@@ -342,7 +336,12 @@ let remove_slot t key =
 
 let[@hot] replica_buf t key =
   let slot = find t key in
-  if is_slot slot then fill_replicas slot t.scratch
+  if is_slot slot then begin
+    Stdx.Int_buf.clear t.scratch;
+    for i = 0 to width slot - 1 do
+      Stdx.Int_buf.push t.scratch (cell_at slot i).node
+    done
+  end
   else Dht.Resolver.replicas_into t.resolver key t.replication t.scratch;
   t.scratch
 
