@@ -6,7 +6,7 @@ module Key = Hashing.Key
    equally, so two entries whose lengths differ never hold equal values:
    every membership test below compares lengths before values.
    [expires_at] is the entry's own deadline: [neg_infinity] on an entry
-   a writer made, which a state's lease covers (see [cell]). *)
+   a writer made, which a state's lease covers (see [fence]). *)
 type 'v entry = { value : 'v; len : int; expires_at : float }
 
 let entry_value e = e.value
@@ -20,10 +20,14 @@ let entry_len e = e.len
    resurrecting a deletion — except when a remove finds the key gone
    from every replica, which garbage-collects the key outright.
 
-   [floor] is a lower bound on the entries' expiries ([infinity] when
-   there are none): a probe whose clock is still below it knows nothing
-   has expired without walking the list.  Every assignment of [entries]
-   keeps it a lower bound.  Tombstones and the floor change rarely, so
+   [floor] is the state's lease: an entry expires at the later of its
+   own deadline and the floor, so the floor is a lower bound on the
+   entries' expiries ([infinity] when there are none), and a probe whose
+   clock is still below it knows nothing has expired without walking
+   the list.  A write that refreshes the whole list sets it to its
+   deadline; any other change that would lower it first folds it into
+   the entries it covers ({!folded}), so a lease extends no entry its
+   refresh did not write.  Tombstones and the floor change rarely, so
    they share one immutable record, and a state with neither — every
    state under hard state without removes — points at [unfenced]: the
    floor costs those states no memory. *)
@@ -46,21 +50,12 @@ let make_fence ~tombs ~floor =
    [len]s ({!count} and {!lens}: 31 bits each are room for more than any
    state holds), kept beside the list at every assignment of it, so that
    the report's totals and a reply's price read one field instead of
-   walking the list.
-
-   [lease] is the deadline the state's last whole-list refresh set
-   ([neg_infinity] for none): an entry expires at the later of its own
-   deadline and the lease, which is thus a lower bound like the floor.
-   A state takes a lease only with the written list it then holds, and
-   whatever joins the list later carries a deadline no earlier than the
-   lease or has the lease folded in ({!folded}), so a lease extends no
-   entry its refresh did not write. *)
+   walking the list. *)
 type 'v cell = {
   node : int;  (* -1 on the store's [absent] stand-in and merged states *)
   mutable epoch : int;
   mutable entries : 'v entry list;
   mutable tally : int;
-  mutable lease : float;
   mutable version : Version.t;
   mutable fence : 'v fence;
 }
@@ -94,7 +89,6 @@ let set_counted st entries = set_entries st entries ~count:(List.length entries)
 
 let set_tombs st tombs = st.fence <- make_fence ~tombs ~floor:st.fence.floor
 let set_floor st floor = st.fence <- make_fence ~tombs:st.fence.tombs ~floor
-let lower_floor st expires_at = if expires_at < st.fence.floor then set_floor st expires_at
 
 (* A slot per registered key: registration is the slot's presence.  A
    slot's replica set is resolved once, when the slot is made; that is
@@ -130,7 +124,8 @@ let lower_floor st expires_at = if expires_at < st.fence.floor then set_floor st
    coordinates as often.  It is a direct-mapped cache of [fresh_slots]
    such lists, placed by node and count, so its size does not grow with
    the node count; [fresh_nodes] holds each place's node, -1 while it
-   is empty. *)
+   is empty.  [lease] is the fence the last whole-list refresh without
+   tombstones set, shared by the states a round refreshes. *)
 type 'v t = {
   resolver : Dht.Resolver.t;
   replication : int;
@@ -154,13 +149,13 @@ type 'v t = {
   scratch : Stdx.Int_buf.t; (* replica-set resolution buffer *)
   fresh : Version.t array;
   fresh_nodes : int array;
+  mutable lease : 'v fence;
 }
 
 let fresh_slots = 2048
 
 let blank node =
-  { node; epoch = -1; entries = []; tally = 0; lease = neg_infinity; version = Version.zero;
-    fence = unfenced }
+  { node; epoch = -1; entries = []; tally = 0; version = Version.zero; fence = unfenced }
 
 let create ~resolver ~replication ?on_write_acks ?liveness ?(clock = fun () -> 0.0) () =
   if replication < 1 then
@@ -197,6 +192,7 @@ let create ~resolver ~replication ?on_write_acks ?liveness ?(clock = fun () -> 0
     scratch = Stdx.Int_buf.create ~capacity:(Stdlib.max 1 replication) ();
     fresh = Array.make fresh_slots Version.zero;
     fresh_nodes = Array.make fresh_slots (-1);
+    lease = unfenced;
   }
 
 let replication t = t.replication
@@ -384,22 +380,17 @@ let claim t c =
   if c.epoch <> epoch then begin
     c.epoch <- epoch;
     set_entries c [] ~count:0 ~lens:0;
-    c.lease <- neg_infinity;
     c.version <- Version.zero;
     c.fence <- unfenced
   end
 
-(* Does the state keep every entry past [now]? *)
-let none_expire now st = now < st.fence.floor || now < st.lease
-
 (* The entry's expiry in [st]. *)
-let expiry st e = if e.expires_at < st.lease then st.lease else e.expires_at
+let expiry st e = if e.expires_at < st.fence.floor then st.fence.floor else e.expires_at
 
 (* [st]'s entries with its lease folded into their own deadlines. *)
 let folded st =
-  let lease = st.lease in
-  if lease = neg_infinity then st.entries
-  else List.map (fun e -> if e.expires_at < lease then { e with expires_at = lease } else e) st.entries
+  let lease = st.fence.floor in
+  List.map (fun e -> if e.expires_at < lease then { e with expires_at = lease } else e) st.entries
 
 let rec any_expired now = function
   | [] -> false
@@ -410,12 +401,12 @@ let rec floor_of acc = function
   | e :: rest -> floor_of (if e.expires_at < acc then e.expires_at else acc) rest
 
 (* Drop the state's expired entries in place so cells do not
-   accumulate dead soft state.  Below the floor or the lease nothing can
-   have expired — always, with infinite TTLs — and the list is not
-   walked; [absent]'s floor is infinite.  Past both, own deadlines
-   decide. *)
+   accumulate dead soft state.  Below the floor nothing can have
+   expired — always, with infinite TTLs — and the list is not walked;
+   [absent]'s floor is infinite.  Past it, own deadlines decide, and
+   the new floor is the earliest of them, which extends nothing. *)
 let prune now st =
-  if not (none_expire now st) then begin
+  if st.fence.floor <= now then begin
     if any_expired now st.entries then
       set_counted st (List.filter (fun e -> not (e.expires_at <= now)) st.entries);
     set_floor st (floor_of infinity st.entries)
@@ -499,9 +490,9 @@ let rec refresh_first equal ~expires_at e = function
    deadline is folded in first, so it extends nothing the write sets.
    Returns the written entries the state gained, newest first. *)
 let merge_values ~equal ~expires_at st entries =
-  if expires_at < st.lease then begin
+  if expires_at < st.fence.floor then begin
     st.entries <- folded st;
-    st.lease <- neg_infinity
+    set_floor st expires_at
   end;
   let gain gained e =
     match equal with
@@ -517,7 +508,6 @@ let merge_values ~equal ~expires_at st entries =
   set_entries st
     (List.fold_right (fun e held -> { e with expires_at } :: held) gained st.entries)
     ~count:(count st + List.length gained) ~lens:(lens st + len_sum 0 gained);
-  lower_floor st expires_at;
   gained
 
 (* A write clears the tombstones its values match: under [equal] when
@@ -548,6 +538,18 @@ let bump t v ~actor writes =
     end
   end
 
+(* [st] takes the written list itself, with the write's deadline as its
+   lease.  States without tombstones share the store's last lease
+   fence, so the writes of a round, which share one deadline, allocate
+   no fence. *)
+let adopt t st entries ~count ~lens ~expires_at =
+  set_entries st entries ~count ~lens;
+  match st.fence.tombs with
+  | [] ->
+      if t.lease.floor <> expires_at then t.lease <- make_fence ~tombs:[] ~floor:expires_at;
+      st.fence <- t.lease
+  | _ :: _ -> set_floor st expires_at
+
 (* The store's one write: one probe finds (or makes) the key's slot,
    whose cells are its replicas.  Each live replica's cell is claimed
    and pruned.  An empty state — no entries, no tombstones — takes the
@@ -565,7 +567,7 @@ let insert_entries ~equal t ~key ~writes ~expires_at ~count ~lens entries =
   let vv = ref Version.zero and acks = ref 0 in
   (* [fresh]: the written entries every merged state gained (the very
      ones: membership is identity). *)
-  let fresh = ref entries and fence = ref unfenced in
+  let fresh = ref entries in
   for i = 0 to width slot - 1 do
     let st = cell_at slot i in
     if alive_cell t st then begin
@@ -573,25 +575,17 @@ let insert_entries ~equal t ~key ~writes ~expires_at ~count ~lens entries =
       prune now st;
       if !acks = 0 then vv := bump t st.version ~actor:st.node writes;
       (match (st.entries, st.fence.tombs) with
-      | [], [] ->
-          set_entries st entries ~count ~lens;
-          st.lease <- expires_at;
-          (* One fence a write, shared by the states it fills. *)
-          if !fence.floor > expires_at then fence := make_fence ~tombs:[] ~floor:expires_at;
-          if !fence.floor < st.fence.floor then st.fence <- !fence
-      | _ :: _, _ | [], _ :: _ ->
+      | [], [] -> adopt t st entries ~count ~lens ~expires_at
+      | _ :: _, _ | [], _ :: _ -> (
           clear_tombs ~equal st entries;
-          let gained =
-            if Option.is_some equal && holds_exactly st.entries entries then begin
-              st.entries <- entries;
-              st.lease <- expires_at;
-              lower_floor st expires_at;
-              []
-            end
-            else merge_values ~equal ~expires_at st entries
-          in
-          fresh :=
-            match gained with [] -> [] | _ :: _ -> List.filter (fun e -> List.memq e gained) !fresh);
+          if Option.is_some equal && holds_exactly st.entries entries then begin
+            adopt t st entries ~count ~lens ~expires_at;
+            fresh := []
+          end
+          else
+            match merge_values ~equal ~expires_at st entries with
+            | [] -> fresh := []
+            | gained -> fresh := List.filter (fun e -> List.memq e gained) !fresh));
       st.version <- merge_into st.version !vv;
       incr acks
     end
@@ -774,7 +768,7 @@ let merge_states a b =
 (* [a]'s entries [xs] against [b]'s [ys]: values and expiries. *)
 let rec same_entries a b xs ys =
   (* lint: allow D3 — a list under one lease is equal to itself; the walk follows *)
-  (xs == ys && a.lease = b.lease)
+  (xs == ys && a.fence.floor = b.fence.floor)
   ||
   match (xs, ys) with
   | [], [] -> true
@@ -801,7 +795,6 @@ let assign t target merged =
   claim t target;
   target.entries <- merged.entries;
   target.tally <- merged.tally;
-  target.lease <- merged.lease;
   target.version <- merged.version;
   target.fence <- merged.fence
 
@@ -1032,11 +1025,10 @@ let repair ?(on_restore = fun ~node:_ _ -> ()) t =
 let key_count t = t.live
 
 (* Unexpired entries in a state, counted without building a list; below
-   the floor or the lease, the kept count, without reading the
-   entries. *)
+   the floor, the kept count, without reading the entries. *)
 let unexpired_count t st =
   let now = t.clock () in
-  if none_expire now st then count st
+  if now < st.fence.floor then count st
   else List.fold_left (fun n e -> if e.expires_at <= now then n else n + 1) 0 st.entries
 
 (* [f] on every held cell, for walks whose results are sums. *)
