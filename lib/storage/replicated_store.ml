@@ -154,6 +154,11 @@ type 'v t = {
 
 let fresh_slots = 2048
 
+(* Counts up to this many, what publication's writes reach, have a
+   place of their own for each of the first [fresh_slots / fresh_writes]
+   nodes; larger ones, a republish round's, are placed by hash. *)
+let fresh_writes = 4
+
 let blank node =
   { node; epoch = -1; entries = []; tally = 0; version = Version.zero; fence = unfenced }
 
@@ -528,7 +533,11 @@ let bump t v ~actor writes =
   let total = base + writes in
   if writes < 1 || Version.dots v <> Bool.to_int (base > 0) then Version.bump_by v ~actor writes
   else begin
-    let i = ((actor * 0x9E3779B1) + total) land (fresh_slots - 1) in
+    let i =
+      (if total <= fresh_writes then (actor * fresh_writes) + total - 1
+       else (actor * 0x9E3779B1) + total)
+      land (fresh_slots - 1)
+    in
     if t.fresh_nodes.(i) = actor && Version.counter t.fresh.(i) ~actor = total then t.fresh.(i)
     else begin
       let v = Version.bump_by Version.zero ~actor total in
