@@ -446,7 +446,7 @@ let micro_ceilings =
     ("dht/static-create-10k", 110_600.0);
     ("storage/create-10k", 1_000.0);
     ("index/publish-corpus-1k", 531_700.0);
-    ("index/republish-corpus-1k", 7_990.0);
+    ("index/republish-corpus-1k", 8_060.0);
     ("index/report-totals-10k", 29.0);
     ("storage/insert-r3", 20.0);
     ("storage/quorum-read-agree", 805.0);

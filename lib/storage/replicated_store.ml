@@ -156,7 +156,8 @@ let fresh_slots = 2048
 
 (* Counts up to this many, what publication's writes reach, have a
    place of their own for each of the first [fresh_slots / fresh_writes]
-   nodes; larger ones, a republish round's, are placed by hash. *)
+   nodes.  Larger ones are shared only when they bump a dot the state
+   already holds, as republish rounds do, and are placed by hash. *)
 let fresh_writes = 4
 
 let blank node =
@@ -531,7 +532,8 @@ let clear_tombs ~equal st entries =
 let bump t v ~actor writes =
   let base = Version.counter v ~actor in
   let total = base + writes in
-  if writes < 1 || Version.dots v <> Bool.to_int (base > 0) then Version.bump_by v ~actor writes
+  if writes < 1 || Version.dots v <> Bool.to_int (base > 0) || (base = 0 && total > fresh_writes)
+  then Version.bump_by v ~actor writes
   else begin
     let i =
       (if total <= fresh_writes then (actor * fresh_writes) + total - 1
