@@ -153,11 +153,6 @@ type 'v t = {
 }
 
 let fresh_slots = 2048
-
-(* Counts up to this many, what publication's writes reach, have a
-   place of their own for each of the first [fresh_slots / fresh_writes]
-   nodes.  Larger ones are shared only when they bump a dot the state
-   already holds, as republish rounds do, and are placed by hash. *)
 let fresh_writes = 4
 
 let blank node =
@@ -526,9 +521,10 @@ let clear_tombs ~equal st entries =
       set_tombs st (List.filter (fun tv -> not (List.exists (matches tv) entries)) tombs)
 
 (* [Version.bump_by v ~actor writes], taken from [t.fresh] when [v] is
-   zero or [actor]'s dot alone: the place of [(actor, c)] holds
-   [[(actor, c)]] while it records that dot.  Republish rounds bump
-   such versions again, so they stay shared. *)
+   zero or [actor]'s dot alone.  Counts up to [fresh_writes], what
+   publication reaches, have a place of their own for each of the first
+   512 nodes; larger ones are shared when they bump a dot the state
+   holds, as republish rounds do, and are placed by hash. *)
 let bump t v ~actor writes =
   let base = Version.counter v ~actor in
   let total = base + writes in
